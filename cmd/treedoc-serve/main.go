@@ -1,9 +1,9 @@
 // Treedoc-serve is the replication hub: a relay server that accepts framed
 // TCP connections from Treedoc replicas and fans frames out within
 // per-document relay groups. Clients attach to documents with the
-// kindHello handshake (treedoc.DialDoc / treedoc.DialSession); a plain
-// treedoc.Dial client is a legacy single-document client on the "default"
-// document and keeps working unchanged. The hub holds no document state;
+// kindHello handshake (treedoc.DialDoc / treedoc.DialSession); a
+// connection that sends an un-scoped data frame (an engine wired with
+// treedoc.Dial) is logged and closed. The hub holds no document state;
 // causal buffering at the edges orders, deduplicates and — via each
 // engine's periodic anti-entropy exchange — repairs any frames a slow
 // client's queue had to drop.
@@ -256,7 +256,7 @@ func main() {
 	addr := flag.String("addr", ":9707", "listen address")
 	queue := flag.Int("queue", 256, "per-client outbound queue depth")
 	verbose := flag.Bool("v", false, "log client connects, disconnects, slow-client drops and handoffs")
-	docs := flag.String("docs", transport.DefaultDoc, "comma-separated documents to archive (with -log); clients may attach to any document regardless")
+	docs := flag.String("docs", "default", "comma-separated documents to archive (with -log); clients may attach to any document regardless")
 	self := flag.String("self", "", "this hub's advertised address in the shard ring (required with -peers or -join)")
 	peers := flag.String("peers", "", "comma-separated advertised addresses of every hub in the shard ring, including this one (empty disables sharding)")
 	join := flag.String("join", "", "advertised address of any live ring member: fetch its ring, add this hub at the next epoch, and announce (live reshard; requires -self)")

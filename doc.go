@@ -71,10 +71,12 @@
 // from full queues, slow consumers or late joiners, and coordinates
 // flatten through the same commitment protocol the simulator runs. Links
 // are in-process channel pairs (NewChanPair) or length-prefixed TCP
-// framing (Dial; DialDoc names a document, and a Session from DialSession
-// multiplexes several documents' links over one connection — see
-// ExampleDialSession), typically relayed by the cmd/treedoc-serve hub
-// (whose archivist can double as a flatten janitor with -flatten-every).
+// framing: DialDoc attaches to one named document on a cmd/treedoc-serve
+// hub (whose archivist can double as a flatten janitor with
+// -flatten-every), a Session from DialSession multiplexes several
+// documents' links over one connection (see ExampleDialSession), and
+// Dial is for direct engine-to-engine links — hubs relay document-scoped
+// connections only.
 // Convergence under genuine parallelism is exercised by the race and soak
 // tests in internal/transport; docs/ARCHITECTURE.md specifies the wire
 // and on-disk formats.
@@ -98,12 +100,12 @@
 // barrier by a few anti-entropy rounds so live peers a moment behind are
 // still served plain operations. A peer whose digest falls below the
 // truncation floor (typically a late joiner) is missing operations that
-// no longer exist as messages; it receives the barrier snapshot in a
-// single frame plus the retained suffix, installs it if its version
+// no longer exist as messages; it receives the barrier snapshot as a
+// chunk sequence plus the retained suffix, installs it if its version
 // dominates local state (Doc.InstallSnapshot), and replays only the tail
 // — never the full history. WithSnapshotThreshold serves snapshots to
-// deeply-behind-but-servable peers too, trading one big frame for a long
-// op replay.
+// deeply-behind-but-servable peers too, trading one big transfer for a
+// long op replay.
 //
 // The layering is deliberate: algorithms are debugged on the simulator,
 // where failures replay deterministically, and deployed on the transport,

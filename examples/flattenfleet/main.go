@@ -1,12 +1,13 @@
 // Flattenfleet: the distributed flatten commitment protocol of Section
-// 4.2.1 running over real TCP — not the simulator. Three replicas dial an
-// in-process relay hub (the same one cmd/treedoc-serve runs); one
-// proposes compacting the document through Engine.ProposeFlatten. A
-// proposal racing a concurrent edit aborts harmlessly ("a conflicting
-// edit causes a flatten to abort, leaving no side-effects"); a proposal
-// on a quiescent document commits everywhere, reduces every replica to a
-// zero-overhead array, and becomes the snapshot a late joiner catches up
-// from without replaying any pre-flatten history.
+// 4.2.1 running over real TCP — not the simulator. Three replicas attach
+// to one document on an in-process relay hub (the same one
+// cmd/treedoc-serve runs); one proposes compacting the document through
+// Engine.ProposeFlatten. A proposal racing a concurrent edit aborts
+// harmlessly ("a conflicting edit causes a flatten to abort, leaving no
+// side-effects"); a proposal on a quiescent document commits everywhere,
+// reduces every replica to a zero-overhead array, and becomes the
+// snapshot a late joiner catches up from without replaying any
+// pre-flatten history.
 package main
 
 import (
@@ -101,7 +102,7 @@ func dialSite(addr string, id treedoc.SiteID) *site {
 		treedoc.WithFlattenTimeout(500*time.Millisecond),
 		treedoc.WithSnapshotThreshold(64))
 	must(err)
-	link, err := treedoc.Dial(addr)
+	link, err := treedoc.DialDoc(addr, "fleet")
 	must(err)
 	eng.Connect(link)
 	return &site{id: id, buf: buf, eng: eng}

@@ -2,7 +2,7 @@ package transport
 
 // Delta anti-entropy suite: digest suppression goes quiet on idle
 // documents without giving up loss healing, and batched multi-document
-// digests interoperate with peers that only speak kindSyncReq. Run under
+// digests are split back into each document's answer path. Run under
 // `go test -race`: the suppression state lives next to every other peer
 // field the actor goroutine owns.
 
@@ -150,11 +150,12 @@ func TestDigestSuppressionHealsDrop(t *testing.T) {
 	}
 }
 
-// TestSyncBatchInterop is the mixed-version check: a Session client whose
-// digests ride kindSyncBatch frames converges with per-document DialDoc
-// clients that only ever speak enveloped kindSyncReq, through a hub that
-// splits every batch back into the per-document path.
-func TestSyncBatchInterop(t *testing.T) {
+// TestSyncBatchSplitsPerDocument attaches three documents through one
+// shared Session, whose digests coalesce into multi-entry kindSyncBatch
+// frames, and one dedicated DialDoc connection per document: the hub
+// splits every batch back into the per-document path, and each pair
+// converges.
+func TestSyncBatchSplitsPerDocument(t *testing.T) {
 	hub, err := ListenHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +171,7 @@ func TestSyncBatchInterop(t *testing.T) {
 		rep *testReplica
 		eng *Engine
 	}
-	var batched, legacy []party
+	var batched, single []party
 	for i, doc := range docs {
 		// Batched side: attached through the shared session.
 		link, err := sess.Attach(doc)
@@ -186,8 +187,8 @@ func TestSyncBatchInterop(t *testing.T) {
 		eng.Connect(link)
 		batched = append(batched, party{rep, eng})
 
-		// Legacy side: a dedicated doc-aware connection per document,
-		// which never sends nor receives a kindSyncBatch frame.
+		// Single side: a dedicated connection per document, whose digest
+		// windows only ever hold one entry.
 		llink, err := DialDoc(addr, doc)
 		if err != nil {
 			t.Fatal(err)
@@ -199,12 +200,12 @@ func TestSyncBatchInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		leng.Connect(llink)
-		legacy = append(legacy, party{lrep, leng})
+		single = append(single, party{lrep, leng})
 	}
 	defer func() {
 		for i := range batched {
 			batched[i].eng.Stop()
-			legacy[i].eng.Stop()
+			single[i].eng.Stop()
 		}
 	}()
 
@@ -213,7 +214,7 @@ func TestSyncBatchInterop(t *testing.T) {
 			if err := batched[i].eng.Broadcast(batched[i].rep.insertAt(t, batched[i].rep.len(), fmt.Sprintf("b%d.%d ", i, round))); err != nil {
 				t.Fatal(err)
 			}
-			if err := legacy[i].eng.Broadcast(legacy[i].rep.insertAt(t, 0, fmt.Sprintf("l%d.%d ", i, round))); err != nil {
+			if err := single[i].eng.Broadcast(single[i].rep.insertAt(t, 0, fmt.Sprintf("l%d.%d ", i, round))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -223,17 +224,15 @@ func TestSyncBatchInterop(t *testing.T) {
 	}
 
 	for i := range docs {
-		waitConverged(t, []*Engine{batched[i].eng, legacy[i].eng}, 30*time.Second)
-		checkAll(t, batched[i].rep, legacy[i].rep)
+		waitConverged(t, []*Engine{batched[i].eng, single[i].eng}, 30*time.Second)
+		checkAll(t, batched[i].rep, single[i].rep)
 	}
 
 	// The batching must actually have happened: the hub split at least one
-	// multi-entry frame, and every batched entry is a per-doc digest.
-	if hub.SyncBatchFrames() == 0 {
-		t.Fatal("session never coalesced digests into a kindSyncBatch frame")
-	}
-	if hub.SyncBatchEntries() < hub.SyncBatchFrames() {
-		t.Fatalf("batch counters inconsistent: %d frames, %d entries",
+	// multi-entry frame (the single-document connections contribute exactly
+	// one entry per frame, so any surplus came from the session).
+	if hub.SyncBatchEntries() <= hub.SyncBatchFrames() {
+		t.Fatalf("session never coalesced digests: %d batch frames, %d entries",
 			hub.SyncBatchFrames(), hub.SyncBatchEntries())
 	}
 }

@@ -3,9 +3,11 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/treedoc/treedoc/internal/vclock"
 )
@@ -88,7 +90,7 @@ func TestDocFrameCarriesSnapshots(t *testing.T) {
 	// the snap ceiling plus the envelope overhead, and WriteFrame/ReadFrame
 	// must round-trip it.
 	data := bytes.Repeat([]byte{0xAB}, MaxSnapFrameSize-1024)
-	inner, err := EncodeSnapReply(3, vclock.VC{3: 9}, data)
+	inner, err := EncodeSnapChunk(3, vclock.VC{3: 9}, uint64(len(data)), 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +176,52 @@ func TestHelloRespRoundTrip(t *testing.T) {
 	}
 	if _, err := EncodeHelloResp([]HelloEntry{{Doc: "x", Redirect: strings.Repeat("a", maxRedirectAddr+1)}}); err == nil {
 		t.Fatal("oversized redirect accepted")
+	}
+}
+
+// TestHubClosesBareFrameClient: every hub connection is doc-scoped, so a
+// client sending a bare data frame (an engine wired with Dial instead of
+// DialDoc) must fail loudly — the frame mints no relay group, reaches no
+// attached client, is counted in Unrouted, and the connection is closed.
+func TestHubClosesBareFrameClient(t *testing.T) {
+	hub, err := ListenHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	addr := hub.Addr().String()
+	attached, err := DialDoc(addr, "scoped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer attached.Close()
+
+	raw, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	frame, err := EncodeOps(testMsgs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := raw.Recv(); err == nil {
+		t.Fatalf("bare-frame client was sent a %d-byte frame instead of being closed", len(f))
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("bare-frame client was not disconnected")
+	}
+	if n := hub.Unrouted(); n != 1 {
+		t.Fatalf("Unrouted = %d, want 1", n)
+	}
+	stats := hub.DocStats()
+	if st, ok := stats["scoped"]; len(stats) != 1 || !ok || st.Clients != 1 || st.Relays != 0 {
+		t.Fatalf("bare frame minted a relay group or reached an attached client: %+v", stats)
 	}
 }
 

@@ -216,7 +216,6 @@ type command struct {
 	msgs      []causal.Message
 	sync      *SyncReqFrame
 	snapReq   *SnapReqFrame
-	snap      *SnapFrame
 	snapChunk *SnapChunkFrame
 	flatProp  *FlatProposeFrame
 	flatVote  *FlatVoteFrame
@@ -273,7 +272,6 @@ type Engine struct {
 	flattensAborted   atomic.Uint64
 	digestsSent       atomic.Uint64
 	digestsSuppressed atomic.Uint64
-	repliesSquelched  atomic.Uint64
 	replayOps         atomic.Uint64
 	replayBytes       atomic.Uint64
 
@@ -321,8 +319,8 @@ type Engine struct {
 	// immutable thereafter (safe to nil-check from any goroutine); the
 	// state it points to belongs to the actor, marked field by field.
 	fl *flattenState
-	// snapAsm holds in-progress chunked-snapshot reassemblies, keyed by the
-	// sending site (snapchunk handling in flatten.go's sibling code path).
+	// snapAsm holds in-progress snapshot reassemblies, keyed by the sending
+	// site (see snapchunk.go).
 	snapAsm map[ident.SiteID]*snapAssembly // actor-owned
 	// opScratch is deliverBatch's reusable op buffer (actor-owned).
 	opScratch []core.Op
@@ -524,12 +522,6 @@ func (e *Engine) DigestsSent() uint64 { return e.digestsSent.Load() }
 // keepalive had not elapsed. A high ratio of suppressed to sent is the
 // healthy state, hot or idle; see docs/ARCHITECTURE.md §13.
 func (e *Engine) DigestsSuppressed() uint64 { return e.digestsSuppressed.Load() }
-
-// RepliesSquelched counts digests left unanswered because an answer
-// covering the requester's frontier had already been sent on the same
-// link in the same sync tick (the relay fans that answer to the whole
-// group, so a second copy would be pure duplication).
-func (e *Engine) RepliesSquelched() uint64 { return e.repliesSquelched.Load() }
 
 // ReplayOps counts retained operations queued in answer to peers'
 // digests (each op counted once per peer it was queued to).
@@ -791,8 +783,6 @@ func (e *Engine) handle(cmd command) {
 	case cmd.snapReq != nil:
 		e.noteSite(cmd.snapReq.From)
 		e.handleSnapReq(cmd.snapReq, cmd.from)
-	case cmd.snap != nil:
-		e.handleSnap(cmd.snap)
 	case cmd.snapChunk != nil:
 		e.handleSnapChunk(cmd.snapChunk)
 	case cmd.flatProp != nil:
@@ -919,27 +909,6 @@ func vcEqual(a, b vclock.VC) bool {
 	return a.Dominates(b) && b.Dominates(a)
 }
 
-// vcMin returns the pointwise minimum of a replay floor and a digest
-// clock: the frontier below which every retained message has been offered
-// on the link this tick. A nil floor adopts the clock. Sites missing from
-// either side are already served from zero, so they stay absent.
-func vcMin(floor, clock vclock.VC) vclock.VC {
-	if floor == nil {
-		return clock
-	}
-	out := vclock.New()
-	for s, v := range floor {
-		if cv := clock.Get(s); cv > 0 {
-			if cv < v {
-				out[s] = cv
-			} else {
-				out[s] = v
-			}
-		}
-	}
-	return out
-}
-
 // handleSyncReq answers an anti-entropy digest. A requester below the
 // compaction barrier — or further behind than the snapshot threshold —
 // receives the barrier snapshot followed by the retained suffix; anyone
@@ -963,33 +932,12 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 			e.snapReqSent = true
 		}
 	}
-	// One answer per frontier per tick — but only on broadcast links:
-	// through a legacy relay, a hot document's cohort digests in lockstep
-	// and every answer fans out to the whole group, so a digest at or
-	// above a floor already answered this tick is covered by that answer
-	// in flight. On a replay-routing link each answer reaches its
-	// requester alone; squelching there would starve co-requesters, not
-	// deduplicate them.
-	if !from.routes {
-		if from.replayFloor != nil && req.Clock.Dominates(from.replayFloor) {
-			e.repliesSquelched.Add(1)
-			return
-		}
-		from.replayFloor = vcMin(from.replayFloor, req.Clock)
-	}
-	if e.truncVC != nil && !req.Clock.Dominates(e.truncVC) {
-		// Below the truncation floor: some ops the requester is missing no
-		// longer exist as messages. Snapshot, then the retained suffix.
-		e.sendSnapshot(from, req.From)
-		e.sendMissing(from, req.Clock, req.From)
-		return
-	}
-	if e.snapThreshold > 0 && gap(e.buf.Clock(), req.Clock) >= uint64(e.snapThreshold) && e.ensureBarrier() {
-		e.sendSnapshot(from, req.From)
-		e.sendMissing(from, req.Clock, req.From)
-		return
-	}
-	e.sendMissing(from, req.Clock, req.From)
+	// Below the truncation floor some ops the requester is missing no
+	// longer exist as messages; past the threshold replaying them is the
+	// slow way. Either way: snapshot, then the retained suffix.
+	snapshot := (e.truncVC != nil && !req.Clock.Dominates(e.truncVC)) ||
+		(e.snapThreshold > 0 && gap(e.buf.Clock(), req.Clock) >= uint64(e.snapThreshold) && e.ensureBarrier())
+	e.answer(from, req.Clock, req.From, snapshot)
 }
 
 // handleSnapReq answers an explicit snapshot request: barrier snapshot
@@ -999,26 +947,16 @@ func (e *Engine) handleSnapReq(req *SnapReqFrame, from *peer) {
 		return
 	}
 	from.noteHeard(req.Clock)
-	if e.ensureBarrier() {
-		e.sendSnapshot(from, req.From)
-	}
-	e.sendMissing(from, req.Clock, req.From)
+	e.answer(from, req.Clock, req.From, e.ensureBarrier())
 }
 
-// handleSnap installs a snapshot catch-up frame: if its version dominates
-// local state, the replica adopts it, the causal clock advances to cover
-// it, buffered successors deliver, and the snapshot becomes this engine's
-// own compaction barrier (persisted when a log is configured). Stale or
-// duplicate snapshots are ignored — through a relay hub, one digest can
-// draw snapshots from several peers at once.
-func (e *Engine) handleSnap(f *SnapFrame) {
-	if f.From == e.site || e.snap == nil {
-		return
-	}
-	if e.buf.Clock().Dominates(f.Version) {
-		return // already covered: duplicate or stale
-	}
-	version, err := e.snap.InstallSnapshot(f.Data)
+// installSnapshot installs a reassembled catch-up snapshot (see
+// handleSnapChunk): if its version dominates local state, the replica
+// adopts it, the causal clock advances to cover it, buffered successors
+// deliver, and the snapshot becomes this engine's own compaction barrier
+// (persisted when a log is configured).
+func (e *Engine) installSnapshot(data []byte) {
+	version, err := e.snap.InstallSnapshot(data)
 	if err != nil {
 		if errors.Is(err, core.ErrStaleSnapshot) {
 			// Concurrent local edits the snapshot does not cover: not
@@ -1033,7 +971,7 @@ func (e *Engine) handleSnap(f *SnapFrame) {
 	}
 	e.snapsInstalled.Add(1)
 	delivered := e.buf.Advance(version)
-	e.adoptBarrier(f.Data, version, version)
+	e.adoptBarrier(data, version, version)
 	e.deliver(delivered)
 }
 
@@ -1157,74 +1095,69 @@ func (e *Engine) ensureBarrier() bool {
 	return e.compactNow()
 }
 
-// sendSnapshot queues the barrier snapshot to one peer — in one kindSnap
-// frame normally, or as a kindSnapChunk sequence when the snapshot
-// outgrows MaxSnapFrameSize. The same barrier is offered to the same peer
-// at most once per snapResendAfter: repeated digests from a catching-up
-// peer must not draw a snapshot per tick, but an offer lost to a full
-// queue is eventually repeated.
-func (e *Engine) sendSnapshot(to *peer, dst ident.SiteID) {
+// errPeerGone stops a paced snapshot stream whose peer or engine is going
+// away.
+var errPeerGone = errors.New("transport: peer gone")
+
+// streamSnapshot streams the barrier snapshot, then the already-encoded
+// suffix frames, to one peer — one ordered stream, so the snapshot lands
+// before the operations above it. A dedicated sender goroutine paces it
+// with blocking sends into the peer queue: the receiver's reassembly is
+// strictly in-order, so a chunk dropped by a full queue would void the
+// whole sequence — and a queue shallower than the chunk count would void
+// every offer, forever. Blocking also bounds the memory in flight to the
+// queue depth; only one chunk is encoded at a time. At most one stream
+// runs per peer; the snapshot slice and the frames are immutable, so the
+// goroutine reads them safely after the actor has moved on. The same
+// barrier is offered to the same peer at most once per snapResendAfter:
+// repeated digests from a catching-up peer must not draw a snapshot per
+// tick, but an offer voided by a lost chunk is eventually repeated. It
+// reports false when the caller still owns the suffix (rate-limited, or
+// nothing to stream).
+func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) bool {
 	if e.snapData == nil || to.dead() {
-		return
+		return false
+	}
+	if to.chunking.Load() {
+		// A stream is in flight on this link, carrying the barrier and its
+		// suffix: queuing this suffix directly would overtake the snapshot.
+		// Drop the answer; a requester still behind re-digests.
+		return true
 	}
 	if to.lastSnapVC != nil && vcEqual(to.lastSnapVC, e.snapVC) && time.Since(to.lastSnapAt) < snapResendAfter {
-		return
-	}
-	if len(e.snapData) > snapChunkThreshold {
-		e.sendSnapshotChunked(to, dst)
-	} else {
-		frame, err := EncodeSnapReply(e.site, e.snapVC, e.snapData)
-		if err != nil {
-			// Near-threshold snapshot whose headers (a wide version vector)
-			// pushed the frame over the limit: chunk it instead.
-			e.sendSnapshotChunked(to, dst)
-		} else {
-			to.trySend(directed(to, dst, frame))
-		}
+		return false
 	}
 	to.lastSnapVC, to.lastSnapAt = e.snapVC, time.Now()
+	to.chunking.Store(true) // only the actor sets it; the sender clears it
 	e.snapsSent.Add(1)
-}
-
-// sendSnapshotChunked slices the barrier snapshot into kindSnapChunk
-// frames, paced by a dedicated sender goroutine that sends blocking into
-// the peer queue: the receiver's reassembly is strictly in-order, so a
-// chunk dropped by a full queue would void the whole sequence — and a
-// queue shallower than the chunk count would void every offer, forever.
-// Blocking also bounds the memory in flight to the queue depth; only one
-// chunk is encoded at a time. At most one sequence runs per peer; the
-// snapshot slice is immutable once adopted, so the goroutine reads it
-// safely after the actor has moved on.
-func (e *Engine) sendSnapshotChunked(to *peer, dst ident.SiteID) {
-	if !to.chunking.CompareAndSwap(false, true) {
-		return // a sequence is already in flight to this peer
-	}
 	data, version := e.snapData, e.snapVC.Clone()
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
 		defer to.chunking.Store(false)
-		total := uint64(len(data))
-		for off := uint64(0); off < total; off += uint64(snapChunkPayload) {
-			end := off + uint64(snapChunkPayload)
-			if end > total {
-				end = total
-			}
-			frame, err := EncodeSnapChunk(e.site, version, total, off, data[off:end])
-			if err != nil {
-				e.wireErrs.Add(1)
-				return
-			}
-			frame = directed(to, dst, frame)
+		send := func(frame []byte) error {
 			select {
-			case to.out <- frame:
+			case to.out <- directed(to, dst, frame):
+				return nil
 			case <-to.gone:
-				return
+				return errPeerGone
 			case <-e.done:
+				return errPeerGone
+			}
+		}
+		if _, err := stateFrames(e.site, data, version, nil, send); err != nil {
+			if !errors.Is(err, errPeerGone) {
+				e.wireErrs.Add(1)
+			}
+			return
+		}
+		for _, f := range suffix {
+			if send(f) != nil {
 				return
 			}
 		}
 	}()
+	return true
 }
 
 // replayEntry is one cached digest answer: the encoded frames for a
@@ -1236,37 +1169,43 @@ type replayEntry struct {
 	ops, bytes uint64
 }
 
-// sendMissing queues every retained message the clock does not cover,
-// chunked into frames. The missing set comes from the retained log's
-// per-site index — a binary search plus contiguous suffix slices per
-// site, never a scan of the whole log — and the encoded frames are
-// cached per tick keyed by the span set, so a cohort of peers sharing
-// one frontier (the hot-document shape) draws one encode and a fan-out
-// of the same frames. The log is synced first: retransmissions may
-// carry locally stamped operations that no flush has synced yet.
-func (e *Engine) sendMissing(to *peer, clock vclock.VC, dst ident.SiteID) {
+// answer sends one requester the state since its clock — the one shape
+// behind digest answers and snapshot requests: the barrier snapshot first
+// when the caller found the requester needs one, then every retained
+// message the clock does not cover, chunked into frames. The missing set
+// comes from the retained log's per-site index — a binary search plus
+// contiguous suffix slices per site, never a scan of the whole log — and
+// the encoded frames are cached per tick keyed by the span set, so a
+// cohort of peers sharing one frontier (the hot-document shape) draws one
+// encode and a fan-out of the same frames. The log is synced first:
+// retransmissions may carry locally stamped operations that no flush has
+// synced yet.
+func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bool) {
 	// The settle horizon keeps the newest tick-and-a-bit of the log out of
 	// the answer: those frames are presumed still in flight on the relay
 	// path, and a requester racing them re-digests if any were truly lost.
 	spans := e.retained.missingSpans(e.spanScratch[:0], clock, e.retained.SettledLen())
 	e.spanScratch = spans[:0]
-	if len(spans) == 0 {
-		return
-	}
-	e.syncLog()
-	e.keyScratch = spanKey(e.keyScratch[:0], spans)
-	ent, ok := e.replayCache[string(e.keyScratch)]
-	if !ok {
-		ent = e.encodeSpans(spans)
-		if e.replayCache == nil {
-			e.replayCache = make(map[string]*replayEntry)
+	var ent replayEntry // empty when nothing is missing: the snapshot alone
+	if len(spans) > 0 {
+		e.syncLog()
+		e.keyScratch = spanKey(e.keyScratch[:0], spans)
+		cached, ok := e.replayCache[string(e.keyScratch)]
+		if !ok {
+			cached = e.encodeSpans(spans)
+			if e.replayCache == nil {
+				e.replayCache = make(map[string]*replayEntry)
+			}
+			if len(e.replayCache) < replayCacheCap {
+				e.replayCache[string(e.keyScratch)] = cached
+			}
 		}
-		if len(e.replayCache) < replayCacheCap {
-			e.replayCache[string(e.keyScratch)] = ent
-		}
+		ent = *cached
 	}
-	for _, f := range ent.frames {
-		to.trySend(directed(to, dst, f))
+	if !snapshot || !e.streamSnapshot(to, dst, ent.frames) {
+		for _, f := range ent.frames {
+			to.trySend(directed(to, dst, f))
+		}
 	}
 	e.replayOps.Add(ent.ops)
 	e.replayBytes.Add(ent.bytes)
@@ -1287,7 +1226,7 @@ func directed(to *peer, dst ident.SiteID, frame []byte) []byte {
 }
 
 // encodeSpans assembles one digest answer: gather the spans' messages and
-// frame them in syncChunk slices.
+// frame them through the shared state encoder.
 func (e *Engine) encodeSpans(spans []span) *replayEntry {
 	missing := e.missScratch[:0]
 	msgs := e.retained.Msgs()
@@ -1295,35 +1234,13 @@ func (e *Engine) encodeSpans(spans []span) *replayEntry {
 		missing = append(missing, msgs[sp.start:sp.start+sp.n]...)
 	}
 	ent := &replayEntry{}
-	rest := missing
-	for len(rest) > 0 {
-		n := len(rest)
-		if n > syncChunk {
-			n = syncChunk
-		}
-		chunk := rest[:n]
-		rest = rest[n:]
-		frame, err := EncodeOps(chunk)
-		if err != nil {
-			// Oversized chunk (large atoms): fall back to one frame per op,
-			// as flush does, so one fat chunk cannot starve the rest of the
-			// retransmission and leave the peer permanently behind.
-			for _, m := range chunk {
-				f, err := EncodeOps([]causal.Message{m})
-				if err != nil {
-					e.wireErrs.Add(1)
-					continue
-				}
-				ent.frames = append(ent.frames, f)
-				ent.ops++
-				ent.bytes += uint64(len(f))
-			}
-			continue
-		}
+	skipped, _ := stateFrames(e.site, nil, nil, missing, func(frame []byte) error {
 		ent.frames = append(ent.frames, frame)
-		ent.ops += uint64(n)
 		ent.bytes += uint64(len(frame))
-	}
+		return nil
+	})
+	ent.ops = uint64(len(missing) - skipped)
+	e.wireErrs.Add(uint64(skipped))
 	// Drop the gathered message references (each pins an identifier path)
 	// but keep the grown capacity for the next digest answered.
 	clear(missing)
@@ -1331,9 +1248,6 @@ func (e *Engine) encodeSpans(spans []span) *replayEntry {
 	return ent
 }
 
-// flush syncs the durable log (so no peer can see a stamp that is not on
-// stable storage), frames the pending batch and fans it out to every live
-// peer, then prunes peers whose links died.
 // syncLog flushes appended records to stable storage under FsyncBatch. It
 // must run before any frame carrying a locally stamped operation can
 // reach a peer — the batch fanout and the anti-entropy retransmission
@@ -1348,24 +1262,17 @@ func (e *Engine) syncLog() {
 	}
 }
 
+// flush syncs the durable log (so no peer can see a stamp that is not on
+// stable storage), frames the pending batch and fans it out to every live
+// peer, then prunes peers whose links died.
 func (e *Engine) flush() {
 	e.syncLog()
 	if len(e.batch) > 0 {
-		frame, err := EncodeOps(e.batch)
-		if err != nil {
-			// Oversized batch (giant atom): retry per-op so one outlier
-			// cannot poison the rest.
-			for _, m := range e.batch {
-				f, err := EncodeOps([]causal.Message{m})
-				if err != nil {
-					e.wireErrs.Add(1)
-					continue
-				}
-				e.fanout(f)
-			}
-		} else {
+		skipped, _ := stateFrames(e.site, nil, nil, e.batch, func(frame []byte) error {
 			e.fanout(frame)
-		}
+			return nil
+		})
+		e.wireErrs.Add(uint64(skipped))
 		e.batch = e.batch[:0]
 	}
 	live := e.peers[:0]
@@ -1409,10 +1316,6 @@ func (e *Engine) syncAll() {
 	grace := time.Duration(gapGraceTicks) * e.syncEvery
 	var frame []byte
 	for _, p := range e.peers {
-		// The replay floor lives one tick, like the encoded-replay cache:
-		// answers sent last tick are with the relay by now, so a fresh
-		// round of digests deserves fresh answers.
-		p.replayFloor = nil
 		if p.dead() {
 			continue
 		}
@@ -1469,17 +1372,10 @@ type peer struct {
 	// our clock; a gap must outlive gapGraceTicks before it draws a
 	// digest, filtering gaps that close via in-flight ops (actor-owned).
 	gapSince time.Time
-	// replayFloor is the lowest digest clock answered on this link in the
-	// current tick (pointwise minimum). A later digest at or above the
-	// floor is squelched: the earlier answer, fanned out by the relay,
-	// already covers it. Only broadcast links keep a floor — see routes.
-	// Cleared each tick (actor-owned).
-	replayFloor vclock.VC
 	// routes is set before the peer goes live when the link's far end can
 	// deliver a directed kindReplay to its addressed site (ReplayRouter);
-	// answers on such links are addressed per requester, and the replay
-	// floor does not apply — an answer reaching one requester covers no
-	// one else. Immutable after Connect.
+	// answers on such links are addressed per requester. Immutable after
+	// Connect.
 	routes bool
 	// heardVC is the merged frontier of every digest received on this
 	// link. A hub link relays digests from many sites, so the merge is the
@@ -1487,8 +1383,8 @@ type peer struct {
 	// suppression conservative — any site announcing something we lack
 	// reopens our sends (actor-owned).
 	heardVC vclock.VC
-	// chunking guards the single in-flight chunked-snapshot sequence to
-	// this peer (set by the actor, cleared by the sender goroutine).
+	// chunking guards the single in-flight snapshot stream to this peer
+	// (set by the actor, cleared by the sender goroutine).
 	chunking atomic.Bool
 }
 
@@ -1608,8 +1504,6 @@ func (p *peer) reader() {
 			cmd = command{sync: f, from: p}
 		case *SnapReqFrame:
 			cmd = command{snapReq: f, from: p}
-		case *SnapFrame:
-			cmd = command{snap: f, from: p}
 		case *SnapChunkFrame:
 			cmd = command{snapChunk: f, from: p}
 		case *FlatProposeFrame:

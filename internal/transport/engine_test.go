@@ -252,7 +252,7 @@ func TestEnginePairConvergesOverTCP(t *testing.T) {
 	}
 	defer stopAll(e1, e2)
 	for _, e := range []*Engine{e1, e2} {
-		link, err := Dial(hub.Addr().String())
+		link, err := DialDoc(hub.Addr().String(), "pair")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,6 +271,11 @@ func TestEnginePairConvergesOverTCP(t *testing.T) {
 	checkAll(t, r1, r2)
 	if hub.Relays() == 0 {
 		t.Fatal("hub relayed nothing; traffic bypassed TCP")
+	}
+	// Each connection carries one document, so every digest window reaches
+	// the hub as a one-entry kindSyncBatch — there is no other digest form.
+	if f, e := hub.SyncBatchFrames(), hub.SyncBatchEntries(); f == 0 || e != f {
+		t.Fatalf("one-document digest windows: %d batch frames carrying %d entries, want equal and nonzero", f, e)
 	}
 }
 

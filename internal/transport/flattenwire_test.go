@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/treedoc/treedoc/internal/ident"
@@ -188,15 +189,20 @@ func TestSnapChunkRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSnapChunkFrameSizeLimit verifies an oversized chunk frame is
-// tolerated by the length-prefixed reader (it is a snapshot-bearing kind)
-// while other kinds at that length are refused before allocation.
+// TestSnapChunkFrameSizeLimit verifies a chunk frame may exceed
+// MaxFrameSize (up to MaxSnapFrameSize) through encode, decode and the
+// length-prefixed reader, while every other kind at that length — the
+// retired single-frame snapshot kind 0x04 included — is refused before
+// allocation.
 func TestSnapChunkFrameSizeLimit(t *testing.T) {
 	version := vclock.VC{2: 1}
 	big := make([]byte, MaxFrameSize+1024)
 	frame, err := EncodeSnapChunk(2, version, uint64(len(big)), 0, big)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := DecodeFrame(frame); err != nil {
+		t.Fatalf("big chunk frame rejected on decode: %v", err)
 	}
 	var wire bytes.Buffer
 	if err := WriteFrame(&wire, frame); err != nil {
@@ -208,6 +214,31 @@ func TestSnapChunkFrameSizeLimit(t *testing.T) {
 	}
 	if !bytes.Equal(got, frame) {
 		t.Fatal("chunk frame corrupted through frame IO")
+	}
+	for _, kind := range []byte{kindOps, 0x04} {
+		var hostile bytes.Buffer
+		hostile.Write([]byte{0, 32, 0, 0}) // length 2MiB
+		hostile.WriteByte(kind)
+		hostile.Write(make([]byte, 64))
+		if _, err := ReadFrame(bufio.NewReader(&hostile)); err == nil {
+			t.Fatalf("oversized frame of kind %#x accepted", kind)
+		}
+	}
+	// And beyond MaxSnapFrameSize nothing goes.
+	if _, err := EncodeSnapChunk(2, version, MaxSnapFrameSize, 0, make([]byte, MaxSnapFrameSize)); err == nil {
+		t.Fatal("chunk frame beyond MaxSnapFrameSize accepted")
+	}
+}
+
+// TestRetiredSnapKindIsUnknown pins 0x04 (the single-frame snapshot) as
+// reserved: a well-formed frame of the old layout decodes as an unknown
+// kind, never as something else.
+func TestRetiredSnapKindIsUnknown(t *testing.T) {
+	old := []byte{0x04, 0x02}
+	old = vclock.VC{1: 100}.AppendBinary(old)
+	old = append(old, "snapshot-bytes"...)
+	if _, err := DecodeFrame(old); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+		t.Fatalf("retired snapshot frame: err = %v, want unknown frame kind", err)
 	}
 }
 

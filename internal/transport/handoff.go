@@ -11,11 +11,11 @@ package transport
 //     peer); higher epoch wins. The deterministic diff (shardmap.Moved)
 //     tells every hub which local documents the change relocates.
 //   - Each relocated document runs the handoff state machine:
-//     freeze → stream (kindHandoffBegin, state frames reusing the
-//     kindSnap/kindSnapChunk/kindOps machinery, kindHandoffDone) →
-//     re-point (epoch-stamped unsolicited redirect to every attached
-//     doc-aware client) → release (forward mode for stragglers, ownership
-//     callback for the archivist lifecycle).
+//     freeze → stream (kindHandoffBegin, state frames from the shared
+//     kindSnapChunk/kindOps encoder, kindHandoffDone) → re-point
+//     (epoch-stamped unsolicited redirect to every attached client) →
+//     release (forward mode for stragglers, ownership callback for the
+//     archivist lifecycle).
 //   - Hubs keep persistent mesh connections (hubPeer) to other ring
 //     members: the handoff stream, ring announces, and the kindForward
 //     envelope all travel over them. Forward mode serves a foreign
@@ -79,10 +79,10 @@ var errStaleEpoch = errors.New("transport: ring epoch not above current")
 // triggers the online handoff state machine for every local document the
 // membership change relocates: the document is frozen briefly, its
 // registered state source streamed to the new owner over the mesh,
-// attached doc-aware clients re-pointed with an epoch-stamped redirect,
-// and remaining clients (legacy Dial clients cannot follow redirects)
-// served through forward mode. The new ring is announced to every mesh
-// peer and every attached doc-aware client.
+// attached clients re-pointed with an epoch-stamped redirect, and clients
+// that stay (they cannot reach the new owner) served through forward
+// mode. The new ring is announced to every mesh peer and every
+// connection.
 func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 	if ring == nil || ring.Epoch == 0 {
 		return fmt.Errorf("transport: nil or epoch-0 ring")
@@ -174,11 +174,9 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 			outs = append(outs, moveOut{doc: doc, to: owner})
 		}
 	}
-	var aware []*hubConn
+	conns := make([]*hubConn, 0, len(h.conns))
 	for _, c := range h.conns {
-		if c.aware.Load() {
-			aware = append(aware, c)
-		}
+		conns = append(conns, c)
 	}
 	var mesh []*hubPeer
 	for _, n := range ring.Nodes {
@@ -195,7 +193,7 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 		for _, p := range mesh {
 			p.trySend(ann)
 		}
-		for _, c := range aware {
+		for _, c := range conns {
 			select {
 			case c.out <- ann:
 			default:
@@ -259,7 +257,7 @@ func (h *Hub) Resign(timeout time.Duration) error {
 }
 
 // handoffDoc runs one outbound handoff: stream the document's state to
-// the new owner, re-point attached doc-aware clients with an epoch-stamped
+// the new owner, re-point attached clients with an epoch-stamped
 // redirect, keep stragglers served through forward mode, unfreeze, and
 // fire the release callback.
 func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
@@ -293,17 +291,15 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 		}
 	}
 	cur := h.shards[doc]
-	var aware []*hubConn
+	var attached []*hubConn
 	if cur != nil {
 		if ownedAgain {
 			if old := cur.fwd.Swap(nil); old != nil {
 				old.unsubscribe(doc)
 			}
 		} else {
-			for _, c := range cur.conns {
-				if c.aware.Load() {
-					aware = append(aware, c)
-				}
+			if snap := cur.snap.Load(); snap != nil {
+				attached = *snap
 			}
 			h.retargetLocked(doc, cur, target)
 		}
@@ -311,7 +307,7 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 	h.mu.Unlock()
 	if !ownedAgain {
 		if resp, err := EncodeHelloResp([]HelloEntry{{Doc: doc, Redirect: target, Epoch: curEpoch}}); err == nil {
-			for _, c := range aware {
+			for _, c := range attached {
 				select {
 				case c.out <- resp:
 				default:
@@ -344,11 +340,11 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 		return
 	}
 	h.logf("hub: handoff of doc %q to %s complete in %v (epoch %d, %d clients re-pointed)",
-		doc, to, time.Since(start), epoch, len(aware))
+		doc, to, time.Since(start), epoch, len(attached))
 }
 
 // streamHandoff sends Begin, the registered source's snapshot + retained
-// suffix (reusing the snapshot catch-up frame kinds inside kindHandoffState
+// suffix (the shared state encoder's frames inside kindHandoffState
 // envelopes), and Done, reporting whether the Begin made it onto the
 // queue. Sends block into the mesh queue — the receiver's chunk
 // reassembly is strictly in-order, so dropping one frame would void the
@@ -409,8 +405,7 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline t
 	if err != nil {
 		return fmt.Errorf("handoff source: %w", err)
 	}
-	site := src.Site()
-	sendState := func(inner []byte) error {
+	_, err = stateFrames(src.Site(), snap, version, suffix, func(inner []byte) error {
 		env, err := EncodeHandoffState(doc, inner)
 		if err != nil {
 			return err
@@ -419,60 +414,8 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline t
 			return fmt.Errorf("mesh connection to %s lost mid-stream", p.addr)
 		}
 		return nil
-	}
-	if len(snap) > 0 {
-		if len(snap) > snapChunkThreshold {
-			total := uint64(len(snap))
-			for off := uint64(0); off < total; off += uint64(snapChunkPayload) {
-				end := off + uint64(snapChunkPayload)
-				if end > total {
-					end = total
-				}
-				chunk, err := EncodeSnapChunk(site, version, total, off, snap[off:end])
-				if err != nil {
-					return err
-				}
-				if err := sendState(chunk); err != nil {
-					return err
-				}
-			}
-		} else {
-			frame, err := EncodeSnapReply(site, version, snap)
-			if err != nil {
-				return err
-			}
-			if err := sendState(frame); err != nil {
-				return err
-			}
-		}
-	}
-	for len(suffix) > 0 {
-		n := len(suffix)
-		if n > syncChunk {
-			n = syncChunk
-		}
-		chunk := suffix[:n]
-		suffix = suffix[n:]
-		frame, err := EncodeOps(chunk)
-		if err != nil {
-			// Oversized chunk (large atoms): one frame per op, as the
-			// anti-entropy path does.
-			for _, m := range chunk {
-				f, err := EncodeOps([]causal.Message{m})
-				if err != nil {
-					continue
-				}
-				if err := sendState(f); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := sendState(frame); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // handleRingFrame answers ring queries and adopts announces with a higher
@@ -642,6 +585,8 @@ func (h *Hub) peerLocked(addr string) *hubPeer {
 		gone: make(chan struct{}),
 		docs: make(map[string]bool),
 	}
+	p.digests.forwarded = true
+	p.digests.send = p.sendBatch
 	h.peers[addr] = p
 	h.wg.Add(1)
 	go p.run()
@@ -662,13 +607,12 @@ type hubPeer struct {
 	mu        sync.Mutex
 	docs      map[string]bool // documents subscribed at the peer (forward mode)
 	connected bool
-	// Digest batching across the mesh, mirroring sessConn's client-side
-	// window: forwarded kindSyncReq frames accumulate under batchMu and
-	// leave as one forwarded-flagged kindSyncBatch frame per window.
-	batchMu    sync.Mutex
-	pending    []SyncBatchEntry
-	pendingIdx map[string]int
-	batchArmed bool
+	// digests batches forwarded kindSyncReq frames across the mesh,
+	// mirroring sessConn's client-side window: they leave as
+	// forwarded-flagged kindSyncBatch frames, which the receiver relays to
+	// its local clients only, so mesh loop freedom holds exactly as for
+	// kindForward.
+	digests digestBatcher
 	// enqueued/written count frames accepted into out and frames the
 	// writer flushed to the socket: flush() waits for the gap to close, so
 	// a handoff stream (and a resigning hub about to exit) knows its
@@ -703,78 +647,16 @@ func (p *hubPeer) trySend(frame []byte) bool {
 	}
 }
 
-// queueDigest holds one forwarded document digest for the mesh batching
-// window, reporting false (forward it yourself) when the frame does not
-// parse as a digest. A fresher digest for a document already pending
-// replaces it; the first digest of a window arms the flush timer.
-func (p *hubPeer) queueDigest(doc string, inner []byte) bool {
-	decoded, err := DecodeFrame(inner)
-	if err != nil {
+// sendBatch queues one batched digest frame for the peer's digestBatcher;
+// a full queue drops it like any forwarded frame.
+func (p *hubPeer) sendBatch(frame []byte, n int) bool {
+	if p.dead() {
 		return false
 	}
-	sr, ok := decoded.(*SyncReqFrame)
-	if !ok {
-		return false
-	}
-	p.batchMu.Lock()
-	if i, ok := p.pendingIdx[doc]; ok {
-		p.pending[i] = SyncBatchEntry{Doc: doc, From: sr.From, Clock: sr.Clock}
-	} else {
-		if p.pendingIdx == nil {
-			p.pendingIdx = make(map[string]int)
-		}
-		p.pendingIdx[doc] = len(p.pending)
-		p.pending = append(p.pending, SyncBatchEntry{Doc: doc, From: sr.From, Clock: sr.Clock})
-	}
-	armed := p.batchArmed
-	p.batchArmed = true
-	p.batchMu.Unlock()
-	if !armed {
-		time.AfterFunc(syncBatchWindow, p.flushDigests)
+	if p.trySend(frame) {
+		p.hub.forwards.Add(uint64(n))
 	}
 	return true
-}
-
-// flushDigests forwards the window's accumulated digests as
-// forwarded-flagged kindSyncBatch frames (the receiver relays them to
-// its local clients only, so mesh loop freedom holds exactly as for
-// kindForward). A single-document window still goes out batched: the
-// mesh peer is always a hub from this repository, so there is no legacy
-// receiver to stay wire-identical for. A dead peer drops the window —
-// the next sync round re-queues fresh digests — and an unencodable batch
-// falls back to per-document kindForward envelopes.
-func (p *hubPeer) flushDigests() {
-	p.batchMu.Lock()
-	entries := p.pending
-	p.pending = nil
-	clear(p.pendingIdx)
-	p.batchArmed = false
-	p.batchMu.Unlock()
-	if len(entries) == 0 || p.dead() {
-		return
-	}
-	for len(entries) > 0 {
-		n := len(entries)
-		if n > maxSyncBatch {
-			n = maxSyncBatch
-		}
-		chunk := entries[:n]
-		entries = entries[n:]
-		frame, err := EncodeSyncBatch(chunk, true)
-		if err != nil {
-			for _, e := range chunk {
-				if inner, err := EncodeSyncReq(e.From, e.Clock); err == nil {
-					if fwd, err := EncodeForward(e.Doc, inner); err == nil && p.trySend(fwd) {
-						p.hub.forwards.Add(1)
-					}
-				}
-			}
-			continue
-		}
-		if p.trySend(frame) {
-			p.hub.forwards.Add(uint64(len(chunk)))
-		}
-	}
 }
 
 // send queues a frame, blocking until it is accepted, the peer dies, or
@@ -893,14 +775,10 @@ func (p *hubPeer) run() {
 			}
 		}
 	}()
-	// The mesh connection carries no default-document traffic, and any
-	// subscriptions recorded while dialing are flushed now. The current
+	// Subscriptions recorded while dialing are flushed now. The current
 	// ring rides along: a peer that missed the one-shot announce at
 	// adoption (unreachable, full queue) catches up whenever a mesh
 	// connection to it comes up.
-	if f, err := EncodeDetach([]string{DefaultDoc}); err == nil {
-		p.trySend(f)
-	}
 	p.hub.mu.Lock()
 	ring := p.hub.ring
 	p.hub.mu.Unlock()
@@ -972,10 +850,6 @@ func (p *hubPeer) handleInbound(frame []byte) {
 				p.hub.retargetForward(e.Doc, e.Redirect)
 			}
 		}
-	default:
-		// Bare frames (the peer believes this connection is legacy until
-		// the hello lands) and anything else: ignore. Forwarded documents
-		// re-sync via their clients' anti-entropy.
 	}
 }
 
@@ -1039,20 +913,16 @@ func QueryRing(addr string, timeout time.Duration) (*RingFrame, error) {
 	if err := link.Send(q); err != nil {
 		return nil, err
 	}
-	for {
-		frame, err := link.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("transport: ring query to %s: %w", addr, err)
-		}
-		if frame[0] != kindRingAnnounce {
-			continue // relay noise (the hub attaches us to the default doc)
-		}
-		decoded, err := DecodeFrame(frame)
-		if err != nil {
-			continue
-		}
-		if rf := decoded.(*RingFrame); !rf.IsQuery() {
-			return rf, nil
-		}
+	frame, err := link.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("transport: ring query to %s: %w", addr, err)
 	}
+	decoded, err := DecodeFrame(frame)
+	if err != nil {
+		return nil, fmt.Errorf("transport: ring query to %s: %w", addr, err)
+	}
+	if rf, ok := decoded.(*RingFrame); ok && !rf.IsQuery() {
+		return rf, nil
+	}
+	return nil, fmt.Errorf("transport: ring query to %s answered with a %T", addr, decoded)
 }

@@ -1,8 +1,8 @@
 package transport_test
 
 // Live resharding suite: epoch-versioned ring membership, online document
-// handoff between live hubs, forward-mode service for clients that cannot
-// follow redirects, and bounded redirect chasing under ring disagreement.
+// handoff between live hubs, forward-mode service for clients that do not
+// re-point, and bounded redirect chasing under ring disagreement.
 // Run under `go test -race`: handoffs race continuously writing clients.
 
 import (
@@ -328,12 +328,73 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 }
 
-// TestLegacyDefaultSurvivesEpochChange moves the "default" document to a
-// newly joined hub while a legacy Dial client (bare frames, cannot follow
-// redirects) is attached to the old owner: the old hub serves it through
-// hub-to-hub forwarding, and it converges with a doc-aware client that
-// was re-pointed to the new owner.
-func TestLegacyDefaultSurvivesEpochChange(t *testing.T) {
+// stickyLink is a hub client that cannot follow redirects: it attaches to
+// one document with the forward-flagged hello and ignores every re-point,
+// the way a client that cannot reach a new owner stays on the old one.
+type stickyLink struct {
+	*transport.TCPLink
+	doc string
+}
+
+func dialSticky(t testing.TB, addr, doc string) *stickyLink {
+	t.Helper()
+	link, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, err := transport.EncodeHelloForward([]string{doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := link.Send(hello); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		frame, err := link.Recv()
+		if err != nil {
+			t.Fatalf("sticky attach: %v", err)
+		}
+		decoded, err := transport.DecodeFrame(frame)
+		if err != nil {
+			t.Fatalf("sticky attach: %v", err)
+		}
+		if resp, ok := decoded.(*transport.HelloRespFrame); ok {
+			if e := resp.Entries[0]; e.Doc != doc || e.Redirect != "" {
+				t.Fatalf("sticky attach answered %+v", e)
+			}
+			return &stickyLink{TCPLink: link, doc: doc}
+		}
+	}
+}
+
+func (l *stickyLink) Send(frame []byte) error {
+	env, err := transport.EncodeDocFrame(l.doc, frame)
+	if err != nil {
+		return err
+	}
+	return l.TCPLink.Send(env)
+}
+
+// Recv strips the document envelope; re-points and ring announces are
+// dropped on the floor — that is what makes the link sticky.
+func (l *stickyLink) Recv() ([]byte, error) {
+	for {
+		frame, err := l.TCPLink.Recv()
+		if err != nil {
+			return nil, err
+		}
+		if _, inner, err := transport.SplitDocFrame(frame); err == nil {
+			return inner, nil
+		}
+	}
+}
+
+// TestForwardingSurvivesEpochChange moves a document to a newly joined
+// hub while one of its clients does not re-point (a forward-flag session
+// that ignores the redirect): the old owner keeps serving it through
+// hub-to-hub forwarding, and it converges with a client that was
+// re-pointed to the new owner.
+func TestForwardingSurvivesEpochChange(t *testing.T) {
 	hubA, err := treedoc.ListenHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -347,56 +408,38 @@ func TestLegacyDefaultSurvivesEpochChange(t *testing.T) {
 	if err := hubA.ConfigureRing(addrA, ring1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Find a second hub whose address makes the two-node ring assign
-	// "default" to it (listen ports are random, so probe).
-	var hubB *treedoc.Hub
-	var ring2 *shardmap.Ring
-	for i := 0; i < 64; i++ {
-		h, err := treedoc.ListenHub("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := shardmap.NewRing(2, []string{addrA, h.Addr().String()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Owner(treedoc.DefaultDoc) == h.Addr().String() {
-			hubB, ring2 = h, r
-			break
-		}
-		h.Close()
-	}
-	if hubB == nil {
-		t.Skip("no listen port made the ring move the default doc (vanishingly unlikely)")
+	hubB, err := treedoc.ListenHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer hubB.Close()
 	addrB := hubB.Addr().String()
+	ring2, err := shardmap.NewRing(2, []string{addrA, addrB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := docOwnedBy(t, ring2, addrB)
 
-	legacyLink, err := treedoc.Dial(addrA)
+	sticky := newHOWriter(t, 1, dialSticky(t, addrA, doc))
+	defer sticky.eng.Stop()
+	movedLink, err := treedoc.DialDoc(addrA, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := newHOWriter(t, 1, legacyLink)
-	defer legacy.eng.Stop()
-	awareLink, err := treedoc.DialDoc(addrA, treedoc.DefaultDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aware := newHOWriter(t, 2, awareLink)
-	defer aware.eng.Stop()
+	moved := newHOWriter(t, 2, movedLink)
+	defer moved.eng.Stop()
 
 	// Phase 1 on the old owner.
 	var wg sync.WaitGroup
-	for _, w := range []*hoWriter{legacy, aware} {
+	for _, w := range []*hoWriter{sticky, moved} {
 		wg.Add(1)
 		go func(w *hoWriter) { defer wg.Done(); w.write(t, 100, 0) }(w)
 	}
 	wg.Wait()
-	hoConverge(t, []*treedoc.Engine{legacy.eng, aware.eng}, 30*time.Second)
+	hoConverge(t, []*treedoc.Engine{sticky.eng, moved.eng}, 30*time.Second)
 
-	// Epoch change: "default" moves to hub B while both keep writing.
-	for _, w := range []*hoWriter{legacy, aware} {
+	// Epoch change: the document moves to hub B while both keep writing.
+	for _, w := range []*hoWriter{sticky, moved} {
 		wg.Add(1)
 		go func(w *hoWriter) { defer wg.Done(); w.write(t, 100, time.Millisecond) }(w)
 	}
@@ -406,12 +449,12 @@ func TestLegacyDefaultSurvivesEpochChange(t *testing.T) {
 	}
 	wg.Wait()
 
-	hoConverge(t, []*treedoc.Engine{legacy.eng, aware.eng}, 30*time.Second)
-	if legacy.buf.String() != aware.buf.String() {
-		t.Fatal("legacy and re-pointed doc-aware replicas diverged across the epoch change")
+	hoConverge(t, []*treedoc.Engine{sticky.eng, moved.eng}, 30*time.Second)
+	if sticky.buf.String() != moved.buf.String() {
+		t.Fatal("forwarded and re-pointed replicas diverged across the epoch change")
 	}
 	if hubA.Forwards() == 0 {
-		t.Fatalf("old owner never forwarded the legacy client's frames (forwards %d)", hubA.Forwards())
+		t.Fatal("old owner never forwarded the sticky client's frames")
 	}
 	if hubA.RingEpoch() != 2 {
 		t.Fatalf("hub A ring epoch = %d, want 2", hubA.RingEpoch())

@@ -19,10 +19,11 @@ import (
 // throughput, not document size.
 //
 // Documents partition the relay: a client attaches to one or more
-// documents via the kindHello handshake, doc-scoped envelope frames
-// (kindDocFrame) are relayed only to that document's group, and bare
-// frames from legacy clients are routed to DefaultDoc — a connection that
-// never says hello behaves exactly as it did on the single-document hub.
+// documents via the kindHello handshake (DialDoc / Session), and
+// doc-scoped envelope frames (kindDocFrame) are relayed only to that
+// document's group. Every connection is doc-scoped: a bare data frame is
+// a protocol violation that gets the connection closed, so an engine
+// mis-dialled with Dial fails loudly instead of silently not converging.
 // A slow client's queue overflowing drops frames for that client only;
 // its engine heals via anti-entropy.
 //
@@ -357,7 +358,8 @@ func (h *Hub) Drops() uint64 { return h.drops.Load() }
 func (h *Hub) Relays() uint64 { return h.relays.Load() }
 
 // Unrouted counts frames that named a document with no attached clients
-// (including envelope frames that failed to parse).
+// (including envelope frames that failed to parse) and bare data frames,
+// each of which also cost its sender the connection.
 func (h *Hub) Unrouted() uint64 { return h.unrouted.Load() }
 
 // Forwards counts frames wrapped in the hub-to-hub envelope and sent to a
@@ -458,11 +460,6 @@ func (h *Hub) acceptLoop() {
 			docs: make(map[string]bool),
 		}
 		h.conns[c.id] = c
-		// Every connection starts attached to the default document: a
-		// legacy client never says hello, and this is exactly the old
-		// single-document relay behaviour. The first kindHello re-homes the
-		// connection to the documents it names.
-		h.attachLocked(c, DefaultDoc)
 		n := len(h.conns)
 		h.mu.Unlock()
 		h.logf("hub: client %d connected from %s (%d online)", c.id, conn.RemoteAddr(), n)
@@ -484,66 +481,23 @@ func (h *Hub) publishShards() {
 	h.shardPtr.Store(&m)
 }
 
-// attachLocked adds c to doc's relay group, creating it on first attach;
-// call with mu held.
+// attachLocked adds c to doc's relay group, creating it on first attach,
+// and returns the group; call with mu held.
 //
 //treedoc:holds mu
-func (h *Hub) attachLocked(c *hubConn, doc string) {
+func (h *Hub) attachLocked(c *hubConn, doc string) *docShard {
 	s := h.shards[doc]
 	if s == nil {
 		s = &docShard{doc: doc, conns: make(map[int64]*hubConn)}
 		h.shards[doc] = s
 		h.publishShards()
 	}
-	if c.docs[doc] {
-		return
+	if !c.docs[doc] {
+		c.docs[doc] = true
+		s.conns[c.id] = c
+		s.rebuild()
 	}
-	c.docs[doc] = true
-	s.conns[c.id] = c
-	s.rebuild()
-}
-
-// enableForwardLocked puts doc's relay group (created if absent) in
-// forward mode towards its ring owner; call with mu held. No-op when this
-// hub owns the document or has no ring.
-//
-//treedoc:holds mu
-func (h *Hub) enableForwardLocked(doc string) {
-	if h.ring == nil {
-		return
-	}
-	owner := h.ring.Owner(doc)
-	if owner == h.self {
-		return
-	}
-	s := h.shards[doc]
-	if s == nil {
-		s = &docShard{doc: doc, conns: make(map[int64]*hubConn)}
-		h.shards[doc] = s
-		h.publishShards()
-	}
-	h.retargetLocked(doc, s, owner)
-}
-
-// ensureLegacyForward runs once per connection, on its first bare frame:
-// a legacy client cannot follow redirects, so if the default document is
-// foreign under the current ring, its relay group switches to forward
-// mode. Engine-backed legacy clients send an anti-entropy digest every
-// sync interval, so forwarding engages within one interval even for
-// read-mostly clients.
-func (h *Hub) ensureLegacyForward(c *hubConn) {
-	if c.legacyChecked.Swap(true) {
-		return
-	}
-	h.mu.Lock()
-	// Only a connection actually attached to the default document (a true
-	// legacy client) turns on forwarding: a doc-aware client's stray bare
-	// frame must not mint a zero-connection shard whose mesh subscription
-	// would draw the default document's traffic here forever.
-	if c.docs[DefaultDoc] {
-		h.enableForwardLocked(DefaultDoc)
-	}
-	h.mu.Unlock()
+	return s
 }
 
 // detachLocked removes c from doc's relay group, deleting the group when
@@ -588,7 +542,6 @@ func (s *docShard) rebuild() {
 // when the client set the forward flag (it cannot reach the owner),
 // attach the foreign document locally and relay its frames over the mesh.
 func (h *Hub) hello(c *hubConn, docs []string, forward bool) {
-	c.aware.Store(true)
 	entries := make([]HelloEntry, 0, len(docs))
 	h.mu.Lock()
 	ring, self := h.ring, h.self
@@ -597,31 +550,19 @@ func (h *Hub) hello(c *hubConn, docs []string, forward bool) {
 		epoch = ring.Epoch
 	}
 	for _, doc := range docs {
-		if ring != nil && ring.Owner(doc) != self {
-			if !forward {
-				entries = append(entries, HelloEntry{Doc: doc, Redirect: ring.Owner(doc), Epoch: epoch})
-				continue
-			}
-			h.enableForwardLocked(doc)
+		owner := self
+		if ring != nil {
+			owner = ring.Owner(doc)
 		}
-		h.attachLocked(c, doc)
+		if owner != self && !forward {
+			entries = append(entries, HelloEntry{Doc: doc, Redirect: owner, Epoch: epoch})
+			continue
+		}
+		s := h.attachLocked(c, doc)
+		if owner != self {
+			h.retargetLocked(doc, s, owner) // forward mode towards the owner
+		}
 		entries = append(entries, HelloEntry{Doc: doc, Epoch: epoch})
-	}
-	// The first hello re-homes the connection: it is doc-aware now, so the
-	// implicit legacy attachment to the default document is dropped unless
-	// it was requested by name.
-	if !c.helloSeen {
-		c.helloSeen = true
-		keep := false
-		for _, doc := range docs {
-			if doc == DefaultDoc {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			h.detachLocked(c, DefaultDoc)
-		}
 	}
 	h.mu.Unlock()
 	resp, err := EncodeHelloResp(entries)
@@ -656,21 +597,14 @@ func (h *Hub) detach(c *hubConn, docs []string) {
 // when the shard is in forward mode — on to the owning hub over the mesh.
 // It runs on every inbound frame, so it reads the copy-on-write shard map
 // and the shard's connection snapshot without taking the hub lock. inner
-// is the bare frame (what legacy clients receive); env is the doc-scoped
-// envelope if the sender provided one, else it is built lazily the first
-// time a doc-aware receiver needs it.
+// is the bare frame (what crosses the mesh and what the routing rules
+// inspect); env is the doc-scoped envelope members receive — nil when the
+// sender did not provide one, and then built once per fan-out.
 func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
-	shards := h.shardPtr.Load()
-	s := (*shards)[doc]
+	s := h.relayLocal(from, doc, inner, env)
 	if s == nil {
-		h.unrouted.Add(1)
 		return
 	}
-	if s.frozen.Load() {
-		h.frozenDrops.Add(1)
-		return
-	}
-	h.fanoutShard(s, from, doc, inner, env)
 	if p := s.fwd.Load(); p != nil {
 		if p.dead() {
 			// The owner's mesh connection died: redial and resubscribe off
@@ -681,7 +615,7 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 			}
 			return
 		}
-		if inner[0] == kindSyncReq && p.queueDigest(doc, inner) {
+		if inner[0] == kindSyncReq && p.digests.queue(doc, inner) {
 			// Digests crossing the mesh batch per peer link, exactly as
 			// session clients batch per connection: one forwarded-flagged
 			// kindSyncBatch frame per link per window instead of one
@@ -698,11 +632,10 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 // handleSyncBatch splits a batched multi-document digest into the
 // per-document relay path: each entry is re-framed as the kindSyncReq it
 // stands for and relayed to its document's group, where attached engines
-// answer exactly as they would a legacy digest. A forwarded batch — one
-// that already crossed the hub-to-hub mesh — is relayed to local clients
-// only, mirroring kindForward's loop freedom (and, as there, a batch for
-// documents this hub does not own draws one ring correction so a stale
-// forwarder catches up).
+// answer it. A forwarded batch — one that already crossed the hub-to-hub
+// mesh — is relayed to local clients only, mirroring kindForward's loop
+// freedom (and, as there, a batch for documents this hub does not own
+// draws one ring correction so a stale forwarder catches up).
 func (h *Hub) handleSyncBatch(from *hubConn, sb *SyncBatchFrame) {
 	h.syncBatchFrames.Add(1)
 	h.syncBatchEntries.Add(uint64(len(sb.Entries)))
@@ -727,23 +660,26 @@ func (h *Hub) handleSyncBatch(from *hubConn, sb *SyncBatchFrame) {
 	}
 }
 
-// relayLocal fans one mesh-delivered frame (a forwarded or handed-off
-// document's traffic arriving from another hub) out to the local clients
-// only, excluding from when the delivering connection is itself attached:
-// mesh frames are never forwarded onward, so disagreeing rings cannot
-// loop a frame between hubs.
-func (h *Hub) relayLocal(from *hubConn, doc string, inner, env []byte) {
+// relayLocal fans one frame out to doc's local clients only, excluding
+// from when the delivering connection is itself attached, and returns the
+// shard it relayed on (nil when there is none or it is frozen). It is the
+// whole relay for mesh-delivered frames (a forwarded or handed-off
+// document's traffic arriving from another hub): those are never
+// forwarded onward, so disagreeing rings cannot loop a frame between
+// hubs.
+func (h *Hub) relayLocal(from *hubConn, doc string, inner, env []byte) *docShard {
 	shards := h.shardPtr.Load()
 	s := (*shards)[doc]
 	if s == nil {
 		h.unrouted.Add(1)
-		return
+		return nil
 	}
 	if s.frozen.Load() {
 		h.frozenDrops.Add(1)
-		return
+		return nil
 	}
 	h.fanoutShard(s, from, doc, inner, env)
+	return s
 }
 
 // fanoutShard delivers one frame to every connection in the shard except
@@ -760,6 +696,15 @@ func (h *Hub) fanoutShard(s *docShard, from *hubConn, doc string, inner, env []b
 	if conns == nil {
 		return
 	}
+	if env == nil {
+		var err error
+		if env, err = EncodeDocFrame(doc, inner); err != nil {
+			// Cannot happen for wire-read frames, which already passed the
+			// size limits.
+			h.unrouted.Add(1)
+			return
+		}
+	}
 	if inner[0] == kindReplay {
 		h.routeReplay(s, from, doc, inner, env, *conns)
 		return
@@ -772,15 +717,14 @@ func (h *Hub) fanoutShard(s *docShard, from *hubConn, doc string, inner, env []b
 			}
 		}
 		if len(*conns) > digestRelayFanout+1 {
-			h.fanoutDigest(s, from, doc, inner, env, *conns)
+			h.fanoutDigest(s, from, env, *conns)
 			return
 		}
 	}
 	for _, c := range *conns {
-		if c == from {
-			continue
+		if c != from {
+			h.deliverFrame(s, c, env)
 		}
-		env = h.deliverFrame(s, c, doc, inner, env)
 	}
 }
 
@@ -793,7 +737,7 @@ const digestRelayFanout = 2
 // starting at the shard's rotation cursor. The cursor advances by the
 // fanout per pull, so consecutive pulls sweep disjoint windows of the
 // group and every member is sampled within one rotation.
-func (h *Hub) fanoutDigest(s *docShard, from *hubConn, doc string, inner, env []byte, conns []*hubConn) {
+func (h *Hub) fanoutDigest(s *docShard, from *hubConn, env []byte, conns []*hubConn) {
 	start := int(s.digestRR.Add(digestRelayFanout) % uint64(len(conns)))
 	sent := 0
 	for off := 0; off < len(conns) && sent < digestRelayFanout; off++ {
@@ -801,7 +745,7 @@ func (h *Hub) fanoutDigest(s *docShard, from *hubConn, doc string, inner, env []
 		if c == from {
 			continue
 		}
-		env = h.deliverFrame(s, c, doc, inner, env)
+		h.deliverFrame(s, c, env)
 		sent++
 	}
 }
@@ -809,12 +753,11 @@ func (h *Hub) fanoutDigest(s *docShard, from *hubConn, doc string, inner, env []
 // routeReplay delivers a directed anti-entropy answer to the one
 // connection that last pulled for the addressed site, instead of the
 // whole group — on a hot document, broadcasting every answer multiplies
-// its bytes by the group size for members who never asked. An aware
-// target receives the wrapper intact (a mesh hop routes it onward by the
-// same rule; the requester's engine unwraps); a legacy target receives
-// the bare inner frame, so directed replay needs no receiver support.
-// An unknown, dead or self target falls back to broadcasting the inner
-// frame — exactly what an unwrapped answer would have done.
+// its bytes by the group size for members who never asked. The target
+// receives the wrapper intact (a mesh hop routes it onward by the same
+// rule; the requester's engine unwraps). An unknown, dead or self target
+// falls back to broadcasting the inner frame — exactly what an unwrapped
+// answer would have done.
 func (h *Hub) routeReplay(s *docShard, from *hubConn, doc string, inner, env []byte, conns []*hubConn) {
 	to, payload, err := SplitReplay(inner)
 	if err != nil {
@@ -823,45 +766,29 @@ func (h *Hub) routeReplay(s *docShard, from *hubConn, doc string, inner, env []b
 	}
 	if v, ok := s.sites.Load(to); ok {
 		if c := v.(*hubConn); c != from && !c.isGone() {
-			if env == nil && c.aware.Load() {
-				env, err = EncodeDocFrame(doc, inner)
-				if err != nil {
-					env = nil
-				}
-			}
-			h.deliverFrame(s, c, doc, payload, env)
+			h.deliverFrame(s, c, env)
 			h.replayRoutes.Add(1)
 			return
 		}
 	}
 	h.replayFallbacks.Add(1)
-	var penv []byte
+	penv, err := EncodeDocFrame(doc, payload)
+	if err != nil {
+		h.unrouted.Add(1)
+		return
+	}
 	for _, c := range conns {
-		if c == from {
-			continue
+		if c != from {
+			h.deliverFrame(s, c, penv)
 		}
-		penv = h.deliverFrame(s, c, doc, payload, penv)
 	}
 }
 
-// deliverFrame queues one frame for a shard member, choosing the
-// doc-scoped envelope for aware receivers (built lazily, returned so the
-// caller reuses it across the group). An unwrappable inner frame (cannot
-// happen for wire-read frames, which already passed the size limits)
-// skips doc-aware receivers rather than mis-deliver.
-func (h *Hub) deliverFrame(s *docShard, c *hubConn, doc string, inner, env []byte) []byte {
-	f := inner
-	if c.aware.Load() {
-		if env == nil {
-			var err error
-			if env, err = EncodeDocFrame(doc, inner); err != nil {
-				return nil
-			}
-		}
-		f = env
-	}
+// deliverFrame queues one enveloped frame for a shard member, dropping
+// (and counting) it when the member's queue is full.
+func (h *Hub) deliverFrame(s *docShard, c *hubConn, env []byte) {
 	select {
-	case c.out <- f:
+	case c.out <- env:
 		s.relays.Add(1)
 		h.relays.Add(1)
 	default:
@@ -869,7 +796,6 @@ func (h *Hub) deliverFrame(s *docShard, c *hubConn, doc string, inner, env []byt
 		h.drops.Add(1)
 		h.warnDrop(c, s)
 	}
-	return env
 }
 
 // warnDrop logs a slow-client drop with client and document identity, at
@@ -910,18 +836,9 @@ type hubConn struct {
 	out      chan []byte
 	gone     chan struct{}
 	goneOnce sync.Once
-	// aware flips once the client sends kindHello: doc-aware clients
-	// receive envelope frames, legacy clients receive bare frames.
-	aware atomic.Bool
 	// docs is the set of attached documents; guarded by hub.mu (the relay
 	// path never reads it — shard snapshots carry membership).
 	docs map[string]bool
-	// helloSeen records that the first hello already re-homed this
-	// connection off the implicit default attachment; guarded by hub.mu.
-	helloSeen bool
-	// legacyChecked latches after the connection's first bare frame set up
-	// legacy forwarding (see ensureLegacyForward).
-	legacyChecked atomic.Bool
 	// lastRingCorrect rate-limits ring-announce corrections to a stale
 	// forwarder on this connection (unix nanos).
 	lastRingCorrect atomic.Int64
@@ -951,80 +868,48 @@ func (c *hubConn) reader() {
 			return
 		}
 		switch frame[0] {
-		case kindHello:
+		case kindDocFrame, kindForward, kindHandoffState:
+			doc, inner, err := splitEnvelope(frame[0], frame)
+			switch {
+			case err != nil:
+				c.hub.unrouted.Add(1)
+			case frame[0] == kindDocFrame:
+				c.hub.relay(c, doc, inner, frame)
+			case frame[0] == kindForward:
+				c.hub.handleForward(c, doc, inner)
+			default:
+				c.hub.relayLocal(c, doc, inner, nil)
+			}
+		case kindHello, kindDetach, kindRingAnnounce, kindSyncBatch, kindHandoffBegin, kindHandoffDone:
 			decoded, err := DecodeFrame(frame)
 			if err != nil {
 				c.hub.unrouted.Add(1)
 				continue
 			}
-			hf := decoded.(*HelloFrame)
-			c.hub.hello(c, hf.Docs, hf.Forward)
-		case kindDetach:
-			decoded, err := DecodeFrame(frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
+			switch f := decoded.(type) {
+			case *HelloFrame:
+				c.hub.hello(c, f.Docs, f.Forward)
+			case *DetachFrame:
+				c.hub.detach(c, f.Docs)
+			case *RingFrame:
+				c.hub.handleRingFrame(c, f)
+			case *SyncBatchFrame:
+				c.hub.handleSyncBatch(c, f)
+			case *HandoffBeginFrame:
+				c.hub.handleHandoffBegin(c, f)
+			case *HandoffDoneFrame:
+				c.hub.logf("hub: handoff of doc %q (epoch %d) fully received", f.Doc, f.Epoch)
 			}
-			c.hub.detach(c, decoded.(*DetachFrame).Docs)
-		case kindHelloResp:
-			// Clients never relay handshake answers.
-			c.hub.unrouted.Add(1)
-		case kindDocFrame:
-			doc, inner, err := SplitDocFrame(frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			c.hub.relay(c, doc, inner, frame)
-		case kindRingAnnounce:
-			decoded, err := DecodeFrame(frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			c.hub.handleRingFrame(c, decoded.(*RingFrame))
-		case kindForward:
-			doc, inner, err := splitEnvelope(kindForward, frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			c.hub.handleForward(c, doc, inner)
-		case kindSyncBatch:
-			decoded, err := DecodeFrame(frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			c.hub.handleSyncBatch(c, decoded.(*SyncBatchFrame))
-		case kindHandoffBegin:
-			decoded, err := DecodeFrame(frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			c.hub.handleHandoffBegin(c, decoded.(*HandoffBeginFrame))
-		case kindHandoffState:
-			doc, inner, err := splitEnvelope(kindHandoffState, frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			c.hub.relayLocal(c, doc, inner, nil)
-		case kindHandoffDone:
-			decoded, err := DecodeFrame(frame)
-			if err != nil {
-				c.hub.unrouted.Add(1)
-				continue
-			}
-			hd := decoded.(*HandoffDoneFrame)
-			c.hub.logf("hub: handoff of doc %q (epoch %d) fully received", hd.Doc, hd.Epoch)
 		default:
-			// Bare frame from a legacy client (or a doc-aware client's
-			// unscoped traffic): route to the default document, forwarding
-			// to its owner shard if the ring placed it elsewhere.
-			c.hub.ensureLegacyForward(c)
-			c.hub.relay(c, DefaultDoc, frame, nil)
+			// Data frames reach a hub only inside a document envelope (and
+			// clients never relay handshake answers). A bare one means an
+			// engine was pointed here with Dial instead of
+			// DialDoc/DialSession: close the connection so it fails loudly
+			// rather than silently never converging.
+			c.hub.unrouted.Add(1)
+			c.hub.logf("hub: client %d (%s) sent a bare frame of kind %#x; hubs relay document-scoped frames only (attach with DialDoc or DialSession): closing",
+				c.id, c.conn.RemoteAddr(), frame[0])
+			return
 		}
 	}
 }

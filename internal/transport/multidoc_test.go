@@ -179,49 +179,6 @@ func TestHubMultiDocIsolation(t *testing.T) {
 	}
 }
 
-// TestHubLegacyClientInterop wires a legacy Dial client (no handshake,
-// bare frames) and a doc-aware DialDoc client to the same hub: both land
-// on the default document and converge.
-func TestHubLegacyClientInterop(t *testing.T) {
-	hub, err := treedoc.ListenHub("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	addr := hub.Addr().String()
-
-	legacyLink, err := treedoc.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := newMDSite(t, 1, treedoc.DefaultDoc, "a", legacyLink)
-	awareLink, err := treedoc.DialDoc(addr, treedoc.DefaultDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aware := newMDSite(t, 2, treedoc.DefaultDoc, "a", awareLink)
-	sites := []*mdSite{legacy, aware}
-	defer func() {
-		for _, s := range sites {
-			s.eng.Stop()
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for _, s := range sites {
-		wg.Add(1)
-		go func(s *mdSite) {
-			defer wg.Done()
-			s.write(t)
-		}(s)
-	}
-	wg.Wait()
-	mdConverge(t, sites, 30*time.Second)
-	if legacy.buf.String() != aware.buf.String() {
-		t.Fatal("legacy and doc-aware replicas diverged on the default doc")
-	}
-}
-
 // TestShardedHubsRouteAttaches runs two cooperating hub processes
 // splitting the document space: every client dials the first hub, and
 // attaches for documents the second hub owns are redirected and followed

@@ -232,6 +232,7 @@ func (s *Session) conn(addr string) (*sessConn, error) {
 		waiters: make(map[string][]chan HelloEntry),
 		dead:    make(chan struct{}),
 	}
+	sc.digests.send = sc.sendBatch
 	s.conns[addr] = sc
 	go sc.reader()
 	return sc, nil
@@ -320,14 +321,9 @@ type sessConn struct {
 	waiters map[string][]chan HelloEntry
 	err     error
 
-	// Digest batching: kindSyncReq frames from the documents sharing this
-	// connection accumulate under batchMu for syncBatchWindow, then leave
-	// as one kindSyncBatch frame instead of one envelope per document. A
-	// fresher digest for a document already pending replaces it in place.
-	batchMu    sync.Mutex
-	pending    []SyncBatchEntry
-	pendingIdx map[string]int
-	batchArmed bool
+	// digests batches the kindSyncReq frames of the documents sharing this
+	// connection.
+	digests digestBatcher
 
 	dead     chan struct{}
 	deadOnce sync.Once
@@ -411,10 +407,44 @@ func (sc *sessConn) attach(doc string, forward bool) (HelloEntry, error) {
 	}
 }
 
-// queueDigest holds one document's anti-entropy digest for the batching
-// window, reporting false (send it yourself) when the frame does not
-// parse as a digest. The first digest of a window arms the flush timer.
-func (sc *sessConn) queueDigest(doc string, frame []byte) bool {
+// sendBatch writes one batched digest frame for the connection's
+// digestBatcher.
+func (sc *sessConn) sendBatch(frame []byte, _ int) bool {
+	if sc.isDead() {
+		return false
+	}
+	if err := sc.link.Send(frame); err != nil {
+		sc.fail(err)
+		return false
+	}
+	return true
+}
+
+// digestBatcher coalesces the per-document anti-entropy digests leaving
+// on one link — a session connection or a hub-to-hub mesh link:
+// kindSyncReq frames accumulate for syncBatchWindow, then leave as
+// kindSyncBatch frames instead of one envelope per document. A fresher
+// digest for a document already pending replaces it in place. forwarded
+// and send are set before first use and immutable after.
+type digestBatcher struct {
+	// forwarded marks the batches as having crossed the hub-to-hub mesh
+	// (see SyncBatchFrame.Forwarded).
+	forwarded bool
+	// send transmits one encoded batch of n digests, reporting false when
+	// the link is gone and the rest of the window should be dropped — the
+	// engines' next sync tick re-queues fresh digests.
+	send func(frame []byte, n int) bool
+
+	mu      sync.Mutex
+	pending []SyncBatchEntry // guarded by mu
+	idx     map[string]int   // guarded by mu
+	armed   bool             // guarded by mu
+}
+
+// queue holds one document's digest for the batching window, reporting
+// false (send it yourself) when the frame does not parse as a digest. The
+// first digest of a window arms the flush timer.
+func (b *digestBatcher) queue(doc string, frame []byte) bool {
 	decoded, err := DecodeFrame(frame)
 	if err != nil {
 		return false
@@ -423,80 +453,53 @@ func (sc *sessConn) queueDigest(doc string, frame []byte) bool {
 	if !ok {
 		return false
 	}
-	sc.batchMu.Lock()
-	if i, ok := sc.pendingIdx[doc]; ok {
-		sc.pending[i] = SyncBatchEntry{Doc: doc, From: sr.From, Clock: sr.Clock}
+	entry := SyncBatchEntry{Doc: doc, From: sr.From, Clock: sr.Clock}
+	b.mu.Lock()
+	if i, ok := b.idx[doc]; ok {
+		b.pending[i] = entry
 	} else {
-		if sc.pendingIdx == nil {
-			sc.pendingIdx = make(map[string]int)
+		if b.idx == nil {
+			b.idx = make(map[string]int)
 		}
-		sc.pendingIdx[doc] = len(sc.pending)
-		sc.pending = append(sc.pending, SyncBatchEntry{Doc: doc, From: sr.From, Clock: sr.Clock})
+		b.idx[doc] = len(b.pending)
+		b.pending = append(b.pending, entry)
 	}
-	armed := sc.batchArmed
-	sc.batchArmed = true
-	sc.batchMu.Unlock()
+	armed := b.armed
+	b.armed = true
+	b.mu.Unlock()
 	if !armed {
-		time.AfterFunc(syncBatchWindow, sc.flushDigests)
+		time.AfterFunc(syncBatchWindow, b.flush)
 	}
 	return true
 }
 
-// flushDigests sends the window's accumulated digests: one batch frame
-// normally, the legacy per-document envelope when only a single document
-// spoke (wire-identical to a pre-batch client), and the same envelope as
-// a per-entry fallback when a batch will not encode. A dead connection
-// drops the window — the engines' next sync tick re-queues fresh digests.
-func (sc *sessConn) flushDigests() {
-	sc.batchMu.Lock()
-	entries := sc.pending
-	sc.pending = nil
-	clear(sc.pendingIdx)
-	sc.batchArmed = false
-	sc.batchMu.Unlock()
-	if len(entries) == 0 || sc.isDead() {
-		return
-	}
-	if len(entries) == 1 {
-		sc.sendLegacyDigest(entries[0])
-		return
-	}
+// flush sends the window's accumulated digests in batches of at most
+// maxSyncBatch entries. A batch too large to encode (wide clocks) is
+// halved and retried, so one fat window cannot starve the rest; a single
+// digest always fits a frame, and one that still will not encode is
+// dropped rather than retried forever.
+func (b *digestBatcher) flush() {
+	b.mu.Lock()
+	entries := b.pending
+	b.pending = nil
+	clear(b.idx)
+	b.armed = false
+	b.mu.Unlock()
+	n := maxSyncBatch
 	for len(entries) > 0 {
-		n := len(entries)
-		if n > maxSyncBatch {
-			n = maxSyncBatch
-		}
-		chunk := entries[:n]
-		entries = entries[n:]
-		frame, err := EncodeSyncBatch(chunk, false)
-		if err != nil {
-			// Oversized batch (wide clocks): fall back per document so one
-			// fat window cannot starve the rest.
-			for _, e := range chunk {
-				sc.sendLegacyDigest(e)
+		n = min(n, len(entries))
+		frame, err := EncodeSyncBatch(entries[:n], b.forwarded)
+		switch {
+		case err == nil:
+			if !b.send(frame, n) {
+				return
 			}
-			continue
+			entries = entries[n:]
+		case n > 1:
+			n = (n + 1) / 2
+		default:
+			entries = entries[1:]
 		}
-		if err := sc.link.Send(frame); err != nil {
-			sc.fail(err)
-			return
-		}
-	}
-}
-
-// sendLegacyDigest sends one digest the pre-batch way: a kindSyncReq
-// frame in the document envelope.
-func (sc *sessConn) sendLegacyDigest(e SyncBatchEntry) {
-	inner, err := EncodeSyncReq(e.From, e.Clock)
-	if err != nil {
-		return
-	}
-	env, err := EncodeDocFrame(e.Doc, inner)
-	if err != nil {
-		return
-	}
-	if err := sc.link.Send(env); err != nil {
-		sc.fail(err)
 	}
 }
 
@@ -556,8 +559,7 @@ func (sc *sessConn) removeDoc(doc string, dl *docLink) {
 // reader demultiplexes the shared connection: handshake answers to their
 // waiters (unsolicited redirect answers re-point the document's link to
 // its new owner), ring announces to the session's epoch, envelope frames
-// to their document's link, bare frames to the sole attached document (a
-// hub only sends bare frames to clients it believes are legacy).
+// to their document's link. A hub sends nothing else.
 func (sc *sessConn) reader() {
 	for {
 		frame, err := sc.link.Recv()
@@ -608,18 +610,6 @@ func (sc *sessConn) reader() {
 			if dl != nil {
 				dl.push(inner)
 			}
-		default:
-			var sole *docLink
-			sc.mu.Lock()
-			if len(sc.docs) == 1 {
-				for _, dl := range sc.docs {
-					sole = dl
-				}
-			}
-			sc.mu.Unlock()
-			if sole != nil {
-				sole.push(frame)
-			}
 		}
 	}
 }
@@ -655,10 +645,8 @@ func (dl *docLink) conn() *sessConn {
 }
 
 // RoutesReplay marks this link replay-routing (see ReplayRouter): a
-// docLink exists only after a kindHello handshake succeeded, and a hub
-// that answers the handshake routes directed kindReplay answers — the
-// capability shipped alongside the batched digests the same handshake
-// gates.
+// docLink's far end is always a hub, and hubs route directed kindReplay
+// answers.
 func (dl *docLink) RoutesReplay() bool { return true }
 
 func (dl *docLink) closed() bool {
@@ -715,7 +703,7 @@ func (dl *docLink) Send(frame []byte) error {
 		return fmt.Errorf("transport: doc link closed")
 	default:
 	}
-	if len(frame) > 0 && frame[0] == kindSyncReq && dl.conn().queueDigest(dl.doc, frame) {
+	if len(frame) > 0 && frame[0] == kindSyncReq && dl.conn().digests.queue(dl.doc, frame) {
 		return nil
 	}
 	env, err := EncodeDocFrame(dl.doc, frame)

@@ -1,32 +1,73 @@
 package transport
 
-// Chunked snapshot catch-up: a document snapshot that outgrows a single
-// kindSnap frame (MaxSnapFrameSize) is sliced into kindSnapChunk frames
-// and reassembled at the receiver, then installed exactly as if one frame
-// had arrived. Chunks are consumed strictly in offset order — links
-// deliver frames in order, and a chunk lost to a full queue voids the
-// reassembly, which restarts when the sender re-offers the snapshot after
-// snapResendAfter.
+// State transfer: snapshot catch-up, digest answers, handoff streams and
+// the live batch fanout are one operation at different distances — ship
+// what lies between the receiver's clock and the sender's — so they share
+// one encoder (stateFrames) and one install path (handleSnapChunk). A
+// snapshot travels as kindSnapChunk frames and is reassembled at the
+// receiver.
+// Chunks are consumed strictly in offset order — links deliver frames in
+// order, and a chunk lost to a full queue voids the reassembly, which
+// restarts when the sender re-offers the snapshot after snapResendAfter.
 
 import (
 	"time"
 
+	"github.com/treedoc/treedoc/internal/causal"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// Chunking knobs. Variables rather than constants so the chunked path is
-// testable without 64 MiB documents; production values never change.
-var (
-	// snapChunkThreshold is the snapshot size above which sendSnapshot
-	// switches to kindSnapChunk frames: the largest payload that, with
-	// frame headers, still fits one kindSnap frame.
-	snapChunkThreshold = MaxSnapFrameSize - 4096
-	// snapChunkPayload is the data carried per chunk frame.
-	snapChunkPayload = 32 << 20
-)
+// snapChunkPayload is the data carried per chunk frame. A variable rather
+// than a constant so multi-chunk sequences are testable without 64 MiB
+// documents; the production value never changes.
+var snapChunkPayload = 32 << 20
 
-// snapAssembly is one in-progress chunked-snapshot reassembly.
+// stateFrames encodes "the state since a clock" and hands the frames to
+// emit in the order a receiver must see them: the snapshot (none when
+// snap is empty) as kindSnapChunk frames of at most snapChunkPayload
+// bytes, then the suffix as kindOps frames of at most syncChunk
+// operations. A chunk of large atoms that will not fit one frame falls
+// back to one frame per op, so one fat chunk cannot starve the rest of
+// the stream and leave the receiver permanently behind; an op that will
+// not fit a frame even alone is skipped and counted. An emit error stops
+// the stream and is returned.
+func stateFrames(site ident.SiteID, snap []byte, version vclock.VC, suffix []causal.Message, emit func(frame []byte) error) (skipped int, _ error) {
+	total := uint64(len(snap))
+	for off := uint64(0); off < total; off += uint64(snapChunkPayload) {
+		end := min(off+uint64(snapChunkPayload), total)
+		frame, err := EncodeSnapChunk(site, version, total, off, snap[off:end])
+		if err != nil {
+			return 0, err
+		}
+		if err := emit(frame); err != nil {
+			return 0, err
+		}
+	}
+	for len(suffix) > 0 {
+		chunk := suffix[:min(len(suffix), syncChunk)]
+		suffix = suffix[len(chunk):]
+		if frame, err := EncodeOps(chunk); err == nil {
+			if err := emit(frame); err != nil {
+				return skipped, err
+			}
+			continue
+		}
+		for i := range chunk {
+			frame, err := EncodeOps(chunk[i : i+1])
+			if err != nil {
+				skipped++
+				continue
+			}
+			if err := emit(frame); err != nil {
+				return skipped, err
+			}
+		}
+	}
+	return skipped, nil
+}
+
+// snapAssembly is one in-progress snapshot reassembly.
 type snapAssembly struct {
 	version vclock.VC
 	total   uint64
@@ -37,11 +78,14 @@ type snapAssembly struct {
 	lastChunk time.Time
 }
 
-// handleSnapChunk consumes one chunk. Out-of-sequence chunks (a different
-// snapshot version, a mismatched total, or a gap from a dropped frame)
-// void the assembly; only a chunk at offset 0 starts a new one. The
-// buffer grows with the data actually received, so a hostile total
-// cannot force a large allocation up front.
+// handleSnapChunk consumes one chunk and installs the snapshot once the
+// last one arrives. Out-of-sequence chunks (a different snapshot version,
+// a mismatched total, or a gap from a dropped frame) void the assembly;
+// only a chunk at offset 0 starts a new one. The buffer grows with the
+// data actually received, so a hostile total cannot force a large
+// allocation up front. Stale or duplicate snapshots are ignored —
+// through a relay hub, one digest can draw snapshots from several peers
+// at once.
 func (e *Engine) handleSnapChunk(f *SnapChunkFrame) {
 	if e.snap == nil || f.From == e.site {
 		return
@@ -66,7 +110,7 @@ func (e *Engine) handleSnapChunk(f *SnapChunkFrame) {
 	asm.lastChunk = time.Now()
 	if uint64(len(asm.buf)) >= asm.total {
 		delete(e.snapAsm, f.From)
-		e.handleSnap(&SnapFrame{From: f.From, Version: asm.version, Data: asm.buf})
+		e.installSnapshot(asm.buf)
 	}
 }
 

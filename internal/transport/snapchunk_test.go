@@ -1,9 +1,8 @@
 package transport
 
-// End-to-end chunked snapshot catch-up: the chunking knobs are shrunk so
-// an ordinary test document overflows the (scaled-down) single-frame
-// limit, and a late joiner must reassemble the snapshot from chunk
-// frames before installing it.
+// End-to-end chunked snapshot catch-up: the chunk payload is shrunk so an
+// ordinary test document spans many chunks, and a late joiner must
+// reassemble the snapshot from chunk frames before installing it.
 
 import (
 	"testing"
@@ -30,10 +29,7 @@ func snapDataLen(e *Engine) int {
 }
 
 func TestChunkedSnapshotCatchup(t *testing.T) {
-	defer func(th, pay int) {
-		snapChunkThreshold, snapChunkPayload = th, pay
-	}(snapChunkThreshold, snapChunkPayload)
-	snapChunkThreshold = 512
+	defer func(pay int) { snapChunkPayload = pay }(snapChunkPayload)
 	snapChunkPayload = 128
 
 	server := newSnapReplica(t, 1)
@@ -45,7 +41,7 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serverEng.Stop()
-	// Enough history that the snapshot clears the shrunken threshold and
+	// Enough history that the snapshot spans several shrunken chunks and
 	// the joiner's gap clears the snapshot threshold.
 	var ops int
 	for i := 0; i < 120; i++ {
@@ -91,9 +87,9 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	if got := joinerEng.SnapshotsInstalled(); got == 0 {
 		t.Fatal("joiner converged without installing a snapshot")
 	}
-	if n := snapDataLen(serverEng); n >= 0 && n <= snapChunkThreshold {
-		t.Fatalf("barrier snapshot is %d bytes; the test did not exercise the chunked path (threshold %d)",
-			n, snapChunkThreshold)
+	if n := snapDataLen(serverEng); n >= 0 && n <= 2*snapChunkPayload {
+		t.Fatalf("barrier snapshot is %d bytes; the test did not exercise multi-chunk reassembly (chunk payload %d)",
+			n, snapChunkPayload)
 	}
 	if err := joiner.check(); err != nil {
 		t.Fatal(err)

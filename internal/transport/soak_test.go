@@ -229,7 +229,7 @@ func TestSoakConvergenceTCPHub(t *testing.T) {
 	}
 	defer stopSites(sites)
 	for _, s := range sites {
-		link, err := treedoc.Dial(hub.Addr().String())
+		link, err := treedoc.DialDoc(hub.Addr().String(), "soak")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestSoakLateJoinerTCP(t *testing.T) {
 	sites := make([]*soakSite, soakWriters)
 	for i := range sites {
 		sites[i] = newSoakSite(t, treedoc.SiteID(i+1))
-		link, err := treedoc.Dial(hub.Addr().String())
+		link, err := treedoc.DialDoc(hub.Addr().String(), "soak")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestSoakLateJoinerTCP(t *testing.T) {
 	}
 
 	late := newSoakSite(t, treedoc.SiteID(soakWriters+1))
-	link, err := treedoc.Dial(hub.Addr().String())
+	link, err := treedoc.DialDoc(hub.Addr().String(), "soak")
 	if err != nil {
 		t.Fatal(err)
 	}

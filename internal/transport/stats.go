@@ -7,8 +7,8 @@ package transport
 // drops stopped growing", "forwards went to zero after heal"). All
 // counters are cumulative since hub start; rates are the consumer's job.
 type HubStats struct {
-	// Clients is the number of currently connected client conns (all
-	// documents plus legacy and mesh conns).
+	// Clients is the number of currently connected conns (clients of every
+	// document plus inbound mesh conns).
 	Clients int
 	// Docs is the number of documents with a live relay group.
 	Docs int
@@ -76,10 +76,8 @@ type EngineStats struct {
 	// counters.
 	SnapshotsSent, SnapshotsInstalled uint64
 	// DigestsSent and DigestsSuppressed are the digest-suppression
-	// counters (see Engine.DigestsSuppressed); RepliesSquelched counts
-	// digest answers skipped because an in-flight answer on the same link
-	// already covered the requester (see Engine.RepliesSquelched).
-	DigestsSent, DigestsSuppressed, RepliesSquelched uint64
+	// counters (see Engine.DigestsSuppressed).
+	DigestsSent, DigestsSuppressed uint64
 	// ReplayOps and ReplayBytes are the retransmission counters: retained
 	// operations (and the frame bytes carrying them) queued in answer to
 	// peers' digests.
@@ -98,7 +96,6 @@ func (e *Engine) Stats() EngineStats {
 		SnapshotsInstalled: e.SnapshotsInstalled(),
 		DigestsSent:        e.DigestsSent(),
 		DigestsSuppressed:  e.DigestsSuppressed(),
-		RepliesSquelched:   e.RepliesSquelched(),
 		ReplayOps:          e.ReplayOps(),
 		ReplayBytes:        e.ReplayBytes(),
 	}

@@ -19,12 +19,13 @@
 //     replicas) and TCPLink (length-prefixed framing over net.Conn).
 //
 //   - Hub is a relay server (cmd/treedoc-serve): clients connect over TCP,
-//     attach to one or more documents (DialDoc / Session; plain Dial
-//     clients land on DefaultDoc), and every inbound frame is fanned out
-//     within its document's relay group only. The hub holds no replica;
-//     the causal buffers at the edges deduplicate and order. N hubs can
-//     split the document space by consistent hashing (shardmap), with
-//     attaches for foreign documents redirected to their owner.
+//     attach to one or more documents (DialDoc / Session — every hub
+//     connection is doc-scoped; plain Dial is for direct engine-to-engine
+//     links), and every inbound frame is fanned out within its document's
+//     relay group only. The hub holds no replica; the causal buffers at
+//     the edges deduplicate and order. N hubs can split the document space
+//     by consistent hashing (shardmap), with attaches for foreign
+//     documents redirected to their owner.
 //
 // Operation gossip is lossy by design: bounded queues drop frames under
 // overload rather than stalling the actor, and a periodic anti-entropy
@@ -56,10 +57,10 @@ type Link interface {
 
 // ReplayRouter is implemented by links whose far end can route a directed
 // kindReplay frame to its addressed requester — a Session link through a
-// doc-aware hub. Engines answer anti-entropy pulls on such links with
-// addressed frames, so a hot document's answers cost one delivery each
-// instead of one per group member; on plain links answers broadcast
-// exactly as before.
+// hub. Engines answer anti-entropy pulls on such links with addressed
+// frames, so a hot document's answers cost one delivery each instead of
+// one per group member; on a direct engine-to-engine link the peer is the
+// only possible requester and answers go unaddressed.
 type ReplayRouter interface {
 	RoutesReplay() bool
 }

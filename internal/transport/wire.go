@@ -19,20 +19,16 @@ const (
 	// kindOps carries a batch of causally-stamped operations.
 	kindOps = 0x01
 	// kindSyncReq is an anti-entropy digest: the sender's delivered clock.
-	// The receiver answers with a kindOps frame of everything it retains
-	// that the clock does not cover — or, when the sender is below the
+	// The receiver answers with kindOps frames of everything it retains
+	// that the clock does not cover — preceded, when the sender is below the
 	// receiver's compaction barrier or further behind than the snapshot
-	// threshold, with a kindSnap frame.
+	// threshold, by the barrier snapshot as a kindSnapChunk sequence.
 	kindSyncReq = 0x02
 	// kindSnapReq asks the receiver for a snapshot: the sender has learned
 	// (from a digest) that it is too far behind for op replay to be cheap.
 	kindSnapReq = 0x03
-	// kindSnap is snapshot catch-up: a replica state snapshot plus the
-	// version vector of exactly the operations it stands in for. The
-	// receiver installs it (if it dominates local state) and advances its
-	// causal clock; the log suffix above the version arrives as ordinary
-	// kindOps frames.
-	kindSnap = 0x04
+	// 0x04 was the single-frame snapshot; it stays reserved and is never
+	// reused, so a stray old frame decodes as an unknown kind.
 	// kindFlatPropose opens a flatten commitment round (the Prepare of the
 	// paper's Section 4.2.1 protocol): the coordinator names the subtree to
 	// flatten and its delivered clock at proposal time. Every replica that
@@ -53,22 +49,24 @@ const (
 	// after everything it causally follows and before everything that
 	// causally follows it.
 	kindFlatDecision = 0x07
-	// kindSnapChunk carries one slice of a snapshot too large for a single
-	// kindSnap frame (> MaxSnapFrameSize): the receiver reassembles slices
-	// in offset order and installs the whole as if one kindSnap frame had
-	// arrived.
+	// kindSnapChunk is snapshot catch-up: one offset-addressed slice of a
+	// replica state snapshot, plus the version vector of exactly the
+	// operations the whole snapshot stands in for. The receiver reassembles
+	// slices in offset order (a small snapshot is a one-chunk sequence),
+	// installs the result if it dominates local state and advances its
+	// causal clock; the log suffix above the version arrives as ordinary
+	// kindOps frames.
 	kindSnapChunk = 0x08
 	// kindDocFrame is the doc-scoped envelope: a document ID followed by one
 	// complete inner frame of any other kind. A sharded hub routes the
 	// envelope to the document's relay group only; engines never see it —
-	// the Session link wraps on Send and strips on Recv. Bare (unwrapped)
-	// frames remain valid and are routed to DefaultDoc, so pre-envelope
-	// Dial clients keep working.
+	// the Session link wraps on Send and strips on Recv. A hub accepts
+	// data frames only inside the envelope; bare data frames are for direct
+	// engine-to-engine links.
 	kindDocFrame = 0x09
 	// kindHello is the attach handshake: a client names the documents it
 	// wants to join. The hub answers with one kindHelloResp. A connection
-	// that never sends kindHello is a legacy client, implicitly attached to
-	// DefaultDoc.
+	// is attached to nothing until it says hello.
 	kindHello = 0x0a
 	// kindHelloResp answers a kindHello per requested document: attached
 	// (frames for that doc will now be relayed here) or a redirect naming
@@ -79,7 +77,7 @@ const (
 	// kindRingAnnounce carries the shard ring membership: the epoch and the
 	// full node list. Hubs exchange it over the peer mesh to propagate a
 	// membership change (a receiver adopts any announce with a higher epoch
-	// and hands off the documents that moved), and push it to doc-aware
+	// and hands off the documents that moved), and push it to attached
 	// clients so their sessions learn the current epoch. The degenerate
 	// frame with epoch 0 and no nodes is the ring *query*: the receiver
 	// answers with its current ring.
@@ -99,11 +97,11 @@ const (
 	// stream itself is self-describing.
 	kindHandoffBegin = 0x0f
 	// kindHandoffState carries one slice of a migrating document's state: a
-	// complete inner frame (kindSnap, kindSnapChunk or kindOps — the same
-	// machinery as snapshot catch-up) scoped to the document being handed
-	// off. The receiving hub relays the inner frame into the document's
-	// local relay group, where the new archivist (and any already-attached
-	// client) consumes it through the ordinary catch-up paths.
+	// complete inner frame (kindSnapChunk or kindOps — the same machinery
+	// as snapshot catch-up) scoped to the document being handed off. The
+	// receiving hub relays the inner frame into the document's local relay
+	// group, where the new archivist (and any already-attached client)
+	// consumes it through the ordinary catch-up paths.
 	kindHandoffState = 0x10
 	// kindHandoffDone closes a handoff: the state streamed completely and
 	// the old owner is about to re-point its clients.
@@ -118,19 +116,17 @@ const (
 	// must only be relayed locally, mirroring kindForward's loop freedom.
 	kindSyncBatch = 0x12
 	// kindReplay is a directed anti-entropy answer: the requester's site id
-	// followed by one complete answer frame (kindOps, kindSnap or
-	// kindSnapChunk). Through a relay hub a broadcast answer costs the whole
-	// group one copy each — quadratic on a hot document, where hundreds of
-	// concurrent answers each fan to hundreds of members — so an engine
-	// whose link routes replays (see ReplayRouter) addresses each answer
-	// instead. The hub delivers the frame to the one connection that last
-	// sent a pull for that site (learned as pulls pass through the relay),
-	// stripping the wrapper for legacy receivers so directed replay needs no
-	// receiver support; an unknown or dead target falls back to the
-	// broadcast the wrapper replaced. An engine receiving the wrapper
-	// processes the inner frame regardless of the addressed site: replay is
-	// idempotent, so a stale route can only heal the wrong replica, never
-	// corrupt one.
+	// followed by one complete answer frame (kindOps or kindSnapChunk).
+	// Through a relay hub a broadcast answer costs the whole group one copy
+	// each — quadratic on a hot document, where hundreds of concurrent
+	// answers each fan to hundreds of members — so an engine whose link
+	// routes replays (see ReplayRouter) addresses each answer instead. The
+	// hub delivers the frame to the one connection that last sent a pull
+	// for that site (learned as pulls pass through the relay); an unknown
+	// or dead target falls back to the broadcast the wrapper replaced. An
+	// engine receiving the wrapper processes the inner frame regardless of
+	// the addressed site: replay is idempotent, so a stale route can only
+	// heal the wrong replica, never corrupt one.
 	kindReplay = 0x13
 )
 
@@ -139,9 +135,9 @@ const (
 // arbitrary allocation.
 const (
 	// MaxFrameSize bounds one frame's encoded size for every kind except
-	// kindSnap.
+	// kindSnapChunk.
 	MaxFrameSize = 1 << 20
-	// MaxSnapFrameSize bounds a kindSnap frame: snapshots carry whole
+	// MaxSnapFrameSize bounds a kindSnapChunk frame: snapshots carry whole
 	// documents, so they get a higher ceiling than op gossip.
 	MaxSnapFrameSize = 1 << 26
 	// maxBatch bounds the operations in one kindOps frame.
@@ -169,19 +165,15 @@ const (
 	maxSyncBatch = maxHelloDocs
 	// replayOverhead is the worst-case kindReplay header: kind byte plus the
 	// addressed site id uvarint. A replay may wrap any answer kind up to
-	// kindSnap, so its ceiling is the snapshot ceiling plus this overhead.
+	// kindSnapChunk, so its ceiling is the snapshot ceiling plus this
+	// overhead.
 	replayOverhead = 1 + 10
 )
-
-// DefaultDoc is the document legacy (pre-envelope) clients are attached
-// to: a hub routes every bare frame to it, so a deployment that never
-// names documents behaves exactly as the single-document hub did.
-const DefaultDoc = "default"
 
 // frameSizeLimit returns the size ceiling for a frame of the given kind.
 func frameSizeLimit(kind byte) int {
 	switch kind {
-	case kindSnap, kindSnapChunk:
+	case kindSnapChunk:
 		return MaxSnapFrameSize
 	case kindReplay:
 		return MaxSnapFrameSize + replayOverhead
@@ -216,17 +208,10 @@ type SnapReqFrame struct {
 	Clock vclock.VC
 }
 
-// SnapFrame is a decoded kindSnap frame: a replica snapshot and the
-// version vector of the operations it contains.
-type SnapFrame struct {
-	From    ident.SiteID
-	Version vclock.VC
-	Data    []byte
-}
-
 // SnapChunkFrame is a decoded kindSnapChunk frame: one offset-addressed
-// slice of a snapshot whose total size exceeds MaxSnapFrameSize. Version
-// identifies the snapshot being assembled; Total is its full size.
+// slice of a replica snapshot. Version is the version vector of the
+// operations the whole snapshot contains and identifies the snapshot
+// being assembled; Total is its full size.
 type SnapChunkFrame struct {
 	From    ident.SiteID
 	Version vclock.VC
@@ -573,21 +558,8 @@ func peekDigestFrom(frame []byte) (ident.SiteID, bool) {
 	return ident.SiteID(v), true
 }
 
-// EncodeSnapReply encodes a snapshot catch-up frame: the sender's replica
-// snapshot and the version vector of exactly the operations it contains.
-func EncodeSnapReply(from ident.SiteID, version vclock.VC, data []byte) ([]byte, error) {
-	buf := []byte{kindSnap}
-	buf = binary.AppendUvarint(buf, uint64(from))
-	buf = appendVC(buf, version)
-	buf = append(buf, data...)
-	if len(buf) > MaxSnapFrameSize {
-		return nil, fmt.Errorf("transport: snap frame of %d bytes exceeds limit", len(buf))
-	}
-	return buf, nil
-}
-
-// EncodeSnapChunk encodes one slice of an oversized snapshot. The caller
-// slices data so every frame stays within MaxSnapFrameSize.
+// EncodeSnapChunk encodes one slice of a snapshot. The caller slices data
+// so every frame stays within MaxSnapFrameSize.
 func EncodeSnapChunk(from ident.SiteID, version vclock.VC, total, offset uint64, data []byte) ([]byte, error) {
 	buf := []byte{kindSnapChunk}
 	buf = binary.AppendUvarint(buf, uint64(from))
@@ -875,8 +847,8 @@ func EncodeHelloResp(entries []HelloEntry) ([]byte, error) {
 }
 
 // decodeDocList decodes a kindHello or kindDetach body. A hello body may
-// carry one trailing flags byte (absent in legacy frames); a detach body
-// may not.
+// carry one trailing flags byte (zero flags are encoded by omission); a
+// detach body may not.
 func decodeDocList(body []byte, allowFlags bool) ([]string, byte, error) {
 	n, off := binary.Uvarint(body)
 	if off <= 0 {
@@ -986,10 +958,10 @@ func decodeStructuralPath(buf []byte) (ident.Path, int, error) {
 }
 
 // DecodeFrame parses one frame into its typed form (*OpsFrame,
-// *SyncReqFrame, *SnapReqFrame, *SnapFrame, *SnapChunkFrame, the flatten
-// commitment frames, the doc envelope/handshake frames, or the ring
-// membership and handoff frames). Every decoded message is validated:
-// sites in range, clocks well-formed, the op's own stamp present.
+// *SyncReqFrame, *SnapReqFrame, *SnapChunkFrame, the flatten commitment
+// frames, the doc envelope/handshake frames, or the ring membership and
+// handoff frames). Every decoded message is validated: sites in range,
+// clocks well-formed, the op's own stamp present.
 func DecodeFrame(frame []byte) (any, error) {
 	if len(frame) == 0 {
 		return nil, fmt.Errorf("transport: empty frame")
@@ -1046,23 +1018,6 @@ func DecodeFrame(frame []byte) (any, error) {
 			return &SnapReqFrame{From: ident.SiteID(from), Clock: vc}, nil
 		}
 		return &SyncReqFrame{From: ident.SiteID(from), Clock: vc}, nil
-	case kindSnap:
-		from, off := binary.Uvarint(body)
-		if off <= 0 {
-			return nil, fmt.Errorf("transport: truncated snap sender")
-		}
-		if from == 0 || ident.SiteID(from) > ident.MaxSiteID {
-			return nil, fmt.Errorf("transport: snap sender %d out of range", from)
-		}
-		vc, k, err := decodeVC(body[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += k
-		if len(vc) == 0 {
-			return nil, fmt.Errorf("transport: snap frame with empty version")
-		}
-		return &SnapFrame{From: ident.SiteID(from), Version: vc, Data: body[off:]}, nil
 	case kindSnapChunk:
 		from, off, err := decodeSite(body, "snap chunk sender")
 		if err != nil {
@@ -1370,10 +1325,10 @@ func WriteFrame(w io.Writer, frame []byte) error {
 
 // ReadFrame reads one length-prefixed frame, refusing oversized lengths
 // before allocating. Lengths above MaxFrameSize are tolerated only for
-// kinds with a higher ceiling (kindSnap, kindSnapChunk, and the doc
-// envelope that may wrap them; checked against the kind byte before the
-// body is read), so a hostile length prefix cannot force a large
-// allocation by claiming any other kind.
+// kinds with a higher ceiling (kindSnapChunk, and the envelopes that may
+// wrap it; checked against the kind byte before the body is read), so a
+// hostile length prefix cannot force a large allocation by claiming any
+// other kind.
 func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

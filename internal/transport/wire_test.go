@@ -197,72 +197,6 @@ func TestSnapReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapReplyRoundTrip(t *testing.T) {
-	version := vclock.VC{1: 100, 2: 42}
-	data := bytes.Repeat([]byte{0xCD}, 4096)
-	frame, err := EncodeSnapReply(2, version, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, ok := decoded.(*SnapFrame)
-	if !ok {
-		t.Fatalf("decoded %T, want *SnapFrame", decoded)
-	}
-	if f.From != 2 || !reflect.DeepEqual(f.Version, version) || !bytes.Equal(f.Data, data) {
-		t.Fatalf("round trip mismatch")
-	}
-}
-
-func TestSnapReplyRejectsEmptyVersion(t *testing.T) {
-	frame, err := EncodeSnapReply(2, vclock.New(), []byte("state"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFrame(frame); err == nil {
-		t.Fatal("snap frame with empty version accepted")
-	}
-}
-
-func TestSnapFrameSizeLimits(t *testing.T) {
-	// A snap frame may exceed MaxFrameSize (up to MaxSnapFrameSize)...
-	big := make([]byte, MaxFrameSize+1024)
-	frame, err := EncodeSnapReply(1, vclock.VC{1: 1}, big)
-	if err != nil {
-		t.Fatalf("big snap frame refused: %v", err)
-	}
-	if _, err := DecodeFrame(frame); err != nil {
-		t.Fatalf("big snap frame rejected on decode: %v", err)
-	}
-	var net bytes.Buffer
-	if err := WriteFrame(&net, frame); err != nil {
-		t.Fatalf("big snap frame rejected on write: %v", err)
-	}
-	rt, err := ReadFrame(bufio.NewReader(&net))
-	if err != nil {
-		t.Fatalf("big snap frame rejected on read: %v", err)
-	}
-	if !bytes.Equal(rt, frame) {
-		t.Fatal("big snap frame corrupted in framing")
-	}
-	// ...but no other kind may: an oversized length prefix claiming kindOps
-	// must be refused before the body is read.
-	var hostile bytes.Buffer
-	hostile.Write([]byte{0, 32, 0, 0}) // length 2MiB
-	hostile.WriteByte(kindOps)
-	hostile.Write(make([]byte, 64))
-	if _, err := ReadFrame(bufio.NewReader(&hostile)); err == nil {
-		t.Fatal("oversized non-snap frame accepted")
-	}
-	// And beyond MaxSnapFrameSize nothing goes.
-	if _, err := EncodeSnapReply(1, vclock.VC{1: 1}, make([]byte, MaxSnapFrameSize)); err == nil {
-		t.Fatal("snap frame beyond MaxSnapFrameSize accepted")
-	}
-}
-
 func TestMsgBodyRoundTrip(t *testing.T) {
 	for _, m := range testMsgs(t) {
 		body, err := EncodeMsgBody(m)
@@ -283,20 +217,22 @@ func TestMsgBodyRoundTrip(t *testing.T) {
 }
 
 // FuzzSnapFrame fuzzes the snapshot catch-up frame kinds specifically:
-// arbitrary bodies behind kindSnapReq and kindSnap bytes must decode
-// cleanly or fail cleanly, never panic, and valid frames must re-encode
-// to the same bytes.
+// arbitrary bodies behind kindSnapReq and kindSnapChunk bytes must decode
+// cleanly or fail cleanly, never panic, and valid frames must survive
+// re-encoding.
 func FuzzSnapFrame(f *testing.F) {
 	if fr, err := EncodeSnapReq(4, vclock.VC{1: 5, 9: 2}); err == nil {
-		f.Add(fr)
+		f.Add(fr[1:])
 	}
-	if fr, err := EncodeSnapReply(2, vclock.VC{1: 100}, []byte("snapshot-bytes")); err == nil {
-		f.Add(fr)
+	// A whole small snapshot is a one-chunk sequence.
+	snap := []byte("snapshot-bytes")
+	if fr, err := EncodeSnapChunk(2, vclock.VC{1: 100}, uint64(len(snap)), 0, snap); err == nil {
+		f.Add(fr[1:])
 	}
-	f.Add([]byte{kindSnap})
-	f.Add([]byte{kindSnapReq, 0xFF})
+	f.Add([]byte{})
+	f.Add([]byte{0xFF})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, kind := range []byte{kindSnapReq, kindSnap} {
+		for _, kind := range []byte{kindSnapReq, kindSnapChunk} {
 			frame := append([]byte{kind}, body...)
 			decoded, err := DecodeFrame(frame)
 			if err != nil {
@@ -305,34 +241,24 @@ func FuzzSnapFrame(f *testing.F) {
 			// Whatever decodes must semantically round-trip: re-encoding and
 			// re-decoding yields the same frame (byte equality is too strict,
 			// since Uvarint tolerates non-minimal encodings on input).
+			var re []byte
 			switch fr := decoded.(type) {
 			case *SnapReqFrame:
-				re, err := EncodeSnapReq(fr.From, fr.Clock)
-				if err != nil {
-					t.Fatalf("decoded snap request does not re-encode: %v", err)
-				}
-				again, err := DecodeFrame(re)
-				if err != nil {
-					t.Fatalf("re-encoded snap request does not decode: %v", err)
-				}
-				if !reflect.DeepEqual(again, fr) {
-					t.Fatalf("snap request round trip:\n got %+v\nwant %+v", again, fr)
-				}
-			case *SnapFrame:
-				re, err := EncodeSnapReply(fr.From, fr.Version, fr.Data)
-				if err != nil {
-					t.Fatalf("decoded snap frame does not re-encode: %v", err)
-				}
-				again, err := DecodeFrame(re)
-				if err != nil {
-					t.Fatalf("re-encoded snap frame does not decode: %v", err)
-				}
-				ff, ok := again.(*SnapFrame)
-				if !ok || ff.From != fr.From || !reflect.DeepEqual(ff.Version, fr.Version) || !bytes.Equal(ff.Data, fr.Data) {
-					t.Fatalf("snap frame round trip mismatch")
-				}
+				re, err = EncodeSnapReq(fr.From, fr.Clock)
+			case *SnapChunkFrame:
+				re, err = EncodeSnapChunk(fr.From, fr.Version, fr.Total, fr.Offset, fr.Data)
 			default:
 				t.Fatalf("kind %#x decoded to %T", kind, decoded)
+			}
+			if err != nil {
+				t.Fatalf("decoded %T does not re-encode: %v", decoded, err)
+			}
+			again, err := DecodeFrame(re)
+			if err != nil {
+				t.Fatalf("re-encoded %T does not decode: %v", decoded, err)
+			}
+			if !reflect.DeepEqual(again, decoded) {
+				t.Fatalf("snapshot frame round trip:\n got %+v\nwant %+v", again, decoded)
 			}
 		}
 	})

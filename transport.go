@@ -19,13 +19,17 @@ import (
 //
 //	buf, _ := treedoc.NewTextBuffer(treedoc.WithSite(site))
 //	eng, _ := treedoc.NewEngine(site, buf)
-//	link, _ := treedoc.Dial("hub-host:9707")
+//	link, _ := treedoc.DialDoc("hub-host:9707", "notes")
 //	eng.Connect(link)
 //
 //	ops, _ := buf.Splice(off, del, text) // local edit, no latency
 //	_ = eng.Broadcast(ops...)            // background replication
 //
 //	_ = eng.ProposeFlatten()             // compact via the commitment protocol
+//
+// A hub takes document-scoped connections only (DialDoc, or DialSession
+// for several documents over shared connections); Dial is for direct
+// engine-to-engine links, and an engine Dial-ed at a hub is disconnected.
 //
 // Each replica's local edits must be generated and broadcast in order
 // (one writer goroutine per replica, or a lock around edit+Broadcast).
@@ -106,10 +110,6 @@ type EngineStats = transport.EngineStats
 // connections, following shard redirects transparently.
 type Session = transport.Session
 
-// DefaultDoc is the document legacy Dial clients are attached to: a hub
-// routes every bare (non-envelope) frame to it.
-const DefaultDoc = transport.DefaultDoc
-
 // NewEngine creates and starts a replication engine for site wrapping
 // replica (a *Doc, *TextBuffer, or anything applying operations).
 func NewEngine(site SiteID, replica transport.Applier, opts ...EngineOption) (*Engine, error) {
@@ -124,9 +124,10 @@ func NewChanPair(depth int) (Link, Link) {
 	return a, b
 }
 
-// Dial connects to a listening hub or peer over TCP and returns the
-// framed link. A hub treats a Dial client as a legacy single-document
-// client on DefaultDoc; use DialDoc or DialSession to name documents.
+// Dial connects to a listening peer engine over TCP and returns the
+// framed link, for direct engine-to-engine replication. It is not how to
+// reach a hub: hubs relay document-scoped frames only and close a
+// connection that sends anything else — use DialDoc or DialSession.
 func Dial(addr string) (Link, error) {
 	return transport.Dial(addr)
 }

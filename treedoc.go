@@ -529,15 +529,10 @@ func (d *Doc) Check() error {
 	return nil
 }
 
-// Snapshot formats. TDS1 (magic, site, seq, counter, mode, tree bytes)
-// predates version vectors; TDS2 inserts the applied version vector
-// between the mode byte and the tree so a snapshot says exactly which
-// operations it stands in for. MarshalBinary writes TDS2; Open and
-// InstallSnapshot read both.
-var (
-	snapMagic   = []byte{'T', 'D', 'S', '2'}
-	snapMagicV1 = []byte{'T', 'D', 'S', '1'}
-)
+// snapMagic opens the snapshot format: magic, site, seq, counter, mode,
+// the applied version vector — so a snapshot says exactly which operations
+// it stands in for — then the tree bytes.
+var snapMagic = []byte{'T', 'D', 'S', '2'}
 
 // snapshot is a decoded replica snapshot.
 type snapshot struct {
@@ -546,10 +541,7 @@ type snapshot struct {
 	counter uint32
 	mode    Mode
 	version vclock.VC
-	// exactVersion is false for legacy TDS1 snapshots, whose version is
-	// derived as {site: seq} and may omit remote entries.
-	exactVersion bool
-	tree         *doctree.Tree
+	tree    *doctree.Tree
 }
 
 // MarshalBinary snapshots the replica — document tree, persistent
@@ -605,13 +597,6 @@ func (d *Doc) InstallSnapshot(data []byte) (Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !snap.exactVersion {
-		// A TDS1 version is an under-approximation ({site: seq}, remote
-		// entries unknown): it could pass the dominance check while the
-		// snapshot is missing remote operations this replica has applied,
-		// silently discarding them. Legacy snapshots restore via Open only.
-		return nil, fmt.Errorf("treedoc: cannot install a TDS1 snapshot (no version vector); re-save it with MarshalBinary")
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if snap.mode != d.doc.Config().Mode {
@@ -623,14 +608,10 @@ func (d *Doc) InstallSnapshot(data []byte) (Version, error) {
 	return d.doc.Version(), nil
 }
 
-// decodeSnapshot parses and validates a TDS1 or TDS2 snapshot.
+// decodeSnapshot parses and validates a snapshot.
 func decodeSnapshot(data []byte) (snapshot, error) {
 	var snap snapshot
-	if len(data) < len(snapMagic)+4 {
-		return snap, fmt.Errorf("treedoc: bad snapshot header")
-	}
-	v2 := string(data[:4]) == string(snapMagic)
-	if !v2 && string(data[:4]) != string(snapMagicV1) {
+	if len(data) < len(snapMagic)+4 || string(data[:4]) != string(snapMagic) {
 		return snap, fmt.Errorf("treedoc: bad snapshot header")
 	}
 	off := len(snapMagic)
@@ -654,22 +635,16 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 	}
 	mode := Mode(data[off])
 	off++
-	version := vclock.New()
-	if v2 {
-		vc, k, err := vclock.DecodeBinary(data[off:], -1)
-		if err != nil {
-			return snap, fmt.Errorf("treedoc: snapshot version: %w", err)
-		}
-		off += k
-		version = vc
-	} else if seq > 0 {
-		version[SiteID(site)] = seq
+	version, k, err := vclock.DecodeBinary(data[off:], -1)
+	if err != nil {
+		return snap, fmt.Errorf("treedoc: snapshot version: %w", err)
 	}
+	off += k
 	tree, err := storage.Decode(data[off:])
 	if err != nil {
 		return snap, fmt.Errorf("treedoc: snapshot tree: %w", err)
 	}
-	snap = snapshot{site: SiteID(site), seq: seq, counter: uint32(counter), mode: mode, version: version, exactVersion: v2, tree: tree}
+	snap = snapshot{site: SiteID(site), seq: seq, counter: uint32(counter), mode: mode, version: version, tree: tree}
 	return snap, nil
 }
 
