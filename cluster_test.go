@@ -1,0 +1,867 @@
+package treedoc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"flag"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// These tests drive the production replication engine through the
+// simulated cluster. Every schedule is a pure function of its seed: a
+// failure names the seed, and re-running that seed replays it frame for
+// frame (TestClusterTraceDeterminism holds the driver and the engine to
+// that).
+
+func newTestCluster(t *testing.T, sites int, opts ...ClusterOption) *Cluster {
+	t.Helper()
+	c, err := NewCluster(sites, append([]ClusterOption{WithLatency(1, 20), WithSeed(3)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func mustConverge(t *testing.T, c *Cluster) {
+	t.Helper()
+	c.Run(0)
+	if !c.Converged() {
+		for _, r := range c.replicas {
+			t.Logf("site %d: version %v, %d atoms", r.site, r.doc.Version(), r.Len())
+		}
+		t.Fatal("replicas diverged")
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustInsert(t *testing.T, r *Replica, i int, atom string) {
+	t.Helper()
+	if err := r.InsertAt(i, atom); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fill(t *testing.T, r *Replica, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		mustInsert(t, r, i, fmt.Sprintf("l%02d", i))
+	}
+}
+
+// lockedRegions counts the regions a replica's open flatten votes freeze.
+func lockedRegions(r *Replica) int {
+	r.doc.mu.Lock()
+	defer r.doc.mu.Unlock()
+	return len(r.doc.locks)
+}
+
+// idle lets virtual time pass: the given number of sync ticks, each
+// followed by whatever traffic it started.
+func idle(c *Cluster, ticks int) {
+	for i := 0; i < ticks; i++ {
+		c.syncTick()
+		for c.deliverNext() {
+		}
+	}
+}
+
+func TestClusterBasicReplication(t *testing.T) {
+	c := newTestCluster(t, 3)
+	for i, atom := range []string{"one", "two", "three"} {
+		mustInsert(t, c.replicas[0], i, atom)
+	}
+	mustConverge(t, c)
+	if got := c.replicas[2].ContentString(); got != "one\ntwo\nthree" {
+		t.Errorf("site 3 = %q", got)
+	}
+}
+
+func TestClusterConcurrentEditingConverges(t *testing.T) {
+	c := newTestCluster(t, 4)
+	rng := rand.New(rand.NewSource(12))
+	fill(t, c.replicas[0], 5)
+	c.Run(0)
+	// All sites edit concurrently, interleaved with partial delivery.
+	for round := 0; round < 20; round++ {
+		for _, r := range c.replicas {
+			var err error
+			if n := r.Len(); n == 0 || rng.Intn(100) < 70 {
+				err = r.InsertAt(rng.Intn(n+1), fmt.Sprintf("s%dr%d", r.site, round))
+			} else {
+				err = r.DeleteAt(rng.Intn(n))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Run(1 + rng.Intn(9))
+	}
+	mustConverge(t, c)
+	if c.replicas[0].Len() == 0 {
+		t.Error("degenerate final document")
+	}
+}
+
+func TestClusterPartitionedEditingConvergesAfterHeal(t *testing.T) {
+	c := newTestCluster(t, 2)
+	r1, r2 := c.replicas[0], c.replicas[1]
+	mustInsert(t, r1, 0, "base")
+	c.Run(0)
+	if err := c.Partition(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		mustInsert(t, r1, i, fmt.Sprintf("a%d", i))
+		mustInsert(t, r2, i, fmt.Sprintf("b%d", i))
+	}
+	c.Run(0)
+	if c.Converged() {
+		t.Fatal("replicas converged across a partition")
+	}
+	c.HealAll()
+	mustConverge(t, c)
+	if got := r1.Len(); got != 21 {
+		t.Errorf("final length = %d, want 21", got)
+	}
+}
+
+func TestClusterFlattenCommits(t *testing.T) {
+	c := newTestCluster(t, 3)
+	fill(t, c.replicas[0], 20)
+	c.Run(0)
+	if c.replicas[1].Stats().Tree.Nodes == 0 {
+		t.Fatal("no nodes before flatten")
+	}
+	c.replicas[0].ProposeFlatten()
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if r.FlattensApplied() != 1 {
+			t.Errorf("site %d applied %d flattens, want 1", r.site, r.FlattensApplied())
+		}
+		if st := r.Stats(); st.Tree.Nodes != 0 || st.Tree.MemBytes != 0 {
+			t.Errorf("site %d not compacted: nodes=%d", r.site, st.Tree.Nodes)
+		}
+		if r.Len() != 20 {
+			t.Errorf("site %d lost atoms: %d", r.site, r.Len())
+		}
+		if n := lockedRegions(r); n != 0 {
+			t.Errorf("site %d still holds %d region locks", r.site, n)
+		}
+	}
+}
+
+func TestClusterFlattenAbortsOnConcurrentEdit(t *testing.T) {
+	c := newTestCluster(t, 2, WithLatency(50, 50), WithSeed(1))
+	r1, r2 := c.replicas[0], c.replicas[1]
+	fill(t, r1, 8)
+	c.Run(0)
+	// Site 2 edits; before the op reaches site 1, site 1 proposes a flatten.
+	mustInsert(t, r2, 3, "concurrent")
+	r1.ProposeFlatten()
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if got := r.FlattensApplied(); got != 0 {
+			t.Errorf("site %d applied %d flattens, want 0 (abort)", r.site, got)
+		}
+	}
+	if got := r1.eng.FlattensAborted(); got != 1 {
+		t.Errorf("coordinator aborted %d rounds, want 1", got)
+	}
+	if got := r1.Len(); got != 9 {
+		t.Errorf("doc len = %d, want 9 (no work lost)", got)
+	}
+}
+
+func TestClusterFlattenLockBlocksLocalEdits(t *testing.T) {
+	c := newTestCluster(t, 2, WithLatency(100, 100), WithSeed(1))
+	r1 := c.replicas[0]
+	fill(t, r1, 6)
+	c.Run(0)
+	r1.ProposeFlatten()
+	// The coordinator votes like any participant; its own Yes freezes the
+	// region until the decision.
+	if err := r1.InsertAt(3, "blocked"); !errors.Is(err, ErrRegionLocked) {
+		t.Fatalf("insert during vote: %v, want ErrRegionLocked", err)
+	}
+	if err := r1.DeleteAt(3); !errors.Is(err, ErrRegionLocked) {
+		t.Fatalf("delete during vote: %v, want ErrRegionLocked", err)
+	}
+	mustConverge(t, c)
+	mustInsert(t, r1, 3, "ok") // after the decision the edit goes through
+	mustConverge(t, c)
+	if r1.FlattensApplied() != 1 {
+		t.Errorf("flatten did not commit")
+	}
+}
+
+func TestClusterFlattenColdSubtree(t *testing.T) {
+	c := newTestCluster(t, 2)
+	r1 := c.replicas[0]
+	fill(t, r1, 30)
+	c.Run(0)
+	for _, r := range c.replicas {
+		r.EndRevision()
+	}
+	if !r1.ProposeFlattenCold(0) {
+		t.Fatal("no cold subtree proposed")
+	}
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if got := r.FlattensApplied(); got != 1 {
+			t.Errorf("site %d: flattens applied = %d", r.site, got)
+		}
+		if got := r.Len(); got != 30 {
+			t.Errorf("site %d: len = %d", r.site, got)
+		}
+	}
+}
+
+func TestClusterFlattenTimesOutUnderPartitionAndHeals(t *testing.T) {
+	c := newTestCluster(t, 3)
+	r1 := c.replicas[0]
+	fill(t, r1, 10)
+	c.Run(0)
+	// Partition site 3 away; its vote can never arrive.
+	for _, s := range []SiteID{1, 2} {
+		if err := c.Partition(s, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1.ProposeFlatten()
+	c.Run(0)
+	if err := r1.InsertAt(0, "early"); !errors.Is(err, ErrRegionLocked) {
+		t.Fatalf("edit while the round is open: %v, want ErrRegionLocked", err)
+	}
+	idle(c, 12) // past the engines' flatten deadline of ten ticks
+	if got := r1.eng.FlattensAborted(); got != 1 {
+		t.Fatalf("coordinator aborted %d rounds after the deadline, want 1", got)
+	}
+	mustInsert(t, r1, 0, "late") // the abort released the region
+	c.HealAll()
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if got := r.FlattensApplied(); got != 0 {
+			t.Errorf("site %d applied %d flattens despite the lost participant", r.site, got)
+		}
+	}
+	// Site 3 votes on the held proposal after the heal; the coordinator
+	// answers from its decision memory, so no lock outlives the round.
+	idle(c, 12)
+	for _, r := range c.replicas {
+		if n := lockedRegions(r); n != 0 {
+			t.Errorf("site %d still holds %d region locks", r.site, n)
+		}
+	}
+}
+
+func TestClusterUDIS(t *testing.T) {
+	c := newTestCluster(t, 3, WithClusterMode(UDIS))
+	fill(t, c.replicas[0], 10)
+	c.Run(0)
+	for i := 9; i >= 5; i-- {
+		if err := c.replicas[1].DeleteAt(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if st := r.Stats(); st.Tree.DeadMinis != 0 {
+			t.Errorf("site %d has %d tombstones under UDIS", r.site, st.Tree.DeadMinis)
+		}
+	}
+}
+
+func TestClusterInsertRunReplicates(t *testing.T) {
+	c := newTestCluster(t, 2)
+	if err := c.replicas[0].InsertRunAt(0, []string{"a", "b", "c", "d", "e"}); err != nil {
+		t.Fatal(err)
+	}
+	mustConverge(t, c)
+	if got := c.replicas[1].ContentString(); got != "a\nb\nc\nd\ne" {
+		t.Errorf("site 2 = %q", got)
+	}
+}
+
+func TestClusterTotalLossStallsThenRecovers(t *testing.T) {
+	c := newTestCluster(t, 2, WithLatency(1, 5), WithLoss(1), WithSeed(9))
+	r1, r2 := c.replicas[0], c.replicas[1]
+	mustInsert(t, r1, 0, "lost")
+	c.Run(0)
+	if got := r2.Len(); got != 0 {
+		t.Fatalf("total loss delivered anyway: len=%d", got)
+	}
+	if c.net.Dropped() == 0 {
+		t.Fatal("nothing dropped at loss=1.0")
+	}
+	// Left alone, the engines heal it themselves: the keepalive digest
+	// advertises the op, the gap draws a pull, and the answer is reliable.
+	idle(c, 16)
+	if got := r2.Len(); got != 1 {
+		t.Fatalf("keepalive anti-entropy did not recover the op: len=%d", got)
+	}
+	if r1.eng.ReplayOps() == 0 {
+		t.Error("the op was not served as a digest answer")
+	}
+	mustConverge(t, c)
+}
+
+func TestClusterSyncRecoversThirdPartyOps(t *testing.T) {
+	// Site 1's op reaches site 2 but not site 3; site 3 syncs with site 2
+	// (not the originator) and still recovers it.
+	c := newTestCluster(t, 3, WithLatency(1, 5), WithSeed(4))
+	if err := c.Partition(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, c.replicas[0], 0, "x")
+	c.Run(0)
+	if got := c.replicas[2].Len(); got != 0 {
+		t.Fatalf("partitioned delivery: len=%d", got)
+	}
+	c.replicas[2].SyncWith(2)
+	c.Run(0)
+	if got := c.replicas[2].Len(); got != 1 {
+		t.Fatalf("third-party sync failed: len=%d", got)
+	}
+	c.HealAll()
+	mustConverge(t, c)
+}
+
+func TestClusterSyncIdempotent(t *testing.T) {
+	c := newTestCluster(t, 2)
+	r1, r2 := c.replicas[0], c.replicas[1]
+	fill(t, r1, 5)
+	c.Run(0)
+	// Syncing when nothing is missing sends the digest and draws no reply.
+	before, _ := c.net.Stats()
+	r2.SyncWith(1)
+	c.Run(0)
+	if after, _ := c.net.Stats(); after-before != 1 {
+		t.Errorf("no-op sync generated %d messages, want 1 (the digest)", after-before)
+	}
+	r2.SyncWith(1)
+	r2.SyncWith(1)
+	r1.SyncWith(1)  // self-sync is a no-op
+	r1.SyncWith(99) // so is an unknown peer
+	c.Run(0)
+	if got := r2.Len(); got != 5 {
+		t.Errorf("len = %d after redundant syncs", got)
+	}
+	if got := r2.eng.Applied(); got != 5 {
+		t.Errorf("site 2 applied %d ops, want 5 (no duplicate applications)", got)
+	}
+	mustConverge(t, c)
+}
+
+// TestClusterSnapshotCatchUpAfterLostFlatten: the committed OpFlatten is an
+// operation like any other, so the lossy channel may drop it. Replicas
+// that missed it stay frozen until anti-entropy delivers — and once the
+// coordinator has truncated below the flatten epoch (here it is cut off
+// for longer than the floor delay), what delivers is the barrier
+// snapshot, streamed inline by the stepped engine.
+func TestClusterSnapshotCatchUpAfterLostFlatten(t *testing.T) {
+	c := newTestCluster(t, 3, WithLoss(1), WithSeed(6))
+	r1 := c.replicas[0]
+	fill(t, r1, 12)
+	idle(c, 16) // every live frame is lost; keepalive anti-entropy replicates
+	if !c.Converged() {
+		t.Fatal("anti-entropy did not replicate the seed document")
+	}
+	r1.ProposeFlatten()
+	for r1.FlattensApplied() == 0 {
+		if c.Run(1) == 0 {
+			t.Fatal("flatten did not commit at the coordinator")
+		}
+	}
+	for _, s := range []SiteID{2, 3} {
+		if err := c.Partition(1, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle(c, 8)
+	for _, r := range c.replicas[1:] {
+		if r.FlattensApplied() != 0 || lockedRegions(r) != 1 {
+			t.Fatalf("site %d: applied=%d locks=%d, want the op lost and the region frozen",
+				r.site, r.FlattensApplied(), lockedRegions(r))
+		}
+	}
+	c.HealAll()
+	idle(c, 24)
+	mustConverge(t, c)
+	for _, r := range c.replicas[1:] {
+		if r.eng.SnapshotsInstalled() == 0 {
+			t.Errorf("site %d caught up without a snapshot", r.site)
+		}
+		if r.Stats().Tree.Nodes != 0 || lockedRegions(r) != 0 {
+			t.Errorf("site %d: nodes=%d locks=%d after catch-up", r.site, r.Stats().Tree.Nodes, lockedRegions(r))
+		}
+	}
+}
+
+// TestClusterCoordinatorLostAfterVotesFreezesRegion characterises the
+// envelope docs/ARCHITECTURE.md §7 documents for two-phase commit: a
+// coordinator that collects every Yes vote and is then lost — here, cut
+// off with its decision and its OpFlatten still on the wire — leaves the
+// participants' region returning ErrRegionLocked for as long as they run.
+// Their in-doubt vote resends go unanswered; only stopping releases the
+// lock. Non-blocking commitment (ROADMAP) turns the second half of this
+// test red.
+func TestClusterCoordinatorLostAfterVotesFreezesRegion(t *testing.T) {
+	const seed = 11
+	c := newTestCluster(t, 3, WithSeed(seed))
+	r1 := c.replicas[0]
+	fill(t, r1, 10)
+	c.Run(0)
+	r1.ProposeFlatten()
+	for r1.eng.FlattensCommitted() == 0 {
+		if c.Run(1) == 0 {
+			t.Fatalf("seed %d: the round never decided", seed)
+		}
+	}
+	// Every participant voted Yes and the coordinator decided commit. Lose
+	// it before any participant hears: the cut holds what it already sent.
+	for _, s := range []SiteID{2, 3} {
+		if err := c.Partition(1, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle(c, 100) // ten flatten deadlines
+	for _, r := range c.replicas[1:] {
+		if r.FlattensApplied() != 0 {
+			t.Fatalf("seed %d: site %d applied the flatten across the cut", seed, r.site)
+		}
+		if err := r.InsertAt(0, "x"); !errors.Is(err, ErrRegionLocked) {
+			t.Fatalf("seed %d: site %d edit after ten deadlines: %v, want ErrRegionLocked", seed, r.site, err)
+		}
+	}
+	for _, r := range c.replicas[1:] {
+		r.step.Stop()
+		if n := lockedRegions(r); n != 0 {
+			t.Errorf("seed %d: site %d holds %d locks after stopping", seed, r.site, n)
+		}
+	}
+}
+
+// TestClusterCrashRestartFromOplog drops a replica's engine and document
+// mid-schedule — no Stop, frames to and from it still in flight — and
+// rebuilds both from the durable log. The rebuilt replica must resume at
+// the exact version it crashed at, stamp its next operation with the next
+// sequence number (re-stamping one would make peers discard it as a
+// duplicate), and converge.
+func TestClusterCrashRestartFromOplog(t *testing.T) {
+	const seed = 21
+	dir := t.TempDir()
+	c := newTestCluster(t, 3, WithSeed(seed))
+	restart := func() *Replica {
+		r, err := c.newReplica(2, WithLogDir(dir))
+		if err != nil {
+			t.Fatalf("seed %d: rebuild from oplog: %v", seed, err)
+		}
+		c.replicas[1] = r
+		return r
+	}
+	restart() // site 2 runs over a log directory from the start
+	rng := rand.New(rand.NewSource(seed))
+	edit := func(step int) {
+		r := c.replicas[rng.Intn(3)]
+		mustInsert(t, r, rng.Intn(r.Len()+1), fmt.Sprintf("s%d-%d", r.site, step))
+	}
+	for step := 0; step < 60; step++ {
+		edit(step)
+		c.Run(rng.Intn(6))
+	}
+	before := c.replicas[1].doc.Version()
+	content := c.replicas[1].ContentString()
+	if before.Get(2) == 0 || c.net.InFlight() == 0 {
+		t.Fatalf("seed %d: vacuous crash point (own ops %d, in flight %d)", seed, before.Get(2), c.net.InFlight())
+	}
+	r2 := restart()
+	if got := r2.doc.Version(); !vcEqual(got, before) || r2.ContentString() != content {
+		t.Fatalf("seed %d: restarted at %v, crashed at %v", seed, got, before)
+	}
+	mustInsert(t, r2, 0, "after-restart")
+	if got := r2.doc.Version().Get(2); got != before.Get(2)+1 {
+		t.Fatalf("seed %d: first op after restart has seq %d, want %d", seed, got, before.Get(2)+1)
+	}
+	for step := 60; step < 90; step++ {
+		edit(step)
+		c.Run(rng.Intn(6))
+	}
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if !vcEqual(r.doc.Version(), c.replicas[0].doc.Version()) {
+			t.Errorf("seed %d: site %d at %v, site 1 at %v", seed, r.site, r.doc.Version(), c.replicas[0].doc.Version())
+		}
+	}
+	r2.step.Stop()
+}
+
+func vcEqual(a, b Version) bool { return a.Dominates(b) && b.Dominates(a) }
+
+// causalOracle checks the CRDT's delivery obligation from outside the
+// engine: an operation's happened-before frontier is the version its
+// origin had applied when it was minted, and no replica may have applied
+// the operation without having applied that whole frontier. It reads only
+// the documents' version vectors, after every single driver action, so at
+// most one event separates two observations of a replica.
+type causalOracle struct {
+	frontier map[[2]uint64]Version // (site, seq) → what the op causally follows
+	seen     []Version             // per replica, the version last observed
+	minted   int                   // ops the engines minted themselves: committed flattens
+}
+
+// observe takes one look at every replica. local says the driver action
+// just taken was a local edit, so new own-site operations are the test's;
+// otherwise an engine minted them, and only a committed flatten does that.
+func (o *causalOracle) observe(c *Cluster, local bool) error {
+	if o.frontier == nil {
+		o.frontier = make(map[[2]uint64]Version)
+		o.seen = make([]Version, len(c.replicas))
+	}
+	versions := make([]Version, len(c.replicas))
+	for i, r := range c.replicas {
+		versions[i] = r.doc.Version()
+		for n := o.seen[i].Get(r.site) + 1; n <= versions[i].Get(r.site); n++ {
+			f := versions[i].Clone()
+			f[r.site] = n - 1
+			o.frontier[[2]uint64{uint64(r.site), n}] = f
+			if !local {
+				o.minted++
+			}
+		}
+	}
+	for i, r := range c.replicas {
+		for s, top := range versions[i] {
+			for n := o.seen[i].Get(s) + 1; n <= top; n++ {
+				f, ok := o.frontier[[2]uint64{uint64(s), n}]
+				if !ok {
+					return fmt.Errorf("site %d applied s%d#%d, which no replica minted", r.site, s, n)
+				}
+				if !versions[i].Dominates(f) {
+					return fmt.Errorf("site %d applied s%d#%d at %v before its causal predecessors %v",
+						r.site, s, n, versions[i], f)
+				}
+			}
+		}
+		o.seen[i] = versions[i]
+	}
+	return nil
+}
+
+// exploreStats is what a schedule exercised, summed over seeds so the
+// explorer can prove it is not vacuous.
+type exploreStats struct {
+	edits, blocked, proposals, committed, aborted, cuts, snapshots int
+	dropped                                                        uint64
+}
+
+func (a *exploreStats) add(b exploreStats) {
+	a.edits += b.edits
+	a.blocked += b.blocked
+	a.proposals += b.proposals
+	a.committed += b.committed
+	a.aborted += b.aborted
+	a.cuts += b.cuts
+	a.snapshots += b.snapshots
+	a.dropped += b.dropped
+}
+
+// envelope says which documented failure envelopes a schedule stays inside.
+type envelope struct{ membership, truncation bool }
+
+var documented = envelope{membership: true, truncation: true}
+
+// exploreFailure carries an obligation violation out of explore's closures.
+type exploreFailure struct{ error }
+
+// explore runs one seeded schedule — random edits at random sites, partial
+// delivery, partitions and heals, explicit syncs, revision ticks and
+// flatten proposals, over a network that is lossy for two seeds in three —
+// and checks the tech report's obligations on the system as built: causal
+// delivery at every step; after healing, byte-identical documents that
+// pass Check; and every committed flatten applied everywhere or nowhere
+// (the flatten is a stamped operation, one per committed round, so equal
+// version vectors say it; a last edit at every replica cross-checks it).
+// The error names the seed. trace, when non-nil, receives every frame
+// sent.
+//
+// The envelope flags keep the schedule inside the two failure envelopes
+// docs/ARCHITECTURE.md draws around flatten, which the first explorer runs
+// rediscovered within a few hundred seeds:
+//
+//   - membership (§7), membership by recency: a proposal asks the whole group only
+//     while every site has been heard from within three flatten deadlines.
+//     So the group warms up before the schedule starts and a cut heals
+//     before it outlasts maxCut; otherwise a coordinator commits without
+//     the missing site's vote and that site's concurrent edits diverge.
+//   - truncation (§6), truncation below an unreplicated barrier: every replica truncates
+//     its message log to the flatten epoch a floor delay (four ticks) after
+//     applying it. A subtree flatten commits with out-of-region edits still
+//     in flight; if two replicas each hold one the other lost, both
+//     truncate, neither can install the other's snapshot (each lacks what
+//     the other's covers), and no message carries the difference any more.
+//     So lossy seeds propose whole-document flattens only: those commit
+//     only with every replica at exactly the observed clock.
+//
+// TestClusterExploreOutsideEnvelopes runs one seed outside each and pins
+// what happens there.
+func explore(seed int64, in envelope, trace *bytes.Buffer) (st exploreStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(exploreFailure)
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("seed %d: %w", seed, f.error)
+		}
+	}()
+	fail := func(format string, args ...any) { panic(exploreFailure{fmt.Errorf(format, args...)}) }
+	must := func(err error) {
+		if err != nil {
+			fail("%v", err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	sites := 3 + int(seed%2)
+	mode := SDIS
+	if seed%4 >= 2 {
+		mode = UDIS
+	}
+	loss := []float64{0, 0.1, 0.3}[seed%3]
+	c, err := NewCluster(sites, WithSeed(seed), WithLatency(1, 40), WithLoss(loss), WithClusterMode(mode))
+	must(err)
+	if trace != nil {
+		c.sent = func(at int64, from, to SiteID, frame []byte) {
+			for _, v := range []uint64{uint64(at), uint64(from), uint64(to), uint64(len(frame))} {
+				trace.Write(binary.AppendUvarint(nil, v))
+			}
+			trace.Write(frame)
+		}
+	}
+	const maxCut = 12 // sync ticks
+	type cut struct {
+		a, b SiteID
+		at   int64
+	}
+	var (
+		oracle causalOracle
+		cuts   []cut
+	)
+	state := func() string {
+		var b bytes.Buffer
+		for _, r := range c.replicas {
+			fmt.Fprintf(&b, "; site %d at %v with %d locks", r.site, r.doc.Version(), lockedRegions(r))
+		}
+		return b.String()
+	}
+	site := func() SiteID { return SiteID(1 + rng.Intn(sites)) }
+	// run delivers up to n frames (0: to quiescence), observing after each.
+	// A schedule that needs more than budget deliveries is a livelock — some
+	// gap anti-entropy keeps pulling against and never closes.
+	budget := 200000
+	run := func(n int) {
+		for i := 0; (n == 0 || i < n) && c.Run(1) == 1; i++ {
+			must(oracle.observe(c, false))
+			if budget--; budget == 0 {
+				fail("livelock at virtual time %d%s", c.Now(), state())
+			}
+		}
+		must(oracle.observe(c, false)) // the idle ticks that ended the burst may have minted
+	}
+	if in.membership {
+		run(0)
+	}
+	for step := 0; step < 300; step++ {
+		for in.membership && len(cuts) > 0 && c.Now()-cuts[0].at > maxCut*c.tick {
+			c.net.Heal(cuts[0].a, cuts[0].b)
+			cuts = cuts[1:]
+		}
+		switch p := rng.Intn(100); {
+		case p < 50: // local edit at a random site
+			r := c.replicas[site()-1]
+			var err error
+			switch n := r.Len(); {
+			case n == 0 || rng.Intn(100) < 60:
+				err = r.InsertAt(rng.Intn(n+1), fmt.Sprintf("s%d-%d", r.site, step))
+			case rng.Intn(100) < 25:
+				err = r.InsertRunAt(rng.Intn(n+1), []string{"r0", "r1", "r2"})
+			default:
+				err = r.DeleteAt(rng.Intn(n))
+			}
+			switch {
+			case err == nil:
+				st.edits++
+			case errors.Is(err, ErrRegionLocked):
+				st.blocked++ // legal: a flatten vote is open on the region
+			default:
+				fail("step %d: %v", step, err)
+			}
+			must(oracle.observe(c, true))
+		case p < 72: // deliver a burst
+			run(1 + rng.Intn(20))
+		case p < 79 && len(cuts) < 3: // partition a random pair
+			if a, b := site(), site(); a != b {
+				must(c.Partition(a, b))
+				cuts = append(cuts, cut{a, b, c.Now()})
+				st.cuts++
+			}
+		case p < 85 && len(cuts) > 0: // heal one pair
+			i := rng.Intn(len(cuts))
+			c.net.Heal(cuts[i].a, cuts[i].b)
+			cuts = append(cuts[:i], cuts[i+1:]...)
+		case p < 90: // explicit anti-entropy
+			c.replicas[site()-1].SyncWith(site())
+		case p < 95: // advance revisions (the cold-subtree clock)
+			for _, r := range c.replicas {
+				r.EndRevision()
+			}
+		default: // propose a flatten from a random site
+			r := c.replicas[site()-1]
+			if rng.Intn(3) == 0 || (in.truncation && loss > 0) {
+				r.ProposeFlatten()
+				st.proposals++
+			} else if r.ProposeFlattenCold(1) {
+				st.proposals++
+			}
+			must(oracle.observe(c, false))
+		}
+	}
+	c.HealAll()
+	settled := func() bool {
+		for _, r := range c.replicas {
+			if lockedRegions(r) != 0 || !vcEqual(r.doc.Version(), c.replicas[0].doc.Version()) {
+				return false
+			}
+		}
+		return true
+	}
+	settle := func() {
+		for round := 0; round < 40 && (round == 0 || !settled()); round++ {
+			for _, a := range c.replicas {
+				for _, b := range c.replicas {
+					a.SyncWith(b.site)
+				}
+			}
+			run(0)
+		}
+		if !settled() {
+			fail("replicas did not settle after healing%s", state())
+		}
+		if !c.Converged() {
+			fail("equal versions, different documents (%d edits, %d blocked, %d proposals)", st.edits, st.blocked, st.proposals)
+		}
+		must(c.Check())
+	}
+	settle()
+	// One more edit everywhere: identifiers minted against a tree that a
+	// flatten reshaped at some replicas only would order differently there.
+	// (Tree statistics cannot tell: tombstone counts under UDIS and lazily
+	// exploded flat regions legitimately differ between equal documents.)
+	for _, r := range c.replicas {
+		if err := r.InsertAt(rng.Intn(r.Len()+1), fmt.Sprintf("s%d-last", r.site)); err != nil {
+			fail("final edit at site %d: %v", r.site, err)
+		}
+		must(oracle.observe(c, true))
+	}
+	settle()
+	for _, r := range c.replicas {
+		st.committed += int(r.eng.FlattensCommitted())
+		st.aborted += int(r.eng.FlattensAborted())
+		st.snapshots += int(r.eng.SnapshotsInstalled())
+	}
+	if oracle.minted != st.committed {
+		fail("%d rounds committed but the engines minted %d operations", st.committed, oracle.minted)
+	}
+	st.dropped = c.net.Dropped()
+	return st, nil
+}
+
+var exploreSeeds = flag.Int("explore.seeds", 200, "seeded schedules TestClusterExplore runs")
+
+// TestClusterExplore is the seeded schedule explorer. A failure names its
+// seed; `go test -run 'TestClusterExplore/seed=N$' -explore.seeds=N .`
+// replays it.
+func TestClusterExplore(t *testing.T) {
+	seeds := *exploreSeeds
+	if testing.Short() {
+		seeds = min(seeds, 30)
+	}
+	var total exploreStats
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			st, err := explore(seed, documented, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total.add(st)
+		})
+	}
+	t.Logf("%d seeds: %+v", seeds, total)
+	if seeds >= 200 && (total.blocked == 0 || total.committed == 0 || total.aborted == 0 ||
+		total.cuts == 0 || total.dropped == 0 || total.snapshots == 0) {
+		t.Errorf("explorer is vacuous somewhere: %+v", total)
+	}
+}
+
+// TestClusterExploreOutsideEnvelopes characterises the two envelopes the
+// explorer stays inside, each from a fixed seed with that one guard off:
+// the obligations do fail there, in the way the documentation says. They
+// are the robustness work's red-to-green targets — when strict membership
+// or replication-aware truncation lands, the matching case starts to
+// converge, and its guard in explore and its paragraph in
+// docs/ARCHITECTURE.md go.
+func TestClusterExploreOutsideEnvelopes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed int64
+		in   envelope
+		want string
+	}{
+		{"membership by recency (§7)", 15, envelope{truncation: true}, "equal versions, different documents"},
+		{"truncation below an unreplicated barrier (§6)", 3860, envelope{membership: true}, "did not settle"},
+	} {
+		_, err := explore(tc.seed, tc.in, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: seed %d ended with %v, want %q", tc.name, tc.seed, err, tc.want)
+			continue
+		}
+		t.Logf("%s: %v", tc.name, err)
+	}
+}
+
+// TestClusterTraceDeterminism runs one schedule twice and compares the
+// full (time, from, to, frame bytes) trace byte for byte: nothing the
+// engine emits may depend on the wall clock, goroutine scheduling or map
+// iteration order, or a failing seed would not replay.
+func TestClusterTraceDeterminism(t *testing.T) {
+	for _, seed := range []int64{5, 42} {
+		var a, b bytes.Buffer
+		sa, err := explore(seed, documented, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := explore(seed, documented, &b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa != sb {
+			t.Errorf("seed %d: run 1 did %+v, run 2 did %+v", seed, sa, sb)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			n := 0
+			for n < a.Len() && n < b.Len() && a.Bytes()[n] == b.Bytes()[n] {
+				n++
+			}
+			t.Errorf("seed %d: traces of %d and %d bytes diverge at byte %d", seed, a.Len(), b.Len(), n)
+		}
+		if a.Len() == 0 || sa.committed+sa.aborted == 0 {
+			t.Errorf("seed %d: vacuous trace (%d bytes, %+v)", seed, a.Len(), sa)
+		}
+	}
+}

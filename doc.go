@@ -42,35 +42,41 @@
 // sequential buffer. Within one process, Doc.Flatten and Doc.EndRevision
 // (heuristic flatten of cold subtrees) are available directly; across
 // replicas, flatten must be coordinated — two-phase commit where any
-// replica that observed a concurrent edit in the region votes No. Both
-// distribution layers run that protocol: Cluster on the simulator, and
-// Engine.ProposeFlatten / Engine.ProposeFlattenCold over live links,
-// where a committed flatten is broadcast as an operation in the causal
-// stream (so it orders before every post-flatten edit at every replica)
-// and becomes the snapshot barrier that bounds the durable log. While a
+// replica that observed a concurrent edit in the region votes No.
+// Engine.ProposeFlatten / Engine.ProposeFlattenCold run that protocol
+// over the engine's links (Replica.ProposeFlatten calls the same method
+// on a simulated network): a committed flatten is broadcast as an
+// operation in the causal stream (so it orders before every post-flatten
+// edit at every replica) and becomes the snapshot barrier that bounds the
+// durable log. While a
 // replica's Yes vote is outstanding, local edits in the region fail with
 // ErrRegionLocked and succeed again once the round decides.
 //
-// # Distribution: simulated and real
+// # Distribution: one engine, two drivers
 //
-// Two transports share the causal-delivery contract at different layers of
-// realism:
+// Engine (internal/transport) is the replication engine. Each Engine
+// wraps a Doc or TextBuffer behind an actor, stamps and batches local
+// edits to peers, applies remote operations in causal order, runs a
+// periodic anti-entropy exchange that repairs losses from full queues,
+// slow consumers or late joiners, and coordinates flatten through the
+// commitment protocol. The actor is a step function — events in (local
+// operations, a frame from a link, a tick at a time), effects out (frames
+// per link, log appends) — and there are two ways to step it.
 //
-// Cluster wires several replicas over a deterministic discrete-event
-// network (internal/simnet) with random latency, partitions and healing.
-// Everything runs in one goroutine with virtual time, so protocol
-// behaviour — convergence, the flatten commitment protocol, chaos
-// schedules — is exactly reproducible from a seed. It is how integration
-// tests and benchmarks exercise distributed behaviour.
+// NewEngine is the production driver: a goroutine runs the actor, reader
+// and writer goroutines per link move frames over channels or TCP, and a
+// wall-clock ticker paces anti-entropy.
 //
-// Engine (internal/transport) is the real concurrent replication engine:
-// it carries the same operations between live replicas over goroutines and
-// sockets. Each Engine wraps a Doc or TextBuffer behind an actor loop,
-// stamps and batches local edits to peers, applies remote operations in
-// causal order, runs a periodic anti-entropy exchange that repairs losses
-// from full queues, slow consumers or late joiners, and coordinates
-// flatten through the same commitment protocol the simulator runs. Links
-// are in-process channel pairs (NewChanPair) or length-prefixed TCP
+// Cluster is the simulation driver: it steps the same engines, one event
+// at a time in one goroutine, over a deterministic discrete-event network
+// (internal/simnet) with seeded latency, loss, partitions and a virtual
+// clock. The frames on the simulated wire are the ones the engine encodes
+// for TCP. A seed therefore fixes the whole schedule — faults, crashes
+// and restarts included — and a failure replays byte for byte; it is how
+// integration tests, the schedule explorer and benchmarks exercise
+// distributed behaviour.
+//
+// Links are in-process channel pairs (NewChanPair) or length-prefixed TCP
 // framing: DialDoc attaches to one named document on a cmd/treedoc-serve
 // hub (whose archivist can double as a flatten janitor with
 // -flatten-every), a Session from DialSession multiplexes several
@@ -107,7 +113,8 @@
 // deeply-behind-but-servable peers too, trading one big transfer for a
 // long op replay.
 //
-// The layering is deliberate: algorithms are debugged on the simulator,
-// where failures replay deterministically, and deployed on the transport,
-// where the race detector and soak tests stand guard.
+// The split is deliberate: the engine is debugged under the simulation
+// driver, where failures replay deterministically, and deployed under the
+// production driver, where the race detector and soak tests stand guard —
+// and it is one engine, so what the first proves holds for the second.
 package treedoc

@@ -1,6 +1,7 @@
 // Package a exercises the actoronly analyzer: a field owned by an actor
 // goroutine, the loop's call tree, the ctl dispatch pattern, goroutine
-// boundaries inside the loop, and the actorsafe waiver.
+// boundaries inside the loop, the actorsafe waiver, and a stepping driver
+// whose entry points are loop roots of their own.
 package a
 
 type engine struct {
@@ -53,4 +54,32 @@ func newEngine() *engine {
 	e := &engine{inbox: make(chan func())}
 	e.buf = make([]int, 0, 8)
 	return e
+}
+
+// stepper is a second driver for the same engine: no goroutine runs the
+// loop, the stepper's caller is the actor, and its entry points are roots
+// of the allowed call tree exactly as run is.
+type stepper struct{ e *engine }
+
+// Step reaches buf through the engine's own helper and directly; both are
+// on the actor because the entry point is a loop root.
+//
+//treedoc:actorloop
+func (s *stepper) Step() {
+	s.e.helper()
+	s.e.buf = append(s.e.buf, 2)
+}
+
+// Deliver returns a closure created in an actorloop function: it inherits
+// the context, so the driver may call it as a step.
+//
+//treedoc:actorloop
+func (s *stepper) Deliver() func(int) {
+	return func(v int) { s.e.buf = append(s.e.buf, v) }
+}
+
+// Peek is not a step: a driver reading engine state between steps has
+// left the call tree the annotation vouches for.
+func (s *stepper) Peek() int {
+	return len(s.e.buf) // want `actor-owned field buf touched outside the actor call tree`
 }

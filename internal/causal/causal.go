@@ -27,11 +27,6 @@ type Message struct {
 	Payload any
 }
 
-// Lossy marks operation gossip as tolerating network loss: duplicate
-// suppression and the anti-entropy retransmission layer make redelivery
-// safe and eventual delivery certain.
-func (Message) Lossy() bool { return true }
-
 // Buffer implements causal delivery for one replica. The zero value is not
 // usable; call NewBuffer. Not safe for concurrent use.
 type Buffer struct {

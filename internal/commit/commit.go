@@ -13,12 +13,14 @@
 // a site that issued or applied a subtree edit the coordinator has not seen
 // votes No.
 //
-// The state machines are transport-agnostic and single-threaded; the cluster
-// layer wires them to the simulated network and the causal delivery buffers.
+// The state machines are transport-agnostic and single-threaded;
+// internal/transport's engine runs them on its actor (flatten.go) and owns
+// everything around them: frames, region locks, deadlines, membership.
 package commit
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
@@ -28,6 +30,14 @@ import (
 type TxID struct {
 	Coord ident.SiteID
 	N     uint64
+}
+
+// Less orders transaction ids by coordinator, then number.
+func (t TxID) Less(u TxID) bool {
+	if t.Coord != u.Coord {
+		return t.Coord < u.Coord
+	}
+	return t.N < u.N
 }
 
 // String renders the transaction id.
@@ -144,11 +154,17 @@ func (c *Coordinator) OnVote(from ident.SiteID, m Msg) []Out {
 // partition): presumed abort keeps the protocol safe, just not live for
 // that transaction.
 func (c *Coordinator) Tick(now int64) []Out {
-	var outs []Out
+	var due []TxID
 	for tx, st := range c.pending {
 		if !st.done && now >= st.deadline {
-			outs = append(outs, c.decide(tx, st, false)...)
+			due = append(due, tx)
 		}
+	}
+	// Decisions become frames: emit them in transaction order, not map order.
+	sort.Slice(due, func(i, j int) bool { return due[i].Less(due[j]) })
+	var outs []Out
+	for _, tx := range due {
+		outs = append(outs, c.decide(tx, c.pending[tx], false)...)
 	}
 	return outs
 }
@@ -176,10 +192,9 @@ func (c *Coordinator) InFlight(tx TxID) bool {
 // decision arrives. The lock must block until the decision: a participant
 // that released early could accept edits that a late-arriving commit would
 // then destroy. The coordinator's timeout (Coordinator.Tick) guarantees a
-// decision is eventually broadcast, so in a crash-free deployment (and in
-// the simulator) every lock is eventually released; tolerating coordinator
-// crashes needs the fault-tolerant commitment the paper defers to
-// (Gray & Lamport).
+// decision is eventually broadcast, so in a crash-free deployment every
+// lock is eventually released; tolerating coordinator crashes needs the
+// fault-tolerant commitment the paper defers to (Gray & Lamport).
 type Participant struct {
 	site  ident.SiteID
 	res   Resource
@@ -252,31 +267,6 @@ func pathInRegion(a, b ident.Path) bool {
 		}
 	}
 	return a[len(b)-1].Bit == b[len(b)-1].Bit
-}
-
-// Blocks reports whether a local edit at the given identifier must wait:
-// it falls inside a subtree locked by an outstanding Yes vote.
-func (p *Participant) Blocks(id ident.Path) bool {
-	for _, l := range p.locks {
-		if ident.RegionCompare(id, l.path) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// BlocksGap reports whether any locked region lies inside the open gap
-// (lo, hi) (nil bounds = document start/end): an insert into the gap could
-// allocate an identifier inside the locked region.
-func (p *Participant) BlocksGap(lo, hi ident.Path) bool {
-	for _, l := range p.locks {
-		loBefore := lo == nil || ident.RegionCompare(lo, l.path) < 0
-		hiAfter := hi == nil || ident.RegionCompare(hi, l.path) > 0
-		if loBefore && hiAfter {
-			return true
-		}
-	}
-	return false
 }
 
 // Locked returns the number of held locks.

@@ -119,6 +119,25 @@ func TestCoordinatorTimeout(t *testing.T) {
 	}
 }
 
+// Rounds that time out on the same tick are decided in transaction order:
+// the decisions become frames, and a replayable schedule cannot let map
+// iteration pick their order.
+func TestCoordinatorTimeoutsInTransactionOrder(t *testing.T) {
+	coord := NewCoordinator(1)
+	for i := 0; i < 16; i++ {
+		coord.Propose(ident.Path{}, vclock.VC{}, []ident.SiteID{1, 2}, 0, 100)
+	}
+	outs := coord.Tick(100)
+	if len(outs) != 16 {
+		t.Fatalf("%d decisions, want 16", len(outs))
+	}
+	for i := 1; i < len(outs); i++ {
+		if !outs[i-1].Msg.Tx.Less(outs[i].Msg.Tx) {
+			t.Fatalf("decision %d is %v, after %v", i, outs[i].Msg.Tx, outs[i-1].Msg.Tx)
+		}
+	}
+}
+
 func TestLockBlocksUntilDecision(t *testing.T) {
 	// A Yes vote holds its lock until the decision — early release would
 	// let edits race a late commit (see the Participant doc comment). The
@@ -174,30 +193,6 @@ func TestOverlappingProposalsExcluded(t *testing.T) {
 	v5 := p.OnPrepare(Msg{Kind: Prepare, Tx: TxID{Coord: 3, N: 4}, Path: ident.Path{}})
 	if !v5.Msg.Yes {
 		t.Error("proposal rejected after locks were released")
-	}
-}
-
-func TestBlocks(t *testing.T) {
-	p := NewParticipant(1, &fakeResource{unedited: true})
-	_ = p.OnPrepare(Msg{Kind: Prepare, Tx: TxID{Coord: 2, N: 1}, Path: path("[10(0:s1)]").StripLastDis()})
-	if !p.Blocks(path("[10(0:s9)]")) {
-		t.Error("identifier inside locked region not blocked")
-	}
-	if !p.Blocks(path("[100(1:s4)]")) {
-		t.Error("descendant identifier not blocked")
-	}
-	if p.Blocks(path("[(0:s1)]")) {
-		t.Error("identifier outside locked region blocked")
-	}
-	// Gap checks: a lock strictly inside the gap blocks inserts.
-	if !p.BlocksGap(path("[(0:s1)]"), path("[(1:s1)]")) {
-		t.Error("gap containing the locked region not blocked")
-	}
-	if p.BlocksGap(path("[11(0:s1)]"), nil) {
-		t.Error("gap after the locked region blocked")
-	}
-	if !p.BlocksGap(nil, nil) {
-		t.Error("whole-document gap not blocked")
 	}
 }
 

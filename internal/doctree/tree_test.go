@@ -409,6 +409,27 @@ func TestFlattenEmptyDoc(t *testing.T) {
 	}
 }
 
+// An emptied subtree flattens to an empty region; walking an identifier
+// through it turns it back into an ordinary empty node, which counts
+// itself again (found by the cluster schedule explorer, seed 2004).
+func TestExplodeEmptySubtreeRegion(t *testing.T) {
+	tr := figure2(t)
+	for _, id := range []string{"[1(0:s4)]", "[(1:s5)]", "[1(1:s6)]"} { // d, e, f: every atom below [1]
+		if _, err := tr.DeleteID(ident.MustParsePath(id), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flatten(ident.Path{ident.J(1)}); err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, tr)
+	mustInsert(t, tr, "[11(0:s9)]", "X")
+	checkTree(t, tr)
+	if got := content(tr); got != "abcX" {
+		t.Errorf("content = %q, want abcX", got)
+	}
+}
+
 func TestFreeMiniBetween(t *testing.T) {
 	tr := figure2(t)
 	// No free slots in the dense figure-2 tree between adjacent atoms a,b.

@@ -122,10 +122,14 @@ func (t *Tree) explodeNode(n *Node) {
 	atoms := n.flat
 	n.flat = nil
 	if len(atoms) == 0 {
-		t.bubbleCounts(n, 0, 0) // stamp lastMod; counts unchanged
-		if n.empty() && n.parent != nil {
-			bubbleEmpty(n, +1) // the emptied region becomes a reusable slot
+		if n.parent == nil {
+			t.bubbleCounts(n, 0, 0) // stamp lastMod; the root is never counted
+			return
 		}
+		// A flattened region counts no nodes; the empty node it turns back
+		// into counts itself, and is a reusable slot.
+		t.bubbleCounts(n, 0, +1)
+		bubbleEmpty(n, +1)
 		return
 	}
 	// The region's live count stays the same; nodes get rebuilt below.

@@ -202,6 +202,25 @@ func (n *Network) DeliverNext() (Envelope, bool) {
 	return *e, true
 }
 
+// NextAt returns the delivery time of the earliest in-flight message; ok is
+// false when nothing is in flight.
+func (n *Network) NextAt() (at int64, ok bool) {
+	if n.inFlight.Len() == 0 {
+		return 0, false
+	}
+	return n.inFlight[0].DeliverAt, true
+}
+
+// AdvanceTo moves the virtual clock forward to t without delivering
+// anything: a driver with timers of its own (periodic ticks) uses it to
+// fire them at their own instants, between deliveries or on an idle
+// network. The clock never moves backwards.
+func (n *Network) AdvanceTo(t int64) {
+	if t > n.now {
+		n.now = t
+	}
+}
+
 // InFlight returns the number of undelivered, unheld messages.
 func (n *Network) InFlight() int { return n.inFlight.Len() }
 

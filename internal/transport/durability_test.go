@@ -138,8 +138,8 @@ func (r *snapReplica) check() error {
 	return r.doc.Check()
 }
 
-// msgLogLen reads the actor-owned retained-message count.
-func msgLogLen(e *Engine) int {
+// retainedLen reads the actor-owned retained-message count.
+func retainedLen(e *Engine) int {
 	ch := make(chan int, 1)
 	if !e.ctl(func() { ch <- e.retained.Len() }) {
 		return -1
@@ -412,11 +412,11 @@ func TestLateJoinerSnapshotCatchup(t *testing.T) {
 	// bounded by the policy, not the 10k history.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if n := msgLogLen(ea); n >= 0 && n < 2*compactEvery {
+		if n := retainedLen(ea); n >= 0 && n < 2*compactEvery {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("msgLog not compacted: %d retained of %d", msgLogLen(ea), total)
+			t.Fatalf("retained log not compacted: %d retained of %d", retainedLen(ea), total)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -484,7 +484,7 @@ func TestLateJoinerSnapshotCatchup(t *testing.T) {
 			segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
 			st := make(chan string, 1)
 			ea.ctl(func() {
-				st <- fmt.Sprintf("clock=%v snapVC=%v truncVC=%v sinceSnap=%d msgLog=%d segs=%d",
+				st <- fmt.Sprintf("clock=%v snapVC=%v truncVC=%v sinceSnap=%d retained=%d segs=%d",
 					e1sum(ea.buf.Clock()), e1sum(ea.snapVC), e1sum(ea.truncVC), ea.sinceSnap, ea.retained.Len(), ea.log.Segments())
 			})
 			t.Fatalf("log segments hold %d bytes — compaction did not prune\n err=%v\n %s\n files=%v",
@@ -522,11 +522,11 @@ func TestSnapshotCatchupBelowBarrier(t *testing.T) {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if n := msgLogLen(ea); n >= 0 && n < 1000 {
+		if n := retainedLen(ea); n >= 0 && n < 1000 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("barrier never formed: msgLog=%d", msgLogLen(ea))
+			t.Fatalf("barrier never formed: retained=%d", retainedLen(ea))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

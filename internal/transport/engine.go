@@ -207,21 +207,14 @@ func WithFlattenTimeout(d time.Duration) Option {
 	}
 }
 
-// command is one unit of work on the actor inbox. Exactly one field group
-// is set: local ops to stamp and broadcast, inbound remote messages, an
-// inbound digest, snapshot or flatten-commitment frame, or a control
-// closure.
+// command is one unit of work for the actor. Exactly one of three is set:
+// local ops to stamp and broadcast, one decoded inbound frame with the
+// link it arrived on, or a control closure.
 type command struct {
-	ops       []core.Op
-	msgs      []causal.Message
-	sync      *SyncReqFrame
-	snapReq   *SnapReqFrame
-	snapChunk *SnapChunkFrame
-	flatProp  *FlatProposeFrame
-	flatVote  *FlatVoteFrame
-	flatDec   *FlatDecisionFrame
-	from      *peer
-	ctl       func()
+	ops   []core.Op
+	frame any
+	from  *peer
+	ctl   func()
 }
 
 // Engine runs one replica's replication: causal delivery in, stamped
@@ -239,8 +232,10 @@ type Engine struct {
 	batchSize  int
 	queueDepth int
 	syncEvery  time.Duration
-	// start anchors the engine's monotonic clock (sinceStart) used by the
-	// commitment deadlines and membership recency.
+	// now is the only clock the actor's call tree reads: time.Now under
+	// NewEngine, the driver's virtual clock under NewStepper. start anchors
+	// sinceStart, which the commitment deadlines and membership recency use.
+	now   func() time.Time
 	start time.Time
 
 	logDir         string
@@ -338,9 +333,27 @@ type Engine struct {
 // snapshot and replays the log suffix before the engine goes live, so an
 // engine restarted over the same directory resumes exactly where it
 // crashed and re-stamps nothing.
-//
-//treedoc:actorsafe construction happens before the actor goroutine starts
 func NewEngine(site ident.SiteID, doc Applier, opts ...Option) (*Engine, error) {
+	e, err := newEngine(site, doc, time.Now, opts)
+	if err != nil {
+		return nil, err
+	}
+	depth := 4 * e.queueDepth
+	if depth < 1024 {
+		depth = 1024
+	}
+	e.inbox = make(chan command, depth)
+	e.wg.Add(1)
+	go e.run()
+	return e, nil
+}
+
+// newEngine builds an engine — recovered from its log directory when one
+// is configured — without starting anything: what runs it, and what its
+// clock is, belong to the driver (NewEngine's goroutines, or a Stepper).
+//
+//treedoc:actorsafe construction happens before any driver runs the actor
+func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Option) (*Engine, error) {
 	if site == 0 || site > ident.MaxSiteID {
 		return nil, fmt.Errorf("transport: site must be in [1, 2^48)")
 	}
@@ -355,7 +368,8 @@ func NewEngine(site ident.SiteID, doc Applier, opts ...Option) (*Engine, error) 
 		syncEvery:     defaultSyncInterval,
 		compactEvery:  defaultCompactEvery,
 		snapThreshold: defaultSnapThreshold,
-		start:         time.Now(),
+		now:           now,
+		start:         now(),
 		done:          make(chan struct{}),
 		drained:       make(chan struct{}),
 		buf:           causal.NewBuffer(site),
@@ -382,13 +396,6 @@ func NewEngine(site ident.SiteID, doc Applier, opts ...Option) (*Engine, error) 
 			return nil, err
 		}
 	}
-	depth := 4 * e.queueDepth
-	if depth < 1024 {
-		depth = 1024
-	}
-	e.inbox = make(chan command, depth)
-	e.wg.Add(1)
-	go e.run()
 	return e, nil
 }
 
@@ -396,7 +403,7 @@ func NewEngine(site ident.SiteID, doc Applier, opts ...Option) (*Engine, error) 
 // the stored snapshot (if any), then replay every retained record the
 // snapshot does not cover, advancing the causal clock as it goes.
 //
-//treedoc:actorsafe recovery runs from NewEngine, before the actor starts
+//treedoc:actorsafe recovery runs from newEngine, before the actor starts
 func (e *Engine) openAndReplay() error {
 	l, err := oplog.Open(e.logDir, oplog.Options{Fsync: e.fsync})
 	if err != nil {
@@ -541,19 +548,12 @@ func (e *Engine) Broadcast(ops ...core.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	select {
-	case <-e.done:
-		return ErrStopped
-	default:
-	}
 	cp := make([]core.Op, len(ops))
 	copy(cp, ops)
-	select {
-	case e.inbox <- command{ops: cp}:
-		return nil
-	case <-e.done:
+	if !e.post(command{ops: cp}) {
 		return ErrStopped
 	}
+	return nil
 }
 
 // Connect attaches a peer link and starts its reader and writer
@@ -567,23 +567,32 @@ func (e *Engine) Connect(link Link) {
 		link.Close()
 		return
 	}
-	p := &peer{eng: e, link: link, out: make(chan []byte, e.queueDepth), gone: make(chan struct{}), wdone: make(chan struct{})}
-	if rr, ok := link.(ReplayRouter); ok {
-		p.routes = rr.RoutesReplay()
-	}
+	p := e.newPeer(link)
+	p.out = make(chan []byte, e.queueDepth)
+	p.wdone = make(chan struct{})
 	e.wg.Add(3)
 	go p.writer()
 	go p.reader()
 	go p.closer()
-	e.ctl(func() {
-		e.peers = append(e.peers, p)
-		clock := e.buf.Clock()
-		if f, err := EncodeSyncReq(e.site, clock); err == nil {
-			p.trySend(f)
-			p.lastSyncAt = time.Now()
-			e.digestsSent.Add(1)
-		}
-	})
+	e.ctl(func() { e.attach(p) })
+}
+
+func (e *Engine) newPeer(link Link) *peer {
+	p := &peer{eng: e, link: link, gone: make(chan struct{})}
+	if rr, ok := link.(ReplayRouter); ok {
+		p.routes = rr.RoutesReplay()
+	}
+	return p
+}
+
+// attach registers a peer with the actor and sends it the opening digest.
+func (e *Engine) attach(p *peer) {
+	e.peers = append(e.peers, p)
+	if f, err := EncodeSyncReq(e.site, e.buf.Clock()); err == nil {
+		p.trySend(f)
+		p.lastSyncAt = e.now()
+		e.digestsSent.Add(1)
+	}
 }
 
 // HandoffState captures the replica's migration payload for an online
@@ -674,22 +683,34 @@ func (e *Engine) Stop() {
 // engine already stopped.
 //
 //treedoc:actorexec
-func (e *Engine) ctl(fn func()) bool {
+func (e *Engine) ctl(fn func()) bool { return e.post(command{ctl: fn}) }
+
+// post hands one command to the actor, reporting false if the engine
+// already stopped. An engine without an inbox is driven by a Stepper,
+// whose caller is the actor: the command runs inline, as one whole step.
+func (e *Engine) post(cmd command) bool {
 	select {
 	case <-e.done:
 		return false
 	default:
 	}
+	if e.inbox == nil {
+		e.handle(cmd)
+		e.endStep()
+		return true
+	}
 	select {
-	case e.inbox <- command{ctl: fn}:
+	case e.inbox <- cmd:
 		return true
 	case <-e.done:
 		return false
 	}
 }
 
-// run is the actor loop: the only goroutine touching buf, the retained
-// log, batch, peers, the durable log and the compaction barrier.
+// run is the production driver's actor loop: the only goroutine touching
+// buf, the retained log, batch, peers, the durable log and the compaction
+// barrier. Everything it does is handle, endStep, tick and shutdown — the
+// same four calls a Stepper makes.
 //
 //treedoc:actorloop
 func (e *Engine) run() {
@@ -711,86 +732,104 @@ func (e *Engine) run() {
 					break drain
 				}
 			}
-			e.mintPendingFlattens()
-			e.flush()
+			e.endStep()
 		case <-ticker.C:
-			e.flattenTick()
-			e.flush()
-			e.maybeCompact()
-			e.promoteFloor()
-			// The encoded-replay cache lives one tick: peers sharing a
-			// frontier cluster their digests within a round, and a stale
-			// cache would pin frame memory for ranges nobody asks for again.
-			clear(e.replayCache)
-			e.retained.Settle()
-			e.syncAll()
-			e.snapReqSent = false
+			e.tick()
 		case <-e.done:
-			// Best-effort drain: Broadcast returned nil for anything already
-			// in the inbox, so stamp and flush it rather than losing it —
-			// a stopped engine's unsent ops are unrecoverable, unlike the
-			// drop-and-heal losses anti-entropy repairs.
-			for {
-				select {
-				case cmd := <-e.inbox:
-					e.handle(cmd)
-					continue
-				default:
-				}
-				break
-			}
-			e.mintPendingFlattens()
-			e.flush()
-			// Frames are in the peer queues; let the writers drain them.
-			close(e.drained)
-			// A stopped engine can never receive a decision, so any lock an
-			// open vote holds would freeze its region forever; release them
-			// (the coordinator's timeout aborts the orphaned transaction).
-			e.releaseAllLocks()
-			if e.log != nil {
-				if err := e.log.Close(); err != nil {
-					e.setErr(err)
-				}
-			}
+			e.shutdown()
 			return
 		}
 	}
 }
 
-func (e *Engine) handle(cmd command) {
-	switch {
-	case cmd.ctl != nil:
-		cmd.ctl()
-	case cmd.ops != nil:
-		for _, op := range cmd.ops {
-			m := e.buf.Stamp(op)
-			e.record(m)
-			e.batch = append(e.batch, m)
-			if e.fl != nil {
-				e.onLocalOpStamped(op)
-			}
-			if len(e.batch) >= e.batchSize {
-				e.flush()
-			}
+// endStep closes a run of handled commands: mint any committed flatten
+// that was waiting on a stamp, then frame and fan out the batch.
+func (e *Engine) endStep() {
+	e.mintPendingFlattens()
+	e.flush()
+}
+
+// tick is one sync interval's duties.
+func (e *Engine) tick() {
+	e.flattenTick()
+	e.flush()
+	e.maybeCompact()
+	e.promoteFloor()
+	// The encoded-replay cache lives one tick: peers sharing a frontier
+	// cluster their digests within a round, and a stale cache would pin
+	// frame memory for ranges nobody asks for again.
+	clear(e.replayCache)
+	e.retained.Settle()
+	e.syncAll()
+	e.snapReqSent = false
+}
+
+// shutdown is the actor's last step, after done has closed.
+func (e *Engine) shutdown() {
+	// Best-effort drain: Broadcast returned nil for anything already in
+	// the inbox, so stamp and flush it rather than losing it — a stopped
+	// engine's unsent ops are unrecoverable, unlike the drop-and-heal
+	// losses anti-entropy repairs.
+	for {
+		select {
+		case cmd := <-e.inbox:
+			e.handle(cmd)
+			continue
+		default:
 		}
-	case cmd.msgs != nil:
-		for _, m := range cmd.msgs {
+		break
+	}
+	e.endStep()
+	// Frames are in the peer queues; let the writers drain them.
+	close(e.drained)
+	// A stopped engine can never receive a decision, so any lock an open
+	// vote holds would freeze its region forever; release them (the
+	// coordinator's timeout aborts the orphaned transaction).
+	e.releaseAllLocks()
+	if e.log != nil {
+		if err := e.log.Close(); err != nil {
+			e.setErr(err)
+		}
+	}
+}
+
+// handle runs one command on the actor. Inbound frames are dispatched
+// here, once, on their decoded type.
+func (e *Engine) handle(cmd command) {
+	if cmd.ctl != nil {
+		cmd.ctl()
+		return
+	}
+	for _, op := range cmd.ops {
+		m := e.buf.Stamp(op)
+		e.record(m)
+		e.batch = append(e.batch, m)
+		if e.fl != nil {
+			e.onLocalOpStamped(op)
+		}
+		if len(e.batch) >= e.batchSize {
+			e.flush()
+		}
+	}
+	switch f := cmd.frame.(type) {
+	case *OpsFrame:
+		for _, m := range f.Msgs {
 			e.ingest(m)
 		}
-	case cmd.sync != nil:
-		e.noteSite(cmd.sync.From)
-		e.handleSyncReq(cmd.sync, cmd.from)
-	case cmd.snapReq != nil:
-		e.noteSite(cmd.snapReq.From)
-		e.handleSnapReq(cmd.snapReq, cmd.from)
-	case cmd.snapChunk != nil:
-		e.handleSnapChunk(cmd.snapChunk)
-	case cmd.flatProp != nil:
-		e.handleFlatPropose(cmd.flatProp)
-	case cmd.flatVote != nil:
-		e.handleFlatVote(cmd.flatVote, cmd.from)
-	case cmd.flatDec != nil:
-		e.handleFlatDecision(cmd.flatDec)
+	case *SyncReqFrame:
+		e.noteSite(f.From)
+		e.handleSyncReq(f, cmd.from)
+	case *SnapReqFrame:
+		e.noteSite(f.From)
+		e.handleSnapReq(f, cmd.from)
+	case *SnapChunkFrame:
+		e.handleSnapChunk(f)
+	case *FlatProposeFrame:
+		e.handleFlatPropose(f)
+	case *FlatVoteFrame:
+		e.handleFlatVote(f, cmd.from)
+	case *FlatDecisionFrame:
+		e.handleFlatDecision(f)
 	}
 }
 
@@ -1000,7 +1039,7 @@ func (e *Engine) adoptBarrier(data []byte, version, floor vclock.VC) {
 		}
 	}
 	e.snapData, e.snapVC = data, version.Clone()
-	e.barrierAt = time.Now()
+	e.barrierAt = e.now()
 	if floor != nil {
 		e.truncVC = floor.Clone()
 		e.truncateRetained(floor)
@@ -1025,7 +1064,7 @@ func (e *Engine) promoteFloor() {
 	if e.snapVC == nil || (e.truncVC != nil && vcEqual(e.truncVC, e.snapVC)) {
 		return
 	}
-	if time.Since(e.barrierAt) < e.floorDelay() {
+	if e.now().Sub(e.barrierAt) < e.floorDelay() {
 		return
 	}
 	e.truncVC = e.snapVC.Clone()
@@ -1101,19 +1140,20 @@ var errPeerGone = errors.New("transport: peer gone")
 
 // streamSnapshot streams the barrier snapshot, then the already-encoded
 // suffix frames, to one peer — one ordered stream, so the snapshot lands
-// before the operations above it. A dedicated sender goroutine paces it
-// with blocking sends into the peer queue: the receiver's reassembly is
-// strictly in-order, so a chunk dropped by a full queue would void the
-// whole sequence — and a queue shallower than the chunk count would void
-// every offer, forever. Blocking also bounds the memory in flight to the
-// queue depth; only one chunk is encoded at a time. At most one stream
-// runs per peer; the snapshot slice and the frames are immutable, so the
-// goroutine reads them safely after the actor has moved on. The same
-// barrier is offered to the same peer at most once per snapResendAfter:
-// repeated digests from a catching-up peer must not draw a snapshot per
-// tick, but an offer voided by a lost chunk is eventually repeated. It
-// reports false when the caller still owns the suffix (rate-limited, or
-// nothing to stream).
+// before the operations above it. On a queued link a dedicated sender
+// goroutine paces it with blocking sends into the peer queue: the
+// receiver's reassembly is strictly in-order, so a chunk dropped by a full
+// queue would void the whole sequence — and a queue shallower than the
+// chunk count would void every offer, forever. Blocking also bounds the
+// memory in flight to the queue depth; only one chunk is encoded at a
+// time. A stepping driver's link takes every frame as it is sent, so there
+// the same stream is emitted inline. At most one stream runs per peer; the
+// snapshot slice and the frames are immutable, so the goroutine reads them
+// safely after the actor has moved on. The same barrier is offered to the
+// same peer at most once per snapResendAfter: repeated digests from a
+// catching-up peer must not draw a snapshot per tick, but an offer voided
+// by a lost chunk is eventually repeated. It reports false when the caller
+// still owns the suffix (rate-limited, or nothing to stream).
 func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) bool {
 	if e.snapData == nil || to.dead() {
 		return false
@@ -1124,27 +1164,15 @@ func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) boo
 		// Drop the answer; a requester still behind re-digests.
 		return true
 	}
-	if to.lastSnapVC != nil && vcEqual(to.lastSnapVC, e.snapVC) && time.Since(to.lastSnapAt) < snapResendAfter {
+	if to.lastSnapVC != nil && vcEqual(to.lastSnapVC, e.snapVC) && e.now().Sub(to.lastSnapAt) < snapResendAfter {
 		return false
 	}
-	to.lastSnapVC, to.lastSnapAt = e.snapVC, time.Now()
+	to.lastSnapVC, to.lastSnapAt = e.snapVC, e.now()
 	to.chunking.Store(true) // only the actor sets it; the sender clears it
 	e.snapsSent.Add(1)
 	data, version := e.snapData, e.snapVC.Clone()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
+	stream := func(send func(frame []byte) error) {
 		defer to.chunking.Store(false)
-		send := func(frame []byte) error {
-			select {
-			case to.out <- directed(to, dst, frame):
-				return nil
-			case <-to.gone:
-				return errPeerGone
-			case <-e.done:
-				return errPeerGone
-			}
-		}
 		if _, err := stateFrames(e.site, data, version, nil, send); err != nil {
 			if !errors.Is(err, errPeerGone) {
 				e.wireErrs.Add(1)
@@ -1156,6 +1184,27 @@ func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) boo
 				return
 			}
 		}
+	}
+	if to.out == nil {
+		stream(func(frame []byte) error {
+			to.trySend(directed(to, dst, frame))
+			return nil
+		})
+		return true
+	}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		stream(func(frame []byte) error {
+			select {
+			case to.out <- directed(to, dst, frame):
+				return nil
+			case <-to.gone:
+				return errPeerGone
+			case <-e.done:
+				return errPeerGone
+			}
+		})
 	}()
 	return true
 }
@@ -1181,6 +1230,15 @@ type replayEntry struct {
 // retransmissions may carry locally stamped operations that no flush has
 // synced yet.
 func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bool) {
+	if snapshot && !e.snapVC.Dominates(clock) && e.now().Sub(e.barrierAt) >= snapResendAfter {
+		// The requester holds operations the barrier lacks — edits it made
+		// while cut off — so it would reject the barrier as stale, and what
+		// it is missing below the floor exists nowhere else. Offer a barrier
+		// taken now (at the pace snapshots are re-offered: Snapshot is
+		// O(document)); if even that does not cover the requester, its own
+		// operations have to reach this replica first.
+		e.compactNow()
+	}
 	// The settle horizon keeps the newest tick-and-a-bit of the log out of
 	// the answer: those frames are presumed still in flight on the relay
 	// path, and a requester racing them re-digests if any were truly lost.
@@ -1311,7 +1369,7 @@ func (e *Engine) syncAll() {
 		return
 	}
 	clock := e.buf.Clock()
-	now := time.Now()
+	now := e.now()
 	keepalive := time.Duration(keepaliveTicks) * e.syncEvery
 	grace := time.Duration(gapGraceTicks) * e.syncEvery
 	var frame []byte
@@ -1350,9 +1408,12 @@ func (e *Engine) syncAll() {
 	}
 }
 
-// peer is one attached link: a bounded outbound queue drained by a writer
-// goroutine, and a reader goroutine decoding inbound frames into the
-// engine inbox (blocking there is the inbound backpressure path).
+// peer is one attached link. Under NewEngine it has a bounded outbound
+// queue drained by a writer goroutine, and a reader goroutine feeding
+// inbound frames to the actor (blocking on the inbox is the inbound
+// backpressure path). Under a Stepper it has neither: out is nil, sends
+// go straight to the link — the driver's own queue — and the driver
+// calls receive.
 type peer struct {
 	eng      *Engine
 	link     Link
@@ -1413,6 +1474,12 @@ func (p *peer) dead() bool {
 // trySend queues a frame without blocking; a full queue drops the frame
 // and counts it (anti-entropy will retransmit).
 func (p *peer) trySend(frame []byte) {
+	if p.out == nil {
+		if p.link.Send(frame) != nil {
+			p.fail()
+		}
+		return
+	}
 	select {
 	case p.out <- frame:
 	default:
@@ -1444,15 +1511,13 @@ func (p *peer) writer() {
 // drop them — and a stopped engine cannot heal the loss via anti-entropy.
 // The drain waits for the actor's final flush (which fans the last stamps
 // into the queues), then sends until the queue is empty, the link fails,
-// or the deadline tears the peer down.
+// or the closer's deadline closes the link under it.
 func (p *peer) drainOnStop() {
 	select {
 	case <-p.eng.drained:
 	case <-p.gone:
 		return
 	}
-	timer := time.AfterFunc(stopDrainTimeout, p.fail)
-	defer timer.Stop()
 	for {
 		if p.dead() {
 			return
@@ -1482,60 +1547,51 @@ func (p *peer) reader() {
 			p.fail()
 			return
 		}
-		decoded, err := DecodeFrame(frame)
-		if err != nil {
-			p.eng.wireErrs.Add(1)
-			continue
-		}
-		if rf, ok := decoded.(*ReplayFrame); ok {
-			// A directed answer: the address only mattered to the routing
-			// relay — replay is idempotent, so a stale route heals a
-			// different replica harmlessly. Process the payload.
-			if decoded, err = DecodeFrame(rf.Inner); err != nil {
-				p.eng.wireErrs.Add(1)
-				continue
-			}
-		}
-		var cmd command
-		switch f := decoded.(type) {
-		case *OpsFrame:
-			cmd = command{msgs: f.Msgs, from: p}
-		case *SyncReqFrame:
-			cmd = command{sync: f, from: p}
-		case *SnapReqFrame:
-			cmd = command{snapReq: f, from: p}
-		case *SnapChunkFrame:
-			cmd = command{snapChunk: f, from: p}
-		case *FlatProposeFrame:
-			cmd = command{flatProp: f, from: p}
-		case *FlatVoteFrame:
-			cmd = command{flatVote: f, from: p}
-		case *FlatDecisionFrame:
-			cmd = command{flatDec: f, from: p}
-		default:
-			continue
-		}
-		select {
-		case p.eng.inbox <- cmd:
-		case <-p.eng.done:
+		if !p.receive(frame) {
 			return
 		}
 	}
 }
 
+// receive is the one inbound entry point, shared by the reader goroutine
+// and a stepping driver: decode the frame and post it to the actor. A
+// directed answer is unwrapped first — the address only mattered to the
+// routing relay; replay is idempotent, so a stale route heals a different
+// replica harmlessly. It reports false once the engine has stopped.
+func (p *peer) receive(frame []byte) bool {
+	decoded, err := DecodeFrame(frame)
+	if rf, ok := decoded.(*ReplayFrame); ok {
+		decoded, err = DecodeFrame(rf.Inner)
+	}
+	if err != nil {
+		p.eng.wireErrs.Add(1)
+		return true
+	}
+	return p.eng.post(command{frame: decoded, from: p})
+}
+
 // closer tears the link down on engine stop or peer failure, unblocking
-// any Send or Recv in flight. On engine stop it waits for the writer to
-// drain its queue first (the writer bounds that wait with
-// stopDrainTimeout), so flushed frames reach the wire before the link
-// closes.
+// any Send or Recv in flight. On engine stop it first gives the writer
+// stopDrainTimeout to drain its queue, so flushed frames reach the wire
+// before the link closes. The deadline is a channel timer on purpose: a
+// stopped timer can sit in the runtime's heap until it would have fired,
+// and one that called back into the peer would keep the engine and its
+// retained log reachable that long.
 func (p *peer) closer() {
 	defer p.eng.wg.Done()
 	select {
 	case <-p.gone:
 	case <-p.eng.done:
 		select {
+		case <-p.eng.drained: // the deadline bounds the writer's drain, not the actor's last flush
+		case <-p.gone:
+		}
+		deadline := time.NewTimer(stopDrainTimeout)
+		defer deadline.Stop()
+		select {
 		case <-p.wdone:
 		case <-p.gone:
+		case <-deadline.C:
 		}
 	}
 	p.link.Close()

@@ -2,9 +2,8 @@ package transport
 
 // Engine-coordinated flatten: the commitment protocol of internal/commit
 // (two-phase commit with presumed abort, Section 4.2.1 of the Treedoc
-// paper) ported from the discrete-event simulator onto live links. The
-// same Coordinator and Participant state machines run here, driven from
-// the engine's actor loop instead of the simnet event loop:
+// paper) over the engine's links. The Coordinator and Participant state
+// machines run on the actor:
 //
 //   - Proposals, votes and abort decisions travel as commitment frames
 //     (kindFlatPropose / kindFlatVote / kindFlatDecision). They are
@@ -34,7 +33,7 @@ package transport
 //     log, so a participant votes Yes only when the replica's applied
 //     version vector equals its delivered clock exactly.
 //
-// What the port does NOT give: tolerance of a coordinator that crashes
+// What this does NOT give: tolerance of a coordinator that crashes
 // after collecting votes. A participant whose Yes-vote lock gets no
 // decision re-sends its vote each deadline; a live coordinator answers
 // from its decision memory (presumed abort for forgotten transactions),
@@ -52,11 +51,12 @@ package transport
 // flattened region concurrently, the commitment it never saw cannot
 // protect it. The paper's protocol has the same requirement ("the
 // operation succeeds only if all sites vote Yes"): flatten assumes known,
-// connected membership, and this port approximates it by recency.
+// connected membership, and the engine approximates it by recency.
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/treedoc/treedoc/internal/commit"
@@ -176,16 +176,16 @@ func newFlattenState(e *Engine) *flattenState {
 		decided:  make(map[commit.TxID]decision),
 	}
 	// A restarted coordinator must never re-mint a TxID a participant may
-	// still hold pre-crash state for; a wall-clock seed makes the counter
-	// restart-unique.
-	st.coord.SeedTxCounter(uint64(time.Now().UnixNano()))
+	// still hold pre-crash state for; seeding from the engine's clock makes
+	// the counter restart-unique.
+	st.coord.SeedTxCounter(uint64(e.now().UnixNano()))
 	st.part = commit.NewParticipant(e.site, (*flattenResource)(e))
 	return st
 }
 
 // sinceStart is the engine's monotonic clock, anchoring commitment
 // deadlines and membership recency.
-func (e *Engine) sinceStart() time.Duration { return time.Since(e.start) }
+func (e *Engine) sinceStart() time.Duration { return e.now().Sub(e.start) }
 
 // nowMs is sinceStart in the milliseconds internal/commit deadlines use.
 func (e *Engine) nowMs() int64 { return e.sinceStart().Milliseconds() }
@@ -626,7 +626,7 @@ func (e *Engine) releaseAllLocks() {
 	if e.fl == nil {
 		return
 	}
-	for tx := range e.fl.locks {
+	for _, tx := range e.fl.lockedTxs() {
 		e.releaseLock(tx, false)
 	}
 }
@@ -660,7 +660,8 @@ func (e *Engine) flattenTick() {
 // answer arrives.
 func (e *Engine) resendDoubtVotes() {
 	now := e.sinceStart()
-	for tx, l := range e.fl.locks {
+	for _, tx := range e.fl.lockedTxs() {
+		l := e.fl.locks[tx]
 		if (l.commitKnown && l.opSeq > 0) || now-l.lastPing < e.flattenTimeout {
 			continue
 		}
@@ -693,6 +694,19 @@ func (e *Engine) pruneEditLog(floor vclock.VC) {
 		st.editLog[i] = editRec{}
 	}
 	st.editLog = kept
+}
+
+// lockedTxs lists the open votes in transaction order. The sweeps that
+// send a frame or unfreeze a region per lock walk this instead of the map:
+// a schedule replays frame for frame only if nothing the engine emits
+// depends on map iteration order.
+func (st *flattenState) lockedTxs() []commit.TxID {
+	txs := make([]commit.TxID, 0, len(st.locks))
+	for tx := range st.locks {
+		txs = append(txs, tx)
+	}
+	sort.Slice(txs, func(i, j int) bool { return txs[i].Less(txs[j]) })
+	return txs
 }
 
 // remember stores a coordinator decision, bounded.

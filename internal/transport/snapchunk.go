@@ -107,7 +107,7 @@ func (e *Engine) handleSnapChunk(f *SnapChunkFrame) {
 		e.snapAsm[f.From] = asm
 	}
 	asm.buf = append(asm.buf, f.Data...)
-	asm.lastChunk = time.Now()
+	asm.lastChunk = e.now()
 	if uint64(len(asm.buf)) >= asm.total {
 		delete(e.snapAsm, f.From)
 		e.installSnapshot(asm.buf)
@@ -119,7 +119,7 @@ func (e *Engine) handleSnapChunk(f *SnapChunkFrame) {
 // partial snapshots can pin.
 func (e *Engine) gcSnapAssemblies() {
 	for s, asm := range e.snapAsm {
-		if time.Since(asm.lastChunk) > snapAssemblyTTL {
+		if e.now().Sub(asm.lastChunk) > snapAssemblyTTL {
 			delete(e.snapAsm, s)
 		}
 	}

@@ -55,9 +55,9 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	// barrier: the chunked snapshot must be the joiner's only way to the
 	// truncated prefix, not an optimisation it can skip.
 	truncDeadline := time.Now().Add(30 * time.Second)
-	for msgLogLen(serverEng) >= ops {
+	for retainedLen(serverEng) >= ops {
 		if time.Now().After(truncDeadline) {
-			t.Fatalf("server never truncated its message log (%d retained)", msgLogLen(serverEng))
+			t.Fatalf("server never truncated its message log (%d retained)", retainedLen(serverEng))
 		}
 		time.Sleep(15 * time.Millisecond)
 	}

@@ -1,7 +1,8 @@
-// Package transport is the real concurrent replication engine: it carries
-// Treedoc operations between live replicas over goroutines and sockets,
-// where internal/simnet only simulates delivery inside one discrete-event
-// loop. The paper's deployment story — "common edit operations execute
+// Package transport is the replication engine: it carries Treedoc
+// operations between replicas — over goroutines and sockets in production
+// (NewEngine), or stepped one event at a time by a single-threaded driver
+// (Stepper; the simulated Cluster runs it over internal/simnet). Both
+// drivers run the same actor. The paper's deployment story — "common edit operations execute
 // optimistically, with no latency; replicas synchronise only in the
 // background" (Section 6) — maps onto three layers here:
 //
@@ -29,7 +30,7 @@
 //
 // Operation gossip is lossy by design: bounded queues drop frames under
 // overload rather than stalling the actor, and a periodic anti-entropy
-// exchange (the vector-clock digest protocol of internal/cluster/sync.go)
+// exchange (a vector-clock digest, answered from the retained log)
 // retransmits whatever a peer is missing, so delivery is eventual even
 // across drops, slow consumers, or a peer that connected late.
 //

@@ -472,6 +472,16 @@ func EncodeOps(msgs []causal.Message) ([]byte, error) {
 	return out, nil
 }
 
+// IsLiveOps reports whether frame is a bare kindOps frame: live operation
+// gossip, the one traffic class built to be lost. (A digest answer on a
+// replay-routing link travels inside kindReplay, so it does not match.)
+func IsLiveOps(frame []byte) bool { return len(frame) > 0 && frame[0] == kindOps }
+
+// IsDigest reports whether frame is a kindSyncReq digest — the only frame
+// an idle engine keeps sending (its keepalive), and so the one a driver
+// must not mistake for work in progress.
+func IsDigest(frame []byte) bool { return len(frame) > 0 && frame[0] == kindSyncReq }
+
 // EncodeSyncReq encodes an anti-entropy digest frame.
 func EncodeSyncReq(from ident.SiteID, clock vclock.VC) ([]byte, error) {
 	buf := []byte{kindSyncReq}

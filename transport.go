@@ -6,10 +6,10 @@ import (
 	"github.com/treedoc/treedoc/internal/transport"
 )
 
-// This file re-exports the real concurrent replication engine
-// (internal/transport). Where Cluster simulates a replica group inside one
-// discrete-event loop, an Engine replicates a live Doc or TextBuffer
-// across goroutines and sockets: local edits are stamped and batched to
+// This file re-exports the replication engine (internal/transport) under
+// its production driver: an Engine replicates a live Doc or TextBuffer
+// across goroutines and sockets (Cluster steps the same engine over a
+// simulated network instead): local edits are stamped and batched to
 // peers, remote operations are applied in causal order, and a periodic
 // anti-entropy exchange repairs anything lost to full queues, slow
 // consumers, or late joiners.
@@ -35,8 +35,7 @@ import (
 // (one writer goroutine per replica, or a lock around edit+Broadcast).
 //
 // Engine.ProposeFlatten and Engine.ProposeFlattenCold run the paper's
-// flatten commitment protocol (Section 4.2.1) over the live links — the
-// same Cluster.ProposeFlatten semantics, but across processes: every
+// flatten commitment protocol (Section 4.2.1) over the live links: every
 // connected replica votes, any replica that observed (or holds) a
 // conflicting edit votes No and aborts the round harmlessly, and a
 // committed flatten is broadcast as an operation in the causal stream, so

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/treedoc/treedoc/internal/core"
+	"github.com/treedoc/treedoc/internal/ident"
 )
 
 func newTestDoc(t *testing.T, opts ...Option) *Doc {
@@ -274,6 +275,70 @@ func TestDocConcurrencySafety(t *testing.T) {
 	}
 	if d.Len() == 0 {
 		t.Error("empty after concurrent editing")
+	}
+}
+
+// TestRegionLockGeometry: a LockRegion freeze blocks exactly the local
+// edits that could touch the subtree — a delete of an atom inside it, an
+// insert next to one, and an insert into a gap the region lies strictly
+// inside — and nothing else; UnlockRegion lifts it.
+func TestRegionLockGeometry(t *testing.T) {
+	d := newTestDoc(t, WithSite(1))
+	for i := 0; i < 15; i++ { // grow at both ends, so the tree branches both ways
+		if _, err := d.InsertAt(i%2*d.Len(), fmt.Sprintf("l%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, err := d.doc.IDAt(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := Path{ident.J(last[0].Bit), ident.J(last[1].Bit)} // the depth-2 subtree holding the last atom
+	inside := make([]bool, 15)
+	for i := range inside {
+		id, err := d.doc.IDAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inside[i] = ident.RegionCompare(id, region) == 0
+	}
+	first := 0
+	for !inside[first] {
+		first++
+	}
+	if first < 3 || !inside[14] {
+		t.Fatalf("degenerate region %v: atoms inside = %v", region, inside)
+	}
+	d.LockRegion(7, region)
+	for i := 14; i >= 2; i-- { // back to front: a delete that passes shifts no index still to come
+		_, err := d.DeleteAt(i)
+		if got := errors.Is(err, ErrRegionLocked); got != inside[i] {
+			t.Fatalf("delete at %d (inside=%v): %v", i, inside[i], err)
+		}
+	}
+	first = 2 // the atoms left of the region are gone, bar two
+	// Gaps: both neighbours outside and left of the region pass; a gap with
+	// a neighbour inside, or with the whole region inside it, does not.
+	if _, err := d.InsertAt(first, "edge"); !errors.Is(err, ErrRegionLocked) {
+		t.Errorf("insert left of the region's first atom: %v, want ErrRegionLocked", err)
+	}
+	if _, err := d.Append("tail"); !errors.Is(err, ErrRegionLocked) {
+		t.Errorf("append after the region's last atom: %v, want ErrRegionLocked", err)
+	}
+	d.LockRegion(8, Path{}) // the whole document: every gap has the region inside
+	if _, err := d.InsertAt(0, "head"); !errors.Is(err, ErrRegionLocked) {
+		t.Errorf("insert under a whole-document lock: %v, want ErrRegionLocked", err)
+	}
+	d.UnlockRegion(8)
+	if _, err := d.InsertAt(0, "head"); err != nil {
+		t.Errorf("insert left of the region after the whole-document unlock: %v", err)
+	}
+	d.UnlockRegion(7)
+	if _, err := d.Append("tail"); err != nil {
+		t.Errorf("append after unlock: %v", err)
+	}
+	if err := d.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
