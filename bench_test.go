@@ -187,6 +187,24 @@ func BenchmarkReplayLatex(b *testing.B) {
 	})
 }
 
+// BenchmarkDocHeap builds the document BenchmarkReplayLatex replays and
+// reports what its tree structure occupies on the Go heap per live atom
+// (doctree.Stats.HeapBytes: slab records and slack) beside the paper's
+// cost-model figure for the same tree, so a layout change shows up here
+// without a heap profile.
+func BenchmarkDocHeap(b *testing.B) {
+	tr := mustTrace(b, "acf.tex")
+	for i := 0; i < b.N; i++ {
+		res, err := bench.ReplayTreedoc(tr, bench.ReplayConfig{Mode: ident.UDIS, SkipDisk: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := res.Stats.Tree
+		b.ReportMetric(float64(st.HeapBytes)/float64(st.LiveAtoms), "heapB/atom")
+		b.ReportMetric(float64(st.MemBytes)/float64(st.LiveAtoms), "modelB/atom")
+	}
+}
+
 // BenchmarkLocalEdits measures single-replica edit throughput at steady
 // state: a fixed 10k-atom document, each iteration inserting and deleting
 // so the document size (and with it the tree shape) stays constant.

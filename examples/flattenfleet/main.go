@@ -49,8 +49,8 @@ func main() {
 	}
 	waitConverged(sites)
 	st := one.buf.Stats()
-	fmt.Printf("before flatten: %d nodes, %d tombstones, %d bytes overhead\n",
-		st.Tree.Nodes, st.Tree.DeadMinis, st.Tree.MemBytes)
+	fmt.Printf("before flatten: %d nodes, %d tombstones, %d bytes overhead in the paper's model, %d on the heap (%.1fx)\n",
+		st.Tree.Nodes, st.Tree.DeadMinis, st.Tree.MemBytes, st.Tree.HeapBytes, st.Tree.HeapOverModel())
 
 	// Attempt 1: site 2 has applied an edit its engine has not stamped yet
 	// — an in-flight local edit. Site 2 votes No and the proposal aborts
@@ -79,8 +79,8 @@ func main() {
 	waitConverged(sites)
 	for _, s := range sites {
 		st := s.buf.Stats()
-		fmt.Printf("  site %d: %d runes, %d nodes, %d bytes overhead (zero = plain array)\n",
-			s.id, st.Tree.LiveAtoms, st.Tree.Nodes, st.Tree.MemBytes)
+		fmt.Printf("  site %d: %d runes, %d nodes, %d bytes overhead (zero = plain array), %d on the heap (one empty slab chunk)\n",
+			s.id, st.Tree.LiveAtoms, st.Tree.Nodes, st.Tree.MemBytes, st.Tree.HeapBytes)
 	}
 
 	// A post-flatten joiner: the flatten epoch is a snapshot barrier, so

@@ -17,74 +17,85 @@ import (
 //  5. Flattened nodes have no minis or children.
 //  6. The identifiers of live atoms are strictly increasing in document
 //     order (the infix walk agrees with ident.Compare).
+//  7. Every record is reachable from the root exactly once or is on its
+//     slab's free list, and the nil records are untouched.
 func (t *Tree) Check() error {
-	if t.root == nil {
-		return fmt.Errorf("doctree: nil root")
-	}
-	if t.root.parent != nil || t.root.pmini != nil {
+	root := t.node(rootH)
+	if root.parent != 0 || root.pmini != 0 {
 		return fmt.Errorf("doctree: root has a parent")
 	}
-	if _, _, _, err := checkNode(t.root); err != nil {
+	if *t.node(0) != (node{}) || (len(t.minis.chunks) > 0 && *t.mini(0) != (mini{})) {
+		return fmt.Errorf("doctree: nil record written")
+	}
+	c := &checker{t: t}
+	if _, err := c.node(rootH); err != nil {
 		return err
+	}
+	if c.nodes != t.nodes.used() || c.minis != t.minis.used() {
+		return fmt.Errorf("doctree: reached %d nodes and %d minis, slabs hold %d and %d in use",
+			c.nodes, c.minis, t.nodes.used(), t.minis.used())
 	}
 	// Invariant 6: infix identifiers strictly increase. The walk maintains
 	// the current identifier incrementally in a reused buffer (one element
 	// per tree level) instead of materialising a fresh path per atom, so
 	// Check stays linear in tree size with O(height) extra memory — it runs
 	// on every snapshot decode.
-	c := &orderChecker{}
-	c.walk(t.root, 0)
+	c.walk(rootH, 0)
 	return c.bad
 }
 
-// orderChecker verifies invariant 6 during one infix walk. cur[:d] is the
-// identifier prefix of the current position at depth d; prev is the previous
-// live atom's identifier, copied into a second reused buffer.
-type orderChecker struct {
-	cur     ident.Path
-	prev    ident.Path
-	prevSet bool
-	i       int // live-atom index, for error messages
-	bad     error
+// checker carries one Check. For invariant 6, cur[:d] is the identifier
+// prefix of the current position at depth d; prev is the previous live
+// atom's identifier, copied into a second reused buffer.
+type checker struct {
+	t            *Tree
+	nodes, minis uint32 // records reached from the root
+	cur          ident.Path
+	prev         ident.Path
+	prevSet      bool
+	i            int // live-atom index, for error messages
+	bad          error
 }
 
-func (c *orderChecker) set(i int, e ident.Elem) {
+func (c *checker) set(i int, e ident.Elem) {
 	for len(c.cur) <= i {
 		c.cur = append(c.cur, ident.Elem{})
 	}
 	c.cur[i] = e
 }
 
-// walk visits node n at depth d with cur[:d-1] holding the finalized
-// elements for n's ancestors; it owns element d-1 (the step into n), which
-// differs between n's major subtrees (a bare bit) and each mini's region (the
-// bit plus that mini's disambiguator).
-func (c *orderChecker) walk(n *Node, d int) bool {
-	if n == nil {
+// walk visits node h at depth d with cur[:d-1] holding the finalized
+// elements for its ancestors; it owns element d-1 (the step into the node),
+// which differs between the node's major subtrees (a bare bit) and each
+// mini's region (the bit plus that mini's disambiguator).
+func (c *checker) walk(h nodeH, d int) bool {
+	if h == 0 {
 		return true
 	}
-	if n.flat != nil {
+	n := c.t.node(h)
+	if n.flat != 0 {
 		// Flattened atoms have canonical identifiers by construction; they
 		// are not compared (matching the identifiers they would explode to
 		// would require materialising the region).
-		c.i += len(n.flat)
+		c.i += int(n.live)
 		return true
 	}
-	if d == 0 && len(n.minis) > 0 {
+	if d == 0 && n.first != 0 {
 		c.bad = fmt.Errorf("doctree: root holds mini-nodes")
 		return false
 	}
 	if d > 0 {
 		c.set(d-1, ident.J(n.bit))
 	}
-	if !c.walk(n.left, d+1) {
+	if !c.walk(n.kids[0], d+1) {
 		return false
 	}
-	for _, m := range n.minis {
+	for mh := n.first; mh != 0; {
+		m := c.t.mini(mh)
 		if d > 0 {
-			c.set(d-1, ident.M(n.bit, m.dis))
+			c.set(d-1, ident.M(n.bit, m.dis()))
 		}
-		if !c.walk(m.left, d+1) {
+		if !c.walk(m.kids[0], d+1) {
 			return false
 		}
 		if !m.dead {
@@ -92,19 +103,20 @@ func (c *orderChecker) walk(n *Node, d int) bool {
 				return false
 			}
 		}
-		if !c.walk(m.right, d+1) {
+		if !c.walk(m.kids[1], d+1) {
 			return false
 		}
+		mh = m.next
 	}
 	if d > 0 {
 		c.set(d-1, ident.J(n.bit))
 	}
-	return c.walk(n.right, d+1)
+	return c.walk(n.kids[1], d+1)
 }
 
 // atom checks the live atom whose identifier is cur[:d] against the previous
 // one, then records it as the new lower bound.
-func (c *orderChecker) atom(d int) bool {
+func (c *checker) atom(d int) bool {
 	id := c.cur[:d]
 	if err := id.Validate(); err != nil {
 		c.bad = fmt.Errorf("doctree: atom %d has invalid identifier: %w", c.i, err)
@@ -120,101 +132,85 @@ func (c *orderChecker) atom(d int) bool {
 	return true
 }
 
-// checkNode validates n's subtree and returns its recomputed live, node and
-// tombstone counts.
-func checkNode(n *Node) (live, nodes, dead int, err error) {
-	if n == nil {
-		return 0, 0, 0, nil
+// counts are a subtree's recomputed counters.
+type counts struct{ live, nodes, dead, emptyN uint32 }
+
+// child validates the subtree in slot s on side bit — its backlink, then
+// the subtree itself — and adds its recomputed counts to sum.
+func (c *checker) child(s slot, bit uint8, sum *counts) error {
+	h := c.t.kids(s)[bit]
+	if h == 0 {
+		return nil
 	}
-	if n.flat != nil {
-		if len(n.minis) != 0 || n.left != nil || n.right != nil {
-			return 0, 0, 0, fmt.Errorf("doctree: flattened node has structure")
+	if n := c.t.node(h); n.parent != s.node || n.pmini != s.mini || n.bit != bit {
+		return fmt.Errorf("doctree: bad backlink on child bit %d of node %d mini %d", bit, s.node, s.mini)
+	}
+	got, err := c.node(h)
+	sum.live, sum.nodes, sum.dead, sum.emptyN = sum.live+got.live, sum.nodes+got.nodes, sum.dead+got.dead, sum.emptyN+got.emptyN
+	return err
+}
+
+// node validates h's subtree against its cached counters and returns them.
+func (c *checker) node(h nodeH) (counts, error) {
+	t := c.t
+	if uint32(h) > t.nodes.n || c.nodes >= t.nodes.used() {
+		return counts{}, fmt.Errorf("doctree: node handle %d out of range or reached twice", h)
+	}
+	c.nodes++
+	n := t.node(h)
+	if n.flat != 0 {
+		if n.first != 0 || n.kids != [2]nodeH{} {
+			return counts{}, fmt.Errorf("doctree: flattened node has structure")
 		}
-		if n.live != len(n.flat) {
-			return 0, 0, 0, fmt.Errorf("doctree: flattened node live=%d, want %d", n.live, len(n.flat))
+		if int(n.flat) > len(t.flats) || int(n.live) != len(t.flats[n.flat-1]) {
+			return counts{}, fmt.Errorf("doctree: flattened node live=%d does not match its array", n.live)
 		}
 		if n.nodes != 0 || n.dead != 0 {
-			return 0, 0, 0, fmt.Errorf("doctree: flattened node nodes=%d dead=%d, want 0", n.nodes, n.dead)
+			return counts{}, fmt.Errorf("doctree: flattened node nodes=%d dead=%d, want 0", n.nodes, n.dead)
 		}
-		return n.live, 0, 0, nil
+		return counts{live: n.live}, nil
 	}
-	for _, side := range []struct {
-		bit uint8
-		c   *Node
-	}{{0, n.left}, {1, n.right}} {
-		if side.c == nil {
-			continue
+	var sum counts
+	for bit := uint8(0); bit <= 1; bit++ {
+		if err := c.child(slot{node: h}, bit, &sum); err != nil {
+			return counts{}, err
 		}
-		if side.c.parent != n || side.c.pmini != nil || side.c.bit != side.bit {
-			return 0, 0, 0, fmt.Errorf("doctree: bad backlink on major child bit %d", side.bit)
-		}
-		l, nn, dd, err := checkNode(side.c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		live += l
-		nodes += nn
-		dead += dd
 	}
-	for i, m := range n.minis {
-		if m.owner != n {
-			return 0, 0, 0, fmt.Errorf("doctree: mini %s has wrong owner", m.dis)
+	var prev *mini
+	for mh := n.first; mh != 0; {
+		if uint32(mh) > t.minis.n || c.minis >= t.minis.used() {
+			return counts{}, fmt.Errorf("doctree: mini handle %d out of range or reached twice", mh)
 		}
-		if i > 0 && n.minis[i-1].dis.Compare(m.dis) >= 0 {
-			return 0, 0, 0, fmt.Errorf("doctree: minis out of order: %s >= %s", n.minis[i-1].dis, m.dis)
+		c.minis++
+		m := t.mini(mh)
+		if prev != nil && prev.dis().Compare(m.dis()) >= 0 {
+			return counts{}, fmt.Errorf("doctree: minis out of order: %s >= %s", prev.dis(), m.dis())
 		}
 		if m.dead && m.atom != "" {
-			return 0, 0, 0, fmt.Errorf("doctree: dead mini %s carries atom %q", m.dis, m.atom)
+			return counts{}, fmt.Errorf("doctree: dead mini %s carries atom %q", m.dis(), m.atom)
 		}
 		if m.dead {
-			dead++
+			sum.dead++
 		} else {
-			live++
+			sum.live++
 		}
-		for _, side := range []struct {
-			bit uint8
-			c   *Node
-		}{{0, m.left}, {1, m.right}} {
-			if side.c == nil {
-				continue
+		for bit := uint8(0); bit <= 1; bit++ {
+			if err := c.child(slot{node: h, mini: mh}, bit, &sum); err != nil {
+				return counts{}, err
 			}
-			if side.c.parent != n || side.c.pmini != m || side.c.bit != side.bit {
-				return 0, 0, 0, fmt.Errorf("doctree: bad backlink on mini child bit %d of %s", side.bit, m.dis)
-			}
-			l, nn, dd, err := checkNode(side.c)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			live += l
-			nodes += nn
-			dead += dd
+		}
+		prev, mh = m, m.next
+	}
+	if h != rootH {
+		// The root is not counted (it holds no atoms), and it cannot hold
+		// mini-nodes, so it is never a reusable slot either.
+		sum.nodes++
+		if n.empty() {
+			sum.emptyN++
 		}
 	}
-	self := 1
-	if n.parent == nil {
-		self = 0 // the root is not counted (it holds no atoms)
+	if got := (counts{n.live, n.nodes, n.dead, n.emptyN}); got != sum {
+		return counts{}, fmt.Errorf("doctree: node counters live/nodes/dead/emptyN = %v, recount = %v", got, sum)
 	}
-	nodes += self
-	if n.live != live {
-		return 0, 0, 0, fmt.Errorf("doctree: node live=%d, recount=%d", n.live, live)
-	}
-	if n.nodes != nodes {
-		return 0, 0, 0, fmt.Errorf("doctree: node nodes=%d, recount=%d", n.nodes, nodes)
-	}
-	if n.dead != dead {
-		return 0, 0, 0, fmt.Errorf("doctree: node dead=%d, recount=%d", n.dead, dead)
-	}
-	emptyN := n.left.emptyCount() + n.right.emptyCount()
-	for _, m := range n.minis {
-		emptyN += m.left.emptyCount() + m.right.emptyCount()
-	}
-	if n.empty() && n.parent != nil {
-		// The root is excluded: it cannot hold mini-nodes, so it is never a
-		// reusable slot.
-		emptyN++
-	}
-	if n.emptyN != emptyN {
-		return 0, 0, 0, fmt.Errorf("doctree: node emptyN=%d, recount=%d", n.emptyN, emptyN)
-	}
-	return live, nodes, dead, nil
+	return sum, nil
 }

@@ -24,49 +24,53 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 	if err := id.ValidateFrom(depth); err != nil {
 		return fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
-	var first *Node       // shallowest node created by this walk
+	if err := t.room(len(id), len(id)); err != nil {
+		return fmt.Errorf("doctree: insert %v: %w", id, err)
+	}
+	var first nodeH       // shallowest node created by this walk
 	finalCreated := false // the atom's mini was created (vs found)
 	ownerWasFree := false // final mini added to an existing node with no minis
 	for _, e := range id[depth:] {
-		if cur.node.flat != nil {
-			t.explodeNode(cur.node)
+		if err := t.explodeNode(cur.node); err != nil {
+			return err
 		}
 		depth++
-		next := cur.child(e.Bit)
-		created := next == nil
+		next := t.kids(cur)[e.Bit]
+		created := next == 0
 		if created {
-			next = t.newNode(cur.node, cur.mini, e.Bit)
-			cur.setChild(e.Bit, next)
-			if first == nil {
+			next = t.newNode(cur, e.Bit)
+			t.kids(cur)[e.Bit] = next
+			if first == 0 {
 				first = next
 			}
 			if depth > t.height {
 				t.height = depth
 			}
-		} else if next.flat != nil {
-			t.explodeNode(next)
+		} else if err := t.explodeNode(next); err != nil {
+			return err
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		m := next.findMini(e.Dis)
-		if m == nil {
+		n := t.node(next)
+		m := t.findMini(n, e.Dis)
+		if m == 0 {
 			if !created && depth != len(id) {
 				return t.insertSlow(id, atom)
 			}
 			if !created {
-				ownerWasFree = len(next.minis) == 0
+				ownerWasFree = n.first == 0
 			}
-			m = t.insertMini(next, e.Dis)
-			m.dead = true
+			m = t.insertMini(n, e.Dis)
+			t.mini(m).dead = true
 			if depth == len(id) {
 				finalCreated = true
 			}
 		}
 		cur = slot{node: next, mini: m}
 	}
-	m := cur.mini
+	m := t.mini(cur.mini)
 	if !finalCreated {
 		if !m.dead {
 			return fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
@@ -74,33 +78,36 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 		// Revive an existing tombstone.
 		m.dead = false
 		m.atom = atom
-		t.bubble(m.owner, +1, 0, -1)
-		t.cacheWalkFrom(id, m, skip)
+		t.bubble(cur.node, +1, 0, -1, 0)
+		t.cacheWalkFrom(id, cur, skip)
 		return nil
 	}
 	m.dead = false
 	m.atom = atom
-	if first == nil {
+	if first == 0 {
 		// Fresh mini in an existing node; no structure added.
 		d := 0
 		if ownerWasFree {
 			d = -1 // the node stops being a free slot
 		}
-		t.bubbleAll(m.owner, +1, 0, 0, d)
-		t.cacheWalkFrom(id, m, skip)
+		t.bubble(cur.node, +1, 0, 0, d)
+		t.cacheWalkFrom(id, cur, skip)
 		return nil
 	}
 	// Set the created chain's counters bottom-up, then climb once from the
 	// chain's attachment point with the accumulated deltas.
-	accNodes, accDead, accEmpty := 0, 0, 0
-	for n := m.owner; ; n = n.parent {
+	var accNodes, accDead, accEmpty uint32
+	for h := cur.node; ; {
+		n := t.node(h)
 		accNodes++
-		for _, mm := range n.minis {
+		for mh := n.first; mh != 0; {
+			mm := t.mini(mh)
 			if mm.dead {
 				accDead++
 			}
+			mh = mm.next
 		}
-		if len(n.minis) == 0 {
+		if n.first == 0 {
 			accEmpty++
 		}
 		n.live = 1
@@ -108,28 +115,30 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 		n.dead = accDead
 		n.emptyN = accEmpty
 		n.lastMod = t.rev
-		if n == first {
+		if h == first {
 			break
 		}
+		h = n.parent
 	}
-	t.bubbleAll(first.parent, +1, accNodes, accDead, accEmpty)
-	t.cacheWalkFrom(id, m, skip)
+	t.bubble(t.node(first).parent, +1, int(accNodes), int(accDead), int(accEmpty))
+	t.cacheWalkFrom(id, cur, skip)
 	return nil
 }
 
 // insertSlow is InsertID's general path: full per-delta materialisation, for
 // replays that must re-create placeholder minis inside existing nodes.
 func (t *Tree) insertSlow(id ident.Path, atom string) error {
-	m, err := t.materialize(id)
+	s, err := t.materialize(id)
 	if err != nil {
 		return fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
+	m := t.mini(s.mini)
 	if !m.dead {
 		return fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 	}
 	m.dead = false
 	m.atom = atom
-	t.bubble(m.owner, +1, 0, -1) // the placeholder created by materialize was dead
+	t.bubble(s.node, +1, 0, -1, 0) // the placeholder created by materialize was dead
 	return nil
 }
 
@@ -142,14 +151,14 @@ func (t *Tree) insertSlow(id ident.Path, atom string) error {
 // discarded recursively. With prune=false (SDIS semantics, Section 3.3.2)
 // the mini-node is kept as a tombstone so the identifier is never reused.
 func (t *Tree) DeleteID(id ident.Path, prune bool) (found bool, err error) {
-	m, err := t.walkMini(id)
+	s, err := t.walkMini(id)
 	if err != nil {
 		if IsNotFound(err) {
 			return false, nil
 		}
 		return false, fmt.Errorf("doctree: delete %v: %w", id, err)
 	}
-	return t.deleteMini(m, prune), nil
+	return t.deleteMini(s, prune), nil
 }
 
 // DeleteAtIndex deletes the i-th live atom in a single count-guided descent,
@@ -159,81 +168,75 @@ func (t *Tree) DeleteID(id ident.Path, prune bool) (found bool, err error) {
 // DeleteID would do costs a full O(depth) prefix comparison even when it
 // resumes from the walk cache.
 func (t *Tree) DeleteAtIndex(i int, prune bool, dst ident.Path) (ident.Path, error) {
-	if i < 0 || i >= t.root.live {
-		return dst, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.root.live)
+	if i < 0 || i >= t.Len() {
+		return dst, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
 	}
 	base := len(dst)
-	dst, m := t.appendIDDown(t.root, i, dst)
-	kept := !prune || m.left != nil || m.right != nil
-	t.deleteMini(m, prune)
+	dst, s, err := t.appendIDDown(rootH, i, dst)
+	if err != nil {
+		return dst, err
+	}
+	m := t.mini(s.mini)
+	kept := !prune || m.kids[0] != 0 || m.kids[1] != 0
+	t.deleteMini(s, prune)
 	if kept && base == 0 {
 		// The tombstone stays addressable, so the completed walk may seed the
 		// cache exactly as AppendIDAt would (a prune invalidates it instead,
 		// inside deleteMini).
-		t.cacheWalk(dst, m)
+		t.cacheWalk(dst, s)
 	}
 	return dst, nil
 }
 
 // deleteMini applies delete semantics to a located mini-node; see DeleteID.
-func (t *Tree) deleteMini(m *Mini, prune bool) (found bool) {
+func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
+	m := t.mini(s.mini)
 	if m.dead {
 		return false
 	}
 	m.dead = true
 	m.atom = ""
-	if !prune || m.left != nil || m.right != nil {
+	if !prune || m.kids[0] != 0 || m.kids[1] != 0 {
 		// Tombstone (SDIS), or a discard blocked by descendants (UDIS).
-		t.bubble(m.owner, -1, 0, +1)
+		t.bubble(s.node, -1, 0, +1, 0)
 		return true
 	}
 	// UDIS discard: remove the mini and cascade emptied ancestors, then
-	// climb once with the accumulated deltas. Nodes detached mid-cascade
+	// climb once with the accumulated deltas. Nodes released mid-cascade
 	// need no counter updates (they are gone); only the chain above the
 	// cascade's stop point sees the net change.
 	t.cacheDrop()
-	n := m.owner
-	for i, mm := range n.minis {
-		if mm == m {
-			n.minis = append(n.minis[:i], n.minis[i+1:]...)
-			break
-		}
-	}
+	h, n := s.node, t.node(s.node)
+	t.unlinkMini(n, s.mini)
 	dNodes, dDead, dEmpty := 0, 0, 0
 	if n.empty() {
 		dEmpty++
 	}
-	for n.parent != nil && n.empty() && n.left == nil && n.right == nil {
-		parent, pmini := n.parent, n.pmini
-		if pmini != nil {
-			pmini.setChild(n.bit, nil)
-		} else {
-			parent.setChild(n.bit, nil)
-		}
+	for n.parent != 0 && n.empty() && n.kids[0] == 0 && n.kids[1] == 0 {
+		up := slot{node: n.parent, mini: n.pmini}
+		t.kids(up)[n.bit] = 0
+		t.nodes.release(uint32(h))
 		dNodes--
-		dEmpty-- // the detached node was an empty slot
-		if pmini != nil && pmini.dead && pmini.left == nil && pmini.right == nil {
-			for i, mm := range parent.minis {
-				if mm == pmini {
-					parent.minis = append(parent.minis[:i], parent.minis[i+1:]...)
-					break
+		dEmpty-- // the released node was an empty slot
+		h, n = up.node, t.node(up.node)
+		if up.mini != 0 {
+			if pm := t.mini(up.mini); pm.dead && pm.kids[0] == 0 && pm.kids[1] == 0 {
+				t.unlinkMini(n, up.mini)
+				dDead--
+				if n.empty() {
+					dEmpty++
 				}
 			}
-			dDead--
-			if parent.empty() {
-				dEmpty++
-			}
 		}
-		n = parent
 	}
-	t.bubbleAll(n, -1, dNodes, dDead, dEmpty)
+	t.bubble(h, -1, dNodes, dDead, dEmpty)
 	return true
 }
 
 // HasLive reports whether id currently identifies a live atom.
 func (t *Tree) HasLive(id ident.Path) bool {
-	m, err := t.walkMini(id)
-	return err == nil && !m.dead
+	s, err := t.walkMini(id)
+	return err == nil && !t.mini(s.mini).dead
 }
 
 // Exists reports whether id is a used identifier: a live atom or a
@@ -247,7 +250,7 @@ func (t *Tree) Exists(id ident.Path) bool {
 	cur, skip := t.resumeSlot(id)
 	for i, e := range id[skip:] {
 		i += skip
-		if cur.node.flat != nil {
+		if t.node(cur.node).flat != 0 {
 			// Inside a flattened region every used identifier carries only
 			// canonical disambiguators on a pure bitstring; a candidate with
 			// a site disambiguator cannot collide. Candidates that are pure
@@ -260,37 +263,24 @@ func (t *Tree) Exists(id ident.Path) bool {
 			}
 			return true
 		}
-		next := cur.child(e.Bit)
-		if next == nil {
+		next := t.kids(cur)[e.Bit]
+		if next == 0 {
 			return false
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		if next.flat != nil {
-			if e.Dis.IsCanonical() {
-				return true // conservatively used: inside the canonical space
-			}
-			return false
+		n := t.node(next)
+		if n.flat != 0 {
+			// Conservatively used inside the canonical space.
+			return e.Dis.IsCanonical()
 		}
-		m := next.findMini(e.Dis)
-		if m == nil {
+		m := t.findMini(n, e.Dis)
+		if m == 0 {
 			return false
 		}
 		cur = slot{node: next, mini: m}
 	}
-	return cur.mini != nil
-}
-
-// AtomByID returns the live atom at id.
-func (t *Tree) AtomByID(id ident.Path) (string, error) {
-	m, err := t.walkMini(id)
-	if err != nil {
-		return "", err
-	}
-	if m.dead {
-		return "", errNotFound
-	}
-	return m.atom, nil
+	return cur.mini != 0
 }

@@ -31,34 +31,42 @@ type ExportNode struct {
 // emitted (they become the paper's run-length-encoded markers) and
 // contribute no further slots.
 func (t *Tree) ExportBFS(visit func(ExportNode)) {
-	queue := []*Node{t.root}
+	queue := []nodeH{rootH}
 	for len(queue) > 0 {
-		n := queue[0]
+		h := queue[0]
 		queue = queue[1:]
-		if n == nil {
+		if h == 0 {
 			visit(ExportNode{})
 			continue
 		}
-		if n.flat != nil {
-			visit(ExportNode{Present: true, IsFlat: true, Flat: n.flat})
+		n := t.node(h)
+		if n.flat != 0 {
+			visit(ExportNode{Present: true, IsFlat: true, Flat: t.flats[n.flat-1]})
 			continue
 		}
-		en := ExportNode{Present: true, Minis: make([]ExportMini, 0, len(n.minis))}
-		for _, m := range n.minis {
-			en.Minis = append(en.Minis, ExportMini{Dis: m.dis, Dead: m.dead, Atom: m.atom})
+		en := ExportNode{Present: true, Minis: []ExportMini{}}
+		queue = append(queue, n.kids[0], n.kids[1])
+		for mh := n.first; mh != 0; {
+			m := t.mini(mh)
+			en.Minis = append(en.Minis, ExportMini{Dis: m.dis(), Dead: m.dead, Atom: m.atom})
+			queue = append(queue, m.kids[0], m.kids[1])
+			mh = m.next
 		}
 		visit(en)
-		queue = append(queue, n.left, n.right)
-		for _, m := range n.minis {
-			queue = append(queue, m.left, m.right)
-		}
 	}
 }
 
 // BuildFromBFS reconstructs a tree from the slot stream produced by
-// ExportBFS. next is called once per slot in the same order.
+// ExportBFS. next is called once per slot in the same order. A stream that
+// claims more nodes, mini-nodes or atoms than a tree can address fails with
+// an error wrapping ErrFull.
 func BuildFromBFS(next func() (ExportNode, error)) (*Tree, error) {
+	return buildFromBFS(next, maxRecords)
+}
+
+func buildFromBFS(next func() (ExportNode, error), limit uint32) (*Tree, error) {
 	t := New()
+	t.limit = limit
 	en, err := next()
 	if err != nil {
 		return nil, fmt.Errorf("doctree: import root: %w", err)
@@ -66,98 +74,92 @@ func BuildFromBFS(next func() (ExportNode, error)) (*Tree, error) {
 	if !en.Present {
 		return t, nil
 	}
-	type slotRef struct {
-		parent *Node
-		pmini  *Mini
-		bit    uint8
-	}
-	var queue []slotRef
-	fill := func(n *Node, en ExportNode) {
+	var queue []slot // each entry stands for its bit-0 slot, then its bit-1 slot
+	fill := func(h nodeH, en ExportNode) error {
+		n := t.node(h)
 		if en.IsFlat {
-			n.flat = append([]string(nil), en.Flat...)
-			return
+			t.setFlat(n, append([]string(nil), en.Flat...))
+			return nil
+		}
+		if err := t.room(0, len(en.Minis)); err != nil {
+			return err
 		}
 		for _, em := range en.Minis {
-			m := n.insertMini(em.Dis)
-			m.dead = em.Dead
-			m.atom = em.Atom
+			if em.Dis.Site > ident.MaxSiteID {
+				return fmt.Errorf("disambiguator %v out of range", em.Dis)
+			}
+			m := t.mini(t.insertMini(n, em.Dis))
+			m.dead, m.atom = em.Dead, em.Atom
 		}
-		queue = append(queue, slotRef{n, nil, 0}, slotRef{n, nil, 1})
-		for _, m := range n.minis {
-			queue = append(queue, slotRef{n, m, 0}, slotRef{n, m, 1})
+		queue = append(queue, slot{node: h})
+		for mh := n.first; mh != 0; mh = t.mini(mh).next {
+			queue = append(queue, slot{node: h, mini: mh})
 		}
+		return nil
 	}
-	fill(t.root, en)
-	for i := 0; i < len(queue); i++ {
-		ref := queue[i]
+	if err := fill(rootH, en); err != nil {
+		return nil, fmt.Errorf("doctree: import root: %w", err)
+	}
+	for i := 0; i < 2*len(queue); i++ {
+		ref, bit := queue[i/2], uint8(i%2)
 		en, err := next()
+		if err == nil && en.Present {
+			if err = t.room(1, 0); err == nil {
+				h := t.newNode(ref, bit)
+				t.kids(ref)[bit] = h
+				err = fill(h, en)
+			}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("doctree: import slot %d: %w", i, err)
 		}
-		if !en.Present {
-			continue
-		}
-		n := &Node{parent: ref.parent, pmini: ref.pmini, bit: ref.bit}
-		if ref.pmini != nil {
-			ref.pmini.setChild(ref.bit, n)
-		} else {
-			ref.parent.setChild(ref.bit, n)
-		}
-		fill(n, en)
 	}
-	t.recount(t.root)
-	t.recomputeHeight()
+	if live, _, _ := t.recount(rootH); live > uint64(limit) {
+		return nil, fmt.Errorf("doctree: import of %d atoms: %w", live, ErrFull)
+	}
+	t.height = t.maxDepth(rootH, 0)
 	return t, nil
 }
 
-// recount rebuilds the cached live/node/tombstone counts bottom-up after an
-// import.
-func (t *Tree) recount(n *Node) (live, nodes, dead int) {
-	if n == nil {
+// recount rebuilds the cached live/node/tombstone/empty-slot counts
+// bottom-up after an import. The sums are returned wide: a stream of huge
+// flat regions can claim more atoms than a 32-bit counter holds, and the
+// caller rejects that before anyone reads the truncated counters.
+func (t *Tree) recount(h nodeH) (live, nodes, dead uint64) {
+	if h == 0 {
 		return 0, 0, 0
 	}
-	if n.flat != nil {
-		n.live = len(n.flat)
-		n.nodes = 0
-		n.dead = 0
-		n.emptyN = 0
-		return n.live, 0, 0
+	n := t.node(h)
+	if n.flat != 0 {
+		live = uint64(len(t.flats[n.flat-1]))
+		n.live, n.nodes, n.dead, n.emptyN = uint32(live), 0, 0, 0
+		return live, 0, 0
 	}
-	l, nn, ld := t.recount(n.left)
-	r, rn, rd := t.recount(n.right)
-	live, nodes, dead = l+r, nn+rn, ld+rd
-	for _, m := range n.minis {
-		ml, mn, md := t.recount(m.left)
-		mr, mrn, mrd := t.recount(m.right)
-		live += ml + mr
-		nodes += mn + mrn
-		dead += md + mrd
+	add := func(c nodeH) {
+		l, nn, d := t.recount(c)
+		live, nodes, dead = live+l, nodes+nn, dead+d
+		n.emptyN += t.node(c).emptyN
+	}
+	n.emptyN = 0
+	add(n.kids[0])
+	add(n.kids[1])
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
+		add(m.kids[0])
+		add(m.kids[1])
 		if m.dead {
 			dead++
 		} else {
 			live++
 		}
+		mh = m.next
 	}
-	if n.parent != nil {
+	if h != rootH {
 		nodes++
+		if n.empty() {
+			n.emptyN++
+		}
 	}
-	n.live = live
-	n.nodes = nodes
-	n.dead = dead
-	n.emptyN = n.left.emptyCount() + n.right.emptyCount()
-	for _, m := range n.minis {
-		n.emptyN += m.left.emptyCount() + m.right.emptyCount()
-	}
-	if n.empty() && n.parent != nil {
-		n.emptyN++
-	}
+	n.live, n.nodes, n.dead = uint32(live), uint32(nodes), uint32(dead)
 	return live, nodes, dead
-}
-
-// emptyCount returns the subtree's empty-slot count, tolerating nil.
-func (n *Node) emptyCount() int {
-	if n == nil {
-		return 0
-	}
-	return n.emptyN
 }

@@ -9,94 +9,68 @@ import (
 // Content returns the document's live atoms in order. It does not explode
 // flattened regions.
 func (t *Tree) Content() []string {
-	out := make([]string, 0, t.root.live)
-	collectLive(t.root, &out)
+	out := make([]string, 0, t.Len())
+	t.collectLive(rootH, &out)
 	return out
 }
 
 // AtomAt returns the i-th live atom (0-based) without exploding flattened
 // regions.
 func (t *Tree) AtomAt(i int) (string, error) {
-	if i < 0 || i >= t.root.live {
-		return "", fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.root.live)
+	if i < 0 || i >= t.Len() {
+		return "", fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
 	}
-	n, mini, flatIdx := locate(t.root, i)
-	if mini != nil {
-		return mini.atom, nil
+	s, flatIdx := t.locate(rootH, uint32(i))
+	if s.mini != 0 {
+		return t.mini(s.mini).atom, nil
 	}
-	return n.flat[flatIdx], nil
+	return t.flats[t.node(s.node).flat-1][flatIdx], nil
 }
 
-// locate descends by live-atom counts to position i within n's subtree,
-// returning either the mini-node holding it or the flat node and offset.
-func locate(n *Node, i int) (*Node, *Mini, int) {
+// locate descends by live-atom counts to position i within h's subtree,
+// returning either the slot of the mini-node holding it or the flat node and
+// the offset into its array. A nil child reads as a zero count (slab.at), so
+// the descent tests counts only.
+func (t *Tree) locate(h nodeH, i uint32) (slot, uint32) {
+	n := t.node(h)
+descend:
 	for {
-		if n.flat != nil {
-			return n, nil, i
+		if n.flat != 0 {
+			return slot{node: h}, i
 		}
-		if n.left != nil {
-			if i < n.left.live {
-				n = n.left
-				continue
-			}
-			i -= n.left.live
+		l := t.node(n.kids[0])
+		if i < l.live {
+			h, n = n.kids[0], l
+			continue
 		}
-		advanced := false
-		for _, m := range n.minis {
-			if m.left != nil {
-				if i < m.left.live {
-					n = m.left
-					advanced = true
-					break
-				}
-				i -= m.left.live
+		i -= l.live
+		for mh := n.first; mh != 0; {
+			m := t.mini(mh)
+			l, r := t.node(m.kids[0]), t.node(m.kids[1])
+			if i < l.live {
+				h, n = m.kids[0], l
+				continue descend
 			}
+			i -= l.live
 			if !m.dead {
 				if i == 0 {
-					return n, m, 0
+					return slot{node: h, mini: mh}, 0
 				}
 				i--
 			}
-			if m.right != nil {
-				if i < m.right.live {
-					n = m.right
-					advanced = true
-					break
-				}
-				i -= m.right.live
+			if i < r.live {
+				h, n = m.kids[1], r
+				continue descend
 			}
+			i -= r.live
+			mh = m.next
 		}
-		if advanced {
-			continue
-		}
-		n = n.right
+		h, n = n.kids[1], t.node(n.kids[1])
 	}
 }
 
-// MiniAt returns the mini-node of the i-th live atom, exploding a flattened
-// region if the atom lives inside one (identifier requests are "applying a
-// path to an array", Section 4.2).
-func (t *Tree) MiniAt(i int) (*Mini, error) {
-	if i < 0 || i >= t.root.live {
-		return nil, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.root.live)
-	}
-	for {
-		n, mini, _ := locate(t.root, i)
-		if mini != nil {
-			return mini, nil
-		}
-		t.explodeNode(n)
-	}
-}
-
-// IDAt returns the position identifier of the i-th live atom.
-func (t *Tree) IDAt(i int) (ident.Path, error) {
-	m, err := t.MiniAt(i)
-	if err != nil {
-		return nil, err
-	}
-	return PathToMini(m), nil
-}
+// IDAt returns the position identifier of the i-th live atom; see AppendIDAt.
+func (t *Tree) IDAt(i int) (ident.Path, error) { return t.AppendIDAt(nil, i) }
 
 // AppendIDAt appends the position identifier of the i-th live atom to dst.
 // It is IDAt in append-to-dst form for callers that consult identifiers per
@@ -107,74 +81,74 @@ func (t *Tree) IDAt(i int) (ident.Path, error) {
 // regions on the way are exploded (applying a path to an array,
 // Section 4.2).
 func (t *Tree) AppendIDAt(dst ident.Path, i int) (ident.Path, error) {
-	if i < 0 || i >= t.root.live {
-		return dst, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.root.live)
+	if i < 0 || i >= t.Len() {
+		return dst, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
 	}
 	base := len(dst)
-	dst, m := t.appendIDDown(t.root, i, dst)
+	dst, s, err := t.appendIDDown(rootH, i, dst)
+	if err != nil {
+		return dst, err
+	}
 	if base == 0 {
 		// The identifier is well-formed by construction, so it may seed the
 		// walk cache: the operation that consults an atom's identifier (a
 		// delete, a neighbour probe) walks to this same mini next.
-		t.cacheWalk(dst, m)
+		t.cacheWalk(dst, s)
 	}
 	return dst, nil
 }
 
-// appendIDDown locates the i-th live atom of n's subtree, appending the
+// appendIDDown locates the i-th live atom of h's subtree, appending the
 // identifier elements of the descent to dst, and returns the extended path
-// and the atom's mini-node. i must be within n's live count. Flattened
-// regions on the way are exploded.
-func (t *Tree) appendIDDown(n *Node, i int, dst ident.Path) (ident.Path, *Mini) {
+// and the atom's slot. i must be within h's live count. Flattened regions on
+// the way are exploded.
+func (t *Tree) appendIDDown(h nodeH, at int, dst ident.Path) (ident.Path, slot, error) {
+	i, n := uint32(at), t.node(h)
+descend:
 	for {
-		if n.flat != nil {
-			t.explodeNode(n)
+		if n.flat != 0 {
+			if err := t.explode(h); err != nil {
+				return dst, slot{}, err
+			}
 		}
-		if n.left != nil && i < n.left.live {
-			// Leaving n through its major-left slot: a plain element.
-			// The root contributes no element.
-			if n.parent != nil {
+		// Leaving n through a major slot emits a plain element, through a
+		// mini its disambiguated one. The root contributes no element.
+		l := t.node(n.kids[0])
+		if i < l.live {
+			if h != rootH {
 				dst = append(dst, ident.J(n.bit))
 			}
-			n = n.left
+			h, n = n.kids[0], l
 			continue
 		}
-		if n.left != nil {
-			i -= n.left.live
-		}
-		var next *Node
-		for _, m := range n.minis {
-			if m.left != nil {
-				if i < m.left.live {
-					next = m.left
-					dst = append(dst, ident.M(n.bit, m.dis))
-					break
-				}
-				i -= m.left.live
+		i -= l.live
+		for mh := n.first; mh != 0; {
+			m := t.mini(mh)
+			l, r := t.node(m.kids[0]), t.node(m.kids[1])
+			if i < l.live {
+				dst = append(dst, ident.M(n.bit, m.dis()))
+				h, n = m.kids[0], l
+				continue descend
 			}
+			i -= l.live
 			if !m.dead {
 				if i == 0 {
-					return append(dst, ident.M(n.bit, m.dis)), m
+					return append(dst, ident.M(n.bit, m.dis())), slot{node: h, mini: mh}, nil
 				}
 				i--
 			}
-			if m.right != nil {
-				if i < m.right.live {
-					next = m.right
-					dst = append(dst, ident.M(n.bit, m.dis))
-					break
-				}
-				i -= m.right.live
+			if i < r.live {
+				dst = append(dst, ident.M(n.bit, m.dis()))
+				h, n = m.kids[1], r
+				continue descend
 			}
+			i -= r.live
+			mh = m.next
 		}
-		if next != nil {
-			n = next
-			continue
-		}
-		if n.parent != nil {
+		if h != rootH {
 			dst = append(dst, ident.J(n.bit))
 		}
-		n = n.right
+		h, n = n.kids[1], t.node(n.kids[1])
 	}
 }
 
@@ -186,16 +160,18 @@ func (t *Tree) appendIDDown(n *Node, i int, dst ident.Path) (ident.Path, *Mini) 
 // cache is left at the left neighbour: the identifier allocated for the gap
 // extends it, so the insert that follows resumes deepest there.
 func (t *Tree) AppendNeighborIDs(dstP, dstF ident.Path, i int) (p, f ident.Path, err error) {
-	if i <= 0 || i >= t.root.live {
-		return dstP, dstF, fmt.Errorf("doctree: interior gap %d out of range (0,%d)", i, t.root.live)
+	if i <= 0 || i >= t.Len() {
+		return dstP, dstF, fmt.Errorf("doctree: interior gap %d out of range (0,%d)", i, t.Len())
 	}
 	pBase := len(dstP)
-	a := i - 1 // left target, relative to the current subtree; right = a+1
-	n := t.root
+	a := uint32(i - 1) // left target, relative to the current subtree; right = a+1
+	h, n := rootH, t.node(rootH)
 descend:
 	for {
-		if n.flat != nil {
-			t.explodeNode(n)
+		if n.flat != 0 {
+			if err := t.explode(h); err != nil {
+				return dstP, dstF, err
+			}
 		}
 		// Find the region holding the left target; descend only while the
 		// right target lands in the same child subtree. rel tracks the
@@ -203,158 +179,121 @@ descend:
 		// committed to a only on descent, so a stays relative to n's whole
 		// subtree when the routes split here.
 		rel := a
-		var next *Node
+		var next nodeH
+		var nn *node
 		var elem ident.Elem
-		if n.left != nil {
-			if rel+1 < n.left.live {
-				next, elem = n.left, ident.J(n.bit)
-			} else if rel < n.left.live {
+		if l := t.node(n.kids[0]); rel+1 < l.live {
+			next, nn, elem = n.kids[0], l, ident.J(n.bit)
+		} else if rel < l.live {
+			break descend
+		} else {
+			rel -= l.live
+		}
+		for mh := n.first; mh != 0 && next == 0; {
+			m := t.mini(mh)
+			l, r := t.node(m.kids[0]), t.node(m.kids[1])
+			if rel+1 < l.live {
+				next, nn, elem = m.kids[0], l, ident.M(n.bit, m.dis())
+				break
+			}
+			if rel < l.live {
 				break descend
-			} else {
-				rel -= n.left.live
 			}
-		}
-		if next == nil {
-			for _, m := range n.minis {
-				if m.left != nil {
-					if rel+1 < m.left.live {
-						next, elem = m.left, ident.M(n.bit, m.dis)
-						break
-					}
-					if rel < m.left.live {
-						break descend
-					}
-					rel -= m.left.live
+			rel -= l.live
+			if !m.dead {
+				if rel == 0 {
+					break descend
 				}
-				if !m.dead {
-					if rel == 0 {
-						break descend
-					}
-					rel--
-				}
-				if m.right != nil {
-					if rel+1 < m.right.live {
-						next, elem = m.right, ident.M(n.bit, m.dis)
-						break
-					}
-					if rel < m.right.live {
-						break descend
-					}
-					rel -= m.right.live
-				}
+				rel--
 			}
+			if rel+1 < r.live {
+				next, nn, elem = m.kids[1], r, ident.M(n.bit, m.dis())
+				break
+			}
+			if rel < r.live {
+				break descend
+			}
+			rel -= r.live
+			mh = m.next
 		}
-		if next == nil {
+		if next == 0 {
 			// Both targets remain in the major-right subtree.
-			next, elem = n.right, ident.J(n.bit)
+			next, nn, elem = n.kids[1], t.node(n.kids[1]), ident.J(n.bit)
 		}
-		if n.parent != nil {
+		if h != rootH {
 			dstP = append(dstP, elem)
 		}
-		n, a = next, rel
+		h, n, a = next, nn, rel
 	}
-	// The routes split inside n: finish each target separately. The right
+	// The routes split inside h: finish each target separately. The right
 	// target first, so the walk cache ends at the left neighbour.
 	dstF = append(dstF, dstP[pBase:]...)
-	dstF, _ = t.appendIDDown(n, a+1, dstF)
-	var pm *Mini
-	dstP, pm = t.appendIDDown(n, a, dstP)
+	if dstF, _, err = t.appendIDDown(h, int(a+1), dstF); err != nil {
+		return dstP, dstF, err
+	}
+	var ps slot
+	if dstP, ps, err = t.appendIDDown(h, int(a), dstP); err != nil {
+		return dstP, dstF, err
+	}
 	if pBase == 0 {
-		t.cacheWalk(dstP, pm)
+		t.cacheWalk(dstP, ps)
 	}
 	return dstP, dstF, nil
-}
-
-// NeighborIDs returns the identifiers around insertion gap i: the atom at
-// i-1 (nil at the document start) and the atom at i (nil at the end).
-// Inserting at gap i places the new atom between them.
-func (t *Tree) NeighborIDs(i int) (p, f ident.Path, err error) {
-	if i < 0 || i > t.root.live {
-		return nil, nil, fmt.Errorf("doctree: gap %d out of range [0,%d]", i, t.root.live)
-	}
-	if i > 0 {
-		if p, err = t.IDAt(i - 1); err != nil {
-			return nil, nil, err
-		}
-	}
-	if i < t.root.live {
-		if f, err = t.IDAt(i); err != nil {
-			return nil, nil, err
-		}
-	}
-	return p, f, nil
 }
 
 // IndexOfID returns the current document index of the live atom with the
 // given identifier.
 func (t *Tree) IndexOfID(id ident.Path) (int, error) {
-	m, err := t.walkMini(id)
+	s, err := t.walkMini(id)
 	if err != nil {
 		return 0, err
 	}
-	if m.dead {
+	if t.mini(s.mini).dead {
 		return 0, errNotFound
 	}
-	// Count live atoms before m: its left subtree, then climb.
-	idx := 0
-	if m.left != nil {
-		idx += m.left.live
-	}
-	n := m.owner
-	for _, mm := range n.minis {
-		if mm == m {
-			break
+	// The atom follows its mini's left subtree and whatever its node holds
+	// before the mini; then climb: at each level, whatever the parent holds
+	// to the left of the slot we hang from precedes us.
+	n := t.node(s.node)
+	idx := t.liveBefore(n, s.mini, 0) + t.node(t.mini(s.mini).kids[0]).live
+	for n.parent != 0 {
+		up := t.node(n.parent)
+		if n.pmini != 0 {
+			idx += t.liveBefore(up, n.pmini, n.bit)
+		} else if n.bit == 1 {
+			// Right child of the major node: everything else in up precedes.
+			idx += up.live - n.live
 		}
-		idx += miniLive(mm)
+		n = up
 	}
-	if n.left != nil {
-		idx += n.left.live
+	return int(idx), nil
+}
+
+// liveBefore counts the live atoms of n that precede the bit-side child
+// subtree of its mini mh: n's major-left subtree, every earlier mini's
+// region, and for the right side the mini's own left subtree and atom.
+func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
+	idx := t.node(n.kids[0]).live
+	for h := n.first; h != mh; {
+		m := t.mini(h)
+		idx += t.miniLive(m)
+		h = m.next
 	}
-	// Climb: whenever we were in a right-side region, everything to the left
-	// at that level precedes us.
-	child := n
-	for cur := n.parent; cur != nil; child, cur = cur, cur.parent {
-		if child.pmini != nil {
-			pm := child.pmini
-			if child.bit == 1 {
-				// Right child of the mini: the mini's atom and left subtree
-				// precede us.
-				if pm.left != nil {
-					idx += pm.left.live
-				}
-				if !pm.dead {
-					idx++
-				}
-			}
-			for _, mm := range cur.minis {
-				if mm == pm {
-					break
-				}
-				idx += miniLive(mm)
-			}
-			if cur.left != nil {
-				idx += cur.left.live
-			}
-		} else if child.bit == 1 {
-			// Right child of the major node: everything else in cur precedes.
-			idx += cur.live - child.live
+	if m := t.mini(mh); bit == 1 {
+		idx += t.node(m.kids[0]).live
+		if !m.dead {
+			idx++
 		}
 	}
-	return idx, nil
+	return idx
 }
 
 // miniLive returns the live atoms in a mini's own region (its subtrees plus
 // its atom).
-func miniLive(m *Mini) int {
-	n := 0
-	if m.left != nil {
-		n += m.left.live
-	}
+func (t *Tree) miniLive(m *mini) uint32 {
+	n := t.node(m.kids[0]).live + t.node(m.kids[1]).live
 	if !m.dead {
 		n++
-	}
-	if m.right != nil {
-		n += m.right.live
 	}
 	return n
 }
@@ -365,24 +304,25 @@ func miniLive(m *Mini) int {
 // would cost O((to-from)·height). It does not explode flattened regions.
 // Iteration stops early if fn returns false.
 func (t *Tree) VisitRange(from, to int, fn func(atom string) bool) error {
-	if from < 0 || to < from || to > t.root.live {
-		return fmt.Errorf("doctree: range [%d,%d) out of range [0,%d]", from, to, t.root.live)
+	if from < 0 || to < from || to > t.Len() {
+		return fmt.Errorf("doctree: range [%d,%d) out of range [0,%d]", from, to, t.Len())
 	}
 	skip, count := from, to-from
-	visitRange(t.root, &skip, &count, fn)
+	t.visitRange(rootH, &skip, &count, fn)
 	return nil
 }
 
-func visitRange(n *Node, skip, count *int, fn func(string) bool) bool {
-	if n == nil || *count == 0 {
+func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool {
+	if h == 0 || *count == 0 {
 		return true
 	}
-	if *skip >= n.live {
-		*skip -= n.live
+	n := t.node(h)
+	if *skip >= int(n.live) {
+		*skip -= int(n.live)
 		return true
 	}
-	if n.flat != nil {
-		for _, a := range n.flat[*skip:] {
+	if n.flat != 0 {
+		for _, a := range t.flats[n.flat-1][*skip:] {
 			if *count == 0 {
 				return true
 			}
@@ -394,14 +334,15 @@ func visitRange(n *Node, skip, count *int, fn func(string) bool) bool {
 		*skip = 0
 		return true
 	}
-	if !visitRange(n.left, skip, count, fn) {
+	if !t.visitRange(n.kids[0], skip, count, fn) {
 		return false
 	}
-	for _, m := range n.minis {
+	for mh := n.first; mh != 0; {
 		if *count == 0 {
 			return true
 		}
-		if !visitRange(m.left, skip, count, fn) {
+		m := t.mini(mh)
+		if !t.visitRange(m.kids[0], skip, count, fn) {
 			return false
 		}
 		if !m.dead && *count > 0 {
@@ -414,50 +355,20 @@ func visitRange(n *Node, skip, count *int, fn func(string) bool) bool {
 				*count--
 			}
 		}
-		if !visitRange(m.right, skip, count, fn) {
+		if !t.visitRange(m.kids[1], skip, count, fn) {
 			return false
 		}
+		mh = m.next
 	}
-	return visitRange(n.right, skip, count, fn)
+	return t.visitRange(n.kids[1], skip, count, fn)
 }
 
 // VisitLive calls fn for every live atom in document order with its index.
-// Atoms inside flattened regions are visited with a nil mini. Iteration
-// stops early if fn returns false.
-func (t *Tree) VisitLive(fn func(i int, atom string, m *Mini) bool) {
-	i := 0
-	visitLive(t.root, &i, fn)
-}
-
-func visitLive(n *Node, i *int, fn func(int, string, *Mini) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.flat != nil {
-		for _, a := range n.flat {
-			if !fn(*i, a, nil) {
-				return false
-			}
-			*i++
-		}
-		return true
-	}
-	if !visitLive(n.left, i, fn) {
-		return false
-	}
-	for _, m := range n.minis {
-		if !visitLive(m.left, i, fn) {
-			return false
-		}
-		if !m.dead {
-			if !fn(*i, m.atom, m) {
-				return false
-			}
-			*i++
-		}
-		if !visitLive(m.right, i, fn) {
-			return false
-		}
-	}
-	return visitLive(n.right, i, fn)
+// Iteration stops early if fn returns false.
+func (t *Tree) VisitLive(fn func(i int, atom string) bool) {
+	i, skip, count := 0, 0, t.Len()
+	t.visitRange(rootH, &skip, &count, func(a string) bool {
+		i++
+		return fn(i-1, a)
+	})
 }

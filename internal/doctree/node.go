@@ -17,140 +17,209 @@ package doctree
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"github.com/treedoc/treedoc/internal/ident"
 )
 
-// Node is a major node: one position of the binary identifier tree. Its
-// contents are mini-nodes ordered by disambiguator. Children reached by
-// plain path elements hang off the node itself (left, right); children
-// reached by disambiguated elements hang off the individual mini-nodes.
-//
-// A node with a non-nil flat slice is a flattened region (Section 4.2): it
-// stores its whole subtree's live atoms as a plain array with no metadata,
-// and has no minis or children until a path walk explodes it.
-// Field order is cache-conscious: the first 64 bytes hold exactly what the
-// two hot per-edit loops touch — the count-guided descent (left, right,
-// minis, live) and the counter climb (parent, live, nodes) — so each level
-// of a walk or bubble stays within one cache line of the node. Occasional
-// fields (tombstone and empty-slot counters, flatten bookkeeping) fill the
-// second line; bubble writes them only when their delta is non-zero, so
-// ordinary inserts dirty a single line per ancestor. Nodes are bump-chunk
-// allocated (see Tree.nodeChunk) and 128 bytes long, keeping the split
-// aligned.
-type Node struct {
-	parent      *Node   // node containing the slot we hang from; nil at root
-	left, right *Node   // major child slots
-	minis       []*Mini // sorted by disambiguator
-	live        int     // live atoms in this subtree, including flat content
-	nodes       int     // tree nodes in this subtree (flat regions count as 0)
+// nodeH and miniH are handles into the tree's node and mini slabs; 0 is nil.
+type (
+	nodeH uint32
+	miniH uint32
+)
 
-	dead    int      // tombstone mini-nodes in this subtree
-	emptyN  int      // empty (reusable-slot) nodes in this subtree
-	lastMod int64    // latest revision that edited at this node (see bubble)
-	pmini   *Mini    // mini of parent we hang from; nil = parent's major slot
-	flat    []string // non-nil: flattened subtree content (leaf region)
-	bit     uint8    // which side of the parent slot
+// rootH is the root's handle: the first record a tree allocates.
+const rootH nodeH = 1
+
+// node is a major node: one position of the binary identifier tree. Its
+// contents are mini-nodes chained in disambiguator order from first.
+// Children reached by plain path elements hang off the node itself (left,
+// right); children reached by disambiguated elements hang off the
+// individual mini-nodes.
+//
+// A node with a non-zero flat index is a flattened region (Section 4.2): it
+// stores its whole subtree's live atoms as a plain array with no metadata
+// (Tree.flats), and has no minis or children until a path walk explodes it.
+//
+// The record is the paper's 4-byte-pointer node model made literal: 48
+// bytes, every link a handle, no Go pointer — the collector never scans a
+// node chunk, and nothing reachable from a node keeps a detached subtree
+// alive. The first 24 bytes hold what the two hot per-edit loops touch: the
+// count-guided descent (kids, first, live) and the counter climb
+// (parent, live, nodes). The climb writes dead and emptyN only when their
+// delta is non-zero.
+type node struct {
+	parent nodeH    // node containing the slot we hang from; 0 at the root
+	kids   [2]nodeH // major child slots: left, right
+	first  miniH    // head of the mini chain, sorted by disambiguator
+	live   uint32   // live atoms in this subtree, including flat content
+	nodes  uint32   // tree nodes in this subtree (flat regions count as 0)
+
+	dead    uint32 // tombstone mini-nodes in this subtree
+	emptyN  uint32 // empty (reusable-slot) nodes in this subtree
+	lastMod uint32 // latest revision that edited at this node (see bubble)
+	pmini   miniH  // mini of parent we hang from; 0 = parent's major slot
+	flat    uint32 // 1 + index into Tree.flats; 0 = not a flattened region
+	bit     uint8  // which side of the parent slot
 }
 
-// Mini is a mini-node: one atom slot inside a major node, identified by its
+func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
+
+// mini is a mini-node: one atom slot inside a major node, identified by its
 // disambiguator (Section 3.1). A dead mini is a tombstone (SDIS) or an
 // awaiting-discard placeholder (UDIS); its atom is gone but the identifier
-// remains allocated.
-type Mini struct {
-	owner *Node
-	dis   ident.Dis
-	atom  string
-	dead  bool
-
-	left, right *Node
+// remains allocated. The disambiguator is stored packed (a 48-bit site, see
+// ident.MaxSiteID) so the record is 40 bytes; a mini does not name its
+// owner — every walk that reaches one knows the node it came through, and
+// carries the pair as a slot.
+type mini struct {
+	atom    string
+	next    miniH    // next mini of the node, in disambiguator order
+	kids    [2]nodeH // the mini's own child slots: left, right
+	counter uint32
+	siteLo  uint32
+	siteHi  uint16
+	dead    bool
 }
 
-// Dis returns the mini-node's disambiguator.
-func (m *Mini) Dis() ident.Dis { return m.dis }
+func (m *mini) freeLink() *uint32 { return (*uint32)(&m.next) }
 
-// Atom returns the mini-node's atom ("" once dead).
-func (m *Mini) Atom() string { return m.atom }
-
-// Dead reports whether the mini-node is a tombstone.
-func (m *Mini) Dead() bool { return m.dead }
+func (m *mini) dis() ident.Dis {
+	return ident.Dis{Counter: m.counter, Site: ident.SiteID(m.siteHi)<<32 | ident.SiteID(m.siteLo)}
+}
 
 // Tree is a Treedoc document tree. The zero value is not usable; call New.
 type Tree struct {
-	root   *Node
-	height int   // max depth of any node (root = 0)
-	rev    int64 // current revision stamp for lastMod bookkeeping
+	// Every node and mini-node lives in these slabs and is named by handle.
+	// A flatten returns the region's records to the free lists; a
+	// whole-document flatten resets the slabs.
+	nodes slab[node, *node]
+	minis slab[mini, *mini]
+	// flats holds the atom arrays of flattened regions, indexed from
+	// node.flat; flatFree lists its vacant entries.
+	flats    [][]string
+	flatFree []uint32
+	limit    uint32 // records per slab; maxRecords outside tests
 
-	// Walk cache: the identifier and mini-node of the last successful
+	height int    // max depth of any node (root = 0)
+	rev    uint32 // current revision stamp for lastMod bookkeeping
+
+	// Walk cache: the identifier and slot of the last successful
 	// root-to-leaf walk. Consecutive operations on nearby identifiers (an
 	// insert run, an insert followed by its delete) share long path
 	// prefixes, so the next walk resumes from the deepest shared slot
 	// instead of descending from the root. Any structural removal (prune,
 	// flatten) drops the cache; see cacheDrop call sites.
-	ckID   ident.Path
-	ckMini *Mini
-
-	// Chunked node and mini allocation: tree structure is built from bump
-	// blocks instead of individual heap objects, so deep-chain creation
-	// (the naive strategy adds one node per atom) costs one allocation per
-	// chunk, and consecutively created nodes — which are exactly the
-	// parent chains the count climbs traverse — sit adjacent in memory.
-	// Chunks are abandoned to the garbage collector when full; a pruned
-	// node pins at most its own chunk.
-	nodeChunk []Node
-	miniChunk []Mini
+	ckID ident.Path
+	ck   slot // ck.mini == 0: no cached walk
 }
 
-const (
-	nodeChunkLen = 128
-	miniChunkLen = 256
-)
+// New returns an empty document tree.
+func New() *Tree {
+	t := &Tree{limit: maxRecords}
+	t.nodes.alloc() // rootH
+	return t
+}
 
-// newNode allocates a node from the tree's bump chunk.
-func (t *Tree) newNode(parent *Node, pmini *Mini, bit uint8) *Node {
-	if len(t.nodeChunk) == cap(t.nodeChunk) {
-		t.nodeChunk = make([]Node, 0, nodeChunkLen)
+func (t *Tree) node(h nodeH) *node { return t.nodes.at(uint32(h)) }
+func (t *Tree) mini(h miniH) *mini { return t.minis.at(uint32(h)) }
+
+// nodeDir is the node slab's chunk directory held in a local: the climbs
+// resolve one handle per level, and a local keeps the directory in
+// registers where t.node would reload it from the tree after every store.
+type nodeDir []*[chunkLen]node
+
+func (d nodeDir) at(h nodeH) *node { return &d[h>>chunkShift][h&chunkMask] }
+
+// room reports ErrFull unless the slabs can hand out that many more nodes
+// and minis. Every operation that allocates checks once, up front, with an
+// upper bound of what it may need, so the allocation paths cannot fail.
+func (t *Tree) room(nodes, minis int) error {
+	if uint64(t.nodes.used())+uint64(nodes) > uint64(t.limit) || uint64(t.minis.used())+uint64(minis) > uint64(t.limit) {
+		return ErrFull
 	}
-	t.nodeChunk = append(t.nodeChunk, Node{parent: parent, pmini: pmini, bit: bit})
-	return &t.nodeChunk[len(t.nodeChunk)-1]
+	return nil
 }
 
-// insertMini adds a chunk-allocated mini with disambiguator d to n in sorted
-// position and returns it. The caller must ensure d is not already present.
-func (t *Tree) insertMini(n *Node, d ident.Dis) *Mini {
-	if len(t.miniChunk) == cap(t.miniChunk) {
-		t.miniChunk = make([]Mini, 0, miniChunkLen)
+// newNode allocates a node hanging from slot s on side bit. It does not
+// link it into the slot.
+func (t *Tree) newNode(s slot, bit uint8) nodeH {
+	h := nodeH(t.nodes.alloc())
+	n := t.node(h)
+	n.parent, n.pmini, n.bit = s.node, s.mini, bit
+	return h
+}
+
+// insertMini adds a mini with disambiguator d to n in sorted position and
+// returns its handle. The caller must ensure d is not already present and
+// that d.Site fits 48 bits (identifier validation does).
+func (t *Tree) insertMini(n *node, d ident.Dis) miniH {
+	h := miniH(t.minis.alloc())
+	m := t.mini(h)
+	m.counter, m.siteLo, m.siteHi = d.Counter, uint32(d.Site), uint16(d.Site>>32)
+	link := &n.first
+	for *link != 0 {
+		o := t.mini(*link)
+		if o.dis().Compare(d) >= 0 {
+			break
+		}
+		link = &o.next
 	}
-	t.miniChunk = append(t.miniChunk, Mini{owner: n, dis: d})
-	return n.placeMini(&t.miniChunk[len(t.miniChunk)-1])
+	m.next, *link = *link, h
+	return h
 }
 
-// insertMini is the chunk-less form for builders without a tree handle
-// (canonical explosion).
-func (n *Node) insertMini(d ident.Dis) *Mini {
-	return n.placeMini(&Mini{owner: n, dis: d})
-}
-
-// placeMini links m into n's mini list in disambiguator order.
-func (n *Node) placeMini(m *Mini) *Mini {
-	i := 0
-	for i < len(n.minis) && n.minis[i].dis.Compare(m.dis) < 0 {
-		i++
+// unlinkMini removes mini mh from n's chain and releases its record.
+func (t *Tree) unlinkMini(n *node, mh miniH) {
+	link := &n.first
+	for *link != mh {
+		link = &t.mini(*link).next
 	}
-	n.minis = append(n.minis, nil)
-	copy(n.minis[i+1:], n.minis[i:])
-	n.minis[i] = m
-	return m
+	*link = t.mini(mh).next
+	t.minis.release(uint32(mh))
 }
 
-// cacheWalk records a completed walk to mini m at identifier p. The
+// findMini returns the mini of n with disambiguator d, or 0.
+func (t *Tree) findMini(n *node, d ident.Dis) miniH {
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
+		if m.dis() == d {
+			return mh
+		}
+		mh = m.next
+	}
+	return 0
+}
+
+// setFlat makes n a flattened region holding atoms.
+func (t *Tree) setFlat(n *node, atoms []string) {
+	if k := len(t.flatFree); k > 0 {
+		n.flat, t.flatFree = t.flatFree[k-1], t.flatFree[:k-1]
+		t.flats[n.flat-1] = atoms
+		return
+	}
+	t.flats = append(t.flats, atoms)
+	n.flat = uint32(len(t.flats))
+}
+
+// takeFlat ends n's time as a flattened region and returns its atoms.
+func (t *Tree) takeFlat(n *node) []string {
+	atoms := t.flats[n.flat-1]
+	t.flats[n.flat-1] = nil
+	t.flatFree = append(t.flatFree, n.flat)
+	n.flat = 0
+	return atoms
+}
+
+// cacheWalk records a completed walk to slot s at identifier p. The
 // identifier is copied into a tree-owned buffer, so callers may reuse p.
 // Callers must have validated p (every walk does): cache-resumed walks
 // validate only the elements beyond the shared prefix, which is sound
 // precisely because everything cached here is known well-formed.
-func (t *Tree) cacheWalk(p ident.Path, m *Mini) {
+func (t *Tree) cacheWalk(p ident.Path, s slot) {
 	t.ckID = append(t.ckID[:0], p...)
-	t.ckMini = m
+	t.ck = s
 }
 
 // cacheWalkFrom is cacheWalk for walks that resumed from the cache at depth
@@ -160,18 +229,18 @@ func (t *Tree) cacheWalk(p ident.Path, m *Mini) {
 // common case an O(1)-ish cache update instead of an O(depth) copy. If the
 // cache was dropped mid-walk the prefix guarantee is gone and the whole
 // identifier is copied.
-func (t *Tree) cacheWalkFrom(p ident.Path, m *Mini, skip int) {
-	if t.ckMini == nil {
+func (t *Tree) cacheWalkFrom(p ident.Path, s slot, skip int) {
+	if t.ck.mini == 0 {
 		skip = 0
 	}
 	t.ckID = append(t.ckID[:skip], p[skip:]...)
-	t.ckMini = m
+	t.ck = s
 }
 
 // cacheDrop invalidates the walk cache. It must be called before any
-// mini-node or node is detached from the tree (the cached chain climbs
-// parent pointers).
-func (t *Tree) cacheDrop() { t.ckMini = nil }
+// mini-node or node is released (the cached chain climbs parent handles,
+// and a released record may be handed out again).
+func (t *Tree) cacheDrop() { t.ck = slot{} }
 
 // resumeSlot returns the deepest walk slot shared between p and the cached
 // last walk, plus the number of elements of p already consumed by it.
@@ -179,9 +248,8 @@ func (t *Tree) cacheDrop() { t.ckMini = nil }
 // identical slot; the chain's nodes are materialised (never flat), so the
 // skipped elements need no explosion checks.
 func (t *Tree) resumeSlot(p ident.Path) (slot, int) {
-	m := t.ckMini
-	if m == nil {
-		return slot{node: t.root}, 0
+	if t.ck.mini == 0 {
+		return slot{node: rootH}, 0
 	}
 	last := t.ckID
 	max := len(p)
@@ -193,34 +261,25 @@ func (t *Tree) resumeSlot(p ident.Path) (slot, int) {
 		j++
 	}
 	if j == 0 {
-		return slot{node: t.root}, 0
+		return slot{node: rootH}, 0
 	}
-	// Climb from the cached mini's owner (at depth len(last)) to the node at
-	// depth j, remembering the node below it on the chain: if element j-1
-	// selects a mini, that selection is the below node's parent mini (or the
-	// cached mini itself when j is the full cached depth).
-	n := m.owner
-	var below *Node
-	for d := len(last); d > j; d-- {
-		below = n
-		n = n.parent
+	// Climb from the cached mini's node (at depth len(last)) to the node at
+	// depth j, remembering the mini the chain hangs from below it: if
+	// element j-1 selects a mini, that selection is the parent mini of the
+	// node below (or the cached mini itself when j is the full cached depth).
+	h, sel := t.ck.node, t.ck.mini
+	for d, dir := len(last), nodeDir(t.nodes.chunks); d > j; d-- {
+		n := dir.at(h)
+		h, sel = n.parent, n.pmini
 	}
 	if p[j-1].Kind == ident.Major {
-		return slot{node: n}, j
+		return slot{node: h}, j
 	}
-	if below == nil {
-		return slot{node: n, mini: m}, j
-	}
-	return slot{node: n, mini: below.pmini}, j
-}
-
-// New returns an empty document tree.
-func New() *Tree {
-	return &Tree{root: &Node{}}
+	return slot{node: h, mini: sel}, j
 }
 
 // Len returns the number of live atoms in the document.
-func (t *Tree) Len() int { return t.root.live }
+func (t *Tree) Len() int { return int(t.node(rootH).live) }
 
 // Height returns the maximum node depth ever materialised (root = 0). It is
 // maintained as a monotonic maximum between structural clean-ups; Flatten
@@ -228,58 +287,22 @@ func (t *Tree) Len() int { return t.root.live }
 func (t *Tree) Height() int { return t.height }
 
 // Rev returns the current revision stamp.
-func (t *Tree) Rev() int64 { return t.rev }
+func (t *Tree) Rev() int64 { return int64(t.rev) }
 
 // AdvanceRev moves the revision clock forward; subsequent edits stamp
 // subtrees with the new revision. The cold-subtree heuristics compare
-// against these stamps.
-func (t *Tree) AdvanceRev() { t.rev++ }
-
-// child returns the indicated major child slot.
-func (n *Node) child(bit uint8) *Node {
-	if bit == 0 {
-		return n.left
+// against these stamps. The clock is 32 bits like every node's stamp and
+// saturates: past 2³²−1 revisions nothing edited looks cold again.
+func (t *Tree) AdvanceRev() {
+	if t.rev < math.MaxUint32 {
+		t.rev++
 	}
-	return n.right
-}
-
-func (n *Node) setChild(bit uint8, c *Node) {
-	if bit == 0 {
-		n.left = c
-	} else {
-		n.right = c
-	}
-}
-
-func (m *Mini) child(bit uint8) *Node {
-	if bit == 0 {
-		return m.left
-	}
-	return m.right
-}
-
-func (m *Mini) setChild(bit uint8, c *Node) {
-	if bit == 0 {
-		m.left = c
-	} else {
-		m.right = c
-	}
-}
-
-// findMini returns the mini with disambiguator d, or nil.
-func (n *Node) findMini(d ident.Dis) *Mini {
-	for _, m := range n.minis {
-		if m.dis == d {
-			return m
-		}
-	}
-	return nil
 }
 
 // depth returns the node's depth (root = 0).
-func (n *Node) depth() int {
-	d := 0
-	for p := n.parent; p != nil; p = p.parent {
+func (t *Tree) depth(h nodeH) int {
+	d, dir := 0, nodeDir(t.nodes.chunks)
+	for p := dir.at(h).parent; p != 0; p = dir.at(p).parent {
 		d++
 	}
 	return d
@@ -288,136 +311,66 @@ func (n *Node) depth() int {
 // empty reports whether the node has no contents at all: no minis, no flat
 // region. Empty nodes are the free identifier slots reused by the balanced
 // allocation strategy (Section 4.1).
-func (n *Node) empty() bool {
-	return len(n.minis) == 0 && n.flat == nil
-}
+func (n *node) empty() bool { return n.first == 0 && n.flat == 0 }
 
-// PathToMini returns the position identifier of mini-node m.
-func PathToMini(m *Mini) ident.Path {
-	return AppendPathToMini(nil, m)
-}
-
-// AppendPathToMini appends the position identifier of mini-node m to dst and
-// returns the extended path. The identifier length is known from the node
-// chain, so the append is a single exact-size operation: this is the
-// allocation-lean form used by the hot paths (identifier queries dominate the
-// replay profile otherwise).
-func AppendPathToMini(dst ident.Path, m *Mini) ident.Path {
-	d := 0
-	for n := m.owner; n != nil && n.parent != nil; n = n.parent {
-		d++
-	}
-	base := len(dst)
-	if cap(dst) < base+d {
-		grown := make(ident.Path, base+d)
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:base+d]
-	}
-	i := base + d - 1
-	sel := m
-	for n := m.owner; n != nil && n.parent != nil; n = n.parent {
-		if sel != nil {
-			dst[i] = ident.M(n.bit, sel.dis)
-		} else {
-			dst[i] = ident.J(n.bit)
-		}
-		sel = n.pmini
-		i--
-	}
-	return dst
-}
-
-// PathToNode returns the structural path of major node n (ending in a Major
+// pathTo returns the structural path of major node h (ending in a Major
 // element). The root yields the empty path.
-func PathToNode(n *Node) ident.Path {
-	if n.parent == nil {
-		return ident.Path{}
-	}
-	d := 0
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		d++
-	}
-	p := make(ident.Path, d)
-	i := d - 1
-	sel := (*Mini)(nil)
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		if sel != nil {
-			p[i] = ident.M(cur.bit, sel.dis)
+func (t *Tree) pathTo(h nodeH) ident.Path {
+	p := make(ident.Path, t.depth(h))
+	var sel miniH
+	for i := len(p) - 1; i >= 0; i-- {
+		n := t.node(h)
+		if sel != 0 {
+			p[i] = ident.M(n.bit, t.mini(sel).dis())
 		} else {
-			p[i] = ident.J(cur.bit)
+			p[i] = ident.J(n.bit)
 		}
-		sel = cur.pmini
-		i--
+		h, sel = n.parent, n.pmini
 	}
 	return p
 }
 
-// bubbleCounts adjusts live atom, node and tombstone counts from n up to
-// the root and stamps n's lastMod with the tree's current revision.
-func (t *Tree) bubbleCounts(n *Node, dLive, dNodes int) {
-	t.bubble(n, dLive, dNodes, 0)
-}
-
-// bubble climbs to the root applying the count deltas. lastMod is stamped
-// only on n itself — the edit point — not the whole ancestor chain: subtree
-// recency is the maximum stamp over the subtree, which coldWalk computes
-// during its own traversal. Keeping the climb to the first-line counters
-// (and skipping the tombstone counter when unchanged) means an ordinary
-// insert dirties one cache line per ancestor instead of two, and the climb
-// is the single hottest write loop of a deep-tree replay.
-func (t *Tree) bubble(n *Node, dLive, dNodes, dDead int) {
-	if n == nil {
+// bubble adjusts every counter from h to the root in one climb and stamps
+// h's lastMod. lastMod is stamped only on h itself — the edit point — not
+// the whole ancestor chain: subtree recency is the maximum stamp over the
+// subtree, which coldWalk computes during its own traversal. The edit fast
+// paths accumulate their whole delta set and climb once; the climb is the
+// single hottest write loop of a deep-tree replay, so it writes the
+// tombstone and empty-slot counters only when they change. Deltas are
+// signed; the counters are unsigned and the additions wrap to the right sum.
+func (t *Tree) bubble(h nodeH, dLive, dNodes, dDead, dEmpty int) {
+	if h == 0 {
 		return
 	}
-	n.lastMod = t.rev
-	if dDead == 0 {
-		for ; n != nil; n = n.parent {
-			n.live += dLive
-			n.nodes += dNodes
-		}
-		return
-	}
-	for ; n != nil; n = n.parent {
-		n.live += dLive
-		n.nodes += dNodes
-		n.dead += dDead
-	}
-}
-
-// bubbleEmpty adjusts the empty-slot counters from n to the root. The
-// free-slot search prunes subtrees with emptyN == 0, which keeps
-// allocation fast in tombstone-dense documents.
-func bubbleEmpty(n *Node, d int) {
-	for ; n != nil; n = n.parent {
-		n.emptyN += d
-	}
-}
-
-// bubbleAll adjusts every counter from n to the root in one climb and stamps
-// n's lastMod. The edit fast paths accumulate their whole delta set and climb
-// once; the equivalent sequence of bubble/bubbleEmpty calls would walk the
-// ancestor chain per delta, which dominates deep-tree edit profiles. Like
-// bubble, the climb writes the second-line counters only when they change.
-func (t *Tree) bubbleAll(n *Node, dLive, dNodes, dDead, dEmpty int) {
-	if n == nil {
-		return
-	}
-	n.lastMod = t.rev
+	dir := nodeDir(t.nodes.chunks)
+	dir.at(h).lastMod = t.rev
 	if dDead == 0 && dEmpty == 0 {
-		for ; n != nil; n = n.parent {
-			n.live += dLive
-			n.nodes += dNodes
+		for h != 0 {
+			n := dir.at(h)
+			n.live += uint32(dLive)
+			n.nodes += uint32(dNodes)
+			h = n.parent
 		}
 		return
 	}
-	for ; n != nil; n = n.parent {
-		n.live += dLive
-		n.nodes += dNodes
-		n.dead += dDead
-		n.emptyN += dEmpty
+	for h != 0 {
+		n := dir.at(h)
+		n.live += uint32(dLive)
+		n.nodes += uint32(dNodes)
+		n.dead += uint32(dDead)
+		n.emptyN += uint32(dEmpty)
+		h = n.parent
 	}
+}
+
+// heapBytes returns what the tree's structure occupies on the Go heap: the
+// node and mini slabs (records in use, free and never used) with their
+// chunk directories, and the flat-region table. It is O(1) — chunk counts
+// times record sizes — and leaves out the atoms' own text and the arrays of
+// flattened regions, which are the document rather than its overhead.
+func (t *Tree) heapBytes() int {
+	return int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
+		cap(t.flats)*int(unsafe.Sizeof([]string(nil))) + cap(t.flatFree)*4
 }
 
 // errNotFound is returned by lookups of identifiers with no materialised

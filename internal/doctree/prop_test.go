@@ -266,3 +266,80 @@ func TestNeighborLookupsAgainstIDAt(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabHandlesNeverDangling runs a random schedule of inserts, deletes
+// (tombstoning and pruning), subtree and whole-document flattens, explodes
+// and reserves, and after every step sweeps the tree: no handle reachable
+// from the root may be on a free list (a released record can be handed out
+// again, so a dangling handle would silently alias another node), and Check
+// must pass.
+func TestSlabHandlesNeverDangling(t *testing.T) {
+	rng := rand.New(rand.NewSource(2009))
+	tr := New()
+	var live []ident.Path
+	relist := func() { // after a flatten renamed identifiers
+		live = live[:0]
+		for i := 0; i < tr.Len(); i++ {
+			id, err := tr.IDAt(i) // explodes what it walks into
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		}
+	}
+	site := ident.SiteID(1)
+	sawFree := false // some step left records of both kinds on the free lists
+	for step := 0; step < 1500; step++ {
+		switch r := rng.Intn(100); {
+		case len(live) == 0 || r < 55:
+			d := ident.Dis{Site: site}
+			site++
+			id := ident.Path{ident.M(uint8(rng.Intn(2)), d)}
+			if len(live) > 0 {
+				base := live[rng.Intn(len(live))]
+				if rng.Intn(3) == 0 {
+					base = base.StripLastDis()
+				}
+				id = base.Child(ident.M(uint8(rng.Intn(2)), d))
+			}
+			if tr.HasLive(id) {
+				continue
+			}
+			if err := tr.InsertID(id, "x"); err != nil {
+				t.Fatalf("step %d: insert %v: %v", step, id, err)
+			}
+			live = append(live, id)
+		case r < 85:
+			i := rng.Intn(len(live))
+			if _, err := tr.DeleteID(live[i], rng.Intn(2) == 0); err != nil {
+				t.Fatalf("step %d: delete: %v", step, err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case r < 90:
+			if err := tr.Reserve(live[rng.Intn(len(live))].StripLastDis(), 1+rng.Intn(3)); err != nil {
+				t.Fatalf("step %d: reserve: %v", step, err)
+			}
+		case r < 97:
+			tr.AdvanceRev()
+			if cold := tr.ColdestSubtree(tr.Rev()-1-int64(rng.Intn(3)), 2); cold != nil {
+				if err := tr.Flatten(cold); err != nil {
+					t.Fatalf("step %d: flatten %v: %v", step, cold, err)
+				}
+				relist()
+			}
+		default:
+			if err := tr.FlattenAll(); err != nil {
+				t.Fatalf("step %d: flatten all: %v", step, err)
+			}
+			relist()
+		}
+		checkNoDangling(t, tr)
+		if err := tr.Check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		sawFree = sawFree || (tr.nodes.nfree > 0 && tr.minis.nfree > 0)
+	}
+	if !sawFree {
+		t.Error("schedule never exercised the free lists")
+	}
+}

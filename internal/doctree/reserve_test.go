@@ -107,12 +107,12 @@ func TestAtomAtInsideFlatDoesNotExplode(t *testing.T) {
 	if got := tr.Stats(ident.PaperCost(ident.SDIS)).FlatAtoms; got != 6 {
 		t.Errorf("AtomAt exploded the region: flat = %d", got)
 	}
-	// MiniAt requires identifiers, so it explodes.
-	if _, err := tr.MiniAt(3); err != nil {
+	// IDAt requires identifiers, so it explodes.
+	if _, err := tr.IDAt(3); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Stats(ident.PaperCost(ident.SDIS)).FlatAtoms; got != 0 {
-		t.Errorf("MiniAt left flat atoms: %d", got)
+		t.Errorf("IDAt left flat atoms: %d", got)
 	}
 	checkTree(t, tr)
 }
@@ -132,11 +132,11 @@ func TestColdestSubtreeSkipsMiniLessRegions(t *testing.T) {
 	if cold == nil {
 		t.Fatal("no cold subtree at all")
 	}
-	n, err := tr.walkNode(cold)
+	h, err := tr.walkNode(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.live+n.dead == 0 {
+	if n := tr.node(h); n.live+n.dead == 0 {
 		t.Errorf("cold subtree %v has no mini-nodes", cold)
 	}
 	// The selected region may enclose the reserved slots (it then contains

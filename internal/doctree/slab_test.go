@@ -1,0 +1,271 @@
+package doctree
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"github.com/treedoc/treedoc/internal/ident"
+)
+
+// TestRecordLayout guards the record sizes the heap-per-atom numbers rest on
+// (docs/ARCHITECTURE.md §10.2) and the node record's freedom from Go
+// pointers, which keeps node chunks out of the collector's scan.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 48 {
+		t.Errorf("node record is %d bytes, want <= 48", got)
+	}
+	if got := unsafe.Sizeof(mini{}); got > 40 {
+		t.Errorf("mini record is %d bytes, want <= 40", got)
+	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is pointer-kinded (%s)", path, ty.Kind())
+		}
+	}
+	walk("node", reflect.TypeOf(node{}))
+}
+
+// TestMiniKeepsWholeDisambiguator: the mini record packs the disambiguator
+// into 10 bytes; the extremes must come back intact and stay distinct.
+func TestMiniKeepsWholeDisambiguator(t *testing.T) {
+	tr := New()
+	ids := []ident.Path{
+		{ident.M(1, ident.Dis{Counter: 1<<32 - 1, Site: ident.MaxSiteID})},
+		{ident.M(1, ident.Dis{Counter: 1<<32 - 1, Site: ident.MaxSiteID &^ (1 << 32)})},
+		{ident.M(1, ident.Dis{Site: 1 << 32})},
+		{ident.M(1, ident.Dis{Site: 1})},
+	}
+	for i, id := range ids {
+		if err := tr.InsertID(id, fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkTree(t, tr)
+	for i := range ids {
+		got, err := tr.IDAt(i)
+		want := ids[len(ids)-1-i] // document order is disambiguator order
+		if err != nil || !got.Equal(want) {
+			t.Errorf("IDAt(%d) = %v, %v; want %v", i, got, err, want)
+		}
+	}
+	if err := tr.InsertID(ident.Path{ident.M(1, ident.Dis{Site: ident.MaxSiteID + 2})}, "x"); err == nil {
+		t.Error("49-bit site accepted: it would alias site 1")
+	}
+}
+
+// freeSets walks both free chains and returns the handles on them, checking
+// that chain lengths match the slabs' counters.
+func freeSets(t *testing.T, tr *Tree) (nodes, minis map[uint32]bool) {
+	t.Helper()
+	nodes, minis = map[uint32]bool{}, map[uint32]bool{}
+	for h := tr.nodes.free; h != 0; h = uint32(tr.node(nodeH(h)).parent) {
+		if nodes[h] {
+			t.Fatalf("node free chain loops at %d", h)
+		}
+		nodes[h] = true
+	}
+	for h := tr.minis.free; h != 0; h = uint32(tr.mini(miniH(h)).next) {
+		if minis[h] {
+			t.Fatalf("mini free chain loops at %d", h)
+		}
+		minis[h] = true
+	}
+	if len(nodes) != int(tr.nodes.nfree) || len(minis) != int(tr.minis.nfree) {
+		t.Fatalf("free chains hold %d nodes, %d minis; counters say %d, %d",
+			len(nodes), len(minis), tr.nodes.nfree, tr.minis.nfree)
+	}
+	return nodes, minis
+}
+
+// checkNoDangling sweeps every handle reachable from the root — child
+// slots, mini chains, parent and parent-mini backlinks, the walk cache —
+// and fails if one is on a free list or beyond its slab.
+func checkNoDangling(t *testing.T, tr *Tree) {
+	t.Helper()
+	freeN, freeM := freeSets(t, tr)
+	node := func(h nodeH, what string) {
+		if h != 0 && (uint32(h) > tr.nodes.n || freeN[uint32(h)]) {
+			t.Fatalf("%s: node handle %d is free or out of range", what, h)
+		}
+	}
+	mini := func(h miniH, what string) {
+		if h != 0 && (uint32(h) > tr.minis.n || freeM[uint32(h)]) {
+			t.Fatalf("%s: mini handle %d is free or out of range", what, h)
+		}
+	}
+	node(tr.ck.node, "walk cache")
+	mini(tr.ck.mini, "walk cache")
+	var walk func(h nodeH)
+	walk = func(h nodeH) {
+		if h == 0 {
+			return
+		}
+		node(h, "child slot")
+		n := tr.node(h)
+		node(n.parent, "parent backlink")
+		mini(n.pmini, "parent-mini backlink")
+		walk(n.kids[0])
+		walk(n.kids[1])
+		for mh := n.first; mh != 0; mh = tr.mini(mh).next {
+			mini(mh, "mini chain")
+			walk(tr.mini(mh).kids[0])
+			walk(tr.mini(mh).kids[1])
+		}
+	}
+	walk(rootH)
+}
+
+// TestFlattenSubtreeRecyclesRecords flattens a cold subtree holding half the
+// tree: its records must land on the free lists, all of them, and the next
+// inserts must take them from there instead of growing the slabs.
+func TestFlattenSubtreeRecyclesRecords(t *testing.T) {
+	tr := New()
+	// Two chains of 200 atoms, one under each child of the root; a third of
+	// the right one is then tombstoned.
+	for side := uint8(0); side <= 1; side++ {
+		id := ident.Path{ident.M(side, ident.Dis{Site: 1})}
+		for i := 0; i < 200; i++ {
+			if err := tr.InsertID(id, fmt.Sprint(i)); err != nil {
+				t.Fatal(err)
+			}
+			if side == 1 && i%3 == 0 {
+				if _, err := tr.DeleteID(id, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id = id.Child(ident.M(uint8(i%2), ident.Dis{Site: 1}))
+		}
+	}
+	checkTree(t, tr)
+	region := tr.node(tr.node(rootH).kids[1])
+	wantNodes, wantMinis := region.nodes-1, region.live+region.dead // the region's root node stays
+	if wantNodes != 199 || wantMinis != 200 {
+		t.Fatalf("region holds %d nodes below its root and %d minis, want 199 and 200", wantNodes, wantMinis)
+	}
+	highN, highM := tr.nodes.n, tr.minis.n
+	before := tr.Content()
+
+	if err := tr.Flatten(ident.Path{ident.J(1)}); err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, tr)
+	checkNoDangling(t, tr)
+	if tr.nodes.nfree != wantNodes || tr.minis.nfree != wantMinis {
+		t.Errorf("free lists hold %d nodes and %d minis after the flatten, want %d and %d",
+			tr.nodes.nfree, tr.minis.nfree, wantNodes, wantMinis)
+	}
+	if got := tr.Content(); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Error("flatten changed the content")
+	}
+
+	// New inserts under the left chain reuse the freed records.
+	nodesBefore := tr.Stats(ident.PaperCost(ident.SDIS)).Nodes
+	for i := 0; i < 150; i++ {
+		id := ident.Path{ident.J(0), ident.J(0), ident.M(1, ident.Dis{Site: ident.SiteID(10 + i)})}
+		if err := tr.InsertID(id, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			checkNoDangling(t, tr)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if err := tr.InsertID(ident.Path{ident.J(0), ident.J(1), ident.J(uint8(i % 2)), ident.M(uint8(i/2%2), ident.Dis{Site: ident.SiteID(500 + i)})}, "y"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkTree(t, tr)
+	if got := tr.Stats(ident.PaperCost(ident.SDIS)).Nodes; got <= nodesBefore {
+		t.Errorf("Stats.Nodes did not grow: %d -> %d", nodesBefore, got)
+	}
+	if tr.nodes.n != highN || tr.minis.n != highM {
+		t.Errorf("slabs grew to %d nodes, %d minis (were %d, %d) with %d and %d records free",
+			tr.nodes.n, tr.minis.n, highN, highM, wantNodes, wantMinis)
+	}
+	if tr.nodes.nfree >= wantNodes || tr.minis.nfree >= wantMinis {
+		t.Errorf("free lists untouched by the inserts: %d nodes, %d minis", tr.nodes.nfree, tr.minis.nfree)
+	}
+
+	// A whole-document flatten drops every chunk but the root's.
+	if err := tr.FlattenAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, tr)
+	if len(tr.nodes.chunks) != 1 || len(tr.minis.chunks) != 0 || tr.nodes.n != 1 {
+		t.Errorf("whole-document flatten left %d node chunks, %d mini chunks, %d node handles",
+			len(tr.nodes.chunks), len(tr.minis.chunks), tr.nodes.n)
+	}
+}
+
+// TestFullIsAnError shrinks the record limit: every path that allocates
+// must refuse with ErrFull before touching the tree, never wrap a handle.
+func TestFullIsAnError(t *testing.T) {
+	tr := New()
+	tr.limit = 8
+	id := ident.Path{ident.M(1, ident.Dis{Site: 1})}
+	var err error
+	for i := 0; i < 20 && err == nil; i++ {
+		err = tr.InsertID(id, "a")
+		id = id.Child(ident.M(1, ident.Dis{Site: 1}))
+	}
+	if !errors.Is(err, ErrFull) {
+		t.Fatalf("insert past the limit: %v, want ErrFull", err)
+	}
+	checkTree(t, tr)
+	if tr.nodes.used() > tr.limit || tr.minis.used() > tr.limit {
+		t.Errorf("slabs hold %d nodes, %d minis past limit %d", tr.nodes.used(), tr.minis.used(), tr.limit)
+	}
+	if err := tr.Reserve(ident.Path{ident.J(0)}, 4); !errors.Is(err, ErrFull) {
+		t.Errorf("reserve past the limit: %v, want ErrFull", err)
+	}
+	if err := tr.Reserve(ident.Path{ident.J(0)}, 40); !errors.Is(err, ErrFull) {
+		t.Errorf("reserve of 2^40 nodes: %v, want ErrFull", err)
+	}
+	live := tr.Len()
+	if err := tr.FlattenAll(); err != nil {
+		t.Fatal(err)
+	}
+	tr.limit = uint32(live) - 1
+	if _, err := tr.IDAt(0); !errors.Is(err, ErrFull) {
+		t.Errorf("explode past the limit: %v, want ErrFull", err)
+	}
+	checkTree(t, tr)
+	if tr.Len() != live {
+		t.Errorf("refused explode changed Len to %d", tr.Len())
+	}
+
+	// An import stream: a root with two children, each holding minis.
+	stream := func() func() (ExportNode, error) {
+		nodes := []ExportNode{
+			{Present: true},
+			{Present: true, Minis: []ExportMini{{Dis: ident.Dis{Site: 1}, Atom: "a"}, {Dis: ident.Dis{Site: 2}, Atom: "b"}}},
+			{Present: true, IsFlat: true, Flat: []string{"c", "d", "e"}},
+			{}, {}, {}, {}, {}, {},
+		}
+		return func() (ExportNode, error) {
+			en := nodes[0]
+			nodes = nodes[1:]
+			return en, nil
+		}
+	}
+	if got, err := buildFromBFS(stream(), 5); err != nil || got.Len() != 5 {
+		t.Fatalf("import within the limit: %v", err)
+	}
+	for _, limit := range []uint32{1, 2, 4} { // no room for a child, for both children, for the atoms
+		if _, err := buildFromBFS(stream(), limit); !errors.Is(err, ErrFull) {
+			t.Errorf("import with limit %d: %v, want ErrFull", limit, err)
+		}
+	}
+}

@@ -21,14 +21,13 @@ import (
 // reusable slot beyond the budget is simply treated as absent and the
 // caller falls back to fresh allocation.
 func (t *Tree) FreeMiniBetween(p, f ident.Path, d ident.Dis) ident.Path {
-	s := &slotSearch{p: p, f: f, budget: 16*t.height + 64}
+	s := &slotSearch{t: t, p: p, f: f, budget: 16*t.height + 64}
 	cap := t.height + 4
 	if cap > 64 {
 		cap = 64 // deep trees grow the prefix on demand
 	}
 	s.prefix = make(ident.Path, 0, cap)
-	n := s.walk(t.root)
-	if n == nil {
+	if s.walk(rootH) == 0 {
 		return nil
 	}
 	id := s.prefix.Clone()
@@ -40,6 +39,7 @@ func (t *Tree) FreeMiniBetween(p, f ident.Path, d ident.Dis) ident.Path {
 // structural path of the node being visited (empty at the root); when the
 // walk succeeds it holds the found node's path.
 type slotSearch struct {
+	t      *Tree
 	p, f   ident.Path
 	prefix ident.Path
 	budget int
@@ -47,22 +47,23 @@ type slotSearch struct {
 
 // walk searches n's subtree in infix order, returning the first empty node
 // whose mini position lies strictly between the bounds.
-func (s *slotSearch) walk(n *Node) *Node {
-	if n == nil || n.flat != nil || n.emptyN == 0 || s.budget <= 0 {
-		return nil
+func (s *slotSearch) walk(h nodeH) nodeH {
+	n := s.t.node(h)
+	if n.flat != 0 || n.emptyN == 0 || s.budget <= 0 {
+		return 0 // a nil child reads emptyN == 0
 	}
 	s.budget--
 	// Prune subtrees entirely outside the open interval.
 	if s.p != nil && ident.RegionCompare(s.p, s.prefix) > 0 {
-		return nil // everything in n's region sorts <= p
+		return 0 // everything in n's region sorts <= p
 	}
 	if s.f != nil && ident.RegionCompare(s.f, s.prefix) < 0 {
-		return nil // everything in n's region sorts >= f
+		return 0 // everything in n's region sorts >= f
 	}
-	if got := s.into(n.left, ident.J(0)); got != nil {
+	if got := s.into(n.kids[0], ident.J(0)); got != 0 {
 		return got
 	}
-	if n.parent != nil && n.empty() {
+	if h != rootH && n.empty() {
 		// The would-be mini position: the node's identifier with a mini
 		// selection. Disambiguators only order minis within one node and n
 		// has none, so any disambiguator gives the same betweenness.
@@ -72,37 +73,37 @@ func (s *slotSearch) walk(n *Node) *Node {
 		ok := ident.Between(s.p, s.prefix, s.f)
 		s.prefix[last] = saved
 		if ok {
-			return n
+			return h
 		}
 	}
-	for _, m := range n.minis {
-		if len(s.prefix) == 0 {
-			break // the root holds no minis
-		}
+	// The root holds no minis, so prefix is non-empty inside the loop.
+	for mh := n.first; mh != 0; {
+		m := s.t.mini(mh)
 		// Descend through the mini: the entry element gains its dis.
 		last := len(s.prefix) - 1
 		saved := s.prefix[last]
-		s.prefix[last] = ident.M(saved.Bit, m.dis)
-		if got := s.into(m.left, ident.J(0)); got != nil {
+		s.prefix[last] = ident.M(saved.Bit, m.dis())
+		if got := s.into(m.kids[0], ident.J(0)); got != 0 {
 			return got
 		}
-		if got := s.into(m.right, ident.J(1)); got != nil {
+		if got := s.into(m.kids[1], ident.J(1)); got != 0 {
 			return got
 		}
 		s.prefix[last] = saved
+		mh = m.next
 	}
-	return s.into(n.right, ident.J(1))
+	return s.into(n.kids[1], ident.J(1))
 }
 
 // into pushes the child element, walks the child, and pops on failure. On
 // success the prefix is left pointing at the found node.
-func (s *slotSearch) into(n *Node, e ident.Elem) *Node {
+func (s *slotSearch) into(h nodeH, e ident.Elem) nodeH {
 	s.prefix = append(s.prefix, e)
-	if got := s.walk(n); got != nil {
+	if got := s.walk(h); got != 0 {
 		return got
 	}
 	s.prefix = s.prefix[:len(s.prefix)-1]
-	return nil
+	return 0
 }
 
 // Reserve materialises the complete binary subtree of the given number of
@@ -113,63 +114,53 @@ func (s *slotSearch) into(n *Node, e ident.Elem) *Node {
 // (the empty nodes of Figure 5). The reserved slots are found by
 // FreeMiniBetween as subsequent inserts arrive.
 func (t *Tree) Reserve(path ident.Path, levels int) error {
-	if len(path) == 0 || path[len(path)-1].Kind != ident.Major {
+	if len(path) == 0 {
 		return fmt.Errorf("doctree: reserve needs a structural path, got %v", path)
 	}
-	cur := slot{node: t.root}
+	if err := path.ValidateStructural(); err != nil {
+		return fmt.Errorf("doctree: reserve %v: %w", path, err)
+	}
+	if levels > 31 {
+		return fmt.Errorf("doctree: reserve %d levels: %w", levels, ErrFull)
+	}
+	if err := t.room(len(path)+1<<max(levels, 0), len(path)); err != nil {
+		return fmt.Errorf("doctree: reserve %v: %w", path, err)
+	}
+	cur := slot{node: rootH}
 	depth := 0
 	for _, e := range path {
-		if cur.node.flat != nil {
-			t.explodeNode(cur.node)
+		if err := t.explodeNode(cur.node); err != nil {
+			return err
 		}
 		depth++
-		next := cur.child(e.Bit)
-		if next == nil {
-			next = &Node{parent: cur.node, pmini: cur.mini, bit: e.Bit}
-			cur.setChild(e.Bit, next)
-			t.bubbleCounts(next, 0, 1)
-			bubbleEmpty(next, +1)
-			if depth > t.height {
-				t.height = depth
+		next := t.kids(cur)[e.Bit]
+		if next == 0 {
+			next = t.attachEmpty(cur, e.Bit, depth)
+		} else if e.Kind == ident.Mini {
+			if err := t.explodeNode(next); err != nil {
+				return err
 			}
-		} else if next.flat != nil && e.Kind == ident.Mini {
-			t.explodeNode(next)
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		m := next.findMini(e.Dis)
-		if m == nil {
-			if len(next.minis) == 0 {
-				bubbleEmpty(next, -1)
-			}
-			m = next.insertMini(e.Dis)
-			m.dead = true
-			t.bubble(next, 0, 0, +1)
-		}
-		cur = slot{node: next, mini: m}
+		cur = slot{node: next, mini: t.placeholderMini(next, e.Dis)}
 	}
 	t.reserveBelow(cur.node, depth, levels-1)
 	return nil
 }
 
-// reserveBelow materialises the complete major-child subtree of n down to
+// reserveBelow materialises the complete major-child subtree of h down to
 // the given remaining levels.
-func (t *Tree) reserveBelow(n *Node, depth, levels int) {
-	if levels <= 0 || n.flat != nil {
+func (t *Tree) reserveBelow(h nodeH, depth, levels int) {
+	if levels <= 0 || t.node(h).flat != 0 {
 		return
 	}
-	for _, bit := range []uint8{0, 1} {
-		c := n.child(bit)
-		if c == nil {
-			c = &Node{parent: n, bit: bit}
-			n.setChild(bit, c)
-			t.bubbleCounts(c, 0, 1)
-			bubbleEmpty(c, +1)
-			if depth+1 > t.height {
-				t.height = depth + 1
-			}
+	for bit := uint8(0); bit <= 1; bit++ {
+		c := t.node(h).kids[bit]
+		if c == 0 {
+			c = t.attachEmpty(slot{node: h}, bit, depth+1)
 		}
 		t.reserveBelow(c, depth+1, levels-1)
 	}

@@ -21,6 +21,9 @@ type Stats struct {
 	DeadIDBits  int // sum of tombstone identifier sizes, in bits
 
 	MemBytes int // in-memory overhead under the paper's node cost model
+	// HeapBytes is what the tree structure actually occupies on the Go
+	// heap: the node and mini slabs, slack included (O(1), see heapBytes).
+	HeapBytes int
 }
 
 // OverheadBitsPerAtom is total identifier overhead — live and tombstone
@@ -64,6 +67,16 @@ func (s Stats) MemOverheadRatio() float64 {
 	return float64(s.MemBytes) / float64(s.DocBytes)
 }
 
+// HeapOverModel returns how many bytes the tree structure holds on the Go
+// heap per byte the paper's model prices it at; 0 for a fully flattened
+// document, whose model cost is zero.
+func (s Stats) HeapOverModel() float64 {
+	if s.MemBytes == 0 {
+		return 0
+	}
+	return float64(s.HeapBytes) / float64(s.MemBytes)
+}
+
 // Stats measures the tree under disambiguator cost model c.
 //
 // The memory model follows Section 5.2: a standard node holds its subtree's
@@ -73,46 +86,47 @@ func (s Stats) MemOverheadRatio() float64 {
 // {node, disambiguator} pairs; mini-node children add two pointers each.
 // Flattened regions cost nothing: they are the plain sequential buffer.
 func (t *Tree) Stats(c ident.Cost) Stats {
-	var s Stats
-	statsWalk(t.root, 0, 0, c, &s)
+	s := Stats{HeapBytes: t.heapBytes()}
+	t.statsWalk(rootH, 0, 0, c, &s)
 	return s
 }
 
-// statsWalk accumulates s over n's subtree. depth is n's level (one
+// statsWalk accumulates s over h's subtree. depth is h's level (one
 // identifier bit per level) and disBits the disambiguator bits of the
-// mini-node selections above n, threaded down the recursion so each
+// mini-node selections above h, threaded down the recursion so each
 // identifier's size is known at its mini without re-climbing to the root.
-func statsWalk(n *Node, depth, disBits int, c ident.Cost, s *Stats) {
-	if n == nil {
+func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
+	if h == 0 {
 		return
 	}
-	if n.flat != nil {
-		s.FlatAtoms += len(n.flat)
-		s.LiveAtoms += len(n.flat)
-		for _, a := range n.flat {
+	n := t.node(h)
+	if n.flat != 0 {
+		flat := t.flats[n.flat-1]
+		s.FlatAtoms += len(flat)
+		s.LiveAtoms += len(flat)
+		for _, a := range flat {
 			s.DocBytes += len(a)
 		}
-		sum, max := flatIDBits(len(n.flat), depth, n.parent == nil)
+		sum, max := flatIDBits(len(flat), depth, h == rootH)
 		s.TotalIDBits += sum
 		if max > s.MaxIDBits {
 			s.MaxIDBits = max
 		}
 		return
 	}
-	if n.parent != nil {
+	if h != rootH {
 		s.Nodes++
 		s.MemBytes += 12 // subtree count + two child pointers
-		for _, m := range n.minis {
-			s.MemBytes += c.DisBytes() + 4 // disambiguator + atom pointer
-			if m.left != nil || m.right != nil {
-				s.MemBytes += 8
-			}
-		}
 	}
-	statsWalk(n.left, depth+1, disBits, c, s)
-	for _, m := range n.minis {
+	t.statsWalk(n.kids[0], depth+1, disBits, c, s)
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
 		s.Minis++
-		mBits := disBits + c.Bits(m.dis)
+		s.MemBytes += c.DisBytes() + 4 // disambiguator + atom pointer
+		if m.kids[0] != 0 || m.kids[1] != 0 {
+			s.MemBytes += 8
+		}
+		mBits := disBits + c.Bits(m.dis())
 		if m.dead {
 			s.DeadMinis++
 			s.DeadIDBits += depth + mBits
@@ -125,10 +139,11 @@ func statsWalk(n *Node, depth, disBits int, c ident.Cost, s *Stats) {
 				s.MaxIDBits = bits
 			}
 		}
-		statsWalk(m.left, depth+1, mBits, c, s)
-		statsWalk(m.right, depth+1, mBits, c, s)
+		t.statsWalk(m.kids[0], depth+1, mBits, c, s)
+		t.statsWalk(m.kids[1], depth+1, mBits, c, s)
+		mh = m.next
 	}
-	statsWalk(n.right, depth+1, disBits, c, s)
+	t.statsWalk(n.kids[1], depth+1, disBits, c, s)
 }
 
 // flatIDBits returns the total and maximum identifier bit sizes the n atoms
@@ -204,52 +219,54 @@ func canonicalDepthSum(n, levels, base int) (sum, max int) {
 // garbage flatten actually collects. Returns nil if nothing qualifies; the
 // root (whole document) is returned only when everything is cold.
 func (t *Tree) ColdestSubtree(cutoff int64, minNodes int) ident.Path {
-	best, _ := coldWalk(t.root, cutoff, minNodes)
-	if best == nil {
+	best, _ := t.coldWalk(rootH, cutoff, minNodes)
+	if best == 0 {
 		return nil
 	}
-	return PathToNode(best)
+	return t.pathTo(best)
 }
 
 // coldScore weights tombstones heavily: collecting them is flatten's GC
 // payoff, shortening identifiers the secondary one.
-func coldScore(n *Node) int { return 8*n.dead + n.nodes }
+func coldScore(n *node) int { return 8*int(n.dead) + int(n.nodes) }
 
-// coldWalk returns the best flatten candidate within n's subtree and the
+// coldWalk returns the best flatten candidate within h's subtree and the
 // subtree's latest edit revision. Edits stamp lastMod only at the edit
-// point (bubble keeps its climb to the counter cache line), so subtree
-// recency is the maximum node-local stamp, computed by this same post-order
-// walk. A subtree whose maximum is at or before cutoff is cold; its root
-// dominates every descendant's coldScore (the counters are inclusive), so
-// the highest cold node on each path is the candidate — exactly what the
-// old pruning descent selected.
-func coldWalk(n *Node, cutoff int64, minNodes int) (best *Node, maxRev int64) {
-	if n == nil {
-		return nil, 0
+// point (bubble keeps its climb to the counters), so subtree recency is
+// the maximum node-local stamp, computed by this same post-order walk. A
+// subtree whose maximum is at or before cutoff is cold; its root dominates
+// every descendant's coldScore (the counters are inclusive), so the highest
+// cold node on each path is the candidate.
+func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int) (best nodeH, maxRev int64) {
+	if h == 0 {
+		return 0, 0
 	}
-	if n.flat != nil {
-		return nil, n.lastMod
+	n := t.node(h)
+	maxRev = int64(n.lastMod)
+	if n.flat != 0 {
+		return 0, maxRev
 	}
-	maxRev = n.lastMod
-	consider := func(b *Node, r int64) {
+	consider := func(b nodeH, r int64) {
 		if r > maxRev {
 			maxRev = r
 		}
-		if b != nil && (best == nil || coldScore(b) > coldScore(best)) {
+		if b != 0 && (best == 0 || coldScore(t.node(b)) > coldScore(t.node(best))) {
 			best = b
 		}
 	}
-	consider(coldWalk(n.left, cutoff, minNodes))
-	for _, m := range n.minis {
-		consider(coldWalk(m.left, cutoff, minNodes))
-		consider(coldWalk(m.right, cutoff, minNodes))
+	consider(t.coldWalk(n.kids[0], cutoff, minNodes))
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
+		consider(t.coldWalk(m.kids[0], cutoff, minNodes))
+		consider(t.coldWalk(m.kids[1], cutoff, minNodes))
+		mh = m.next
 	}
-	consider(coldWalk(n.right, cutoff, minNodes))
+	consider(t.coldWalk(n.kids[1], cutoff, minNodes))
 	// Candidates must contain at least one mini-node: regions made only of
 	// locally reserved slots are not materialised at remote replicas, so a
 	// distributed flatten could not resolve them there.
-	if maxRev <= cutoff && n.nodes >= minNodes && n.live+n.dead >= 1 {
-		return n, maxRev
+	if maxRev <= cutoff && int(n.nodes) >= minNodes && n.live+n.dead >= 1 {
+		return h, maxRev
 	}
 	return best, maxRev
 }

@@ -276,25 +276,20 @@ func TestIndexingWithTombstonesAndMinis(t *testing.T) {
 	}
 }
 
-func TestNeighborIDs(t *testing.T) {
+func TestAppendNeighborIDsGaps(t *testing.T) {
 	tr := figure2(t)
-	p, f, err := tr.NeighborIDs(0)
-	if err != nil || p != nil || f == nil {
-		t.Errorf("gap 0: p=%v f=%v err=%v", p, f, err)
-	}
-	p, f, err = tr.NeighborIDs(6)
-	if err != nil || p == nil || f != nil {
-		t.Errorf("gap 6: p=%v f=%v err=%v", p, f, err)
-	}
-	p, f, err = tr.NeighborIDs(3)
+	p, f, err := tr.AppendNeighborIDs(nil, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ident.Compare(p, f) >= 0 {
 		t.Errorf("gap 3 neighbors out of order: %v >= %v", p, f)
 	}
-	if _, _, err := tr.NeighborIDs(7); err == nil {
-		t.Error("gap out of range succeeded")
+	// Only interior gaps have two neighbours.
+	for _, gap := range []int{0, 6, 7} {
+		if _, _, err := tr.AppendNeighborIDs(nil, nil, gap); err == nil {
+			t.Errorf("gap %d accepted", gap)
+		}
 	}
 }
 
@@ -549,7 +544,7 @@ func TestStatsFlatRegionBits(t *testing.T) {
 func TestVisitLiveEarlyStop(t *testing.T) {
 	tr := figure2(t)
 	seen := 0
-	tr.VisitLive(func(i int, atom string, m *Mini) bool {
+	tr.VisitLive(func(i int, atom string) bool {
 		seen++
 		return seen < 3
 	})
@@ -558,22 +553,22 @@ func TestVisitLiveEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAtomByID(t *testing.T) {
+func TestLookupByID(t *testing.T) {
 	tr := figure2(t)
-	got, err := tr.AtomByID(ident.MustParsePath("[(1:s5)]"))
-	if err != nil || got != "e" {
-		t.Errorf("AtomByID = %q, %v", got, err)
+	e := ident.MustParsePath("[(1:s5)]")
+	if i, err := tr.IndexOfID(e); err != nil || i != 4 {
+		t.Errorf("IndexOfID = %d, %v", i, err)
 	}
-	if _, err := tr.AtomByID(ident.MustParsePath("[(1:s99)]")); !IsNotFound(err) {
+	if _, err := tr.IndexOfID(ident.MustParsePath("[(1:s99)]")); !IsNotFound(err) {
 		t.Errorf("missing atom err = %v", err)
 	}
-	if _, err := tr.DeleteID(ident.MustParsePath("[(1:s5)]"), false); err != nil {
+	if _, err := tr.DeleteID(e, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.AtomByID(ident.MustParsePath("[(1:s5)]")); !IsNotFound(err) {
+	if _, err := tr.IndexOfID(e); !IsNotFound(err) {
 		t.Errorf("tombstoned atom err = %v", err)
 	}
-	if tr.HasLive(ident.MustParsePath("[(1:s5)]")) {
+	if tr.HasLive(e) {
 		t.Error("tombstoned atom reported live")
 	}
 }
@@ -588,8 +583,8 @@ func TestLargeCanonicalExplode(t *testing.T) {
 	// path: simplest is inserting then flattening, but use the explode path
 	// directly: set a flat root via FlattenAll on an empty tree…
 	// Instead: insert sequentially at canonical ids via IDAt after seeding.
-	tr.root.flat = atoms
-	tr.root.live = len(atoms)
+	tr.setFlat(tr.node(rootH), atoms)
+	tr.node(rootH).live = uint32(len(atoms))
 	if _, err := tr.IDAt(500); err != nil {
 		t.Fatal(err)
 	}

@@ -9,23 +9,16 @@ import (
 // slot is a walk position: either the major slot of a node or one of its
 // mini-nodes. The next path element departs from the slot's children.
 type slot struct {
-	node *Node
-	mini *Mini // nil = major slot
+	node nodeH
+	mini miniH // 0 = major slot
 }
 
-func (s slot) child(bit uint8) *Node {
-	if s.mini != nil {
-		return s.mini.child(bit)
+// kids returns the slot's two child links, indexed by path bit.
+func (t *Tree) kids(s slot) *[2]nodeH {
+	if s.mini != 0 {
+		return &t.mini(s.mini).kids
 	}
-	return s.node.child(bit)
-}
-
-func (s slot) setChild(bit uint8, c *Node) {
-	if s.mini != nil {
-		s.mini.setChild(bit, c)
-	} else {
-		s.node.setChild(bit, c)
-	}
+	return &t.node(s.node).kids
 }
 
 // walkMini locates the mini-node with identifier p, without materialising
@@ -33,38 +26,40 @@ func (s slot) setChild(bit uint8, c *Node) {
 // flattened region explodes it first (Section 4.2: "array storage is
 // converted to tree storage when necessary, e.g., when applying a path to
 // an array").
-func (t *Tree) walkMini(p ident.Path) (*Mini, error) {
+func (t *Tree) walkMini(p ident.Path) (slot, error) {
 	cur, skip := t.resumeSlot(p)
 	// The resumed prefix matched a cached, already-validated identifier
 	// elementwise, so only the remaining elements need checking.
 	if err := p.ValidateFrom(skip); err != nil {
-		return nil, err
+		return slot{}, err
 	}
 	cacheFrom := skip
 	for i, e := range p[skip:] {
 		i += skip
-		if cur.node.flat != nil {
-			t.explodeNode(cur.node)
+		if err := t.explodeNode(cur.node); err != nil {
+			return slot{}, err
 		}
-		next := cur.child(e.Bit)
-		if next == nil {
-			return nil, errNotFound
+		next := t.kids(cur)[e.Bit]
+		if next == 0 {
+			return slot{}, errNotFound
 		}
-		if next.flat != nil && (e.Kind == ident.Mini || i+1 < len(p)) {
-			t.explodeNode(next)
+		if e.Kind == ident.Mini || i+1 < len(p) {
+			if err := t.explodeNode(next); err != nil {
+				return slot{}, err
+			}
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		m := next.findMini(e.Dis)
-		if m == nil {
-			return nil, errNotFound
+		m := t.findMini(t.node(next), e.Dis)
+		if m == 0 {
+			return slot{}, errNotFound
 		}
 		cur = slot{node: next, mini: m}
 	}
-	t.cacheWalkFrom(p, cur.mini, cacheFrom)
-	return cur.mini, nil
+	t.cacheWalkFrom(p, cur, cacheFrom)
+	return cur, nil
 }
 
 // materialize walks identifier p, creating any missing nodes and mini-nodes
@@ -72,96 +67,113 @@ func (t *Tree) walkMini(p ident.Path) (*Mini, error) {
 // for concurrently discarded ancestors, Section 3.3.1: replay "must
 // re-create empty nodes to replace them"). The final mini is returned
 // as-is; the caller decides its atom and liveness.
-func (t *Tree) materialize(p ident.Path) (*Mini, error) {
+func (t *Tree) materialize(p ident.Path) (slot, error) {
 	cur, depth := t.resumeSlot(p)
 	skip := depth
 	if err := p.ValidateFrom(depth); err != nil {
-		return nil, err
+		return slot{}, err
+	}
+	if err := t.room(len(p), len(p)); err != nil {
+		return slot{}, err
 	}
 	for _, e := range p[depth:] {
-		if cur.node.flat != nil {
-			t.explodeNode(cur.node)
+		if err := t.explodeNode(cur.node); err != nil {
+			return slot{}, err
 		}
 		depth++
-		next := cur.child(e.Bit)
-		if next == nil {
-			next = t.newNode(cur.node, cur.mini, e.Bit)
-			cur.setChild(e.Bit, next)
-			t.bubbleCounts(next, 0, 1)
-			bubbleEmpty(next, +1)
-			if depth > t.height {
-				t.height = depth
-			}
-		} else if next.flat != nil {
-			t.explodeNode(next)
+		next := t.kids(cur)[e.Bit]
+		if next == 0 {
+			next = t.attachEmpty(cur, e.Bit, depth)
+		} else if err := t.explodeNode(next); err != nil {
+			return slot{}, err
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		m := next.findMini(e.Dis)
-		if m == nil {
-			if len(next.minis) == 0 {
-				bubbleEmpty(next, -1) // the node stops being a free slot
-			}
-			m = t.insertMini(next, e.Dis)
-			m.dead = true // placeholder until the caller revives it
-			t.bubble(next, 0, 0, +1)
-		}
-		cur = slot{node: next, mini: m}
+		cur = slot{node: next, mini: t.placeholderMini(next, e.Dis)}
 	}
-	t.cacheWalkFrom(p, cur.mini, skip)
-	return cur.mini, nil
+	t.cacheWalkFrom(p, cur, skip)
+	return cur, nil
 }
 
-// explodeNode converts a flattened region back into canonical tree form
-// (Algorithm 2's explode): a complete binary subtree with the atoms assigned
-// in infix order carrying the canonical disambiguator, so their identifiers
-// are pure bitstrings below the region root.
-func (t *Tree) explodeNode(n *Node) {
-	atoms := n.flat
-	n.flat = nil
+// attachEmpty creates an empty node in slot s on side bit, at the given
+// depth, and counts it in: one more node, one more reusable slot.
+func (t *Tree) attachEmpty(s slot, bit uint8, depth int) nodeH {
+	h := t.newNode(s, bit)
+	t.kids(s)[bit] = h
+	t.bubble(h, 0, +1, 0, +1)
+	if depth > t.height {
+		t.height = depth
+	}
+	return h
+}
+
+// placeholderMini returns the mini of node h with disambiguator d, creating
+// it dead (and counted as a tombstone) if the node has none.
+func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
+	n := t.node(h)
+	if m := t.findMini(n, d); m != 0 {
+		return m
+	}
+	dEmpty := 0
+	if n.first == 0 {
+		dEmpty = -1 // the node stops being a free slot
+	}
+	m := t.insertMini(n, d)
+	t.mini(m).dead = true
+	t.bubble(h, 0, 0, +1, dEmpty)
+	return m
+}
+
+// explodeNode converts node h, if it is a flattened region, back into
+// canonical tree form (Algorithm 2's explode): a complete binary subtree
+// with the atoms assigned in infix order carrying the canonical
+// disambiguator, so their identifiers are pure bitstrings below the region
+// root.
+func (t *Tree) explodeNode(h nodeH) error {
+	if t.node(h).flat == 0 {
+		return nil
+	}
+	return t.explode(h)
+}
+
+func (t *Tree) explode(h nodeH) error {
+	n := t.node(h)
+	// The canonical subtree holds one mini per atom, and a node per atom
+	// plus at most one atom-less node per level on the path to the last atom.
+	k := len(t.flats[n.flat-1])
+	if err := t.room(k+64, k); err != nil {
+		return fmt.Errorf("doctree: explode: %w", err)
+	}
+	atoms := t.takeFlat(n)
 	if len(atoms) == 0 {
-		if n.parent == nil {
-			t.bubbleCounts(n, 0, 0) // stamp lastMod; the root is never counted
-			return
+		if h == rootH {
+			n.lastMod = t.rev // the root is never counted
+			return nil
 		}
 		// A flattened region counts no nodes; the empty node it turns back
 		// into counts itself, and is a reusable slot.
-		t.bubbleCounts(n, 0, +1)
-		bubbleEmpty(n, +1)
-		return
+		t.bubble(h, 0, +1, 0, +1)
+		return nil
 	}
 	// The region's live count stays the same; nodes get rebuilt below.
-	if n.parent == nil {
+	if h == rootH {
 		// The root holds no atoms: fill its two child subtrees, skipping the
 		// root slot itself (DESIGN.md: rooted variant of Algorithm 2).
 		depth := 0
 		for capacityBelowRoot(depth) < len(atoms) {
 			depth++
 		}
-		capLeft := subtreeCapacity(depth)
-		nLeft := len(atoms)
-		if nLeft > capLeft {
-			nLeft = capLeft
+		nLeft := min(len(atoms), subtreeCapacity(depth))
+		n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth)
+		n.kids[1] = t.buildCanonical(slot{node: h}, 1, atoms[nLeft:], depth)
+		l, r := t.node(n.kids[0]), t.node(n.kids[1])
+		t.bubble(h, 0, int(l.nodes+r.nodes), 0, int(l.emptyN+r.emptyN))
+		if depth > t.height {
+			t.height = depth
 		}
-		n.left = buildCanonical(n, nil, 0, atoms[:nLeft], depth)
-		n.right = buildCanonical(n, nil, 1, atoms[nLeft:], depth)
-		dn, de := 0, 0
-		if n.left != nil {
-			dn += n.left.nodes
-			de += n.left.emptyN
-		}
-		if n.right != nil {
-			dn += n.right.nodes
-			de += n.right.emptyN
-		}
-		t.bubbleCounts(n, 0, dn)
-		bubbleEmpty(n, de)
-		if d := n.depth() + depth; d > t.height {
-			t.height = d
-		}
-		return
+		return nil
 	}
 	// Non-root region: the region root node itself holds the appropriate
 	// infix atom, exactly as Algorithm 2 assigns identifiers.
@@ -169,13 +181,13 @@ func (t *Tree) explodeNode(n *Node) {
 	for subtreeCapacity(depth) < len(atoms) {
 		depth++
 	}
-	fillCanonical(n, atoms, depth)
-	t.bubbleCounts(n.parent, 0, n.nodes)
-	bubbleEmpty(n.parent, n.emptyN)
+	t.fillCanonical(h, atoms, depth)
+	t.bubble(n.parent, 0, int(n.nodes), 0, int(n.emptyN))
 	n.lastMod = t.rev
-	if d := n.depth() + depth - 1; d > t.height {
+	if d := t.depth(h) + depth - 1; d > t.height {
 		t.height = d
 	}
+	return nil
 }
 
 // subtreeCapacity returns the atom capacity of a complete subtree of the
@@ -193,80 +205,80 @@ func capacityBelowRoot(depth int) int {
 	return 2 * subtreeCapacity(depth)
 }
 
-// fillCanonical populates existing node n as the root of a canonical
-// complete subtree of the given depth holding atoms in infix order. n must
-// have no minis or children. It sets n's subtree counts but does not touch
-// ancestors.
-func fillCanonical(n *Node, atoms []string, depth int) {
-	capChild := subtreeCapacity(depth - 1)
-	nLeft := len(atoms)
-	if nLeft > capChild {
-		nLeft = capChild
-	}
+// fillCanonical populates existing node h as the root of a canonical
+// complete subtree of the given depth holding atoms in infix order. The node
+// must have no minis or children. It sets the node's subtree counts but does
+// not touch ancestors.
+func (t *Tree) fillCanonical(h nodeH, atoms []string, depth int) {
+	n := t.node(h)
+	nLeft := min(len(atoms), subtreeCapacity(depth-1))
 	rest := atoms[nLeft:]
-	n.live = len(atoms)
-	n.nodes = 1
-	n.dead = 0
-	n.emptyN = 0
-	if nLeft > 0 {
-		n.left = buildCanonical(n, nil, 0, atoms[:nLeft], depth-1)
-		n.nodes += n.left.nodes
-		n.emptyN += n.left.emptyN
-	}
+	n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth-1)
 	if len(rest) > 0 {
-		m := n.insertMini(ident.Canonical)
-		m.atom = rest[0]
+		t.mini(t.insertMini(n, ident.Canonical)).atom = rest[0]
 		rest = rest[1:]
 	}
-	if len(rest) > 0 {
-		n.right = buildCanonical(n, nil, 1, rest, depth-1)
-		n.nodes += n.right.nodes
-		n.emptyN += n.right.emptyN
-	}
+	n.kids[1] = t.buildCanonical(slot{node: h}, 1, rest, depth-1)
+	l, r := t.node(n.kids[0]), t.node(n.kids[1])
+	n.live = uint32(len(atoms))
+	n.nodes = 1 + l.nodes + r.nodes
+	n.dead = 0
+	n.emptyN = l.emptyN + r.emptyN
 	if n.empty() {
 		n.emptyN++
 	}
 }
 
 // buildCanonical allocates the canonical complete subtree for atoms (in
-// infix order) as the bit-child of parent/pmini, returning the new node.
-func buildCanonical(parent *Node, pmini *Mini, bit uint8, atoms []string, depth int) *Node {
+// infix order) as the bit-child of slot s, returning the new node, or 0 for
+// no atoms.
+func (t *Tree) buildCanonical(s slot, bit uint8, atoms []string, depth int) nodeH {
 	if len(atoms) == 0 {
-		return nil
+		return 0
 	}
-	n := &Node{parent: parent, pmini: pmini, bit: bit}
-	fillCanonical(n, atoms, depth)
-	return n
+	h := t.newNode(s, bit)
+	t.fillCanonical(h, atoms, depth)
+	return h
 }
 
 // Flatten replaces the subtree rooted at the node designated by path with a
 // flat atom array holding its live content (Algorithm 2's flatten): all
-// tombstones and identifier metadata in the region are discarded. The path
-// must designate a major node: the empty path (whole document) or a
-// structural path ending in a Major element; an atom identifier's node is
-// addressed by its StripLastDis form.
+// tombstones and identifier metadata in the region are discarded, and the
+// region's node and mini records go back to the slabs' free lists — or,
+// when the region is the whole document, the slabs are reset and every
+// chunk is dropped. The path must designate a major node: the empty path
+// (whole document) or a structural path ending in a Major element; an atom
+// identifier's node is addressed by its StripLastDis form.
 //
 // Flatten is a structural clean-up, not a CRDT operation: callers must
 // establish that no concurrent edits target the region (internal/commit
 // implements the paper's commitment protocol for this).
 func (t *Tree) Flatten(path ident.Path) error {
-	n, err := t.walkNode(path)
+	h, err := t.walkNode(path)
 	if err != nil {
 		return err
 	}
 	t.cacheDrop()
+	n := t.node(h)
 	atoms := make([]string, 0, n.live)
-	collectLive(n, &atoms)
-	removedNodes, removedDead, removedEmpty := n.nodes, n.dead, n.emptyN
-	n.left, n.right, n.minis = nil, nil, nil
-	n.flat = atoms
-	n.nodes = 0
-	n.dead = 0
-	n.emptyN = 0
-	t.bubble(n.parent, 0, -removedNodes, -removedDead)
-	bubbleEmpty(n.parent, -removedEmpty)
+	t.collectLive(h, &atoms)
+	if h == rootH {
+		t.nodes.reset()
+		t.minis.reset()
+		t.flats, t.flatFree = nil, nil
+		t.nodes.alloc() // rootH again
+		n = t.node(rootH)
+		n.live = uint32(len(atoms))
+		t.height = 0
+	} else {
+		removedNodes, removedDead, removedEmpty := int(n.nodes), int(n.dead), int(n.emptyN)
+		t.releaseBelow(n)
+		n.nodes, n.dead, n.emptyN = 0, 0, 0
+		t.bubble(n.parent, 0, -removedNodes, -removedDead, -removedEmpty)
+		t.height = t.maxDepth(rootH, 0)
+	}
+	t.setFlat(n, atoms)
 	n.lastMod = t.rev
-	t.recomputeHeight()
 	return nil
 }
 
@@ -275,82 +287,102 @@ func (t *Tree) Flatten(path ident.Path) error {
 // overhead".
 func (t *Tree) FlattenAll() error { return t.Flatten(ident.Path{}) }
 
+// releaseBelow detaches everything under n — children, minis and their
+// children, a flat array — and returns the records to the free lists. n
+// itself stays.
+func (t *Tree) releaseBelow(n *node) {
+	if n.flat != 0 {
+		t.takeFlat(n)
+	}
+	t.releaseSubtree(n.kids[0])
+	t.releaseSubtree(n.kids[1])
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
+		next := m.next
+		t.releaseSubtree(m.kids[0])
+		t.releaseSubtree(m.kids[1])
+		t.minis.release(uint32(mh))
+		mh = next
+	}
+	n.kids[0], n.kids[1], n.first = 0, 0, 0
+}
+
+func (t *Tree) releaseSubtree(h nodeH) {
+	if h == 0 {
+		return
+	}
+	t.releaseBelow(t.node(h))
+	t.nodes.release(uint32(h))
+}
+
 // walkNode locates the major node designated by a structural path (empty =
 // root, otherwise every element including the last is followed; a final
 // Major element selects the node itself).
-func (t *Tree) walkNode(p ident.Path) (*Node, error) {
-	cur := slot{node: t.root}
+func (t *Tree) walkNode(p ident.Path) (nodeH, error) {
+	cur := slot{node: rootH}
 	for i, e := range p {
-		if cur.node.flat != nil {
-			t.explodeNode(cur.node)
+		if err := t.explodeNode(cur.node); err != nil {
+			return 0, err
 		}
-		next := cur.child(e.Bit)
-		if next == nil {
-			return nil, errNotFound
+		next := t.kids(cur)[e.Bit]
+		if next == 0 {
+			return 0, errNotFound
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		if next.flat != nil {
-			t.explodeNode(next)
+		if err := t.explodeNode(next); err != nil {
+			return 0, err
 		}
-		m := next.findMini(e.Dis)
-		if m == nil {
-			return nil, errNotFound
+		m := t.findMini(t.node(next), e.Dis)
+		if m == 0 {
+			return 0, errNotFound
 		}
 		if i == len(p)-1 {
-			return nil, fmt.Errorf("doctree: path %v designates a mini-node, not a major node", p)
+			return 0, fmt.Errorf("doctree: path %v designates a mini-node, not a major node", p)
 		}
 		cur = slot{node: next, mini: m}
 	}
 	return cur.node, nil
 }
 
-// collectLive appends the live atoms of n's subtree in infix order.
-func collectLive(n *Node, out *[]string) {
-	if n == nil {
+// collectLive appends the live atoms of h's subtree in infix order.
+func (t *Tree) collectLive(h nodeH, out *[]string) {
+	if h == 0 {
 		return
 	}
-	if n.flat != nil {
-		*out = append(*out, n.flat...)
+	n := t.node(h)
+	if n.flat != 0 {
+		*out = append(*out, t.flats[n.flat-1]...)
 		return
 	}
-	collectLive(n.left, out)
-	for _, m := range n.minis {
-		collectLive(m.left, out)
+	t.collectLive(n.kids[0], out)
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
+		t.collectLive(m.kids[0], out)
 		if !m.dead {
 			*out = append(*out, m.atom)
 		}
-		collectLive(m.right, out)
+		t.collectLive(m.kids[1], out)
+		mh = m.next
 	}
-	collectLive(n.right, out)
+	t.collectLive(n.kids[1], out)
 }
 
-// recomputeHeight walks the tree to refresh the cached height after a
-// structural clean-up removed nodes.
-func (t *Tree) recomputeHeight() {
-	t.height = maxDepth(t.root, 0)
-}
-
-func maxDepth(n *Node, d int) int {
-	if n == nil {
+// maxDepth returns the depth of the deepest node under h, itself at depth d
+// (d-1 for no node): the height refresh after a structural clean-up removed
+// nodes.
+func (t *Tree) maxDepth(h nodeH, d int) int {
+	if h == 0 {
 		return d - 1
 	}
-	best := d
-	if h := maxDepth(n.left, d+1); h > best {
-		best = h
-	}
-	if h := maxDepth(n.right, d+1); h > best {
-		best = h
-	}
-	for _, m := range n.minis {
-		if h := maxDepth(m.left, d+1); h > best {
-			best = h
-		}
-		if h := maxDepth(m.right, d+1); h > best {
-			best = h
-		}
+	n := t.node(h)
+	best := max(d, t.maxDepth(n.kids[0], d+1), t.maxDepth(n.kids[1], d+1))
+	for mh := n.first; mh != 0; {
+		m := t.mini(mh)
+		best = max(best, t.maxDepth(m.kids[0], d+1), t.maxDepth(m.kids[1], d+1))
+		mh = m.next
 	}
 	return best
 }

@@ -131,7 +131,13 @@ func (p Path) ValidateFrom(skip int) error {
 			return fmt.Errorf("ident: element %d has bit %d (want 0 or 1)", i, e.Bit)
 		}
 		switch e.Kind {
-		case Major, Mini:
+		case Major:
+		case Mini:
+			// The tree stores a site in 48 bits; a wider one would alias
+			// another site's disambiguator there.
+			if e.Dis.Site > MaxSiteID {
+				return fmt.Errorf("ident: element %d has site %d beyond 2^48-1", i, e.Dis.Site)
+			}
 		default:
 			return fmt.Errorf("ident: element %d has invalid kind %d", i, e.Kind)
 		}
@@ -152,7 +158,13 @@ func (p Path) ValidateStructural() error {
 			return fmt.Errorf("ident: element %d has bit %d (want 0 or 1)", i, e.Bit)
 		}
 		switch e.Kind {
-		case Major, Mini:
+		case Major:
+		case Mini:
+			// The tree stores a site in 48 bits; a wider one would alias
+			// another site's disambiguator there.
+			if e.Dis.Site > MaxSiteID {
+				return fmt.Errorf("ident: element %d has site %d beyond 2^48-1", i, e.Dis.Site)
+			}
 		default:
 			return fmt.Errorf("ident: element %d has invalid kind %d", i, e.Kind)
 		}

@@ -201,6 +201,18 @@ func TestValidate(t *testing.T) {
 	if err := (Path{{Bit: 0, Kind: 0}}).Validate(); err == nil {
 		t.Error("kind 0 validated")
 	}
+	// The tree stores sites in 48 bits: a wider one must stop here, in
+	// atom identifiers and structural paths alike.
+	wide := M(1, Dis{Site: MaxSiteID + 1})
+	if err := (Path{wide}).Validate(); err == nil {
+		t.Error("49-bit site validated")
+	}
+	if err := (Path{wide, J(0)}).ValidateStructural(); err == nil {
+		t.Error("49-bit site validated in a structural path")
+	}
+	if err := (Path{M(1, Dis{Site: MaxSiteID})}).Validate(); err != nil {
+		t.Errorf("48-bit site rejected: %v", err)
+	}
 }
 
 func TestPathHelpers(t *testing.T) {

@@ -307,7 +307,7 @@ func Measure(t *doctree.Tree) Measurement {
 	m := Measurement{TotalBytes: len(buf)}
 	*bp = buf[:0]
 	encScratch.Put(bp)
-	t.VisitLive(func(_ int, a string, _ *doctree.Mini) bool {
+	t.VisitLive(func(_ int, a string) bool {
 		m.AtomBytes += len(a)
 		return true
 	})
