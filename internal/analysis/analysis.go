@@ -5,7 +5,7 @@
 // The x/tools module is deliberately not imported — the repository builds
 // offline from the standard library alone — so this package provides just
 // the surface the treedoc-vet analyzers need: parsed syntax (including
-// test files for the fuzz-coverage checks), full type information for the
+// test files), full type information for the
 // non-test package, position-addressed diagnostics, and a loader
 // (load.go) that resolves imports through the stdlib source importer.
 // Should the repo ever vendor x/tools, each analyzer's Run function ports
@@ -19,7 +19,8 @@
 //     mutex held on the syntactic path
 //   - actoronly: fields commented "actor-owned" are touched only from the
 //     actor loop's call tree
-//   - framekinds: every kind* wire constant is encoded, decoded and fuzzed
+//   - framekinds: every kind* wire constant keys one row of the frame
+//     table, whose constructor returns a type with a wire method
 //   - errwrap: exported functions don't leak other packages' bare errors
 package analysis
 
@@ -52,9 +53,9 @@ type Pass struct {
 	// Files is the type-checked, non-test syntax of the package.
 	Files []*ast.File
 	// TestFiles is the parsed (not type-checked) syntax of the package's
-	// _test.go files, in-package and external alike. Analyzers that only
-	// need syntactic presence — framekinds' fuzz-target check — read it;
-	// nothing here resolves identifiers in test files.
+	// _test.go files, in-package and external alike, for checks that only
+	// need syntactic presence (the fixture runner reads their want
+	// comments); nothing here resolves identifiers in test files.
 	TestFiles []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info

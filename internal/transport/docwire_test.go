@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,39 +21,6 @@ func TestValidateDocID(t *testing.T) {
 		if err := ValidateDocID(bad); err == nil {
 			t.Errorf("ValidateDocID(%q) accepted", bad)
 		}
-	}
-}
-
-func TestDocFrameRoundTrip(t *testing.T) {
-	inner, err := EncodeSyncReq(7, vclock.VC{7: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := EncodeDocFrame("notes", inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, got, err := SplitDocFrame(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc != "notes" || !bytes.Equal(got, inner) {
-		t.Fatalf("split (%q, %x), want (notes, %x)", doc, got, inner)
-	}
-	decoded, err := DecodeFrame(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, ok := decoded.(*DocFrame)
-	if !ok {
-		t.Fatalf("decoded %T, want *DocFrame", decoded)
-	}
-	if df.Doc != "notes" || !bytes.Equal(df.Inner, inner) {
-		t.Fatalf("decoded %+v", df)
-	}
-	// The inner frame decodes independently.
-	if _, err := DecodeFrame(df.Inner); err != nil {
-		t.Fatalf("inner frame rejected: %v", err)
 	}
 }
 
@@ -90,7 +56,7 @@ func TestDocFrameCarriesSnapshots(t *testing.T) {
 	// the snap ceiling plus the envelope overhead, and WriteFrame/ReadFrame
 	// must round-trip it.
 	data := bytes.Repeat([]byte{0xAB}, MaxSnapFrameSize-1024)
-	inner, err := EncodeSnapChunk(3, vclock.VC{3: 9}, uint64(len(data)), 0, data)
+	inner, err := encodeFrame(kindSnapChunk, &SnapChunkFrame{From: 3, Version: vclock.VC{3: 9}, Total: uint64(len(data)), Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,74 +74,6 @@ func TestDocFrameCarriesSnapshots(t *testing.T) {
 	}
 	if !bytes.Equal(got, env) {
 		t.Fatal("oversized envelope corrupted in transit")
-	}
-}
-
-func TestHelloRoundTrip(t *testing.T) {
-	docs := []string{"notes", "design", "default"}
-	frame, err := EncodeHello(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hf, ok := decoded.(*HelloFrame)
-	if !ok {
-		t.Fatalf("decoded %T, want *HelloFrame", decoded)
-	}
-	if !reflect.DeepEqual(hf.Docs, docs) {
-		t.Fatalf("round trip: %v", hf.Docs)
-	}
-	if _, err := EncodeHello(nil); err == nil {
-		t.Fatal("empty doc list accepted")
-	}
-	if _, err := EncodeHello([]string{"bad doc"}); err == nil {
-		t.Fatal("invalid doc id accepted")
-	}
-}
-
-func TestDetachRoundTrip(t *testing.T) {
-	frame, err := EncodeDetach([]string{"notes"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, ok := decoded.(*DetachFrame)
-	if !ok {
-		t.Fatalf("decoded %T, want *DetachFrame", decoded)
-	}
-	if !reflect.DeepEqual(df.Docs, []string{"notes"}) {
-		t.Fatalf("round trip: %v", df.Docs)
-	}
-}
-
-func TestHelloRespRoundTrip(t *testing.T) {
-	entries := []HelloEntry{
-		{Doc: "notes"},
-		{Doc: "design", Redirect: "10.0.0.2:9707"},
-	}
-	frame, err := EncodeHelloResp(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, ok := decoded.(*HelloRespFrame)
-	if !ok {
-		t.Fatalf("decoded %T, want *HelloRespFrame", decoded)
-	}
-	if !reflect.DeepEqual(hr.Entries, entries) {
-		t.Fatalf("round trip: %+v", hr.Entries)
-	}
-	if _, err := EncodeHelloResp([]HelloEntry{{Doc: "x", Redirect: strings.Repeat("a", maxRedirectAddr+1)}}); err == nil {
-		t.Fatal("oversized redirect accepted")
 	}
 }
 
@@ -223,77 +121,4 @@ func TestHubClosesBareFrameClient(t *testing.T) {
 	if st, ok := stats["scoped"]; len(stats) != 1 || !ok || st.Clients != 1 || st.Relays != 0 {
 		t.Fatalf("bare frame minted a relay group or reached an attached client: %+v", stats)
 	}
-}
-
-// FuzzDocFrame fuzzes the doc-scoped envelope and handshake decoders: the
-// decoder must never panic, and anything it accepts must re-encode to an
-// equivalent frame.
-func FuzzDocFrame(f *testing.F) {
-	if inner, err := EncodeSyncReq(3, vclock.VC{1: 5}); err == nil {
-		if env, err := EncodeDocFrame("notes", inner); err == nil {
-			f.Add(env)
-		}
-	}
-	if frame, err := EncodeHello([]string{"a", "b"}); err == nil {
-		f.Add(frame)
-	}
-	if frame, err := EncodeHelloResp([]HelloEntry{{Doc: "a"}, {Doc: "b", Redirect: "h:1"}}); err == nil {
-		f.Add(frame)
-	}
-	if frame, err := EncodeDetach([]string{"a"}); err == nil {
-		f.Add(frame)
-	}
-	f.Add([]byte{kindDocFrame, 0x01, 'a', kindSyncReq})
-	f.Add([]byte{kindHello, 0x01, 0x01, 'a'})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := DecodeFrame(data)
-		if err != nil {
-			return
-		}
-		switch d := decoded.(type) {
-		case *DocFrame:
-			re, err := EncodeDocFrame(d.Doc, d.Inner)
-			if err != nil {
-				t.Fatalf("accepted doc frame failed to re-encode: %v", err)
-			}
-			doc, inner, err := SplitDocFrame(re)
-			if err != nil {
-				t.Fatalf("re-encoded doc frame rejected: %v", err)
-			}
-			if doc != d.Doc || !bytes.Equal(inner, d.Inner) {
-				t.Fatal("doc frame not stable under re-encoding")
-			}
-		case *HelloFrame:
-			enc := EncodeHello
-			if d.Forward {
-				enc = EncodeHelloForward
-			}
-			re, err := enc(d.Docs)
-			if err != nil {
-				t.Fatalf("accepted hello failed to re-encode: %v", err)
-			}
-			again, err := DecodeFrame(re)
-			if err != nil || !reflect.DeepEqual(again, decoded) {
-				t.Fatalf("hello not stable under re-encoding: %v", err)
-			}
-		case *HelloRespFrame:
-			re, err := EncodeHelloResp(d.Entries)
-			if err != nil {
-				t.Fatalf("accepted hello resp failed to re-encode: %v", err)
-			}
-			again, err := DecodeFrame(re)
-			if err != nil || !reflect.DeepEqual(again, decoded) {
-				t.Fatalf("hello resp not stable under re-encoding: %v", err)
-			}
-		case *DetachFrame:
-			re, err := EncodeDetach(d.Docs)
-			if err != nil {
-				t.Fatalf("accepted detach failed to re-encode: %v", err)
-			}
-			again, err := DecodeFrame(re)
-			if err != nil || !reflect.DeepEqual(again, decoded) {
-				t.Fatalf("detach not stable under re-encoding: %v", err)
-			}
-		}
-	})
 }

@@ -966,7 +966,7 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 	// op replay (at most one request per sync tick).
 	if e.snap != nil && e.snapThreshold > 0 && !e.snapReqSent &&
 		gap(req.Clock, e.buf.Clock()) >= uint64(e.snapThreshold) {
-		if f, err := EncodeSnapReq(e.site, e.buf.Clock()); err == nil {
+		if f, err := encodeFrame(kindSnapReq, &SnapReqFrame{From: e.site, Clock: e.buf.Clock()}); err == nil {
 			from.trySend(f)
 			e.snapReqSent = true
 		}
@@ -1277,7 +1277,7 @@ func directed(to *peer, dst ident.SiteID, frame []byte) []byte {
 	if !to.routes || dst == 0 {
 		return frame
 	}
-	if f, err := EncodeReplay(dst, frame); err == nil {
+	if f, err := encodeReplay(dst, frame); err == nil {
 		return f
 	}
 	return frame

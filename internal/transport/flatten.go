@@ -269,11 +269,7 @@ func (e *Engine) startProposal(path ident.Path) {
 	st := e.fl
 	obs := e.buf.Clock()
 	tx, _ := st.coord.Propose(path, obs, e.participants(), e.nowMs(), e.flattenTimeout.Milliseconds())
-	if frame, err := EncodeFlatPropose(e.site, tx.N, path, obs); err == nil {
-		e.fanout(frame)
-	} else {
-		e.wireErrs.Add(1)
-	}
+	e.fanoutFrame(kindFlatPropose, &FlatProposeFrame{From: e.site, N: tx.N, Path: path, Obs: obs})
 	yes := e.prepareOnActor(commit.Msg{Kind: commit.Prepare, Tx: tx, Path: path, Obs: obs})
 	e.processCoordOuts(st.coord.OnVote(e.site, commit.Msg{Kind: commit.Vote, Tx: tx, Yes: yes}))
 }
@@ -364,7 +360,13 @@ func (e *Engine) handleFlatPropose(f *FlatProposeFrame) {
 
 // sendVote broadcasts a vote frame; only the coordinator consumes it.
 func (e *Engine) sendVote(tx commit.TxID, yes bool) {
-	frame, err := EncodeFlatVote(e.site, tx.Coord, tx.N, yes)
+	e.fanoutFrame(kindFlatVote, &FlatVoteFrame{From: e.site, Coord: tx.Coord, N: tx.N, Yes: yes})
+}
+
+// fanoutFrame encodes one commitment frame and sends it to every live
+// peer; a value that will not encode is counted and sent to no one.
+func (e *Engine) fanoutFrame(kind byte, f frame) {
+	frame, err := encodeFrame(kind, f)
 	if err != nil {
 		e.wireErrs.Add(1)
 		return
@@ -396,7 +398,7 @@ func (e *Engine) handleFlatVote(f *FlatVoteFrame, from *peer) {
 		return
 	}
 	dec := st.decided[tx] // zero value = presumed abort
-	if frame, err := EncodeFlatDecision(e.site, f.N, dec.committed, dec.seq, nil); err == nil {
+	if frame, err := encodeFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: f.N, Commit: dec.committed, Seq: dec.seq}); err == nil {
 		from.trySend(frame)
 	} else {
 		e.wireErrs.Add(1)
@@ -485,11 +487,7 @@ func (e *Engine) decideLocal(m commit.Msg) {
 	}
 	e.flattensAborted.Add(1)
 	st.remember(m.Tx, decision{})
-	if frame, err := EncodeFlatDecision(e.site, m.Tx.N, false, 0, m.Path); err == nil {
-		e.fanout(frame)
-	} else {
-		e.wireErrs.Add(1)
-	}
+	e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: m.Tx.N, Path: m.Path})
 	e.releaseLock(m.Tx, false)
 }
 
@@ -526,9 +524,7 @@ func (e *Engine) mintPendingFlattens() {
 			// holding locks must not wait for one.
 			e.setErr(fmt.Errorf("transport: flatten commit %v at %v: %w", pc.tx, pc.path, err))
 			st.remember(pc.tx, decision{})
-			if frame, ferr := EncodeFlatDecision(e.site, pc.tx.N, false, 0, pc.path); ferr == nil {
-				e.fanout(frame)
-			}
+			e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: pc.tx.N, Path: pc.path})
 		} else {
 			m := e.buf.Stamp(op)
 			e.record(m)
@@ -537,11 +533,7 @@ func (e *Engine) mintPendingFlattens() {
 			// it: participants release their locks once their clocks cover
 			// (site, seq), even if the op reaches them inside a snapshot.
 			st.remember(pc.tx, decision{committed: true, seq: op.Seq})
-			if frame, ferr := EncodeFlatDecision(e.site, pc.tx.N, true, op.Seq, pc.path); ferr == nil {
-				e.fanout(frame)
-			} else {
-				e.wireErrs.Add(1)
-			}
+			e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: pc.tx.N, Commit: true, Seq: op.Seq, Path: pc.path})
 			e.afterFlattenApplied()
 		}
 		e.releaseLock(pc.tx, true)

@@ -1,0 +1,117 @@
+package transport
+
+import (
+	"testing"
+
+	"github.com/treedoc/treedoc/internal/causal"
+	"github.com/treedoc/treedoc/internal/core"
+	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/vclock"
+)
+
+// frameSample is one valid frame value with the bytes it encoded to at the
+// commit before the frame table existed (PR 15, 4d74ac7): the proof that
+// the table-driven codec did not move a byte on the wire. Every test that
+// needs "a frame of kind K" takes it from frameSamples.
+type frameSample struct {
+	name string
+	kind byte
+	f    frame
+	hex  string
+}
+
+// structuralPath builds a valid flatten subtree path: walk right, then
+// left, ending at a major node.
+func structuralPath() ident.Path {
+	return ident.Path{
+		{Bit: 1, Kind: ident.Major},
+		{Bit: 0, Kind: ident.Major},
+	}
+}
+
+func testBatchEntries() []SyncBatchEntry {
+	return []SyncBatchEntry{
+		{Doc: "notes", From: 3, Clock: vclock.VC{1: 5, 3: 9}},
+		{Doc: "todo", From: 7, Clock: vclock.VC{7: 1}},
+		{Doc: "a-b.c", From: 1, Clock: vclock.VC{1: 1 << 40, 2: 2}},
+	}
+}
+
+// sampleMsgs is a hand-built insert and delete, so the golden bytes depend
+// on the wire layout alone and not on how a document allocates
+// identifiers.
+func sampleMsgs() []causal.Message {
+	return []causal.Message{
+		{From: 7, TS: vclock.VC{2: 9, 7: 3}, Payload: core.Op{
+			Kind: core.OpInsert, Site: 7, Seq: 3, Atom: "é",
+			ID: ident.Path{{Bit: 1, Kind: ident.Major}, ident.M(0, ident.Dis{Counter: 4, Site: 7})},
+		}},
+		{From: 7, TS: vclock.VC{2: 9, 7: 4}, Payload: core.Op{
+			Kind: core.OpDelete, Site: 7, Seq: 4,
+			ID: ident.Path{ident.M(1, ident.Dis{Site: 2})},
+		}},
+	}
+}
+
+// mustEncode encodes a frame the caller knows to be valid.
+func mustEncode(t testing.TB, kind byte, f frame) []byte {
+	t.Helper()
+	b, err := encodeFrame(kind, f)
+	if err != nil {
+		t.Fatalf("encode %T: %v", f, err)
+	}
+	return b
+}
+
+// frameSamples returns one or more valid values per kind: both flag states
+// of the two flagged kinds, the ring query, both decision outcomes, and an
+// envelope around a replay around ops.
+func frameSamples(t testing.TB) []frameSample {
+	digest := mustEncode(t, kindSyncReq, &SyncReqFrame{From: 7, Clock: vclock.VC{7: 4}})
+	ops := mustEncode(t, kindOps, &OpsFrame{Msgs: sampleMsgs()})
+	chunk := mustEncode(t, kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.VC{2: 8}, Total: 64, Offset: 16, Data: []byte("chunk-bytes")})
+	return []frameSample{
+		{"ops", kindOps, &OpsFrame{Msgs: sampleMsgs()}, "0102070202090703010703020104040702c3a907020209070402070401050002"},
+		{"ops-empty", kindOps, &OpsFrame{Msgs: []causal.Message{}}, "0100"},
+		{"syncreq", kindSyncReq, &SyncReqFrame{From: 3, Clock: vclock.VC{1: 5, 9: 2, ident.MaxSiteID: 7}}, "02030301050902ffffffffffff3f07"},
+		{"snapreq", kindSnapReq, &SnapReqFrame{From: 4, Clock: vclock.VC{1: 5, 9: 2}}, "03040201050902"},
+		{"flatpropose", kindFlatPropose, &FlatProposeFrame{From: 3, N: 12, Path: structuralPath(), Obs: vclock.VC{3: 41, 9: 7}}, "05030c0201000203290907"},
+		{"flatpropose-root", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: ident.Path{}, Obs: vclock.VC{3: 9}}, "05030100010309"},
+		{"flatvote-yes", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12, Yes: true}, "0605030c01"},
+		{"flatvote-no", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12}, "0605030c00"},
+		{"flatdecision-commit", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 12, Commit: true, Seq: 77, Path: structuralPath()}, "07030c014d020100"},
+		{"flatdecision-abort", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 12, Path: structuralPath()}, "07030c0000020100"},
+		{"snapchunk", kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.VC{2: 9, 4: 1}, Total: 5000, Offset: 2000, Data: []byte("0123456789abcdef")}, "080202020904018827d00f30313233343536373839616263646566"},
+		{"docframe", kindDocFrame, &DocFrame{Doc: "notes", Inner: digest}, "09056e6f7465730207010704"},
+		{"docframe-replay-ops", kindDocFrame, &DocFrame{Doc: "a-b.c", Inner: mustEncode(t, kindReplay, &ReplayFrame{To: 42, Inner: ops})}, "0905612d622e63132a0102070202090703010703020104040702c3a907020209070402070401050002"},
+		{"hello", kindHello, &HelloFrame{Docs: []string{"notes", "design", "default"}}, "0a03056e6f7465730664657369676e0764656661756c74"},
+		{"hello-forward", kindHello, &HelloFrame{Docs: []string{"notes"}, Forward: true}, "0a01056e6f74657301"},
+		{"helloresp", kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: "notes"}, {Doc: "design", Redirect: "10.0.0.2:9707"}}}, "0b02056e6f74657300000664657369676e0d31302e302e302e323a3937303700"},
+		{"helloresp-epoch", kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: "notes", Epoch: 3}, {Doc: "design", Redirect: "10.0.0.2:9707", Epoch: 3}}}, "0b02056e6f74657300030664657369676e0d31302e302e302e323a3937303703"},
+		{"detach", kindDetach, &DetachFrame{Docs: []string{"notes"}}, "0c01056e6f746573"},
+		{"ring", kindRingAnnounce, &RingFrame{Epoch: 9, Nodes: []string{"10.0.0.1:9707", "10.0.0.2:9707"}}, "0d09020d31302e302e302e313a393730370d31302e302e302e323a39373037"},
+		{"ring-query", kindRingAnnounce, &RingFrame{}, "0d0000"},
+		{"forward", kindForward, &ForwardFrame{Doc: "notes", Inner: digest}, "0e056e6f7465730207010704"},
+		{"handoffbegin", kindHandoffBegin, &HandoffBeginFrame{Doc: "notes", Epoch: 4}, "0f056e6f74657304"},
+		{"handoffstate", kindHandoffState, &HandoffStateFrame{Doc: "notes", Inner: chunk}, "10056e6f746573080201020840106368756e6b2d6279746573"},
+		{"handoffdone", kindHandoffDone, &HandoffDoneFrame{Doc: "notes", Epoch: 4}, "11056e6f74657304"},
+		{"syncbatch", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()}, "1203056e6f74657303020105030904746f646f0701070105612d622e630102018080808080200202"},
+		{"syncbatch-forwarded", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()[:1], Forwarded: true}, "1201056e6f74657303020105030901"},
+		{"syncbatch-wide", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "x", From: 1, Clock: vclock.VC{1: 1, 2: 2, 3: 3}}}}, "120101780103010102020303"},
+		{"replay", kindReplay, &ReplayFrame{To: 42, Inner: digest}, "132a0207010704"},
+		{"replay-chunk", kindReplay, &ReplayFrame{To: ident.MaxSiteID, Inner: chunk}, "13ffffffffffff3f080201020840106368756e6b2d6279746573"},
+	}
+}
+
+// samplesOf returns the samples of the given kinds.
+func samplesOf(t testing.TB, kinds ...byte) []frameSample {
+	var out []frameSample
+	for _, s := range frameSamples(t) {
+		for _, k := range kinds {
+			if s.kind == k {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}

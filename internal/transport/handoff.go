@@ -189,7 +189,7 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 	}
 	h.mu.Unlock()
 
-	if ann, err := EncodeRingAnnounce(ring.Epoch, ring.Nodes); err == nil {
+	if ann, err := encodeRing(ring); err == nil {
 		for _, p := range mesh {
 			p.trySend(ann)
 		}
@@ -306,7 +306,7 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 	}
 	h.mu.Unlock()
 	if !ownedAgain {
-		if resp, err := EncodeHelloResp([]HelloEntry{{Doc: doc, Redirect: target, Epoch: curEpoch}}); err == nil {
+		if resp, err := encodeFrame(kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: doc, Redirect: target, Epoch: curEpoch}}}); err == nil {
 			for _, c := range attached {
 				select {
 				case c.out <- resp:
@@ -358,11 +358,11 @@ func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent boo
 	ring := h.ring
 	h.mu.Unlock()
 	if ring != nil {
-		if ann, err := EncodeRingAnnounce(ring.Epoch, ring.Nodes); err == nil {
+		if ann, err := encodeRing(ring); err == nil {
 			p.send(ann, deadline)
 		}
 	}
-	begin, err := EncodeHandoffBegin(doc, epoch)
+	begin, err := encodeFrame(kindHandoffBegin, &HandoffBeginFrame{Doc: doc, Epoch: epoch})
 	if err != nil {
 		return false, err
 	}
@@ -377,13 +377,13 @@ func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent boo
 			// Close the bracket even on a partial stream: the receiver's
 			// consumers tolerate gaps (anti-entropy), and the Done lets it
 			// log the handoff as delimited.
-			if done, derr := EncodeHandoffDone(doc, epoch); derr == nil {
+			if done, derr := encodeFrame(kindHandoffDone, &HandoffDoneFrame{Doc: doc, Epoch: epoch}); derr == nil {
 				p.send(done, deadline)
 			}
 			return true, err
 		}
 	}
-	done, err := EncodeHandoffDone(doc, epoch)
+	done, err := encodeFrame(kindHandoffDone, &HandoffDoneFrame{Doc: doc, Epoch: epoch})
 	if err != nil {
 		return true, err
 	}
@@ -406,7 +406,7 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline t
 		return fmt.Errorf("handoff source: %w", err)
 	}
 	_, err = stateFrames(src.Site(), snap, version, suffix, func(inner []byte) error {
-		env, err := EncodeHandoffState(doc, inner)
+		env, err := encodeEnvelope(kindHandoffState, doc, inner)
 		if err != nil {
 			return err
 		}
@@ -416,6 +416,11 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline t
 		return nil
 	})
 	return err
+}
+
+// encodeRing encodes a ring as the kindRingAnnounce frame announcing it.
+func encodeRing(ring *shardmap.Ring) ([]byte, error) {
+	return encodeFrame(kindRingAnnounce, &RingFrame{Epoch: ring.Epoch, Nodes: ring.Nodes})
 }
 
 // handleRingFrame answers ring queries and adopts announces with a higher
@@ -429,11 +434,11 @@ func (h *Hub) handleRingFrame(c *hubConn, rf *RingFrame) {
 		var err error
 		switch {
 		case ring != nil:
-			resp, err = EncodeRingAnnounce(ring.Epoch, ring.Nodes)
+			resp, err = encodeRing(ring)
 		case self != "":
 			// No ring yet: a single-hub deployment answers epoch 0 with just
 			// itself, which a joiner turns into the epoch-1 two-node ring.
-			resp, err = EncodeRingAnnounce(0, []string{self})
+			resp, err = encodeFrame(kindRingAnnounce, &RingFrame{Nodes: []string{self}})
 		default:
 			h.logf("hub: client %d queried the ring but this hub has no advertised self address", c.id)
 			return
@@ -473,7 +478,7 @@ func (h *Hub) sendRingCorrection(c *hubConn) {
 	if ring == nil {
 		return
 	}
-	if ann, err := EncodeRingAnnounce(ring.Epoch, ring.Nodes); err == nil {
+	if ann, err := encodeRing(ring); err == nil {
 		select {
 		case c.out <- ann:
 		default:
@@ -720,7 +725,7 @@ func (p *hubPeer) subscribe(doc string) {
 		return
 	}
 	p.mu.Unlock()
-	if f, err := EncodeHello([]string{doc}); err == nil && p.trySend(f) {
+	if f, err := encodeFrame(kindHello, &HelloFrame{Docs: []string{doc}}); err == nil && p.trySend(f) {
 		p.mu.Lock()
 		p.docs[doc] = true
 		p.mu.Unlock()
@@ -738,7 +743,7 @@ func (p *hubPeer) unsubscribe(doc string) {
 	if !had || !connected || p.dead() {
 		return
 	}
-	if f, err := EncodeDetach([]string{doc}); err == nil {
+	if f, err := encodeFrame(kindDetach, &DetachFrame{Docs: []string{doc}}); err == nil {
 		p.trySend(f)
 	}
 }
@@ -783,7 +788,7 @@ func (p *hubPeer) run() {
 	ring := p.hub.ring
 	p.hub.mu.Unlock()
 	if ring != nil {
-		if ann, err := EncodeRingAnnounce(ring.Epoch, ring.Nodes); err == nil {
+		if ann, err := encodeRing(ring); err == nil {
 			p.trySend(ann)
 		}
 	}
@@ -800,7 +805,7 @@ func (p *hubPeer) run() {
 	// retries.
 	helloDeadline := time.Now().Add(meshDialTimeout)
 	for _, doc := range pending {
-		f, err := EncodeHello([]string{doc})
+		f, err := encodeFrame(kindHello, &HelloFrame{Docs: []string{doc}})
 		if err != nil || !p.send(f, helloDeadline) {
 			p.mu.Lock()
 			delete(p.docs, doc)
@@ -906,7 +911,7 @@ func QueryRing(addr string, timeout time.Duration) (*RingFrame, error) {
 	if err := link.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	q, err := EncodeRingAnnounce(0, nil)
+	q, err := encodeFrame(kindRingAnnounce, &RingFrame{})
 	if err != nil {
 		return nil, err
 	}

@@ -565,7 +565,7 @@ func (h *Hub) hello(c *hubConn, docs []string, forward bool) {
 		entries = append(entries, HelloEntry{Doc: doc, Epoch: epoch})
 	}
 	h.mu.Unlock()
-	resp, err := EncodeHelloResp(entries)
+	resp, err := encodeFrame(kindHelloResp, &HelloRespFrame{Entries: entries})
 	if err != nil {
 		h.logf("hub: client %d hello response: %v", c.id, err)
 		return
@@ -622,7 +622,7 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 			// kindForward envelope per document.
 			return
 		}
-		fwd, err := EncodeForward(doc, inner)
+		fwd, err := encodeEnvelope(kindForward, doc, inner)
 		if err == nil && p.trySend(fwd) {
 			h.forwards.Add(1)
 		}
@@ -869,7 +869,7 @@ func (c *hubConn) reader() {
 		}
 		switch frame[0] {
 		case kindDocFrame, kindForward, kindHandoffState:
-			doc, inner, err := splitEnvelope(frame[0], frame)
+			doc, inner, err := splitEnvelope(frame)
 			switch {
 			case err != nil:
 				c.hub.unrouted.Add(1)

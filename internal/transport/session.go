@@ -363,13 +363,7 @@ func (sc *sessConn) lastErr() error {
 // per-document answer. With forward set, the hub is asked to serve the
 // document locally via the mesh even when another shard owns it.
 func (sc *sessConn) attach(doc string, forward bool) (HelloEntry, error) {
-	var frame []byte
-	var err error
-	if forward {
-		frame, err = EncodeHelloForward([]string{doc})
-	} else {
-		frame, err = EncodeHello([]string{doc})
-	}
+	frame, err := encodeFrame(kindHello, &HelloFrame{Docs: []string{doc}, Forward: forward})
 	if err != nil {
 		return HelloEntry{}, err
 	}
@@ -674,7 +668,7 @@ func (dl *docLink) migrate(to *sessConn) {
 	close(moved)
 	if old != nil && old != to {
 		old.removeDoc(dl.doc, dl)
-		if f, err := EncodeDetach([]string{dl.doc}); err == nil {
+		if f, err := encodeFrame(kindDetach, &DetachFrame{Docs: []string{dl.doc}}); err == nil {
 			_ = old.link.Send(f)
 		}
 	}
@@ -758,7 +752,7 @@ func (dl *docLink) Recv() ([]byte, error) {
 func (dl *docLink) Close() error {
 	dl.once.Do(func() {
 		sc := dl.conn()
-		if f, err := EncodeDetach([]string{dl.doc}); err == nil {
+		if f, err := encodeFrame(kindDetach, &DetachFrame{Docs: []string{dl.doc}}); err == nil {
 			_ = sc.link.Send(f)
 		}
 		sc.removeDoc(dl.doc, dl)

@@ -36,7 +36,7 @@ func stateFrames(site ident.SiteID, snap []byte, version vclock.VC, suffix []cau
 	total := uint64(len(snap))
 	for off := uint64(0); off < total; off += uint64(snapChunkPayload) {
 		end := min(off+uint64(snapChunkPayload), total)
-		frame, err := EncodeSnapChunk(site, version, total, off, snap[off:end])
+		frame, err := encodeFrame(kindSnapChunk, &SnapChunkFrame{From: site, Version: version, Total: total, Offset: off, Data: snap[off:end]})
 		if err != nil {
 			return 0, err
 		}

@@ -151,7 +151,7 @@ func TestStateFramesReproduceSource(t *testing.T) {
 						a, b := ChanPair(16)
 						eng.Connect(b)
 						send = func(frame []byte) error {
-							f, err := EncodeReplay(9, frame)
+							f, err := encodeReplay(9, frame)
 							if err != nil {
 								return err
 							}
@@ -170,7 +170,7 @@ func TestStateFramesReproduceSource(t *testing.T) {
 						}
 						defer mesh.Close()
 						send = func(frame []byte) error {
-							f, err := EncodeHandoffState(docID, frame)
+							f, err := encodeEnvelope(kindHandoffState, docID, frame)
 							if err != nil {
 								return err
 							}

@@ -1,44 +1,10 @@
 package transport
 
 import (
-	"reflect"
 	"testing"
 
-	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
-
-func testBatchEntries() []SyncBatchEntry {
-	return []SyncBatchEntry{
-		{Doc: "notes", From: 3, Clock: vclock.VC{1: 5, 3: 9}},
-		{Doc: "todo", From: 7, Clock: vclock.VC{7: 1}},
-		{Doc: "a-b.c", From: 1, Clock: vclock.VC{1: 1 << 40, 2: 2}},
-	}
-}
-
-func TestSyncBatchRoundTrip(t *testing.T) {
-	for _, forwarded := range []bool{false, true} {
-		entries := testBatchEntries()
-		frame, err := EncodeSyncBatch(entries, forwarded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeFrame(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, ok := decoded.(*SyncBatchFrame)
-		if !ok {
-			t.Fatalf("decoded %T, want *SyncBatchFrame", decoded)
-		}
-		if sb.Forwarded != forwarded {
-			t.Fatalf("forwarded flag: got %v, want %v", sb.Forwarded, forwarded)
-		}
-		if !reflect.DeepEqual(sb.Entries, entries) {
-			t.Fatalf("entries round trip:\n got %+v\nwant %+v", sb.Entries, entries)
-		}
-	}
-}
 
 func TestSyncBatchRejects(t *testing.T) {
 	if _, err := EncodeSyncBatch(nil, false); err == nil {
@@ -81,48 +47,4 @@ func TestSyncBatchRejects(t *testing.T) {
 	if _, err := DecodeFrame([]byte{kindSyncBatch, 0x00}); err == nil {
 		t.Fatal("zero-entry batch accepted on decode")
 	}
-}
-
-// FuzzSyncBatchFrame fuzzes kindSyncBatch specifically: arbitrary bodies
-// must decode cleanly or fail cleanly, never panic, and anything accepted
-// must semantically round-trip through EncodeSyncBatch.
-func FuzzSyncBatchFrame(f *testing.F) {
-	if fr, err := EncodeSyncBatch(testBatchEntries(), false); err == nil {
-		f.Add(fr)
-	}
-	if fr, err := EncodeSyncBatch(testBatchEntries()[:1], true); err == nil {
-		f.Add(fr)
-	}
-	if fr, err := EncodeSyncBatch([]SyncBatchEntry{
-		{Doc: "x", From: ident.SiteID(1), Clock: vclock.VC{1: 1, 2: 2, 3: 3}},
-	}, false); err == nil {
-		f.Add(fr)
-	}
-	f.Add([]byte{kindSyncBatch})
-	f.Add([]byte{kindSyncBatch, 0x01, 0x01, 'a', 0x01, 0x00})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		frame := body
-		if len(frame) == 0 || frame[0] != kindSyncBatch {
-			frame = append([]byte{kindSyncBatch}, body...)
-		}
-		decoded, err := DecodeFrame(frame)
-		if err != nil {
-			return
-		}
-		sb, ok := decoded.(*SyncBatchFrame)
-		if !ok {
-			t.Fatalf("kindSyncBatch decoded to %T", decoded)
-		}
-		re, err := EncodeSyncBatch(sb.Entries, sb.Forwarded)
-		if err != nil {
-			t.Fatalf("accepted batch does not re-encode: %v", err)
-		}
-		again, err := DecodeFrame(re)
-		if err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(again, decoded) {
-			t.Fatalf("sync batch round trip:\n got %+v\nwant %+v", again, decoded)
-		}
-	})
 }
