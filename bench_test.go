@@ -18,6 +18,7 @@ import (
 
 	"github.com/treedoc/treedoc/internal/bench"
 	"github.com/treedoc/treedoc/internal/causal"
+	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/trace"
 	"github.com/treedoc/treedoc/internal/transport"
@@ -605,4 +606,43 @@ func BenchmarkSyncBatchCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(len(frame)))
 	}
+}
+
+// BenchmarkOpsFrameCodec gates the layer every replicated operation crosses
+// twice: one engine-sized batch (64 ops, the tail of the history-sdis-
+// balanced golden history, stamped by its writer) encoded as a kindOps
+// frame, and that frame decoded. wire_B/op is the frame's bytes per
+// operation — the quantity the benchmark's wire_bytes_per_op measures end
+// to end.
+func BenchmarkOpsFrameCodec(b *testing.B) {
+	const batch = 64
+	stamper := causal.NewBuffer(1)
+	var msgs []causal.Message
+	mintHistory(b, goldenHistory, core.Config{Site: 1}, func(op core.Op) {
+		msgs = append(msgs, stamper.Stamp(op))
+	})
+	msgs = msgs[len(msgs)-batch:]
+	frame, err := transport.EncodeOps(msgs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := transport.EncodeOps(msgs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(frame))/batch, "wire_B/op")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			decoded, err := transport.DecodeFrame(frame)
+			if of, ok := decoded.(*transport.OpsFrame); err != nil || !ok || len(of.Msgs) != batch {
+				b.Fatalf("decoded %T (%v)", decoded, err)
+			}
+		}
+		b.ReportMetric(float64(len(frame))/batch, "wire_B/op")
+	})
 }

@@ -108,15 +108,39 @@ func (o Op) String() string {
 	return fmt.Sprintf("%s%v by s%d#%d", o.Kind, o.ID, o.Site, o.Seq)
 }
 
-// AppendBinary appends the wire encoding of o to dst. Layout: kind byte,
-// uvarint site, uvarint seq, path, and for inserts a uvarint-length-prefixed
-// atom.
+// An encoded operation opens with a head byte: its kind in bits 0–1. Inside
+// a stamped message (internal/transport's kindOps frames and log records)
+// two more bits elide what the message already says; a standalone operation
+// leaves them clear.
+const (
+	// HeadRun: same sender as the previous message of the frame, and its
+	// clock with the sender's entry one higher; both are omitted and the
+	// decoder clones and ticks.
+	HeadRun = 1 << 2
+	// HeadStamped: Site and Seq are the message's sender and own stamp, and
+	// are omitted.
+	HeadStamped = 1 << 3
+)
+
+// AppendBinary appends the wire encoding of o to dst: the head byte, then
+// the fields with the origin (see AppendFields).
 //
 //treedoc:noalloc
 func (o Op) AppendBinary(dst []byte) []byte {
-	dst = append(dst, byte(o.Kind))
-	dst = binary.AppendUvarint(dst, uint64(o.Site))
-	dst = binary.AppendUvarint(dst, o.Seq)
+	return o.AppendFields(append(dst, byte(o.Kind)), true)
+}
+
+// AppendFields appends what follows an operation's head byte: uvarint site
+// and seq when origin is set, the packed identifier, and for inserts a
+// uvarint-length-prefixed atom. A stamped message whose sender and stamp
+// already say who issued the operation leaves the origin out.
+//
+//treedoc:noalloc
+func (o Op) AppendFields(dst []byte, origin bool) []byte {
+	if origin {
+		dst = binary.AppendUvarint(dst, uint64(o.Site))
+		dst = binary.AppendUvarint(dst, o.Seq)
+	}
 	dst = o.ID.AppendBinary(dst)
 	if o.Kind == OpInsert {
 		dst = binary.AppendUvarint(dst, uint64(len(o.Atom)))
@@ -131,27 +155,40 @@ func (o Op) MarshalBinary() ([]byte, error) { return o.AppendBinary(nil), nil }
 // DecodeOp decodes one operation from the front of buf, returning the
 // number of bytes consumed.
 func DecodeOp(buf []byte) (Op, int, error) {
-	var o Op
 	if len(buf) == 0 {
-		return o, 0, fmt.Errorf("core: empty op buffer")
+		return Op{}, 0, fmt.Errorf("core: empty op buffer")
 	}
-	o.Kind = OpKind(buf[0])
-	off := 1
-	site, n := binary.Uvarint(buf[off:])
-	if n <= 0 {
-		return o, 0, fmt.Errorf("core: truncated op site")
+	o, n, err := DecodeFields(OpKind(buf[0]), true, buf[1:])
+	if err != nil {
+		return o, 0, err
 	}
-	off += n
-	if ident.SiteID(site) > ident.MaxSiteID {
-		return o, 0, fmt.Errorf("core: op site %d exceeds 48 bits", site)
+	return o, n + 1, nil
+}
+
+// DecodeFields decodes what AppendFields wrote for an operation of the
+// given kind from the front of buf, returning the number of bytes consumed.
+// Without origin the operation's Site and Seq are left zero for the caller
+// to fill.
+func DecodeFields(kind OpKind, origin bool, buf []byte) (Op, int, error) {
+	o := Op{Kind: kind}
+	off := 0
+	if origin {
+		site, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return o, 0, fmt.Errorf("core: truncated op site")
+		}
+		off += n
+		if ident.SiteID(site) > ident.MaxSiteID {
+			return o, 0, fmt.Errorf("core: op site %d exceeds 48 bits", site)
+		}
+		o.Site = ident.SiteID(site)
+		seq, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return o, 0, fmt.Errorf("core: truncated op seq")
+		}
+		off += n
+		o.Seq = seq
 	}
-	o.Site = ident.SiteID(site)
-	seq, n := binary.Uvarint(buf[off:])
-	if n <= 0 {
-		return o, 0, fmt.Errorf("core: truncated op seq")
-	}
-	off += n
-	o.Seq = seq
 	id, n, err := ident.DecodePath(buf[off:])
 	if err != nil {
 		return o, 0, fmt.Errorf("core: op id: %w", err)

@@ -5,44 +5,74 @@ import (
 	"fmt"
 )
 
-// Wire encoding of a Path:
+// Wire encoding of a Path — one bit per tree level, a disambiguator only
+// where there is a mini-node (the paper's PosID, Section 3.1):
 //
-//	uvarint(len) then per element one flag byte followed, for site-generated
-//	mini elements only, by uvarint(counter) and uvarint(site).
+//	uvarint n     number of elements
+//	⌈n/8⌉ bytes   descent bits, element i in bit i%8 of byte i/8, pad bits zero
+//	uvarint k     number of Mini elements
+//	k entries     uvarint(gap<<1 | site): gap Major elements lie between the
+//	              previous Mini (or the start) and this one; with the site bit
+//	              set uvarint(counter) and uvarint(site) follow, clear it is
+//	              the canonical disambiguator
 //
-// Flag byte layout: bit 0 = descent bit; bits 1-2 = element form
-// (0 = Major, 1 = Mini with canonical disambiguator, 2 = Mini with
-// site-generated disambiguator).
+// A path has exactly one accepted encoding: depths ascend by construction,
+// and non-zero pad bits, a non-minimal uvarint, a depth beyond n or a
+// spelled-out canonical disambiguator are decode errors.
 //
 // This is the transport encoding. The paper-comparable identifier size
 // (Section 5's PosID columns) is the analytic Path.Bits(Cost) model; the
 // on-disk document format of Section 5.2 lives in internal/storage.
-const (
-	formMajor    = 0
-	formMiniCan  = 1
-	formMiniSite = 2
-)
+
+// MaxPathLen bounds the elements of one decoded path. A packed path lets one
+// wire byte claim eight 24-byte elements, so the length is checked against
+// this and against the bytes actually present before anything is allocated.
+const MaxPathLen = 1 << 16
 
 // AppendBinary appends the wire encoding of p to dst and returns the result.
 //
 //treedoc:noalloc
 func (p Path) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p)))
-	for _, e := range p {
-		flag := e.Bit & 1
-		switch {
-		case e.Kind == Major:
-			flag |= formMajor << 1
-		case e.Dis.IsCanonical():
-			flag |= formMiniCan << 1
-		default:
-			flag |= formMiniSite << 1
+	// One pass packs the bits, a byte of eight elements per step, and counts
+	// the minis: rare (an identifier has one per concurrent insert on its way
+	// down, and its last element), so eight elements are searched only when
+	// one of their kinds says so, and the entries are written from the first.
+	k, first := 0, len(p)
+	for i := 0; i < len(p); i += 8 {
+		q := p[i:]
+		if len(q) < 8 { // the last byte: pad with elements that add no bit and no mini
+			var pad [8]Elem
+			copy(pad[:], q)
+			q = pad[:]
 		}
-		dst = append(dst, flag)
-		if e.Kind == Mini && !e.Dis.IsCanonical() {
+		q = q[:8:8]
+		dst = append(dst, q[0].Bit&1|q[1].Bit&1<<1|q[2].Bit&1<<2|q[3].Bit&1<<3|
+			q[4].Bit&1<<4|q[5].Bit&1<<5|q[6].Bit&1<<6|q[7].Bit<<7)
+		if (q[0].Kind|q[1].Kind|q[2].Kind|q[3].Kind|q[4].Kind|q[5].Kind|q[6].Kind|q[7].Kind)&Mini == 0 {
+			continue
+		}
+		for j := range q {
+			if q[j].Kind == Mini {
+				k, first = k+1, min(first, i+j)
+			}
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(k))
+	next := 0 // the depth a Mini entry with gap 0 would have
+	for i := first; i < len(p); i++ {
+		e, gap := &p[i], uint64(i-next)<<1
+		switch {
+		case e.Kind != Mini:
+			continue
+		case e.Dis.IsCanonical():
+			dst = binary.AppendUvarint(dst, gap)
+		default:
+			dst = binary.AppendUvarint(dst, gap|1)
 			dst = binary.AppendUvarint(dst, uint64(e.Dis.Counter))
 			dst = binary.AppendUvarint(dst, uint64(e.Dis.Site))
 		}
+		next = i + 1
 	}
 	return dst
 }
@@ -52,53 +82,66 @@ func (p Path) MarshalBinary() ([]byte, error) {
 	return p.AppendBinary(nil), nil
 }
 
+// uvarint reads one minimally encoded uvarint at buf[off:] and returns it
+// with the offset past it.
+func uvarint(buf []byte, off int, what string) (uint64, int, error) {
+	v, n := binary.Uvarint(buf[off:])
+	if n <= 0 || n > 1 && buf[off+n-1] == 0 {
+		return 0, 0, fmt.Errorf("ident: truncated or non-minimal %s", what)
+	}
+	return v, off + n, nil
+}
+
 // DecodePath decodes one path from the front of buf, returning the path and
 // the number of bytes consumed.
 func DecodePath(buf []byte) (Path, int, error) {
-	n, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("ident: truncated path length")
+	n, off, err := uvarint(buf, 0, "path length")
+	if err != nil {
+		return nil, 0, err
 	}
-	if n > uint64(len(buf)) {
-		return nil, 0, fmt.Errorf("ident: path length %d exceeds buffer", n)
+	if n > MaxPathLen || n > 8*uint64(len(buf)-off) {
+		return nil, 0, fmt.Errorf("ident: path length %d exceeds limit or buffer", n)
 	}
-	off := used
-	p := make(Path, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if off >= len(buf) {
-			return nil, 0, fmt.Errorf("ident: truncated path element %d", i)
+	bits := buf[off : off+int(n+7)/8]
+	if n&7 != 0 && bits[len(bits)-1]>>(n&7) != 0 {
+		return nil, 0, fmt.Errorf("ident: non-zero pad bits after %d path elements", n)
+	}
+	k, off, err := uvarint(buf, off+len(bits), "mini count")
+	if err != nil {
+		return nil, 0, err
+	}
+	if k > n {
+		return nil, 0, fmt.Errorf("ident: %d mini elements in a path of %d", k, n)
+	}
+	p := make(Path, n)
+	for i := range p {
+		p[i].Bit, p[i].Kind = bits[i>>3]>>(i&7)&1, Major
+	}
+	next := uint64(0)
+	for ; k > 0; k-- {
+		var g, c, s uint64
+		if g, off, err = uvarint(buf, off, "mini entry"); err != nil {
+			return nil, 0, err
 		}
-		flag := buf[off]
-		off++
-		e := Elem{Bit: flag & 1}
-		switch (flag >> 1) & 3 {
-		case formMajor:
-			e.Kind = Major
-		case formMiniCan:
-			e.Kind = Mini
-		case formMiniSite:
-			e.Kind = Mini
-			c, cn := binary.Uvarint(buf[off:])
-			if cn <= 0 {
-				return nil, 0, fmt.Errorf("ident: truncated counter in element %d", i)
-			}
-			off += cn
-			s, sn := binary.Uvarint(buf[off:])
-			if sn <= 0 {
-				return nil, 0, fmt.Errorf("ident: truncated site in element %d", i)
-			}
-			off += sn
-			if c > 1<<32-1 {
-				return nil, 0, fmt.Errorf("ident: counter %d overflows uint32", c)
-			}
-			if SiteID(s) > MaxSiteID {
-				return nil, 0, fmt.Errorf("ident: site %d exceeds 48 bits", s)
-			}
-			e.Dis = Dis{Counter: uint32(c), Site: SiteID(s)}
-		default:
-			return nil, 0, fmt.Errorf("ident: invalid element form %d", (flag>>1)&3)
+		if g>>1 >= n-next { // also next == n: no element left to hold it
+			return nil, 0, fmt.Errorf("ident: mini element beyond path length %d", n)
 		}
-		p = append(p, e)
+		e := &p[next+g>>1]
+		next += g>>1 + 1
+		e.Kind = Mini
+		if g&1 == 0 {
+			continue
+		}
+		if c, off, err = uvarint(buf, off, "counter"); err != nil {
+			return nil, 0, err
+		}
+		if s, off, err = uvarint(buf, off, "site"); err != nil {
+			return nil, 0, err
+		}
+		if c > 1<<32-1 || SiteID(s) > MaxSiteID || c|s == 0 {
+			return nil, 0, fmt.Errorf("ident: disambiguator (%d, %d) out of range", c, s)
+		}
+		e.Dis = Dis{Counter: uint32(c), Site: SiteID(s)}
 	}
 	return p, off, nil
 }

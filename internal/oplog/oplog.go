@@ -18,7 +18,7 @@
 //	000000000000000002.seg   active segment (appends go here)
 //	snapshot.snp             latest compaction snapshot (atomic rename)
 //
-// Segment format: an 8-byte header ("TDLOG001"), then records. Each
+// Segment format: an 8-byte header ("TDLOG002"), then records. Each
 // record is
 //
 //	uint32  payload length (little endian)
@@ -63,7 +63,10 @@ const (
 
 // Defaults and limits.
 const (
-	segMagic = "TDLOG001"
+	// segMagic names the record body format. TDLOG001 held operations with
+	// one byte per identifier level; such a segment is refused by name and
+	// left untouched — there is one format, and an old log is not parsed.
+	segMagic = "TDLOG002"
 	snapName = "snapshot.snp"
 
 	// DefaultSegmentBytes is the roll threshold for the active segment.
@@ -182,7 +185,7 @@ func scanSegment(seg *segment, truncateTail bool, fn func(site ident.SiteID, seq
 			seg.bytes = int64(len(segMagic))
 			return nil
 		}
-		return fmt.Errorf("oplog: segment %s: bad header", seg.path)
+		return fmt.Errorf("oplog: segment %s: header %q is not format %s", seg.path, data[:min(len(data), len(segMagic))], segMagic)
 	}
 	off := len(segMagic)
 	good := off

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/treedoc/treedoc/internal/ident"
@@ -166,6 +167,59 @@ func TestCorruptMiddleRecordIsAnError(t *testing.T) {
 		t.Fatalf("corrupt middle record not detected: %d records", len(got))
 	}
 	t.Fatalf("reopen of corrupt (non-tail) segment succeeded")
+}
+
+// TestOldFormatSegmentFailsClosed: a TDLOG001 segment holds operations in
+// the retired one-byte-per-level layout. Opening its directory must fail
+// with an error that names the format, and must not repair, truncate or
+// re-head the file — whether it is the active segment (where torn tails are
+// otherwise truncated) or a sealed one, whole or cut short mid-record.
+func TestOldFormatSegmentFailsClosed(t *testing.T) {
+	src := t.TempDir()
+	l, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(1, 1, []byte("an operation in some layout")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(src, "*.seg"))
+	current, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("TDLOG001"), current[len(segMagic):]...)
+	for name, files := range map[string]map[string][]byte{
+		"active":       {"000000000000000001.seg": old},
+		"active, torn": {"000000000000000001.seg": old[:len(old)-3]},
+		"sealed":       {"000000000000000001.seg": old, "000000000000000002.seg": current},
+	} {
+		dir := t.TempDir()
+		for file, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := Open(dir, Options{})
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s: a TDLOG001 segment was opened", name)
+		}
+		if !strings.Contains(err.Error(), "TDLOG001") || !strings.Contains(err.Error(), segMagic) {
+			t.Errorf("%s: error does not name the formats: %v", name, err)
+		}
+		for file, data := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, file)); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s: %s was modified by the refused open (%v)", name, file, err)
+			}
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != len(files) {
+			t.Errorf("%s: refused open left %v behind", name, left)
+		}
+	}
 }
 
 func TestSegmentRollAndCompaction(t *testing.T) {

@@ -9,10 +9,15 @@ import (
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// frameSample is one valid frame value with the bytes it encoded to at the
-// commit before the frame table existed (PR 15, 4d74ac7): the proof that
-// the table-driven codec did not move a byte on the wire. Every test that
-// needs "a frame of kind K" takes it from frameSamples.
+// frameSample is one valid frame value with its recorded bytes. All but the
+// rows that carry operations or a root path date from the commit before the
+// frame table existed (PR 15, 4d74ac7): the proof that the table-driven
+// codec did not move a byte on the wire. The ops, ops-mixed, ops-empty,
+// docframe-replay-ops and flatpropose-root rows were re-recorded when
+// identifiers became bit-packed and kindOps moved to 0x14 (PR 18); what the
+// identifiers *are* is pinned apart from their encoding by
+// TestGoldenIdentifiers. Every test that needs "a frame of kind K" takes it
+// from frameSamples.
 type frameSample struct {
 	name string
 	kind byte
@@ -53,6 +58,21 @@ func sampleMsgs() []causal.Message {
 	}
 }
 
+// mixedMsgs is a batch no elision bit fits twice in a row: two senders
+// interleaved, a clock that learns a foreign entry mid-run, an op issued by
+// another site than the one relaying it, and a committed flatten.
+func mixedMsgs() []causal.Message {
+	id := ident.Path{ident.J(0), ident.J(1), ident.M(1, ident.Canonical), ident.M(0, ident.Dis{Site: ident.MaxSiteID})}
+	return []causal.Message{
+		{From: 7, TS: vclock.VC{7: 1}, Payload: core.Op{Kind: core.OpInsert, Site: 7, Seq: 1, Atom: "a", ID: id}},
+		{From: 7, TS: vclock.VC{7: 2}, Payload: core.Op{Kind: core.OpDelete, Site: 7, Seq: 2, ID: id}},
+		{From: 9, TS: vclock.VC{7: 2, 9: 1}, Payload: core.Op{Kind: core.OpInsert, Site: 9, Seq: 1, ID: id[:3]}},
+		{From: 7, TS: vclock.VC{7: 3}, Payload: core.Op{Kind: core.OpFlatten, Site: 7, Seq: 3, ID: structuralPath()}},
+		{From: 7, TS: vclock.VC{7: 4, 9: 1}, Payload: core.Op{Kind: core.OpDelete, Site: 7, Seq: 4, ID: id[:3]}},
+		{From: 7, TS: vclock.VC{7: 5, 9: 1}, Payload: core.Op{Kind: core.OpDelete, Site: 3, Seq: 8, ID: id[:3]}},
+	}
+}
+
 // mustEncode encodes a frame the caller knows to be valid.
 func mustEncode(t testing.TB, kind byte, f frame) []byte {
 	t.Helper()
@@ -71,19 +91,19 @@ func frameSamples(t testing.TB) []frameSample {
 	ops := mustEncode(t, kindOps, &OpsFrame{Msgs: sampleMsgs()})
 	chunk := mustEncode(t, kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.VC{2: 8}, Total: 64, Offset: 16, Data: []byte("chunk-bytes")})
 	return []frameSample{
-		{"ops", kindOps, &OpsFrame{Msgs: sampleMsgs()}, "0102070202090703010703020104040702c3a907020209070402070401050002"},
-		{"ops-empty", kindOps, &OpsFrame{Msgs: []causal.Message{}}, "0100"},
+		{"ops", kindOps, &OpsFrame{Msgs: sampleMsgs()}, "14020907020209070302010103040702c3a90e010101010002"},
+		{"ops-empty", kindOps, &OpsFrame{Msgs: []causal.Message{}}, "1400"},
 		{"syncreq", kindSyncReq, &SyncReqFrame{From: 3, Clock: vclock.VC{1: 5, 9: 2, ident.MaxSiteID: 7}}, "02030301050902ffffffffffff3f07"},
 		{"snapreq", kindSnapReq, &SnapReqFrame{From: 4, Clock: vclock.VC{1: 5, 9: 2}}, "03040201050902"},
 		{"flatpropose", kindFlatPropose, &FlatProposeFrame{From: 3, N: 12, Path: structuralPath(), Obs: vclock.VC{3: 41, 9: 7}}, "05030c0201000203290907"},
-		{"flatpropose-root", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: ident.Path{}, Obs: vclock.VC{3: 9}}, "05030100010309"},
+		{"flatpropose-root", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: ident.Path{}, Obs: vclock.VC{3: 9}}, "0503010000010309"},
 		{"flatvote-yes", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12, Yes: true}, "0605030c01"},
 		{"flatvote-no", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12}, "0605030c00"},
 		{"flatdecision-commit", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 12, Commit: true, Seq: 77, Path: structuralPath()}, "07030c014d020100"},
 		{"flatdecision-abort", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 12, Path: structuralPath()}, "07030c0000020100"},
 		{"snapchunk", kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.VC{2: 9, 4: 1}, Total: 5000, Offset: 2000, Data: []byte("0123456789abcdef")}, "080202020904018827d00f30313233343536373839616263646566"},
 		{"docframe", kindDocFrame, &DocFrame{Doc: "notes", Inner: digest}, "09056e6f7465730207010704"},
-		{"docframe-replay-ops", kindDocFrame, &DocFrame{Doc: "a-b.c", Inner: mustEncode(t, kindReplay, &ReplayFrame{To: 42, Inner: ops})}, "0905612d622e63132a0102070202090703010703020104040702c3a907020209070402070401050002"},
+		{"docframe-replay-ops", kindDocFrame, &DocFrame{Doc: "a-b.c", Inner: mustEncode(t, kindReplay, &ReplayFrame{To: 42, Inner: ops})}, "0905612d622e63132a14020907020209070302010103040702c3a90e010101010002"},
 		{"hello", kindHello, &HelloFrame{Docs: []string{"notes", "design", "default"}}, "0a03056e6f7465730664657369676e0764656661756c74"},
 		{"hello-forward", kindHello, &HelloFrame{Docs: []string{"notes"}, Forward: true}, "0a01056e6f74657301"},
 		{"helloresp", kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: "notes"}, {Doc: "design", Redirect: "10.0.0.2:9707"}}}, "0b02056e6f74657300000664657369676e0d31302e302e302e323a3937303700"},
@@ -99,6 +119,7 @@ func frameSamples(t testing.TB) []frameSample {
 		{"syncbatch-forwarded", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()[:1], Forwarded: true}, "1201056e6f74657303020105030901"},
 		{"syncbatch-wide", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "x", From: 1, Clock: vclock.VC{1: 1, 2: 2, 3: 3}}}}, "120101780103010102020303"},
 		{"replay", kindReplay, &ReplayFrame{To: 42, Inner: digest}, "132a0207010704"},
+		{"ops-mixed", kindOps, &OpsFrame{Msgs: mixedMsgs()}, "14060907010701040602040100ffffffffffff3f01610e040602040100ffffffffffff3f0909020702090103060104000b070107030201000a0702070409010306010406030803060104"},
 		{"replay-chunk", kindReplay, &ReplayFrame{To: ident.MaxSiteID, Inner: chunk}, "13ffffffffffff3f080201020840106368756e6b2d6279746573"},
 	}
 }

@@ -18,11 +18,11 @@ import (
 // and one frame type below; the type's wire method is the only statement
 // of its body layout.
 const (
-	kindOps     = 0x01
-	kindSyncReq = 0x02
-	kindSnapReq = 0x03
-	// 0x04 was the single-frame snapshot; it stays reserved and is never
-	// reused, so a stray old frame decodes as an unknown kind.
+	// 0x01 was kindOps with one byte per identifier level and 0x04 the
+	// single-frame snapshot; both stay reserved and are never reused, so a
+	// stray old frame decodes as an unknown kind.
+	kindSyncReq      = 0x02
+	kindSnapReq      = 0x03
 	kindFlatPropose  = 0x05
 	kindFlatVote     = 0x06
 	kindFlatDecision = 0x07
@@ -38,6 +38,7 @@ const (
 	kindHandoffDone  = 0x11
 	kindSyncBatch    = 0x12
 	kindReplay       = 0x13
+	kindOps          = 0x14
 )
 
 // Wire limits. Frames above the per-kind size limit are refused on read
@@ -158,8 +159,10 @@ func (f *OpsFrame) wire(c *codec) {
 	if c.dec {
 		f.Msgs = make([]causal.Message, n)
 	}
+	var prev *causal.Message // nil for the first message, which is absolute
 	for i := range f.Msgs[:n] {
-		c.msg(&f.Msgs[i])
+		c.msg(&f.Msgs[i], prev)
+		prev = &f.Msgs[i]
 	}
 }
 
@@ -532,10 +535,11 @@ func (f *SyncBatchFrame) wire(c *codec) {
 // list of fields. The what arguments are constants that name the field in
 // an error; nothing is formatted until a check fails.
 type codec struct {
-	buf []byte
-	off int
-	dec bool
-	err error
+	buf   []byte
+	off   int
+	dec   bool
+	err   error
+	elems int // identifier elements, and 2 per elided clock entry, in the messages run so far
 }
 
 func (c *codec) failf(format string, args ...any) {
@@ -667,6 +671,9 @@ func (c *codec) path(p *ident.Path) {
 	if err == nil {
 		err = p.ValidateStructural()
 	}
+	if err == nil && len(*p) > ident.MaxPathLen {
+		err = fmt.Errorf("%d elements exceed the limit", len(*p))
+	}
 	if err != nil {
 		c.err = fmt.Errorf("transport: flatten path: %w", err)
 	} else if !c.dec {
@@ -732,30 +739,63 @@ func (c *codec) inner(b *[]byte) {
 	}
 }
 
-// msg runs one stamped message — uvarint sender, vector clock, op bytes —
-// the unit shared by kindOps frames and oplog record bodies. The sender
-// must hold its own stamp in the clock.
-func (c *codec) msg(m *causal.Message) {
-	c.site(&m.From, "op sender")
-	c.vc(&m.TS)
+// msg runs one stamped message — the op's head byte with its elision bits,
+// sender and vector clock unless core.HeadRun, then the op's fields
+// (core.Op.AppendFields) — the unit shared by kindOps frames and oplog
+// record bodies. prev is the message before it in the frame; a frame's
+// first message and a log record have none and are absolute, so any
+// sub-slice of a batch encodes to a self-contained frame. The sender must
+// hold its own stamp in the clock. One frame has MaxFrameSize units to spend,
+// one per identifier element and two per clock entry the decoder clones for
+// a run message — the bytes each took spelled out — so a frame can make a
+// receiver allocate no more than when it paid for them on the wire.
+func (c *codec) msg(m, prev *causal.Message) {
+	op, isOp := m.Payload.(core.Op)
+	var head uint64
+	if !c.dec {
+		head = uint64(op.Kind)
+		if !isOp || op.Kind < core.OpInsert || op.Kind > core.OpFlatten {
+			c.failf("message payload %T is not a valid op", m.Payload)
+		}
+		if prev != nil && prev.From == m.From && m.TS.IsTick(prev.TS, m.From) {
+			head |= core.HeadRun
+		}
+		if op.Site == m.From && op.Seq == m.TS.Get(m.From) {
+			head |= core.HeadStamped
+		}
+	}
+	c.uvarint(&head, "op head")
+	if head&^(3|core.HeadRun|core.HeadStamped) != 0 || head&core.HeadRun != 0 && prev == nil {
+		c.failf("op head %#x", head)
+	}
+	if head&core.HeadRun == 0 {
+		c.site(&m.From, "op sender")
+		c.vc(&m.TS)
+	} else if c.err == nil {
+		if c.elems += 2 * len(prev.TS); c.dec && c.elems <= MaxFrameSize {
+			m.From, m.TS = prev.From, prev.TS.Ticked(prev.From)
+		}
+	}
+	seq := m.TS.Get(m.From)
 	switch {
-	case c.err != nil:
-	case m.TS.Get(m.From) == 0:
+	case c.err != nil || c.elems > MaxFrameSize:
+	case seq == 0:
 		c.failf("op from s%d without own stamp", m.From)
 	case c.dec:
-		op, n, err := core.DecodeOp(c.buf[c.off:])
-		if err != nil {
-			c.err = fmt.Errorf("transport: %w", err)
+		var n int
+		if op, n, c.err = core.DecodeFields(core.OpKind(head&3), head&core.HeadStamped == 0, c.buf[c.off:]); c.err != nil {
+			c.err = fmt.Errorf("transport: %w", c.err)
 			return
+		}
+		if head&core.HeadStamped != 0 {
+			op.Site, op.Seq = m.From, seq
 		}
 		m.Payload, c.off = op, c.off+n
 	default:
-		op, ok := m.Payload.(core.Op)
-		if !ok {
-			c.failf("message payload %T is not an op", m.Payload)
-			return
-		}
-		c.buf = op.AppendBinary(c.buf)
+		c.buf = op.AppendFields(c.buf, head&core.HeadStamped == 0)
+	}
+	if c.elems += len(op.ID); c.elems > MaxFrameSize || len(op.ID) > ident.MaxPathLen {
+		c.failf("identifiers and elided clocks of %d units exceed the frame's budget", c.elems)
 	}
 }
 
@@ -844,7 +884,7 @@ func (c *codec) bytes() ([]byte, error) {
 // (the same layout as a message inside a kindOps frame).
 func EncodeMsgBody(m causal.Message) ([]byte, error) {
 	var c codec
-	c.msg(&m)
+	c.msg(&m, nil)
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -856,7 +896,7 @@ func EncodeMsgBody(m causal.Message) ([]byte, error) {
 func DecodeMsgBody(body []byte) (causal.Message, error) {
 	c := codec{buf: body, dec: true}
 	var m causal.Message
-	c.msg(&m)
+	c.msg(&m, nil)
 	if err := c.finish(); err != nil {
 		return causal.Message{}, err
 	}

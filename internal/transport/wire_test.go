@@ -210,6 +210,10 @@ func TestEncodeImpliesDecode(t *testing.T) {
 	for s := ident.SiteID(1); s <= maxClockEntries+1; s++ {
 		wideClock[s] = 1
 	}
+	deepPath := make(ident.Path, ident.MaxPathLen+1)
+	for i := range deepPath {
+		deepPath[i] = ident.J(1)
+	}
 	manyDocs := make([]string, maxHelloDocs+1)
 	manyEntries := make([]SyncBatchEntry, maxSyncBatch+1)
 	manyAnswers := make([]HelloEntry, maxHelloDocs+1)
@@ -229,6 +233,8 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"ops: sender beyond 48 bits", kindOps, &OpsFrame{Msgs: []causal.Message{{From: ident.MaxSiteID + 1, TS: vclock.VC{ident.MaxSiteID + 1: 1}, Payload: msg.Payload}}}},
 		{"ops: sender without own stamp", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: vclock.VC{2: 9}, Payload: msg.Payload}}}},
 		{"ops: payload is not an op", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: "text"}}}},
+		{"ops: op kind zero", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Site: 7, Seq: 3, ID: atomPath}}}}},
+		{"ops: op kind beyond the head's two bits", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpInsert | 4, Site: 7, Seq: 3, ID: atomPath}}}}},
 		{"ops: batch beyond maxBatch", kindOps, &OpsFrame{Msgs: make([]causal.Message, maxBatch+1)}},
 		{"syncreq: site zero", kindSyncReq, &SyncReqFrame{From: 0, Clock: ok}},
 		{"syncreq: site beyond 48 bits", kindSyncReq, &SyncReqFrame{From: ident.MaxSiteID + 1, Clock: ok}},
@@ -236,6 +242,7 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"snapreq: site zero", kindSnapReq, &SnapReqFrame{From: 0, Clock: ok}},
 		{"flatpropose: site zero", kindFlatPropose, &FlatProposeFrame{From: 0, N: 1, Obs: ok}},
 		{"flatpropose: atom path", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: atomPath, Obs: ok}},
+		{"flatpropose: path beyond ident.MaxPathLen", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: deepPath, Obs: ok}},
 		{"flatvote: voter zero", kindFlatVote, &FlatVoteFrame{From: 0, Coord: 3, N: 1}},
 		{"flatvote: coordinator zero", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 0, N: 1}},
 		{"flatdecision: site zero", kindFlatDecision, &FlatDecisionFrame{From: 0, N: 1}},
@@ -376,7 +383,7 @@ func TestReadAcceptsWhatWriteAccepts(t *testing.T) {
 
 // TestFrameTableMatchesDocs keeps docs/ARCHITECTURE.md §4 and the frame
 // table the same list: every row's code and name is a §4 row, and §4 names
-// nothing the table lacks (the reserved 0x04 excepted).
+// nothing the table lacks (the reserved 0x01 and 0x04 excepted).
 func TestFrameTableMatchesDocs(t *testing.T) {
 	md, err := os.ReadFile("../../docs/ARCHITECTURE.md")
 	if err != nil {
@@ -389,10 +396,12 @@ func TestFrameTableMatchesDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| (0x[0-9a-f]{2}) \\| (?:`(kind\\w+)`|—) \\|").FindAllStringSubmatch(section, -1) {
 		documented[m[1]] = m[2]
 	}
-	if name, ok := documented["0x04"]; !ok || name != "" {
-		t.Errorf("§4 must list 0x04 as reserved and unnamed, has %q (%v)", name, ok)
+	for _, reserved := range []string{"0x01", "0x04"} {
+		if name, ok := documented[reserved]; !ok || name != "" {
+			t.Errorf("§4 must list %s as reserved and unnamed, has %q (%v)", reserved, name, ok)
+		}
+		delete(documented, reserved)
 	}
-	delete(documented, "0x04")
 	for k, row := range frameTable {
 		code := fmt.Sprintf("0x%02x", k)
 		if row.new == nil {
@@ -463,6 +472,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(byte(kindOps), []byte{})
 	f.Add(byte(0x04), []byte{0x02, 0x01, 0x01, 0x64})
+	retiredOps, _ := hex.DecodeString("02070202090703010703020104040702c3a907020209070402070401050002")
+	f.Add(byte(0x01), retiredOps) // the "ops" sample in the one-byte-per-level layout
 	f.Fuzz(checkAccepted)
 }
 

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -93,5 +94,38 @@ func TestMergeIdempotentCommutative(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTick: IsTick recognises exactly the clocks Ticked builds — one site's
+// entry one higher, every other entry (and the set of entries) unchanged.
+func TestTick(t *testing.T) {
+	for _, tc := range []struct {
+		prev, next VC
+		site       ident.SiteID
+		want       bool
+	}{
+		{VC{7: 1}, VC{7: 2}, 7, true},
+		{VC{3: 9, 7: 1}, VC{3: 9, 7: 2}, 7, true},
+		{VC{3: 9, 7: 1}, VC{3: 9, 7: 2}, 3, false}, // the other site's entry moved
+		{VC{7: 1}, VC{7: 3}, 7, false},             // two ahead
+		{VC{7: 1}, VC{7: 1}, 7, false},             // not ahead
+		{VC{7: 1}, VC{7: 2, 9: 1}, 7, false},       // learnt a foreign entry
+		{VC{7: 1, 9: 1}, VC{7: 2}, 7, false},       // lost one
+		{VC{3: 9, 7: 1}, VC{3: 8, 7: 2}, 7, false}, // a foreign entry differs
+		{VC{3: 0, 7: 1}, VC{9: 5, 7: 2}, 7, false}, // same size, different sites
+		{VC{3: 9}, VC{3: 9, 7: 1}, 7, false},       // first message of a site: an entry appears
+		{VC{7: ^uint64(0)}, VC{7: 0}, 7, true},     // wraps to a zero stamp, which the wire refuses on its own
+	} {
+		if got := tc.next.IsTick(tc.prev, tc.site); got != tc.want {
+			t.Errorf("%v.IsTick(%v, s%d) = %v, want %v", tc.next, tc.prev, tc.site, got, tc.want)
+		}
+		if built := tc.prev.Ticked(tc.site); tc.want && !reflect.DeepEqual(built, tc.next) {
+			t.Errorf("%v.Ticked(s%d) = %v, want %v", tc.prev, tc.site, built, tc.next)
+		}
+	}
+	prev := VC{3: 9, 7: 1}
+	if next := prev.Ticked(7); prev[7] != 1 || !next.IsTick(prev, 7) {
+		t.Errorf("Ticked changed its receiver or missed: %v -> %v", prev, next)
 	}
 }
