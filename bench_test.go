@@ -19,6 +19,7 @@ import (
 	"github.com/treedoc/treedoc/internal/bench"
 	"github.com/treedoc/treedoc/internal/causal"
 	"github.com/treedoc/treedoc/internal/core"
+	"github.com/treedoc/treedoc/internal/diff"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/trace"
 	"github.com/treedoc/treedoc/internal/transport"
@@ -206,13 +207,27 @@ func BenchmarkDocHeap(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalEdits measures single-replica edit throughput at steady
-// state: a fixed 10k-atom document, each iteration inserting and deleting
-// so the document size (and with it the tree shape) stays constant.
-// Growing the document with b.N would measure ever-larger documents
-// instead of per-operation cost.
+// BenchmarkLocalEdits measures single-replica edit cost on a document of
+// fixed size and age. Each of the first three rows inserts and deletes at
+// one place in a fresh 10k-atom document, so the size stays constant — but
+// not the tree: under the default SDIS every pair leaves a tombstone in the
+// gap and the next insert allocates below it, so the cost of an iteration
+// grows with the iterations before it. Every row therefore rebuilds its
+// document every rebuildEvery iterations with the timer stopped: what is
+// timed is the mean of edits 1..2,000 on a fresh build whatever b.N is,
+// and a faster build handed a larger b.N measures the same thing.
+//
+// insert-deep-history is identifier allocation's own row: single-atom
+// inserts at the hot spots of a document that already carries a 20k-op
+// history of the shape benchmark/script.go's historyProfile replays
+// (lines, 55% modifications, drifting hot spots), where the tree is over
+// 60 levels deep and the free-slot search has empty nodes to weigh on the
+// way to every answer.
 func BenchmarkLocalEdits(b *testing.B) {
-	const steadySize = 10_000
+	const (
+		steadySize   = 10_000
+		rebuildEvery = 2_000
+	)
 	build := func(b *testing.B) *Doc {
 		b.Helper()
 		d, err := New(WithSite(1))
@@ -228,42 +243,86 @@ func BenchmarkLocalEdits(b *testing.B) {
 		}
 		return d
 	}
-	b.Run("append-delete", func(b *testing.B) {
+	// run times edit over b.N iterations, on a document no older than
+	// rebuildEvery of them.
+	run := func(b *testing.B, build func(*testing.B) *Doc, edit func(d *Doc, i int) error) {
 		d := build(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Append("atom"); err != nil {
-				b.Fatal(err)
+			if i > 0 && i%rebuildEvery == 0 {
+				b.StopTimer()
+				d = build(b)
+				b.StartTimer()
 			}
-			if _, err := d.DeleteAt(d.Len() - 1); err != nil {
+			if err := edit(d, i); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	insertDelete := func(at func(d *Doc) int) func(*Doc, int) error {
+		return func(d *Doc, _ int) error {
+			pos := at(d)
+			if _, err := d.InsertAt(pos, "atom"); err != nil {
+				return err
+			}
+			_, err := d.DeleteAt(pos)
+			return err
+		}
+	}
+	b.Run("append-delete", func(b *testing.B) {
+		run(b, build, insertDelete(func(d *Doc) int { return d.Len() }))
 	})
 	b.Run("insert-delete-front", func(b *testing.B) {
-		d := build(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := d.InsertAt(0, "atom"); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.DeleteAt(0); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, build, insertDelete(func(*Doc) int { return 0 }))
 	})
 	b.Run("insert-delete-middle", func(b *testing.B) {
-		d := build(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mid := d.Len() / 2
-			if _, err := d.InsertAt(mid, "atom"); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.DeleteAt(mid); err != nil {
-				b.Fatal(err)
+		run(b, build, insertDelete(func(d *Doc) int { return d.Len() / 2 }))
+	})
+	b.Run("insert-deep-history", func(b *testing.B) {
+		tr, err := trace.Generate(trace.Profile{
+			Name: "history.tex", Granularity: trace.Lines, Seed: 1,
+			InitialAtoms: 200, FinalAtoms: 2000, Revisions: 400, AtomBytes: 42,
+			EditsPerRevision: 30, ModifyFraction: 0.55, HotSpots: 4, RunLength: 14,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The hot spots are where the history's last revisions inserted.
+		var spots []int
+		for _, rev := range tr.Revisions[len(tr.Revisions)-8:] {
+			for _, op := range rev.Ops {
+				if op.Kind == diff.Insert {
+					spots = append(spots, op.Index)
+				}
 			}
 		}
+		history := func(b *testing.B) *Doc {
+			b.Helper()
+			d, err := New(WithSite(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.InsertRunAt(0, tr.Initial); err != nil {
+				b.Fatal(err)
+			}
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			// Consecutive inserts go in as one run, the way an editor
+			// session submits them.
+			for _, rev := range tr.Revisions {
+				if err := bench.ApplyRevision(d.doc, rev.Ops, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if h := d.doc.Tree().Height(); h < 60 {
+				b.Fatalf("history reaches height %d, want >= 60", h)
+			}
+			return d
+		}
+		run(b, history, func(d *Doc, i int) error {
+			_, err := d.InsertAt(min(spots[i%len(spots)], d.Len()), "atom")
+			return err
+		})
 	})
 	b.Run("apply-remote", func(b *testing.B) {
 		// Pre-build a bounded op batch and replay it round-robin against

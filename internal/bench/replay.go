@@ -109,7 +109,7 @@ func ReplayTreedoc(tr *trace.Trace, rc ReplayConfig) (*Result, error) {
 	}
 	res := &Result{Config: rc.name()}
 	for ri, rev := range tr.Revisions {
-		if err := applyRevision(doc, rev.Ops, rc.Batch); err != nil {
+		if err := ApplyRevision(doc, rev.Ops, rc.Batch); err != nil {
 			return nil, fmt.Errorf("bench: %s revision %d: %w", tr.Name, ri, err)
 		}
 		doc.EndRevision()
@@ -135,21 +135,21 @@ func ReplayTreedoc(tr *trace.Trace, rc ReplayConfig) (*Result, error) {
 	return res, nil
 }
 
-// applyRevision executes one revision's index-based script. With batching,
-// maximal runs of consecutive inserts go through InsertRunAt so the
-// strategy can pack them into a minimal subtree.
-func applyRevision(doc *core.Document, ops []diff.Op, batch bool) error {
+// ApplyRevision executes one revision's index-based script on doc. With
+// batching, maximal runs of consecutive inserts go through InsertRunAt so
+// the strategy can pack them into a minimal subtree.
+func ApplyRevision(doc *core.Document, ops []diff.Op, batch bool) error {
 	for i := 0; i < len(ops); i++ {
 		op := ops[i]
 		if op.Kind == diff.Delete {
 			if _, err := doc.DeleteAt(op.Index); err != nil {
-				return err
+				return fmt.Errorf("bench: op %d: %w", i, err)
 			}
 			continue
 		}
 		if !batch {
 			if _, err := doc.InsertAt(op.Index, op.Atom); err != nil {
-				return err
+				return fmt.Errorf("bench: op %d: %w", i, err)
 			}
 			continue
 		}
@@ -162,12 +162,12 @@ func applyRevision(doc *core.Document, ops []diff.Op, batch bool) error {
 		}
 		if len(atoms) == 1 {
 			if _, err := doc.InsertAt(op.Index, op.Atom); err != nil {
-				return err
+				return fmt.Errorf("bench: op %d: %w", i, err)
 			}
 			continue
 		}
 		if _, err := doc.InsertRunAt(op.Index, atoms); err != nil {
-			return err
+			return fmt.Errorf("bench: op %d: %w", i, err)
 		}
 		i = j - 1
 	}

@@ -117,7 +117,7 @@ type Balanced struct{}
 
 // NewID implements Strategy.
 func (Balanced) NewID(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
-	if id := t.FreeMiniBetween(p, f, d); id != nil {
+	if id := t.FreeMiniBetween(a, p, f, d); id != nil {
 		return id
 	}
 	id := naiveID(a, p, f, d)

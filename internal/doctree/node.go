@@ -113,6 +113,10 @@ type Tree struct {
 	// flatten) drops the cache; see cacheDrop call sites.
 	ckID ident.Path
 	ck   slot // ck.mini == 0: no cached walk
+
+	// slotPath is FreeMiniBetween's scratch, one per tree: the path of the
+	// node its walk is visiting.
+	slotPath ident.Path
 }
 
 // New returns an empty document tree.

@@ -9,28 +9,29 @@ import (
 // FreeMiniBetween searches for the first empty node, in infix order, whose
 // mini position lies strictly between identifiers p and f (nil bounds mean
 // document start/end). It returns the identifier a new mini with
-// disambiguator d would take there, or nil if no reusable slot exists.
+// disambiguator d would take there, allocated from a, or nil if no reusable
+// slot exists.
 //
 // Empty nodes arise from balanced growth (Section 4.1 reserves a grown
 // subtree whose positions are consumed by subsequent inserts: "the
 // following atoms would consecutively use the PosIDs for the empty nodes in
 // the sub-tree") and from UDIS discarding. The search prunes subtrees whose
-// identifier region lies entirely outside (p, f), carries its path
-// incrementally (no per-node path reconstruction), and bounds its node
-// visits so a single allocation never degrades to a whole-tree scan: a
-// reusable slot beyond the budget is simply treated as absent and the
-// caller falls back to fresh allocation.
-func (t *Tree) FreeMiniBetween(p, f ident.Path, d ident.Dis) ident.Path {
-	s := &slotSearch{t: t, p: p, f: f, budget: 16*t.height + 64}
-	cap := t.height + 4
-	if cap > 64 {
-		cap = 64 // deep trees grow the prefix on demand
-	}
-	s.prefix = make(ident.Path, 0, cap)
-	if s.walk(rootH) == 0 {
+// identifier region lies entirely outside (p, f) and bounds its node visits
+// so a single allocation never degrades to a whole-tree scan: a reusable
+// slot beyond the budget is simply treated as absent and the caller falls
+// back to fresh allocation. A visit costs O(1) whatever the depth: the walk
+// builds its path in the tree's scratch buffer and carries each bound's
+// relation to the current node down with it (see slotSearch.walk).
+//
+//treedoc:noalloc
+func (t *Tree) FreeMiniBetween(a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
+	s := slotSearch{t: t, p: p, f: f, prefix: t.slotPath[:0], budget: 16*t.height + 64}
+	found := s.walk(rootH, p != nil, f != nil)
+	t.slotPath = s.prefix[:0] // keep whatever the walk grew
+	if found == 0 {
 		return nil
 	}
-	id := s.prefix.Clone()
+	id := a.Copy(s.prefix) //treedoc:escape the arena copy of the result is the search's one allocation
 	id[len(id)-1] = ident.M(id[len(id)-1].Bit, d)
 	return id
 }
@@ -45,32 +46,52 @@ type slotSearch struct {
 	budget int
 }
 
-// walk searches n's subtree in infix order, returning the first empty node
+// walk searches h's subtree in infix order, returning the first empty node
 // whose mini position lies strictly between the bounds.
-func (s *slotSearch) walk(h nodeH) nodeH {
+//
+// lo and hi carry each bound's relation to the subtree being entered down
+// the recursion. True: the bound may still pass through it, and its
+// elements up to the parent's match prefix, so the region test starts at
+// the last two. False: the bound is absent, or the subtree lies wholly on
+// its admissible side (after p, before f) — as does everything below it,
+// regions being nested intervals — and nothing below compares against it
+// again. A bound only ever moves from through to outside on the way down.
+//
+//treedoc:noalloc
+func (s *slotSearch) walk(h nodeH, lo, hi bool) nodeH {
 	n := s.t.node(h)
 	if n.flat != 0 || n.emptyN == 0 || s.budget <= 0 {
 		return 0 // a nil child reads emptyN == 0
 	}
 	s.budget--
+	last := len(s.prefix) - 1 // -1 at the root, whose region is everything
 	// Prune subtrees entirely outside the open interval.
-	if s.p != nil && ident.RegionCompare(s.p, s.prefix) > 0 {
-		return 0 // everything in n's region sorts <= p
+	if lo {
+		c := ident.RegionCompareFrom(s.p, s.prefix, max(last-1, 0))
+		if c > 0 {
+			return 0 // everything in n's region sorts <= p
+		}
+		lo = c == 0 // and then p[:last] matches prefix[:last]
 	}
-	if s.f != nil && ident.RegionCompare(s.f, s.prefix) < 0 {
-		return 0 // everything in n's region sorts >= f
+	if hi {
+		c := ident.RegionCompareFrom(s.f, s.prefix, max(last-1, 0))
+		if c < 0 {
+			return 0 // everything in n's region sorts >= f
+		}
+		hi = c == 0
 	}
-	if got := s.into(n.kids[0], ident.J(0)); got != 0 {
+	if got := s.into(n.kids[0], ident.J(0), lo, hi); got != 0 {
 		return got
 	}
 	if h != rootH && n.empty() {
 		// The would-be mini position: the node's identifier with a mini
 		// selection. Disambiguators only order minis within one node and n
-		// has none, so any disambiguator gives the same betweenness.
-		last := len(s.prefix) - 1
+		// has none, so any disambiguator gives the same betweenness. A
+		// bound still through n agrees with the candidate up to last.
 		saved := s.prefix[last]
 		s.prefix[last] = ident.M(saved.Bit, ident.Canonical)
-		ok := ident.Between(s.p, s.prefix, s.f)
+		ok := (!lo || ident.CompareFrom(s.p, s.prefix, last) < 0) &&
+			(!hi || ident.CompareFrom(s.prefix, s.f, last) < 0)
 		s.prefix[last] = saved
 		if ok {
 			return h
@@ -80,26 +101,30 @@ func (s *slotSearch) walk(h nodeH) nodeH {
 	for mh := n.first; mh != 0; {
 		m := s.t.mini(mh)
 		// Descend through the mini: the entry element gains its dis.
-		last := len(s.prefix) - 1
 		saved := s.prefix[last]
 		s.prefix[last] = ident.M(saved.Bit, m.dis())
-		if got := s.into(m.kids[0], ident.J(0)); got != 0 {
+		if got := s.into(m.kids[0], ident.J(0), lo, hi); got != 0 {
 			return got
 		}
-		if got := s.into(m.kids[1], ident.J(1)); got != 0 {
+		if got := s.into(m.kids[1], ident.J(1), lo, hi); got != 0 {
 			return got
 		}
 		s.prefix[last] = saved
 		mh = m.next
 	}
-	return s.into(n.kids[1], ident.J(1))
+	return s.into(n.kids[1], ident.J(1), lo, hi)
 }
 
 // into pushes the child element, walks the child, and pops on failure. On
 // success the prefix is left pointing at the found node.
-func (s *slotSearch) into(h nodeH, e ident.Elem) nodeH {
+//
+//treedoc:noalloc
+func (s *slotSearch) into(h nodeH, e ident.Elem, lo, hi bool) nodeH {
+	if s.t.node(h).emptyN == 0 {
+		return 0 // nothing to find below, or a nil child, which reads 0
+	}
 	s.prefix = append(s.prefix, e)
-	if got := s.walk(h); got != 0 {
+	if got := s.walk(h, lo, hi); got != 0 {
 		return got
 	}
 	s.prefix = s.prefix[:len(s.prefix)-1]

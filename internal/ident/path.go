@@ -226,12 +226,16 @@ func class(p Path, i int) int {
 // consistent with the infix walk of the extended tree (Section 3.1; see
 // DESIGN.md for the correction to the paper's element rules). It returns
 // -1 if p < q, 0 if p == q, +1 if p > q.
-func Compare(p, q Path) int {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
-	i := 0
+func Compare(p, q Path) int { return CompareFrom(p, q, 0) }
+
+// CompareFrom is Compare for a caller that already knows p[:skip] ==
+// q[:skip] element for element (skip <= both lengths): the scan starts at
+// element skip. A walk that carries its position down the tree compares an
+// identifier against each node it visits this way, paying for the one or
+// two elements that can differ instead of the whole shared prefix.
+func CompareFrom(p, q Path, skip int) int {
+	n := min(len(p), len(q))
+	i := skip
 	if n > 0 && &p[0] == &q[0] {
 		// Shared backing from index 0 (one path arena-Extends the other):
 		// the common prefix is the whole shorter path, element by element the

@@ -10,27 +10,28 @@ package ident
 // and +1 if a sorts after the whole region. Identifier allocation
 // (Algorithm 1) uses this to establish that a candidate child region lies
 // strictly between the insert neighbours.
-func RegionCompare(a Path, r Path) int {
-	if len(r) == 0 {
+func RegionCompare(a, r Path) int { return RegionCompareFrom(a, r, 0) }
+
+// RegionCompareFrom is RegionCompare for a caller that already knows
+// a[:skip] == r[:skip] element for element (skip <= both lengths).
+func RegionCompareFrom(a, r Path, skip int) int {
+	k := len(r)
+	if k == 0 {
 		return 0 // the root's region is the whole identifier space
 	}
-	k := len(r)
 	// a lies inside the region iff it walks through the region's node: its
 	// first k-1 elements match r exactly and its k-th element steps the same
 	// direction (entering the node through its major slot or any mini).
 	if len(a) >= k {
-		inside := true
-		for i := 0; i < k-1; i++ {
-			if a[i] != r[i] {
-				inside = false
-				break
-			}
+		skip = min(skip, k-1)
+		for skip < k-1 && a[skip] == r[skip] {
+			skip++
 		}
-		if inside && a[k-1].Bit == r[k-1].Bit {
+		if skip == k-1 && a[k-1].Bit == r[k-1].Bit {
 			return 0
 		}
 	}
 	// Outside: the divergence point decides the side, which is exactly the
 	// lexicographic element order (subtree regions are intervals).
-	return Compare(a, r)
+	return CompareFrom(a, r, skip)
 }

@@ -100,3 +100,45 @@ func TestRegionCompareMiniEntry(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCompareFrom states what the skip argument is allowed to mean: for any
+// two paths and every skip up to their common prefix, starting the scan at
+// skip changes nothing — CompareFrom agrees with Compare and
+// RegionCompareFrom with RegionCompare, both ways round, against q as it is
+// and as a structural path. The two paths are built as a shared stem plus
+// two tails so that long common prefixes are the usual case, and once more
+// with one a slice of the other, the shared-backing case Compare shortcuts.
+func FuzzCompareFrom(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 1}, []byte{5}, []byte{6, 9})
+	f.Add([]byte{1, 1, 0, 6, 3}, []byte{}, []byte{0, 4})
+	f.Add([]byte{}, []byte{4}, []byte{5})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{1, 0x86, 7}, []byte{1, 0x86, 8})
+	f.Fuzz(func(t *testing.T, stem, a, b []byte) {
+		p := append(pathFromBytes(stem), pathFromBytes(a)...)
+		q := append(pathFromBytes(stem), pathFromBytes(b)...)
+		check := func(p, q Path) {
+			common := 0
+			for common < len(p) && common < len(q) && p[common] == q[common] {
+				common++
+			}
+			for skip := 0; skip <= common; skip++ {
+				if got, want := CompareFrom(p, q, skip), Compare(p, q); got != want {
+					t.Fatalf("CompareFrom(%v, %v, %d) = %d, Compare = %d", p, q, skip, got, want)
+				}
+				if got, want := RegionCompareFrom(p, q, skip), RegionCompare(p, q); got != want {
+					t.Fatalf("RegionCompareFrom(%v, %v, %d) = %d, RegionCompare = %d", p, q, skip, got, want)
+				}
+			}
+		}
+		check(p, q)
+		check(q, p)
+		if len(q) > 0 {
+			check(p, q.StripLastDis())
+		}
+		if len(p) > 0 {
+			check(q, p.StripLastDis())
+			check(p, p[:len(p)/2])
+			check(p[:len(p)/2], p)
+		}
+	})
+}
