@@ -73,26 +73,25 @@ type Document struct {
 	opsApplied uint64
 	netBits    uint64 // accumulated network cost of all ops seen
 
-	// scratchP/scratchF are the reused neighbour-identifier buffers for
-	// local edits. Strategies receive them read-only and never retain them
-	// (every returned identifier is freshly built), so one buffer pair
-	// serves every insert without allocating.
+	// An identifier has elements (ident.Path) only inside a call, in one of
+	// these buffers; what leaves the document is its packed form.
+	// scratchP/scratchF hold the neighbours of a local edit's gap and idBuf
+	// the identifier a strategy builds between them, or the elements of the
+	// remote operation being applied. Strategies read the neighbours and
+	// write idBuf; nothing retains any of them past the call.
 	scratchP ident.Path
 	scratchF ident.Path
+	idBuf    ident.Path
 
 	// Insert-run cache: typing and pastes insert at consecutive gaps, so
 	// after an insert at gap i the neighbours of gap i+1 are already known —
 	// the atom just inserted and the unchanged right neighbour. runGap is
 	// the gap a continuing insert would land on (-1 when invalid); runP/runF
-	// are owned copies of its neighbour identifiers (runF nil = document
-	// end). Any other mutation invalidates the cache.
+	// are its neighbour identifiers in buffers of their own (runF nil =
+	// document end). Any other mutation invalidates the cache.
 	runGap int
 	runP   ident.Path
 	runF   ident.Path
-
-	// arena bump-allocates the identifiers that escape into operations
-	// (one per local edit); see ident.Arena.
-	arena ident.Arena
 }
 
 // NewDocument creates an empty replica. It returns an error for invalid
@@ -245,7 +244,7 @@ func (d *Document) nextDis() ident.Dis {
 
 // neighborIDs returns the identifiers around insertion gap i in the reused
 // scratch buffers. The returned paths are valid until the next neighborIDs
-// call; callers must not retain them (ops clone identifiers on allocation).
+// call; callers must not retain them (an op holds its identifier packed).
 func (d *Document) neighborIDs(i int) (p, f ident.Path, err error) {
 	n := d.tree.Len()
 	if i < 0 || i > n {
@@ -276,6 +275,8 @@ func (d *Document) neighborIDs(i int) (p, f ident.Path, err error) {
 
 // InsertAt inserts atom at index i (0 ≤ i ≤ Len) as a local edit and returns
 // the operation to propagate.
+//
+//treedoc:noalloc
 func (d *Document) InsertAt(i int, atom string) (Op, error) {
 	var p, f ident.Path
 	var err error
@@ -291,25 +292,31 @@ func (d *Document) InsertAt(i int, atom string) (Op, error) {
 	if err != nil {
 		return Op{}, err
 	}
-	d.seq++
-	op := Op{Kind: OpInsert, ID: id, Atom: atom, Site: d.cfg.Site, Seq: d.seq}
-	if err := d.apply(op); err != nil {
+	op, err := d.insertLocal(id, ident.Pack(id), atom) //treedoc:escape the packed identifier is all of it the op holds
+	if err != nil {
 		return Op{}, err
 	}
-	d.primeRun(i+1, id, f)
+	d.primeRun(i+1, f)
 	return op, nil
 }
 
+// insertLocal mints and applies the insert of atom at a local edit's
+// freshly built identifier: id its elements, k their packed form.
+func (d *Document) insertLocal(id ident.Path, k ident.Packed, atom string) (Op, error) {
+	d.seq++
+	op := Op{Kind: OpInsert, ID: k, Atom: atom, Site: d.cfg.Site, Seq: d.seq}
+	return op, d.applyAt(op, id)
+}
+
 // primeRun records the neighbour identifiers of gap g for a continuing
-// insert run: the just-inserted id on the left, f on the right. id is
-// arena-allocated and immutable once escaped into the op, so the cache
-// holds it by reference (nothing ever writes through runP); f is
-// scratch-backed and copied into a document-owned buffer. apply
-// invalidates the cache on every mutation, so the cache only survives
-// between back-to-back local inserts.
-func (d *Document) primeRun(g int, id, f ident.Path) {
+// insert run: the just-inserted identifier on the left, f on the right.
+// The identifier lies in idBuf, which the cache takes whole by trading
+// buffers (the one it gives back held the previous left neighbour, now
+// spent); f is scratch-backed and copied. apply invalidates the cache on
+// every mutation, so it only survives between back-to-back local inserts.
+func (d *Document) primeRun(g int, f ident.Path) {
 	d.runGap = g
-	d.runP = id
+	d.runP, d.idBuf = d.idBuf, d.runP
 	if f == nil {
 		d.runF = nil
 	} else {
@@ -325,10 +332,12 @@ func (d *Document) primeRun(g int, id, f ident.Path) {
 // (Section 3.3.2). On a collision the tombstone becomes the new lower
 // bound and allocation retries deeper: the used identifiers between p and
 // f are finite, so this terminates. UDIS never collides (fresh counters).
+// The identifier is returned in idBuf.
 func (d *Document) allocate(p, f ident.Path) (ident.Path, error) {
 	dis := d.nextDis()
 	for {
-		id := d.strategy.NewID(d.tree, &d.arena, p, f, dis)
+		id := d.strategy.NewID(d.tree, d.idBuf[:0], p, f, dis)
+		d.idBuf = id
 		if !d.trusted {
 			if err := checkAllocation(p, id, f); err != nil {
 				return nil, err
@@ -344,22 +353,40 @@ func (d *Document) allocate(p, f ident.Path) (ident.Path, error) {
 		if !d.tree.Exists(id) {
 			return id, nil
 		}
-		p = id
+		p = d.boundBelow()
 	}
+}
+
+// boundBelow makes the identifier in idBuf the lower bound of the next one
+// built: it moves to scratchP, whose buffer — the bound it replaces — idBuf
+// takes over.
+func (d *Document) boundBelow() ident.Path {
+	d.scratchP, d.idBuf = d.idBuf, d.scratchP
+	return d.scratchP
 }
 
 // InsertRunAt inserts a consecutive run of atoms starting at index i and
 // returns the operations, one per atom. Strategies may pack the run into a
 // minimal subtree (Section 4.1's revision-grouping variant).
 func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
-	if len(atoms) == 0 {
+	switch len(atoms) {
+	case 0:
 		return nil, nil
+	case 1:
+		// A run of one is an insert: the same neighbours, and NewID rather
+		// than a one-identifier NewRun to pack and unpack again.
+		op, err := d.InsertAt(i, atoms[0])
+		if err != nil {
+			return nil, err
+		}
+		return []Op{op}, nil
 	}
 	p, f, err := d.neighborIDs(i)
 	if err != nil {
 		return nil, err
 	}
-	ids := d.strategy.NewRun(d.tree, &d.arena, p, f, d.nextDis(), len(atoms))
+	var ids []ident.Packed
+	ids, d.idBuf = d.strategy.NewRun(d.tree, d.idBuf, p, f, d.nextDis(), len(atoms))
 	if len(ids) != len(atoms) {
 		return nil, fmt.Errorf("core: strategy returned %d ids for %d atoms", len(ids), len(atoms))
 	}
@@ -367,9 +394,14 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	prev := p
 	usable := true
 	for j := range atoms {
+		if j > 0 {
+			prev = d.boundBelow()
+		}
 		var id ident.Path
+		k := ids[j]
 		if usable {
-			id = ids[j]
+			id = k.AppendPath(d.idBuf[:0])
+			d.idBuf = id
 			// Every identifier in the run ends with this edit's fresh
 			// (counter, site) disambiguator, so under UDIS none can collide
 			// with a used identifier (the same Section 3.3.1 uniqueness
@@ -390,24 +422,25 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 			if err != nil {
 				return nil, err
 			}
+			k = ident.Pack(id)
 		}
-		prev = id
-		d.seq++
-		op := Op{Kind: OpInsert, ID: id, Atom: atoms[j], Site: d.cfg.Site, Seq: d.seq}
-		if err := d.apply(op); err != nil {
+		op, err := d.insertLocal(id, k, atoms[j])
+		if err != nil {
 			return nil, err
 		}
 		ops = append(ops, op)
 	}
-	d.primeRun(i+len(atoms), prev, f)
+	d.primeRun(i+len(atoms), f)
 	return ops, nil
 }
 
 // DeleteAt deletes the atom at index i as a local edit and returns the
 // operation to propagate.
+//
+//treedoc:noalloc
 func (d *Document) DeleteAt(i int) (Op, error) {
 	// One fused descent locates the atom, emits its identifier into the
-	// scratch buffer, and deletes it; only the arena copy that escapes into
+	// scratch buffer, and deletes it; only the packed form that escapes into
 	// the op touches the heap. Going through apply instead would re-walk the
 	// identifier the locate descent just produced.
 	sp, err := d.tree.DeleteAtIndex(i, d.cfg.Mode == ident.UDIS, d.scratchP[:0])
@@ -415,10 +448,10 @@ func (d *Document) DeleteAt(i int) (Op, error) {
 		return Op{}, fmt.Errorf("core: delete at %d: %w", i, err)
 	}
 	d.scratchP = sp
-	id := d.arena.Copy(sp)
 	d.seq++
-	op := Op{Kind: OpDelete, ID: id, Site: d.cfg.Site, Seq: d.seq}
-	d.noteApplied(op)
+	k := ident.Pack(sp) //treedoc:escape the packed identifier is all of it the op holds
+	op := Op{Kind: OpDelete, ID: k, Site: d.cfg.Site, Seq: d.seq}
+	d.noteApplied(op, sp)
 	return op, nil
 }
 
@@ -433,29 +466,39 @@ func (d *Document) Apply(op Op) error {
 	return d.apply(op)
 }
 
+// apply executes a validated operation whose identifier is still packed: a
+// remote one. This is where a held identifier becomes a walked one.
 func (d *Document) apply(op Op) error {
+	d.idBuf = op.ID.AppendPath(d.idBuf[:0])
+	return d.applyAt(op, d.idBuf)
+}
+
+// applyAt executes op, whose identifier's elements are id — unpacked by
+// apply, or the ones a local edit just built.
+func (d *Document) applyAt(op Op, id ident.Path) error {
 	switch op.Kind {
 	case OpInsert:
-		if err := d.tree.InsertID(op.ID, op.Atom); err != nil {
+		if err := d.tree.InsertID(id, op.Atom); err != nil {
 			return err
 		}
 	case OpDelete:
-		if _, err := d.tree.DeleteID(op.ID, d.cfg.Mode == ident.UDIS); err != nil {
+		if _, err := d.tree.DeleteID(id, d.cfg.Mode == ident.UDIS); err != nil {
 			return err
 		}
 	case OpFlatten:
-		if err := d.tree.Flatten(op.ID); err != nil {
+		if err := d.tree.Flatten(id); err != nil {
 			return err
 		}
 	}
-	d.noteApplied(op)
+	d.noteApplied(op, id)
 	return nil
 }
 
 // noteApplied records an operation's bookkeeping after its tree mutation has
-// been performed — by apply's dispatch, or by a fused edit that already
-// mutated the tree during its locate descent (DeleteAt).
-func (d *Document) noteApplied(op Op) {
+// been performed — by applyAt's dispatch, or by a fused edit that already
+// mutated the tree during its locate descent (DeleteAt). id holds the
+// elements of op.ID.
+func (d *Document) noteApplied(op Op, id ident.Path) {
 	d.runGap = -1 // any mutation invalidates the insert-run cache; InsertAt re-primes it
 	if op.Seq > d.version.Get(op.Site) {
 		d.version[op.Site] = op.Seq
@@ -469,7 +512,7 @@ func (d *Document) noteApplied(op Op) {
 		// disambiguators at or below the current counter by construction,
 		// so the identifier scan runs only on genuine replays.
 		d.seq = op.Seq
-		for _, el := range op.ID {
+		for _, el := range id {
 			if el.Kind == ident.Mini && el.Dis.Site == d.cfg.Site && el.Dis.Counter > d.counter {
 				d.counter = el.Dis.Counter
 			}
@@ -535,8 +578,8 @@ func (d *Document) FlattenOp(path ident.Path, afterSeq uint64) (Op, error) {
 		return Op{}, fmt.Errorf("core: flatten mint at seq %d, expected %d: %w", d.seq, afterSeq, ErrMintRaced)
 	}
 	d.seq++
-	op := Op{Kind: OpFlatten, ID: path.Clone(), Site: d.cfg.Site, Seq: d.seq}
-	if err := d.apply(op); err != nil {
+	op := Op{Kind: OpFlatten, ID: ident.Pack(path), Site: d.cfg.Site, Seq: d.seq}
+	if err := d.applyAt(op, path); err != nil {
 		return Op{}, err
 	}
 	return op, nil

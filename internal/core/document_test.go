@@ -253,7 +253,7 @@ func TestUDISCounterMakesFreshIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op1.ID.Equal(op2.ID) {
+	if op1.ID == op2.ID {
 		t.Errorf("identifier %v reused after discard (UDIS must mint fresh)", op1.ID)
 	}
 }
@@ -305,11 +305,11 @@ func TestInsertRunAt(t *testing.T) {
 			// n=7 (the naive chain spreads n-1 = 6 levels).
 			minLen, maxLen := 1<<30, 0
 			for _, op := range ops {
-				if len(op.ID) > maxLen {
-					maxLen = len(op.ID)
+				if op.ID.Len() > maxLen {
+					maxLen = op.ID.Len()
 				}
-				if len(op.ID) < minLen {
-					minLen = len(op.ID)
+				if op.ID.Len() < minLen {
+					minLen = op.ID.Len()
 				}
 			}
 			spread := maxLen - minLen
@@ -387,9 +387,9 @@ func TestFlattenAllZeroOverhead(t *testing.T) {
 
 func TestOpCodecRoundTrip(t *testing.T) {
 	ops := []Op{
-		{Kind: OpInsert, ID: ident.MustParsePath("[10(0:s3)]"), Atom: "hello world", Site: 3, Seq: 42},
-		{Kind: OpDelete, ID: ident.MustParsePath("[(1:c7s9)]"), Site: 9, Seq: 1},
-		{Kind: OpInsert, ID: ident.MustParsePath("[(0:⊥)]"), Atom: "", Site: 1, Seq: 0},
+		{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[10(0:s3)]")), Atom: "hello world", Site: 3, Seq: 42},
+		{Kind: OpDelete, ID: ident.Pack(ident.MustParsePath("[(1:c7s9)]")), Site: 9, Seq: 1},
+		{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[(0:⊥)]")), Atom: "", Site: 1, Seq: 0},
 	}
 	for _, op := range ops {
 		data, err := op.MarshalBinary()
@@ -400,7 +400,7 @@ func TestOpCodecRoundTrip(t *testing.T) {
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatalf("unmarshal %v: %v", op, err)
 		}
-		if got.Kind != op.Kind || !got.ID.Equal(op.ID) || got.Atom != op.Atom ||
+		if got.Kind != op.Kind || got.ID != op.ID || got.Atom != op.Atom ||
 			got.Site != op.Site || got.Seq != op.Seq {
 			t.Errorf("round trip %v -> %v", op, got)
 		}
@@ -411,7 +411,7 @@ func TestOpCodecErrors(t *testing.T) {
 	if _, _, err := DecodeOp(nil); err == nil {
 		t.Error("empty buffer decoded")
 	}
-	op := Op{Kind: OpInsert, ID: ident.MustParsePath("[(1:s1)]"), Atom: "abc", Site: 1, Seq: 1}
+	op := Op{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[(1:s1)]")), Atom: "abc", Site: 1, Seq: 1}
 	data := op.AppendBinary(nil)
 	for cut := 1; cut < len(data); cut++ {
 		if _, _, err := DecodeOp(data[:cut]); err == nil {
@@ -422,11 +422,11 @@ func TestOpCodecErrors(t *testing.T) {
 	if err := o.UnmarshalBinary(append(data, 9)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	bad := Op{Kind: 9, ID: ident.MustParsePath("[(1:s1)]"), Site: 1}
+	bad := Op{Kind: 9, ID: ident.Pack(ident.MustParsePath("[(1:s1)]")), Site: 1}
 	if err := bad.Validate(); err == nil {
 		t.Error("bad kind validated")
 	}
-	del := Op{Kind: OpDelete, ID: ident.MustParsePath("[(1:s1)]"), Atom: "x", Site: 1}
+	del := Op{Kind: OpDelete, ID: ident.Pack(ident.MustParsePath("[(1:s1)]")), Atom: "x", Site: 1}
 	if err := del.Validate(); err == nil {
 		t.Error("delete with atom validated")
 	}
@@ -434,11 +434,11 @@ func TestOpCodecErrors(t *testing.T) {
 
 func TestOpNetworkBits(t *testing.T) {
 	c := ident.PaperCost(ident.SDIS)
-	ins := Op{Kind: OpInsert, ID: ident.MustParsePath("[10(0:s3)]"), Atom: "ab"}
+	ins := Op{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[10(0:s3)]")), Atom: "ab"}
 	if got := ins.NetworkBits(c); got != 3+48+16 {
 		t.Errorf("insert bits = %d, want %d", got, 3+48+16)
 	}
-	del := Op{Kind: OpDelete, ID: ident.MustParsePath("[10(0:s3)]")}
+	del := Op{Kind: OpDelete, ID: ident.Pack(ident.MustParsePath("[10(0:s3)]"))}
 	if got := del.NetworkBits(c); got != 3+48 {
 		t.Errorf("delete bits = %d, want %d", got, 3+48)
 	}

@@ -80,11 +80,11 @@ func TestFigure3ConcurrentInserts(t *testing.T) {
 	}
 	// The concurrent identifiers are mini-siblings: same node (identical
 	// structural prefix), different disambiguators.
-	if !opW.ID[:len(opW.ID)-1].Equal(opY.ID[:len(opY.ID)-1]) ||
-		opW.ID.Last().Bit != opY.ID.Last().Bit {
+	w, y := opW.ID.AppendPath(nil), opY.ID.AppendPath(nil)
+	if !w[:len(w)-1].Equal(y[:len(y)-1]) || w.Last().Bit != y.Last().Bit {
 		t.Errorf("W %v and Y %v are not mini-siblings", opW.ID, opY.ID)
 	}
-	if opW.ID.Last().Dis == opY.ID.Last().Dis {
+	if w.Last().Dis == y.Last().Dis {
 		t.Errorf("mini-siblings share a disambiguator")
 	}
 }
@@ -123,10 +123,11 @@ func TestFigure4InsertBetweenMiniSiblings(t *testing.T) {
 		t.Errorf("site B = %q, want %q", got, want)
 	}
 	// X hangs off mini-node W: its identifier extends W's by one element.
-	if !opX.ID[:len(opX.ID)-1].Equal(opW.ID) {
+	x := opX.ID.AppendPath(nil)
+	if !x[:len(x)-1].Equal(opW.ID.AppendPath(nil)) {
 		t.Errorf("X %v is not a child of mini-node W %v", opX.ID, opW.ID)
 	}
-	if opX.ID.Last() != ident.M(1, opX.ID.Last().Dis) {
+	if x.Last() != ident.M(1, x.Last().Dis) {
 		t.Errorf("X %v is not a right child", opX.ID)
 	}
 }
@@ -143,7 +144,7 @@ func TestFigure5BalancedGrowth(t *testing.T) {
 		{"[0(0:s2)]", "a"}, {"[(0:s2)]", "b"}, {"[0(1:s2)]", "c"},
 		{"[1(0:s2)]", "d"}, {"[(1:s2)]", "e"}, {"[1(1:s2)]", "f"},
 	} {
-		op := Op{Kind: OpInsert, ID: ident.MustParsePath(fix.id), Atom: fix.atom, Site: 2, Seq: 1}
+		op := Op{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath(fix.id)), Atom: fix.atom, Site: 2, Seq: 1}
 		if err := d.Apply(op); err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestFigure5BalancedGrowth(t *testing.T) {
 		t.Errorf("g's identifier = %v, want %v (the paper's [1110(0:d)])", opG.ID, want)
 	}
 	k := growLevels(h)
-	if got := len(opG.ID); got != h+k {
+	if got := opG.ID.Len(); got != h+k {
 		t.Errorf("g's identifier %v has depth %d, want h+k = %d", opG.ID, got, h+k)
 	}
 	// Subsequent appends consume the grown subtree's empty slots ("the
@@ -169,8 +170,8 @@ func TestFigure5BalancedGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(op.ID) > maxDepth {
-			maxDepth = len(op.ID)
+		if op.ID.Len() > maxDepth {
+			maxDepth = op.ID.Len()
 		}
 	}
 	if maxDepth > h+k {
@@ -196,7 +197,7 @@ func TestNaiveAppendDegenerates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(last.ID); got != 16 {
+	if got := last.ID.Len(); got != 16 {
 		t.Errorf("16th naive append has depth %d, want 16", got)
 	}
 

@@ -22,7 +22,7 @@ type opJSON struct {
 func (o Op) MarshalJSON() ([]byte, error) {
 	return json.Marshal(opJSON{
 		Kind: o.Kind.String(),
-		ID:   o.ID,
+		ID:   o.ID.AppendPath(nil),
 		Atom: o.Atom,
 		Site: o.Site,
 		Seq:  o.Seq,
@@ -44,7 +44,12 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 	default:
 		return fmt.Errorf("core: unknown op kind %q", j.Kind)
 	}
-	dec := Op{Kind: kind, ID: j.ID, Atom: j.Atom, Site: j.Site, Seq: j.Seq}
+	// Packing masks a bit above 1 and drops an unknown kind, so the elements
+	// are checked before they are packed, not after.
+	if err := j.ID.Validate(); err != nil {
+		return fmt.Errorf("core: invalid op id: %w", err)
+	}
+	dec := Op{Kind: kind, ID: ident.Pack(j.ID), Atom: j.Atom, Site: j.Site, Seq: j.Seq}
 	if err := dec.Validate(); err != nil {
 		return err
 	}

@@ -9,8 +9,8 @@ import (
 
 func TestOpJSONRoundTrip(t *testing.T) {
 	ops := []Op{
-		{Kind: OpInsert, ID: ident.MustParsePath("[10(0:s3)]"), Atom: "hello \"quoted\"", Site: 3, Seq: 42},
-		{Kind: OpDelete, ID: ident.MustParsePath("[(1:c7s9)]"), Site: 9, Seq: 1},
+		{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[10(0:s3)]")), Atom: "hello \"quoted\"", Site: 3, Seq: 42},
+		{Kind: OpDelete, ID: ident.Pack(ident.MustParsePath("[(1:c7s9)]")), Site: 9, Seq: 1},
 	}
 	for _, op := range ops {
 		data, err := json.Marshal(op)
@@ -21,7 +21,7 @@ func TestOpJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &got); err != nil {
 			t.Fatalf("unmarshal %s: %v", data, err)
 		}
-		if got.Kind != op.Kind || !got.ID.Equal(op.ID) || got.Atom != op.Atom ||
+		if got.Kind != op.Kind || got.ID != op.ID || got.Atom != op.Atom ||
 			got.Site != op.Site || got.Seq != op.Seq {
 			t.Errorf("round trip %v -> %v", op, got)
 		}
@@ -29,7 +29,7 @@ func TestOpJSONRoundTrip(t *testing.T) {
 }
 
 func TestOpJSONReadable(t *testing.T) {
-	op := Op{Kind: OpInsert, ID: ident.MustParsePath("[10(0:s3)]"), Atom: "x", Site: 3, Seq: 1}
+	op := Op{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[10(0:s3)]")), Atom: "x", Site: 3, Seq: 1}
 	data, err := json.Marshal(op)
 	if err != nil {
 		t.Fatal(err)
@@ -53,5 +53,36 @@ func TestOpJSONErrors(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"kind":"delete","id":"[(1:s1)]","atom":"x","site":1}`), &o); err == nil {
 		t.Error("delete with atom accepted")
+	}
+	// The identifier's elements are checked before they are packed: packing
+	// would carry a 49-bit site into an encoding only the decoder refuses,
+	// and a structural path is no atom's identifier.
+	for _, id := range []string{"[(1:s281474976710656)]", "[10]", "[]"} {
+		if err := json.Unmarshal([]byte(`{"kind":"insert","id":"`+id+`","site":1}`), &o); err == nil {
+			t.Errorf("insert at %s accepted as %v", id, o)
+		}
+	}
+}
+
+// TestApplyRejectsWhatIsNoIdentifier: an operation's ID is a string type,
+// so Apply checks it is an encoding — of the right kind of path — before it
+// is unpacked.
+func TestApplyRejectsWhatIsNoIdentifier(t *testing.T) {
+	d := newDoc(t, 1)
+	atom, region := ident.Pack(ident.MustParsePath("[(1:s2)]")), ident.Pack(ident.MustParsePath("[1]"))
+	for name, op := range map[string]Op{
+		"zero identifier":          {Kind: OpInsert, Site: 2, Seq: 1},
+		"garbage":                  {Kind: OpDelete, ID: "\xff\xff", Site: 2, Seq: 1},
+		"bytes after the encoding": {Kind: OpInsert, ID: atom + "\x00", Site: 2, Seq: 1},
+		"a bit above 1 in the pad": {Kind: OpInsert, ID: "\x01\x03\x01\x01\x00\x02", Site: 2, Seq: 1},
+		"insert at a region":       {Kind: OpInsert, ID: region, Site: 2, Seq: 1},
+		"flatten at an atom":       {Kind: OpFlatten, ID: atom, Site: 2, Seq: 1},
+	} {
+		if err := d.Apply(op); err == nil {
+			t.Errorf("%s: applied %v", name, op)
+		}
+	}
+	if d.Len() != 0 || d.Check() != nil {
+		t.Errorf("refused operations left %d atoms, check: %v", d.Len(), d.Check())
 	}
 }

@@ -61,7 +61,9 @@ func (k OpKind) String() string {
 // duplicate suppression.
 type Op struct {
 	Kind OpKind
-	ID   ident.Path
+	// ID is the identifier in its packed form, the bytes the wire carries;
+	// ID.AppendPath expands it into elements.
+	ID   ident.Packed
 	Atom string // insert only
 	Site ident.SiteID
 	Seq  uint64
@@ -189,7 +191,7 @@ func DecodeFields(kind OpKind, origin bool, buf []byte) (Op, int, error) {
 		off += n
 		o.Seq = seq
 	}
-	id, n, err := ident.DecodePath(buf[off:])
+	id, n, err := ident.DecodePacked(buf[off:])
 	if err != nil {
 		return o, 0, fmt.Errorf("core: op id: %w", err)
 	}

@@ -12,40 +12,45 @@ import (
 // strategies must return an identifier strictly between the neighbours (nil
 // p means document start, nil f document end); they differ in how they fight
 // tree unbalance (Section 4.1).
+//
+// An identifier is built as elements in a scratch buffer the document owns
+// and passes in, never in memory of its own: what outlives the call is the
+// packed form (ident.Packed), made once per identifier.
 type Strategy interface {
-	// NewID returns a fresh identifier strictly between p and f, carrying
-	// disambiguator d. The tree provides structural context (existing empty
-	// slots, current height); implementations must not modify it. The arena
-	// is the preferred allocator for the returned identifier (one escaping
-	// path per local edit is the dominant allocation cost of a replica);
-	// implementations may ignore it and allocate directly.
-	NewID(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path
-	// NewRun returns n fresh identifiers in ascending order, all strictly
-	// between p and f, for a consecutive insert run.
-	NewRun(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis, n int) []ident.Path
+	// NewID appends to dst a fresh identifier strictly between p and f,
+	// carrying disambiguator d, and returns the result; dst shares no memory
+	// with p or f. The tree provides structural context (existing empty
+	// slots, current height); implementations must not modify it.
+	NewID(t *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Path
+	// NewRun returns n ≥ 2 fresh identifiers in ascending order, all strictly
+	// between p and f, for a consecutive insert run (a run of one goes to
+	// NewID). Each is built in buf and packed; buf comes back with whatever
+	// it grew to.
+	NewRun(t *doctree.Tree, buf, p, f ident.Path, d ident.Dis, n int) ([]ident.Packed, ident.Path)
 	// Name identifies the strategy in benchmark output.
 	Name() string
 }
 
 // naiveID implements Algorithm 1: allocate a child slot adjacent to one of
-// the neighbours. The case analysis follows the paper's rules 4–7, phrased
-// constructively on identifier regions (see DESIGN.md):
+// the neighbours, appended to dst. The case analysis follows the paper's
+// rules 4–7, phrased constructively on identifier regions (see DESIGN.md):
 //
 //   - rule 6: f enters p's major node through a later mini-sibling (or is
 //     one): the new atom becomes a right child of mini-node p;
 //   - rule 4: p is an ancestor of f (f's walk passes through p's node): the
 //     new atom becomes the left child of f's node;
 //   - rules 5/7: otherwise the new atom becomes the right child of p's node.
-func naiveID(a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
+//
+// Every read of p happens before the first write, so an empty dst may be
+// p's own buffer: a chain of children is then extended in place.
+func naiveID(dst, p, f ident.Path, d ident.Dis) ident.Path {
 	switch {
 	case p == nil && f == nil:
-		id := a.Alloc(1)
-		id[0] = ident.M(1, d)
-		return id
+		return append(dst, ident.M(1, d))
 	case p == nil:
-		return childOfStripped(a, f, ident.M(0, d))
+		return childOfStripped(dst, f, ident.M(0, d))
 	case f == nil:
-		return childOfStripped(a, p, ident.M(1, d))
+		return childOfStripped(dst, p, ident.M(1, d))
 	}
 	k := len(p)
 	if len(f) >= k && f[k-1].Kind == ident.Mini &&
@@ -53,34 +58,26 @@ func naiveID(a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
 		f[:k-1].Equal(p[:k-1]) {
 		// Rule 6: mini-siblings (p < f implies f's sibling disambiguator is
 		// the larger, so p's node-level right child would overshoot it).
-		// Extend writes the child element in place when p was the arena's
-		// last mint — every insert of a typing run — so a run of rule-6
-		// children costs one element per atom instead of one path copy.
-		return a.Extend(p, ident.M(1, d))
+		return append(append(dst, p...), ident.M(1, d))
 	}
 	if len(f) >= k && f[k-1].Bit == p[k-1].Bit && f[:k-1].Equal(p[:k-1]) {
 		// Rule 4: f descends through p's node (p is its ancestor): attach
 		// left of f. Everything under f's node-left slot sorts after p here.
 		// (The structural test is RegionCompare(f, p.StripLastDis()) == 0,
 		// spelled out to avoid materialising the stripped path.)
-		return childOfStripped(a, f, ident.M(0, d))
+		return childOfStripped(dst, f, ident.M(0, d))
 	}
 	// Rules 5 and 7: f is an ancestor of p or unrelated; in both cases p's
 	// node-level right region lies strictly between p and f (subtree regions
 	// are intervals, and f sorts beyond p's node's region).
-	return childOfStripped(a, p, ident.M(1, d))
+	return childOfStripped(dst, p, ident.M(1, d))
 }
 
-// childOfStripped returns p.StripLastDis().Child(e) built in one exact-size
-// arena allocation; naiveID runs once per local insert, so the fused
-// arena-backed form removes its per-insert heap cost. The result never
-// aliases p.
-func childOfStripped(a *ident.Arena, p ident.Path, e ident.Elem) ident.Path {
-	q := a.Alloc(len(p) + 1)
-	copy(q, p)
-	q[len(p)-1] = ident.J(q[len(p)-1].Bit)
-	q[len(p)] = e
-	return q
+// childOfStripped appends p.StripLastDis().Child(e) to dst.
+func childOfStripped(dst, p ident.Path, e ident.Elem) ident.Path {
+	dst = append(dst, p...)
+	dst[len(dst)-1] = ident.J(dst[len(dst)-1].Bit)
+	return append(dst, e)
 }
 
 // Naive is Algorithm 1 without balancing: always an immediate child of a
@@ -88,21 +85,21 @@ func childOfStripped(a *ident.Arena, p ident.Path, e ident.Elem) ident.Path {
 type Naive struct{}
 
 // NewID implements Strategy.
-func (Naive) NewID(_ *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
-	return naiveID(a, p, f, d)
+func (Naive) NewID(_ *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Path {
+	return naiveID(dst, p, f, d)
 }
 
 // NewRun implements Strategy: a chain of immediate children (each atom the
 // right child of its predecessor's node), which is exactly what replaying
 // Algorithm 1 per atom produces.
-func (Naive) NewRun(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis, n int) []ident.Path {
-	out := make([]ident.Path, 0, n)
+func (Naive) NewRun(t *doctree.Tree, buf, p, f ident.Path, d ident.Dis, n int) ([]ident.Packed, ident.Path) {
+	out := make([]ident.Packed, 0, n)
 	for i := 0; i < n; i++ {
-		id := naiveID(a, p, f, d)
-		out = append(out, id)
-		p = id
+		buf = naiveID(buf[:0], p, f, d)
+		out = append(out, ident.Pack(buf))
+		p = buf // the next identifier extends this one where it lies
 	}
-	return out
+	return out, buf
 }
 
 // Name implements Strategy.
@@ -116,20 +113,24 @@ func (Naive) Name() string { return "naive" }
 type Balanced struct{}
 
 // NewID implements Strategy.
-func (Balanced) NewID(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
-	if id := t.FreeMiniBetween(a, p, f, d); id != nil {
+func (Balanced) NewID(t *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Path {
+	if id := t.FreeMiniBetween(dst, p, f, d); id != nil {
 		return id
 	}
-	id := naiveID(a, p, f, d)
-	if h := t.Height(); len(id) > h {
-		k := growLevels(h)
-		if k >= 2 {
+	base := len(dst)
+	id := naiveID(dst, p, f, d)
+	if h := t.Height(); len(id)-base > h {
+		if k := growLevels(h); k >= 2 {
 			// Reserve the whole grown subtree (Figure 5's empty nodes), so
 			// subsequent inserts fill its slots instead of deepening the
-			// tree; take the region's smallest identifier now.
-			region := id[:len(id)-1].Clone()
-			region = append(region, ident.J(id[len(id)-1].Bit))
-			if err := t.Reserve(region, k); err == nil {
+			// tree; take the region's smallest identifier now. The region is
+			// the identifier with its last element demoted to the slot.
+			last := &id[len(id)-1]
+			e := *last
+			*last = ident.J(e.Bit)
+			err := t.Reserve(id[base:], k)
+			*last = e
+			if err == nil {
 				id = grow(id, k)
 			}
 		}
@@ -145,22 +146,21 @@ func growLevels(depth int) int {
 	return bits.Len(uint(depth)) + 1 // bits.Len(d) = ⌈log2(d+1)⌉
 }
 
-// grow rewrites a naive identifier s+(b:d) as the smallest identifier of a
-// subtree grown k levels below the same slot: s+b+0…0+(0:d). The result
-// stays inside the naive identifier's already-validated region. k ≤ 1
-// leaves the identifier unchanged.
+// grow rewrites a naive identifier s+(b:d), where it lies, as the smallest
+// identifier of a subtree grown k levels below the same slot:
+// s+b+0…0+(0:d). The result stays inside the naive identifier's
+// already-validated region. k ≤ 1 leaves the identifier unchanged.
 func grow(id ident.Path, k int) ident.Path {
 	if k <= 1 {
 		return id
 	}
-	last := id[len(id)-1]
-	out := make(ident.Path, 0, len(id)+k-1)
-	out = append(out, id[:len(id)-1]...)
-	out = append(out, ident.J(last.Bit))
+	last := &id[len(id)-1]
+	d := last.Dis
+	*last = ident.J(last.Bit)
 	for i := 0; i < k-2; i++ {
-		out = append(out, ident.J(0))
+		id = append(id, ident.J(0))
 	}
-	return append(out, ident.M(0, last.Dis))
+	return append(id, ident.M(0, d))
 }
 
 // NewRun implements Strategy: the paper's revision-grouping variant
@@ -168,23 +168,18 @@ func grow(id ident.Path, k int) ident.Path {
 // revision into a minimal sub-tree". The run occupies the canonical complete
 // subtree of depth ⌈log2(n+1)⌉ below one allocated slot, every atom carrying
 // the same disambiguator (identifiers differ by their bits).
-func (Balanced) NewRun(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis, n int) []ident.Path {
-	if n == 1 {
-		return []ident.Path{Balanced{}.NewID(t, a, p, f, d)}
-	}
+func (Balanced) NewRun(t *doctree.Tree, buf, p, f ident.Path, d ident.Dis, n int) ([]ident.Packed, ident.Path) {
 	// Allocate the run's region root: the naive slot (without growth — the
-	// run subtree is already the growth).
-	head := naiveID(a, p, f, d)
-	slot := head[:len(head)-1] // structural path of the region root's parent slot
-	bit := head[len(head)-1].Bit
-	root := append(slot.Clone(), ident.J(bit))
+	// run subtree is already the growth), demoted to its structural path.
+	root := naiveID(buf[:0], p, f, d)
+	root[len(root)-1] = ident.J(root[len(root)-1].Bit)
 	depth := 1
 	for capacity(depth) < n {
 		depth++
 	}
-	out := make([]ident.Path, 0, n)
-	fillRun(root, depth, n, d, &out)
-	return out
+	out := make([]ident.Packed, 0, n)
+	buf = fillRun(root, depth, n, d, &out)
+	return out, buf
 }
 
 // capacity returns 2^depth - 1.
@@ -196,25 +191,24 @@ func capacity(depth int) int {
 }
 
 // fillRun appends the first n infix identifiers of a canonical complete
-// subtree rooted at structural path root (ending in a Major element).
-func fillRun(root ident.Path, depth, n int, d ident.Dis, out *[]ident.Path) {
+// subtree rooted at structural path root (ending in a Major element). The
+// walk pushes and pops one element on root's own buffer, which it returns
+// as it found it, grown if the walk needed room.
+func fillRun(root ident.Path, depth, n int, d ident.Dis, out *[]ident.Packed) ident.Path {
 	if n == 0 {
-		return
+		return root
 	}
-	capChild := capacity(depth - 1)
-	nLeft := n
-	if nLeft > capChild {
-		nLeft = capChild
+	l := len(root)
+	nLeft := min(n, capacity(depth-1))
+	root = fillRun(append(root, ident.J(0)), depth-1, nLeft, d, out)[:l]
+	if n > nLeft {
+		e := root[l-1]
+		root[l-1] = ident.M(e.Bit, d)
+		*out = append(*out, ident.Pack(root))
+		root[l-1] = e
+		root = fillRun(append(root, ident.J(1)), depth-1, n-nLeft-1, d, out)[:l]
 	}
-	fillRun(root.Child(ident.J(0)), depth-1, nLeft, d, out)
-	rest := n - nLeft
-	if rest > 0 {
-		id := root.Clone()
-		id[len(id)-1] = ident.M(id[len(id)-1].Bit, d)
-		*out = append(*out, id)
-		rest--
-	}
-	fillRun(root.Child(ident.J(1)), depth-1, rest, d, out)
+	return root
 }
 
 // Name implements Strategy.

@@ -53,7 +53,7 @@ func TestNaiveIDRules(t *testing.T) {
 			if tt.f != "" {
 				f = id(t, tt.f)
 			}
-			got := naiveID(new(ident.Arena), p, f, d)
+			got := naiveID(nil, p, f, d)
 			if got.String() != tt.want {
 				t.Errorf("naiveID(%s, %s) = %v, want %s", tt.p, tt.f, got, tt.want)
 			}
@@ -79,7 +79,7 @@ func TestNaiveIDBetweenProperty(t *testing.T) {
 		if gap < len(ids) {
 			f = ids[gap]
 		}
-		got := naiveID(new(ident.Arena), p, f, dis())
+		got := naiveID(nil, p, f, dis())
 		if !ident.Between(p, got, f) {
 			t.Fatalf("step %d: naiveID(%v, %v) = %v not between", step, p, f, got)
 		}
@@ -96,8 +96,9 @@ func TestGrowShapes(t *testing.T) {
 	if got := grow(naive, 1); !got.Equal(naive) {
 		t.Errorf("k=1 must not grow: %v", got)
 	}
-	// k=3 on the Figure 5 shape: [11(1:d)] -> [1110(0:d)].
-	got := grow(naive, 3)
+	// k=3 on the Figure 5 shape: [11(1:d)] -> [1110(0:d)]. grow rewrites the
+	// identifier where it lies, so it gets a copy.
+	got := grow(naive.Clone(), 3)
 	if got.String() != "[1110(0:s1)]" {
 		t.Errorf("grow k=3 = %v, want [1110(0:s1)]", got)
 	}
@@ -137,7 +138,7 @@ func TestBalancedFillsReservedInfix(t *testing.T) {
 	p := ident.MustParsePath("[1(1:s2)]") // f, the last atom
 	var got []string
 	for i := 0; i < 7; i++ {
-		nid := strat.NewID(tr, new(ident.Arena), p, nil, dis)
+		nid := strat.NewID(tr, nil, p, nil, dis)
 		if err := tr.InsertID(nid, "x"); err != nil {
 			t.Fatalf("append %d (%v): %v", i, nid, err)
 		}

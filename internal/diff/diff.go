@@ -148,27 +148,87 @@ outer:
 }
 
 // Apply executes a script against a document, returning the result. It is
-// the reference executor used by tests and the trace replayer.
+// the reference executor used by tests; a replayer that applies one script
+// after another keeps a Buffer across them instead.
 func Apply(a []string, script []Op) ([]string, error) {
-	out := make([]string, len(a))
-	copy(out, a)
+	b := NewBuffer(a)
+	if err := b.Apply(script); err != nil {
+		return nil, err
+	}
+	return b.Atoms(), nil
+}
+
+// Buffer is a document under a sequence of edit scripts: a gap buffer, so an
+// op costs the distance from the op before it, not the length of the
+// document. Revision histories edit in a few hot spots, and the gap stays
+// where the last op left it.
+type Buffer struct {
+	buf      []string // the atoms before the gap, the gap, the atoms after it
+	gap, end int      // buf[gap:end] is the gap
+}
+
+// NewBuffer returns a buffer holding a copy of the atoms of a.
+func NewBuffer(a []string) *Buffer {
+	return &Buffer{buf: append([]string(nil), a...), gap: len(a), end: len(a)}
+}
+
+// Len returns the number of atoms in the document.
+func (b *Buffer) Len() int { return len(b.buf) - (b.end - b.gap) }
+
+// Atoms returns the document as a fresh slice.
+func (b *Buffer) Atoms() []string { return b.AppendRange(make([]string, 0, b.Len()), 0, b.Len()) }
+
+// AppendRange appends the atoms at indices [from, to) to dst.
+func (b *Buffer) AppendRange(dst []string, from, to int) []string {
+	if from < b.gap {
+		dst = append(dst, b.buf[from:min(to, b.gap)]...)
+	}
+	if to > b.gap {
+		dst = append(dst, b.buf[max(from, b.gap)+b.end-b.gap:to+b.end-b.gap]...)
+	}
+	return dst
+}
+
+// seek moves the gap to document index i.
+func (b *Buffer) seek(i int) {
+	if n := b.gap - i; n > 0 {
+		copy(b.buf[b.end-n:b.end], b.buf[i:b.gap])
+		b.gap, b.end = i, b.end-n
+	} else if n < 0 {
+		copy(b.buf[b.gap:], b.buf[b.end:b.end-n])
+		b.gap, b.end = i, b.end-n
+	}
+}
+
+// Apply executes a script against the document. A script that fails leaves
+// the ops before the failing one applied.
+func (b *Buffer) Apply(script []Op) error {
 	for i, op := range script {
 		switch op.Kind {
 		case Delete:
-			if op.Index < 0 || op.Index >= len(out) {
-				return nil, fmt.Errorf("diff: op %d: delete index %d out of range [0,%d)", i, op.Index, len(out))
+			if op.Index < 0 || op.Index >= b.Len() {
+				return fmt.Errorf("diff: op %d: delete index %d out of range [0,%d)", i, op.Index, b.Len())
 			}
-			out = append(out[:op.Index], out[op.Index+1:]...)
+			b.seek(op.Index)
+			b.buf[b.end] = "" // the gap must not pin a deleted atom
+			b.end++
 		case Insert:
-			if op.Index < 0 || op.Index > len(out) {
-				return nil, fmt.Errorf("diff: op %d: insert index %d out of range [0,%d]", i, op.Index, len(out))
+			if op.Index < 0 || op.Index > b.Len() {
+				return fmt.Errorf("diff: op %d: insert index %d out of range [0,%d]", i, op.Index, b.Len())
 			}
-			out = append(out, "")
-			copy(out[op.Index+1:], out[op.Index:])
-			out[op.Index] = op.Atom
+			b.seek(op.Index)
+			if b.gap == b.end {
+				// Reopen the gap at double the size, where it is.
+				grown := make([]string, 2*len(b.buf)+16)
+				copy(grown, b.buf[:b.gap])
+				b.end = len(grown) - copy(grown[len(grown)-(len(b.buf)-b.end):], b.buf[b.end:])
+				b.buf = grown
+			}
+			b.buf[b.gap] = op.Atom
+			b.gap++
 		default:
-			return nil, fmt.Errorf("diff: op %d: invalid kind %d", i, op.Kind)
+			return fmt.Errorf("diff: op %d: invalid kind %d", i, op.Kind)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -9,8 +9,8 @@ import (
 // FreeMiniBetween searches for the first empty node, in infix order, whose
 // mini position lies strictly between identifiers p and f (nil bounds mean
 // document start/end). It returns the identifier a new mini with
-// disambiguator d would take there, allocated from a, or nil if no reusable
-// slot exists.
+// disambiguator d would take there, appended to dst (the caller's scratch),
+// or nil if no reusable slot exists.
 //
 // Empty nodes arise from balanced growth (Section 4.1 reserves a grown
 // subtree whose positions are consumed by subsequent inserts: "the
@@ -24,16 +24,16 @@ import (
 // relation to the current node down with it (see slotSearch.walk).
 //
 //treedoc:noalloc
-func (t *Tree) FreeMiniBetween(a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
+func (t *Tree) FreeMiniBetween(dst, p, f ident.Path, d ident.Dis) ident.Path {
 	s := slotSearch{t: t, p: p, f: f, prefix: t.slotPath[:0], budget: 16*t.height + 64}
 	found := s.walk(rootH, p != nil, f != nil)
 	t.slotPath = s.prefix[:0] // keep whatever the walk grew
 	if found == 0 {
 		return nil
 	}
-	id := a.Copy(s.prefix) //treedoc:escape the arena copy of the result is the search's one allocation
-	id[len(id)-1] = ident.M(id[len(id)-1].Bit, d)
-	return id
+	dst = append(dst, s.prefix...) //treedoc:escape growing the caller's scratch
+	dst[len(dst)-1] = ident.M(dst[len(dst)-1].Bit, d)
+	return dst
 }
 
 // slotSearch is the in-order free-slot walk. prefix always holds the

@@ -240,7 +240,7 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 					seed, p, f, budget, got, gotLeft, want, wantLeft)
 			}
 			if q%2 == 0 {
-				if pub := tr.FreeMiniBetween(new(ident.Arena), p, f, d); !pub.Equal(want) {
+				if pub := tr.FreeMiniBetween(nil, p, f, d); !pub.Equal(want) {
 					t.Fatalf("seed %d, bounds (%v, %v): FreeMiniBetween = %v, oracle %v", seed, p, f, pub, want)
 				}
 			}
@@ -279,13 +279,13 @@ func BenchmarkFreeSearchDeep(b *testing.B) {
 	budget := 16*tr.height + 64
 	_, left := tr.freeMiniBetweenOracle(p, nil, d, budget)
 	visits := float64(budget - left)
-	var arena ident.Arena
+	var scratch ident.Path
 	for _, bc := range []struct {
 		name string
 		fn   func() ident.Path
 	}{
 		{"oracle", func() ident.Path { got, _ := tr.freeMiniBetweenOracle(p, nil, d, budget); return got }},
-		{"search", func() ident.Path { return tr.FreeMiniBetween(&arena, p, nil, d) }},
+		{"search", func() ident.Path { scratch = tr.FreeMiniBetween(scratch[:0], p, nil, d); return scratch }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -33,7 +33,7 @@ func TestFreeSearchPrunesTombstoneChains(t *testing.T) {
 	// the searcher would allow ~48k visits; assert correctness here and let
 	// the benchmark below document the speed.
 	first := ident.MustParsePath("[(1:s1)]")
-	if got := tr.FreeMiniBetween(new(ident.Arena), first, nil, ident.Dis{Site: 2}); got != nil {
+	if got := tr.FreeMiniBetween(nil, first, nil, ident.Dis{Site: 2}); got != nil {
 		t.Errorf("found a free slot %v in a tombstone-only chain", got)
 	}
 	// Now reserve a region: the search must find it even with the chain
@@ -41,7 +41,7 @@ func TestFreeSearchPrunesTombstoneChains(t *testing.T) {
 	if err := tr.Reserve(ident.Path{ident.J(0)}, 2); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.FreeMiniBetween(new(ident.Arena), nil, first, ident.Dis{Site: 2})
+	got := tr.FreeMiniBetween(nil, nil, first, ident.Dis{Site: 2})
 	if got == nil {
 		t.Fatal("reserved slot not found")
 	}
@@ -64,7 +64,7 @@ func TestEmptyCountsSurviveChurn(t *testing.T) {
 	// Fill two reserved slots.
 	p := ident.MustParsePath("[(1:s1)]")
 	for i := 0; i < 2; i++ {
-		id := tr.FreeMiniBetween(new(ident.Arena), p, nil, ident.Dis{Site: 2})
+		id := tr.FreeMiniBetween(nil, p, nil, ident.Dis{Site: 2})
 		if id == nil {
 			t.Fatal("no reserved slot found")
 		}
@@ -119,7 +119,7 @@ func BenchmarkFreeSearchTombstoneChain(b *testing.B) {
 	first := ident.MustParsePath("[(1:s1)]")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tr.FreeMiniBetween(new(ident.Arena), first, nil, ident.Dis{Site: 2}); got != nil {
+		if got := tr.FreeMiniBetween(nil, first, nil, ident.Dis{Site: 2}); got != nil {
 			b.Fatal("unexpected slot")
 		}
 	}

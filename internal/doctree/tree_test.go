@@ -430,7 +430,7 @@ func TestFreeMiniBetween(t *testing.T) {
 	// No free slots in the dense figure-2 tree between adjacent atoms a,b.
 	a := ident.MustParsePath("[0(0:s1)]")
 	b := ident.MustParsePath("[(0:s2)]")
-	if got := tr.FreeMiniBetween(new(ident.Arena), a, b, ident.Dis{Site: 9}); got != nil {
+	if got := tr.FreeMiniBetween(nil, a, b, ident.Dis{Site: 9}); got != nil {
 		t.Errorf("unexpected free slot %v", got)
 	}
 	// Materialise a grown region: an empty chain below [11] right.
@@ -439,12 +439,12 @@ func TestFreeMiniBetween(t *testing.T) {
 	f := ident.MustParsePath("[1(1:s6)]")
 	g := ident.MustParsePath("[1110(0:s7)]")
 	// Between f and g there are no free slots (the chain sits right of g)…
-	if got := tr.FreeMiniBetween(new(ident.Arena), f, g, ident.Dis{Site: 9}); got != nil {
+	if got := tr.FreeMiniBetween(nil, f, g, ident.Dis{Site: 9}); got != nil {
 		t.Errorf("unexpected free slot between f and g: %v", got)
 	}
 	// …but after g, the empty nodes [1110] and [111] are reusable, in infix
 	// order: [1110]'s mini position comes first.
-	got := tr.FreeMiniBetween(new(ident.Arena), g, nil, ident.Dis{Site: 9})
+	got := tr.FreeMiniBetween(nil, g, nil, ident.Dis{Site: 9})
 	if got == nil {
 		t.Fatal("no free slot found after g")
 	}
@@ -457,7 +457,7 @@ func TestFreeMiniBetween(t *testing.T) {
 	// Fill it and ask again: the next slot must differ and still be ordered.
 	mustInsert(t, tr, got.String(), "h")
 	checkTree(t, tr)
-	next := tr.FreeMiniBetween(new(ident.Arena), ident.MustParsePath(got.String()), nil, ident.Dis{Site: 9})
+	next := tr.FreeMiniBetween(nil, ident.MustParsePath(got.String()), nil, ident.Dis{Site: 9})
 	if next == nil {
 		t.Fatal("no second free slot")
 	}

@@ -82,68 +82,16 @@ func (p Path) MarshalBinary() ([]byte, error) {
 	return p.AppendBinary(nil), nil
 }
 
-// uvarint reads one minimally encoded uvarint at buf[off:] and returns it
-// with the offset past it.
-func uvarint(buf []byte, off int, what string) (uint64, int, error) {
-	v, n := binary.Uvarint(buf[off:])
-	if n <= 0 || n > 1 && buf[off+n-1] == 0 {
-		return 0, 0, fmt.Errorf("ident: truncated or non-minimal %s", what)
-	}
-	return v, off + n, nil
-}
-
-// DecodePath decodes one path from the front of buf, returning the path and
-// the number of bytes consumed.
+// DecodePath decodes one path from the front of buf into a fresh Path,
+// returning it and the number of bytes consumed. A caller that keeps the
+// identifier holds the Packed instead, and one that walks it expands that
+// into a scratch it owns.
 func DecodePath(buf []byte) (Path, int, error) {
-	n, off, err := uvarint(buf, 0, "path length")
+	k, n, err := DecodePacked(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	if n > MaxPathLen || n > 8*uint64(len(buf)-off) {
-		return nil, 0, fmt.Errorf("ident: path length %d exceeds limit or buffer", n)
-	}
-	bits := buf[off : off+int(n+7)/8]
-	if n&7 != 0 && bits[len(bits)-1]>>(n&7) != 0 {
-		return nil, 0, fmt.Errorf("ident: non-zero pad bits after %d path elements", n)
-	}
-	k, off, err := uvarint(buf, off+len(bits), "mini count")
-	if err != nil {
-		return nil, 0, err
-	}
-	if k > n {
-		return nil, 0, fmt.Errorf("ident: %d mini elements in a path of %d", k, n)
-	}
-	p := make(Path, n)
-	for i := range p {
-		p[i].Bit, p[i].Kind = bits[i>>3]>>(i&7)&1, Major
-	}
-	next := uint64(0)
-	for ; k > 0; k-- {
-		var g, c, s uint64
-		if g, off, err = uvarint(buf, off, "mini entry"); err != nil {
-			return nil, 0, err
-		}
-		if g>>1 >= n-next { // also next == n: no element left to hold it
-			return nil, 0, fmt.Errorf("ident: mini element beyond path length %d", n)
-		}
-		e := &p[next+g>>1]
-		next += g>>1 + 1
-		e.Kind = Mini
-		if g&1 == 0 {
-			continue
-		}
-		if c, off, err = uvarint(buf, off, "counter"); err != nil {
-			return nil, 0, err
-		}
-		if s, off, err = uvarint(buf, off, "site"); err != nil {
-			return nil, 0, err
-		}
-		if c > 1<<32-1 || SiteID(s) > MaxSiteID || c|s == 0 {
-			return nil, 0, fmt.Errorf("ident: disambiguator (%d, %d) out of range", c, s)
-		}
-		e.Dis = Dis{Counter: uint32(c), Site: SiteID(s)}
-	}
-	return p, off, nil
+	return k.AppendPath(make(Path, 0, k.Len())), n, nil
 }
 
 // UnmarshalBinary decodes p from data, requiring the whole buffer to be

@@ -235,14 +235,7 @@ func Compare(p, q Path) int { return CompareFrom(p, q, 0) }
 // two elements that can differ instead of the whole shared prefix.
 func CompareFrom(p, q Path, skip int) int {
 	n := min(len(p), len(q))
-	i := skip
-	if n > 0 && &p[0] == &q[0] {
-		// Shared backing from index 0 (one path arena-Extends the other):
-		// the common prefix is the whole shorter path, element by element the
-		// same memory, so the scan starts at the length tiebreak.
-		i = n
-	}
-	for ; i < n; i++ {
+	for i := skip; i < n; i++ {
 		pe, qe := p[i], q[i]
 		if pe == qe {
 			continue

@@ -118,9 +118,9 @@ func LatexProfiles() []Profile {
 type generator struct {
 	p    Profile
 	rng  *rand.Rand
-	doc  []string
-	hot  []float64 // hot spot centres as document fractions
-	next int       // atom id counter for synthesized content
+	doc  *diff.Buffer // the document at the current revision
+	hot  []float64    // hot spot centres as document fractions
+	next int          // atom id counter for synthesized content
 }
 
 // Generate builds the synthetic history for a profile.
@@ -141,10 +141,11 @@ func Generate(p Profile) (*Trace, error) {
 		p.AtomBytes = 8
 	}
 	g := &generator{p: p, rng: rand.New(rand.NewSource(p.Seed))}
+	t := &Trace{Name: p.Name, Granularity: p.Granularity}
 	for i := 0; i < p.InitialAtoms; i++ {
-		g.doc = append(g.doc, g.atom())
+		t.Initial = append(t.Initial, g.atom())
 	}
-	t := &Trace{Name: p.Name, Granularity: p.Granularity, Initial: append([]string(nil), g.doc...)}
+	g.doc = diff.NewBuffer(t.Initial)
 	for i := 0; i < p.HotSpots; i++ {
 		g.hot = append(g.hot, g.rng.Float64())
 	}
@@ -162,18 +163,16 @@ func Generate(p Profile) (*Trace, error) {
 			// Restore last revision's defacement (administrator revert).
 			ops = g.restore(vandalIdx, vandalised)
 			vandalised = nil
-		case p.VandalismEvery > 0 && rev%p.VandalismEvery == 0 && len(g.doc) > 8:
+		case p.VandalismEvery > 0 && rev%p.VandalismEvery == 0 && g.doc.Len() > 8:
 			ops, vandalIdx, vandalised = g.vandalise()
 		default:
 			remaining := p.Revisions - rev + 1
-			carry += float64(p.FinalAtoms-len(g.doc)) / float64(remaining)
+			carry += float64(p.FinalAtoms-g.doc.Len()) / float64(remaining)
 			net := int(carry)
 			carry -= float64(net)
 			ops = g.editSession(net)
 		}
-		var err error
-		g.doc, err = diff.Apply(g.doc, ops)
-		if err != nil {
+		if err := g.doc.Apply(ops); err != nil {
 			return nil, fmt.Errorf("trace: generator produced invalid ops: %w", err)
 		}
 		t.Revisions = append(t.Revisions, Revision{Ops: ops})
@@ -223,18 +222,18 @@ func (g *generator) driftSpots() {
 
 // spot picks an edit position near a hot region.
 func (g *generator) spot() int {
-	if len(g.doc) == 0 {
+	if g.doc.Len() == 0 {
 		return 0
 	}
 	h := g.rng.Intn(len(g.hot))
-	center := int(g.hot[h] * float64(len(g.doc)))
+	center := int(g.hot[h] * float64(g.doc.Len()))
 	off := g.rng.Intn(7) - 3
 	pos := center + off
 	if pos < 0 {
 		pos = 0
 	}
-	if pos >= len(g.doc) {
-		pos = len(g.doc) - 1
+	if pos >= g.doc.Len() {
+		pos = g.doc.Len() - 1
 	}
 	return pos
 }
@@ -244,7 +243,7 @@ func (g *generator) spot() int {
 func (g *generator) editSession(net int) []diff.Op {
 	g.driftSpots()
 	var ops []diff.Op
-	cur := len(g.doc)
+	cur := g.doc.Len()
 	apply := func(op diff.Op) {
 		ops = append(ops, op)
 		if op.Kind == diff.Insert {
@@ -306,7 +305,7 @@ func (g *generator) editSession(net int) []diff.Op {
 // are repeatedly defaced"). It returns the ops, the start index, and the
 // removed atoms for the follow-up restore.
 func (g *generator) vandalise() (ops []diff.Op, start int, removed []string) {
-	n := len(g.doc)
+	n := g.doc.Len()
 	chunk := n / 3
 	if chunk < 4 {
 		chunk = 4
@@ -318,7 +317,7 @@ func (g *generator) vandalise() (ops []diff.Op, start int, removed []string) {
 	if n > chunk {
 		start = g.rng.Intn(n - chunk)
 	}
-	removed = append(removed, g.doc[start:start+chunk]...)
+	removed = g.doc.AppendRange(removed, start, start+chunk)
 	for i := 0; i < chunk; i++ {
 		ops = append(ops, diff.Op{Kind: diff.Delete, Index: start})
 	}
@@ -328,8 +327,8 @@ func (g *generator) vandalise() (ops []diff.Op, start int, removed []string) {
 // restore re-inserts a defaced chunk (the administrator's revert; the text
 // returns but — as in the paper — with fresh identifiers).
 func (g *generator) restore(start int, removed []string) []diff.Op {
-	if start > len(g.doc) {
-		start = len(g.doc)
+	if start > g.doc.Len() {
+		start = g.doc.Len()
 	}
 	ops := make([]diff.Op, 0, len(removed))
 	for i, atom := range removed {

@@ -102,11 +102,9 @@ func (t *Trace) Summarize() (Summary, error) {
 
 func (t *Trace) summarize() (Summary, error) {
 	s := Summary{Name: t.Name, Revisions: len(t.Revisions), InitialAtoms: len(t.Initial)}
-	doc := append([]string(nil), t.Initial...)
+	doc := diff.NewBuffer(t.Initial)
 	for i, rev := range t.Revisions {
-		var err error
-		doc, err = diff.Apply(doc, rev.Ops)
-		if err != nil {
+		if err := doc.Apply(rev.Ops); err != nil {
 			return Summary{}, fmt.Errorf("trace %s: revision %d: %w", t.Name, i, err)
 		}
 		for _, op := range rev.Ops {
@@ -117,8 +115,8 @@ func (t *Trace) summarize() (Summary, error) {
 			}
 		}
 	}
-	s.FinalAtoms = len(doc)
-	for _, a := range doc {
+	s.FinalAtoms = doc.Len()
+	for _, a := range doc.Atoms() {
 		s.FinalBytes += len(a)
 	}
 	return s, nil
@@ -126,15 +124,13 @@ func (t *Trace) summarize() (Summary, error) {
 
 // Final replays the trace and returns the final document.
 func (t *Trace) Final() ([]string, error) {
-	doc := append([]string(nil), t.Initial...)
+	doc := diff.NewBuffer(t.Initial)
 	for i, rev := range t.Revisions {
-		var err error
-		doc, err = diff.Apply(doc, rev.Ops)
-		if err != nil {
+		if err := doc.Apply(rev.Ops); err != nil {
 			return nil, fmt.Errorf("trace %s: revision %d: %w", t.Name, i, err)
 		}
 	}
-	return doc, nil
+	return doc.Atoms(), nil
 }
 
 // FromVersions builds a trace from successive full-text revisions by

@@ -805,7 +805,7 @@ func (e *Engine) handle(cmd command) {
 		e.record(m)
 		e.batch = append(e.batch, m)
 		if e.fl != nil {
-			e.onLocalOpStamped(op)
+			e.recordOp(op)
 		}
 		if len(e.batch) >= e.batchSize {
 			e.flush()

@@ -160,7 +160,7 @@ type decision struct {
 type editRec struct {
 	site ident.SiteID
 	seq  uint64
-	id   ident.Path
+	id   ident.Packed
 }
 
 type pendingCommit struct {
@@ -324,9 +324,12 @@ func (r *flattenResource) UneditedSince(path ident.Path, obs vclock.VC) bool {
 	if !vcEqual(e.flat.Version(), clock) {
 		return false // in-flight local edits the actor has not stamped yet
 	}
+	var id ident.Path // one scratch for the scan: the log holds identifiers packed
 	for _, l := range st.editLog {
-		if l.seq > obs.Get(l.site) && ident.RegionCompare(l.id, path) == 0 {
-			return false
+		if l.seq > obs.Get(l.site) {
+			if id = l.id.AppendPath(id[:0]); ident.RegionCompare(id, path) == 0 {
+				return false
+			}
 		}
 	}
 	return true
@@ -541,12 +544,14 @@ func (e *Engine) mintPendingFlattens() {
 	}
 }
 
-// onLocalOpStamped feeds the vote bookkeeping for a locally broadcast
-// operation (called from the actor right after stamping).
-func (e *Engine) onLocalOpStamped(op core.Op) {
+// recordOp feeds the vote bookkeeping for an operation that has taken
+// effect here: a locally broadcast one (called from the actor right after
+// stamping) or a delivered one.
+func (e *Engine) recordOp(op core.Op) {
 	if op.Kind == core.OpFlatten {
-		// A caller broadcasting Doc.FlattenOp directly, outside the engine's
-		// own commitment: treat it like any applied flatten.
+		// A delivered OpFlatten is the commit taking effect here; a local one
+		// is a caller broadcasting Doc.FlattenOp directly, outside the engine's
+		// own commitment, and is treated like any applied flatten.
 		e.releaseLocksFor(op.Site, op.ID)
 		e.afterFlattenApplied()
 		return
@@ -554,16 +559,11 @@ func (e *Engine) onLocalOpStamped(op core.Op) {
 	e.fl.editLog = append(e.fl.editLog, editRec{site: op.Site, seq: op.Seq, id: op.ID})
 }
 
-// onRemoteOpDelivered feeds the vote bookkeeping for a delivered remote
-// operation; a delivered OpFlatten is the commit taking effect here.
+// onRemoteOpDelivered is recordOp for a delivered remote operation, whose
+// issuer is thereby seen alive.
 func (e *Engine) onRemoteOpDelivered(op core.Op) {
 	e.noteSite(op.Site)
-	if op.Kind == core.OpFlatten {
-		e.releaseLocksFor(op.Site, op.ID)
-		e.afterFlattenApplied()
-		return
-	}
-	e.fl.editLog = append(e.fl.editLog, editRec{site: op.Site, seq: op.Seq, id: op.ID})
+	e.recordOp(op)
 }
 
 // afterFlattenApplied runs once a flatten has taken effect on the local
@@ -587,9 +587,9 @@ func (e *Engine) afterFlattenApplied() {
 // releaseLocksFor releases every lock matching an applied flatten (its
 // coordinator and subtree), completing those transactions at this
 // participant.
-func (e *Engine) releaseLocksFor(coord ident.SiteID, path ident.Path) {
+func (e *Engine) releaseLocksFor(coord ident.SiteID, id ident.Packed) {
 	for tx, l := range e.fl.locks {
-		if tx.Coord == coord && l.path.Equal(path) {
+		if tx.Coord == coord && ident.Pack(l.path) == id {
 			e.releaseLock(tx, true)
 		}
 	}

@@ -49,11 +49,11 @@ func sampleMsgs() []causal.Message {
 	return []causal.Message{
 		{From: 7, TS: vclock.VC{2: 9, 7: 3}, Payload: core.Op{
 			Kind: core.OpInsert, Site: 7, Seq: 3, Atom: "é",
-			ID: ident.Path{{Bit: 1, Kind: ident.Major}, ident.M(0, ident.Dis{Counter: 4, Site: 7})},
+			ID: ident.Pack(ident.Path{{Bit: 1, Kind: ident.Major}, ident.M(0, ident.Dis{Counter: 4, Site: 7})}),
 		}},
 		{From: 7, TS: vclock.VC{2: 9, 7: 4}, Payload: core.Op{
 			Kind: core.OpDelete, Site: 7, Seq: 4,
-			ID: ident.Path{ident.M(1, ident.Dis{Site: 2})},
+			ID: ident.Pack(ident.Path{ident.M(1, ident.Dis{Site: 2})}),
 		}},
 	}
 }
@@ -62,14 +62,15 @@ func sampleMsgs() []causal.Message {
 // interleaved, a clock that learns a foreign entry mid-run, an op issued by
 // another site than the one relaying it, and a committed flatten.
 func mixedMsgs() []causal.Message {
-	id := ident.Path{ident.J(0), ident.J(1), ident.M(1, ident.Canonical), ident.M(0, ident.Dis{Site: ident.MaxSiteID})}
+	p := ident.Path{ident.J(0), ident.J(1), ident.M(1, ident.Canonical), ident.M(0, ident.Dis{Site: ident.MaxSiteID})}
+	id, id3 := ident.Pack(p), ident.Pack(p[:3])
 	return []causal.Message{
 		{From: 7, TS: vclock.VC{7: 1}, Payload: core.Op{Kind: core.OpInsert, Site: 7, Seq: 1, Atom: "a", ID: id}},
 		{From: 7, TS: vclock.VC{7: 2}, Payload: core.Op{Kind: core.OpDelete, Site: 7, Seq: 2, ID: id}},
-		{From: 9, TS: vclock.VC{7: 2, 9: 1}, Payload: core.Op{Kind: core.OpInsert, Site: 9, Seq: 1, ID: id[:3]}},
-		{From: 7, TS: vclock.VC{7: 3}, Payload: core.Op{Kind: core.OpFlatten, Site: 7, Seq: 3, ID: structuralPath()}},
-		{From: 7, TS: vclock.VC{7: 4, 9: 1}, Payload: core.Op{Kind: core.OpDelete, Site: 7, Seq: 4, ID: id[:3]}},
-		{From: 7, TS: vclock.VC{7: 5, 9: 1}, Payload: core.Op{Kind: core.OpDelete, Site: 3, Seq: 8, ID: id[:3]}},
+		{From: 9, TS: vclock.VC{7: 2, 9: 1}, Payload: core.Op{Kind: core.OpInsert, Site: 9, Seq: 1, ID: id3}},
+		{From: 7, TS: vclock.VC{7: 3}, Payload: core.Op{Kind: core.OpFlatten, Site: 7, Seq: 3, ID: ident.Pack(structuralPath())}},
+		{From: 7, TS: vclock.VC{7: 4, 9: 1}, Payload: core.Op{Kind: core.OpDelete, Site: 7, Seq: 4, ID: id3}},
+		{From: 7, TS: vclock.VC{7: 5, 9: 1}, Payload: core.Op{Kind: core.OpDelete, Site: 3, Seq: 8, ID: id3}},
 	}
 }
 

@@ -59,11 +59,11 @@ func randomBatch(rng *rand.Rand, n int) []causal.Message {
 		op := core.Op{Site: from, Seq: clock.Tick(from)}
 		switch k := rng.Intn(10); {
 		case k < 5:
-			op.Kind, op.ID, op.Atom = core.OpInsert, path(true), strings.Repeat("é", rng.Intn(4))
+			op.Kind, op.ID, op.Atom = core.OpInsert, ident.Pack(path(true)), strings.Repeat("é", rng.Intn(4))
 		case k < 9:
-			op.Kind, op.ID = core.OpDelete, path(true)
+			op.Kind, op.ID = core.OpDelete, ident.Pack(path(true))
 		default:
-			op.Kind, op.ID = core.OpFlatten, path(false)
+			op.Kind, op.ID = core.OpFlatten, ident.Pack(path(false))
 		}
 		if rng.Intn(8) == 0 {
 			op.Site, op.Seq = sites[rng.Intn(3)], uint64(rng.Intn(1000)) // relayed: not the sender's own
@@ -208,7 +208,7 @@ func TestOpsFrameIdentifierBudget(t *testing.T) {
 		deep[i] = ident.J(1)
 	}
 	deep[len(deep)-1] = ident.M(0, ident.Dis{Site: 1})
-	op := core.Op{Kind: core.OpDelete, ID: deep}
+	op := core.Op{Kind: core.OpDelete, ID: ident.Pack(deep)}
 	body := op.AppendFields(nil, false)
 	repeated := []byte{kindOps, 0}
 	count := 0
@@ -234,7 +234,7 @@ func TestOpsFrameIdentifierBudget(t *testing.T) {
 		wide[s] = 1
 	}
 	clones := append([]byte{kindOps, 0xff, 0xff, 0x03, byte(core.OpDelete) | core.HeadStamped, 1}, wide.AppendBinary(nil)...)
-	shallow := core.Op{Kind: core.OpDelete, ID: deep[len(deep)-1:]}.AppendFields(nil, false)
+	shallow := core.Op{Kind: core.OpDelete, ID: ident.Pack(deep[len(deep)-1:])}.AppendFields(nil, false)
 	clones = append(clones, shallow...)
 	for i := 1; i < maxBatch-1; i++ {
 		clones = append(append(clones, byte(core.OpDelete)|core.HeadStamped|core.HeadRun), shallow...)
@@ -269,7 +269,7 @@ func TestOpsFrameIdentifierBudget(t *testing.T) {
 		t.Errorf("one deep path refused: %v", err)
 	}
 	stamp := func(seq uint64, id ident.Path) causal.Message {
-		return causal.Message{From: 1, TS: vclock.VC{1: seq}, Payload: core.Op{Kind: core.OpDelete, Site: 1, Seq: seq, ID: id}}
+		return causal.Message{From: 1, TS: vclock.VC{1: seq}, Payload: core.Op{Kind: core.OpDelete, Site: 1, Seq: seq, ID: ident.Pack(id)}}
 	}
 	var over []causal.Message
 	for seq, units := uint64(1), -2; units <= MaxFrameSize; seq++ {

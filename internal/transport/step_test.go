@@ -148,7 +148,7 @@ func TestStoppedEngineIsCollectable(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Connect(a)
-		if err := e.Broadcast(core.Op{Kind: core.OpInsert, Site: 1, Seq: 1, ID: ident.Path{ident.M(0, ident.Dis{Site: 1})}, Atom: "x"}); err != nil {
+		if err := e.Broadcast(core.Op{Kind: core.OpInsert, Site: 1, Seq: 1, ID: ident.Pack(ident.Path{ident.M(0, ident.Dis{Site: 1})}), Atom: "x"}); err != nil {
 			t.Fatal(err)
 		}
 		e.Stop()

@@ -794,7 +794,7 @@ func (c *codec) msg(m, prev *causal.Message) {
 	default:
 		c.buf = op.AppendFields(c.buf, head&core.HeadStamped == 0)
 	}
-	if c.elems += len(op.ID); c.elems > MaxFrameSize || len(op.ID) > ident.MaxPathLen {
+	if c.elems += op.ID.Len(); c.elems > MaxFrameSize || op.ID.Len() > ident.MaxPathLen {
 		c.failf("identifiers and elided clocks of %d units exceed the frame's budget", c.elems)
 	}
 }

@@ -233,8 +233,8 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"ops: sender beyond 48 bits", kindOps, &OpsFrame{Msgs: []causal.Message{{From: ident.MaxSiteID + 1, TS: vclock.VC{ident.MaxSiteID + 1: 1}, Payload: msg.Payload}}}},
 		{"ops: sender without own stamp", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: vclock.VC{2: 9}, Payload: msg.Payload}}}},
 		{"ops: payload is not an op", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: "text"}}}},
-		{"ops: op kind zero", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Site: 7, Seq: 3, ID: atomPath}}}}},
-		{"ops: op kind beyond the head's two bits", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpInsert | 4, Site: 7, Seq: 3, ID: atomPath}}}}},
+		{"ops: op kind zero", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
+		{"ops: op kind beyond the head's two bits", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpInsert | 4, Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
 		{"ops: batch beyond maxBatch", kindOps, &OpsFrame{Msgs: make([]causal.Message, maxBatch+1)}},
 		{"syncreq: site zero", kindSyncReq, &SyncReqFrame{From: 0, Clock: ok}},
 		{"syncreq: site beyond 48 bits", kindSyncReq, &SyncReqFrame{From: ident.MaxSiteID + 1, Clock: ok}},

@@ -25,8 +25,17 @@ const (
 )
 
 // Op is a replicable edit operation. Ops serialise with MarshalBinary /
-// UnmarshalBinary for transport.
+// UnmarshalBinary for transport. Op.ID is the position identifier in its
+// packed form, a Packed.
 type Op = core.Op
+
+// Packed is a position identifier as an operation holds it: a string of
+// exactly the bytes the identifier takes on the wire, one bit per tree
+// level. Two are the same identifier when they are ==; AppendPath expands
+// one into the elements of a Path, Len is its depth, String the paper's
+// notation. Values come from the library; Doc.Apply checks one it did not
+// make.
+type Packed = ident.Packed
 
 // Operation kinds.
 const (
@@ -41,11 +50,12 @@ type Stats = core.Stats
 // SiteID identifies a replica (48 bits, non-zero).
 type SiteID = ident.SiteID
 
-// Path is a position in the Treedoc identifier tree: an atom identifier
-// (as carried by operations) or a structural subtree path (as used by
-// flatten — nil or empty means the whole document). Values come from the
-// library (Doc.ColdestSubtree, lock callbacks); external code treats
-// them as opaque.
+// Path is a position in the Treedoc identifier tree as a sequence of
+// elements: an atom identifier (an operation's Packed, expanded) or a
+// structural subtree path (as used by flatten — nil or
+// empty means the whole document). Values come from the library
+// (Doc.ColdestSubtree, lock callbacks); external code treats them as
+// opaque.
 type Path = ident.Path
 
 // Version is an applied version vector: per site, the highest operation
