@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/treedoc/treedoc/internal/transport"
-	"github.com/treedoc/treedoc/internal/transport/shardmap"
 )
 
 // hubChildConfig carries the hidden -hub-* flags of a fleet hub process.
@@ -66,7 +65,7 @@ func hubChildMain(cfg hubChildConfig) {
 	}()
 
 	if cfg.join != "" {
-		if err := joinRing(hub, cfg.self, cfg.join); err != nil {
+		if err := hub.Join(cfg.join, 5*time.Second); err != nil {
 			log.Fatalf("join: %v", err)
 		}
 	}
@@ -84,44 +83,4 @@ func hubChildMain(cfg hubChildConfig) {
 		}
 	}
 	hub.Close()
-}
-
-// joinRing is treedoc-serve's verify-and-remint join loop in miniature:
-// fetch the ring from a live member, mint the next epoch with this hub
-// added, announce, and retry while concurrent membership changes keep
-// winning the epoch race.
-func joinRing(hub *transport.Hub, self, via string) error {
-	for attempt := 0; attempt < 5; attempt++ {
-		cur, err := transport.QueryRing(via, 5*time.Second)
-		if err != nil {
-			return fmt.Errorf("ring query to %s: %w", via, err)
-		}
-		nodes, epoch := cur.Nodes, cur.Epoch
-		if installed := hub.Ring(); installed != nil && installed.Epoch > epoch {
-			nodes, epoch = installed.Nodes, installed.Epoch
-		}
-		present := false
-		for _, n := range nodes {
-			if n == self {
-				present = true
-				break
-			}
-		}
-		if !present {
-			nodes = append(append([]string{}, nodes...), self)
-		}
-		ring, err := shardmap.NewRing(epoch+1, nodes)
-		if err != nil {
-			return fmt.Errorf("joined ring invalid: %w", err)
-		}
-		if err := hub.ConfigureRing(self, ring); err != nil {
-			log.Printf("join attempt %d: %v (retrying)", attempt+1, err)
-			continue
-		}
-		if installed := hub.Ring(); installed != nil && installed.Has(self) {
-			log.Printf("joined ring at epoch %d (%d nodes)", installed.Epoch, len(installed.Nodes))
-			return nil
-		}
-	}
-	return fmt.Errorf("could not join the ring via %s (concurrent membership changes kept winning)", via)
 }

@@ -71,7 +71,6 @@ import (
 	"github.com/treedoc/treedoc"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/transport"
-	"github.com/treedoc/treedoc/internal/transport/shardmap"
 )
 
 // archivist is one document's durable replica and (optionally) flatten
@@ -357,54 +356,15 @@ func main() {
 		}()
 	}
 
-	// Joining a live ring: fetch the current membership from any member,
-	// mint the next epoch with this hub added, and adopt it —
-	// ConfigureRing announces it to every member, and each of them hands
-	// off the documents the change relocates.
+	// Joining a live ring: Hub.Join fetches the current membership from the
+	// named member and installs it with this hub added at the next epoch;
+	// every member adopts the announce and hands off the documents the
+	// change relocates.
 	if *join != "" {
-		// Verify-and-remint: a concurrent join (or any racing announce) can
-		// take the minted epoch first — ConfigureRing then no-ops on the
-		// equal epoch — so re-query and mint higher until a ring containing
-		// this hub is actually installed.
-		joined := false
-		for attempt := 0; attempt < 5 && !joined; attempt++ {
-			cur, err := transport.QueryRing(*join, 5*time.Second)
-			if err != nil {
-				log.Fatalf("treedoc-serve: ring query to %s: %v", *join, err)
-			}
-			nodes := cur.Nodes
-			epoch := cur.Epoch
-			if installed := hub.Ring(); installed != nil && installed.Epoch > epoch {
-				// This hub already heard a newer ring than the queried member.
-				nodes, epoch = installed.Nodes, installed.Epoch
-			}
-			present := false
-			for _, n := range nodes {
-				if n == *self {
-					present = true
-					break
-				}
-			}
-			if !present {
-				nodes = append(append([]string{}, nodes...), *self)
-			}
-			ring, err := shardmap.NewRing(epoch+1, nodes)
-			if err != nil {
-				log.Fatalf("treedoc-serve: joined ring invalid: %v", err)
-			}
-			if err := hub.ConfigureRing(*self, ring); err != nil {
-				log.Printf("treedoc-serve: join attempt %d: %v (retrying)", attempt+1, err)
-				continue
-			}
-			if installed := hub.Ring(); installed != nil && installed.Has(*self) {
-				log.Printf("treedoc-serve: joined ring at epoch %d (%d nodes) via %s",
-					installed.Epoch, len(installed.Nodes), *join)
-				joined = true
-			}
+		if err := hub.Join(*join, 5*time.Second); err != nil {
+			log.Fatalf("treedoc-serve: %v", err)
 		}
-		if !joined {
-			log.Fatalf("treedoc-serve: could not join the ring via %s (concurrent membership changes kept winning)", *join)
-		}
+		log.Printf("treedoc-serve: joined ring at epoch %d via %s", hub.RingEpoch(), *join)
 	}
 
 	if epoch := hub.RingEpoch(); epoch > 0 {

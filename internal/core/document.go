@@ -150,8 +150,8 @@ func (d *Document) Version() vclock.VC { return d.version.Clone() }
 
 // ErrRegionLocked reports a local edit blocked by an outstanding flatten
 // commitment vote on its region: a replica that voted Yes must not edit
-// the subtree until the decision arrives (internal/commit). Callers retry
-// after the commitment decides.
+// the subtree until the decision arrives (internal/transport/flatten.go).
+// Callers retry after the commitment decides.
 var ErrRegionLocked = errors.New("core: region locked by pending flatten commitment")
 
 // ErrStaleSnapshot reports an InstallSnapshot whose version vector does
@@ -529,7 +529,7 @@ func (d *Document) noteApplied(op Op, id ident.Path) {
 //
 // This is the local (benchmark-replay) form used throughout the paper's
 // evaluation; the distributed form runs the same flatten under the
-// commitment protocol of internal/commit.
+// commitment protocol of internal/transport/flatten.go.
 func (d *Document) EndRevision() ident.Path {
 	d.revision++
 	d.tree.AdvanceRev()
@@ -587,8 +587,8 @@ func (d *Document) FlattenOp(path ident.Path, afterSeq uint64) (Op, error) {
 
 // FlattenSubtree flattens the subtree at the given structural path,
 // discarding tombstones and identifier metadata in the region. Callers are
-// responsible for coordination (see internal/commit); concurrent edits to a
-// flattened region would diverge.
+// responsible for coordination (see internal/transport/flatten.go);
+// concurrent edits to a flattened region would diverge.
 func (d *Document) FlattenSubtree(path ident.Path) error {
 	d.runGap = -1
 	if err := d.tree.Flatten(path); err != nil {

@@ -7,8 +7,8 @@
 // The package builds on internal/ident (the dense identifier space) and
 // internal/doctree (the extended binary tree). Distribution — causal
 // delivery and the flatten commitment protocol — lives in internal/causal,
-// internal/simnet and internal/commit; the public treedoc package ties them
-// together.
+// internal/simnet and internal/transport (flatten.go); the public treedoc
+// package ties them together.
 package core
 
 import (
@@ -31,9 +31,9 @@ const (
 	// OpFlatten rewrites the subtree at a structural path as a flat atom
 	// array (Section 4.2's flatten). Unlike insert and delete it does NOT
 	// commute with concurrent edits of its region: it may only be issued by
-	// the coordinator of a successful flatten commitment (internal/commit,
-	// ported onto live links by internal/transport), which establishes that
-	// no such edit exists anywhere. Shipping the committed flatten as a
+	// the coordinator of a successful flatten commitment
+	// (internal/transport/flatten.go), which establishes that no such edit
+	// exists anywhere. Shipping the committed flatten as a
 	// stamped operation puts it in the causal stream, so every replica
 	// applies it before any operation issued after it — post-flatten edits
 	// reference post-flatten identifiers, and causal delivery guarantees

@@ -251,8 +251,8 @@ func (t *Tree) buildCanonical(s slot, bit uint8, atoms []string, depth int) node
 // identifier's node is addressed by its StripLastDis form.
 //
 // Flatten is a structural clean-up, not a CRDT operation: callers must
-// establish that no concurrent edits target the region (internal/commit
-// implements the paper's commitment protocol for this).
+// establish that no concurrent edits target the region (the paper's
+// commitment protocol, internal/transport/flatten.go).
 func (t *Tree) Flatten(path ident.Path) error {
 	h, err := t.walkNode(path)
 	if err != nil {

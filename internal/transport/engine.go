@@ -233,10 +233,8 @@ type Engine struct {
 	queueDepth int
 	syncEvery  time.Duration
 	// now is the only clock the actor's call tree reads: time.Now under
-	// NewEngine, the driver's virtual clock under NewStepper. start anchors
-	// sinceStart, which the commitment deadlines and membership recency use.
-	now   func() time.Time
-	start time.Time
+	// NewEngine, the driver's virtual clock under NewStepper.
+	now func() time.Time
 
 	logDir         string
 	fsync          FsyncMode
@@ -369,7 +367,6 @@ func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Opti
 		compactEvery:  defaultCompactEvery,
 		snapThreshold: defaultSnapThreshold,
 		now:           now,
-		start:         now(),
 		done:          make(chan struct{}),
 		drained:       make(chan struct{}),
 		buf:           causal.NewBuffer(site),

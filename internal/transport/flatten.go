@@ -1,9 +1,15 @@
 package transport
 
-// Engine-coordinated flatten: the commitment protocol of internal/commit
-// (two-phase commit with presumed abort, Section 4.2.1 of the Treedoc
-// paper) over the engine's links. The Coordinator and Participant state
-// machines run on the actor:
+// Engine-coordinated flatten: the commitment procedure that makes flatten
+// safe (Section 4.2.1 of the Treedoc paper) — "if this site observes the
+// execution of an insert, delete or flatten within the sub-tree to be
+// flattened, that site votes No to commitment, otherwise it votes Yes. The
+// operation succeeds only if all sites vote Yes, otherwise it has no
+// effect" — as two-phase commit with presumed abort over the engine's
+// links. The whole protocol lives in this file and runs on the actor: one
+// table of the rounds this engine coordinates (flattenState.rounds), one
+// of the Yes votes it has cast (flattenState.locks), one clock
+// (Engine.now).
 //
 //   - Proposals, votes and abort decisions travel as commitment frames
 //     (kindFlatPropose / kindFlatVote / kindFlatDecision). They are
@@ -54,12 +60,13 @@ package transport
 // connected membership, and the engine approximates it by recency.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
-	"github.com/treedoc/treedoc/internal/commit"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
@@ -89,17 +96,45 @@ type Flattener interface {
 // coldMinNodes is the smallest subtree ProposeFlattenCold proposes.
 const coldMinNodes = 2
 
-// maxDecidedMemory bounds the coordinator's decided-transaction memory
-// (the presumed-abort answer store for re-sent votes).
+// maxDecidedMemory bounds how many decided rounds the coordinator
+// remembers (the presumed-abort answer store for re-sent votes).
 const maxDecidedMemory = 256
+
+// txID identifies a flatten transaction: the coordinating site and that
+// site's round number.
+type txID struct {
+	coord ident.SiteID
+	n     uint64
+}
+
+// compare orders transaction ids by coordinator, then number. Whatever the
+// engine emits per transaction leaves in this order, never in map order: a
+// schedule replays frame for frame only if emission is a function of state.
+func (t txID) compare(u txID) int {
+	if c := cmp.Compare(t.coord, u.coord); c != 0 {
+		return c
+	}
+	return cmp.Compare(t.n, u.n)
+}
+
+func (t txID) String() string { return fmt.Sprintf("tx(s%d#%d)", t.coord, t.n) }
 
 // flattenState is the engine's commitment bookkeeping. Actor-owned.
 type flattenState struct {
-	coord *commit.Coordinator // actor-owned
-	part  *commit.Participant // actor-owned
-	// locks are the Yes votes awaiting a decision, keyed by transaction.
-	locks   map[commit.TxID]*heldLock // actor-owned
-	nextTok uint64                    // actor-owned
+	// rounds are the transactions this engine coordinates, open or decided;
+	// decidedOrder lists the decided ones oldest first, so the memory of
+	// them stays within maxDecidedMemory.
+	rounds       map[txID]*round // actor-owned
+	decidedOrder []txID          // actor-owned
+	// nextTx numbers this coordinator's rounds. It starts at the engine's
+	// clock, so a restarted coordinator never re-mints a txID a participant
+	// may still hold pre-crash state for.
+	nextTx uint64 // actor-owned
+	// locks are the Yes votes cast here and awaiting a decision. The
+	// overlap check, the replica's LockRegion token, the in-doubt resend
+	// and the covered-lock release all read this one table.
+	locks   map[txID]*heldLock // actor-owned
+	nextTok uint64             // actor-owned
 	// editLog records every stamped or delivered operation since the last
 	// applied flatten: the vote's "observed an insert, delete or flatten
 	// within the sub-tree" evidence. It resets when a flatten applies
@@ -114,26 +149,45 @@ type flattenState struct {
 	// proposal must dominate it (a flatten renames identifiers, so it
 	// counts as an edit of its whole region).
 	flattenVC vclock.VC // actor-owned
-	// lastSeen is the membership estimate: engine-monotonic time of the
-	// last frame attributable to each site.
-	lastSeen map[ident.SiteID]time.Duration // actor-owned
-	// decided remembers recent coordinator decisions so re-sent votes for
-	// finished transactions get an answer (presumed abort otherwise).
-	decided      map[commit.TxID]decision // actor-owned
-	decidedOrder []commit.TxID            // actor-owned
-	// pendingCommits are commit decisions whose OpFlatten mint is deferred
+	// lastSeen is the membership estimate: when the last frame attributable
+	// to each site arrived. Entries leave once they fall out of the
+	// participant window.
+	lastSeen map[ident.SiteID]time.Time // actor-owned
+	// pendingCommits are committed rounds whose OpFlatten mint is deferred
 	// until every locally applied edit has been stamped (the op's sequence
 	// number must match its causal stamp).
-	pendingCommits []pendingCommit // actor-owned
+	pendingCommits []*round // actor-owned
 	// compactPending asks the ticker to keep trying to adopt the flatten
 	// epoch as the oplog compaction barrier until the snapshot lands.
 	compactPending bool // actor-owned
 }
 
+// round is one transaction this engine coordinates. It is open while
+// waiting names the participants whose Yes is still owed — any No, or the
+// deadline, aborts it; the last Yes commits it — and a remembered decision
+// afterwards, which answers re-sent votes: committed, and seq, the
+// committed OpFlatten's sequence number (0 for an abort, or for a commit
+// whose mint is still pending).
+type round struct {
+	tx        txID
+	path      ident.Path
+	waiting   map[ident.SiteID]bool
+	deadline  time.Time
+	committed bool
+	seq       uint64
+}
+
+func (r *round) open() bool { return r.waiting != nil }
+
+// heldLock is one Yes vote: the subtree stays frozen against local edits —
+// and against Yes votes for overlapping proposals — until the decision. A
+// participant that released early could accept edits a late-arriving
+// commit would then destroy; the coordinator's deadline guarantees a live
+// coordinator eventually decides.
 type heldLock struct {
 	tok uint64
 	// path and obs identify the round this lock answers: a proposal
-	// re-using the TxID with a different path or observed clock (a
+	// re-using the txID with a different path or observed clock (a
 	// restarted coordinator's counter wrapping back) is a different round
 	// and must be re-evaluated, never re-affirmed.
 	path ident.Path
@@ -144,17 +198,9 @@ type heldLock struct {
 	// decision frame): the lock releases once the local clock covers it,
 	// whether the operation arrived as an op frame or inside an installed
 	// snapshot.
-	lastPing    time.Duration
+	lastPing    time.Time
 	commitKnown bool
 	opSeq       uint64
-}
-
-// decision is one remembered coordinator outcome; seq is the committed
-// OpFlatten's sequence number (0 for aborts, or for a commit whose mint
-// is still pending).
-type decision struct {
-	committed bool
-	seq       uint64
 }
 
 type editRec struct {
@@ -163,32 +209,14 @@ type editRec struct {
 	id   ident.Packed
 }
 
-type pendingCommit struct {
-	tx   commit.TxID
-	path ident.Path
-}
-
 func newFlattenState(e *Engine) *flattenState {
-	st := &flattenState{
-		coord:    commit.NewCoordinator(e.site),
-		locks:    make(map[commit.TxID]*heldLock),
-		lastSeen: make(map[ident.SiteID]time.Duration),
-		decided:  make(map[commit.TxID]decision),
+	return &flattenState{
+		rounds:   make(map[txID]*round),
+		nextTx:   uint64(e.now().UnixNano()),
+		locks:    make(map[txID]*heldLock),
+		lastSeen: make(map[ident.SiteID]time.Time),
 	}
-	// A restarted coordinator must never re-mint a TxID a participant may
-	// still hold pre-crash state for; seeding from the engine's clock makes
-	// the counter restart-unique.
-	st.coord.SeedTxCounter(uint64(e.now().UnixNano()))
-	st.part = commit.NewParticipant(e.site, (*flattenResource)(e))
-	return st
 }
-
-// sinceStart is the engine's monotonic clock, anchoring commitment
-// deadlines and membership recency.
-func (e *Engine) sinceStart() time.Duration { return e.now().Sub(e.start) }
-
-// nowMs is sinceStart in the milliseconds internal/commit deadlines use.
-func (e *Engine) nowMs() int64 { return e.sinceStart().Milliseconds() }
 
 // noteSite refreshes the membership estimate for a site a frame was
 // attributable to.
@@ -196,20 +224,23 @@ func (e *Engine) noteSite(s ident.SiteID) {
 	if e.fl == nil || s == 0 || s == e.site {
 		return
 	}
-	e.fl.lastSeen[s] = e.sinceStart()
+	e.fl.lastSeen[s] = e.now()
 }
+
+// memberWindow is how long after its last frame a site still counts as a
+// participant.
+func (e *Engine) memberWindow() time.Duration { return 3 * e.flattenTimeout }
 
 // participants returns the proposal participant set: this site plus every
 // site seen within the recency window. The coordinator waits for exactly
 // these votes; any additional receiver of the proposal still votes, and
 // its No still aborts.
-func (e *Engine) participants() []ident.SiteID {
-	now := e.sinceStart()
-	window := 3 * e.flattenTimeout
-	parts := []ident.SiteID{e.site}
+func (e *Engine) participants() map[ident.SiteID]bool {
+	now, window := e.now(), e.memberWindow()
+	parts := map[ident.SiteID]bool{e.site: true}
 	for s, seen := range e.fl.lastSeen {
-		if now-seen <= window {
-			parts = append(parts, s)
+		if now.Sub(seen) <= window {
+			parts[s] = true
 		}
 	}
 	return parts
@@ -268,48 +299,59 @@ func (e *Engine) ProposeFlattenCold(revisions int) (bool, error) {
 func (e *Engine) startProposal(path ident.Path) {
 	st := e.fl
 	obs := e.buf.Clock()
-	tx, _ := st.coord.Propose(path, obs, e.participants(), e.nowMs(), e.flattenTimeout.Milliseconds())
-	e.fanoutFrame(kindFlatPropose, &FlatProposeFrame{From: e.site, N: tx.N, Path: path, Obs: obs})
-	yes := e.prepareOnActor(commit.Msg{Kind: commit.Prepare, Tx: tx, Path: path, Obs: obs})
-	e.processCoordOuts(st.coord.OnVote(e.site, commit.Msg{Kind: commit.Vote, Tx: tx, Yes: yes}))
+	st.nextTx++
+	r := &round{
+		tx:       txID{coord: e.site, n: st.nextTx},
+		path:     path.Clone(),
+		waiting:  e.participants(),
+		deadline: e.now().Add(e.flattenTimeout),
+	}
+	st.rounds[r.tx] = r
+	e.fanoutFrame(kindFlatPropose, &FlatProposeFrame{From: e.site, N: r.tx.n, Path: path, Obs: obs})
+	e.countVote(r, e.site, e.castVote(r.tx, path, obs))
 }
 
-// prepareOnActor evaluates a proposal and casts this replica's vote. The
-// region is frozen BEFORE the vote condition is read: any local edit that
-// completed before the freeze is visible to the version check, and any
-// edit after it is rejected by the lock — so a Yes vote's promise ("the
-// region stays as the coordinator observed it until the decision") has no
-// race window. A No vote releases the freeze immediately.
-func (e *Engine) prepareOnActor(m commit.Msg) bool {
+// castVote evaluates a proposal and reports this replica's vote, holding
+// a lock for a Yes. The region is frozen BEFORE the vote condition is
+// read: any local edit that completed before the freeze is visible to the
+// version check, and any edit after it is rejected by the lock — so a Yes
+// vote's promise ("the region stays as the coordinator observed it until
+// the decision") has no race window. A No vote releases the freeze
+// immediately. The vote is No when the replica observed a conflicting edit
+// or already holds a lock for an overlapping region: two concurrent
+// flatten proposals must never both commit, because committed flattens
+// apply in message order, not causal order.
+func (e *Engine) castVote(tx txID, path ident.Path, obs vclock.VC) bool {
 	st := e.fl
 	tok := st.nextTok
 	st.nextTok++
-	e.flat.LockRegion(tok, m.Path)
-	out := st.part.OnPrepare(m)
-	if !out.Msg.Yes {
+	e.flat.LockRegion(tok, path)
+	if !e.uneditedSince(path, obs) || st.overlapsLock(path) {
 		e.flat.UnlockRegion(tok)
 		return false
 	}
-	st.locks[m.Tx] = &heldLock{tok: tok, path: m.Path.Clone(), obs: m.Obs.Clone(), lastPing: e.sinceStart()}
+	st.locks[tx] = &heldLock{tok: tok, path: path.Clone(), obs: obs.Clone(), lastPing: e.now()}
 	return true
 }
 
-// flattenResource adapts the engine to commit.Resource. ApplyFlatten is
-// deliberately a no-op: on this transport the committed flatten applies
-// through the causal stream (OpFlatten), not through the decision.
-type flattenResource Engine
+// overlapsLock reports whether the subtree at structural path p intersects
+// a region some open Yes vote has frozen. Subtree regions are intervals,
+// and two intersect exactly when one node lies inside the other's subtree.
+func (st *flattenState) overlapsLock(p ident.Path) bool {
+	for _, l := range st.locks {
+		if ident.RegionCompare(l.path, p) == 0 || ident.RegionCompare(p, l.path) == 0 {
+			return true
+		}
+	}
+	return false
+}
 
-// UneditedSince implements the vote condition of Section 4.2.1 over the
-// engine's state: vote Yes only if this replica has delivered everything
-// the coordinator observed, can still evaluate that far back (no pruned
+// uneditedSince is the vote condition of Section 4.2.1 over the engine's
+// state: vote Yes only if this replica has delivered everything the
+// coordinator observed, can still evaluate that far back (no pruned
 // evidence, no flatten beyond obs), holds no applied-but-unstamped local
 // edit, and has recorded no operation beyond obs inside the subtree.
-//
-// entry points (handleFlatPropose/Vote/Decision) all run on the actor
-//
-//treedoc:actorsafe invoked synchronously by the commit participant, whose
-func (r *flattenResource) UneditedSince(path ident.Path, obs vclock.VC) bool {
-	e := (*Engine)(r)
+func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
 	st := e.fl
 	clock := e.buf.Clock()
 	if !clock.Dominates(obs) {
@@ -335,35 +377,31 @@ func (r *flattenResource) UneditedSince(path ident.Path, obs vclock.VC) bool {
 	return true
 }
 
-// ApplyFlatten implements commit.Resource; see flattenResource.
-func (r *flattenResource) ApplyFlatten(ident.Path) error { return nil }
-
 // handleFlatPropose votes on a proposal from another coordinator.
 func (e *Engine) handleFlatPropose(f *FlatProposeFrame) {
 	if e.fl == nil || f.From == e.site {
 		return
 	}
 	e.noteSite(f.From)
-	tx := commit.TxID{Coord: f.From, N: f.N}
+	tx := txID{coord: f.From, n: f.N}
 	if l, held := e.fl.locks[tx]; held {
 		if l.path.Equal(f.Path) && vcEqual(l.obs, f.Obs) {
 			// Duplicate of the round we already voted Yes in: re-affirm.
 			e.sendVote(tx, true)
 			return
 		}
-		// Same TxID, different round: a coordinator that lost its counter
+		// Same txID, different round: a coordinator that lost its counter
 		// re-minted the id. The old round died with that coordinator, so
 		// its lock is released (abort) and the new round evaluated from
 		// scratch — re-affirming blindly would skip the vote condition.
-		e.releaseLock(tx, false)
+		e.releaseLock(tx)
 	}
-	yes := e.prepareOnActor(commit.Msg{Kind: commit.Prepare, Tx: tx, Path: f.Path, Obs: f.Obs})
-	e.sendVote(tx, yes)
+	e.sendVote(tx, e.castVote(tx, f.Path, f.Obs))
 }
 
 // sendVote broadcasts a vote frame; only the coordinator consumes it.
-func (e *Engine) sendVote(tx commit.TxID, yes bool) {
-	e.fanoutFrame(kindFlatVote, &FlatVoteFrame{From: e.site, Coord: tx.Coord, N: tx.N, Yes: yes})
+func (e *Engine) sendVote(tx txID, yes bool) {
+	e.fanoutFrame(kindFlatVote, &FlatVoteFrame{From: e.site, Coord: tx.coord, N: tx.n, Yes: yes})
 }
 
 // fanoutFrame encodes one commitment frame and sends it to every live
@@ -378,9 +416,9 @@ func (e *Engine) fanoutFrame(kind byte, f frame) {
 }
 
 // handleFlatVote ingests a vote addressed to this coordinator. Votes for
-// transactions no longer in flight — a participant querying an in-doubt
-// lock, or a frame delayed past the decision — are answered from the
-// decision memory, presuming abort for anything forgotten: the classic
+// rounds no longer open — a participant querying an in-doubt lock, or a
+// frame delayed past the decision — are answered from the remembered
+// decision, presuming abort for anything forgotten: the classic
 // presumed-abort recovery that lets a participant release a lock whose
 // decision frame was lost.
 func (e *Engine) handleFlatVote(f *FlatVoteFrame, from *peer) {
@@ -391,21 +429,78 @@ func (e *Engine) handleFlatVote(f *FlatVoteFrame, from *peer) {
 	if f.Coord != e.site {
 		return
 	}
-	st := e.fl
-	tx := commit.TxID{Coord: f.Coord, N: f.N}
-	if st.coord.InFlight(tx) {
-		e.processCoordOuts(st.coord.OnVote(f.From, commit.Msg{Kind: commit.Vote, Tx: tx, Yes: f.Yes}))
+	r := e.fl.rounds[txID{coord: f.Coord, n: f.N}]
+	if r != nil && r.open() {
+		e.countVote(r, f.From, f.Yes)
 		return
 	}
 	if from == nil || from.dead() {
 		return
 	}
-	dec := st.decided[tx] // zero value = presumed abort
-	if frame, err := encodeFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: f.N, Commit: dec.committed, Seq: dec.seq}); err == nil {
+	answer := &FlatDecisionFrame{From: e.site, N: f.N}
+	if r != nil {
+		answer.Commit, answer.Seq = r.committed, r.seq
+	}
+	if frame, err := encodeFrame(kindFlatDecision, answer); err == nil {
 		from.trySend(frame)
 	} else {
 		e.wireErrs.Add(1)
 	}
+}
+
+// countVote ingests one vote for an open round: the first No aborts it,
+// the last outstanding Yes commits it. A second Yes from one site counts
+// once.
+func (e *Engine) countVote(r *round, from ident.SiteID, yes bool) {
+	if !yes {
+		e.decide(r, false)
+		return
+	}
+	delete(r.waiting, from)
+	if len(r.waiting) == 0 {
+		e.decide(r, true)
+	}
+}
+
+// abortDueRounds aborts the open rounds whose deadline passed (a
+// participant crashed or is partitioned away): presumed abort keeps the
+// protocol safe, just not live for that transaction.
+func (e *Engine) abortDueRounds() {
+	now := e.now()
+	var due []*round
+	for _, r := range e.fl.rounds {
+		if r.open() && !now.Before(r.deadline) {
+			due = append(due, r)
+		}
+	}
+	slices.SortFunc(due, func(a, b *round) int { return a.tx.compare(b.tx) })
+	for _, r := range due {
+		e.decide(r, false)
+	}
+}
+
+// decide closes a round this engine coordinates: the entry becomes the
+// remembered outcome (for re-sent votes), and either the OpFlatten mint is
+// queued (commit — the decision frame is broadcast by the mint, once the
+// operation's sequence number exists to put in it) or the abort is
+// broadcast and the coordinator's own lock released.
+func (e *Engine) decide(r *round, commit bool) {
+	st := e.fl
+	r.waiting, r.committed = nil, commit
+	st.decidedOrder = append(st.decidedOrder, r.tx)
+	if len(st.decidedOrder) > maxDecidedMemory {
+		delete(st.rounds, st.decidedOrder[0])
+		st.decidedOrder = st.decidedOrder[1:]
+	}
+	if commit {
+		e.flattensCommitted.Add(1)
+		st.pendingCommits = append(st.pendingCommits, r)
+		e.mintPendingFlattens()
+		return
+	}
+	e.flattensAborted.Add(1)
+	e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: r.tx.n, Path: r.path})
+	e.releaseLock(r.tx)
 }
 
 // handleFlatDecision applies a coordinator's decision to a lock this
@@ -423,7 +518,7 @@ func (e *Engine) handleFlatDecision(f *FlatDecisionFrame) {
 		return
 	}
 	e.noteSite(f.From)
-	tx := commit.TxID{Coord: f.From, N: f.N}
+	tx := txID{coord: f.From, n: f.N}
 	l, ok := e.fl.locks[tx]
 	if !ok {
 		return
@@ -442,7 +537,7 @@ func (e *Engine) handleFlatDecision(f *FlatDecisionFrame) {
 		// cannot self-resolve, so the coordinator's current word, abort,
 		// is accepted below (the documented amnesia window).
 	default:
-		e.releaseLock(tx, false)
+		e.releaseLock(tx)
 	}
 }
 
@@ -457,41 +552,10 @@ func (e *Engine) releaseCoveredLocks() {
 	}
 	clock := e.buf.Clock()
 	for tx, l := range e.fl.locks {
-		if l.commitKnown && l.opSeq > 0 && clock.Get(tx.Coord) >= l.opSeq {
-			e.releaseLock(tx, true)
+		if l.commitKnown && l.opSeq > 0 && clock.Get(tx.coord) >= l.opSeq {
+			e.releaseLock(tx)
 		}
 	}
-}
-
-// processCoordOuts turns coordinator state-machine output into transport
-// actions. The only outs a live coordinator emits after Propose are
-// decisions (To 0, broadcast).
-func (e *Engine) processCoordOuts(outs []commit.Out) {
-	for _, o := range outs {
-		if o.Msg.Kind == commit.Decision {
-			e.decideLocal(o.Msg)
-		}
-	}
-}
-
-// decideLocal finalises a round this engine coordinated: remember the
-// outcome (for re-sent votes), and either queue the OpFlatten mint
-// (commit — the decision frame is broadcast by the mint, once the
-// operation's sequence number exists to put in it) or broadcast the
-// abort and release the coordinator's own lock.
-func (e *Engine) decideLocal(m commit.Msg) {
-	st := e.fl
-	if m.Commit {
-		e.flattensCommitted.Add(1)
-		st.remember(m.Tx, decision{committed: true})
-		st.pendingCommits = append(st.pendingCommits, pendingCommit{tx: m.Tx, path: m.Path.Clone()})
-		e.mintPendingFlattens()
-		return
-	}
-	e.flattensAborted.Add(1)
-	st.remember(m.Tx, decision{})
-	e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: m.Tx.N, Path: m.Path})
-	e.releaseLock(m.Tx, false)
 }
 
 // mintPendingFlattens executes committed flattens whose mint had to wait.
@@ -507,12 +571,12 @@ func (e *Engine) mintPendingFlattens() {
 	}
 	st := e.fl
 	for len(st.pendingCommits) > 0 {
-		pc := st.pendingCommits[0]
+		r := st.pendingCommits[0]
 		clock := e.buf.Clock()
 		if !vcEqual(e.flat.Version(), clock) {
 			return
 		}
-		op, err := e.flat.FlattenOp(pc.path, clock.Get(e.site))
+		op, err := e.flat.FlattenOp(r.path, clock.Get(e.site))
 		if errors.Is(err, core.ErrMintRaced) {
 			// A local edit slipped in between the readiness check and the
 			// mint (the replica's own lock makes this atomic, so the race
@@ -525,9 +589,9 @@ func (e *Engine) mintPendingFlattens() {
 			// violated upstream). Surface it loudly, and announce the round
 			// as aborted: no operation will ever arrive, so participants
 			// holding locks must not wait for one.
-			e.setErr(fmt.Errorf("transport: flatten commit %v at %v: %w", pc.tx, pc.path, err))
-			st.remember(pc.tx, decision{})
-			e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: pc.tx.N, Path: pc.path})
+			e.setErr(fmt.Errorf("transport: flatten commit %v at %v: %w", r.tx, r.path, err))
+			r.committed = false
+			e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: r.tx.n, Path: r.path})
 		} else {
 			m := e.buf.Stamp(op)
 			e.record(m)
@@ -535,11 +599,11 @@ func (e *Engine) mintPendingFlattens() {
 			// Now the operation has a stamp, the commit decision can name
 			// it: participants release their locks once their clocks cover
 			// (site, seq), even if the op reaches them inside a snapshot.
-			st.remember(pc.tx, decision{committed: true, seq: op.Seq})
-			e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: pc.tx.N, Commit: true, Seq: op.Seq, Path: pc.path})
+			r.seq = op.Seq
+			e.fanoutFrame(kindFlatDecision, &FlatDecisionFrame{From: e.site, N: r.tx.n, Commit: true, Seq: op.Seq, Path: r.path})
 			e.afterFlattenApplied()
 		}
-		e.releaseLock(pc.tx, true)
+		e.releaseLock(r.tx)
 		st.pendingCommits = st.pendingCommits[1:]
 	}
 }
@@ -589,22 +653,20 @@ func (e *Engine) afterFlattenApplied() {
 // participant.
 func (e *Engine) releaseLocksFor(coord ident.SiteID, id ident.Packed) {
 	for tx, l := range e.fl.locks {
-		if tx.Coord == coord && ident.Pack(l.path) == id {
-			e.releaseLock(tx, true)
+		if tx.coord == coord && ident.Pack(l.path) == id {
+			e.releaseLock(tx)
 		}
 	}
 }
 
-// releaseLock completes one transaction at this participant: the state
-// machine hears the decision and the replica's region unfreezes.
-func (e *Engine) releaseLock(tx commit.TxID, committed bool) {
+// releaseLock completes one transaction at this participant, whatever the
+// outcome: the vote is forgotten and the replica's region unfreezes. (A
+// commit's effect arrives through the causal stream, not through here.)
+func (e *Engine) releaseLock(tx txID) {
 	st := e.fl
 	l, ok := st.locks[tx]
 	if !ok {
 		return
-	}
-	if err := st.part.OnDecision(commit.Msg{Kind: commit.Decision, Tx: tx, Path: l.path, Commit: committed}); err != nil {
-		e.setErr(err)
 	}
 	e.flat.UnlockRegion(l.tok)
 	delete(st.locks, tx)
@@ -619,26 +681,31 @@ func (e *Engine) releaseAllLocks() {
 		return
 	}
 	for _, tx := range e.fl.lockedTxs() {
-		e.releaseLock(tx, false)
+		e.releaseLock(tx)
 	}
 }
 
 // flattenTick is the per-sync-tick commitment work: coordinator
 // deadlines, in-doubt vote resends, deferred mints, the flatten-epoch
-// compaction retry, and chunked-snapshot assembly GC.
+// compaction retry, the membership sweep, and chunked-snapshot assembly
+// GC.
 func (e *Engine) flattenTick() {
 	e.gcSnapAssemblies()
 	if e.fl == nil {
 		return
 	}
 	st := e.fl
-	e.processCoordOuts(st.coord.Tick(e.nowMs()))
+	e.abortDueRounds()
 	e.releaseCoveredLocks()
 	e.resendDoubtVotes()
 	e.mintPendingFlattens()
 	if st.compactPending && e.snap != nil && vcEqual(e.flat.Version(), e.buf.Clock()) && e.compactNow() {
 		st.compactPending = false
 	}
+	// Sites outside the participant window are not participants; forgetting
+	// them keeps the estimate bounded by who is attached, not who ever was.
+	now, window := e.now(), e.memberWindow()
+	maps.DeleteFunc(st.lastSeen, func(_ ident.SiteID, seen time.Time) bool { return now.Sub(seen) > window })
 }
 
 // resendDoubtVotes re-sends the Yes vote for locks that have waited a
@@ -651,10 +718,10 @@ func (e *Engine) flattenTick() {
 // mint (seq still 0) keeps the query loop alive until the definitive
 // answer arrives.
 func (e *Engine) resendDoubtVotes() {
-	now := e.sinceStart()
+	now := e.now()
 	for _, tx := range e.fl.lockedTxs() {
 		l := e.fl.locks[tx]
-		if (l.commitKnown && l.opSeq > 0) || now-l.lastPing < e.flattenTimeout {
+		if (l.commitKnown && l.opSeq > 0) || now.Sub(l.lastPing) < e.flattenTimeout {
 			continue
 		}
 		l.lastPing = now
@@ -688,27 +755,13 @@ func (e *Engine) pruneEditLog(floor vclock.VC) {
 	st.editLog = kept
 }
 
-// lockedTxs lists the open votes in transaction order. The sweeps that
-// send a frame or unfreeze a region per lock walk this instead of the map:
-// a schedule replays frame for frame only if nothing the engine emits
-// depends on map iteration order.
-func (st *flattenState) lockedTxs() []commit.TxID {
-	txs := make([]commit.TxID, 0, len(st.locks))
+// lockedTxs lists the open votes in transaction order, for the sweeps that
+// send a frame or unfreeze a region per lock.
+func (st *flattenState) lockedTxs() []txID {
+	txs := make([]txID, 0, len(st.locks))
 	for tx := range st.locks {
 		txs = append(txs, tx)
 	}
-	sort.Slice(txs, func(i, j int) bool { return txs[i].Less(txs[j]) })
+	slices.SortFunc(txs, txID.compare)
 	return txs
-}
-
-// remember stores a coordinator decision, bounded.
-func (st *flattenState) remember(tx commit.TxID, dec decision) {
-	if _, ok := st.decided[tx]; !ok {
-		st.decidedOrder = append(st.decidedOrder, tx)
-		if len(st.decidedOrder) > maxDecidedMemory {
-			delete(st.decided, st.decidedOrder[0])
-			st.decidedOrder = st.decidedOrder[1:]
-		}
-	}
-	st.decided[tx] = dec
 }

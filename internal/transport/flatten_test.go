@@ -1,7 +1,7 @@
 package transport_test
 
 // Engine-coordinated flatten over live links: the commitment protocol
-// (internal/commit) driven from the engine actor over real transports.
+// (flatten.go) driven from the engine actor over real transports.
 // The headline test is the acceptance scenario for this subsystem: a
 // 3-replica TCP mesh with writers that keep editing while cold-subtree
 // flattens are proposed, at least one commit, byte-identical convergence,

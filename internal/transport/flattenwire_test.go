@@ -136,3 +136,12 @@ func TestRetiredSnapKindIsUnknown(t *testing.T) {
 		t.Fatalf("retired snapshot frame: err = %v, want unknown frame kind", err)
 	}
 }
+
+// TestRetiredHandoffDoneKindIsUnknown pins 0x11 (kindHandoffDone, whose
+// only effect at the receiver was a log line) the same way.
+func TestRetiredHandoffDoneKindIsUnknown(t *testing.T) {
+	old := []byte{0x11, 0x05, 'n', 'o', 't', 'e', 's', 0x04}
+	if _, err := DecodeFrame(old); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+		t.Fatalf("retired handoff-done frame: err = %v, want unknown frame kind", err)
+	}
+}

@@ -115,7 +115,6 @@ func frameSamples(t testing.TB) []frameSample {
 		{"forward", kindForward, &ForwardFrame{Doc: "notes", Inner: digest}, "0e056e6f7465730207010704"},
 		{"handoffbegin", kindHandoffBegin, &HandoffBeginFrame{Doc: "notes", Epoch: 4}, "0f056e6f74657304"},
 		{"handoffstate", kindHandoffState, &HandoffStateFrame{Doc: "notes", Inner: chunk}, "10056e6f746573080201020840106368756e6b2d6279746573"},
-		{"handoffdone", kindHandoffDone, &HandoffDoneFrame{Doc: "notes", Epoch: 4}, "11056e6f74657304"},
 		{"syncbatch", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()}, "1203056e6f74657303020105030904746f646f0701070105612d622e630102018080808080200202"},
 		{"syncbatch-forwarded", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()[:1], Forwarded: true}, "1201056e6f74657303020105030901"},
 		{"syncbatch-wide", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "x", From: 1, Clock: vclock.VC{1: 1, 2: 2, 3: 3}}}}, "120101780103010102020303"},

@@ -11,8 +11,8 @@ package transport
 //     peer); higher epoch wins. The deterministic diff (shardmap.Moved)
 //     tells every hub which local documents the change relocates.
 //   - Each relocated document runs the handoff state machine:
-//     freeze → stream (kindHandoffBegin, state frames from the shared
-//     kindSnapChunk/kindOps encoder, kindHandoffDone) → re-point
+//     freeze → stream (kindHandoffBegin, then state frames from the
+//     shared kindSnapChunk/kindOps encoder) → re-point
 //     (epoch-stamped unsolicited redirect to every attached client) →
 //     release (forward mode for stragglers, ownership callback for the
 //     archivist lifecycle).
@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,32 +216,25 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 	return nil
 }
 
-// Resign removes this hub from the ring: it adopts and announces a ring
-// one epoch higher without itself, hands off every owned document with
-// local state, and waits (bounded by timeout) for the outbound handoffs
-// to finish streaming. The hub keeps relaying afterwards — remaining
-// clients are served through forward mode — but owns no documents.
+// Resign removes this hub from the ring: it installs and announces the
+// membership without itself at the next epoch (mintRing: a racing announce
+// that still names this hub is minted over, not mistaken for success),
+// hands off every owned document with local state, and waits (bounded by
+// timeout) for the outbound handoffs to finish streaming. The hub keeps
+// relaying afterwards — remaining clients are served through forward mode
+// — but owns no documents.
 func (h *Hub) Resign(timeout time.Duration) error {
-	h.mu.Lock()
-	ring, self := h.ring, h.self
-	h.mu.Unlock()
+	view := h.ringView.Load()
+	ring, self := view.ring, view.self
 	if ring == nil || self == "" {
 		return fmt.Errorf("transport: hub has no ring to resign from")
 	}
-	nodes := make([]string, 0, len(ring.Nodes))
-	for _, n := range ring.Nodes {
-		if n != self {
-			nodes = append(nodes, n)
-		}
+	// Resigning from a single-node ring leaves no nodes, which is no ring:
+	// the mint fails.
+	without := func(cur []string) []string {
+		return slices.DeleteFunc(slices.Clone(cur), func(n string) bool { return n == self })
 	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("transport: cannot resign from a single-node ring")
-	}
-	next, err := shardmap.NewRing(ring.Epoch+1, nodes)
-	if err != nil {
-		return fmt.Errorf("transport: resign: %w", err)
-	}
-	if err := h.ConfigureRing(self, next); err != nil {
+	if err := h.mintRing(self, "", 0, without); err != nil {
 		return err
 	}
 	done := make(chan struct{})
@@ -343,10 +337,11 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 		doc, to, time.Since(start), epoch, len(attached))
 }
 
-// streamHandoff sends Begin, the registered source's snapshot + retained
+// streamHandoff sends Begin and the registered source's snapshot + retained
 // suffix (the shared state encoder's frames inside kindHandoffState
-// envelopes), and Done, reporting whether the Begin made it onto the
-// queue. Sends block into the mesh queue — the receiver's chunk
+// envelopes), reporting whether the Begin made it onto the queue. Nothing
+// closes the bracket on the wire: the stream is complete when the mesh
+// queue has drained. Sends block into the mesh queue — the receiver's chunk
 // reassembly is strictly in-order, so dropping one frame would void the
 // sequence — bounded by handoffStreamTimeout overall.
 func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent bool, err error) {
@@ -374,21 +369,10 @@ func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent boo
 	h.mu.Unlock()
 	if src != nil {
 		if err := h.streamSource(p, doc, src, deadline); err != nil {
-			// Close the bracket even on a partial stream: the receiver's
-			// consumers tolerate gaps (anti-entropy), and the Done lets it
-			// log the handoff as delimited.
-			if done, derr := encodeFrame(kindHandoffDone, &HandoffDoneFrame{Doc: doc, Epoch: epoch}); derr == nil {
-				p.send(done, deadline)
-			}
+			// A partial stream is tolerated: the receiver's consumers heal
+			// gaps through anti-entropy.
 			return true, err
 		}
-	}
-	done, err := encodeFrame(kindHandoffDone, &HandoffDoneFrame{Doc: doc, Epoch: epoch})
-	if err != nil {
-		return true, err
-	}
-	if !p.send(done, deadline) {
-		return true, fmt.Errorf("mesh connection to %s lost before handoff done", p.addr)
 	}
 	// Queued is not delivered: wait for the writer to put the stream on
 	// the wire, so a resigning hub does not exit with the tail still

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,38 +246,63 @@ func ListenHub(addr string, opts ...HubOption) (*Hub, error) {
 // handoff machinery for every local document the change relocates — see
 // ConfigureRing.
 func (h *Hub) ConfigureSharding(self string, peers []string) error {
-	// Epoch minting and installation race concurrently adopted announces:
-	// ConfigureRing treats an equal epoch as an idempotent no-op, so
-	// verify by identity that OUR ring landed and remint one higher if a
-	// racer took the epoch first.
-	for attempt := 0; attempt < 4; attempt++ {
-		h.mu.Lock()
-		var epoch uint64 = 1
-		if h.ring != nil {
-			epoch = h.ring.Epoch + 1
+	if !slices.Contains(peers, self) {
+		return &net.AddrError{Err: "self address not in peer ring", Addr: self}
+	}
+	return h.mintRing(self, "", 0, func([]string) []string { return peers })
+}
+
+// Join adds this hub (its WithHubSelf address) to the live ring that the
+// member at via belongs to: fetch the current membership, install and
+// announce it with this hub added at the next epoch — every member then
+// hands off the documents the change relocates. timeout bounds each ring
+// query.
+func (h *Hub) Join(via string, timeout time.Duration) error {
+	self := h.ringView.Load().self
+	return h.mintRing(self, via, timeout, func(cur []string) []string {
+		if slices.Contains(cur, self) {
+			return cur
 		}
-		h.mu.Unlock()
-		ring, err := shardmap.NewRing(epoch, peers)
-		if err != nil {
-			return fmt.Errorf("transport: configure sharding: %w", err)
+		return append(slices.Clone(cur), self)
+	})
+}
+
+// mintRing is the one way this hub changes the membership: derive the
+// wanted nodes from the current ones, mint the next epoch, install and
+// announce it (ConfigureRing), and verify by identity that this ring is the
+// one installed. Minting races concurrently adopted announces —
+// ConfigureRing treats an equal epoch as an idempotent no-op and refuses a
+// lower one — so a lost race starts over from the ring that won. The
+// current ring is the installed one, or the one the member at via reports
+// when that is newer (via "" asks nobody).
+func (h *Hub) mintRing(self, via string, timeout time.Duration, want func(cur []string) []string) error {
+	for attempt := 0; attempt < 5; attempt++ {
+		var nodes []string
+		var epoch uint64
+		if cur := h.Ring(); cur != nil {
+			nodes, epoch = cur.Nodes, cur.Epoch
 		}
-		if !ring.Has(self) {
-			return &net.AddrError{Err: "self address not in peer ring", Addr: self}
-		}
-		if err := h.ConfigureRing(self, ring); err != nil {
-			if errors.Is(err, errStaleEpoch) {
-				continue // a racer installed a higher epoch; remint
+		if via != "" {
+			q, err := QueryRing(via, timeout)
+			if err != nil {
+				return fmt.Errorf("transport: ring query to %s: %w", via, err)
 			}
+			if q.Epoch >= epoch {
+				nodes, epoch = q.Nodes, q.Epoch
+			}
+		}
+		ring, err := shardmap.NewRing(epoch+1, want(nodes))
+		if err != nil {
+			return fmt.Errorf("transport: ring epoch %d: %w", epoch+1, err)
+		}
+		if err := h.ConfigureRing(self, ring); err != nil && !errors.Is(err, errStaleEpoch) {
 			return err
 		}
-		h.mu.Lock()
-		installed := h.ring == ring
-		h.mu.Unlock()
-		if installed {
+		if h.Ring() == ring {
 			return nil
 		}
 	}
-	return fmt.Errorf("transport: ring configuration kept racing concurrent adoptions")
+	return errors.New("transport: concurrent ring adoptions kept winning the epoch")
 }
 
 // Addr returns the hub's listen address.
@@ -326,9 +352,9 @@ func (h *Hub) RingEpoch() uint64 {
 	return h.ring.Epoch
 }
 
-// Ring returns the currently installed ring (nil when none): callers like
-// treedoc-serve's join loop verify membership actually landed, because a
-// racing adoption of an equal epoch makes ConfigureRing a silent no-op.
+// Ring returns the currently installed ring (nil when none). mintRing
+// verifies with it that its ring actually landed, because a racing adoption
+// of an equal epoch makes ConfigureRing a silent no-op.
 func (h *Hub) Ring() *shardmap.Ring {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -880,7 +906,7 @@ func (c *hubConn) reader() {
 			default:
 				c.hub.relayLocal(c, doc, inner, nil)
 			}
-		case kindHello, kindDetach, kindRingAnnounce, kindSyncBatch, kindHandoffBegin, kindHandoffDone:
+		case kindHello, kindDetach, kindRingAnnounce, kindSyncBatch, kindHandoffBegin:
 			decoded, err := DecodeFrame(frame)
 			if err != nil {
 				c.hub.unrouted.Add(1)
@@ -897,8 +923,6 @@ func (c *hubConn) reader() {
 				c.hub.handleSyncBatch(c, f)
 			case *HandoffBeginFrame:
 				c.hub.handleHandoffBegin(c, f)
-			case *HandoffDoneFrame:
-				c.hub.logf("hub: handoff of doc %q (epoch %d) fully received", f.Doc, f.Epoch)
 			}
 		default:
 			// Data frames reach a hub only inside a document envelope (and

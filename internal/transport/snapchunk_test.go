@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/treedoc/treedoc/internal/commit"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
@@ -150,8 +149,8 @@ func TestFlattenLockReleasedBySnapshotAbsorption(t *testing.T) {
 		defer close(done)
 		// A committed round at coordinator site 7 whose op frame was lost:
 		// this participant holds a commit-known lock for op seq 3.
-		tx := commit.TxID{Coord: 7, N: 41}
-		e.fl.locks[tx] = &heldLock{tok: 1, obs: e.buf.Clock(), lastPing: e.sinceStart(), commitKnown: true, opSeq: 3}
+		tx := txID{coord: 7, n: 41}
+		e.fl.locks[tx] = &heldLock{tok: 1, obs: e.buf.Clock(), lastPing: e.now(), commitKnown: true, opSeq: 3}
 		e.releaseCoveredLocks()
 		if len(e.fl.locks) != 1 {
 			t.Error("lock released before the clock covered the flatten")

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/treedoc/treedoc/internal/commit"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 )
@@ -79,54 +78,6 @@ func TestStepperRunsOnlyWhenStepped(t *testing.T) {
 	if err := sa.Engine().Broadcast(op); err != ErrStopped {
 		t.Fatalf("Broadcast after Stop: %v", err)
 	}
-}
-
-// TestDoubtVotesResendInTransactionOrder: several in-doubt locks due in
-// one tick re-send their votes in transaction order, whatever order the
-// lock map iterates in — a stepped schedule replays only if emission order
-// is a function of state.
-func TestDoubtVotesResendInTransactionOrder(t *testing.T) {
-	now := time.UnixMilli(0)
-	for attempt := 0; attempt < 20; attempt++ {
-		s, err := NewStepper(2, &flatReplica{snapReplica: newSnapReplica(t, 2)}, func() time.Time { return now })
-		if err != nil {
-			t.Fatal(err)
-		}
-		link := &recLink{}
-		s.Connect(link)
-		e := s.Engine()
-		for n := uint64(1); n <= 8; n++ {
-			tx := commit.TxID{Coord: ident.SiteID(3 + n%2), N: n}
-			e.fl.locks[tx] = &heldLock{tok: n, path: ident.Path{ident.J(uint8(n % 2))}, lastPing: e.sinceStart()}
-		}
-		link.frames = nil
-		now = now.Add(e.flattenTimeout)
-		s.Tick()
-		var got []commit.TxID
-		for _, f := range link.frames {
-			if v, ok := mustDecode(t, f).(*FlatVoteFrame); ok {
-				got = append(got, commit.TxID{Coord: v.Coord, N: v.N})
-			}
-		}
-		if len(got) != 8 {
-			t.Fatalf("%d votes re-sent, want 8", len(got))
-		}
-		for i := 1; i < len(got); i++ {
-			if !got[i-1].Less(got[i]) {
-				t.Fatalf("votes re-sent out of transaction order: %v", got)
-			}
-		}
-		s.Stop()
-	}
-}
-
-func mustDecode(t *testing.T, frame []byte) any {
-	t.Helper()
-	f, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 // TestStoppedEngineIsCollectable: Stop over a link that is still open must

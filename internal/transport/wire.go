@@ -18,9 +18,9 @@ import (
 // and one frame type below; the type's wire method is the only statement
 // of its body layout.
 const (
-	// 0x01 was kindOps with one byte per identifier level and 0x04 the
-	// single-frame snapshot; both stay reserved and are never reused, so a
-	// stray old frame decodes as an unknown kind.
+	// 0x01 was kindOps with one byte per identifier level, 0x04 the
+	// single-frame snapshot and 0x11 kindHandoffDone; all stay reserved and
+	// are never reused, so a stray old frame decodes as an unknown kind.
 	kindSyncReq      = 0x02
 	kindSnapReq      = 0x03
 	kindFlatPropose  = 0x05
@@ -35,7 +35,6 @@ const (
 	kindForward      = 0x0e
 	kindHandoffBegin = 0x0f
 	kindHandoffState = 0x10
-	kindHandoffDone  = 0x11
 	kindSyncBatch    = 0x12
 	kindReplay       = 0x13
 	kindOps          = 0x14
@@ -119,7 +118,6 @@ var frameTable = [256]frameRow{
 	kindDetach:       {"kindDetach", MaxFrameSize, false, func() frame { return new(DetachFrame) }},
 	kindRingAnnounce: {"kindRingAnnounce", MaxFrameSize, false, func() frame { return new(RingFrame) }},
 	kindHandoffBegin: {"kindHandoffBegin", MaxFrameSize, false, func() frame { return new(HandoffBeginFrame) }},
-	kindHandoffDone:  {"kindHandoffDone", MaxFrameSize, false, func() frame { return new(HandoffDoneFrame) }},
 	kindSyncBatch:    {"kindSyncBatch", MaxFrameSize, false, func() frame { return new(SyncBatchFrame) }},
 	kindReplay:       {"kindReplay", maxReplayFrame, false, func() frame { return new(ReplayFrame) }},
 	kindDocFrame:     {"kindDocFrame", maxEnvelopeFrame, true, func() frame { return new(DocFrame) }},
@@ -478,17 +476,7 @@ type HandoffBeginFrame struct {
 
 func (f *HandoffBeginFrame) wire(c *codec) { c.handoffMark(&f.Doc, &f.Epoch) }
 
-// HandoffDoneFrame is a kindHandoffDone frame. It closes a handoff: Doc's
-// state streamed completely under the ring at Epoch and the old owner is
-// about to re-point its clients.
-type HandoffDoneFrame struct {
-	Doc   string
-	Epoch uint64
-}
-
-func (f *HandoffDoneFrame) wire(c *codec) { c.handoffMark(&f.Doc, &f.Epoch) }
-
-// handoffMark is the layout kindHandoffBegin and kindHandoffDone share.
+// handoffMark is kindHandoffBegin's layout.
 func (c *codec) handoffMark(doc *string, epoch *uint64) {
 	c.doc(doc)
 	c.uvarint(epoch, "handoff epoch")

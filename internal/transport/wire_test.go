@@ -181,7 +181,7 @@ func TestFlatVoteRoundTrip(t *testing.T)     { roundTrip(t, kindFlatVote) }
 func TestFlatDecisionRoundTrip(t *testing.T) { roundTrip(t, kindFlatDecision) }
 func TestSnapChunkRoundTrip(t *testing.T)    { roundTrip(t, kindSnapChunk) }
 func TestRingAnnounceRoundTrip(t *testing.T) { roundTrip(t, kindRingAnnounce) }
-func TestHandoffMarkRoundTrip(t *testing.T)  { roundTrip(t, kindHandoffBegin, kindHandoffDone) }
+func TestHandoffMarkRoundTrip(t *testing.T)  { roundTrip(t, kindHandoffBegin) }
 func TestSyncBatchRoundTrip(t *testing.T)    { roundTrip(t, kindSyncBatch) }
 func TestReplayFrameRoundTrip(t *testing.T)  { roundTrip(t, kindReplay) }
 func TestForwardAndHandoffStateEnvelopes(t *testing.T) {
@@ -282,7 +282,6 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"ring: over-long node address", kindRingAnnounce, &RingFrame{Epoch: 1, Nodes: []string{long}}},
 		{"ring: nodes beyond maxRingNodes", kindRingAnnounce, &RingFrame{Epoch: 1, Nodes: manyNodes}},
 		{"handoffbegin: bad doc id", kindHandoffBegin, &HandoffBeginFrame{Doc: "a/b", Epoch: 1}},
-		{"handoffdone: empty doc id", kindHandoffDone, &HandoffDoneFrame{Epoch: 1}},
 		{"syncbatch: no entries", kindSyncBatch, &SyncBatchFrame{}},
 		{"syncbatch: site zero", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "d", From: 0, Clock: ok}}}},
 		{"syncbatch: empty doc id", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "", From: 1, Clock: ok}}}},
@@ -383,7 +382,7 @@ func TestReadAcceptsWhatWriteAccepts(t *testing.T) {
 
 // TestFrameTableMatchesDocs keeps docs/ARCHITECTURE.md §4 and the frame
 // table the same list: every row's code and name is a §4 row, and §4 names
-// nothing the table lacks (the reserved 0x01 and 0x04 excepted).
+// nothing the table lacks (the reserved 0x01, 0x04 and 0x11 excepted).
 func TestFrameTableMatchesDocs(t *testing.T) {
 	md, err := os.ReadFile("../../docs/ARCHITECTURE.md")
 	if err != nil {
@@ -396,7 +395,7 @@ func TestFrameTableMatchesDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| (0x[0-9a-f]{2}) \\| (?:`(kind\\w+)`|—) \\|").FindAllStringSubmatch(section, -1) {
 		documented[m[1]] = m[2]
 	}
-	for _, reserved := range []string{"0x01", "0x04"} {
+	for _, reserved := range []string{"0x01", "0x04", "0x11"} {
 		if name, ok := documented[reserved]; !ok || name != "" {
 			t.Errorf("§4 must list %s as reserved and unnamed, has %q (%v)", reserved, name, ok)
 		}
@@ -474,6 +473,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(byte(0x04), []byte{0x02, 0x01, 0x01, 0x64})
 	retiredOps, _ := hex.DecodeString("02070202090703010703020104040702c3a907020209070402070401050002")
 	f.Add(byte(0x01), retiredOps) // the "ops" sample in the one-byte-per-level layout
+	// The retired kindHandoffDone's sample.
+	f.Add(byte(0x11), []byte{0x05, 'n', 'o', 't', 'e', 's', 0x04})
 	f.Fuzz(checkAccepted)
 }
 
@@ -500,5 +501,5 @@ func FuzzFlattenFrame(f *testing.F) {
 func FuzzSyncBatchFrame(f *testing.F) { fuzzBodies(f, kindSyncBatch) }
 func FuzzReplayFrame(f *testing.F)    { fuzzBodies(f, kindReplay) }
 func FuzzRingFrame(f *testing.F) {
-	fuzzBodies(f, kindRingAnnounce, kindHandoffBegin, kindHandoffDone, kindForward, kindHandoffState, kindHello)
+	fuzzBodies(f, kindRingAnnounce, kindHandoffBegin, kindForward, kindHandoffState, kindHello)
 }
