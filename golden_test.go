@@ -15,15 +15,17 @@ import (
 
 // TestGoldenIdentifiers pins the identifiers a replica mints and the
 // snapshot bytes it writes: two histories are replayed through
-// core.Document and three hashes must equal recorded constants. enc, over
-// storage.Encode of the final tree, dates from before internal/doctree
-// moved to index-addressed slabs; ids, over every minted operation's
-// String(), was recorded on the one-byte-per-level codec just before
-// identifiers were bit-packed on the wire (PR 18). A tree-layout change
-// that disturbed the free-slot search budget, the walk cache or the mini
-// order moves both. ops, over the operations' wire bytes, pins the op
-// codec; it was re-recorded with the packed layout while ids stood still,
-// which is what shows that change moved bytes and not identifiers.
+// core.Document and three hashes must equal recorded constants. ids, over
+// every minted operation's String(), was recorded on the
+// one-byte-per-level codec just before identifiers were bit-packed on the
+// wire (PR 18). A tree-layout change that disturbed the free-slot search
+// budget, the walk cache or the mini order moves it. ops, over the
+// operations' wire bytes, pins the op codec; it was re-recorded with the
+// packed layout while ids stood still, which is what shows that change
+// moved bytes and not identifiers. enc, over storage.Encode of the final
+// tree, pins the snapshot stream; it was re-recorded the same way when
+// presence bits replaced marker runs (TDC2), with ids and ops standing
+// still.
 func TestGoldenIdentifiers(t *testing.T) {
 	latex, err := trace.ProfileByName("acf.tex")
 	if err != nil {
@@ -39,18 +41,18 @@ func TestGoldenIdentifiers(t *testing.T) {
 		{"latex-udis-naive", latex, core.Config{Site: 1, Mode: ident.UDIS, Strategy: core.Naive{}},
 			"995b1c792e040d363fc0be32366426d6d75c14907de047b63e67898c9e74ee31",
 			"9198ea47c689eac379a5517c037b41ae4aeeb76782b529d6774c2495cd8b485a",
-			"5e63f88e9924c55575c7aaf60f7b3c74120e70a1abdadceb7477fbb30a116aaf"},
+			"5dee57627ee230c4bbe814c626fa25c5c6ef0f6bb6a5d7fda65c851e8f813483"},
 		// The paper's flatten-2 setting: cold-subtree choice and explode
 		// decide which identifiers later edits see.
 		{"latex-sdis-flatten2", latex, core.Config{Site: 1, Flatten: core.FlattenPolicy{Interval: 2, ColdRevisions: 1}},
 			"f1f5f6564730119ed87217b7e96bec0b4e0e2d98bb298ff7494b1853f15aeae3",
 			"a514a6d54dbc8ea6423ca35a3c13ed5ab9e2b7401b84f10e50ce9e54c56e7db1",
-			"27ab9a58099fa5133a750494ddf83cb24a805a97f45856963817de9244b398ab"},
+			"8c4adf5469ada625fda9148f403b69b8a36bb6cd9784692d2f3d7eee396c1df0"},
 		// The public default (SDIS, balanced), as the benchmark's writers run it.
 		{"history-sdis-balanced", goldenHistory, core.Config{Site: 1},
 			"a18ed6668856105d9db31bcd1859c2b651684f0b119784f91e55ad4cd60b8503",
 			"8c1b5fdf4cf5a208dcac621950627d881222658b62cdb8dc2b72ca37e57e1949",
-			"709c2ccc1c5a307c6629480a1fafe050b98cae4a2f25f2a46dae50f1ff873c7b"},
+			"0b6d678ceb3aecb045e6744b273d037771fbb7659b2f4be5e829da95dbc20fff"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h, hs := sha256.New(), sha256.New()
@@ -71,6 +73,52 @@ func TestGoldenIdentifiers(t *testing.T) {
 				t.Errorf("snapshot hash = %s, want %s", got, tc.enc)
 			}
 		})
+	}
+}
+
+// TestSnapshotStructureBytes is the snapshot format's count gate: on
+// goldenHistory's tree — two tombstones for every live atom, the shape a
+// joiner's snapshot carries — everything in the encoding that is not atom
+// text comes to at most 1.25 bytes per tree node: the node's head byte, plus
+// a length byte per live atom, a handful of disambiguators and the header.
+// It is a count, exact on every host. (The marker-run format before it
+// spent 5.16.)
+func TestSnapshotStructureBytes(t *testing.T) {
+	tree := mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}).Tree()
+	m, nodes := storage.Measure(tree), tree.Stats(ident.PaperCost(ident.SDIS)).Nodes
+	if got := float64(m.OverheadBytes) / float64(nodes); got > 1.25 {
+		t.Errorf("snapshot structure: %d bytes for %d nodes = %.3f per node, want <= 1.25", m.OverheadBytes, nodes, got)
+	}
+}
+
+// TestSnapshotAllocs holds the two ends of a join to what they must
+// allocate on goldenHistory's tree. Taking a snapshot: the result, the
+// encoder's handle queue and the version vector's copies — nothing per
+// node. Installing one: a string per live atom and the slab chunks the
+// records live in (64 to a chunk), plus the replica, its clocks and the
+// chunk directories' growth — nothing per node, nothing per tombstone.
+func TestSnapshotAllocs(t *testing.T) {
+	d := &Doc{doc: mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {})}
+	data, _, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { d.Snapshot() }); got > 8 {
+		t.Errorf("Snapshot: %.0f allocs, want <= 8", got)
+	}
+	s := d.doc.Tree().Stats(ident.PaperCost(ident.SDIS))
+	budget := float64(s.LiveAtoms + (s.Nodes+1)/64 + s.Minis/64 + 2 + 40)
+	got := testing.AllocsPerRun(20, func() {
+		joiner, err := New(WithSite(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := joiner.InstallSnapshot(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("InstallSnapshot: %.0f allocs for %d live atoms, %d nodes, %d minis; want <= %.0f", got, s.LiveAtoms, s.Nodes, s.Minis, budget)
 	}
 }
 

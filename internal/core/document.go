@@ -185,14 +185,8 @@ func (d *Document) InstallSnapshot(tree *doctree.Tree, version vclock.VC, origin
 		if originCounter > d.counter {
 			d.counter = originCounter
 		}
-	} else {
-		tree.ExportBFS(func(en doctree.ExportNode) {
-			for _, m := range en.Minis {
-				if m.Dis.Site == d.cfg.Site && m.Dis.Counter > d.counter {
-					d.counter = m.Dis.Counter
-				}
-			}
-		})
+	} else if c := tree.MaxCounter(d.cfg.Site); c > d.counter {
+		d.counter = c
 	}
 	return nil
 }

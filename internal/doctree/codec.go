@@ -1,0 +1,382 @@
+package doctree
+
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/intern"
+)
+
+// The snapshot stream keeps Section 5.2's layout — "nodes are stored from top
+// to bottom, line by line, and nodes on the same line are stored left to
+// right" — but a missing node is two clear bits in its parent instead of a
+// marker in the line, so the stream holds present nodes only and a node that
+// carries one tombstone is one byte:
+//
+//	stream = "TDC2" sites node...    the root, then each level's nodes in the order
+//	                                 their parents promised them: major left and
+//	                                 right, then each mini's, in mini order
+//	sites  = n site...               strictly ascending: the sites of the tree's
+//	                                 non-canonical disambiguators, each used
+//	node   = head                    bits 0-1 left/right child present, bits 2-3
+//	                                 shape, bits 4-7 the mini bits of shape one
+//	         shape empty: nothing    shape one: tail
+//	         shape many: n≥2, n × (mini-bits byte, tail), ascending
+//	         shape flat: n, n × atom (a region has no children)
+//	mini   = bits 0-1 left/right child present, bit 2 dead, bit 3 dis follows
+//	tail   = [dis] [atom]            dis only when it differs from the previous
+//	                                 mini's in the stream (canonical before the
+//	                                 first); atom unless dead
+//	dis    = 0 (canonical) | 1 + index into sites, counter
+//	atom   = length, bytes
+//
+// Every n, index, counter and length is a uvarint. A tree has exactly one
+// stream: whatever can be spelled two ways is refused in all but one.
+const snapMagic = "TDC2"
+
+const (
+	shapeEmpty = iota << 2
+	shapeOne
+	shapeMany
+	shapeFlat
+	shapeMask = shapeFlat
+
+	miniDead   = 1 << 2
+	miniHasDis = 1 << 3
+
+	// promised stands in a child link the stream has announced and not yet
+	// delivered: no node's child is the root, so its handle is free to mean it.
+	promised = rootH
+)
+
+// present queues a slot's children, left first, and sets bits 0 and 1 for them.
+func present(queue []nodeH, kids [2]nodeH) (_ []nodeH, bits byte) {
+	if kids[0] != 0 {
+		queue, bits = append(queue, kids[0]), 1
+	}
+	if kids[1] != 0 {
+		queue, bits = append(queue, kids[1]), bits|2
+	}
+	return queue, bits
+}
+
+// AppendSnapshot appends the tree's snapshot stream to dst. It reads the
+// slabs through a queue of node handles, one allocation sized up front.
+func (t *Tree) AppendSnapshot(dst []byte) []byte {
+	sites := make([]ident.SiteID, 0, 16)
+	for h := uint32(1); h <= t.minis.n; h++ { // a free record is zero: canonical
+		if d := t.minis.at(h).dis(); d != ident.Canonical {
+			if i, ok := slices.BinarySearch(sites, d.Site); !ok {
+				sites = slices.Insert(sites, i, d.Site)
+			}
+		}
+	}
+	dst = append(dst, snapMagic...)
+	dst = binary.AppendUvarint(dst, uint64(len(sites)))
+	for _, s := range sites {
+		dst = binary.AppendUvarint(dst, uint64(s))
+	}
+	// No closures over dst or the queue: this runs on the engine's actor.
+	var prev ident.Dis
+	var prevSite int // prev.Site's index in sites
+	queue := append(make([]nodeH, 0, t.nodes.used()), rootH)
+	for i := 0; i < len(queue); i++ {
+		n := t.node(queue[i])
+		if n.flat != 0 {
+			atoms := t.flats[n.flat-1]
+			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(len(atoms)))
+			for _, a := range atoms {
+				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
+			}
+			continue
+		}
+		var head, bits byte
+		queue, head = present(queue, n.kids)
+		shift := 0
+		switch mh := n.first; {
+		case mh == 0:
+			dst = append(dst, head|shapeEmpty)
+			continue
+		case t.mini(mh).next == 0:
+			head, shift = head|shapeOne, 4
+		default:
+			count := 0
+			for ; mh != 0; mh = t.mini(mh).next {
+				count++
+			}
+			dst = binary.AppendUvarint(append(dst, head|shapeMany), uint64(count))
+			head = 0
+		}
+		for mh := n.first; mh != 0; {
+			m := t.mini(mh)
+			queue, bits = present(queue, m.kids)
+			d := m.dis()
+			if m.dead {
+				bits |= miniDead
+			}
+			if d != prev {
+				bits |= miniHasDis
+			}
+			dst = append(dst, head|bits<<shift)
+			if d == ident.Canonical && d != prev {
+				dst = append(dst, 0)
+			} else if d != prev {
+				if d.Site != prev.Site || prev == ident.Canonical {
+					prevSite, _ = slices.BinarySearch(sites, d.Site)
+				}
+				dst = binary.AppendUvarint(dst, uint64(prevSite)+1)
+				dst = binary.AppendUvarint(dst, uint64(d.Counter))
+			}
+			prev = d
+			if !m.dead {
+				dst = append(binary.AppendUvarint(dst, uint64(len(m.atom))), m.atom...)
+			}
+			mh = m.next
+		}
+	}
+	return dst
+}
+
+// MaxCounter returns the highest disambiguator counter site holds in the
+// tree's mini-nodes (0 for none) by an allocation-free scan of the mini slab.
+func (t *Tree) MaxCounter(site ident.SiteID) (max uint32) {
+	for h := uint32(1); h <= t.minis.n; h++ {
+		if m := t.minis.at(h); m.counter > max && m.dis().Site == site {
+			max = m.counter
+		}
+	}
+	return max
+}
+
+// snapDecoder reads a snapshot stream into a fresh tree. The first failure
+// sticks: later reads return zeros, and the loops below stop on err.
+type snapDecoder struct {
+	t    *Tree
+	buf  []byte
+	off  int
+	err  error
+	prev ident.Dis // the previous mini's disambiguator
+	live uint64    // atoms read so far, wide: the tree's counters are 32-bit
+	// sites is the header's table; used marks the entries a disambiguator
+	// has named, since a table entry nothing names is a second spelling.
+	sites []ident.SiteID
+	used  []bool
+}
+
+func (d *snapDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("doctree: snapshot byte %d: "+format, append([]any{d.off}, args...)...)
+	}
+}
+
+func (d *snapDecoder) byte() byte {
+	if d.err != nil || d.off >= len(d.buf) {
+		d.fail("truncated: a promised node or mini-node is missing")
+		return 0
+	}
+	d.off++
+	return d.buf[d.off-1]
+}
+
+func (d *snapDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if d.err != nil || n <= 0 || n > 1 && d.buf[d.off+n-1] == 0 { // a zero top group is a second spelling
+		d.fail("truncated or overlong varint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// count reads how many of something follow. Each costs at least a byte, so a
+// count beyond the bytes left is corrupt; refused here, it sizes no allocation.
+func (d *snapDecoder) count(what string) int {
+	v := d.uvarint()
+	if v > uint64(len(d.buf)-d.off) {
+		d.fail("%s count %d exceeds the %d bytes left", what, v, len(d.buf)-d.off)
+		return 0
+	}
+	return int(v)
+}
+
+// room is Tree.room as a decoding step.
+func (d *snapDecoder) room(nodes, minis int) {
+	if err := d.t.room(nodes, minis); err != nil {
+		d.fail("%w", err)
+	}
+}
+
+func (d *snapDecoder) atom() string {
+	n := d.count("atom byte")
+	if d.live++; d.live > uint64(d.t.limit) {
+		d.fail("more than %d atoms: %w", d.t.limit, ErrFull)
+	}
+	d.off += n
+	return intern.Bytes(d.buf[d.off-n : d.off]) // a string per atom; single ASCII atoms share a table
+}
+
+// DecodeSnapshot rebuilds the tree AppendSnapshot wrote. A snapshot is an
+// external input (disk, network): every count is bounded by the bytes left
+// before anything is sized by it, every invariant Check states is established
+// by construction or tested as the stream is read, and a tree spelled any
+// way but AppendSnapshot's is refused — so an accepted stream yields a tree
+// that passes Check and encodes back to the same bytes. A stream claiming
+// more records or atoms than handles can address fails wrapping ErrFull.
+func DecodeSnapshot(data []byte) (*Tree, error) { return decodeSnapshot(data, maxRecords) }
+
+func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
+	if len(data) < len(snapMagic) || string(data[:3]) != snapMagic[:3] {
+		return nil, fmt.Errorf("doctree: not a snapshot (bad magic)")
+	}
+	if v := string(data[:len(snapMagic)]); v != snapMagic {
+		return nil, fmt.Errorf("doctree: snapshot format %q is not supported, only %s", v, snapMagic)
+	}
+	t := New()
+	t.limit = limit
+	d := &snapDecoder{t: t, buf: data, off: len(snapMagic)}
+	n := d.count("site")
+	d.sites, d.used = make([]ident.SiteID, n), make([]bool, n)
+	for i := range d.sites {
+		d.sites[i] = ident.SiteID(d.uvarint())
+		if d.sites[i] > ident.MaxSiteID || i > 0 && d.sites[i] <= d.sites[i-1] {
+			d.fail("site table entry %d out of range or out of order", d.sites[i])
+		}
+	}
+	// The node slab is the queue of the level-order walk: handles are handed
+	// out in stream order, so visiting them in order and reading a node for
+	// every promised link delivers each level left to right.
+	d.node(rootH)
+	for h := rootH; d.err == nil && uint32(h) <= t.nodes.n; h++ {
+		n := t.node(h)
+		d.children(slot{node: h}, &n.kids)
+		for mh := n.first; mh != 0; {
+			m := t.mini(mh)
+			d.children(slot{node: h, mini: mh}, &m.kids)
+			mh = m.next
+		}
+	}
+	if d.off != len(data) {
+		d.fail("%d trailing bytes", len(data)-d.off)
+	}
+	if i := slices.Index(d.used, false); i >= 0 {
+		d.fail("site table entry %d is never used", d.sites[i])
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	// A child's handle is above its parent's, so one pass from the last node
+	// down has every subtree summed before it is added to its parent, and the
+	// last node read is on the deepest level.
+	for h := nodeH(t.nodes.n); h > rootH; h-- {
+		n := t.node(h)
+		p := t.node(n.parent)
+		p.live, p.nodes, p.dead, p.emptyN = p.live+n.live, p.nodes+n.nodes, p.dead+n.dead, p.emptyN+n.emptyN
+	}
+	t.height = t.depth(nodeH(t.nodes.n))
+	return t, nil
+}
+
+// children reads the node of every promised link in slot s.
+func (d *snapDecoder) children(s slot, kids *[2]nodeH) {
+	for bit := range kids {
+		if kids[bit] != promised {
+			continue
+		}
+		if d.room(1, 0); d.err == nil {
+			kids[bit] = d.t.newNode(s, uint8(bit))
+			d.node(kids[bit])
+		}
+	}
+}
+
+// promise turns presence bits 0 and 1 into child links awaiting their nodes.
+func promise(bits byte) [2]nodeH {
+	return [2]nodeH{nodeH(bits & 1), nodeH(bits >> 1 & 1)} // promised == 1
+}
+
+// node reads one node's head and contents into the fresh record h, leaving
+// in its counters what the node itself contributes.
+func (d *snapDecoder) node(h nodeH) {
+	head := d.byte()
+	n := d.t.node(h)
+	n.kids = promise(head)
+	shape, count := head&shapeMask, 1
+	if shape != shapeOne && head>>4 != 0 || shape == shapeFlat && head != shapeFlat {
+		d.fail("head %#x sets bits its shape does not use", head)
+	}
+	switch shape {
+	case shapeEmpty:
+		if h != rootH { // the root counts neither as a node nor as a free slot
+			n.nodes, n.emptyN = 1, 1
+		}
+		return
+	case shapeFlat:
+		atoms := make([]string, d.count("flat atom"))
+		for i := range atoms {
+			atoms[i] = d.atom()
+		}
+		d.t.setFlat(n, atoms)
+		n.live = uint32(len(atoms))
+		return
+	case shapeMany:
+		if count = d.count("mini"); count < 2 {
+			d.fail("a many-mini node of %d: not the one spelling", count)
+		}
+	}
+	if h == rootH {
+		d.fail("the root holds a mini-node")
+	}
+	d.room(0, count)
+	n.nodes = 1
+	link, bits := &n.first, head>>4
+	for i := 0; i < count && d.err == nil; i++ {
+		last := d.prev
+		if shape == shapeMany {
+			if bits = d.byte(); bits>>4 != 0 {
+				d.fail("mini byte %#x sets unused bits", bits)
+			}
+		}
+		if bits&miniHasDis != 0 {
+			d.dis()
+		}
+		if i > 0 && last.Compare(d.prev) >= 0 {
+			d.fail("mini-nodes out of order: %s then %s", last, d.prev)
+		}
+		mh := miniH(d.t.minis.alloc())
+		m := d.t.mini(mh)
+		*link, link = mh, &m.next
+		m.counter, m.siteLo, m.siteHi = d.prev.Counter, uint32(d.prev.Site), uint16(d.prev.Site>>32)
+		m.kids = promise(bits)
+		if m.dead = bits&miniDead != 0; m.dead {
+			n.dead++
+		} else {
+			m.atom = d.atom()
+			n.live++
+		}
+	}
+}
+
+// dis reads a written disambiguator into d.prev; one that repeats the
+// previous mini's should have been left out.
+func (d *snapDecoder) dis() {
+	var next ident.Dis
+	if k := d.uvarint(); k > uint64(len(d.sites)) {
+		d.fail("site index %d past the table of %d", k-1, len(d.sites))
+	} else if k > 0 {
+		c := d.uvarint()
+		if c > 1<<32-1 {
+			d.fail("disambiguator counter beyond 32 bits")
+		}
+		next = ident.Dis{Counter: uint32(c), Site: d.sites[k-1]}
+		d.used[k-1] = true
+		if next == ident.Canonical {
+			d.fail("canonical disambiguator spelled through the site table")
+		}
+	}
+	if next == d.prev {
+		d.fail("disambiguator %s repeats the previous mini's: the one spelling leaves it out", next)
+	}
+	d.prev = next
+}

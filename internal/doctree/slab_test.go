@@ -246,25 +246,23 @@ func TestFullIsAnError(t *testing.T) {
 		t.Errorf("refused explode changed Len to %d", tr.Len())
 	}
 
-	// An import stream: a root with two children, each holding minis.
-	stream := func() func() (ExportNode, error) {
-		nodes := []ExportNode{
-			{Present: true},
-			{Present: true, Minis: []ExportMini{{Dis: ident.Dis{Site: 1}, Atom: "a"}, {Dis: ident.Dis{Site: 2}, Atom: "b"}}},
-			{Present: true, IsFlat: true, Flat: []string{"c", "d", "e"}},
-			{}, {}, {}, {}, {}, {},
-		}
-		return func() (ExportNode, error) {
-			en := nodes[0]
-			nodes = nodes[1:]
-			return en, nil
+	// A snapshot: a root with two children, one holding two minis, the other
+	// a flat region of three atoms.
+	src := New()
+	for i, id := range []string{"[(0:s1)]", "[(0:s2)]", "[1(1:s1)]", "[11(1:s1)]", "[111(1:s1)]"} {
+		if err := src.InsertID(ident.MustParsePath(id), string(rune('a'+i))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got, err := buildFromBFS(stream(), 5); err != nil || got.Len() != 5 {
+	if err := src.Flatten(ident.Path{ident.J(1)}); err != nil {
+		t.Fatal(err)
+	}
+	stream := src.AppendSnapshot(nil)
+	if got, err := decodeSnapshot(stream, 5); err != nil || got.Len() != 5 {
 		t.Fatalf("import within the limit: %v", err)
 	}
 	for _, limit := range []uint32{1, 2, 4} { // no room for a child, for both children, for the atoms
-		if _, err := buildFromBFS(stream(), limit); !errors.Is(err, ErrFull) {
+		if _, err := decodeSnapshot(stream, limit); !errors.Is(err, ErrFull) {
 			t.Errorf("import with limit %d: %v, want ErrFull", limit, err)
 		}
 	}

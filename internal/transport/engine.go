@@ -810,9 +810,7 @@ func (e *Engine) handle(cmd command) {
 	}
 	switch f := cmd.frame.(type) {
 	case *OpsFrame:
-		for _, m := range f.Msgs {
-			e.ingest(m)
-		}
+		e.ingest(f.Msgs)
 	case *SyncReqFrame:
 		e.noteSite(f.From)
 		e.handleSyncReq(f, cmd.from)
@@ -855,24 +853,26 @@ func (e *Engine) record(m causal.Message) {
 	}
 }
 
-// ingest feeds one stamped message to the causal buffer and applies
-// whatever becomes deliverable. Delivered messages (own or relayed) are
-// retained for anti-entropy: a replica can heal a third party's loss.
-func (e *Engine) ingest(m causal.Message) {
-	deliverable, err := e.buf.Add(m)
-	if err != nil {
-		e.wireErrs.Add(1)
-		return
+// ingest feeds a frame's stamped messages to the causal buffer and applies
+// what they make deliverable as one run: N in-order ops, one ApplyBatch of N.
+// Delivered messages are retained: a replica can heal a third party's loss.
+func (e *Engine) ingest(msgs []causal.Message) {
+	ready := make([]causal.Message, 0, len(msgs))
+	for _, m := range msgs {
+		deliverable, err := e.buf.Add(m)
+		if err != nil {
+			e.wireErrs.Add(1)
+		}
+		ready = append(ready, deliverable...)
 	}
 	if n := e.buf.Prune(maxPending); n > 0 {
 		e.pruned.Add(uint64(n))
 	}
-	e.deliver(deliverable)
+	e.deliver(ready)
 }
 
-// deliver records and applies causally-ready messages. When the replica
-// supports batched application, the whole run goes through ApplyBatch —
-// one replica lock per run instead of per op.
+// deliver records and applies causally-ready messages; a replica that
+// supports batched application takes the whole run under one lock.
 func (e *Engine) deliver(msgs []causal.Message) {
 	if e.batcher != nil && len(msgs) > 1 {
 		e.deliverBatch(msgs)

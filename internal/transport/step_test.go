@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/treedoc/treedoc/internal/causal"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 )
@@ -77,6 +79,72 @@ func TestStepperRunsOnlyWhenStepped(t *testing.T) {
 	sb.Stop()
 	if err := sa.Engine().Broadcast(op); err != ErrStopped {
 		t.Fatalf("Broadcast after Stop: %v", err)
+	}
+}
+
+// batchReplica is a snapReplica that takes runs whole and notes their sizes.
+type batchReplica struct {
+	*snapReplica
+	batches []int
+}
+
+func (r *batchReplica) ApplyBatch(ops []core.Op) (int, error) {
+	r.batches = append(r.batches, len(ops))
+	for i, op := range ops {
+		if err := r.Apply(op); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
+}
+
+// TestFrameIsOneBatch: a frame's messages enter the causal buffer together
+// and what they make deliverable is applied as one run — an in-order frame
+// of N ops is a single ApplyBatch of N, not N single applies. An op that
+// fails mid-frame latches the error and the rest of the frame still applies.
+func TestFrameIsOneBatch(t *testing.T) {
+	const n, bad = 16, 9
+	frame := func(spoil bool) []byte {
+		w, stamp := newSnapReplica(t, 1), causal.NewBuffer(1)
+		var msgs []causal.Message
+		for i := 0; i < n; i++ {
+			op := w.insertAt(t, i, "x")
+			if spoil && i == bad {
+				op.ID = msgs[3].Payload.(core.Op).ID // a live atom holds it: Apply refuses
+			}
+			msgs = append(msgs, stamp.Stamp(op))
+		}
+		f, err := EncodeOps(msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name    string
+		spoil   bool
+		batches []int
+		length  int
+	}{
+		{"in order", false, []int{n}, n},
+		{"one op fails", true, []int{n, n - bad - 1}, n - 1},
+	} {
+		r := &batchReplica{snapReplica: newSnapReplica(t, 2)}
+		s, err := NewStepper(2, r, func() time.Time { return time.UnixMilli(0) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Connect(&recLink{})(frame(tc.spoil))
+		if !reflect.DeepEqual(r.batches, tc.batches) || r.length() != tc.length {
+			t.Errorf("%s: ApplyBatch runs %v, %d atoms; want %v, %d", tc.name, r.batches, r.length(), tc.batches, tc.length)
+		}
+		if got := s.Engine().Clock().Get(1); got != n {
+			t.Errorf("%s: clock[1] = %d, want %d", tc.name, got, n)
+		}
+		if err := s.Engine().Err(); (err != nil) != tc.spoil {
+			t.Errorf("%s: latched error %v", tc.name, err)
+		}
+		s.Stop()
 	}
 }
 

@@ -565,15 +565,16 @@ func (d *Doc) MarshalBinary() ([]byte, error) {
 
 //treedoc:holds mu
 func (d *Doc) marshalLocked() []byte {
-	buf := append([]byte(nil), snapMagic...)
+	buf := append(make([]byte, 0, 64), snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(d.doc.Site()))
 	buf = binary.AppendUvarint(buf, d.doc.Seq())
 	buf = binary.AppendUvarint(buf, uint64(d.doc.Counter()))
 	buf = append(buf, byte(d.doc.Config().Mode))
 	buf = d.doc.Version().AppendBinary(buf)
-	// Appending the tree directly avoids encoding it into a separate
-	// buffer and copying it over.
-	return storage.AppendEncode(buf, d.doc.Tree())
+	// The tree goes behind these fields in storage's pooled scratch and comes
+	// back as one exact-size slice: no append-growth garbage on the engine's
+	// actor, no slack capacity retained with a barrier snapshot.
+	return storage.EncodeAfter(buf, d.doc.Tree())
 }
 
 // Snapshot captures the replica state and the version vector describing
