@@ -14,8 +14,7 @@
 //   - explicit waivers: a "//treedoc:escape <reason>" comment waives
 //     diagnostics on its own line (trailing form) or the next line
 //     (standalone form) — the intended exact-size result copies in
-//     storage.Encode and transport.EncodeOps, and the interning
-//     fallbacks in intern.Rune/Bytes.
+//     storage.Encode and transport.EncodeOps.
 //
 // Everything else is reported. The waiver is line-scoped, so a new
 // allocation on any other line of the function — making pooled scratch

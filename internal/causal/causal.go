@@ -119,16 +119,25 @@ func (b *Buffer) deliverable(m Message) bool {
 }
 
 // Add ingests a received message and returns every message that becomes
-// deliverable, in causal order. Duplicate and own messages are dropped.
+// deliverable, in causal order. Duplicate and own messages are dropped — a
+// duplicate of a message still buffered too, or every retransmission
+// answering a replica stuck behind a causal gap would grow the backlog
+// until Prune shed legitimate messages.
 func (b *Buffer) Add(m Message) ([]Message, error) {
 	if m.From == 0 {
 		return nil, fmt.Errorf("causal: message without sender")
 	}
-	if m.TS.Get(m.From) == 0 {
+	seq := m.TS.Get(m.From)
+	if seq == 0 {
 		return nil, fmt.Errorf("causal: message from s%d without own timestamp", m.From)
 	}
-	if m.From == b.site || m.TS.Get(m.From) <= b.delivered.Get(m.From) {
+	if m.From == b.site || seq <= b.delivered.Get(m.From) {
 		return nil, nil // own or already-delivered message
+	}
+	for _, p := range b.pending {
+		if p.From == m.From && p.TS.Get(p.From) == seq {
+			return nil, nil // already buffered
+		}
 	}
 	b.pending = append(b.pending, m)
 	var out []Message

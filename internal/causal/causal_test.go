@@ -104,8 +104,15 @@ func TestBufferedDuplicateCleanup(t *testing.T) {
 	if got, _ := b.Add(m2); len(got) != 0 {
 		t.Fatal("m2 early")
 	}
-	if got, _ := b.Add(m2); len(got) != 0 {
-		t.Fatal("dup m2")
+	// Retransmissions of a message still waiting for its predecessor are
+	// refused on entry: the backlog must not grow by one per duplicate.
+	for i := 0; i < 100; i++ {
+		if got, _ := b.Add(m2); len(got) != 0 {
+			t.Fatal("dup m2")
+		}
+	}
+	if b.Pending() != 1 {
+		t.Fatalf("pending = %d after 100 duplicates of one buffered message, want 1", b.Pending())
 	}
 	got, _ := b.Add(m1)
 	if len(got) != 2 {

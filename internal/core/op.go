@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"github.com/treedoc/treedoc/internal/ident"
-	"github.com/treedoc/treedoc/internal/intern"
 )
 
 // OpKind identifies an edit operation type (Section 2.2).
@@ -207,9 +206,9 @@ func DecodeFields(kind OpKind, origin bool, buf []byte) (Op, int, error) {
 			return o, 0, fmt.Errorf("core: atom length %d exceeds buffer", alen)
 		}
 		// Character-granularity documents make almost every decoded atom a
-		// single ASCII byte; interning those shares one table entry instead
-		// of allocating a fresh string per replayed insert.
-		o.Atom = intern.Bytes(buf[off : off+int(alen)])
+		// single byte, and the runtime converts a one-byte slice to its
+		// static single-byte string: a replayed insert allocates no atom.
+		o.Atom = string(buf[off : off+int(alen)])
 		off += int(alen)
 	}
 	if err := o.Validate(); err != nil {

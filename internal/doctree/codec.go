@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/treedoc/treedoc/internal/ident"
-	"github.com/treedoc/treedoc/internal/intern"
 )
 
 // The snapshot stream keeps Section 5.2's layout — "nodes are stored from top
@@ -214,7 +213,7 @@ func (d *snapDecoder) atom() string {
 		d.fail("more than %d atoms: %w", d.t.limit, ErrFull)
 	}
 	d.off += n
-	return intern.Bytes(d.buf[d.off-n : d.off]) // a string per atom; single ASCII atoms share a table
+	return string(d.buf[d.off-n : d.off]) // a string per atom; a one-byte atom is the runtime's static string
 }
 
 // DecodeSnapshot rebuilds the tree AppendSnapshot wrote. A snapshot is an

@@ -43,10 +43,10 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs guards the decoder's atom interning: single-character
-// atoms resolve through the shared intern table, so decoding is bounded by
-// the tree structure, not one string header per atom. Without interning
-// this tree would cost ~512 extra allocations per decode.
+// TestDecodeAllocs guards the decoder's atom conversion: a single-byte
+// atom is the runtime's static one-byte string, so decoding is bounded by
+// the tree structure, not one string per atom. Allocating each atom would
+// cost this tree ~512 extra allocations per decode.
 func TestDecodeAllocs(t *testing.T) {
 	tr := buildTree(t, 512)
 	if err := tr.FlattenAll(); err != nil {
@@ -62,6 +62,6 @@ func TestDecodeAllocs(t *testing.T) {
 	// slice, the decoder and its site table) — but no per-atom string
 	// allocations.
 	if got > 10 {
-		t.Errorf("Decode(512-atom snapshot): %.1f allocs/op, want <= 10 (interned atoms)", got)
+		t.Errorf("Decode(512-atom snapshot): %.1f allocs/op, want <= 10 (atoms must not allocate)", got)
 	}
 }

@@ -228,14 +228,14 @@ func TestSyncReqSkipsDeadPeer(t *testing.T) {
 	}
 	// The dead peer's queue keeps whatever it held when the writer exited;
 	// the guard means a digest reply must not add to it.
-	base := len(p.out)
+	base := p.len()
 	done := make(chan struct{})
 	e.ctl(func() {
 		e.handleSyncReq(&SyncReqFrame{From: 9, Clock: vclock.New()}, p)
 		close(done)
 	})
 	<-done
-	if n := len(p.out); n != base {
+	if n := p.len(); n != base {
 		t.Fatalf("handleSyncReq queued %d frames for a dead peer", n-base)
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -423,13 +424,8 @@ func (e *Engine) openAndReplay() error {
 		clock = version
 		e.snapData, e.snapVC = data, snapClock.Clone()
 		// Nothing below the stored snapshot survives a restart, so the
-		// retained-log floor starts at the snapshot clock — and so does the
-		// flatten vote's evaluation floor: edits below it no longer exist
-		// as records, so proposals must observe at least this much.
+		// retained-log floor starts at the snapshot clock.
 		e.truncVC = snapClock.Clone()
-		if e.fl != nil {
-			e.fl.editFloor = snapClock.Clone()
-		}
 	}
 	replayErr := l.Replay(func(site ident.SiteID, seq uint64, body []byte) error {
 		if seq <= clock.Get(site) {
@@ -453,16 +449,10 @@ func (e *Engine) openAndReplay() error {
 		}
 		clock.Merge(m.TS)
 		e.retained.Append(m)
-		if e.fl != nil {
-			// Rebuild the vote bookkeeping exactly as the live path does: a
-			// replayed flatten resets the edit log and anchors the flatten
-			// clock; everything after it is an edit a future vote must see.
-			if op.Kind == core.OpFlatten {
-				e.fl.flattenVC = clock.Clone()
-				e.fl.editLog = e.fl.editLog[:0]
-			} else {
-				e.fl.editLog = append(e.fl.editLog, editRec{site: op.Site, seq: op.Seq, id: op.ID})
-			}
+		if e.fl != nil && op.Kind == core.OpFlatten {
+			// As on the live path, a replayed flatten anchors the flatten
+			// clock a future vote's observation must cover.
+			e.fl.flattenVC = clock.Clone()
 		}
 		return nil
 	})
@@ -564,18 +554,17 @@ func (e *Engine) Connect(link Link) {
 		link.Close()
 		return
 	}
-	p := e.newPeer(link)
-	p.out = make(chan []byte, e.queueDepth)
-	p.wdone = make(chan struct{})
-	e.wg.Add(3)
-	go p.writer()
+	p := e.newPeer(link, newOutq(e.queueDepth, func() { link.Close() }))
+	p.send, p.stream = p.enqueue, p.streamPaced
+	p.start(&e.wg, link.Send, nil, e.drained)
+	e.wg.Add(1)
 	go p.reader()
-	go p.closer()
 	e.ctl(func() { e.attach(p) })
 }
 
-func (e *Engine) newPeer(link Link) *peer {
-	p := &peer{eng: e, link: link, gone: make(chan struct{})}
+// newPeer wraps a link; the driver attaching it sets send and stream.
+func (e *Engine) newPeer(link Link, q *outq) *peer {
+	p := &peer{outq: q, eng: e, link: link}
 	if rr, ok := link.(ReplayRouter); ok {
 		p.routes = rr.RoutesReplay()
 	}
@@ -586,7 +575,7 @@ func (e *Engine) newPeer(link Link) *peer {
 func (e *Engine) attach(p *peer) {
 	e.peers = append(e.peers, p)
 	if f, err := EncodeSyncReq(e.site, e.buf.Clock()); err == nil {
-		p.trySend(f)
+		p.send(f)
 		p.lastSyncAt = e.now()
 		e.digestsSent.Add(1)
 	}
@@ -801,9 +790,7 @@ func (e *Engine) handle(cmd command) {
 		m := e.buf.Stamp(op)
 		e.record(m)
 		e.batch = append(e.batch, m)
-		if e.fl != nil {
-			e.recordOp(op)
-		}
+		e.recordOp(op)
 		if len(e.batch) >= e.batchSize {
 			e.flush()
 		}
@@ -889,9 +876,7 @@ func (e *Engine) deliver(msgs []causal.Message) {
 			continue
 		}
 		e.applied.Add(1)
-		if e.fl != nil {
-			e.onRemoteOpDelivered(op)
-		}
+		e.onRemoteOpDelivered(op)
 	}
 }
 
@@ -964,7 +949,7 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 	if e.snap != nil && e.snapThreshold > 0 && !e.snapReqSent &&
 		gap(req.Clock, e.buf.Clock()) >= uint64(e.snapThreshold) {
 		if f, err := encodeFrame(kindSnapReq, &SnapReqFrame{From: e.site, Clock: e.buf.Clock()}); err == nil {
-			from.trySend(f)
+			from.send(f)
 			e.snapReqSent = true
 		}
 	}
@@ -1040,7 +1025,6 @@ func (e *Engine) adoptBarrier(data []byte, version, floor vclock.VC) {
 	if floor != nil {
 		e.truncVC = floor.Clone()
 		e.truncateRetained(floor)
-		e.pruneEditLog(floor)
 	}
 	e.sinceSnap = e.retained.CountAbove(version)
 }
@@ -1071,7 +1055,6 @@ func (e *Engine) promoteFloor() {
 		}
 	}
 	e.truncateRetained(e.truncVC)
-	e.pruneEditLog(e.truncVC)
 }
 
 // floorDelay is how long the serving barrier ages before the floor
@@ -1137,20 +1120,15 @@ var errPeerGone = errors.New("transport: peer gone")
 
 // streamSnapshot streams the barrier snapshot, then the already-encoded
 // suffix frames, to one peer — one ordered stream, so the snapshot lands
-// before the operations above it. On a queued link a dedicated sender
-// goroutine paces it with blocking sends into the peer queue: the
-// receiver's reassembly is strictly in-order, so a chunk dropped by a full
-// queue would void the whole sequence — and a queue shallower than the
-// chunk count would void every offer, forever. Blocking also bounds the
-// memory in flight to the queue depth; only one chunk is encoded at a
-// time. A stepping driver's link takes every frame as it is sent, so there
-// the same stream is emitted inline. At most one stream runs per peer; the
-// snapshot slice and the frames are immutable, so the goroutine reads them
-// safely after the actor has moved on. The same barrier is offered to the
-// same peer at most once per snapResendAfter: repeated digests from a
-// catching-up peer must not draw a snapshot per tick, but an offer voided
-// by a lost chunk is eventually repeated. It reports false when the caller
-// still owns the suffix (rate-limited, or nothing to stream).
+// before the operations above it. How it leaves is the peer's stream (see
+// peer): paced by blocking puts on a queued link, inline on a stepped one.
+// At most one stream runs per peer; the snapshot slice and the frames are
+// immutable, so a pacing goroutine reads them safely after the actor has
+// moved on. The same barrier is offered to the same peer at most once per
+// snapResendAfter: repeated digests from a catching-up peer must not draw a
+// snapshot per tick, but an offer voided by a lost chunk is eventually
+// repeated. It reports false when the caller still owns the suffix
+// (rate-limited, or nothing to stream).
 func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) bool {
 	if e.snapData == nil || to.dead() {
 		return false
@@ -1165,44 +1143,29 @@ func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) boo
 		return false
 	}
 	to.lastSnapVC, to.lastSnapAt = e.snapVC, e.now()
-	to.chunking.Store(true) // only the actor sets it; the sender clears it
+	to.chunking.Store(true) // only the actor sets it; the stream clears it
 	e.snapsSent.Add(1)
 	data, version := e.snapData, e.snapVC.Clone()
-	stream := func(send func(frame []byte) error) {
+	to.stream(func(put func(frame []byte) bool) {
 		defer to.chunking.Store(false)
-		if _, err := stateFrames(e.site, data, version, nil, send); err != nil {
+		address := func(frame []byte) error {
+			if !put(directed(to, dst, frame)) {
+				return errPeerGone
+			}
+			return nil
+		}
+		if _, err := stateFrames(e.site, data, version, nil, address); err != nil {
 			if !errors.Is(err, errPeerGone) {
 				e.wireErrs.Add(1)
 			}
 			return
 		}
 		for _, f := range suffix {
-			if send(f) != nil {
+			if address(f) != nil {
 				return
 			}
 		}
-	}
-	if to.out == nil {
-		stream(func(frame []byte) error {
-			to.trySend(directed(to, dst, frame))
-			return nil
-		})
-		return true
-	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		stream(func(frame []byte) error {
-			select {
-			case to.out <- directed(to, dst, frame):
-				return nil
-			case <-to.gone:
-				return errPeerGone
-			case <-e.done:
-				return errPeerGone
-			}
-		})
-	}()
+	})
 	return true
 }
 
@@ -1259,7 +1222,7 @@ func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bo
 	}
 	if !snapshot || !e.streamSnapshot(to, dst, ent.frames) {
 		for _, f := range ent.frames {
-			to.trySend(directed(to, dst, f))
+			to.send(directed(to, dst, f))
 		}
 	}
 	e.replayOps.Add(ent.ops)
@@ -1330,19 +1293,13 @@ func (e *Engine) flush() {
 		e.wireErrs.Add(uint64(skipped))
 		e.batch = e.batch[:0]
 	}
-	live := e.peers[:0]
-	for _, p := range e.peers {
-		if !p.dead() {
-			live = append(live, p)
-		}
-	}
-	e.peers = live
+	e.peers = slices.DeleteFunc(e.peers, (*peer).dead)
 }
 
 func (e *Engine) fanout(frame []byte) {
 	for _, p := range e.peers {
 		if !p.dead() {
-			p.trySend(frame)
+			p.send(frame)
 		}
 	}
 }
@@ -1399,27 +1356,28 @@ func (e *Engine) syncAll() {
 				return
 			}
 		}
-		p.trySend(frame)
+		p.send(frame)
 		p.lastSyncAt = now
 		e.digestsSent.Add(1)
 	}
 }
 
-// peer is one attached link. Under NewEngine it has a bounded outbound
-// queue drained by a writer goroutine, and a reader goroutine feeding
+// peer is one attached link. Under NewEngine its frames leave through a
+// bounded queue drained by a writer goroutine, and a reader goroutine feeds
 // inbound frames to the actor (blocking on the inbox is the inbound
-// backpressure path). Under a Stepper it has neither: out is nil, sends
-// go straight to the link — the driver's own queue — and the driver
-// calls receive.
+// backpressure path). Under a Stepper nothing is ever queued — the embedded
+// outq is only the dead flag — sends go straight to the link, which is the
+// driver's own queue, and the driver calls receive.
 type peer struct {
-	eng      *Engine
-	link     Link
-	out      chan []byte
-	gone     chan struct{}
-	goneOnce sync.Once
-	// wdone closes when the writer returns; closer waits for it on
-	// shutdown so the link stays open while the writer drains its queue.
-	wdone chan struct{}
+	*outq
+	eng  *Engine
+	link Link
+	// send takes one frame without blocking; stream runs frames, an ordered
+	// run none of which may be dropped, handing it the put that takes them.
+	// The driver attaching the link sets both, once, before the peer goes
+	// live: enqueue and streamPaced, or sendNow and streamInline.
+	send   func(frame []byte)
+	stream func(frames func(put func(frame []byte) bool))
 	// lastSnapVC/lastSnapAt rate-limit snapshot offers (actor-owned).
 	lastSnapVC vclock.VC
 	lastSnapAt time.Time
@@ -1442,7 +1400,7 @@ type peer struct {
 	// reopens our sends (actor-owned).
 	heardVC vclock.VC
 	// chunking guards the single in-flight snapshot stream to this peer
-	// (set by the actor, cleared by the sender goroutine).
+	// (set by the actor, cleared by the stream).
 	chunking atomic.Bool
 }
 
@@ -1455,87 +1413,46 @@ func (p *peer) noteHeard(clock vclock.VC) {
 	p.heardVC.Merge(clock)
 }
 
-// fail marks the peer dead, which stops its writer and makes closer tear
-// the link down.
-func (p *peer) fail() { p.goneOnce.Do(func() { close(p.gone) }) }
-
-func (p *peer) dead() bool {
-	select {
-	case <-p.gone:
-		return true
-	default:
-		return false
-	}
-}
-
-// trySend queues a frame without blocking; a full queue drops the frame
-// and counts it (anti-entropy will retransmit).
-func (p *peer) trySend(frame []byte) {
-	if p.out == nil {
-		if p.link.Send(frame) != nil {
-			p.fail()
-		}
-		return
-	}
-	select {
-	case p.out <- frame:
-	default:
+// enqueue is the queued link's send: a full queue drops the frame and
+// counts it (anti-entropy will retransmit).
+func (p *peer) enqueue(frame []byte) {
+	if !p.offer(frame) {
 		p.eng.drops.Add(1)
 	}
 }
 
-func (p *peer) writer() {
-	defer p.eng.wg.Done()
-	defer close(p.wdone)
-	for {
-		select {
-		case f := <-p.out:
-			if err := p.link.Send(f); err != nil {
-				p.fail()
-				return
-			}
-		case <-p.gone:
-			return
-		case <-p.eng.done:
-			p.drainOnStop()
-			return
-		}
+// streamPaced is the queued link's stream: a dedicated goroutine paces it
+// with blocking puts into the peer queue. The receiver's reassembly is
+// strictly in-order, so a chunk dropped by a full queue would void the
+// whole sequence — and a queue shallower than the chunk count would void
+// every offer, forever. Blocking also bounds the memory in flight to the
+// queue depth; only one chunk is encoded at a time.
+func (p *peer) streamPaced(frames func(put func(frame []byte) bool)) {
+	e := p.eng
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		frames(func(frame []byte) bool { return p.put(frame, e.done) })
+	}()
+}
+
+// sendNow is the stepped link's send: the link takes every frame as sent.
+func (p *peer) sendNow(frame []byte) {
+	if p.link.Send(frame) != nil {
+		p.fail()
 	}
 }
 
-// drainOnStop empties the outbound queue before shutdown: Broadcast
-// accepted these ops, so exiting with frames still queued would silently
-// drop them — and a stopped engine cannot heal the loss via anti-entropy.
-// The drain waits for the actor's final flush (which fans the last stamps
-// into the queues), then sends until the queue is empty, the link fails,
-// or the closer's deadline closes the link under it.
-func (p *peer) drainOnStop() {
-	select {
-	case <-p.eng.drained:
-	case <-p.gone:
-		return
-	}
-	for {
-		if p.dead() {
-			return
-		}
-		select {
-		case f := <-p.out:
-			if err := p.link.Send(f); err != nil {
-				p.fail()
-				return
-			}
-		default:
-			return // queue drained
-		}
-	}
+// streamInline is the stepped link's stream, emitted as part of the step.
+func (p *peer) streamInline(frames func(put func(frame []byte) bool)) {
+	frames(func(frame []byte) bool { p.send(frame); return true })
 }
 
 // reader fails the peer only on link errors: exiting because the engine
 // is shutting down must leave the peer alive, or the writer's stop-time
 // drain would be cut short and Broadcast-accepted frames silently lost
-// (the closer tears the link down once the writer finishes, which in turn
-// unblocks and ends the reader).
+// (the writer fails the queue as it finishes, which closes the link and in
+// turn unblocks and ends the reader).
 func (p *peer) reader() {
 	defer p.eng.wg.Done()
 	for {
@@ -1565,31 +1482,4 @@ func (p *peer) receive(frame []byte) bool {
 		return true
 	}
 	return p.eng.post(command{frame: decoded, from: p})
-}
-
-// closer tears the link down on engine stop or peer failure, unblocking
-// any Send or Recv in flight. On engine stop it first gives the writer
-// stopDrainTimeout to drain its queue, so flushed frames reach the wire
-// before the link closes. The deadline is a channel timer on purpose: a
-// stopped timer can sit in the runtime's heap until it would have fired,
-// and one that called back into the peer would keep the engine and its
-// retained log reachable that long.
-func (p *peer) closer() {
-	defer p.eng.wg.Done()
-	select {
-	case <-p.gone:
-	case <-p.eng.done:
-		select {
-		case <-p.eng.drained: // the deadline bounds the writer's drain, not the actor's last flush
-		case <-p.gone:
-		}
-		deadline := time.NewTimer(stopDrainTimeout)
-		defer deadline.Stop()
-		select {
-		case <-p.wdone:
-		case <-p.gone:
-		case <-deadline.C:
-		}
-	}
-	p.link.Close()
 }

@@ -6,3 +6,9 @@ package transport
 func EncodeHelloForward(docs []string) ([]byte, error) {
 	return encodeFrame(kindHello, &HelloFrame{Docs: docs, Forward: true})
 }
+
+// EncodeRingAnnounce gives the external test package a ring announce to
+// send by hand, as a hub behind on the epoch would.
+func EncodeRingAnnounce(epoch uint64, nodes []string) ([]byte, error) {
+	return encodeFrame(kindRingAnnounce, &RingFrame{Epoch: epoch, Nodes: nodes})
+}

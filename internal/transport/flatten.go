@@ -35,8 +35,8 @@ package transport
 //     ErrRegionLocked.
 //
 //   - In-flight local edits force a No vote: an operation the caller has
-//     applied but the actor has not yet stamped is invisible to the edit
-//     log, so a participant votes Yes only when the replica's applied
+//     applied but the actor has not yet stamped is not in the retained
+//     log yet, so a participant votes Yes only when the replica's applied
 //     version vector equals its delivered clock exactly.
 //
 // What this does NOT give: tolerance of a coordinator that crashes
@@ -135,16 +135,6 @@ type flattenState struct {
 	// and the covered-lock release all read this one table.
 	locks   map[txID]*heldLock // actor-owned
 	nextTok uint64             // actor-owned
-	// editLog records every stamped or delivered operation since the last
-	// applied flatten: the vote's "observed an insert, delete or flatten
-	// within the sub-tree" evidence. It resets when a flatten applies
-	// (proposals must observe the flatten, so older entries can never be
-	// uncovered again) and is pruned as the compaction floor rises.
-	editLog []editRec // actor-owned
-	// editFloor is the clock below which editLog entries have been pruned
-	// (snapshot install, log truncation): a proposal that does not observe
-	// at least this much cannot be evaluated and votes No.
-	editFloor vclock.VC // actor-owned
 	// flattenVC is the delivered clock when the last flatten applied; any
 	// proposal must dominate it (a flatten renames identifiers, so it
 	// counts as an edit of its whole region).
@@ -201,12 +191,6 @@ type heldLock struct {
 	lastPing    time.Time
 	commitKnown bool
 	opSeq       uint64
-}
-
-type editRec struct {
-	site ident.SiteID
-	seq  uint64
-	id   ident.Packed
 }
 
 func newFlattenState(e *Engine) *flattenState {
@@ -348,9 +332,12 @@ func (st *flattenState) overlapsLock(p ident.Path) bool {
 
 // uneditedSince is the vote condition of Section 4.2.1 over the engine's
 // state: vote Yes only if this replica has delivered everything the
-// coordinator observed, can still evaluate that far back (no pruned
+// coordinator observed, can still evaluate that far back (no truncated
 // evidence, no flatten beyond obs), holds no applied-but-unstamped local
-// edit, and has recorded no operation beyond obs inside the subtree.
+// edit, and retains no operation beyond obs inside the subtree — the
+// retained log is the evidence, scanned only where obs does not cover it.
+// An operation the replica refused to apply is retained too and counts as
+// an edit, which can only turn a Yes into a No.
 func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
 	st := e.fl
 	clock := e.buf.Clock()
@@ -360,17 +347,23 @@ func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
 	if st.flattenVC != nil && !obs.Dominates(st.flattenVC) {
 		return false // an applied flatten renamed identifiers beyond obs
 	}
-	if st.editFloor != nil && !obs.Dominates(st.editFloor) {
-		return false // evidence below the compaction floor no longer exists
+	if e.truncVC != nil && !obs.Dominates(e.truncVC) {
+		return false // evidence below the truncation floor no longer exists
 	}
 	if !vcEqual(e.flat.Version(), clock) {
 		return false // in-flight local edits the actor has not stamped yet
 	}
-	var id ident.Path // one scratch for the scan: the log holds identifiers packed
-	for _, l := range st.editLog {
-		if l.seq > obs.Get(l.site) {
-			if id = l.id.AppendPath(id[:0]); ident.RegionCompare(id, path) == 0 {
-				return false
+	spans := e.retained.missingSpans(e.spanScratch[:0], obs, e.retained.Len())
+	e.spanScratch = spans[:0]
+	msgs := e.retained.Msgs()
+	var id ident.Path // one scratch for the scan: operations hold identifiers packed
+	for _, sp := range spans {
+		for _, m := range msgs[sp.start : sp.start+sp.n] {
+			// A flatten beyond obs already failed the flattenVC test above.
+			if op, ok := m.Payload.(core.Op); ok && op.Kind != core.OpFlatten {
+				if id = op.ID.AppendPath(id[:0]); ident.RegionCompare(id, path) == 0 {
+					return false
+				}
 			}
 		}
 	}
@@ -442,7 +435,7 @@ func (e *Engine) handleFlatVote(f *FlatVoteFrame, from *peer) {
 		answer.Commit, answer.Seq = r.committed, r.seq
 	}
 	if frame, err := encodeFrame(kindFlatDecision, answer); err == nil {
-		from.trySend(frame)
+		from.send(frame)
 	} else {
 		e.wireErrs.Add(1)
 	}
@@ -610,17 +603,15 @@ func (e *Engine) mintPendingFlattens() {
 
 // recordOp feeds the vote bookkeeping for an operation that has taken
 // effect here: a locally broadcast one (called from the actor right after
-// stamping) or a delivered one.
+// stamping) or a delivered one. Edits are the retained log's to remember.
 func (e *Engine) recordOp(op core.Op) {
-	if op.Kind == core.OpFlatten {
+	if e.fl != nil && op.Kind == core.OpFlatten {
 		// A delivered OpFlatten is the commit taking effect here; a local one
 		// is a caller broadcasting Doc.FlattenOp directly, outside the engine's
 		// own commitment, and is treated like any applied flatten.
 		e.releaseLocksFor(op.Site, op.ID)
 		e.afterFlattenApplied()
-		return
 	}
-	e.fl.editLog = append(e.fl.editLog, editRec{site: op.Site, seq: op.Seq, id: op.ID})
 }
 
 // onRemoteOpDelivered is recordOp for a delivered remote operation, whose
@@ -631,14 +622,12 @@ func (e *Engine) onRemoteOpDelivered(op core.Op) {
 }
 
 // afterFlattenApplied runs once a flatten has taken effect on the local
-// replica (minted or delivered): anchor the flatten clock, reset the edit
-// log, and make the flatten epoch the oplog compaction barrier — the
-// snapshot taken here is what lets a post-flatten joiner skip every
-// pre-flatten operation.
+// replica (minted or delivered): anchor the flatten clock and make the
+// flatten epoch the oplog compaction barrier — the snapshot taken here is
+// what lets a post-flatten joiner skip every pre-flatten operation.
 func (e *Engine) afterFlattenApplied() {
 	st := e.fl
 	st.flattenVC = e.buf.Clock()
-	st.editLog = st.editLog[:0]
 	e.flattensApplied.Add(1)
 	if e.snap != nil {
 		st.compactPending = true
@@ -727,32 +716,6 @@ func (e *Engine) resendDoubtVotes() {
 		l.lastPing = now
 		e.sendVote(tx, true)
 	}
-}
-
-// pruneEditLog drops vote evidence the compaction floor covers and raises
-// the evaluation floor to match: entries at or below the floor can never
-// trigger a No (an evaluable proposal observes at least the floor), so
-// the edit log stays bounded by the same mechanism that bounds the
-// message log.
-func (e *Engine) pruneEditLog(floor vclock.VC) {
-	if e.fl == nil {
-		return
-	}
-	st := e.fl
-	if st.editFloor == nil {
-		st.editFloor = vclock.New()
-	}
-	st.editFloor.Merge(floor)
-	kept := st.editLog[:0]
-	for _, l := range st.editLog {
-		if l.seq > floor.Get(l.site) {
-			kept = append(kept, l)
-		}
-	}
-	for i := len(kept); i < len(st.editLog); i++ {
-		st.editLog[i] = editRec{}
-	}
-	st.editLog = kept
 }
 
 // lockedTxs lists the open votes in transaction order, for the sweeps that

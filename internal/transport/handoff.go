@@ -33,12 +33,12 @@ package transport
 // announce instead.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/treedoc/treedoc/internal/causal"
@@ -192,13 +192,10 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 
 	if ann, err := encodeRing(ring); err == nil {
 		for _, p := range mesh {
-			p.trySend(ann)
+			p.offer(ann)
 		}
 		for _, c := range conns {
-			select {
-			case c.out <- ann:
-			default:
-			}
+			h.offerTo(nil, c, ann)
 		}
 	}
 	h.logf("hub: adopted ring epoch %d (%d nodes, self %s): %d documents moving off this hub, %d gained",
@@ -259,7 +256,9 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 	defer h.handoffWG.Done()
 	h.handoffsOut.Add(1)
 	start := time.Now()
-	p := h.peer(to)
+	h.mu.Lock()
+	p := h.peerLocked(to)
+	h.mu.Unlock()
 	var streamErr error
 	beginSent := false
 	if p == nil {
@@ -302,10 +301,7 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 	if !ownedAgain {
 		if resp, err := encodeFrame(kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: doc, Redirect: target, Epoch: curEpoch}}}); err == nil {
 			for _, c := range attached {
-				select {
-				case c.out <- resp:
-				default:
-				}
+				h.offerTo(cur, c, resp)
 			}
 		}
 	}
@@ -345,30 +341,26 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 // reassembly is strictly in-order, so dropping one frame would void the
 // sequence — bounded by handoffStreamTimeout overall.
 func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent bool, err error) {
-	deadline := time.Now().Add(handoffStreamTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), handoffStreamTimeout)
+	defer cancel()
 	// The ring rides ahead of the Begin on the same FIFO: adoption's
-	// one-shot announce is a lossy trySend, and a receiver still on the
+	// one-shot announce is a lossy offer, and a receiver still on the
 	// old epoch would refuse the handoff as not-its-document.
-	h.mu.Lock()
-	ring := h.ring
-	h.mu.Unlock()
-	if ring != nil {
-		if ann, err := encodeRing(ring); err == nil {
-			p.send(ann, deadline)
-		}
+	if ann := h.ringAnnounce(); ann != nil {
+		p.put(ann, ctx.Done())
 	}
 	begin, err := encodeFrame(kindHandoffBegin, &HandoffBeginFrame{Doc: doc, Epoch: epoch})
 	if err != nil {
 		return false, err
 	}
-	if !p.send(begin, deadline) {
+	if !p.put(begin, ctx.Done()) {
 		return false, fmt.Errorf("mesh connection to %s lost or timed out", p.addr)
 	}
 	h.mu.Lock()
 	src := h.sources[doc]
 	h.mu.Unlock()
 	if src != nil {
-		if err := h.streamSource(p, doc, src, deadline); err != nil {
+		if err := h.streamSource(p, doc, src, ctx.Done()); err != nil {
 			// A partial stream is tolerated: the receiver's consumers heal
 			// gaps through anti-entropy.
 			return true, err
@@ -377,14 +369,14 @@ func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent boo
 	// Queued is not delivered: wait for the writer to put the stream on
 	// the wire, so a resigning hub does not exit with the tail still
 	// buffered.
-	if !p.flush(deadline) {
+	if !p.written(ctx.Done()) {
 		return true, fmt.Errorf("mesh connection to %s lost before handoff stream drained", p.addr)
 	}
 	return true, nil
 }
 
 // streamSource streams one source's snapshot and suffix.
-func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline time.Time) error {
+func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, expired <-chan struct{}) error {
 	snap, version, suffix, err := src.HandoffState()
 	if err != nil {
 		return fmt.Errorf("handoff source: %w", err)
@@ -394,7 +386,7 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline t
 		if err != nil {
 			return err
 		}
-		if !p.send(env, deadline) {
+		if !p.put(env, expired) {
 			return fmt.Errorf("mesh connection to %s lost mid-stream", p.addr)
 		}
 		return nil
@@ -405,6 +397,17 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, deadline t
 // encodeRing encodes a ring as the kindRingAnnounce frame announcing it.
 func encodeRing(ring *shardmap.Ring) ([]byte, error) {
 	return encodeFrame(kindRingAnnounce, &RingFrame{Epoch: ring.Epoch, Nodes: ring.Nodes})
+}
+
+// ringAnnounce returns the frame announcing the installed ring, nil when
+// there is none.
+func (h *Hub) ringAnnounce() []byte {
+	if ring := h.Ring(); ring != nil {
+		if ann, err := encodeRing(ring); err == nil {
+			return ann
+		}
+	}
+	return nil
 }
 
 // handleRingFrame answers ring queries and adopts announces with a higher
@@ -430,20 +433,14 @@ func (h *Hub) handleRingFrame(c *hubConn, rf *RingFrame) {
 		if err != nil {
 			return
 		}
-		select {
-		case c.out <- resp:
-		case <-c.gone:
-		}
+		c.put(resp, nil)
 		return
 	}
 	h.adoptAnnouncedRing(rf, c.conn.RemoteAddr().String())
 	// A stale announce (the sender is behind) is answered with the newer
 	// ring: announces gossip both ways, so a hub that missed an epoch
 	// heals on its next announce instead of waiting for an operator.
-	h.mu.Lock()
-	cur := h.ring
-	h.mu.Unlock()
-	if cur != nil && rf.Epoch < cur.Epoch {
+	if cur := h.Ring(); cur != nil && rf.Epoch < cur.Epoch {
 		h.sendRingCorrection(c)
 	}
 }
@@ -456,17 +453,8 @@ func (h *Hub) sendRingCorrection(c *hubConn) {
 	if last := c.lastRingCorrect.Load(); now-last < int64(time.Second) || !c.lastRingCorrect.CompareAndSwap(last, now) {
 		return
 	}
-	h.mu.Lock()
-	ring := h.ring
-	h.mu.Unlock()
-	if ring == nil {
-		return
-	}
-	if ann, err := encodeRing(ring); err == nil {
-		select {
-		case c.out <- ann:
-		default:
-		}
+	if ann := h.ringAnnounce(); ann != nil {
+		h.offerTo(nil, c, ann)
 	}
 }
 
@@ -550,14 +538,7 @@ func (h *Hub) handleHandoffBegin(c *hubConn, hb *HandoffBeginFrame) {
 	}
 }
 
-// peer returns the mesh connection to addr, creating it on first use.
-func (h *Hub) peer(addr string) *hubPeer {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.peerLocked(addr)
-}
-
-// peerLocked is peer with h.mu already held.
+// peerLocked returns the mesh connection to addr, creating it on first use.
 //
 //treedoc:holds mu
 func (h *Hub) peerLocked(addr string) *hubPeer {
@@ -567,13 +548,9 @@ func (h *Hub) peerLocked(addr string) *hubPeer {
 	if p := h.peers[addr]; p != nil && !p.dead() {
 		return p
 	}
-	p := &hubPeer{
-		hub:  h,
-		addr: addr,
-		out:  make(chan []byte, h.queueDepth),
-		gone: make(chan struct{}),
-		docs: make(map[string]bool),
-	}
+	// The queue exists before the link does — frames queue up while run
+	// dials — so failing it cannot close the link: run's closer does.
+	p := &hubPeer{outq: newOutq(h.queueDepth, nil), hub: h, addr: addr, docs: make(map[string]bool)}
 	p.digests.forwarded = true
 	p.digests.send = p.sendBatch
 	h.peers[addr] = p
@@ -583,16 +560,16 @@ func (h *Hub) peerLocked(addr string) *hubPeer {
 }
 
 // hubPeer is one persistent outbound mesh connection to a cooperating
-// hub: ring announces, forwarded frames and handoff streams go out
-// through a bounded queue; inbound frames (the forwarded documents'
-// downstream traffic, ring announces) are relayed to local clients only.
+// hub: ring announces and forwarded frames go out through the embedded
+// queue as lossy offers (the relay path's drop-and-heal semantics), handoff
+// streams as blocking puts ended by written — queued is not delivered.
+// Inbound frames (the forwarded documents' downstream traffic, ring
+// announces) are relayed to local clients only.
 type hubPeer struct {
+	*outq
 	hub  *Hub
 	addr string
-	out  chan []byte
-	gone chan struct{}
 
-	goneOnce  sync.Once
 	mu        sync.Mutex
 	docs      map[string]bool // documents subscribed at the peer (forward mode)
 	connected bool
@@ -602,38 +579,6 @@ type hubPeer struct {
 	// its local clients only, so mesh loop freedom holds exactly as for
 	// kindForward.
 	digests digestBatcher
-	// enqueued/written count frames accepted into out and frames the
-	// writer flushed to the socket: flush() waits for the gap to close, so
-	// a handoff stream (and a resigning hub about to exit) knows its
-	// frames actually left the process rather than dying in the queue.
-	enqueued atomic.Uint64
-	written  atomic.Uint64
-}
-
-func (p *hubPeer) fail() { p.goneOnce.Do(func() { close(p.gone) }) }
-
-func (p *hubPeer) dead() bool {
-	select {
-	case <-p.gone:
-		return true
-	default:
-		return false
-	}
-}
-
-// trySend queues a frame without blocking; a full queue drops it (the
-// forwarding path mirrors the relay path's drop-and-heal semantics). The
-// enqueue counter is raised before the channel send and rolled back on
-// failure, so flush can never observe a queued-but-uncounted frame.
-func (p *hubPeer) trySend(frame []byte) bool {
-	p.enqueued.Add(1)
-	select {
-	case p.out <- frame:
-		return true
-	default:
-		p.enqueued.Add(^uint64(0))
-		return false
-	}
 }
 
 // sendBatch queues one batched digest frame for the peer's digestBatcher;
@@ -642,50 +587,8 @@ func (p *hubPeer) sendBatch(frame []byte, n int) bool {
 	if p.dead() {
 		return false
 	}
-	if p.trySend(frame) {
+	if p.offer(frame) {
 		p.hub.forwards.Add(uint64(n))
-	}
-	return true
-}
-
-// send queues a frame, blocking until it is accepted, the peer dies, or
-// the deadline passes — the handoff stream path, where a drop would void
-// the receiver's in-order reassembly.
-func (p *hubPeer) send(frame []byte, deadline time.Time) bool {
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
-	p.enqueued.Add(1)
-	select {
-	case p.out <- frame:
-		return true
-	case <-p.gone:
-		p.enqueued.Add(^uint64(0))
-		return false
-	case <-t.C:
-		p.enqueued.Add(^uint64(0))
-		return false
-	}
-}
-
-// flush waits until the writer has caught up with the enqueue count as
-// observed at entry — the queue is FIFO with a single writer, so
-// catching up to that snapshot covers this caller's frames; waiting on
-// the live counter instead would starve under sustained concurrent
-// forwarding. The target is revised downwards when a racing sender's
-// optimistic increment rolls back (its frame never queued), so the wait
-// cannot hang on frames that do not exist. A resigning hub calls flush
-// through streamHandoff before reporting the handoff complete —
-// otherwise the process could exit with the stream's tail still queued.
-func (p *hubPeer) flush(deadline time.Time) bool {
-	target := p.enqueued.Load()
-	for p.written.Load() < target {
-		if cur := p.enqueued.Load(); cur < target {
-			target = cur
-		}
-		if p.dead() || !time.Now().Before(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	return true
 }
@@ -709,7 +612,7 @@ func (p *hubPeer) subscribe(doc string) {
 		return
 	}
 	p.mu.Unlock()
-	if f, err := encodeFrame(kindHello, &HelloFrame{Docs: []string{doc}}); err == nil && p.trySend(f) {
+	if f, err := encodeFrame(kindHello, &HelloFrame{Docs: []string{doc}}); err == nil && p.offer(f) {
 		p.mu.Lock()
 		p.docs[doc] = true
 		p.mu.Unlock()
@@ -728,12 +631,12 @@ func (p *hubPeer) unsubscribe(doc string) {
 		return
 	}
 	if f, err := encodeFrame(kindDetach, &DetachFrame{Docs: []string{doc}}); err == nil {
-		p.trySend(f)
+		p.offer(f)
 	}
 }
 
-// run dials the peer and pumps the connection: a writer goroutine drains
-// the queue, a closer tears the link down on failure, and the reader
+// run dials the peer and pumps the connection: the queue's writer drains
+// into the link, a closer tears the link down on failure, and the reader
 // relays inbound frames to local clients.
 func (p *hubPeer) run() {
 	defer p.hub.wg.Done()
@@ -743,38 +646,19 @@ func (p *hubPeer) run() {
 		p.fail()
 		return
 	}
-	p.hub.wg.Add(2)
+	p.hub.wg.Add(1)
 	go func() {
 		defer p.hub.wg.Done()
 		<-p.gone
 		link.Close()
 	}()
-	go func() {
-		defer p.hub.wg.Done()
-		for {
-			select {
-			case f := <-p.out:
-				if err := link.Send(f); err != nil {
-					p.fail()
-					return
-				}
-				p.written.Add(1)
-			case <-p.gone:
-				return
-			}
-		}
-	}()
+	p.start(&p.hub.wg, link.Send, nil, nil)
 	// Subscriptions recorded while dialing are flushed now. The current
 	// ring rides along: a peer that missed the one-shot announce at
 	// adoption (unreachable, full queue) catches up whenever a mesh
 	// connection to it comes up.
-	p.hub.mu.Lock()
-	ring := p.hub.ring
-	p.hub.mu.Unlock()
-	if ring != nil {
-		if ann, err := encodeRing(ring); err == nil {
-			p.trySend(ann)
-		}
+	if ann := p.hub.ringAnnounce(); ann != nil {
+		p.offer(ann)
 	}
 	p.mu.Lock()
 	p.connected = true
@@ -787,15 +671,16 @@ func (p *hubPeer) run() {
 	// subscribed, so a lossy flush here would silently kill each
 	// document's return path; on failure, unlatch so a later subscribe
 	// retries.
-	helloDeadline := time.Now().Add(meshDialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), meshDialTimeout)
 	for _, doc := range pending {
 		f, err := encodeFrame(kindHello, &HelloFrame{Docs: []string{doc}})
-		if err != nil || !p.send(f, helloDeadline) {
+		if err != nil || !p.put(f, ctx.Done()) {
 			p.mu.Lock()
 			delete(p.docs, doc)
 			p.mu.Unlock()
 		}
 	}
+	cancel()
 	p.hub.logf("hub: mesh connection to %s up", p.addr)
 	for {
 		frame, err := link.Recv()

@@ -635,3 +635,102 @@ func TestResignHandsEverythingBack(t *testing.T) {
 		t.Fatalf("ring epochs after resign: A %d, B %d", hubA.RingEpoch(), hubB.RingEpoch())
 	}
 }
+
+// TestShedControlFramesAreCounted: a hub's own control frames are as lossy
+// as relayed ones on a full client queue, and as counted. A client that
+// stopped reading is pushed until its depth-1 queue refuses frames; then a
+// ring announce, a ring correction and a handoff's re-point redirect each
+// cost exactly one Drop (the redirect one of its document's, too) — a
+// client that silently never heard its redirect would never migrate.
+func TestShedControlFramesAreCounted(t *testing.T) {
+	hub, err := treedoc.ListenHub("127.0.0.1:0", treedoc.WithHubQueueDepth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	self := hub.Addr().String()
+	const deadOwner = "127.0.0.1:1" // refuses connections: the handoff re-points without streaming
+	rings := make([]*shardmap.Ring, 3)
+	for i, nodes := range [][]string{{self}, {self}, {self, deadOwner}} {
+		if rings[i], err = shardmap.NewRing(uint64(i+1), nodes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := docOwnedBy(t, rings[2], deadOwner)
+	if err := hub.ConfigureRing(self, rings[0]); err != nil {
+		t.Fatal(err)
+	}
+	stalled := dialSticky(t, hub.Addr().String(), doc) // never reads again
+	defer stalled.Close()
+	sender := dialSticky(t, hub.Addr().String(), doc)
+	defer sender.Close()
+
+	// Relayed frames fill the stalled client's socket buffers until the
+	// hub's writer blocks with the queue full behind it. The hub relays a
+	// frame by its kind byte alone; 0xEE is no kind it treats specially.
+	// The writer is wedged — not merely slower than the sender — once every
+	// paced send of a quarter second is refused: it took nothing out
+	// meanwhile, and with nobody reading it never will.
+	big := make([]byte, 256<<10)
+	big[0] = 0xEE
+	for sent, since := 0, time.Now(); time.Since(since) < 250*time.Millisecond; sent++ {
+		if sent == 4096 {
+			t.Fatal("1 GiB relayed and the stalled client's queue never wedged")
+		}
+		relayed, shed := hub.Relays(), hub.Drops()
+		if err := sender.Send(big); err != nil {
+			t.Fatal(err)
+		}
+		for hub.Relays() == relayed && hub.Drops() == shed {
+			time.Sleep(time.Millisecond) // until the hub has handled it
+		}
+		if hub.Drops() == shed {
+			since = time.Now() // relayed: the writer is still taking frames
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// drops waits for the hub to have read everything sent so far: the
+	// count stops moving.
+	drops := func() (hubDrops, docDrops uint64) {
+		for last, still := hub.Drops(), 0; still < 10; time.Sleep(5 * time.Millisecond) {
+			if now := hub.Drops(); now != last {
+				last, still = now, 0
+			} else {
+				still++
+			}
+		}
+		return hub.Drops(), hub.DocStats()[doc].Drops
+	}
+	expect := func(what string, wantHub, wantDoc uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for hub.Drops() < wantHub && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if h, d := drops(); h != wantHub || d != wantDoc {
+			t.Fatalf("%s: hub drops %d, doc drops %d; want %d, %d", what, h, d, wantHub, wantDoc)
+		}
+	}
+	h0, d0 := drops()
+
+	if err := hub.ConfigureRing(self, rings[1]); err != nil {
+		t.Fatal(err)
+	}
+	expect("ring announce to every client", h0+1, d0)
+
+	stale, err := transport.EncodeRingAnnounce(1, []string{self})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stalled.TCPLink.Send(stale); err != nil {
+		t.Fatal(err)
+	}
+	expect("ring correction to a stale announcer", h0+2, d0)
+
+	// The document moves off this hub: one more announce, and the redirect
+	// re-pointing its attached clients.
+	if err := hub.ConfigureRing(self, rings[2]); err != nil {
+		t.Fatal(err)
+	}
+	expect("handoff re-point redirect", h0+4, d0+1)
+}

@@ -443,21 +443,17 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	conns := make([]*hubConn, 0, len(h.conns))
+	queues := make([]*outq, 0, len(h.conns)+len(h.peers))
 	for _, c := range h.conns {
-		conns = append(conns, c)
+		queues = append(queues, c.outq)
 	}
-	peers := make([]*hubPeer, 0, len(h.peers))
 	for _, p := range h.peers {
-		peers = append(peers, p)
+		queues = append(queues, p.outq)
 	}
 	h.mu.Unlock()
 	err := h.ln.Close()
-	for _, c := range conns {
-		c.shut()
-	}
-	for _, p := range peers {
-		p.fail()
+	for _, q := range queues {
+		q.fail()
 	}
 	h.wg.Wait()
 	return err
@@ -478,20 +474,20 @@ func (h *Hub) acceptLoop() {
 		}
 		h.nextID++
 		c := &hubConn{
+			outq: newOutq(h.queueDepth, func() { conn.Close() }),
 			hub:  h,
 			id:   h.nextID,
 			conn: conn,
-			out:  make(chan []byte, h.queueDepth),
-			gone: make(chan struct{}),
 			docs: make(map[string]bool),
 		}
 		h.conns[c.id] = c
 		n := len(h.conns)
 		h.mu.Unlock()
 		h.logf("hub: client %d connected from %s (%d online)", c.id, conn.RemoteAddr(), n)
-		h.wg.Add(2)
+		bw := bufio.NewWriterSize(conn, 64<<10)
+		c.start(&h.wg, func(frame []byte) error { return WriteFrame(bw, frame) }, bw.Flush, nil)
+		h.wg.Add(1)
 		go c.reader()
-		go c.writer()
 	}
 }
 
@@ -598,10 +594,7 @@ func (h *Hub) hello(c *hubConn, docs []string, forward bool) {
 	}
 	// The handshake answer must not be silently dropped: block into the
 	// queue (the writer is draining it) until the connection dies.
-	select {
-	case c.out <- resp:
-	case <-c.gone:
-	}
+	c.put(resp, nil)
 	for _, e := range entries {
 		if e.Redirect != "" {
 			h.logf("hub: client %d doc %q redirected to %s", c.id, e.Doc, e.Redirect)
@@ -649,7 +642,7 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 			return
 		}
 		fwd, err := encodeEnvelope(kindForward, doc, inner)
-		if err == nil && p.trySend(fwd) {
+		if err == nil && p.offer(fwd) {
 			h.forwards.Add(1)
 		}
 	}
@@ -791,7 +784,7 @@ func (h *Hub) routeReplay(s *docShard, from *hubConn, doc string, inner, env []b
 		return
 	}
 	if v, ok := s.sites.Load(to); ok {
-		if c := v.(*hubConn); c != from && !c.isGone() {
+		if c := v.(*hubConn); c != from && !c.dead() {
 			h.deliverFrame(s, c, env)
 			h.replayRoutes.Add(1)
 			return
@@ -810,18 +803,28 @@ func (h *Hub) routeReplay(s *docShard, from *hubConn, doc string, inner, env []b
 	}
 }
 
-// deliverFrame queues one enveloped frame for a shard member, dropping
-// (and counting) it when the member's queue is full.
+// deliverFrame relays one enveloped frame to a shard member.
 func (h *Hub) deliverFrame(s *docShard, c *hubConn, env []byte) {
-	select {
-	case c.out <- env:
+	if h.offerTo(s, c, env) {
 		s.relays.Add(1)
 		h.relays.Add(1)
-	default:
+	}
+}
+
+// offerTo queues one frame for a client — relayed, or a control frame of
+// the hub's own (ring announce, unsolicited redirect) — and counts it as
+// shed when the client's queue is full: every frame is lossy, none
+// silently. s is the shard of the document it concerns, nil for none.
+func (h *Hub) offerTo(s *docShard, c *hubConn, frame []byte) bool {
+	if c.offer(frame) {
+		return true
+	}
+	h.drops.Add(1)
+	if s != nil {
 		s.drops.Add(1)
-		h.drops.Add(1)
 		h.warnDrop(c, s)
 	}
+	return false
 }
 
 // warnDrop logs a slow-client drop with client and document identity, at
@@ -838,50 +841,34 @@ func (h *Hub) warnDrop(c *hubConn, s *docShard) {
 		c.id, c.conn.RemoteAddr(), s.doc, s.drops.Load(), h.drops.Load())
 }
 
+// drop forgets a connection whose reader has returned (its one caller).
 func (h *Hub) drop(c *hubConn) {
 	h.mu.Lock()
-	_, present := h.conns[c.id]
 	delete(h.conns, c.id)
 	for doc := range c.docs {
 		h.detachLocked(c, doc)
 	}
 	n := len(h.conns)
 	h.mu.Unlock()
-	c.shut()
-	if present {
-		h.logf("hub: client %d disconnected (%d online)", c.id, n)
-	}
+	c.fail()
+	h.logf("hub: client %d disconnected (%d online)", c.id, n)
 }
 
-// hubConn is one relayed client: reader fans frames in, writer drains the
-// bounded outbound queue.
+// hubConn is one relayed client: reader fans frames in, the embedded
+// queue's writer drains the bounded outbound side into the socket, one
+// flush per burst. A write error fails the queue, which closes the socket;
+// the reader then drops the connection from the hub.
 type hubConn struct {
-	hub      *Hub
-	id       int64
-	conn     net.Conn
-	out      chan []byte
-	gone     chan struct{}
-	goneOnce sync.Once
+	*outq
+	hub  *Hub
+	id   int64
+	conn net.Conn
 	// docs is the set of attached documents; guarded by hub.mu (the relay
 	// path never reads it — shard snapshots carry membership).
 	docs map[string]bool
 	// lastRingCorrect rate-limits ring-announce corrections to a stale
 	// forwarder on this connection (unix nanos).
 	lastRingCorrect atomic.Int64
-}
-
-func (c *hubConn) shut() {
-	c.goneOnce.Do(func() { close(c.gone) })
-	c.conn.Close()
-}
-
-func (c *hubConn) isGone() bool {
-	select {
-	case <-c.gone:
-		return true
-	default:
-		return false
-	}
 }
 
 func (c *hubConn) reader() {
@@ -933,39 +920,6 @@ func (c *hubConn) reader() {
 			c.hub.unrouted.Add(1)
 			c.hub.logf("hub: client %d (%s) sent a bare frame of kind %#x; hubs relay document-scoped frames only (attach with DialDoc or DialSession): closing",
 				c.id, c.conn.RemoteAddr(), frame[0])
-			return
-		}
-	}
-}
-
-func (c *hubConn) writer() {
-	defer c.hub.wg.Done()
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	for {
-		select {
-		case f := <-c.out:
-			if err := WriteFrame(bw, f); err != nil {
-				c.hub.drop(c)
-				return
-			}
-			// Flush opportunistically: drain whatever else is queued first.
-			for {
-				select {
-				case f := <-c.out:
-					if err := WriteFrame(bw, f); err != nil {
-						c.hub.drop(c)
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if err := bw.Flush(); err != nil {
-				c.hub.drop(c)
-				return
-			}
-		case <-c.gone:
 			return
 		}
 	}

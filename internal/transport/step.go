@@ -40,7 +40,8 @@ func (s *Stepper) Engine() *Engine { return s.e }
 //
 //treedoc:actorloop
 func (s *Stepper) Connect(link Link) (receive func(frame []byte)) {
-	p := s.e.newPeer(link)
+	p := s.e.newPeer(link, newOutq(0, nil))
+	p.send, p.stream = p.sendNow, p.streamInline
 	s.e.attach(p)
 	return func(frame []byte) { p.receive(frame) }
 }

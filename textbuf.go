@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
-
-	"github.com/treedoc/treedoc/internal/intern"
 )
 
 // ErrOutOfRange reports a splice or slice whose offsets fall outside the
@@ -88,12 +86,16 @@ func (b *TextBuffer) splice(off, delCount int, text string) ([]Op, error) {
 	}
 	var atoms []string
 	if text != "" {
-		// One interned string per rune: ASCII atoms share the intern table,
-		// so typing costs no per-character heap allocation, and the rune
-		// count is taken without materialising a []rune copy of the text.
+		// Each rune's atom is a substring of the spliced text, so typing
+		// costs no per-character heap allocation, and the rune count is
+		// taken without materialising a []rune copy of the text.
 		atoms = make([]string, 0, utf8.RuneCountInString(text))
-		for _, r := range text {
-			atoms = append(atoms, intern.Rune(r))
+		for i, r := range text {
+			if r == utf8.RuneError { // an invalid byte, or the replacement character itself
+				atoms = append(atoms, "\uFFFD")
+			} else {
+				atoms = append(atoms, text[i:i+utf8.RuneLen(r)])
+			}
 		}
 	}
 	return b.doc.spliceOps(off, delCount, atoms)

@@ -66,6 +66,14 @@ func TestTextBufferUnicode(t *testing.T) {
 	if got := b.String(); got != "héllo mönde ✓" {
 		t.Errorf("buffer = %q", got)
 	}
+	// An invalid byte is one rune, stored as the replacement character —
+	// what ranging over the string reads, including a literal U+FFFD.
+	if _, err := b.Splice(0, b.Len(), "a\xffb�c\xc3"); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "a�b�c�" || b.Len() != 6 {
+		t.Errorf("buffer = %q (%d runes), want invalid bytes replaced", got, b.Len())
+	}
 }
 
 func TestTextBufferErrors(t *testing.T) {
