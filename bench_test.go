@@ -656,7 +656,7 @@ func BenchmarkSyncBatchCodec(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, err := transport.EncodeSyncBatch(batch, false)
+		frame, err := transport.EncodeSyncBatch(batch)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -78,13 +78,20 @@ func (b *Buffer) Prune(max int) int {
 // or below it counts as delivered and buffered successors may now flow.
 func (b *Buffer) Advance(vc vclock.VC) []Message {
 	b.delivered.Merge(vc)
+	return b.drain()
+}
+
+// drain delivers every buffered message that has become deliverable, in
+// causal order, and drops the ones the delivered clock already covers (a
+// duplicate that went stale while buffered, or a message a snapshot stood
+// in for), repeating until a pass delivers nothing.
+func (b *Buffer) drain() []Message {
 	var out []Message
 	for progress := true; progress; {
 		progress = false
 		for i := 0; i < len(b.pending); i++ {
 			p := b.pending[i]
 			if p.TS.Get(p.From) <= b.delivered.Get(p.From) {
-				// Covered by the snapshot (or a duplicate): drop.
 				b.pending = append(b.pending[:i], b.pending[i+1:]...)
 				i--
 				continue
@@ -140,26 +147,5 @@ func (b *Buffer) Add(m Message) ([]Message, error) {
 		}
 	}
 	b.pending = append(b.pending, m)
-	var out []Message
-	for progress := true; progress; {
-		progress = false
-		for i := 0; i < len(b.pending); i++ {
-			p := b.pending[i]
-			if p.TS.Get(p.From) <= b.delivered.Get(p.From) {
-				// Duplicate that became stale while buffered.
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				i--
-				continue
-			}
-			if !b.deliverable(p) {
-				continue
-			}
-			b.delivered.Merge(p.TS)
-			out = append(out, p)
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
-			i--
-			progress = true
-		}
-	}
-	return out, nil
+	return b.drain(), nil
 }

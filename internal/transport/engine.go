@@ -69,7 +69,10 @@ var ErrStopped = fmt.Errorf("transport: engine stopped")
 
 // Engine defaults.
 const (
-	defaultBatchSize    = 64
+	// batchSize bounds the operations the actor packs into one live frame
+	// before flushing: larger batches amortise framing, smaller ones cut
+	// latency. The wire's own bound is maxBatch.
+	batchSize           = 64
 	defaultQueueDepth   = 256
 	defaultSyncInterval = 200 * time.Millisecond
 	// defaultCompactEvery is the retained-message count that triggers a
@@ -89,8 +92,10 @@ const (
 	// queue after Stop before the link is torn down anyway.
 	stopDrainTimeout = 2 * time.Second
 	// snapResendAfter is how long the engine waits before offering the
-	// same barrier snapshot to the same peer again (covering the case
-	// where the first offer was dropped by a full queue).
+	// same barrier snapshot to the same peer again. Paced puts never drop a
+	// chunk from the peer's own queue, but a relay further on may shed one,
+	// voiding the receiver's reassembly; until the wait is over, the
+	// requester's repeated pulls do not draw a snapshot apiece.
 	snapResendAfter = time.Second
 	// defaultFlattenTimeout is the flatten commitment deadline (see
 	// WithFlattenTimeout).
@@ -120,19 +125,9 @@ const (
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithBatchSize sets the maximum operations packed into one outbound frame
-// (default 64). Larger batches amortise framing; smaller ones cut latency.
-func WithBatchSize(n int) Option {
-	return func(e *Engine) {
-		if n > 0 && n <= maxBatch {
-			e.batchSize = n
-		}
-	}
-}
-
-// WithSyncInterval sets the anti-entropy period (default 200ms). Each tick
-// the engine sends its delivered clock to every peer; peers retransmit
-// whatever the clock does not cover.
+// WithSyncInterval sets the anti-entropy period (default 200ms): each tick
+// the engine may pull from a peer by sending its delivered clock, and the
+// peer retransmits whatever the clock does not cover.
 func WithSyncInterval(d time.Duration) Option {
 	return func(e *Engine) {
 		if d > 0 {
@@ -230,7 +225,6 @@ type Engine struct {
 	batcher    BatchApplier // doc, when it supports batched apply; else nil
 	snap       Snapshotter  // doc, when it supports snapshots; else nil
 	flat       Flattener    // doc, when it supports coordinated flatten; else nil
-	batchSize  int
 	queueDepth int
 	syncEvery  time.Duration
 	// now is the only clock the actor's call tree reads: time.Now under
@@ -306,8 +300,6 @@ type Engine struct {
 	// sinceSnap counts retained messages since the serving barrier,
 	// driving the compaction policy.
 	sinceSnap int // actor-owned
-	// snapReqSent limits explicit snapshot requests to one per sync tick.
-	snapReqSent bool // actor-owned
 	// fl is the flatten commitment state (flatten.go); nil unless the
 	// replica implements Flattener. The pointer is set in NewEngine and
 	// immutable thereafter (safe to nil-check from any goroutine); the
@@ -362,7 +354,6 @@ func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Opti
 	e := &Engine{
 		site:          site,
 		doc:           doc,
-		batchSize:     defaultBatchSize,
 		queueDepth:    defaultQueueDepth,
 		syncEvery:     defaultSyncInterval,
 		compactEvery:  defaultCompactEvery,
@@ -710,7 +701,7 @@ func (e *Engine) run() {
 			// Opportunistic drain: batch whatever else is already queued
 			// before flushing, without blocking.
 		drain:
-			for len(e.batch) < e.batchSize {
+			for len(e.batch) < batchSize {
 				select {
 				case cmd := <-e.inbox:
 					e.handle(cmd)
@@ -747,7 +738,6 @@ func (e *Engine) tick() {
 	clear(e.replayCache)
 	e.retained.Settle()
 	e.syncAll()
-	e.snapReqSent = false
 }
 
 // shutdown is the actor's last step, after done has closed.
@@ -791,7 +781,7 @@ func (e *Engine) handle(cmd command) {
 		e.record(m)
 		e.batch = append(e.batch, m)
 		e.recordOp(op)
-		if len(e.batch) >= e.batchSize {
+		if len(e.batch) >= batchSize {
 			e.flush()
 		}
 	}
@@ -801,9 +791,6 @@ func (e *Engine) handle(cmd command) {
 	case *SyncReqFrame:
 		e.noteSite(f.From)
 		e.handleSyncReq(f, cmd.from)
-	case *SnapReqFrame:
-		e.noteSite(f.From)
-		e.handleSnapReq(f, cmd.from)
 	case *SnapChunkFrame:
 		e.handleSnapChunk(f)
 	case *FlatProposeFrame:
@@ -930,8 +917,9 @@ func vcEqual(a, b vclock.VC) bool {
 	return a.Dominates(b) && b.Dominates(a)
 }
 
-// handleSyncReq answers an anti-entropy digest. A requester below the
-// compaction barrier — or further behind than the snapshot threshold —
+// handleSyncReq answers an anti-entropy digest, the one pull; this engine
+// alone decides the answer from the digest's clock. A requester below the
+// truncation floor — or further behind than the snapshot threshold —
 // receives the barrier snapshot followed by the retained suffix; anyone
 // else gets the retained messages their clock does not cover, chunked
 // into frames. The reply goes back through the peer the request arrived
@@ -943,32 +931,12 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 		return
 	}
 	from.noteHeard(req.Clock)
-	// The digest cuts both ways: if it shows this engine is the one far
-	// behind, ask that peer for a snapshot instead of waiting out a long
-	// op replay (at most one request per sync tick).
-	if e.snap != nil && e.snapThreshold > 0 && !e.snapReqSent &&
-		gap(req.Clock, e.buf.Clock()) >= uint64(e.snapThreshold) {
-		if f, err := encodeFrame(kindSnapReq, &SnapReqFrame{From: e.site, Clock: e.buf.Clock()}); err == nil {
-			from.send(f)
-			e.snapReqSent = true
-		}
-	}
 	// Below the truncation floor some ops the requester is missing no
 	// longer exist as messages; past the threshold replaying them is the
 	// slow way. Either way: snapshot, then the retained suffix.
 	snapshot := (e.truncVC != nil && !req.Clock.Dominates(e.truncVC)) ||
 		(e.snapThreshold > 0 && gap(e.buf.Clock(), req.Clock) >= uint64(e.snapThreshold) && e.ensureBarrier())
 	e.answer(from, req.Clock, req.From, snapshot)
-}
-
-// handleSnapReq answers an explicit snapshot request: barrier snapshot
-// plus retained suffix when possible, full op replay otherwise.
-func (e *Engine) handleSnapReq(req *SnapReqFrame, from *peer) {
-	if from == nil || from.dead() || req.From == e.site {
-		return
-	}
-	from.noteHeard(req.Clock)
-	e.answer(from, req.Clock, req.From, e.ensureBarrier())
 }
 
 // installSnapshot installs a reassembled catch-up snapshot (see
@@ -1122,27 +1090,11 @@ var errPeerGone = errors.New("transport: peer gone")
 // suffix frames, to one peer — one ordered stream, so the snapshot lands
 // before the operations above it. How it leaves is the peer's stream (see
 // peer): paced by blocking puts on a queued link, inline on a stepped one.
-// At most one stream runs per peer; the snapshot slice and the frames are
-// immutable, so a pacing goroutine reads them safely after the actor has
-// moved on. The same barrier is offered to the same peer at most once per
-// snapResendAfter: repeated digests from a catching-up peer must not draw a
-// snapshot per tick, but an offer voided by a lost chunk is eventually
-// repeated. It reports false when the caller still owns the suffix
-// (rate-limited, or nothing to stream).
-func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) bool {
-	if e.snapData == nil || to.dead() {
-		return false
-	}
-	if to.chunking.Load() {
-		// A stream is in flight on this link, carrying the barrier and its
-		// suffix: queuing this suffix directly would overtake the snapshot.
-		// Drop the answer; a requester still behind re-digests.
-		return true
-	}
-	if to.lastSnapVC != nil && vcEqual(to.lastSnapVC, e.snapVC) && e.now().Sub(to.lastSnapAt) < snapResendAfter {
-		return false
-	}
-	to.lastSnapVC, to.lastSnapAt = e.snapVC, e.now()
+// At most one stream runs per peer (answer checks); the snapshot slice and
+// the frames are immutable, so a pacing goroutine reads them safely after
+// the actor has moved on.
+func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) {
+	to.lastSnapVC, to.lastSnapAt, to.lastSnapTo = e.snapVC, e.now(), dst
 	to.chunking.Store(true) // only the actor sets it; the stream clears it
 	e.snapsSent.Add(1)
 	data, version := e.snapData, e.snapVC.Clone()
@@ -1166,7 +1118,6 @@ func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) boo
 			}
 		}
 	})
-	return true
 }
 
 // replayEntry is one cached digest answer: the encoded frames for a
@@ -1178,10 +1129,10 @@ type replayEntry struct {
 	ops, bytes uint64
 }
 
-// answer sends one requester the state since its clock — the one shape
-// behind digest answers and snapshot requests: the barrier snapshot first
-// when the caller found the requester needs one, then every retained
-// message the clock does not cover, chunked into frames. The missing set
+// answer sends one requester the state since its clock: the barrier
+// snapshot first when the caller found the requester needs one, then every
+// retained message the clock does not cover — above the snapshot, when the
+// requester can install it — chunked into frames. The missing set
 // comes from the retained log's per-site index — a binary search plus
 // contiguous suffix slices per site, never a scan of the whole log — and
 // the encoded frames are cached per tick keyed by the span set, so a
@@ -1190,14 +1141,42 @@ type replayEntry struct {
 // retransmissions may carry locally stamped operations that no flush has
 // synced yet.
 func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bool) {
-	if snapshot && !e.snapVC.Dominates(clock) && e.now().Sub(e.barrierAt) >= snapResendAfter {
-		// The requester holds operations the barrier lacks — edits it made
-		// while cut off — so it would reject the barrier as stale, and what
-		// it is missing below the floor exists nowhere else. Offer a barrier
-		// taken now (at the pace snapshots are re-offered: Snapshot is
-		// O(document)); if even that does not cover the requester, its own
-		// operations have to reach this replica first.
-		e.compactNow()
+	if snapshot {
+		if !e.snapVC.Dominates(clock) && e.now().Sub(e.barrierAt) >= snapResendAfter {
+			// The requester holds operations the barrier lacks — edits it made
+			// while cut off — so it would reject the barrier as stale, and what
+			// it is missing below the floor exists nowhere else. Offer a barrier
+			// taken now (at the pace snapshots are re-offered: Snapshot is
+			// O(document)); if even that does not cover the requester, its own
+			// operations have to reach this replica first.
+			e.compactNow()
+		}
+		// The same barrier goes to the same peer at most once per
+		// snapResendAfter: a catching-up requester's repeated pulls must not
+		// draw a snapshot apiece.
+		offered := to.lastSnapVC != nil && vcEqual(to.lastSnapVC, e.snapVC) && e.now().Sub(to.lastSnapAt) < snapResendAfter
+		switch {
+		case to.chunking.Load():
+			// A stream is in flight on this link, carrying the barrier and its
+			// suffix: queuing an answer directly would overtake the snapshot.
+			// Drop it; a requester still behind re-digests.
+			return
+		case e.snapData != nil && !offered:
+			if e.snapVC.Dominates(clock) {
+				clock = e.snapVC // the snapshot installs: ship only what lies above it
+			}
+		case dst != to.lastSnapTo && e.truncVC != nil && !clock.Dominates(e.truncVC):
+			// A second requester below the floor behind this link: nothing
+			// that follows what it lacks below the floor can deliver — those
+			// ops exist nowhere — so a replay would mostly fill its causal
+			// buffer; it pulls again. The requester the barrier went
+			// to still draws the replay: cutting that too reshuffles every
+			// seeded simulator schedule after it, the one that pins the
+			// truncation envelope (TestClusterExploreOutsideEnvelopes) too.
+			return
+		default:
+			snapshot = false // plain op replay in between offers
+		}
 	}
 	// The settle horizon keeps the newest tick-and-a-bit of the log out of
 	// the answer: those frames are presumed still in flight on the relay
@@ -1220,7 +1199,9 @@ func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bo
 		}
 		ent = *cached
 	}
-	if !snapshot || !e.streamSnapshot(to, dst, ent.frames) {
+	if snapshot {
+		e.streamSnapshot(to, dst, ent.frames)
+	} else {
 		for _, f := range ent.frames {
 			to.send(directed(to, dst, f))
 		}
@@ -1378,9 +1359,11 @@ type peer struct {
 	// live: enqueue and streamPaced, or sendNow and streamInline.
 	send   func(frame []byte)
 	stream func(frames func(put func(frame []byte) bool))
-	// lastSnapVC/lastSnapAt rate-limit snapshot offers (actor-owned).
+	// lastSnapVC/lastSnapAt rate-limit snapshot offers; lastSnapTo is the
+	// requester the last one went to (actor-owned).
 	lastSnapVC vclock.VC
 	lastSnapAt time.Time
+	lastSnapTo ident.SiteID
 	// lastSyncAt is when this link last received our digest; with no gap
 	// to pull against, the next one waits out the keepalive (actor-owned).
 	lastSyncAt time.Time

@@ -14,10 +14,11 @@ import (
 // frame table existed (PR 15, 4d74ac7): the proof that the table-driven
 // codec did not move a byte on the wire. The ops, ops-mixed, ops-empty,
 // docframe-replay-ops and flatpropose-root rows were re-recorded when
-// identifiers became bit-packed and kindOps moved to 0x14 (PR 18); what the
-// identifiers *are* is pinned apart from their encoding by
-// TestGoldenIdentifiers. Every test that needs "a frame of kind K" takes it
-// from frameSamples.
+// identifiers became bit-packed and kindOps moved to 0x14 (PR 18), and the
+// syncbatch rows changed only their kind byte when kindSyncBatch lost its
+// flags byte and moved to 0x15 (PR 25); what the identifiers *are* is
+// pinned apart from their encoding by TestGoldenIdentifiers. Every test
+// that needs "a frame of kind K" takes it from frameSamples.
 type frameSample struct {
 	name string
 	kind byte
@@ -85,7 +86,7 @@ func mustEncode(t testing.TB, kind byte, f frame) []byte {
 }
 
 // frameSamples returns one or more valid values per kind: both flag states
-// of the two flagged kinds, the ring query, both decision outcomes, and an
+// of the flagged kind, the ring query, both decision outcomes, and an
 // envelope around a replay around ops.
 func frameSamples(t testing.TB) []frameSample {
 	digest := mustEncode(t, kindSyncReq, &SyncReqFrame{From: 7, Clock: vclock.VC{7: 4}})
@@ -95,7 +96,6 @@ func frameSamples(t testing.TB) []frameSample {
 		{"ops", kindOps, &OpsFrame{Msgs: sampleMsgs()}, "14020907020209070302010103040702c3a90e010101010002"},
 		{"ops-empty", kindOps, &OpsFrame{Msgs: []causal.Message{}}, "1400"},
 		{"syncreq", kindSyncReq, &SyncReqFrame{From: 3, Clock: vclock.VC{1: 5, 9: 2, ident.MaxSiteID: 7}}, "02030301050902ffffffffffff3f07"},
-		{"snapreq", kindSnapReq, &SnapReqFrame{From: 4, Clock: vclock.VC{1: 5, 9: 2}}, "03040201050902"},
 		{"flatpropose", kindFlatPropose, &FlatProposeFrame{From: 3, N: 12, Path: structuralPath(), Obs: vclock.VC{3: 41, 9: 7}}, "05030c0201000203290907"},
 		{"flatpropose-root", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: ident.Path{}, Obs: vclock.VC{3: 9}}, "0503010000010309"},
 		{"flatvote-yes", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12, Yes: true}, "0605030c01"},
@@ -114,10 +114,8 @@ func frameSamples(t testing.TB) []frameSample {
 		{"ring-query", kindRingAnnounce, &RingFrame{}, "0d0000"},
 		{"forward", kindForward, &ForwardFrame{Doc: "notes", Inner: digest}, "0e056e6f7465730207010704"},
 		{"handoffbegin", kindHandoffBegin, &HandoffBeginFrame{Doc: "notes", Epoch: 4}, "0f056e6f74657304"},
-		{"handoffstate", kindHandoffState, &HandoffStateFrame{Doc: "notes", Inner: chunk}, "10056e6f746573080201020840106368756e6b2d6279746573"},
-		{"syncbatch", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()}, "1203056e6f74657303020105030904746f646f0701070105612d622e630102018080808080200202"},
-		{"syncbatch-forwarded", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()[:1], Forwarded: true}, "1201056e6f74657303020105030901"},
-		{"syncbatch-wide", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "x", From: 1, Clock: vclock.VC{1: 1, 2: 2, 3: 3}}}}, "120101780103010102020303"},
+		{"syncbatch", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()}, "1503056e6f74657303020105030904746f646f0701070105612d622e630102018080808080200202"},
+		{"syncbatch-wide", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "x", From: 1, Clock: vclock.VC{1: 1, 2: 2, 3: 3}}}}, "150101780103010102020303"},
 		{"replay", kindReplay, &ReplayFrame{To: 42, Inner: digest}, "132a0207010704"},
 		{"ops-mixed", kindOps, &OpsFrame{Msgs: mixedMsgs()}, "14060907010701040602040100ffffffffffff3f01610e040602040100ffffffffffff3f0909020702090103060104000b070107030201000a0702070409010306010406030803060104"},
 		{"replay-chunk", kindReplay, &ReplayFrame{To: ident.MaxSiteID, Inner: chunk}, "13ffffffffffff3f080201020840106368756e6b2d6279746573"},

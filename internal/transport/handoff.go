@@ -17,11 +17,12 @@ package transport
 //     release (forward mode for stragglers, ownership callback for the
 //     archivist lifecycle).
 //   - Hubs keep persistent mesh connections (hubPeer) to other ring
-//     members: the handoff stream, ring announces, and the kindForward
-//     envelope all travel over them. Forward mode serves a foreign
-//     document to clients that cannot reach its owner shard: local frames
-//     are relayed locally and forwarded to the owner; the mesh connection
-//     subscribes to the document at the owner so its traffic flows back.
+//     members: ring announces and the kindForward envelope — forwarded
+//     client frames and handoff streams alike — travel over them. Forward
+//     mode serves a foreign document to clients that cannot reach its
+//     owner shard: local frames are relayed locally and forwarded to the
+//     owner; the mesh connection subscribes to the document at the owner
+//     so its traffic flows back.
 //
 // Failure envelope: the state stream is a catch-up accelerator, not the
 // source of truth. If the new owner is unreachable or dies mid-handoff,
@@ -334,12 +335,13 @@ func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
 }
 
 // streamHandoff sends Begin and the registered source's snapshot + retained
-// suffix (the shared state encoder's frames inside kindHandoffState
-// envelopes), reporting whether the Begin made it onto the queue. Nothing
-// closes the bracket on the wire: the stream is complete when the mesh
-// queue has drained. Sends block into the mesh queue — the receiver's chunk
-// reassembly is strictly in-order, so dropping one frame would void the
-// sequence — bounded by handoffStreamTimeout overall.
+// suffix (the shared state encoder's frames inside kindForward envelopes:
+// the receiver relays them like any forwarded frame), reporting whether
+// the Begin made it onto the queue. Nothing closes the bracket on the
+// wire: the stream is complete when the mesh queue has drained. Sends
+// block into the mesh queue — the receiver's chunk reassembly is strictly
+// in-order, so dropping one frame would void the sequence — bounded by
+// handoffStreamTimeout overall.
 func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), handoffStreamTimeout)
 	defer cancel()
@@ -382,7 +384,7 @@ func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, expired <-
 		return fmt.Errorf("handoff source: %w", err)
 	}
 	_, err = stateFrames(src.Site(), snap, version, suffix, func(inner []byte) error {
-		env, err := encodeEnvelope(kindHandoffState, doc, inner)
+		env, err := encodeEnvelope(kindForward, doc, inner)
 		if err != nil {
 			return err
 		}
@@ -505,10 +507,11 @@ func (h *Hub) adoptAnnouncedRing(rf *RingFrame, from string) {
 	h.logf("hub: adopted ring epoch %d announced by %s", rf.Epoch, from)
 }
 
-// handleForward relays one hub-to-hub forwarded frame to the local relay
-// group (never onward — that is what makes ring disagreement loop-free);
-// a forward for a document this hub does not own is answered with the
-// current ring so the stale sender re-points.
+// handleForward relays one hub-to-hub envelope's frame — a client frame
+// forwarded in forward mode, or a slice of a handoff stream — to the local
+// relay group (never onward — that is what makes ring disagreement
+// loop-free); a forward for a document this hub does not own is answered
+// with the current ring so the stale sender re-points.
 func (h *Hub) handleForward(c *hubConn, doc string, inner []byte) {
 	if _, owned := h.DocOwner(doc); !owned {
 		h.sendRingCorrection(c)
@@ -551,8 +554,6 @@ func (h *Hub) peerLocked(addr string) *hubPeer {
 	// The queue exists before the link does — frames queue up while run
 	// dials — so failing it cannot close the link: run's closer does.
 	p := &hubPeer{outq: newOutq(h.queueDepth, nil), hub: h, addr: addr, docs: make(map[string]bool)}
-	p.digests.forwarded = true
-	p.digests.send = p.sendBatch
 	h.peers[addr] = p
 	h.wg.Add(1)
 	go p.run()
@@ -573,24 +574,6 @@ type hubPeer struct {
 	mu        sync.Mutex
 	docs      map[string]bool // documents subscribed at the peer (forward mode)
 	connected bool
-	// digests batches forwarded kindSyncReq frames across the mesh,
-	// mirroring sessConn's client-side window: they leave as
-	// forwarded-flagged kindSyncBatch frames, which the receiver relays to
-	// its local clients only, so mesh loop freedom holds exactly as for
-	// kindForward.
-	digests digestBatcher
-}
-
-// sendBatch queues one batched digest frame for the peer's digestBatcher;
-// a full queue drops it like any forwarded frame.
-func (p *hubPeer) sendBatch(frame []byte, n int) bool {
-	if p.dead() {
-		return false
-	}
-	if p.offer(frame) {
-		p.hub.forwards.Add(uint64(n))
-	}
-	return true
 }
 
 // subscribe records (and, once connected, performs) the attach handshake

@@ -634,13 +634,6 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 			}
 			return
 		}
-		if inner[0] == kindSyncReq && p.digests.queue(doc, inner) {
-			// Digests crossing the mesh batch per peer link, exactly as
-			// session clients batch per connection: one forwarded-flagged
-			// kindSyncBatch frame per link per window instead of one
-			// kindForward envelope per document.
-			return
-		}
 		fwd, err := encodeEnvelope(kindForward, doc, inner)
 		if err == nil && p.offer(fwd) {
 			h.forwards.Add(1)
@@ -651,31 +644,17 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 // handleSyncBatch splits a batched multi-document digest into the
 // per-document relay path: each entry is re-framed as the kindSyncReq it
 // stands for and relayed to its document's group, where attached engines
-// answer it. A forwarded batch — one that already crossed the hub-to-hub
-// mesh — is relayed to local clients only, mirroring kindForward's loop
-// freedom (and, as there, a batch for documents this hub does not own
-// draws one ring correction so a stale forwarder catches up).
+// answer it, exactly as if it had arrived in its own envelope.
 func (h *Hub) handleSyncBatch(from *hubConn, sb *SyncBatchFrame) {
 	h.syncBatchFrames.Add(1)
 	h.syncBatchEntries.Add(uint64(len(sb.Entries)))
-	corrected := false
 	for _, e := range sb.Entries {
 		inner, err := EncodeSyncReq(e.From, e.Clock)
 		if err != nil {
 			h.unrouted.Add(1)
 			continue
 		}
-		if sb.Forwarded {
-			if !corrected {
-				if _, owned := h.DocOwner(e.Doc); !owned {
-					h.sendRingCorrection(from)
-					corrected = true
-				}
-			}
-			h.relayLocal(from, e.Doc, inner, nil)
-		} else {
-			h.relay(from, e.Doc, inner, nil)
-		}
+		h.relay(from, e.Doc, inner, nil)
 	}
 }
 
@@ -702,8 +681,8 @@ func (h *Hub) relayLocal(from *hubConn, doc string, inner, env []byte) *docShard
 }
 
 // fanoutShard delivers one frame to every connection in the shard except
-// from. Anti-entropy frames take narrower paths instead: a pull (digest
-// or snapshot request) is delivered to a rotating sample of the group —
+// from. Anti-entropy frames take narrower paths instead: a pull (a
+// digest) is delivered to a rotating sample of the group —
 // on a hot document, relaying every member's digest to every other
 // member is a quadratic storm in which each copy solicits the same
 // retransmission, and the rotation guarantees a requester unlucky in one
@@ -728,7 +707,7 @@ func (h *Hub) fanoutShard(s *docShard, from *hubConn, doc string, inner, env []b
 		h.routeReplay(s, from, doc, inner, env, *conns)
 		return
 	}
-	if inner[0] == kindSyncReq || inner[0] == kindSnapReq {
+	if inner[0] == kindSyncReq {
 		// A passing pull teaches the reverse route its answers take.
 		if from != nil {
 			if site, ok := peekDigestFrom(inner); ok {
@@ -881,17 +860,15 @@ func (c *hubConn) reader() {
 			return
 		}
 		switch frame[0] {
-		case kindDocFrame, kindForward, kindHandoffState:
+		case kindDocFrame, kindForward:
 			doc, inner, err := splitEnvelope(frame)
 			switch {
 			case err != nil:
 				c.hub.unrouted.Add(1)
 			case frame[0] == kindDocFrame:
 				c.hub.relay(c, doc, inner, frame)
-			case frame[0] == kindForward:
-				c.hub.handleForward(c, doc, inner)
 			default:
-				c.hub.relayLocal(c, doc, inner, nil)
+				c.hub.handleForward(c, doc, inner)
 			}
 		case kindHello, kindDetach, kindRingAnnounce, kindSyncBatch, kindHandoffBegin:
 			decoded, err := DecodeFrame(frame)

@@ -232,7 +232,7 @@ func (s *Session) conn(addr string) (*sessConn, error) {
 		waiters: make(map[string][]chan HelloEntry),
 		dead:    make(chan struct{}),
 	}
-	sc.digests.send = sc.sendBatch
+	sc.digests.sc = sc
 	s.conns[addr] = sc
 	go sc.reader()
 	return sc, nil
@@ -401,33 +401,13 @@ func (sc *sessConn) attach(doc string, forward bool) (HelloEntry, error) {
 	}
 }
 
-// sendBatch writes one batched digest frame for the connection's
-// digestBatcher.
-func (sc *sessConn) sendBatch(frame []byte, _ int) bool {
-	if sc.isDead() {
-		return false
-	}
-	if err := sc.link.Send(frame); err != nil {
-		sc.fail(err)
-		return false
-	}
-	return true
-}
-
 // digestBatcher coalesces the per-document anti-entropy digests leaving
-// on one link — a session connection or a hub-to-hub mesh link:
-// kindSyncReq frames accumulate for syncBatchWindow, then leave as
-// kindSyncBatch frames instead of one envelope per document. A fresher
-// digest for a document already pending replaces it in place. forwarded
-// and send are set before first use and immutable after.
+// on one session connection, sc: kindSyncReq frames accumulate for
+// syncBatchWindow, then leave as kindSyncBatch frames instead of one
+// envelope per document. A fresher digest for a document already pending
+// replaces it in place.
 type digestBatcher struct {
-	// forwarded marks the batches as having crossed the hub-to-hub mesh
-	// (see SyncBatchFrame.Forwarded).
-	forwarded bool
-	// send transmits one encoded batch of n digests, reporting false when
-	// the link is gone and the rest of the window should be dropped — the
-	// engines' next sync tick re-queues fresh digests.
-	send func(frame []byte, n int) bool
+	sc *sessConn // set before first use, immutable after
 
 	mu      sync.Mutex
 	pending []SyncBatchEntry // guarded by mu
@@ -482,10 +462,13 @@ func (b *digestBatcher) flush() {
 	n := maxSyncBatch
 	for len(entries) > 0 {
 		n = min(n, len(entries))
-		frame, err := EncodeSyncBatch(entries[:n], b.forwarded)
+		frame, err := EncodeSyncBatch(entries[:n])
 		switch {
 		case err == nil:
-			if !b.send(frame, n) {
+			if err := b.sc.link.Send(frame); err != nil {
+				// The connection is gone: the rest of the window goes with
+				// it, and the engines' next sync tick re-queues fresh digests.
+				b.sc.fail(err)
 				return
 			}
 			entries = entries[n:]

@@ -38,7 +38,6 @@ func newSoakSite(t testing.TB, id treedoc.SiteID) *soakSite {
 	}
 	eng, err := treedoc.NewEngine(id, buf,
 		treedoc.WithSyncInterval(15*time.Millisecond),
-		treedoc.WithBatchSize(64),
 		treedoc.WithQueueDepth(256),
 	)
 	if err != nil {

@@ -60,7 +60,7 @@ func (r *blobReplica) state() ([]byte, []string) {
 // encoder: for every snapshot size around the chunk boundary and every
 // suffix shape, feeding the emitted frames in order to a fresh engine
 // reproduces the source's clock and content — once addressed as a directed
-// digest answer (the engine answer path) and once inside the handoff
+// digest answer (the engine answer path) and once inside the hub-to-hub
 // envelope through a hub (the handoff path).
 func TestStateFramesReproduceSource(t *testing.T) {
 	defer func(pay int) { snapChunkPayload = pay }(snapChunkPayload)
@@ -170,7 +170,7 @@ func TestStateFramesReproduceSource(t *testing.T) {
 						}
 						defer mesh.Close()
 						send = func(frame []byte) error {
-							f, err := encodeEnvelope(kindHandoffState, docID, frame)
+							f, err := encodeEnvelope(kindForward, docID, frame)
 							if err != nil {
 								return err
 							}

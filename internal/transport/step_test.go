@@ -9,6 +9,7 @@ import (
 	"github.com/treedoc/treedoc/internal/causal"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/vclock"
 )
 
 // recLink is a stepping driver's link reduced to its queue.
@@ -79,6 +80,148 @@ func TestStepperRunsOnlyWhenStepped(t *testing.T) {
 	sb.Stop()
 	if err := sa.Engine().Broadcast(op); err != ErrStopped {
 		t.Fatalf("Broadcast after Stop: %v", err)
+	}
+}
+
+// TestFarBehindPullsBySnapshot: a replica never asks for a snapshot. One
+// that hears a digest far ahead of it pulls with its ordinary gap digest
+// once the gap outlives the grace, and the answering engine, seeing the
+// distance in that digest, answers with its barrier snapshot.
+func TestFarBehindPullsBySnapshot(t *testing.T) {
+	now := time.UnixMilli(0)
+	clock := func() time.Time { return now }
+	ra, rb := newSnapReplica(t, 1), newSnapReplica(t, 2)
+	opts := []Option{WithSyncInterval(time.Second), WithSnapshotThreshold(4)}
+	sa, err := NewStepper(1, ra, clock, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStepper(2, rb, clock, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, ba := &recLink{}, &recLink{}
+	toA, toB := sa.Connect(ab), sb.Connect(ba)
+	for i := 0; i < 10; i++ {
+		if err := sa.Engine().Broadcast(ra.insertAt(t, i, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ab.frames, ba.frames = nil, nil // the opening digests, and every op frame lost
+	digest, err := EncodeSyncReq(1, sa.Engine().Clock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	toB(digest)
+	for tick := 1; !vcEqual(sb.Engine().Clock(), sa.Engine().Clock()); tick++ {
+		if tick > gapGraceTicks+1 {
+			t.Fatalf("site 2 at %v after %d ticks, site 1 at %v", sb.Engine().Clock(), tick-1, sa.Engine().Clock())
+		}
+		now = now.Add(time.Second)
+		sb.Tick()
+		for _, f := range ba.frames {
+			if !IsDigest(f) {
+				t.Fatalf("tick %d: the replica behind sent a frame of kind %#x", tick, f[0])
+			}
+			toA(f)
+		}
+		for _, f := range ab.frames {
+			toB(f)
+		}
+		ab.frames, ba.frames = nil, nil
+	}
+	if n := sb.Engine().SnapshotsInstalled(); n != 1 {
+		t.Fatalf("caught up with %d snapshots installed, want 1", n)
+	}
+}
+
+// barrierServer is a stepped site 1 holding two generations of barrier —
+// ops 1–3 below the truncation floor, 4–6 between floor and barrier, 7–8
+// above the barrier — all settled past the replay horizon, and a pull
+// that hands it one digest and returns the answer's frames, decoded.
+func barrierServer(t *testing.T, opts ...Option) (pull func(from ident.SiteID, clock vclock.VC) []any) {
+	t.Helper()
+	r := newSnapReplica(t, 1)
+	s, err := NewStepper(1, r, func() time.Time { return time.UnixMilli(0) }, append([]Option{WithSyncInterval(time.Second)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, link := s.Engine(), &recLink{}
+	receive := s.Connect(link)
+	for i := 0; i < 8; i++ {
+		if err := e.Broadcast(r.insertAt(t, i, "x")); err != nil {
+			t.Fatal(err)
+		}
+		if (i == 2 || i == 5) && !e.compactNow() {
+			t.Fatal("compaction refused")
+		}
+	}
+	s.Tick()
+	s.Tick()
+	if !vcEqual(e.truncVC, vclock.VC{1: 3}) || !vcEqual(e.snapVC, vclock.VC{1: 6}) {
+		t.Fatalf("floor %v, barrier %v", e.truncVC, e.snapVC)
+	}
+	return func(from ident.SiteID, clock vclock.VC) []any {
+		digest, err := EncodeSyncReq(from, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link.frames = nil
+		receive(digest)
+		var out []any
+		for _, f := range link.frames {
+			decoded, err := DecodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, decoded)
+		}
+		return out
+	}
+}
+
+// replayed lists the sequence numbers the answer's kindOps frames carry.
+func replayed(answer []any) []uint64 {
+	var seqs []uint64
+	for _, f := range answer {
+		if ops, ok := f.(*OpsFrame); ok {
+			for _, m := range ops.Msgs {
+				seqs = append(seqs, m.TS.Get(m.From))
+			}
+		}
+	}
+	return seqs
+}
+
+// TestSnapshotAnswerShipsOnlyWhatLiesAbove: a requester below the floor
+// installs the barrier snapshot, so the ops after it start above the
+// barrier — not at the requester's clock, which would ship everything
+// between floor and barrier twice, once inside the snapshot.
+func TestSnapshotAnswerShipsOnlyWhatLiesAbove(t *testing.T) {
+	answer := barrierServer(t)(2, vclock.New())
+	if _, ok := answer[0].(*SnapChunkFrame); !ok {
+		t.Fatalf("answer opens with %T, want the barrier snapshot", answer[0])
+	}
+	if got := replayed(answer); !reflect.DeepEqual(got, []uint64{7, 8}) {
+		t.Fatalf("snapshot at {1:6} followed by ops %v, want [7 8]", got)
+	}
+}
+
+// TestBelowFloorNeverDrawsReplay: the barrier goes to one link at most
+// once per snapResendAfter. A second requester below the floor pulling
+// through the same link in that window gets nothing — without the ops
+// below the floor, none above it could deliver — while one above the
+// floor still gets plain op replay.
+func TestBelowFloorNeverDrawsReplay(t *testing.T) {
+	pull := barrierServer(t, WithSnapshotThreshold(2))
+	if answer := pull(2, vclock.New()); len(answer) == 0 {
+		t.Fatal("first requester below the floor drew no answer")
+	}
+	if answer := pull(3, vclock.New()); len(answer) != 0 {
+		t.Fatalf("second requester below the floor drew %d frames (ops %v)", len(answer), replayed(answer))
+	}
+	if got := replayed(pull(4, vclock.VC{1: 4})); !reflect.DeepEqual(got, []uint64{5, 6, 7, 8}) {
+		t.Fatalf("requester above the floor drew ops %v, want [5 6 7 8]", got)
 	}
 }
 

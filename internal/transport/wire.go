@@ -18,11 +18,12 @@ import (
 // and one frame type below; the type's wire method is the only statement
 // of its body layout.
 const (
-	// 0x01 was kindOps with one byte per identifier level, 0x04 the
-	// single-frame snapshot and 0x11 kindHandoffDone; all stay reserved and
-	// are never reused, so a stray old frame decodes as an unknown kind.
+	// 0x01 was kindOps with one byte per identifier level, 0x03 the
+	// explicit snapshot request, 0x04 the single-frame snapshot, 0x10 the
+	// handoff-state envelope, 0x11 the handoff-done marker and 0x12
+	// kindSyncBatch with a flags byte; all stay reserved and are never
+	// reused, so a stray old frame decodes as an unknown kind.
 	kindSyncReq      = 0x02
-	kindSnapReq      = 0x03
 	kindFlatPropose  = 0x05
 	kindFlatVote     = 0x06
 	kindFlatDecision = 0x07
@@ -34,10 +35,9 @@ const (
 	kindRingAnnounce = 0x0d
 	kindForward      = 0x0e
 	kindHandoffBegin = 0x0f
-	kindHandoffState = 0x10
-	kindSyncBatch    = 0x12
 	kindReplay       = 0x13
 	kindOps          = 0x14
+	kindSyncBatch    = 0x15
 )
 
 // Wire limits. Frames above the per-kind size limit are refused on read
@@ -108,7 +108,6 @@ type frameRow struct {
 var frameTable = [256]frameRow{
 	kindOps:          {"kindOps", MaxFrameSize, false, func() frame { return new(OpsFrame) }},
 	kindSyncReq:      {"kindSyncReq", MaxFrameSize, false, func() frame { return new(SyncReqFrame) }},
-	kindSnapReq:      {"kindSnapReq", MaxFrameSize, false, func() frame { return new(SnapReqFrame) }},
 	kindFlatPropose:  {"kindFlatPropose", MaxFrameSize, false, func() frame { return new(FlatProposeFrame) }},
 	kindFlatVote:     {"kindFlatVote", MaxFrameSize, false, func() frame { return new(FlatVoteFrame) }},
 	kindFlatDecision: {"kindFlatDecision", MaxFrameSize, false, func() frame { return new(FlatDecisionFrame) }},
@@ -122,7 +121,6 @@ var frameTable = [256]frameRow{
 	kindReplay:       {"kindReplay", maxReplayFrame, false, func() frame { return new(ReplayFrame) }},
 	kindDocFrame:     {"kindDocFrame", maxEnvelopeFrame, true, func() frame { return new(DocFrame) }},
 	kindForward:      {"kindForward", maxEnvelopeFrame, true, func() frame { return new(ForwardFrame) }},
-	kindHandoffState: {"kindHandoffState", maxEnvelopeFrame, true, func() frame { return new(HandoffStateFrame) }},
 }
 
 // maxFrameLimit is the largest per-kind ceiling: the bound ReadFrame
@@ -164,11 +162,12 @@ func (f *OpsFrame) wire(c *codec) {
 	}
 }
 
-// SyncReqFrame is a kindSyncReq frame, the anti-entropy digest: the
-// sender's delivered clock. The receiver answers with kindOps frames of
-// everything it retains that the clock does not cover — preceded, when the
-// sender is below the receiver's compaction barrier or further behind than
-// the snapshot threshold, by the barrier snapshot as a kindSnapChunk
+// SyncReqFrame is a kindSyncReq frame, the anti-entropy digest and the one
+// pull: the sender's delivered clock, asking for the state since it. The
+// receiver alone decides the answer's shape: kindOps frames of everything
+// it retains that the clock does not cover — preceded, when the sender is
+// below the receiver's truncation floor or further behind than the
+// receiver's snapshot threshold, by the barrier snapshot as a kindSnapChunk
 // sequence.
 type SyncReqFrame struct {
 	From  ident.SiteID
@@ -177,20 +176,9 @@ type SyncReqFrame struct {
 
 func (f *SyncReqFrame) wire(c *codec) { c.digest(&f.From, &f.Clock) }
 
-// SnapReqFrame is a kindSnapReq frame: an explicit snapshot request
-// carrying the requester's delivered clock. The sender has learned (from a
-// digest) that it is too far behind for op replay to be cheap.
-type SnapReqFrame struct {
-	From  ident.SiteID
-	Clock vclock.VC
-}
-
-func (f *SnapReqFrame) wire(c *codec) { c.digest(&f.From, &f.Clock) }
-
-// digest is the layout kindSyncReq and kindSnapReq share. With a nil clock
-// it stops after the sender: the hub learns site→connection reverse routes
-// from passing pulls (peekDigestFrom), and must do so at relay cost, not
-// decode cost.
+// digest is kindSyncReq's layout. With a nil clock it stops after the
+// sender: the hub learns site→connection reverse routes from passing pulls
+// (peekDigestFrom), and must do so at relay cost, not decode cost.
 func (c *codec) digest(from *ident.SiteID, clock *vclock.VC) {
 	c.site(from, "sync sender")
 	if clock != nil {
@@ -315,14 +303,16 @@ type DocFrame struct {
 
 func (f *DocFrame) wire(c *codec) { c.envelope(&f.Doc, &f.Inner) }
 
-// ForwardFrame is a kindForward frame, the hub-to-hub envelope: a
+// ForwardFrame is a kindForward frame, the hub-to-hub envelope. A
 // non-owner hub that serves Doc locally (because its clients cannot reach
 // the owner shard) wraps the document's inbound frames in it and sends
-// them to the owner over the peer mesh. The owner relays the inner frame
-// into its relay group exactly as if a directly attached client had sent
-// it. A frame received as kindForward is never re-forwarded, so two hubs
-// with disagreeing rings cannot loop a frame between them. Inner aliases
-// the envelope's backing array.
+// them to the owner over the peer mesh; an old owner streams a migrating
+// document's state to the new owner in it (kindSnapChunk and kindOps
+// frames, the same machinery as snapshot catch-up). The receiver relays
+// the inner frame into its local relay group exactly as if a directly
+// attached client had sent it. A frame received as kindForward is never
+// re-forwarded, so two hubs with disagreeing rings cannot loop a frame
+// between them. Inner aliases the envelope's backing array.
 type ForwardFrame struct {
 	Doc   string
 	Inner []byte
@@ -330,23 +320,8 @@ type ForwardFrame struct {
 
 func (f *ForwardFrame) wire(c *codec) { c.envelope(&f.Doc, &f.Inner) }
 
-// HandoffStateFrame is a kindHandoffState frame: one slice of a migrating
-// document's state, as a complete inner frame (kindSnapChunk or kindOps —
-// the same machinery as snapshot catch-up) scoped to the document being
-// handed off. The receiving hub relays the inner frame into the document's
-// local relay group, where the new archivist (and any already-attached
-// client) consumes it through the ordinary catch-up paths. Inner aliases
-// the envelope's backing array.
-type HandoffStateFrame struct {
-	Doc   string
-	Inner []byte
-}
-
-func (f *HandoffStateFrame) wire(c *codec) { c.envelope(&f.Doc, &f.Inner) }
-
-// envelope is the layout the three doc-scoped envelopes share: the
-// document ID, then one complete inner frame that is not itself an
-// envelope.
+// envelope is the layout the two doc-scoped envelopes share: the document
+// ID, then one complete inner frame that is not itself an envelope.
 func (c *codec) envelope(doc *string, inner *[]byte) {
 	c.doc(doc)
 	c.inner(inner)
@@ -492,16 +467,12 @@ type SyncBatchEntry struct {
 
 // SyncBatchFrame is a kindSyncBatch frame: one anti-entropy digest per
 // document — a count-prefixed list of (doc, site, clock) entries — so a
-// Session or mesh peer sends one frame per link per sync tick instead of
-// one enveloped kindSyncReq per attached document. A hub splits the batch
-// into per-document relay groups and answers through the existing per-doc
-// path; engines never see the batch form. Forwarded marks a batch that
-// already crossed the hub-to-hub mesh: the receiver splits it into local
-// relay groups only and never forwards it onward, mirroring kindForward's
-// loop freedom.
+// Session sends one frame per connection per sync tick instead of one
+// enveloped kindSyncReq per attached document. A hub splits the batch into
+// per-document relay groups and answers through the existing per-doc
+// path; engines never see the batch form.
 type SyncBatchFrame struct {
-	Entries   []SyncBatchEntry
-	Forwarded bool
+	Entries []SyncBatchEntry
 }
 
 func (f *SyncBatchFrame) wire(c *codec) {
@@ -511,7 +482,6 @@ func (f *SyncBatchFrame) wire(c *codec) {
 		c.site(&e.From, "batched digest sender")
 		c.vc(&e.Clock)
 	}
-	c.trailingFlag(&f.Forwarded, "sync batch flags")
 }
 
 // codec is a cursor that runs a frame's layout in one of two directions.
@@ -937,8 +907,8 @@ func EncodeSyncReq(from ident.SiteID, clock vclock.VC) ([]byte, error) {
 }
 
 // EncodeSyncBatch encodes one batched multi-document digest frame.
-func EncodeSyncBatch(entries []SyncBatchEntry, forwarded bool) ([]byte, error) {
-	return encodeFrame(kindSyncBatch, &SyncBatchFrame{Entries: entries, Forwarded: forwarded})
+func EncodeSyncBatch(entries []SyncBatchEntry) ([]byte, error) {
+	return encodeFrame(kindSyncBatch, &SyncBatchFrame{Entries: entries})
 }
 
 // EncodeDocFrame wraps one complete inner frame in the doc-scoped
@@ -948,17 +918,17 @@ func EncodeDocFrame(doc string, inner []byte) ([]byte, error) {
 }
 
 // encodeEnvelope wraps one complete inner frame in a doc-scoped envelope
-// of the given kind (kindDocFrame, kindForward or kindHandoffState),
-// pre-sized so the envelope is the call's one allocation.
+// of the given kind (kindDocFrame or kindForward), pre-sized so the
+// envelope is the call's one allocation.
 func encodeEnvelope(kind byte, doc string, inner []byte) ([]byte, error) {
 	c := encoder(kind, 1+2+len(doc)+len(inner))
 	c.envelope(&doc, &inner)
 	return c.bytes()
 }
 
-// splitEnvelope splits a doc-scoped envelope of any of the three kinds
-// into the document ID and the inner frame (aliasing the envelope's
-// backing array) without decoding the inner body.
+// splitEnvelope splits a doc-scoped envelope of either kind into the
+// document ID and the inner frame (aliasing the envelope's backing array)
+// without decoding the inner body.
 func splitEnvelope(frame []byte) (doc string, inner []byte, err error) {
 	if len(frame) == 0 || !isEnvelopeKind(frame[0]) {
 		return "", nil, fmt.Errorf("transport: not a doc envelope")
@@ -995,7 +965,7 @@ func SplitReplay(frame []byte) (to ident.SiteID, inner []byte, err error) {
 }
 
 // peekDigestFrom reads the requesting site id off the front of a
-// kindSyncReq or kindSnapReq frame without decoding its clock.
+// kindSyncReq frame without decoding its clock.
 func peekDigestFrom(frame []byte) (from ident.SiteID, ok bool) {
 	if len(frame) == 0 {
 		return 0, false

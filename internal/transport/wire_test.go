@@ -94,16 +94,12 @@ func roundTrip(t *testing.T, kinds ...byte) {
 		switch f := s.f.(type) {
 		case *SyncReqFrame:
 			puller = f.From
-		case *SnapReqFrame:
-			puller = f.From
 		case *DocFrame:
 			doc, inner = f.Doc, f.Inner
 			if d, in, err := SplitDocFrame(frame); err != nil || d != doc || !bytes.Equal(in, inner) {
 				t.Errorf("%s: SplitDocFrame = (%q, %x, %v)", s.name, d, in, err)
 			}
 		case *ForwardFrame:
-			doc, inner = f.Doc, f.Inner
-		case *HandoffStateFrame:
 			doc, inner = f.Doc, f.Inner
 		case *ReplayFrame:
 			inner = f.Inner
@@ -136,13 +132,8 @@ func roundTrip(t *testing.T, kinds ...byte) {
 		if frame[0] == kindSnapChunk {
 			continue // ends in opaque chunk bytes
 		}
-		flagged := false
-		switch f := s.f.(type) {
-		case *HelloFrame:
-			flagged = f.Forward
-		case *SyncBatchFrame:
-			flagged = f.Forwarded
-		}
+		hello, _ := s.f.(*HelloFrame)
+		flagged := hello != nil && hello.Forward
 		for cut := 1; cut < len(frame); cut++ {
 			if flagged && cut == len(frame)-1 {
 				continue // the same frame with its flag off
@@ -154,7 +145,7 @@ func roundTrip(t *testing.T, kinds ...byte) {
 		// 0x00: trailing garbage, or a flags byte that must be encoded by
 		// omission. 0x02: an unknown flag bit.
 		for _, extra := range []byte{0x00, 0x01, 0x02} {
-			if extra == 0x01 && !flagged && (frame[0] == kindHello || frame[0] == kindSyncBatch) {
+			if extra == 0x01 && hello != nil && !flagged {
 				continue // the same frame with its flag on
 			}
 			if _, err := DecodeFrame(append(append([]byte{}, frame...), extra)); err == nil {
@@ -169,7 +160,7 @@ func roundTrip(t *testing.T, kinds ...byte) {
 // harness over its kinds' rows of frameSamples.
 func TestOpsFrameRoundTrip(t *testing.T)     { roundTrip(t, kindOps) }
 func TestSyncReqRoundTrip(t *testing.T)      { roundTrip(t, kindSyncReq) }
-func TestSnapReqRoundTrip(t *testing.T)      { roundTrip(t, kindSnapReq) }
+func TestSnapReqRoundTrip(t *testing.T)      { retired(t, 0x01, 0x03, 0x04, 0x11) }
 func TestDocFrameRoundTrip(t *testing.T)     { roundTrip(t, kindDocFrame) }
 func TestHelloRoundTrip(t *testing.T)        { roundTrip(t, kindHello) }
 func TestHelloForwardRoundTrip(t *testing.T) { roundTrip(t, kindHello) }
@@ -185,7 +176,45 @@ func TestHandoffMarkRoundTrip(t *testing.T)  { roundTrip(t, kindHandoffBegin) }
 func TestSyncBatchRoundTrip(t *testing.T)    { roundTrip(t, kindSyncBatch) }
 func TestReplayFrameRoundTrip(t *testing.T)  { roundTrip(t, kindReplay) }
 func TestForwardAndHandoffStateEnvelopes(t *testing.T) {
-	roundTrip(t, kindForward, kindHandoffState)
+	roundTrip(t, kindForward)
+	retired(t, 0x10)
+}
+
+// retiredFrames are frames of retired kinds as the last build that spoke
+// each one encoded them. A retired kind byte stays reserved, never reused
+// (docs/ARCHITECTURE.md §4), so each decodes as an unknown kind; its body
+// seeds the fuzz targets of the kinds that absorbed it.
+var retiredFrames = []string{
+	// kindOps with one byte per identifier level: the "ops" sample.
+	"0102070202090703010703020104040702c3a907020209070402070401050002",
+	"03040201050902", // kindSnapReq, folded into kindSyncReq
+	"0402010164",     // the single-frame snapshot
+	"10056e6f746573080201020840106368756e6b2d6279746573", // kindHandoffState, folded into kindForward
+	"11056e6f74657304",               // kindHandoffDone
+	"1201056e6f74657303020105030901", // kindSyncBatch with its forwarded flags byte
+}
+
+// retiredBody returns the body of kind's frame in retiredFrames.
+func retiredBody(t testing.TB, kind byte) []byte {
+	for _, h := range retiredFrames {
+		if frame, err := hex.DecodeString(h); err == nil && frame[0] == kind {
+			return frame[1:]
+		}
+	}
+	t.Fatalf("no retired frame of kind %#x", kind)
+	return nil
+}
+
+// retired asserts that each retired kind has no table row and that its
+// last frame decodes as an unknown kind.
+func retired(t *testing.T, kinds ...byte) {
+	t.Helper()
+	for _, k := range kinds {
+		_, err := DecodeFrame(append([]byte{k}, retiredBody(t, k)...))
+		if frameTable[k].new != nil || err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Errorf("retired kind %#x: in table %v, DecodeFrame error %v", k, frameTable[k].new != nil, err)
+		}
+	}
 }
 
 // TestEncodeImpliesDecode: validation lives in the field methods both
@@ -202,7 +231,6 @@ func TestEncodeImpliesDecode(t *testing.T) {
 	digest := mustEncode(t, kindSyncReq, &SyncReqFrame{From: 7, Clock: vclock.VC{7: 4}})
 	docEnv := mustEncode(t, kindDocFrame, &DocFrame{Doc: "notes", Inner: digest})
 	fwdEnv := mustEncode(t, kindForward, &ForwardFrame{Doc: "notes", Inner: digest})
-	stateEnv := mustEncode(t, kindHandoffState, &HandoffStateFrame{Doc: "notes", Inner: digest})
 	replay := mustEncode(t, kindReplay, &ReplayFrame{To: 42, Inner: digest})
 	long := strings.Repeat("a", maxRedirectAddr+1)
 	atomPath := ident.Path{ident.M(1, ident.Dis{Site: 4})}
@@ -239,7 +267,6 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"syncreq: site zero", kindSyncReq, &SyncReqFrame{From: 0, Clock: ok}},
 		{"syncreq: site beyond 48 bits", kindSyncReq, &SyncReqFrame{From: ident.MaxSiteID + 1, Clock: ok}},
 		{"syncreq: clock beyond maxClockEntries", kindSyncReq, &SyncReqFrame{From: 3, Clock: wideClock}},
-		{"snapreq: site zero", kindSnapReq, &SnapReqFrame{From: 0, Clock: ok}},
 		{"flatpropose: site zero", kindFlatPropose, &FlatProposeFrame{From: 0, N: 1, Obs: ok}},
 		{"flatpropose: atom path", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: atomPath, Obs: ok}},
 		{"flatpropose: path beyond ident.MaxPathLen", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: deepPath, Obs: ok}},
@@ -257,13 +284,10 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"docframe: empty inner", kindDocFrame, &DocFrame{Doc: "notes"}},
 		{"docframe: nested doc envelope", kindDocFrame, &DocFrame{Doc: "notes", Inner: docEnv}},
 		{"docframe: nested forward", kindDocFrame, &DocFrame{Doc: "notes", Inner: fwdEnv}},
-		{"docframe: nested handoff state", kindDocFrame, &DocFrame{Doc: "notes", Inner: stateEnv}},
 		{"docframe: inner beyond its kind's ceiling", kindDocFrame, &DocFrame{Doc: "notes", Inner: append([]byte{kindOps}, make([]byte, MaxFrameSize)...)}},
 		{"forward: nested doc envelope", kindForward, &ForwardFrame{Doc: "notes", Inner: docEnv}},
 		{"forward: nested forward", kindForward, &ForwardFrame{Doc: "notes", Inner: fwdEnv}},
 		{"forward: empty doc id", kindForward, &ForwardFrame{Inner: digest}},
-		{"handoffstate: nested doc envelope", kindHandoffState, &HandoffStateFrame{Doc: "notes", Inner: docEnv}},
-		{"handoffstate: nested handoff state", kindHandoffState, &HandoffStateFrame{Doc: "notes", Inner: stateEnv}},
 		{"replay: site zero", kindReplay, &ReplayFrame{To: 0, Inner: digest}},
 		{"replay: site beyond 48 bits", kindReplay, &ReplayFrame{To: ident.MaxSiteID + 1, Inner: digest}},
 		{"replay: empty inner", kindReplay, &ReplayFrame{To: 42}},
@@ -382,7 +406,7 @@ func TestReadAcceptsWhatWriteAccepts(t *testing.T) {
 
 // TestFrameTableMatchesDocs keeps docs/ARCHITECTURE.md §4 and the frame
 // table the same list: every row's code and name is a §4 row, and §4 names
-// nothing the table lacks (the reserved 0x01, 0x04 and 0x11 excepted).
+// nothing the table lacks (the reserved, retired kinds excepted).
 func TestFrameTableMatchesDocs(t *testing.T) {
 	md, err := os.ReadFile("../../docs/ARCHITECTURE.md")
 	if err != nil {
@@ -395,7 +419,7 @@ func TestFrameTableMatchesDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| (0x[0-9a-f]{2}) \\| (?:`(kind\\w+)`|—) \\|").FindAllStringSubmatch(section, -1) {
 		documented[m[1]] = m[2]
 	}
-	for _, reserved := range []string{"0x01", "0x04", "0x11"} {
+	for _, reserved := range []string{"0x01", "0x03", "0x04", "0x10", "0x11", "0x12"} {
 		if name, ok := documented[reserved]; !ok || name != "" {
 			t.Errorf("§4 must list %s as reserved and unnamed, has %q (%v)", reserved, name, ok)
 		}
@@ -470,11 +494,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(frame[0], frame[1:])
 	}
 	f.Add(byte(kindOps), []byte{})
-	f.Add(byte(0x04), []byte{0x02, 0x01, 0x01, 0x64})
-	retiredOps, _ := hex.DecodeString("02070202090703010703020104040702c3a907020209070402070401050002")
-	f.Add(byte(0x01), retiredOps) // the "ops" sample in the one-byte-per-level layout
-	// The retired kindHandoffDone's sample.
-	f.Add(byte(0x11), []byte{0x05, 'n', 'o', 't', 'e', 's', 0x04})
+	for _, h := range retiredFrames {
+		frame, _ := hex.DecodeString(h)
+		f.Add(frame[0], frame[1:])
+	}
 	f.Fuzz(checkAccepted)
 }
 
@@ -493,13 +516,20 @@ func fuzzBodies(f *testing.F, kinds ...byte) {
 	})
 }
 
-func FuzzSnapFrame(f *testing.F) { fuzzBodies(f, kindSnapReq, kindSnapChunk) }
-func FuzzDocFrame(f *testing.F)  { fuzzBodies(f, kindDocFrame, kindHello, kindHelloResp, kindDetach) }
+func FuzzSnapFrame(f *testing.F) {
+	f.Add(retiredBody(f, 0x03))
+	fuzzBodies(f, kindSnapChunk)
+}
+func FuzzDocFrame(f *testing.F) { fuzzBodies(f, kindDocFrame, kindHello, kindHelloResp, kindDetach) }
 func FuzzFlattenFrame(f *testing.F) {
 	fuzzBodies(f, kindFlatPropose, kindFlatVote, kindFlatDecision, kindSnapChunk)
 }
-func FuzzSyncBatchFrame(f *testing.F) { fuzzBodies(f, kindSyncBatch) }
-func FuzzReplayFrame(f *testing.F)    { fuzzBodies(f, kindReplay) }
+func FuzzSyncBatchFrame(f *testing.F) {
+	f.Add(retiredBody(f, 0x12))
+	fuzzBodies(f, kindSyncBatch)
+}
+func FuzzReplayFrame(f *testing.F) { fuzzBodies(f, kindReplay) }
 func FuzzRingFrame(f *testing.F) {
-	fuzzBodies(f, kindRingAnnounce, kindHandoffBegin, kindForward, kindHandoffState, kindHello)
+	f.Add(retiredBody(f, 0x10))
+	fuzzBodies(f, kindRingAnnounce, kindHandoffBegin, kindForward, kindHello)
 }

@@ -152,10 +152,6 @@ func ListenHub(addr string, opts ...HubOption) (*Hub, error) {
 	return transport.ListenHub(addr, opts...)
 }
 
-// WithBatchSize sets the maximum operations packed into one outbound
-// frame (default 64).
-func WithBatchSize(n int) EngineOption { return transport.WithBatchSize(n) }
-
 // WithSyncInterval sets the anti-entropy period (default 200ms).
 func WithSyncInterval(d time.Duration) EngineOption { return transport.WithSyncInterval(d) }
 
