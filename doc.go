@@ -108,9 +108,10 @@
 // The log is bounded by compaction (WithCompactEvery): the engine
 // periodically snapshots the replica — Doc.Snapshot captures state and an
 // applied version vector atomically — and truncates, in memory and on
-// disk, everything the snapshot covers. Truncation trails the newest
-// barrier by a few anti-entropy rounds so live peers a moment behind are
-// still served plain operations. A peer whose digest falls below the
+// disk, what the snapshot covers and every peer has acknowledged — the
+// delivered clock each peer's digests carry — so live peers a moment
+// behind are still served plain operations; a peer silent for a whole
+// compaction stops counting. A peer whose digest falls below the
 // truncation floor (typically a late joiner) is missing operations that
 // no longer exist as messages; it receives the barrier snapshot as a
 // chunk sequence plus the retained suffix, installs it if its version

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math"
 	"testing"
 
 	"github.com/treedoc/treedoc/internal/core"
@@ -103,8 +104,14 @@ func TestSnapshotAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(20, func() { d.Snapshot() }); got > 8 {
-		t.Errorf("Snapshot: %.0f allocs, want <= 8", got)
+	// The fewest of several counts: under the race detector sync.Pool
+	// drops a random share of the buffers put back, which only adds.
+	least := math.Inf(1)
+	for range 5 {
+		least = math.Min(least, testing.AllocsPerRun(20, func() { d.Snapshot() }))
+	}
+	if least > 8 {
+		t.Errorf("Snapshot: %.0f allocs, want <= 8", least)
 	}
 	s := d.doc.Tree().Stats(ident.PaperCost(ident.SDIS))
 	budget := float64(s.LiveAtoms + (s.Nodes+1)/64 + s.Minis/64 + 2 + 40)

@@ -532,7 +532,7 @@ func (d *Document) EndRevision() ident.Path {
 		return nil
 	}
 	cutoff := d.tree.Rev() - 1 - pol.ColdRevisions
-	cold := d.tree.ColdestSubtree(cutoff, pol.MinNodes)
+	cold := d.tree.ColdestSubtree(cutoff, pol.MinNodes, false)
 	if cold == nil {
 		return nil
 	}
@@ -603,9 +603,11 @@ func (d *Document) FlattenAll() error {
 
 // ColdestSubtree exposes the flatten heuristic's candidate selection: the
 // largest subtree not edited for `revisions` revisions with at least
-// minNodes nodes, or nil.
+// minNodes nodes, or nil. A candidate is proposed to every replica, so it
+// must exist at each: under UDIS, where deletes discard, that takes a live
+// atom inside it.
 func (d *Document) ColdestSubtree(revisions int64, minNodes int) ident.Path {
-	return d.tree.ColdestSubtree(d.tree.Rev()-revisions, minNodes)
+	return d.tree.ColdestSubtree(d.tree.Rev()-revisions, minNodes, d.cfg.Mode == ident.UDIS)
 }
 
 // Stats measures the replica's overheads under its cost model.

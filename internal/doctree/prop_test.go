@@ -321,7 +321,7 @@ func TestSlabHandlesNeverDangling(t *testing.T) {
 			}
 		case r < 97:
 			tr.AdvanceRev()
-			if cold := tr.ColdestSubtree(tr.Rev()-1-int64(rng.Intn(3)), 2); cold != nil {
+			if cold := tr.ColdestSubtree(tr.Rev()-1-int64(rng.Intn(3)), 2, false); cold != nil {
 				if err := tr.Flatten(cold); err != nil {
 					t.Fatalf("step %d: flatten %v: %v", step, cold, err)
 				}

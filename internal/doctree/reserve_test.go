@@ -128,7 +128,7 @@ func TestColdestSubtreeSkipsMiniLessRegions(t *testing.T) {
 	}
 	tr.AdvanceRev()
 	mustInsert(t, tr, "[0(0:s1)]", "b") // keep the left branch hot
-	cold := tr.ColdestSubtree(0, 1)
+	cold := tr.ColdestSubtree(0, 1, false)
 	if cold == nil {
 		t.Fatal("no cold subtree at all")
 	}
@@ -163,11 +163,47 @@ func TestColdScorePrefersTombstones(t *testing.T) {
 	tr.AdvanceRev()
 	// Keep a shallow left branch hot so the root itself is not cold.
 	mustInsert(t, tr, "[01(0:s1)]", "hot")
-	cold := tr.ColdestSubtree(0, 1)
+	cold := tr.ColdestSubtree(0, 1, false)
 	if cold == nil {
 		t.Fatal("no cold subtree")
 	}
 	if cold.String() != "[1]" {
 		t.Errorf("cold subtree = %v, want [1] (tombstone-rich)", cold)
 	}
+}
+
+// TestColdestSubtreeSkipsHeldTombstones: where deletes discard (UDIS), a
+// tombstone outlives its delete only while something below it holds it. A
+// locally reserved slot holds it only here — a replica that applied the
+// same operations discarded it, region and all — so with liveOnly such a
+// region is no candidate, and a distributed flatten never names a path the
+// other replicas cannot resolve.
+func TestColdestSubtreeSkipsHeldTombstones(t *testing.T) {
+	local, remote := New(), New()
+	for _, tr := range []*Tree{local, remote} {
+		mustInsert(t, tr, "[(0:c1s1)]", "a")
+		mustInsert(t, tr, "[(1:c2s1)]", "c")
+	}
+	if err := local.Reserve(ident.MustParsePath("[(1:c2s1)1]"), 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{local, remote} {
+		if _, err := tr.DeleteID(ident.MustParsePath("[(1:c2s1)]"), true); err != nil {
+			t.Fatal(err)
+		}
+		tr.AdvanceRev()
+		mustInsert(t, tr, "[(0:c1s1)(0:c3s1)]", "hot")
+	}
+	held := local.ColdestSubtree(0, 1, false)
+	if held.String() != "[1]" {
+		t.Fatalf("cold subtree = %v, want [1], the region the held tombstone lives in", held)
+	}
+	if _, err := remote.walkNode(held); !IsNotFound(err) {
+		t.Fatalf("the remote replica resolves %v (err %v): the tombstone was not held only here", held, err)
+	}
+	if got := local.ColdestSubtree(0, 1, true); got != nil {
+		t.Errorf("liveOnly cold subtree = %v, want none", got)
+	}
+	checkTree(t, local)
+	checkTree(t, remote)
 }

@@ -212,14 +212,15 @@ func canonicalDepthSum(n, levels, base int) (sum, max int) {
 
 // ColdestSubtree returns the structural path of the most profitable cold
 // subtree: among subtrees whose latest edit is at or before cutoff and that
-// hold at least minNodes nodes, the one maximising a tombstone-weighted
-// size score. The paper's own heuristic picked cold areas by size alone and
-// under-delivered ("we believe the heuristic choice of the sub-tree to
-// flatten is to blame", Section 5.1); weighting tombstones targets the
-// garbage flatten actually collects. Returns nil if nothing qualifies; the
-// root (whole document) is returned only when everything is cold.
-func (t *Tree) ColdestSubtree(cutoff int64, minNodes int) ident.Path {
-	best, _ := t.coldWalk(rootH, cutoff, minNodes)
+// hold at least minNodes nodes (and, with liveOnly, a live atom), the one
+// maximising a tombstone-weighted size score. The paper's own heuristic
+// picked cold areas by size alone and under-delivered ("we believe the
+// heuristic choice of the sub-tree to flatten is to blame", Section 5.1);
+// weighting tombstones targets the garbage flatten actually collects.
+// Returns nil if nothing qualifies; the root (whole document) is returned
+// only when everything is cold.
+func (t *Tree) ColdestSubtree(cutoff int64, minNodes int, liveOnly bool) ident.Path {
+	best, _ := t.coldWalk(rootH, cutoff, minNodes, liveOnly)
 	if best == 0 {
 		return nil
 	}
@@ -237,7 +238,7 @@ func coldScore(n *node) int { return 8*int(n.dead) + int(n.nodes) }
 // subtree whose maximum is at or before cutoff is cold; its root dominates
 // every descendant's coldScore (the counters are inclusive), so the highest
 // cold node on each path is the candidate.
-func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int) (best nodeH, maxRev int64) {
+func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (best nodeH, maxRev int64) {
 	if h == 0 {
 		return 0, 0
 	}
@@ -254,18 +255,18 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int) (best nodeH, maxRev
 			best = b
 		}
 	}
-	consider(t.coldWalk(n.kids[0], cutoff, minNodes))
-	for mh := n.first; mh != 0; {
+	consider(t.coldWalk(n.kids[0], cutoff, minNodes, liveOnly))
+	for mh := n.first; mh != 0; mh = t.mini(mh).next {
 		m := t.mini(mh)
-		consider(t.coldWalk(m.kids[0], cutoff, minNodes))
-		consider(t.coldWalk(m.kids[1], cutoff, minNodes))
-		mh = m.next
+		consider(t.coldWalk(m.kids[0], cutoff, minNodes, liveOnly))
+		consider(t.coldWalk(m.kids[1], cutoff, minNodes, liveOnly))
 	}
-	consider(t.coldWalk(n.kids[1], cutoff, minNodes))
-	// Candidates must contain at least one mini-node: regions made only of
-	// locally reserved slots are not materialised at remote replicas, so a
-	// distributed flatten could not resolve them there.
-	if maxRev <= cutoff && int(n.nodes) >= minNodes && n.live+n.dead >= 1 {
+	consider(t.coldWalk(n.kids[1], cutoff, minNodes, liveOnly))
+	// Candidates must contain a mini-node that remote replicas materialise
+	// too, or a distributed flatten could not resolve them there: locally
+	// reserved slots do not count, nor, with liveOnly (UDIS, where deletes
+	// discard), a tombstone, which a reserved slot may be all that holds.
+	if maxRev <= cutoff && int(n.nodes) >= minNodes && (n.live >= 1 || !liveOnly && n.dead >= 1) {
 		return h, maxRev
 	}
 	return best, maxRev

@@ -474,7 +474,7 @@ func TestColdestSubtree(t *testing.T) {
 	tr.AdvanceRev()
 	mustInsert(t, tr, "[(1:s1)]", "x") // hot branch at rev 1
 	// Cutoff 0: the [0] subtree (3 nodes… node [0] plus two children) is cold.
-	cold := tr.ColdestSubtree(0, 1)
+	cold := tr.ColdestSubtree(0, 1, false)
 	if cold == nil {
 		t.Fatal("no cold subtree found")
 	}
@@ -482,11 +482,11 @@ func TestColdestSubtree(t *testing.T) {
 		t.Errorf("cold subtree = %v, want %v", cold, want)
 	}
 	// Nothing cold enough with a high node threshold.
-	if got := tr.ColdestSubtree(0, 100); got != nil {
+	if got := tr.ColdestSubtree(0, 100, false); got != nil {
 		t.Errorf("unexpected cold subtree %v", got)
 	}
 	// Everything cold at cutoff 1: the whole document (root, empty path).
-	cold = tr.ColdestSubtree(1, 1)
+	cold = tr.ColdestSubtree(1, 1, false)
 	if cold == nil || len(cold) != 0 {
 		t.Errorf("cold subtree = %v, want root", cold)
 	}

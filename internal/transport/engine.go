@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -92,10 +94,10 @@ const (
 	// queue after Stop before the link is torn down anyway.
 	stopDrainTimeout = 2 * time.Second
 	// snapResendAfter is how long the engine waits before offering the
-	// same barrier snapshot to the same peer again. Paced puts never drop a
-	// chunk from the peer's own queue, but a relay further on may shed one,
-	// voiding the receiver's reassembly; until the wait is over, the
-	// requester's repeated pulls do not draw a snapshot apiece.
+	// same barrier snapshot to the same requester again. Paced puts never
+	// drop a chunk from the peer's own queue, but a relay further on may
+	// shed one, voiding the receiver's reassembly; until the wait is over,
+	// the requester's repeated pulls do not draw a snapshot apiece.
 	snapResendAfter = time.Second
 	// defaultFlattenTimeout is the flatten commitment deadline (see
 	// WithFlattenTimeout).
@@ -164,10 +166,10 @@ func WithFsync(mode FsyncMode) Option {
 }
 
 // WithCompactEvery sets how many retained messages accumulate before the
-// engine snapshots the replica and truncates everything the snapshot
-// covers — the in-memory message log always, and the on-disk segments
-// when WithLogDir is set (default 16384; 0 disables compaction). Requires
-// a replica implementing Snapshotter to take effect.
+// engine snapshots the replica and truncates what the snapshot covers and
+// every peer has acknowledged — the in-memory message log always, and the
+// on-disk segments when WithLogDir is set (default 16384; 0 disables
+// compaction). Requires a replica implementing Snapshotter to take effect.
 func WithCompactEvery(n int) Option {
 	return func(e *Engine) {
 		if n >= 0 {
@@ -179,8 +181,8 @@ func WithCompactEvery(n int) Option {
 // WithSnapshotThreshold sets how many operations behind a peer's
 // anti-entropy digest must be before the engine serves a snapshot plus
 // log suffix instead of replaying the full op history (default 8192; 0
-// disables threshold-based snapshots — peers below the compaction barrier
-// still receive snapshots, because the ops below the barrier no longer
+// disables threshold-based snapshots — peers below the truncation floor
+// still receive snapshots, because the ops below the floor no longer
 // exist). Requires a replica implementing Snapshotter to take effect.
 func WithSnapshotThreshold(n int) Option {
 	return func(e *Engine) {
@@ -262,6 +264,7 @@ type Engine struct {
 	digestsSuppressed atomic.Uint64
 	replayOps         atomic.Uint64
 	replayBytes       atomic.Uint64
+	frontierDrops     atomic.Uint64
 
 	// Actor-owned state: touched only from run(). The trailing
 	// "actor-owned" markers are load-bearing — treedoc-vet's actoronly
@@ -283,20 +286,16 @@ type Engine struct {
 	logBroken bool // actor-owned
 	// snapData/snapVC are the serving barrier: the latest snapshot and the
 	// version vector of exactly what it contains. truncVC is the
-	// truncation floor — the previous barrier — below which messages have
-	// been dropped from the retained log and the sealed log segments. Keeping one
-	// generation of slack between the two means a live peer slightly
-	// behind the newest barrier is still served operations; only a digest
-	// below the floor (whose missing ops no longer exist as messages)
-	// forces a snapshot.
+	// truncation floor, below which messages are gone from the retained
+	// log and the sealed log segments; advanceFloor keeps it under every
+	// member's acknowledged clock, so only a digest from a new joiner or a
+	// member dropped at the cap falls below it and forces a snapshot.
 	snapData []byte    // actor-owned
 	snapVC   vclock.VC // actor-owned
 	truncVC  vclock.VC // actor-owned
-	// barrierAt is when the serving barrier was adopted; once it has aged
-	// past floorDelay, the floor is promoted up to it (live peers have had
-	// time to catch up past the barrier, so truncating below it can no
-	// longer force snapshots on them).
-	barrierAt time.Time // actor-owned
+	// acked is the delivered clock each member's latest digest carried,
+	// kept only when the replica can snapshot (actor-owned).
+	acked map[ident.SiteID]vclock.VC
 	// sinceSnap counts retained messages since the serving barrier,
 	// driving the compaction policy.
 	sinceSnap int // actor-owned
@@ -362,6 +361,7 @@ func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Opti
 		done:          make(chan struct{}),
 		drained:       make(chan struct{}),
 		buf:           causal.NewBuffer(site),
+		acked:         make(map[ident.SiteID]vclock.VC),
 	}
 	e.batcher, _ = doc.(BatchApplier)
 	e.snap, _ = doc.(Snapshotter)
@@ -555,7 +555,7 @@ func (e *Engine) Connect(link Link) {
 
 // newPeer wraps a link; the driver attaching it sets send and stream.
 func (e *Engine) newPeer(link Link, q *outq) *peer {
-	p := &peer{outq: q, eng: e, link: link}
+	p := &peer{outq: q, eng: e, link: link, offers: make(map[ident.SiteID]snapOffer)}
 	if rr, ok := link.(ReplayRouter); ok {
 		p.routes = rr.RoutesReplay()
 	}
@@ -731,7 +731,7 @@ func (e *Engine) tick() {
 	e.flattenTick()
 	e.flush()
 	e.maybeCompact()
-	e.promoteFloor()
+	e.advanceFloor(false)
 	// The encoded-replay cache lives one tick: peers sharing a frontier
 	// cluster their digests within a round, and a stale cache would pin
 	// frame memory for ranges nobody asks for again.
@@ -931,6 +931,9 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 		return
 	}
 	from.noteHeard(req.Clock)
+	if e.snap != nil {
+		e.acked[req.From] = req.Clock
+	}
 	// Below the truncation floor some ops the requester is missing no
 	// longer exist as messages; past the threshold replaying them is the
 	// slow way. Either way: snapshot, then the retained suffix.
@@ -960,81 +963,78 @@ func (e *Engine) installSnapshot(data []byte) {
 	}
 	e.snapsInstalled.Add(1)
 	delivered := e.buf.Advance(version)
-	e.adoptBarrier(data, version, version)
+	// It never held the messages below the snapshot: the floor moves to it.
+	if e.adoptBarrier(data, version) {
+		e.truncateTo(version)
+	}
 	e.deliver(delivered)
 }
 
-// adoptBarrier makes (data, version) the engine's serving barrier and
-// floor the truncation floor: messages the floor covers are dropped from
-// the in-memory log and, when a durable log is configured, from its
-// sealed segments. Local compaction passes the previous barrier as the
-// floor (one generation of slack keeps the window (floor, barrier]
-// servable as plain operations); installing a received snapshot passes
-// the installed version itself, because this engine never held the
-// messages below it.
-func (e *Engine) adoptBarrier(data []byte, version, floor vclock.VC) {
+// adoptBarrier makes (data, version) the serving barrier, stored first
+// when a durable log is configured; it reports false if the store failed.
+// The floor, not the barrier, decides what is truncated.
+func (e *Engine) adoptBarrier(data []byte, version vclock.VC) bool {
 	if e.log != nil {
 		if err := e.log.WriteSnapshot(data, version); err != nil {
 			e.setErr(err)
-			return
+			return false
 		}
 		// A stored snapshot supersedes every record below it, including
 		// any suffix a failed append hole-punched out of the log — the
 		// directory is consistent again, so appending may resume.
 		e.logBroken = false
-		if floor != nil {
-			if _, err := e.log.Compact(floor); err != nil {
-				e.setErr(err)
-			}
-		}
 	}
 	e.snapData, e.snapVC = data, version.Clone()
-	e.barrierAt = e.now()
-	if floor != nil {
-		e.truncVC = floor.Clone()
-		e.truncateRetained(floor)
-	}
 	e.sinceSnap = e.retained.CountAbove(version)
+	return true
 }
 
-// truncateRetained drops retained messages the floor covers and
-// invalidates the encoded-replay cache: truncation shifts every span
-// offset, so cached frames would replay the wrong messages.
-func (e *Engine) truncateRetained(floor vclock.VC) {
+// truncateTo makes floor the truncation floor: what it covers leaves the
+// in-memory log, the sealed segments and — because truncation shifts
+// every span offset — the encoded-replay cache.
+func (e *Engine) truncateTo(floor vclock.VC) {
+	e.truncVC = floor.Clone()
+	if e.log != nil {
+		if _, err := e.log.Compact(floor); err != nil {
+			e.setErr(err)
+		}
+	}
 	e.retained.Truncate(floor)
 	clear(e.replayCache)
 }
 
-// promoteFloor raises the truncation floor to the serving barrier once
-// the barrier has aged past floorDelay: everything below the barrier is
-// then dropped from the in-memory log and the sealed segments, bounding
-// both even when no further traffic triggers another compaction.
-func (e *Engine) promoteFloor() {
-	if e.snapVC == nil || (e.truncVC != nil && vcEqual(e.truncVC, e.snapVC)) {
-		return
+// advanceFloor raises the truncation floor to the stable frontier, the
+// meet of the barrier and every member's acknowledged clock: every member
+// has delivered what lies below it, so no digest asks for what truncation
+// drops. A silent member would pin it for good, so when capped every
+// member whose acknowledgement falls short of the barrier is dropped and
+// counted instead, and the floor reaches the barrier; back again, such a
+// member catches up by snapshot.
+func (e *Engine) advanceFloor(capped bool) {
+	if vcEqual(e.truncVC, e.snapVC) {
+		return // at the barrier (or no barrier): the floor goes no higher
 	}
-	if e.now().Sub(e.barrierAt) < e.floorDelay() {
-		return
-	}
-	e.truncVC = e.snapVC.Clone()
-	if e.log != nil {
-		if _, err := e.log.Compact(e.truncVC); err != nil {
-			e.setErr(err)
+	floor := e.snapVC.Clone()
+	for site, vc := range e.acked {
+		if capped && !vc.Dominates(e.snapVC) {
+			delete(e.acked, site)
+			e.frontierDrops.Add(1)
+			continue
+		}
+		for s, n := range floor {
+			floor[s] = min(n, vc.Get(s))
 		}
 	}
-	e.truncateRetained(e.truncVC)
-}
-
-// floorDelay is how long the serving barrier ages before the floor
-// catches up to it: a few anti-entropy rounds, so every live peer has had
-// digest exchanges covering the window below the barrier.
-func (e *Engine) floorDelay() time.Duration {
-	return 4 * e.syncEvery
+	if e.truncVC.Dominates(floor) {
+		return
+	}
+	floor.Merge(e.truncVC)
+	e.truncateTo(floor)
 }
 
 // maybeCompact runs the compaction policy: once enough messages have
-// accumulated past the barrier, snapshot the replica and truncate
-// everything the snapshot covers. It runs from the anti-entropy ticker
+// accumulated past the barrier, snapshot the replica and adopt the
+// snapshot as the new barrier. It runs from the anti-entropy ticker
 // only — Snapshot() is O(document), and attempting it after every inbox
 // drain would re-marshal the document continuously whenever racing local
 // edits (or a tolerated apply error) keep the version and the delivered
@@ -1066,8 +1066,11 @@ func (e *Engine) compactNow() bool {
 	if !vcEqual(version, e.buf.Clock()) {
 		return false
 	}
-	e.adoptBarrier(data, version, e.snapVC)
-	return true
+	// The floor catches up with the barrier being replaced (never the new
+	// one, this engine's own clock), at the cap once a compaction's worth
+	// of messages followed it: a silent member's one generation of slack.
+	e.advanceFloor(e.sinceSnap >= cmp.Or(e.compactEvery, defaultCompactEvery))
+	return e.adoptBarrier(data, version)
 }
 
 // ensureBarrier reports whether a barrier snapshot is available to serve,
@@ -1094,7 +1097,7 @@ var errPeerGone = errors.New("transport: peer gone")
 // the frames are immutable, so a pacing goroutine reads them safely after
 // the actor has moved on.
 func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) {
-	to.lastSnapVC, to.lastSnapAt, to.lastSnapTo = e.snapVC, e.now(), dst
+	to.offers[dst] = snapOffer{e.snapVC, e.now()}
 	to.chunking.Store(true) // only the actor sets it; the stream clears it
 	e.snapsSent.Add(1)
 	data, version := e.snapData, e.snapVC.Clone()
@@ -1142,7 +1145,9 @@ type replayEntry struct {
 // synced yet.
 func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bool) {
 	if snapshot {
-		if !e.snapVC.Dominates(clock) && e.now().Sub(e.barrierAt) >= snapResendAfter {
+		last := to.offers[dst]
+		recent := e.now().Sub(last.at) < snapResendAfter
+		if !recent && !e.snapVC.Dominates(clock) {
 			// The requester holds operations the barrier lacks — edits it made
 			// while cut off — so it would reject the barrier as stale, and what
 			// it is missing below the floor exists nowhere else. Offer a barrier
@@ -1151,28 +1156,24 @@ func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bo
 			// operations have to reach this replica first.
 			e.compactNow()
 		}
-		// The same barrier goes to the same peer at most once per
+		// The same barrier goes to the same requester at most once per
 		// snapResendAfter: a catching-up requester's repeated pulls must not
 		// draw a snapshot apiece.
-		offered := to.lastSnapVC != nil && vcEqual(to.lastSnapVC, e.snapVC) && e.now().Sub(to.lastSnapAt) < snapResendAfter
 		switch {
 		case to.chunking.Load():
 			// A stream is in flight on this link, carrying the barrier and its
 			// suffix: queuing an answer directly would overtake the snapshot.
 			// Drop it; a requester still behind re-digests.
 			return
-		case e.snapData != nil && !offered:
+		case e.snapData != nil && !(recent && vcEqual(last.vc, e.snapVC)):
 			if e.snapVC.Dominates(clock) {
 				clock = e.snapVC // the snapshot installs: ship only what lies above it
 			}
-		case dst != to.lastSnapTo && e.truncVC != nil && !clock.Dominates(e.truncVC):
-			// A second requester below the floor behind this link: nothing
-			// that follows what it lacks below the floor can deliver — those
-			// ops exist nowhere — so a replay would mostly fill its causal
-			// buffer; it pulls again. The requester the barrier went
-			// to still draws the replay: cutting that too reshuffles every
-			// seeded simulator schedule after it, the one that pins the
-			// truncation envelope (TestClusterExploreOutsideEnvelopes) too.
+		case !clock.Dominates(e.truncVC):
+			// Below the floor with its offer still fresh: nothing that follows
+			// what it lacks below the floor can deliver — those ops exist
+			// nowhere — so a replay would mostly fill its causal buffer. It
+			// pulls again.
 			return
 		default:
 			snapshot = false // plain op replay in between offers
@@ -1294,7 +1295,8 @@ func (e *Engine) fanout(frame []byte) {
 // keepalive digest still goes out every keepaliveTicks intervals: it is
 // both the advertisement that lets a peer discover a loss it cannot see
 // (their clock covers their heard frontier too) and the bound on how long
-// a gap digest lost in transit stays unrepaired.
+// a gap digest lost in transit stays unrepaired. The same sweep forgets
+// expired snapshot offers, bounding the table.
 //
 // Suppression never stalls convergence: every replica keepalives, a heard
 // keepalive reopens the gap path on whoever is behind, and handleSyncReq
@@ -1309,6 +1311,7 @@ func (e *Engine) syncAll() {
 	grace := time.Duration(gapGraceTicks) * e.syncEvery
 	var frame []byte
 	for _, p := range e.peers {
+		maps.DeleteFunc(p.offers, func(_ ident.SiteID, o snapOffer) bool { return now.Sub(o.at) >= snapResendAfter })
 		if p.dead() {
 			continue
 		}
@@ -1359,11 +1362,10 @@ type peer struct {
 	// live: enqueue and streamPaced, or sendNow and streamInline.
 	send   func(frame []byte)
 	stream func(frames func(put func(frame []byte) bool))
-	// lastSnapVC/lastSnapAt rate-limit snapshot offers; lastSnapTo is the
-	// requester the last one went to (actor-owned).
-	lastSnapVC vclock.VC
-	lastSnapAt time.Time
-	lastSnapTo ident.SiteID
+	// offers rate-limits snapshot offers per requester: the barrier last
+	// offered to each and when; syncAll's sweep forgets expired ones
+	// (actor-owned).
+	offers map[ident.SiteID]snapOffer
 	// lastSyncAt is when this link last received our digest; with no gap
 	// to pull against, the next one waits out the keepalive (actor-owned).
 	lastSyncAt time.Time
@@ -1385,6 +1387,12 @@ type peer struct {
 	// chunking guards the single in-flight snapshot stream to this peer
 	// (set by the actor, cleared by the stream).
 	chunking atomic.Bool
+}
+
+// snapOffer is one barrier snapshot offered to one requester.
+type snapOffer struct {
+	vc vclock.VC
+	at time.Time
 }
 
 // noteHeard folds a received digest clock into the link's announced

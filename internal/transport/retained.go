@@ -85,22 +85,21 @@ func (r *RetainedLog) Append(m causal.Message) {
 }
 
 // Truncate drops every message the floor covers, releasing the tail for GC
-// and rebuilding the per-site index over the survivors. Truncation runs
-// once per compaction or floor promotion — rare next to appends and digest
-// answers — so the O(len) rebuild is the right trade against carrying
-// tombstones in every binary search.
+// and re-indexing the survivors by appending them again, in place: a
+// survivor only ever moves down. Truncation runs when the floor moves —
+// rare next to appends and digest answers — so the O(len) rebuild is the
+// right trade against carrying tombstones in every binary search.
 func (r *RetainedLog) Truncate(floor vclock.VC) {
-	kept := r.msgs[:0]
-	for _, m := range r.msgs {
+	old := r.msgs
+	r.msgs = old[:0]
+	clear(r.runs)
+	for _, m := range old {
 		if m.TS.Get(m.From) > floor.Get(m.From) {
-			kept = append(kept, m)
+			r.Append(m)
 		}
 	}
-	removed := len(r.msgs) - len(kept)
-	for i := len(kept); i < len(r.msgs); i++ {
-		r.msgs[i] = causal.Message{}
-	}
-	r.msgs = kept
+	removed := len(old) - len(r.msgs)
+	clear(old[len(r.msgs):])
 	// Shift the settle marks by the total removed count. A survivor at old
 	// position p moves down by at most that much, so the shifted marks
 	// never cover a message younger than the one they covered before —
@@ -109,19 +108,6 @@ func (r *RetainedLog) Truncate(floor vclock.VC) {
 		if r.settled[i] -= removed; r.settled[i] < 0 {
 			r.settled[i] = 0
 		}
-	}
-	for s := range r.runs {
-		delete(r.runs, s)
-	}
-	for i, m := range r.msgs {
-		seq := m.TS.Get(m.From)
-		rs := r.runs[m.From]
-		if k := len(rs) - 1; k >= 0 && rs[k].start+rs[k].n == i && rs[k].firstSeq+uint64(rs[k].n) == seq {
-			rs[k].n++
-		} else {
-			rs = append(rs, siteRun{start: i, n: 1, firstSeq: seq})
-		}
-		r.runs[m.From] = rs
 	}
 }
 

@@ -82,6 +82,10 @@ type EngineStats struct {
 	// operations (and the frame bytes carrying them) queued in answer to
 	// peers' digests.
 	ReplayOps, ReplayBytes uint64
+	// FrontierDrops counts members dropped from the stability frontier at
+	// the cap (docs/ARCHITECTURE.md §6): one that was behind catches up by
+	// snapshot, one whose keepalive came slower than compactions rejoins.
+	FrontierDrops uint64
 }
 
 // Stats collects a snapshot of the engine's counters; each atomic is
@@ -98,5 +102,6 @@ func (e *Engine) Stats() EngineStats {
 		DigestsSuppressed:  e.DigestsSuppressed(),
 		ReplayOps:          e.ReplayOps(),
 		ReplayBytes:        e.ReplayBytes(),
+		FrontierDrops:      e.frontierDrops.Load(),
 	}
 }

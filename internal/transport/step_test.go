@@ -135,10 +135,11 @@ func TestFarBehindPullsBySnapshot(t *testing.T) {
 	}
 }
 
-// barrierServer is a stepped site 1 holding two generations of barrier —
-// ops 1–3 below the truncation floor, 4–6 between floor and barrier, 7–8
-// above the barrier — all settled past the replay horizon, and a pull
-// that hands it one digest and returns the answer's frames, decoded.
+// barrierServer is a stepped site 1 with a barrier at op 6 and a member,
+// site 9, that has acknowledged ops 1–3 — so ops 1–3 lie below the
+// truncation floor, 4–6 between floor and barrier, and 7–8 above the
+// barrier, all settled past the replay horizon — and a pull that hands it
+// one digest and returns the answer's frames, decoded.
 func barrierServer(t *testing.T, opts ...Option) (pull func(from ident.SiteID, clock vclock.VC) []any) {
 	t.Helper()
 	r := newSnapReplica(t, 1)
@@ -152,7 +153,14 @@ func barrierServer(t *testing.T, opts ...Option) (pull func(from ident.SiteID, c
 		if err := e.Broadcast(r.insertAt(t, i, "x")); err != nil {
 			t.Fatal(err)
 		}
-		if (i == 2 || i == 5) && !e.compactNow() {
+		if i == 2 {
+			ack, err := EncodeSyncReq(9, e.Clock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			receive(ack)
+		}
+		if i == 5 && !e.compactNow() {
 			t.Fatal("compaction refused")
 		}
 	}
@@ -207,21 +215,196 @@ func TestSnapshotAnswerShipsOnlyWhatLiesAbove(t *testing.T) {
 	}
 }
 
-// TestBelowFloorNeverDrawsReplay: the barrier goes to one link at most
-// once per snapResendAfter. A second requester below the floor pulling
-// through the same link in that window gets nothing — without the ops
-// below the floor, none above it could deliver — while one above the
-// floor still gets plain op replay.
+// TestBelowFloorNeverDrawsReplay: the barrier goes to each requester at
+// most once per snapResendAfter, however many share the link. Pulling
+// again below the floor in that window draws nothing — without the ops
+// below the floor, none above it could deliver — while a pull from above
+// the floor still gets plain op replay.
 func TestBelowFloorNeverDrawsReplay(t *testing.T) {
 	pull := barrierServer(t, WithSnapshotThreshold(2))
-	if answer := pull(2, vclock.New()); len(answer) == 0 {
-		t.Fatal("first requester below the floor drew no answer")
+	for _, site := range []ident.SiteID{2, 3} {
+		if answer := pull(site, vclock.New()); len(answer) == 0 {
+			t.Fatalf("site %d below the floor drew no answer", site)
+		} else if _, ok := answer[0].(*SnapChunkFrame); !ok {
+			t.Fatalf("site %d below the floor drew %T first, want the snapshot", site, answer[0])
+		}
 	}
-	if answer := pull(3, vclock.New()); len(answer) != 0 {
-		t.Fatalf("second requester below the floor drew %d frames (ops %v)", len(answer), replayed(answer))
+	if answer := pull(2, vclock.New()); len(answer) != 0 {
+		t.Fatalf("a repeated pull below the floor drew %d frames (ops %v)", len(answer), replayed(answer))
 	}
-	if got := replayed(pull(4, vclock.VC{1: 4})); !reflect.DeepEqual(got, []uint64{5, 6, 7, 8}) {
-		t.Fatalf("requester above the floor drew ops %v, want [5 6 7 8]", got)
+	if got := replayed(pull(2, vclock.VC{1: 4})); !reflect.DeepEqual(got, []uint64{5, 6, 7, 8}) {
+		t.Fatalf("the requester above the floor drew ops %v, want [5 6 7 8]", got)
+	}
+}
+
+// stepPair is two stepped snapshot-capable replicas, sites 1 and 2, on one
+// virtual clock; out[i] holds what site i+1 has sent and not yet had
+// delivered, and recv[i] hands site i+1 a frame.
+type stepPair struct {
+	now  time.Time
+	r    [2]*snapReplica
+	s    [2]*Stepper
+	out  [2]*recLink
+	recv [2]func(frame []byte)
+}
+
+func newStepPair(t *testing.T, opts ...Option) *stepPair {
+	t.Helper()
+	p := &stepPair{now: time.UnixMilli(0)}
+	for i := range p.s {
+		p.r[i] = newSnapReplica(t, ident.SiteID(i+1))
+		s, err := NewStepper(ident.SiteID(i+1), p.r[i], func() time.Time { return p.now }, append([]Option{WithSyncInterval(time.Second)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.s[i], p.out[i] = s, &recLink{}
+		p.recv[i] = s.Connect(p.out[i])
+	}
+	return p
+}
+
+// tick advances the clock one sync interval and ticks both engines.
+func (p *stepPair) tick() {
+	p.now = p.now.Add(time.Second)
+	p.s[0].Tick()
+	p.s[1].Tick()
+}
+
+// exchange delivers what is in flight both ways until the links are quiet.
+func (p *stepPair) exchange() {
+	for len(p.out[0].frames)+len(p.out[1].frames) > 0 {
+		for i, l := range p.out {
+			frames := l.frames
+			l.frames = nil
+			for _, f := range frames {
+				p.recv[1-i](f)
+			}
+		}
+	}
+}
+
+func (p *stepPair) converged() bool {
+	return vcEqual(p.s[0].Engine().Clock(), p.s[1].Engine().Clock()) && p.r[0].content() == p.r[1].content()
+}
+
+// TestLostFramesBothWaysHealAfterCompaction: each replica loses the op
+// frame the other sent, then each compacts. Neither may truncate an op the
+// other has not acknowledged, so the keepalive digests find both gaps and
+// op replay closes them. A floor promoted on a timer dropped both ops
+// before any digest asked for them: each replica then held an op the
+// other's barrier lacked, so neither barrier installed, and the difference
+// existed nowhere.
+func TestLostFramesBothWaysHealAfterCompaction(t *testing.T) {
+	p := newStepPair(t)
+	p.exchange() // the opening digests
+	if err := p.s[0].Engine().Broadcast(p.r[0].insertAt(t, 0, "a")); err != nil {
+		t.Fatal(err)
+	}
+	p.exchange()
+	for i, atom := range []string{"b", "c"} {
+		if err := p.s[i].Engine().Broadcast(p.r[i].insertAt(t, 0, atom)); err != nil {
+			t.Fatal(err)
+		}
+		if !p.s[i].Engine().compactNow() {
+			t.Fatalf("site %d refused to compact", i+1)
+		}
+	}
+	p.out[0].frames, p.out[1].frames = nil, nil // both op frames lost
+	for tick := 1; !p.converged(); tick++ {
+		if tick > 3*keepaliveTicks {
+			t.Fatalf("still apart after %d ticks: site 1 at %v, site 2 at %v",
+				tick-1, p.s[0].Engine().Clock(), p.s[1].Engine().Clock())
+		}
+		p.tick()
+		p.exchange()
+	}
+	for i, s := range p.s {
+		if n := s.Engine().SnapshotsInstalled(); n != 0 {
+			t.Errorf("site %d healed with %d snapshots, want op replay alone", i+1, n)
+		}
+	}
+}
+
+// writeTick has site 1 insert n atoms, then ticks both engines.
+func (p *stepPair) writeTick(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := p.s[0].Engine().Broadcast(p.r[0].insertAt(t, 0, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.tick()
+}
+
+// TestSilentMemberIsDroppedAtTheCap: a member that stops acknowledging
+// pins the floor for one generation of slack only: once a compaction's
+// worth of messages has followed a barrier it has not reached, it is
+// dropped from the frontier and counted, the log truncates to that
+// barrier, and the member, back again, catches up by snapshot.
+func TestSilentMemberIsDroppedAtTheCap(t *testing.T) {
+	const capacity, perTick = 4, 5 // a generation a tick: every tick compacts
+	p := newStepPair(t, WithCompactEvery(capacity))
+	p.exchange() // site 2 acknowledges the empty clock, then falls silent
+	e := p.s[0].Engine()
+	for tick := 0; tick < 5; tick++ {
+		p.writeTick(t, perTick)
+		p.out[0].frames, p.out[1].frames = nil, nil
+		if below := e.retained.Len() - e.sinceSnap; below > perTick {
+			t.Fatalf("tick %d: %d retained messages below the barrier, one generation is %d", tick, below, perTick)
+		}
+	}
+	if n := e.Stats().FrontierDrops; n != 1 {
+		t.Fatalf("%d members dropped, want the silent one", n)
+	}
+	if !vcEqual(e.truncVC, e.snapVC) {
+		t.Fatalf("floor %v stays below barrier %v with the silent member dropped", e.truncVC, e.snapVC)
+	}
+	for tick := 1; !p.converged(); tick++ {
+		if tick > 3*keepaliveTicks {
+			t.Fatalf("site 2 at %v after %d ticks, site 1 at %v", p.s[1].Engine().Clock(), tick-1, e.Clock())
+		}
+		p.tick()
+		p.exchange()
+	}
+	if n := p.s[1].Engine().SnapshotsInstalled(); n != 1 {
+		t.Errorf("site 2 caught up with %d snapshots installed, want 1", n)
+	}
+}
+
+// TestAckingMemberIsNeverDroppedUnderLoad: at a write rate that compacts
+// every tick, a member that acknowledges every tick keeps its slack. The
+// cap measures it against the barrier being replaced, which it has
+// reached, never against the new one, which is the writer's own clock;
+// the floor follows its acknowledgements, and it needs no snapshot.
+func TestAckingMemberIsNeverDroppedUnderLoad(t *testing.T) {
+	const capacity, perTick = 4, 5
+	p := newStepPair(t, WithCompactEvery(capacity))
+	p.exchange()
+	e := p.s[0].Engine()
+	for tick := 0; tick < 2*keepaliveTicks; tick++ {
+		p.writeTick(t, perTick)
+		p.exchange()
+		// Site 2's own digests, with nothing to pull, wait out the
+		// keepalive, which this rate outruns; it acknowledges every tick.
+		ack, err := EncodeSyncReq(2, p.s[1].Engine().Clock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.recv[0](ack)
+		p.exchange()
+		if below := e.retained.Len() - e.sinceSnap; below > perTick {
+			t.Fatalf("tick %d: %d retained messages below the barrier, one generation is %d", tick, below, perTick)
+		}
+	}
+	if n := e.Stats().FrontierDrops; n != 0 {
+		t.Errorf("%d acknowledging members dropped, want 0", n)
+	}
+	if n := e.SnapshotsSent() + p.s[1].Engine().SnapshotsInstalled(); n != 0 {
+		t.Errorf("%d snapshots sent or installed, want none", n)
+	}
+	if e.truncVC.Get(1) == 0 || !p.converged() {
+		t.Fatalf("floor %v, site 1 at %v, site 2 at %v: want a risen floor and one state",
+			e.truncVC, e.Clock(), p.s[1].Engine().Clock())
 	}
 }
 
