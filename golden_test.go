@@ -96,8 +96,9 @@ func TestSnapshotStructureBytes(t *testing.T) {
 // allocate on goldenHistory's tree. Taking a snapshot: the result, the
 // encoder's handle queue and the version vector's copies — nothing per
 // node. Installing one: a string per live atom and the slab chunks the
-// records live in (64 to a chunk), plus the replica, its clocks and the
-// chunk directories' growth — nothing per node, nothing per tombstone.
+// records and atoms live in (64 nodes or minis, 256 atoms to a chunk), plus
+// the replica, its clocks, the chunk directories' growth and the two trees'
+// flat-region maps — nothing per node, nothing per tombstone.
 func TestSnapshotAllocs(t *testing.T) {
 	d := &Doc{doc: mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {})}
 	data, _, err := d.Snapshot()
@@ -114,7 +115,7 @@ func TestSnapshotAllocs(t *testing.T) {
 		t.Errorf("Snapshot: %.0f allocs, want <= 8", least)
 	}
 	s := d.doc.Tree().Stats(ident.PaperCost(ident.SDIS))
-	budget := float64(s.LiveAtoms + (s.Nodes+1)/64 + s.Minis/64 + 2 + 40)
+	budget := float64(s.LiveAtoms + (s.Nodes+1)/64 + s.Minis/64 + s.LiveAtoms/256 + 3 + 48)
 	got := testing.AllocsPerRun(20, func() {
 		joiner, err := New(WithSite(2))
 		if err != nil {

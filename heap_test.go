@@ -132,18 +132,18 @@ func TestWriterRetainsNoIdentifiers(t *testing.T) {
 	runtime.KeepAlive(doc)
 	doc = nil
 	retained := int(with - heapAfterGC())
-	// Beyond the slabs as Stats counts them: a chunk of 64 40-byte minis
-	// occupies the allocator's 2,688-byte size class, and seven buffers (five
-	// in the document, two in the tree) each hold one identifier's elements,
-	// at most doubled by append's growth. 24 B x 7 x 65 levels is the 11 KiB
-	// a benchmark writer keeps; nothing grows with the operations minted.
-	slack := (st.Tree.Minis/64 + 1) * (2688 - 64*40)
+	// Beyond the slabs as Stats counts them — every chunk fills its size
+	// class exactly (TestRecordLayout), so the allocator adds no slack —
+	// seven buffers (five in the document, two in the tree) each hold one
+	// identifier's elements, at most doubled by append's growth. 24 B x 7 x
+	// 65 levels is the 11 KiB a benchmark writer keeps; nothing grows with
+	// the operations minted.
 	scratch := 7 * 2 * 24 * st.Height
-	bound := st.Tree.HeapBytes + slack + scratch + 4<<10
+	bound := st.Tree.HeapBytes + scratch + 4<<10
 	t.Logf("%d atoms, height %d: the Doc retains %d B, its tree's slabs are %d B", st.Tree.LiveAtoms, st.Height, retained, st.Tree.HeapBytes)
 	if retained > bound {
-		t.Errorf("a writer's Doc retains %d B, want <= %d (slabs %d B, size-class slack %d B, scratch %d B, 4 KiB)",
-			retained, bound, st.Tree.HeapBytes, slack, scratch)
+		t.Errorf("a writer's Doc retains %d B, want <= %d (slabs %d B, scratch %d B, 4 KiB)",
+			retained, bound, st.Tree.HeapBytes, scratch)
 	}
 	runtime.KeepAlive(tr)
 }

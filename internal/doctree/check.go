@@ -12,9 +12,12 @@ import (
 // Invariants:
 //  1. Parent/child backlinks are consistent.
 //  2. Mini-nodes are strictly ordered by disambiguator within each node.
-//  3. Cached live/node counts match a full recount.
-//  4. Dead mini-nodes carry no atom.
-//  5. Flattened nodes have no minis or children.
+//  3. Cached live/empty-slot counts match a full recount.
+//  4. A mini is dead exactly when its atom handle is 0; a live mini's
+//     handle is its alone, and the handles in use plus the atom store's
+//     free stack are every handle the store has handed out.
+//  5. Flattened nodes have no minis or children, and are exactly the
+//     nodes with an array in Tree.flats.
 //  6. The identifiers of live atoms are strictly increasing in document
 //     order (the infix walk agrees with ident.Compare).
 //  7. Every record is reachable from the root exactly once or is on its
@@ -24,16 +27,24 @@ func (t *Tree) Check() error {
 	if root.parent != 0 || root.pmini != 0 {
 		return fmt.Errorf("doctree: root has a parent")
 	}
-	if *t.node(0) != (node{}) || (len(t.minis.chunks) > 0 && *t.mini(0) != (mini{})) {
+	if *t.node(0) != (node{}) || (len(t.minis.chunks) > 0 && *t.mini(0) != (mini{})) ||
+		(len(t.atoms.chunks) > 0 && *t.atoms.at(0) != "") {
 		return fmt.Errorf("doctree: nil record written")
 	}
-	c := &checker{t: t}
+	c := &checker{t: t, held: make([]bool, t.atoms.n+1)}
+	for _, h := range t.atoms.free {
+		if h == 0 || h > t.atoms.n || c.held[h] || *t.atoms.at(h) != "" {
+			return fmt.Errorf("doctree: free atom handle %d out of range, repeated or holding text", h)
+		}
+		c.held[h] = true
+	}
 	if _, err := c.node(rootH); err != nil {
 		return err
 	}
-	if c.nodes != t.nodes.used() || c.minis != t.minis.used() {
-		return fmt.Errorf("doctree: reached %d nodes and %d minis, slabs hold %d and %d in use",
-			c.nodes, c.minis, t.nodes.used(), t.minis.used())
+	inUse := int(t.atoms.n) - len(t.atoms.free)
+	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.flats != len(t.flats) || c.atoms != inUse {
+		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d flat regions and %d atoms; the tree holds %d, %d, %d and %d",
+			c.nodes, c.minis, c.flats, c.atoms, t.nodes.used(), t.minis.used(), len(t.flats), inUse)
 	}
 	// Invariant 6: infix identifiers strictly increase. The walk maintains
 	// the current identifier incrementally in a reused buffer (one element
@@ -50,6 +61,8 @@ func (t *Tree) Check() error {
 type checker struct {
 	t            *Tree
 	nodes, minis uint32 // records reached from the root
+	flats, atoms int    // flat regions and live atoms reached
+	held         []bool // atom handles seen in use or on the free stack
 	cur          ident.Path
 	prev         ident.Path
 	prevSet      bool
@@ -73,7 +86,7 @@ func (c *checker) walk(h nodeH, d int) bool {
 		return true
 	}
 	n := c.t.node(h)
-	if n.flat != 0 {
+	if n.flat {
 		// Flattened atoms have canonical identifiers by construction; they
 		// are not compared (matching the identifiers they would explode to
 		// would require materialising the region).
@@ -98,7 +111,7 @@ func (c *checker) walk(h nodeH, d int) bool {
 		if !c.walk(m.kids[0], d+1) {
 			return false
 		}
-		if !m.dead {
+		if m.atom != 0 {
 			if !c.atom(d) {
 				return false
 			}
@@ -133,7 +146,7 @@ func (c *checker) atom(d int) bool {
 }
 
 // counts are a subtree's recomputed counters.
-type counts struct{ live, nodes, dead, emptyN uint32 }
+type counts struct{ live, emptyN uint32 }
 
 // child validates the subtree in slot s on side bit — its backlink, then
 // the subtree itself — and adds its recomputed counts to sum.
@@ -146,7 +159,7 @@ func (c *checker) child(s slot, bit uint8, sum *counts) error {
 		return fmt.Errorf("doctree: bad backlink on child bit %d of node %d mini %d", bit, s.node, s.mini)
 	}
 	got, err := c.node(h)
-	sum.live, sum.nodes, sum.dead, sum.emptyN = sum.live+got.live, sum.nodes+got.nodes, sum.dead+got.dead, sum.emptyN+got.emptyN
+	sum.live, sum.emptyN = sum.live+got.live, sum.emptyN+got.emptyN
 	return err
 }
 
@@ -158,19 +171,15 @@ func (c *checker) node(h nodeH) (counts, error) {
 	}
 	c.nodes++
 	n := t.node(h)
-	if n.flat != 0 {
-		if n.first != 0 || n.kids != [2]nodeH{} {
-			return counts{}, fmt.Errorf("doctree: flattened node has structure")
-		}
-		if int(n.flat) > len(t.flats) || int(n.live) != len(t.flats[n.flat-1]) {
-			return counts{}, fmt.Errorf("doctree: flattened node live=%d does not match its array", n.live)
-		}
-		if n.nodes != 0 || n.dead != 0 {
-			return counts{}, fmt.Errorf("doctree: flattened node nodes=%d dead=%d, want 0", n.nodes, n.dead)
-		}
-		return counts{live: n.live}, nil
-	}
 	var sum counts
+	if n.flat {
+		atoms, ok := t.flats[h]
+		if !ok || n.first != 0 || n.kids != [2]nodeH{} {
+			return counts{}, fmt.Errorf("doctree: flattened node %d has structure or no array", h)
+		}
+		c.flats++
+		sum.live = uint32(len(atoms))
+	}
 	for bit := uint8(0); bit <= 1; bit++ {
 		if err := c.child(slot{node: h}, bit, &sum); err != nil {
 			return counts{}, err
@@ -186,12 +195,12 @@ func (c *checker) node(h nodeH) (counts, error) {
 		if prev != nil && prev.dis().Compare(m.dis()) >= 0 {
 			return counts{}, fmt.Errorf("doctree: minis out of order: %s >= %s", prev.dis(), m.dis())
 		}
-		if m.dead && m.atom != "" {
-			return counts{}, fmt.Errorf("doctree: dead mini %s carries atom %q", m.dis(), m.atom)
-		}
-		if m.dead {
-			sum.dead++
-		} else {
+		if m.atom != 0 {
+			if m.atom > t.atoms.n || c.held[m.atom] {
+				return counts{}, fmt.Errorf("doctree: mini %s atom handle %d out of range, free or shared", m.dis(), m.atom)
+			}
+			c.held[m.atom] = true
+			c.atoms++
 			sum.live++
 		}
 		for bit := uint8(0); bit <= 1; bit++ {
@@ -201,16 +210,11 @@ func (c *checker) node(h nodeH) (counts, error) {
 		}
 		prev, mh = m, m.next
 	}
-	if h != rootH {
-		// The root is not counted (it holds no atoms), and it cannot hold
-		// mini-nodes, so it is never a reusable slot either.
-		sum.nodes++
-		if n.empty() {
-			sum.emptyN++
-		}
+	if h != rootH && n.empty() {
+		sum.emptyN++ // the root cannot hold mini-nodes: it is never a reusable slot
 	}
-	if got := (counts{n.live, n.nodes, n.dead, n.emptyN}); got != sum {
-		return counts{}, fmt.Errorf("doctree: node counters live/nodes/dead/emptyN = %v, recount = %v", got, sum)
+	if got := (counts{n.live, n.emptyN}); got != sum {
+		return counts{}, fmt.Errorf("doctree: node counters live/emptyN = %v, recount = %v", got, sum)
 	}
 	return sum, nil
 }

@@ -83,8 +83,8 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 	queue := append(make([]nodeH, 0, t.nodes.used()), rootH)
 	for i := 0; i < len(queue); i++ {
 		n := t.node(queue[i])
-		if n.flat != 0 {
-			atoms := t.flats[n.flat-1]
+		if n.flat {
+			atoms := t.flats[queue[i]]
 			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(len(atoms)))
 			for _, a := range atoms {
 				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
@@ -112,7 +112,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			m := t.mini(mh)
 			queue, bits = present(queue, m.kids)
 			d := m.dis()
-			if m.dead {
+			if m.atom == 0 {
 				bits |= miniDead
 			}
 			if d != prev {
@@ -129,8 +129,9 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 				dst = binary.AppendUvarint(dst, uint64(d.Counter))
 			}
 			prev = d
-			if !m.dead {
-				dst = append(binary.AppendUvarint(dst, uint64(len(m.atom))), m.atom...)
+			if m.atom != 0 {
+				a := *t.atoms.at(m.atom)
+				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
 			}
 			mh = m.next
 		}
@@ -271,7 +272,7 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	for h := nodeH(t.nodes.n); h > rootH; h-- {
 		n := t.node(h)
 		p := t.node(n.parent)
-		p.live, p.nodes, p.dead, p.emptyN = p.live+n.live, p.nodes+n.nodes, p.dead+n.dead, p.emptyN+n.emptyN
+		p.live, p.emptyN = p.live+n.live, p.emptyN+n.emptyN
 	}
 	t.height = t.depth(nodeH(t.nodes.n))
 	return t, nil
@@ -307,8 +308,8 @@ func (d *snapDecoder) node(h nodeH) {
 	}
 	switch shape {
 	case shapeEmpty:
-		if h != rootH { // the root counts neither as a node nor as a free slot
-			n.nodes, n.emptyN = 1, 1
+		if h != rootH { // the root is never a free slot
+			n.emptyN = 1
 		}
 		return
 	case shapeFlat:
@@ -316,7 +317,7 @@ func (d *snapDecoder) node(h nodeH) {
 		for i := range atoms {
 			atoms[i] = d.atom()
 		}
-		d.t.setFlat(n, atoms)
+		n.flat, d.t.flats[h] = true, atoms
 		n.live = uint32(len(atoms))
 		return
 	case shapeMany:
@@ -328,7 +329,6 @@ func (d *snapDecoder) node(h nodeH) {
 		d.fail("the root holds a mini-node")
 	}
 	d.room(0, count)
-	n.nodes = 1
 	link, bits := &n.first, head>>4
 	for i := 0; i < count && d.err == nil; i++ {
 		last := d.prev
@@ -348,10 +348,8 @@ func (d *snapDecoder) node(h nodeH) {
 		*link, link = mh, &m.next
 		m.counter, m.siteLo, m.siteHi = d.prev.Counter, uint32(d.prev.Site), uint16(d.prev.Site>>32)
 		m.kids = promise(bits)
-		if m.dead = bits&miniDead != 0; m.dead {
-			n.dead++
-		} else {
-			m.atom = d.atom()
+		if bits&miniDead == 0 {
+			m.atom = d.t.atoms.put(d.atom())
 			n.live++
 		}
 	}

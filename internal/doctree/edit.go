@@ -63,7 +63,6 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 				ownerWasFree = n.first == 0
 			}
 			m = t.insertMini(n, e.Dis)
-			t.mini(m).dead = true
 			if depth == len(id) {
 				finalCreated = true
 			}
@@ -72,47 +71,35 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 	}
 	m := t.mini(cur.mini)
 	if !finalCreated {
-		if !m.dead {
+		if m.atom != 0 {
 			return fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 		}
 		// Revive an existing tombstone.
-		m.dead = false
-		m.atom = atom
-		t.bubble(cur.node, +1, 0, -1, 0)
+		m.atom = t.atoms.put(atom)
+		t.bubble(cur.node, +1, 0)
 		t.cacheWalkFrom(id, cur, skip)
 		return nil
 	}
-	m.dead = false
-	m.atom = atom
+	m.atom = t.atoms.put(atom)
 	if first == 0 {
 		// Fresh mini in an existing node; no structure added.
 		d := 0
 		if ownerWasFree {
 			d = -1 // the node stops being a free slot
 		}
-		t.bubble(cur.node, +1, 0, 0, d)
+		t.bubble(cur.node, +1, d)
 		t.cacheWalkFrom(id, cur, skip)
 		return nil
 	}
 	// Set the created chain's counters bottom-up, then climb once from the
 	// chain's attachment point with the accumulated deltas.
-	var accNodes, accDead, accEmpty uint32
+	var accEmpty uint32
 	for h := cur.node; ; {
 		n := t.node(h)
-		accNodes++
-		for mh := n.first; mh != 0; {
-			mm := t.mini(mh)
-			if mm.dead {
-				accDead++
-			}
-			mh = mm.next
-		}
 		if n.first == 0 {
 			accEmpty++
 		}
 		n.live = 1
-		n.nodes = accNodes
-		n.dead = accDead
 		n.emptyN = accEmpty
 		n.lastMod = t.rev
 		if h == first {
@@ -120,7 +107,7 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 		}
 		h = n.parent
 	}
-	t.bubble(t.node(first).parent, +1, int(accNodes), int(accDead), int(accEmpty))
+	t.bubble(t.node(first).parent, +1, int(accEmpty))
 	t.cacheWalkFrom(id, cur, skip)
 	return nil
 }
@@ -133,12 +120,11 @@ func (t *Tree) insertSlow(id ident.Path, atom string) error {
 		return fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	m := t.mini(s.mini)
-	if !m.dead {
+	if m.atom != 0 {
 		return fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 	}
-	m.dead = false
-	m.atom = atom
-	t.bubble(s.node, +1, 0, -1, 0) // the placeholder created by materialize was dead
+	m.atom = t.atoms.put(atom)
+	t.bubble(s.node, +1, 0)
 	return nil
 }
 
@@ -191,14 +177,14 @@ func (t *Tree) DeleteAtIndex(i int, prune bool, dst ident.Path) (ident.Path, err
 // deleteMini applies delete semantics to a located mini-node; see DeleteID.
 func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 	m := t.mini(s.mini)
-	if m.dead {
+	if m.atom == 0 {
 		return false
 	}
-	m.dead = true
-	m.atom = ""
+	t.atoms.drop(m.atom)
+	m.atom = 0
 	if !prune || m.kids[0] != 0 || m.kids[1] != 0 {
 		// Tombstone (SDIS), or a discard blocked by descendants (UDIS).
-		t.bubble(s.node, -1, 0, +1, 0)
+		t.bubble(s.node, -1, 0)
 		return true
 	}
 	// UDIS discard: remove the mini and cascade emptied ancestors, then
@@ -208,7 +194,7 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 	t.cacheDrop()
 	h, n := s.node, t.node(s.node)
 	t.unlinkMini(n, s.mini)
-	dNodes, dDead, dEmpty := 0, 0, 0
+	dEmpty := 0
 	if n.empty() {
 		dEmpty++
 	}
@@ -216,27 +202,25 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 		up := slot{node: n.parent, mini: n.pmini}
 		t.kids(up)[n.bit] = 0
 		t.nodes.release(uint32(h))
-		dNodes--
 		dEmpty-- // the released node was an empty slot
 		h, n = up.node, t.node(up.node)
 		if up.mini != 0 {
-			if pm := t.mini(up.mini); pm.dead && pm.kids[0] == 0 && pm.kids[1] == 0 {
+			if pm := t.mini(up.mini); pm.atom == 0 && pm.kids[0] == 0 && pm.kids[1] == 0 {
 				t.unlinkMini(n, up.mini)
-				dDead--
 				if n.empty() {
 					dEmpty++
 				}
 			}
 		}
 	}
-	t.bubble(h, -1, dNodes, dDead, dEmpty)
+	t.bubble(h, -1, dEmpty)
 	return true
 }
 
 // HasLive reports whether id currently identifies a live atom.
 func (t *Tree) HasLive(id ident.Path) bool {
 	s, err := t.walkMini(id)
-	return err == nil && !t.mini(s.mini).dead
+	return err == nil && t.mini(s.mini).atom != 0
 }
 
 // Exists reports whether id is a used identifier: a live atom or a
@@ -250,7 +234,7 @@ func (t *Tree) Exists(id ident.Path) bool {
 	cur, skip := t.resumeSlot(id)
 	for i, e := range id[skip:] {
 		i += skip
-		if t.node(cur.node).flat != 0 {
+		if t.node(cur.node).flat {
 			// Inside a flattened region every used identifier carries only
 			// canonical disambiguators on a pure bitstring; a candidate with
 			// a site disambiguator cannot collide. Candidates that are pure
@@ -272,7 +256,7 @@ func (t *Tree) Exists(id ident.Path) bool {
 			continue
 		}
 		n := t.node(next)
-		if n.flat != 0 {
+		if n.flat {
 			// Conservatively used inside the canonical space.
 			return e.Dis.IsCanonical()
 		}

@@ -22,9 +22,9 @@ func (t *Tree) AtomAt(i int) (string, error) {
 	}
 	s, flatIdx := t.locate(rootH, uint32(i))
 	if s.mini != 0 {
-		return t.mini(s.mini).atom, nil
+		return *t.atoms.at(t.mini(s.mini).atom), nil
 	}
-	return t.flats[t.node(s.node).flat-1][flatIdx], nil
+	return t.flats[s.node][flatIdx], nil
 }
 
 // locate descends by live-atom counts to position i within h's subtree,
@@ -35,7 +35,7 @@ func (t *Tree) locate(h nodeH, i uint32) (slot, uint32) {
 	n := t.node(h)
 descend:
 	for {
-		if n.flat != 0 {
+		if n.flat {
 			return slot{node: h}, i
 		}
 		l := t.node(n.kids[0])
@@ -52,7 +52,7 @@ descend:
 				continue descend
 			}
 			i -= l.live
-			if !m.dead {
+			if m.atom != 0 {
 				if i == 0 {
 					return slot{node: h, mini: mh}, 0
 				}
@@ -106,7 +106,7 @@ func (t *Tree) appendIDDown(h nodeH, at int, dst ident.Path) (ident.Path, slot, 
 	i, n := uint32(at), t.node(h)
 descend:
 	for {
-		if n.flat != 0 {
+		if n.flat {
 			if err := t.explode(h); err != nil {
 				return dst, slot{}, err
 			}
@@ -131,7 +131,7 @@ descend:
 				continue descend
 			}
 			i -= l.live
-			if !m.dead {
+			if m.atom != 0 {
 				if i == 0 {
 					return append(dst, ident.M(n.bit, m.dis())), slot{node: h, mini: mh}, nil
 				}
@@ -168,7 +168,7 @@ func (t *Tree) AppendNeighborIDs(dstP, dstF ident.Path, i int) (p, f ident.Path,
 	h, n := rootH, t.node(rootH)
 descend:
 	for {
-		if n.flat != 0 {
+		if n.flat {
 			if err := t.explode(h); err != nil {
 				return dstP, dstF, err
 			}
@@ -200,7 +200,7 @@ descend:
 				break descend
 			}
 			rel -= l.live
-			if !m.dead {
+			if m.atom != 0 {
 				if rel == 0 {
 					break descend
 				}
@@ -248,7 +248,7 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if t.mini(s.mini).dead {
+	if t.mini(s.mini).atom == 0 {
 		return 0, errNotFound
 	}
 	// The atom follows its mini's left subtree and whatever its node holds
@@ -281,7 +281,7 @@ func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
 	}
 	if m := t.mini(mh); bit == 1 {
 		idx += t.node(m.kids[0]).live
-		if !m.dead {
+		if m.atom != 0 {
 			idx++
 		}
 	}
@@ -292,7 +292,7 @@ func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
 // its atom).
 func (t *Tree) miniLive(m *mini) uint32 {
 	n := t.node(m.kids[0]).live + t.node(m.kids[1]).live
-	if !m.dead {
+	if m.atom != 0 {
 		n++
 	}
 	return n
@@ -321,8 +321,8 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 		*skip -= int(n.live)
 		return true
 	}
-	if n.flat != 0 {
-		for _, a := range t.flats[n.flat-1][*skip:] {
+	if n.flat {
+		for _, a := range t.flats[h][*skip:] {
 			if *count == 0 {
 				return true
 			}
@@ -345,11 +345,11 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 		if !t.visitRange(m.kids[0], skip, count, fn) {
 			return false
 		}
-		if !m.dead && *count > 0 {
+		if m.atom != 0 && *count > 0 {
 			if *skip > 0 {
 				*skip--
 			} else {
-				if !fn(m.atom) {
+				if !fn(*t.atoms.at(m.atom)) {
 					return false
 				}
 				*count--

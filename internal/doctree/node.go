@@ -38,30 +38,29 @@ const rootH nodeH = 1
 // right); children reached by disambiguated elements hang off the
 // individual mini-nodes.
 //
-// A node with a non-zero flat index is a flattened region (Section 4.2): it
-// stores its whole subtree's live atoms as a plain array with no metadata
+// A node flagged flat is a flattened region (Section 4.2): it stores its
+// whole subtree's live atoms as a plain array with no metadata
 // (Tree.flats), and has no minis or children until a path walk explodes it.
 //
-// The record is the paper's 4-byte-pointer node model made literal: 48
+// The record is the paper's 4-byte-pointer node model made literal: 36
 // bytes, every link a handle, no Go pointer — the collector never scans a
 // node chunk, and nothing reachable from a node keeps a detached subtree
-// alive. The first 24 bytes hold what the two hot per-edit loops touch: the
-// count-guided descent (kids, first, live) and the counter climb
-// (parent, live, nodes). The climb writes dead and emptyN only when their
-// delta is non-zero.
+// alive. The first 20 bytes hold what the two hot per-edit loops touch: the
+// count-guided descent (kids, first, live) and the counter climb (parent,
+// live). The climb writes emptyN only when its delta is non-zero. A
+// subtree's node and tombstone counts are not kept: the rare cold-subtree
+// scan sums them as it walks, as it does lastMod.
 type node struct {
 	parent nodeH    // node containing the slot we hang from; 0 at the root
 	kids   [2]nodeH // major child slots: left, right
 	first  miniH    // head of the mini chain, sorted by disambiguator
 	live   uint32   // live atoms in this subtree, including flat content
-	nodes  uint32   // tree nodes in this subtree (flat regions count as 0)
 
-	dead    uint32 // tombstone mini-nodes in this subtree
 	emptyN  uint32 // empty (reusable-slot) nodes in this subtree
 	lastMod uint32 // latest revision that edited at this node (see bubble)
 	pmini   miniH  // mini of parent we hang from; 0 = parent's major slot
-	flat    uint32 // 1 + index into Tree.flats; 0 = not a flattened region
 	bit     uint8  // which side of the parent slot
+	flat    bool   // a flattened region, its atoms in Tree.flats
 }
 
 func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
@@ -69,18 +68,18 @@ func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
 // mini is a mini-node: one atom slot inside a major node, identified by its
 // disambiguator (Section 3.1). A dead mini is a tombstone (SDIS) or an
 // awaiting-discard placeholder (UDIS); its atom is gone but the identifier
-// remains allocated. The disambiguator is stored packed (a 48-bit site, see
-// ident.MaxSiteID) so the record is 40 bytes; a mini does not name its
-// owner — every walk that reaches one knows the node it came through, and
-// carries the pair as a slot.
+// remains allocated. The atom is a handle into Tree.atoms, 0 for a dead
+// mini, and the disambiguator is stored packed (a 48-bit site, see
+// ident.MaxSiteID), so the record is 28 bytes with no Go pointer; a mini
+// does not name its owner — every walk that reaches one knows the node it
+// came through, and carries the pair as a slot.
 type mini struct {
-	atom    string
+	atom    uint32   // handle into Tree.atoms; 0 = dead
 	next    miniH    // next mini of the node, in disambiguator order
 	kids    [2]nodeH // the mini's own child slots: left, right
 	counter uint32
 	siteLo  uint32
 	siteHi  uint16
-	dead    bool
 }
 
 func (m *mini) freeLink() *uint32 { return (*uint32)(&m.next) }
@@ -91,16 +90,16 @@ func (m *mini) dis() ident.Dis {
 
 // Tree is a Treedoc document tree. The zero value is not usable; call New.
 type Tree struct {
-	// Every node and mini-node lives in these slabs and is named by handle.
-	// A flatten returns the region's records to the free lists; a
-	// whole-document flatten resets the slabs.
+	// Every node, mini-node and live atom lives in these slabs and is named
+	// by handle. A flatten returns the region's records to the free lists;
+	// a whole-document flatten starts the slabs afresh.
 	nodes slab[node, *node]
 	minis slab[mini, *mini]
-	// flats holds the atom arrays of flattened regions, indexed from
-	// node.flat; flatFree lists its vacant entries.
-	flats    [][]string
-	flatFree []uint32
-	limit    uint32 // records per slab; maxRecords outside tests
+	atoms atomStore
+	// flats holds the atom arrays of flattened regions, keyed by the
+	// region's node; only a node flagged flat has an entry.
+	flats map[nodeH][]string
+	limit uint32 // records per slab; maxRecords outside tests
 
 	height int    // max depth of any node (root = 0)
 	rev    uint32 // current revision stamp for lastMod bookkeeping
@@ -121,7 +120,7 @@ type Tree struct {
 
 // New returns an empty document tree.
 func New() *Tree {
-	t := &Tree{limit: maxRecords}
+	t := &Tree{limit: maxRecords, flats: map[nodeH][]string{}}
 	t.nodes.alloc() // rootH
 	return t
 }
@@ -155,8 +154,8 @@ func (t *Tree) newNode(s slot, bit uint8) nodeH {
 	return h
 }
 
-// insertMini adds a mini with disambiguator d to n in sorted position and
-// returns its handle. The caller must ensure d is not already present and
+// insertMini adds a dead mini with disambiguator d to n in sorted position
+// and returns its handle. The caller must ensure d is not already present and
 // that d.Site fits 48 bits (identifier validation does).
 func (t *Tree) insertMini(n *node, d ident.Dis) miniH {
 	h := miniH(t.minis.alloc())
@@ -194,26 +193,6 @@ func (t *Tree) findMini(n *node, d ident.Dis) miniH {
 		mh = m.next
 	}
 	return 0
-}
-
-// setFlat makes n a flattened region holding atoms.
-func (t *Tree) setFlat(n *node, atoms []string) {
-	if k := len(t.flatFree); k > 0 {
-		n.flat, t.flatFree = t.flatFree[k-1], t.flatFree[:k-1]
-		t.flats[n.flat-1] = atoms
-		return
-	}
-	t.flats = append(t.flats, atoms)
-	n.flat = uint32(len(t.flats))
-}
-
-// takeFlat ends n's time as a flattened region and returns its atoms.
-func (t *Tree) takeFlat(n *node) []string {
-	atoms := t.flats[n.flat-1]
-	t.flats[n.flat-1] = nil
-	t.flatFree = append(t.flatFree, n.flat)
-	n.flat = 0
-	return atoms
 }
 
 // cacheWalk records a completed walk to slot s at identifier p. The
@@ -315,7 +294,7 @@ func (t *Tree) depth(h nodeH) int {
 // empty reports whether the node has no contents at all: no minis, no flat
 // region. Empty nodes are the free identifier slots reused by the balanced
 // allocation strategy (Section 4.1).
-func (n *node) empty() bool { return n.first == 0 && n.flat == 0 }
+func (n *node) empty() bool { return n.first == 0 && !n.flat }
 
 // pathTo returns the structural path of major node h (ending in a Major
 // element). The root yields the empty path.
@@ -340,19 +319,18 @@ func (t *Tree) pathTo(h nodeH) ident.Path {
 // subtree, which coldWalk computes during its own traversal. The edit fast
 // paths accumulate their whole delta set and climb once; the climb is the
 // single hottest write loop of a deep-tree replay, so it writes the
-// tombstone and empty-slot counters only when they change. Deltas are
-// signed; the counters are unsigned and the additions wrap to the right sum.
-func (t *Tree) bubble(h nodeH, dLive, dNodes, dDead, dEmpty int) {
+// empty-slot counter only when it changes. Deltas are signed; the counters
+// are unsigned and the additions wrap to the right sum.
+func (t *Tree) bubble(h nodeH, dLive, dEmpty int) {
 	if h == 0 {
 		return
 	}
 	dir := nodeDir(t.nodes.chunks)
 	dir.at(h).lastMod = t.rev
-	if dDead == 0 && dEmpty == 0 {
+	if dEmpty == 0 {
 		for h != 0 {
 			n := dir.at(h)
 			n.live += uint32(dLive)
-			n.nodes += uint32(dNodes)
 			h = n.parent
 		}
 		return
@@ -360,21 +338,21 @@ func (t *Tree) bubble(h nodeH, dLive, dNodes, dDead, dEmpty int) {
 	for h != 0 {
 		n := dir.at(h)
 		n.live += uint32(dLive)
-		n.nodes += uint32(dNodes)
-		n.dead += uint32(dDead)
 		n.emptyN += uint32(dEmpty)
 		h = n.parent
 	}
 }
 
 // heapBytes returns what the tree's structure occupies on the Go heap: the
-// node and mini slabs (records in use, free and never used) with their
-// chunk directories, and the flat-region table. It is O(1) — chunk counts
-// times record sizes — and leaves out the atoms' own text and the arrays of
-// flattened regions, which are the document rather than its overhead.
+// node and mini slabs and the atom store (records in use, free and never
+// used) with their chunk directories, the atoms' free stack, and the
+// flat-region map. It is O(1) — chunk counts times record sizes — and
+// leaves out the atoms' own text and the arrays of flattened regions, which
+// are the document rather than its overhead. A flats entry is priced at 48
+// bytes: its key, slice header and share of a bucket.
 func (t *Tree) heapBytes() int {
 	return int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
-		cap(t.flats)*int(unsafe.Sizeof([]string(nil))) + cap(t.flatFree)*4
+		len(t.atoms.chunks)*atomChunk*16 + cap(t.atoms.chunks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48
 }
 
 // errNotFound is returned by lookups of identifiers with no materialised

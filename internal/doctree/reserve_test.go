@@ -136,7 +136,7 @@ func TestColdestSubtreeSkipsMiniLessRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.node(h); n.live+n.dead == 0 {
+	if _, _, dead, _ := bruteCount(tr, h); tr.node(h).live+uint32(dead) == 0 {
 		t.Errorf("cold subtree %v has no mini-nodes", cold)
 	}
 	// The selected region may enclose the reserved slots (it then contains

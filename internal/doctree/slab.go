@@ -5,13 +5,17 @@ import (
 	"math"
 )
 
-// Slab chunks hold 64 records: 3 KiB of nodes, 2.5 KiB of minis. Chunks
-// never move, so a record pointer stays valid across allocations, and a
-// small document pays for at most one partly used chunk per slab.
+// Slab chunks hold 64 records: 2,304 bytes of nodes, 1,792 of minis, each
+// an exact Go size class, so no chunk carries slack; the atom store's hold
+// 256 atoms, 4 KiB. Chunks never move, so a record pointer stays valid
+// across allocations, and a small document pays for at most one partly used
+// chunk per slab.
 const (
 	chunkShift = 6
 	chunkLen   = 1 << chunkShift
 	chunkMask  = chunkLen - 1
+	atomShift  = 8
+	atomChunk  = 1 << atomShift
 )
 
 // maxRecords is the handle space of one slab: handles are uint32 and 0 is
@@ -78,12 +82,40 @@ func (s *slab[T, P]) release(h uint32) {
 	s.nfree++
 }
 
-// reset drops every chunk: all handles become invalid at once and the
-// memory goes back to the collector whatever the records pointed at.
-func (s *slab[T, P]) reset() { *s = slab[T, P]{} }
-
 // bytes returns the heap the slab holds: its chunks, in use or slack, and
 // the chunk directory.
 func (s *slab[T, P]) bytes(recordSize uintptr) int {
 	return len(s.chunks)*chunkLen*int(recordSize) + cap(s.chunks)*8
+}
+
+// atomStore holds the atoms of live minis, named by mini.atom; handle 0 is
+// nil and marks a dead mini. Its chunks are the only part of the tree the
+// collector scans, and they hold live atoms only, 256 to a chunk (also an
+// exact size class) so a replay allocates atom chunks a quarter as often as
+// node chunks. A string has no spare field to thread a free chain through,
+// so released handles go on a stack.
+type atomStore struct {
+	chunks []*[atomChunk]string
+	n      uint32   // highest handle ever handed out
+	free   []uint32 // released handles, reused last first
+}
+
+func (s *atomStore) at(h uint32) *string { return &s.chunks[h>>atomShift][h&(atomChunk-1)] }
+
+// put stores a and returns its handle, never 0.
+func (s *atomStore) put(a string) uint32 {
+	h := s.n + 1
+	if k := len(s.free); k > 0 {
+		h, s.free = s.free[k-1], s.free[:k-1]
+	} else if s.n = h; int(h>>atomShift) == len(s.chunks) {
+		s.chunks = append(s.chunks, new([atomChunk]string))
+	}
+	*s.at(h) = a
+	return h
+}
+
+// drop releases handle h and lets go of its text.
+func (s *atomStore) drop(h uint32) {
+	*s.at(h) = ""
+	s.free = append(s.free, h)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -11,30 +12,46 @@ import (
 )
 
 // TestRecordLayout guards the record sizes the heap-per-atom numbers rest on
-// (docs/ARCHITECTURE.md §10.2) and the node record's freedom from Go
-// pointers, which keeps node chunks out of the collector's scan.
+// (docs/ARCHITECTURE.md §10.2): node and mini records hold no Go pointer,
+// which keeps their chunks out of the collector's scan, and every chunk —
+// 64 nodes, 64 minis, 256 atoms — fills a Go size class exactly.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got > 48 {
-		t.Errorf("node record is %d bytes, want <= 48", got)
-	}
-	if got := unsafe.Sizeof(mini{}); got > 40 {
-		t.Errorf("mini record is %d bytes, want <= 40", got)
-	}
-	var walk func(path string, ty reflect.Type)
-	walk = func(path string, ty reflect.Type) {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
-			}
-		case reflect.Array:
-			walk(path+"[]", ty.Elem())
-		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
-			reflect.Chan, reflect.Func, reflect.Interface:
-			t.Errorf("%s is pointer-kinded (%s)", path, ty.Kind())
+	// The size classes between 1 and 4 KiB (runtime/sizeclasses.go).
+	classes := []uintptr{1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096}
+	for _, r := range []struct {
+		name              string
+		size, want, chunk uintptr
+		ty                reflect.Type
+	}{
+		{"node", unsafe.Sizeof(node{}), 36, chunkLen, reflect.TypeOf(node{})},
+		{"mini", unsafe.Sizeof(mini{}), 28, chunkLen, reflect.TypeOf(mini{})},
+		{"atom", unsafe.Sizeof([atomChunk]string{}) / atomChunk, 16, atomChunk, nil},
+	} {
+		if r.size != r.want {
+			t.Errorf("%s record is %d bytes, want %d", r.name, r.size, r.want)
+		}
+		if c := r.chunk * r.size; !slices.Contains(classes, c) {
+			t.Errorf("a chunk of %d %s records is %d bytes, not a size class", r.chunk, r.name, c)
+		}
+		if r.ty != nil {
+			noPointers(t, r.name, r.ty)
 		}
 	}
-	walk("node", reflect.TypeOf(node{}))
+}
+
+// noPointers fails t for every pointer-kinded field reachable inline in ty.
+func noPointers(t *testing.T, path string, ty reflect.Type) {
+	switch ty.Kind() {
+	case reflect.Struct:
+		for i := 0; i < ty.NumField(); i++ {
+			noPointers(t, path+"."+ty.Field(i).Name, ty.Field(i).Type)
+		}
+	case reflect.Array:
+		noPointers(t, path+"[]", ty.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface:
+		t.Errorf("%s is pointer-kinded (%s)", path, ty.Kind())
+	}
 }
 
 // TestMiniKeepsWholeDisambiguator: the mini record packs the disambiguator
@@ -149,8 +166,9 @@ func TestFlattenSubtreeRecyclesRecords(t *testing.T) {
 		}
 	}
 	checkTree(t, tr)
-	region := tr.node(tr.node(rootH).kids[1])
-	wantNodes, wantMinis := region.nodes-1, region.live+region.dead // the region's root node stays
+	regionH := tr.node(rootH).kids[1]
+	nodes, _, dead, _ := bruteCount(tr, regionH)
+	wantNodes, wantMinis := uint32(nodes-1), tr.node(regionH).live+uint32(dead) // the region's root node stays
 	if wantNodes != 199 || wantMinis != 200 {
 		t.Fatalf("region holds %d nodes below its root and %d minis, want 199 and 200", wantNodes, wantMinis)
 	}

@@ -60,7 +60,7 @@ type slotSearch struct {
 //treedoc:noalloc
 func (s *slotSearch) walk(h nodeH, lo, hi bool) nodeH {
 	n := s.t.node(h)
-	if n.flat != 0 || n.emptyN == 0 || s.budget <= 0 {
+	if n.flat || n.emptyN == 0 || s.budget <= 0 {
 		return 0 // a nil child reads emptyN == 0
 	}
 	s.budget--
@@ -179,7 +179,7 @@ func (t *Tree) Reserve(path ident.Path, levels int) error {
 // reserveBelow materialises the complete major-child subtree of h down to
 // the given remaining levels.
 func (t *Tree) reserveBelow(h nodeH, depth, levels int) {
-	if levels <= 0 || t.node(h).flat != 0 {
+	if levels <= 0 || t.node(h).flat {
 		return
 	}
 	for bit := uint8(0); bit <= 1; bit++ {

@@ -40,7 +40,7 @@ type oracleSearch struct {
 // whose mini position lies strictly between the bounds.
 func (s *oracleSearch) walk(h nodeH) nodeH {
 	n := s.t.node(h)
-	if n.flat != 0 || n.emptyN == 0 || s.budget <= 0 {
+	if n.flat || n.emptyN == 0 || s.budget <= 0 {
 		return 0 // a nil child reads emptyN == 0
 	}
 	s.budget--

@@ -22,7 +22,8 @@ type Stats struct {
 
 	MemBytes int // in-memory overhead under the paper's node cost model
 	// HeapBytes is what the tree structure actually occupies on the Go
-	// heap: the node and mini slabs, slack included (O(1), see heapBytes).
+	// heap: the node and mini slabs and the atom store, unused records
+	// included (O(1), see heapBytes).
 	HeapBytes int
 }
 
@@ -100,8 +101,8 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		return
 	}
 	n := t.node(h)
-	if n.flat != 0 {
-		flat := t.flats[n.flat-1]
+	if n.flat {
+		flat := t.flats[h]
 		s.FlatAtoms += len(flat)
 		s.LiveAtoms += len(flat)
 		for _, a := range flat {
@@ -127,12 +128,12 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 			s.MemBytes += 8
 		}
 		mBits := disBits + c.Bits(m.dis())
-		if m.dead {
+		if m.atom == 0 {
 			s.DeadMinis++
 			s.DeadIDBits += depth + mBits
 		} else {
 			s.LiveAtoms++
-			s.DocBytes += len(m.atom)
+			s.DocBytes += len(*t.atoms.at(m.atom))
 			bits := depth + mBits
 			s.TotalIDBits += bits
 			if bits > s.MaxIDBits {
@@ -220,54 +221,56 @@ func canonicalDepthSum(n, levels, base int) (sum, max int) {
 // Returns nil if nothing qualifies; the root (whole document) is returned
 // only when everything is cold.
 func (t *Tree) ColdestSubtree(cutoff int64, minNodes int, liveOnly bool) ident.Path {
-	best, _ := t.coldWalk(rootH, cutoff, minNodes, liveOnly)
+	best, _, _, _, _ := t.coldWalk(rootH, cutoff, minNodes, liveOnly)
 	if best == 0 {
 		return nil
 	}
 	return t.pathTo(best)
 }
 
-// coldScore weights tombstones heavily: collecting them is flatten's GC
-// payoff, shortening identifiers the secondary one.
-func coldScore(n *node) int { return 8*int(n.dead) + int(n.nodes) }
-
-// coldWalk returns the best flatten candidate within h's subtree and the
-// subtree's latest edit revision. Edits stamp lastMod only at the edit
-// point (bubble keeps its climb to the counters), so subtree recency is
-// the maximum node-local stamp, computed by this same post-order walk. A
-// subtree whose maximum is at or before cutoff is cold; its root dominates
-// every descendant's coldScore (the counters are inclusive), so the highest
-// cold node on each path is the candidate.
-func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (best nodeH, maxRev int64) {
+// coldWalk returns the best flatten candidate within h's subtree with its
+// score, and the subtree's node and tombstone counts and latest edit
+// revision. Edits stamp lastMod only at the edit point and bubble keeps no
+// node or tombstone counts, so this rare post-order scan sums all three
+// instead of the per-edit climb. A subtree whose latest edit is at or before
+// cutoff is cold; its root dominates every descendant's score (the sums are
+// inclusive), so the highest cold node on each path is the candidate. The
+// score weights tombstones heavily: collecting them is flatten's GC payoff,
+// shortening identifiers the secondary one.
+func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (best nodeH, score, nodes, dead int, maxRev int64) {
 	if h == 0 {
-		return 0, 0
+		return 0, 0, 0, 0, 0
 	}
 	n := t.node(h)
 	maxRev = int64(n.lastMod)
-	if n.flat != 0 {
-		return 0, maxRev
+	if n.flat {
+		return 0, 0, 0, 0, maxRev
 	}
-	consider := func(b nodeH, r int64) {
-		if r > maxRev {
-			maxRev = r
-		}
-		if b != 0 && (best == 0 || coldScore(t.node(b)) > coldScore(t.node(best))) {
-			best = b
+	consider := func(b nodeH, s, bNodes, bDead int, r int64) {
+		maxRev, nodes, dead = max(maxRev, r), nodes+bNodes, dead+bDead
+		if b != 0 && (best == 0 || s > score) {
+			best, score = b, s
 		}
 	}
 	consider(t.coldWalk(n.kids[0], cutoff, minNodes, liveOnly))
 	for mh := n.first; mh != 0; mh = t.mini(mh).next {
 		m := t.mini(mh)
+		if m.atom == 0 {
+			dead++
+		}
 		consider(t.coldWalk(m.kids[0], cutoff, minNodes, liveOnly))
 		consider(t.coldWalk(m.kids[1], cutoff, minNodes, liveOnly))
 	}
 	consider(t.coldWalk(n.kids[1], cutoff, minNodes, liveOnly))
+	if h != rootH {
+		nodes++ // the root holds no atoms and is not counted
+	}
 	// Candidates must contain a mini-node that remote replicas materialise
 	// too, or a distributed flatten could not resolve them there: locally
 	// reserved slots do not count, nor, with liveOnly (UDIS, where deletes
 	// discard), a tombstone, which a reserved slot may be all that holds.
-	if maxRev <= cutoff && int(n.nodes) >= minNodes && (n.live >= 1 || !liveOnly && n.dead >= 1) {
-		return h, maxRev
+	if maxRev <= cutoff && nodes >= minNodes && (n.live >= 1 || !liveOnly && dead >= 1) {
+		best, score = h, 8*dead+nodes
 	}
-	return best, maxRev
+	return best, score, nodes, dead, maxRev
 }

@@ -102,7 +102,7 @@ func (t *Tree) materialize(p ident.Path) (slot, error) {
 func (t *Tree) attachEmpty(s slot, bit uint8, depth int) nodeH {
 	h := t.newNode(s, bit)
 	t.kids(s)[bit] = h
-	t.bubble(h, 0, +1, 0, +1)
+	t.bubble(h, 0, +1)
 	if depth > t.height {
 		t.height = depth
 	}
@@ -121,8 +121,7 @@ func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
 		dEmpty = -1 // the node stops being a free slot
 	}
 	m := t.insertMini(n, d)
-	t.mini(m).dead = true
-	t.bubble(h, 0, 0, +1, dEmpty)
+	t.bubble(h, 0, dEmpty)
 	return m
 }
 
@@ -132,29 +131,28 @@ func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
 // disambiguator, so their identifiers are pure bitstrings below the region
 // root.
 func (t *Tree) explodeNode(h nodeH) error {
-	if t.node(h).flat == 0 {
+	if !t.node(h).flat {
 		return nil
 	}
 	return t.explode(h)
 }
 
 func (t *Tree) explode(h nodeH) error {
-	n := t.node(h)
+	n, atoms := t.node(h), t.flats[h]
 	// The canonical subtree holds one mini per atom, and a node per atom
 	// plus at most one atom-less node per level on the path to the last atom.
-	k := len(t.flats[n.flat-1])
-	if err := t.room(k+64, k); err != nil {
+	if err := t.room(len(atoms)+64, len(atoms)); err != nil {
 		return fmt.Errorf("doctree: explode: %w", err)
 	}
-	atoms := t.takeFlat(n)
+	delete(t.flats, h)
+	n.flat = false
 	if len(atoms) == 0 {
 		if h == rootH {
-			n.lastMod = t.rev // the root is never counted
+			n.lastMod = t.rev // the root is never a free slot
 			return nil
 		}
-		// A flattened region counts no nodes; the empty node it turns back
-		// into counts itself, and is a reusable slot.
-		t.bubble(h, 0, +1, 0, +1)
+		// The empty node a region turns back into is a reusable slot.
+		t.bubble(h, 0, +1)
 		return nil
 	}
 	// The region's live count stays the same; nodes get rebuilt below.
@@ -169,7 +167,7 @@ func (t *Tree) explode(h nodeH) error {
 		n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth)
 		n.kids[1] = t.buildCanonical(slot{node: h}, 1, atoms[nLeft:], depth)
 		l, r := t.node(n.kids[0]), t.node(n.kids[1])
-		t.bubble(h, 0, int(l.nodes+r.nodes), 0, int(l.emptyN+r.emptyN))
+		t.bubble(h, 0, int(l.emptyN+r.emptyN))
 		if depth > t.height {
 			t.height = depth
 		}
@@ -182,7 +180,7 @@ func (t *Tree) explode(h nodeH) error {
 		depth++
 	}
 	t.fillCanonical(h, atoms, depth)
-	t.bubble(n.parent, 0, int(n.nodes), 0, int(n.emptyN))
+	t.bubble(n.parent, 0, int(n.emptyN))
 	n.lastMod = t.rev
 	if d := t.depth(h) + depth - 1; d > t.height {
 		t.height = d
@@ -215,14 +213,12 @@ func (t *Tree) fillCanonical(h nodeH, atoms []string, depth int) {
 	rest := atoms[nLeft:]
 	n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth-1)
 	if len(rest) > 0 {
-		t.mini(t.insertMini(n, ident.Canonical)).atom = rest[0]
+		t.mini(t.insertMini(n, ident.Canonical)).atom = t.atoms.put(rest[0])
 		rest = rest[1:]
 	}
 	n.kids[1] = t.buildCanonical(slot{node: h}, 1, rest, depth-1)
 	l, r := t.node(n.kids[0]), t.node(n.kids[1])
 	n.live = uint32(len(atoms))
-	n.nodes = 1 + l.nodes + r.nodes
-	n.dead = 0
 	n.emptyN = l.emptyN + r.emptyN
 	if n.empty() {
 		n.emptyN++
@@ -244,7 +240,7 @@ func (t *Tree) buildCanonical(s slot, bit uint8, atoms []string, depth int) node
 // Flatten replaces the subtree rooted at the node designated by path with a
 // flat atom array holding its live content (Algorithm 2's flatten): all
 // tombstones and identifier metadata in the region are discarded, and the
-// region's node and mini records go back to the slabs' free lists — or,
+// region's node, mini and atom records go back to the slabs' free lists — or,
 // when the region is the whole document, the slabs are reset and every
 // chunk is dropped. The path must designate a major node: the empty path
 // (whole document) or a structural path ending in a Major element; an atom
@@ -263,21 +259,19 @@ func (t *Tree) Flatten(path ident.Path) error {
 	atoms := make([]string, 0, n.live)
 	t.collectLive(h, &atoms)
 	if h == rootH {
-		t.nodes.reset()
-		t.minis.reset()
-		t.flats, t.flatFree = nil, nil
+		// A fresh tree: every chunk goes back to the collector at once.
+		*t = Tree{limit: t.limit, rev: t.rev, flats: map[nodeH][]string{}}
 		t.nodes.alloc() // rootH again
 		n = t.node(rootH)
 		n.live = uint32(len(atoms))
-		t.height = 0
 	} else {
-		removedNodes, removedDead, removedEmpty := int(n.nodes), int(n.dead), int(n.emptyN)
-		t.releaseBelow(n)
-		n.nodes, n.dead, n.emptyN = 0, 0, 0
-		t.bubble(n.parent, 0, -removedNodes, -removedDead, -removedEmpty)
+		removedEmpty := int(n.emptyN)
+		t.releaseBelow(h)
+		n.emptyN = 0
+		t.bubble(n.parent, 0, -removedEmpty)
 		t.height = t.maxDepth(rootH, 0)
 	}
-	t.setFlat(n, atoms)
+	n.flat, t.flats[h] = true, atoms
 	n.lastMod = t.rev
 	return nil
 }
@@ -287,12 +281,13 @@ func (t *Tree) Flatten(path ident.Path) error {
 // overhead".
 func (t *Tree) FlattenAll() error { return t.Flatten(ident.Path{}) }
 
-// releaseBelow detaches everything under n — children, minis and their
-// children, a flat array — and returns the records to the free lists. n
-// itself stays.
-func (t *Tree) releaseBelow(n *node) {
-	if n.flat != 0 {
-		t.takeFlat(n)
+// releaseBelow detaches everything under h — children, minis and their
+// children, atoms, a flat array — and returns the records to the free
+// lists. h itself stays.
+func (t *Tree) releaseBelow(h nodeH) {
+	n := t.node(h)
+	if n.flat {
+		delete(t.flats, h)
 	}
 	t.releaseSubtree(n.kids[0])
 	t.releaseSubtree(n.kids[1])
@@ -301,6 +296,9 @@ func (t *Tree) releaseBelow(n *node) {
 		next := m.next
 		t.releaseSubtree(m.kids[0])
 		t.releaseSubtree(m.kids[1])
+		if m.atom != 0 {
+			t.atoms.drop(m.atom)
+		}
 		t.minis.release(uint32(mh))
 		mh = next
 	}
@@ -311,7 +309,7 @@ func (t *Tree) releaseSubtree(h nodeH) {
 	if h == 0 {
 		return
 	}
-	t.releaseBelow(t.node(h))
+	t.releaseBelow(h)
 	t.nodes.release(uint32(h))
 }
 
@@ -353,16 +351,16 @@ func (t *Tree) collectLive(h nodeH, out *[]string) {
 		return
 	}
 	n := t.node(h)
-	if n.flat != 0 {
-		*out = append(*out, t.flats[n.flat-1]...)
+	if n.flat {
+		*out = append(*out, t.flats[h]...)
 		return
 	}
 	t.collectLive(n.kids[0], out)
 	for mh := n.first; mh != 0; {
 		m := t.mini(mh)
 		t.collectLive(m.kids[0], out)
-		if !m.dead {
-			*out = append(*out, m.atom)
+		if m.atom != 0 {
+			*out = append(*out, *t.atoms.at(m.atom))
 		}
 		t.collectLive(m.kids[1], out)
 		mh = m.next
