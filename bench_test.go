@@ -633,48 +633,6 @@ func BenchmarkSyncDigest(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncBatchCodec measures the kindSyncBatch round-trip at session
-// scale: one frame carrying 64 per-document digests (8-site vector clocks
-// each), encoded and decoded per iteration — the per-link per-tick wire
-// cost of batched multi-document sync.
-func BenchmarkSyncBatchCodec(b *testing.B) {
-	const (
-		entries = 64
-		sites   = 8
-	)
-	batch := make([]transport.SyncBatchEntry, entries)
-	for i := range batch {
-		vc := vclock.New()
-		for s := 1; s <= sites; s++ {
-			vc[ident.SiteID(s)] = uint64(1000 + i*sites + s)
-		}
-		batch[i] = transport.SyncBatchEntry{
-			Doc:   fmt.Sprintf("doc-%04d", i),
-			From:  ident.SiteID(i%sites + 1),
-			Clock: vc,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := transport.EncodeSyncBatch(batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		decoded, err := transport.DecodeFrame(frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sb, ok := decoded.(*transport.SyncBatchFrame)
-		if !ok {
-			b.Fatalf("round-trip returned %T, want *transport.SyncBatchFrame", decoded)
-		}
-		if len(sb.Entries) != entries {
-			b.Fatalf("round-trip carried %d entries, want %d", len(sb.Entries), entries)
-		}
-		b.SetBytes(int64(len(frame)))
-	}
-}
-
 // BenchmarkOpsFrameCodec gates the layer every replicated operation crosses
 // twice: one engine-sized batch (64 ops, the tail of the history-sdis-
 // balanced golden history, stamped by its writer) encoded as a kindOps

@@ -1,18 +1,20 @@
 package transport
 
 // Delta anti-entropy suite: digest suppression goes quiet on idle
-// documents without giving up loss healing, and batched multi-document
-// digests are split back into each document's answer path. Run under
+// documents without giving up loss healing, and a digest sent over a
+// shared session leaves at once in its own document envelope. Run under
 // `go test -race`: the suppression state lives next to every other peer
 // field the actor goroutine owns.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/vclock"
 )
 
 // TestDigestSuppressionIdle converges a pair and then watches an idle
@@ -150,12 +152,11 @@ func TestDigestSuppressionHealsDrop(t *testing.T) {
 	}
 }
 
-// TestSyncBatchSplitsPerDocument attaches three documents through one
-// shared Session, whose digests coalesce into multi-entry kindSyncBatch
-// frames, and one dedicated DialDoc connection per document: the hub
-// splits every batch back into the per-document path, and each pair
-// converges.
-func TestSyncBatchSplitsPerDocument(t *testing.T) {
+// TestSharedSessionConvergesPerDocument attaches three documents through
+// one shared Session and one dedicated DialDoc connection per document:
+// the shared connection carries every document's frames, digests
+// included, in their own envelopes, and each pair converges.
+func TestSharedSessionConvergesPerDocument(t *testing.T) {
 	hub, err := ListenHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +172,8 @@ func TestSyncBatchSplitsPerDocument(t *testing.T) {
 		rep *testReplica
 		eng *Engine
 	}
-	var batched, single []party
+	var shared, dedicated []party
 	for i, doc := range docs {
-		// Batched side: attached through the shared session.
 		link, err := sess.Attach(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -185,10 +185,8 @@ func TestSyncBatchSplitsPerDocument(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Connect(link)
-		batched = append(batched, party{rep, eng})
+		shared = append(shared, party{rep, eng})
 
-		// Single side: a dedicated connection per document, whose digest
-		// windows only ever hold one entry.
 		llink, err := DialDoc(addr, doc)
 		if err != nil {
 			t.Fatal(err)
@@ -200,39 +198,64 @@ func TestSyncBatchSplitsPerDocument(t *testing.T) {
 			t.Fatal(err)
 		}
 		leng.Connect(llink)
-		single = append(single, party{lrep, leng})
+		dedicated = append(dedicated, party{lrep, leng})
 	}
 	defer func() {
-		for i := range batched {
-			batched[i].eng.Stop()
-			single[i].eng.Stop()
+		for i := range shared {
+			shared[i].eng.Stop()
+			dedicated[i].eng.Stop()
 		}
 	}()
 
 	for round := 0; round < 20; round++ {
 		for i := range docs {
-			if err := batched[i].eng.Broadcast(batched[i].rep.insertAt(t, batched[i].rep.len(), fmt.Sprintf("b%d.%d ", i, round))); err != nil {
+			if err := shared[i].eng.Broadcast(shared[i].rep.insertAt(t, shared[i].rep.len(), fmt.Sprintf("b%d.%d ", i, round))); err != nil {
 				t.Fatal(err)
 			}
-			if err := single[i].eng.Broadcast(single[i].rep.insertAt(t, 0, fmt.Sprintf("l%d.%d ", i, round))); err != nil {
+			if err := dedicated[i].eng.Broadcast(dedicated[i].rep.insertAt(t, 0, fmt.Sprintf("l%d.%d ", i, round))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Spread rounds across several sync windows so per-doc digests
-		// actually coalesce into batches instead of one warm-up burst.
+		// Spread rounds across several sync ticks so digests from every
+		// document interleave on the shared connection.
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	for i := range docs {
-		waitConverged(t, []*Engine{batched[i].eng, single[i].eng}, 30*time.Second)
-		checkAll(t, batched[i].rep, single[i].rep)
+		waitConverged(t, []*Engine{shared[i].eng, dedicated[i].eng}, 30*time.Second)
+		checkAll(t, shared[i].rep, dedicated[i].rep)
 	}
+}
 
-	// The batching must actually have happened: the hub split at least one
-	// multi-entry frame (the single-document connections contribute exactly
-	// one entry per frame, so any surplus came from the session).
-	if hub.SyncBatchEntries() <= hub.SyncBatchFrames() {
-		t.Fatalf("session never coalesced digests: %d batch frames, %d entries",
-			hub.SyncBatchFrames(), hub.SyncBatchEntries())
+// TestDigestLeavesInItsEnvelope: a digest sent on a session's document link
+// is on the connection, wrapped in that document's kindDocFrame, by the
+// time Send returns — no timer holds it back.
+func TestDigestLeavesInItsEnvelope(t *testing.T) {
+	near, far := ChanPair(4)
+	defer near.Close()
+	sc := &sessConn{
+		addr:    "hub",
+		link:    near,
+		docs:    make(map[string]*docLink),
+		waiters: make(map[string][]chan HelloEntry),
+		dead:    make(chan struct{}),
+	}
+	dl, err := sc.newDocLink("notes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := mustEncode(t, kindSyncReq, &SyncReqFrame{From: 7, Clock: vclock.VC{7: 4}})
+	if err := dl.Send(digest); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(far.recv); n != 1 {
+		t.Fatalf("%d frames on the connection after Send, want 1", n)
+	}
+	got, err := far.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustEncode(t, kindDocFrame, &DocFrame{Doc: "notes", Inner: digest}); !bytes.Equal(got, want) {
+		t.Fatalf("connection carried %x, want the digest's own envelope %x", got, want)
 	}
 }

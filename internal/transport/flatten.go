@@ -279,8 +279,17 @@ func (e *Engine) ProposeFlattenCold(revisions int) (bool, error) {
 // startProposal opens a commitment round on the actor: register the
 // transaction, broadcast the proposal, and cast the coordinator's own
 // vote (the coordinator is a participant like everyone else, so its own
-// replica locks and votes under the same rules).
+// replica locks and votes under the same rules). A live link that has
+// not delivered a digest yet hides sites the recency window cannot know
+// of, so the proposal counts as an abort and mints nothing; an engine
+// with no links still commits alone.
 func (e *Engine) startProposal(path ident.Path) {
+	for _, p := range e.peers {
+		if !p.dead() && p.heardVC == nil {
+			e.flattensAborted.Add(1)
+			return
+		}
+	}
 	st := e.fl
 	obs := e.buf.Clock()
 	st.nextTx++

@@ -359,6 +359,42 @@ func TestMembershipEstimateForgetsSilentSites(t *testing.T) {
 	}
 }
 
+// TestProposalWaitsForEveryLinksDigest: a link that has delivered no
+// digest may hide sites the recency window has never heard of, so a
+// coordinator on it mints no round and counts an abort; once the link's
+// digest arrives, it proposes. An engine with no links commits alone.
+func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
+	f := newFlatStep(t, 1)
+	f.write("a")
+	if err := f.e.ProposeFlatten(); err != nil {
+		t.Fatal(err)
+	}
+	if p := framesOf[*FlatProposeFrame](f.drain()); len(p) != 0 {
+		t.Fatalf("a link that has heard nothing carried proposals %+v", p)
+	}
+	if a, r := f.e.FlattensAborted(), len(f.e.fl.rounds); a != 1 || r != 0 {
+		t.Fatalf("aborted %d, %d rounds registered; want 1, 0", a, r)
+	}
+	f.hear(2)
+	f.propose()
+
+	r := &flatReplica{snapReplica: newSnapReplica(t, 3)}
+	alone, err := NewStepper(3, r, func() time.Time { return time.UnixMilli(0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Stop()
+	if err := alone.Engine().Broadcast(r.insertAt(t, 0, "b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.Engine().ProposeFlatten(); err != nil {
+		t.Fatal(err)
+	}
+	if c := alone.Engine().FlattensCommitted(); c != 1 {
+		t.Fatalf("an engine with no links committed %d rounds, want 1", c)
+	}
+}
+
 // TestDoubtVotesResendInTransactionOrder: several in-doubt locks due in
 // one tick re-send their votes in transaction order, whatever order the
 // lock map iterates in — a stepped schedule replays only if emission order

@@ -14,11 +14,10 @@ import (
 // frame table existed (PR 15, 4d74ac7): the proof that the table-driven
 // codec did not move a byte on the wire. The ops, ops-mixed, ops-empty,
 // docframe-replay-ops and flatpropose-root rows were re-recorded when
-// identifiers became bit-packed and kindOps moved to 0x14 (PR 18), and the
-// syncbatch rows changed only their kind byte when kindSyncBatch lost its
-// flags byte and moved to 0x15 (PR 25); what the identifiers *are* is
-// pinned apart from their encoding by TestGoldenIdentifiers. Every test
-// that needs "a frame of kind K" takes it from frameSamples.
+// identifiers became bit-packed and kindOps moved to 0x14; what the
+// identifiers *are* is pinned apart from their encoding by
+// TestGoldenIdentifiers. Every test that needs "a frame of kind K" takes
+// it from frameSamples.
 type frameSample struct {
 	name string
 	kind byte
@@ -32,14 +31,6 @@ func structuralPath() ident.Path {
 	return ident.Path{
 		{Bit: 1, Kind: ident.Major},
 		{Bit: 0, Kind: ident.Major},
-	}
-}
-
-func testBatchEntries() []SyncBatchEntry {
-	return []SyncBatchEntry{
-		{Doc: "notes", From: 3, Clock: vclock.VC{1: 5, 3: 9}},
-		{Doc: "todo", From: 7, Clock: vclock.VC{7: 1}},
-		{Doc: "a-b.c", From: 1, Clock: vclock.VC{1: 1 << 40, 2: 2}},
 	}
 }
 
@@ -114,8 +105,6 @@ func frameSamples(t testing.TB) []frameSample {
 		{"ring-query", kindRingAnnounce, &RingFrame{}, "0d0000"},
 		{"forward", kindForward, &ForwardFrame{Doc: "notes", Inner: digest}, "0e056e6f7465730207010704"},
 		{"handoffbegin", kindHandoffBegin, &HandoffBeginFrame{Doc: "notes", Epoch: 4}, "0f056e6f74657304"},
-		{"syncbatch", kindSyncBatch, &SyncBatchFrame{Entries: testBatchEntries()}, "1503056e6f74657303020105030904746f646f0701070105612d622e630102018080808080200202"},
-		{"syncbatch-wide", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "x", From: 1, Clock: vclock.VC{1: 1, 2: 2, 3: 3}}}}, "150101780103010102020303"},
 		{"replay", kindReplay, &ReplayFrame{To: 42, Inner: digest}, "132a0207010704"},
 		{"ops-mixed", kindOps, &OpsFrame{Msgs: mixedMsgs()}, "14060907010701040602040100ffffffffffff3f01610e040602040100ffffffffffff3f0909020702090103060104000b070107030201000a0702070409010306010406030803060104"},
 		{"replay-chunk", kindReplay, &ReplayFrame{To: ident.MaxSiteID, Inner: chunk}, "13ffffffffffff3f080201020840106368756e6b2d6279746573"},

@@ -85,11 +85,6 @@ type Hub struct {
 	relays   atomic.Uint64
 	unrouted atomic.Uint64
 	forwards atomic.Uint64
-	// syncBatchFrames/syncBatchEntries count received kindSyncBatch frames
-	// and the per-document digests they carried; the ratio is the batching
-	// win (one frame standing in for N envelopes).
-	syncBatchFrames  atomic.Uint64
-	syncBatchEntries atomic.Uint64
 	// replayRoutes counts directed anti-entropy answers delivered to their
 	// addressed requester alone; replayFallbacks counts answers whose
 	// target was unknown or dead and fell back to the group broadcast.
@@ -404,13 +399,6 @@ func (h *Hub) ReplayRoutes() uint64 { return h.replayRoutes.Load() }
 // unknown or dead, delivered by group broadcast instead.
 func (h *Hub) ReplayFallbacks() uint64 { return h.replayFallbacks.Load() }
 
-// SyncBatchFrames counts batched multi-document digest frames received.
-func (h *Hub) SyncBatchFrames() uint64 { return h.syncBatchFrames.Load() }
-
-// SyncBatchEntries counts the per-document digests received inside
-// batched frames; divided by SyncBatchFrames it is the mean batch width.
-func (h *Hub) SyncBatchEntries() uint64 { return h.syncBatchEntries.Load() }
-
 // HandoffsOut counts documents this hub streamed to a new owner.
 func (h *Hub) HandoffsOut() uint64 { return h.handoffsOut.Load() }
 
@@ -617,8 +605,8 @@ func (h *Hub) detach(c *hubConn, docs []string) {
 // It runs on every inbound frame, so it reads the copy-on-write shard map
 // and the shard's connection snapshot without taking the hub lock. inner
 // is the bare frame (what crosses the mesh and what the routing rules
-// inspect); env is the doc-scoped envelope members receive — nil when the
-// sender did not provide one, and then built once per fan-out.
+// inspect); env is the client's doc-scoped envelope, which members receive
+// as-is.
 func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 	s := h.relayLocal(from, doc, inner, env)
 	if s == nil {
@@ -638,23 +626,6 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 		if err == nil && p.offer(fwd) {
 			h.forwards.Add(1)
 		}
-	}
-}
-
-// handleSyncBatch splits a batched multi-document digest into the
-// per-document relay path: each entry is re-framed as the kindSyncReq it
-// stands for and relayed to its document's group, where attached engines
-// answer it, exactly as if it had arrived in its own envelope.
-func (h *Hub) handleSyncBatch(from *hubConn, sb *SyncBatchFrame) {
-	h.syncBatchFrames.Add(1)
-	h.syncBatchEntries.Add(uint64(len(sb.Entries)))
-	for _, e := range sb.Entries {
-		inner, err := EncodeSyncReq(e.From, e.Clock)
-		if err != nil {
-			h.unrouted.Add(1)
-			continue
-		}
-		h.relay(from, e.Doc, inner, nil)
 	}
 }
 
@@ -870,7 +841,7 @@ func (c *hubConn) reader() {
 			default:
 				c.hub.handleForward(c, doc, inner)
 			}
-		case kindHello, kindDetach, kindRingAnnounce, kindSyncBatch, kindHandoffBegin:
+		case kindHello, kindDetach, kindRingAnnounce, kindHandoffBegin:
 			decoded, err := DecodeFrame(frame)
 			if err != nil {
 				c.hub.unrouted.Add(1)
@@ -883,8 +854,6 @@ func (c *hubConn) reader() {
 				c.hub.detach(c, f.Docs)
 			case *RingFrame:
 				c.hub.handleRingFrame(c, f)
-			case *SyncBatchFrame:
-				c.hub.handleSyncBatch(c, f)
 			case *HandoffBeginFrame:
 				c.hub.handleHandoffBegin(c, f)
 			}

@@ -21,13 +21,6 @@ const (
 	// longer chain means the ring views disagree and the client must fail
 	// loudly rather than bounce forever.
 	maxRedirectHops = 4
-	// syncBatchWindow is how long a shared link accumulates per-document
-	// digests before flushing them as one kindSyncBatch frame. The engines
-	// behind a session tick independently, so without a window each tick
-	// would still leave one frame per document; a window an order of
-	// magnitude under the default sync interval collects a whole round
-	// while adding latency only to a path that is already periodic.
-	syncBatchWindow = 25 * time.Millisecond
 )
 
 // Session multiplexes one or more document-scoped links over shared hub
@@ -232,7 +225,6 @@ func (s *Session) conn(addr string) (*sessConn, error) {
 		waiters: make(map[string][]chan HelloEntry),
 		dead:    make(chan struct{}),
 	}
-	sc.digests.sc = sc
 	s.conns[addr] = sc
 	go sc.reader()
 	return sc, nil
@@ -314,16 +306,12 @@ func (s *Session) forget(doc string, dl *docLink) {
 type sessConn struct {
 	sess *Session
 	addr string
-	link *TCPLink
+	link Link
 
 	mu      sync.Mutex
 	docs    map[string]*docLink
 	waiters map[string][]chan HelloEntry
 	err     error
-
-	// digests batches the kindSyncReq frames of the documents sharing this
-	// connection.
-	digests digestBatcher
 
 	dead     chan struct{}
 	deadOnce sync.Once
@@ -398,85 +386,6 @@ func (sc *sessConn) attach(doc string, forward bool) (HelloEntry, error) {
 		default:
 		}
 		return HelloEntry{}, fmt.Errorf("transport: attach %q to %s timed out", doc, sc.addr)
-	}
-}
-
-// digestBatcher coalesces the per-document anti-entropy digests leaving
-// on one session connection, sc: kindSyncReq frames accumulate for
-// syncBatchWindow, then leave as kindSyncBatch frames instead of one
-// envelope per document. A fresher digest for a document already pending
-// replaces it in place.
-type digestBatcher struct {
-	sc *sessConn // set before first use, immutable after
-
-	mu      sync.Mutex
-	pending []SyncBatchEntry // guarded by mu
-	idx     map[string]int   // guarded by mu
-	armed   bool             // guarded by mu
-}
-
-// queue holds one document's digest for the batching window, reporting
-// false (send it yourself) when the frame does not parse as a digest. The
-// first digest of a window arms the flush timer.
-func (b *digestBatcher) queue(doc string, frame []byte) bool {
-	decoded, err := DecodeFrame(frame)
-	if err != nil {
-		return false
-	}
-	sr, ok := decoded.(*SyncReqFrame)
-	if !ok {
-		return false
-	}
-	entry := SyncBatchEntry{Doc: doc, From: sr.From, Clock: sr.Clock}
-	b.mu.Lock()
-	if i, ok := b.idx[doc]; ok {
-		b.pending[i] = entry
-	} else {
-		if b.idx == nil {
-			b.idx = make(map[string]int)
-		}
-		b.idx[doc] = len(b.pending)
-		b.pending = append(b.pending, entry)
-	}
-	armed := b.armed
-	b.armed = true
-	b.mu.Unlock()
-	if !armed {
-		time.AfterFunc(syncBatchWindow, b.flush)
-	}
-	return true
-}
-
-// flush sends the window's accumulated digests in batches of at most
-// maxSyncBatch entries. A batch too large to encode (wide clocks) is
-// halved and retried, so one fat window cannot starve the rest; a single
-// digest always fits a frame, and one that still will not encode is
-// dropped rather than retried forever.
-func (b *digestBatcher) flush() {
-	b.mu.Lock()
-	entries := b.pending
-	b.pending = nil
-	clear(b.idx)
-	b.armed = false
-	b.mu.Unlock()
-	n := maxSyncBatch
-	for len(entries) > 0 {
-		n = min(n, len(entries))
-		frame, err := EncodeSyncBatch(entries[:n])
-		switch {
-		case err == nil:
-			if err := b.sc.link.Send(frame); err != nil {
-				// The connection is gone: the rest of the window goes with
-				// it, and the engines' next sync tick re-queues fresh digests.
-				b.sc.fail(err)
-				return
-			}
-			entries = entries[n:]
-		case n > 1:
-			n = (n + 1) / 2
-		default:
-			entries = entries[1:]
-		}
 	}
 }
 
@@ -668,20 +577,15 @@ func (dl *docLink) push(frame []byte) {
 	}
 }
 
-// Send wraps one frame in the document envelope and writes it to the
-// current connection. Anti-entropy digests take the batching path
-// instead: they are held for syncBatchWindow and leave as one
-// kindSyncBatch frame per connection, not one envelope per document. If
-// the connection fails mid-migration, the send is retried once on the
-// new one; a frame lost in the window is healed by anti-entropy.
+// Send wraps one frame — an anti-entropy digest like any other — in the
+// document envelope and writes it to the current connection. If the
+// connection fails mid-migration, the send is retried once on the new
+// one; a frame lost in the window is healed by anti-entropy.
 func (dl *docLink) Send(frame []byte) error {
 	select {
 	case <-dl.done:
 		return fmt.Errorf("transport: doc link closed")
 	default:
-	}
-	if len(frame) > 0 && frame[0] == kindSyncReq && dl.conn().digests.queue(dl.doc, frame) {
-		return nil
 	}
 	env, err := EncodeDocFrame(dl.doc, frame)
 	if err != nil {

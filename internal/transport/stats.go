@@ -22,9 +22,7 @@ type HubStats struct {
 	// FrozenDrops, HandoffsOut and HandoffsIn are the live-resharding
 	// counters (see Hub.FrozenDrops and friends).
 	FrozenDrops, HandoffsOut, HandoffsIn uint64
-	// SyncBatchFrames and SyncBatchEntries are the delta anti-entropy
-	// counters: batched multi-document digest frames received, and the
-	// per-document digests they carried (see Hub.SyncBatchFrames).
+	// Always 0: digests are no longer batched; benchmark/layers.go reads them.
 	SyncBatchFrames, SyncBatchEntries uint64
 	// ReplayRoutes and ReplayFallbacks are the directed-answer counters:
 	// kindReplay frames delivered to their addressed requester alone, and
@@ -41,19 +39,17 @@ type HubStats struct {
 // PerDoc map.
 func (h *Hub) Stats() HubStats {
 	s := HubStats{
-		RingEpoch:        h.RingEpoch(),
-		Relays:           h.Relays(),
-		Drops:            h.Drops(),
-		Unrouted:         h.Unrouted(),
-		Forwards:         h.Forwards(),
-		FrozenDrops:      h.FrozenDrops(),
-		HandoffsOut:      h.HandoffsOut(),
-		HandoffsIn:       h.HandoffsIn(),
-		SyncBatchFrames:  h.SyncBatchFrames(),
-		SyncBatchEntries: h.SyncBatchEntries(),
-		ReplayRoutes:     h.ReplayRoutes(),
-		ReplayFallbacks:  h.ReplayFallbacks(),
-		PerDoc:           h.DocStats(),
+		RingEpoch:       h.RingEpoch(),
+		Relays:          h.Relays(),
+		Drops:           h.Drops(),
+		Unrouted:        h.Unrouted(),
+		Forwards:        h.Forwards(),
+		FrozenDrops:     h.FrozenDrops(),
+		HandoffsOut:     h.HandoffsOut(),
+		HandoffsIn:      h.HandoffsIn(),
+		ReplayRoutes:    h.ReplayRoutes(),
+		ReplayFallbacks: h.ReplayFallbacks(),
+		PerDoc:          h.DocStats(),
 	}
 	h.mu.Lock()
 	s.Clients = len(h.conns)

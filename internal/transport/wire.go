@@ -20,9 +20,10 @@ import (
 const (
 	// 0x01 was kindOps with one byte per identifier level, 0x03 the
 	// explicit snapshot request, 0x04 the single-frame snapshot, 0x10 the
-	// handoff-state envelope, 0x11 the handoff-done marker and 0x12
-	// kindSyncBatch with a flags byte; all stay reserved and are never
-	// reused, so a stray old frame decodes as an unknown kind.
+	// handoff-state envelope, 0x11 the handoff-done marker, and 0x12 and
+	// 0x15 the multi-document digest batch (with and without a flags
+	// byte); all stay reserved and are never reused, so a stray old frame
+	// decodes as an unknown kind.
 	kindSyncReq      = 0x02
 	kindFlatPropose  = 0x05
 	kindFlatVote     = 0x06
@@ -37,7 +38,6 @@ const (
 	kindHandoffBegin = 0x0f
 	kindReplay       = 0x13
 	kindOps          = 0x14
-	kindSyncBatch    = 0x15
 )
 
 // Wire limits. Frames above the per-kind size limit are refused on read
@@ -71,9 +71,6 @@ const (
 	// maxRedirectAddr bounds a hub address: a hello-resp redirect or a
 	// ring node.
 	maxRedirectAddr = 256
-	// maxSyncBatch bounds the digests in one kindSyncBatch frame — the
-	// same ceiling as the documents one connection may attach to.
-	maxSyncBatch = maxHelloDocs
 	// replayOverhead is the worst-case kindReplay header: kind byte plus the
 	// addressed site id uvarint.
 	replayOverhead = 1 + 10
@@ -117,7 +114,6 @@ var frameTable = [256]frameRow{
 	kindDetach:       {"kindDetach", MaxFrameSize, false, func() frame { return new(DetachFrame) }},
 	kindRingAnnounce: {"kindRingAnnounce", MaxFrameSize, false, func() frame { return new(RingFrame) }},
 	kindHandoffBegin: {"kindHandoffBegin", MaxFrameSize, false, func() frame { return new(HandoffBeginFrame) }},
-	kindSyncBatch:    {"kindSyncBatch", MaxFrameSize, false, func() frame { return new(SyncBatchFrame) }},
 	kindReplay:       {"kindReplay", maxReplayFrame, false, func() frame { return new(ReplayFrame) }},
 	kindDocFrame:     {"kindDocFrame", maxEnvelopeFrame, true, func() frame { return new(DocFrame) }},
 	kindForward:      {"kindForward", maxEnvelopeFrame, true, func() frame { return new(ForwardFrame) }},
@@ -455,33 +451,6 @@ func (f *HandoffBeginFrame) wire(c *codec) { c.handoffMark(&f.Doc, &f.Epoch) }
 func (c *codec) handoffMark(doc *string, epoch *uint64) {
 	c.doc(doc)
 	c.uvarint(epoch, "handoff epoch")
-}
-
-// SyncBatchEntry is one document's anti-entropy digest inside a
-// kindSyncBatch frame: site From's delivered clock for document Doc.
-type SyncBatchEntry struct {
-	Doc   string
-	From  ident.SiteID
-	Clock vclock.VC
-}
-
-// SyncBatchFrame is a kindSyncBatch frame: one anti-entropy digest per
-// document — a count-prefixed list of (doc, site, clock) entries — so a
-// Session sends one frame per connection per sync tick instead of one
-// enveloped kindSyncReq per attached document. A hub splits the batch into
-// per-document relay groups and answers through the existing per-doc
-// path; engines never see the batch form.
-type SyncBatchFrame struct {
-	Entries []SyncBatchEntry
-}
-
-func (f *SyncBatchFrame) wire(c *codec) {
-	for i := range list(c, &f.Entries, 1, maxSyncBatch, "sync batch count") {
-		e := &f.Entries[i]
-		c.doc(&e.Doc)
-		c.site(&e.From, "batched digest sender")
-		c.vc(&e.Clock)
-	}
 }
 
 // codec is a cursor that runs a frame's layout in one of two directions.
@@ -904,11 +873,6 @@ func EncodeSyncReq(from ident.SiteID, clock vclock.VC) ([]byte, error) {
 	c := encoder(kindSyncReq, 64)
 	c.digest(&from, &clock)
 	return c.bytes()
-}
-
-// EncodeSyncBatch encodes one batched multi-document digest frame.
-func EncodeSyncBatch(entries []SyncBatchEntry) ([]byte, error) {
-	return encodeFrame(kindSyncBatch, &SyncBatchFrame{Entries: entries})
 }
 
 // EncodeDocFrame wraps one complete inner frame in the doc-scoped

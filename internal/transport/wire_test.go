@@ -173,7 +173,7 @@ func TestFlatDecisionRoundTrip(t *testing.T) { roundTrip(t, kindFlatDecision) }
 func TestSnapChunkRoundTrip(t *testing.T)    { roundTrip(t, kindSnapChunk) }
 func TestRingAnnounceRoundTrip(t *testing.T) { roundTrip(t, kindRingAnnounce) }
 func TestHandoffMarkRoundTrip(t *testing.T)  { roundTrip(t, kindHandoffBegin) }
-func TestSyncBatchRoundTrip(t *testing.T)    { roundTrip(t, kindSyncBatch) }
+func TestSyncBatchRoundTrip(t *testing.T)    { retired(t, 0x12, 0x15) }
 func TestReplayFrameRoundTrip(t *testing.T)  { roundTrip(t, kindReplay) }
 func TestForwardAndHandoffStateEnvelopes(t *testing.T) {
 	roundTrip(t, kindForward)
@@ -192,6 +192,10 @@ var retiredFrames = []string{
 	"10056e6f746573080201020840106368756e6b2d6279746573", // kindHandoffState, folded into kindForward
 	"11056e6f74657304",               // kindHandoffDone
 	"1201056e6f74657303020105030901", // kindSyncBatch with its forwarded flags byte
+	// kindSyncBatch, retired when every digest got its own kindDocFrame:
+	// both of its samples, three documents and one wide clock.
+	"1503056e6f74657303020105030904746f646f0701070105612d622e630102018080808080200202",
+	"150101780103010102020303",
 }
 
 // retiredBody returns the body of kind's frame in retiredFrames.
@@ -243,12 +247,10 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		deepPath[i] = ident.J(1)
 	}
 	manyDocs := make([]string, maxHelloDocs+1)
-	manyEntries := make([]SyncBatchEntry, maxSyncBatch+1)
 	manyAnswers := make([]HelloEntry, maxHelloDocs+1)
 	manyNodes := make([]string, maxRingNodes+1)
 	for i := range manyDocs {
 		manyDocs[i], manyNodes[i] = "d", "h:1"
-		manyEntries[i] = SyncBatchEntry{Doc: "d", From: 1, Clock: vclock.VC{1: 1}}
 		manyAnswers[i] = HelloEntry{Doc: "d"}
 	}
 	msg := sampleMsgs()[0]
@@ -306,10 +308,6 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"ring: over-long node address", kindRingAnnounce, &RingFrame{Epoch: 1, Nodes: []string{long}}},
 		{"ring: nodes beyond maxRingNodes", kindRingAnnounce, &RingFrame{Epoch: 1, Nodes: manyNodes}},
 		{"handoffbegin: bad doc id", kindHandoffBegin, &HandoffBeginFrame{Doc: "a/b", Epoch: 1}},
-		{"syncbatch: no entries", kindSyncBatch, &SyncBatchFrame{}},
-		{"syncbatch: site zero", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "d", From: 0, Clock: ok}}}},
-		{"syncbatch: empty doc id", kindSyncBatch, &SyncBatchFrame{Entries: []SyncBatchEntry{{Doc: "", From: 1, Clock: ok}}}},
-		{"syncbatch: entries beyond maxSyncBatch", kindSyncBatch, &SyncBatchFrame{Entries: manyEntries}},
 	} {
 		if b, err := encodeFrame(tc.kind, tc.f); err == nil {
 			_, derr := DecodeFrame(b)
@@ -419,7 +417,7 @@ func TestFrameTableMatchesDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| (0x[0-9a-f]{2}) \\| (?:`(kind\\w+)`|—) \\|").FindAllStringSubmatch(section, -1) {
 		documented[m[1]] = m[2]
 	}
-	for _, reserved := range []string{"0x01", "0x03", "0x04", "0x10", "0x11", "0x12"} {
+	for _, reserved := range []string{"0x01", "0x03", "0x04", "0x10", "0x11", "0x12", "0x15"} {
 		if name, ok := documented[reserved]; !ok || name != "" {
 			t.Errorf("§4 must list %s as reserved and unnamed, has %q (%v)", reserved, name, ok)
 		}
@@ -520,13 +518,13 @@ func FuzzSnapFrame(f *testing.F) {
 	f.Add(retiredBody(f, 0x03))
 	fuzzBodies(f, kindSnapChunk)
 }
-func FuzzDocFrame(f *testing.F) { fuzzBodies(f, kindDocFrame, kindHello, kindHelloResp, kindDetach) }
+func FuzzDocFrame(f *testing.F) {
+	f.Add(retiredBody(f, 0x12))
+	f.Add(retiredBody(f, 0x15))
+	fuzzBodies(f, kindDocFrame, kindHello, kindHelloResp, kindDetach)
+}
 func FuzzFlattenFrame(f *testing.F) {
 	fuzzBodies(f, kindFlatPropose, kindFlatVote, kindFlatDecision, kindSnapChunk)
-}
-func FuzzSyncBatchFrame(f *testing.F) {
-	f.Add(retiredBody(f, 0x12))
-	fuzzBodies(f, kindSyncBatch)
 }
 func FuzzReplayFrame(f *testing.F) { fuzzBodies(f, kindReplay) }
 func FuzzRingFrame(f *testing.F) {
