@@ -11,7 +11,9 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
@@ -27,12 +29,29 @@ type Message struct {
 	Payload any
 }
 
+// seq is the message's sequence number at its sender.
+func (m Message) seq() uint64 { return m.TS.Get(m.From) }
+
 // Buffer implements causal delivery for one replica. The zero value is not
 // usable; call NewBuffer. Not safe for concurrent use.
+//
+// Buffered messages wait in one queue per sender, ordered by sequence
+// number. Only a queue's head can be the sender's next message, so a
+// delivery pass tests one message per sender, and between passes no head
+// is deliverable or covered by the delivered clock.
 type Buffer struct {
 	site      ident.SiteID
 	delivered vclock.VC
-	pending   []Message
+	// queues is ordered by site. A queue that drain empties stays, keeping
+	// its array for the sender's next gap; Prune sheds the empty ones.
+	queues  []queue
+	pending int
+}
+
+// queue is one sender's buffered messages, ascending by sequence number.
+type queue struct {
+	site ident.SiteID
+	msgs []Message
 }
 
 // NewBuffer creates a delivery buffer for the given site.
@@ -52,22 +71,34 @@ func (b *Buffer) Stamp(payload any) Message {
 func (b *Buffer) Clock() vclock.VC { return b.delivered.Clone() }
 
 // Pending returns the number of buffered undeliverable messages.
-func (b *Buffer) Pending() int { return len(b.pending) }
+func (b *Buffer) Pending() int { return b.pending }
 
-// Prune discards buffered undeliverable messages beyond max, oldest first,
-// and returns how many were dropped. A transport calls it to bound the
-// memory a hostile or broken peer can pin with wire-valid messages whose
-// causal dependencies never arrive; legitimate pruned messages are
-// recovered by anti-entropy retransmission.
-func (b *Buffer) Prune(max int) int {
-	if max < 0 {
-		max = 0
-	}
-	n := len(b.pending) - max
+// Prune discards buffered undeliverable messages beyond limit and returns
+// how many were dropped. The highest sequence numbers go first, each the
+// tail of its sender's queue and the furthest from delivery, so what
+// survives is what the next retransmission can unblock. Each drop scans
+// the queue tails once, as each Add's delivery pass scans the heads. A
+// transport calls it to bound the memory a hostile or broken peer can pin
+// with wire-valid messages whose causal dependencies never arrive;
+// legitimate pruned messages are recovered by anti-entropy retransmission.
+func (b *Buffer) Prune(limit int) int {
+	n := b.pending - max(limit, 0)
 	if n <= 0 {
 		return 0
 	}
-	b.pending = append(b.pending[:0], b.pending[n:]...)
+	for range n {
+		top, seq := 0, uint64(0)
+		for i, q := range b.queues {
+			if len(q.msgs) > 0 && q.msgs[len(q.msgs)-1].seq() > seq {
+				top, seq = i, q.msgs[len(q.msgs)-1].seq()
+			}
+		}
+		q := &b.queues[top]
+		q.msgs[len(q.msgs)-1] = Message{}
+		q.msgs = q.msgs[:len(q.msgs)-1]
+	}
+	b.pending -= n
+	b.queues = slices.DeleteFunc(b.queues, func(q queue) bool { return len(q.msgs) == 0 })
 	return n
 }
 
@@ -84,26 +115,30 @@ func (b *Buffer) Advance(vc vclock.VC) []Message {
 // drain delivers every buffered message that has become deliverable, in
 // causal order, and drops the ones the delivered clock already covers (a
 // duplicate that went stale while buffered, or a message a snapshot stood
-// in for), repeating until a pass delivers nothing.
+// in for). Each pass tests only the queue heads, in site order; it repeats
+// until a pass delivers nothing, since a delivery from one sender may be
+// the dependency another's head waits on.
 func (b *Buffer) drain() []Message {
 	var out []Message
-	for progress := true; progress; {
+	for progress := b.pending > 0; progress; {
 		progress = false
-		for i := 0; i < len(b.pending); i++ {
-			p := b.pending[i]
-			if p.TS.Get(p.From) <= b.delivered.Get(p.From) {
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				i--
-				continue
+		for i := range b.queues {
+			q := &b.queues[i]
+			k := 0
+			for ; k < len(q.msgs); k++ {
+				h := q.msgs[k]
+				if h.seq() <= b.delivered.Get(q.site) {
+					continue // covered: dropped
+				}
+				if !b.deliverable(h) {
+					break
+				}
+				b.delivered.Merge(h.TS)
+				out = append(out, h)
+				progress = true
 			}
-			if !b.deliverable(p) {
-				continue
-			}
-			b.delivered.Merge(p.TS)
-			out = append(out, p)
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
-			i--
-			progress = true
+			q.msgs = slices.Delete(q.msgs, 0, k) // clears what it vacates: no payload stays pinned
+			b.pending -= k
 		}
 	}
 	return out
@@ -134,18 +169,30 @@ func (b *Buffer) Add(m Message) ([]Message, error) {
 	if m.From == 0 {
 		return nil, fmt.Errorf("causal: message without sender")
 	}
-	seq := m.TS.Get(m.From)
+	seq := m.seq()
 	if seq == 0 {
 		return nil, fmt.Errorf("causal: message from s%d without own timestamp", m.From)
 	}
 	if m.From == b.site || seq <= b.delivered.Get(m.From) {
 		return nil, nil // own or already-delivered message
 	}
-	for _, p := range b.pending {
-		if p.From == m.From && p.TS.Get(p.From) == seq {
-			return nil, nil // already buffered
-		}
+	i, found := slices.BinarySearchFunc(b.queues, m.From, func(q queue, s ident.SiteID) int { return cmp.Compare(q.site, s) })
+	if !found {
+		b.queues = slices.Insert(b.queues, i, queue{site: m.From})
 	}
-	b.pending = append(b.pending, m)
+	q := &b.queues[i]
+	if len(q.msgs) == 0 && b.deliverable(m) { // the common case: the sender's next message
+		b.delivered.Merge(m.TS)
+		return append([]Message{m}, b.drain()...), nil
+	}
+	j, dup := slices.BinarySearchFunc(q.msgs, seq, func(p Message, seq uint64) int { return cmp.Compare(p.seq(), seq) })
+	if dup {
+		return nil, nil // already buffered
+	}
+	q.msgs = slices.Insert(q.msgs, j, m)
+	b.pending++
+	if j > 0 {
+		return nil, nil // behind the sender's buffered head: no head changed
+	}
 	return b.drain(), nil
 }

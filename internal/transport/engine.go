@@ -293,8 +293,10 @@ type Engine struct {
 	snapData []byte    // actor-owned
 	snapVC   vclock.VC // actor-owned
 	truncVC  vclock.VC // actor-owned
-	// acked is the delivered clock each member's latest digest carried,
-	// kept only when the replica can snapshot (actor-owned).
+	// acked is the latest delivered clock known of each member — its last
+	// digest, or the stamp of its newest delivered message, which its
+	// delivered clock covers. Its keys are the members, of the stability
+	// frontier and of every flatten round (actor-owned).
 	acked map[ident.SiteID]vclock.VC
 	// sinceSnap counts retained messages since the serving barrier,
 	// driving the compaction policy.
@@ -789,7 +791,6 @@ func (e *Engine) handle(cmd command) {
 	case *OpsFrame:
 		e.ingest(f.Msgs)
 	case *SyncReqFrame:
-		e.noteSite(f.From)
 		e.handleSyncReq(f, cmd.from)
 	case *SnapChunkFrame:
 		e.handleSnapChunk(f)
@@ -847,7 +848,15 @@ func (e *Engine) ingest(msgs []causal.Message) {
 
 // deliver records and applies causally-ready messages; a replica that
 // supports batched application takes the whole run under one lock.
+// Each sender is a member from its first delivered message on: through a
+// hub its digests reach only a sample of the group, and a writer whose
+// edits this engine applies must vote on its flattens.
 func (e *Engine) deliver(msgs []causal.Message) {
+	for _, m := range msgs {
+		if e.acked[m.From].Get(m.From) < m.TS.Get(m.From) {
+			e.acked[m.From] = m.TS
+		}
+	}
 	if e.batcher != nil && len(msgs) > 1 {
 		e.deliverBatch(msgs)
 		return
@@ -863,7 +872,7 @@ func (e *Engine) deliver(msgs []causal.Message) {
 			continue
 		}
 		e.applied.Add(1)
-		e.onRemoteOpDelivered(op)
+		e.recordOp(op)
 	}
 }
 
@@ -883,10 +892,8 @@ func (e *Engine) deliverBatch(msgs []causal.Message) {
 	for len(ops) > 0 {
 		n, err := e.batcher.ApplyBatch(ops)
 		e.applied.Add(uint64(n))
-		if e.fl != nil {
-			for _, op := range ops[:n] {
-				e.onRemoteOpDelivered(op)
-			}
+		for _, op := range ops[:n] {
+			e.recordOp(op)
 		}
 		if err == nil {
 			break
@@ -931,9 +938,7 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 		return
 	}
 	from.noteHeard(req.Clock)
-	if e.snap != nil {
-		e.acked[req.From] = req.Clock
-	}
+	e.acked[req.From] = req.Clock
 	// Below the truncation floor some ops the requester is missing no
 	// longer exist as messages; past the threshold replaying them is the
 	// slow way. Either way: snapshot, then the retained suffix.

@@ -331,9 +331,8 @@ func TestHostileCausalGapIsBounded(t *testing.T) {
 		}
 	}
 
-	// Generous deadline: ingesting ~17k undeliverable messages costs a
-	// full pending-buffer scan each, which is slow under -race on a
-	// single-CPU machine.
+	// Generous deadline: ~17k undeliverable messages are slow to ingest
+	// under -race on a single-CPU machine.
 	deadline := time.Now().Add(120 * time.Second)
 	for e.Pruned() < extra {
 		if time.Now().After(deadline) {

@@ -49,21 +49,19 @@ package transport
 // fault-tolerant variant is deferred to Gray & Lamport). Stopping the
 // engine releases its own locks.
 //
-// Membership: participants are the sites this engine has seen frames
-// from within a recency window (plus itself). The protocol is safe for
-// any replica that receives the proposal — every receiver votes, and a
-// No from any site aborts — but a replica partitioned away during the
-// whole round neither votes nor blocks the commit; if it was editing the
-// flattened region concurrently, the commitment it never saw cannot
-// protect it. The paper's protocol has the same requirement ("the
-// operation succeeds only if all sites vote Yes"): flatten assumes known,
-// connected membership, and the engine approximates it by recency.
+// Membership: participants are this site and the members of the
+// stability frontier — every site whose digest or delivered edit put a
+// clock in Engine.acked, the same table the truncation floor reads. The
+// paper's rule ("the operation succeeds only if all sites vote Yes")
+// needs a known membership, and this is it: a member partitioned away
+// blocks every round, each aborting at its deadline, until it returns or
+// the frontier cap drops it (advanceFloor). Any other receiver of a
+// proposal votes too, and a No from any site aborts.
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -139,10 +137,6 @@ type flattenState struct {
 	// proposal must dominate it (a flatten renames identifiers, so it
 	// counts as an edit of its whole region).
 	flattenVC vclock.VC // actor-owned
-	// lastSeen is the membership estimate: when the last frame attributable
-	// to each site arrived. Entries leave once they fall out of the
-	// participant window.
-	lastSeen map[ident.SiteID]time.Time // actor-owned
 	// pendingCommits are committed rounds whose OpFlatten mint is deferred
 	// until every locally applied edit has been stamped (the op's sequence
 	// number must match its causal stamp).
@@ -195,37 +189,20 @@ type heldLock struct {
 
 func newFlattenState(e *Engine) *flattenState {
 	return &flattenState{
-		rounds:   make(map[txID]*round),
-		nextTx:   uint64(e.now().UnixNano()),
-		locks:    make(map[txID]*heldLock),
-		lastSeen: make(map[ident.SiteID]time.Time),
+		rounds: make(map[txID]*round),
+		nextTx: uint64(e.now().UnixNano()),
+		locks:  make(map[txID]*heldLock),
 	}
 }
-
-// noteSite refreshes the membership estimate for a site a frame was
-// attributable to.
-func (e *Engine) noteSite(s ident.SiteID) {
-	if e.fl == nil || s == 0 || s == e.site {
-		return
-	}
-	e.fl.lastSeen[s] = e.now()
-}
-
-// memberWindow is how long after its last frame a site still counts as a
-// participant.
-func (e *Engine) memberWindow() time.Duration { return 3 * e.flattenTimeout }
 
 // participants returns the proposal participant set: this site plus every
-// site seen within the recency window. The coordinator waits for exactly
+// member of the stability frontier. The coordinator waits for exactly
 // these votes; any additional receiver of the proposal still votes, and
 // its No still aborts.
 func (e *Engine) participants() map[ident.SiteID]bool {
-	now, window := e.now(), e.memberWindow()
 	parts := map[ident.SiteID]bool{e.site: true}
-	for s, seen := range e.fl.lastSeen {
-		if now.Sub(seen) <= window {
-			parts[s] = true
-		}
+	for s := range e.acked {
+		parts[s] = true
 	}
 	return parts
 }
@@ -280,9 +257,9 @@ func (e *Engine) ProposeFlattenCold(revisions int) (bool, error) {
 // transaction, broadcast the proposal, and cast the coordinator's own
 // vote (the coordinator is a participant like everyone else, so its own
 // replica locks and votes under the same rules). A live link that has
-// not delivered a digest yet hides sites the recency window cannot know
-// of, so the proposal counts as an abort and mints nothing; an engine
-// with no links still commits alone.
+// not delivered a digest yet may hide members the ack table has never
+// heard of, so the proposal counts as an abort and mints nothing; an
+// engine with no links still commits alone.
 func (e *Engine) startProposal(path ident.Path) {
 	for _, p := range e.peers {
 		if !p.dead() && p.heardVC == nil {
@@ -384,7 +361,6 @@ func (e *Engine) handleFlatPropose(f *FlatProposeFrame) {
 	if e.fl == nil || f.From == e.site {
 		return
 	}
-	e.noteSite(f.From)
 	tx := txID{coord: f.From, n: f.N}
 	if l, held := e.fl.locks[tx]; held {
 		if l.path.Equal(f.Path) && vcEqual(l.obs, f.Obs) {
@@ -424,11 +400,7 @@ func (e *Engine) fanoutFrame(kind byte, f frame) {
 // presumed-abort recovery that lets a participant release a lock whose
 // decision frame was lost.
 func (e *Engine) handleFlatVote(f *FlatVoteFrame, from *peer) {
-	if e.fl == nil || f.From == e.site {
-		return
-	}
-	e.noteSite(f.From)
-	if f.Coord != e.site {
+	if e.fl == nil || f.From == e.site || f.Coord != e.site {
 		return
 	}
 	r := e.fl.rounds[txID{coord: f.Coord, n: f.N}]
@@ -519,7 +491,6 @@ func (e *Engine) handleFlatDecision(f *FlatDecisionFrame) {
 	if e.fl == nil || f.From == e.site {
 		return
 	}
-	e.noteSite(f.From)
 	tx := txID{coord: f.From, n: f.N}
 	l, ok := e.fl.locks[tx]
 	if !ok {
@@ -623,13 +594,6 @@ func (e *Engine) recordOp(op core.Op) {
 	}
 }
 
-// onRemoteOpDelivered is recordOp for a delivered remote operation, whose
-// issuer is thereby seen alive.
-func (e *Engine) onRemoteOpDelivered(op core.Op) {
-	e.noteSite(op.Site)
-	e.recordOp(op)
-}
-
 // afterFlattenApplied runs once a flatten has taken effect on the local
 // replica (minted or delivered): anchor the flatten clock and make the
 // flatten epoch the oplog compaction barrier — the snapshot taken here is
@@ -685,8 +649,7 @@ func (e *Engine) releaseAllLocks() {
 
 // flattenTick is the per-sync-tick commitment work: coordinator
 // deadlines, in-doubt vote resends, deferred mints, the flatten-epoch
-// compaction retry, the membership sweep, and chunked-snapshot assembly
-// GC.
+// compaction retry, and chunked-snapshot assembly GC.
 func (e *Engine) flattenTick() {
 	e.gcSnapAssemblies()
 	if e.fl == nil {
@@ -700,10 +663,6 @@ func (e *Engine) flattenTick() {
 	if st.compactPending && e.snap != nil && vcEqual(e.flat.Version(), e.buf.Clock()) && e.compactNow() {
 		st.compactPending = false
 	}
-	// Sites outside the participant window are not participants; forgetting
-	// them keeps the estimate bounded by who is attached, not who ever was.
-	now, window := e.now(), e.memberWindow()
-	maps.DeleteFunc(st.lastSeen, func(_ ident.SiteID, seen time.Time) bool { return now.Sub(seen) > window })
 }
 
 // resendDoubtVotes re-sends the Yes vote for locks that have waited a

@@ -560,3 +560,144 @@ func TestFlattenSurvivesRestartFromLog(t *testing.T) {
 	waitContentEqual(t, pair, 20*time.Second)
 	checkFlatSites(t, pair)
 }
+
+// opsOnly is a writer's link to a hub that carries the writer's operations
+// and nothing else: none of its digests reaches any member, and nothing
+// reaches the writer.
+type opsOnly struct {
+	hub    treedoc.Link
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *opsOnly) Send(frame []byte) error {
+	if f, err := transport.DecodeFrame(frame); err == nil {
+		if _, ok := f.(*transport.OpsFrame); ok {
+			return l.hub.Send(frame)
+		}
+	}
+	return nil
+}
+
+func (l *opsOnly) Recv() ([]byte, error) {
+	<-l.closed
+	return nil, errors.New("opsOnly: closed")
+}
+
+func (l *opsOnly) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+// TestRoundWaitsOnAWriterWithoutADigest: a hub relays each digest to a
+// sample of a large group only, so a janitor can apply a writer's edits
+// without ever receiving the writer's digest. Here the writer sends none
+// at all. It is a member all the same — the round the janitor opens
+// waits on its vote, aborts at the deadline while it is silent, and
+// commits once it votes Yes — or its concurrent edits to the flattened
+// region would diverge.
+func TestRoundWaitsOnAWriterWithoutADigest(t *testing.T) {
+	hub, err := transport.ListenHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	const doc, writer = "janitor", treedoc.SiteID(9)
+	sites := []*flatSite{newFlatSite(t, 1, treedoc.WithFlattenTimeout(time.Second))}
+	for id := treedoc.SiteID(2); id <= 5; id++ {
+		sites = append(sites, newFlatSite(t, id))
+	}
+	defer stopFlatSites(sites)
+	for _, s := range sites {
+		link, err := treedoc.DialDoc(hub.Addr().String(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.eng.Connect(link)
+	}
+	janitor := sites[0]
+
+	wlink, err := treedoc.DialDoc(hub.Addr().String(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlink.Close()
+	proposed := make(chan *transport.FlatProposeFrame, 16)
+	decided := make(chan *transport.FlatDecisionFrame, 16)
+	go func() {
+		for {
+			b, err := wlink.Recv()
+			if err != nil {
+				return
+			}
+			switch f, _ := transport.DecodeFrame(b); f := f.(type) {
+			case *transport.FlatProposeFrame:
+				proposed <- f
+			case *transport.FlatDecisionFrame:
+				decided <- f
+			}
+		}
+	}()
+	w := newFlatSite(t, writer)
+	defer w.eng.Stop()
+	w.eng.Connect(&opsOnly{hub: wlink, closed: make(chan struct{})})
+	ops, err := w.buf.Append("written by a site no digest speaks for")
+	w.broadcast(t, ops, err)
+	for deadline := time.Now().Add(20 * time.Second); janitor.buf.String() != w.buf.String(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer's edit never reached the janitor")
+		}
+	}
+	waitContentEqual(t, sites, 20*time.Second)
+
+	// open asks the janitor for rounds until one opens (none does before a
+	// digest has arrived on its link) and returns its proposal.
+	open := func() *transport.FlatProposeFrame {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for time.Now().Before(deadline) {
+			aborted := janitor.eng.FlattensAborted()
+			if err := janitor.eng.ProposeFlatten(); err != nil {
+				t.Fatal(err)
+			}
+			for janitor.eng.FlattensAborted() == aborted && time.Now().Before(deadline) {
+				select {
+				case p := <-proposed:
+					return p
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		}
+		t.Fatal("the janitor opened no round")
+		return nil
+	}
+	decision := func(n uint64) *transport.FlatDecisionFrame {
+		t.Helper()
+		timeout := time.After(20 * time.Second)
+		for {
+			select {
+			case d := <-decided:
+				if d.N == n {
+					return d
+				}
+			case <-timeout:
+				t.Fatalf("round %d was never decided", n)
+			}
+		}
+	}
+
+	if p := open(); decision(p.N).Commit {
+		t.Fatalf("round %d committed without the vote of writer s%d, whose edits the janitor applied", p.N, writer)
+	}
+	p := open()
+	vote, err := transport.EncodeFlatVote(writer, janitor.id, p.N, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wlink.Send(vote); err != nil {
+		t.Fatal(err)
+	}
+	if !decision(p.N).Commit {
+		t.Fatalf("round %d aborted with writer s%d's Yes in", p.N, writer)
+	}
+}

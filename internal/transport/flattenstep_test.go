@@ -28,10 +28,10 @@ type flatStep struct {
 	now  time.Time
 }
 
-func newFlatStep(t *testing.T, site ident.SiteID) *flatStep {
+func newFlatStep(t *testing.T, site ident.SiteID, opts ...Option) *flatStep {
 	t.Helper()
 	f := &flatStep{t: t, r: &flatReplica{snapReplica: newSnapReplica(t, site)}, link: &recLink{}, now: time.UnixMilli(0)}
-	s, err := NewStepper(site, f.r, func() time.Time { return f.now })
+	s, err := NewStepper(site, f.r, func() time.Time { return f.now }, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,44 +323,51 @@ func TestReusedTxIDIsReEvaluated(t *testing.T) {
 	}
 }
 
-// TestMembershipEstimateForgetsSilentSites: every site a frame names
-// becomes a member, so the estimate must shrink as well as grow — a
-// long-lived engine would otherwise keep one entry per site id it ever
-// heard. Sites silent for the whole participant window are swept by the
-// tick, and a proposal waits on none of them.
-func TestMembershipEstimateForgetsSilentSites(t *testing.T) {
-	f := newFlatStep(t, 1)
+// TestSilentMemberBlocksRoundsUntilTheCap: a member of the stability
+// frontier owes every round a vote, however long it has been silent; each
+// round it does not answer aborts at its deadline. Its one way out is the
+// way it leaves the floor — dropped and counted at the frontier cap —
+// after which a round commits alone, and its next digest makes it a
+// participant again. No clock moves past the deadline: silence alone
+// never ends membership.
+func TestSilentMemberBlocksRoundsUntilTheCap(t *testing.T) {
+	const capacity = 4
+	f := newFlatStep(t, 1, WithCompactEvery(capacity))
 	f.write("a")
-	for s := ident.SiteID(2); s < 50; s++ {
-		f.hear(s)
+	f.hear(2) // site 2 acknowledges, then falls silent
+	n := f.propose()
+	if r := f.e.fl.rounds[txID{1, n}]; r == nil || !r.waiting[2] {
+		t.Fatalf("the round waits on %v, want site 2 among them", r)
 	}
-	if len(f.e.fl.lastSeen) != 48 {
-		t.Fatalf("%d members after 48 sites spoke", len(f.e.fl.lastSeen))
-	}
-	f.now = f.now.Add(f.e.memberWindow())
-	f.hear(50)
+	f.now = f.now.Add(f.e.flattenTimeout)
 	f.s.Tick()
-	if len(f.e.fl.lastSeen) != 49 {
-		t.Fatalf("%d members at the edge of the window, want all 49", len(f.e.fl.lastSeen))
+	if c, a := f.e.FlattensCommitted(), f.e.FlattensAborted(); c != 0 || a != 1 {
+		t.Fatalf("committed %d, aborted %d at the deadline; want 0, 1", c, a)
 	}
-	f.now = f.now.Add(time.Millisecond)
-	f.s.Tick()
-	if _, ok := f.e.fl.lastSeen[50]; !ok || len(f.e.fl.lastSeen) != 1 {
-		t.Fatalf("%d members after the window passed (site 50 among them: %v), want site 50 alone", len(f.e.fl.lastSeen), ok)
+	// Two compactions' worth of writes: the first adopts a barrier site 2
+	// has not acknowledged, the second is capped against it.
+	for i := 0; i < 2*capacity; i++ {
+		f.write("x")
+		if i%capacity == capacity-1 {
+			f.s.Tick()
+		}
 	}
-	f.now = f.now.Add(f.e.memberWindow() + time.Millisecond)
-	f.s.Tick()
-	if len(f.e.fl.lastSeen) != 0 {
-		t.Fatalf("%d members after everyone fell silent", len(f.e.fl.lastSeen))
+	if d := f.e.Stats().FrontierDrops; d != 1 {
+		t.Fatalf("%d members dropped at the cap, want site 2", d)
 	}
 	f.propose()
 	if c := f.e.FlattensCommitted(); c != 1 {
-		t.Fatalf("a proposal with no live member did not commit alone (committed %d, %d rounds open)", c, len(f.e.fl.rounds))
+		t.Fatalf("with site 2 dropped, a proposal committed %d rounds, want 1 alone", c)
+	}
+	f.hear(2)
+	n = f.propose()
+	if r := f.e.fl.rounds[txID{1, n}]; r == nil || !r.waiting[2] {
+		t.Fatalf("after its digest the round waits on %v, want site 2 among them", r)
 	}
 }
 
 // TestProposalWaitsForEveryLinksDigest: a link that has delivered no
-// digest may hide sites the recency window has never heard of, so a
+// digest may hide members the ack table has never heard of, so a
 // coordinator on it mints no round and counts an abort; once the link's
 // digest arrives, it proposes. An engine with no links commits alone.
 func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
