@@ -78,7 +78,7 @@ func hubChildMain(cfg hubChildConfig) {
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	<-sig
 	if hub.RingEpoch() > 0 {
-		if err := hub.Resign(30 * time.Second); err != nil {
+		if err := hub.Resign(); err != nil {
 			log.Printf("resign: %v (survivors heal via anti-entropy)", err)
 		}
 	}

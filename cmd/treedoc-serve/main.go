@@ -29,11 +29,14 @@
 // Ring membership is live. A new hub joins a running ring with -join
 // (naming any live member); the ring's epoch advances, every hub adopts
 // the announced membership, and each document the change relocates is
-// handed off online: frozen briefly, its archivist snapshot + retained
-// log suffix streamed to the new owner, attached clients re-pointed via
-// an epoch-stamped redirect — no process restarts, no ops lost. With
-// -leave, SIGTERM hands every owned document off (Hub.Resign) before the
-// process exits.
+// handed off online: attached clients — the old archivist among them —
+// are re-pointed to the new owner via an epoch-stamped redirect, and the
+// new owner's archivist catches up by digest like any late joiner. The
+// old archivist keeps serving until the new one has acknowledged every
+// operation it held, so no process restarts and no op is lost; one whose
+// successor runs no archivist serves until exit. With -leave, SIGTERM
+// hands every owned document off (Hub.Resign) and waits up to 30 s for
+// the archivists' hand-overs before the process exits.
 //
 // Usage:
 //
@@ -71,6 +74,7 @@ import (
 	"github.com/treedoc/treedoc"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/transport"
+	"github.com/treedoc/treedoc/internal/vclock"
 )
 
 // archivist is one document's durable replica and (optionally) flatten
@@ -80,19 +84,22 @@ type archivist struct {
 	site treedoc.SiteID
 	buf  *treedoc.TextBuffer
 	eng  *treedoc.Engine
-	stop chan struct{} // stops the janitor
-	// epoch is the highest ring epoch this archivist was (re)acquired at;
-	// a stale release (an older epoch's handoff completing late) must not
-	// stop it.
+	stop chan struct{} // closed as the archivist stops: ends the janitor and the hand-over wait
+	// epoch is the highest ring epoch this archivist was (re)acquired at
+	// (guarded by archivists.mu): a release at an older epoch is stale, and
+	// a re-acquisition cancels a hand-over in progress.
 	epoch uint64
 }
+
+// handOverPoll is how often a released archivist checks whether its
+// successor has acknowledged everything it held.
+const handOverPoll = 100 * time.Millisecond
 
 // archConfig is the shared archivist configuration.
 type archConfig struct {
 	hubAddr       string
 	logDir        string
 	self          string
-	site          uint64 // 0: derive per (self, doc)
 	compactEvery  int
 	snapThreshold int
 	flattenEvery  time.Duration
@@ -116,9 +123,9 @@ type archivists struct {
 	m   map[string]*archivist
 }
 
-// ownership is the Hub callback: a handoff streaming in starts a local
-// archivist (registered as the future handoff source) before the state
-// frames arrive; a handoff that streamed out stops and unregisters it.
+// ownership is the Hub callback: an acquired document gets a local
+// archivist, which catches up by digest; a released one begins its
+// archivist's hand-over.
 func (am *archivists) ownership(doc string, epoch uint64, acquired bool) {
 	<-am.ready
 	if am.cfg.logDir == "" {
@@ -144,7 +151,7 @@ func (am *archivists) ensure(doc string, epoch uint64) {
 		}
 		return
 	}
-	site := am.archiveSite(doc)
+	site := archiveSite(am.cfg.self, doc)
 	buf, err := treedoc.NewTextBuffer(treedoc.WithSite(site))
 	if err != nil {
 		log.Printf("treedoc-serve: archivist for %q: %v", doc, err)
@@ -180,7 +187,6 @@ func (am *archivists) ensure(doc string, epoch uint64) {
 	eng.Connect(link)
 	a := &archivist{doc: doc, site: site, buf: buf, eng: eng, stop: make(chan struct{}), epoch: epoch}
 	am.m[doc] = a
-	am.hub.RegisterHandoff(doc, eng)
 	log.Printf("treedoc-serve: archivist s%d for doc %q persisting to %s (%d runes restored)",
 		site, doc, filepath.Join(am.cfg.logDir, doc), buf.Len())
 	if am.cfg.flattenEvery > 0 {
@@ -188,37 +194,83 @@ func (am *archivists) ensure(doc string, epoch uint64) {
 	}
 }
 
-// release stops doc's archivist after its state streamed to the new
-// owner — unless a newer epoch re-acquired the document in the meantime
-// (the stale handoff's release must not kill the fresh archivist). The
-// durable log directory stays on disk: if the document ever comes back,
-// the archivist resumes from it and the handed-off snapshot (which
-// dominates) supersedes the stale state.
+// release begins handing doc's archivist over to the document's new
+// owner. Its link was re-pointed with the clients, so it answers the
+// successor archivist's digests like any member; it keeps serving until
+// that successor's acknowledged clock dominates the clock it holds now,
+// and only then stops (handOver). The durable log directory stays on
+// disk: if the document ever comes back, an archivist resumes from it.
 func (am *archivists) release(doc string, epoch uint64) {
 	am.mu.Lock()
 	a := am.m[doc]
-	if a != nil && epoch != 0 && a.epoch > epoch {
-		am.mu.Unlock()
-		log.Printf("treedoc-serve: ignoring stale release of doc %q (epoch %d < acquired %d)", doc, epoch, a.epoch)
-		return
-	}
-	if a != nil {
-		// Unregister inside the lock: a racing acquisition at a newer epoch
-		// re-registers under the same lock, so its fresh source can never
-		// be clobbered by this stale release.
-		am.hub.RegisterHandoff(doc, nil)
-	}
-	delete(am.m, doc)
 	am.mu.Unlock()
-	if a == nil {
+	if a != nil {
+		go am.handOver(a, epoch, a.eng.Clock())
+	}
+}
+
+// handOver waits until the successor archivist — its site derived from the
+// current owner's address, so a ring that moved on is followed — has
+// acknowledged held, then stops a. Ownership coming back cancels the wait:
+// an acquisition at a newer epoch than the release's (which also makes a
+// late release of an older epoch stale), or a ring that names this hub
+// again. A successor that runs no archivist never acknowledges: a then
+// serves until the process exits.
+func (am *archivists) handOver(a *archivist, epoch uint64, held vclock.VC) {
+	tick := time.NewTicker(handOverPoll)
+	defer tick.Stop()
+	for {
+		select {
+		case <-a.stop:
+			return
+		case <-tick.C:
+		}
+		am.mu.Lock()
+		reacquired := a.epoch > epoch
+		am.mu.Unlock()
+		owner, owned := am.hub.DocOwner(a.doc)
+		if reacquired || owned {
+			log.Printf("treedoc-serve: hand-over of doc %q (release at epoch %d) cancelled: owned here again", a.doc, epoch)
+			return
+		}
+		if a.eng.Acked(archiveSite(owner, a.doc)).Dominates(held) {
+			am.stop(a, "handed over to "+owner)
+			return
+		}
+	}
+}
+
+// stop stops an archivist that is still in the set; whoever removes it
+// stops it, so racing callers stop it once.
+func (am *archivists) stop(a *archivist, why string) {
+	am.mu.Lock()
+	mine := am.m[a.doc] == a
+	if mine {
+		delete(am.m, a.doc)
+	}
+	am.mu.Unlock()
+	if !mine {
 		return
 	}
 	close(a.stop)
 	a.eng.Stop()
-	log.Printf("treedoc-serve: archivist for %q stopped (%d ops applied, %d snapshots served)",
-		a.doc, a.eng.Applied(), a.eng.SnapshotsSent())
+	log.Printf("treedoc-serve: archivist for %q stopped, %s (%d ops applied, %d snapshots served)",
+		a.doc, why, a.eng.Applied(), a.eng.SnapshotsSent())
 	if err := a.eng.Err(); err != nil {
 		log.Printf("treedoc-serve: archivist for %q error: %v", a.doc, err)
+	}
+}
+
+// awaitHandOvers waits until every archivist has stopped, at most timeout,
+// and reports how many still run.
+func (am *archivists) awaitHandOvers(timeout time.Duration) int {
+	deadline := time.Now().Add(timeout)
+	for {
+		n := len(am.all())
+		if n == 0 || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(handOverPoll)
 	}
 }
 
@@ -234,15 +286,13 @@ func (am *archivists) all() []*archivist {
 	return out
 }
 
-// archiveSite picks the archivist's site id: the configured base counting
-// is replaced by a per-(self, doc) derivation so two hubs that archive the
-// same document across a handoff never stamp under the same site id.
-func (am *archivists) archiveSite(doc string) treedoc.SiteID {
-	if am.cfg.site != 0 {
-		return treedoc.SiteID(am.cfg.site)
-	}
+// archiveSite derives the site id of the archivist the hub advertised as
+// self runs for doc: two hubs that archive one document across a handoff
+// never stamp under one site id, and a predecessor finds its successor's
+// acknowledgements under the site derived from the new owner's address.
+func archiveSite(self, doc string) treedoc.SiteID {
 	h := fnv.New64a()
-	h.Write([]byte(am.cfg.self))
+	h.Write([]byte(self))
 	h.Write([]byte{0})
 	h.Write([]byte(doc))
 	// High site ids keep archivists far away from interactively assigned
@@ -259,9 +309,8 @@ func main() {
 	self := flag.String("self", "", "this hub's advertised address in the shard ring (required with -peers or -join)")
 	peers := flag.String("peers", "", "comma-separated advertised addresses of every hub in the shard ring, including this one (empty disables sharding)")
 	join := flag.String("join", "", "advertised address of any live ring member: fetch its ring, add this hub at the next epoch, and announce (live reshard; requires -self)")
-	leave := flag.Bool("leave", false, "on SIGTERM, hand every owned document off to the surviving ring (Hub.Resign) before exiting")
+	leave := flag.Bool("leave", false, "on SIGTERM, hand every owned document off to the surviving ring (Hub.Resign) and wait up to 30s for the archivists' hand-overs before exiting")
 	logDir := flag.String("log", "", "archivist log directory; each document persists under <log>/<doc>/ (empty disables archivists)")
-	archiveSite := flag.Uint64("archive-site", 0, "fixed site id for archivist replicas (0: derive one per hub+document, so handoffs never reuse a site id)")
 	compactEvery := flag.Int("compact", 16384, "archivist: retained ops before snapshot+truncate")
 	snapThreshold := flag.Int("snap-threshold", 8192, "archivist: digest gap that triggers snapshot catch-up")
 	flattenEvery := flag.Duration("flatten-every", 0, "archivist: period between cold-subtree flatten proposals per document (0 disables; requires -log)")
@@ -312,7 +361,6 @@ func main() {
 		hubAddr:       hub.Addr().String(),
 		logDir:        *logDir,
 		self:          *self,
-		site:          *archiveSite,
 		compactEvery:  *compactEvery,
 		snapThreshold: *snapThreshold,
 		flattenEvery:  *flattenEvery,
@@ -394,8 +442,10 @@ func main() {
 
 	if *leave && hub.RingEpoch() > 0 {
 		log.Printf("treedoc-serve: leaving the ring: handing off %d archived documents", len(am.all()))
-		if err := hub.Resign(30 * time.Second); err != nil {
+		if err := hub.Resign(); err != nil {
 			log.Printf("treedoc-serve: resign: %v (surviving hubs heal via anti-entropy)", err)
+		} else if n := am.awaitHandOvers(30 * time.Second); n > 0 {
+			log.Printf("treedoc-serve: %d archivists not acknowledged by a successor after 30s; stopping them anyway", n)
 		}
 	}
 
@@ -412,7 +462,7 @@ func main() {
 		log.Printf("treedoc-serve: doc %q: %d clients, %d relayed, %d dropped", doc, st.Clients, st.Relays, st.Drops)
 	}
 	for _, a := range am.all() {
-		am.release(a.doc, 0)
+		am.stop(a, "shutting down")
 	}
 	if err := hub.Close(); err != nil {
 		log.Fatal(err)

@@ -2,17 +2,18 @@
 // — the deployment shape of the paper's peer-to-peer scenario with the
 // serving tier as dynamic as the replicas. Two documents are edited
 // through hub A (ring epoch 1, one node). Mid-burst, hub B joins the ring
-// at epoch 2: the document the consistent-hash change relocates is frozen
-// briefly, its archivist snapshot and retained log suffix are streamed to
-// B over the hub-to-hub mesh, and the attached writers are re-pointed
-// with an epoch-stamped redirect — no process restarts, no ops lost, and
-// the writers never notice: "common edit operations execute
+// at epoch 2: the attached writers of the document the consistent-hash
+// change relocates — and hub A's archivist with them — are re-pointed to B
+// with an epoch-stamped redirect. No process restarts, no ops are lost,
+// and the writers never notice: "common edit operations execute
 // optimistically, with no latency; replicas synchronise only in the
 // background" (Section 6).
 //
-// The ownership hook mirrors cmd/treedoc-serve: when the handoff begins
-// streaming into hub B, it starts a local archivist that installs the
-// streamed snapshot and replays only the suffix — zero pre-snapshot ops.
+// The ownership hook mirrors cmd/treedoc-serve: hub B starts an archivist
+// that catches up like any late joiner — its digest draws a snapshot, so
+// it replays no pre-snapshot op — and hub A's archivist keeps serving
+// until B's has acknowledged every operation A's held, and only then
+// stops.
 package main
 
 import (
@@ -34,6 +35,9 @@ const (
 	editsPerPhase = 250
 	archSiteA     = treedoc.SiteID(1000)
 	archSiteB     = treedoc.SiteID(2000)
+	// snapThreshold is low enough that a joiner missing phase 1 is
+	// answered with a snapshot rather than an op replay.
+	snapThreshold = 64
 )
 
 type site struct {
@@ -44,14 +48,16 @@ type site struct {
 }
 
 // archivists is the minimal treedoc-serve-style ownership hook: start an
-// archivist when a handoff streams in, stop it when one streams out.
+// archivist when a document is acquired; when one is released, stop it
+// once the successor archivist (site successor) has acknowledged
+// everything it held.
 type archivists struct {
-	mu      sync.Mutex
-	hub     *treedoc.Hub
-	hubAddr string
-	dir     string
-	siteID  treedoc.SiteID
-	m       map[string]*site
+	mu        sync.Mutex
+	hubAddr   string
+	dir       string
+	siteID    treedoc.SiteID
+	successor treedoc.SiteID
+	m         map[string]*site
 }
 
 func (am *archivists) ownership(doc string, epoch uint64, acquired bool) {
@@ -61,12 +67,28 @@ func (am *archivists) ownership(doc string, epoch uint64, acquired bool) {
 		return
 	}
 	fmt.Printf("hub %s released doc %q at ring epoch %d\n", am.hubAddr, doc, epoch)
+	a := am.get(doc)
+	if a == nil {
+		return
+	}
+	held := a.eng.Clock()
+	go func() {
+		for deadline := time.Now().Add(30 * time.Second); !a.eng.Acked(am.successor).Dominates(held); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				log.Fatalf("BUG: the successor archivist never acknowledged doc %q at %v", doc, held)
+			}
+		}
+		am.stop(doc)
+		fmt.Printf("hub %s archivist for %q stopped: the successor acknowledged its clock %v\n", am.hubAddr, doc, held)
+	}()
+}
+
+func (am *archivists) stop(doc string) {
 	am.mu.Lock()
 	a := am.m[doc]
 	delete(am.m, doc)
 	am.mu.Unlock()
 	if a != nil {
-		am.hub.RegisterHandoff(doc, nil)
 		a.eng.Stop()
 	}
 }
@@ -83,7 +105,8 @@ func (am *archivists) ensure(doc string) *site {
 	}
 	eng, err := treedoc.NewEngine(am.siteID, buf,
 		treedoc.WithLogDir(filepath.Join(am.dir, doc)),
-		treedoc.WithSyncInterval(25*time.Millisecond))
+		treedoc.WithSyncInterval(25*time.Millisecond),
+		treedoc.WithSnapshotThreshold(snapThreshold))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +117,6 @@ func (am *archivists) ensure(doc string) *site {
 	eng.Connect(link)
 	a := &site{id: am.siteID, doc: doc, buf: buf, eng: eng}
 	am.m[doc] = a
-	am.hub.RegisterHandoff(doc, eng)
 	return a
 }
 
@@ -122,7 +144,7 @@ func main() {
 	}
 	defer hubA.Close()
 	addrA := hubA.Addr().String()
-	amA = &archivists{hub: hubA, hubAddr: addrA, dir: filepath.Join(tmp, "a"), siteID: archSiteA, m: make(map[string]*site)}
+	amA = &archivists{hubAddr: addrA, dir: filepath.Join(tmp, "a"), siteID: archSiteA, successor: archSiteB, m: make(map[string]*site)}
 	ring1, err := shardmap.NewRing(1, []string{addrA})
 	if err != nil {
 		log.Fatal(err)
@@ -142,7 +164,7 @@ func main() {
 	}
 	defer hubB.Close()
 	addrB := hubB.Addr().String()
-	amB = &archivists{hub: hubB, hubAddr: addrB, dir: filepath.Join(tmp, "b"), siteID: archSiteB, m: make(map[string]*site)}
+	amB = &archivists{hubAddr: addrB, dir: filepath.Join(tmp, "b"), siteID: archSiteB, m: make(map[string]*site)}
 
 	// Pick one document that stays on A and one the epoch-2 ring hands to
 	// B — computable in advance because the diff is deterministic on every
@@ -164,14 +186,15 @@ func main() {
 	}
 	fmt.Printf("hub A %s relaying at ring epoch 1; %q will stay, %q will move to B %s at epoch 2\n",
 		addrA, docStay, docMove, addrB)
-	amA.ensure(docMove) // the archivist whose state the handoff streams
+	amA.ensure(docMove) // the archivist that holds the history when the document moves
 
 	dial := func(id treedoc.SiteID, doc string) *site {
 		buf, err := treedoc.NewTextBuffer(treedoc.WithSite(id))
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng, err := treedoc.NewEngine(id, buf, treedoc.WithSyncInterval(25*time.Millisecond))
+		eng, err := treedoc.NewEngine(id, buf, treedoc.WithSyncInterval(25*time.Millisecond),
+			treedoc.WithSnapshotThreshold(snapThreshold))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -231,8 +254,8 @@ func main() {
 		docMove, phase1Ops, docStay, staying[0].buf.Len())
 
 	// Phase 2: writers keep editing while hub B joins the ring. Hub A
-	// adopts the announced epoch-2 ring, streams the archivist state to B,
-	// and re-points the attached writers — live.
+	// adopts the announced epoch-2 ring and re-points the attached writers
+	// and its archivist to B — live.
 	for _, s := range writers {
 		wg.Add(1)
 		go func(s *site) { defer wg.Done(); write(s, 2, time.Millisecond) }(s)
@@ -277,10 +300,10 @@ func main() {
 	total := totalVC.Get(1) + totalVC.Get(2)
 	fmt.Printf("converged after live reshard: %q=%d runes on 3 replicas, %q=%d runes on 2 replicas\n",
 		docMove, moving[0].buf.Len(), docStay, staying[0].buf.Len())
-	fmt.Printf("new owner archivist: %d snapshots installed, %d of %d ops replayed live (phase 1's %d came via the streamed snapshot)\n",
+	fmt.Printf("new owner archivist: %d snapshots installed, %d of %d ops replayed live (phase 1's %d came via a snapshot)\n",
 		archB.eng.SnapshotsInstalled(), archB.eng.Applied(), total, phase1Ops)
 	if archB.eng.SnapshotsInstalled() == 0 {
-		log.Fatal("BUG: new owner archivist never installed the handoff snapshot")
+		log.Fatal("BUG: new owner archivist never installed a catch-up snapshot")
 	}
 	if archB.eng.Applied() > total-phase1Ops {
 		log.Fatal("BUG: new owner archivist replayed pre-snapshot ops")
@@ -288,10 +311,16 @@ func main() {
 	fmt.Printf("hub A: ring epoch %d, %d handoffs out, %d forwarded frames; hub B: %d handoffs in\n",
 		hubA.RingEpoch(), hubA.HandoffsOut(), hubA.Forwards(), hubB.HandoffsIn())
 
+	// Hub A's archivist stops once B's has acknowledged what it held.
+	for deadline := time.Now().Add(30 * time.Second); amA.get(docMove) != nil; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatal("BUG: the old owner's archivist never handed over")
+		}
+	}
 	for _, s := range writers {
 		s.eng.Stop()
 	}
-	amB.ownership(docMove, hubB.RingEpoch(), false)
+	amB.stop(docMove)
 }
 
 // converge polls until every engine's delivered clock in the group is

@@ -574,38 +574,22 @@ func (e *Engine) attach(p *peer) {
 	}
 }
 
-// HandoffState captures the replica's migration payload for an online
-// document handoff: the freshest barrier snapshot (nil when the replica
-// cannot snapshot or the document is empty) with its version vector, plus
-// every retained message the snapshot does not cover, in causal-delivery
-// order. The new owner installs the snapshot and replays only the suffix,
-// so it replays zero pre-snapshot operations. The engine stays live —
-// HandoffState is a read on the actor, not a shutdown — so stamped
-// operations racing the handoff remain in the engine and reach the new
-// owner through the clients' anti-entropy instead of being lost.
-func (e *Engine) HandoffState() (snap []byte, version vclock.VC, suffix []causal.Message, err error) {
-	type state struct {
-		snap    []byte
-		version vclock.VC
-		suffix  []causal.Message
-	}
-	ch := make(chan state, 1)
-	if !e.ctl(func() {
-		e.ensureBarrier() // compact at the current clock when possible
-		var st state
-		if e.snapData != nil {
-			st.snap, st.version = e.snapData, e.snapVC.Clone()
-		}
-		st.suffix = e.retained.AppendMissing(nil, st.version)
-		ch <- st
-	}) {
-		return nil, nil, nil, ErrStopped
+// Acked returns the delivered clock site last acknowledged to this engine
+// — its newest digest, or the stamp of its newest delivered edit — empty
+// when site is no member (never heard from, or dropped at the frontier
+// cap; a new digest brings it back), nil after Stop. An archivist handing
+// a document over reads it to learn when its successor holds everything
+// it held.
+func (e *Engine) Acked(site ident.SiteID) vclock.VC {
+	ch := make(chan vclock.VC, 1)
+	if !e.ctl(func() { ch <- e.acked[site].Clone() }) {
+		return nil
 	}
 	select {
-	case st := <-ch:
-		return st.snap, st.version, st.suffix, nil
+	case vc := <-ch:
+		return vc
 	case <-e.done:
-		return nil, nil, nil, ErrStopped
+		return nil
 	}
 }
 
@@ -1221,7 +1205,7 @@ func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bo
 // a per-send copy). On a plain link — or if the wrap fails, which cannot
 // happen for frames this engine encoded — the frame broadcasts as-is.
 func directed(to *peer, dst ident.SiteID, frame []byte) []byte {
-	if !to.routes || dst == 0 {
+	if !to.routes {
 		return frame
 	}
 	if f, err := encodeReplay(dst, frame); err == nil {

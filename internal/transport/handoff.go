@@ -10,28 +10,25 @@ package transport
 //   - A ring is adopted with ConfigureRing (or a kindRingAnnounce from a
 //     peer); higher epoch wins. The deterministic diff (shardmap.Moved)
 //     tells every hub which local documents the change relocates.
-//   - Each relocated document runs the handoff state machine:
-//     freeze → stream (kindHandoffBegin, then state frames from the
-//     shared kindSnapChunk/kindOps encoder) → re-point
-//     (epoch-stamped unsolicited redirect to every attached client) →
-//     release (forward mode for stragglers, ownership callback for the
-//     archivist lifecycle).
+//   - Each relocated document is handed off at adoption: kindHandoffBegin
+//     tells the new owner to bring up its archivist, every attached client
+//     is re-pointed with an epoch-stamped unsolicited redirect, forward
+//     mode serves stragglers, and the ownership callback releases the
+//     local archivist. No state travels with the handoff: a handoff is a
+//     late join. The new owner's archivist catches up by digest like any
+//     joiner — from the clients, and from the old archivist, whose link is
+//     re-pointed with them — and the old archivist keeps serving until the
+//     new one has acknowledged everything it held (cmd/treedoc-serve).
 //   - Hubs keep persistent mesh connections (hubPeer) to other ring
-//     members: ring announces and the kindForward envelope — forwarded
-//     client frames and handoff streams alike — travel over them. Forward
-//     mode serves a foreign document to clients that cannot reach its
-//     owner shard: local frames are relayed locally and forwarded to the
-//     owner; the mesh connection subscribes to the document at the owner
-//     so its traffic flows back.
+//     members: ring announces, Begins and the kindForward envelope travel
+//     over them. Forward mode serves a foreign document to clients that
+//     cannot reach its owner shard: local frames are relayed locally and
+//     forwarded to the owner; the mesh connection subscribes to the
+//     document at the owner so its traffic flows back.
 //
-// Failure envelope: the state stream is a catch-up accelerator, not the
-// source of truth. If the new owner is unreachable or dies mid-handoff,
-// the old owner unfreezes, re-points its clients anyway, and logs the
-// failure — the clients' engines retain their message logs and heal the
-// new owner's archivist through ordinary anti-entropy. A frame received
-// as kindForward is never re-forwarded, so hubs with disagreeing rings
-// cannot loop frames; the disagreeing hub is answered with a ring
-// announce instead.
+// A frame received as kindForward is never re-forwarded, so hubs with
+// disagreeing rings cannot loop frames; the disagreeing hub is answered
+// with a ring announce instead.
 
 import (
 	"context"
@@ -42,31 +39,11 @@ import (
 	"sync"
 	"time"
 
-	"github.com/treedoc/treedoc/internal/causal"
-	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/transport/shardmap"
-	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// HandoffSource supplies a migrating document's durable state: the
-// freshest snapshot with its version vector plus the retained operation
-// suffix above it. *Engine implements it (see Engine.HandoffState), so an
-// archivist registered with Hub.RegisterHandoff streams its whole state to
-// the new owner, and the receiving archivist replays zero pre-snapshot
-// operations.
-type HandoffSource interface {
-	Site() ident.SiteID
-	HandoffState() (snap []byte, version vclock.VC, suffix []causal.Message, err error)
-}
-
-const (
-	// meshDialTimeout bounds dialing a peer hub.
-	meshDialTimeout = 5 * time.Second
-	// handoffStreamTimeout bounds one outbound handoff's streaming phase:
-	// past it the document unfreezes and clients are re-pointed regardless
-	// (anti-entropy heals whatever the stream did not deliver).
-	handoffStreamTimeout = 30 * time.Second
-)
+// meshDialTimeout bounds dialing a peer hub.
+const meshDialTimeout = 5 * time.Second
 
 // errStaleEpoch marks a ConfigureRing refusal because the offered epoch
 // is not above the installed one — the one failure mode callers may
@@ -77,25 +54,18 @@ var errStaleEpoch = errors.New("transport: ring epoch not above current")
 // advertised address (it may be absent from the ring — a resigning hub
 // owns nothing afterwards) and ring the full membership. A ring whose
 // epoch is not above the current one is refused (same epoch: no-op, so
-// repeated announces are idempotent). Adopting a ring over live traffic
-// triggers the online handoff state machine for every local document the
-// membership change relocates: the document is frozen briefly, its
-// registered state source streamed to the new owner over the mesh,
-// attached clients re-pointed with an epoch-stamped redirect, and clients
-// that stay (they cannot reach the new owner) served through forward
-// mode. The new ring is announced to every mesh peer and every
-// connection.
+// repeated announces are idempotent). The new ring is announced to every
+// mesh peer and every connection, and every local document the membership
+// change relocates is handed off before ConfigureRing returns: a Begin to
+// the new owner, an epoch-stamped redirect to each attached client,
+// forward mode for clients that stay, and the release callback — all
+// lossy offers, so nothing here waits on a peer.
 func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 	if ring == nil || ring.Epoch == 0 {
 		return fmt.Errorf("transport: nil or epoch-0 ring")
 	}
 	if self == "" {
 		return &net.AddrError{Err: "hub has no advertised self address", Addr: self}
-	}
-	type moveOut struct {
-		doc string
-		to  string
-		s   *docShard
 	}
 	var outs []moveOut
 	h.mu.Lock()
@@ -137,60 +107,43 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 			// Ours now (newly or still): authoritative, no forwarding. A
 			// previous forward-mode subscription is detached, or the old
 			// owner would keep relaying every straggler frame here twice.
-			// A freeze left by an in-flight outbound handoff (a newer epoch
-			// moved the document back mid-stream) is lifted immediately —
-			// an owned document must not drop frames for the rest of that
-			// stream's deadline.
-			s.frozen.Store(false)
 			if old := s.fwd.Swap(nil); old != nil {
 				old.unsubscribe(doc)
 			}
 			if !ownedBefore(doc) {
 				// Acquisition keys off ring adoption, not just the old
 				// owner's kindHandoffBegin: if the old owner crashed or its
-				// stream never arrives, this hub still brings up an
-				// archivist for the served document and anti-entropy heals
-				// it from the attached clients.
+				// Begin was shed, this hub still brings up an archivist for
+				// the served document.
 				gained = append(gained, doc)
 			}
 			continue
 		}
 		if ownedBefore(doc) && s.fwd.Load() == nil {
-			// Moving off this hub: freeze for the streaming window.
-			s.frozen.Store(true)
-			outs = append(outs, moveOut{doc: doc, to: owner, s: s})
-			continue
+			m := moveOut{doc: doc, to: owner, s: s}
+			if snap := s.snap.Load(); snap != nil {
+				m.attached = *snap
+			}
+			outs = append(outs, m)
 		}
-		// Already foreign (forward mode, possibly with a stale target):
-		// retarget the mesh subscription at the new owner.
+		// Foreign now: forward mode towards the owner for whoever stays
+		// (clients mid-migration, clients that cannot reach the owner).
 		h.retargetLocked(doc, s, owner)
-	}
-	// A registered state source whose document has no local relay group
-	// (its archivist is attached through another path, or nobody is
-	// connected) still migrates.
-	for doc := range h.sources {
-		if h.shards[doc] != nil {
-			continue
-		}
-		if owner := ring.Owner(doc); owner != self && ownedBefore(doc) {
-			outs = append(outs, moveOut{doc: doc, to: owner})
-		}
 	}
 	conns := make([]*hubConn, 0, len(h.conns))
 	for _, c := range h.conns {
 		conns = append(conns, c)
 	}
-	var mesh []*hubPeer
+	mesh := make(map[string]*hubPeer)
 	for _, n := range ring.Nodes {
-		if n == self {
-			continue
-		}
 		if p := h.peerLocked(n); p != nil {
-			mesh = append(mesh, p)
+			mesh[n] = p
 		}
 	}
 	h.mu.Unlock()
 
+	// The ring rides ahead of each Begin on the same mesh FIFO: a receiver
+	// still on the old epoch would refuse the Begin as not its document.
 	if ann, err := encodeRing(ring); err == nil {
 		for _, p := range mesh {
 			p.offer(ann)
@@ -207,21 +160,48 @@ func (h *Hub) ConfigureRing(self string, ring *shardmap.Ring) error {
 		}
 	}
 	for _, m := range outs {
-		h.wg.Add(1)
-		h.handoffWG.Add(1)
-		go h.handoffDoc(m.doc, m.to, ring.Epoch, m.s)
+		h.handOff(m, ring.Epoch, mesh[m.to])
 	}
 	return nil
+}
+
+// moveOut is one local document a ring change moves to another hub: its
+// relay group and the clients attached to it at adoption.
+type moveOut struct {
+	doc, to  string
+	s        *docShard
+	attached []*hubConn
+}
+
+// handOff moves one document off this hub: Begin to the new owner (p, nil
+// when it cannot be dialed), an epoch-stamped redirect to every attached
+// client, then the release callback. A shed Begin or redirect costs no
+// op: the old archivist keeps serving until the new owner's archivist has
+// acknowledged what it held, and a client left behind is forwarded.
+func (h *Hub) handOff(m moveOut, epoch uint64, p *hubPeer) {
+	doc, to := m.doc, m.to
+	h.handoffsOut.Add(1)
+	if begin, err := encodeFrame(kindHandoffBegin, &HandoffBeginFrame{Doc: doc, Epoch: epoch}); err == nil && (p == nil || !p.offer(begin)) {
+		h.logf("hub: handoff of doc %q to %s (epoch %d): Begin not queued; the old archivist keeps serving until the new owner runs one", doc, to, epoch)
+	}
+	if resp, err := encodeFrame(kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: doc, Redirect: to, Epoch: epoch}}}); err == nil {
+		for _, c := range m.attached {
+			h.offerTo(m.s, c, resp)
+		}
+	}
+	if h.ownership != nil {
+		h.ownership(doc, epoch, false)
+	}
+	h.logf("hub: handed doc %q to %s at epoch %d (%d clients re-pointed)", doc, to, epoch, len(m.attached))
 }
 
 // Resign removes this hub from the ring: it installs and announces the
 // membership without itself at the next epoch (mintRing: a racing announce
 // that still names this hub is minted over, not mistaken for success),
-// hands off every owned document with local state, and waits (bounded by
-// timeout) for the outbound handoffs to finish streaming. The hub keeps
-// relaying afterwards — remaining clients are served through forward mode
-// — but owns no documents.
-func (h *Hub) Resign(timeout time.Duration) error {
+// which hands off every owned document with a local relay group before it
+// returns. The hub keeps relaying afterwards — remaining clients are
+// served through forward mode — but owns no documents.
+func (h *Hub) Resign() error {
 	view := h.ringView.Load()
 	ring, self := view.ring, view.self
 	if ring == nil || self == "" {
@@ -229,171 +209,9 @@ func (h *Hub) Resign(timeout time.Duration) error {
 	}
 	// Resigning from a single-node ring leaves no nodes, which is no ring:
 	// the mint fails.
-	without := func(cur []string) []string {
+	return h.mintRing(self, "", 0, func(cur []string) []string {
 		return slices.DeleteFunc(slices.Clone(cur), func(n string) bool { return n == self })
-	}
-	if err := h.mintRing(self, "", 0, without); err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	go func() {
-		h.handoffWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("transport: handoffs still streaming after %v", timeout)
-	}
-}
-
-// handoffDoc runs one outbound handoff: stream the document's state to
-// the new owner, re-point attached clients with an epoch-stamped
-// redirect, keep stragglers served through forward mode, unfreeze, and
-// fire the release callback.
-func (h *Hub) handoffDoc(doc, to string, epoch uint64, s *docShard) {
-	defer h.wg.Done()
-	defer h.handoffWG.Done()
-	h.handoffsOut.Add(1)
-	start := time.Now()
-	h.mu.Lock()
-	p := h.peerLocked(to)
-	h.mu.Unlock()
-	var streamErr error
-	beginSent := false
-	if p == nil {
-		streamErr = fmt.Errorf("no mesh connection to %s", to)
-	} else {
-		beginSent, streamErr = h.streamHandoff(p, doc, epoch)
-	}
-	// Re-point and set up forwarding for whoever stays attached — against
-	// the ring as it stands NOW, not the epoch that started this handoff:
-	// a newer epoch may have moved the document onward (re-point there
-	// instead) or back to this hub (then nothing is re-pointed, no forward
-	// mode is installed, and the archivist is not released). The shard may
-	// also have been recreated since ConfigureRing's snapshot.
-	h.mu.Lock()
-	target, curEpoch := to, epoch
-	ownedAgain := false
-	if h.ring != nil {
-		curEpoch = h.ring.Epoch
-		if owner := h.ring.Owner(doc); owner == h.self {
-			ownedAgain = true
-		} else {
-			target = owner
-		}
-	}
-	cur := h.shards[doc]
-	var attached []*hubConn
-	if cur != nil {
-		if ownedAgain {
-			if old := cur.fwd.Swap(nil); old != nil {
-				old.unsubscribe(doc)
-			}
-		} else {
-			if snap := cur.snap.Load(); snap != nil {
-				attached = *snap
-			}
-			h.retargetLocked(doc, cur, target)
-		}
-	}
-	h.mu.Unlock()
-	if !ownedAgain {
-		if resp, err := encodeFrame(kindHelloResp, &HelloRespFrame{Entries: []HelloEntry{{Doc: doc, Redirect: target, Epoch: curEpoch}}}); err == nil {
-			for _, c := range attached {
-				h.offerTo(cur, c, resp)
-			}
-		}
-	}
-	if s != nil {
-		s.frozen.Store(false)
-	}
-	if cur != nil && cur != s {
-		cur.frozen.Store(false)
-	}
-	if ownedAgain {
-		h.logf("hub: handoff of doc %q overtaken by ring epoch %d: owned here again, clients not re-pointed", doc, curEpoch)
-		return
-	}
-	// Release only if the new owner at least saw the Begin (its own
-	// acquisition hook has run, or ring adoption fired it). If the owner
-	// was completely unreachable, keeping the local archivist alive keeps
-	// the document durable somewhere: its re-pointed link follows the doc
-	// wherever it is relayed, and the registered source can still stream
-	// on a later ring change.
-	if beginSent && h.ownership != nil {
-		h.ownership(doc, epoch, false)
-	}
-	if streamErr != nil {
-		h.logf("hub: handoff of doc %q to %s (epoch %d): state stream failed after %v: %v (anti-entropy heals the new owner)",
-			doc, to, epoch, time.Since(start), streamErr)
-		return
-	}
-	h.logf("hub: handoff of doc %q to %s complete in %v (epoch %d, %d clients re-pointed)",
-		doc, to, time.Since(start), epoch, len(attached))
-}
-
-// streamHandoff sends Begin and the registered source's snapshot + retained
-// suffix (the shared state encoder's frames inside kindForward envelopes:
-// the receiver relays them like any forwarded frame), reporting whether
-// the Begin made it onto the queue. Nothing closes the bracket on the
-// wire: the stream is complete when the mesh queue has drained. Sends
-// block into the mesh queue — the receiver's chunk reassembly is strictly
-// in-order, so dropping one frame would void the sequence — bounded by
-// handoffStreamTimeout overall.
-func (h *Hub) streamHandoff(p *hubPeer, doc string, epoch uint64) (beginSent bool, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), handoffStreamTimeout)
-	defer cancel()
-	// The ring rides ahead of the Begin on the same FIFO: adoption's
-	// one-shot announce is a lossy offer, and a receiver still on the
-	// old epoch would refuse the handoff as not-its-document.
-	if ann := h.ringAnnounce(); ann != nil {
-		p.put(ann, ctx.Done())
-	}
-	begin, err := encodeFrame(kindHandoffBegin, &HandoffBeginFrame{Doc: doc, Epoch: epoch})
-	if err != nil {
-		return false, err
-	}
-	if !p.put(begin, ctx.Done()) {
-		return false, fmt.Errorf("mesh connection to %s lost or timed out", p.addr)
-	}
-	h.mu.Lock()
-	src := h.sources[doc]
-	h.mu.Unlock()
-	if src != nil {
-		if err := h.streamSource(p, doc, src, ctx.Done()); err != nil {
-			// A partial stream is tolerated: the receiver's consumers heal
-			// gaps through anti-entropy.
-			return true, err
-		}
-	}
-	// Queued is not delivered: wait for the writer to put the stream on
-	// the wire, so a resigning hub does not exit with the tail still
-	// buffered.
-	if !p.written(ctx.Done()) {
-		return true, fmt.Errorf("mesh connection to %s lost before handoff stream drained", p.addr)
-	}
-	return true, nil
-}
-
-// streamSource streams one source's snapshot and suffix.
-func (h *Hub) streamSource(p *hubPeer, doc string, src HandoffSource, expired <-chan struct{}) error {
-	snap, version, suffix, err := src.HandoffState()
-	if err != nil {
-		return fmt.Errorf("handoff source: %w", err)
-	}
-	_, err = stateFrames(src.Site(), snap, version, suffix, func(inner []byte) error {
-		env, err := encodeEnvelope(kindForward, doc, inner)
-		if err != nil {
-			return err
-		}
-		if !p.put(env, expired) {
-			return fmt.Errorf("mesh connection to %s lost mid-stream", p.addr)
-		}
-		return nil
 	})
-	return err
 }
 
 // encodeRing encodes a ring as the kindRingAnnounce frame announcing it.
@@ -508,8 +326,7 @@ func (h *Hub) adoptAnnouncedRing(rf *RingFrame, from string) {
 }
 
 // handleForward relays one hub-to-hub envelope's frame — a client frame
-// forwarded in forward mode, or a slice of a handoff stream — to the local
-// relay group (never onward — that is what makes ring disagreement
+// forwarded in forward mode — to the local relay group (never onward — that is what makes ring disagreement
 // loop-free); a forward for a document this hub does not own is answered
 // with the current ring so the stale sender re-points.
 func (h *Hub) handleForward(c *hubConn, doc string, inner []byte) {
@@ -519,15 +336,13 @@ func (h *Hub) handleForward(c *hubConn, doc string, inner []byte) {
 	h.relayLocal(c, doc, inner, nil)
 }
 
-// handleHandoffBegin prepares this hub to receive a document: the
-// ownership callback starts a consumer (an archivist) before any state
-// frame is read off this connection — the callback runs synchronously on
-// the connection's reader goroutine, so the state stream cannot outrun
-// it. A handoff for a document the current ring does not assign to this
-// hub is refused (no callback): it is either a stale owner that missed a
-// newer epoch — its clients re-point once it catches up — or a hostile
-// client trying to make this hub spawn archivists for arbitrary
-// documents.
+// handleHandoffBegin is the acquisition signal for a document this hub
+// may hold no relay group for: the ownership callback starts its
+// archivist, which catches up by digest like any late joiner. A handoff
+// for a document the current ring does not assign to this hub is refused
+// (no callback): it is either a stale owner that missed a newer epoch —
+// its clients re-point once it catches up — or a hostile client trying to
+// make this hub spawn archivists for arbitrary documents.
 func (h *Hub) handleHandoffBegin(c *hubConn, hb *HandoffBeginFrame) {
 	if _, owned := h.DocOwner(hb.Doc); !owned {
 		h.logf("hub: refusing handoff of doc %q (epoch %d) from %s: not the owner under the current ring",
@@ -561,11 +376,10 @@ func (h *Hub) peerLocked(addr string) *hubPeer {
 }
 
 // hubPeer is one persistent outbound mesh connection to a cooperating
-// hub: ring announces and forwarded frames go out through the embedded
-// queue as lossy offers (the relay path's drop-and-heal semantics), handoff
-// streams as blocking puts ended by written — queued is not delivered.
-// Inbound frames (the forwarded documents' downstream traffic, ring
-// announces) are relayed to local clients only.
+// hub: ring announces, Begins and forwarded frames go out through the
+// embedded queue as lossy offers (the relay path's drop-and-heal
+// semantics). Inbound frames (the forwarded documents' downstream
+// traffic, ring announces) are relayed to local clients only.
 type hubPeer struct {
 	*outq
 	hub  *Hub

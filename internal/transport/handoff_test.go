@@ -17,6 +17,7 @@ import (
 	"github.com/treedoc/treedoc"
 	"github.com/treedoc/treedoc/internal/transport"
 	"github.com/treedoc/treedoc/internal/transport/shardmap"
+	"github.com/treedoc/treedoc/internal/vclock"
 )
 
 // hoWriter is one writer replica attached through a session link.
@@ -26,13 +27,13 @@ type hoWriter struct {
 	eng *treedoc.Engine
 }
 
-func newHOWriter(t testing.TB, id treedoc.SiteID, link treedoc.Link) *hoWriter {
+func newHOWriter(t testing.TB, id treedoc.SiteID, link treedoc.Link, opts ...treedoc.EngineOption) *hoWriter {
 	t.Helper()
 	buf, err := treedoc.NewTextBuffer(treedoc.WithSite(id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := treedoc.NewEngine(id, buf, treedoc.WithSyncInterval(15*time.Millisecond))
+	eng, err := treedoc.NewEngine(id, buf, append([]treedoc.EngineOption{treedoc.WithSyncInterval(15 * time.Millisecond)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,25 +98,47 @@ func hoConverge(t testing.TB, engines []*treedoc.Engine, timeout time.Duration) 
 }
 
 // archMgr manages one hub process's archivists the way cmd/treedoc-serve
-// does: the ownership callback starts an archivist (registered as the
-// handoff source) on acquire and stops it on release.
+// does: the ownership callback starts an archivist on acquire; on release
+// the archivist keeps serving until the successor archivist (site
+// successor) has acknowledged the clock it held, and only then stops.
 type archMgr struct {
 	t       testing.TB
 	hubAddr string
 	dir     string
 	site    treedoc.SiteID
+	// opts are extra engine options for every archivist.
+	opts []treedoc.EngineOption
+	// successor is the site of the archivist a released document goes to.
+	successor treedoc.SiteID
+	// delay holds an acquisition's archivist start back, as a new owner
+	// that restarts mid-handoff would.
+	delay time.Duration
 
 	mu   sync.Mutex
-	hub  *transport.Hub
 	arch map[string]*hoWriter
+	// handedOver maps each document whose archivist stopped on its
+	// successor's acknowledgement to the clock it held at release and the
+	// acknowledgement that released it.
+	handedOver map[string][2]vclock.VC
+}
+
+func newArchMgr(t testing.TB, hubAddr string, site, successor treedoc.SiteID, opts ...treedoc.EngineOption) *archMgr {
+	return &archMgr{t: t, hubAddr: hubAddr, dir: t.TempDir(), site: site, successor: successor, opts: opts,
+		arch: make(map[string]*hoWriter), handedOver: make(map[string][2]vclock.VC)}
 }
 
 func (m *archMgr) ownership(doc string, epoch uint64, acquired bool) {
-	if acquired {
+	switch {
+	case !acquired:
+		m.release(doc)
+	case m.delay > 0:
+		go func() {
+			time.Sleep(m.delay)
+			m.start(doc)
+		}()
+	default:
 		m.start(doc)
-		return
 	}
-	m.stop(doc)
 }
 
 func (m *archMgr) start(doc string) *hoWriter {
@@ -129,42 +152,73 @@ func (m *archMgr) start(doc string) *hoWriter {
 		m.t.Error(err)
 		return nil
 	}
-	eng, err := treedoc.NewEngine(m.site, buf,
+	eng, err := treedoc.NewEngine(m.site, buf, append([]treedoc.EngineOption{
 		treedoc.WithLogDir(filepath.Join(m.dir, doc)),
-		treedoc.WithSyncInterval(15*time.Millisecond))
+		treedoc.WithSyncInterval(15 * time.Millisecond)}, m.opts...)...)
 	if err != nil {
 		m.t.Error(err)
 		return nil
 	}
+	m.t.Cleanup(eng.Stop)
 	link, err := treedoc.DialDoc(m.hubAddr, doc)
 	if err != nil {
-		eng.Stop()
 		m.t.Errorf("archivist attach %q: %v", doc, err)
 		return nil
 	}
 	eng.Connect(link)
 	a := &hoWriter{id: m.site, buf: buf, eng: eng}
 	m.arch[doc] = a
-	m.hub.RegisterHandoff(doc, eng)
 	return a
 }
 
-func (m *archMgr) stop(doc string) {
-	m.mu.Lock()
-	a := m.arch[doc]
-	delete(m.arch, doc)
-	m.mu.Unlock()
+// release stops doc's archivist once the successor has acknowledged the
+// clock it holds now.
+func (m *archMgr) release(doc string) {
+	a := m.get(doc)
 	if a == nil {
 		return
 	}
-	m.hub.RegisterHandoff(doc, nil)
-	a.eng.Stop()
+	held := a.eng.Clock()
+	go func() {
+		for {
+			acked := a.eng.Acked(m.successor)
+			if acked == nil {
+				return // stopped meanwhile
+			}
+			if acked.Dominates(held) {
+				m.mu.Lock()
+				delete(m.arch, doc)
+				m.handedOver[doc] = [2]vclock.VC{held, acked}
+				m.mu.Unlock()
+				a.eng.Stop()
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
 }
 
 func (m *archMgr) get(doc string) *hoWriter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.arch[doc]
+}
+
+// awaitHandOver waits until doc's archivist has stopped on its successor's
+// acknowledgement and returns the clock it held and the one acknowledged.
+func (m *archMgr) awaitHandOver(t testing.TB, doc string, timeout time.Duration) (held, acked vclock.VC) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; time.Sleep(10 * time.Millisecond) {
+		m.mu.Lock()
+		h, ok := m.handedOver[doc]
+		m.mu.Unlock()
+		if ok {
+			return h[0], h[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the old archivist of doc %q never saw its successor acknowledge what it held", doc)
+		}
+	}
 }
 
 // docOwnedBy finds a document name owned by addr under the ring.
@@ -180,18 +234,27 @@ func docOwnedBy(t testing.TB, ring *shardmap.Ring, addr string) string {
 	return ""
 }
 
+// hoSnapThreshold is the snapshot threshold of every engine in the handoff
+// tests: a joiner missing the first phase's history is answered with a
+// snapshot, not an op replay, by whichever member hears its digest.
+const hoSnapThreshold = 64
+
 // TestLiveHandoffUnderWriters is the acceptance test for online
 // resharding: with two writers editing continuously, a new hub joins the
 // ring and the document moves to it — no hub or client restarts, no op is
 // lost, every replica converges byte-identical, the new owner's archivist
-// catches up from the streamed snapshot (replaying zero pre-snapshot
-// operations), and a stale-epoch client attaching through the old owner
-// recovers via the epoch-stamped redirect.
+// catches up from a snapshot (replaying no pre-snapshot operation), the
+// old archivist stops only once the new one has acknowledged everything it
+// held, and a stale-epoch client attaching through the old owner recovers
+// via the epoch-stamped redirect.
 func TestLiveHandoffUnderWriters(t *testing.T) {
 	const (
 		phase1PerWriter = 200
 		phase2PerWriter = 150
+		archSiteA       = 1000
+		archSiteB       = 2000
 	)
+	snapAt := treedoc.WithSnapshotThreshold(hoSnapThreshold)
 	var mgrA *archMgr
 	hubA, err := treedoc.ListenHub("127.0.0.1:0",
 		transport.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
@@ -202,7 +265,7 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 	defer hubA.Close()
 	addrA := hubA.Addr().String()
-	mgrA = &archMgr{t: t, hubAddr: addrA, dir: t.TempDir(), site: 1000, hub: hubA, arch: make(map[string]*hoWriter)}
+	mgrA = newArchMgr(t, addrA, archSiteA, archSiteB, snapAt)
 
 	ring1, err := shardmap.NewRing(1, []string{addrA})
 	if err != nil {
@@ -213,7 +276,7 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 
 	// The second hub is configured with an ownership hook that brings up a
-	// local archivist the moment a handoff begins streaming in.
+	// local archivist the moment the Begin arrives.
 	var mgrB *archMgr
 	hubB, err := treedoc.ListenHub("127.0.0.1:0",
 		transport.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
@@ -224,7 +287,10 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 	defer hubB.Close()
 	addrB := hubB.Addr().String()
-	mgrB = &archMgr{t: t, hubAddr: addrB, dir: t.TempDir(), site: 2000, hub: hubB, arch: make(map[string]*hoWriter)}
+	// The new archivist pulls at a slower pace than the answers take to
+	// arrive: a second digest while the first answer's snapshot is still
+	// in flight would draw op replay in between offers.
+	mgrB = newArchMgr(t, addrB, archSiteB, 0, snapAt, treedoc.WithSyncInterval(100*time.Millisecond))
 
 	ring2, err := shardmap.NewRing(2, []string{addrA, addrB})
 	if err != nil {
@@ -232,7 +298,6 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 	doc := docOwnedBy(t, ring2, addrB) // owned by A at epoch 1, by B at epoch 2
 
-	// Archivist for the doc at hub A, registered as the handoff source.
 	archA := mgrA.start(doc)
 	if archA == nil {
 		t.Fatal("archivist A failed to start")
@@ -245,13 +310,17 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 		}
 		return l
 	}
-	w1 := newHOWriter(t, 1, linkOf(addrA))
-	w2 := newHOWriter(t, 2, linkOf(addrA))
+	// A writer compacts on every tick it has something new to cover, so
+	// the barrier it serves covers phase 1 by the time phase 2 begins: a
+	// writer hearing the new archivist's digest mid-edit serves that
+	// barrier instead of replaying what it cannot snapshot.
+	w1 := newHOWriter(t, 1, linkOf(addrA), snapAt, treedoc.WithCompactEvery(1))
+	w2 := newHOWriter(t, 2, linkOf(addrA), snapAt, treedoc.WithCompactEvery(1))
 	defer w1.eng.Stop()
 	defer w2.eng.Stop()
 
-	// Phase 1: write and converge, so the archivist's snapshot barrier
-	// will cover at least this history when the handoff streams it.
+	// Phase 1: write and converge, so every snapshot a member offers from
+	// here on covers at least this history.
 	var wg sync.WaitGroup
 	for _, w := range []*hoWriter{w1, w2} {
 		wg.Add(1)
@@ -261,11 +330,13 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archA.eng}, 30*time.Second)
 	phase1VC := w1.eng.Clock()
 	phase1Total := phase1VC.Get(1) + phase1VC.Get(2)
+	time.Sleep(150 * time.Millisecond) // ten sync ticks: the writers compact at phase 1
 
 	// Phase 2: keep writing while hub B joins the ring at epoch 2. Hub A
-	// adopts the announced ring, freezes the doc, streams the archivist
-	// snapshot + suffix to B, re-points the writers with an epoch-stamped
-	// redirect, and releases its archivist. Nothing restarts.
+	// adopts the announced ring, sends B the Begin, re-points the writers
+	// and its archivist with an epoch-stamped redirect, and releases its
+	// archivist, which serves until B's acknowledges it. Nothing restarts.
+	start := time.Now()
 	for _, w := range []*hoWriter{w1, w2} {
 		wg.Add(1)
 		go func(w *hoWriter) { defer wg.Done(); w.write(t, phase2PerWriter, time.Millisecond) }(w)
@@ -287,6 +358,7 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 
 	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archB.eng}, 30*time.Second)
+	t.Logf("converged %v after the writers' phase 2 began", time.Since(start))
 	want := w1.buf.String()
 	if got := w2.buf.String(); got != want {
 		t.Fatalf("writers diverged after handoff (%d vs %d runes)", len(got), len(want))
@@ -295,17 +367,27 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 		t.Fatalf("new owner archivist diverged (%d vs %d runes)", len(got), len(want))
 	}
 
-	// Zero pre-snapshot replay: the new archivist installed the streamed
-	// snapshot (which covers all of phase 1) and applied live only what
-	// the snapshot did not cover.
+	// No pre-snapshot replay: the new archivist installed a snapshot (which
+	// covers all of phase 1) and applied live only what it did not cover.
 	if archB.eng.SnapshotsInstalled() == 0 {
-		t.Fatal("new owner archivist never installed the handoff snapshot")
+		t.Fatal("new owner archivist never installed a catch-up snapshot")
 	}
 	total := w1.eng.Clock().Get(1) + w1.eng.Clock().Get(2)
 	phase2 := total - phase1Total
 	if applied := archB.eng.Applied(); applied > phase2 {
-		t.Fatalf("new owner archivist replayed %d ops live; snapshot should cover all %d phase-1 ops (total %d)",
+		t.Fatalf("new owner archivist replayed %d ops live; a snapshot should cover all %d phase-1 ops (total %d)",
 			applied, phase1Total, total)
+	}
+
+	// The old archivist stopped, and only on an acknowledgement from the
+	// new one that covers everything it held at release.
+	held, acked := mgrA.awaitHandOver(t, doc, 30*time.Second)
+	t.Logf("old archivist handed over %v after the writers' phase 2 began", time.Since(start))
+	if !acked.Dominates(held) || !held.Dominates(phase1VC) {
+		t.Fatalf("old archivist stopped on ack %v for held clock %v (phase 1 %v)", acked, held, phase1VC)
+	}
+	if mgrA.get(doc) != nil {
+		t.Fatal("old owner still runs an archivist for the moved doc")
 	}
 
 	if hubA.HandoffsOut() == 0 || hubB.HandoffsIn() == 0 {
@@ -313,9 +395,6 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 	if hubA.RingEpoch() != 2 || hubB.RingEpoch() != 2 {
 		t.Fatalf("ring epochs after join: A %d, B %d", hubA.RingEpoch(), hubB.RingEpoch())
-	}
-	if mgrA.get(doc) != nil {
-		t.Fatal("old owner still runs an archivist for the moved doc")
 	}
 
 	// A stale-epoch client that only knows the old owner recovers through
@@ -325,6 +404,84 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	hoConverge(t, []*treedoc.Engine{w1.eng, late.eng}, 30*time.Second)
 	if got := late.buf.String(); got != want {
 		t.Fatal("stale-epoch client diverged after following the epoch-stamped redirect")
+	}
+}
+
+// TestHandoffToARestartingOwner: the old owner's archivist is the only
+// replica holding the document — no client is attached — and the new
+// owner's archivist comes up 300 ms after the Begin, as one restarting
+// mid-handoff would. The new archivist must still converge to the old
+// one's content, from the old one, which stops only after that.
+func TestHandoffToARestartingOwner(t *testing.T) {
+	const archSiteA, archSiteB = 1000, 2000
+	var mgrA, mgrB *archMgr
+	listen := func(mgr **archMgr) *transport.Hub {
+		h, err := treedoc.ListenHub("127.0.0.1:0",
+			transport.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
+				(*mgr).ownership(doc, epoch, acquired)
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		return h
+	}
+	hubA, hubB := listen(&mgrA), listen(&mgrB)
+	addrA, addrB := hubA.Addr().String(), hubB.Addr().String()
+	mgrA = newArchMgr(t, addrA, archSiteA, archSiteB)
+	mgrB = newArchMgr(t, addrB, archSiteB, 0)
+	mgrB.delay = 300 * time.Millisecond
+
+	ring1, err := shardmap.NewRing(1, []string{addrA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hubA.ConfigureRing(addrA, ring1); err != nil {
+		t.Fatal(err)
+	}
+	ring2, err := shardmap.NewRing(2, []string{addrA, addrB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := docOwnedBy(t, ring2, addrB)
+
+	// A writer fills A's archivist with a few hundred ops, then leaves.
+	archA := mgrA.start(doc)
+	if archA == nil {
+		t.Fatal("archivist A failed to start")
+	}
+	w := newHOWriter(t, 1, func() treedoc.Link {
+		l, err := treedoc.DialDoc(addrA, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}())
+	w.write(t, 60, 0)
+	hoConverge(t, []*treedoc.Engine{w.eng, archA.eng}, 30*time.Second)
+	want := w.buf.String()
+	w.eng.Stop()
+	if n := archA.eng.Applied(); n < 200 {
+		t.Fatalf("archivist A holds %d ops, want a few hundred", n)
+	}
+
+	if err := hubB.ConfigureRing(addrB, ring2); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for mgrB.get(doc) == nil && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	archB := mgrB.get(doc)
+	if archB == nil {
+		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.HandoffsIn())
+	}
+	held, acked := mgrA.awaitHandOver(t, doc, 30*time.Second)
+	if got := archB.buf.String(); got != want {
+		t.Fatalf("new owner archivist holds %d runes, want the old one's %d", len(got), len(want))
+	}
+	if !acked.Dominates(held) || !archB.eng.Clock().Dominates(held) {
+		t.Fatalf("old archivist stopped at held %v on ack %v; new archivist at %v", held, acked, archB.eng.Clock())
 	}
 }
 
@@ -619,7 +776,7 @@ func TestResignHandsEverythingBack(t *testing.T) {
 		go func(w *hoWriter) { defer wg.Done(); w.write(t, 150, time.Millisecond) }(w)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := hubB.Resign(20 * time.Second); err != nil {
+	if err := hubB.Resign(); err != nil {
 		t.Fatalf("resign: %v", err)
 	}
 	wg.Wait()
@@ -649,7 +806,7 @@ func TestShedControlFramesAreCounted(t *testing.T) {
 	}
 	defer hub.Close()
 	self := hub.Addr().String()
-	const deadOwner = "127.0.0.1:1" // refuses connections: the handoff re-points without streaming
+	const deadOwner = "127.0.0.1:1" // refuses connections: the Begin goes nowhere, the re-point still goes out
 	rings := make([]*shardmap.Ring, 3)
 	for i, nodes := range [][]string{{self}, {self}, {self, deadOwner}} {
 		if rings[i], err = shardmap.NewRing(uint64(i+1), nodes); err != nil {

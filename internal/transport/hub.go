@@ -35,16 +35,17 @@ import (
 // clients follow transparently. The ring is epoch-versioned
 // (shardmap.Ring): adopting a ring with a higher epoch — from
 // ConfigureRing locally, or from a kindRingAnnounce a peer or joining hub
-// sent — triggers the online handoff state machine for every local
-// document the membership change relocates (see handoff.go), and hubs
+// sent — hands off every local document the membership change relocates
+// (see handoff.go), and hubs
 // maintain persistent hub-to-hub mesh connections that forward a foreign
 // document's frames for clients that cannot reach its owner shard.
 type Hub struct {
 	ln         net.Listener
 	queueDepth int
 	logf       func(format string, args ...any)
-	// ownership, when set, is invoked as documents are acquired (a handoff
-	// begins streaming in) or released (a handoff finished streaming out)
+	// ownership, when set, is invoked as documents are acquired (a Begin
+	// arrived, or an adopted ring made this hub the owner of a document it
+	// serves) or released (its clients were re-pointed to the new owner)
 	// through a live reshard. Called from hub goroutines; the callee
 	// synchronises.
 	ownership func(doc string, epoch uint64, acquired bool)
@@ -70,12 +71,9 @@ type Hub struct {
 	self     string
 	ringView atomic.Pointer[hubRingView]
 	// peers is the hub-to-hub mesh: one persistent outbound connection per
-	// cooperating hub, dialed on first use (forwarding, handoff streaming,
-	// ring announces). Guarded by mu.
+	// cooperating hub, dialed on first use (forwarding, Begins, ring
+	// announces). Guarded by mu.
 	peers map[string]*hubPeer
-	// sources supplies migrating documents' durable state (archivist
-	// engines, registered by cmd/treedoc-serve). Guarded by mu.
-	sources map[string]HandoffSource
 	// pendingPeers carries WithHubShards arguments until ListenHub
 	// validates them; tests with :0 listeners use ConfigureSharding after
 	// the port is known instead.
@@ -90,17 +88,11 @@ type Hub struct {
 	// target was unknown or dead and fell back to the group broadcast.
 	replayRoutes    atomic.Uint64
 	replayFallbacks atomic.Uint64
-	// frozenDrops counts frames dropped because their document was frozen
-	// mid-handoff; client anti-entropy heals them through the new owner.
-	frozenDrops atomic.Uint64
-	handoffsOut atomic.Uint64
-	handoffsIn  atomic.Uint64
+	handoffsOut     atomic.Uint64
+	handoffsIn      atomic.Uint64
 	// lastDropWarn rate-limits the slow-client warning (unix nanos).
 	lastDropWarn atomic.Int64
 	wg           sync.WaitGroup
-	// handoffWG tracks in-flight outbound handoffs so Resign can wait for
-	// them; its goroutines are also counted in wg.
-	handoffWG sync.WaitGroup
 }
 
 // docShard is one document's relay group.
@@ -122,10 +114,6 @@ type docShard struct {
 	// one grace period later) re-learns it, and routeReplay falls back to
 	// broadcast for unknown or dead targets in the meantime.
 	sites sync.Map // ident.SiteID → *hubConn
-	// frozen is set for the streaming window of an outbound handoff:
-	// inbound frames are dropped (counted) rather than relayed, so the
-	// state stream is a consistent cut; anti-entropy heals the window.
-	frozen atomic.Bool
 	// fwd, when non-nil, marks the shard as locally served but foreign:
 	// frames from local clients are additionally wrapped in kindForward and
 	// sent to the owning hub over this mesh connection.
@@ -190,11 +178,12 @@ func WithHubSelf(self string) HubOption {
 }
 
 // WithHubOwnership installs a callback invoked when this hub acquires a
-// document (an inbound handoff began) or releases one (an outbound handoff
-// finished streaming) through a live reshard. cmd/treedoc-serve uses it to
-// start and stop per-document archivists. The callback runs on hub
-// goroutines and must not call back into the hub synchronously with long
-// delays; it may call RegisterHandoff.
+// document (a Begin arrived, or an adopted ring made this hub the owner of
+// a document it serves) or releases one (its attached clients were
+// re-pointed to the new owner) through a live reshard. cmd/treedoc-serve
+// uses it to start per-document archivists and to begin their hand-over.
+// The callback runs on hub goroutines, inside ConfigureRing and the mesh
+// readers, and must return promptly.
 func WithHubOwnership(fn func(doc string, epoch uint64, acquired bool)) HubOption {
 	return func(h *Hub) { h.ownership = fn }
 }
@@ -215,7 +204,6 @@ func ListenHub(addr string, opts ...HubOption) (*Hub, error) {
 		conns:      make(map[int64]*hubConn),
 		shards:     make(map[string]*docShard),
 		peers:      make(map[string]*hubPeer),
-		sources:    make(map[string]HandoffSource),
 	}
 	for _, o := range opts {
 		o(h)
@@ -237,9 +225,8 @@ func ListenHub(addr string, opts ...HubOption) (*Hub, error) {
 // ConfigureSharding installs (or replaces) the consistent-hash ring: self
 // is this process's advertised address and peers the full membership. The
 // new ring's epoch is one above the current one (1 on first
-// configuration), and installing it over live traffic triggers the online
-// handoff machinery for every local document the change relocates — see
-// ConfigureRing.
+// configuration), and installing it over live traffic hands off every
+// local document the change relocates — see ConfigureRing.
 func (h *Hub) ConfigureSharding(self string, peers []string) error {
 	if !slices.Contains(peers, self) {
 		return &net.AddrError{Err: "self address not in peer ring", Addr: self}
@@ -356,20 +343,6 @@ func (h *Hub) Ring() *shardmap.Ring {
 	return h.ring
 }
 
-// RegisterHandoff registers src as the supplier of doc's durable state
-// when the document is handed to a new owner (nil unregisters). An
-// archivist's engine is the usual source; without one, a handoff streams
-// no state and the new owner's replicas catch up through anti-entropy.
-func (h *Hub) RegisterHandoff(doc string, src HandoffSource) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if src == nil {
-		delete(h.sources, doc)
-		return
-	}
-	h.sources[doc] = src
-}
-
 // Drops counts frames discarded because a client queue was full, across
 // all documents.
 func (h *Hub) Drops() uint64 { return h.drops.Load() }
@@ -387,10 +360,6 @@ func (h *Hub) Unrouted() uint64 { return h.unrouted.Load() }
 // document's owner shard on behalf of locally attached clients.
 func (h *Hub) Forwards() uint64 { return h.forwards.Load() }
 
-// FrozenDrops counts frames dropped because their document was frozen for
-// the streaming window of an outbound handoff (healed by anti-entropy).
-func (h *Hub) FrozenDrops() uint64 { return h.frozenDrops.Load() }
-
 // ReplayRoutes counts directed anti-entropy answers (kindReplay)
 // delivered to their addressed requester alone instead of the group.
 func (h *Hub) ReplayRoutes() uint64 { return h.replayRoutes.Load() }
@@ -399,10 +368,11 @@ func (h *Hub) ReplayRoutes() uint64 { return h.replayRoutes.Load() }
 // unknown or dead, delivered by group broadcast instead.
 func (h *Hub) ReplayFallbacks() uint64 { return h.replayFallbacks.Load() }
 
-// HandoffsOut counts documents this hub streamed to a new owner.
+// HandoffsOut counts documents this hub handed to a new owner.
 func (h *Hub) HandoffsOut() uint64 { return h.handoffsOut.Load() }
 
-// HandoffsIn counts documents streamed to this hub by a previous owner.
+// HandoffsIn counts the Begins this hub accepted: documents a previous
+// owner handed to it.
 func (h *Hub) HandoffsIn() uint64 { return h.handoffsIn.Load() }
 
 // DocStats returns per-document relay counters for every document with an
@@ -631,20 +601,15 @@ func (h *Hub) relay(from *hubConn, doc string, inner, env []byte) {
 
 // relayLocal fans one frame out to doc's local clients only, excluding
 // from when the delivering connection is itself attached, and returns the
-// shard it relayed on (nil when there is none or it is frozen). It is the
-// whole relay for mesh-delivered frames (a forwarded or handed-off
-// document's traffic arriving from another hub): those are never
-// forwarded onward, so disagreeing rings cannot loop a frame between
-// hubs.
+// shard it relayed on (nil when there is none). It is the whole relay for
+// mesh-delivered frames (a forwarded document's traffic arriving from
+// another hub): those are never forwarded onward, so disagreeing rings
+// cannot loop a frame between hubs.
 func (h *Hub) relayLocal(from *hubConn, doc string, inner, env []byte) *docShard {
 	shards := h.shardPtr.Load()
 	s := (*shards)[doc]
 	if s == nil {
 		h.unrouted.Add(1)
-		return nil
-	}
-	if s.frozen.Load() {
-		h.frozenDrops.Add(1)
 		return nil
 	}
 	h.fanoutShard(s, from, doc, inner, env)

@@ -19,9 +19,6 @@ type outq struct {
 	// closeLink, when set, closes the link as the queue fails, unblocking a
 	// write (and the owner's read) in flight.
 	closeLink func()
-	// syncs hands written-waits to the writer, which closes each one once
-	// the frames queued ahead of it are out.
-	syncs chan chan struct{}
 }
 
 func newOutq(depth int, closeLink func()) *outq {
@@ -29,7 +26,6 @@ func newOutq(depth int, closeLink func()) *outq {
 		ch:        make(chan []byte, depth),
 		gone:      make(chan struct{}),
 		closeLink: closeLink,
-		syncs:     make(chan chan struct{}),
 	}
 }
 
@@ -73,25 +69,6 @@ func (q *outq) put(frame []byte, stop <-chan struct{}) bool {
 	select {
 	case q.ch <- frame:
 		return true
-	case <-q.gone:
-	case <-stop:
-	}
-	return false
-}
-
-// written waits until every frame accepted before the call is written —
-// frames other senders queue meanwhile are behind those and do not prolong
-// the wait — and reports false if the queue dies or stop closes first.
-func (q *outq) written(stop <-chan struct{}) bool {
-	w := make(chan struct{})
-	select {
-	case q.syncs <- w:
-		select {
-		case <-w:
-			return true
-		case <-q.gone:
-		case <-stop:
-		}
 	case <-q.gone:
 	case <-stop:
 	}
@@ -152,19 +129,6 @@ func (q *outq) writer(write func(frame []byte) error, flush func() error, stoppe
 			if !out(f) {
 				return
 			}
-		case w := <-q.syncs:
-			// Only this goroutine takes frames out: what is queued now is
-			// all that was accepted and not yet written, and taking that
-			// many never waits.
-			for k := len(q.ch); k > 0; k-- {
-				if write(<-q.ch) != nil {
-					return
-				}
-			}
-			if flush != nil && flush() != nil {
-				return
-			}
-			close(w)
 		case <-q.gone:
 			return
 		case <-stopped:

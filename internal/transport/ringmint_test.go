@@ -49,8 +49,8 @@ func TestResignRacedByEqualEpochAnnounce(t *testing.T) {
 			ring.Epoch, ring.Nodes, racer.Epoch+1)
 	}
 	// Resign proper, with nothing racing: out of a ring it is not in, at
-	// the next epoch, with no handoff to wait for.
-	if err := hub.Resign(time.Second); err != nil {
+	// the next epoch.
+	if err := hub.Resign(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,9 @@
 package transport
 
-// State transfer: snapshot catch-up, digest answers, handoff streams and
-// the live batch fanout are one operation at different distances — ship
-// what lies between the receiver's clock and the sender's — so they share
-// one encoder (stateFrames) and one install path (handleSnapChunk). A
+// State transfer: snapshot catch-up, digest answers and the live batch
+// fanout are one operation at different distances — ship what lies
+// between the receiver's clock and the sender's — so they share one
+// encoder (stateFrames) and one install path (handleSnapChunk). A
 // snapshot travels as kindSnapChunk frames and is reassembled at the
 // receiver.
 // Chunks are consumed strictly in offset order — links deliver frames in

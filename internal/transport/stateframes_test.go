@@ -61,7 +61,8 @@ func (r *blobReplica) state() ([]byte, []string) {
 // suffix shape, feeding the emitted frames in order to a fresh engine
 // reproduces the source's clock and content — once addressed as a directed
 // digest answer (the engine answer path) and once inside the hub-to-hub
-// envelope through a hub (the handoff path).
+// envelope through a hub (the handoff path: an old archivist left behind
+// in forward mode answers its successor's digest that way).
 func TestStateFramesReproduceSource(t *testing.T) {
 	defer func(pay int) { snapChunkPayload = pay }(snapChunkPayload)
 	const chunk = 64

@@ -3,8 +3,8 @@ package transport
 // HubStats is a point-in-time aggregate of every counter a Hub exposes,
 // shaped for machine export: cmd/treedoc-serve and cmd/treedoc-load
 // publish it as an expvar (JSON over /debug/vars), and the load harness
-// snapshots it before/after chaos events to assert envelopes ("frozen
-// drops stopped growing", "forwards went to zero after heal"). All
+// snapshots it before/after chaos events to assert envelopes ("forwards
+// went to zero after heal"). All
 // counters are cumulative since hub start; rates are the consumer's job.
 type HubStats struct {
 	// Clients is the number of currently connected conns (clients of every
@@ -19,9 +19,9 @@ type HubStats struct {
 	// Forwards is Hub.Forwards (hub-to-hub envelopes sent for non-owned
 	// documents).
 	Forwards uint64
-	// FrozenDrops, HandoffsOut and HandoffsIn are the live-resharding
-	// counters (see Hub.FrozenDrops and friends).
-	FrozenDrops, HandoffsOut, HandoffsIn uint64
+	// HandoffsOut and HandoffsIn are the live-resharding counters:
+	// documents handed to a new owner, and Begins accepted.
+	HandoffsOut, HandoffsIn uint64
 	// Always 0: digests are no longer batched; benchmark/layers.go reads them.
 	SyncBatchFrames, SyncBatchEntries uint64
 	// ReplayRoutes and ReplayFallbacks are the directed-answer counters:
@@ -44,7 +44,6 @@ func (h *Hub) Stats() HubStats {
 		Drops:           h.Drops(),
 		Unrouted:        h.Unrouted(),
 		Forwards:        h.Forwards(),
-		FrozenDrops:     h.FrozenDrops(),
 		HandoffsOut:     h.HandoffsOut(),
 		HandoffsIn:      h.HandoffsIn(),
 		ReplayRoutes:    h.ReplayRoutes(),

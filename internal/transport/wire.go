@@ -435,11 +435,10 @@ func (f *RingFrame) wire(c *codec) {
 	}
 }
 
-// HandoffBeginFrame is a kindHandoffBegin frame. It opens an online
-// document handoff: the old owner tells the new owner that Doc's state,
-// relocated by the ring at Epoch, is about to stream. The receiver
-// prepares a consumer (e.g. starts an archivist replica) before
-// acknowledging nothing — the stream itself is self-describing.
+// HandoffBeginFrame is a kindHandoffBegin frame: the old owner tells the
+// new owner that the ring at Epoch relocated Doc to it. It carries no
+// state and is never answered: the receiver starts a consumer (an
+// archivist replica), which catches up by digest like any late joiner.
 type HandoffBeginFrame struct {
 	Doc   string
 	Epoch uint64

@@ -220,8 +220,9 @@ func WithHubSelf(self string) HubOption {
 }
 
 // WithHubOwnership installs a callback invoked when the hub acquires a
-// document (an inbound handoff began streaming) or releases one (an
-// outbound handoff finished) through a live reshard — the archivist
+// document (a handoff's Begin arrived, or an adopted ring made it the
+// owner of a document it relays) or releases one (its clients were
+// re-pointed to the new owner) through a live reshard — the archivist
 // lifecycle hook behind cmd/treedoc-serve's dynamic ring membership.
 func WithHubOwnership(fn func(doc string, epoch uint64, acquired bool)) HubOption {
 	return transport.WithHubOwnership(fn)
