@@ -70,19 +70,17 @@ func (m *metrics) record(sentAt int64, docDeliveries *atomic.Uint64) {
 }
 
 // measuredDoc wraps a client's replica: remote inserts carry a stamp
-// prefix in their atom, parsed and recorded on apply. It must implement
-// the full Snapshotter contract — an engine whose replica cannot install
-// snapshots silently never converges through snapshot catch-up, which the
-// chaos scenarios rely on after long partitions.
+// prefix in their atom, parsed and recorded on apply. The embedded Doc
+// keeps the rest of the engine's replica contract, so a client installs
+// snapshots and votes on flattens like any other replica.
 type measuredDoc struct {
-	doc  *treedoc.Doc
+	*treedoc.Doc
 	site treedoc.SiteID
 	m    *metrics
 	docC *atomic.Uint64
 }
 
-var _ transport.BatchApplier = (*measuredDoc)(nil)
-var _ transport.Snapshotter = (*measuredDoc)(nil)
+var _ transport.Replica = (*measuredDoc)(nil)
 
 // observe parses the stamp prefix of a remote insert's atom. Deletes
 // carry no atom and local ops are the sender's own.
@@ -101,24 +99,14 @@ func (d *measuredDoc) observe(op treedoc.Op) {
 	d.m.record(sentAt, d.docC)
 }
 
-func (d *measuredDoc) Apply(op treedoc.Op) error {
-	d.observe(op)
-	return d.doc.Apply(op)
-}
-
+// ApplyBatch is the one apply path. Atoms arriving inside an installed
+// snapshot skip it, so their latency is not measured — catch-up state
+// transfer is not per-op delivery.
 func (d *measuredDoc) ApplyBatch(ops []treedoc.Op) (int, error) {
 	for i := range ops {
 		d.observe(ops[i])
 	}
-	return d.doc.ApplyBatch(ops)
-}
-
-func (d *measuredDoc) Snapshot() ([]byte, treedoc.Version, error) { return d.doc.Snapshot() }
-
-func (d *measuredDoc) InstallSnapshot(data []byte) (treedoc.Version, error) {
-	// Atoms arriving via snapshot skip Apply, so their latency is not
-	// measured — catch-up state transfer is not per-op delivery.
-	return d.doc.InstallSnapshot(data)
+	return d.Doc.ApplyBatch(ops)
 }
 
 // watchedLink wraps a doc link so the client's supervisor hears about
@@ -277,7 +265,7 @@ func fleetClients(cfg *config, pool *sessionPool, m *metrics, supStop <-chan str
 		if err != nil {
 			return nil, err
 		}
-		md := &measuredDoc{doc: replica, site: site, m: m, docC: m.docCounter(doc)}
+		md := &measuredDoc{Doc: replica, site: site, m: m, docC: m.docCounter(doc)}
 		eng, err := transport.NewEngine(site, md,
 			transport.WithSyncInterval(cfg.sync),
 			transport.WithQueueDepth(cfg.queue))

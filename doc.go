@@ -61,13 +61,16 @@
 // # Distribution: one engine, two drivers
 //
 // Engine (internal/transport) is the replication engine. Each Engine
-// wraps a Doc or TextBuffer behind an actor, stamps and batches local
-// edits to peers, applies remote operations in causal order, runs a
-// periodic anti-entropy exchange that repairs losses from full queues,
-// slow consumers or late joiners, and coordinates flatten through the
-// commitment protocol. The actor is a step function — events in (local
-// operations, a frame from a link, a tick at a time), effects out (frames
-// per link, log appends) — and there are two ways to step it.
+// wraps a Doc or TextBuffer (or a type embedding one) behind an actor,
+// stamps and batches local edits to peers, applies remote operations in
+// causal order, runs a periodic anti-entropy exchange that repairs losses
+// from full queues, slow consumers or late joiners, and coordinates
+// flatten through the commitment protocol. Every engine does all of it:
+// its replica applies in batches, snapshots and votes, so every member
+// can serve catch-up and every flatten round can commit. The actor is a
+// step function — events in (local operations, a frame from a link, a
+// tick at a time), effects out (frames per link, log appends) — and there
+// are two ways to step it.
 //
 // NewEngine is the production driver: a goroutine runs the actor, reader
 // and writer goroutines per link move frames over channels or TCP, and a

@@ -1,142 +1,14 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/treedoc/treedoc/internal/core"
-	"github.com/treedoc/treedoc/internal/ident"
-	"github.com/treedoc/treedoc/internal/storage"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
-
-// snapReplica is a Snapshotter test replica: a core.Document plus the
-// same atomic (state, version) snapshot contract the public Doc provides,
-// in a minimal test-local encoding (the transport treats snapshot bytes
-// as opaque).
-type snapReplica struct {
-	mu  sync.Mutex
-	doc *core.Document
-}
-
-func newSnapReplica(t testing.TB, site ident.SiteID) *snapReplica {
-	t.Helper()
-	doc, err := core.NewDocument(core.Config{Site: site})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &snapReplica{doc: doc}
-}
-
-func (r *snapReplica) Apply(op core.Op) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.Apply(op)
-}
-
-func (r *snapReplica) Snapshot() ([]byte, vclock.VC, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	buf := binary.AppendUvarint(nil, uint64(r.doc.Site()))
-	buf = binary.AppendUvarint(buf, r.doc.Seq())
-	buf = binary.AppendUvarint(buf, uint64(r.doc.Counter()))
-	version := r.doc.Version()
-	buf = binary.AppendUvarint(buf, uint64(len(version)))
-	for s, n := range version {
-		buf = binary.AppendUvarint(buf, uint64(s))
-		buf = binary.AppendUvarint(buf, n)
-	}
-	return append(buf, storage.Encode(r.doc.Tree())...), version, nil
-}
-
-func (r *snapReplica) InstallSnapshot(data []byte) (vclock.VC, error) {
-	site, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("snapReplica: bad site")
-	}
-	off := n
-	seq, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("snapReplica: bad seq")
-	}
-	off += n
-	counter, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("snapReplica: bad counter")
-	}
-	off += n
-	cnt, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("snapReplica: bad version count")
-	}
-	off += n
-	version := vclock.New()
-	for i := uint64(0); i < cnt; i++ {
-		s, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("snapReplica: bad version site")
-		}
-		off += n
-		c, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("snapReplica: bad version seq")
-		}
-		off += n
-		version[ident.SiteID(s)] = c
-	}
-	tree, err := storage.Decode(data[off:])
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.doc.InstallSnapshot(tree, version, ident.SiteID(site), seq, uint32(counter)); err != nil {
-		return nil, err
-	}
-	return r.doc.Version(), nil
-}
-
-var _ Snapshotter = (*snapReplica)(nil)
-
-func (r *snapReplica) insertAt(t testing.TB, i int, atom string) core.Op {
-	t.Helper()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	op, err := r.doc.InsertAt(i, atom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
-}
-
-func (r *snapReplica) content() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.ContentString()
-}
-
-func (r *snapReplica) length() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.Len()
-}
-
-func (r *snapReplica) seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.Seq()
-}
-
-func (r *snapReplica) check() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.Check()
-}
 
 // retainedLen reads the actor-owned retained-message count.
 func retainedLen(e *Engine) int {
@@ -245,12 +117,12 @@ func TestSyncReqSkipsDeadPeer(t *testing.T) {
 // its clock, re-stamps nothing, and converges with live peers.
 func TestEngineRestartResumesFromLog(t *testing.T) {
 	dir := t.TempDir()
-	ra := newSnapReplica(t, 1)
+	ra := newTestReplica(t, 1)
 	ea, err := NewEngine(1, ra, WithLogDir(dir), WithSyncInterval(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := newSnapReplica(t, 2)
+	rb := newTestReplica(t, 2)
 	eb, err := NewEngine(2, rb, WithSyncInterval(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +150,7 @@ func TestEngineRestartResumesFromLog(t *testing.T) {
 	}
 
 	// Restart: a completely fresh replica over the same directory.
-	ra2 := newSnapReplica(t, 1)
+	ra2 := newTestReplica(t, 1)
 	ea2, err := NewEngine(1, ra2, WithLogDir(dir), WithSyncInterval(20*time.Millisecond))
 	if err != nil {
 		t.Fatalf("restart: %v", err)
@@ -300,7 +172,7 @@ func TestEngineRestartResumesFromLog(t *testing.T) {
 	la2, lb2 := ChanPair(256)
 	ea2.Connect(la2)
 	eb.Connect(lb2)
-	n := ra2.length()
+	n := ra2.len()
 	for i := 0; i < 10; i++ {
 		if err := ea2.Broadcast(ra2.insertAt(t, n+i, "c")); err != nil {
 			t.Fatal(err)
@@ -323,12 +195,12 @@ func TestEngineRestartResumesFromLog(t *testing.T) {
 // network heals the lost suffix.
 func TestRestartAfterTornTail(t *testing.T) {
 	dir := t.TempDir()
-	ra := newSnapReplica(t, 1)
+	ra := newTestReplica(t, 1)
 	ea, err := NewEngine(1, ra, WithLogDir(dir), WithSyncInterval(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := newSnapReplica(t, 2)
+	rb := newTestReplica(t, 2)
 	eb, err := NewEngine(2, rb, WithSyncInterval(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +231,7 @@ func TestRestartAfterTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ra2 := newSnapReplica(t, 1)
+	ra2 := newTestReplica(t, 1)
 	ea2, err := NewEngine(1, ra2, WithLogDir(dir), WithSyncInterval(20*time.Millisecond))
 	if err != nil {
 		t.Fatalf("reopen after torn tail: %v", err)
@@ -392,7 +264,7 @@ func TestLateJoinerSnapshotCatchup(t *testing.T) {
 		threshold    = 256
 	)
 	dir := t.TempDir()
-	ra := newSnapReplica(t, 1)
+	ra := newTestReplica(t, 1)
 	ea, err := NewEngine(1, ra,
 		WithLogDir(dir),
 		WithSyncInterval(25*time.Millisecond),
@@ -423,7 +295,7 @@ func TestLateJoinerSnapshotCatchup(t *testing.T) {
 
 	// The joiner arrives with empty state and must catch up via snapshot,
 	// not a 10k-op replay.
-	rj := newSnapReplica(t, 2)
+	rj := newTestReplica(t, 2)
 	ej, err := NewEngine(2, rj,
 		WithSyncInterval(25*time.Millisecond),
 		WithCompactEvery(compactEvery),
@@ -504,7 +376,7 @@ func TestLateJoinerSnapshotCatchup(t *testing.T) {
 // compacted away the early history, so a joiner's digest below the
 // barrier cannot be served with ops at all.
 func TestSnapshotCatchupBelowBarrier(t *testing.T) {
-	ra := newSnapReplica(t, 1)
+	ra := newTestReplica(t, 1)
 	// Threshold 0 disables gap-based snapshots: only the compaction
 	// barrier can force one.
 	ea, err := NewEngine(1, ra,
@@ -531,7 +403,7 @@ func TestSnapshotCatchupBelowBarrier(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	rj := newSnapReplica(t, 2)
+	rj := newTestReplica(t, 2)
 	ej, err := NewEngine(2, rj, WithSyncInterval(25*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -17,34 +17,35 @@ import (
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// Applier is the replica interface the engine drives: anything that can
-// replay Treedoc operations (the public Doc and TextBuffer both qualify).
-// Apply must be safe to call concurrently with the caller's local edits.
-type Applier interface {
-	Apply(op core.Op) error
+// Replica is the replica the engine drives (the public Doc and TextBuffer
+// both qualify): it applies remote operations in batches, snapshots and
+// installs its state, and votes on flattens. Every engine does all three,
+// so every member can take over another's state and every round it joins
+// can commit. Its methods must be safe to call concurrently with the
+// caller's local edits.
+type Replica interface {
+	BatchApplier
+	Snapshotter
+	Flattener
 }
 
-// BatchApplier is the optional replica interface for batched remote
-// application (the public Doc and TextBuffer both qualify): ApplyBatch
-// applies ops in order under one replica lock, returning how many applied
-// before the first failure (len(ops) and nil on success). The engine
-// prefers it on the delivery path — one lock acquisition per causally-ready
-// run instead of per op, and the replica's tree walk caches stay hot across
-// the whole batch.
+// BatchApplier is the replica's one apply path, for live delivery and log
+// replay alike: ApplyBatch applies ops in order under one replica lock,
+// returning how many applied before the first failure (len(ops) and nil on
+// success) — one lock acquisition per causally-ready run, and the
+// replica's tree walk caches stay hot across the whole batch.
 type BatchApplier interface {
-	Applier
 	ApplyBatch(ops []core.Op) (int, error)
 }
 
-// Snapshotter is the optional replica interface behind log compaction and
-// snapshot catch-up (the public Doc and TextBuffer both qualify). Snapshot
-// must capture the state and the version vector describing it atomically:
-// the version covers exactly the operations whose effects are in the
-// bytes. InstallSnapshot must reject (with an error wrapping
-// core.ErrStaleSnapshot) any snapshot whose version does not dominate the
-// replica's state, and must return the installed version on success.
+// Snapshotter is the replica's part in log compaction and snapshot
+// catch-up. Snapshot must capture the state and the version vector
+// describing it atomically: the version covers exactly the operations
+// whose effects are in the bytes. InstallSnapshot must reject (with an
+// error wrapping core.ErrStaleSnapshot) any snapshot whose version does
+// not dominate the replica's state, and must return the installed version
+// on success.
 type Snapshotter interface {
-	Applier
 	Snapshot() (data []byte, version vclock.VC, err error)
 	InstallSnapshot(data []byte) (version vclock.VC, err error)
 }
@@ -78,7 +79,7 @@ const (
 	defaultQueueDepth   = 256
 	defaultSyncInterval = 200 * time.Millisecond
 	// defaultCompactEvery is the retained-message count that triggers a
-	// snapshot + truncate cycle when the replica supports snapshots.
+	// snapshot + truncate cycle.
 	defaultCompactEvery = 16384
 	// defaultSnapThreshold is how many operations behind a digest must be
 	// before the engine answers with a snapshot instead of an op replay.
@@ -169,7 +170,7 @@ func WithFsync(mode FsyncMode) Option {
 // engine snapshots the replica and truncates what the snapshot covers and
 // every peer has acknowledged — the in-memory message log always, and the
 // on-disk segments when WithLogDir is set (default 16384; 0 disables
-// compaction). Requires a replica implementing Snapshotter to take effect.
+// compaction).
 func WithCompactEvery(n int) Option {
 	return func(e *Engine) {
 		if n >= 0 {
@@ -183,7 +184,7 @@ func WithCompactEvery(n int) Option {
 // log suffix instead of replaying the full op history (default 8192; 0
 // disables threshold-based snapshots — peers below the truncation floor
 // still receive snapshots, because the ops below the floor no longer
-// exist). Requires a replica implementing Snapshotter to take effect.
+// exist).
 func WithSnapshotThreshold(n int) Option {
 	return func(e *Engine) {
 		if n >= 0 {
@@ -223,10 +224,7 @@ type command struct {
 // lock.
 type Engine struct {
 	site       ident.SiteID
-	doc        Applier
-	batcher    BatchApplier // doc, when it supports batched apply; else nil
-	snap       Snapshotter  // doc, when it supports snapshots; else nil
-	flat       Flattener    // doc, when it supports coordinated flatten; else nil
+	doc        Replica
 	queueDepth int
 	syncEvery  time.Duration
 	// now is the only clock the actor's call tree reads: time.Now under
@@ -301,15 +299,13 @@ type Engine struct {
 	// sinceSnap counts retained messages since the serving barrier,
 	// driving the compaction policy.
 	sinceSnap int // actor-owned
-	// fl is the flatten commitment state (flatten.go); nil unless the
-	// replica implements Flattener. The pointer is set in NewEngine and
-	// immutable thereafter (safe to nil-check from any goroutine); the
-	// state it points to belongs to the actor, marked field by field.
-	fl *flattenState
+	// fl is the flatten commitment state (flatten.go); it belongs to the
+	// actor, marked field by field.
+	fl flattenState
 	// snapAsm holds in-progress snapshot reassemblies, keyed by the sending
 	// site (see snapchunk.go).
 	snapAsm map[ident.SiteID]*snapAssembly // actor-owned
-	// opScratch is deliverBatch's reusable op buffer (actor-owned).
+	// opScratch is deliver's reusable op buffer (actor-owned).
 	opScratch []core.Op
 
 	// firstErr outlives the actor so Err stays truthful after Stop.
@@ -325,7 +321,7 @@ type Engine struct {
 // snapshot and replays the log suffix before the engine goes live, so an
 // engine restarted over the same directory resumes exactly where it
 // crashed and re-stamps nothing.
-func NewEngine(site ident.SiteID, doc Applier, opts ...Option) (*Engine, error) {
+func NewEngine(site ident.SiteID, doc Replica, opts ...Option) (*Engine, error) {
 	e, err := newEngine(site, doc, time.Now, opts)
 	if err != nil {
 		return nil, err
@@ -345,7 +341,7 @@ func NewEngine(site ident.SiteID, doc Applier, opts ...Option) (*Engine, error) 
 // clock is, belong to the driver (NewEngine's goroutines, or a Stepper).
 //
 //treedoc:actorsafe construction happens before any driver runs the actor
-func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Option) (*Engine, error) {
+func newEngine(site ident.SiteID, doc Replica, now func() time.Time, opts []Option) (*Engine, error) {
 	if site == 0 || site > ident.MaxSiteID {
 		return nil, fmt.Errorf("transport: site must be in [1, 2^48)")
 	}
@@ -365,9 +361,6 @@ func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Opti
 		buf:           causal.NewBuffer(site),
 		acked:         make(map[ident.SiteID]vclock.VC),
 	}
-	e.batcher, _ = doc.(BatchApplier)
-	e.snap, _ = doc.(Snapshotter)
-	e.flat, _ = doc.(Flattener)
 	for _, o := range opts {
 		o(e)
 	}
@@ -379,9 +372,7 @@ func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Opti
 			e.flattenTimeout = min
 		}
 	}
-	if e.flat != nil {
-		e.fl = newFlattenState(e)
-	}
+	e.fl = newFlattenState(e)
 	if e.logDir != "" {
 		if err := e.openAndReplay(); err != nil {
 			return nil, err
@@ -392,7 +383,8 @@ func newEngine(site ident.SiteID, doc Applier, now func() time.Time, opts []Opti
 
 // openAndReplay opens the durable log and rebuilds the replica: install
 // the stored snapshot (if any), then replay every retained record the
-// snapshot does not cover, advancing the causal clock as it goes.
+// snapshot does not cover, advancing the causal clock as it goes, and
+// apply the replayed operations through the live delivery's apply loop.
 //
 //treedoc:actorsafe recovery runs from newEngine, before the actor starts
 func (e *Engine) openAndReplay() error {
@@ -405,11 +397,7 @@ func (e *Engine) openAndReplay() error {
 		l.Close()
 		return err
 	} else if data != nil {
-		if e.snap == nil {
-			l.Close()
-			return fmt.Errorf("transport: log %s holds a snapshot but the replica cannot install one", e.logDir)
-		}
-		version, err := e.snap.InstallSnapshot(data)
+		version, err := e.doc.InstallSnapshot(data)
 		if err != nil {
 			l.Close()
 			return fmt.Errorf("transport: restore snapshot: %w", err)
@@ -420,6 +408,7 @@ func (e *Engine) openAndReplay() error {
 		// retained-log floor starts at the snapshot clock.
 		e.truncVC = snapClock.Clone()
 	}
+	var ops []core.Op
 	replayErr := l.Replay(func(site ident.SiteID, seq uint64, body []byte) error {
 		if seq <= clock.Get(site) {
 			return nil // covered by the snapshot (or a segment overlap)
@@ -432,17 +421,10 @@ func (e *Engine) openAndReplay() error {
 		if !ok {
 			return fmt.Errorf("transport: log record s%d#%d is not an op", site, seq)
 		}
-		// Mirror the live delivery path: an op the replica rejects was
-		// tolerated (setErr + continue) when it first arrived, so it must
-		// be tolerated on replay too — aborting here would brick every
-		// restart over this directory. The message still counts as
-		// delivered, exactly as it did live.
-		if err := e.doc.Apply(op); err != nil {
-			e.setErr(fmt.Errorf("transport: replay s%d#%d: %w", site, seq, err))
-		}
 		clock.Merge(m.TS)
 		e.retained.Append(m)
-		if e.fl != nil && op.Kind == core.OpFlatten {
+		ops = append(ops, op)
+		if op.Kind == core.OpFlatten {
 			// As on the live path, a replayed flatten anchors the flatten
 			// clock a future vote's observation must cover.
 			e.fl.flattenVC = clock.Clone()
@@ -453,6 +435,10 @@ func (e *Engine) openAndReplay() error {
 		l.Close()
 		return replayErr
 	}
+	// A message counts as delivered whether or not its op applies, exactly
+	// as it did live: the shared loop skips an op the replica refuses,
+	// where aborting would brick every restart over this directory.
+	e.apply(ops)
 	e.buf.Advance(clock)
 	e.log = l
 	e.sinceSnap = e.retained.Len()
@@ -830,65 +816,48 @@ func (e *Engine) ingest(msgs []causal.Message) {
 	e.deliver(ready)
 }
 
-// deliver records and applies causally-ready messages; a replica that
-// supports batched application takes the whole run under one lock.
-// Each sender is a member from its first delivered message on: through a
-// hub its digests reach only a sample of the group, and a writer whose
-// edits this engine applies must vote on its flattens.
+// deliver records causally-ready messages and applies their ops as one
+// run. Each sender is a member from its first delivered message on:
+// through a hub its digests reach only a sample of the group, and a writer
+// whose edits this engine applies must vote on its flattens.
 func (e *Engine) deliver(msgs []causal.Message) {
+	ops := e.opScratch[:0]
 	for _, m := range msgs {
 		if e.acked[m.From].Get(m.From) < m.TS.Get(m.From) {
 			e.acked[m.From] = m.TS
 		}
-	}
-	if e.batcher != nil && len(msgs) > 1 {
-		e.deliverBatch(msgs)
-		return
-	}
-	for _, dm := range msgs {
-		e.record(dm)
-		op, ok := dm.Payload.(core.Op)
-		if !ok {
-			continue
-		}
-		if err := e.doc.Apply(op); err != nil {
-			e.setErr(fmt.Errorf("transport: apply op from s%d: %w", dm.From, err))
-			continue
-		}
-		e.applied.Add(1)
-		e.recordOp(op)
-	}
-}
-
-// deliverBatch is deliver's batched form: record every message, then apply
-// the ops through the replica's batch entry point. A failing op is
-// tolerated exactly as on the per-op path — the error is latched, the op
-// skipped, and the rest of the batch continues.
-func (e *Engine) deliverBatch(msgs []causal.Message) {
-	ops := e.opScratch[:0]
-	for _, dm := range msgs {
-		e.record(dm)
-		if op, ok := dm.Payload.(core.Op); ok {
+		e.record(m)
+		if op, ok := m.Payload.(core.Op); ok {
 			ops = append(ops, op)
 		}
 	}
-	all := ops
-	for len(ops) > 0 {
-		n, err := e.batcher.ApplyBatch(ops)
-		e.applied.Add(uint64(n))
-		for _, op := range ops[:n] {
-			e.recordOp(op)
-		}
-		if err == nil {
-			break
-		}
-		e.setErr(fmt.Errorf("transport: apply op from s%d: %w", ops[n].Site, err))
-		ops = ops[n+1:]
+	took := e.apply(ops)
+	e.applied.Add(uint64(len(took)))
+	for _, op := range took {
+		e.recordOp(op)
 	}
 	// Drop the op references (each pins an identifier path) but keep the
 	// grown capacity for the next delivered run.
-	clear(all)
-	e.opScratch = all[:0]
+	clear(ops)
+	e.opScratch = ops[:0]
+}
+
+// apply is the one apply loop, for live delivery and log replay alike: it
+// hands ops to the replica's ApplyBatch in order. A failing op is
+// tolerated — the error is latched, the op skipped, and the rest of the
+// run continues. It returns the ops that took effect, compacted in place.
+func (e *Engine) apply(ops []core.Op) []core.Op {
+	took := ops[:0]
+	for len(ops) > 0 {
+		n, err := e.doc.ApplyBatch(ops)
+		took = append(took, ops[:n]...)
+		if err == nil {
+			break
+		}
+		e.setErr(fmt.Errorf("transport: apply s%d#%d: %w", ops[n].Site, ops[n].Seq, err))
+		ops = ops[n+1:]
+	}
+	return took
 }
 
 // gap returns how far behind clock is relative to ahead: the number of
@@ -925,9 +894,10 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 	e.acked[req.From] = req.Clock
 	// Below the truncation floor some ops the requester is missing no
 	// longer exist as messages; past the threshold replaying them is the
-	// slow way. Either way: snapshot, then the retained suffix.
+	// slow way, and a barrier is taken on demand if none exists yet. Either
+	// way: snapshot, then the retained suffix.
 	snapshot := (e.truncVC != nil && !req.Clock.Dominates(e.truncVC)) ||
-		(e.snapThreshold > 0 && gap(e.buf.Clock(), req.Clock) >= uint64(e.snapThreshold) && e.ensureBarrier())
+		(e.snapThreshold > 0 && gap(e.buf.Clock(), req.Clock) >= uint64(e.snapThreshold) && (e.snapData != nil || e.compactNow()))
 	e.answer(from, req.Clock, req.From, snapshot)
 }
 
@@ -937,7 +907,7 @@ func (e *Engine) handleSyncReq(req *SyncReqFrame, from *peer) {
 // deliver, and the snapshot becomes this engine's own compaction barrier
 // (persisted when a log is configured).
 func (e *Engine) installSnapshot(data []byte) {
-	version, err := e.snap.InstallSnapshot(data)
+	version, err := e.doc.InstallSnapshot(data)
 	if err != nil {
 		if errors.Is(err, core.ErrStaleSnapshot) {
 			// Concurrent local edits the snapshot does not cover: not
@@ -1029,7 +999,7 @@ func (e *Engine) advanceFloor(capped bool) {
 // edits (or a tolerated apply error) keep the version and the delivered
 // clock apart.
 func (e *Engine) maybeCompact() {
-	if e.snap == nil || e.compactEvery <= 0 || e.sinceSnap < e.compactEvery {
+	if e.compactEvery <= 0 || e.sinceSnap < e.compactEvery {
 		return
 	}
 	e.compactNow()
@@ -1042,7 +1012,7 @@ func (e *Engine) maybeCompact() {
 // operation would hand peers a clock entry for a message that does not
 // exist. Skipping is cheap — the next flush retries once the stamp lands.
 func (e *Engine) compactNow() bool {
-	data, version, err := e.snap.Snapshot()
+	data, version, err := e.doc.Snapshot()
 	if err != nil {
 		e.setErr(fmt.Errorf("transport: snapshot: %w", err))
 		return false
@@ -1060,18 +1030,6 @@ func (e *Engine) compactNow() bool {
 	// of messages followed it: a silent member's one generation of slack.
 	e.advanceFloor(e.sinceSnap >= cmp.Or(e.compactEvery, defaultCompactEvery))
 	return e.adoptBarrier(data, version)
-}
-
-// ensureBarrier reports whether a barrier snapshot is available to serve,
-// compacting on demand if none exists yet.
-func (e *Engine) ensureBarrier() bool {
-	if e.snapData != nil {
-		return true
-	}
-	if e.snap == nil {
-		return false
-	}
-	return e.compactNow()
 }
 
 // errPeerGone stops a paced snapshot stream whose peer or engine is going

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,15 +10,26 @@ import (
 	"github.com/treedoc/treedoc/internal/causal"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/storage"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// testReplica wraps a core.Document with the lock the engine contract
-// requires: Apply (actor goroutine) may race local edits (test goroutine).
+// testReplica is the transport tests' one replica: a core.Document behind
+// the lock the engine contract requires (the actor's calls may race the
+// test goroutine's local edits), with the whole Replica contract. Its
+// snapshot is the same atomic (state, version) pair the public Doc
+// provides, in a minimal test-local encoding (the transport treats
+// snapshot bytes as opaque); its region locks are no-ops, which suffice
+// for engine-level tests. It notes the size of every batch it is handed,
+// and refuses every op refuse names.
 type testReplica struct {
-	mu  sync.Mutex
-	doc *core.Document
+	mu      sync.Mutex
+	doc     *core.Document
+	batches []int
+	refuse  func(core.Op) bool
 }
+
+var _ Replica = (*testReplica)(nil)
 
 func newTestReplica(t testing.TB, site ident.SiteID) *testReplica {
 	t.Helper()
@@ -28,13 +40,103 @@ func newTestReplica(t testing.TB, site ident.SiteID) *testReplica {
 	return &testReplica{doc: doc}
 }
 
-func (r *testReplica) Apply(op core.Op) error {
+func (r *testReplica) ApplyBatch(ops []core.Op) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.doc.Apply(op)
+	r.batches = append(r.batches, len(ops))
+	for i, op := range ops {
+		if r.refuse != nil && r.refuse(op) {
+			return i, fmt.Errorf("testReplica: refused s%d#%d", op.Site, op.Seq)
+		}
+		if err := r.doc.Apply(op); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
 }
 
+func (r *testReplica) Snapshot() ([]byte, vclock.VC, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	buf := binary.AppendUvarint(nil, uint64(r.doc.Site()))
+	buf = binary.AppendUvarint(buf, r.doc.Seq())
+	buf = binary.AppendUvarint(buf, uint64(r.doc.Counter()))
+	version := r.doc.Version()
+	buf = binary.AppendUvarint(buf, uint64(len(version)))
+	for s, n := range version {
+		buf = binary.AppendUvarint(buf, uint64(s))
+		buf = binary.AppendUvarint(buf, n)
+	}
+	return append(buf, storage.Encode(r.doc.Tree())...), version, nil
+}
+
+func (r *testReplica) InstallSnapshot(data []byte) (vclock.VC, error) {
+	var head [3]uint64 // site, seq, counter
+	off := 0
+	uvarint := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, fmt.Errorf("testReplica: bad %s", what)
+		}
+		off += n
+		return v, nil
+	}
+	for i, what := range []string{"site", "seq", "counter"} {
+		v, err := uvarint(what)
+		if err != nil {
+			return nil, err
+		}
+		head[i] = v
+	}
+	cnt, err := uvarint("version count")
+	if err != nil {
+		return nil, err
+	}
+	version := vclock.New()
+	for i := uint64(0); i < cnt; i++ {
+		s, err := uvarint("version site")
+		if err != nil {
+			return nil, err
+		}
+		if version[ident.SiteID(s)], err = uvarint("version seq"); err != nil {
+			return nil, err
+		}
+	}
+	tree, err := storage.Decode(data[off:])
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.doc.InstallSnapshot(tree, version, ident.SiteID(head[0]), head[1], uint32(head[2])); err != nil {
+		return nil, err
+	}
+	return r.doc.Version(), nil
+}
+
+func (r *testReplica) Version() vclock.VC {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.doc.Version()
+}
+
+func (r *testReplica) FlattenOp(path ident.Path, afterSeq uint64) (core.Op, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.doc.FlattenOp(path, afterSeq)
+}
+
+func (r *testReplica) ColdestSubtree(revisions int64, minNodes int) ident.Path {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.doc.ColdestSubtree(revisions, minNodes)
+}
+
+func (r *testReplica) LockRegion(uint64, ident.Path) {}
+func (r *testReplica) UnlockRegion(uint64)           {}
+
 func (r *testReplica) insertAt(t testing.TB, i int, atom string) core.Op {
+	t.Helper()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	op, err := r.doc.InsertAt(i, atom)
@@ -64,6 +166,12 @@ func (r *testReplica) content() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.doc.ContentString()
+}
+
+func (r *testReplica) seq() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.doc.Seq()
 }
 
 func (r *testReplica) check() error {

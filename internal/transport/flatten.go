@@ -70,15 +70,13 @@ import (
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// Flattener is the optional replica interface behind engine-coordinated
-// flatten (the public Doc and TextBuffer both qualify). FlattenOp
+// Flattener is the replica's part in engine-coordinated flatten. FlattenOp
 // executes a committed flatten locally and returns the operation to
 // broadcast; LockRegion/UnlockRegion freeze a subtree against local edits
 // while a Yes vote is outstanding; Version reports the applied version
 // vector so the engine can detect local edits it has not stamped yet;
 // ColdestSubtree picks cold-subtree proposal candidates.
 type Flattener interface {
-	Applier
 	Version() vclock.VC
 	// FlattenOp mints the committed flatten if the replica's local
 	// sequence still equals afterSeq; a racing local edit fails the mint
@@ -187,8 +185,8 @@ type heldLock struct {
 	opSeq       uint64
 }
 
-func newFlattenState(e *Engine) *flattenState {
-	return &flattenState{
+func newFlattenState(e *Engine) flattenState {
+	return flattenState{
 		rounds: make(map[txID]*round),
 		nextTx: uint64(e.now().UnixNano()),
 		locks:  make(map[txID]*heldLock),
@@ -212,12 +210,8 @@ func (e *Engine) participants() map[ident.SiteID]bool {
 // is queued; the round itself is asynchronous — watch FlattensCommitted,
 // FlattensAborted and FlattensApplied, or the document's Stats. A
 // proposal racing any concurrent edit aborts harmlessly; propose again
-// when the document quiesces. The replica must implement Flattener (Doc
-// and TextBuffer do).
+// when the document quiesces.
 func (e *Engine) ProposeFlatten() error {
-	if e.fl == nil {
-		return fmt.Errorf("transport: replica does not support coordinated flatten")
-	}
 	if !e.ctl(func() { e.startProposal(ident.Path{}) }) {
 		return ErrStopped
 	}
@@ -230,12 +224,9 @@ func (e *Engine) ProposeFlatten() error {
 // existed; false with a nil error means the document has no cold subtree
 // worth flattening right now.
 func (e *Engine) ProposeFlattenCold(revisions int) (bool, error) {
-	if e.fl == nil {
-		return false, fmt.Errorf("transport: replica does not support coordinated flatten")
-	}
 	ch := make(chan bool, 1)
 	if !e.ctl(func() {
-		path := e.flat.ColdestSubtree(int64(revisions), coldMinNodes)
+		path := e.doc.ColdestSubtree(int64(revisions), coldMinNodes)
 		if path == nil {
 			ch <- false
 			return
@@ -267,7 +258,7 @@ func (e *Engine) startProposal(path ident.Path) {
 			return
 		}
 	}
-	st := e.fl
+	st := &e.fl
 	obs := e.buf.Clock()
 	st.nextTx++
 	r := &round{
@@ -292,12 +283,12 @@ func (e *Engine) startProposal(path ident.Path) {
 // flatten proposals must never both commit, because committed flattens
 // apply in message order, not causal order.
 func (e *Engine) castVote(tx txID, path ident.Path, obs vclock.VC) bool {
-	st := e.fl
+	st := &e.fl
 	tok := st.nextTok
 	st.nextTok++
-	e.flat.LockRegion(tok, path)
+	e.doc.LockRegion(tok, path)
 	if !e.uneditedSince(path, obs) || st.overlapsLock(path) {
-		e.flat.UnlockRegion(tok)
+		e.doc.UnlockRegion(tok)
 		return false
 	}
 	st.locks[tx] = &heldLock{tok: tok, path: path.Clone(), obs: obs.Clone(), lastPing: e.now()}
@@ -325,7 +316,7 @@ func (st *flattenState) overlapsLock(p ident.Path) bool {
 // An operation the replica refused to apply is retained too and counts as
 // an edit, which can only turn a Yes into a No.
 func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
-	st := e.fl
+	st := &e.fl
 	clock := e.buf.Clock()
 	if !clock.Dominates(obs) {
 		return false // cannot evaluate the coordinator's view of the region
@@ -336,7 +327,7 @@ func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
 	if e.truncVC != nil && !obs.Dominates(e.truncVC) {
 		return false // evidence below the truncation floor no longer exists
 	}
-	if !vcEqual(e.flat.Version(), clock) {
+	if !vcEqual(e.doc.Version(), clock) {
 		return false // in-flight local edits the actor has not stamped yet
 	}
 	spans := e.retained.missingSpans(e.spanScratch[:0], obs, e.retained.Len())
@@ -358,7 +349,7 @@ func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
 
 // handleFlatPropose votes on a proposal from another coordinator.
 func (e *Engine) handleFlatPropose(f *FlatProposeFrame) {
-	if e.fl == nil || f.From == e.site {
+	if f.From == e.site {
 		return
 	}
 	tx := txID{coord: f.From, n: f.N}
@@ -400,7 +391,7 @@ func (e *Engine) fanoutFrame(kind byte, f frame) {
 // presumed-abort recovery that lets a participant release a lock whose
 // decision frame was lost.
 func (e *Engine) handleFlatVote(f *FlatVoteFrame, from *peer) {
-	if e.fl == nil || f.From == e.site || f.Coord != e.site {
+	if f.From == e.site || f.Coord != e.site {
 		return
 	}
 	r := e.fl.rounds[txID{coord: f.Coord, n: f.N}]
@@ -459,7 +450,7 @@ func (e *Engine) abortDueRounds() {
 // operation's sequence number exists to put in it) or the abort is
 // broadcast and the coordinator's own lock released.
 func (e *Engine) decide(r *round, commit bool) {
-	st := e.fl
+	st := &e.fl
 	r.waiting, r.committed = nil, commit
 	st.decidedOrder = append(st.decidedOrder, r.tx)
 	if len(st.decidedOrder) > maxDecidedMemory {
@@ -488,7 +479,7 @@ func (e *Engine) decide(r *round, commit bool) {
 // answering an old query) and is ignored: a commit outcome, once seen,
 // is authoritative.
 func (e *Engine) handleFlatDecision(f *FlatDecisionFrame) {
-	if e.fl == nil || f.From == e.site {
+	if f.From == e.site {
 		return
 	}
 	tx := txID{coord: f.From, n: f.N}
@@ -520,9 +511,6 @@ func (e *Engine) handleFlatDecision(f *FlatDecisionFrame) {
 // snapshot, which is the path that would otherwise leak the lock
 // forever.
 func (e *Engine) releaseCoveredLocks() {
-	if e.fl == nil {
-		return
-	}
 	clock := e.buf.Clock()
 	for tx, l := range e.fl.locks {
 		if l.commitKnown && l.opSeq > 0 && clock.Get(tx.coord) >= l.opSeq {
@@ -539,17 +527,14 @@ func (e *Engine) releaseCoveredLocks() {
 // lock stays held meanwhile, so the region itself cannot move; the actor
 // retries after every inbox drain and on every tick.
 func (e *Engine) mintPendingFlattens() {
-	if e.fl == nil || len(e.fl.pendingCommits) == 0 {
-		return
-	}
-	st := e.fl
+	st := &e.fl
 	for len(st.pendingCommits) > 0 {
 		r := st.pendingCommits[0]
 		clock := e.buf.Clock()
-		if !vcEqual(e.flat.Version(), clock) {
+		if !vcEqual(e.doc.Version(), clock) {
 			return
 		}
-		op, err := e.flat.FlattenOp(r.path, clock.Get(e.site))
+		op, err := e.doc.FlattenOp(r.path, clock.Get(e.site))
 		if errors.Is(err, core.ErrMintRaced) {
 			// A local edit slipped in between the readiness check and the
 			// mint (the replica's own lock makes this atomic, so the race
@@ -585,7 +570,7 @@ func (e *Engine) mintPendingFlattens() {
 // effect here: a locally broadcast one (called from the actor right after
 // stamping) or a delivered one. Edits are the retained log's to remember.
 func (e *Engine) recordOp(op core.Op) {
-	if e.fl != nil && op.Kind == core.OpFlatten {
+	if op.Kind == core.OpFlatten {
 		// A delivered OpFlatten is the commit taking effect here; a local one
 		// is a caller broadcasting Doc.FlattenOp directly, outside the engine's
 		// own commitment, and is treated like any applied flatten.
@@ -599,15 +584,10 @@ func (e *Engine) recordOp(op core.Op) {
 // flatten epoch the oplog compaction barrier — the snapshot taken here is
 // what lets a post-flatten joiner skip every pre-flatten operation.
 func (e *Engine) afterFlattenApplied() {
-	st := e.fl
+	st := &e.fl
 	st.flattenVC = e.buf.Clock()
 	e.flattensApplied.Add(1)
-	if e.snap != nil {
-		st.compactPending = true
-		if vcEqual(e.flat.Version(), e.buf.Clock()) && e.compactNow() {
-			st.compactPending = false
-		}
-	}
+	st.compactPending = !vcEqual(e.doc.Version(), e.buf.Clock()) || !e.compactNow()
 }
 
 // releaseLocksFor releases every lock matching an applied flatten (its
@@ -625,12 +605,12 @@ func (e *Engine) releaseLocksFor(coord ident.SiteID, id ident.Packed) {
 // outcome: the vote is forgotten and the replica's region unfreezes. (A
 // commit's effect arrives through the causal stream, not through here.)
 func (e *Engine) releaseLock(tx txID) {
-	st := e.fl
+	st := &e.fl
 	l, ok := st.locks[tx]
 	if !ok {
 		return
 	}
-	e.flat.UnlockRegion(l.tok)
+	e.doc.UnlockRegion(l.tok)
 	delete(st.locks, tx)
 }
 
@@ -639,9 +619,6 @@ func (e *Engine) releaseLock(tx txID) {
 // worse than an abandoned vote (the coordinator's deadline aborts the
 // round without us).
 func (e *Engine) releaseAllLocks() {
-	if e.fl == nil {
-		return
-	}
 	for _, tx := range e.fl.lockedTxs() {
 		e.releaseLock(tx)
 	}
@@ -652,15 +629,12 @@ func (e *Engine) releaseAllLocks() {
 // compaction retry, and chunked-snapshot assembly GC.
 func (e *Engine) flattenTick() {
 	e.gcSnapAssemblies()
-	if e.fl == nil {
-		return
-	}
-	st := e.fl
+	st := &e.fl
 	e.abortDueRounds()
 	e.releaseCoveredLocks()
 	e.resendDoubtVotes()
 	e.mintPendingFlattens()
-	if st.compactPending && e.snap != nil && vcEqual(e.flat.Version(), e.buf.Clock()) && e.compactNow() {
+	if st.compactPending && vcEqual(e.doc.Version(), e.buf.Clock()) && e.compactNow() {
 		st.compactPending = false
 	}
 }

@@ -268,38 +268,37 @@ func TestFlattenAbortsOnInFlightLocalEdit(t *testing.T) {
 	checkFlatSites(t, sites)
 }
 
-// applierOnly hides every replica capability except Apply, modelling a
-// peer that cannot vote.
-type applierOnly struct{ buf *treedoc.TextBuffer }
+// dropVotes is a link that loses every flatten vote its engine sends: the
+// engine votes, and no coordinator ever hears it.
+type dropVotes struct{ treedoc.Link }
 
-func (a applierOnly) Apply(op treedoc.Op) error { return a.buf.Apply(op) }
+func (l dropVotes) Send(frame []byte) error {
+	if f, err := transport.DecodeFrame(frame); err == nil {
+		if _, vote := f.(*transport.FlatVoteFrame); vote {
+			return nil
+		}
+	}
+	return l.Link.Send(frame)
+}
 
 // TestFlattenLockBlocksEditsUntilTimeoutAbort: a coordinator's own Yes
-// vote freezes the region; with a voteless peer the round can only die by
-// deadline, which must release the freeze.
+// vote freezes the region; with a peer whose votes are lost the round can
+// only die by deadline, which must release the freeze.
 func TestFlattenLockBlocksEditsUntilTimeoutAbort(t *testing.T) {
 	s1 := newFlatSite(t, 1)
 	defer s1.eng.Stop()
-	peerBuf, err := treedoc.NewTextBuffer(treedoc.WithSite(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer, err := treedoc.NewEngine(2, applierOnly{peerBuf},
-		treedoc.WithSyncInterval(15*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Stop()
+	peer := newFlatSite(t, 2)
+	defer peer.eng.Stop()
 	a, b := treedoc.NewChanPair(128)
 	s1.eng.Connect(a)
-	peer.Connect(b)
+	peer.eng.Connect(dropVotes{b})
 
 	ops, err := s1.buf.Append("content to freeze")
 	s1.broadcast(t, ops, err)
 	// Let the peer's digests register it as a participant, so the round
 	// cannot commit on the coordinator's vote alone.
 	deadline := time.Now().Add(10 * time.Second)
-	for peer.Applied() == 0 {
+	for peer.eng.Applied() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("peer never received the seed ops")
 		}
@@ -316,7 +315,7 @@ func TestFlattenLockBlocksEditsUntilTimeoutAbort(t *testing.T) {
 	deadline = time.Now().Add(20 * time.Second)
 	for s1.eng.FlattensAborted() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("voteless round did not abort by deadline")
+			t.Fatal("a round missing a vote did not abort by deadline")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -20,7 +20,7 @@ import (
 // link, and the clock the test moves.
 type flatStep struct {
 	t    *testing.T
-	r    *flatReplica
+	r    *testReplica
 	s    *Stepper
 	e    *Engine
 	link *recLink
@@ -30,7 +30,7 @@ type flatStep struct {
 
 func newFlatStep(t *testing.T, site ident.SiteID, opts ...Option) *flatStep {
 	t.Helper()
-	f := &flatStep{t: t, r: &flatReplica{snapReplica: newSnapReplica(t, site)}, link: &recLink{}, now: time.UnixMilli(0)}
+	f := &flatStep{t: t, r: newTestReplica(t, site), link: &recLink{}, now: time.UnixMilli(0)}
 	s, err := NewStepper(site, f.r, func() time.Time { return f.now }, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
 	f.hear(2)
 	f.propose()
 
-	r := &flatReplica{snapReplica: newSnapReplica(t, 3)}
+	r := newTestReplica(t, 3)
 	alone, err := NewStepper(3, r, func() time.Time { return time.UnixMilli(0) })
 	if err != nil {
 		t.Fatal(err)

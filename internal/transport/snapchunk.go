@@ -87,7 +87,7 @@ type snapAssembly struct {
 // through a relay hub, one digest can draw snapshots from several peers
 // at once.
 func (e *Engine) handleSnapChunk(f *SnapChunkFrame) {
-	if e.snap == nil || f.From == e.site {
+	if f.From == e.site {
 		return
 	}
 	if e.buf.Clock().Dominates(f.Version) {

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/treedoc/treedoc/internal/core"
-	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
@@ -31,7 +29,7 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	defer func(pay int) { snapChunkPayload = pay }(snapChunkPayload)
 	snapChunkPayload = 128
 
-	server := newSnapReplica(t, 1)
+	server := newTestReplica(t, 1)
 	serverEng, err := NewEngine(1, server,
 		WithSyncInterval(15*time.Millisecond),
 		WithCompactEvery(32),
@@ -61,7 +59,7 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 		time.Sleep(15 * time.Millisecond)
 	}
 
-	joiner := newSnapReplica(t, 2)
+	joiner := newTestReplica(t, 2)
 	joinerEng, err := NewEngine(2, joiner,
 		WithSyncInterval(15*time.Millisecond),
 		WithSnapshotThreshold(16))
@@ -79,7 +77,7 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	for joiner.content() != want || joinerEng.Clock().Get(1) != uint64(ops) {
 		if time.Now().After(deadline) {
 			t.Fatalf("joiner did not converge: len %d of %d, %d snapshots installed",
-				joiner.length(), server.length(), joinerEng.SnapshotsInstalled())
+				joiner.len(), server.len(), joinerEng.SnapshotsInstalled())
 		}
 		time.Sleep(15 * time.Millisecond)
 	}
@@ -101,35 +99,6 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	}
 }
 
-// flatReplica extends the snapshot test replica with the Flattener
-// contract (no-op region locks suffice for engine-level tests).
-type flatReplica struct {
-	*snapReplica
-}
-
-func (r *flatReplica) Version() vclock.VC {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.Version()
-}
-
-func (r *flatReplica) FlattenOp(path ident.Path, afterSeq uint64) (core.Op, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.FlattenOp(path, afterSeq)
-}
-
-func (r *flatReplica) ColdestSubtree(revisions int64, minNodes int) ident.Path {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.doc.ColdestSubtree(revisions, minNodes)
-}
-
-func (r *flatReplica) LockRegion(uint64, ident.Path) {}
-func (r *flatReplica) UnlockRegion(uint64)           {}
-
-var _ Flattener = (*flatReplica)(nil)
-
 // TestFlattenLockReleasedBySnapshotAbsorption pins the recovery path for
 // a Yes-vote lock whose committed OpFlatten never arrives as an
 // operation frame: once a commit decision has named the op's stamp, the
@@ -137,7 +106,7 @@ var _ Flattener = (*flatReplica)(nil)
 // covers it — e.g. after an installed snapshot absorbed the flatten —
 // instead of freezing the region forever.
 func TestFlattenLockReleasedBySnapshotAbsorption(t *testing.T) {
-	r := &flatReplica{snapReplica: newSnapReplica(t, 2)}
+	r := newTestReplica(t, 2)
 	e, err := NewEngine(2, r)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +143,7 @@ func TestFlattenLockReleasedBySnapshotAbsorption(t *testing.T) {
 // stale chunks, gaps, and mismatched totals void the assembly instead of
 // corrupting it.
 func TestSnapChunkAssemblyResists(t *testing.T) {
-	r := newSnapReplica(t, 9)
+	r := newTestReplica(t, 9)
 	e, err := NewEngine(9, r)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,29 +12,15 @@ import (
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// blobReplica is a receive-only Snapshotter whose snapshot is an opaque
-// blob of any size — the transport never looks inside snapshot bytes, so
-// the table below can pick sizes around the chunk boundary freely. It
-// accepts exactly the snapshot it was told to expect and records what the
-// engine installs and applies.
+// blobReplica is a test replica whose snapshot is an opaque blob of any
+// size — the transport never looks inside snapshot bytes, so the table
+// below can pick sizes around the chunk boundary freely. It installs
+// exactly the snapshot it was told to expect, and records it.
 type blobReplica struct {
+	*testReplica
 	wantSnap    []byte
 	wantVersion vclock.VC
-
-	mu        sync.Mutex
-	installed []byte
-	atoms     []string
-}
-
-func (r *blobReplica) Apply(op core.Op) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.atoms = append(r.atoms, op.Atom)
-	return nil
-}
-
-func (r *blobReplica) Snapshot() ([]byte, vclock.VC, error) {
-	return nil, nil, errors.New("blobReplica is receive-only")
+	installed   []byte
 }
 
 func (r *blobReplica) InstallSnapshot(data []byte) (vclock.VC, error) {
@@ -50,10 +33,10 @@ func (r *blobReplica) InstallSnapshot(data []byte) (vclock.VC, error) {
 	return r.wantVersion.Clone(), nil
 }
 
-func (r *blobReplica) state() ([]byte, []string) {
+func (r *blobReplica) state() ([]byte, string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.installed, append([]string(nil), r.atoms...)
+	return r.installed, r.doc.ContentString()
 }
 
 // TestStateFramesReproduceSource is the contract of the one state-transfer
@@ -141,7 +124,7 @@ func TestStateFramesReproduceSource(t *testing.T) {
 
 			for _, path := range []string{"answer", "handoff"} {
 				t.Run(fmt.Sprintf("snap%d/%s/%s", size, sfx.name, path), func(t *testing.T) {
-					rep := &blobReplica{wantSnap: snap, wantVersion: version}
+					rep := &blobReplica{testReplica: newTestReplica(t, 9), wantSnap: snap, wantVersion: version}
 					eng, err := NewEngine(9, rep, WithSyncInterval(10*time.Millisecond))
 					if err != nil {
 						t.Fatal(err)
@@ -190,12 +173,12 @@ func TestStateFramesReproduceSource(t *testing.T) {
 						}
 						time.Sleep(2 * time.Millisecond)
 					}
-					installed, atoms := rep.state()
+					installed, content := rep.state()
 					if !bytes.Equal(installed, snap) {
 						t.Fatalf("installed %d snapshot bytes, want %d", len(installed), len(snap))
 					}
-					if !reflect.DeepEqual(atoms, sfx.atoms) {
-						t.Fatalf("applied %d suffix ops, want %d in source order", len(atoms), len(sfx.atoms))
+					if want := strings.Join(sfx.atoms, "\n"); content != want {
+						t.Fatalf("applied %d bytes of suffix atoms, want the %d in source order", len(content), len(want))
 					}
 					if err := eng.Err(); err != nil {
 						t.Fatal(err)

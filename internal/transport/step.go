@@ -21,7 +21,7 @@ type Stepper struct{ e *Engine }
 
 // NewStepper builds an engine that only runs when stepped. now is the
 // engine's clock; it must never go backwards.
-func NewStepper(site ident.SiteID, doc Applier, now func() time.Time, opts ...Option) (*Stepper, error) {
+func NewStepper(site ident.SiteID, doc Replica, now func() time.Time, opts ...Option) (*Stepper, error) {
 	e, err := newEngine(site, doc, now, opts)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,7 +29,7 @@ func TestStepperRunsOnlyWhenStepped(t *testing.T) {
 	before := runtime.NumGoroutine()
 	now := time.UnixMilli(0)
 	clock := func() time.Time { return now }
-	ra, rb := newSnapReplica(t, 1), newSnapReplica(t, 2)
+	ra, rb := newTestReplica(t, 1), newTestReplica(t, 2)
 	sa, err := NewStepper(1, ra, clock, WithSyncInterval(time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +92,7 @@ func TestStepperRunsOnlyWhenStepped(t *testing.T) {
 func TestFarBehindPullsBySnapshot(t *testing.T) {
 	now := time.UnixMilli(0)
 	clock := func() time.Time { return now }
-	ra, rb := newSnapReplica(t, 1), newSnapReplica(t, 2)
+	ra, rb := newTestReplica(t, 1), newTestReplica(t, 2)
 	opts := []Option{WithSyncInterval(time.Second), WithSnapshotThreshold(4)}
 	sa, err := NewStepper(1, ra, clock, opts...)
 	if err != nil {
@@ -142,7 +144,7 @@ func TestFarBehindPullsBySnapshot(t *testing.T) {
 // one digest and returns the answer's frames, decoded.
 func barrierServer(t *testing.T, opts ...Option) (pull func(from ident.SiteID, clock vclock.VC) []any) {
 	t.Helper()
-	r := newSnapReplica(t, 1)
+	r := newTestReplica(t, 1)
 	s, err := NewStepper(1, r, func() time.Time { return time.UnixMilli(0) }, append([]Option{WithSyncInterval(time.Second)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +244,7 @@ func TestBelowFloorNeverDrawsReplay(t *testing.T) {
 // delivered, and recv[i] hands site i+1 a frame.
 type stepPair struct {
 	now  time.Time
-	r    [2]*snapReplica
+	r    [2]*testReplica
 	s    [2]*Stepper
 	out  [2]*recLink
 	recv [2]func(frame []byte)
@@ -252,7 +254,7 @@ func newStepPair(t *testing.T, opts ...Option) *stepPair {
 	t.Helper()
 	p := &stepPair{now: time.UnixMilli(0)}
 	for i := range p.s {
-		p.r[i] = newSnapReplica(t, ident.SiteID(i+1))
+		p.r[i] = newTestReplica(t, ident.SiteID(i+1))
 		s, err := NewStepper(ident.SiteID(i+1), p.r[i], func() time.Time { return p.now }, append([]Option{WithSyncInterval(time.Second)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -408,22 +410,6 @@ func TestAckingMemberIsNeverDroppedUnderLoad(t *testing.T) {
 	}
 }
 
-// batchReplica is a snapReplica that takes runs whole and notes their sizes.
-type batchReplica struct {
-	*snapReplica
-	batches []int
-}
-
-func (r *batchReplica) ApplyBatch(ops []core.Op) (int, error) {
-	r.batches = append(r.batches, len(ops))
-	for i, op := range ops {
-		if err := r.Apply(op); err != nil {
-			return i, err
-		}
-	}
-	return len(ops), nil
-}
-
 // TestFrameIsOneBatch: a frame's messages enter the causal buffer together
 // and what they make deliverable is applied as one run — an in-order frame
 // of N ops is a single ApplyBatch of N, not N single applies. An op that
@@ -431,7 +417,7 @@ func (r *batchReplica) ApplyBatch(ops []core.Op) (int, error) {
 func TestFrameIsOneBatch(t *testing.T) {
 	const n, bad = 16, 9
 	frame := func(spoil bool) []byte {
-		w, stamp := newSnapReplica(t, 1), causal.NewBuffer(1)
+		w, stamp := newTestReplica(t, 1), causal.NewBuffer(1)
 		var msgs []causal.Message
 		for i := 0; i < n; i++ {
 			op := w.insertAt(t, i, "x")
@@ -455,14 +441,14 @@ func TestFrameIsOneBatch(t *testing.T) {
 		{"in order", false, []int{n}, n},
 		{"one op fails", true, []int{n, n - bad - 1}, n - 1},
 	} {
-		r := &batchReplica{snapReplica: newSnapReplica(t, 2)}
+		r := newTestReplica(t, 2)
 		s, err := NewStepper(2, r, func() time.Time { return time.UnixMilli(0) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Connect(&recLink{})(frame(tc.spoil))
-		if !reflect.DeepEqual(r.batches, tc.batches) || r.length() != tc.length {
-			t.Errorf("%s: ApplyBatch runs %v, %d atoms; want %v, %d", tc.name, r.batches, r.length(), tc.batches, tc.length)
+		if !reflect.DeepEqual(r.batches, tc.batches) || r.len() != tc.length {
+			t.Errorf("%s: ApplyBatch runs %v, %d atoms; want %v, %d", tc.name, r.batches, r.len(), tc.batches, tc.length)
 		}
 		if got := s.Engine().Clock().Get(1); got != n {
 			t.Errorf("%s: clock[1] = %d, want %d", tc.name, got, n)
@@ -472,6 +458,61 @@ func TestFrameIsOneBatch(t *testing.T) {
 		}
 		s.Stop()
 	}
+}
+
+// TestRefusedOpIsSkippedLiveAndOnReplay: live delivery and log replay share
+// one apply loop. An op the replica refuses latches Err and is skipped, the
+// rest of its run still applies, and its message counts as delivered; a
+// restart over the same log directory replays to the same clock and content
+// instead of aborting on it.
+func TestRefusedOpIsSkippedLiveAndOnReplay(t *testing.T) {
+	const n, bad = 16, 9 // bad is the refused op's sequence number
+	w, stamp := newTestReplica(t, 1), causal.NewBuffer(1)
+	var msgs []causal.Message
+	var want []string
+	for i := 0; i < n; i++ {
+		atom := fmt.Sprintf("a%d", i)
+		msgs = append(msgs, stamp.Stamp(w.insertAt(t, i, atom)))
+		if i+1 != bad {
+			want = append(want, atom)
+		}
+	}
+	frame, err := EncodeOps(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	start := func(phase string) (*testReplica, *Stepper) {
+		r := newTestReplica(t, 2)
+		r.refuse = func(op core.Op) bool { return op.Site == 1 && op.Seq == bad }
+		s, err := NewStepper(2, r, func() time.Time { return time.UnixMilli(0) }, WithLogDir(dir))
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		return r, s
+	}
+	check := func(phase string, r *testReplica, s *Stepper) {
+		t.Helper()
+		if !reflect.DeepEqual(r.batches, []int{n, n - bad}) {
+			t.Errorf("%s: ApplyBatch runs %v, want [%d %d]: the run resumes after the refused op", phase, r.batches, n, n-bad)
+		}
+		if got := r.content(); got != strings.Join(want, "\n") {
+			t.Errorf("%s: content %q, want every atom but the refused one", phase, got)
+		}
+		if got := s.Engine().Clock().Get(1); got != n {
+			t.Errorf("%s: clock[1] = %d, want %d", phase, got, n)
+		}
+		if s.Engine().Err() == nil {
+			t.Errorf("%s: the refused op latched no error", phase)
+		}
+	}
+	r, s := start("live")
+	s.Connect(&recLink{})(frame)
+	check("live", r, s)
+	s.Stop()
+	r, s = start("restart")
+	defer s.Stop()
+	check("restart", r, s)
 }
 
 // TestStoppedEngineIsCollectable: Stop over a link that is still open must
@@ -486,8 +527,8 @@ func TestStoppedEngineIsCollectable(t *testing.T) {
 		// The finalizer sits on the replica: only the engine points to it,
 		// and unlike the engine it is in no reference cycle (a finalizer on
 		// a member of a cycle is not guaranteed to run).
-		r := newSnapReplica(t, 1)
-		runtime.SetFinalizer(r, func(*snapReplica) { close(collected) })
+		r := newTestReplica(t, 1)
+		runtime.SetFinalizer(r, func(*testReplica) { close(collected) })
 		e, err := NewEngine(1, r)
 		if err != nil {
 			t.Fatal(err)

@@ -9,15 +9,17 @@
 //   - Engine owns one replica's distribution state (causal delivery buffer,
 //     retained message log, outbound batch) behind an actor loop: a single
 //     goroutine draining an inbox channel. The replica document itself stays
-//     whatever the caller hands in (any Applier, e.g. the public Doc or
+//     whatever the caller hands in (a Replica, e.g. the public Doc or
 //     TextBuffer); the engine applies remote operations to it in causal
-//     order and stamps local operations for broadcast.
+//     order, snapshots it, runs its flatten votes, and stamps local
+//     operations for broadcast.
 //
 //   - Link is the wire: a bidirectional, frame-oriented connection. Two
-//     implementations share one binary protocol built on Op's
-//     MarshalBinary/UnmarshalBinary — ChanPair (in-process channel pairs
-//     with bounded queues and backpressure, for tests and co-located
-//     replicas) and TCPLink (length-prefixed framing over net.Conn).
+//     implementations share one binary protocol, whose operations are
+//     framed by codec.msg over Op.AppendFields — ChanPair (in-process
+//     channel pairs with bounded queues and backpressure, for tests and
+//     co-located replicas) and TCPLink (length-prefixed framing over
+//     net.Conn).
 //
 //   - Hub is a relay server (cmd/treedoc-serve): clients connect over TCP,
 //     attach to one or more documents (DialDoc / Session — every hub

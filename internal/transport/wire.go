@@ -302,11 +302,9 @@ func (f *DocFrame) wire(c *codec) { c.envelope(&f.Doc, &f.Inner) }
 // ForwardFrame is a kindForward frame, the hub-to-hub envelope. A
 // non-owner hub that serves Doc locally (because its clients cannot reach
 // the owner shard) wraps the document's inbound frames in it and sends
-// them to the owner over the peer mesh; an old owner streams a migrating
-// document's state to the new owner in it (kindSnapChunk and kindOps
-// frames, the same machinery as snapshot catch-up). The receiver relays
-// the inner frame into its local relay group exactly as if a directly
-// attached client had sent it. A frame received as kindForward is never
+// them to the owner over the peer mesh. The receiver relays the inner
+// frame into its local relay group exactly as if a directly attached
+// client had sent it. A frame received as kindForward is never
 // re-forwarded, so two hubs with disagreeing rings cannot loop a frame
 // between them. Inner aliases the envelope's backing array.
 type ForwardFrame struct {

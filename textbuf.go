@@ -127,21 +127,15 @@ func (b *TextBuffer) Apply(op Op) error {
 	return b.doc.Apply(op)
 }
 
-// ApplyAll replays remote operations in order.
+// ApplyAll replays remote operations in order (see ApplyBatch).
 func (b *TextBuffer) ApplyAll(ops []Op) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, op := range ops {
-		if err := b.doc.Apply(op); err != nil {
-			return fmt.Errorf("treedoc: op %d: %w", i, err)
-		}
-	}
-	return nil
+	_, err := b.ApplyBatch(ops)
+	return err
 }
 
 // ApplyBatch replays remote operations in order under one lock, returning
-// how many applied before the first failure (see Doc.ApplyBatch); the
-// replication engine prefers it over per-op Apply.
+// how many applied before the first failure (see Doc.ApplyBatch); it is
+// the replication engine's one apply path.
 func (b *TextBuffer) ApplyBatch(ops []Op) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

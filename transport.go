@@ -70,15 +70,12 @@ const (
 // Link is a frame pipe between two engines (or an engine and a hub).
 type Link = transport.Link
 
-// Doc and TextBuffer satisfy the engine's snapshot contract, so engines
-// wrapping them can compact their logs and serve snapshot catch-up — and
-// the engine's flatten contract, so Engine.ProposeFlatten can run the
-// paper's commitment protocol over live links.
+// Doc and TextBuffer satisfy the engine's replica contract: engines
+// wrapping them apply remote runs in batches, compact their logs, serve
+// snapshot catch-up, and vote in the paper's flatten commitment.
 var (
-	_ transport.Snapshotter = (*Doc)(nil)
-	_ transport.Snapshotter = (*TextBuffer)(nil)
-	_ transport.Flattener   = (*Doc)(nil)
-	_ transport.Flattener   = (*TextBuffer)(nil)
+	_ transport.Replica = (*Doc)(nil)
+	_ transport.Replica = (*TextBuffer)(nil)
 )
 
 // Hub is the relay server behind cmd/treedoc-serve, embeddable for tests
@@ -110,8 +107,10 @@ type EngineStats = transport.EngineStats
 type Session = transport.Session
 
 // NewEngine creates and starts a replication engine for site wrapping
-// replica (a *Doc, *TextBuffer, or anything applying operations).
-func NewEngine(site SiteID, replica transport.Applier, opts ...EngineOption) (*Engine, error) {
+// replica: a *Doc, a *TextBuffer, or a type embedding one. Every engine
+// applies in batches, compacts and serves snapshots, and votes on
+// flattens, so the replica must do all three.
+func NewEngine(site SiteID, replica transport.Replica, opts ...EngineOption) (*Engine, error) {
 	return transport.NewEngine(site, replica, opts...)
 }
 

@@ -301,22 +301,16 @@ func (d *Doc) Apply(op Op) error {
 	return nil
 }
 
-// ApplyAll replays a batch of operations in order.
+// ApplyAll replays a batch of operations in order (see ApplyBatch).
 func (d *Doc) ApplyAll(ops []Op) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, op := range ops {
-		if err := d.doc.Apply(op); err != nil {
-			return fmt.Errorf("treedoc: op %d: %w", i, err)
-		}
-	}
-	return nil
+	_, err := d.ApplyBatch(ops)
+	return err
 }
 
 // ApplyBatch replays remote operations in order under one lock, returning
 // how many applied before the first failure (len(ops) and nil on success).
-// The replication engine prefers it over per-op Apply: one lock acquisition
-// per delivered frame, and the document's walk caches stay hot across the
+// It is the replication engine's one apply path: one lock acquisition per
+// delivered frame, and the document's walk caches stay hot across the
 // whole batch instead of being re-primed per call.
 func (d *Doc) ApplyBatch(ops []Op) (int, error) {
 	d.mu.Lock()
