@@ -84,8 +84,8 @@ type Cluster struct {
 	replicas []*Replica // replicas[i] is site i+1
 	// tick is the engines' sync interval in virtual milliseconds — the
 	// network's maximum latency, so "older than a tick" means "no longer in
-	// flight", which is what the engine's retransmission horizon assumes —
-	// and nextTick the virtual instant the next one is due.
+	// flight", which is what the engine's settle horizon (its delivered
+	// clock two ticks back) assumes — and nextTick the next one's instant.
 	tick, nextTick int64
 	// work counts the frames sent that were not digests, and idledAt is its
 	// value when Run last let the clock idle: see Run.
@@ -280,7 +280,7 @@ func (r *Replica) FlattensApplied() int { return int(r.eng.FlattensApplied()) }
 // SyncWith starts one anti-entropy exchange with a peer: this replica
 // sends its vector-clock digest and the peer retransmits the operations
 // the digest does not cover (including third-party operations it relayed)
-// — except those younger than a sync tick or two, which the engine
+// — except those it delivered within its last two ticks, which it
 // presumes still in flight. The engines also do this on their own as
 // virtual time passes; redundant syncs are cheap no-ops.
 func (r *Replica) SyncWith(peer SiteID) {

@@ -119,10 +119,6 @@ const (
 	// flight on the relay path — and digesting into it would draw a
 	// retransmission of frames about to arrive anyway.
 	gapGraceTicks = 2
-	// replayCacheCap bounds the per-tick encoded-replay cache: distinct
-	// missing ranges per tick beyond this are encoded per request, which
-	// only costs the pre-index behaviour.
-	replayCacheCap = 32
 )
 
 // Option configures an Engine.
@@ -272,14 +268,13 @@ type Engine struct {
 	batch    []causal.Message // actor-owned
 	peers    []*peer          // actor-owned
 	log      *oplog.Log       // actor-owned
-	// replayCache holds this tick's encoded digest answers keyed by the
-	// missing span set, so one distinct missing range is encoded once and
-	// fanned out to every peer requesting it. Cleared each sync tick and
-	// on truncation (truncation shifts span offsets).
-	replayCache map[string]*replayEntry // actor-owned
-	spanScratch []span                  // actor-owned
-	keyScratch  []byte                  // actor-owned
-	missScratch []causal.Message        // actor-owned
+	// settled[0] is the delivered clock at the latest tick, settled[1] the
+	// one before: the settle horizon. A digest answer carries nothing
+	// above settled[1] — younger messages are presumed still in flight on
+	// the relay path, and retransmitting them would duplicate the live
+	// stream.
+	settled     [2]vclock.VC     // actor-owned
+	missScratch []causal.Message // actor-owned
 	// logBroken latches after the first append failure: see record.
 	logBroken bool // actor-owned
 	// snapData/snapVC are the serving barrier: the latest snapshot and the
@@ -700,15 +695,12 @@ func (e *Engine) endStep() {
 
 // tick is one sync interval's duties.
 func (e *Engine) tick() {
+	e.gcSnapAssemblies()
 	e.flattenTick()
 	e.flush()
 	e.maybeCompact()
 	e.advanceFloor(false)
-	// The encoded-replay cache lives one tick: peers sharing a frontier
-	// cluster their digests within a round, and a stale cache would pin
-	// frame memory for ranges nobody asks for again.
-	clear(e.replayCache)
-	e.retained.Settle()
+	e.settled = [2]vclock.VC{e.buf.Clock(), e.settled[0]}
 	e.syncAll()
 }
 
@@ -949,8 +941,7 @@ func (e *Engine) adoptBarrier(data []byte, version vclock.VC) bool {
 }
 
 // truncateTo makes floor the truncation floor: what it covers leaves the
-// in-memory log, the sealed segments and — because truncation shifts
-// every span offset — the encoded-replay cache.
+// in-memory log and the sealed segments.
 func (e *Engine) truncateTo(floor vclock.VC) {
 	e.truncVC = floor.Clone()
 	if e.log != nil {
@@ -959,7 +950,6 @@ func (e *Engine) truncateTo(floor vclock.VC) {
 		}
 	}
 	e.retained.Truncate(floor)
-	clear(e.replayCache)
 }
 
 // advanceFloor raises the truncation floor to the stable frontier, the
@@ -1070,26 +1060,11 @@ func (e *Engine) streamSnapshot(to *peer, dst ident.SiteID, suffix [][]byte) {
 	})
 }
 
-// replayEntry is one cached digest answer: the encoded frames for a
-// distinct missing span set, plus the op and byte totals they carry so
-// fan-out sends count without re-measuring. Frames are immutable once
-// encoded, so sharing them across peers is safe.
-type replayEntry struct {
-	frames     [][]byte
-	ops, bytes uint64
-}
-
 // answer sends one requester the state since its clock: the barrier
 // snapshot first when the caller found the requester needs one, then every
 // retained message the clock does not cover — above the snapshot, when the
-// requester can install it — chunked into frames. The missing set
-// comes from the retained log's per-site index — a binary search plus
-// contiguous suffix slices per site, never a scan of the whole log — and
-// the encoded frames are cached per tick keyed by the span set, so a
-// cohort of peers sharing one frontier (the hot-document shape) draws one
-// encode and a fan-out of the same frames. The log is synced first:
-// retransmissions may carry locally stamped operations that no flush has
-// synced yet.
+// requester can install it — chunked into frames encoded for this request
+// alone (see encodeMissing).
 func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bool) {
 	if snapshot {
 		last := to.offers[dst]
@@ -1126,42 +1101,20 @@ func (e *Engine) answer(to *peer, clock vclock.VC, dst ident.SiteID, snapshot bo
 			snapshot = false // plain op replay in between offers
 		}
 	}
-	// The settle horizon keeps the newest tick-and-a-bit of the log out of
-	// the answer: those frames are presumed still in flight on the relay
-	// path, and a requester racing them re-digests if any were truly lost.
-	spans := e.retained.missingSpans(e.spanScratch[:0], clock, e.retained.SettledLen())
-	e.spanScratch = spans[:0]
-	var ent replayEntry // empty when nothing is missing: the snapshot alone
-	if len(spans) > 0 {
-		e.syncLog()
-		e.keyScratch = spanKey(e.keyScratch[:0], spans)
-		cached, ok := e.replayCache[string(e.keyScratch)]
-		if !ok {
-			cached = e.encodeSpans(spans)
-			if e.replayCache == nil {
-				e.replayCache = make(map[string]*replayEntry)
-			}
-			if len(e.replayCache) < replayCacheCap {
-				e.replayCache[string(e.keyScratch)] = cached
-			}
-		}
-		ent = *cached
-	}
+	frames := e.encodeMissing(clock) // none when nothing is missing: the snapshot alone
 	if snapshot {
-		e.streamSnapshot(to, dst, ent.frames)
+		e.streamSnapshot(to, dst, frames)
 	} else {
-		for _, f := range ent.frames {
+		for _, f := range frames {
 			to.send(directed(to, dst, f))
 		}
 	}
-	e.replayOps.Add(ent.ops)
-	e.replayBytes.Add(ent.bytes)
 }
 
 // directed addresses one answer frame to its requester when the link
-// routes replays (the cached broadcast encoding stays shared; the wrap is
-// a per-send copy). On a plain link — or if the wrap fails, which cannot
-// happen for frames this engine encoded — the frame broadcasts as-is.
+// routes replays (the wrap is a copy of the frame). On a plain link — or
+// if the wrap fails, which cannot happen for frames this engine encoded —
+// the frame broadcasts as-is.
 func directed(to *peer, dst ident.SiteID, frame []byte) []byte {
 	if !to.routes {
 		return frame
@@ -1172,27 +1125,36 @@ func directed(to *peer, dst ident.SiteID, frame []byte) []byte {
 	return frame
 }
 
-// encodeSpans assembles one digest answer: gather the spans' messages and
-// frame them through the shared state encoder.
-func (e *Engine) encodeSpans(spans []span) *replayEntry {
-	missing := e.missScratch[:0]
-	msgs := e.retained.Msgs()
-	for _, sp := range spans {
-		missing = append(missing, msgs[sp.start:sp.start+sp.n]...)
-	}
-	ent := &replayEntry{}
-	skipped, _ := stateFrames(e.site, nil, nil, missing, func(frame []byte) error {
-		ent.frames = append(ent.frames, frame)
-		ent.bytes += uint64(len(frame))
-		return nil
+// encodeMissing frames one digest answer: the retained messages the clock
+// does not cover, below the settle horizon, through the shared state
+// encoder. The horizon keeps the newest two ticks of deliveries out:
+// those frames are presumed still in flight on the relay path, and a
+// requester racing them re-digests if any were truly lost. The log is
+// synced first: retransmissions may carry locally stamped operations that
+// no flush has synced yet.
+func (e *Engine) encodeMissing(clock vclock.VC) [][]byte {
+	horizon := e.settled[1]
+	missing := slices.DeleteFunc(e.retained.AppendMissing(e.missScratch[:0], clock), func(m causal.Message) bool {
+		return m.TS.Get(m.From) > horizon.Get(m.From)
 	})
-	ent.ops = uint64(len(missing) - skipped)
-	e.wireErrs.Add(uint64(skipped))
+	var frames [][]byte
+	if len(missing) > 0 {
+		e.syncLog()
+		var bytes uint64
+		skipped, _ := stateFrames(e.site, nil, nil, missing, func(frame []byte) error {
+			frames = append(frames, frame)
+			bytes += uint64(len(frame))
+			return nil
+		})
+		e.replayOps.Add(uint64(len(missing) - skipped))
+		e.replayBytes.Add(bytes)
+		e.wireErrs.Add(uint64(skipped))
+	}
 	// Drop the gathered message references (each pins an identifier path)
 	// but keep the grown capacity for the next digest answered.
 	clear(missing)
 	e.missScratch = missing[:0]
-	return ent
+	return frames
 }
 
 // syncLog flushes appended records to stable storage under FsyncBatch. It

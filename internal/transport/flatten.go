@@ -65,6 +65,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/treedoc/treedoc/internal/causal"
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
@@ -330,21 +331,20 @@ func (e *Engine) uneditedSince(path ident.Path, obs vclock.VC) bool {
 	if !vcEqual(e.doc.Version(), clock) {
 		return false // in-flight local edits the actor has not stamped yet
 	}
-	spans := e.retained.missingSpans(e.spanScratch[:0], obs, e.retained.Len())
-	e.spanScratch = spans[:0]
-	msgs := e.retained.Msgs()
+	evidence := e.retained.AppendMissing(e.missScratch[:0], obs)
 	var id ident.Path // one scratch for the scan: operations hold identifiers packed
-	for _, sp := range spans {
-		for _, m := range msgs[sp.start : sp.start+sp.n] {
-			// A flatten beyond obs already failed the flattenVC test above.
-			if op, ok := m.Payload.(core.Op); ok && op.Kind != core.OpFlatten {
-				if id = op.ID.AppendPath(id[:0]); ident.RegionCompare(id, path) == 0 {
-					return false
-				}
-			}
+	edited := slices.ContainsFunc(evidence, func(m causal.Message) bool {
+		// A flatten beyond obs already failed the flattenVC test above.
+		op, ok := m.Payload.(core.Op)
+		if !ok || op.Kind == core.OpFlatten {
+			return false
 		}
-	}
-	return true
+		id = op.ID.AppendPath(id[:0])
+		return ident.RegionCompare(id, path) == 0
+	})
+	clear(evidence)
+	e.missScratch = evidence[:0]
+	return !edited
 }
 
 // handleFlatPropose votes on a proposal from another coordinator.
@@ -625,10 +625,9 @@ func (e *Engine) releaseAllLocks() {
 }
 
 // flattenTick is the per-sync-tick commitment work: coordinator
-// deadlines, in-doubt vote resends, deferred mints, the flatten-epoch
-// compaction retry, and chunked-snapshot assembly GC.
+// deadlines, in-doubt vote resends, deferred mints and the flatten-epoch
+// compaction retry.
 func (e *Engine) flattenTick() {
-	e.gcSnapAssemblies()
 	st := &e.fl
 	e.abortDueRounds()
 	e.releaseCoveredLocks()

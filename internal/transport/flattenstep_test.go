@@ -369,7 +369,7 @@ func TestSilentMemberBlocksRoundsUntilTheCap(t *testing.T) {
 // TestProposalWaitsForEveryLinksDigest: a link that has delivered no
 // digest may hide members the ack table has never heard of, so a
 // coordinator on it mints no round and counts an abort; once the link's
-// digest arrives, it proposes. An engine with no links commits alone.
+// digest arrives, it proposes.
 func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
 	f := newFlatStep(t, 1)
 	f.write("a")
@@ -384,7 +384,12 @@ func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
 	}
 	f.hear(2)
 	f.propose()
+}
 
+// TestEngineWithoutLinksCommitsAlone: with no link and no member, the
+// coordinator is the whole round — it commits and applies its own flatten,
+// and Stats reports the round.
+func TestEngineWithoutLinksCommitsAlone(t *testing.T) {
 	r := newTestReplica(t, 3)
 	alone, err := NewStepper(3, r, func() time.Time { return time.UnixMilli(0) })
 	if err != nil {
@@ -397,8 +402,9 @@ func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
 	if err := alone.Engine().ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
-	if c := alone.Engine().FlattensCommitted(); c != 1 {
-		t.Fatalf("an engine with no links committed %d rounds, want 1", c)
+	if s := alone.Engine().Stats(); s.FlattensApplied != 1 || s.FlattensCommitted != 1 || s.FlattensAborted != 0 {
+		t.Fatalf("an engine with no links: applied %d, committed %d, aborted %d; want 1/1/0",
+			s.FlattensApplied, s.FlattensCommitted, s.FlattensAborted)
 	}
 }
 

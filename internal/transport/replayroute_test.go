@@ -77,8 +77,8 @@ func TestDirectedAnswerOnRoutingLink(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The settle horizon keeps the freshest tick out of digest
-			// answers; let two settle marks pass before pulling.
+			// The settle horizon keeps the freshest two ticks out of
+			// digest answers; let them pass before pulling.
 			time.Sleep(5 * syncEvery)
 
 			pull, err := EncodeSyncReq(9, vclock.New())

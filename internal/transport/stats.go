@@ -81,6 +81,11 @@ type EngineStats struct {
 	// the cap (docs/ARCHITECTURE.md §6): one that was behind catches up by
 	// snapshot, one whose keepalive came slower than compactions rejoins.
 	FrontierDrops uint64
+	// FlattensApplied, FlattensCommitted and FlattensAborted are the
+	// flatten counters: flattens this replica applied, and the proposals
+	// it coordinated to a commit or an abort (a janitor round waiting on a
+	// silent member aborts at its deadline).
+	FlattensApplied, FlattensCommitted, FlattensAborted uint64
 }
 
 // Stats collects a snapshot of the engine's counters; each atomic is
@@ -98,5 +103,8 @@ func (e *Engine) Stats() EngineStats {
 		ReplayOps:          e.ReplayOps(),
 		ReplayBytes:        e.ReplayBytes(),
 		FrontierDrops:      e.frontierDrops.Load(),
+		FlattensApplied:    e.FlattensApplied(),
+		FlattensCommitted:  e.FlattensCommitted(),
+		FlattensAborted:    e.FlattensAborted(),
 	}
 }

@@ -171,23 +171,28 @@ func barrierServer(t *testing.T, opts ...Option) (pull func(from ident.SiteID, c
 	if !vcEqual(e.truncVC, vclock.VC{1: 3}) || !vcEqual(e.snapVC, vclock.VC{1: 6}) {
 		t.Fatalf("floor %v, barrier %v", e.truncVC, e.snapVC)
 	}
-	return func(from ident.SiteID, clock vclock.VC) []any {
-		digest, err := EncodeSyncReq(from, clock)
+	return func(from ident.SiteID, clock vclock.VC) []any { return pullAnswer(t, receive, link, from, clock) }
+}
+
+// pullAnswer hands a stepped engine one digest on its link and returns the
+// answer's frames, decoded.
+func pullAnswer(t *testing.T, receive func([]byte), link *recLink, from ident.SiteID, clock vclock.VC) []any {
+	t.Helper()
+	digest, err := EncodeSyncReq(from, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link.frames = nil
+	receive(digest)
+	var out []any
+	for _, f := range link.frames {
+		decoded, err := DecodeFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		link.frames = nil
-		receive(digest)
-		var out []any
-		for _, f := range link.frames {
-			decoded, err := DecodeFrame(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, decoded)
-		}
-		return out
+		out = append(out, decoded)
 	}
+	return out
 }
 
 // replayed lists the sequence numbers the answer's kindOps frames carry.
@@ -236,6 +241,69 @@ func TestBelowFloorNeverDrawsReplay(t *testing.T) {
 	}
 	if got := replayed(pull(2, vclock.VC{1: 4})); !reflect.DeepEqual(got, []uint64{5, 6, 7, 8}) {
 		t.Fatalf("the requester above the floor drew ops %v, want [5 6 7 8]", got)
+	}
+}
+
+// TestAnswersStopAtTheSettleHorizon: a digest answer carries every
+// message delivered two ticks ago or earlier and nothing younger — the
+// younger frames are presumed still in flight on the relay path.
+func TestAnswersStopAtTheSettleHorizon(t *testing.T) {
+	r := newTestReplica(t, 1)
+	s, err := NewStepper(1, r, func() time.Time { return time.UnixMilli(0) }, WithSyncInterval(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	link := &recLink{}
+	receive := s.Connect(link)
+	for i := 1; i <= 5; i++ {
+		if err := s.Engine().Broadcast(r.insertAt(t, i-1, "x")); err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for seq := uint64(1); seq+2 <= uint64(i); seq++ {
+			want = append(want, seq)
+		}
+		if got := replayed(pullAnswer(t, receive, link, 2, vclock.New())); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d stamped: the answer carried %v, want %v", i, got, want)
+		}
+		s.Tick()
+	}
+}
+
+// TestTruncationKeepsTheSettleHorizon: a1, b1 and b2 settle, b3…b10
+// arrive, and the next tick's compaction moves the floor to {b:10}. a1
+// survives the truncation as old as it was, so a digest at {b:10} — above
+// the floor, lacking only a1 — draws it. A horizon kept as a log position
+// shifted down by the ten messages truncated and counted a1 young again.
+func TestTruncationKeepsTheSettleHorizon(t *testing.T) {
+	p := newStepPair(t, WithCompactEvery(11))
+	a, b := p.s[0], p.s[1].Engine()
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := b.Broadcast(p.r[1].insertAt(t, p.r[1].len(), "b")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range p.out[1].frames {
+			p.recv[0](f)
+		}
+		p.out[1].frames = nil
+	}
+	if err := a.Engine().Broadcast(p.r[0].insertAt(t, 0, "a")); err != nil {
+		t.Fatal(err)
+	}
+	write(2)
+	a.Tick()
+	a.Tick()
+	write(8)
+	a.Tick()
+	p.out[0].frames = nil // b never hears a1
+	if e := a.Engine(); !vcEqual(e.truncVC, vclock.VC{2: 10}) {
+		t.Fatalf("floor %v, want {2:10}", e.truncVC)
+	}
+	if got := replayed(pullAnswer(t, p.recv[0], p.out[0], 3, vclock.VC{2: 10})); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("a digest lacking a1 drew ops %v, want [1]", got)
 	}
 }
 
