@@ -2,8 +2,8 @@ package treedoc
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (Section 5), plus the CPU-cost claim, baseline comparisons and
-// ablations of the design choices called out in DESIGN.md §5. Regenerate
-// everything with:
+// ablations of three design choices: the balancing heuristic, the
+// disambiguator width and the flatten interval. Regenerate everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -361,8 +361,8 @@ func BenchmarkLocalEdits(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationStrategy isolates the balancing heuristic (DESIGN.md
-// ablation 1): identifier growth under pure appends.
+// BenchmarkAblationStrategy isolates the balancing heuristic of
+// Section 4.1: identifier growth under pure appends.
 func BenchmarkAblationStrategy(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -388,8 +388,8 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDisWidth compares disambiguator widths (DESIGN.md
-// ablation 2): UDIS 10 B, SDIS 6 B, compact SDIS 2 B.
+// BenchmarkAblationDisWidth compares the disambiguator widths of Section 5's
+// cost model: UDIS 10 B, SDIS 6 B, compact SDIS 2 B.
 func BenchmarkAblationDisWidth(b *testing.B) {
 	tr := mustTrace(b, "algorithms.tex")
 	run := func(b *testing.B, rc bench.ReplayConfig) {
@@ -422,7 +422,7 @@ func BenchmarkAblationDisWidth(b *testing.B) {
 }
 
 // BenchmarkAblationFlattenInterval sweeps the flatten heuristic interval
-// (DESIGN.md ablation 3) on acf.tex.
+// (Section 5.1's flatten every Interval revisions) on acf.tex.
 func BenchmarkAblationFlattenInterval(b *testing.B) {
 	tr := mustTrace(b, "acf.tex")
 	for _, iv := range []int{0, 1, 2, 4, 8} {

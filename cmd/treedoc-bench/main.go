@@ -1,7 +1,7 @@
 // Command treedoc-bench regenerates the tables and figures of the Treedoc
 // paper's evaluation (Section 5) from the calibrated synthetic edit
-// histories. See DESIGN.md for the per-experiment index and EXPERIMENTS.md
-// for paper-vs-measured records.
+// histories: each table and figure is one experiment of internal/bench,
+// rendered in the paper's layout.
 //
 // Usage:
 //

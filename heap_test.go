@@ -134,11 +134,11 @@ func TestWriterRetainsNoIdentifiers(t *testing.T) {
 	retained := int(with - heapAfterGC())
 	// Beyond the slabs as Stats counts them — every chunk fills its size
 	// class exactly (TestRecordLayout), so the allocator adds no slack —
-	// seven buffers (five in the document, two in the tree) each hold one
-	// identifier's elements, at most doubled by append's growth. 24 B x 7 x
-	// 65 levels is the 11 KiB a benchmark writer keeps; nothing grows with
-	// the operations minted.
-	scratch := 7 * 2 * 24 * st.Height
+	// six buffers (five in the document, the walk cache's in the tree) each
+	// hold one identifier's elements, at most doubled by append's growth.
+	// 24 B x 6 x 65 levels is the 9 KiB a benchmark writer keeps; nothing
+	// grows with the operations minted.
+	scratch := 6 * 2 * 24 * st.Height
 	bound := st.Tree.HeapBytes + scratch + 4<<10
 	t.Logf("%d atoms, height %d: the Doc retains %d B, its tree's slabs are %d B", st.Tree.LiveAtoms, st.Height, retained, st.Tree.HeapBytes)
 	if retained > bound {

@@ -2,8 +2,8 @@
 // evaluation (Section 5). Each experiment replays the calibrated edit
 // histories of internal/trace through replicas of Treedoc (and the Logoot
 // and WOOT baselines), measuring identifier, node, memory, disk and network
-// overheads exactly as Section 5 defines them. The per-experiment index
-// lives in DESIGN.md; EXPERIMENTS.md records paper-vs-measured values.
+// overheads exactly as Section 5 defines them; tables.go renders each
+// table and figure in the paper's layout.
 package bench
 
 import (

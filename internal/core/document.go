@@ -88,10 +88,12 @@ type Document struct {
 	// the atom just inserted and the unchanged right neighbour. runGap is
 	// the gap a continuing insert would land on (-1 when invalid); runP/runF
 	// are its neighbour identifiers in buffers of their own (runF nil =
-	// document end). Any other mutation invalidates the cache.
+	// document end), and runAt where they lie. Any other mutation
+	// invalidates the cache.
 	runGap int
 	runP   ident.Path
 	runF   ident.Path
+	runAt  doctree.Gap
 }
 
 // NewDocument creates an empty replica. It returns an error for invalid
@@ -237,34 +239,35 @@ func (d *Document) nextDis() ident.Dis {
 }
 
 // neighborIDs returns the identifiers around insertion gap i in the reused
-// scratch buffers. The returned paths are valid until the next neighborIDs
-// call; callers must not retain them (an op holds its identifier packed).
-func (d *Document) neighborIDs(i int) (p, f ident.Path, err error) {
+// scratch buffers, and where they lie. The returned paths are valid until
+// the next neighborIDs call; callers must not retain them (an op holds its
+// identifier packed).
+func (d *Document) neighborIDs(i int) (p, f ident.Path, at doctree.Gap, err error) {
 	n := d.tree.Len()
 	if i < 0 || i > n {
-		return nil, nil, fmt.Errorf("doctree: gap %d out of range [0,%d]", i, n)
+		return nil, nil, at, fmt.Errorf("doctree: gap %d out of range [0,%d]", i, n)
 	}
 	if i > 0 && i < n {
 		// Interior gap: one fused descent resolves both neighbours, walking
 		// their shared identifier prefix once.
-		if d.scratchP, d.scratchF, err = d.tree.AppendNeighborIDs(d.scratchP[:0], d.scratchF[:0], i); err != nil {
-			return nil, nil, err
+		if d.scratchP, d.scratchF, at, err = d.tree.AppendNeighborIDs(d.scratchP[:0], d.scratchF[:0], i); err != nil {
+			return nil, nil, at, err
 		}
-		return d.scratchP, d.scratchF, nil
+		return d.scratchP, d.scratchF, at, nil
 	}
 	if i < n {
-		if d.scratchF, err = d.tree.AppendIDAt(d.scratchF[:0], i); err != nil {
-			return nil, nil, err
+		if d.scratchF, at.F, err = d.tree.AppendIDAt(d.scratchF[:0], i); err != nil {
+			return nil, nil, at, err
 		}
 		f = d.scratchF
 	}
 	if i > 0 {
-		if d.scratchP, err = d.tree.AppendIDAt(d.scratchP[:0], i-1); err != nil {
-			return nil, nil, err
+		if d.scratchP, at.P, err = d.tree.AppendIDAt(d.scratchP[:0], i-1); err != nil {
+			return nil, nil, at, err
 		}
 		p = d.scratchP
 	}
-	return p, f, nil
+	return p, f, at, nil
 }
 
 // InsertAt inserts atom at index i (0 ≤ i ≤ Len) as a local edit and returns
@@ -273,43 +276,53 @@ func (d *Document) neighborIDs(i int) (p, f ident.Path, err error) {
 //treedoc:noalloc
 func (d *Document) InsertAt(i int, atom string) (Op, error) {
 	var p, f ident.Path
+	var at doctree.Gap
 	var err error
 	if i > 0 && i == d.runGap {
 		// Continuing an insert run: the left neighbour is the atom inserted
 		// by the previous call and the right neighbour is unchanged, so the
 		// two root-to-leaf locate walks are skipped entirely.
-		p, f = d.runP, d.runF
-	} else if p, f, err = d.neighborIDs(i); err != nil {
+		p, f, at = d.runP, d.runF, d.runAt
+	} else if p, f, at, err = d.neighborIDs(i); err != nil {
 		return Op{}, err
 	}
-	id, err := d.allocate(p, f)
+	// The tree is walked once: the neighbour descent's slots carry the
+	// free-slot scan, the collision probe and the insert.
+	id, from, err := d.allocate(p, f, at)
 	if err != nil {
 		return Op{}, err
 	}
-	op, err := d.insertLocal(id, ident.Pack(id), atom) //treedoc:escape the packed identifier is all of it the op holds
+	op, s, err := d.insertLocal(id, from, ident.Pack(id), atom) //treedoc:escape the packed identifier is all of it the op holds
 	if err != nil {
 		return Op{}, err
 	}
-	d.primeRun(i+1, f)
+	d.primeRun(i+1, f, doctree.Gap{P: s, F: at.F})
 	return op, nil
 }
 
 // insertLocal mints and applies the insert of atom at a local edit's
-// freshly built identifier: id its elements, k their packed form.
-func (d *Document) insertLocal(id ident.Path, k ident.Packed, atom string) (Op, error) {
+// freshly built identifier: id its elements, k their packed form, from a
+// slot on its route (zero: none known). It returns where the atom landed.
+func (d *Document) insertLocal(id ident.Path, from doctree.Slot, k ident.Packed, atom string) (Op, doctree.Slot, error) {
 	d.seq++
 	op := Op{Kind: OpInsert, ID: k, Atom: atom, Site: d.cfg.Site, Seq: d.seq}
-	return op, d.applyAt(op, id)
+	s, err := d.tree.InsertFrom(from, id, atom)
+	if err != nil {
+		return op, s, err
+	}
+	d.noteApplied(op, id)
+	return op, s, nil
 }
 
-// primeRun records the neighbour identifiers of gap g for a continuing
-// insert run: the just-inserted identifier on the left, f on the right.
-// The identifier lies in idBuf, which the cache takes whole by trading
-// buffers (the one it gives back held the previous left neighbour, now
-// spent); f is scratch-backed and copied. apply invalidates the cache on
-// every mutation, so it only survives between back-to-back local inserts.
-func (d *Document) primeRun(g int, f ident.Path) {
-	d.runGap = g
+// primeRun records the neighbours of gap g for a continuing insert run:
+// the just-inserted identifier on the left, f on the right, and where they
+// lie. The identifier lies in idBuf, which the cache takes whole by
+// trading buffers (the one it gives back held the previous left
+// neighbour, now spent); f is scratch-backed and copied. apply invalidates
+// the cache on every mutation, so it only survives between back-to-back
+// local inserts, which keep its slots valid.
+func (d *Document) primeRun(g int, f ident.Path, at doctree.Gap) {
+	d.runGap, d.runAt = g, at
 	d.runP, d.idBuf = d.idBuf, d.runP
 	if f == nil {
 		d.runF = nil
@@ -318,36 +331,41 @@ func (d *Document) primeRun(g int, f ident.Path) {
 	}
 }
 
-// allocate mints a fresh identifier strictly between p and f that is not a
-// used identifier. Under SDIS the same site re-inserting at the same gap
-// would otherwise re-mint a tombstone's identifier (the disambiguator is
-// just the site), which would not commute with deletes concurrent to the
-// new insert; tombstones mark identifiers as used precisely to prevent this
+// allocate mints a fresh identifier strictly between p and f, which lie at
+// at, that is not a used identifier, and returns it in idBuf with a slot on
+// its route. Under SDIS the same site re-inserting at the same gap would
+// otherwise re-mint a tombstone's identifier (the disambiguator is just
+// the site), which would not commute with deletes concurrent to the new
+// insert; tombstones mark identifiers as used precisely to prevent this
 // (Section 3.3.2). On a collision the tombstone becomes the new lower
 // bound and allocation retries deeper: the used identifiers between p and
 // f are finite, so this terminates. UDIS never collides (fresh counters).
-// The identifier is returned in idBuf.
-func (d *Document) allocate(p, f ident.Path) (ident.Path, error) {
+func (d *Document) allocate(p, f ident.Path, at doctree.Gap) (ident.Path, doctree.Slot, error) {
 	dis := d.nextDis()
 	for {
-		id := d.strategy.NewID(d.tree, d.idBuf[:0], p, f, dis)
+		id, from := d.strategy.NewID(d.tree, d.idBuf[:0], p, f, at, dis)
 		d.idBuf = id
 		if !d.trusted {
 			if err := checkAllocation(p, id, f); err != nil {
-				return nil, err
+				return nil, doctree.Slot{}, err
 			}
+			from = doctree.Slot{} // nor is its route taken on trust
 		}
 		if d.cfg.Mode == ident.UDIS {
 			// A UDIS disambiguator is (counter, site) with a counter this
 			// site has never used before, and the identifier ends with it:
 			// it cannot collide with any used identifier (Section 3.3.1's
 			// uniqueness argument), so the tree probe is skipped.
-			return id, nil
+			return id, from, nil
 		}
-		if !d.tree.Exists(id) {
-			return id, nil
+		// The identifier ends with this site's disambiguator, never the
+		// canonical one, so a used identifier is always found with its
+		// slot, never merely presumed used inside a flattened region.
+		used, collides := d.tree.ExistsFrom(from, id)
+		if !collides {
+			return id, from, nil
 		}
-		p = d.boundBelow()
+		p, at.P = d.boundBelow(), used
 	}
 }
 
@@ -375,7 +393,7 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 		}
 		return []Op{op}, nil
 	}
-	p, f, err := d.neighborIDs(i)
+	p, f, at, err := d.neighborIDs(i)
 	if err != nil {
 		return nil, err
 	}
@@ -410,21 +428,23 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 				usable = false
 			}
 		}
+		var from doctree.Slot // a packed identifier resumes from the walk cache
 		if !usable {
 			var err error
-			id, err = d.allocate(prev, f)
+			id, from, err = d.allocate(prev, f, at)
 			if err != nil {
 				return nil, err
 			}
 			k = ident.Pack(id)
 		}
-		op, err := d.insertLocal(id, k, atoms[j])
+		op, s, err := d.insertLocal(id, from, k, atoms[j])
 		if err != nil {
 			return nil, err
 		}
 		ops = append(ops, op)
+		at.P = s // where prev, the next atom's lower bound, lies
 	}
-	d.primeRun(i+len(atoms), f)
+	d.primeRun(i+len(atoms), f, at)
 	return ops, nil
 }
 

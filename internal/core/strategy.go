@@ -19,9 +19,14 @@ import (
 type Strategy interface {
 	// NewID appends to dst a fresh identifier strictly between p and f,
 	// carrying disambiguator d, and returns the result; dst shares no memory
-	// with p or f. The tree provides structural context (existing empty
-	// slots, current height); implementations must not modify it.
-	NewID(t *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Path
+	// with p or f. No live atom may lie between p and f: they are an
+	// insertion gap's neighbours, or a used identifier inside the gap and
+	// the right neighbour, and at says where they lie. The tree provides
+	// structural context (existing empty slots, current height);
+	// implementations may reserve empty slots but must not otherwise modify
+	// it. The Slot returned lies on the new identifier's route — the insert
+	// walks on from there — or is zero if the strategy knows none.
+	NewID(t *doctree.Tree, dst, p, f ident.Path, at doctree.Gap, d ident.Dis) (ident.Path, doctree.Slot)
 	// NewRun returns n ≥ 2 fresh identifiers in ascending order, all strictly
 	// between p and f, for a consecutive insert run (a run of one goes to
 	// NewID). Each is built in buf and packed; buf comes back with whatever
@@ -32,8 +37,11 @@ type Strategy interface {
 }
 
 // naiveID implements Algorithm 1: allocate a child slot adjacent to one of
-// the neighbours, appended to dst. The case analysis follows the paper's
-// rules 4–7, phrased constructively on identifier regions (see DESIGN.md):
+// the neighbours, appended to dst, and return it with the slot of the
+// neighbour's node it hangs from (at is where the neighbours lie). The
+// case analysis follows the paper's rules 4–7, phrased constructively on
+// identifier regions — a node's region is the interval of every identifier
+// whose walk passes through it (ident.RegionCompare):
 //
 //   - rule 6: f enters p's major node through a later mini-sibling (or is
 //     one): the new atom becomes a right child of mini-node p;
@@ -43,14 +51,14 @@ type Strategy interface {
 //
 // Every read of p happens before the first write, so an empty dst may be
 // p's own buffer: a chain of children is then extended in place.
-func naiveID(dst, p, f ident.Path, d ident.Dis) ident.Path {
+func naiveID(dst, p, f ident.Path, at doctree.Gap, d ident.Dis) (ident.Path, doctree.Slot) {
 	switch {
 	case p == nil && f == nil:
-		return append(dst, ident.M(1, d))
+		return append(dst, ident.M(1, d)), doctree.Slot{}
 	case p == nil:
-		return childOfStripped(dst, f, ident.M(0, d))
+		return childOfStripped(dst, f, ident.M(0, d)), at.F.Major()
 	case f == nil:
-		return childOfStripped(dst, p, ident.M(1, d))
+		return childOfStripped(dst, p, ident.M(1, d)), at.P.Major()
 	}
 	k := len(p)
 	if len(f) >= k && f[k-1].Kind == ident.Mini &&
@@ -58,19 +66,19 @@ func naiveID(dst, p, f ident.Path, d ident.Dis) ident.Path {
 		f[:k-1].Equal(p[:k-1]) {
 		// Rule 6: mini-siblings (p < f implies f's sibling disambiguator is
 		// the larger, so p's node-level right child would overshoot it).
-		return append(append(dst, p...), ident.M(1, d))
+		return append(append(dst, p...), ident.M(1, d)), at.P
 	}
 	if len(f) >= k && f[k-1].Bit == p[k-1].Bit && f[:k-1].Equal(p[:k-1]) {
 		// Rule 4: f descends through p's node (p is its ancestor): attach
 		// left of f. Everything under f's node-left slot sorts after p here.
 		// (The structural test is RegionCompare(f, p.StripLastDis()) == 0,
 		// spelled out to avoid materialising the stripped path.)
-		return childOfStripped(dst, f, ident.M(0, d))
+		return childOfStripped(dst, f, ident.M(0, d)), at.F.Major()
 	}
 	// Rules 5 and 7: f is an ancestor of p or unrelated; in both cases p's
 	// node-level right region lies strictly between p and f (subtree regions
 	// are intervals, and f sorts beyond p's node's region).
-	return childOfStripped(dst, p, ident.M(1, d))
+	return childOfStripped(dst, p, ident.M(1, d)), at.P.Major()
 }
 
 // childOfStripped appends p.StripLastDis().Child(e) to dst.
@@ -85,8 +93,8 @@ func childOfStripped(dst, p ident.Path, e ident.Elem) ident.Path {
 type Naive struct{}
 
 // NewID implements Strategy.
-func (Naive) NewID(_ *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Path {
-	return naiveID(dst, p, f, d)
+func (Naive) NewID(_ *doctree.Tree, dst, p, f ident.Path, at doctree.Gap, d ident.Dis) (ident.Path, doctree.Slot) {
+	return naiveID(dst, p, f, at, d)
 }
 
 // NewRun implements Strategy: a chain of immediate children (each atom the
@@ -95,7 +103,7 @@ func (Naive) NewID(_ *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Pat
 func (Naive) NewRun(t *doctree.Tree, buf, p, f ident.Path, d ident.Dis, n int) ([]ident.Packed, ident.Path) {
 	out := make([]ident.Packed, 0, n)
 	for i := 0; i < n; i++ {
-		buf = naiveID(buf[:0], p, f, d)
+		buf, _ = naiveID(buf[:0], p, f, doctree.Gap{}, d)
 		out = append(out, ident.Pack(buf))
 		p = buf // the next identifier extends this one where it lies
 	}
@@ -113,12 +121,12 @@ func (Naive) Name() string { return "naive" }
 type Balanced struct{}
 
 // NewID implements Strategy.
-func (Balanced) NewID(t *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.Path {
-	if id := t.FreeMiniBetween(dst, p, f, d); id != nil {
-		return id
+func (Balanced) NewID(t *doctree.Tree, dst, p, f ident.Path, at doctree.Gap, d ident.Dis) (ident.Path, doctree.Slot) {
+	if id, from := t.FreeSlotAfter(dst, p, at.P, d); id != nil {
+		return id, from
 	}
 	base := len(dst)
-	id := naiveID(dst, p, f, d)
+	id, from := naiveID(dst, p, f, at, d)
 	if h := t.Height(); len(id)-base > h {
 		if k := growLevels(h); k >= 2 {
 			// Reserve the whole grown subtree (Figure 5's empty nodes), so
@@ -131,11 +139,11 @@ func (Balanced) NewID(t *doctree.Tree, dst, p, f ident.Path, d ident.Dis) ident.
 			err := t.Reserve(id[base:], k)
 			*last = e
 			if err == nil {
-				id = grow(id, k)
+				id = grow(id, k) // below from, which stays on the route
 			}
 		}
 	}
-	return id
+	return id, from
 }
 
 // growLevels returns the paper's growth amount ⌈log2(levels)⌉+1, where
@@ -171,7 +179,7 @@ func grow(id ident.Path, k int) ident.Path {
 func (Balanced) NewRun(t *doctree.Tree, buf, p, f ident.Path, d ident.Dis, n int) ([]ident.Packed, ident.Path) {
 	// Allocate the run's region root: the naive slot (without growth — the
 	// run subtree is already the growth), demoted to its structural path.
-	root := naiveID(buf[:0], p, f, d)
+	root, _ := naiveID(buf[:0], p, f, doctree.Gap{}, d)
 	root[len(root)-1] = ident.J(root[len(root)-1].Bit)
 	depth := 1
 	for capacity(depth) < n {

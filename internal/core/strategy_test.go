@@ -53,7 +53,7 @@ func TestNaiveIDRules(t *testing.T) {
 			if tt.f != "" {
 				f = id(t, tt.f)
 			}
-			got := naiveID(nil, p, f, d)
+			got, _ := naiveID(nil, p, f, doctree.Gap{}, d)
 			if got.String() != tt.want {
 				t.Errorf("naiveID(%s, %s) = %v, want %s", tt.p, tt.f, got, tt.want)
 			}
@@ -79,7 +79,7 @@ func TestNaiveIDBetweenProperty(t *testing.T) {
 		if gap < len(ids) {
 			f = ids[gap]
 		}
-		got := naiveID(nil, p, f, dis())
+		got, _ := naiveID(nil, p, f, doctree.Gap{}, dis())
 		if !ident.Between(p, got, f) {
 			t.Fatalf("step %d: naiveID(%v, %v) = %v not between", step, p, f, got)
 		}
@@ -135,11 +135,16 @@ func TestBalancedFillsReservedInfix(t *testing.T) {
 	}
 	strat := Balanced{}
 	dis := ident.Dis{Site: 1}
-	p := ident.MustParsePath("[1(1:s2)]") // f, the last atom
+	var at doctree.Gap
+	p, s, err := tr.AppendIDAt(nil, tr.Len()-1) // f, the last atom
+	at.P = s
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
 	for i := 0; i < 7; i++ {
-		nid := strat.NewID(tr, nil, p, nil, dis)
-		if err := tr.InsertID(nid, "x"); err != nil {
+		nid, from := strat.NewID(tr, nil, p, nil, at, dis)
+		if at.P, err = tr.InsertFrom(from, nid, "x"); err != nil {
 			t.Fatalf("append %d (%v): %v", i, nid, err)
 		}
 		got = append(got, nid.String())

@@ -12,6 +12,15 @@ import (
 // a live atom already holds the identifier: position identifiers are unique
 // (Section 2.1), so a duplicate indicates a protocol violation upstream.
 func (t *Tree) InsertID(id ident.Path, atom string) error {
+	_, err := t.InsertFrom(Slot{}, id, atom)
+	return err
+}
+
+// InsertFrom is InsertID for a caller that holds a walk position on id's
+// route: from is the slot id's first elements lead to, and only the rest of
+// id is walked. The zero Slot resumes from the walk cache, as InsertID
+// does. It returns the slot the atom lands in.
+func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 	// Fast path: walk the identifier accumulating all count deltas, then
 	// climb to the root once. Nodes created here form a suffix of the walk
 	// (a created node's children cannot pre-exist), so their counters are
@@ -19,20 +28,20 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 	// needing a placeholder mini inside a *pre-existing* node mid-path — a
 	// replay whose ancestors were concurrently discarded (Section 3.3.1) —
 	// falls back to the per-delta slow path before anything is modified.
-	cur, depth := t.resumeSlot(id)
+	cur, depth := t.resumeSlot(from, id)
 	skip := depth
 	if err := id.ValidateFrom(depth); err != nil {
-		return fmt.Errorf("doctree: insert %v: %w", id, err)
+		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	if err := t.room(len(id), len(id)); err != nil {
-		return fmt.Errorf("doctree: insert %v: %w", id, err)
+		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	var first nodeH       // shallowest node created by this walk
 	finalCreated := false // the atom's mini was created (vs found)
 	ownerWasFree := false // final mini added to an existing node with no minis
 	for _, e := range id[depth:] {
 		if err := t.explodeNode(cur.node); err != nil {
-			return err
+			return Slot{}, err
 		}
 		depth++
 		next := t.kids(cur)[e.Bit]
@@ -47,7 +56,7 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 				t.height = depth
 			}
 		} else if err := t.explodeNode(next); err != nil {
-			return err
+			return Slot{}, err
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
@@ -70,62 +79,62 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 		cur = slot{node: next, mini: m}
 	}
 	m := t.mini(cur.mini)
-	if !finalCreated {
+	switch {
+	case !finalCreated:
 		if m.atom != 0 {
-			return fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
+			return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 		}
 		// Revive an existing tombstone.
 		m.atom = t.atoms.put(atom)
 		t.bubble(cur.node, +1, 0)
-		t.cacheWalkFrom(id, cur, skip)
-		return nil
-	}
-	m.atom = t.atoms.put(atom)
-	if first == 0 {
+	case first == 0:
 		// Fresh mini in an existing node; no structure added.
+		m.atom = t.atoms.put(atom)
 		d := 0
 		if ownerWasFree {
 			d = -1 // the node stops being a free slot
 		}
 		t.bubble(cur.node, +1, d)
+	default:
+		// Set the created chain's counters bottom-up, then climb once from
+		// the chain's attachment point with the accumulated deltas.
+		m.atom = t.atoms.put(atom)
+		var accEmpty uint32
+		for h := cur.node; ; {
+			n := t.node(h)
+			if n.first == 0 {
+				accEmpty++
+			}
+			n.live = 1
+			n.emptyN = accEmpty
+			n.lastMod = t.rev
+			if h == first {
+				break
+			}
+			h = n.parent
+		}
+		t.bubble(t.node(first).parent, +1, int(accEmpty))
+	}
+	if from.at.node == 0 { // a walk from the caller's slot compared no prefix with the cache's
 		t.cacheWalkFrom(id, cur, skip)
-		return nil
 	}
-	// Set the created chain's counters bottom-up, then climb once from the
-	// chain's attachment point with the accumulated deltas.
-	var accEmpty uint32
-	for h := cur.node; ; {
-		n := t.node(h)
-		if n.first == 0 {
-			accEmpty++
-		}
-		n.live = 1
-		n.emptyN = accEmpty
-		n.lastMod = t.rev
-		if h == first {
-			break
-		}
-		h = n.parent
-	}
-	t.bubble(t.node(first).parent, +1, int(accEmpty))
-	t.cacheWalkFrom(id, cur, skip)
-	return nil
+	return Slot{cur, len(id)}, nil
 }
 
 // insertSlow is InsertID's general path: full per-delta materialisation, for
 // replays that must re-create placeholder minis inside existing nodes.
-func (t *Tree) insertSlow(id ident.Path, atom string) error {
+func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
 	s, err := t.materialize(id)
 	if err != nil {
-		return fmt.Errorf("doctree: insert %v: %w", id, err)
+		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	m := t.mini(s.mini)
 	if m.atom != 0 {
-		return fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
+		return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 	}
 	m.atom = t.atoms.put(atom)
 	t.bubble(s.node, +1, 0)
-	return nil
+	return Slot{s, len(id)}, nil
 }
 
 // DeleteID removes the atom with identifier id. The delete operation is
@@ -226,12 +235,19 @@ func (t *Tree) HasLive(id ident.Path) bool {
 // Exists reports whether id is a used identifier: a live atom or a
 // tombstone. Identifier allocation consults this so SDIS never re-mints a
 // tombstoned identifier (Section 3.3.2: "a delete does not discard the
-// node" exactly so the identifier stays used). Unlike walkMini, this never
+// node" exactly so the identifier stays used).
+func (t *Tree) Exists(id ident.Path) bool {
+	_, used := t.ExistsFrom(Slot{}, id)
+	return used
+}
+
+// ExistsFrom is Exists walking on from a slot on id's route, as InsertFrom
+// does, and returning a used identifier's slot. Unlike walkMini, this never
 // explodes flattened regions: identifiers inside them are canonical pure
 // bitstrings, so any site-disambiguated candidate is known absent without
-// materialising the region.
-func (t *Tree) Exists(id ident.Path) bool {
-	cur, skip := t.resumeSlot(id)
+// materialising the region (one only presumed used there has no slot).
+func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
+	cur, skip := t.resumeSlot(from, id)
 	for i, e := range id[skip:] {
 		i += skip
 		if t.node(cur.node).flat {
@@ -242,14 +258,14 @@ func (t *Tree) Exists(id ident.Path) bool {
 			// conservatively report used only for canonical-tail ids.
 			for ; i < len(id); i++ {
 				if id[i].Kind == ident.Mini && !id[i].Dis.IsCanonical() {
-					return false
+					return Slot{}, false
 				}
 			}
-			return true
+			return Slot{}, true
 		}
 		next := t.kids(cur)[e.Bit]
 		if next == 0 {
-			return false
+			return Slot{}, false
 		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
@@ -258,13 +274,13 @@ func (t *Tree) Exists(id ident.Path) bool {
 		n := t.node(next)
 		if n.flat {
 			// Conservatively used inside the canonical space.
-			return e.Dis.IsCanonical()
+			return Slot{}, e.Dis.IsCanonical()
 		}
 		m := t.findMini(n, e.Dis)
 		if m == 0 {
-			return false
+			return Slot{}, false
 		}
 		cur = slot{node: next, mini: m}
 	}
-	return cur.mini != 0
+	return Slot{cur, len(id)}, cur.mini != 0
 }

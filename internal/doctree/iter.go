@@ -70,24 +70,27 @@ descend:
 }
 
 // IDAt returns the position identifier of the i-th live atom; see AppendIDAt.
-func (t *Tree) IDAt(i int) (ident.Path, error) { return t.AppendIDAt(nil, i) }
+func (t *Tree) IDAt(i int) (ident.Path, error) {
+	id, _, err := t.AppendIDAt(nil, i)
+	return id, err
+}
 
-// AppendIDAt appends the position identifier of the i-th live atom to dst.
-// It is IDAt in append-to-dst form for callers that consult identifiers per
-// edit (neighbour lookups), and it builds the identifier during the locate
-// descent itself: the nodes the count-guided descent visits are exactly the
-// identifier's chain, so the element for each node is emitted as the walk
-// leaves it, with no separate path-building climb afterwards. Flattened
-// regions on the way are exploded (applying a path to an array,
-// Section 4.2).
-func (t *Tree) AppendIDAt(dst ident.Path, i int) (ident.Path, error) {
+// AppendIDAt appends the position identifier of the i-th live atom to dst
+// and returns where the atom lies. It is IDAt in append-to-dst form for
+// callers that consult identifiers per edit (neighbour lookups), and it
+// builds the identifier during the locate descent itself: the nodes the
+// count-guided descent visits are exactly the identifier's chain, so the
+// element for each node is emitted as the walk leaves it, with no separate
+// path-building climb afterwards. Flattened regions on the way are
+// exploded (applying a path to an array, Section 4.2).
+func (t *Tree) AppendIDAt(dst ident.Path, i int) (ident.Path, Slot, error) {
 	if i < 0 || i >= t.Len() {
-		return dst, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
+		return dst, Slot{}, fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
 	}
 	base := len(dst)
 	dst, s, err := t.appendIDDown(rootH, i, dst)
 	if err != nil {
-		return dst, err
+		return dst, Slot{}, err
 	}
 	if base == 0 {
 		// The identifier is well-formed by construction, so it may seed the
@@ -95,7 +98,7 @@ func (t *Tree) AppendIDAt(dst ident.Path, i int) (ident.Path, error) {
 		// delete, a neighbour probe) walks to this same mini next.
 		t.cacheWalk(dst, s)
 	}
-	return dst, nil
+	return dst, Slot{s, len(dst) - base}, nil
 }
 
 // appendIDDown locates the i-th live atom of h's subtree, appending the
@@ -153,15 +156,16 @@ descend:
 }
 
 // AppendNeighborIDs appends the identifiers of the atoms at i-1 (to dstP)
-// and i (to dstF) around insertion gap i, with 0 < i < Len. Adjacent atoms
-// share their identifier prefix down to the node where their routes split,
-// so the shared part is walked (and written) once instead of twice — the
-// per-edit neighbour lookup is the hottest read path of a replica. The walk
-// cache is left at the left neighbour: the identifier allocated for the gap
-// extends it, so the insert that follows resumes deepest there.
-func (t *Tree) AppendNeighborIDs(dstP, dstF ident.Path, i int) (p, f ident.Path, err error) {
+// and i (to dstF) around insertion gap i, with 0 < i < Len, and returns
+// where they lie. Adjacent atoms share their identifier prefix down to the
+// node where their routes split, so the shared part is walked (and
+// written) once instead of twice — the per-edit neighbour lookup is the
+// hottest read path of a replica. The walk cache is left at the left
+// neighbour: the identifier allocated for the gap extends it, so the
+// insert that follows resumes deepest there.
+func (t *Tree) AppendNeighborIDs(dstP, dstF ident.Path, i int) (p, f ident.Path, g Gap, err error) {
 	if i <= 0 || i >= t.Len() {
-		return dstP, dstF, fmt.Errorf("doctree: interior gap %d out of range (0,%d)", i, t.Len())
+		return dstP, dstF, g, fmt.Errorf("doctree: interior gap %d out of range (0,%d)", i, t.Len())
 	}
 	pBase := len(dstP)
 	a := uint32(i - 1) // left target, relative to the current subtree; right = a+1
@@ -170,7 +174,7 @@ descend:
 	for {
 		if n.flat {
 			if err := t.explode(h); err != nil {
-				return dstP, dstF, err
+				return dstP, dstF, g, err
 			}
 		}
 		// Find the region holding the left target; descend only while the
@@ -227,18 +231,19 @@ descend:
 	}
 	// The routes split inside h: finish each target separately. The right
 	// target first, so the walk cache ends at the left neighbour.
+	fBase := len(dstF)
 	dstF = append(dstF, dstP[pBase:]...)
-	if dstF, _, err = t.appendIDDown(h, int(a+1), dstF); err != nil {
-		return dstP, dstF, err
+	var fs, ps slot
+	if dstF, fs, err = t.appendIDDown(h, int(a+1), dstF); err != nil {
+		return dstP, dstF, g, err
 	}
-	var ps slot
 	if dstP, ps, err = t.appendIDDown(h, int(a), dstP); err != nil {
-		return dstP, dstF, err
+		return dstP, dstF, g, err
 	}
 	if pBase == 0 {
 		t.cacheWalk(dstP, ps)
 	}
-	return dstP, dstF, nil
+	return dstP, dstF, Gap{Slot{ps, len(dstP) - pBase}, Slot{fs, len(dstF) - fBase}}, nil
 }
 
 // IndexOfID returns the current document index of the live atom with the

@@ -112,10 +112,6 @@ type Tree struct {
 	// flatten) drops the cache; see cacheDrop call sites.
 	ckID ident.Path
 	ck   slot // ck.mini == 0: no cached walk
-
-	// slotPath is FreeMiniBetween's scratch, one per tree: the path of the
-	// node its walk is visiting.
-	slotPath ident.Path
 }
 
 // New returns an empty document tree.
@@ -225,12 +221,16 @@ func (t *Tree) cacheWalkFrom(p ident.Path, s slot, skip int) {
 // and a released record may be handed out again).
 func (t *Tree) cacheDrop() { t.ck = slot{} }
 
-// resumeSlot returns the deepest walk slot shared between p and the cached
-// last walk, plus the number of elements of p already consumed by it.
-// Exact-prefix element equality guarantees the cached chain reaches the
-// identical slot; the chain's nodes are materialised (never flat), so the
-// skipped elements need no explosion checks.
-func (t *Tree) resumeSlot(p ident.Path) (slot, int) {
+// resumeSlot returns where a walk of p starts, plus the number of elements
+// of p already consumed there: the caller's slot on p's route, if from is
+// one, else the deepest walk slot shared between p and the cached last
+// walk. Exact-prefix element equality guarantees the cached chain reaches
+// the identical slot; the chain's nodes are materialised (never flat), so
+// the skipped elements need no explosion checks.
+func (t *Tree) resumeSlot(from Slot, p ident.Path) (slot, int) {
+	if from.at.node != 0 {
+		return from.at, from.depth
+	}
 	if t.ck.mini == 0 {
 		return slot{node: rootH}, 0
 	}

@@ -243,24 +243,30 @@ func TestNeighborLookupsAgainstIDAt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tr.AppendIDAt(nil, i)
+			got, at, err := tr.AppendIDAt(nil, i)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
 				t.Fatalf("step %d: AppendIDAt(%d) = %v, want %v", step, i, got, want)
 			}
+			if at != (Slot{routeSlot(tr, got), len(got)}) {
+				t.Fatalf("step %d: AppendIDAt(%d) slot %v is not where %v lies", step, i, at, got)
+			}
 			if i > 0 {
 				wantP, err := tr.IDAt(i - 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, f, err := tr.AppendNeighborIDs(nil, nil, i)
+				p, f, g, err := tr.AppendNeighborIDs(nil, nil, i)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !p.Equal(wantP) || !f.Equal(want) {
 					t.Fatalf("step %d: AppendNeighborIDs(%d) = %v, %v; want %v, %v", step, i, p, f, wantP, want)
+				}
+				if g.P != (Slot{routeSlot(tr, p), len(p)}) || g.F != (Slot{routeSlot(tr, f), len(f)}) {
+					t.Fatalf("step %d: AppendNeighborIDs(%d) slots %v, %v are not where %v, %v lie", step, i, g.P, g.F, p, f)
 				}
 			}
 		}

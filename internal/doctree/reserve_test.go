@@ -23,9 +23,9 @@ func TestReserveMaterialisesCompleteSubtree(t *testing.T) {
 	}
 	// The reserved slots are found by the free search, in infix order.
 	a := ident.MustParsePath("[(1:s1)]")
-	got := tr.FreeMiniBetween(nil, a, nil, ident.Dis{Site: 2})
-	if got == nil || got.String() != "[11(0:s2)]" {
-		t.Errorf("first free slot = %v, want [11(0:s2)]", got)
+	got := freeAfter(t, tr, a)
+	if got == nil || got.String() != "[11(0:s9)]" {
+		t.Errorf("first free slot = %v, want [11(0:s9)]", got)
 	}
 }
 

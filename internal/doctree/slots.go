@@ -6,129 +6,89 @@ import (
 	"github.com/treedoc/treedoc/internal/ident"
 )
 
-// FreeMiniBetween searches for the first empty node, in infix order, whose
-// mini position lies strictly between identifiers p and f (nil bounds mean
-// document start/end). It returns the identifier a new mini with
-// disambiguator d would take there, appended to dst (the caller's scratch),
-// or nil if no reusable slot exists.
+// FreeSlotAfter looks for a reusable identifier slot after p, which lies at
+// at (p nil and the zero Slot: the document start): the first empty node in
+// infix order before the next live atom. It appends to dst the identifier
+// a new mini with disambiguator d would take there and returns it with the
+// walk position of its last element; or nil, if a live atom or the
+// document end comes first. Empty nodes come from balanced growth (see
+// Reserve) and UDIS discards. In an insertion gap the next live atom is
+// the right neighbour f, so the slot is the first one strictly between p
+// and f, infix order being identifier order.
 //
-// Empty nodes arise from balanced growth (Section 4.1 reserves a grown
-// subtree whose positions are consumed by subsequent inserts: "the
-// following atoms would consecutively use the PosIDs for the empty nodes in
-// the sub-tree") and from UDIS discarding. The search prunes subtrees whose
-// identifier region lies entirely outside (p, f) and bounds its node visits
-// so a single allocation never degrades to a whole-tree scan: a reusable
-// slot beyond the budget is simply treated as absent and the caller falls
-// back to fresh allocation. A visit costs O(1) whatever the depth: the walk
-// builds its path in the tree's scratch buffer and carries each bound's
-// relation to the current node down with it (see slotSearch.walk).
-//
-//treedoc:noalloc
-func (t *Tree) FreeMiniBetween(dst, p, f ident.Path, d ident.Dis) ident.Path {
-	s := slotSearch{t: t, p: p, f: f, prefix: t.slotPath[:0], budget: 16*t.height + 64}
-	found := s.walk(rootH, p != nil, f != nil)
-	t.slotPath = s.prefix[:0] // keep whatever the walk grew
-	if found == 0 {
-		return nil
-	}
-	dst = append(dst, s.prefix...) //treedoc:escape growing the caller's scratch
-	dst[len(dst)-1] = ident.M(dst[len(dst)-1].Bit, d)
-	return dst
-}
-
-// slotSearch is the in-order free-slot walk. prefix always holds the
-// structural path of the node being visited (empty at the root); when the
-// walk succeeds it holds the found node's path.
-type slotSearch struct {
-	t      *Tree
-	p, f   ident.Path
-	prefix ident.Path
-	budget int
-}
-
-// walk searches h's subtree in infix order, returning the first empty node
-// whose mini position lies strictly between the bounds.
-//
-// lo and hi carry each bound's relation to the subtree being entered down
-// the recursion. True: the bound may still pass through it, and its
-// elements up to the parent's match prefix, so the region test starts at
-// the last two. False: the bound is absent, or the subtree lies wholly on
-// its admissible side (after p, before f) — as does everything below it,
-// regions being nested intervals — and nothing below compares against it
-// again. A bound only ever moves from through to outside on the way down.
+// The scan compares no identifiers. It resumes p's node after p and
+// climbs, resuming each ancestor after the slot it came up from, up to a
+// live atom, an empty ancestor or a subtree whose live or empty-slot
+// counter is non-zero. That subtree holds the answer: no slot if it counts
+// no empty node (a flattened region never does), else the first of its
+// empty nodes and live atoms, reached by a descent that never backtracks.
 //
 //treedoc:noalloc
-func (s *slotSearch) walk(h nodeH, lo, hi bool) nodeH {
-	n := s.t.node(h)
-	if n.flat || n.emptyN == 0 || s.budget <= 0 {
-		return 0 // a nil child reads emptyN == 0
+func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Path, Slot) {
+	base, down := len(dst), at.at.node == 0
+	// Ahead in node h, at depth k: mini ms from stage on (0 its left
+	// subtree, 1 its atom, 2 its right subtree, 3 none of it), the minis
+	// after it, h's right subtree. With no mini, stage 0 is h's left
+	// subtree, 1 its own slot, each followed by the rest; 3 is nothing.
+	h, k, ms, stage := at.at.node, at.depth, at.at.mini, 2
+	if down {
+		h, stage = rootH, 0 // the document start: all of it lies ahead
 	}
-	s.budget--
-	last := len(s.prefix) - 1 // -1 at the root, whose region is everything
-	// Prune subtrees entirely outside the open interval.
-	if lo {
-		c := ident.RegionCompareFrom(s.p, s.prefix, max(last-1, 0))
-		if c > 0 {
-			return 0 // everything in n's region sorts <= p
+	for {
+		n := t.node(h)
+		next, e := nodeH(0), ident.J(n.bit)
+		if ms == 0 && stage == 0 && t.occupied(n.kids[0]) {
+			next = n.kids[0]
+		} else if ms == 0 && stage <= 1 {
+			if h != rootH && n.empty() {
+				if !down {
+					dst = append(dst, p[:k-1]...) //treedoc:escape growing the caller's scratch
+				}
+				return append(dst, ident.M(n.bit, d)), Slot{slot{n.parent, n.pmini}, len(dst) - base} //treedoc:escape growing the caller's scratch
+			}
+			ms, stage = n.first, 0
 		}
-		lo = c == 0 // and then p[:last] matches prefix[:last]
-	}
-	if hi {
-		c := ident.RegionCompareFrom(s.f, s.prefix, max(last-1, 0))
-		if c < 0 {
-			return 0 // everything in n's region sorts >= f
+		for ; next == 0 && ms != 0; ms, stage = t.mini(ms).next, 0 {
+			m := t.mini(ms)
+			switch {
+			case stage == 0 && t.occupied(m.kids[0]):
+				next, e = m.kids[0], ident.M(n.bit, m.dis())
+			case stage <= 1 && m.atom != 0:
+				return nil, Slot{} // the next live atom comes first
+			case stage <= 2 && t.occupied(m.kids[1]):
+				next, e = m.kids[1], ident.M(n.bit, m.dis())
+			}
 		}
-		hi = c == 0
-	}
-	if got := s.into(n.kids[0], ident.J(0), lo, hi); got != 0 {
-		return got
-	}
-	if h != rootH && n.empty() {
-		// The would-be mini position: the node's identifier with a mini
-		// selection. Disambiguators only order minis within one node and n
-		// has none, so any disambiguator gives the same betweenness. A
-		// bound still through n agrees with the candidate up to last.
-		saved := s.prefix[last]
-		s.prefix[last] = ident.M(saved.Bit, ident.Canonical)
-		ok := (!lo || ident.CompareFrom(s.p, s.prefix, last) < 0) &&
-			(!hi || ident.CompareFrom(s.prefix, s.f, last) < 0)
-		s.prefix[last] = saved
-		if ok {
-			return h
+		if next == 0 && stage < 3 && t.occupied(n.kids[1]) {
+			next = n.kids[1]
 		}
-	}
-	// The root holds no minis, so prefix is non-empty inside the loop.
-	for mh := n.first; mh != 0; {
-		m := s.t.mini(mh)
-		// Descend through the mini: the entry element gains its dis.
-		saved := s.prefix[last]
-		s.prefix[last] = ident.M(saved.Bit, m.dis())
-		if got := s.into(m.kids[0], ident.J(0), lo, hi); got != 0 {
-			return got
+		if next == 0 {
+			// h's subtree is passed (a subtree descended into holds the
+			// answer): resume its parent after the slot h hangs from.
+			if n.parent == 0 {
+				return nil, Slot{} // the document end
+			}
+			h, k, ms, stage = n.parent, k-1, n.pmini, 1+2*int(n.bit)
+			continue
 		}
-		if got := s.into(m.kids[1], ident.J(1), lo, hi); got != 0 {
-			return got
+		if t.node(next).emptyN == 0 {
+			return nil, Slot{} // the next live atom is in there, and no slot
 		}
-		s.prefix[last] = saved
-		mh = m.next
+		if !down {
+			dst, down = append(dst, p[:max(k-1, 0)]...), true //treedoc:escape growing the caller's scratch
+		}
+		if h != rootH {
+			dst = append(dst, e) //treedoc:escape growing the caller's scratch
+		}
+		h, k, ms, stage = next, k+1, 0, 0
 	}
-	return s.into(n.kids[1], ident.J(1), lo, hi)
 }
 
-// into pushes the child element, walks the child, and pops on failure. On
-// success the prefix is left pointing at the found node.
-//
-//treedoc:noalloc
-func (s *slotSearch) into(h nodeH, e ident.Elem, lo, hi bool) nodeH {
-	if s.t.node(h).emptyN == 0 {
-		return 0 // nothing to find below, or a nil child, which reads 0
-	}
-	s.prefix = append(s.prefix, e)
-	if got := s.walk(h, lo, hi); got != 0 {
-		return got
-	}
-	s.prefix = s.prefix[:len(s.prefix)-1]
-	return 0
+// occupied reports whether h's subtree holds a live atom or an empty node
+// (a nil child reads as neither).
+func (t *Tree) occupied(h nodeH) bool {
+	n := t.node(h)
+	return n.live|n.emptyN != 0
 }
 
 // Reserve materialises the complete binary subtree of the given number of
@@ -137,7 +97,7 @@ func (s *slotSearch) into(h nodeH, e ident.Elem, lo, hi bool) nodeH {
 // "grow the height h of the tree by ⌈log2(h)⌉+1… Thereafter, new PosIDs
 // would be generated by using empty position in the tree of identifiers"
 // (the empty nodes of Figure 5). The reserved slots are found by
-// FreeMiniBetween as subsequent inserts arrive.
+// FreeSlotAfter as subsequent inserts arrive.
 func (t *Tree) Reserve(path ident.Path, levels int) error {
 	if len(path) == 0 {
 		return fmt.Errorf("doctree: reserve needs a structural path, got %v", path)

@@ -8,22 +8,22 @@ import (
 	"github.com/treedoc/treedoc/internal/ident"
 )
 
-// The free-slot search as it stood before its visits became O(1): every
-// node re-compares both bounds against the whole prefix. It is kept as the
-// differential oracle — the walk below is that code verbatim; only the
-// entry point differs, taking the visit budget and returning what is left
-// of it, so the test can force small budgets and compare where each search
-// stopped. Every identifier the new search mints must be the one this one
-// would have minted.
-func (t *Tree) freeMiniBetweenOracle(p, f ident.Path, d ident.Dis, budget int) (ident.Path, int) {
-	s := &oracleSearch{t: t, p: p, f: f, budget: budget}
+// The free-slot search as it stood before it became a forward scan: a walk
+// down from the root that prunes every subtree whose identifier region
+// lies outside (p, f), re-comparing both bounds against the whole prefix
+// at each node, and takes the first empty node strictly between them. It
+// is kept as the differential oracle, without the visit budget that used
+// to cap it: FreeSlotAfter must find what it finds at every gap. visits
+// counts the nodes it entered.
+func (t *Tree) freeMiniBetweenOracle(p, f ident.Path, d ident.Dis) (id ident.Path, visits int) {
+	s := &oracleSearch{t: t, p: p, f: f}
 	s.prefix = make(ident.Path, 0, min(t.height+4, 64)) // deep trees grow the prefix on demand
 	if s.walk(rootH) == 0 {
-		return nil, s.budget
+		return nil, s.visits
 	}
-	id := s.prefix.Clone()
+	id = s.prefix.Clone()
 	id[len(id)-1] = ident.M(id[len(id)-1].Bit, d)
-	return id, s.budget
+	return id, s.visits
 }
 
 // oracleSearch is the in-order free-slot walk. prefix always holds the
@@ -33,17 +33,17 @@ type oracleSearch struct {
 	t      *Tree
 	p, f   ident.Path
 	prefix ident.Path
-	budget int
+	visits int
 }
 
 // walk searches n's subtree in infix order, returning the first empty node
 // whose mini position lies strictly between the bounds.
 func (s *oracleSearch) walk(h nodeH) nodeH {
 	n := s.t.node(h)
-	if n.flat || n.emptyN == 0 || s.budget <= 0 {
+	if n.flat || n.emptyN == 0 {
 		return 0 // a nil child reads emptyN == 0
 	}
-	s.budget--
+	s.visits++
 	// Prune subtrees entirely outside the open interval.
 	if s.p != nil && ident.RegionCompare(s.p, s.prefix) > 0 {
 		return 0 // everything in n's region sorts <= p
@@ -97,24 +97,33 @@ func (s *oracleSearch) into(h nodeH, e ident.Elem) nodeH {
 	return 0
 }
 
-// searchNew runs the production walk with a forced budget and reports what
-// it left, the way freeMiniBetweenOracle does for the old one.
-func searchNew(tr *Tree, p, f ident.Path, d ident.Dis, budget int) (ident.Path, int) {
-	s := slotSearch{t: tr, p: p, f: f, prefix: tr.slotPath[:0], budget: budget}
-	if s.walk(rootH, p != nil, f != nil) == 0 {
-		return nil, s.budget
+// routeSlot walks path — an identifier, or a structural path ending in a
+// Major element — from the root without exploding anything and returns the
+// slot it reaches, or the zero slot if a step is missing.
+func routeSlot(tr *Tree, path ident.Path) slot {
+	cur := slot{node: rootH}
+	for _, e := range path {
+		next := tr.kids(cur)[e.Bit]
+		if next == 0 || tr.node(next).flat {
+			return slot{}
+		}
+		cur = slot{node: next}
+		if e.Kind == ident.Mini {
+			if cur.mini = tr.findMini(tr.node(next), e.Dis); cur.mini == 0 {
+				return slot{}
+			}
+		}
 	}
-	id := s.prefix.Clone()
-	id[len(id)-1] = ident.M(id[len(id)-1].Bit, d)
-	return id, s.budget
+	return cur
 }
 
-// randomSlotTree builds a tree with everything the search can meet: nodes
+// randomSlotTree builds a tree with everything the scan can meet: nodes
 // holding minis of several sites, children under minis, placeholder and
-// tombstone minis, atom-less interior nodes, pruned leaves, reserved
-// subtrees partly filled, and flattened regions. It returns the tree and
-// every identifier it ever inserted, live or not, as the pool of bounds.
-func randomSlotTree(t *testing.T, rng *rand.Rand) (*Tree, []ident.Path) {
+// dead minis, atom-less interior nodes, reserved subtrees partly filled,
+// and flattened regions. Deletes follow the mode: SDIS keeps a tombstone,
+// UDIS discards the mini and prunes emptied leaves when it can. It returns
+// the tree and every identifier it ever inserted, live or not.
+func randomSlotTree(t *testing.T, rng *rand.Rand, mode ident.Mode) (*Tree, []ident.Path) {
 	tr := New()
 	dis := func() ident.Dis {
 		return ident.Dis{Counter: uint32(rng.Intn(2)), Site: ident.SiteID(1 + rng.Intn(4))}
@@ -140,7 +149,7 @@ func randomSlotTree(t *testing.T, rng *rand.Rand) (*Tree, []ident.Path) {
 		case k < 70: // below an atom-less interior node (an empty slot)
 			id = base.StripLastDis().Child(ident.J(bit())).Child(ident.M(bit(), dis()))
 		case k < 80: // delete, leaving a tombstone or pruning the leaf
-			if _, err := tr.DeleteID(base, rng.Intn(2) == 0); err != nil {
+			if _, err := tr.DeleteID(base, mode == ident.UDIS); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -187,82 +196,89 @@ func randomSlotTree(t *testing.T, rng *rand.Rand) (*Tree, []ident.Path) {
 	return tr, ids
 }
 
-// TestFreeSearchMatchesOracle is the differential test of the O(1)-per-visit
-// search: on seeded random trees, for nil and non-nil bounds, adjacent and
-// distant, one a prefix of the other, at the production budget and at
-// budgets forced down to a handful of visits, it returns the identifier the
-// old search returns and stops with the same budget left — the same nodes
-// charged in the same order.
+// TestFreeSearchMatchesOracle is the differential test of the forward
+// scan. On seeded random trees, in SDIS and in UDIS, it asks FreeSlotAfter
+// for a slot at every insertion gap — the document start, the document
+// end and each interior gap, with neighbours and slots from the neighbour
+// lookups — and after every dead mini, the lower bound SDIS allocation
+// retries from when its identifier collides with a tombstone (the right
+// bound being the next live atom). Each answer must be the identifier the
+// root-down oracle finds between the same bounds, and its slot must be
+// where the identifier's route leaves off.
 func TestFreeSearchMatchesOracle(t *testing.T) {
 	const trees = 1200
-	var searches, found, exhausted int
-	for seed := int64(1); seed <= trees; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr, ids := randomSlotTree(t, rng)
-		sort.Slice(ids, func(i, j int) bool { return ident.Less(ids[i], ids[j]) })
-		d := ident.Dis{Counter: 7, Site: 9}
-		for q := 0; q < 24; q++ {
-			var p, f ident.Path
-			i := rng.Intn(len(ids))
-			switch rng.Intn(6) {
-			case 0: // document start
-				f = ids[i]
-			case 1: // document end
-				p = ids[i]
-			case 2: // neighbours
-				p = ids[i]
-				if i+1 < len(ids) {
-					f = ids[i+1]
-				}
-			case 3: // an identifier and one it is a prefix of
-				p, f = ids[i], ids[i].Child(ident.M(1, d)).Child(ident.M(uint8(rng.Intn(2)), d))
-				if rng.Intn(2) == 0 {
-					p, f = ids[i].Child(ident.M(0, d)).Child(ident.M(uint8(rng.Intn(2)), d)), ids[i]
-				}
-			case 4: // the whole document
-			default: // any two
-				j := rng.Intn(len(ids))
-				if i > j {
-					i, j = j, i
-				}
-				if p = ids[i]; i != j {
-					f = ids[j]
-				}
-			}
-			budget := 16*tr.height + 64
-			if q%2 == 1 {
-				budget = 1 + rng.Intn(50)
-			}
-			want, wantLeft := tr.freeMiniBetweenOracle(p, f, d, budget)
-			got, gotLeft := searchNew(tr, p, f, d, budget)
-			if !got.Equal(want) || gotLeft != wantLeft {
-				t.Fatalf("seed %d, bounds (%v, %v), budget %d: got %v with %d left, oracle %v with %d left",
-					seed, p, f, budget, got, gotLeft, want, wantLeft)
-			}
-			if q%2 == 0 {
-				if pub := tr.FreeMiniBetween(nil, p, f, d); !pub.Equal(want) {
-					t.Fatalf("seed %d, bounds (%v, %v): FreeMiniBetween = %v, oracle %v", seed, p, f, pub, want)
-				}
+	for _, mode := range []ident.Mode{ident.SDIS, ident.UDIS} {
+		d := ident.Dis{Site: 9}
+		if mode == ident.UDIS {
+			d.Counter = 7
+		}
+		var searches, found int
+		check := func(seed int64, tr *Tree, p, f ident.Path, at Slot) {
+			t.Helper()
+			want, _ := tr.freeMiniBetweenOracle(p, f, d)
+			got, from := tr.FreeSlotAfter(nil, p, at, d)
+			if !got.Equal(want) {
+				t.Fatalf("%v seed %d, gap (%v, %v): FreeSlotAfter = %v, oracle %v", mode, seed, p, f, got, want)
 			}
 			searches++
-			if want != nil {
-				found++
+			if got == nil {
+				return
 			}
-			if wantLeft == 0 {
-				exhausted++
+			found++
+			if s := routeSlot(tr, got[:len(got)-1]); from.at != s || from.depth != len(got)-1 {
+				t.Fatalf("%v seed %d, gap (%v, %v): slot %v for %v is not where its route leaves off", mode, seed, p, f, from, got)
 			}
 		}
-	}
-	t.Logf("%d searches on %d trees: %d found a slot, %d ran out of budget", searches, trees, found, exhausted)
-	if found < searches/10 || exhausted < searches/100 {
-		t.Errorf("the random trees no longer exercise the search: %d of %d found a slot, %d ran out of budget", found, searches, exhausted)
+		for seed := int64(1); seed <= trees; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tr, ids := randomSlotTree(t, rng, mode)
+			for i := 0; i <= tr.Len(); i++ {
+				var p, f ident.Path
+				var at Gap
+				var err error
+				switch {
+				case i > 0 && i < tr.Len():
+					p, f, at, err = tr.AppendNeighborIDs(nil, nil, i)
+				case i > 0: // the document end
+					p, at.P, err = tr.AppendIDAt(nil, i-1)
+				case i < tr.Len(): // the document start
+					f, _, err = tr.AppendIDAt(nil, i)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(seed, tr, p, f, at.P)
+			}
+			// The dead minis, each with the first live atom after it.
+			live := make([]ident.Path, tr.Len())
+			for i := range live {
+				live[i], _ = tr.IDAt(i)
+			}
+			for _, q := range ids {
+				s, used := tr.ExistsFrom(Slot{}, q)
+				if !used || s.at.node == 0 || tr.mini(s.at.mini).atom != 0 {
+					continue
+				}
+				var f ident.Path
+				if j := sort.Search(len(live), func(j int) bool { return ident.Less(q, live[j]) }); j < len(live) {
+					f = live[j]
+				}
+				check(seed, tr, q, f, s)
+			}
+			checkTree(t, tr)
+		}
+		t.Logf("%v: %d searches on %d trees, %d found a slot", mode, searches, trees, found)
+		if found < searches/10 {
+			t.Errorf("%v: the random trees no longer exercise the scan: %d of %d searches found a slot", mode, found, searches)
+		}
 	}
 }
 
-// BenchmarkFreeSearchDeep prices one visit of the walk, old and new, where
-// it matters: a 64-level spine of minis over one reserved subtree, searched
-// from the top, so every visit on the way down has a bound passing through
-// it. The old search re-scans the prefix at each of them.
+// BenchmarkFreeSearchDeep prices the old walk against the scan where the
+// walk is at its worst: a 64-level spine of minis over one reserved
+// subtree, searched from the atom at the bottom of the spine. The walk
+// comes down from the root through every level; the scan starts at that
+// atom and finds the slot below it.
 func BenchmarkFreeSearchDeep(b *testing.B) {
 	tr := New()
 	id := ident.Path{ident.M(1, ident.Dis{Site: 1})}
@@ -276,16 +292,16 @@ func BenchmarkFreeSearchDeep(b *testing.B) {
 		b.Fatal(err)
 	}
 	p, d := id[:len(id)-1], ident.Dis{Site: 2}
-	budget := 16*tr.height + 64
-	_, left := tr.freeMiniBetweenOracle(p, nil, d, budget)
-	visits := float64(budget - left)
+	at := Slot{routeSlot(tr, p), len(p)}
+	_, visits := tr.freeMiniBetweenOracle(p, nil, d)
 	var scratch ident.Path
 	for _, bc := range []struct {
-		name string
-		fn   func() ident.Path
+		name   string
+		fn     func() ident.Path
+		visits int
 	}{
-		{"oracle", func() ident.Path { got, _ := tr.freeMiniBetweenOracle(p, nil, d, budget); return got }},
-		{"search", func() ident.Path { scratch = tr.FreeMiniBetween(scratch[:0], p, nil, d); return scratch }},
+		{"oracle", func() ident.Path { got, _ := tr.freeMiniBetweenOracle(p, nil, d); return got }, visits},
+		{"scan", func() ident.Path { scratch, _ = tr.FreeSlotAfter(scratch[:0], p, at, d); return scratch }, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -294,8 +310,9 @@ func BenchmarkFreeSearchDeep(b *testing.B) {
 					b.Fatal("reserved slot not found")
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/visits, "ns/visit")
-			b.ReportMetric(visits, "visits")
+			if bc.visits > 0 {
+				b.ReportMetric(float64(bc.visits), "visits")
+			}
 		})
 	}
 }

@@ -28,20 +28,19 @@ func TestFreeSearchPrunesTombstoneChains(t *testing.T) {
 		}
 	}
 	checkTree(t, tr)
-	// No empty slots exist anywhere: the search must answer instantly, by
-	// the root-level emptyN==0 prune rather than a full scan. The budget in
-	// the searcher would allow ~48k visits; assert correctness here and let
-	// the benchmark below document the speed.
+	// No empty slots exist anywhere: the scan must answer at once, skipping
+	// the chain on its counters rather than walking it. Assert correctness
+	// here and let the benchmark below document the speed.
 	first := ident.MustParsePath("[(1:s1)]")
-	if got := tr.FreeMiniBetween(nil, first, nil, ident.Dis{Site: 2}); got != nil {
+	if got := freeAfter(t, tr, first); got != nil {
 		t.Errorf("found a free slot %v in a tombstone-only chain", got)
 	}
-	// Now reserve a region: the search must find it even with the chain
-	// in between.
+	// Now reserve a region before the first atom: the scan from the
+	// document start must find it.
 	if err := tr.Reserve(ident.Path{ident.J(0)}, 2); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.FreeMiniBetween(nil, nil, first, ident.Dis{Site: 2})
+	got := freeAfter(t, tr, nil)
 	if got == nil {
 		t.Fatal("reserved slot not found")
 	}
@@ -64,7 +63,7 @@ func TestEmptyCountsSurviveChurn(t *testing.T) {
 	// Fill two reserved slots.
 	p := ident.MustParsePath("[(1:s1)]")
 	for i := 0; i < 2; i++ {
-		id := tr.FreeMiniBetween(nil, p, nil, ident.Dis{Site: 2})
+		id := freeAfter(t, tr, p)
 		if id == nil {
 			t.Fatal("no reserved slot found")
 		}
@@ -99,8 +98,9 @@ func TestEmptyCountsSurviveChurn(t *testing.T) {
 	checkTree(t, tr)
 }
 
-// BenchmarkFreeSearchTombstoneChain documents the pruned search cost on a
-// tombstone-heavy document (the pre-fix cost was the whole visit budget).
+// BenchmarkFreeSearchTombstoneChain prices the old walk against the scan
+// on a tombstone-heavy document with no empty slot: both must reject the
+// chain on its counters without walking it.
 func BenchmarkFreeSearchTombstoneChain(b *testing.B) {
 	tr := New()
 	id := ident.Path{ident.M(1, ident.Dis{Site: 1})}
@@ -116,11 +116,21 @@ func BenchmarkFreeSearchTombstoneChain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	first := ident.MustParsePath("[(1:s1)]")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := tr.FreeMiniBetween(nil, first, nil, ident.Dis{Site: 2}); got != nil {
-			b.Fatal("unexpected slot")
-		}
+	first, d := ident.MustParsePath("[(1:s1)]"), ident.Dis{Site: 2}
+	at := Slot{routeSlot(tr, first), len(first)}
+	for _, bc := range []struct {
+		name string
+		fn   func() ident.Path
+	}{
+		{"oracle", func() ident.Path { got, _ := tr.freeMiniBetweenOracle(first, nil, d); return got }},
+		{"scan", func() ident.Path { got, _ := tr.FreeSlotAfter(nil, first, at, d); return got }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if bc.fn() != nil {
+					b.Fatal("unexpected slot")
+				}
+			}
+		})
 	}
 }

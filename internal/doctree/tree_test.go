@@ -278,16 +278,19 @@ func TestIndexingWithTombstonesAndMinis(t *testing.T) {
 
 func TestAppendNeighborIDsGaps(t *testing.T) {
 	tr := figure2(t)
-	p, f, err := tr.AppendNeighborIDs(nil, nil, 3)
+	p, f, g, err := tr.AppendNeighborIDs(nil, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ident.Compare(p, f) >= 0 {
 		t.Errorf("gap 3 neighbors out of order: %v >= %v", p, f)
 	}
+	if g.P != (Slot{routeSlot(tr, p), len(p)}) || g.F != (Slot{routeSlot(tr, f), len(f)}) {
+		t.Errorf("gap 3 slots %v, %v are not where %v, %v lie", g.P, g.F, p, f)
+	}
 	// Only interior gaps have two neighbours.
 	for _, gap := range []int{0, 6, 7} {
-		if _, _, err := tr.AppendNeighborIDs(nil, nil, gap); err == nil {
+		if _, _, _, err := tr.AppendNeighborIDs(nil, nil, gap); err == nil {
 			t.Errorf("gap %d accepted", gap)
 		}
 	}
@@ -425,12 +428,25 @@ func TestExplodeEmptySubtreeRegion(t *testing.T) {
 	}
 }
 
+// freeAfter asks FreeSlotAfter for a slot in the gap after p, which must
+// be materialised, for disambiguator s9.
+func freeAfter(t *testing.T, tr *Tree, p ident.Path) ident.Path {
+	t.Helper()
+	var at Slot
+	if p != nil {
+		if at = (Slot{routeSlot(tr, p), len(p)}); at.at.mini == 0 {
+			t.Fatalf("%v is not in the tree", p)
+		}
+	}
+	got, _ := tr.FreeSlotAfter(nil, p, at, ident.Dis{Site: 9})
+	return got
+}
+
 func TestFreeMiniBetween(t *testing.T) {
 	tr := figure2(t)
 	// No free slots in the dense figure-2 tree between adjacent atoms a,b.
 	a := ident.MustParsePath("[0(0:s1)]")
-	b := ident.MustParsePath("[(0:s2)]")
-	if got := tr.FreeMiniBetween(nil, a, b, ident.Dis{Site: 9}); got != nil {
+	if got := freeAfter(t, tr, a); got != nil {
 		t.Errorf("unexpected free slot %v", got)
 	}
 	// Materialise a grown region: an empty chain below [11] right.
@@ -439,12 +455,12 @@ func TestFreeMiniBetween(t *testing.T) {
 	f := ident.MustParsePath("[1(1:s6)]")
 	g := ident.MustParsePath("[1110(0:s7)]")
 	// Between f and g there are no free slots (the chain sits right of g)…
-	if got := tr.FreeMiniBetween(nil, f, g, ident.Dis{Site: 9}); got != nil {
+	if got := freeAfter(t, tr, f); got != nil {
 		t.Errorf("unexpected free slot between f and g: %v", got)
 	}
 	// …but after g, the empty nodes [1110] and [111] are reusable, in infix
 	// order: [1110]'s mini position comes first.
-	got := tr.FreeMiniBetween(nil, g, nil, ident.Dis{Site: 9})
+	got := freeAfter(t, tr, g)
 	if got == nil {
 		t.Fatal("no free slot found after g")
 	}
@@ -457,7 +473,7 @@ func TestFreeMiniBetween(t *testing.T) {
 	// Fill it and ask again: the next slot must differ and still be ordered.
 	mustInsert(t, tr, got.String(), "h")
 	checkTree(t, tr)
-	next := tr.FreeMiniBetween(nil, ident.MustParsePath(got.String()), nil, ident.Dis{Site: 9})
+	next := freeAfter(t, tr, got)
 	if next == nil {
 		t.Fatal("no second free slot")
 	}

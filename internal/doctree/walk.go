@@ -13,6 +13,22 @@ type slot struct {
 	mini miniH // 0 = major slot
 }
 
+// Slot is a walk position for a caller to come back to: the slot the first
+// depth elements of an identifier lead to; the zero Slot is none. A local
+// insert carries its neighbours' slots from the neighbour descent into the
+// insert. A slot stays valid while the tree only grows.
+type Slot struct {
+	at    slot
+	depth int
+}
+
+// Major returns the major slot of s's node, at the same depth.
+func (s Slot) Major() Slot { return Slot{slot{node: s.at.node}, s.depth} }
+
+// Gap is where an insertion gap's neighbours lie: the slots of the atoms
+// before (P) and after (F) it, the zero Slot at a document edge.
+type Gap struct{ P, F Slot }
+
 // kids returns the slot's two child links, indexed by path bit.
 func (t *Tree) kids(s slot) *[2]nodeH {
 	if s.mini != 0 {
@@ -27,7 +43,7 @@ func (t *Tree) kids(s slot) *[2]nodeH {
 // converted to tree storage when necessary, e.g., when applying a path to
 // an array").
 func (t *Tree) walkMini(p ident.Path) (slot, error) {
-	cur, skip := t.resumeSlot(p)
+	cur, skip := t.resumeSlot(Slot{}, p)
 	// The resumed prefix matched a cached, already-validated identifier
 	// elementwise, so only the remaining elements need checking.
 	if err := p.ValidateFrom(skip); err != nil {
@@ -68,7 +84,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // re-create empty nodes to replace them"). The final mini is returned
 // as-is; the caller decides its atom and liveness.
 func (t *Tree) materialize(p ident.Path) (slot, error) {
-	cur, depth := t.resumeSlot(p)
+	cur, depth := t.resumeSlot(Slot{}, p)
 	skip := depth
 	if err := p.ValidateFrom(depth); err != nil {
 		return slot{}, err
@@ -157,8 +173,8 @@ func (t *Tree) explode(h nodeH) error {
 	}
 	// The region's live count stays the same; nodes get rebuilt below.
 	if h == rootH {
-		// The root holds no atoms: fill its two child subtrees, skipping the
-		// root slot itself (DESIGN.md: rooted variant of Algorithm 2).
+		// The root holds no atoms (ident.Path): fill its two child subtrees
+		// as Algorithm 2 would, skipping the root slot itself.
 		depth := 0
 		for capacityBelowRoot(depth) < len(atoms) {
 			depth++

@@ -10,7 +10,7 @@
 // the element after a Major element departs from the major node's children.
 //
 // The package provides the strict total order over PosIDs that is consistent
-// with the infix walk of the tree (see DESIGN.md §2, deviation 3), the
+// with the infix walk of the tree (Compare), the
 // density primitives used by identifier allocation, and a compact binary
 // encoding whose size accounting matches the paper's evaluation (Section 5):
 // one bit per tree level plus the disambiguator bytes, where the reserved

@@ -223,9 +223,9 @@ func class(p Path, i int) int {
 }
 
 // Compare implements the strict total order over position identifiers,
-// consistent with the infix walk of the extended tree (Section 3.1; see
-// DESIGN.md for the correction to the paper's element rules). It returns
-// -1 if p < q, 0 if p == q, +1 if p > q.
+// consistent with the infix walk of the extended tree (Section 3.1, with a
+// Major element ranked by the direction of its next step, see elemClass).
+// It returns -1 if p < q, 0 if p == q, +1 if p > q.
 func Compare(p, q Path) int { return CompareFrom(p, q, 0) }
 
 // CompareFrom is Compare for a caller that already knows p[:skip] ==

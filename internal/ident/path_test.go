@@ -51,7 +51,7 @@ func TestParsePathErrors(t *testing.T) {
 // TestFigure2Order reproduces Figure 2 of the paper: the document "abcdef"
 // with one atom per site, laid out as the complete tree of Figure 1. The
 // paper's figure places atom c at the tree root; our root holds no atoms
-// (DESIGN.md), so the same shape sits one level down: the heap layout
+// (the empty Path), so the same shape sits one level down: the heap layout
 // a=[00], b=[0], c=[01], d=[10], e=[1], f=[11], which must sort in document
 // order under the infix walk.
 func TestFigure2Order(t *testing.T) {

@@ -10,11 +10,7 @@ package ident
 // and +1 if a sorts after the whole region. Identifier allocation
 // (Algorithm 1) uses this to establish that a candidate child region lies
 // strictly between the insert neighbours.
-func RegionCompare(a, r Path) int { return RegionCompareFrom(a, r, 0) }
-
-// RegionCompareFrom is RegionCompare for a caller that already knows
-// a[:skip] == r[:skip] element for element (skip <= both lengths).
-func RegionCompareFrom(a, r Path, skip int) int {
+func RegionCompare(a, r Path) int {
 	k := len(r)
 	if k == 0 {
 		return 0 // the root's region is the whole identifier space
@@ -22,8 +18,8 @@ func RegionCompareFrom(a, r Path, skip int) int {
 	// a lies inside the region iff it walks through the region's node: its
 	// first k-1 elements match r exactly and its k-th element steps the same
 	// direction (entering the node through its major slot or any mini).
+	skip := 0
 	if len(a) >= k {
-		skip = min(skip, k-1)
 		for skip < k-1 && a[skip] == r[skip] {
 			skip++
 		}

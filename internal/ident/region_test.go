@@ -103,9 +103,8 @@ func TestRegionCompareMiniEntry(t *testing.T) {
 
 // FuzzCompareFrom states what the skip argument is allowed to mean: for any
 // two paths and every skip up to their common prefix, starting the scan at
-// skip changes nothing — CompareFrom agrees with Compare and
-// RegionCompareFrom with RegionCompare, both ways round, against q as it is
-// and as a structural path. The two paths are built as a shared stem plus
+// skip changes nothing — CompareFrom agrees with Compare, both ways round,
+// against q as it is and as a structural path. The two paths are built as a shared stem plus
 // two tails so that long common prefixes are the usual case, and once more
 // with one a slice of the other, the shared-backing case Compare shortcuts.
 func FuzzCompareFrom(f *testing.F) {
@@ -124,9 +123,6 @@ func FuzzCompareFrom(f *testing.F) {
 			for skip := 0; skip <= common; skip++ {
 				if got, want := CompareFrom(p, q, skip), Compare(p, q); got != want {
 					t.Fatalf("CompareFrom(%v, %v, %d) = %d, Compare = %d", p, q, skip, got, want)
-				}
-				if got, want := RegionCompareFrom(p, q, skip), RegionCompare(p, q); got != want {
-					t.Fatalf("RegionCompareFrom(%v, %v, %d) = %d, RegionCompare = %d", p, q, skip, got, want)
 				}
 			}
 		}

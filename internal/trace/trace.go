@@ -6,7 +6,7 @@
 // deterministic synthetic histories calibrated to the published workload
 // statistics (Table 2 and the document captions of Table 1), plus a
 // JSON-lines interchange format so real histories can be replayed through
-// the same pipeline (see DESIGN.md, substitution 1).
+// the same pipeline (Write, Read).
 //
 // A trace is an initial document plus a sequence of revisions; each
 // revision is an index-based edit script (internal/diff ops). Replaying a
