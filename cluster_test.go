@@ -57,7 +57,7 @@ func fill(t *testing.T, r *Replica, n int) {
 func lockedRegions(r *Replica) int {
 	r.doc.mu.Lock()
 	defer r.doc.mu.Unlock()
-	return len(r.doc.locks)
+	return r.doc.doc.LockedRegions()
 }
 
 // idle lets virtual time pass: the given number of sync ticks, each

@@ -4,7 +4,8 @@
 // ICDCS 2009.
 //
 // A Treedoc document is a replicated sequence of atoms (characters, lines
-// or paragraphs). Each replica edits locally with no latency and no locks;
+// or paragraphs): a Doc. A TextBuffer is a Doc whose atoms are runes, with
+// the rune-offset splices and reads a text editor calls. Each replica edits locally with no latency and no locks;
 // edits become operations that are broadcast and replayed at other
 // replicas. Because every pair of concurrent operations commutes, replicas
 // that deliver operations in happened-before order converge automatically,
@@ -61,11 +62,11 @@
 // # Distribution: one engine, two drivers
 //
 // Engine (internal/transport) is the replication engine. Each Engine
-// wraps a Doc or TextBuffer (or a type embedding one) behind an actor,
-// stamps and batches local edits to peers, applies remote operations in
-// causal order, runs a periodic anti-entropy exchange that repairs losses
-// from full queues, slow consumers or late joiners, and coordinates
-// flatten through the commitment protocol. Every engine does all of it:
+// wraps a Doc, or a type embedding one such as TextBuffer, behind an
+// actor, stamps and batches local edits to peers, applies remote
+// operations in causal order, runs a periodic anti-entropy exchange that
+// repairs losses from full queues, slow consumers or late joiners, and
+// coordinates flatten through the commitment protocol. Every engine does all of it:
 // its replica applies in batches, snapshots and votes, so every member
 // can serve catch-up and every flatten round can commit. The actor is a
 // step function — events in (local operations, a frame from a link, a

@@ -286,7 +286,7 @@ func main() {
 			if s.buf.String() != want {
 				log.Fatalf("BUG: site %d diverged on doc %q", s.id, s.doc)
 			}
-			if err := s.buf.Doc().Check(); err != nil {
+			if err := s.buf.Check(); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -82,8 +82,8 @@ func main() {
 	}
 	fmt.Println("\nboth editors show the same buffer — merged character by character")
 
-	// Housekeeping: compact the quiescent buffer to a plain array.
-	if err := left.Compact(); err != nil {
+	// Housekeeping: flatten the quiescent buffer to a plain array.
+	if err := left.Flatten(); err != nil {
 		log.Fatal(err)
 	}
 	st := left.Stats()

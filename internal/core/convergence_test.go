@@ -9,23 +9,61 @@ import (
 )
 
 // TestDensityProperty: every strategy must allocate strictly between the
-// neighbours at any gap, for documents built by random editing.
+// neighbours at any gap, for documents built by random editing — with
+// InsertAt and with InsertRunAt runs, whose identifiers must also ascend.
+// Nothing in Document re-checks an allocation, so this is the check.
 func TestDensityProperty(t *testing.T) {
 	for _, strat := range []Strategy{Naive{}, Balanced{}} {
 		strat := strat
 		t.Run(strat.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			d := newDoc(t, 1, func(c *Config) { c.Strategy = strat })
+			idAt := func(i int) ident.Path {
+				if i < 0 || i >= d.Len() {
+					return nil // a document end
+				}
+				id, err := d.IDAt(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			}
 			for step := 0; step < 1500; step++ {
 				n := d.Len()
-				if n == 0 || rng.Intn(100) < 65 {
+				switch r := rng.Intn(100); {
+				case n == 0 || r < 65:
 					gap := rng.Intn(n + 1)
-					// InsertAt validates Between internally (checkAllocation);
-					// an allocation outside the gap returns an error.
-					if _, err := d.InsertAt(gap, fmt.Sprintf("a%d", step)); err != nil {
+					atoms := make([]string, 1)
+					if r%4 == 0 {
+						atoms = make([]string, 2+rng.Intn(2))
+					}
+					for j := range atoms {
+						atoms[j] = fmt.Sprintf("a%d.%d", step, j)
+					}
+					p, f := idAt(gap-1), idAt(gap)
+					var ops []Op
+					var err error
+					if len(atoms) == 1 {
+						var op Op
+						op, err = d.InsertAt(gap, atoms[0])
+						ops = []Op{op}
+					} else {
+						ops, err = d.InsertRunAt(gap, atoms)
+					}
+					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-				} else {
+					for j, op := range ops {
+						id := op.ID.AppendPath(nil)
+						if !ident.Between(p, id, f) {
+							t.Fatalf("step %d: atom %d of %d at gap %d got %v, not strictly between %v and %v", step, j, len(ops), gap, id, p, f)
+						}
+						p = id
+						if a, err := d.AtomAt(gap + j); err != nil || a != atoms[j] {
+							t.Fatalf("step %d: atom at %d = %q, %v; want %q", step, gap+j, a, err, atoms[j])
+						}
+					}
+				default:
 					if _, err := d.DeleteAt(rng.Intn(n)); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}

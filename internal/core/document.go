@@ -51,12 +51,6 @@ type Document struct {
 	cfg      Config
 	tree     *doctree.Tree
 	strategy Strategy
-	// trusted marks the package's own strategies, whose allocations are
-	// exhaustively property-tested (order_prop_test.go): the per-insert
-	// Between re-verification is skipped for them and runs only for
-	// third-party Strategy implementations, whose bugs would otherwise
-	// silently break convergence.
-	trusted  bool
 	counter  uint32 // per-site persistent counter (UDIS disambiguators)
 	seq      uint64 // local operation sequence
 	revision int64  // revision clock for the flatten heuristic
@@ -94,6 +88,13 @@ type Document struct {
 	runP   ident.Path
 	runF   ident.Path
 	runAt  doctree.Gap
+
+	// locks are the regions frozen by outstanding flatten commitment votes,
+	// keyed by an engine-issued token: a replica that voted Yes promised
+	// not to edit the subtree until the decision, so a local edit touching
+	// one fails with ErrRegionLocked. Apply is never blocked — the protocol
+	// guarantees no conflicting remote operation exists while one is held.
+	locks map[uint64]ident.Path
 }
 
 // NewDocument creates an empty replica. It returns an error for invalid
@@ -114,12 +115,7 @@ func NewDocument(cfg Config) (*Document, error) {
 	if cfg.Flatten.MinNodes == 0 {
 		cfg.Flatten.MinNodes = 2
 	}
-	trusted := false
-	switch cfg.Strategy.(type) {
-	case Naive, Balanced:
-		trusted = true
-	}
-	return &Document{cfg: cfg, tree: doctree.New(), strategy: cfg.Strategy, trusted: trusted, version: vclock.New(), runGap: -1}, nil
+	return &Document{cfg: cfg, tree: doctree.New(), strategy: cfg.Strategy, version: vclock.New(), runGap: -1}, nil
 }
 
 // Restore rebuilds a replica from a deserialised tree and its persistent
@@ -271,7 +267,8 @@ func (d *Document) neighborIDs(i int) (p, f ident.Path, at doctree.Gap, err erro
 }
 
 // InsertAt inserts atom at index i (0 ≤ i ≤ Len) as a local edit and returns
-// the operation to propagate.
+// the operation to propagate, or ErrRegionLocked if a locked region meets
+// the gap.
 //
 //treedoc:noalloc
 func (d *Document) InsertAt(i int, atom string) (Op, error) {
@@ -285,6 +282,9 @@ func (d *Document) InsertAt(i int, atom string) (Op, error) {
 		p, f, at = d.runP, d.runF, d.runAt
 	} else if p, f, at, err = d.neighborIDs(i); err != nil {
 		return Op{}, err
+	}
+	if d.locked(p, f) {
+		return Op{}, ErrRegionLocked
 	}
 	// The tree is walked once: the neighbour descent's slots carry the
 	// free-slot scan, the collision probe and the insert.
@@ -345,12 +345,6 @@ func (d *Document) allocate(p, f ident.Path, at doctree.Gap) (ident.Path, doctre
 	for {
 		id, from := d.strategy.NewID(d.tree, d.idBuf[:0], p, f, at, dis)
 		d.idBuf = id
-		if !d.trusted {
-			if err := checkAllocation(p, id, f); err != nil {
-				return nil, doctree.Slot{}, err
-			}
-			from = doctree.Slot{} // nor is its route taken on trust
-		}
 		if d.cfg.Mode == ident.UDIS {
 			// A UDIS disambiguator is (counter, site) with a counter this
 			// site has never used before, and the identifier ends with it:
@@ -379,7 +373,8 @@ func (d *Document) boundBelow() ident.Path {
 
 // InsertRunAt inserts a consecutive run of atoms starting at index i and
 // returns the operations, one per atom. Strategies may pack the run into a
-// minimal subtree (Section 4.1's revision-grouping variant).
+// minimal subtree (Section 4.1's revision-grouping variant). Like
+// InsertAt, it fails with ErrRegionLocked if a locked region meets the gap.
 func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	switch len(atoms) {
 	case 0:
@@ -397,11 +392,11 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	if err != nil {
 		return nil, err
 	}
+	if d.locked(p, f) {
+		return nil, ErrRegionLocked
+	}
 	var ids []ident.Packed
 	ids, d.idBuf = d.strategy.NewRun(d.tree, d.idBuf, p, f, d.nextDis(), len(atoms))
-	if len(ids) != len(atoms) {
-		return nil, fmt.Errorf("core: strategy returned %d ids for %d atoms", len(ids), len(atoms))
-	}
 	ops := make([]Op, 0, len(atoms))
 	prev := p
 	usable := true
@@ -418,13 +413,10 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 			// (counter, site) disambiguator, so under UDIS none can collide
 			// with a used identifier (the same Section 3.3.1 uniqueness
 			// argument allocate relies on) and the tree probes are skipped.
-			// The Between re-verification runs for third-party strategies
-			// only, like allocate's.
-			if (!d.trusted && !ident.Between(prev, id, f)) ||
-				(d.cfg.Mode != ident.UDIS && d.tree.Exists(id)) {
-				// A used identifier (or an out-of-order substitute earlier in
-				// the run) spoils the precomputed packing; allocate the rest
-				// individually.
+			if d.cfg.Mode != ident.UDIS && d.tree.Exists(id) {
+				// A used identifier spoils the precomputed packing: its
+				// substitute may sort past the run's next identifiers, so the
+				// rest are allocated individually.
 				usable = false
 			}
 		}
@@ -448,11 +440,112 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	return ops, nil
 }
 
+// Splice deletes delCount atoms at off, then inserts atoms there, as one
+// local edit (0 ≤ off ≤ off+delCount ≤ Len): a region lock fails it
+// before the first delete, so it is never left half applied. It returns
+// the deletes' operations, then the inserts'.
+func (d *Document) Splice(off, delCount int, atoms []string) ([]Op, error) {
+	if len(d.locks) > 0 {
+		locked, err := d.spliceLocked(off, delCount, len(atoms) > 0)
+		if err != nil {
+			return nil, err
+		}
+		if locked {
+			return nil, ErrRegionLocked
+		}
+	}
+	ops := make([]Op, 0, delCount+len(atoms))
+	for range delCount {
+		op, err := d.DeleteAt(off)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
+	}
+	ins, err := d.InsertRunAt(off, atoms)
+	if err != nil {
+		return nil, err
+	}
+	return append(ops, ins...), nil
+}
+
+// spliceLocked reports whether a splice touches a locked region. With an
+// insert it tests the gap the deletes leave, between the atoms at off-1
+// and off+delCount: a region is an interval of identifiers, so one holding
+// a deleted atom meets that gap too. A pure delete tests each atom.
+func (d *Document) spliceLocked(off, delCount int, insert bool) (bool, error) {
+	if !insert {
+		for i := off; i < off+delCount; i++ {
+			id, err := d.tree.IDAt(i)
+			if err != nil {
+				return false, err
+			}
+			if d.locked(id, id) {
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+	var p, f ident.Path
+	var err error
+	if off > 0 {
+		if p, err = d.tree.IDAt(off - 1); err != nil {
+			return false, err
+		}
+	}
+	if end := off + delCount; end < d.tree.Len() {
+		if f, err = d.tree.IDAt(end); err != nil {
+			return false, err
+		}
+	}
+	return d.locked(p, f), nil
+}
+
+// LockRegion freezes the subtree at the structural path against local
+// edits until UnlockRegion is called with the same token.
+func (d *Document) LockRegion(token uint64, path ident.Path) {
+	if d.locks == nil {
+		d.locks = make(map[uint64]ident.Path)
+	}
+	d.locks[token] = path.Clone()
+}
+
+// UnlockRegion releases a LockRegion freeze.
+func (d *Document) UnlockRegion(token uint64) { delete(d.locks, token) }
+
+// LockedRegions returns how many regions are locked.
+func (d *Document) LockedRegions() int { return len(d.locks) }
+
+// locked reports whether a locked region meets the identifier range
+// [lo, hi]: an atom's is [id, id], an insert gap's runs between its
+// neighbours (nil for a document end), which a region touches when it
+// holds either or lies strictly between them.
+func (d *Document) locked(lo, hi ident.Path) bool {
+	for _, l := range d.locks {
+		if (lo == nil || ident.RegionCompare(lo, l) <= 0) && (hi == nil || ident.RegionCompare(hi, l) >= 0) {
+			return true
+		}
+	}
+	return false
+}
+
 // DeleteAt deletes the atom at index i as a local edit and returns the
-// operation to propagate.
+// operation to propagate, or ErrRegionLocked if the atom is in a locked
+// region.
 //
 //treedoc:noalloc
 func (d *Document) DeleteAt(i int) (Op, error) {
+	if len(d.locks) > 0 {
+		// Only a held lock costs a second descent: the atom's identifier,
+		// read into scratchF, is tested before anything is deleted.
+		id, _, err := d.tree.AppendIDAt(d.scratchF[:0], i)
+		if err != nil {
+			return Op{}, fmt.Errorf("core: delete at %d: %w", i, err)
+		}
+		if d.scratchF = id; d.locked(id, id) {
+			return Op{}, ErrRegionLocked
+		}
+	}
 	// One fused descent locates the atom, emits its identifier into the
 	// scratch buffer, and deletes it; only the packed form that escapes into
 	// the op touches the heap. Going through apply instead would re-walk the
@@ -597,18 +690,6 @@ func (d *Document) FlattenOp(path ident.Path, afterSeq uint64) (Op, error) {
 		return Op{}, err
 	}
 	return op, nil
-}
-
-// FlattenSubtree flattens the subtree at the given structural path,
-// discarding tombstones and identifier metadata in the region. Callers are
-// responsible for coordination (see internal/transport/flatten.go);
-// concurrent edits to a flattened region would diverge.
-func (d *Document) FlattenSubtree(path ident.Path) error {
-	d.runGap = -1
-	if err := d.tree.Flatten(path); err != nil {
-		return fmt.Errorf("core: flatten subtree: %w", err)
-	}
-	return nil
 }
 
 // FlattenAll compacts the whole document to a plain array: the paper's

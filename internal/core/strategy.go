@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"github.com/treedoc/treedoc/internal/doctree"
@@ -226,14 +225,3 @@ var (
 	_ Strategy = Naive{}
 	_ Strategy = Balanced{}
 )
-
-// checkAllocation verifies an allocated identifier lies strictly between the
-// neighbours; allocation bugs would silently break convergence, so Document
-// validates every identifier a third-party strategy returns (its own
-// strategies carry the property-test suite instead — see Document.trusted).
-func checkAllocation(p, id, f ident.Path) error {
-	if !ident.Between(p, id, f) {
-		return fmt.Errorf("core: allocated identifier %v not strictly between %v and %v", id, p, f)
-	}
-	return nil
-}

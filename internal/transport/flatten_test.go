@@ -141,7 +141,7 @@ func waitContentEqual(t testing.TB, sites []*flatSite, timeout time.Duration) {
 func checkFlatSites(t testing.TB, sites []*flatSite) {
 	t.Helper()
 	for _, s := range sites {
-		if err := s.buf.Doc().Check(); err != nil {
+		if err := s.buf.Check(); err != nil {
 			t.Fatalf("site %d invariants: %v", s.id, err)
 		}
 		if err := s.eng.Err(); err != nil {
@@ -533,7 +533,7 @@ func TestFlattenSurvivesRestartFromLog(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Fatalf("restart lost the flattened state:\n got %q\nwant %q", got, want)
 	}
-	if err := buf.Doc().Check(); err != nil {
+	if err := buf.Check(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -172,7 +172,7 @@ func soak(t *testing.T, sites []*soakSite) {
 		}
 	}
 	for _, s := range sites {
-		if err := s.buf.Doc().Check(); err != nil {
+		if err := s.buf.Check(); err != nil {
 			t.Fatalf("site %d invariants: %v", s.id, err)
 		}
 		if err := s.eng.Err(); err != nil {
@@ -280,7 +280,7 @@ func TestSoakLateJoinerTCP(t *testing.T) {
 	if got, want := late.buf.String(), sites[0].buf.String(); got != want {
 		t.Fatalf("late joiner diverged: %d vs %d runes", late.buf.Len(), sites[0].buf.Len())
 	}
-	if err := late.buf.Doc().Check(); err != nil {
+	if err := late.buf.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

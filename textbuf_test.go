@@ -1,8 +1,10 @@
 package treedoc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -135,7 +137,7 @@ func TestTextBufferCompact(t *testing.T) {
 	if _, err := b.Delete(100, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Compact(); err != nil {
+	if err := b.Flatten(); err != nil {
 		t.Fatal(err)
 	}
 	s := b.Stats()
@@ -152,7 +154,7 @@ func TestTextBufferCompact(t *testing.T) {
 	if b.Len() != 301 {
 		t.Errorf("len = %d", b.Len())
 	}
-	if err := b.Doc().Check(); err != nil {
+	if err := b.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,7 +191,63 @@ func TestTextBufferRandomTypists(t *testing.T) {
 			t.Fatalf("round %d: diverged\n%q\n%q", round, a.String(), b.String())
 		}
 	}
-	if err := a.Doc().Check(); err != nil {
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTextBufferRemoteDeletes: remote deletes, applied the way a
+// replication engine applies them, shrink the buffer while the editor
+// splices and slices near its end at offsets read a moment before. The
+// rune bounds are checked under the Doc's one lock, so a stale offset
+// surfaces as ErrOutOfRange and nothing else, and Append, which reads the
+// length under that lock, never fails. Run it under -race.
+func TestTextBufferRemoteDeletes(t *testing.T) {
+	src, b := newBuf(t, 1), newBuf(t, 2)
+	ops, err := src.Append(strings.Repeat("0123456789", 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ApplyAll(ops); err != nil {
+		t.Fatal(err)
+	}
+	var dels []Op
+	for src.Len() > 0 {
+		ops, err := src.Delete(src.Len()-1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dels = append(dels, ops...)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < len(dels); i += 4 {
+			if _, err := b.ApplyBatch(dels[i:min(i+4, len(dels))]); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		n := b.Len()
+		if _, err := b.Splice(max(n-3, 0), min(n, 2), "ab"); err != nil && !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("splice at %d of %d: %v", max(n-3, 0), n, err)
+		}
+		if _, err := b.Slice(max(n-4, 0), n); err != nil && !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("slice to %d: %v", n, err)
+		}
+		if _, err := b.Append("z"); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := b.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

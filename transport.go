@@ -7,8 +7,8 @@ import (
 )
 
 // This file re-exports the replication engine (internal/transport) under
-// its production driver: an Engine replicates a live Doc or TextBuffer
-// across goroutines and sockets (Cluster steps the same engine over a
+// its production driver: an Engine replicates a live Doc — a TextBuffer is
+// a Doc whose atoms are runes — across goroutines and sockets (Cluster steps the same engine over a
 // simulated network instead): local edits are stamped and batched to
 // peers, remote operations are applied in causal order, and a periodic
 // anti-entropy exchange repairs anything lost to full queues, slow
@@ -44,7 +44,7 @@ import (
 // from. While a vote is open the affected region rejects local edits with
 // ErrRegionLocked — retry after the round decides.
 
-// Engine replicates one Doc or TextBuffer over real links. See
+// Engine replicates one Doc (or TextBuffer) over real links. See
 // internal/transport for the full contract.
 type Engine = transport.Engine
 
@@ -70,8 +70,8 @@ const (
 // Link is a frame pipe between two engines (or an engine and a hub).
 type Link = transport.Link
 
-// Doc and TextBuffer satisfy the engine's replica contract: engines
-// wrapping them apply remote runs in batches, compact their logs, serve
+// Doc satisfies the engine's replica contract, and so does TextBuffer,
+// which embeds it: engines wrapping them apply remote runs in batches, compact their logs, serve
 // snapshot catch-up, and vote in the paper's flatten commitment.
 var (
 	_ transport.Replica = (*Doc)(nil)
@@ -107,8 +107,8 @@ type EngineStats = transport.EngineStats
 type Session = transport.Session
 
 // NewEngine creates and starts a replication engine for site wrapping
-// replica: a *Doc, a *TextBuffer, or a type embedding one. Every engine
-// applies in batches, compacts and serves snapshots, and votes on
+// replica: a *Doc or a type embedding one, such as a *TextBuffer. Every
+// engine applies in batches, compacts and serves snapshots, and votes on
 // flattens, so the replica must do all three.
 func NewEngine(site SiteID, replica transport.Replica, opts ...EngineOption) (*Engine, error) {
 	return transport.NewEngine(site, replica, opts...)

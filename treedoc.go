@@ -140,13 +140,6 @@ func WithCompactSiteIDs() Option {
 type Doc struct {
 	mu  sync.Mutex
 	doc *core.Document // guarded by mu
-	// locks are the regions frozen by outstanding flatten commitment votes
-	// (keyed by an engine-issued token): local edits that touch a locked
-	// subtree fail with ErrRegionLocked until the commitment decides. Remote
-	// operations (Apply) are never blocked — the protocol guarantees no
-	// conflicting remote operation exists while a lock is held. Guarded
-	// by mu.
-	locks map[uint64]ident.Path
 }
 
 // New creates an empty replica.
@@ -224,9 +217,6 @@ func (d *Doc) VisitRange(from, to int, fn func(atom string) bool) error {
 func (d *Doc) InsertAt(i int, atom string) (Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.gapLocked(i) {
-		return Op{}, fmt.Errorf("treedoc: insert at %d: %w", i, core.ErrRegionLocked)
-	}
 	op, err := d.doc.InsertAt(i, atom)
 	if err != nil {
 		return Op{}, fmt.Errorf("treedoc: insert at %d: %w", i, err)
@@ -239,9 +229,6 @@ func (d *Doc) Append(atom string) (Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := d.doc.Len()
-	if d.gapLocked(n) {
-		return Op{}, fmt.Errorf("treedoc: insert at %d: %w", n, core.ErrRegionLocked)
-	}
 	op, err := d.doc.InsertAt(n, atom)
 	if err != nil {
 		return Op{}, fmt.Errorf("treedoc: insert at %d: %w", n, err)
@@ -256,9 +243,6 @@ func (d *Doc) Append(atom string) (Op, error) {
 func (d *Doc) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.gapLocked(i) {
-		return nil, fmt.Errorf("treedoc: insert at %d: %w", i, core.ErrRegionLocked)
-	}
 	ops, err := d.doc.InsertRunAt(i, atoms)
 	if err != nil {
 		return nil, fmt.Errorf("treedoc: insert at %d: %w", i, err)
@@ -272,15 +256,6 @@ func (d *Doc) InsertRunAt(i int, atoms []string) ([]Op, error) {
 func (d *Doc) DeleteAt(i int) (Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.locks) > 0 {
-		id, err := d.doc.IDAt(i)
-		if err != nil {
-			return Op{}, fmt.Errorf("treedoc: delete at %d: %w", i, err)
-		}
-		if d.idLocked(id) {
-			return Op{}, fmt.Errorf("treedoc: delete at %d: %w", i, core.ErrRegionLocked)
-		}
-	}
 	op, err := d.doc.DeleteAt(i)
 	if err != nil {
 		return Op{}, fmt.Errorf("treedoc: delete at %d: %w", i, err)
@@ -367,130 +342,14 @@ var ErrRegionLocked = core.ErrRegionLocked
 func (d *Doc) LockRegion(token uint64, path Path) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.locks == nil {
-		d.locks = make(map[uint64]ident.Path)
-	}
-	d.locks[token] = path.Clone()
+	d.doc.LockRegion(token, path)
 }
 
 // UnlockRegion releases a LockRegion freeze.
 func (d *Doc) UnlockRegion(token uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.locks, token)
-}
-
-// idLocked reports whether the atom identifier falls inside a locked
-// region; d.mu must be held.
-func (d *Doc) idLocked(id ident.Path) bool {
-	for _, l := range d.locks {
-		if ident.RegionCompare(id, l) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// gapLocked reports whether an insert into the gap at index i could touch
-// a locked region; d.mu must be held. An out-of-range index is never
-// "locked" — it falls through to the core's own range error, so a caller
-// retrying on ErrRegionLocked is not strung along by an index that can
-// never succeed.
-//
-//treedoc:holds mu
-func (d *Doc) gapLocked(i int) bool {
-	if len(d.locks) == 0 || i < 0 || i > d.doc.Len() {
-		return false
-	}
-	var p, f ident.Path
-	if i > 0 {
-		if id, err := d.doc.IDAt(i - 1); err == nil {
-			p = id
-		}
-	}
-	if i < d.doc.Len() {
-		if id, err := d.doc.IDAt(i); err == nil {
-			f = id
-		}
-	}
-	return d.gapLockedIDs(p, f)
-}
-
-// gapLockedIDs reports whether an insert between neighbour identifiers p
-// and f (nil = document start/end) could touch a locked region: either
-// neighbour lies inside one, or a locked region lies strictly inside the
-// open gap (where a fresh identifier could be allocated). d.mu must be
-// held.
-func (d *Doc) gapLockedIDs(p, f ident.Path) bool {
-	if p != nil && d.idLocked(p) {
-		return true
-	}
-	if f != nil && d.idLocked(f) {
-		return true
-	}
-	for _, l := range d.locks {
-		loBefore := p == nil || ident.RegionCompare(p, l) < 0
-		hiAfter := f == nil || ident.RegionCompare(f, l) > 0
-		if loBefore && hiAfter {
-			return true
-		}
-	}
-	return false
-}
-
-// spliceOps deletes delCount atoms at off, then inserts atoms there, as
-// one atomic local edit: region-lock checks for the whole splice happen
-// before the first delete is applied, so a flatten vote can never land
-// between the deletes and the insert and leave half a splice applied but
-// unbroadcast. TextBuffer.Splice is the caller.
-func (d *Doc) spliceOps(off, delCount int, atoms []string) ([]Op, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.locks) > 0 {
-		for i := off; i < off+delCount; i++ {
-			id, err := d.doc.IDAt(i)
-			if err != nil {
-				return nil, err
-			}
-			if d.idLocked(id) {
-				return nil, fmt.Errorf("treedoc: delete at %d: %w", i, core.ErrRegionLocked)
-			}
-		}
-		if len(atoms) > 0 {
-			// The insert lands in the gap left once the deletes are applied:
-			// between the atoms now at off-1 and off+delCount.
-			var p, f ident.Path
-			if off > 0 {
-				if id, err := d.doc.IDAt(off - 1); err == nil {
-					p = id
-				}
-			}
-			if off+delCount < d.doc.Len() {
-				if id, err := d.doc.IDAt(off + delCount); err == nil {
-					f = id
-				}
-			}
-			if d.gapLockedIDs(p, f) {
-				return nil, fmt.Errorf("treedoc: insert at %d: %w", off, core.ErrRegionLocked)
-			}
-		}
-	}
-	ops := make([]Op, 0, delCount+len(atoms))
-	for i := 0; i < delCount; i++ {
-		op, err := d.doc.DeleteAt(off)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	if len(atoms) > 0 {
-		ins, err := d.doc.InsertRunAt(off, atoms)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, ins...)
-	}
-	return ops, nil
+	d.doc.UnlockRegion(token)
 }
 
 // FlattenOp executes a committed flatten as a local operation and returns

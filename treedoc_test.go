@@ -9,6 +9,7 @@ import (
 
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/vclock"
 )
 
 func newTestDoc(t *testing.T, opts ...Option) *Doc {
@@ -281,11 +282,18 @@ func TestDocConcurrencySafety(t *testing.T) {
 // TestRegionLockGeometry: a LockRegion freeze blocks exactly the local
 // edits that could touch the subtree — a delete of an atom inside it, an
 // insert next to one, and an insert into a gap the region lies strictly
-// inside — and nothing else; UnlockRegion lifts it.
+// inside — and nothing else, whole splices included; UnlockRegion lifts
+// it. Testing an insert against a held lock costs it no allocation.
 func TestRegionLockGeometry(t *testing.T) {
-	d := newTestDoc(t, WithSite(1))
+	// A Doc of runes, so the splice below has one; UDIS, so an insert and
+	// the delete of its atom leave the tree as they found it.
+	b, err := NewTextBuffer(WithSite(1), WithMode(UDIS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := b.Doc
 	for i := 0; i < 15; i++ { // grow at both ends, so the tree branches both ways
-		if _, err := d.InsertAt(i%2*d.Len(), fmt.Sprintf("l%02d", i)); err != nil {
+		if _, err := d.InsertAt(i%2*d.Len(), string(rune('a'+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,8 +330,38 @@ func TestRegionLockGeometry(t *testing.T) {
 	if _, err := d.InsertAt(first, "edge"); !errors.Is(err, ErrRegionLocked) {
 		t.Errorf("insert left of the region's first atom: %v, want ErrRegionLocked", err)
 	}
+	if _, err := d.InsertRunAt(first, []string{"r", "s"}); !errors.Is(err, ErrRegionLocked) {
+		t.Errorf("insert run left of the region's first atom: %v, want ErrRegionLocked", err)
+	}
 	if _, err := d.Append("tail"); !errors.Is(err, ErrRegionLocked) {
 		t.Errorf("append after the region's last atom: %v, want ErrRegionLocked", err)
+	}
+	// The splice deletes the atom left of the region, which is free, but
+	// its insert lands next to the region's first atom: none of it runs.
+	text, version := b.String(), b.Version()
+	if ops, err := b.Splice(first-1, 1, "XY"); !errors.Is(err, ErrRegionLocked) || ops != nil {
+		t.Errorf("splice into the region's edge: %d ops, %v; want none and ErrRegionLocked", len(ops), err)
+	}
+	if b.String() != text || b.Version().Compare(version) != vclock.Equal {
+		t.Errorf("rejected splice changed the buffer: %q at %v, was %q at %v", b.String(), b.Version(), text, version)
+	}
+	// An insert between the two atoms left of the region tests the lock
+	// against the neighbours it found, and the delete of its atom reads the
+	// identifier into scratch: a held lock costs neither an allocation.
+	edit := func() {
+		if _, err := d.InsertAt(1, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DeleteAt(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := testing.AllocsPerRun(100, edit)
+	d.UnlockRegion(7)
+	free := testing.AllocsPerRun(100, edit)
+	d.LockRegion(7, region)
+	if held > free {
+		t.Errorf("an insert and a delete allocate %v times with an unrelated region locked, %v with none", held, free)
 	}
 	d.LockRegion(8, Path{}) // the whole document: every gap has the region inside
 	if _, err := d.InsertAt(0, "head"); !errors.Is(err, ErrRegionLocked) {
