@@ -1,5 +1,5 @@
 // Command treedoc-vet runs the repo's custom invariant analyzers —
-// noalloc, guardedby, actoronly, framekinds, errwrap, packedlen — over package
+// noalloc, guardedby, actoronly, framekinds, errwrap — over package
 // patterns, printing findings in the familiar file:line:col form and
 // exiting non-zero when any invariant is violated.
 //
@@ -29,7 +29,6 @@ import (
 	"github.com/treedoc/treedoc/internal/analysis/framekinds"
 	"github.com/treedoc/treedoc/internal/analysis/guardedby"
 	"github.com/treedoc/treedoc/internal/analysis/noalloc"
-	"github.com/treedoc/treedoc/internal/analysis/packedlen"
 )
 
 var all = []*analysis.Analyzer{
@@ -38,7 +37,6 @@ var all = []*analysis.Analyzer{
 	framekinds.Analyzer,
 	guardedby.Analyzer,
 	noalloc.Analyzer,
-	packedlen.Analyzer,
 }
 
 func main() {

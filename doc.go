@@ -32,11 +32,12 @@
 // atoms leave tombstones) and UDIS (counter+site pairs, deleted atoms are
 // discarded immediately).
 //
-// An operation carries its identifier packed (Op.ID is a Packed): a string
-// of exactly the bytes the identifier takes on the wire, one bit per tree
-// level and a disambiguator only where concurrency happened. Packed values
-// compare with ==; ID.AppendPath expands one into the elements of a Path
-// for callers that want to look inside.
+// An operation carries its identifier packed (Op.ID is a Packed): an
+// opaque value holding exactly the bytes the identifier takes on the wire,
+// one bit per tree level and a disambiguator only where concurrency
+// happened. Only the library makes one, so each is checked once, where it
+// enters. Packed values compare with ==; ID.AppendPath expands one into
+// the elements of a Path for callers that want to look inside.
 //
 // Allocation is balanced by default (Section 4.1): appends grow the tree by
 // ⌈log2 h⌉+1 levels at once and subsequent inserts fill the reserved slots,

@@ -11,7 +11,7 @@
 // Should the repo ever vendor x/tools, each analyzer's Run function ports
 // over mechanically: the Pass fields mirror analysis.Pass by name.
 //
-// The six analyzers under this package machine-check invariants the
+// The five analyzers under this package machine-check invariants the
 // repository otherwise states only in prose (docs/ARCHITECTURE.md §9–§11):
 //
 //   - noalloc: //treedoc:noalloc functions compile without heap escapes
@@ -22,7 +22,6 @@
 //   - framekinds: every kind* wire constant keys one row of the frame
 //     table, whose constructor returns a type with a wire method
 //   - errwrap: exported functions don't leak other packages' bare errors
-//   - packedlen: no len of an ident.Packed (its bytes) outside internal/ident
 package analysis
 
 import (

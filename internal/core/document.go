@@ -318,9 +318,9 @@ func (d *Document) insertLocal(id ident.Path, from doctree.Slot, k ident.Packed,
 // the just-inserted identifier on the left, f on the right, and where they
 // lie. The identifier lies in idBuf, which the cache takes whole by
 // trading buffers (the one it gives back held the previous left
-// neighbour, now spent); f is scratch-backed and copied. apply invalidates
-// the cache on every mutation, so it only survives between back-to-back
-// local inserts, which keep its slots valid.
+// neighbour, now spent); f is scratch-backed and copied. noteApplied
+// invalidates the cache on every mutation, so it only survives between
+// back-to-back local inserts, which keep its slots valid.
 func (d *Document) primeRun(g int, f ident.Path, at doctree.Gap) {
 	d.runGap, d.runAt = g, at
 	d.runP, d.idBuf = d.idBuf, d.runP
@@ -548,7 +548,7 @@ func (d *Document) DeleteAt(i int) (Op, error) {
 	}
 	// One fused descent locates the atom, emits its identifier into the
 	// scratch buffer, and deletes it; only the packed form that escapes into
-	// the op touches the heap. Going through apply instead would re-walk the
+	// the op touches the heap. Going through Apply instead would re-walk the
 	// identifier the locate descent just produced.
 	sp, err := d.tree.DeleteAtIndex(i, d.cfg.Mode == ident.UDIS, d.scratchP[:0])
 	if err != nil {
@@ -565,23 +565,19 @@ func (d *Document) DeleteAt(i int) (Op, error) {
 // Apply replays a remote operation. Operations must arrive in
 // happened-before order (the causal layer's contract); under that contract
 // every pair of concurrent operations commutes and replicas converge
-// (Section 2.2).
+// (Section 2.2). Its identifier's encoding was checked where it was made;
+// Apply checks the operation's shape, then expands the identifier into
+// the document's scratch — where a held identifier becomes a walked one.
 func (d *Document) Apply(op Op) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
-	return d.apply(op)
-}
-
-// apply executes a validated operation whose identifier is still packed: a
-// remote one. This is where a held identifier becomes a walked one.
-func (d *Document) apply(op Op) error {
 	d.idBuf = op.ID.AppendPath(d.idBuf[:0])
 	return d.applyAt(op, d.idBuf)
 }
 
 // applyAt executes op, whose identifier's elements are id — unpacked by
-// apply, or the ones a local edit just built.
+// Apply, or the ones a local edit just built.
 func (d *Document) applyAt(op Op, id ident.Path) error {
 	switch op.Kind {
 	case OpInsert:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/treedoc/treedoc/internal/core"
+	"github.com/treedoc/treedoc/internal/ident"
 )
 
 // seedOps builds operations from a live document so the corpus contains
@@ -67,10 +68,16 @@ func FuzzOpUnmarshalBinary(f *testing.F) {
 }
 
 // FuzzDecodeOp covers the stream-decoding entry point (prefix decode with
-// consumed length), which the batched wire frames use directly.
+// consumed length), which the batched wire frames use directly. The tree
+// walks check nothing, so the decoder and Op.Validate are all that stands
+// between the wire and the tree: every operation they accept applies to a
+// fresh document without a panic and leaves it consistent.
 func FuzzDecodeOp(f *testing.F) {
 	for _, op := range seedOps(f) {
 		f.Add(op.AppendBinary(nil))
+	}
+	for _, p := range []string{"[]", "[10]"} {
+		f.Add(core.Op{Kind: core.OpFlatten, ID: ident.Pack(ident.MustParsePath(p)), Site: 3, Seq: 1}.AppendBinary(nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, n, err := core.DecodeOp(data)
@@ -82,6 +89,14 @@ func FuzzDecodeOp(f *testing.F) {
 		}
 		if err := op.Validate(); err != nil {
 			t.Fatalf("DecodeOp accepted invalid op: %v", err)
+		}
+		doc, err := core.NewDocument(core.Config{Site: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = doc.Apply(op) // an op the empty document cannot take may be refused; none may panic
+		if err := doc.Check(); err != nil {
+			t.Fatalf("applying %v: %v", op, err)
 		}
 	})
 }

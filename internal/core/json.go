@@ -36,18 +36,22 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	var kind OpKind
-	switch j.Kind {
-	case "insert":
-		kind = OpInsert
-	case "delete":
-		kind = OpDelete
-	default:
+	for k := OpInsert; k <= OpFlatten; k++ {
+		if j.Kind == k.String() {
+			kind = k
+		}
+	}
+	if kind == 0 {
 		return fmt.Errorf("core: unknown op kind %q", j.Kind)
 	}
 	// Packing masks a bit above 1 and drops an unknown kind, so the elements
 	// are checked before they are packed, not after.
-	if err := j.ID.Validate(); err != nil {
-		return fmt.Errorf("core: invalid op id: %w", err)
+	check := j.ID.Validate
+	if kind == OpFlatten {
+		check = j.ID.ValidateStructural
+	}
+	if err := check(); err != nil {
+		return fmt.Errorf("core: invalid %s id: %w", kind, err)
 	}
 	dec := Op{Kind: kind, ID: ident.Pack(j.ID), Atom: j.Atom, Site: j.Site, Seq: j.Seq}
 	if err := dec.Validate(); err != nil {

@@ -11,6 +11,8 @@ func TestOpJSONRoundTrip(t *testing.T) {
 	ops := []Op{
 		{Kind: OpInsert, ID: ident.Pack(ident.MustParsePath("[10(0:s3)]")), Atom: "hello \"quoted\"", Site: 3, Seq: 42},
 		{Kind: OpDelete, ID: ident.Pack(ident.MustParsePath("[(1:c7s9)]")), Site: 9, Seq: 1},
+		{Kind: OpFlatten, ID: ident.Pack(ident.MustParsePath("[]")), Site: 4, Seq: 7},
+		{Kind: OpFlatten, ID: ident.Pack(ident.MustParsePath("[10]")), Site: 4, Seq: 8},
 	}
 	for _, op := range ops {
 		data, err := json.Marshal(op)
@@ -62,21 +64,24 @@ func TestOpJSONErrors(t *testing.T) {
 			t.Errorf("insert at %s accepted as %v", id, o)
 		}
 	}
+	for _, id := range []string{"[(1:s1)]", "[1(0:s1)]"} {
+		if err := json.Unmarshal([]byte(`{"kind":"flatten","id":"`+id+`","site":1}`), &o); err == nil {
+			t.Errorf("flatten at %s accepted as %v", id, o)
+		}
+	}
 }
 
-// TestApplyRejectsWhatIsNoIdentifier: an operation's ID is a string type,
-// so Apply checks it is an encoding — of the right kind of path — before it
-// is unpacked.
+// TestApplyRejectsWhatIsNoIdentifier: a caller cannot forge an encoding,
+// since a Packed is made only by Pack or DecodePacked, but it can still
+// hand Apply the zero Packed or an identifier of the wrong shape for the
+// operation's kind. Apply refuses both before anything is unpacked.
 func TestApplyRejectsWhatIsNoIdentifier(t *testing.T) {
 	d := newDoc(t, 1)
 	atom, region := ident.Pack(ident.MustParsePath("[(1:s2)]")), ident.Pack(ident.MustParsePath("[1]"))
 	for name, op := range map[string]Op{
-		"zero identifier":          {Kind: OpInsert, Site: 2, Seq: 1},
-		"garbage":                  {Kind: OpDelete, ID: "\xff\xff", Site: 2, Seq: 1},
-		"bytes after the encoding": {Kind: OpInsert, ID: atom + "\x00", Site: 2, Seq: 1},
-		"a bit above 1 in the pad": {Kind: OpInsert, ID: "\x01\x03\x01\x01\x00\x02", Site: 2, Seq: 1},
-		"insert at a region":       {Kind: OpInsert, ID: region, Site: 2, Seq: 1},
-		"flatten at an atom":       {Kind: OpFlatten, ID: atom, Site: 2, Seq: 1},
+		"zero identifier":    {Kind: OpInsert, Site: 2, Seq: 1},
+		"insert at a region": {Kind: OpInsert, ID: region, Site: 2, Seq: 1},
+		"flatten at an atom": {Kind: OpFlatten, ID: atom, Site: 2, Seq: 1},
 	} {
 		if err := d.Apply(op); err == nil {
 			t.Errorf("%s: applied %v", name, op)

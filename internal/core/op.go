@@ -68,23 +68,20 @@ type Op struct {
 	Seq  uint64
 }
 
-// Validate checks well-formedness.
+// Validate checks the operation's shape: a known kind, an identifier of
+// that kind's shape — an atom identifier for an insert or a delete, a
+// structural path (empty = the whole document) for a flatten — and an atom
+// only on an insert. The identifier's encoding needs no check: a non-zero
+// Packed was checked where it was made.
 func (o Op) Validate() error {
-	switch o.Kind {
-	case OpInsert, OpDelete:
-		if err := o.ID.Validate(); err != nil {
-			return fmt.Errorf("core: invalid op id: %w", err)
-		}
-	case OpFlatten:
-		// A flatten targets a major node: its ID is a structural path (empty
-		// = the whole document), not an atom identifier.
-		if err := o.ID.ValidateStructural(); err != nil {
-			return fmt.Errorf("core: invalid flatten path: %w", err)
-		}
-	default:
+	switch {
+	case o.Kind < OpInsert || o.Kind > OpFlatten:
 		return fmt.Errorf("core: invalid op kind %d", o.Kind)
-	}
-	if o.Kind != OpInsert && o.Atom != "" {
+	case o.ID == ident.Packed{}:
+		return fmt.Errorf("core: %s op has no identifier", o.Kind)
+	case o.ID.IsAtom() != (o.Kind != OpFlatten):
+		return fmt.Errorf("core: invalid %s id %v", o.Kind, o.ID)
+	case o.Kind != OpInsert && o.Atom != "":
 		return fmt.Errorf("core: %s op carries an atom", o.Kind)
 	}
 	return nil

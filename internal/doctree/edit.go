@@ -28,11 +28,11 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 	// needing a placeholder mini inside a *pre-existing* node mid-path — a
 	// replay whose ancestors were concurrently discarded (Section 3.3.1) —
 	// falls back to the per-delta slow path before anything is modified.
+	if len(id) == 0 || id.Last().Kind != ident.Mini {
+		return Slot{}, fmt.Errorf("doctree: insert %v: not an atom identifier", id)
+	}
 	cur, depth := t.resumeSlot(from, id)
 	skip := depth
-	if err := id.ValidateFrom(depth); err != nil {
-		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
-	}
 	if err := t.room(len(id), len(id)); err != nil {
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}

@@ -12,7 +12,9 @@
 //
 // doctree is a single-replica data structure with no concurrency control of
 // its own; internal/core layers CRDT operation semantics on top, and the
-// public treedoc package adds locking.
+// public treedoc package adds locking. Nor does it check the elements of the
+// identifiers it walks (InsertID only refuses one that names no atom): each
+// is the expansion of a well-formed ident.Packed or a strategy's output.
 package doctree
 
 import (
@@ -152,7 +154,7 @@ func (t *Tree) newNode(s slot, bit uint8) nodeH {
 
 // insertMini adds a dead mini with disambiguator d to n in sorted position
 // and returns its handle. The caller must ensure d is not already present and
-// that d.Site fits 48 bits (identifier validation does).
+// that d.Site fits 48 bits (every ident.Packed's does).
 func (t *Tree) insertMini(n *node, d ident.Dis) miniH {
 	h := miniH(t.minis.alloc())
 	m := t.mini(h)
@@ -193,9 +195,6 @@ func (t *Tree) findMini(n *node, d ident.Dis) miniH {
 
 // cacheWalk records a completed walk to slot s at identifier p. The
 // identifier is copied into a tree-owned buffer, so callers may reuse p.
-// Callers must have validated p (every walk does): cache-resumed walks
-// validate only the elements beyond the shared prefix, which is sound
-// precisely because everything cached here is known well-formed.
 func (t *Tree) cacheWalk(p ident.Path, s slot) {
 	t.ckID = append(t.ckID[:0], p...)
 	t.ck = s

@@ -44,12 +44,6 @@ func (t *Tree) kids(s slot) *[2]nodeH {
 // an array").
 func (t *Tree) walkMini(p ident.Path) (slot, error) {
 	cur, skip := t.resumeSlot(Slot{}, p)
-	// The resumed prefix matched a cached, already-validated identifier
-	// elementwise, so only the remaining elements need checking.
-	if err := p.ValidateFrom(skip); err != nil {
-		return slot{}, err
-	}
-	cacheFrom := skip
 	for i, e := range p[skip:] {
 		i += skip
 		if err := t.explodeNode(cur.node); err != nil {
@@ -74,7 +68,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 		}
 		cur = slot{node: next, mini: m}
 	}
-	t.cacheWalkFrom(p, cur, cacheFrom)
+	t.cacheWalkFrom(p, cur, skip)
 	return cur, nil
 }
 
@@ -86,9 +80,6 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 func (t *Tree) materialize(p ident.Path) (slot, error) {
 	cur, depth := t.resumeSlot(Slot{}, p)
 	skip := depth
-	if err := p.ValidateFrom(depth); err != nil {
-		return slot{}, err
-	}
 	if err := t.room(len(p), len(p)); err != nil {
 		return slot{}, err
 	}

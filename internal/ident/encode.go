@@ -1,9 +1,6 @@
 package ident
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Wire encoding of a Path — one bit per tree level, a disambiguator only
 // where there is a mini-node (the paper's PosID, Section 3.1):
@@ -77,11 +74,6 @@ func (p Path) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// MarshalBinary encodes p in the wire format.
-func (p Path) MarshalBinary() ([]byte, error) {
-	return p.AppendBinary(nil), nil
-}
-
 // DecodePath decodes one path from the front of buf into a fresh Path,
 // returning it and the number of bytes consumed. A caller that keeps the
 // identifier holds the Packed instead, and one that walks it expands that
@@ -92,18 +84,4 @@ func DecodePath(buf []byte) (Path, int, error) {
 		return nil, 0, err
 	}
 	return k.AppendPath(make(Path, 0, k.Len())), n, nil
-}
-
-// UnmarshalBinary decodes p from data, requiring the whole buffer to be
-// consumed.
-func (p *Path) UnmarshalBinary(data []byte) error {
-	q, n, err := DecodePath(data)
-	if err != nil {
-		return err
-	}
-	if n != len(data) {
-		return fmt.Errorf("ident: %d trailing bytes after path", len(data)-n)
-	}
-	*p = q
-	return nil
 }

@@ -6,22 +6,21 @@ import (
 	"unsafe"
 )
 
-// Packed is an identifier at rest: a string holding exactly the wire
-// encoding of a path (encode.go), the form that crosses the wire and the
-// form everything that outlives a call holds — an operation's ID, the
-// retained log and the causal buffer through it, a flatten vote's edit
-// record. A Path is the other form, the one a tree walk reads and a
-// strategy builds, and lives in a scratch buffer somebody owns and reuses.
+// Packed is an identifier at rest: exactly the wire encoding of a path
+// (encode.go), the form that crosses the wire and the form everything that
+// outlives a call holds — an operation's ID, the retained log and the
+// causal buffer through it. A Path is the other form, the one a tree walk
+// reads and a strategy builds, and lives in a scratch buffer somebody owns
+// and reuses.
 //
 // A path has one accepted encoding, so two Packed are the same identifier
-// exactly when they are == as strings, encoding one is a copy
-// (AppendBinary), and decoding one validates the bytes in place and copies
-// them (DecodePacked). What makes a Packed — Pack, DecodePacked — produces
-// a valid one; a Packed from anywhere else (it is a string type) is
-// checked by Validate or ValidateStructural, which re-run the decoder's
-// checks, before AppendPath expands it. The zero Packed is no identifier:
-// the root path packs to "\x00\x00".
-type Packed string
+// exactly when they are ==, encoding one is a copy (AppendBinary), and
+// decoding one checks the bytes in place and copies them (DecodePacked).
+// The type is opaque: Pack and DecodePacked are the only ways to make one,
+// so every Packed but the zero value is a checked, canonical encoding and
+// nothing downstream checks it again. The zero Packed is no identifier: the
+// root path packs to two zero bytes.
+type Packed struct{ s string }
 
 // Pack returns the packed form of p. It encodes what AppendBinary writes,
 // which masks a bit above 1 and drops an unknown kind: a path from outside
@@ -29,8 +28,8 @@ type Packed string
 //
 //treedoc:noalloc
 func Pack(p Path) Packed {
-	var buf [48]byte                       // five times the median identifier; a longer one grows onto the heap
-	return Packed(p.AppendBinary(buf[:0])) //treedoc:escape the string is the identifier's one allocation
+	var buf [48]byte                               // five times the median identifier; a longer one grows onto the heap
+	return Packed{string(p.AppendBinary(buf[:0]))} //treedoc:escape the string is the identifier's one allocation
 }
 
 // uvarint reads one minimally encoded uvarint at buf[off:] and returns it
@@ -61,121 +60,82 @@ func errUvarint(what string) error {
 }
 
 // scan checks that buf opens with the one accepted encoding of a path and
-// returns the path's element count, the depth just past its last Mini
-// element (0 without one) and the bytes the encoding occupies. It is the
-// only place an encoding is checked.
-func scan(buf string) (n, minis, size int, err error) {
+// returns the bytes the encoding occupies. It is the only place an encoding
+// is checked, and DecodePacked its one caller.
+func scan(buf string) (size int, err error) {
 	un, off := uvarint(buf, 0)
 	if off == 0 {
-		return 0, 0, 0, errUvarint("path length")
+		return 0, errUvarint("path length")
 	}
 	if un > MaxPathLen || un > 8*uint64(len(buf)-off) {
-		return 0, 0, 0, fmt.Errorf("ident: path length %d exceeds limit or buffer", un)
+		return 0, fmt.Errorf("ident: path length %d exceeds limit or buffer", un)
 	}
 	off += int(un+7) / 8
 	if un&7 != 0 && buf[off-1]>>(un&7) != 0 {
-		return 0, 0, 0, fmt.Errorf("ident: non-zero pad bits after %d path elements", un)
+		return 0, fmt.Errorf("ident: non-zero pad bits after %d path elements", un)
 	}
 	k, off := uvarint(buf, off)
 	if off == 0 {
-		return 0, 0, 0, errUvarint("mini count")
+		return 0, errUvarint("mini count")
 	}
 	if k > un {
-		return 0, 0, 0, fmt.Errorf("ident: %d mini elements in a path of %d", k, un)
+		return 0, fmt.Errorf("ident: %d mini elements in a path of %d", k, un)
 	}
 	next := uint64(0)
 	for ; k > 0; k-- {
 		var g, c, s uint64
 		if g, off = uvarint(buf, off); off == 0 {
-			return 0, 0, 0, errUvarint("mini entry")
+			return 0, errUvarint("mini entry")
 		}
 		if g>>1 >= un-next { // also next == n: no element left to hold it
-			return 0, 0, 0, fmt.Errorf("ident: mini element beyond path length %d", un)
+			return 0, fmt.Errorf("ident: mini element beyond path length %d", un)
 		}
 		next += g>>1 + 1
 		if g&1 == 0 {
 			continue
 		}
 		if c, off = uvarint(buf, off); off == 0 {
-			return 0, 0, 0, errUvarint("counter")
+			return 0, errUvarint("counter")
 		}
 		if s, off = uvarint(buf, off); off == 0 {
-			return 0, 0, 0, errUvarint("site")
+			return 0, errUvarint("site")
 		}
 		if c > 1<<32-1 || SiteID(s) > MaxSiteID || c|s == 0 {
-			return 0, 0, 0, fmt.Errorf("ident: disambiguator (%d, %d) out of range", c, s)
+			return 0, fmt.Errorf("ident: disambiguator (%d, %d) out of range", c, s)
 		}
 	}
-	return int(un), int(next), off, nil
+	return off, nil
 }
 
-// DecodePacked validates one path encoding at the front of buf and returns
-// it with the number of bytes consumed. The copy into the string is the
-// whole cost of holding an identifier: ⌈n/8⌉ bytes and a few.
+// DecodePacked checks one path encoding at the front of buf and returns it
+// with the number of bytes consumed. The copy into the string is the whole
+// cost of holding an identifier: ⌈n/8⌉ bytes and a few.
 //
 //treedoc:noalloc
 func DecodePacked(buf []byte) (Packed, int, error) {
 	// The decoder reads strings, the form an identifier rests in; it gets a
 	// string's view of the frame's bytes for the length of the call.
-	_, _, size, err := scan(unsafe.String(unsafe.SliceData(buf), len(buf)))
+	size, err := scan(unsafe.String(unsafe.SliceData(buf), len(buf)))
 	if err != nil {
-		return "", 0, err
+		return Packed{}, 0, err
 	}
-	return Packed(buf[:size]), size, nil //treedoc:escape the string is the identifier's one allocation
-}
-
-// whole scans k, which must be one encoding and nothing else.
-func (k Packed) whole() (n, minis int, err error) {
-	n, minis, size, err := scan(string(k))
-	if err == nil && size != len(k) {
-		err = fmt.Errorf("ident: %d trailing bytes after path", len(k)-size)
-	}
-	return n, minis, err
-}
-
-// Validate checks that k is the encoding of a well-formed atom identifier
-// (Path.Validate): non-empty and ending with a Mini element.
-func (k Packed) Validate() error {
-	n, minis, err := k.whole()
-	switch {
-	case err != nil:
-		return err
-	case n == 0:
-		return fmt.Errorf("ident: empty path is not an atom identifier")
-	case minis != n:
-		return fmt.Errorf("ident: atom identifier must end with a mini-node element")
-	}
-	return nil
-}
-
-// ValidateStructural checks that k is the encoding of a well-formed
-// structural path (Path.ValidateStructural): the root, or a path ending
-// with a Major element.
-func (k Packed) ValidateStructural() error {
-	n, minis, err := k.whole()
-	switch {
-	case err != nil:
-		return err
-	case n > 0 && minis == n:
-		return fmt.Errorf("ident: structural path must end with a major element")
-	}
-	return nil
+	return Packed{string(buf[:size])}, size, nil //treedoc:escape the string is the identifier's one allocation
 }
 
 // Len returns the tree depth of the identifier (number of elements), 0 for
-// a k that is no encoding.
+// the zero Packed.
 func (k Packed) Len() int {
-	n, _ := uvarint(string(k), 0)
+	n, _ := uvarint(k.s, 0)
 	return int(n)
 }
 
 // AppendPath appends the elements of k to dst and returns the result: the
-// one way from the form that is held to the form that is walked. k must be
-// valid (see Packed); the cost is one 24-byte element written per level.
+// one way from the form that is held to the form that is walked. The cost
+// is one 24-byte element written per level; the zero Packed appends none.
 //
 //treedoc:noalloc
 func (k Packed) AppendPath(dst Path) Path {
-	buf := string(k)
+	buf := k.s
 	un, off := uvarint(buf, 0)
 	n, base := int(un), len(dst)
 	dst = slices.Grow(dst, n)[:base+n] //treedoc:escape growing the caller's scratch
@@ -208,37 +168,45 @@ func (k Packed) AppendPath(dst Path) Path {
 	return dst
 }
 
+// minis reads k's mini list, which DecodePacked or Pack already checked:
+// the path's length, the depth just past its last Mini element (0 without
+// one) and how many Mini elements spell a disambiguator out.
+func (k Packed) minis() (n, last, spelled int) {
+	un, off := uvarint(k.s, 0)
+	m, off := uvarint(k.s, off+int(un+7)/8)
+	for ; m > 0; m-- {
+		var g uint64
+		if g, off = uvarint(k.s, off); g&1 != 0 {
+			_, off = uvarint(k.s, off)
+			_, off = uvarint(k.s, off)
+			spelled++
+		}
+		last += int(g>>1) + 1
+	}
+	return int(un), last, spelled
+}
+
+// IsAtom reports whether k is an atom identifier (Path.Validate): a path
+// ending with a Mini element. Any other non-zero Packed is a structural
+// path (Path.ValidateStructural): the root, or a path ending with a Major.
+func (k Packed) IsAtom() bool {
+	n, last, _ := k.minis()
+	return n > 0 && last == n
+}
+
 // Bits returns the identifier's size in bits under cost model c, as
 // Path.Bits does: one bit per element plus the cost of each Mini element's
 // disambiguator, the canonical one being free.
 func (k Packed) Bits(c Cost) int {
-	buf := string(k)
-	n, off := uvarint(buf, 0)
-	minis, off := uvarint(buf, off+int(n+7)/8)
-	bits := int(n)
-	for ; minis > 0; minis-- {
-		var g uint64
-		if g, off = uvarint(buf, off); g&1 != 0 {
-			_, off = uvarint(buf, off)
-			_, off = uvarint(buf, off)
-			bits += 8 * c.DisBytes()
-		}
-	}
-	return bits
+	n, _, spelled := k.minis()
+	return n + spelled*8*c.DisBytes()
 }
 
 // AppendBinary appends the wire encoding of the identifier — k itself — to
 // dst and returns the result.
 //
 //treedoc:noalloc
-func (k Packed) AppendBinary(dst []byte) []byte { return append(dst, k...) }
+func (k Packed) AppendBinary(dst []byte) []byte { return append(dst, k.s...) }
 
-// String renders the identifier in the paper's notation (Path.String). It
-// is for logs and failure messages, so a k that is no encoding prints as
-// its bytes rather than failing.
-func (k Packed) String() string {
-	if _, _, err := k.whole(); err != nil {
-		return fmt.Sprintf("Packed(%x)", string(k))
-	}
-	return k.AppendPath(nil).String()
-}
+// String renders the identifier in the paper's notation (Path.String).
+func (k Packed) String() string { return k.AppendPath(nil).String() }

@@ -76,14 +76,14 @@ func decodePathOracle(buf []byte) (Path, int, error) {
 func checkPacked(t *testing.T, k Packed, p Path) {
 	t.Helper()
 	if got := Pack(p); got != k {
-		t.Fatalf("Pack(%v) = %x, want %x", p, string(got), string(k))
+		t.Fatalf("Pack(%v) = %x, want %x", p, got.s, k.s)
 	}
 	stale := Path{M(1, Dis{Counter: 9, Site: 9}), M(1, Dis{Counter: 9, Site: 9})} // a scratch with a past in it
 	if got := k.AppendPath(stale[:1]); !got[1:].Equal(p) || got[0] != stale[0] {
-		t.Fatalf("%x unpacks to %v after %v, want %v", string(k), got[1:], got[:1], p)
+		t.Fatalf("%x unpacks to %v after %v, want %v", k.s, got[1:], got[:1], p)
 	}
 	if got := k.AppendPath(nil); !got.Equal(p) || Pack(got) != k {
-		t.Fatalf("%x unpacks to %v, want %v", string(k), got, p)
+		t.Fatalf("%x unpacks to %v, want %v", k.s, got, p)
 	}
 	if k.Len() != p.Len() || k.String() != p.String() || !bytes.Equal(k.AppendBinary([]byte{7}), p.AppendBinary([]byte{7})) {
 		t.Fatalf("%v: Len %d, String %s, AppendBinary %x", p, k.Len(), k, k.AppendBinary(nil))
@@ -93,38 +93,30 @@ func checkPacked(t *testing.T, k Packed, p Path) {
 			t.Fatalf("%v: Bits(%+v) = %d packed, %d as a path", p, c, k.Bits(c), p.Bits(c))
 		}
 	}
-	if got, want := k.Validate(), p.Validate(); (got == nil) != (want == nil) {
-		t.Fatalf("%v: Validate %v packed, %v as a path", p, got, want)
-	}
-	if got, want := k.ValidateStructural(), p.ValidateStructural(); (got == nil) != (want == nil) {
-		t.Fatalf("%v: ValidateStructural %v packed, %v as a path", p, got, want)
+	if k.IsAtom() != (p.Validate() == nil) || k.IsAtom() == (p.ValidateStructural() == nil) {
+		t.Fatalf("%v: IsAtom %v packed; Validate %v, ValidateStructural %v as a path", p, k.IsAtom(), p.Validate(), p.ValidateStructural())
 	}
 }
 
 func TestPackedLayout(t *testing.T) {
 	for _, s := range layoutSamples {
 		data, _ := hex.DecodeString(s.hex)
-		checkPacked(t, Packed(data), MustParsePath(s.path))
+		checkPacked(t, Packed{string(data)}, MustParsePath(s.path))
 	}
-	if root := Pack(Path{}); root != "\x00\x00" || Pack(nil) != root || root.ValidateStructural() != nil || root.Validate() == nil {
-		t.Errorf("the root packs to %x", string(root))
+	if root := Pack(Path{}); root.s != "\x00\x00" || Pack(nil) != root || root.IsAtom() {
+		t.Errorf("the root packs to %x", root.s)
 	}
 }
 
-// TestPackedRefusesWhatIsNoEncoding: Packed is a string type, so one can be
-// made of anything. The zero value, an encoding with bytes after it and
-// every second spelling are refused where an identifier is required, and
-// printing one does not fail.
+// TestPackedRefusesWhatIsNoEncoding: the zero Packed, the one value not
+// made by Pack or DecodePacked, is no identifier — neither an atom nor the
+// root — and reads as an empty path.
 func TestPackedRefusesWhatIsNoEncoding(t *testing.T) {
-	for _, k := range []Packed{"", "\x00", "\x00\x00\x00", "\x01\x01\x01\x00\x00", "\x02\x05\x00", "\x01\x01\x01\x01\x00\x00", "\xff"} {
-		if k.Validate() == nil || k.ValidateStructural() == nil {
-			t.Errorf("%x validates", string(k))
-		}
-		if want := fmt.Sprintf("Packed(%x)", string(k)); k.String() != want {
-			t.Errorf("%x prints as %s, want %s", string(k), k, want)
-		}
+	var k Packed
+	if k.IsAtom() || k == Pack(nil) {
+		t.Errorf("the zero Packed passes for an identifier")
 	}
-	if n := Packed("").Len(); n != 0 {
+	if n := k.Len(); n != 0 || len(k.AppendPath(nil)) != 0 || k.Bits(PaperCost(UDIS)) != 0 {
 		t.Errorf("the zero Packed has %d elements", n)
 	}
 }
@@ -143,7 +135,7 @@ func TestPackedAllocs(t *testing.T) {
 		"Pack":         {1, func() { k = Pack(p) }},
 		"DecodePacked": {1, func() { k, _, _ = DecodePacked(data) }},
 		"AppendPath":   {0, func() { scratch = k.AppendPath(scratch[:0]) }},
-		"Validate":     {0, func() { _ = k.Validate() }},
+		"IsAtom":       {0, func() { _ = k.IsAtom() }},
 		"Bits":         {0, func() { _ = k.Bits(PaperCost(UDIS)) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.fn); got != tc.want {
@@ -156,9 +148,9 @@ func TestPackedAllocs(t *testing.T) {
 // replaced. DecodePacked accepts exactly what the old DecodePath accepted,
 // consumes the same bytes and refuses with the same message; what it
 // accepts unpacks to the path the old decoder built, and every Packed
-// method agrees with the Path method of its name. The other way round,
-// every valid path — built from the same input — survives Pack and
-// AppendPath.
+// method agrees with the Path method of its name (IsAtom with Validate).
+// The other way round, every valid path — built from the same input —
+// survives Pack and AppendPath.
 func FuzzPacked(f *testing.F) {
 	for _, s := range layoutSamples {
 		data, _ := hex.DecodeString(s.hex)
@@ -179,17 +171,14 @@ func FuzzPacked(f *testing.F) {
 		case (err == nil) != (wantErr == nil) || n != wantN:
 			t.Fatalf("%x: DecodePacked %d bytes, %v; the old decoder %d bytes, %v", data, n, err, wantN, wantErr)
 		case err != nil:
-			if err.Error() != wantErr.Error() || k != "" {
-				t.Fatalf("%x: refused with %q (and %x), the old decoder with %q", data, err, string(k), wantErr)
+			if err.Error() != wantErr.Error() || k != (Packed{}) {
+				t.Fatalf("%x: refused with %q (and %x), the old decoder with %q", data, err, k.s, wantErr)
 			}
 		default:
-			if string(k) != string(data[:n]) {
-				t.Fatalf("%x: DecodePacked kept %x", data[:n], string(k))
+			if k.s != string(data[:n]) {
+				t.Fatalf("%x: DecodePacked kept %x", data[:n], k.s)
 			}
 			checkPacked(t, k, want)
-			if n < len(data) && (Packed(data).Validate() == nil || Packed(data).ValidateStructural() == nil) {
-				t.Fatalf("%x validates with %d bytes after the encoding", data, len(data)-n)
-			}
 		}
 		if p := pathFromBytes(data); len(p) <= MaxPathLen {
 			checkPacked(t, Pack(p), p)

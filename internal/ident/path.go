@@ -110,37 +110,15 @@ func (p Path) HasPrefix(q Path) bool {
 }
 
 // Validate checks that p is a well-formed atom identifier: non-empty, every
-// bit is 0 or 1, every element kind is Major or Mini, and the final element
-// is a Mini (atoms live in mini-nodes).
+// element well-formed (see elems), and the final element a Mini (atoms live
+// in mini-nodes). A path from outside the program is checked by this or
+// ValidateStructural before it is packed or walked.
 func (p Path) Validate() error {
-	return p.ValidateFrom(0)
-}
-
-// ValidateFrom is Validate for a path whose first skip elements are already
-// known well-formed — typically because they matched a previously validated
-// identifier elementwise (the doctree walk cache). Only the remaining
-// elements are checked, which keeps validation O(suffix) on cache-resumed
-// walks instead of O(depth) per operation.
-func (p Path) ValidateFrom(skip int) error {
 	if len(p) == 0 {
 		return fmt.Errorf("ident: empty path is not an atom identifier")
 	}
-	for i := skip; i < len(p); i++ {
-		e := p[i]
-		if e.Bit > 1 {
-			return fmt.Errorf("ident: element %d has bit %d (want 0 or 1)", i, e.Bit)
-		}
-		switch e.Kind {
-		case Major:
-		case Mini:
-			// The tree stores a site in 48 bits; a wider one would alias
-			// another site's disambiguator there.
-			if e.Dis.Site > MaxSiteID {
-				return fmt.Errorf("ident: element %d has site %d beyond 2^48-1", i, e.Dis.Site)
-			}
-		default:
-			return fmt.Errorf("ident: element %d has invalid kind %d", i, e.Kind)
-		}
+	if err := p.elems(); err != nil {
+		return err
 	}
 	if p.Last().Kind != Mini {
 		return fmt.Errorf("ident: atom identifier must end with a mini-node element")
@@ -150,27 +128,31 @@ func (p Path) ValidateFrom(skip int) error {
 
 // ValidateStructural checks that p is a well-formed structural path — one
 // designating a major node rather than an atom: the empty path (the root)
-// or a path of valid elements whose final element is a Major. Flatten
+// or a path of well-formed elements whose final element is a Major. Flatten
 // operations and subtree regions are addressed this way.
 func (p Path) ValidateStructural() error {
-	for i, e := range p {
-		if e.Bit > 1 {
-			return fmt.Errorf("ident: element %d has bit %d (want 0 or 1)", i, e.Bit)
-		}
-		switch e.Kind {
-		case Major:
-		case Mini:
-			// The tree stores a site in 48 bits; a wider one would alias
-			// another site's disambiguator there.
-			if e.Dis.Site > MaxSiteID {
-				return fmt.Errorf("ident: element %d has site %d beyond 2^48-1", i, e.Dis.Site)
-			}
-		default:
-			return fmt.Errorf("ident: element %d has invalid kind %d", i, e.Kind)
-		}
+	if err := p.elems(); err != nil {
+		return err
 	}
 	if len(p) > 0 && p.Last().Kind != Major {
 		return fmt.Errorf("ident: structural path must end with a major element")
+	}
+	return nil
+}
+
+// elems checks every element of p: its bit is 0 or 1, its kind Major or
+// Mini, and a Mini's site fits the 48 bits the tree stores (a wider one
+// would alias another site's disambiguator there).
+func (p Path) elems() error {
+	for i, e := range p {
+		switch {
+		case e.Bit > 1:
+			return fmt.Errorf("ident: element %d has bit %d (want 0 or 1)", i, e.Bit)
+		case e.Kind != Major && e.Kind != Mini:
+			return fmt.Errorf("ident: element %d has invalid kind %d", i, e.Kind)
+		case e.Kind == Mini && e.Dis.Site > MaxSiteID:
+			return fmt.Errorf("ident: element %d has site %d beyond 2^48-1", i, e.Dis.Site)
+		}
 	}
 	return nil
 }

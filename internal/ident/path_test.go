@@ -291,15 +291,12 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 	for _, s := range paths {
 		p := MustParsePath(s)
-		data, err := p.MarshalBinary()
+		data := p.AppendBinary(nil)
+		q, n, err := DecodePath(data)
 		if err != nil {
-			t.Fatalf("marshal %s: %v", s, err)
+			t.Fatalf("decode %s: %v", s, err)
 		}
-		var q Path
-		if err := q.UnmarshalBinary(data); err != nil {
-			t.Fatalf("unmarshal %s: %v", s, err)
-		}
-		if !p.Equal(q) {
+		if !p.Equal(q) || n != len(data) {
 			t.Errorf("round trip %s -> %s", p, q)
 		}
 	}
@@ -318,9 +315,8 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodePath([]byte{1, 7}); err == nil {
 		t.Error("invalid element form decoded")
 	}
-	var q Path
-	if err := q.UnmarshalBinary(append(data, 0)); err == nil {
-		t.Error("trailing bytes accepted")
+	if _, n, err := DecodePath(append(data, 0)); err != nil || n != len(data) {
+		t.Errorf("a decode followed by a byte consumed %d of %d bytes: %v", n, len(data), err)
 	}
 	// Length varint larger than buffer.
 	if _, _, err := DecodePath([]byte{200}); err == nil {

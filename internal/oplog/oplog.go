@@ -54,11 +54,6 @@ const (
 	// FsyncAlways syncs after every Append: maximum durability, one
 	// fsync per record.
 	FsyncAlways
-	// FsyncOff never syncs (Close still does). A crash may lose the
-	// unsynced suffix — safe for replayable remote operations, but locally
-	// generated operations lost this way can never be re-stamped, so this
-	// mode is for benchmarks and tests only.
-	FsyncOff
 )
 
 // Defaults and limits.

@@ -61,10 +61,6 @@ const (
 	FsyncBatch = oplog.FsyncBatch
 	// FsyncAlways syncs after every append.
 	FsyncAlways = oplog.FsyncAlways
-	// FsyncOff never syncs (benchmarks and tests only): a crash may forget
-	// stamps that peers remember, which permanently desynchronises the
-	// site's sequence numbers.
-	FsyncOff = oplog.FsyncOff
 )
 
 // ErrStopped is returned by Broadcast after Stop.

@@ -52,7 +52,7 @@ type Engine = transport.Engine
 type EngineOption = transport.Option
 
 // FsyncMode selects when the durable log (WithLogDir) reaches stable
-// storage: FsyncBatch (default), FsyncAlways, or FsyncOff.
+// storage: FsyncBatch (default) or FsyncAlways.
 type FsyncMode = transport.FsyncMode
 
 // Durable log fsync policies.
@@ -62,9 +62,6 @@ const (
 	FsyncBatch = transport.FsyncBatch
 	// FsyncAlways syncs every append.
 	FsyncAlways = transport.FsyncAlways
-	// FsyncOff never syncs (benchmarks only): a crash may forget stamps
-	// peers remember, permanently desynchronising the site.
-	FsyncOff = transport.FsyncOff
 )
 
 // Link is a frame pipe between two engines (or an engine and a hub).

@@ -29,12 +29,12 @@ const (
 // packed form, a Packed.
 type Op = core.Op
 
-// Packed is a position identifier as an operation holds it: a string of
-// exactly the bytes the identifier takes on the wire, one bit per tree
-// level. Two are the same identifier when they are ==; AppendPath expands
-// one into the elements of a Path, Len is its depth, String the paper's
-// notation. Values come from the library; Doc.Apply checks one it did not
-// make.
+// Packed is a position identifier as an operation holds it: an opaque
+// value of exactly the bytes the identifier takes on the wire, one bit per
+// tree level. Two are the same identifier when they are ==; AppendPath
+// expands one into the elements of a Path, Len is its depth, String the
+// paper's notation. Only the library makes one, so it is well formed;
+// Doc.Apply checks an operation's is non-zero and of its kind's shape.
 type Packed = ident.Packed
 
 // Operation kinds.
@@ -52,10 +52,9 @@ type SiteID = ident.SiteID
 
 // Path is a position in the Treedoc identifier tree as a sequence of
 // elements: an atom identifier (an operation's Packed, expanded) or a
-// structural subtree path (as used by flatten — nil or
-// empty means the whole document). Values come from the library
-// (Doc.ColdestSubtree, lock callbacks); external code treats them as
-// opaque.
+// structural subtree path (as used by flatten — nil or empty means the
+// whole document). Values come from the library (Doc.ColdestSubtree, lock
+// callbacks); external code treats them as opaque.
 type Path = ident.Path
 
 // Version is an applied version vector: per site, the highest operation
