@@ -130,6 +130,22 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 }
 
+// TestTreeRecordCount is the count gate of the tree's records on
+// goldenHistory's tree (SDIS, balanced growth): the paper-model node count,
+// which counts every reserved empty node whether or not a record holds it,
+// and the bytes the tree's slabs hold. Both are exact on every host. While
+// every reserved node had a record the tree held the same 9,082 nodes in
+// 529,176 bytes; a reservation held as a level count builds only the
+// nodes inserts enter, and the 105,984 bytes of 46 chunks of node records
+// went.
+func TestTreeRecordCount(t *testing.T) {
+	const nodes, heap = 9082, 423192
+	s := mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}).Tree().Stats(ident.PaperCost(ident.SDIS))
+	if s.Nodes != nodes || s.HeapBytes != heap {
+		t.Errorf("tree: %d nodes in %d heap bytes, want %d in %d", s.Nodes, s.HeapBytes, nodes, heap)
+	}
+}
+
 // goldenHistory has the shape of benchmark/script.go's historyProfile
 // (LaTeX calibration, line atoms, drifting hot spots), at a size that
 // replays in a second.

@@ -131,11 +131,12 @@ func (Balanced) NewID(t *doctree.Tree, dst, p, f ident.Path, at doctree.Gap, d i
 			// Reserve the whole grown subtree (Figure 5's empty nodes), so
 			// subsequent inserts fill its slots instead of deepening the
 			// tree; take the region's smallest identifier now. The region is
-			// the identifier with its last element demoted to the slot.
+			// the identifier with its last element demoted to the slot, and
+			// its walk starts at from, the slot that element hangs from.
 			last := &id[len(id)-1]
 			e := *last
 			*last = ident.J(e.Bit)
-			err := t.Reserve(id[base:], k)
+			err := t.ReserveFrom(from, id[base:], k)
 			*last = e
 			if err == nil {
 				id = grow(id, k) // below from, which stays on the route

@@ -12,7 +12,8 @@ import (
 // Invariants:
 //  1. Parent/child backlinks are consistent.
 //  2. Mini-nodes are strictly ordered by disambiguator within each node.
-//  3. Cached live/empty-slot counts match a full recount.
+//  3. Cached live/empty-slot counts match a full recount, a reserve count
+//     standing for the empty nodes of its node's two missing major subtrees.
 //  4. A mini is dead exactly when its atom handle is 0; a live mini's
 //     handle is its alone, and the handles in use plus the atom store's
 //     free stack are every handle the store has handed out.
@@ -213,6 +214,10 @@ func (c *checker) node(h nodeH) (counts, error) {
 	if h != rootH && n.empty() {
 		sum.emptyN++ // the root cannot hold mini-nodes: it is never a reusable slot
 	}
+	if n.reserve != 0 && (n.kids != [2]nodeH{} || n.flat || n.reserve > 30) {
+		return counts{}, fmt.Errorf("doctree: node %d reserves %d levels beside children or a flat region", h, n.reserve)
+	}
+	sum.emptyN += reservedNodes(n.reserve)
 	if got := (counts{n.live, n.emptyN}); got != sum {
 		return counts{}, fmt.Errorf("doctree: node counters live/emptyN = %v, recount = %v", got, sum)
 	}

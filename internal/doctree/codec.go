@@ -50,20 +50,34 @@ const (
 	promised = rootH
 )
 
+// queued is an entry of the encoder's level-order queue: node h, or with
+// below ≥ 1 the 2^below reserved nodes that many levels under h, which sit
+// in a row on their level.
+type queued struct {
+	h     nodeH
+	below uint8
+}
+
 // present queues a slot's children, left first, and sets bits 0 and 1 for them.
-func present(queue []nodeH, kids [2]nodeH) (_ []nodeH, bits byte) {
+func present(queue []queued, kids [2]nodeH) (_ []queued, bits byte) {
 	if kids[0] != 0 {
-		queue, bits = append(queue, kids[0]), 1
+		queue, bits = append(queue, queued{h: kids[0]}), 1
 	}
 	if kids[1] != 0 {
-		queue, bits = append(queue, kids[1]), bits|2
+		queue, bits = append(queue, queued{h: kids[1]}), bits|2
 	}
 	return queue, bits
 }
 
 // AppendSnapshot appends the tree's snapshot stream to dst. It reads the
-// slabs through a queue of node handles, one allocation sized up front.
+// slabs through a queue of node handles, one allocation sized up front: a
+// reserved subtree of r levels takes r entries, one per level, and writes
+// its nodes as the empty nodes they stand for.
 func (t *Tree) AppendSnapshot(dst []byte) []byte {
+	entries := int(t.nodes.used())
+	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count
+		entries += int(t.nodes.at(h).reserve)
+	}
 	sites := make([]ident.SiteID, 0, 16)
 	for h := uint32(1); h <= t.minis.n; h++ { // a free record is zero: canonical
 		if d := t.minis.at(h).dis(); d != ident.Canonical {
@@ -80,11 +94,22 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 	// No closures over dst or the queue: this runs on the engine's actor.
 	var prev ident.Dis
 	var prevSite int // prev.Site's index in sites
-	queue := append(make([]nodeH, 0, t.nodes.used()), rootH)
+	queue := append(make([]queued, 0, entries), queued{h: rootH})
 	for i := 0; i < len(queue); i++ {
-		n := t.node(queue[i])
+		q := queue[i]
+		n := t.node(q.h)
+		if q.below != 0 {
+			head := byte(shapeEmpty)
+			if q.below < n.reserve {
+				head, queue = 3, append(queue, queued{q.h, q.below + 1})
+			}
+			for range 1 << q.below {
+				dst = append(dst, head)
+			}
+			continue
+		}
 		if n.flat {
-			atoms := t.flats[queue[i]]
+			atoms := t.flats[q.h]
 			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(len(atoms)))
 			for _, a := range atoms {
 				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
@@ -93,6 +118,9 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		}
 		var head, bits byte
 		queue, head = present(queue, n.kids)
+		if n.reserve != 0 {
+			head, queue = 3, append(queue, queued{q.h, 1})
+		}
 		shift := 0
 		switch mh := n.first; {
 		case mh == 0:

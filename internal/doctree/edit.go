@@ -33,7 +33,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 	}
 	cur, depth := t.resumeSlot(from, id)
 	skip := depth
-	if err := t.room(len(id), len(id)); err != nil {
+	if err := t.room(2*len(id), len(id)); err != nil { // a step may build a reserved child and its sibling
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	var first nodeH       // shallowest node created by this walk
@@ -44,7 +44,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 			return Slot{}, err
 		}
 		depth++
-		next := t.kids(cur)[e.Bit]
+		next := t.child(cur, e.Bit)
 		created := next == 0
 		if created {
 			next = t.newNode(cur, e.Bit)
@@ -124,7 +124,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 // insertSlow is InsertID's general path: full per-delta materialisation, for
 // replays that must re-create placeholder minis inside existing nodes.
 func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
-	s, err := t.materialize(id)
+	s, err := t.materialize(Slot{}, id)
 	if err != nil {
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
@@ -207,7 +207,7 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 	if n.empty() {
 		dEmpty++
 	}
-	for n.parent != 0 && n.empty() && n.kids[0] == 0 && n.kids[1] == 0 {
+	for n.parent != 0 && n.empty() && n.kids == [2]nodeH{} && n.reserve == 0 {
 		up := slot{node: n.parent, mini: n.pmini}
 		t.kids(up)[n.bit] = 0
 		t.nodes.release(uint32(h))

@@ -42,6 +42,7 @@ func BenchmarkFreeSearchHistory(b *testing.B) {
 		}
 	}
 	t := doc.Tree()
+	t.MaterializeReserved() // the walk reads records only
 	type gap struct {
 		p, f ident.Path
 		at   doctree.Gap

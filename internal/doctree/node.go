@@ -40,6 +40,10 @@ const rootH nodeH = 1
 // right); children reached by disambiguated elements hang off the
 // individual mini-nodes.
 //
+// A node with a reserve count r has no major children in the slabs: each
+// stands for a complete subtree of r levels of empty nodes, counted in
+// emptyN and built only when a walk enters it (see Reserve and child).
+//
 // A node flagged flat is a flattened region (Section 4.2): it stores its
 // whole subtree's live atoms as a plain array with no metadata
 // (Tree.flats), and has no minis or children until a path walk explodes it.
@@ -63,6 +67,7 @@ type node struct {
 	pmini   miniH  // mini of parent we hang from; 0 = parent's major slot
 	bit     uint8  // which side of the parent slot
 	flat    bool   // a flattened region, its atoms in Tree.flats
+	reserve uint8  // levels of each reserved, unbuilt major-child subtree
 }
 
 func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
@@ -263,9 +268,9 @@ func (t *Tree) resumeSlot(from Slot, p ident.Path) (slot, int) {
 // Len returns the number of live atoms in the document.
 func (t *Tree) Len() int { return int(t.node(rootH).live) }
 
-// Height returns the maximum node depth ever materialised (root = 0). It is
-// maintained as a monotonic maximum between structural clean-ups; Flatten
-// recomputes it.
+// Height returns the maximum node depth ever reached, reserved nodes
+// included (root = 0). It is maintained as a monotonic maximum between
+// structural clean-ups; Flatten recomputes it.
 func (t *Tree) Height() int { return t.height }
 
 // Rev returns the current revision stamp.
@@ -294,6 +299,9 @@ func (t *Tree) depth(h nodeH) int {
 // region. Empty nodes are the free identifier slots reused by the balanced
 // allocation strategy (Section 4.1).
 func (n *node) empty() bool { return n.first == 0 && !n.flat }
+
+// reservedNodes returns the empty nodes a reserve count of r stands for.
+func reservedNodes(r uint8) uint32 { return 1<<(r+1) - 2 }
 
 // pathTo returns the structural path of major node h (ending in a Major
 // element). The root yields the empty path.

@@ -351,8 +351,9 @@ func TestSlabHandlesNeverDangling(t *testing.T) {
 }
 
 // bruteCount recounts h's subtree from the records alone: its nodes
-// (neither the root nor a flattened region counts itself, as Stats does),
-// live atoms, dead minis and latest lastMod stamp.
+// (neither the root nor a flattened region counts itself, as Stats does;
+// a reserve count of r stands for 2^(r+1)−2 more), live atoms, dead minis
+// and latest lastMod stamp.
 func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
 	if h == 0 {
 		return 0, 0, 0, 0
@@ -362,7 +363,7 @@ func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
 		return 0, len(tr.flats[h]), 0, int64(n.lastMod)
 	}
 	if h != rootH {
-		nodes = 1
+		nodes = 1 + 1<<(n.reserve+1) - 2
 	}
 	maxRev = int64(n.lastMod)
 	kids := []nodeH{n.kids[0], n.kids[1]}

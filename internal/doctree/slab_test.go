@@ -284,3 +284,24 @@ func TestFullIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveCountsStayWithinTheLimit: a reservation holds no records, so
+// the limit bounds the empty nodes it stands for instead — repeated
+// reservations cannot wrap the 32-bit empty-slot counters.
+func TestReserveCountsStayWithinTheLimit(t *testing.T) {
+	tr := New()
+	tr.limit = 1 << 10
+	var err error
+	for bit := uint8(0); bit <= 1 && err == nil; bit++ {
+		for i := 0; i < 8 && err == nil; i++ {
+			err = tr.Reserve(ident.Path{ident.J(bit), ident.J(uint8(i & 1)), ident.J(uint8(i >> 1 & 1)), ident.J(uint8(i >> 2))}, 8)
+		}
+	}
+	if !errors.Is(err, ErrFull) {
+		t.Fatalf("reservations past the limit: %v, want ErrFull", err)
+	}
+	checkTree(t, tr)
+	if e := tr.node(rootH).emptyN; e > tr.limit {
+		t.Errorf("%d empty nodes counted past the limit of %d records", e, tr.limit)
+	}
+}

@@ -21,7 +21,9 @@ import (
 // live atom, an empty ancestor or a subtree whose live or empty-slot
 // counter is non-zero. That subtree holds the answer: no slot if it counts
 // no empty node (a flattened region never does), else the first of its
-// empty nodes and live atoms, reached by a descent that never backtracks.
+// empty nodes and live atoms, reached by a descent that never backtracks
+// and builds the reserved nodes it enters (see child). A tree without room
+// for those has no slot to offer.
 //
 //treedoc:noalloc
 func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Path, Slot) {
@@ -34,11 +36,14 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 	if down {
 		h, stage = rootH, 0 // the document start: all of it lies ahead
 	}
+	if t.room(2*t.height, 0) != nil {
+		return nil, Slot{}
+	}
 	for {
 		n := t.node(h)
 		next, e := nodeH(0), ident.J(n.bit)
-		if ms == 0 && stage == 0 && t.occupied(n.kids[0]) {
-			next = n.kids[0]
+		if ms == 0 && stage == 0 && (n.reserve != 0 || t.occupied(n.kids[0])) {
+			next = t.child(slot{node: h}, 0)
 		} else if ms == 0 && stage <= 1 {
 			if h != rootH && n.empty() {
 				if !down {
@@ -59,8 +64,8 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				next, e = m.kids[1], ident.M(n.bit, m.dis())
 			}
 		}
-		if next == 0 && stage < 3 && t.occupied(n.kids[1]) {
-			next = n.kids[1]
+		if next == 0 && stage < 3 && (n.reserve != 0 || t.occupied(n.kids[1])) {
+			next = t.child(slot{node: h}, 1)
 		}
 		if next == 0 {
 			// h's subtree is passed (a subtree descended into holds the
@@ -91,14 +96,21 @@ func (t *Tree) occupied(h nodeH) bool {
 	return n.live|n.emptyN != 0
 }
 
-// Reserve materialises the complete binary subtree of the given number of
-// levels rooted at the node designated by the structural path (creating the
-// node itself if needed), implementing the balanced growth of Section 4.1:
-// "grow the height h of the tree by ⌈log2(h)⌉+1… Thereafter, new PosIDs
-// would be generated by using empty position in the tree of identifiers"
-// (the empty nodes of Figure 5). The reserved slots are found by
-// FreeSlotAfter as subsequent inserts arrive.
+// Reserve implements the balanced growth of Section 4.1: "grow the height h
+// of the tree by ⌈log2(h)⌉+1… Thereafter, new PosIDs would be generated by
+// using empty position in the tree of identifiers" (Figure 5's empty
+// nodes). The node the structural path designates, created if need be,
+// becomes the root of a complete subtree of the given levels, counted in
+// emptyN by one climb: the nodes it lacks are a reserve count on the
+// deepest existing ones, built as walks enter them (see child).
 func (t *Tree) Reserve(path ident.Path, levels int) error {
+	return t.ReserveFrom(Slot{}, path, levels)
+}
+
+// ReserveFrom is Reserve for a caller that holds a slot on path's route, as
+// InsertFrom is for an insert: only the rest of the path is walked. The
+// zero Slot resumes from the walk cache.
+func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 	if len(path) == 0 {
 		return fmt.Errorf("doctree: reserve needs a structural path, got %v", path)
 	}
@@ -108,45 +120,50 @@ func (t *Tree) Reserve(path ident.Path, levels int) error {
 	if levels > 31 {
 		return fmt.Errorf("doctree: reserve %d levels: %w", levels, ErrFull)
 	}
-	if err := t.room(len(path)+1<<max(levels, 0), len(path)); err != nil {
+	// The slabs must have room for every node the subtree stands for, the
+	// tree's empty ones counted too: unbuilt, they hold no record.
+	if err := t.room(len(path)+1<<max(levels, 0)+int(t.node(rootH).emptyN), len(path)); err != nil {
 		return fmt.Errorf("doctree: reserve %v: %w", path, err)
 	}
-	cur := slot{node: rootH}
-	depth := 0
-	for _, e := range path {
-		if err := t.explodeNode(cur.node); err != nil {
-			return err
-		}
-		depth++
-		next := t.kids(cur)[e.Bit]
-		if next == 0 {
-			next = t.attachEmpty(cur, e.Bit, depth)
-		} else if e.Kind == ident.Mini {
-			if err := t.explodeNode(next); err != nil {
-				return err
-			}
-		}
-		if e.Kind == ident.Major {
-			cur = slot{node: next}
-			continue
-		}
-		cur = slot{node: next, mini: t.placeholderMini(next, e.Dis)}
+	last := len(path) - 1
+	s, err := t.materialize(from, path[:last])
+	if err == nil {
+		err = t.explodeNode(s.node)
 	}
-	t.reserveBelow(cur.node, depth, levels-1)
+	if err != nil {
+		return err
+	}
+	if added := t.reserve(s, path[last].Bit, len(path), max(levels, 1)); added != 0 {
+		t.bubble(s.node, 0, int(added))
+	}
 	return nil
 }
 
-// reserveBelow materialises the complete major-child subtree of h down to
-// the given remaining levels.
-func (t *Tree) reserveBelow(h nodeH, depth, levels int) {
-	if levels <= 0 || t.node(h).flat {
-		return
+// reserve makes the child of slot s on side bit, at the given depth, the
+// root of a complete subtree of the given levels, creating it if need be,
+// and returns the empty nodes that adds. Below the slot the counters are
+// set; the slot's node and its ancestors are the caller's to count.
+func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
+	h := t.child(s, bit)
+	if h == 0 {
+		h, added = t.newNode(s, bit), 1
+		t.kids(s)[bit] = h
+		t.node(h).lastMod = t.rev
+		t.height = max(t.height, depth)
 	}
-	for bit := uint8(0); bit <= 1; bit++ {
-		c := t.node(h).kids[bit]
-		if c == 0 {
-			c = t.attachEmpty(slot{node: h}, bit, depth+1)
+	switch n := t.node(h); {
+	case n.flat || levels == 1:
+	case n.kids == [2]nodeH{}:
+		if r := uint8(levels - 1); r > n.reserve {
+			added += reservedNodes(r) - reservedNodes(n.reserve)
+			n.reserve, n.lastMod = r, t.rev
+			t.height = max(t.height, depth+int(r))
 		}
-		t.reserveBelow(c, depth+1, levels-1)
+	default:
+		for b := range n.kids {
+			added += t.reserve(slot{node: h}, uint8(b), depth+1, levels-1)
+		}
 	}
+	t.node(h).emptyN += added
+	return added
 }

@@ -203,8 +203,9 @@ func randomSlotTree(t *testing.T, rng *rand.Rand, mode ident.Mode) (*Tree, []ide
 // lookups — and after every dead mini, the lower bound SDIS allocation
 // retries from when its identifier collides with a tombstone (the right
 // bound being the next live atom). Each answer must be the identifier the
-// root-down oracle finds between the same bounds, and its slot must be
-// where the identifier's route leaves off.
+// root-down oracle finds between the same bounds, on a copy of the tree
+// with every reserved node built, and its slot must be where the
+// identifier's route leaves off.
 func TestFreeSearchMatchesOracle(t *testing.T) {
 	const trees = 1200
 	for _, mode := range []ident.Mode{ident.SDIS, ident.UDIS} {
@@ -212,10 +213,22 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 		if mode == ident.UDIS {
 			d.Counter = 7
 		}
-		var searches, found int
+		var searches, found, reserved int
+		// The built copy is decoded again whenever the lookups have
+		// exploded a flattened region, the one change they make.
+		var built *Tree
+		builtFlats := 0
 		check := func(seed int64, tr *Tree, p, f ident.Path, at Slot) {
 			t.Helper()
-			want, _ := tr.freeMiniBetweenOracle(p, f, d)
+			if built == nil || len(tr.flats) != builtFlats {
+				var err error
+				if built, err = DecodeSnapshot(tr.AppendSnapshot(nil)); err != nil {
+					t.Fatal(err)
+				}
+				builtFlats = len(tr.flats)
+			}
+			want, _ := built.freeMiniBetweenOracle(p, f, d)
+			records := tr.nodes.used()
 			got, from := tr.FreeSlotAfter(nil, p, at, d)
 			if !got.Equal(want) {
 				t.Fatalf("%v seed %d, gap (%v, %v): FreeSlotAfter = %v, oracle %v", mode, seed, p, f, got, want)
@@ -228,10 +241,14 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 			if s := routeSlot(tr, got[:len(got)-1]); from.at != s || from.depth != len(got)-1 {
 				t.Fatalf("%v seed %d, gap (%v, %v): slot %v for %v is not where its route leaves off", mode, seed, p, f, from, got)
 			}
+			if tr.nodes.used() != records {
+				reserved++ // the scan entered a reserved subtree
+			}
 		}
 		for seed := int64(1); seed <= trees; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			tr, ids := randomSlotTree(t, rng, mode)
+			built = nil
 			for i := 0; i <= tr.Len(); i++ {
 				var p, f ident.Path
 				var at Gap
@@ -267,9 +284,9 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 			}
 			checkTree(t, tr)
 		}
-		t.Logf("%v: %d searches on %d trees, %d found a slot", mode, searches, trees, found)
-		if found < searches/10 {
-			t.Errorf("%v: the random trees no longer exercise the scan: %d of %d searches found a slot", mode, found, searches)
+		t.Logf("%v: %d searches on %d trees, %d found a slot, %d of them in a reserved subtree no walk had entered", mode, searches, trees, found, reserved)
+		if found < searches/10 || reserved < found/10 {
+			t.Errorf("%v: the random trees no longer exercise the scan: %d of %d searches found a slot, %d in a reserved subtree", mode, found, searches, reserved)
 		}
 	}
 }
@@ -291,6 +308,7 @@ func BenchmarkFreeSearchDeep(b *testing.B) {
 	if err := tr.Reserve(id.StripLastDis(), 3); err != nil {
 		b.Fatal(err)
 	}
+	tr.MaterializeReserved() // the walk reads records only
 	p, d := id[:len(id)-1], ident.Dis{Site: 2}
 	at := Slot{routeSlot(tr, p), len(p)}
 	_, visits := tr.freeMiniBetweenOracle(p, nil, d)

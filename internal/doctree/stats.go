@@ -11,7 +11,7 @@ type Stats struct {
 	LiveAtoms int // atoms currently in the document
 	DocBytes  int // total bytes of live atoms (document size)
 
-	Nodes     int // materialised tree nodes; flattened regions count zero
+	Nodes     int // tree nodes, reserved ones built or not; flattened regions count zero
 	Minis     int // mini-nodes, including tombstones
 	DeadMinis int // tombstone mini-nodes
 	FlatAtoms int // atoms held in flattened (array) regions
@@ -116,8 +116,9 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		return
 	}
 	if h != rootH {
-		s.Nodes++
-		s.MemBytes += 12 // subtree count + two child pointers
+		k := 1 + int(reservedNodes(n.reserve))
+		s.Nodes += k
+		s.MemBytes += 12 * k // subtree count + two child pointers
 	}
 	t.statsWalk(n.kids[0], depth+1, disBits, c, s)
 	for mh := n.first; mh != 0; {
@@ -263,7 +264,7 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 	}
 	consider(t.coldWalk(n.kids[1], cutoff, minNodes, liveOnly))
 	if h != rootH {
-		nodes++ // the root holds no atoms and is not counted
+		nodes += 1 + int(reservedNodes(n.reserve)) // the root holds no atoms and is not counted
 	}
 	// Candidates must contain a mini-node that remote replicas materialise
 	// too, or a distributed flatten could not resolve them there: locally

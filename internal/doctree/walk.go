@@ -76,11 +76,12 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // along the way. Intermediate minis are created dead (they are placeholders
 // for concurrently discarded ancestors, Section 3.3.1: replay "must
 // re-create empty nodes to replace them"). The final mini is returned
-// as-is; the caller decides its atom and liveness.
-func (t *Tree) materialize(p ident.Path) (slot, error) {
-	cur, depth := t.resumeSlot(Slot{}, p)
+// as-is; the caller decides its atom and liveness. from is a slot on p's
+// route, or the zero Slot to resume from the walk cache.
+func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
+	cur, depth := t.resumeSlot(from, p)
 	skip := depth
-	if err := t.room(len(p), len(p)); err != nil {
+	if err := t.room(2*len(p), len(p)); err != nil {
 		return slot{}, err
 	}
 	for _, e := range p[depth:] {
@@ -88,9 +89,12 @@ func (t *Tree) materialize(p ident.Path) (slot, error) {
 			return slot{}, err
 		}
 		depth++
-		next := t.kids(cur)[e.Bit]
+		next := t.child(cur, e.Bit)
 		if next == 0 {
-			next = t.attachEmpty(cur, e.Bit, depth)
+			next = t.newNode(cur, e.Bit)
+			t.kids(cur)[e.Bit] = next
+			t.bubble(next, 0, +1) // one more reusable slot
+			t.height = max(t.height, depth)
 		} else if err := t.explodeNode(next); err != nil {
 			return slot{}, err
 		}
@@ -100,20 +104,30 @@ func (t *Tree) materialize(p ident.Path) (slot, error) {
 		}
 		cur = slot{node: next, mini: t.placeholderMini(next, e.Dis)}
 	}
-	t.cacheWalkFrom(p, cur, skip)
+	if from.at.node == 0 {
+		t.cacheWalkFrom(p, cur, skip)
+	}
 	return cur, nil
 }
 
-// attachEmpty creates an empty node in slot s on side bit, at the given
-// depth, and counts it in: one more node, one more reusable slot.
-func (t *Tree) attachEmpty(s slot, bit uint8, depth int) nodeH {
-	h := t.newNode(s, bit)
-	t.kids(s)[bit] = h
-	t.bubble(h, 0, +1)
-	if depth > t.height {
-		t.height = depth
+// child returns the node in slot s on side bit for a walk that enters it.
+// A reserved child is built here, with its sibling: both are empty nodes
+// holding the rest of the count, already counted in emptyN, and they take
+// the stamp of the node they hang from.
+func (t *Tree) child(s slot, bit uint8) nodeH {
+	if s.mini != 0 {
+		return t.mini(s.mini).kids[bit]
 	}
-	return h
+	n := t.node(s.node)
+	if r := n.reserve; r != 0 {
+		for b := range n.kids {
+			n.kids[b] = t.newNode(s, uint8(b))
+			c := t.node(n.kids[b])
+			c.reserve, c.emptyN, c.lastMod = r-1, reservedNodes(r-1)+1, n.lastMod
+		}
+		n.reserve = 0
+	}
+	return n.kids[bit]
 }
 
 // placeholderMini returns the mini of node h with disambiguator d, creating
@@ -309,7 +323,7 @@ func (t *Tree) releaseBelow(h nodeH) {
 		t.minis.release(uint32(mh))
 		mh = next
 	}
-	n.kids[0], n.kids[1], n.first = 0, 0, 0
+	n.kids[0], n.kids[1], n.first, n.reserve = 0, 0, 0, 0
 }
 
 func (t *Tree) releaseSubtree(h nodeH) {
@@ -324,32 +338,11 @@ func (t *Tree) releaseSubtree(h nodeH) {
 // root, otherwise every element including the last is followed; a final
 // Major element selects the node itself).
 func (t *Tree) walkNode(p ident.Path) (nodeH, error) {
-	cur := slot{node: rootH}
-	for i, e := range p {
-		if err := t.explodeNode(cur.node); err != nil {
-			return 0, err
-		}
-		next := t.kids(cur)[e.Bit]
-		if next == 0 {
-			return 0, errNotFound
-		}
-		if e.Kind == ident.Major {
-			cur = slot{node: next}
-			continue
-		}
-		if err := t.explodeNode(next); err != nil {
-			return 0, err
-		}
-		m := t.findMini(t.node(next), e.Dis)
-		if m == 0 {
-			return 0, errNotFound
-		}
-		if i == len(p)-1 {
-			return 0, fmt.Errorf("doctree: path %v designates a mini-node, not a major node", p)
-		}
-		cur = slot{node: next, mini: m}
+	if len(p) > 0 && p.Last().Kind == ident.Mini {
+		return 0, fmt.Errorf("doctree: path %v designates a mini-node, not a major node", p)
 	}
-	return cur.node, nil
+	s, err := t.walkMini(p)
+	return s.node, err
 }
 
 // collectLive appends the live atoms of h's subtree in infix order.
@@ -376,14 +369,14 @@ func (t *Tree) collectLive(h nodeH, out *[]string) {
 }
 
 // maxDepth returns the depth of the deepest node under h, itself at depth d
-// (d-1 for no node): the height refresh after a structural clean-up removed
-// nodes.
+// (d-1 for no node), reserved ones included: the height refresh after a
+// structural clean-up removed nodes.
 func (t *Tree) maxDepth(h nodeH, d int) int {
 	if h == 0 {
 		return d - 1
 	}
 	n := t.node(h)
-	best := max(d, t.maxDepth(n.kids[0], d+1), t.maxDepth(n.kids[1], d+1))
+	best := max(d+int(n.reserve), t.maxDepth(n.kids[0], d+1), t.maxDepth(n.kids[1], d+1))
 	for mh := n.first; mh != 0; {
 		m := t.mini(mh)
 		best = max(best, t.maxDepth(m.kids[0], d+1), t.maxDepth(m.kids[1], d+1))
