@@ -10,7 +10,7 @@ import (
 // and property checks; a healthy tree always returns nil.
 //
 // Invariants:
-//  1. Parent/child backlinks are consistent.
+//  1. Parent/child backlinks are consistent, onMini flags included.
 //  2. Mini-nodes are strictly ordered by disambiguator within each node.
 //  3. Cached live/empty-slot counts match a full recount, a reserve count
 //     standing for the empty nodes of its node's two missing major subtrees.
@@ -23,9 +23,10 @@ import (
 //     order (the infix walk agrees with ident.Compare).
 //  7. Every record is reachable from the root exactly once or is on its
 //     slab's free list, and the nil records are untouched.
+//  8. Tree.mkids has an entry naming a child for exactly the minis flagged.
 func (t *Tree) Check() error {
 	root := t.node(rootH)
-	if root.parent != 0 || root.pmini != 0 {
+	if root.parent != 0 || root.onMini {
 		return fmt.Errorf("doctree: root has a parent")
 	}
 	if *t.node(0) != (node{}) || (len(t.minis.chunks) > 0 && *t.mini(0) != (mini{})) ||
@@ -43,9 +44,9 @@ func (t *Tree) Check() error {
 		return err
 	}
 	inUse := int(t.atoms.n) - len(t.atoms.free)
-	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.flats != len(t.flats) || c.atoms != inUse {
-		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d flat regions and %d atoms; the tree holds %d, %d, %d and %d",
-			c.nodes, c.minis, c.flats, c.atoms, t.nodes.used(), t.minis.used(), len(t.flats), inUse)
+	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.flats != len(t.flats) || c.atoms != inUse || c.kidded != len(t.mkids) {
+		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d flat regions, %d atoms and %d minis with children; the tree holds %d, %d, %d, %d and %d mini-child entries",
+			c.nodes, c.minis, c.flats, c.atoms, c.kidded, t.nodes.used(), t.minis.used(), len(t.flats), inUse, len(t.mkids))
 	}
 	// Invariant 6: infix identifiers strictly increase. The walk maintains
 	// the current identifier incrementally in a reused buffer (one element
@@ -62,6 +63,7 @@ func (t *Tree) Check() error {
 type checker struct {
 	t            *Tree
 	nodes, minis uint32 // records reached from the root
+	kidded       int    // minis reached flagged hasKids
 	flats, atoms int    // flat regions and live atoms reached
 	held         []bool // atom handles seen in use or on the free stack
 	cur          ident.Path
@@ -109,7 +111,7 @@ func (c *checker) walk(h nodeH, d int) bool {
 		if d > 0 {
 			c.set(d-1, ident.M(n.bit, m.dis()))
 		}
-		if !c.walk(m.kids[0], d+1) {
+		if !c.walk(c.t.kids(slot{h, mh})[0], d+1) {
 			return false
 		}
 		if m.atom != 0 {
@@ -117,7 +119,7 @@ func (c *checker) walk(h nodeH, d int) bool {
 				return false
 			}
 		}
-		if !c.walk(m.kids[1], d+1) {
+		if !c.walk(c.t.kids(slot{h, mh})[1], d+1) {
 			return false
 		}
 		mh = m.next
@@ -156,7 +158,7 @@ func (c *checker) child(s slot, bit uint8, sum *counts) error {
 	if h == 0 {
 		return nil
 	}
-	if n := c.t.node(h); n.parent != s.node || n.pmini != s.mini || n.bit != bit {
+	if n := c.t.node(h); n.parent != s.node || n.onMini != (s.mini != 0) || n.bit != bit {
 		return fmt.Errorf("doctree: bad backlink on child bit %d of node %d mini %d", bit, s.node, s.mini)
 	}
 	got, err := c.node(h)
@@ -203,6 +205,12 @@ func (c *checker) node(h nodeH) (counts, error) {
 			c.held[m.atom] = true
 			c.atoms++
 			sum.live++
+		}
+		if m.hasKids {
+			if t.mkids[mh] == [2]nodeH{} {
+				return counts{}, fmt.Errorf("doctree: mini %s is flagged with children, but no entry names one", m.dis())
+			}
+			c.kidded++
 		}
 		for bit := uint8(0); bit <= 1; bit++ {
 			if err := c.child(slot{node: h, mini: mh}, bit, &sum); err != nil {

@@ -138,7 +138,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		}
 		for mh := n.first; mh != 0; {
 			m := t.mini(mh)
-			queue, bits = present(queue, m.kids)
+			queue, bits = present(queue, t.kids(slot{q.h, mh}))
 			d := m.dis()
 			if m.atom == 0 {
 				bits |= miniDead
@@ -277,12 +277,9 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	// every promised link delivers each level left to right.
 	d.node(rootH)
 	for h := rootH; d.err == nil && uint32(h) <= t.nodes.n; h++ {
-		n := t.node(h)
-		d.children(slot{node: h}, &n.kids)
-		for mh := n.first; mh != 0; {
-			m := t.mini(mh)
-			d.children(slot{node: h, mini: mh}, &m.kids)
-			mh = m.next
+		d.children(slot{node: h})
+		for mh := t.node(h).first; mh != 0; mh = t.mini(mh).next {
+			d.children(slot{h, mh})
 		}
 	}
 	if d.off != len(data) {
@@ -307,14 +304,15 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 }
 
 // children reads the node of every promised link in slot s.
-func (d *snapDecoder) children(s slot, kids *[2]nodeH) {
-	for bit := range kids {
-		if kids[bit] != promised {
+func (d *snapDecoder) children(s slot) {
+	for bit, k := range d.t.kids(s) {
+		if k != promised {
 			continue
 		}
 		if d.room(1, 0); d.err == nil {
-			kids[bit] = d.t.newNode(s, uint8(bit))
-			d.node(kids[bit])
+			k = d.t.newNode(s, uint8(bit))
+			d.t.setKid(s, uint8(bit), k)
+			d.node(k)
 		}
 	}
 }
@@ -375,7 +373,11 @@ func (d *snapDecoder) node(h nodeH) {
 		m := d.t.mini(mh)
 		*link, link = mh, &m.next
 		m.counter, m.siteLo, m.siteHi = d.prev.Counter, uint32(d.prev.Site), uint16(d.prev.Site>>32)
-		m.kids = promise(bits)
+		for bit, k := range promise(bits) {
+			if k != 0 {
+				d.t.setKid(slot{h, mh}, uint8(bit), k)
+			}
+		}
 		if bits&miniDead == 0 {
 			m.atom = d.t.atoms.put(d.atom())
 			n.live++

@@ -32,7 +32,6 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		return Slot{}, fmt.Errorf("doctree: insert %v: not an atom identifier", id)
 	}
 	cur, depth := t.resumeSlot(from, id)
-	skip := depth
 	if err := t.room(2*len(id), len(id)); err != nil { // a step may build a reserved child and its sibling
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
@@ -48,7 +47,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		created := next == 0
 		if created {
 			next = t.newNode(cur, e.Bit)
-			t.kids(cur)[e.Bit] = next
+			t.setKid(cur, e.Bit, next)
 			if first == 0 {
 				first = next
 			}
@@ -115,8 +114,8 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		}
 		t.bubble(t.node(first).parent, +1, int(accEmpty))
 	}
-	if from.at.node == 0 { // a walk from the caller's slot compared no prefix with the cache's
-		t.cacheWalkFrom(id, cur, skip)
+	if from.at.node == 0 { // a walk from the caller's slot leaves the cache where it was
+		t.cacheWalk(id, cur)
 	}
 	return Slot{cur, len(id)}, nil
 }
@@ -171,8 +170,7 @@ func (t *Tree) DeleteAtIndex(i int, prune bool, dst ident.Path) (ident.Path, err
 	if err != nil {
 		return dst, err
 	}
-	m := t.mini(s.mini)
-	kept := !prune || m.kids[0] != 0 || m.kids[1] != 0
+	kept := !prune || t.mini(s.mini).hasKids
 	t.deleteMini(s, prune)
 	if kept && base == 0 {
 		// The tombstone stays addressable, so the completed walk may seed the
@@ -191,7 +189,7 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 	}
 	t.atoms.drop(m.atom)
 	m.atom = 0
-	if !prune || m.kids[0] != 0 || m.kids[1] != 0 {
+	if !prune || m.hasKids {
 		// Tombstone (SDIS), or a discard blocked by descendants (UDIS).
 		t.bubble(s.node, -1, 0)
 		return true
@@ -208,13 +206,13 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 		dEmpty++
 	}
 	for n.parent != 0 && n.empty() && n.kids == [2]nodeH{} && n.reserve == 0 {
-		up := slot{node: n.parent, mini: n.pmini}
-		t.kids(up)[n.bit] = 0
+		up := t.hangsFrom(h, n)
+		t.setKid(up, n.bit, 0)
 		t.nodes.release(uint32(h))
 		dEmpty-- // the released node was an empty slot
 		h, n = up.node, t.node(up.node)
 		if up.mini != 0 {
-			if pm := t.mini(up.mini); pm.atom == 0 && pm.kids[0] == 0 && pm.kids[1] == 0 {
+			if pm := t.mini(up.mini); pm.atom == 0 && !pm.hasKids {
 				t.unlinkMini(n, up.mini)
 				if n.empty() {
 					dEmpty++

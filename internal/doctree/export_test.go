@@ -42,17 +42,17 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 	// The atom follows its mini's left subtree and whatever its node holds
 	// before the mini; then climb: at each level, whatever the parent holds
 	// to the left of the slot we hang from precedes us.
-	n := t.node(s.node)
-	idx := t.liveBefore(n, s.mini, 0) + t.node(t.mini(s.mini).kids[0]).live
+	h, n := s.node, t.node(s.node)
+	idx := t.liveBefore(n, s.mini, 0) + t.node(t.kids(s)[0]).live
 	for n.parent != 0 {
-		up := t.node(n.parent)
-		if n.pmini != 0 {
-			idx += t.liveBefore(up, n.pmini, n.bit)
+		up := t.hangsFrom(h, n)
+		if upN := t.node(up.node); up.mini != 0 {
+			idx += t.liveBefore(upN, up.mini, n.bit)
 		} else if n.bit == 1 {
 			// Right child of the major node: everything else in up precedes.
-			idx += up.live - n.live
+			idx += upN.live - n.live
 		}
-		n = up
+		h, n = up.node, t.node(up.node)
 	}
 	return int(idx), nil
 }
@@ -63,12 +63,11 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
 	idx := t.node(n.kids[0]).live
 	for h := n.first; h != mh; {
-		m := t.mini(h)
-		idx += t.miniLive(m)
-		h = m.next
+		idx += t.miniLive(h)
+		h = t.mini(h).next
 	}
 	if m := t.mini(mh); bit == 1 {
-		idx += t.node(m.kids[0]).live
+		idx += t.node(t.kids(slot{mini: mh})[0]).live
 		if m.atom != 0 {
 			idx++
 		}
@@ -78,10 +77,57 @@ func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
 
 // miniLive returns the live atoms in a mini's own region (its subtrees plus
 // its atom).
-func (t *Tree) miniLive(m *mini) uint32 {
-	n := t.node(m.kids[0]).live + t.node(m.kids[1]).live
+func (t *Tree) miniLive(mh miniH) uint32 {
+	m := t.mini(mh)
+	kids := t.kids(slot{mini: mh})
+	n := t.node(kids[0]).live + t.node(kids[1]).live
 	if m.atom != 0 {
 		n++
 	}
 	return n
 }
+
+// MiniOf returns the handle of the mini id names and whether it is flagged
+// with children; 0 and false if id names none. It explodes nothing.
+func (t *Tree) MiniOf(id ident.Path) (uint32, bool) {
+	s, used := t.ExistsFrom(Slot{}, id)
+	if !used || s.at.mini == 0 {
+		return 0, false
+	}
+	return uint32(s.at.mini), t.mini(s.at.mini).hasKids
+}
+
+// MiniChildEntries returns the handles of the minis the mini-child table
+// holds an entry for.
+func (t *Tree) MiniChildEntries() map[uint32]bool {
+	hs := make(map[uint32]bool, len(t.mkids))
+	for mh := range t.mkids {
+		hs[uint32(mh)] = true
+	}
+	return hs
+}
+
+// SetMiniChildEntry writes mini h's entry in the mini-child table as it is
+// given, or deletes it for nil, and leaves the mini's flag alone: a
+// hand-broken table for the tests that Check refuses one.
+func (t *Tree) SetMiniChildEntry(h uint32, kids *[2]uint32) {
+	if kids == nil {
+		delete(t.mkids, miniH(h))
+		return
+	}
+	if t.mkids == nil {
+		t.mkids = map[miniH][2]nodeH{}
+	}
+	t.mkids[miniH(h)] = [2]nodeH{nodeH(kids[0]), nodeH(kids[1])}
+}
+
+// SetOnMini flags the node the structural path designates as hanging from
+// a mini, or not, and nothing else.
+func (t *Tree) SetOnMini(path ident.Path, on bool) {
+	if s := routeSlot(t, path); s.node != 0 {
+		t.node(s.node).onMini = on
+	}
+}
+
+// CacheWalk records a walk to id, which lies at at, in the walk cache.
+func (t *Tree) CacheWalk(id ident.Path, at Slot) { t.cacheWalk(id, at.at) }

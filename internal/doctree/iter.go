@@ -46,9 +46,10 @@ descend:
 		i -= l.live
 		for mh := n.first; mh != 0; {
 			m := t.mini(mh)
-			l, r := t.node(m.kids[0]), t.node(m.kids[1])
+			kids := t.miniKids(mh, m)
+			l, r := t.node(kids[0]), t.node(kids[1])
 			if i < l.live {
-				h, n = m.kids[0], l
+				h, n = kids[0], l
 				continue descend
 			}
 			i -= l.live
@@ -59,7 +60,7 @@ descend:
 				i--
 			}
 			if i < r.live {
-				h, n = m.kids[1], r
+				h, n = kids[1], r
 				continue descend
 			}
 			i -= r.live
@@ -127,10 +128,11 @@ descend:
 		i -= l.live
 		for mh := n.first; mh != 0; {
 			m := t.mini(mh)
-			l, r := t.node(m.kids[0]), t.node(m.kids[1])
+			kids := t.miniKids(mh, m)
+			l, r := t.node(kids[0]), t.node(kids[1])
 			if i < l.live {
 				dst = append(dst, ident.M(n.bit, m.dis()))
-				h, n = m.kids[0], l
+				h, n = kids[0], l
 				continue descend
 			}
 			i -= l.live
@@ -142,7 +144,7 @@ descend:
 			}
 			if i < r.live {
 				dst = append(dst, ident.M(n.bit, m.dis()))
-				h, n = m.kids[1], r
+				h, n = kids[1], r
 				continue descend
 			}
 			i -= r.live
@@ -195,9 +197,10 @@ descend:
 		}
 		for mh := n.first; mh != 0 && next == 0; {
 			m := t.mini(mh)
-			l, r := t.node(m.kids[0]), t.node(m.kids[1])
+			kids := t.miniKids(mh, m)
+			l, r := t.node(kids[0]), t.node(kids[1])
 			if rel+1 < l.live {
-				next, nn, elem = m.kids[0], l, ident.M(n.bit, m.dis())
+				next, nn, elem = kids[0], l, ident.M(n.bit, m.dis())
 				break
 			}
 			if rel < l.live {
@@ -211,7 +214,7 @@ descend:
 				rel--
 			}
 			if rel+1 < r.live {
-				next, nn, elem = m.kids[1], r, ident.M(n.bit, m.dis())
+				next, nn, elem = kids[1], r, ident.M(n.bit, m.dis())
 				break
 			}
 			if rel < r.live {
@@ -290,7 +293,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 			return true
 		}
 		m := t.mini(mh)
-		if !t.visitRange(m.kids[0], skip, count, fn) {
+		if !t.visitRange(t.kids(slot{h, mh})[0], skip, count, fn) {
 			return false
 		}
 		if m.atom != 0 && *count > 0 {
@@ -303,7 +306,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 				*count--
 			}
 		}
-		if !t.visitRange(m.kids[1], skip, count, fn) {
+		if !t.visitRange(t.kids(slot{h, mh})[1], skip, count, fn) {
 			return false
 		}
 		mh = m.next

@@ -38,7 +38,7 @@ const rootH nodeH = 1
 // contents are mini-nodes chained in disambiguator order from first.
 // Children reached by plain path elements hang off the node itself (left,
 // right); children reached by disambiguated elements hang off the
-// individual mini-nodes.
+// individual mini-nodes, whose links live in Tree.mkids.
 //
 // A node with a reserve count r has no major children in the slabs: each
 // stands for a complete subtree of r levels of empty nodes, counted in
@@ -48,7 +48,7 @@ const rootH nodeH = 1
 // whole subtree's live atoms as a plain array with no metadata
 // (Tree.flats), and has no minis or children until a path walk explodes it.
 //
-// The record is the paper's 4-byte-pointer node model made literal: 36
+// The record is the paper's 4-byte-pointer node model made literal: 32
 // bytes, every link a handle, no Go pointer — the collector never scans a
 // node chunk, and nothing reachable from a node keeps a detached subtree
 // alive. The first 20 bytes hold what the two hot per-edit loops touch: the
@@ -64,8 +64,8 @@ type node struct {
 
 	emptyN  uint32 // empty (reusable-slot) nodes in this subtree
 	lastMod uint32 // latest revision that edited at this node (see bubble)
-	pmini   miniH  // mini of parent we hang from; 0 = parent's major slot
 	bit     uint8  // which side of the parent slot
+	onMini  bool   // the parent slot is one of its minis, found when needed (hangsFrom)
 	flat    bool   // a flattened region, its atoms in Tree.flats
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
 }
@@ -77,16 +77,16 @@ func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
 // awaiting-discard placeholder (UDIS); its atom is gone but the identifier
 // remains allocated. The atom is a handle into Tree.atoms, 0 for a dead
 // mini, and the disambiguator is stored packed (a 48-bit site, see
-// ident.MaxSiteID), so the record is 28 bytes with no Go pointer; a mini
+// ident.MaxSiteID), so the record is 20 bytes with no Go pointer; a mini
 // does not name its owner — every walk that reaches one knows the node it
 // came through, and carries the pair as a slot.
 type mini struct {
-	atom    uint32   // handle into Tree.atoms; 0 = dead
-	next    miniH    // next mini of the node, in disambiguator order
-	kids    [2]nodeH // the mini's own child slots: left, right
+	atom    uint32 // handle into Tree.atoms; 0 = dead
+	next    miniH  // next mini of the node, in disambiguator order
 	counter uint32
 	siteLo  uint32
 	siteHi  uint16
+	hasKids bool // children, which only concurrent inserts give (Section 3.1), linked in Tree.mkids
 }
 
 func (m *mini) freeLink() *uint32 { return (*uint32)(&m.next) }
@@ -106,6 +106,9 @@ type Tree struct {
 	// flats holds the atom arrays of flattened regions, keyed by the
 	// region's node; only a node flagged flat has an entry.
 	flats map[nodeH][]string
+	// mkids holds the child links of exactly the minis flagged hasKids, read
+	// only under the flag; an entry goes with the mini's last child.
+	mkids map[miniH][2]nodeH
 	limit uint32 // records per slab; maxRecords outside tests
 
 	height int    // max depth of any node (root = 0)
@@ -153,8 +156,18 @@ func (t *Tree) room(nodes, minis int) error {
 func (t *Tree) newNode(s slot, bit uint8) nodeH {
 	h := nodeH(t.nodes.alloc())
 	n := t.node(h)
-	n.parent, n.pmini, n.bit = s.node, s.mini, bit
+	n.parent, n.onMini, n.bit = s.node, s.mini != 0, bit
 	return h
+}
+
+// hangsFrom returns the slot node h (record n) hangs from.
+func (t *Tree) hangsFrom(h nodeH, n *node) slot {
+	for mh := t.node(n.parent).first; n.onMini && mh != 0; mh = t.mini(mh).next {
+		if t.kids(slot{n.parent, mh})[n.bit] == h {
+			return slot{n.parent, mh}
+		}
+	}
+	return slot{node: n.parent}
 }
 
 // insertMini adds a dead mini with disambiguator d to n in sorted position
@@ -205,21 +218,6 @@ func (t *Tree) cacheWalk(p ident.Path, s slot) {
 	t.ck = s
 }
 
-// cacheWalkFrom is cacheWalk for walks that resumed from the cache at depth
-// skip: resumeSlot verified ckID[:skip] == p[:skip] element-wise and nothing
-// rewrites ckID mid-walk, so only the suffix needs copying. Consecutive
-// edits in one region share almost their whole identifier, making this the
-// common case an O(1)-ish cache update instead of an O(depth) copy. If the
-// cache was dropped mid-walk the prefix guarantee is gone and the whole
-// identifier is copied.
-func (t *Tree) cacheWalkFrom(p ident.Path, s slot, skip int) {
-	if t.ck.mini == 0 {
-		skip = 0
-	}
-	t.ckID = append(t.ckID[:skip], p[skip:]...)
-	t.ck = s
-}
-
 // cacheDrop invalidates the walk cache. It must be called before any
 // mini-node or node is released (the cached chain climbs parent handles,
 // and a released record may be handed out again).
@@ -251,18 +249,16 @@ func (t *Tree) resumeSlot(from Slot, p ident.Path) (slot, int) {
 		return slot{node: rootH}, 0
 	}
 	// Climb from the cached mini's node (at depth len(last)) to the node at
-	// depth j, remembering the mini the chain hangs from below it: if
-	// element j-1 selects a mini, that selection is the parent mini of the
-	// node below (or the cached mini itself when j is the full cached depth).
-	h, sel := t.ck.node, t.ck.mini
-	for d, dir := len(last), nodeDir(t.nodes.chunks); d > j; d-- {
-		n := dir.at(h)
-		h, sel = n.parent, n.pmini
+	// depth j. If element j-1 selects a mini, the cached chain hangs from
+	// (or ends at) the node's mini with that element's disambiguator.
+	h, dir := t.ck.node, nodeDir(t.nodes.chunks)
+	for d := len(last); d > j; d-- {
+		h = dir.at(h).parent
 	}
 	if p[j-1].Kind == ident.Major {
 		return slot{node: h}, j
 	}
-	return slot{node: h, mini: sel}, j
+	return slot{node: h, mini: t.findMini(dir.at(h), p[j-1].Dis)}, j
 }
 
 // Len returns the number of live atoms in the document.
@@ -307,15 +303,12 @@ func reservedNodes(r uint8) uint32 { return 1<<(r+1) - 2 }
 // element). The root yields the empty path.
 func (t *Tree) pathTo(h nodeH) ident.Path {
 	p := make(ident.Path, t.depth(h))
-	var sel miniH
-	for i := len(p) - 1; i >= 0; i-- {
-		n := t.node(h)
-		if sel != 0 {
-			p[i] = ident.M(n.bit, t.mini(sel).dis())
-		} else {
-			p[i] = ident.J(n.bit)
+	for i, s := len(p)-1, (slot{node: h}); i >= 0; i-- {
+		n := t.node(s.node)
+		if p[i] = ident.J(n.bit); s.mini != 0 {
+			p[i] = ident.M(n.bit, t.mini(s.mini).dis())
 		}
-		h, sel = n.parent, n.pmini
+		s = t.hangsFrom(s.node, n)
 	}
 	return p
 }
@@ -353,13 +346,13 @@ func (t *Tree) bubble(h nodeH, dLive, dEmpty int) {
 // heapBytes returns what the tree's structure occupies on the Go heap: the
 // node and mini slabs and the atom store (records in use, free and never
 // used) with their chunk directories, the atoms' free stack, and the
-// flat-region map. It is O(1) — chunk counts times record sizes — and
-// leaves out the atoms' own text and the arrays of flattened regions, which
-// are the document rather than its overhead. A flats entry is priced at 48
-// bytes: its key, slice header and share of a bucket.
+// flat-region and mini-child maps. It is O(1) and leaves out the atoms'
+// text and the arrays of flattened regions, the document rather than its
+// overhead. A map entry is priced at its key, value and share of a group:
+// 48 bytes in flats, 16 in mkids.
 func (t *Tree) heapBytes() int {
 	return int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
-		len(t.atoms.chunks)*atomChunk*16 + cap(t.atoms.chunks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48
+		len(t.atoms.chunks)*atomChunk*16 + cap(t.atoms.chunks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48 + len(t.mkids)*16
 }
 
 // errNotFound is returned by lookups of identifiers with no materialised

@@ -374,7 +374,8 @@ func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
 		} else {
 			live++
 		}
-		kids = append(kids, m.kids[0], m.kids[1])
+		mk := tr.kids(slot{h, mh})
+		kids = append(kids, mk[0], mk[1])
 	}
 	for _, k := range kids {
 		kn, kl, kd, kr := bruteCount(tr, k)
@@ -404,8 +405,9 @@ func coldOracle(tr *Tree, cutoff int64, minNodes int, liveOnly bool) ident.Path 
 		n := tr.node(h)
 		visit(n.kids[0])
 		for mh := n.first; mh != 0; mh = tr.mini(mh).next {
-			visit(tr.mini(mh).kids[0])
-			visit(tr.mini(mh).kids[1])
+			mk := tr.kids(slot{h, mh})
+			visit(mk[0])
+			visit(mk[1])
 		}
 		visit(n.kids[1])
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Slab chunks hold 64 records: 2,304 bytes of nodes, 1,792 of minis, each
+// Slab chunks hold 64 records: 2,048 bytes of nodes, 1,280 of minis, each
 // an exact Go size class, so no chunk carries slack; the atom store's hold
 // 256 atoms, 4 KiB. Chunks never move, so a record pointer stays valid
 // across allocations, and a small document pays for at most one partly used

@@ -23,8 +23,8 @@ func TestRecordLayout(t *testing.T) {
 		size, want, chunk uintptr
 		ty                reflect.Type
 	}{
-		{"node", unsafe.Sizeof(node{}), 36, chunkLen, reflect.TypeOf(node{})},
-		{"mini", unsafe.Sizeof(mini{}), 28, chunkLen, reflect.TypeOf(mini{})},
+		{"node", unsafe.Sizeof(node{}), 32, chunkLen, reflect.TypeOf(node{})},
+		{"mini", unsafe.Sizeof(mini{}), 20, chunkLen, reflect.TypeOf(mini{})},
 		{"atom", unsafe.Sizeof([atomChunk]string{}) / atomChunk, 16, atomChunk, nil},
 	} {
 		if r.size != r.want {
@@ -106,8 +106,9 @@ func freeSets(t *testing.T, tr *Tree) (nodes, minis map[uint32]bool) {
 }
 
 // checkNoDangling sweeps every handle reachable from the root — child
-// slots, mini chains, parent and parent-mini backlinks, the walk cache —
-// and fails if one is on a free list or beyond its slab.
+// slots, mini chains, parent backlinks, the walk cache — and the keys of
+// the mini-child table, and fails if one is on a free list or beyond its
+// slab.
 func checkNoDangling(t *testing.T, tr *Tree) {
 	t.Helper()
 	freeN, freeM := freeSets(t, tr)
@@ -123,6 +124,9 @@ func checkNoDangling(t *testing.T, tr *Tree) {
 	}
 	node(tr.ck.node, "walk cache")
 	mini(tr.ck.mini, "walk cache")
+	for mh := range tr.mkids {
+		mini(mh, "mini-child entry")
+	}
 	var walk func(h nodeH)
 	walk = func(h nodeH) {
 		if h == 0 {
@@ -131,13 +135,13 @@ func checkNoDangling(t *testing.T, tr *Tree) {
 		node(h, "child slot")
 		n := tr.node(h)
 		node(n.parent, "parent backlink")
-		mini(n.pmini, "parent-mini backlink")
 		walk(n.kids[0])
 		walk(n.kids[1])
 		for mh := n.first; mh != 0; mh = tr.mini(mh).next {
 			mini(mh, "mini chain")
-			walk(tr.mini(mh).kids[0])
-			walk(tr.mini(mh).kids[1])
+			kids := tr.kids(slot{h, mh})
+			walk(kids[0])
+			walk(kids[1])
 		}
 	}
 	walk(rootH)

@@ -49,19 +49,20 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				if !down {
 					dst = append(dst, p[:k-1]...) //treedoc:escape growing the caller's scratch
 				}
-				return append(dst, ident.M(n.bit, d)), Slot{slot{n.parent, n.pmini}, len(dst) - base} //treedoc:escape growing the caller's scratch
+				return append(dst, ident.M(n.bit, d)), Slot{t.hangsFrom(h, n), len(dst) - base} //treedoc:escape growing the caller's scratch
 			}
 			ms, stage = n.first, 0
 		}
 		for ; next == 0 && ms != 0; ms, stage = t.mini(ms).next, 0 {
 			m := t.mini(ms)
+			kids := t.miniKids(ms, m)
 			switch {
-			case stage == 0 && t.occupied(m.kids[0]):
-				next, e = m.kids[0], ident.M(n.bit, m.dis())
+			case stage == 0 && t.occupied(kids[0]):
+				next, e = kids[0], ident.M(n.bit, m.dis())
 			case stage <= 1 && m.atom != 0:
 				return nil, Slot{} // the next live atom comes first
-			case stage <= 2 && t.occupied(m.kids[1]):
-				next, e = m.kids[1], ident.M(n.bit, m.dis())
+			case stage <= 2 && t.occupied(kids[1]):
+				next, e = kids[1], ident.M(n.bit, m.dis())
 			}
 		}
 		if next == 0 && stage < 3 && (n.reserve != 0 || t.occupied(n.kids[1])) {
@@ -73,7 +74,8 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 			if n.parent == 0 {
 				return nil, Slot{} // the document end
 			}
-			h, k, ms, stage = n.parent, k-1, n.pmini, 1+2*int(n.bit)
+			up := t.hangsFrom(h, n)
+			h, k, ms, stage = up.node, k-1, up.mini, 1+2*int(n.bit)
 			continue
 		}
 		if t.node(next).emptyN == 0 {
@@ -147,7 +149,7 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 	h := t.child(s, bit)
 	if h == 0 {
 		h, added = t.newNode(s, bit), 1
-		t.kids(s)[bit] = h
+		t.setKid(s, bit, h)
 		t.node(h).lastMod = t.rev
 		t.height = max(t.height, depth)
 	}

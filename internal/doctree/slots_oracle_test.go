@@ -74,10 +74,11 @@ func (s *oracleSearch) walk(h nodeH) nodeH {
 		last := len(s.prefix) - 1
 		saved := s.prefix[last]
 		s.prefix[last] = ident.M(saved.Bit, m.dis())
-		if got := s.into(m.kids[0], ident.J(0)); got != 0 {
+		kids := s.t.kids(slot{h, mh})
+		if got := s.into(kids[0], ident.J(0)); got != 0 {
 			return got
 		}
-		if got := s.into(m.kids[1], ident.J(1)); got != 0 {
+		if got := s.into(kids[1], ident.J(1)); got != 0 {
 			return got
 		}
 		s.prefix[last] = saved

@@ -125,7 +125,7 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		m := t.mini(mh)
 		s.Minis++
 		s.MemBytes += c.DisBytes() + 4 // disambiguator + atom pointer
-		if m.kids[0] != 0 || m.kids[1] != 0 {
+		if m.hasKids {
 			s.MemBytes += 8
 		}
 		mBits := disBits + c.Bits(m.dis())
@@ -141,8 +141,8 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 				s.MaxIDBits = bits
 			}
 		}
-		t.statsWalk(m.kids[0], depth+1, mBits, c, s)
-		t.statsWalk(m.kids[1], depth+1, mBits, c, s)
+		t.statsWalk(t.kids(slot{h, mh})[0], depth+1, mBits, c, s)
+		t.statsWalk(t.kids(slot{h, mh})[1], depth+1, mBits, c, s)
 		mh = m.next
 	}
 	t.statsWalk(n.kids[1], depth+1, disBits, c, s)
@@ -259,8 +259,8 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 		if m.atom == 0 {
 			dead++
 		}
-		consider(t.coldWalk(m.kids[0], cutoff, minNodes, liveOnly))
-		consider(t.coldWalk(m.kids[1], cutoff, minNodes, liveOnly))
+		consider(t.coldWalk(t.kids(slot{h, mh})[0], cutoff, minNodes, liveOnly))
+		consider(t.coldWalk(t.kids(slot{h, mh})[1], cutoff, minNodes, liveOnly))
 	}
 	consider(t.coldWalk(n.kids[1], cutoff, minNodes, liveOnly))
 	if h != rootH {

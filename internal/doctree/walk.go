@@ -30,11 +30,37 @@ func (s Slot) Major() Slot { return Slot{slot{node: s.at.node}, s.depth} }
 type Gap struct{ P, F Slot }
 
 // kids returns the slot's two child links, indexed by path bit.
-func (t *Tree) kids(s slot) *[2]nodeH {
-	if s.mini != 0 {
-		return &t.mini(s.mini).kids
+func (t *Tree) kids(s slot) [2]nodeH {
+	if s.mini == 0 {
+		return t.node(s.node).kids
 	}
-	return &t.node(s.node).kids
+	return t.miniKids(s.mini, t.mini(s.mini))
+}
+
+// miniKids returns the child links of mini mh, whose record is m: the hot
+// loops read the flag from the record they hold, the table only under it.
+func (t *Tree) miniKids(mh miniH, m *mini) [2]nodeH {
+	if !m.hasKids {
+		return [2]nodeH{}
+	}
+	return t.mkids[mh]
+}
+
+// setKid links h (0: none) into slot s on side bit.
+func (t *Tree) setKid(s slot, bit uint8, h nodeH) {
+	if s.mini == 0 {
+		t.node(s.node).kids[bit] = h
+		return
+	}
+	m, kids := t.mini(s.mini), t.kids(s)
+	kids[bit] = h
+	if m.hasKids = kids != [2]nodeH{}; !m.hasKids {
+		delete(t.mkids, s.mini)
+	} else if t.mkids != nil {
+		t.mkids[s.mini] = kids
+	} else {
+		t.mkids = map[miniH][2]nodeH{s.mini: kids}
+	}
 }
 
 // walkMini locates the mini-node with identifier p, without materialising
@@ -68,7 +94,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 		}
 		cur = slot{node: next, mini: m}
 	}
-	t.cacheWalkFrom(p, cur, skip)
+	t.cacheWalk(p, cur)
 	return cur, nil
 }
 
@@ -80,7 +106,6 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // route, or the zero Slot to resume from the walk cache.
 func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 	cur, depth := t.resumeSlot(from, p)
-	skip := depth
 	if err := t.room(2*len(p), len(p)); err != nil {
 		return slot{}, err
 	}
@@ -92,7 +117,7 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 		next := t.child(cur, e.Bit)
 		if next == 0 {
 			next = t.newNode(cur, e.Bit)
-			t.kids(cur)[e.Bit] = next
+			t.setKid(cur, e.Bit, next)
 			t.bubble(next, 0, +1) // one more reusable slot
 			t.height = max(t.height, depth)
 		} else if err := t.explodeNode(next); err != nil {
@@ -105,7 +130,7 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 		cur = slot{node: next, mini: t.placeholderMini(next, e.Dis)}
 	}
 	if from.at.node == 0 {
-		t.cacheWalkFrom(p, cur, skip)
+		t.cacheWalk(p, cur)
 	}
 	return cur, nil
 }
@@ -116,7 +141,7 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 // the stamp of the node they hang from.
 func (t *Tree) child(s slot, bit uint8) nodeH {
 	if s.mini != 0 {
-		return t.mini(s.mini).kids[bit]
+		return t.kids(s)[bit]
 	}
 	n := t.node(s.node)
 	if r := n.reserve; r != 0 {
@@ -315,8 +340,9 @@ func (t *Tree) releaseBelow(h nodeH) {
 	for mh := n.first; mh != 0; {
 		m := t.mini(mh)
 		next := m.next
-		t.releaseSubtree(m.kids[0])
-		t.releaseSubtree(m.kids[1])
+		t.releaseSubtree(t.kids(slot{h, mh})[0])
+		t.releaseSubtree(t.kids(slot{h, mh})[1])
+		delete(t.mkids, mh) // or a recycled handle would inherit children
 		if m.atom != 0 {
 			t.atoms.drop(m.atom)
 		}
@@ -358,11 +384,11 @@ func (t *Tree) collectLive(h nodeH, out *[]string) {
 	t.collectLive(n.kids[0], out)
 	for mh := n.first; mh != 0; {
 		m := t.mini(mh)
-		t.collectLive(m.kids[0], out)
+		t.collectLive(t.kids(slot{h, mh})[0], out)
 		if m.atom != 0 {
 			*out = append(*out, *t.atoms.at(m.atom))
 		}
-		t.collectLive(m.kids[1], out)
+		t.collectLive(t.kids(slot{h, mh})[1], out)
 		mh = m.next
 	}
 	t.collectLive(n.kids[1], out)
@@ -379,7 +405,7 @@ func (t *Tree) maxDepth(h nodeH, d int) int {
 	best := max(d+int(n.reserve), t.maxDepth(n.kids[0], d+1), t.maxDepth(n.kids[1], d+1))
 	for mh := n.first; mh != 0; {
 		m := t.mini(mh)
-		best = max(best, t.maxDepth(m.kids[0], d+1), t.maxDepth(m.kids[1], d+1))
+		best = max(best, t.maxDepth(t.kids(slot{h, mh})[0], d+1), t.maxDepth(t.kids(slot{h, mh})[1], d+1))
 		mh = m.next
 	}
 	return best

@@ -14,7 +14,7 @@ import (
 // live and dead single minis; a flattened (compacted) tree; and three UDIS
 // sites racing for one position above an exploded-then-edited region — a
 // many-mini node, a site table, canonical and written disambiguators, and a
-// flat region beside nodes.
+// flat region beside nodes; and minis with children nested two deep.
 func seedEncodings(f *testing.F) [][]byte {
 	var seeds [][]byte
 
@@ -65,6 +65,26 @@ func seedEncodings(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, storage.Encode(tree))
+
+	// Minis with children two levels deep: the middle of three minis has
+	// both children, and one of those holds minis with children of their
+	// own, one of them dead.
+	nestedDoc, err := core.NewDocument(core.Config{Site: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	nested := nestedDoc.Tree()
+	for i, id := range []string{"[(1:c1s7)]", "[(1:c1s8)]", "[(1:c1s9)]",
+		"[(1:c1s8)(0:c2s7)]", "[(1:c1s8)(1:c2s9)]", "[(1:c1s8)(1:c3s7)]",
+		"[(1:c1s8)(1:c2s9)(0:c4s8)]", "[(1:c1s8)(1:c2s9)(1:c4s9)]", "[(1:c1s8)(1:c3s7)1(0:c5s9)]"} {
+		if err := nested.InsertID(ident.MustParsePath(id), string(rune('k'+i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := nested.DeleteID(ident.MustParsePath("[(1:c1s8)(1:c2s9)]"), false); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, storage.Encode(nested))
 
 	return seeds
 }
