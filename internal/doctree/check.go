@@ -24,9 +24,11 @@ import (
 //  7. Every record is reachable from the root exactly once or is on its
 //     slab's free list, and the nil records are untouched.
 //  8. Tree.mkids has an entry naming a child for exactly the minis flagged.
+//  9. A tomb is neither the root nor flat, and counts as no empty slot;
+//     holding no mini record, it holds no mini-children (invariant 7).
 func (t *Tree) Check() error {
 	root := t.node(rootH)
-	if root.parent != 0 || root.onMini {
+	if root.parent != 0 || root.onMini() {
 		return fmt.Errorf("doctree: root has a parent")
 	}
 	if *t.node(0) != (node{}) || (len(t.minis.chunks) > 0 && *t.mini(0) != (mini{})) ||
@@ -89,27 +91,27 @@ func (c *checker) walk(h nodeH, d int) bool {
 		return true
 	}
 	n := c.t.node(h)
-	if n.flat {
+	if n.flat() {
 		// Flattened atoms have canonical identifiers by construction; they
 		// are not compared (matching the identifiers they would explode to
 		// would require materialising the region).
 		c.i += int(n.live)
 		return true
 	}
-	if d == 0 && n.first != 0 {
+	if d == 0 && !n.empty() {
 		c.bad = fmt.Errorf("doctree: root holds mini-nodes")
 		return false
 	}
 	if d > 0 {
-		c.set(d-1, ident.J(n.bit))
+		c.set(d-1, ident.J(n.bit()))
 	}
 	if !c.walk(n.kids[0], d+1) {
 		return false
 	}
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		m := c.t.mini(mh)
 		if d > 0 {
-			c.set(d-1, ident.M(n.bit, m.dis()))
+			c.set(d-1, ident.M(n.bit(), m.dis()))
 		}
 		if !c.walk(c.t.kids(slot{h, mh})[0], d+1) {
 			return false
@@ -125,7 +127,7 @@ func (c *checker) walk(h nodeH, d int) bool {
 		mh = m.next
 	}
 	if d > 0 {
-		c.set(d-1, ident.J(n.bit))
+		c.set(d-1, ident.J(n.bit()))
 	}
 	return c.walk(n.kids[1], d+1)
 }
@@ -158,7 +160,7 @@ func (c *checker) child(s slot, bit uint8, sum *counts) error {
 	if h == 0 {
 		return nil
 	}
-	if n := c.t.node(h); n.parent != s.node || n.onMini != (s.mini != 0) || n.bit != bit {
+	if n := c.t.node(h); n.parent != s.node || n.onMini() != (s.mini != 0) || n.bit() != bit {
 		return fmt.Errorf("doctree: bad backlink on child bit %d of node %d mini %d", bit, s.node, s.mini)
 	}
 	got, err := c.node(h)
@@ -175,10 +177,10 @@ func (c *checker) node(h nodeH) (counts, error) {
 	c.nodes++
 	n := t.node(h)
 	var sum counts
-	if n.flat {
+	if n.flat() {
 		atoms, ok := t.flats[h]
-		if !ok || n.first != 0 || n.kids != [2]nodeH{} {
-			return counts{}, fmt.Errorf("doctree: flattened node %d has structure or no array", h)
+		if !ok || n.first != 0 || n.kids != [2]nodeH{} || n.tomb() {
+			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a tomb or no array", h)
 		}
 		c.flats++
 		sum.live = uint32(len(atoms))
@@ -189,7 +191,7 @@ func (c *checker) node(h nodeH) (counts, error) {
 		}
 	}
 	var prev *mini
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		if uint32(mh) > t.minis.n || c.minis >= t.minis.used() {
 			return counts{}, fmt.Errorf("doctree: mini handle %d out of range or reached twice", mh)
 		}
@@ -222,7 +224,7 @@ func (c *checker) node(h nodeH) (counts, error) {
 	if h != rootH && n.empty() {
 		sum.emptyN++ // the root cannot hold mini-nodes: it is never a reusable slot
 	}
-	if n.reserve != 0 && (n.kids != [2]nodeH{} || n.flat || n.reserve > 30) {
+	if n.reserve != 0 && (n.kids != [2]nodeH{} || n.flat() || n.reserve > 30) {
 		return counts{}, fmt.Errorf("doctree: node %d reserves %d levels beside children or a flat region", h, n.reserve)
 	}
 	sum.emptyN += reservedNodes(n.reserve)

@@ -74,17 +74,15 @@ func present(queue []queued, kids [2]nodeH) (_ []queued, bits byte) {
 // reserved subtree of r levels takes r entries, one per level, and writes
 // its nodes as the empty nodes they stand for.
 func (t *Tree) AppendSnapshot(dst []byte) []byte {
-	entries := int(t.nodes.used())
-	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count
-		entries += int(t.nodes.at(h).reserve)
-	}
-	sites := make([]ident.SiteID, 0, 16)
-	for h := uint32(1); h <= t.minis.n; h++ { // a free record is zero: canonical
-		if d := t.minis.at(h).dis(); d != ident.Canonical {
-			if i, ok := slices.BinarySearch(sites, d.Site); !ok {
-				sites = slices.Insert(sites, i, d.Site)
-			}
+	entries, sites := int(t.nodes.used()), make([]ident.SiteID, 0, 16)
+	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count, no tomb
+		n := t.nodes.at(h)
+		if entries += int(n.reserve); n.tomb() {
+			sites = addSite(sites, n.tombDis())
 		}
+	}
+	for h := uint32(1); h <= t.minis.n; h++ { // a free record is zero: canonical
+		sites = addSite(sites, t.minis.at(h).dis())
 	}
 	dst = append(dst, snapMagic...)
 	dst = binary.AppendUvarint(dst, uint64(len(sites)))
@@ -108,7 +106,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			}
 			continue
 		}
-		if n.flat {
+		if n.flat() {
 			atoms := t.flats[q.h]
 			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(len(atoms)))
 			for _, a := range atoms {
@@ -121,8 +119,11 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		if n.reserve != 0 {
 			head, queue = 3, append(queue, queued{q.h, 1})
 		}
-		shift := 0
-		switch mh := n.first; {
+		// A tomb is written as the one dead mini it stands for, built here.
+		shift, mh, tomb := 0, n.first, mini{siteLo: uint32(n.first), siteHi: n.siteHi}
+		switch {
+		case n.tomb():
+			head, shift, mh = head|shapeOne, 4, tombMini
 		case mh == 0:
 			dst = append(dst, head|shapeEmpty)
 			continue
@@ -134,10 +135,13 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 				count++
 			}
 			dst = binary.AppendUvarint(append(dst, head|shapeMany), uint64(count))
-			head = 0
+			head, mh = 0, n.first
 		}
-		for mh := n.first; mh != 0; {
-			m := t.mini(mh)
+		for mh != 0 {
+			m := &tomb
+			if mh != tombMini {
+				m = t.mini(mh)
+			}
 			queue, bits = present(queue, t.kids(slot{q.h, mh}))
 			d := m.dis()
 			if m.atom == 0 {
@@ -165,6 +169,16 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// addSite enters d's site in the ascending table sites, unless d is canonical.
+func addSite(sites []ident.SiteID, d ident.Dis) []ident.SiteID {
+	if d != ident.Canonical {
+		if i, ok := slices.BinarySearch(sites, d.Site); !ok {
+			return slices.Insert(sites, i, d.Site)
+		}
+	}
+	return sites
 }
 
 // MaxCounter returns the highest disambiguator counter site holds in the
@@ -278,7 +292,7 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	d.node(rootH)
 	for h := rootH; d.err == nil && uint32(h) <= t.nodes.n; h++ {
 		d.children(slot{node: h})
-		for mh := t.node(h).first; mh != 0; mh = t.mini(mh).next {
+		for mh := t.node(h).minis(); mh != 0; mh = t.mini(mh).next {
 			d.children(slot{h, mh})
 		}
 	}
@@ -343,8 +357,8 @@ func (d *snapDecoder) node(h nodeH) {
 		for i := range atoms {
 			atoms[i] = d.atom()
 		}
-		n.flat, d.t.flats[h] = true, atoms
-		n.live = uint32(len(atoms))
+		n.flags |= flatF
+		d.t.flats[h], n.live = atoms, uint32(len(atoms))
 		return
 	case shapeMany:
 		if count = d.count("mini"); count < 2 {
@@ -368,6 +382,11 @@ func (d *snapDecoder) node(h nodeH) {
 		}
 		if i > 0 && last.Compare(d.prev) >= 0 {
 			d.fail("mini-nodes out of order: %s then %s", last, d.prev)
+		}
+		if shape == shapeOne && bits&^miniHasDis == miniDead && d.prev.Counter == 0 {
+			n.first, n.siteHi = miniH(d.prev.Site), uint16(d.prev.Site>>32) // a tomb: no record
+			n.flags |= tombF
+			return
 		}
 		mh := miniH(d.t.minis.alloc())
 		m := d.t.mini(mh)

@@ -32,7 +32,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		return Slot{}, fmt.Errorf("doctree: insert %v: not an atom identifier", id)
 	}
 	cur, depth := t.resumeSlot(from, id)
-	if err := t.room(2*len(id), len(id)); err != nil { // a step may build a reserved child and its sibling
+	if err := t.room(2*len(id), len(id)+1); err != nil { // a step may build a reserved child and its sibling, a tomb its record
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	var first nodeH       // shallowest node created by this walk
@@ -51,9 +51,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 			if first == 0 {
 				first = next
 			}
-			if depth > t.height {
-				t.height = depth
-			}
+			t.height = max(t.height, depth)
 		} else if err := t.explodeNode(next); err != nil {
 			return Slot{}, err
 		}
@@ -68,7 +66,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 				return t.insertSlow(id, atom)
 			}
 			if !created {
-				ownerWasFree = n.first == 0
+				ownerWasFree = n.empty()
 			}
 			m = t.insertMini(n, e.Dis)
 			if depth == len(id) {
@@ -76,6 +74,9 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 			}
 		}
 		cur = slot{node: next, mini: m}
+	}
+	if cur.mini == tombMini { // reviving a tombstone
+		cur.mini = t.untomb(t.node(cur.node))
 	}
 	m := t.mini(cur.mini)
 	switch {
@@ -127,6 +128,9 @@ func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
 	if err != nil {
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
+	if s.mini == tombMini {
+		s.mini = t.untomb(t.node(s.node))
+	}
 	m := t.mini(s.mini)
 	if m.atom != 0 {
 		return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
@@ -152,7 +156,8 @@ func (t *Tree) DeleteID(id ident.Path, prune bool) (found bool, err error) {
 		}
 		return false, fmt.Errorf("doctree: delete %v: %w", id, err)
 	}
-	return t.deleteMini(s, prune), nil
+	_, found = t.deleteMini(s, prune)
+	return found, nil
 }
 
 // DeleteAtIndex deletes the i-th live atom in a single count-guided descent,
@@ -170,29 +175,31 @@ func (t *Tree) DeleteAtIndex(i int, prune bool, dst ident.Path) (ident.Path, err
 	if err != nil {
 		return dst, err
 	}
-	kept := !prune || t.mini(s.mini).hasKids
-	t.deleteMini(s, prune)
-	if kept && base == 0 {
+	if kept, _ := t.deleteMini(s, prune); kept.node != 0 && base == 0 {
 		// The tombstone stays addressable, so the completed walk may seed the
 		// cache exactly as AppendIDAt would (a prune invalidates it instead,
 		// inside deleteMini).
-		t.cacheWalk(dst, s)
+		t.cacheWalk(dst, kept)
 	}
 	return dst, nil
 }
 
 // deleteMini applies delete semantics to a located mini-node; see DeleteID.
-func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
+// It returns the slot of the dead mini it keeps, the zero slot for none.
+func (t *Tree) deleteMini(s slot, prune bool) (kept slot, found bool) {
+	if s.mini == tombMini {
+		return s, false
+	}
 	m := t.mini(s.mini)
 	if m.atom == 0 {
-		return false
+		return s, false
 	}
 	t.atoms.drop(m.atom)
 	m.atom = 0
 	if !prune || m.hasKids {
 		// Tombstone (SDIS), or a discard blocked by descendants (UDIS).
 		t.bubble(s.node, -1, 0)
-		return true
+		return t.entomb(s, m), true
 	}
 	// UDIS discard: remove the mini and cascade emptied ancestors, then
 	// climb once with the accumulated deltas. Nodes released mid-cascade
@@ -207,7 +214,7 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 	}
 	for n.parent != 0 && n.empty() && n.kids == [2]nodeH{} && n.reserve == 0 {
 		up := t.hangsFrom(h, n)
-		t.setKid(up, n.bit, 0)
+		t.setKid(up, n.bit(), 0)
 		t.nodes.release(uint32(h))
 		dEmpty-- // the released node was an empty slot
 		h, n = up.node, t.node(up.node)
@@ -221,13 +228,13 @@ func (t *Tree) deleteMini(s slot, prune bool) (found bool) {
 		}
 	}
 	t.bubble(h, -1, dEmpty)
-	return true
+	return slot{}, true
 }
 
 // HasLive reports whether id currently identifies a live atom.
 func (t *Tree) HasLive(id ident.Path) bool {
 	s, err := t.walkMini(id)
-	return err == nil && t.mini(s.mini).atom != 0
+	return err == nil && s.mini != tombMini && t.mini(s.mini).atom != 0
 }
 
 // Exists reports whether id is a used identifier: a live atom or a
@@ -248,7 +255,7 @@ func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
 	cur, skip := t.resumeSlot(from, id)
 	for i, e := range id[skip:] {
 		i += skip
-		if t.node(cur.node).flat {
+		if t.node(cur.node).flat() {
 			// Inside a flattened region every used identifier carries only
 			// canonical disambiguators on a pure bitstring; a candidate with
 			// a site disambiguator cannot collide. Candidates that are pure
@@ -270,7 +277,7 @@ func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
 			continue
 		}
 		n := t.node(next)
-		if n.flat {
+		if n.flat() {
 			// Conservatively used inside the canonical space.
 			return Slot{}, e.Dis.IsCanonical()
 		}

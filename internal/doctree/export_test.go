@@ -8,6 +8,11 @@ func (t *Tree) FreeMiniBetweenOracle(p, f ident.Path, d ident.Dis) (ident.Path, 
 	return t.freeMiniBetweenOracle(p, f, d)
 }
 
+// Reserve is ReserveFrom resuming from the walk cache.
+func (t *Tree) Reserve(path ident.Path, levels int) error {
+	return t.ReserveFrom(Slot{}, path, levels)
+}
+
 // MaterializeReserved builds every reserved node, leaving no reserve count:
 // the tree as it would stand had every reservation been built in full.
 func (t *Tree) MaterializeReserved() {
@@ -36,7 +41,7 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if t.mini(s.mini).atom == 0 {
+	if s.mini == tombMini || t.mini(s.mini).atom == 0 {
 		return 0, errNotFound
 	}
 	// The atom follows its mini's left subtree and whatever its node holds
@@ -47,8 +52,8 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 	for n.parent != 0 {
 		up := t.hangsFrom(h, n)
 		if upN := t.node(up.node); up.mini != 0 {
-			idx += t.liveBefore(upN, up.mini, n.bit)
-		} else if n.bit == 1 {
+			idx += t.liveBefore(upN, up.mini, n.bit())
+		} else if n.bit() == 1 {
 			// Right child of the major node: everything else in up precedes.
 			idx += upN.live - n.live
 		}
@@ -88,13 +93,14 @@ func (t *Tree) miniLive(mh miniH) uint32 {
 }
 
 // MiniOf returns the handle of the mini id names and whether it is flagged
-// with children; 0 and false if id names none. It explodes nothing.
+// with children; 0 and false if id names none, and 2³²−1 (tombMini) and
+// false if it names a tomb. It explodes nothing.
 func (t *Tree) MiniOf(id ident.Path) (uint32, bool) {
 	s, used := t.ExistsFrom(Slot{}, id)
 	if !used || s.at.mini == 0 {
 		return 0, false
 	}
-	return uint32(s.at.mini), t.mini(s.at.mini).hasKids
+	return uint32(s.at.mini), s.at.mini != tombMini && t.mini(s.at.mini).hasKids
 }
 
 // MiniChildEntries returns the handles of the minis the mini-child table
@@ -125,9 +131,48 @@ func (t *Tree) SetMiniChildEntry(h uint32, kids *[2]uint32) {
 // a mini, or not, and nothing else.
 func (t *Tree) SetOnMini(path ident.Path, on bool) {
 	if s := routeSlot(t, path); s.node != 0 {
-		t.node(s.node).onMini = on
+		n := t.node(s.node)
+		if n.flags &^= onMiniF; on {
+			n.flags |= onMiniF
+		}
 	}
 }
 
 // CacheWalk records a walk to id, which lies at at, in the walk cache.
 func (t *Tree) CacheWalk(id ident.Path, at Slot) { t.cacheWalk(id, at.at) }
+
+// MiniRecords returns the mini records the tree holds.
+func (t *Tree) MiniRecords() int { return int(t.minis.used()) }
+
+// Tombs returns the tombs the tree holds: tombstones with no mini record.
+func (t *Tree) Tombs() (n int) {
+	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no tomb
+		if t.nodes.at(h).tomb() {
+			n++
+		}
+	}
+	return n
+}
+
+// BuildTombs builds every tomb's mini record back: the tree as it would
+// stand had every tombstone kept its record.
+func (t *Tree) BuildTombs() {
+	for h := uint32(1); h <= t.nodes.n; h++ {
+		if n := t.nodes.at(h); n.tomb() {
+			t.untomb(n)
+		}
+	}
+}
+
+// SetTomb flags the node the structural path designates, which may be
+// flat, as a tomb, and changes nothing else: a hand-broken tomb for the
+// tests that Check refuses one.
+func (t *Tree) SetTomb(path ident.Path) {
+	s := slot{node: rootH}
+	for _, e := range path {
+		if s = (slot{node: t.kids(s)[e.Bit]}); e.Kind == ident.Mini {
+			s.mini = t.findMini(t.node(s.node), e.Dis)
+		}
+	}
+	t.node(s.node).flags |= tombF
+}

@@ -35,7 +35,7 @@ func (t *Tree) locate(h nodeH, i uint32) (slot, uint32) {
 	n := t.node(h)
 descend:
 	for {
-		if n.flat {
+		if n.flat() {
 			return slot{node: h}, i
 		}
 		l := t.node(n.kids[0])
@@ -44,7 +44,7 @@ descend:
 			continue
 		}
 		i -= l.live
-		for mh := n.first; mh != 0; {
+		for mh := n.minis(); mh != 0; {
 			m := t.mini(mh)
 			kids := t.miniKids(mh, m)
 			l, r := t.node(kids[0]), t.node(kids[1])
@@ -110,7 +110,7 @@ func (t *Tree) appendIDDown(h nodeH, at int, dst ident.Path) (ident.Path, slot, 
 	i, n := uint32(at), t.node(h)
 descend:
 	for {
-		if n.flat {
+		if n.flat() {
 			if err := t.explode(h); err != nil {
 				return dst, slot{}, err
 			}
@@ -120,30 +120,30 @@ descend:
 		l := t.node(n.kids[0])
 		if i < l.live {
 			if h != rootH {
-				dst = append(dst, ident.J(n.bit))
+				dst = append(dst, ident.J(n.bit()))
 			}
 			h, n = n.kids[0], l
 			continue
 		}
 		i -= l.live
-		for mh := n.first; mh != 0; {
+		for mh := n.minis(); mh != 0; {
 			m := t.mini(mh)
 			kids := t.miniKids(mh, m)
 			l, r := t.node(kids[0]), t.node(kids[1])
 			if i < l.live {
-				dst = append(dst, ident.M(n.bit, m.dis()))
+				dst = append(dst, ident.M(n.bit(), m.dis()))
 				h, n = kids[0], l
 				continue descend
 			}
 			i -= l.live
 			if m.atom != 0 {
 				if i == 0 {
-					return append(dst, ident.M(n.bit, m.dis())), slot{node: h, mini: mh}, nil
+					return append(dst, ident.M(n.bit(), m.dis())), slot{node: h, mini: mh}, nil
 				}
 				i--
 			}
 			if i < r.live {
-				dst = append(dst, ident.M(n.bit, m.dis()))
+				dst = append(dst, ident.M(n.bit(), m.dis()))
 				h, n = kids[1], r
 				continue descend
 			}
@@ -151,7 +151,7 @@ descend:
 			mh = m.next
 		}
 		if h != rootH {
-			dst = append(dst, ident.J(n.bit))
+			dst = append(dst, ident.J(n.bit()))
 		}
 		h, n = n.kids[1], t.node(n.kids[1])
 	}
@@ -174,7 +174,7 @@ func (t *Tree) AppendNeighborIDs(dstP, dstF ident.Path, i int) (p, f ident.Path,
 	h, n := rootH, t.node(rootH)
 descend:
 	for {
-		if n.flat {
+		if n.flat() {
 			if err := t.explode(h); err != nil {
 				return dstP, dstF, g, err
 			}
@@ -189,18 +189,18 @@ descend:
 		var nn *node
 		var elem ident.Elem
 		if l := t.node(n.kids[0]); rel+1 < l.live {
-			next, nn, elem = n.kids[0], l, ident.J(n.bit)
+			next, nn, elem = n.kids[0], l, ident.J(n.bit())
 		} else if rel < l.live {
 			break descend
 		} else {
 			rel -= l.live
 		}
-		for mh := n.first; mh != 0 && next == 0; {
+		for mh := n.minis(); mh != 0 && next == 0; {
 			m := t.mini(mh)
 			kids := t.miniKids(mh, m)
 			l, r := t.node(kids[0]), t.node(kids[1])
 			if rel+1 < l.live {
-				next, nn, elem = kids[0], l, ident.M(n.bit, m.dis())
+				next, nn, elem = kids[0], l, ident.M(n.bit(), m.dis())
 				break
 			}
 			if rel < l.live {
@@ -214,7 +214,7 @@ descend:
 				rel--
 			}
 			if rel+1 < r.live {
-				next, nn, elem = kids[1], r, ident.M(n.bit, m.dis())
+				next, nn, elem = kids[1], r, ident.M(n.bit(), m.dis())
 				break
 			}
 			if rel < r.live {
@@ -225,7 +225,7 @@ descend:
 		}
 		if next == 0 {
 			// Both targets remain in the major-right subtree.
-			next, nn, elem = n.kids[1], t.node(n.kids[1]), ident.J(n.bit)
+			next, nn, elem = n.kids[1], t.node(n.kids[1]), ident.J(n.bit())
 		}
 		if h != rootH {
 			dstP = append(dstP, elem)
@@ -272,7 +272,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 		*skip -= int(n.live)
 		return true
 	}
-	if n.flat {
+	if n.flat() {
 		for _, a := range t.flats[h][*skip:] {
 			if *count == 0 {
 				return true
@@ -288,7 +288,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 	if !t.visitRange(n.kids[0], skip, count, fn) {
 		return false
 	}
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		if *count == 0 {
 			return true
 		}

@@ -42,11 +42,18 @@ const rootH nodeH = 1
 //
 // A node with a reserve count r has no major children in the slabs: each
 // stands for a complete subtree of r levels of empty nodes, counted in
-// emptyN and built only when a walk enters it (see Reserve and child).
+// emptyN and built only when a walk enters it (see ReserveFrom and child).
 //
 // A node flagged flat is a flattened region (Section 4.2): it stores its
 // whole subtree's live atoms as a plain array with no metadata
 // (Tree.flats), and has no minis or children until a path walk explodes it.
+//
+// A node flagged tomb holds an SDIS tombstone with no mini record: its only
+// mini is dead, has counter 0 and no children, and the mini's 48-bit site
+// lies in the node itself, the low 32 bits in first, the high 16 in siteHi.
+// A walk that needs the record — to hang a child from the mini or add a
+// sibling beside it — builds it back first (untomb), as child builds
+// reserved nodes; a slot names the tombstone as tombMini until then.
 //
 // The record is the paper's 4-byte-pointer node model made literal: 32
 // bytes, every link a handle, no Go pointer — the collector never scans a
@@ -59,15 +66,42 @@ const rootH nodeH = 1
 type node struct {
 	parent nodeH    // node containing the slot we hang from; 0 at the root
 	kids   [2]nodeH // major child slots: left, right
-	first  miniH    // head of the mini chain, sorted by disambiguator
+	first  miniH    // head of the mini chain, sorted by disambiguator; a tomb's site, low bits
 	live   uint32   // live atoms in this subtree, including flat content
 
 	emptyN  uint32 // empty (reusable-slot) nodes in this subtree
 	lastMod uint32 // latest revision that edited at this node (see bubble)
-	bit     uint8  // which side of the parent slot
-	onMini  bool   // the parent slot is one of its minis, found when needed (hangsFrom)
-	flat    bool   // a flattened region, its atoms in Tree.flats
+	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, tomb
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
+	siteHi  uint16 // a tomb's site, high bits
+}
+
+// The flags of node.flags above its side bit.
+const (
+	onMiniF = 2 << iota // the parent slot is one of its minis, found when needed (hangsFrom)
+	flatF               // a flattened region, its atoms in Tree.flats
+	tombF               // its one mini is a tombstone held in the node
+)
+
+// tombMini names a tomb's mini in a slot: no mini record has this handle.
+const tombMini = miniH(maxRecords + 1)
+
+func (n *node) bit() uint8   { return n.flags & 1 }
+func (n *node) onMini() bool { return n.flags&onMiniF != 0 }
+func (n *node) flat() bool   { return n.flags&flatF != 0 }
+func (n *node) tomb() bool   { return n.flags&tombF != 0 }
+
+// minis returns the head of n's chain of mini records: none for a tomb.
+func (n *node) minis() miniH {
+	if n.tomb() {
+		return 0
+	}
+	return n.first
+}
+
+// tombDis returns a tomb's disambiguator.
+func (n *node) tombDis() ident.Dis {
+	return ident.Dis{Site: ident.SiteID(n.siteHi)<<32 | ident.SiteID(n.first)}
 }
 
 func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
@@ -156,14 +190,16 @@ func (t *Tree) room(nodes, minis int) error {
 func (t *Tree) newNode(s slot, bit uint8) nodeH {
 	h := nodeH(t.nodes.alloc())
 	n := t.node(h)
-	n.parent, n.onMini, n.bit = s.node, s.mini != 0, bit
+	if n.parent, n.flags = s.node, bit; s.mini != 0 {
+		n.flags |= onMiniF
+	}
 	return h
 }
 
 // hangsFrom returns the slot node h (record n) hangs from.
 func (t *Tree) hangsFrom(h nodeH, n *node) slot {
-	for mh := t.node(n.parent).first; n.onMini && mh != 0; mh = t.mini(mh).next {
-		if t.kids(slot{n.parent, mh})[n.bit] == h {
+	for mh := t.node(n.parent).first; n.onMini() && mh != 0; mh = t.mini(mh).next {
+		if t.kids(slot{n.parent, mh})[n.bit()] == h {
 			return slot{n.parent, mh}
 		}
 	}
@@ -174,6 +210,9 @@ func (t *Tree) hangsFrom(h nodeH, n *node) slot {
 // and returns its handle. The caller must ensure d is not already present and
 // that d.Site fits 48 bits (every ident.Packed's does).
 func (t *Tree) insertMini(n *node, d ident.Dis) miniH {
+	if n.tomb() {
+		t.untomb(n)
+	}
 	h := miniH(t.minis.alloc())
 	m := t.mini(h)
 	m.counter, m.siteLo, m.siteHi = d.Counter, uint32(d.Site), uint16(d.Site>>32)
@@ -199,9 +238,39 @@ func (t *Tree) unlinkMini(n *node, mh miniH) {
 	t.minis.release(uint32(mh))
 }
 
+// entomb releases the record of s's mini, just deleted, if it may be held in
+// its node as a tomb: the node's only mini, with counter 0 and no children.
+// It returns the slot that names the dead mini afterwards.
+func (t *Tree) entomb(s slot, m *mini) slot {
+	n := t.node(s.node)
+	if m.hasKids || m.counter != 0 || n.first != s.mini || m.next != 0 {
+		return s
+	}
+	n.first, n.siteHi = miniH(m.siteLo), m.siteHi
+	n.flags |= tombF
+	t.minis.release(uint32(s.mini))
+	if t.ck == s {
+		t.ck.mini = tombMini
+	}
+	return slot{s.node, tombMini}
+}
+
+// untomb builds tomb n's mini record back and returns its handle.
+func (t *Tree) untomb(n *node) miniH {
+	h := miniH(t.minis.alloc())
+	m := t.mini(h)
+	m.siteLo, m.siteHi = uint32(n.first), n.siteHi
+	n.first, n.siteHi = h, 0
+	n.flags &^= tombF
+	return h
+}
+
 // findMini returns the mini of n with disambiguator d, or 0.
 func (t *Tree) findMini(n *node, d ident.Dis) miniH {
-	for mh := n.first; mh != 0; {
+	if n.tomb() && n.tombDis() == d {
+		return tombMini
+	}
+	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		if m.dis() == d {
 			return mh
@@ -220,7 +289,8 @@ func (t *Tree) cacheWalk(p ident.Path, s slot) {
 
 // cacheDrop invalidates the walk cache. It must be called before any
 // mini-node or node is released (the cached chain climbs parent handles,
-// and a released record may be handed out again).
+// and a released record may be handed out again), except a mini released
+// into a tomb, which keeps its node and its identifier (entomb).
 func (t *Tree) cacheDrop() { t.ck = slot{} }
 
 // resumeSlot returns where a walk of p starts, plus the number of elements
@@ -291,10 +361,10 @@ func (t *Tree) depth(h nodeH) int {
 	return d
 }
 
-// empty reports whether the node has no contents at all: no minis, no flat
-// region. Empty nodes are the free identifier slots reused by the balanced
-// allocation strategy (Section 4.1).
-func (n *node) empty() bool { return n.first == 0 && !n.flat }
+// empty reports whether the node has no contents at all: no minis, no
+// tomb, no flat region. Empty nodes are the free identifier slots reused by
+// the balanced allocation strategy (Section 4.1).
+func (n *node) empty() bool { return n.first == 0 && n.flags&(flatF|tombF) == 0 }
 
 // reservedNodes returns the empty nodes a reserve count of r stands for.
 func reservedNodes(r uint8) uint32 { return 1<<(r+1) - 2 }
@@ -305,8 +375,8 @@ func (t *Tree) pathTo(h nodeH) ident.Path {
 	p := make(ident.Path, t.depth(h))
 	for i, s := len(p)-1, (slot{node: h}); i >= 0; i-- {
 		n := t.node(s.node)
-		if p[i] = ident.J(n.bit); s.mini != 0 {
-			p[i] = ident.M(n.bit, t.mini(s.mini).dis())
+		if p[i] = ident.J(n.bit()); s.mini != 0 {
+			p[i] = ident.M(n.bit(), t.mini(s.mini).dis())
 		}
 		s = t.hangsFrom(s.node, n)
 	}

@@ -359,7 +359,7 @@ func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
 		return 0, 0, 0, 0
 	}
 	n := tr.node(h)
-	if n.flat {
+	if n.flat() {
 		return 0, len(tr.flats[h]), 0, int64(n.lastMod)
 	}
 	if h != rootH {
@@ -367,7 +367,10 @@ func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
 	}
 	maxRev = int64(n.lastMod)
 	kids := []nodeH{n.kids[0], n.kids[1]}
-	for mh := n.first; mh != 0; mh = tr.mini(mh).next {
+	if n.tomb() {
+		dead++
+	}
+	for mh := n.minis(); mh != 0; mh = tr.mini(mh).next {
 		m := tr.mini(mh)
 		if m.atom == 0 {
 			dead++
@@ -392,7 +395,7 @@ func coldOracle(tr *Tree, cutoff int64, minNodes int, liveOnly bool) ident.Path 
 	bestScore := -1
 	var visit func(h nodeH)
 	visit = func(h nodeH) {
-		if h == 0 || tr.node(h).flat {
+		if h == 0 || tr.node(h).flat() {
 			return
 		}
 		nodes, live, dead, maxRev := bruteCount(tr, h)
@@ -404,7 +407,7 @@ func coldOracle(tr *Tree, cutoff int64, minNodes int, liveOnly bool) ident.Path 
 		}
 		n := tr.node(h)
 		visit(n.kids[0])
-		for mh := n.first; mh != 0; mh = tr.mini(mh).next {
+		for mh := n.minis(); mh != 0; mh = tr.mini(mh).next {
 			mk := tr.kids(slot{h, mh})
 			visit(mk[0])
 			visit(mk[1])

@@ -18,13 +18,14 @@ const (
 	atomChunk  = 1 << atomShift
 )
 
-// maxRecords is the handle space of one slab: handles are uint32 and 0 is
-// nil, so a tree holds at most 2³²−1 nodes and as many mini-nodes.
-const maxRecords = math.MaxUint32
+// maxRecords is the handle space of one slab: handles are uint32, 0 is nil
+// and the last names a tomb (tombMini), so a tree holds at most 2³²−2 nodes
+// and as many mini-nodes.
+const maxRecords = math.MaxUint32 - 1
 
 // ErrFull reports an edit, explode, reserve or import that would need more
 // node or mini-node records than 32-bit handles can address.
-var ErrFull = errors.New("doctree: tree is full (2^32-1 records)")
+var ErrFull = errors.New("doctree: tree is full (2^32-2 records)")
 
 // record is what a slab needs from its element type: a handle-sized field
 // that threads the free list while the record is not in use.

@@ -123,7 +123,9 @@ func checkNoDangling(t *testing.T, tr *Tree) {
 		}
 	}
 	node(tr.ck.node, "walk cache")
-	mini(tr.ck.mini, "walk cache")
+	if tr.ck.mini != tombMini {
+		mini(tr.ck.mini, "walk cache")
+	}
 	for mh := range tr.mkids {
 		mini(mh, "mini-child entry")
 	}
@@ -137,7 +139,7 @@ func checkNoDangling(t *testing.T, tr *Tree) {
 		node(n.parent, "parent backlink")
 		walk(n.kids[0])
 		walk(n.kids[1])
-		for mh := n.first; mh != 0; mh = tr.mini(mh).next {
+		for mh := n.minis(); mh != 0; mh = tr.mini(mh).next {
 			mini(mh, "mini chain")
 			kids := tr.kids(slot{h, mh})
 			walk(kids[0])

@@ -12,7 +12,7 @@ import (
 // a new mini with disambiguator d would take there and returns it with the
 // walk position of its last element; or nil, if a live atom or the
 // document end comes first. Empty nodes come from balanced growth (see
-// Reserve) and UDIS discards. In an insertion gap the next live atom is
+// ReserveFrom) and UDIS discards. In an insertion gap the next live atom is
 // the right neighbour f, so the slot is the first one strictly between p
 // and f, infix order being identifier order.
 //
@@ -35,13 +35,15 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 	h, k, ms, stage := at.at.node, at.depth, at.at.mini, 2
 	if down {
 		h, stage = rootH, 0 // the document start: all of it lies ahead
+	} else if ms == tombMini {
+		ms = 0 // a tomb has no children: ahead is the node's right subtree
 	}
 	if t.room(2*t.height, 0) != nil {
 		return nil, Slot{}
 	}
 	for {
 		n := t.node(h)
-		next, e := nodeH(0), ident.J(n.bit)
+		next, e := nodeH(0), ident.J(n.bit())
 		if ms == 0 && stage == 0 && (n.reserve != 0 || t.occupied(n.kids[0])) {
 			next = t.child(slot{node: h}, 0)
 		} else if ms == 0 && stage <= 1 {
@@ -49,20 +51,20 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				if !down {
 					dst = append(dst, p[:k-1]...) //treedoc:escape growing the caller's scratch
 				}
-				return append(dst, ident.M(n.bit, d)), Slot{t.hangsFrom(h, n), len(dst) - base} //treedoc:escape growing the caller's scratch
+				return append(dst, ident.M(n.bit(), d)), Slot{t.hangsFrom(h, n), len(dst) - base} //treedoc:escape growing the caller's scratch
 			}
-			ms, stage = n.first, 0
+			ms, stage = n.minis(), 0
 		}
 		for ; next == 0 && ms != 0; ms, stage = t.mini(ms).next, 0 {
 			m := t.mini(ms)
 			kids := t.miniKids(ms, m)
 			switch {
 			case stage == 0 && t.occupied(kids[0]):
-				next, e = kids[0], ident.M(n.bit, m.dis())
+				next, e = kids[0], ident.M(n.bit(), m.dis())
 			case stage <= 1 && m.atom != 0:
 				return nil, Slot{} // the next live atom comes first
 			case stage <= 2 && t.occupied(kids[1]):
-				next, e = kids[1], ident.M(n.bit, m.dis())
+				next, e = kids[1], ident.M(n.bit(), m.dis())
 			}
 		}
 		if next == 0 && stage < 3 && (n.reserve != 0 || t.occupied(n.kids[1])) {
@@ -75,7 +77,7 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				return nil, Slot{} // the document end
 			}
 			up := t.hangsFrom(h, n)
-			h, k, ms, stage = up.node, k-1, up.mini, 1+2*int(n.bit)
+			h, k, ms, stage = up.node, k-1, up.mini, 1+2*int(n.bit())
 			continue
 		}
 		if t.node(next).emptyN == 0 {
@@ -98,20 +100,15 @@ func (t *Tree) occupied(h nodeH) bool {
 	return n.live|n.emptyN != 0
 }
 
-// Reserve implements the balanced growth of Section 4.1: "grow the height h
-// of the tree by ⌈log2(h)⌉+1… Thereafter, new PosIDs would be generated by
-// using empty position in the tree of identifiers" (Figure 5's empty
-// nodes). The node the structural path designates, created if need be,
-// becomes the root of a complete subtree of the given levels, counted in
-// emptyN by one climb: the nodes it lacks are a reserve count on the
-// deepest existing ones, built as walks enter them (see child).
-func (t *Tree) Reserve(path ident.Path, levels int) error {
-	return t.ReserveFrom(Slot{}, path, levels)
-}
-
-// ReserveFrom is Reserve for a caller that holds a slot on path's route, as
-// InsertFrom is for an insert: only the rest of the path is walked. The
-// zero Slot resumes from the walk cache.
+// ReserveFrom implements the balanced growth of Section 4.1: "grow the
+// height h of the tree by ⌈log2(h)⌉+1… Thereafter, new PosIDs would be
+// generated by using empty position in the tree of identifiers" (Figure 5's
+// empty nodes). The node the structural path designates, created if need
+// be, becomes the root of a complete subtree of the given levels, counted
+// in emptyN by one climb: the nodes it lacks are a reserve count on the
+// deepest existing ones, built as walks enter them (see child). from is a
+// slot on path's route, as for InsertFrom; the zero Slot resumes from the
+// walk cache.
 func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 	if len(path) == 0 {
 		return fmt.Errorf("doctree: reserve needs a structural path, got %v", path)
@@ -154,7 +151,7 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 		t.height = max(t.height, depth)
 	}
 	switch n := t.node(h); {
-	case n.flat || levels == 1:
+	case n.flat() || levels == 1:
 	case n.kids == [2]nodeH{}:
 		if r := uint8(levels - 1); r > n.reserve {
 			added += reservedNodes(r) - reservedNodes(n.reserve)

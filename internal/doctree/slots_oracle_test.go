@@ -40,7 +40,7 @@ type oracleSearch struct {
 // whose mini position lies strictly between the bounds.
 func (s *oracleSearch) walk(h nodeH) nodeH {
 	n := s.t.node(h)
-	if n.flat || n.emptyN == 0 {
+	if n.flat() || n.emptyN == 0 {
 		return 0 // a nil child reads emptyN == 0
 	}
 	s.visits++
@@ -68,7 +68,7 @@ func (s *oracleSearch) walk(h nodeH) nodeH {
 		}
 	}
 	// The root holds no minis, so prefix is non-empty inside the loop.
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		m := s.t.mini(mh)
 		// Descend through the mini: the entry element gains its dis.
 		last := len(s.prefix) - 1
@@ -105,7 +105,7 @@ func routeSlot(tr *Tree, path ident.Path) slot {
 	cur := slot{node: rootH}
 	for _, e := range path {
 		next := tr.kids(cur)[e.Bit]
-		if next == 0 || tr.node(next).flat {
+		if next == 0 || tr.node(next).flat() {
 			return slot{}
 		}
 		cur = slot{node: next}
@@ -274,7 +274,7 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 			}
 			for _, q := range ids {
 				s, used := tr.ExistsFrom(Slot{}, q)
-				if !used || s.at.node == 0 || tr.mini(s.at.mini).atom != 0 {
+				if !used || s.at.node == 0 || s.at.mini != tombMini && tr.mini(s.at.mini).atom != 0 {
 					continue
 				}
 				var f ident.Path

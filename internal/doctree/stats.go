@@ -101,18 +101,15 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		return
 	}
 	n := t.node(h)
-	if n.flat {
+	if n.flat() {
 		flat := t.flats[h]
 		s.FlatAtoms += len(flat)
 		s.LiveAtoms += len(flat)
 		for _, a := range flat {
 			s.DocBytes += len(a)
 		}
-		sum, max := flatIDBits(len(flat), depth, h == rootH)
-		s.TotalIDBits += sum
-		if max > s.MaxIDBits {
-			s.MaxIDBits = max
-		}
+		sum, top := flatIDBits(len(flat), depth, h == rootH)
+		s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+sum, max(s.MaxIDBits, top)
 		return
 	}
 	if h != rootH {
@@ -121,7 +118,13 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		s.MemBytes += 12 * k // subtree count + two child pointers
 	}
 	t.statsWalk(n.kids[0], depth+1, disBits, c, s)
-	for mh := n.first; mh != 0; {
+	if n.tomb() {
+		s.Minis++
+		s.DeadMinis++
+		s.MemBytes += c.DisBytes() + 4
+		s.DeadIDBits += depth + disBits + c.Bits(n.tombDis())
+	}
+	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		s.Minis++
 		s.MemBytes += c.DisBytes() + 4 // disambiguator + atom pointer
@@ -136,10 +139,7 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 			s.LiveAtoms++
 			s.DocBytes += len(*t.atoms.at(m.atom))
 			bits := depth + mBits
-			s.TotalIDBits += bits
-			if bits > s.MaxIDBits {
-				s.MaxIDBits = bits
-			}
+			s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+bits, max(s.MaxIDBits, bits)
 		}
 		t.statsWalk(t.kids(slot{h, mh})[0], depth+1, mBits, c, s)
 		t.statsWalk(t.kids(slot{h, mh})[1], depth+1, mBits, c, s)
@@ -153,26 +153,19 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 // bitstrings, one bit per level (Section 4.2). base is the region root's
 // depth; atRoot indicates the document root region, whose canonical form
 // skips the atom-less root slot.
-func flatIDBits(n, base int, atRoot bool) (sum, max int) {
+func flatIDBits(n, base int, atRoot bool) (sum, top int) {
 	if n == 0 {
 		return 0, 0
 	}
 	if atRoot {
 		depth := 0
-		for capacityBelowRoot(depth) < n {
+		for 2*subtreeCapacity(depth) < n {
 			depth++
 		}
-		capLeft := subtreeCapacity(depth)
-		nLeft := n
-		if nLeft > capLeft {
-			nLeft = capLeft
-		}
+		nLeft := min(n, subtreeCapacity(depth))
 		s1, m1 := canonicalDepthSum(nLeft, depth, base+1)
 		s2, m2 := canonicalDepthSum(n-nLeft, depth, base+1)
-		if m2 > m1 {
-			m1 = m2
-		}
-		return s1 + s2, m1
+		return s1 + s2, max(m1, m2)
 	}
 	depth := 1
 	for subtreeCapacity(depth) < n {
@@ -184,32 +177,17 @@ func flatIDBits(n, base int, atRoot bool) (sum, max int) {
 // canonicalDepthSum returns the sum and maximum of identifier depths for n
 // atoms filling the first n infix slots of a complete subtree with the
 // given number of levels, whose root sits at depth base.
-func canonicalDepthSum(n, levels, base int) (sum, max int) {
+func canonicalDepthSum(n, levels, base int) (sum, top int) {
 	if n == 0 {
 		return 0, 0
 	}
-	capChild := subtreeCapacity(levels - 1)
-	nLeft := n
-	if nLeft > capChild {
-		nLeft = capChild
+	nLeft := min(n, subtreeCapacity(levels-1))
+	sum, top = canonicalDepthSum(nLeft, levels-1, base+1)
+	if rest := n - nLeft; rest > 0 {
+		s, m := canonicalDepthSum(rest-1, levels-1, base+1)
+		sum, top = sum+base+s, max(top, base, m)
 	}
-	sum, max = canonicalDepthSum(nLeft, levels-1, base+1)
-	rest := n - nLeft
-	if rest > 0 {
-		sum += base
-		if base > max {
-			max = base
-		}
-		rest--
-	}
-	if rest > 0 {
-		s, m := canonicalDepthSum(rest, levels-1, base+1)
-		sum += s
-		if m > max {
-			max = m
-		}
-	}
-	return sum, max
+	return sum, top
 }
 
 // ColdestSubtree returns the structural path of the most profitable cold
@@ -244,7 +222,7 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 	}
 	n := t.node(h)
 	maxRev = int64(n.lastMod)
-	if n.flat {
+	if n.flat() {
 		return 0, 0, 0, 0, maxRev
 	}
 	consider := func(b nodeH, s, bNodes, bDead int, r int64) {
@@ -254,7 +232,10 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 		}
 	}
 	consider(t.coldWalk(n.kids[0], cutoff, minNodes, liveOnly))
-	for mh := n.first; mh != 0; mh = t.mini(mh).next {
+	if n.tomb() {
+		dead++
+	}
+	for mh := n.minis(); mh != 0; mh = t.mini(mh).next {
 		m := t.mini(mh)
 		if m.atom == 0 {
 			dead++

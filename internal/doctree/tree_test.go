@@ -599,7 +599,8 @@ func TestLargeCanonicalExplode(t *testing.T) {
 	// path: simplest is inserting then flattening, but use the explode path
 	// directly: set a flat root via FlattenAll on an empty tree…
 	// Instead: insert sequentially at canonical ids via IDAt after seeding.
-	tr.node(rootH).flat, tr.flats[rootH] = true, atoms
+	tr.node(rootH).flags |= flatF
+	tr.flats[rootH] = atoms
 	tr.node(rootH).live = uint32(len(atoms))
 	if _, err := tr.IDAt(500); err != nil {
 		t.Fatal(err)

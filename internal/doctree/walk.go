@@ -31,8 +31,11 @@ type Gap struct{ P, F Slot }
 
 // kids returns the slot's two child links, indexed by path bit.
 func (t *Tree) kids(s slot) [2]nodeH {
-	if s.mini == 0 {
+	switch s.mini {
+	case 0:
 		return t.node(s.node).kids
+	case tombMini:
+		return [2]nodeH{}
 	}
 	return t.miniKids(s.mini, t.mini(s.mini))
 }
@@ -48,9 +51,12 @@ func (t *Tree) miniKids(mh miniH, m *mini) [2]nodeH {
 
 // setKid links h (0: none) into slot s on side bit.
 func (t *Tree) setKid(s slot, bit uint8, h nodeH) {
-	if s.mini == 0 {
+	switch s.mini {
+	case 0:
 		t.node(s.node).kids[bit] = h
 		return
+	case tombMini:
+		s.mini = t.untomb(t.node(s.node))
 	}
 	m, kids := t.mini(s.mini), t.kids(s)
 	kids[bit] = h
@@ -106,7 +112,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // route, or the zero Slot to resume from the walk cache.
 func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 	cur, depth := t.resumeSlot(from, p)
-	if err := t.room(2*len(p), len(p)); err != nil {
+	if err := t.room(2*len(p), 2*len(p)); err != nil { // a tomb built back may take a sibling
 		return slot{}, err
 	}
 	for _, e := range p[depth:] {
@@ -163,7 +169,7 @@ func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
 		return m
 	}
 	dEmpty := 0
-	if n.first == 0 {
+	if n.empty() {
 		dEmpty = -1 // the node stops being a free slot
 	}
 	m := t.insertMini(n, d)
@@ -177,7 +183,7 @@ func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
 // disambiguator, so their identifiers are pure bitstrings below the region
 // root.
 func (t *Tree) explodeNode(h nodeH) error {
-	if !t.node(h).flat {
+	if !t.node(h).flat() {
 		return nil
 	}
 	return t.explode(h)
@@ -191,7 +197,7 @@ func (t *Tree) explode(h nodeH) error {
 		return fmt.Errorf("doctree: explode: %w", err)
 	}
 	delete(t.flats, h)
-	n.flat = false
+	n.flags &^= flatF
 	if len(atoms) == 0 {
 		if h == rootH {
 			n.lastMod = t.rev // the root is never a free slot
@@ -206,7 +212,7 @@ func (t *Tree) explode(h nodeH) error {
 		// The root holds no atoms (ident.Path): fill its two child subtrees
 		// as Algorithm 2 would, skipping the root slot itself.
 		depth := 0
-		for capacityBelowRoot(depth) < len(atoms) {
+		for 2*subtreeCapacity(depth) < len(atoms) {
 			depth++
 		}
 		nLeft := min(len(atoms), subtreeCapacity(depth))
@@ -214,9 +220,7 @@ func (t *Tree) explode(h nodeH) error {
 		n.kids[1] = t.buildCanonical(slot{node: h}, 1, atoms[nLeft:], depth)
 		l, r := t.node(n.kids[0]), t.node(n.kids[1])
 		t.bubble(h, 0, int(l.emptyN+r.emptyN))
-		if depth > t.height {
-			t.height = depth
-		}
+		t.height = max(t.height, depth)
 		return nil
 	}
 	// Non-root region: the region root node itself holds the appropriate
@@ -228,26 +232,14 @@ func (t *Tree) explode(h nodeH) error {
 	t.fillCanonical(h, atoms, depth)
 	t.bubble(n.parent, 0, int(n.emptyN))
 	n.lastMod = t.rev
-	if d := t.depth(h) + depth - 1; d > t.height {
-		t.height = d
-	}
+	t.height = max(t.height, t.depth(h)+depth-1)
 	return nil
 }
 
 // subtreeCapacity returns the atom capacity of a complete subtree of the
-// given depth (levels), rooted at a node that can hold an atom: 2^depth - 1.
-func subtreeCapacity(depth int) int {
-	if depth >= 62 {
-		return 1<<62 - 1
-	}
-	return 1<<depth - 1
-}
-
-// capacityBelowRoot returns the capacity of two complete subtrees of the
-// given depth hanging under the atom-less root: 2^(depth+1) - 2.
-func capacityBelowRoot(depth int) int {
-	return 2 * subtreeCapacity(depth)
-}
+// given depth (levels), rooted at a node that can hold an atom: 2^depth - 1;
+// the atom-less root holds two of them.
+func subtreeCapacity(depth int) int { return 1<<min(depth, 62) - 1 }
 
 // fillCanonical populates existing node h as the root of a canonical
 // complete subtree of the given depth holding atoms in infix order. The node
@@ -317,8 +309,8 @@ func (t *Tree) Flatten(path ident.Path) error {
 		t.bubble(n.parent, 0, -removedEmpty)
 		t.height = t.maxDepth(rootH, 0)
 	}
-	n.flat, t.flats[h] = true, atoms
-	n.lastMod = t.rev
+	n.flags |= flatF
+	t.flats[h], n.lastMod = atoms, t.rev
 	return nil
 }
 
@@ -332,12 +324,12 @@ func (t *Tree) FlattenAll() error { return t.Flatten(ident.Path{}) }
 // lists. h itself stays.
 func (t *Tree) releaseBelow(h nodeH) {
 	n := t.node(h)
-	if n.flat {
+	if n.flat() {
 		delete(t.flats, h)
 	}
 	t.releaseSubtree(n.kids[0])
 	t.releaseSubtree(n.kids[1])
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		next := m.next
 		t.releaseSubtree(t.kids(slot{h, mh})[0])
@@ -349,7 +341,8 @@ func (t *Tree) releaseBelow(h nodeH) {
 		t.minis.release(uint32(mh))
 		mh = next
 	}
-	n.kids[0], n.kids[1], n.first, n.reserve = 0, 0, 0, 0
+	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi = 0, 0, 0, 0, 0
+	n.flags &^= tombF
 }
 
 func (t *Tree) releaseSubtree(h nodeH) {
@@ -377,12 +370,12 @@ func (t *Tree) collectLive(h nodeH, out *[]string) {
 		return
 	}
 	n := t.node(h)
-	if n.flat {
+	if n.flat() {
 		*out = append(*out, t.flats[h]...)
 		return
 	}
 	t.collectLive(n.kids[0], out)
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		t.collectLive(t.kids(slot{h, mh})[0], out)
 		if m.atom != 0 {
@@ -403,7 +396,7 @@ func (t *Tree) maxDepth(h nodeH, d int) int {
 	}
 	n := t.node(h)
 	best := max(d+int(n.reserve), t.maxDepth(n.kids[0], d+1), t.maxDepth(n.kids[1], d+1))
-	for mh := n.first; mh != 0; {
+	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		best = max(best, t.maxDepth(t.kids(slot{h, mh})[0], d+1), t.maxDepth(t.kids(slot{h, mh})[1], d+1))
 		mh = m.next

@@ -14,7 +14,8 @@ import (
 // live and dead single minis; a flattened (compacted) tree; and three UDIS
 // sites racing for one position above an exploded-then-edited region — a
 // many-mini node, a site table, canonical and written disambiguators, and a
-// flat region beside nodes; and minis with children nested two deep.
+// flat region beside nodes; minis with children nested two deep; and SDIS
+// tombstones held in their nodes beside dead minis that keep a record.
 func seedEncodings(f *testing.F) [][]byte {
 	var seeds [][]byte
 
@@ -85,6 +86,28 @@ func seedEncodings(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, storage.Encode(nested))
+
+	// Tombstones: a lone dead mini whose site needs more than 32 bits, and
+	// a dead canonical one, which the tree holds as flags on their nodes;
+	// and dead minis that keep their records: one beside a live sibling,
+	// one with mini-children.
+	tombDoc, err := core.NewDocument(core.Config{Site: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tombs := tombDoc.Tree()
+	for i, id := range []string{"[(0:s4294967303)]", "[(1:s8)]", "[(1:s9)]", "[1(1:⊥)]",
+		"[(1:s9)(0:s5)]", "[(1:s9)(0:s5)(1:s6)]"} {
+		if err := tombs.InsertID(ident.MustParsePath(id), string(rune('t'+i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, id := range []string{"[(0:s4294967303)]", "[(1:s8)]", "[1(1:⊥)]", "[(1:s9)(0:s5)]"} {
+		if _, err := tombs.DeleteID(ident.MustParsePath(id), false); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seeds = append(seeds, storage.Encode(tombs))
 
 	return seeds
 }
