@@ -12,11 +12,13 @@ import (
 // Invariants:
 //  1. Parent/child backlinks are consistent, onMini flags included.
 //  2. Mini-nodes are strictly ordered by disambiguator within each node.
-//  3. Cached live/empty-slot counts match a full recount, a reserve count
-//     standing for the empty nodes of its node's two missing major subtrees.
-//  4. A mini is dead exactly when its atom handle is 0; a live mini's
-//     handle is its alone, and the handles in use plus the atom store's
-//     free stack are every handle the store has handed out.
+//  3. Cached live counts match a full recount, and a hasEmpty bit is set
+//     exactly where a recount finds an empty node, a reserve count standing
+//     for the empty nodes of its node's two missing major subtrees;
+//     Tree.reserved is the sum of those.
+//  4. A mini, solo or not, is dead exactly when its atom handle is 0; a
+//     live mini's handle is its alone, and the handles in use plus the atom
+//     store's free stack are every handle the store has handed out.
 //  5. Flattened nodes have no minis or children, and are exactly the
 //     nodes with an array in Tree.flats.
 //  6. The identifiers of live atoms are strictly increasing in document
@@ -24,8 +26,10 @@ import (
 //  7. Every record is reachable from the root exactly once or is on its
 //     slab's free list, and the nil records are untouched.
 //  8. Tree.mkids has an entry naming a child for exactly the minis flagged.
-//  9. A tomb is neither the root nor flat, and counts as no empty slot;
+//  9. A solo is neither the root nor flat, and counts as no empty slot;
 //     holding no mini record, it holds no mini-children (invariant 7).
+//  10. The walk cache, if set, names a slot of the tree: a mini in its
+//     node's chain, or the node's solo.
 func (t *Tree) Check() error {
 	root := t.node(rootH)
 	if root.parent != 0 || root.onMini() {
@@ -50,6 +54,12 @@ func (t *Tree) Check() error {
 		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d flat regions, %d atoms and %d minis with children; the tree holds %d, %d, %d, %d and %d mini-child entries",
 			c.nodes, c.minis, c.flats, c.atoms, c.kidded, t.nodes.used(), t.minis.used(), len(t.flats), inUse, len(t.mkids))
 	}
+	if c.reserved != t.reserved {
+		return fmt.Errorf("doctree: reserve counts stand for %d nodes, the tree counts %d", c.reserved, t.reserved)
+	}
+	if t.ck.mini != 0 && !c.cached {
+		return fmt.Errorf("doctree: the walk cache names node %d mini %d, no slot of the tree", t.ck.node, t.ck.mini)
+	}
 	// Invariant 6: infix identifiers strictly increase. The walk maintains
 	// the current identifier incrementally in a reused buffer (one element
 	// per tree level) instead of materialising a fresh path per atom, so
@@ -67,6 +77,8 @@ type checker struct {
 	nodes, minis uint32 // records reached from the root
 	kidded       int    // minis reached flagged hasKids
 	flats, atoms int    // flat regions and live atoms reached
+	reserved     uint32 // nodes the reserve counts reached stand for
+	cached       bool   // the walk cache's slot was reached
 	held         []bool // atom handles seen in use or on the free stack
 	cur          ident.Path
 	prev         ident.Path
@@ -107,6 +119,12 @@ func (c *checker) walk(h nodeH, d int) bool {
 	}
 	if !c.walk(n.kids[0], d+1) {
 		return false
+	}
+	if n.atom != 0 {
+		c.set(d-1, ident.M(n.bit(), n.soloDis()))
+		if !c.atom(d) {
+			return false
+		}
 	}
 	for mh := n.minis(); mh != 0; {
 		m := c.t.mini(mh)
@@ -150,8 +168,8 @@ func (c *checker) atom(d int) bool {
 	return true
 }
 
-// counts are a subtree's recomputed counters.
-type counts struct{ live, emptyN uint32 }
+// counts are a subtree's recomputed live atoms and empty nodes.
+type counts struct{ live, empty uint32 }
 
 // child validates the subtree in slot s on side bit — its backlink, then
 // the subtree itself — and adds its recomputed counts to sum.
@@ -164,7 +182,7 @@ func (c *checker) child(s slot, bit uint8, sum *counts) error {
 		return fmt.Errorf("doctree: bad backlink on child bit %d of node %d mini %d", bit, s.node, s.mini)
 	}
 	got, err := c.node(h)
-	sum.live, sum.emptyN = sum.live+got.live, sum.emptyN+got.emptyN
+	sum.live, sum.empty = sum.live+got.live, sum.empty+got.empty
 	return err
 }
 
@@ -179,12 +197,18 @@ func (c *checker) node(h nodeH) (counts, error) {
 	var sum counts
 	if n.flat() {
 		atoms, ok := t.flats[h]
-		if !ok || n.first != 0 || n.kids != [2]nodeH{} || n.tomb() {
-			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a tomb or no array", h)
+		if !ok || n.first != 0 || n.kids != [2]nodeH{} || n.solo() {
+			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a solo or no array", h)
 		}
 		c.flats++
 		sum.live = uint32(len(atoms))
 	}
+	if n.atom != 0 && !n.solo() {
+		return counts{}, fmt.Errorf("doctree: node %d holds atom handle %d and no solo", h, n.atom)
+	} else if err := c.hold(n.atom, &sum); err != nil {
+		return counts{}, err
+	}
+	c.cached = c.cached || t.ck == slot{h, soloMini} && n.solo()
 	for bit := uint8(0); bit <= 1; bit++ {
 		if err := c.child(slot{node: h}, bit, &sum); err != nil {
 			return counts{}, err
@@ -200,14 +224,10 @@ func (c *checker) node(h nodeH) (counts, error) {
 		if prev != nil && prev.dis().Compare(m.dis()) >= 0 {
 			return counts{}, fmt.Errorf("doctree: minis out of order: %s >= %s", prev.dis(), m.dis())
 		}
-		if m.atom != 0 {
-			if m.atom > t.atoms.n || c.held[m.atom] {
-				return counts{}, fmt.Errorf("doctree: mini %s atom handle %d out of range, free or shared", m.dis(), m.atom)
-			}
-			c.held[m.atom] = true
-			c.atoms++
-			sum.live++
+		if err := c.hold(m.atom, &sum); err != nil {
+			return counts{}, err
 		}
+		c.cached = c.cached || t.ck == slot{h, mh}
 		if m.hasKids {
 			if t.mkids[mh] == [2]nodeH{} {
 				return counts{}, fmt.Errorf("doctree: mini %s is flagged with children, but no entry names one", m.dis())
@@ -222,14 +242,30 @@ func (c *checker) node(h nodeH) (counts, error) {
 		prev, mh = m, m.next
 	}
 	if h != rootH && n.empty() {
-		sum.emptyN++ // the root cannot hold mini-nodes: it is never a reusable slot
+		sum.empty++ // the root cannot hold mini-nodes: it is never a reusable slot
 	}
 	if n.reserve != 0 && (n.kids != [2]nodeH{} || n.flat() || n.reserve > 30) {
 		return counts{}, fmt.Errorf("doctree: node %d reserves %d levels beside children or a flat region", h, n.reserve)
 	}
-	sum.emptyN += reservedNodes(n.reserve)
-	if got := (counts{n.live, n.emptyN}); got != sum {
-		return counts{}, fmt.Errorf("doctree: node counters live/emptyN = %v, recount = %v", got, sum)
+	sum.empty += reservedNodes(n.reserve)
+	c.reserved += reservedNodes(n.reserve)
+	if n.live != sum.live || n.hasEmpty() != (sum.empty != 0) {
+		return counts{}, fmt.Errorf("doctree: node %d counts %d live atoms, hasEmpty %v; a recount finds %d and %d empty nodes",
+			h, n.live, n.hasEmpty(), sum.live, sum.empty)
 	}
 	return sum, nil
+}
+
+// hold takes atom handle a (0: none) for the mini that holds it.
+func (c *checker) hold(a uint32, sum *counts) error {
+	if a == 0 {
+		return nil
+	}
+	if a > c.t.atoms.n || c.held[a] {
+		return fmt.Errorf("doctree: atom handle %d out of range, free or shared", a)
+	}
+	c.held[a] = true
+	c.atoms++
+	sum.live++
+	return nil
 }

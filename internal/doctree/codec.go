@@ -75,10 +75,10 @@ func present(queue []queued, kids [2]nodeH) (_ []queued, bits byte) {
 // its nodes as the empty nodes they stand for.
 func (t *Tree) AppendSnapshot(dst []byte) []byte {
 	entries, sites := int(t.nodes.used()), make([]ident.SiteID, 0, 16)
-	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count, no tomb
+	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count, no solo
 		n := t.nodes.at(h)
-		if entries += int(n.reserve); n.tomb() {
-			sites = addSite(sites, n.tombDis())
+		if entries += int(n.reserve); n.solo() {
+			sites = addSite(sites, n.soloDis())
 		}
 	}
 	for h := uint32(1); h <= t.minis.n; h++ { // a free record is zero: canonical
@@ -119,11 +119,11 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		if n.reserve != 0 {
 			head, queue = 3, append(queue, queued{q.h, 1})
 		}
-		// A tomb is written as the one dead mini it stands for, built here.
-		shift, mh, tomb := 0, n.first, mini{siteLo: uint32(n.first), siteHi: n.siteHi}
+		// A solo is written as the one mini it stands for, built here.
+		shift, mh, solo := 0, n.first, mini{atom: n.atom, siteLo: uint32(n.first), siteHi: n.siteHi}
 		switch {
-		case n.tomb():
-			head, shift, mh = head|shapeOne, 4, tombMini
+		case n.solo():
+			head, shift, mh = head|shapeOne, 4, soloMini
 		case mh == 0:
 			dst = append(dst, head|shapeEmpty)
 			continue
@@ -138,8 +138,8 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			head, mh = 0, n.first
 		}
 		for mh != 0 {
-			m := &tomb
-			if mh != tombMini {
+			m := &solo
+			if mh != soloMini {
 				m = t.mini(mh)
 			}
 			queue, bits = present(queue, t.kids(slot{q.h, mh}))
@@ -311,7 +311,8 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	for h := nodeH(t.nodes.n); h > rootH; h-- {
 		n := t.node(h)
 		p := t.node(n.parent)
-		p.live, p.emptyN = p.live+n.live, p.emptyN+n.emptyN
+		p.live += n.live
+		p.flags |= n.flags & hasEmptyF
 	}
 	t.height = t.depth(nodeH(t.nodes.n))
 	return t, nil
@@ -349,7 +350,7 @@ func (d *snapDecoder) node(h nodeH) {
 	switch shape {
 	case shapeEmpty:
 		if h != rootH { // the root is never a free slot
-			n.emptyN = 1
+			n.flags |= hasEmptyF
 		}
 		return
 	case shapeFlat:
@@ -383,22 +384,22 @@ func (d *snapDecoder) node(h nodeH) {
 		if i > 0 && last.Compare(d.prev) >= 0 {
 			d.fail("mini-nodes out of order: %s then %s", last, d.prev)
 		}
-		if shape == shapeOne && bits&^miniHasDis == miniDead && d.prev.Counter == 0 {
-			n.first, n.siteHi = miniH(d.prev.Site), uint16(d.prev.Site>>32) // a tomb: no record
-			n.flags |= tombF
-			return
-		}
-		mh := miniH(d.t.minis.alloc())
-		m := d.t.mini(mh)
-		*link, link = mh, &m.next
-		m.counter, m.siteLo, m.siteHi = d.prev.Counter, uint32(d.prev.Site), uint16(d.prev.Site>>32)
-		for bit, k := range promise(bits) {
-			if k != 0 {
-				d.t.setKid(slot{h, mh}, uint8(bit), k)
+		atom := &n.atom
+		if shape == shapeOne && bits&3 == 0 && d.prev.Counter == 0 {
+			n.setSolo(d.prev, 0) // no record
+		} else {
+			mh := miniH(d.t.minis.alloc())
+			m := d.t.mini(mh)
+			*link, link, atom = mh, &m.next, &m.atom
+			m.counter, m.siteLo, m.siteHi = d.prev.Counter, uint32(d.prev.Site), uint16(d.prev.Site>>32)
+			for bit, k := range promise(bits) {
+				if k != 0 {
+					d.t.setKid(slot{h, mh}, uint8(bit), k)
+				}
 			}
 		}
 		if bits&miniDead == 0 {
-			m.atom = d.t.atoms.put(d.atom())
+			*atom = d.t.atoms.put(d.atom())
 			n.live++
 		}
 	}

@@ -32,7 +32,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		return Slot{}, fmt.Errorf("doctree: insert %v: not an atom identifier", id)
 	}
 	cur, depth := t.resumeSlot(from, id)
-	if err := t.room(2*len(id), len(id)+1); err != nil { // a step may build a reserved child and its sibling, a tomb its record
+	if err := t.room(2*len(id), len(id)+1); err != nil { // a step may build a reserved child and its sibling, a solo its record
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	var first nodeH       // shallowest node created by this walk
@@ -61,35 +61,30 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		}
 		n := t.node(next)
 		m := t.findMini(n, e.Dis)
-		if m == 0 {
-			if !created && depth != len(id) {
-				return t.insertSlow(id, atom)
-			}
-			if !created {
-				ownerWasFree = n.empty()
-			}
-			m = t.insertMini(n, e.Dis)
-			if depth == len(id) {
-				finalCreated = true
-			}
+		switch {
+		case m != 0:
+		case !created && depth != len(id):
+			return t.insertSlow(id, atom)
+		case depth == len(id) && n.empty() && e.Dis.Counter == 0:
+			ownerWasFree, finalCreated, m = !created, true, soloMini
+			n.setSolo(e.Dis, 0)
+		default:
+			ownerWasFree, finalCreated = !created && n.empty(), depth == len(id)
+			m = t.insertMini(next, e.Dis)
 		}
 		cur = slot{node: next, mini: m}
 	}
-	if cur.mini == tombMini { // reviving a tombstone
-		cur.mini = t.untomb(t.node(cur.node))
+	a := t.atomOf(cur)
+	if !finalCreated && *a != 0 {
+		return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 	}
-	m := t.mini(cur.mini)
+	*a = t.atoms.put(atom)
 	switch {
 	case !finalCreated:
-		if m.atom != 0 {
-			return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
-		}
 		// Revive an existing tombstone.
-		m.atom = t.atoms.put(atom)
 		t.bubble(cur.node, +1, 0)
 	case first == 0:
 		// Fresh mini in an existing node; no structure added.
-		m.atom = t.atoms.put(atom)
 		d := 0
 		if ownerWasFree {
 			d = -1 // the node stops being a free slot
@@ -98,22 +93,22 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 	default:
 		// Set the created chain's counters bottom-up, then climb once from
 		// the chain's attachment point with the accumulated deltas.
-		m.atom = t.atoms.put(atom)
-		var accEmpty uint32
+		var accEmpty int
 		for h := cur.node; ; {
 			n := t.node(h)
-			if n.first == 0 {
+			if n.empty() {
 				accEmpty++
 			}
-			n.live = 1
-			n.emptyN = accEmpty
+			if n.live = 1; accEmpty != 0 {
+				n.flags |= hasEmptyF
+			}
 			n.lastMod = t.rev
 			if h == first {
 				break
 			}
 			h = n.parent
 		}
-		t.bubble(t.node(first).parent, +1, int(accEmpty))
+		t.bubble(t.node(first).parent, +1, accEmpty)
 	}
 	if from.at.node == 0 { // a walk from the caller's slot leaves the cache where it was
 		t.cacheWalk(id, cur)
@@ -128,14 +123,11 @@ func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
 	if err != nil {
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
-	if s.mini == tombMini {
-		s.mini = t.untomb(t.node(s.node))
-	}
-	m := t.mini(s.mini)
-	if m.atom != 0 {
+	a := t.atomOf(s)
+	if *a != 0 {
 		return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 	}
-	m.atom = t.atoms.put(atom)
+	*a = t.atoms.put(atom)
 	t.bubble(s.node, +1, 0)
 	return Slot{s, len(id)}, nil
 }
@@ -187,19 +179,16 @@ func (t *Tree) DeleteAtIndex(i int, prune bool, dst ident.Path) (ident.Path, err
 // deleteMini applies delete semantics to a located mini-node; see DeleteID.
 // It returns the slot of the dead mini it keeps, the zero slot for none.
 func (t *Tree) deleteMini(s slot, prune bool) (kept slot, found bool) {
-	if s.mini == tombMini {
+	a, hasKids := t.atomOf(s), t.kids(s) != [2]nodeH{}
+	if *a == 0 {
 		return s, false
 	}
-	m := t.mini(s.mini)
-	if m.atom == 0 {
-		return s, false
-	}
-	t.atoms.drop(m.atom)
-	m.atom = 0
-	if !prune || m.hasKids {
+	t.atoms.drop(*a)
+	*a = 0
+	if !prune || hasKids {
 		// Tombstone (SDIS), or a discard blocked by descendants (UDIS).
 		t.bubble(s.node, -1, 0)
-		return t.entomb(s, m), true
+		return s, true
 	}
 	// UDIS discard: remove the mini and cascade emptied ancestors, then
 	// climb once with the accumulated deltas. Nodes released mid-cascade
@@ -234,7 +223,7 @@ func (t *Tree) deleteMini(s slot, prune bool) (kept slot, found bool) {
 // HasLive reports whether id currently identifies a live atom.
 func (t *Tree) HasLive(id ident.Path) bool {
 	s, err := t.walkMini(id)
-	return err == nil && s.mini != tombMini && t.mini(s.mini).atom != 0
+	return err == nil && *t.atomOf(s) != 0
 }
 
 // Exists reports whether id is a used identifier: a live atom or a

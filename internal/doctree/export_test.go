@@ -41,7 +41,7 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.mini == tombMini || t.mini(s.mini).atom == 0 {
+	if *t.atomOf(s) == 0 {
 		return 0, errNotFound
 	}
 	// The atom follows its mini's left subtree and whatever its node holds
@@ -67,6 +67,9 @@ func (t *Tree) IndexOfID(id ident.Path) (int, error) {
 // region, and for the right side the mini's own left subtree and atom.
 func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
 	idx := t.node(n.kids[0]).live
+	if mh == soloMini {
+		return idx
+	}
 	for h := n.first; h != mh; {
 		idx += t.miniLive(h)
 		h = t.mini(h).next
@@ -93,14 +96,14 @@ func (t *Tree) miniLive(mh miniH) uint32 {
 }
 
 // MiniOf returns the handle of the mini id names and whether it is flagged
-// with children; 0 and false if id names none, and 2³²−1 (tombMini) and
-// false if it names a tomb. It explodes nothing.
+// with children; 0 and false if id names none, and 2³²−1 (soloMini) and
+// false if it names a solo. It explodes nothing.
 func (t *Tree) MiniOf(id ident.Path) (uint32, bool) {
 	s, used := t.ExistsFrom(Slot{}, id)
 	if !used || s.at.mini == 0 {
 		return 0, false
 	}
-	return uint32(s.at.mini), s.at.mini != tombMini && t.mini(s.at.mini).hasKids
+	return uint32(s.at.mini), s.at.mini != soloMini && t.mini(s.at.mini).hasKids
 }
 
 // MiniChildEntries returns the handles of the minis the mini-child table
@@ -144,35 +147,67 @@ func (t *Tree) CacheWalk(id ident.Path, at Slot) { t.cacheWalk(id, at.at) }
 // MiniRecords returns the mini records the tree holds.
 func (t *Tree) MiniRecords() int { return int(t.minis.used()) }
 
-// Tombs returns the tombs the tree holds: tombstones with no mini record.
-func (t *Tree) Tombs() (n int) {
-	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no tomb
-		if t.nodes.at(h).tomb() {
-			n++
+// Solos returns the solo minis the tree holds, live and dead: minis with
+// no record.
+func (t *Tree) Solos() (live, dead int) {
+	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no solo
+		if n := t.nodes.at(h); n.solo() && n.atom != 0 {
+			live++
+		} else if n.solo() {
+			dead++
 		}
 	}
-	return n
+	return live, dead
 }
 
-// BuildTombs builds every tomb's mini record back: the tree as it would
-// stand had every tombstone kept its record.
-func (t *Tree) BuildTombs() {
+// BuildSolos builds every solo mini's record back: the tree as it would
+// stand had every mini kept its record.
+func (t *Tree) BuildSolos() {
 	for h := uint32(1); h <= t.nodes.n; h++ {
-		if n := t.nodes.at(h); n.tomb() {
-			t.untomb(n)
+		if t.nodes.at(h).solo() {
+			t.unsolo(nodeH(h))
 		}
 	}
 }
 
-// SetTomb flags the node the structural path designates, which may be
-// flat, as a tomb, and changes nothing else: a hand-broken tomb for the
-// tests that Check refuses one.
-func (t *Tree) SetTomb(path ident.Path) {
+// routeNode returns the node the structural path designates.
+func (t *Tree) routeNode(path ident.Path) *node {
 	s := slot{node: rootH}
 	for _, e := range path {
 		if s = (slot{node: t.kids(s)[e.Bit]}); e.Kind == ident.Mini {
 			s.mini = t.findMini(t.node(s.node), e.Dis)
 		}
 	}
-	t.node(s.node).flags |= tombF
+	return t.node(s.node)
 }
+
+// SetSolo flags the node the structural path designates, which may be
+// flat, as solo, holding atom handle a, and changes nothing else: a
+// hand-broken solo for the tests that Check refuses one.
+func (t *Tree) SetSolo(path ident.Path, a uint32) {
+	n := t.routeNode(path)
+	n.flags |= soloF
+	n.atom = a
+}
+
+// AtomHandle returns the atom handle of the live atom id names.
+func (t *Tree) AtomHandle(id ident.Path) uint32 {
+	s, _ := t.walkMini(id)
+	return *t.atomOf(s)
+}
+
+// FreeAtomHandle returns a handle on the atom store's free stack.
+func (t *Tree) FreeAtomHandle() uint32 { return t.atoms.free[0] }
+
+// SetHasEmpty sets or clears the hasEmpty bit of the node the structural
+// path designates, and changes nothing else.
+func (t *Tree) SetHasEmpty(path ident.Path, on bool) {
+	n := t.routeNode(path)
+	if n.flags &^= hasEmptyF; on {
+		n.flags |= hasEmptyF
+	}
+}
+
+// HasEmpty reports the hasEmpty bit of the node the structural path
+// designates.
+func (t *Tree) HasEmpty(path ident.Path) bool { return t.routeNode(path).hasEmpty() }

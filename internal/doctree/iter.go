@@ -22,7 +22,7 @@ func (t *Tree) AtomAt(i int) (string, error) {
 	}
 	s, flatIdx := t.locate(rootH, uint32(i))
 	if s.mini != 0 {
-		return *t.atoms.at(t.mini(s.mini).atom), nil
+		return *t.atoms.at(*t.atomOf(s)), nil
 	}
 	return t.flats[s.node][flatIdx], nil
 }
@@ -44,6 +44,12 @@ descend:
 			continue
 		}
 		i -= l.live
+		if n.atom != 0 { // a live solo: no mini record to load
+			if i == 0 {
+				return slot{node: h, mini: soloMini}, 0
+			}
+			i--
+		}
 		for mh := n.minis(); mh != 0; {
 			m := t.mini(mh)
 			kids := t.miniKids(mh, m)
@@ -126,6 +132,12 @@ descend:
 			continue
 		}
 		i -= l.live
+		if n.atom != 0 {
+			if i == 0 {
+				return append(dst, ident.M(n.bit(), n.soloDis())), slot{node: h, mini: soloMini}, nil
+			}
+			i--
+		}
 		for mh := n.minis(); mh != 0; {
 			m := t.mini(mh)
 			kids := t.miniKids(mh, m)
@@ -192,8 +204,11 @@ descend:
 			next, nn, elem = n.kids[0], l, ident.J(n.bit())
 		} else if rel < l.live {
 			break descend
-		} else {
-			rel -= l.live
+		} else if rel -= l.live; n.atom != 0 { // a live solo
+			if rel == 0 {
+				break descend
+			}
+			rel--
 		}
 		for mh := n.minis(); mh != 0 && next == 0; {
 			m := t.mini(mh)
@@ -288,6 +303,9 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 	if !t.visitRange(n.kids[0], skip, count, fn) {
 		return false
 	}
+	if !t.visitAtom(n.atom, skip, count, fn) {
+		return false
+	}
 	for mh := n.minis(); mh != 0; {
 		if *count == 0 {
 			return true
@@ -296,15 +314,8 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 		if !t.visitRange(t.kids(slot{h, mh})[0], skip, count, fn) {
 			return false
 		}
-		if m.atom != 0 && *count > 0 {
-			if *skip > 0 {
-				*skip--
-			} else {
-				if !fn(*t.atoms.at(m.atom)) {
-					return false
-				}
-				*count--
-			}
+		if !t.visitAtom(m.atom, skip, count, fn) {
+			return false
 		}
 		if !t.visitRange(t.kids(slot{h, mh})[1], skip, count, fn) {
 			return false
@@ -312,6 +323,20 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 		mh = m.next
 	}
 	return t.visitRange(n.kids[1], skip, count, fn)
+}
+
+// visitAtom passes the atom of handle a, unless it is dead or skipped, to
+// fn, and reports whether to go on.
+func (t *Tree) visitAtom(a uint32, skip, count *int, fn func(string) bool) bool {
+	switch {
+	case a == 0 || *count == 0:
+		return true
+	case *skip > 0:
+		*skip--
+		return true
+	}
+	*count--
+	return fn(*t.atoms.at(a))
 }
 
 // VisitLive calls fn for every live atom in document order with its index.

@@ -41,66 +41,70 @@ const rootH nodeH = 1
 // individual mini-nodes, whose links live in Tree.mkids.
 //
 // A node with a reserve count r has no major children in the slabs: each
-// stands for a complete subtree of r levels of empty nodes, counted in
-// emptyN and built only when a walk enters it (see ReserveFrom and child).
+// stands for a complete subtree of r levels of empty nodes, built only when
+// a walk enters it (see ReserveFrom and child).
 //
 // A node flagged flat is a flattened region (Section 4.2): it stores its
 // whole subtree's live atoms as a plain array with no metadata
 // (Tree.flats), and has no minis or children until a path walk explodes it.
 //
-// A node flagged tomb holds an SDIS tombstone with no mini record: its only
-// mini is dead, has counter 0 and no children, and the mini's 48-bit site
-// lies in the node itself, the low 32 bits in first, the high 16 in siteHi.
-// A walk that needs the record — to hang a child from the mini or add a
-// sibling beside it — builds it back first (untomb), as child builds
-// reserved nodes; a slot names the tombstone as tombMini until then.
+// A node flagged solo holds its only mini, one with counter 0 and no
+// children, with no mini record: its atom handle (0: a tombstone) in atom,
+// its 48-bit site's low 32 bits in first and high 16 in siteHi. A walk that
+// needs the record — to hang a child from the mini or add a sibling — builds
+// it back (unsolo), as child builds reserved nodes; a slot names it soloMini.
 //
 // The record is the paper's 4-byte-pointer node model made literal: 32
 // bytes, every link a handle, no Go pointer — the collector never scans a
 // node chunk, and nothing reachable from a node keeps a detached subtree
 // alive. The first 20 bytes hold what the two hot per-edit loops touch: the
 // count-guided descent (kids, first, live) and the counter climb (parent,
-// live). The climb writes emptyN only when its delta is non-zero. A
-// subtree's node and tombstone counts are not kept: the rare cold-subtree
-// scan sums them as it walks, as it does lastMod.
+// live). Of a subtree's empty nodes only whether it holds one is kept, in
+// a bit; its node and tombstone counts are not: the rare cold-subtree scan
+// sums them as it walks, as it does lastMod.
 type node struct {
 	parent nodeH    // node containing the slot we hang from; 0 at the root
 	kids   [2]nodeH // major child slots: left, right
-	first  miniH    // head of the mini chain, sorted by disambiguator; a tomb's site, low bits
+	first  miniH    // head of the mini chain, sorted by disambiguator; a solo's site, low bits
 	live   uint32   // live atoms in this subtree, including flat content
 
-	emptyN  uint32 // empty (reusable-slot) nodes in this subtree
+	atom    uint32 // a solo's atom handle into Tree.atoms; 0 = dead
 	lastMod uint32 // latest revision that edited at this node (see bubble)
-	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, tomb
+	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, solo, hasEmpty
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
-	siteHi  uint16 // a tomb's site, high bits
+	siteHi  uint16 // a solo's site, high bits
 }
 
 // The flags of node.flags above its side bit.
 const (
-	onMiniF = 2 << iota // the parent slot is one of its minis, found when needed (hangsFrom)
-	flatF               // a flattened region, its atoms in Tree.flats
-	tombF               // its one mini is a tombstone held in the node
+	onMiniF   = 2 << iota // the parent slot is one of its minis, found when needed (hangsFrom)
+	flatF                 // a flattened region, its atoms in Tree.flats
+	soloF                 // its one mini is held in the node
+	hasEmptyF             // its subtree holds an empty node, built or reserved
 )
 
-// tombMini names a tomb's mini in a slot: no mini record has this handle.
-const tombMini = miniH(maxRecords + 1)
+// soloMini names a solo mini in a slot: no mini record has this handle.
+const soloMini = miniH(maxRecords + 1)
 
-func (n *node) bit() uint8   { return n.flags & 1 }
-func (n *node) onMini() bool { return n.flags&onMiniF != 0 }
-func (n *node) flat() bool   { return n.flags&flatF != 0 }
-func (n *node) tomb() bool   { return n.flags&tombF != 0 }
+func (n *node) bit() uint8     { return n.flags & 1 }
+func (n *node) onMini() bool   { return n.flags&onMiniF != 0 }
+func (n *node) flat() bool     { return n.flags&flatF != 0 }
+func (n *node) solo() bool     { return n.flags&soloF != 0 }
+func (n *node) hasEmpty() bool { return n.flags&hasEmptyF != 0 }
 
-// minis returns the head of n's chain of mini records: none for a tomb.
+// emptyDelta returns n's hasEmpty bit as a bubble delta: 1 if it is set.
+func (n *node) emptyDelta() int { return int(n.flags&hasEmptyF) / hasEmptyF }
+
+// minis returns the head of n's chain of mini records: none for a solo.
 func (n *node) minis() miniH {
-	if n.tomb() {
+	if n.solo() {
 		return 0
 	}
 	return n.first
 }
 
-// tombDis returns a tomb's disambiguator.
-func (n *node) tombDis() ident.Dis {
+// soloDis returns a solo mini's disambiguator.
+func (n *node) soloDis() ident.Dis {
 	return ident.Dis{Site: ident.SiteID(n.siteHi)<<32 | ident.SiteID(n.first)}
 }
 
@@ -142,18 +146,18 @@ type Tree struct {
 	flats map[nodeH][]string
 	// mkids holds the child links of exactly the minis flagged hasKids, read
 	// only under the flag; an entry goes with the mini's last child.
-	mkids map[miniH][2]nodeH
-	limit uint32 // records per slab; maxRecords outside tests
+	mkids    map[miniH][2]nodeH
+	limit    uint32 // records per slab; maxRecords outside tests
+	reserved uint32 // nodes the reserve counts stand for, no record yet (see child)
 
 	height int    // max depth of any node (root = 0)
 	rev    uint32 // current revision stamp for lastMod bookkeeping
 
-	// Walk cache: the identifier and slot of the last successful
-	// root-to-leaf walk. Consecutive operations on nearby identifiers (an
-	// insert run, an insert followed by its delete) share long path
-	// prefixes, so the next walk resumes from the deepest shared slot
-	// instead of descending from the root. Any structural removal (prune,
-	// flatten) drops the cache; see cacheDrop call sites.
+	// Walk cache: the identifier and slot of the last successful walk.
+	// Consecutive operations on nearby identifiers (an insert run, an
+	// insert followed by its delete) share long path prefixes, so the next
+	// walk resumes from the deepest shared slot instead of the root. Any
+	// structural removal (prune, flatten) drops it; see cacheDrop.
 	ckID ident.Path
 	ck   slot // ck.mini == 0: no cached walk
 }
@@ -198,7 +202,7 @@ func (t *Tree) newNode(s slot, bit uint8) nodeH {
 
 // hangsFrom returns the slot node h (record n) hangs from.
 func (t *Tree) hangsFrom(h nodeH, n *node) slot {
-	for mh := t.node(n.parent).first; n.onMini() && mh != 0; mh = t.mini(mh).next {
+	for mh := t.node(n.parent).minis(); n.onMini() && mh != 0; mh = t.mini(mh).next {
 		if t.kids(slot{n.parent, mh})[n.bit()] == h {
 			return slot{n.parent, mh}
 		}
@@ -206,15 +210,16 @@ func (t *Tree) hangsFrom(h nodeH, n *node) slot {
 	return slot{node: n.parent}
 }
 
-// insertMini adds a dead mini with disambiguator d to n in sorted position
-// and returns its handle. The caller must ensure d is not already present and
-// that d.Site fits 48 bits (every ident.Packed's does).
-func (t *Tree) insertMini(n *node, d ident.Dis) miniH {
-	if n.tomb() {
-		t.untomb(n)
+// insertMini adds a dead mini with disambiguator d to node h in sorted
+// position and returns its handle. The caller must ensure d is not already
+// present and that d.Site fits 48 bits (every ident.Packed's does).
+func (t *Tree) insertMini(h nodeH, d ident.Dis) miniH {
+	n := t.node(h)
+	if n.solo() {
+		t.unsolo(h)
 	}
-	h := miniH(t.minis.alloc())
-	m := t.mini(h)
+	mh := miniH(t.minis.alloc())
+	m := t.mini(mh)
 	m.counter, m.siteLo, m.siteHi = d.Counter, uint32(d.Site), uint16(d.Site>>32)
 	link := &n.first
 	for *link != 0 {
@@ -224,12 +229,24 @@ func (t *Tree) insertMini(n *node, d ident.Dis) miniH {
 		}
 		link = &o.next
 	}
-	m.next, *link = *link, h
-	return h
+	m.next, *link = *link, mh
+	return mh
+}
+
+// setSolo gives n, which holds no mini, the solo mini with disambiguator d,
+// whose counter must be 0, holding atom (0: dead).
+func (n *node) setSolo(d ident.Dis, atom uint32) {
+	n.first, n.siteHi, n.atom = miniH(d.Site), uint16(d.Site>>32), atom
+	n.flags |= soloF
 }
 
 // unlinkMini removes mini mh from n's chain and releases its record.
 func (t *Tree) unlinkMini(n *node, mh miniH) {
+	if mh == soloMini {
+		n.first, n.siteHi, n.atom = 0, 0, 0
+		n.flags &^= soloF
+		return
+	}
 	link := &n.first
 	for *link != mh {
 		link = &t.mini(*link).next
@@ -238,37 +255,33 @@ func (t *Tree) unlinkMini(n *node, mh miniH) {
 	t.minis.release(uint32(mh))
 }
 
-// entomb releases the record of s's mini, just deleted, if it may be held in
-// its node as a tomb: the node's only mini, with counter 0 and no children.
-// It returns the slot that names the dead mini afterwards.
-func (t *Tree) entomb(s slot, m *mini) slot {
-	n := t.node(s.node)
-	if m.hasKids || m.counter != 0 || n.first != s.mini || m.next != 0 {
-		return s
+// unsolo builds node h's solo mini back as a record, moving the walk cache
+// with it, and returns its handle.
+func (t *Tree) unsolo(h nodeH) miniH {
+	n := t.node(h)
+	mh := miniH(t.minis.alloc())
+	m := t.mini(mh)
+	m.atom, m.siteLo, m.siteHi = n.atom, uint32(n.first), n.siteHi
+	n.first, n.siteHi, n.atom = mh, 0, 0
+	n.flags &^= soloF
+	if t.ck == (slot{h, soloMini}) {
+		t.ck.mini = mh
 	}
-	n.first, n.siteHi = miniH(m.siteLo), m.siteHi
-	n.flags |= tombF
-	t.minis.release(uint32(s.mini))
-	if t.ck == s {
-		t.ck.mini = tombMini
-	}
-	return slot{s.node, tombMini}
+	return mh
 }
 
-// untomb builds tomb n's mini record back and returns its handle.
-func (t *Tree) untomb(n *node) miniH {
-	h := miniH(t.minis.alloc())
-	m := t.mini(h)
-	m.siteLo, m.siteHi = uint32(n.first), n.siteHi
-	n.first, n.siteHi = h, 0
-	n.flags &^= tombF
-	return h
+// atomOf returns where the atom handle of s's mini lies.
+func (t *Tree) atomOf(s slot) *uint32 {
+	if s.mini == soloMini {
+		return &t.node(s.node).atom
+	}
+	return &t.mini(s.mini).atom
 }
 
 // findMini returns the mini of n with disambiguator d, or 0.
 func (t *Tree) findMini(n *node, d ident.Dis) miniH {
-	if n.tomb() && n.tombDis() == d {
-		return tombMini
+	if n.solo() && n.soloDis() == d {
+		return soloMini
 	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
@@ -288,9 +301,8 @@ func (t *Tree) cacheWalk(p ident.Path, s slot) {
 }
 
 // cacheDrop invalidates the walk cache. It must be called before any
-// mini-node or node is released (the cached chain climbs parent handles,
-// and a released record may be handed out again), except a mini released
-// into a tomb, which keeps its node and its identifier (entomb).
+// mini-node or node is released: the cached chain climbs parent handles,
+// and a released record may be handed out again.
 func (t *Tree) cacheDrop() { t.ck = slot{} }
 
 // resumeSlot returns where a walk of p starts, plus the number of elements
@@ -362,9 +374,9 @@ func (t *Tree) depth(h nodeH) int {
 }
 
 // empty reports whether the node has no contents at all: no minis, no
-// tomb, no flat region. Empty nodes are the free identifier slots reused by
+// solo, no flat region. Empty nodes are the free identifier slots reused by
 // the balanced allocation strategy (Section 4.1).
-func (n *node) empty() bool { return n.first == 0 && n.flags&(flatF|tombF) == 0 }
+func (n *node) empty() bool { return n.first == 0 && n.flags&(flatF|soloF) == 0 }
 
 // reservedNodes returns the empty nodes a reserve count of r stands for.
 func reservedNodes(r uint8) uint32 { return 1<<(r+1) - 2 }
@@ -383,34 +395,49 @@ func (t *Tree) pathTo(h nodeH) ident.Path {
 	return p
 }
 
-// bubble adjusts every counter from h to the root in one climb and stamps
-// h's lastMod. lastMod is stamped only on h itself — the edit point — not
-// the whole ancestor chain: subtree recency is the maximum stamp over the
-// subtree, which coldWalk computes during its own traversal. The edit fast
-// paths accumulate their whole delta set and climb once; the climb is the
-// single hottest write loop of a deep-tree replay, so it writes the
-// empty-slot counter only when it changes. Deltas are signed; the counters
-// are unsigned and the additions wrap to the right sum.
+// bubble adds dLive to every live counter from h to the root, stamps h's
+// lastMod — the edit point only: coldWalk takes a subtree's recency as the
+// maximum stamp in it — and, if h's subtree gained (dEmpty > 0) or lost
+// (< 0) an empty node, sets the hasEmpty bits up to the first ancestor
+// that has one or recomputes them up to the first whose bit holds. The
+// counters are unsigned and the signed additions wrap to the right sum.
 func (t *Tree) bubble(h nodeH, dLive, dEmpty int) {
 	if h == 0 {
 		return
 	}
 	dir := nodeDir(t.nodes.chunks)
 	dir.at(h).lastMod = t.rev
-	if dEmpty == 0 {
-		for h != 0 {
-			n := dir.at(h)
-			n.live += uint32(dLive)
-			h = n.parent
+	for p := h; dEmpty != 0 && p != 0; {
+		n := dir.at(p)
+		bit := uint8(hasEmptyF)
+		if dEmpty < 0 && !t.holdsEmpty(p, n) {
+			bit = 0
 		}
-		return
+		if n.flags&hasEmptyF == bit {
+			break
+		}
+		n.flags ^= hasEmptyF
+		p = n.parent
 	}
-	for h != 0 {
+	for dLive != 0 && h != 0 {
 		n := dir.at(h)
 		n.live += uint32(dLive)
-		n.emptyN += uint32(dEmpty)
 		h = n.parent
 	}
+}
+
+// holdsEmpty recomputes node h's hasEmpty bit: whether h is an empty node,
+// reserves some, or has a child, major or below a mini, with the bit.
+func (t *Tree) holdsEmpty(h nodeH, n *node) bool {
+	if h != rootH && n.empty() || n.reserve != 0 || t.node(n.kids[0]).hasEmpty() || t.node(n.kids[1]).hasEmpty() {
+		return true
+	}
+	for mh := n.minis(); mh != 0; mh = t.mini(mh).next {
+		if kids := t.miniKids(mh, t.mini(mh)); t.node(kids[0]).hasEmpty() || t.node(kids[1]).hasEmpty() {
+			return true
+		}
+	}
+	return false
 }
 
 // heapBytes returns what the tree's structure occupies on the Go heap: the

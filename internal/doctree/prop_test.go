@@ -367,8 +367,12 @@ func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
 	}
 	maxRev = int64(n.lastMod)
 	kids := []nodeH{n.kids[0], n.kids[1]}
-	if n.tomb() {
-		dead++
+	if n.solo() {
+		if n.atom == 0 {
+			dead++
+		} else {
+			live++
+		}
 	}
 	for mh := n.minis(); mh != 0; mh = tr.mini(mh).next {
 		m := tr.mini(mh)

@@ -19,7 +19,7 @@ const (
 )
 
 // maxRecords is the handle space of one slab: handles are uint32, 0 is nil
-// and the last names a tomb (tombMini), so a tree holds at most 2³²−2 nodes
+// and the last names a solo (soloMini), so a tree holds at most 2³²−2 nodes
 // and as many mini-nodes.
 const maxRecords = math.MaxUint32 - 1
 

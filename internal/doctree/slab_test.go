@@ -123,7 +123,7 @@ func checkNoDangling(t *testing.T, tr *Tree) {
 		}
 	}
 	node(tr.ck.node, "walk cache")
-	if tr.ck.mini != tombMini {
+	if tr.ck.mini != soloMini {
 		mini(tr.ck.mini, "walk cache")
 	}
 	for mh := range tr.mkids {
@@ -173,9 +173,11 @@ func TestFlattenSubtreeRecyclesRecords(t *testing.T) {
 	checkTree(t, tr)
 	regionH := tr.node(rootH).kids[1]
 	nodes, _, dead, _ := bruteCount(tr, regionH)
-	wantNodes, wantMinis := uint32(nodes-1), tr.node(regionH).live+uint32(dead) // the region's root node stays
-	if wantNodes != 199 || wantMinis != 200 {
-		t.Fatalf("region holds %d nodes below its root and %d minis, want 199 and 200", wantNodes, wantMinis)
+	// The region's root node stays, and the chain's last mini is a solo,
+	// with no record.
+	wantNodes, wantMinis := uint32(nodes-1), tr.node(regionH).live+uint32(dead)-1
+	if wantNodes != 199 || wantMinis != 199 {
+		t.Fatalf("region holds %d nodes below its root and %d mini records, want 199 and 199", wantNodes, wantMinis)
 	}
 	highN, highM := tr.nodes.n, tr.minis.n
 	before := tr.Content()
@@ -307,7 +309,7 @@ func TestReserveCountsStayWithinTheLimit(t *testing.T) {
 		t.Fatalf("reservations past the limit: %v, want ErrFull", err)
 	}
 	checkTree(t, tr)
-	if e := tr.node(rootH).emptyN; e > tr.limit {
+	if e := tr.reserved; e > tr.limit {
 		t.Errorf("%d empty nodes counted past the limit of %d records", e, tr.limit)
 	}
 }

@@ -18,9 +18,9 @@ import (
 //
 // The scan compares no identifiers. It resumes p's node after p and
 // climbs, resuming each ancestor after the slot it came up from, up to a
-// live atom, an empty ancestor or a subtree whose live or empty-slot
-// counter is non-zero. That subtree holds the answer: no slot if it counts
-// no empty node (a flattened region never does), else the first of its
+// live atom, an empty ancestor or a subtree with a live atom or its
+// hasEmpty bit set. That subtree holds the answer: no slot if it holds no
+// empty node (a flattened region never does), else the first of its
 // empty nodes and live atoms, reached by a descent that never backtracks
 // and builds the reserved nodes it enters (see child). A tree without room
 // for those has no slot to offer.
@@ -35,8 +35,8 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 	h, k, ms, stage := at.at.node, at.depth, at.at.mini, 2
 	if down {
 		h, stage = rootH, 0 // the document start: all of it lies ahead
-	} else if ms == tombMini {
-		ms = 0 // a tomb has no children: ahead is the node's right subtree
+	} else if ms == soloMini {
+		ms = 0 // a solo has no children: ahead is the node's right subtree
 	}
 	if t.room(2*t.height, 0) != nil {
 		return nil, Slot{}
@@ -52,6 +52,9 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 					dst = append(dst, p[:k-1]...) //treedoc:escape growing the caller's scratch
 				}
 				return append(dst, ident.M(n.bit(), d)), Slot{t.hangsFrom(h, n), len(dst) - base} //treedoc:escape growing the caller's scratch
+			}
+			if n.atom != 0 {
+				return nil, Slot{} // the node's live solo comes first
 			}
 			ms, stage = n.minis(), 0
 		}
@@ -80,7 +83,7 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 			h, k, ms, stage = up.node, k-1, up.mini, 1+2*int(n.bit())
 			continue
 		}
-		if t.node(next).emptyN == 0 {
+		if !t.node(next).hasEmpty() {
 			return nil, Slot{} // the next live atom is in there, and no slot
 		}
 		if !down {
@@ -97,16 +100,16 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 // (a nil child reads as neither).
 func (t *Tree) occupied(h nodeH) bool {
 	n := t.node(h)
-	return n.live|n.emptyN != 0
+	return n.live != 0 || n.hasEmpty()
 }
 
 // ReserveFrom implements the balanced growth of Section 4.1: "grow the
 // height h of the tree by ⌈log2(h)⌉+1… Thereafter, new PosIDs would be
 // generated by using empty position in the tree of identifiers" (Figure 5's
 // empty nodes). The node the structural path designates, created if need
-// be, becomes the root of a complete subtree of the given levels, counted
-// in emptyN by one climb: the nodes it lacks are a reserve count on the
-// deepest existing ones, built as walks enter them (see child). from is a
+// be, becomes the root of a complete subtree of the given levels, marked in
+// the hasEmpty bits by one climb: the nodes it lacks are a reserve count on
+// the deepest existing ones, built as walks enter them (see child). from is a
 // slot on path's route, as for InsertFrom; the zero Slot resumes from the
 // walk cache.
 func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
@@ -120,8 +123,8 @@ func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 		return fmt.Errorf("doctree: reserve %d levels: %w", levels, ErrFull)
 	}
 	// The slabs must have room for every node the subtree stands for, the
-	// tree's empty ones counted too: unbuilt, they hold no record.
-	if err := t.room(len(path)+1<<max(levels, 0)+int(t.node(rootH).emptyN), len(path)); err != nil {
+	// tree's other reserved ones counted too: unbuilt, they hold no record.
+	if err := t.room(len(path)+1<<max(levels, 0)+int(t.reserved), len(path)); err != nil {
 		return fmt.Errorf("doctree: reserve %v: %w", path, err)
 	}
 	last := len(path) - 1
@@ -140,8 +143,8 @@ func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 
 // reserve makes the child of slot s on side bit, at the given depth, the
 // root of a complete subtree of the given levels, creating it if need be,
-// and returns the empty nodes that adds. Below the slot the counters are
-// set; the slot's node and its ancestors are the caller's to count.
+// and returns the empty nodes that adds. Below the slot the hasEmpty bits
+// are set; the slot's node and its ancestors are the caller's to mark.
 func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 	h := t.child(s, bit)
 	if h == 0 {
@@ -155,6 +158,7 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 	case n.kids == [2]nodeH{}:
 		if r := uint8(levels - 1); r > n.reserve {
 			added += reservedNodes(r) - reservedNodes(n.reserve)
+			t.reserved += reservedNodes(r) - reservedNodes(n.reserve)
 			n.reserve, n.lastMod = r, t.rev
 			t.height = max(t.height, depth+int(r))
 		}
@@ -163,6 +167,8 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 			added += t.reserve(slot{node: h}, uint8(b), depth+1, levels-1)
 		}
 	}
-	t.node(h).emptyN += added
+	if added != 0 {
+		t.node(h).flags |= hasEmptyF
+	}
 	return added
 }

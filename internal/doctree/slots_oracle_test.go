@@ -40,8 +40,8 @@ type oracleSearch struct {
 // whose mini position lies strictly between the bounds.
 func (s *oracleSearch) walk(h nodeH) nodeH {
 	n := s.t.node(h)
-	if n.flat() || n.emptyN == 0 {
-		return 0 // a nil child reads emptyN == 0
+	if n.flat() || !n.hasEmpty() {
+		return 0 // a nil child reads no hasEmpty bit
 	}
 	s.visits++
 	// Prune subtrees entirely outside the open interval.
@@ -274,7 +274,7 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 			}
 			for _, q := range ids {
 				s, used := tr.ExistsFrom(Slot{}, q)
-				if !used || s.at.node == 0 || s.at.mini != tombMini && tr.mini(s.at.mini).atom != 0 {
+				if !used || s.at.node == 0 || *tr.atomOf(s.at) != 0 {
 					continue
 				}
 				var f ident.Path

@@ -118,34 +118,36 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		s.MemBytes += 12 * k // subtree count + two child pointers
 	}
 	t.statsWalk(n.kids[0], depth+1, disBits, c, s)
-	if n.tomb() {
-		s.Minis++
-		s.DeadMinis++
-		s.MemBytes += c.DisBytes() + 4
-		s.DeadIDBits += depth + disBits + c.Bits(n.tombDis())
+	if n.solo() {
+		t.statsMini(n.atom, depth+disBits+c.Bits(n.soloDis()), c, s)
 	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
-		s.Minis++
-		s.MemBytes += c.DisBytes() + 4 // disambiguator + atom pointer
 		if m.hasKids {
 			s.MemBytes += 8
 		}
 		mBits := disBits + c.Bits(m.dis())
-		if m.atom == 0 {
-			s.DeadMinis++
-			s.DeadIDBits += depth + mBits
-		} else {
-			s.LiveAtoms++
-			s.DocBytes += len(*t.atoms.at(m.atom))
-			bits := depth + mBits
-			s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+bits, max(s.MaxIDBits, bits)
-		}
+		t.statsMini(m.atom, depth+mBits, c, s)
 		t.statsWalk(t.kids(slot{h, mh})[0], depth+1, mBits, c, s)
 		t.statsWalk(t.kids(slot{h, mh})[1], depth+1, mBits, c, s)
 		mh = m.next
 	}
 	t.statsWalk(n.kids[1], depth+1, disBits, c, s)
+}
+
+// statsMini accumulates s over one mini-node, holding atom (0: dead), whose
+// identifier is bits long.
+func (t *Tree) statsMini(atom uint32, bits int, c ident.Cost, s *Stats) {
+	s.Minis++
+	s.MemBytes += c.DisBytes() + 4 // disambiguator + atom pointer
+	if atom == 0 {
+		s.DeadMinis++
+		s.DeadIDBits += bits
+		return
+	}
+	s.LiveAtoms++
+	s.DocBytes += len(*t.atoms.at(atom))
+	s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+bits, max(s.MaxIDBits, bits)
 }
 
 // flatIDBits returns the total and maximum identifier bit sizes the n atoms
@@ -232,7 +234,7 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 		}
 	}
 	consider(t.coldWalk(n.kids[0], cutoff, minNodes, liveOnly))
-	if n.tomb() {
+	if n.solo() && n.atom == 0 {
 		dead++
 	}
 	for mh := n.minis(); mh != 0; mh = t.mini(mh).next {

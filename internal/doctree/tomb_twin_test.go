@@ -14,12 +14,13 @@ import (
 	"github.com/treedoc/treedoc/internal/ident"
 )
 
-// tombTwins are two trees fed the same script: real holds an SDIS
-// tombstone that is its node's only mini as a flag on the node, twin has
-// every such tombstone's mini record built back after each step — the tree
-// as it stood while every tombstone was a 20-byte record. The model is the
-// live identifiers and atoms in document order and the deleted identifiers
-// no flatten has collected. Every observable but the heap must agree.
+// tombTwins are two trees fed the same script: real holds a mini that is
+// its node's only one, with counter 0 and no children, in the node itself
+// — a solo, live or dead (a tomb) — and twin has every solo's mini record
+// built back after each step: the tree as it stood while every mini was a
+// 20-byte record. The model is the live identifiers and atoms in document
+// order and the deleted identifiers no flatten has collected. Every
+// observable but the heap must agree.
 type tombTwins struct {
 	t          *testing.T
 	rng        *rand.Rand
@@ -51,10 +52,16 @@ func (w *tombTwins) dis() ident.Dis {
 	return d
 }
 
-// isTomb reports whether id names a tomb in the real tree.
-func (w *tombTwins) isTomb(id ident.Path) bool {
+// isSolo reports whether id names a solo mini in the real tree.
+func (w *tombTwins) isSolo(id ident.Path) bool {
 	h, _ := w.real.MiniOf(id)
 	return h == math.MaxUint32
+}
+
+// isLive reports whether id names a live atom in the model.
+func (w *tombTwins) isLive(id ident.Path) bool {
+	_, ok := slices.BinarySearchFunc(w.ids, id, ident.Compare)
+	return ok
 }
 
 // note records a new live atom in the model.
@@ -79,7 +86,7 @@ func (w *tombTwins) insert(id ident.Path, revive bool) bool {
 	if used && !revive {
 		return false
 	}
-	tombs, tomb := w.real.Tombs(), w.isTomb(id)
+	records, tomb := w.real.MiniRecords(), w.isSolo(id)
 	atom := fmt.Sprint("a", w.counter)
 	for _, tr := range w.trees() {
 		if err := tr.InsertID(id, atom); err != nil {
@@ -89,8 +96,8 @@ func (w *tombTwins) insert(id ident.Path, revive bool) bool {
 	switch {
 	case tomb:
 		w.met["tomb revived"]++
-	case w.real.Tombs() < tombs:
-		w.met["tomb built back by an insert"]++
+	case w.real.MiniRecords() > records+1:
+		w.met["solo built back by an insert"]++
 	}
 	w.note(id, atom)
 	return true
@@ -119,12 +126,14 @@ func (w *tombTwins) remote() {
 		return
 	}
 	var id ident.Path
+	what := "a child below"
 	switch w.rng.Intn(4) {
 	case 0:
 		id = base.Child(ident.M(uint8(w.rng.Intn(2)), w.dis()))
 	case 1:
 		id = base.StripLastDis()
 		id[len(id)-1] = ident.M(base.Last().Bit, w.dis())
+		what = "a sibling at"
 	case 2:
 		id = base.Clone()
 		for k := 1 + w.rng.Intn(2); k > 0; k-- {
@@ -133,47 +142,94 @@ func (w *tombTwins) remote() {
 		id = append(id, ident.M(uint8(w.rng.Intn(2)), w.dis()))
 	default:
 		id = append(base.StripLastDis(), ident.M(uint8(w.rng.Intn(2)), w.dis()))
+		what = "a node below"
 	}
-	w.insert(id, false)
+	solo, live := w.isSolo(base), w.isLive(base)
+	if w.insert(id, false) && solo {
+		if live {
+			w.met[what+" a live solo"]++
+		} else {
+			w.met[what+" a tomb"]++
+		}
+	}
 }
 
-// local inserts at gap i as a local edit does (core's allocate): the
-// balanced strategy mints an identifier, and a used one becomes the lower
-// bound of the next try, its slot the scan's start — a tomb's, when it
-// collides with one. The scan is held to the root-down oracle at each try.
-func (w *tombTwins) local(i int, d ident.Dis) {
+// reserve grows a balanced subtree below a live or deleted atom's mini, or
+// below its node, as a strategy's growth does, from the walk cache a walk
+// to the atom leaves — at a solo, the slot the reservation builds back.
+func (w *tombTwins) reserve() {
 	w.t.Helper()
-	atom := fmt.Sprint("l", w.counter)
-	var ids [2]ident.Path
+	var base ident.Path
+	switch {
+	case len(w.dead) > 0 && w.rng.Intn(2) == 0:
+		base = w.dead[w.rng.Intn(len(w.dead))]
+	case len(w.ids) > 0:
+		base = w.ids[w.rng.Intn(len(w.ids))]
+	default:
+		return
+	}
+	region := append(base.Clone(), ident.J(uint8(w.rng.Intn(2))))
+	if w.rng.Intn(3) == 0 {
+		region = base.StripLastDis()
+	}
+	solo, levels := w.isSolo(base) && len(region) > len(base), 2+w.rng.Intn(2)
+	for _, tr := range w.trees() {
+		tr.HasLive(base) // leaves the walk cache at base, or where its walk stopped
+		if err := tr.Reserve(region, levels); err != nil {
+			w.fatalf("reserve %v: %v", region, err)
+		}
+	}
+	if solo {
+		w.met["reserve below a solo from the walk cache"]++
+	}
+}
+
+// local inserts a run of n atoms at gaps i, i+1, ... as local edits do
+// (core's InsertAt and allocate): the balanced strategy mints an
+// identifier, and a used one becomes the lower bound of the next try, its
+// slot the scan's start — a tomb's, when it collides with one. The next
+// gap's left neighbour is the atom just inserted, where the insert left
+// it: a solo's slot, if it landed in a node of its own. The scan is held
+// to the root-down oracle at each try.
+func (w *tombTwins) local(i, n int, d ident.Dis) {
+	w.t.Helper()
+	ids := make([][]ident.Path, 2)
 	for k, tr := range w.trees() {
 		p, f, at, err := gap(tr, i)
 		if err != nil {
 			w.fatalf("gap %d: %v", i, err)
 		}
-		for {
-			got, _ := tr.FreeSlotAfter(nil, p, at.P, d)
-			if want, _ := tr.FreeMiniBetweenOracle(p, f, d); !got.Equal(want) {
-				w.fatalf("tree %d gap %d (%v, %v): scan %v, oracle %v", k, i, p, f, got, want)
+		for j := 0; j < n; j++ {
+			if j > 0 && k == 0 && w.isSolo(p) {
+				w.met["run slot named a solo"]++
 			}
-			id, from := core.Balanced{}.NewID(tr, nil, p, f, at, d)
-			used, collides := tr.ExistsFrom(from, id)
-			if !collides {
-				if _, err := tr.InsertFrom(from, id, atom); err != nil {
-					w.fatalf("local insert %v: %v", id, err)
+			for {
+				got, _ := tr.FreeSlotAfter(nil, p, at.P, d)
+				if want, _ := tr.FreeMiniBetweenOracle(p, f, d); !got.Equal(want) {
+					w.fatalf("tree %d gap %d (%v, %v): scan %v, oracle %v", k, i+j, p, f, got, want)
 				}
-				ids[k] = id
-				break
+				id, from := core.Balanced{}.NewID(tr, nil, p, f, at, d)
+				used, collides := tr.ExistsFrom(from, id)
+				if !collides {
+					if at.P, err = tr.InsertFrom(from, id, fmt.Sprint("l", w.counter, ".", j)); err != nil {
+						w.fatalf("local insert %v: %v", id, err)
+					}
+					ids[k], p = append(ids[k], id), id
+					break
+				}
+				if k == 0 && w.isSolo(id) {
+					w.met["allocation collided with a tomb"]++
+				}
+				p, at.P = id, used
 			}
-			if k == 0 && w.isTomb(id) {
-				w.met["allocation collided with a tomb"]++
-			}
-			p, at.P = id, used
 		}
 	}
-	if !ids[0].Equal(ids[1]) {
-		w.fatalf("gap %d: minted %v and %v", i, ids[0], ids[1])
+	for j, id := range ids[0] {
+		if !id.Equal(ids[1][j]) {
+			w.fatalf("gap %d: minted %v and %v", i+j, id, ids[1][j])
+		}
+		w.note(id, fmt.Sprint("l", w.counter, ".", j))
 	}
-	w.note(ids[0], atom)
 }
 
 // remove deletes atom i from both trees, locally by index or as a remote
@@ -193,7 +249,7 @@ func (w *tombTwins) remove(i int, local bool) {
 	}
 	w.dead = append(w.dead, id)
 	w.ids, w.atoms = slices.Delete(w.ids, i, i+1), slices.Delete(w.atoms, i, i+1)
-	if w.isTomb(id) {
+	if w.isSolo(id) {
 		w.met["tomb made"]++
 	}
 }
@@ -202,7 +258,7 @@ func (w *tombTwins) remove(i int, local bool) {
 // trees must find nothing to delete.
 func (w *tombTwins) redelete(id ident.Path) {
 	w.t.Helper()
-	if w.isTomb(id) {
+	if w.isSolo(id) {
 		w.met["tomb deleted again"]++
 	}
 	for _, tr := range w.trees() {
@@ -246,18 +302,19 @@ func (w *tombTwins) decoded(tr *doctree.Tree) *doctree.Tree {
 	return c
 }
 
-// settle builds the twin's tombs back, then holds the trees to each other
-// and the model: Check, content, snapshot bytes, Stats but the heap,
-// Exists of every live and deleted identifier, ColdestSubtree, and on
-// some steps IDAt (which explodes the flattened regions on its way). On a
-// decoded copy of the tree — the decoder makes tombs of its own — the
-// free-slot scan is held to the oracle at every gap and after every
-// tombstone.
+// settle builds the twin's solos back, then holds the trees to each other
+// and the model: Check (which holds the walk cache to the tree's slots),
+// content, snapshot bytes, Stats but the heap, Exists of every live and
+// deleted identifier, ColdestSubtree, and on some steps IDAt (which
+// explodes the flattened regions on its way) and the atoms of the walk
+// from every index. On a decoded copy of the tree — the decoder makes
+// solos of its own — the free-slot scan is held to the oracle at every gap
+// and after every tombstone.
 func (w *tombTwins) settle() {
 	w.t.Helper()
-	w.twin.BuildTombs()
-	if n := w.twin.Tombs(); n != 0 {
-		w.fatalf("the twin holds %d tombs", n)
+	w.twin.BuildSolos()
+	if live, dead := w.twin.Solos(); live+dead != 0 {
+		w.fatalf("the twin holds %d live and %d dead solos", live, dead)
 	}
 	want := strings.Join(w.atoms, ",")
 	data := w.real.AppendSnapshot(nil)
@@ -270,7 +327,7 @@ func (w *tombTwins) settle() {
 			w.fatalf("tree %d holds %q, want %q", k, got, want)
 		}
 		if got := tr.AppendSnapshot(nil); !bytes.Equal(got, data) {
-			w.fatalf("tree %d encodes to %d bytes, the tree to %d", k, len(got), len(data))
+			w.fatalf("tree %d encodes to %d bytes, the tree to %d\n%x\n%x", k, len(got), len(data), got, data)
 		}
 	}
 	ts := w.twin.Stats(ident.PaperCost(w.mode))
@@ -308,6 +365,12 @@ func (w *tombTwins) settle() {
 			if errA != nil || errB != nil || !a.Equal(b) {
 				w.fatalf("IDAt(%d) = %v (%v) and the twin's %v (%v)", i, a, errA, b, errB)
 			}
+			atom, err := w.real.AtomAt(i)
+			var visited []string
+			w.real.VisitRange(i, len(w.ids), func(a string) bool { visited = append(visited, a); return len(visited) < 3 })
+			if err != nil || atom != w.atoms[i] || !slices.Equal(visited, w.atoms[i:min(i+3, len(w.atoms))]) {
+				w.fatalf("AtomAt(%d) = %q (%v), a visit from it %q; want %q", i, atom, err, visited, w.atoms[i:min(i+3, len(w.atoms))])
+			}
 		}
 	}
 	c := w.decoded(w.real)
@@ -340,7 +403,9 @@ func (w *tombTwins) settle() {
 
 // setUp builds what the random steps meet too seldom: three sites at one
 // gap whose minis all die, a tomb that gains a concurrent sibling, a tomb
-// that gains a child below its mini, and a tomb deleted again.
+// that gains a child below its mini, a tomb deleted again, live solos that
+// gain a sibling and a child, a live solo deleted and revived, and a
+// reservation below a live solo's mini from the walk cache.
 func (w *tombTwins) setUp() {
 	w.step = "set-up"
 	s := func(site, counter int) string {
@@ -370,17 +435,40 @@ func (w *tombTwins) setUp() {
 		w.redelete(id)
 	}
 	w.settle()
-	w.counter = 10
+	w.mustInsert("[1(1:" + s(5, 10) + ")]")
+	w.mustInsert("[1(1:" + s(6, 11) + ")]")                     // a sibling at a live solo's node
+	w.mustInsert("[0(1:" + s(5, 12) + ")]")                     // a live solo
+	w.mustInsert("[0(1:" + s(5, 12) + ")(0:" + s(6, 13) + ")]") // a child below its mini
+	w.mustInsert("[1(0:" + s(5, 14) + ")]")                     // a live solo, deleted and revived
+	w.settle()
+	revived := slices.IndexFunc(w.ids, ident.MustParsePath("[1(0:"+s(5, 14)+")]").Equal)
+	w.remove(revived, false)
+	w.settle()
+	w.insert(w.dead[len(w.dead)-1], true)
+	solo := "[0(0:" + s(5, 15) + ")]"
+	w.mustInsert(solo)
+	if id := ident.MustParsePath(solo); w.mode == ident.SDIS && !w.isSolo(id) {
+		w.fatalf("%v is not a solo", solo)
+	}
+	for _, tr := range w.trees() {
+		tr.HasLive(ident.MustParsePath(solo)) // the walk cache lies at the live solo
+		if err := tr.Reserve(ident.MustParsePath(solo[:len(solo)-1]+"0]"), 3); err != nil {
+			w.fatalf("reserve below a solo: %v", err)
+		}
+	}
+	w.settle()
+	w.counter = 20
 }
 
 // TestTombMatchesRecord replays seeded scripts — the set-up above, then
-// remote inserts beside and below live atoms and tombstones, local inserts
-// whose allocation may collide with a tomb, local and remote deletes,
+// remote inserts beside and below live atoms and tombstones, reservations
+// below them, local insert runs whose allocation may collide with a tomb
+// and whose slots may name solos, local and remote deletes,
 // duplicate deletes, re-delivered inserts of deleted atoms, cold, chosen
 // and whole-document flattens and snapshot round trips — on a tree whose
-// SDIS tombstones may be flags on their nodes and a twin whose tombstones
-// are all mini records, in SDIS and in UDIS, which discards instead and
-// so holds no tombs.
+// lone counter-0 minis, live or dead, are held in their nodes and a twin
+// whose minis are all records, in SDIS and in UDIS, whose counters keep
+// every mini but a flattened region's canonical ones a record.
 func TestTombMatchesRecord(t *testing.T) {
 	for _, mode := range []ident.Mode{ident.SDIS, ident.UDIS} {
 		met := map[string]int{}
@@ -397,7 +485,7 @@ func TestTombMatchesRecord(t *testing.T) {
 				}
 				switch r := w.rng.Intn(100); {
 				case n == 0 || r < 22:
-					w.local(w.rng.Intn(n+1), w.dis())
+					w.local(w.rng.Intn(n+1), 1+w.rng.Intn(3), w.dis())
 				case r < 32: // a site deletes an atom and types at its gap again
 					i := w.rng.Intn(n)
 					d := w.ids[i].Last().Dis
@@ -405,9 +493,11 @@ func TestTombMatchesRecord(t *testing.T) {
 						d = w.dis()
 					}
 					w.settle()
-					w.local(i, d)
-				case r < 50:
+					w.local(i, 1, d)
+				case r < 46:
 					w.remote()
+				case r < 50:
+					w.reserve()
 				case r < 70:
 					w.remove(w.rng.Intn(n), w.rng.Intn(2) == 0)
 				case r < 78:
@@ -438,8 +528,8 @@ func TestTombMatchesRecord(t *testing.T) {
 					met["round trip"]++
 				}
 				w.settle()
-				if w.real.Tombs() > 0 {
-					met["steps with a tomb"]++
+				if live, dead := w.real.Solos(); live > 0 && dead > 0 {
+					met["steps with a live solo and a tomb"]++
 				}
 			}
 		}
@@ -448,35 +538,67 @@ func TestTombMatchesRecord(t *testing.T) {
 			continue
 		}
 		for what, least := range map[string]int{
-			"steps with a tomb": seeds * steps / 2, "steps the tree held fewer mini records": seeds * steps / 2,
-			"tomb made": 100, "tomb built back by an insert": 20, "tomb revived": 5, "tomb deleted again": 20,
+			"steps with a live solo and a tomb": seeds * steps / 2, "steps the tree held fewer mini records": seeds * steps / 2,
+			"tomb made": 100, "solo built back by an insert": 20, "tomb revived": 5, "tomb deleted again": 20,
+			"a sibling at a live solo": 10, "a child below a live solo": 10, "a sibling at a tomb": 5, "a child below a tomb": 5,
+			"reserve below a solo from the walk cache": 10, "run slot named a solo": 20,
 			"allocation collided with a tomb": 5, "cold flatten": 5, "chosen flatten": 5, "whole-document flatten": 2, "round trip": 5,
 		} {
 			if met[what] < least {
-				t.Errorf("%v: the scripts no longer exercise the tombs: %q %d times, want %d", mode, what, met[what], least)
+				t.Errorf("%v: the scripts no longer exercise the solos: %q %d times, want %d", mode, what, met[what], least)
 			}
 		}
 	}
 }
 
-// TestCheckRefusesBrokenTomb: Check catches each way a tomb flag can
-// disagree with the node it is set on.
+// TestCheckRefusesBrokenTomb: Check catches each way a solo flag, a solo's
+// atom handle or a hasEmpty bit can disagree with the tree.
 func TestCheckRefusesBrokenTomb(t *testing.T) {
+	solo := func(atom string) func(*doctree.Tree, ident.Path) {
+		return func(tr *doctree.Tree, node ident.Path) {
+			var h uint32
+			switch atom {
+			case "":
+			case "out of range":
+				h = 1 << 20
+			default:
+				h = tr.AtomHandle(ident.MustParsePath(atom))
+			}
+			tr.SetSolo(node, h)
+		}
+	}
+	bit := func(on bool) func(*doctree.Tree, ident.Path) {
+		return func(tr *doctree.Tree, node ident.Path) {
+			if tr.HasEmpty(node) == on {
+				t.Fatalf("%v has the bit %v already", node, on)
+			}
+			tr.SetHasEmpty(node, on)
+		}
+	}
 	for _, tc := range []struct {
 		name, want string
-		ids        []string // applied in order: inserts, and SDIS deletes marked -
-		node       string   // the node flagged
+		ids        []string // applied in order: inserts, SDIS deletes marked -, reservations marked +
+		node       string   // the node damaged
 		flatten    bool
+		damage     func(*doctree.Tree, ident.Path)
 	}{
-		{"on the root", "root holds mini-nodes", []string{"[(0:s1)]"}, "[]", false},
-		{"on a flat node", "a tomb", []string{"[(0:s1)]", "[0(0:s2)]"}, "[0]", true},
-		{"over a live mini with a child", "node counters", []string{"[(0:s1)]", "[(0:s1)(1:s2)]"}, "[0]", false},
+		{"on the root", "root holds mini-nodes", []string{"[(0:s1)]"}, "[]", false, solo("")},
+		{"on a flat node", "a solo", []string{"[(0:s1)]", "[0(0:s2)]"}, "[0]", true, solo("")},
+		{"over a live mini with a child", "live atoms", []string{"[(0:s1)]", "[(0:s1)(1:s2)]"}, "[0]", false, solo("")},
 		// The counters agree: the mini's entry and its onMini child are
 		// what the tomb leaves unreached.
 		{"over a dead mini with a child", "mini-child entries",
-			[]string{"[(0:s1)]", "[(0:s1)(1:s2)]", "-[(0:s1)(1:s2)]", "-[(0:s1)]"}, "[0]", false},
-		{"counted in emptyN", "node counters", []string{"[0(0:s1)]"}, "[0]", false},
-		{"with a non-zero counter", "reached", []string{"[(0:c5s1)]", "-[(0:c5s1)]"}, "[0]", false},
+			[]string{"[(0:s1)]", "[(0:s1)(1:s2)]", "-[(0:s1)(1:s2)]", "-[(0:s1)]"}, "[0]", false, solo("")},
+		{"counted as an empty node", "hasEmpty", []string{"[0(0:s1)]"}, "[0]", false, solo("")},
+		{"with a non-zero counter", "reached", []string{"[(0:c5s1)]", "-[(0:c5s1)]"}, "[0]", false, solo("")},
+		{"holding an atom on a flat node", "a solo", []string{"[(0:s1)]", "[0(0:s2)]", "[(1:s3)]"}, "[0]", true, solo("[(1:s3)]")},
+		{"holding a record's atom", "shared",
+			[]string{"[(0:s1)]", "[(0:s1)(0:s3)]", "[(1:s2)]", "-[(1:s2)]"}, "[1]", false, solo("[(0:s1)]")},
+		{"holding a free atom handle", "free", []string{"[(0:s1)]", "[(1:s2)]", "-[(0:s1)]"}, "[0]", false,
+			func(tr *doctree.Tree, node ident.Path) { tr.SetSolo(node, tr.FreeAtomHandle()) }},
+		{"holding an atom handle out of range", "out of range", []string{"[(0:s1)]", "-[(0:s1)]"}, "[0]", false, solo("out of range")},
+		{"bit set over no empty node", "hasEmpty", []string{"[(0:s1)]", "[0(1:s2)]"}, "[0]", false, bit(true)},
+		{"bit clear over a reserved node", "hasEmpty", []string{"[(1:s1)]", "+[1(0:s2)0]"}, "[10]", false, bit(false)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := doctree.New()
@@ -484,6 +606,8 @@ func TestCheckRefusesBrokenTomb(t *testing.T) {
 				var err error
 				if s, ok := strings.CutPrefix(id, "-"); ok {
 					_, err = tr.DeleteID(ident.MustParsePath(s), false)
+				} else if s, ok := strings.CutPrefix(id, "+"); ok {
+					err = tr.Reserve(ident.MustParsePath(s), 3)
 				} else {
 					err = tr.InsertID(ident.MustParsePath(id), "x")
 				}
@@ -500,11 +624,10 @@ func TestCheckRefusesBrokenTomb(t *testing.T) {
 			if err := tr.Check(); err != nil {
 				t.Fatalf("before the damage: %v", err)
 			}
-			tombs := tr.Tombs()
-			if tr.SetTomb(node); tr.Tombs() != tombs+1 {
-				t.Fatalf("%s is a tomb already", tc.node)
+			if tc.damage(tr, node); tr.Check() == nil {
+				t.Fatalf("Check accepts the damage")
 			}
-			if err := tr.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := tr.Check(); !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Check = %v, want an error saying %q", err, tc.want)
 			}
 		})

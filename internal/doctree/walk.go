@@ -34,7 +34,7 @@ func (t *Tree) kids(s slot) [2]nodeH {
 	switch s.mini {
 	case 0:
 		return t.node(s.node).kids
-	case tombMini:
+	case soloMini:
 		return [2]nodeH{}
 	}
 	return t.miniKids(s.mini, t.mini(s.mini))
@@ -55,8 +55,8 @@ func (t *Tree) setKid(s slot, bit uint8, h nodeH) {
 	case 0:
 		t.node(s.node).kids[bit] = h
 		return
-	case tombMini:
-		s.mini = t.untomb(t.node(s.node))
+	case soloMini:
+		s.mini = t.unsolo(s.node)
 	}
 	m, kids := t.mini(s.mini), t.kids(s)
 	kids[bit] = h
@@ -112,7 +112,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // route, or the zero Slot to resume from the walk cache.
 func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 	cur, depth := t.resumeSlot(from, p)
-	if err := t.room(2*len(p), 2*len(p)); err != nil { // a tomb built back may take a sibling
+	if err := t.room(2*len(p), 2*len(p)); err != nil { // a solo built back may take a sibling
 		return slot{}, err
 	}
 	for _, e := range p[depth:] {
@@ -143,8 +143,8 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 
 // child returns the node in slot s on side bit for a walk that enters it.
 // A reserved child is built here, with its sibling: both are empty nodes
-// holding the rest of the count, already counted in emptyN, and they take
-// the stamp of the node they hang from.
+// holding the rest of the count, and they take the stamp of the node they
+// hang from.
 func (t *Tree) child(s slot, bit uint8) nodeH {
 	if s.mini != 0 {
 		return t.kids(s)[bit]
@@ -154,9 +154,10 @@ func (t *Tree) child(s slot, bit uint8) nodeH {
 		for b := range n.kids {
 			n.kids[b] = t.newNode(s, uint8(b))
 			c := t.node(n.kids[b])
-			c.reserve, c.emptyN, c.lastMod = r-1, reservedNodes(r-1)+1, n.lastMod
+			c.reserve, c.lastMod = r-1, n.lastMod
+			c.flags |= hasEmptyF
 		}
-		n.reserve = 0
+		n.reserve, t.reserved = 0, t.reserved-2
 	}
 	return n.kids[bit]
 }
@@ -172,7 +173,7 @@ func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
 	if n.empty() {
 		dEmpty = -1 // the node stops being a free slot
 	}
-	m := t.insertMini(n, d)
+	m := t.insertMini(h, d)
 	t.bubble(h, 0, dEmpty)
 	return m
 }
@@ -218,8 +219,7 @@ func (t *Tree) explode(h nodeH) error {
 		nLeft := min(len(atoms), subtreeCapacity(depth))
 		n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth)
 		n.kids[1] = t.buildCanonical(slot{node: h}, 1, atoms[nLeft:], depth)
-		l, r := t.node(n.kids[0]), t.node(n.kids[1])
-		t.bubble(h, 0, int(l.emptyN+r.emptyN))
+		t.bubble(h, 0, max(t.node(n.kids[0]).emptyDelta(), t.node(n.kids[1]).emptyDelta()))
 		t.height = max(t.height, depth)
 		return nil
 	}
@@ -230,7 +230,7 @@ func (t *Tree) explode(h nodeH) error {
 		depth++
 	}
 	t.fillCanonical(h, atoms, depth)
-	t.bubble(n.parent, 0, int(n.emptyN))
+	t.bubble(n.parent, 0, n.emptyDelta())
 	n.lastMod = t.rev
 	t.height = max(t.height, t.depth(h)+depth-1)
 	return nil
@@ -242,24 +242,22 @@ func (t *Tree) explode(h nodeH) error {
 func subtreeCapacity(depth int) int { return 1<<min(depth, 62) - 1 }
 
 // fillCanonical populates existing node h as the root of a canonical
-// complete subtree of the given depth holding atoms in infix order. The node
-// must have no minis or children. It sets the node's subtree counts but does
-// not touch ancestors.
+// complete subtree of the given depth holding atoms in infix order, each
+// atom its node's solo mini. The node must have no minis or children. It
+// sets the node's subtree counts but does not touch ancestors.
 func (t *Tree) fillCanonical(h nodeH, atoms []string, depth int) {
 	n := t.node(h)
 	nLeft := min(len(atoms), subtreeCapacity(depth-1))
 	rest := atoms[nLeft:]
 	n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth-1)
 	if len(rest) > 0 {
-		t.mini(t.insertMini(n, ident.Canonical)).atom = t.atoms.put(rest[0])
+		n.setSolo(ident.Canonical, t.atoms.put(rest[0]))
 		rest = rest[1:]
 	}
 	n.kids[1] = t.buildCanonical(slot{node: h}, 1, rest, depth-1)
-	l, r := t.node(n.kids[0]), t.node(n.kids[1])
 	n.live = uint32(len(atoms))
-	n.emptyN = l.emptyN + r.emptyN
-	if n.empty() {
-		n.emptyN++
+	if t.holdsEmpty(h, n) {
+		n.flags |= hasEmptyF
 	}
 }
 
@@ -303,10 +301,9 @@ func (t *Tree) Flatten(path ident.Path) error {
 		n = t.node(rootH)
 		n.live = uint32(len(atoms))
 	} else {
-		removedEmpty := int(n.emptyN)
+		dEmpty := -n.emptyDelta()
 		t.releaseBelow(h)
-		n.emptyN = 0
-		t.bubble(n.parent, 0, -removedEmpty)
+		t.bubble(n.parent, 0, dEmpty)
 		t.height = t.maxDepth(rootH, 0)
 	}
 	n.flags |= flatF
@@ -341,8 +338,12 @@ func (t *Tree) releaseBelow(h nodeH) {
 		t.minis.release(uint32(mh))
 		mh = next
 	}
-	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi = 0, 0, 0, 0, 0
-	n.flags &^= tombF
+	if n.atom != 0 {
+		t.atoms.drop(n.atom)
+	}
+	t.reserved -= reservedNodes(n.reserve)
+	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi, n.atom = 0, 0, 0, 0, 0, 0
+	n.flags &^= soloF | hasEmptyF
 }
 
 func (t *Tree) releaseSubtree(h nodeH) {
@@ -375,6 +376,9 @@ func (t *Tree) collectLive(h nodeH, out *[]string) {
 		return
 	}
 	t.collectLive(n.kids[0], out)
+	if n.atom != 0 {
+		*out = append(*out, *t.atoms.at(n.atom))
+	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		t.collectLive(t.kids(slot{h, mh})[0], out)

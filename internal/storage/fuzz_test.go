@@ -14,8 +14,9 @@ import (
 // live and dead single minis; a flattened (compacted) tree; and three UDIS
 // sites racing for one position above an exploded-then-edited region — a
 // many-mini node, a site table, canonical and written disambiguators, and a
-// flat region beside nodes; minis with children nested two deep; and SDIS
-// tombstones held in their nodes beside dead minis that keep a record.
+// flat region beside nodes; minis with children nested two deep; SDIS
+// tombstones held in their nodes beside dead minis that keep a record; and
+// live minis held in their nodes beside a live mini with a dead sibling.
 func seedEncodings(f *testing.F) [][]byte {
 	var seeds [][]byte
 
@@ -88,7 +89,7 @@ func seedEncodings(f *testing.F) [][]byte {
 	seeds = append(seeds, storage.Encode(nested))
 
 	// Tombstones: a lone dead mini whose site needs more than 32 bits, and
-	// a dead canonical one, which the tree holds as flags on their nodes;
+	// a dead canonical one, which the tree holds as solos in their nodes;
 	// and dead minis that keep their records: one beside a live sibling,
 	// one with mini-children.
 	tombDoc, err := core.NewDocument(core.Config{Site: 5})
@@ -108,6 +109,24 @@ func seedEncodings(f *testing.F) [][]byte {
 		}
 	}
 	seeds = append(seeds, storage.Encode(tombs))
+
+	// Live solos: a lone live mini whose site needs more than 32 bits and a
+	// live canonical one, held in their nodes; and a live mini beside a
+	// dead sibling, both keeping their records.
+	soloDoc, err := core.NewDocument(core.Config{Site: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	solos := soloDoc.Tree()
+	for i, id := range []string{"[(0:s4294967303)]", "[(1:s8)]", "[(1:s9)]", "[1(1:⊥)]"} {
+		if err := solos.InsertID(ident.MustParsePath(id), string(rune('l'+i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := solos.DeleteID(ident.MustParsePath("[(1:s9)]"), false); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, storage.Encode(solos))
 
 	return seeds
 }
