@@ -144,9 +144,11 @@ func TestSnapshotAllocs(t *testing.T) {
 // mini became a flag on the node: 3,896 of its 5,893 mini records went;
 // and those in 272,040 before a live mini alone in its node joined them
 // there, its atom handle in the node's old empty-node counter: the last
-// 1,997 mini records went.
+// 1,997 mini records went; and those in 230,824 before a chain of one
+// site's tombs became one node record (a run): 1,281 of its 6,129 node
+// records went, and 20 chunks of them.
 func TestTreeRecordCount(t *testing.T) {
-	const nodes, heap = 9082, 230824
+	const nodes, heap = 9082, 189864
 	s := mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}).Tree().Stats(ident.PaperCost(ident.SDIS))
 	if s.Nodes != nodes || s.HeapBytes != heap {
 		t.Errorf("tree: %d nodes in %d heap bytes, want %d in %d", s.Nodes, s.HeapBytes, nodes, heap)

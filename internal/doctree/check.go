@@ -30,6 +30,8 @@ import (
 //     holding no mini record, it holds no mini-children (invariant 7).
 //  10. The walk cache, if set, names a slot of the tree: a mini in its
 //     node's chain, or the node's solo.
+//  11. A run holds 2 to maxRun members and no side bit past them, and no
+//     node is stamped after the revision clock, which join rests on.
 func (t *Tree) Check() error {
 	root := t.node(rootH)
 	if root.parent != 0 || root.onMini() {
@@ -117,10 +119,12 @@ func (c *checker) walk(h nodeH, d int) bool {
 	if d > 0 {
 		c.set(d-1, ident.J(n.bit()))
 	}
-	if !c.walk(n.kids[0], d+1) {
+	last := d + n.runLen() - 1 // a run owns an element per member
+	c.cur = n.appendRun(c.cur[:d])
+	if !c.walk(n.kids[0], last+1) {
 		return false
 	}
-	if n.atom != 0 {
+	if n.liveAtom() != 0 {
 		c.set(d-1, ident.M(n.bit(), n.soloDis()))
 		if !c.atom(d) {
 			return false
@@ -147,7 +151,7 @@ func (c *checker) walk(h nodeH, d int) bool {
 	if d > 0 {
 		c.set(d-1, ident.J(n.bit()))
 	}
-	return c.walk(n.kids[1], d+1)
+	return c.walk(n.kids[1], last+1)
 }
 
 // atom checks the live atom whose identifier is cur[:d] against the previous
@@ -205,7 +209,11 @@ func (c *checker) node(h nodeH) (counts, error) {
 	}
 	if n.atom != 0 && !n.solo() {
 		return counts{}, fmt.Errorf("doctree: node %d holds atom handle %d and no solo", h, n.atom)
-	} else if err := c.hold(n.atom, &sum); err != nil {
+	} else if k := n.runLen(); n.run() && (k < 2 || k > maxRun || n.atom>>(4+k) != 0) {
+		return counts{}, fmt.Errorf("doctree: node %d is a broken run: %d members, side bits %#x", h, k, n.atom>>5)
+	} else if n.lastMod > t.rev {
+		return counts{}, fmt.Errorf("doctree: node %d is stamped %d, after the revision clock's %d", h, n.lastMod, t.rev)
+	} else if err := c.hold(n.liveAtom(), &sum); err != nil {
 		return counts{}, err
 	}
 	c.cached = c.cached || t.ck == slot{h, soloMini} && n.solo()

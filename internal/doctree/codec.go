@@ -50,12 +50,13 @@ const (
 	promised = rootH
 )
 
-// queued is an entry of the encoder's level-order queue: node h, or with
-// below ≥ 1 the 2^below reserved nodes that many levels under h, which sit
-// in a row on their level.
+// queued is an entry of the encoder's level-order queue: node h (of a run,
+// member member), or with below ≥ 1 the 2^below reserved nodes that many
+// levels under h, which sit in a row on their level.
 type queued struct {
-	h     nodeH
-	below uint8
+	h      nodeH
+	below  uint8
+	member uint8
 }
 
 // present queues a slot's children, left first, and sets bits 0 and 1 for them.
@@ -72,12 +73,12 @@ func present(queue []queued, kids [2]nodeH) (_ []queued, bits byte) {
 // AppendSnapshot appends the tree's snapshot stream to dst. It reads the
 // slabs through a queue of node handles, one allocation sized up front: a
 // reserved subtree of r levels takes r entries, one per level, and writes
-// its nodes as the empty nodes they stand for.
+// its nodes as the empty nodes they stand for; a run, one per member.
 func (t *Tree) AppendSnapshot(dst []byte) []byte {
 	entries, sites := int(t.nodes.used()), make([]ident.SiteID, 0, 16)
 	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count, no solo
 		n := t.nodes.at(h)
-		if entries += int(n.reserve); n.solo() {
+		if entries += int(n.reserve) + n.runLen() - 1; n.solo() {
 			sites = addSite(sites, n.soloDis())
 		}
 	}
@@ -99,7 +100,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		if q.below != 0 {
 			head := byte(shapeEmpty)
 			if q.below < n.reserve {
-				head, queue = 3, append(queue, queued{q.h, q.below + 1})
+				head, queue = 3, append(queue, queued{h: q.h, below: q.below + 1})
 			}
 			for range 1 << q.below {
 				dst = append(dst, head)
@@ -115,12 +116,13 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			continue
 		}
 		var head, bits byte
-		queue, head = present(queue, n.kids)
-		if n.reserve != 0 {
-			head, queue = 3, append(queue, queued{q.h, 1})
+		if next := int(q.member) + 1; next < n.runLen() { // one child: the next member
+			head, queue = 1<<n.side(next), append(queue, queued{h: q.h, member: q.member + 1})
+		} else if queue, head = present(queue, n.kids); n.reserve != 0 {
+			head, queue = 3, append(queue, queued{h: q.h, below: 1})
 		}
 		// A solo is written as the one mini it stands for, built here.
-		shift, mh, solo := 0, n.first, mini{atom: n.atom, siteLo: uint32(n.first), siteHi: n.siteHi}
+		shift, mh, solo := 0, n.first, mini{atom: n.liveAtom(), siteLo: uint32(n.first), siteHi: n.siteHi}
 		switch {
 		case n.solo():
 			head, shift, mh = head|shapeOne, 4, soloMini
@@ -286,15 +288,19 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 			d.fail("site table entry %d out of range or out of order", d.sites[i])
 		}
 	}
-	// The node slab is the queue of the level-order walk: handles are handed
-	// out in stream order, so visiting them in order and reading a node for
-	// every promised link delivers each level left to right.
+	// A level-order walk: reading a node for every link a level's records
+	// promise delivers the next level left to right. A tomb joins its
+	// parent's run as it is read (runs): a level holds a run per member.
 	d.node(rootH)
-	for h := rootH; d.err == nil && uint32(h) <= t.nodes.n; h++ {
-		d.children(slot{node: h})
-		for mh := t.node(h).minis(); mh != 0; mh = t.mini(mh).next {
-			d.children(slot{h, mh})
+	for level := append(make([]nodeH, 0, 64), rootH); d.err == nil && len(level) > 0; t.height++ {
+		next := len(level)
+		for _, h := range level[:next] {
+			level = d.children(level, slot{node: h})
+			for mh := t.node(h).minis(); mh != 0; mh = t.mini(mh).next {
+				level = d.children(level, slot{h, mh})
+			}
 		}
+		level = level[:copy(level, level[next:])]
 	}
 	if d.off != len(data) {
 		d.fail("%d trailing bytes", len(data)-d.off)
@@ -305,21 +311,21 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	// A child's handle is above its parent's, so one pass from the last node
-	// down has every subtree summed before it is added to its parent, and the
-	// last node read is on the deepest level.
+	// A child's handle is above its parent's (the next node read takes a
+	// handle a run absorbed), so one pass from the last node down has every
+	// subtree summed before it is added to its parent.
 	for h := nodeH(t.nodes.n); h > rootH; h-- {
 		n := t.node(h)
 		p := t.node(n.parent)
 		p.live += n.live
 		p.flags |= n.flags & hasEmptyF
 	}
-	t.height = t.depth(nodeH(t.nodes.n))
+	t.height--
 	return t, nil
 }
 
-// children reads the node of every promised link in slot s.
-func (d *snapDecoder) children(s slot) {
+// children reads and queues the node of every promised link in slot s.
+func (d *snapDecoder) children(queue []nodeH, s slot) []nodeH {
 	for bit, k := range d.t.kids(s) {
 		if k != promised {
 			continue
@@ -327,9 +333,14 @@ func (d *snapDecoder) children(s slot) {
 		if d.room(1, 0); d.err == nil {
 			k = d.t.newNode(s, uint8(bit))
 			d.t.setKid(s, uint8(bit), k)
-			d.node(k)
+			if d.node(k); d.err == nil && s.mini == 0 && d.t.runs(s.node, k) {
+				d.t.absorb(s.node, k)
+				k = s.node
+			}
+			queue = append(queue, k)
 		}
 	}
+	return queue
 }
 
 // promise turns presence bits 0 and 1 into child links awaiting their nodes.

@@ -31,18 +31,18 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 	if len(id) == 0 || id.Last().Kind != ident.Mini {
 		return Slot{}, fmt.Errorf("doctree: insert %v: not an atom identifier", id)
 	}
-	cur, depth := t.resumeSlot(from, id)
+	cur, i := t.resumeSlot(from, id)
 	if err := t.room(2*len(id), len(id)+1); err != nil { // a step may build a reserved child and its sibling, a solo its record
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
 	var first nodeH       // shallowest node created by this walk
 	finalCreated := false // the atom's mini was created (vs found)
 	ownerWasFree := false // final mini added to an existing node with no minis
-	for _, e := range id[depth:] {
+	for ; i < len(id); i++ {
+		e := id[i]
 		if err := t.explodeNode(cur.node); err != nil {
 			return Slot{}, err
 		}
-		depth++
 		next := t.child(cur, e.Bit)
 		created := next == 0
 		if created {
@@ -51,10 +51,12 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 			if first == 0 {
 				first = next
 			}
-			t.height = max(t.height, depth)
+			t.height = max(t.height, i+1)
 		} else if err := t.explodeNode(next); err != nil {
 			return Slot{}, err
 		}
+		next, i = t.enter(next, id, i)
+		e = id[i]
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
@@ -63,13 +65,13 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 		m := t.findMini(n, e.Dis)
 		switch {
 		case m != 0:
-		case !created && depth != len(id):
+		case !created && i+1 != len(id):
 			return t.insertSlow(id, atom)
-		case depth == len(id) && n.empty() && e.Dis.Counter == 0:
+		case i+1 == len(id) && n.empty() && e.Dis.Counter == 0:
 			ownerWasFree, finalCreated, m = !created, true, soloMini
 			n.setSolo(e.Dis, 0)
 		default:
-			ownerWasFree, finalCreated = !created && n.empty(), depth == len(id)
+			ownerWasFree, finalCreated = !created && n.empty(), i+1 == len(id)
 			m = t.insertMini(next, e.Dis)
 		}
 		cur = slot{node: next, mini: m}
@@ -113,7 +115,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 	if from.at.node == 0 { // a walk from the caller's slot leaves the cache where it was
 		t.cacheWalk(id, cur)
 	}
-	return Slot{cur, len(id)}, nil
+	return Slot{at: cur, depth: len(id)}, nil
 }
 
 // insertSlow is InsertID's general path: full per-delta materialisation, for
@@ -129,7 +131,7 @@ func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
 	}
 	*a = t.atoms.put(atom)
 	t.bubble(s.node, +1, 0)
-	return Slot{s, len(id)}, nil
+	return Slot{at: s, depth: len(id)}, nil
 }
 
 // DeleteID removes the atom with identifier id. The delete operation is
@@ -187,7 +189,9 @@ func (t *Tree) deleteMini(s slot, prune bool) (kept slot, found bool) {
 	*a = 0
 	if !prune || hasKids {
 		// Tombstone (SDIS), or a discard blocked by descendants (UDIS).
-		t.bubble(s.node, -1, 0)
+		if t.bubble(s.node, -1, 0); s.mini == soloMini && t.join(s.node) {
+			return slot{}, true
+		}
 		return s, true
 	}
 	// UDIS discard: remove the mini and cascade emptied ancestors, then
@@ -236,14 +240,15 @@ func (t *Tree) Exists(id ident.Path) bool {
 }
 
 // ExistsFrom is Exists walking on from a slot on id's route, as InsertFrom
-// does, and returning a used identifier's slot. Unlike walkMini, this never
-// explodes flattened regions: identifiers inside them are canonical pure
-// bitstrings, so any site-disambiguated candidate is known absent without
-// materialising the region (one only presumed used there has no slot).
+// does, and returning a used identifier's slot (see Slot.run). Unlike
+// walkMini, this never explodes flattened regions: identifiers inside them
+// are canonical pure bitstrings, so any site-disambiguated candidate is
+// known absent without materialising the region (one only presumed used
+// there has no slot).
 func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
-	cur, skip := t.resumeSlot(from, id)
-	for i, e := range id[skip:] {
-		i += skip
+	cur, i := t.resumeSlot(from, id)
+	for ; i < len(id); i++ {
+		e := id[i]
 		if t.node(cur.node).flat() {
 			// Inside a flattened region every used identifier carries only
 			// canonical disambiguators on a pure bitstring; a candidate with
@@ -261,11 +266,19 @@ func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
 		if next == 0 {
 			return Slot{}, false
 		}
+		n := t.node(next)
+		if j := n.hop(id, i); n.run() {
+			if e = id[i+j]; e.Kind == ident.Mini && i+j+1 == len(id) && e.Dis == n.soloDis() {
+				return Slot{cur, i, true}, true // a member's tomb
+			} else if e.Kind == ident.Mini || j+1 < n.runLen() {
+				return Slot{}, false
+			}
+			i += j
+		}
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
 		}
-		n := t.node(next)
 		if n.flat() {
 			// Conservatively used inside the canonical space.
 			return Slot{}, e.Dis.IsCanonical()
@@ -276,5 +289,5 @@ func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
 		}
 		cur = slot{node: next, mini: m}
 	}
-	return Slot{cur, len(id)}, cur.mini != 0
+	return Slot{at: cur, depth: len(id)}, cur.mini != 0
 }

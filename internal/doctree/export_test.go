@@ -133,8 +133,8 @@ func (t *Tree) SetMiniChildEntry(h uint32, kids *[2]uint32) {
 // SetOnMini flags the node the structural path designates as hanging from
 // a mini, or not, and nothing else.
 func (t *Tree) SetOnMini(path ident.Path, on bool) {
-	if s := routeSlot(t, path); s.node != 0 {
-		n := t.node(s.node)
+	if s := routeSlot(t, path); s.at.node != 0 {
+		n := t.node(s.at.node)
 		if n.flags &^= onMiniF; on {
 			n.flags |= onMiniF
 		}
@@ -148,21 +148,23 @@ func (t *Tree) CacheWalk(id ident.Path, at Slot) { t.cacheWalk(id, at.at) }
 func (t *Tree) MiniRecords() int { return int(t.minis.used()) }
 
 // Solos returns the solo minis the tree holds, live and dead: minis with
-// no record.
+// no record, a run's members each one.
 func (t *Tree) Solos() (live, dead int) {
 	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no solo
-		if n := t.nodes.at(h); n.solo() && n.atom != 0 {
+		if n := t.nodes.at(h); n.solo() && n.liveAtom() != 0 {
 			live++
 		} else if n.solo() {
-			dead++
+			dead += n.runLen()
 		}
 	}
 	return live, dead
 }
 
-// BuildSolos builds every solo mini's record back: the tree as it would
-// stand had every mini kept its record.
+// BuildSolos builds every solo mini's record back, a run's members each
+// a node of their own first: the tree as it would stand had every mini
+// kept its record.
 func (t *Tree) BuildSolos() {
+	t.BuildRuns()
 	for h := uint32(1); h <= t.nodes.n; h++ {
 		if t.nodes.at(h).solo() {
 			t.unsolo(nodeH(h))
@@ -170,11 +172,98 @@ func (t *Tree) BuildSolos() {
 	}
 }
 
-// routeNode returns the node the structural path designates.
+// BuildRuns builds every run back into one solo tomb record per member.
+func (t *Tree) BuildRuns() {
+	for h := uint32(1); h <= t.nodes.n; h++ {
+		for r := nodeH(h); t.node(r).run(); r = t.cut(r, 0) {
+		}
+	}
+}
+
+// MaxRun is the most members a run holds.
+const MaxRun = maxRun
+
+// Runs returns the runs the tree holds, their members and the most one
+// holds.
+func (t *Tree) Runs() (runs, members, longest int) {
+	for h := uint32(1); h <= t.nodes.n; h++ {
+		if n := t.nodes.at(h); n.run() {
+			runs, members, longest = runs+1, members+n.runLen(), max(longest, n.runLen())
+		}
+	}
+	return runs, members, longest
+}
+
+// RunMember returns the index of the run member an identifier or a
+// structural path ends at and the run's members; 0 and 0 if it ends at
+// none. It explodes nothing.
+func (t *Tree) RunMember(id ident.Path) (j, k int) {
+	s := slot{node: rootH}
+	for i := 0; i < len(id); i++ {
+		e := id[i]
+		next := t.kids(s)[e.Bit]
+		if next == 0 || t.node(next).flat() {
+			return 0, 0
+		}
+		if n := t.node(next); n.run() {
+			if j = n.hop(id, i); i+j+1 == len(id) {
+				return j, n.runLen()
+			} else if j+1 < n.runLen() {
+				return 0, 0
+			}
+			i += j
+			e = id[i]
+		}
+		if s = (slot{node: next}); e.Kind == ident.Mini {
+			if s.mini = t.findMini(t.node(next), e.Dis); s.mini == 0 {
+				return 0, 0
+			}
+		}
+	}
+	return 0, 0
+}
+
+// AboveRun reports whether s is the slot above a run that ExistsFrom
+// gives for one of the run's tombs.
+func (s Slot) AboveRun() bool { return s.run }
+
+// SetRun flags the node the structural path designates as a solo tomb
+// standing for a run of count members with side bits sides, and changes
+// nothing else: a hand-broken run for the tests that Check refuses one.
+func (t *Tree) SetRun(path ident.Path, count int, sides uint32) {
+	n := t.routeNode(path)
+	n.flags |= runF | soloF
+	n.atom = uint32(count) | sides<<5
+}
+
+// EmptyNodes returns the empty nodes the tree holds records for.
+func (t *Tree) EmptyNodes() (empty int) {
+	for h := uint32(2); h <= t.nodes.n; h++ { // a free record is zero, and has no parent
+		if n := t.nodes.at(h); n.parent != 0 && n.empty() {
+			empty++
+		}
+	}
+	return empty
+}
+
+// SetStamp sets the revision stamp of the node the structural path
+// designates, and nothing else.
+func (t *Tree) SetStamp(path ident.Path, rev uint32) { t.routeNode(path).lastMod = rev }
+
+// routeNode returns the node the structural path designates: for a path
+// ending among a run's members, the run's.
 func (t *Tree) routeNode(path ident.Path) *node {
 	s := slot{node: rootH}
-	for _, e := range path {
-		if s = (slot{node: t.kids(s)[e.Bit]}); e.Kind == ident.Mini {
+	for i := 0; i < len(path); i++ {
+		e := path[i]
+		s = slot{node: t.kids(s)[e.Bit]}
+		if n := t.node(s.node); n.run() {
+			if i += n.hop(path, i); i+1 == len(path) {
+				break
+			}
+			e = path[i]
+		}
+		if e.Kind == ident.Mini {
 			s.mini = t.findMini(t.node(s.node), e.Dis)
 		}
 	}

@@ -44,7 +44,7 @@ descend:
 			continue
 		}
 		i -= l.live
-		if n.atom != 0 { // a live solo: no mini record to load
+		if n.atom != 0 && !n.run() { // a live solo: no mini record to load
 			if i == 0 {
 				return slot{node: h, mini: soloMini}, 0
 			}
@@ -105,7 +105,7 @@ func (t *Tree) AppendIDAt(dst ident.Path, i int) (ident.Path, Slot, error) {
 		// delete, a neighbour probe) walks to this same mini next.
 		t.cacheWalk(dst, s)
 	}
-	return dst, Slot{s, len(dst) - base}, nil
+	return dst, Slot{at: s, depth: len(dst) - base}, nil
 }
 
 // appendIDDown locates the i-th live atom of h's subtree, appending the
@@ -121,18 +121,18 @@ descend:
 				return dst, slot{}, err
 			}
 		}
-		// Leaving n through a major slot emits a plain element, through a
-		// mini its disambiguated one. The root contributes no element.
+		// Leaving n through a major slot emits a plain element (a run one
+		// a member), through a mini its disambiguated one; the root none.
 		l := t.node(n.kids[0])
 		if i < l.live {
 			if h != rootH {
-				dst = append(dst, ident.J(n.bit()))
+				dst = n.appendRun(append(dst, ident.J(n.bit())))
 			}
 			h, n = n.kids[0], l
 			continue
 		}
 		i -= l.live
-		if n.atom != 0 {
+		if n.atom != 0 && !n.run() {
 			if i == 0 {
 				return append(dst, ident.M(n.bit(), n.soloDis())), slot{node: h, mini: soloMini}, nil
 			}
@@ -163,7 +163,7 @@ descend:
 			mh = m.next
 		}
 		if h != rootH {
-			dst = append(dst, ident.J(n.bit()))
+			dst = n.appendRun(append(dst, ident.J(n.bit())))
 		}
 		h, n = n.kids[1], t.node(n.kids[1])
 	}
@@ -204,7 +204,7 @@ descend:
 			next, nn, elem = n.kids[0], l, ident.J(n.bit())
 		} else if rel < l.live {
 			break descend
-		} else if rel -= l.live; n.atom != 0 { // a live solo
+		} else if rel -= l.live; n.atom != 0 && !n.run() { // a live solo
 			if rel == 0 {
 				break descend
 			}
@@ -243,7 +243,7 @@ descend:
 			next, nn, elem = n.kids[1], t.node(n.kids[1]), ident.J(n.bit())
 		}
 		if h != rootH {
-			dstP = append(dstP, elem)
+			dstP = n.appendRun(append(dstP, elem))
 		}
 		h, n, a = next, nn, rel
 	}
@@ -261,7 +261,7 @@ descend:
 	if pBase == 0 {
 		t.cacheWalk(dstP, ps)
 	}
-	return dstP, dstF, Gap{Slot{ps, len(dstP) - pBase}, Slot{fs, len(dstF) - fBase}}, nil
+	return dstP, dstF, Gap{Slot{at: ps, depth: len(dstP) - pBase}, Slot{at: fs, depth: len(dstF) - fBase}}, nil
 }
 
 // VisitRange calls fn for the live atoms of the index range [from, to) in
@@ -303,7 +303,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 	if !t.visitRange(n.kids[0], skip, count, fn) {
 		return false
 	}
-	if !t.visitAtom(n.atom, skip, count, fn) {
+	if !t.visitAtom(n.liveAtom(), skip, count, fn) {
 		return false
 	}
 	for mh := n.minis(); mh != 0; {

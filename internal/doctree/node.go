@@ -68,9 +68,9 @@ type node struct {
 	first  miniH    // head of the mini chain, sorted by disambiguator; a solo's site, low bits
 	live   uint32   // live atoms in this subtree, including flat content
 
-	atom    uint32 // a solo's atom handle into Tree.atoms; 0 = dead
+	atom    uint32 // a solo's atom handle into Tree.atoms, 0 = dead; a run's shape
 	lastMod uint32 // latest revision that edited at this node (see bubble)
-	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, solo, hasEmpty
+	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, solo, hasEmpty, run
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
 	siteHi  uint16 // a solo's site, high bits
 }
@@ -81,6 +81,7 @@ const (
 	flatF                 // a flattened region, its atoms in Tree.flats
 	soloF                 // its one mini is held in the node
 	hasEmptyF             // its subtree holds an empty node, built or reserved
+	runF                  // a solo tomb standing for a chain of them (run.go)
 )
 
 // soloMini names a solo mini in a slot: no mini record has this handle.
@@ -91,6 +92,10 @@ func (n *node) onMini() bool   { return n.flags&onMiniF != 0 }
 func (n *node) flat() bool     { return n.flags&flatF != 0 }
 func (n *node) solo() bool     { return n.flags&soloF != 0 }
 func (n *node) hasEmpty() bool { return n.flags&hasEmptyF != 0 }
+func (n *node) run() bool      { return n.flags&runF != 0 }
+
+// liveAtom returns n's live solo's atom handle: 0 for none, a tomb or a run.
+func (n *node) liveAtom() uint32 { return n.atom &^ -uint32(n.flags&runF/runF) }
 
 // emptyDelta returns n's hasEmpty bit as a bubble delta: 1 if it is set.
 func (n *node) emptyDelta() int { return int(n.flags&hasEmptyF) / hasEmptyF }
@@ -327,15 +332,17 @@ func (t *Tree) resumeSlot(from Slot, p ident.Path) (slot, int) {
 	for j < max && p[j] == last[j] {
 		j++
 	}
+	// Climb from the cached mini's node (at depth len(last)) to the node at
+	// depth j, or above the run j falls in. If element j-1 selects a mini,
+	// the cached chain hangs from (or ends at) the node's mini with that
+	// element's disambiguator.
+	h, dir := t.ck.node, nodeDir(t.nodes.chunks)
+	for d := len(last); d > j; h = dir.at(h).parent {
+		d -= dir.at(h).runLen()
+		j = min(j, d)
+	}
 	if j == 0 {
 		return slot{node: rootH}, 0
-	}
-	// Climb from the cached mini's node (at depth len(last)) to the node at
-	// depth j. If element j-1 selects a mini, the cached chain hangs from
-	// (or ends at) the node's mini with that element's disambiguator.
-	h, dir := t.ck.node, nodeDir(t.nodes.chunks)
-	for d := len(last); d > j; d-- {
-		h = dir.at(h).parent
 	}
 	if p[j-1].Kind == ident.Major {
 		return slot{node: h}, j
@@ -364,11 +371,10 @@ func (t *Tree) AdvanceRev() {
 	}
 }
 
-// depth returns the node's depth (root = 0).
-func (t *Tree) depth(h nodeH) int {
-	d, dir := 0, nodeDir(t.nodes.chunks)
-	for p := dir.at(h).parent; p != 0; p = dir.at(p).parent {
-		d++
+// depth returns the depth of the node's last member (root = 0).
+func (t *Tree) depth(h nodeH) (d int) {
+	for dir := nodeDir(t.nodes.chunks); h != rootH; h = dir.at(h).parent {
+		d += dir.at(h).runLen()
 	}
 	return d
 }
@@ -382,11 +388,15 @@ func (n *node) empty() bool { return n.first == 0 && n.flags&(flatF|soloF) == 0 
 func reservedNodes(r uint8) uint32 { return 1<<(r+1) - 2 }
 
 // pathTo returns the structural path of major node h (ending in a Major
-// element). The root yields the empty path.
+// element), of a run its top member. The root yields the empty path.
 func (t *Tree) pathTo(h nodeH) ident.Path {
-	p := make(ident.Path, t.depth(h))
+	n := t.node(h)
+	p := make(ident.Path, t.depth(h)-n.runLen()+1)
 	for i, s := len(p)-1, (slot{node: h}); i >= 0; i-- {
-		n := t.node(s.node)
+		if n = t.node(s.node); s.node != h { // every member of a run above h
+			i -= n.runLen() - 1
+			n.appendRun(p[i+1 : i+1])
+		}
 		if p[i] = ident.J(n.bit()); s.mini != 0 {
 			p[i] = ident.M(n.bit(), t.mini(s.mini).dis())
 		}

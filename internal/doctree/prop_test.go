@@ -250,7 +250,7 @@ func TestNeighborLookupsAgainstIDAt(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("step %d: AppendIDAt(%d) = %v, want %v", step, i, got, want)
 			}
-			if at != (Slot{routeSlot(tr, got), len(got)}) {
+			if at != routeSlot(tr, got) {
 				t.Fatalf("step %d: AppendIDAt(%d) slot %v is not where %v lies", step, i, at, got)
 			}
 			if i > 0 {
@@ -265,7 +265,7 @@ func TestNeighborLookupsAgainstIDAt(t *testing.T) {
 				if !p.Equal(wantP) || !f.Equal(want) {
 					t.Fatalf("step %d: AppendNeighborIDs(%d) = %v, %v; want %v, %v", step, i, p, f, wantP, want)
 				}
-				if g.P != (Slot{routeSlot(tr, p), len(p)}) || g.F != (Slot{routeSlot(tr, f), len(f)}) {
+				if g.P != routeSlot(tr, p) || g.F != routeSlot(tr, f) {
 					t.Fatalf("step %d: AppendNeighborIDs(%d) slots %v, %v are not where %v, %v lie", step, i, g.P, g.F, p, f)
 				}
 			}

@@ -291,6 +291,34 @@ func TestFullIsAnError(t *testing.T) {
 			t.Errorf("import with limit %d: %v, want ErrFull", limit, err)
 		}
 	}
+
+	// A run of three tombs is cut where a walk stops at a member.
+	chain := []ident.Path{ident.MustParsePath("[(1:s1)]"), ident.MustParsePath("[1(1:s1)]"), ident.MustParsePath("[11(1:s1)]")}
+	run := New()
+	for _, id := range chain {
+		if err := run.InsertID(id, "r"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range chain {
+		if _, err := run.DeleteID(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run.limit = run.nodes.used()
+	if _, err := run.DeleteID(chain[1], false); !errors.Is(err, ErrFull) {
+		t.Errorf("delete again at a run's member past the limit: %v, want ErrFull", err)
+	}
+	if err := run.InsertID(ident.MustParsePath("[1(1:s2)]"), "x"); !errors.Is(err, ErrFull) {
+		t.Errorf("insert beside a run's member past the limit: %v, want ErrFull", err)
+	}
+	if err := run.Flatten(ident.MustParsePath("[11]")); !errors.Is(err, ErrFull) {
+		t.Errorf("flatten at a run's member past the limit: %v, want ErrFull", err)
+	}
+	checkTree(t, run)
+	if run.nodes.used() != 2 || !run.node(run.node(rootH).kids[1]).run() {
+		t.Errorf("refused walks left %d records", run.nodes.used())
+	}
 }
 
 // TestReserveCountsStayWithinTheLimit: a reservation holds no records, so

@@ -16,10 +16,10 @@ import (
 // the right neighbour f, so the slot is the first one strictly between p
 // and f, infix order being identifier order.
 //
-// The scan compares no identifiers. It resumes p's node after p and
-// climbs, resuming each ancestor after the slot it came up from, up to a
-// live atom, an empty ancestor or a subtree with a live atom or its
-// hasEmpty bit set. That subtree holds the answer: no slot if it holds no
+// The scan compares no identifiers. It resumes p's node after p (in a run,
+// its last member if the run goes on after p) and climbs, resuming each
+// ancestor after the slot it came up from, up to a live atom, an empty
+// ancestor or a subtree with a live atom or its hasEmpty bit set. That subtree holds the answer: no slot if it holds no
 // empty node (a flattened region never does), else the first of its
 // empty nodes and live atoms, reached by a descent that never backtracks
 // and builds the reserved nodes it enters (see child). A tree without room
@@ -37,6 +37,13 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 		h, stage = rootH, 0 // the document start: all of it lies ahead
 	} else if ms == soloMini {
 		ms = 0 // a solo has no children: ahead is the node's right subtree
+	} else if at.run { // p is member j of the run r below at, which may go on after p
+		r := t.kids(at.at)[p[k].Bit]
+		if n, j := t.node(r), len(p)-k-1; j+1 < n.runLen() && n.side(j+1) == 0 {
+			stage = 1 + 2*int(n.bit())
+		} else { // stage 2 at r's last member, 0 above it
+			h, k, ms, stage = r, k+n.runLen(), 0, 2*((j+1)/n.runLen())
+		}
 	}
 	if t.room(2*t.height, 0) != nil {
 		return nil, Slot{}
@@ -51,9 +58,9 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				if !down {
 					dst = append(dst, p[:k-1]...) //treedoc:escape growing the caller's scratch
 				}
-				return append(dst, ident.M(n.bit(), d)), Slot{t.hangsFrom(h, n), len(dst) - base} //treedoc:escape growing the caller's scratch
+				return append(dst, ident.M(n.bit(), d)), Slot{at: t.hangsFrom(h, n), depth: len(dst) - base} //treedoc:escape growing the caller's scratch
 			}
-			if n.atom != 0 {
+			if n.atom != 0 && !n.run() {
 				return nil, Slot{} // the node's live solo comes first
 			}
 			ms, stage = n.minis(), 0
@@ -80,19 +87,19 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				return nil, Slot{} // the document end
 			}
 			up := t.hangsFrom(h, n)
-			h, k, ms, stage = up.node, k-1, up.mini, 1+2*int(n.bit())
+			h, k, ms, stage = up.node, k-n.runLen(), up.mini, 1+2*int(n.bit())
 			continue
 		}
 		if !t.node(next).hasEmpty() {
 			return nil, Slot{} // the next live atom is in there, and no slot
 		}
 		if !down {
-			dst, down = append(dst, p[:max(k-1, 0)]...), true //treedoc:escape growing the caller's scratch
+			dst, down = append(dst, p[:max(k-n.runLen(), 0)]...), true //treedoc:escape growing the caller's scratch
 		}
 		if h != rootH {
-			dst = append(dst, e) //treedoc:escape growing the caller's scratch
+			dst = n.appendRun(append(dst, e)) //treedoc:escape growing the caller's scratch
 		}
-		h, k, ms, stage = next, k+1, 0, 0
+		h, k, ms, stage = next, k+t.node(next).runLen(), 0, 0
 	}
 }
 
@@ -152,6 +159,8 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 		t.setKid(s, bit, h)
 		t.node(h).lastMod = t.rev
 		t.height = max(t.height, depth)
+	} else if levels > 1 && t.node(h).run() {
+		t.cut(h, 0) // its top member gains a child
 	}
 	switch n := t.node(h); {
 	case n.flat() || levels == 1:

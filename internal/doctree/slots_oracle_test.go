@@ -87,35 +87,47 @@ func (s *oracleSearch) walk(h nodeH) nodeH {
 	return s.into(n.kids[1], ident.J(1))
 }
 
-// into pushes the child element, walks the child, and pops on failure. On
-// success the prefix is left pointing at the found node.
+// into pushes the child element — of a run, the elements down to its last
+// member, which alone can hold an empty node below it — walks the child,
+// and pops on failure. On success the prefix is left pointing at the found
+// node.
 func (s *oracleSearch) into(h nodeH, e ident.Elem) nodeH {
-	s.prefix = append(s.prefix, e)
+	k := len(s.prefix)
+	s.prefix = s.t.node(h).appendRun(append(s.prefix, e))
 	if got := s.walk(h); got != 0 {
 		return got
 	}
-	s.prefix = s.prefix[:len(s.prefix)-1]
+	s.prefix = s.prefix[:k]
 	return 0
 }
 
 // routeSlot walks path — an identifier, or a structural path ending in a
 // Major element — from the root without exploding anything and returns the
-// slot it reaches, or the zero slot if a step is missing.
-func routeSlot(tr *Tree, path ident.Path) slot {
+// Slot it reaches — for a path ending among a run's members, the slot
+// above the run, flagged run — or the zero Slot if a step is missing.
+func routeSlot(tr *Tree, path ident.Path) Slot {
 	cur := slot{node: rootH}
-	for _, e := range path {
+	for i := 0; i < len(path); i++ {
+		top, e := i, path[i]
 		next := tr.kids(cur)[e.Bit]
 		if next == 0 || tr.node(next).flat() {
-			return slot{}
+			return Slot{}
+		}
+		if n := tr.node(next); n.run() {
+			j := n.hop(path, i)
+			if i += j; path[i].Kind == ident.Mini || j+1 < n.runLen() {
+				return Slot{cur, top, true}
+			}
+			e = path[i]
 		}
 		cur = slot{node: next}
 		if e.Kind == ident.Mini {
 			if cur.mini = tr.findMini(tr.node(next), e.Dis); cur.mini == 0 {
-				return slot{}
+				return Slot{}
 			}
 		}
 	}
-	return cur
+	return Slot{cur, len(path), false}
 }
 
 // randomSlotTree builds a tree with everything the scan can meet: nodes
@@ -239,7 +251,7 @@ func TestFreeSearchMatchesOracle(t *testing.T) {
 				return
 			}
 			found++
-			if s := routeSlot(tr, got[:len(got)-1]); from.at != s || from.depth != len(got)-1 {
+			if from != routeSlot(tr, got[:len(got)-1]) {
 				t.Fatalf("%v seed %d, gap (%v, %v): slot %v for %v is not where its route leaves off", mode, seed, p, f, from, got)
 			}
 			if tr.nodes.used() != records {
@@ -311,7 +323,7 @@ func BenchmarkFreeSearchDeep(b *testing.B) {
 	}
 	tr.MaterializeReserved() // the walk reads records only
 	p, d := id[:len(id)-1], ident.Dis{Site: 2}
-	at := Slot{routeSlot(tr, p), len(p)}
+	at := routeSlot(tr, p)
 	_, visits := tr.freeMiniBetweenOracle(p, nil, d)
 	var scratch ident.Path
 	for _, bc := range []struct {

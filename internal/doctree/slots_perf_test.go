@@ -117,7 +117,7 @@ func BenchmarkFreeSearchTombstoneChain(b *testing.B) {
 		}
 	}
 	first, d := ident.MustParsePath("[(1:s1)]"), ident.Dis{Site: 2}
-	at := Slot{routeSlot(tr, first), len(first)}
+	at := routeSlot(tr, first)
 	for _, bc := range []struct {
 		name string
 		fn   func() ident.Path

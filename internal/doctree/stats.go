@@ -113,13 +113,13 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		return
 	}
 	if h != rootH {
-		k := 1 + int(reservedNodes(n.reserve))
+		k := n.runLen() + int(reservedNodes(n.reserve))
 		s.Nodes += k
 		s.MemBytes += 12 * k // subtree count + two child pointers
 	}
-	t.statsWalk(n.kids[0], depth+1, disBits, c, s)
-	if n.solo() {
-		t.statsMini(n.atom, depth+disBits+c.Bits(n.soloDis()), c, s)
+	t.statsWalk(n.kids[0], depth+n.runLen(), disBits, c, s)
+	for i := 0; i < n.runLen() && n.solo(); i++ { // a run's members, one a level
+		t.statsMini(n.liveAtom(), depth+i+disBits+c.Bits(n.soloDis()), c, s)
 	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
@@ -132,7 +132,7 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		t.statsWalk(t.kids(slot{h, mh})[1], depth+1, mBits, c, s)
 		mh = m.next
 	}
-	t.statsWalk(n.kids[1], depth+1, disBits, c, s)
+	t.statsWalk(n.kids[1], depth+n.runLen(), disBits, c, s)
 }
 
 // statsMini accumulates s over one mini-node, holding atom (0: dead), whose
@@ -234,8 +234,8 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 		}
 	}
 	consider(t.coldWalk(n.kids[0], cutoff, minNodes, liveOnly))
-	if n.solo() && n.atom == 0 {
-		dead++
+	if n.solo() && n.liveAtom() == 0 {
+		dead += n.runLen()
 	}
 	for mh := n.minis(); mh != 0; mh = t.mini(mh).next {
 		m := t.mini(mh)
@@ -247,12 +247,13 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 	}
 	consider(t.coldWalk(n.kids[1], cutoff, minNodes, liveOnly))
 	if h != rootH {
-		nodes += 1 + int(reservedNodes(n.reserve)) // the root holds no atoms and is not counted
+		nodes += n.runLen() + int(reservedNodes(n.reserve)) // the root holds no atoms and is not counted
 	}
 	// Candidates must contain a mini-node that remote replicas materialise
 	// too, or a distributed flatten could not resolve them there: locally
 	// reserved slots do not count, nor, with liveOnly (UDIS, where deletes
-	// discard), a tombstone, which a reserved slot may be all that holds.
+	// discard), a tombstone, which a reserved slot may be all that holds. A
+	// run's members read as cold as each other (see join): its top is it.
 	if maxRev <= cutoff && nodes >= minNodes && (n.live >= 1 || !liveOnly && dead >= 1) {
 		best, score = h, 8*dead+nodes
 	}

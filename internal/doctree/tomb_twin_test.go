@@ -16,8 +16,9 @@ import (
 
 // tombTwins are two trees fed the same script: real holds a mini that is
 // its node's only one, with counter 0 and no children, in the node itself
-// — a solo, live or dead (a tomb) — and twin has every solo's mini record
-// built back after each step: the tree as it stood while every mini was a
+// — a solo, live or dead (a tomb) — and a chain of tombs in one node (a
+// run); twin has every run's members and every solo's mini record built
+// back after each step: the tree as it stood while every mini was a
 // 20-byte record. The model is the live identifiers and atoms in document
 // order and the deleted identifiers no flatten has collected. Every
 // observable but the heap must agree.
@@ -58,6 +59,30 @@ func (w *tombTwins) isSolo(id ident.Path) bool {
 	return h == math.MaxUint32
 }
 
+// inRun names where id ends in the real tree's runs: "" for none.
+func (w *tombTwins) inRun(id ident.Path) string {
+	switch j, k := w.real.RunMember(id); {
+	case k == 0:
+		return ""
+	case j+1 < k:
+		return " a run's upper member"
+	}
+	return " a run's last member"
+}
+
+// pickDead returns a deleted identifier, half the time one of a run's
+// tombs if any is.
+func (w *tombTwins) pickDead() ident.Path {
+	if w.rng.Intn(2) == 0 {
+		for _, k := range w.rng.Perm(len(w.dead)) {
+			if w.inRun(w.dead[k]) != "" {
+				return w.dead[k]
+			}
+		}
+	}
+	return w.dead[w.rng.Intn(len(w.dead))]
+}
+
 // isLive reports whether id names a live atom in the model.
 func (w *tombTwins) isLive(id ident.Path) bool {
 	_, ok := slices.BinarySearchFunc(w.ids, id, ident.Compare)
@@ -86,7 +111,7 @@ func (w *tombTwins) insert(id ident.Path, revive bool) bool {
 	if used && !revive {
 		return false
 	}
-	records, tomb := w.real.MiniRecords(), w.isSolo(id)
+	records, tomb, run := w.real.MiniRecords(), w.isSolo(id), w.inRun(id)
 	atom := fmt.Sprint("a", w.counter)
 	for _, tr := range w.trees() {
 		if err := tr.InsertID(id, atom); err != nil {
@@ -94,6 +119,8 @@ func (w *tombTwins) insert(id ident.Path, revive bool) bool {
 		}
 	}
 	switch {
+	case run != "":
+		w.met["revived"+run]++
 	case tomb:
 		w.met["tomb revived"]++
 	case w.real.MiniRecords() > records+1:
@@ -118,7 +145,7 @@ func (w *tombTwins) remote() {
 	var base ident.Path
 	switch {
 	case len(w.dead) > 0 && w.rng.Intn(2) == 0:
-		base = w.dead[w.rng.Intn(len(w.dead))]
+		base = w.pickDead()
 	case len(w.ids) > 0:
 		base = w.ids[w.rng.Intn(len(w.ids))]
 	default:
@@ -144,8 +171,10 @@ func (w *tombTwins) remote() {
 		id = append(base.StripLastDis(), ident.M(uint8(w.rng.Intn(2)), w.dis()))
 		what = "a node below"
 	}
-	solo, live := w.isSolo(base), w.isLive(base)
-	if w.insert(id, false) && solo {
+	solo, live, run := w.isSolo(base), w.isLive(base), w.inRun(base)
+	if w.insert(id, false) && run != "" {
+		w.met[what+run]++
+	} else if solo {
 		if live {
 			w.met[what+" a live solo"]++
 		} else {
@@ -162,7 +191,7 @@ func (w *tombTwins) reserve() {
 	var base ident.Path
 	switch {
 	case len(w.dead) > 0 && w.rng.Intn(2) == 0:
-		base = w.dead[w.rng.Intn(len(w.dead))]
+		base = w.pickDead()
 	case len(w.ids) > 0:
 		base = w.ids[w.rng.Intn(len(w.ids))]
 	default:
@@ -173,6 +202,9 @@ func (w *tombTwins) reserve() {
 		region = base.StripLastDis()
 	}
 	solo, levels := w.isSolo(base) && len(region) > len(base), 2+w.rng.Intn(2)
+	if run := w.inRun(base); run != "" {
+		w.met["reserve at"+run]++
+	}
 	for _, tr := range w.trees() {
 		tr.HasLive(base) // leaves the walk cache at base, or where its walk stopped
 		if err := tr.Reserve(region, levels); err != nil {
@@ -203,25 +235,8 @@ func (w *tombTwins) local(i, n int, d ident.Dis) {
 			if j > 0 && k == 0 && w.isSolo(p) {
 				w.met["run slot named a solo"]++
 			}
-			for {
-				got, _ := tr.FreeSlotAfter(nil, p, at.P, d)
-				if want, _ := tr.FreeMiniBetweenOracle(p, f, d); !got.Equal(want) {
-					w.fatalf("tree %d gap %d (%v, %v): scan %v, oracle %v", k, i+j, p, f, got, want)
-				}
-				id, from := core.Balanced{}.NewID(tr, nil, p, f, at, d)
-				used, collides := tr.ExistsFrom(from, id)
-				if !collides {
-					if at.P, err = tr.InsertFrom(from, id, fmt.Sprint("l", w.counter, ".", j)); err != nil {
-						w.fatalf("local insert %v: %v", id, err)
-					}
-					ids[k], p = append(ids[k], id), id
-					break
-				}
-				if k == 0 && w.isSolo(id) {
-					w.met["allocation collided with a tomb"]++
-				}
-				p, at.P = id, used
-			}
+			p, at.P = w.mint(k, tr, p, f, at, d, fmt.Sprint("l", w.counter, ".", j))
+			ids[k] = append(ids[k], p)
 		}
 	}
 	for j, id := range ids[0] {
@@ -230,6 +245,59 @@ func (w *tombTwins) local(i, n int, d ident.Dis) {
 		}
 		w.note(id, fmt.Sprint("l", w.counter, ".", j))
 	}
+}
+
+// mint inserts atom into tree k as a local insert between p and f, which
+// lie at at, does, and returns its identifier and slot: a used identifier
+// the strategy mints becomes the lower bound of the next try, its slot
+// the scan's start. The scan is held to the root-down oracle at each try.
+func (w *tombTwins) mint(k int, tr *doctree.Tree, p, f ident.Path, at doctree.Gap, d ident.Dis, atom string) (ident.Path, doctree.Slot) {
+	w.t.Helper()
+	for {
+		got, _ := tr.FreeSlotAfter(nil, p, at.P, d)
+		if want, _ := tr.FreeMiniBetweenOracle(p, f, d); !got.Equal(want) {
+			w.fatalf("tree %d gap (%v, %v): scan %v, oracle %v", k, p, f, got, want)
+		}
+		id, from := core.Balanced{}.NewID(tr, nil, p, f, at, d)
+		used, collides := tr.ExistsFrom(from, id)
+		if !collides {
+			s, err := tr.InsertFrom(from, id, atom)
+			if err != nil {
+				w.fatalf("local insert %v: %v", id, err)
+			}
+			return id, s
+		}
+		if k == 0 && w.isSolo(id) {
+			w.met["allocation collided with a tomb"]++
+		}
+		if k == 0 && used.AboveRun() {
+			w.met["allocation collided with"+w.inRun(id)]++
+		}
+		p, at.P = id, used
+	}
+}
+
+// after inserts an atom locally right after the deleted q, as a site whose
+// allocation collided with q goes on from it.
+func (w *tombTwins) after(q ident.Path, d ident.Dis) {
+	w.t.Helper()
+	var f ident.Path
+	if j, _ := slices.BinarySearchFunc(w.ids, q, ident.Compare); j < len(w.ids) {
+		f = w.ids[j]
+	}
+	var ids []ident.Path
+	for k, tr := range w.trees() {
+		at, used := tr.ExistsFrom(doctree.Slot{}, q)
+		if !used {
+			w.fatalf("the tombstone %v is not used in tree %d", q, k)
+		}
+		id, _ := w.mint(k, tr, q, f, doctree.Gap{P: at}, d, fmt.Sprint("q", w.counter))
+		ids = append(ids, id)
+	}
+	if !ids[0].Equal(ids[1]) {
+		w.fatalf("after %v: minted %v and %v", q, ids[0], ids[1])
+	}
+	w.note(ids[0], fmt.Sprint("q", w.counter))
 }
 
 // remove deletes atom i from both trees, locally by index or as a remote
@@ -260,6 +328,9 @@ func (w *tombTwins) redelete(id ident.Path) {
 	w.t.Helper()
 	if w.isSolo(id) {
 		w.met["tomb deleted again"]++
+	}
+	if run := w.inRun(id); run != "" {
+		w.met["deleted again at"+run]++
 	}
 	for _, tr := range w.trees() {
 		if found, err := tr.DeleteID(id, w.mode == ident.UDIS); err != nil || found {
@@ -315,6 +386,12 @@ func (w *tombTwins) settle() {
 	w.twin.BuildSolos()
 	if live, dead := w.twin.Solos(); live+dead != 0 {
 		w.fatalf("the twin holds %d live and %d dead solos", live, dead)
+	}
+	if runs, _, longest := w.real.Runs(); runs > 0 {
+		w.met["steps with a run"]++
+		if longest == doctree.MaxRun {
+			w.met["steps with a run at its longest"]++
+		}
 	}
 	want := strings.Join(w.atoms, ",")
 	data := w.real.AppendSnapshot(nil)
@@ -398,6 +475,9 @@ func (w *tombTwins) settle() {
 		if want, _ := c.FreeMiniBetweenOracle(q, f, d); !got.Equal(want) {
 			w.fatalf("after the tombstone %v: scan %v, oracle %v", q, got, want)
 		}
+		if at.AboveRun() {
+			w.met["scans from a run's tomb"]++
+		}
 	}
 }
 
@@ -457,7 +537,87 @@ func (w *tombTwins) setUp() {
 		}
 	}
 	w.settle()
+	w.setUpRun()
 	w.counter = 20
+}
+
+// setUpRun builds a chain of MaxRun+3 lone minis of one site below node 11,
+// turning left and right, and deletes its last two, then the rest from the
+// top: the tombs join the runs below and above them, and one run grows to
+// its longest. Then it splits the runs every way a walk can: a node on an
+// upper member's free side, a sibling at an upper member's node, a member
+// deleted again, revived and reserved through, a flatten inside a run and
+// above another, and one at a run's top. The random steps meet the rest.
+func (w *tombTwins) setUpRun() {
+	w.step = "run set-up"
+	dis := func(site ident.SiteID) ident.Dis {
+		if w.counter++; w.mode == ident.UDIS {
+			return ident.Dis{Counter: w.counter, Site: site}
+		}
+		return ident.Dis{Site: site}
+	}
+	const bits = "1011001110001011010011101100101011"
+	node := func(k int) ident.Path { // member k's node
+		p := ident.Path{ident.J(1), ident.J(1)}
+		for i := 0; i <= k; i++ {
+			p = append(p, ident.J(bits[i]-'0'))
+		}
+		return p
+	}
+	mini := func(k int, d ident.Dis) ident.Path {
+		p := node(k)
+		p[len(p)-1] = ident.M(p[len(p)-1].Bit, d)
+		return p
+	}
+	chain, d := make([]ident.Path, doctree.MaxRun+3), dis(7)
+	for k := range chain {
+		if chain[k] = mini(k, d); !w.insert(chain[k], false) {
+			w.fatalf("%v is used", chain[k])
+		}
+	}
+	w.settle()
+	last := len(chain) - 1
+	order := []int{last, last - 1}
+	for k := 0; k < last-1; k++ {
+		order = append(order, k)
+	}
+	for _, k := range order {
+		w.remove(slices.IndexFunc(w.ids, chain[k].Equal), k%2 == 0)
+	}
+	w.settle()
+	if w.mode == ident.UDIS { // deletes discard the chain: no tombs
+		return
+	}
+	if _, _, longest := w.real.Runs(); longest != doctree.MaxRun {
+		w.fatalf("the chain's longest run holds %d tombs, want %d", longest, doctree.MaxRun)
+	}
+	for _, step := range []struct {
+		what string
+		fn   func()
+	}{
+		{"a node on a run member's free side", func() { w.insert(append(node(3), ident.M('1'-bits[4], dis(8))), false) }},
+		{"a sibling at a run member", func() { w.insert(mini(6, dis(9)), false) }},
+		{"a run member deleted again", func() { w.redelete(chain[8]) }},
+		{"a run member revived", func() { w.insert(chain[10], true) }},
+		{"an insert colliding with a run's top", func() { w.after(chain[last-3], d) }},
+		{"an insert colliding with a run's last member", func() { w.after(chain[last-1], d) }},
+		{"a reservation through a run", func() {
+			for _, tr := range w.trees() {
+				if err := tr.Reserve(node(13), 3); err != nil {
+					w.fatalf("reserve through a run: %v", err)
+				}
+			}
+		}},
+		{"a flatten inside a run and above another", func() { w.flatten(node(last - 4)) }},
+		{"a flatten at a run's top", func() { w.flatten(node(15)) }},
+	} {
+		if j, k := w.real.RunMember(node(15)); step.what == "a flatten at a run's top" && (k == 0 || j != 0) {
+			w.fatalf("member 15 is member %d of a run of %d", j, k)
+		}
+		step.fn()
+		w.settle()
+		w.met[step.what]++
+	}
 }
 
 // TestTombMatchesRecord replays seeded scripts — the set-up above, then
@@ -468,7 +628,10 @@ func (w *tombTwins) setUp() {
 // and whole-document flattens and snapshot round trips — on a tree whose
 // lone counter-0 minis, live or dead, are held in their nodes and a twin
 // whose minis are all records, in SDIS and in UDIS, whose counters keep
-// every mini but a flattened region's canonical ones a record.
+// every mini but a flattened region's canonical ones a record. In SDIS a
+// chain of one site's tombs is held as runs, which the set-up fills to
+// their longest and splits every way a walk can, and which the random
+// steps meet at their upper and last members.
 func TestTombMatchesRecord(t *testing.T) {
 	for _, mode := range []ident.Mode{ident.SDIS, ident.UDIS} {
 		met := map[string]int{}
@@ -502,21 +665,29 @@ func TestTombMatchesRecord(t *testing.T) {
 					w.remove(w.rng.Intn(n), w.rng.Intn(2) == 0)
 				case r < 78:
 					if len(w.dead) > 0 {
-						w.redelete(w.dead[w.rng.Intn(len(w.dead))])
+						w.redelete(w.pickDead())
 					}
 				case r < 82:
 					if len(w.dead) > 0 {
-						w.insert(w.dead[w.rng.Intn(len(w.dead))], true)
+						w.insert(w.pickDead(), true)
 					}
 				case r < 88:
 					if cold := w.real.ColdestSubtree(w.real.Rev()-2, 2, mode == ident.UDIS); cold != nil {
 						w.flatten(cold)
 						met["cold flatten"]++
 					}
-				case r < 94: // flatten the node of a live atom's ancestor
+				case r < 94: // flatten the node of a live atom's or a run's tomb's ancestor
 					id := w.ids[w.rng.Intn(n)]
+					if len(w.dead) > 0 && w.rng.Intn(2) == 0 {
+						if q := w.pickDead(); w.inRun(q) != "" {
+							id = q
+						}
+					}
 					region := id.StripLastDis()[:1+w.rng.Intn(len(id))]
 					region[len(region)-1] = ident.J(region[len(region)-1].Bit)
+					if run := w.inRun(region); run != "" {
+						met["flatten at"+run]++
+					}
 					w.flatten(region)
 					met["chosen flatten"]++
 				case r < 95:
@@ -543,16 +714,25 @@ func TestTombMatchesRecord(t *testing.T) {
 			"a sibling at a live solo": 10, "a child below a live solo": 10, "a sibling at a tomb": 5, "a child below a tomb": 5,
 			"reserve below a solo from the walk cache": 10, "run slot named a solo": 20,
 			"allocation collided with a tomb": 5, "cold flatten": 5, "chosen flatten": 5, "whole-document flatten": 2, "round trip": 5,
+			"steps with a run": seeds * steps / 10, "steps with a run at its longest": seeds, "scans from a run's tomb": 100,
+			"allocation collided with a run's upper member": seeds, "allocation collided with a run's last member": seeds,
+			"revived a run's upper member": seeds, "deleted again at a run's upper member": seeds,
+			"a node on a run member's free side": seeds, "a sibling at a run member": seeds, "a reservation through a run": seeds,
+			"a flatten inside a run and above another": seeds, "a flatten at a run's top": seeds,
 		} {
 			if met[what] < least {
-				t.Errorf("%v: the scripts no longer exercise the solos: %q %d times, want %d", mode, what, met[what], least)
+				t.Errorf("%v: the scripts no longer exercise the solos and runs: %q %d times, want %d", mode, what, met[what], least)
 			}
 		}
 	}
 }
 
 // TestCheckRefusesBrokenTomb: Check catches each way a solo flag, a solo's
-// atom handle or a hasEmpty bit can disagree with the tree.
+// atom handle, a hasEmpty bit or a run can disagree with the tree. A run's
+// shape must hold 2 to MaxRun members and no side bit past them; it is a
+// solo tomb, so on the root, a flat node, a node of minis or a live solo
+// it breaks what a solo must be; and its one stamp stands for all its
+// members' only while no stamp is after the revision clock.
 func TestCheckRefusesBrokenTomb(t *testing.T) {
 	solo := func(atom string) func(*doctree.Tree, ident.Path) {
 		return func(tr *doctree.Tree, node ident.Path) {
@@ -575,6 +755,12 @@ func TestCheckRefusesBrokenTomb(t *testing.T) {
 			tr.SetHasEmpty(node, on)
 		}
 	}
+	run := func(count int, sides uint32) func(*doctree.Tree, ident.Path) {
+		return func(tr *doctree.Tree, node ident.Path) { tr.SetRun(node, count, sides) }
+	}
+	// A run of three tombs at node 1, turning left then right, above a
+	// live atom.
+	chain := []string{"[(1:s1)]", "[1(0:s1)]", "[10(1:s1)]", "[101(1:s2)]", "-[(1:s1)]", "-[10(1:s1)]", "-[1(0:s1)]"}
 	for _, tc := range []struct {
 		name, want string
 		ids        []string // applied in order: inserts, SDIS deletes marked -, reservations marked +
@@ -582,6 +768,15 @@ func TestCheckRefusesBrokenTomb(t *testing.T) {
 		flatten    bool
 		damage     func(*doctree.Tree, ident.Path)
 	}{
+		{"a run of one tomb", "broken run", chain, "[1]", false, run(1, 0)},
+		{"a run past its longest", "broken run", chain, "[1]", false, run(doctree.MaxRun+1, 0)},
+		{"a run's side bit past its members", "broken run", chain, "[1]", false, run(3, 0b110)},
+		{"a run on the root", "root holds mini-nodes", chain, "[]", false, run(2, 0)},
+		{"a run on a flat node", "a solo", chain, "[1]", true, run(2, 0)},
+		{"a run over a node of minis", "live atoms", []string{"[(0:s1)]", "[(0:s2)]"}, "[0]", false, run(2, 0)},
+		{"a run over a live solo", "live atoms", chain, "[1011]", false, run(2, 0)},
+		{"a run stamped after the revision clock", "revision clock", chain, "[1]", false,
+			func(tr *doctree.Tree, node ident.Path) { tr.SetStamp(node, uint32(tr.Rev())+1) }},
 		{"on the root", "root holds mini-nodes", []string{"[(0:s1)]"}, "[]", false, solo("")},
 		{"on a flat node", "a solo", []string{"[(0:s1)]", "[0(0:s2)]"}, "[0]", true, solo("")},
 		{"over a live mini with a child", "live atoms", []string{"[(0:s1)]", "[(0:s1)(1:s2)]"}, "[0]", false, solo("")},

@@ -285,7 +285,7 @@ func TestAppendNeighborIDsGaps(t *testing.T) {
 	if ident.Compare(p, f) >= 0 {
 		t.Errorf("gap 3 neighbors out of order: %v >= %v", p, f)
 	}
-	if g.P != (Slot{routeSlot(tr, p), len(p)}) || g.F != (Slot{routeSlot(tr, f), len(f)}) {
+	if g.P != routeSlot(tr, p) || g.F != routeSlot(tr, f) {
 		t.Errorf("gap 3 slots %v, %v are not where %v, %v lie", g.P, g.F, p, f)
 	}
 	// Only interior gaps have two neighbours.
@@ -434,7 +434,7 @@ func freeAfter(t *testing.T, tr *Tree, p ident.Path) ident.Path {
 	t.Helper()
 	var at Slot
 	if p != nil {
-		if at = (Slot{routeSlot(tr, p), len(p)}); at.at.mini == 0 {
+		if at = routeSlot(tr, p); at.at.mini == 0 && !at.run {
 			t.Fatalf("%v is not in the tree", p)
 		}
 	}

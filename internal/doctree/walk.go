@@ -20,10 +20,17 @@ type slot struct {
 type Slot struct {
 	at    slot
 	depth int
+	run   bool // the identifier goes on into the run below at, to a member (see ExistsFrom)
 }
 
-// Major returns the major slot of s's node, at the same depth.
-func (s Slot) Major() Slot { return Slot{slot{node: s.at.node}, s.depth} }
+// Major returns the major slot of s's node, at the same depth: above a run,
+// s itself, on the route already.
+func (s Slot) Major() Slot {
+	if !s.run {
+		s.at.mini = 0
+	}
+	return s
+}
 
 // Gap is where an insertion gap's neighbours lie: the slots of the atoms
 // before (P) and after (F) it, the zero Slot at a document edge.
@@ -75,9 +82,9 @@ func (t *Tree) setKid(s slot, bit uint8, h nodeH) {
 // converted to tree storage when necessary, e.g., when applying a path to
 // an array").
 func (t *Tree) walkMini(p ident.Path) (slot, error) {
-	cur, skip := t.resumeSlot(Slot{}, p)
-	for i, e := range p[skip:] {
-		i += skip
+	cur, i := t.resumeSlot(Slot{}, p)
+	for ; i < len(p); i++ {
+		e := p[i]
 		if err := t.explodeNode(cur.node); err != nil {
 			return slot{}, err
 		}
@@ -85,6 +92,11 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 		if next == 0 {
 			return slot{}, errNotFound
 		}
+		if t.node(next).run() && t.room(2, 0) != nil { // a run the walk stops in is cut
+			return slot{}, ErrFull
+		}
+		next, i = t.enter(next, p, i) // a duplicate delete cuts a run's tomb out, as a revive would
+		e = p[i]
 		if e.Kind == ident.Mini || i+1 < len(p) {
 			if err := t.explodeNode(next); err != nil {
 				return slot{}, err
@@ -111,24 +123,26 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // as-is; the caller decides its atom and liveness. from is a slot on p's
 // route, or the zero Slot to resume from the walk cache.
 func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
-	cur, depth := t.resumeSlot(from, p)
+	cur, i := t.resumeSlot(from, p)
 	if err := t.room(2*len(p), 2*len(p)); err != nil { // a solo built back may take a sibling
 		return slot{}, err
 	}
-	for _, e := range p[depth:] {
+	for ; i < len(p); i++ {
+		e := p[i]
 		if err := t.explodeNode(cur.node); err != nil {
 			return slot{}, err
 		}
-		depth++
 		next := t.child(cur, e.Bit)
 		if next == 0 {
 			next = t.newNode(cur, e.Bit)
 			t.setKid(cur, e.Bit, next)
 			t.bubble(next, 0, +1) // one more reusable slot
-			t.height = max(t.height, depth)
+			t.height = max(t.height, i+1)
 		} else if err := t.explodeNode(next); err != nil {
 			return slot{}, err
 		}
+		next, i = t.enter(next, p, i)
+		e = p[i]
 		if e.Kind == ident.Major {
 			cur = slot{node: next}
 			continue
@@ -338,12 +352,12 @@ func (t *Tree) releaseBelow(h nodeH) {
 		t.minis.release(uint32(mh))
 		mh = next
 	}
-	if n.atom != 0 {
-		t.atoms.drop(n.atom)
+	if a := n.liveAtom(); a != 0 {
+		t.atoms.drop(a)
 	}
 	t.reserved -= reservedNodes(n.reserve)
 	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi, n.atom = 0, 0, 0, 0, 0, 0
-	n.flags &^= soloF | hasEmptyF
+	n.flags &^= soloF | hasEmptyF | runF
 }
 
 func (t *Tree) releaseSubtree(h nodeH) {
@@ -362,6 +376,9 @@ func (t *Tree) walkNode(p ident.Path) (nodeH, error) {
 		return 0, fmt.Errorf("doctree: path %v designates a mini-node, not a major node", p)
 	}
 	s, err := t.walkMini(p)
+	if n := t.node(s.node); err == nil && n.run() { // its last member, a node of its own
+		s.node = t.cut(s.node, n.runLen()-2)
+	}
 	return s.node, err
 }
 
@@ -376,8 +393,8 @@ func (t *Tree) collectLive(h nodeH, out *[]string) {
 		return
 	}
 	t.collectLive(n.kids[0], out)
-	if n.atom != 0 {
-		*out = append(*out, *t.atoms.at(n.atom))
+	if a := n.liveAtom(); a != 0 {
+		*out = append(*out, *t.atoms.at(a))
 	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
@@ -399,6 +416,7 @@ func (t *Tree) maxDepth(h nodeH, d int) int {
 		return d - 1
 	}
 	n := t.node(h)
+	d += n.runLen() - 1 // a run's last member
 	best := max(d+int(n.reserve), t.maxDepth(n.kids[0], d+1), t.maxDepth(n.kids[1], d+1))
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)

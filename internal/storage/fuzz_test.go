@@ -15,8 +15,9 @@ import (
 // sites racing for one position above an exploded-then-edited region — a
 // many-mini node, a site table, canonical and written disambiguators, and a
 // flat region beside nodes; minis with children nested two deep; SDIS
-// tombstones held in their nodes beside dead minis that keep a record; and
-// live minis held in their nodes beside a live mini with a dead sibling.
+// tombstones held in their nodes beside dead minis that keep a record; live
+// minis held in their nodes beside a live mini with a dead sibling; and
+// runs of tombs held in one node each.
 func seedEncodings(f *testing.F) [][]byte {
 	var seeds [][]byte
 
@@ -127,6 +128,29 @@ func seedEncodings(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, storage.Encode(solos))
+
+	// Runs: four tombs of a site that needs more than 32 bits, turning
+	// right, left and right, above a node with two live children; two
+	// canonical tombs beside them; and a tomb whose only child is a
+	// tomb of another site, which is no run.
+	runDoc, err := core.NewDocument(core.Config{Site: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	runs := runDoc.Tree()
+	for i, id := range []string{"[(0:s4294967303)]", "[0(1:s4294967303)]", "[01(0:s4294967303)]", "[010(1:s4294967303)]",
+		"[0101(0:s6)]", "[0101(1:s6)]", "[(1:⊥)]", "[1(0:⊥)]", "[10(0:s8)]", "[100(1:s9)]"} {
+		if err := runs.InsertID(ident.MustParsePath(id), string(rune('a'+i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, id := range []string{"[01(0:s4294967303)]", "[(0:s4294967303)]", "[010(1:s4294967303)]", "[0(1:s4294967303)]",
+		"[1(0:⊥)]", "[(1:⊥)]", "[10(0:s8)]", "[100(1:s9)]"} {
+		if _, err := runs.DeleteID(ident.MustParsePath(id), false); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seeds = append(seeds, storage.Encode(runs))
 
 	return seeds
 }
