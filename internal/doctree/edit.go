@@ -155,7 +155,7 @@ func (t *Tree) DeleteID(id ident.Path, prune bool) (found bool, err error) {
 }
 
 // DeleteAtIndex deletes the i-th live atom in a single count-guided descent,
-// appending its identifier to dst. The locate walk already ends at the
+// appending its identifier to dst. The descent already ends at the
 // atom's mini-node, so the delete needs no second identifier walk — local
 // deletes are the other half of an editor's hot path, and the re-walk
 // DeleteID would do costs a full O(depth) prefix comparison even when it

@@ -2,98 +2,13 @@ package doctree
 
 import "github.com/treedoc/treedoc/internal/ident"
 
-// FreeMiniBetweenOracle lets the external benchmarks run the root-down
-// oracle (slots_oracle_test.go) beside the scan.
-func (t *Tree) FreeMiniBetweenOracle(p, f ident.Path, d ident.Dis) (ident.Path, int) {
-	return t.freeMiniBetweenOracle(p, f, d)
-}
-
 // Reserve is ReserveFrom resuming from the walk cache.
 func (t *Tree) Reserve(path ident.Path, levels int) error {
 	return t.ReserveFrom(Slot{}, path, levels)
 }
 
-// MaterializeReserved builds every reserved node, leaving no reserve count:
-// the tree as it would stand had every reservation been built in full.
-func (t *Tree) MaterializeReserved() {
-	for h := uint32(1); h <= t.nodes.n; h++ {
-		t.buildReserved(nodeH(h))
-	}
-}
-
 // Records returns the node records the tree holds.
 func (t *Tree) Records() int { return int(t.nodes.used()) }
-
-func (t *Tree) buildReserved(h nodeH) {
-	if t.node(h).reserve != 0 {
-		t.child(slot{node: h}, 0)
-		for _, c := range t.node(h).kids {
-			t.buildReserved(c)
-		}
-	}
-}
-
-// IndexOfID returns the current document index of the live atom with the
-// given identifier: the inverse of IDAt, computed by a climb from the
-// atom, which the tests hold the count-guided descents to.
-func (t *Tree) IndexOfID(id ident.Path) (int, error) {
-	s, err := t.walkMini(id)
-	if err != nil {
-		return 0, err
-	}
-	if *t.atomOf(s) == 0 {
-		return 0, errNotFound
-	}
-	// The atom follows its mini's left subtree and whatever its node holds
-	// before the mini; then climb: at each level, whatever the parent holds
-	// to the left of the slot we hang from precedes us.
-	h, n := s.node, t.node(s.node)
-	idx := t.liveBefore(n, s.mini, 0) + t.node(t.kids(s)[0]).live
-	for n.parent != 0 {
-		up := t.hangsFrom(h, n)
-		if upN := t.node(up.node); up.mini != 0 {
-			idx += t.liveBefore(upN, up.mini, n.bit())
-		} else if n.bit() == 1 {
-			// Right child of the major node: everything else in up precedes.
-			idx += upN.live - n.live
-		}
-		h, n = up.node, t.node(up.node)
-	}
-	return int(idx), nil
-}
-
-// liveBefore counts the live atoms of n that precede the bit-side child
-// subtree of its mini mh: n's major-left subtree, every earlier mini's
-// region, and for the right side the mini's own left subtree and atom.
-func (t *Tree) liveBefore(n *node, mh miniH, bit uint8) uint32 {
-	idx := t.node(n.kids[0]).live
-	if mh == soloMini {
-		return idx
-	}
-	for h := n.first; h != mh; {
-		idx += t.miniLive(h)
-		h = t.mini(h).next
-	}
-	if m := t.mini(mh); bit == 1 {
-		idx += t.node(t.kids(slot{mini: mh})[0]).live
-		if m.atom != 0 {
-			idx++
-		}
-	}
-	return idx
-}
-
-// miniLive returns the live atoms in a mini's own region (its subtrees plus
-// its atom).
-func (t *Tree) miniLive(mh miniH) uint32 {
-	m := t.mini(mh)
-	kids := t.kids(slot{mini: mh})
-	n := t.node(kids[0]).live + t.node(kids[1]).live
-	if m.atom != 0 {
-		n++
-	}
-	return n
-}
 
 // MiniOf returns the handle of the mini id names and whether it is flagged
 // with children; 0 and false if id names none, and 2³²−1 (soloMini) and
@@ -104,16 +19,6 @@ func (t *Tree) MiniOf(id ident.Path) (uint32, bool) {
 		return 0, false
 	}
 	return uint32(s.at.mini), s.at.mini != soloMini && t.mini(s.at.mini).hasKids
-}
-
-// MiniChildEntries returns the handles of the minis the mini-child table
-// holds an entry for.
-func (t *Tree) MiniChildEntries() map[uint32]bool {
-	hs := make(map[uint32]bool, len(t.mkids))
-	for mh := range t.mkids {
-		hs[uint32(mh)] = true
-	}
-	return hs
 }
 
 // SetMiniChildEntry writes mini h's entry in the mini-child table as it is
@@ -143,42 +48,6 @@ func (t *Tree) SetOnMini(path ident.Path, on bool) {
 
 // CacheWalk records a walk to id, which lies at at, in the walk cache.
 func (t *Tree) CacheWalk(id ident.Path, at Slot) { t.cacheWalk(id, at.at) }
-
-// MiniRecords returns the mini records the tree holds.
-func (t *Tree) MiniRecords() int { return int(t.minis.used()) }
-
-// Solos returns the solo minis the tree holds, live and dead: minis with
-// no record, a run's members each one.
-func (t *Tree) Solos() (live, dead int) {
-	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no solo
-		if n := t.nodes.at(h); n.solo() && n.liveAtom() != 0 {
-			live++
-		} else if n.solo() {
-			dead += n.runLen()
-		}
-	}
-	return live, dead
-}
-
-// BuildSolos builds every solo mini's record back, a run's members each
-// a node of their own first: the tree as it would stand had every mini
-// kept its record.
-func (t *Tree) BuildSolos() {
-	t.BuildRuns()
-	for h := uint32(1); h <= t.nodes.n; h++ {
-		if t.nodes.at(h).solo() {
-			t.unsolo(nodeH(h))
-		}
-	}
-}
-
-// BuildRuns builds every run back into one solo tomb record per member.
-func (t *Tree) BuildRuns() {
-	for h := uint32(1); h <= t.nodes.n; h++ {
-		for r := nodeH(h); t.node(r).run(); r = t.cut(r, 0) {
-		}
-	}
-}
 
 // MaxRun is the most members a run holds.
 const MaxRun = maxRun

@@ -11,16 +11,15 @@ import (
 	"github.com/treedoc/treedoc/internal/trace"
 )
 
-// BenchmarkFreeSearchHistory prices the old root-down walk against the
-// scan on the document a late-join writer builds: the first history of
-// benchmark/'s late-join workload at seed 1 (benchmark/script.go's
-// historyProfile at its 2,000-line size, trace seed 4), applied with
-// consecutive inserts as runs.
+// BenchmarkFreeSearchHistory prices the scan on the document a late-join
+// writer builds: the first history of benchmark/'s late-join workload at
+// seed 1 (benchmark/script.go's historyProfile at its 2,000-line size,
+// trace seed 4), applied with consecutive inserts as runs.
 // Each search is one gap of the finished document, start and end included,
 // with its neighbours and their slots as a local insert would find them.
-// Both report the share of searches that find a slot; the walk reports the
-// nodes it enters per search, the scan the levels it climbs from p to the
-// node below which the answer lies (the slot, or the right neighbour).
+// It reports the share of searches that find a slot and the levels the
+// scan climbs from p to the node below which the answer lies (the slot,
+// or the right neighbour).
 func BenchmarkFreeSearchHistory(b *testing.B) {
 	tr, err := trace.Generate(trace.Profile{
 		Name: "history.tex", Granularity: trace.Lines, Seed: 4,
@@ -43,7 +42,6 @@ func BenchmarkFreeSearchHistory(b *testing.B) {
 		}
 	}
 	t := doc.Tree()
-	t.MaterializeReserved() // the walk reads records only
 	type gap struct {
 		p, f ident.Path
 		at   doctree.Gap
@@ -64,16 +62,10 @@ func BenchmarkFreeSearchHistory(b *testing.B) {
 		}
 	}
 	d := ident.Dis{Site: 2}
-	var visits, climb, found int
+	var climb, found int
 	for _, g := range gaps {
-		want, v := t.FreeMiniBetweenOracle(g.p, g.f, d)
-		got, _ := t.FreeSlotAfter(nil, g.p, g.at.P, d)
-		if !got.Equal(want) {
-			b.Fatalf("gap (%v, %v): scan %v, walk %v", g.p, g.f, got, want)
-		}
-		visits += v
 		answer := g.f
-		if got != nil {
+		if got, _ := t.FreeSlotAfter(nil, g.p, g.at.P, d); got != nil {
 			answer = got
 			found++
 		}
@@ -85,28 +77,16 @@ func BenchmarkFreeSearchHistory(b *testing.B) {
 	}
 	b.Logf("%d gaps, height %d", len(gaps), t.Height())
 	var scratch ident.Path
-	for _, bc := range []struct {
-		name, unit string
-		nodes      float64
-		fn         func(g *gap) ident.Path
-	}{
-		{"walk", "visits/search", float64(visits), func(g *gap) ident.Path { got, _ := t.FreeMiniBetweenOracle(g.p, g.f, d); return got }},
-		{"scan", "climb/search", float64(climb), func(g *gap) ident.Path {
-			got, _ := t.FreeSlotAfter(scratch[:0], g.p, g.at.P, d)
-			if got != nil {
+	b.Run("scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g := &gaps[i%len(gaps)]
+			if got, _ := t.FreeSlotAfter(scratch[:0], g.p, g.at.P, d); got != nil {
 				scratch = got
 			}
-			return got
-		}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bc.fn(&gaps[i%len(gaps)])
-			}
-			b.ReportMetric(bc.nodes/float64(len(gaps)), bc.unit)
-			b.ReportMetric(float64(found)/float64(len(gaps)), "found/search")
-		})
-	}
+		}
+		b.ReportMetric(float64(climb)/float64(len(gaps)), "climb/search")
+		b.ReportMetric(float64(found)/float64(len(gaps)), "found/search")
+	})
 }
 
 // BenchmarkAblationWalkCacheCopy prices the walk cache's copy of each

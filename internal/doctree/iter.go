@@ -10,7 +10,7 @@ import (
 // flattened regions.
 func (t *Tree) Content() []string {
 	out := make([]string, 0, t.Len())
-	t.collectLive(rootH, &out)
+	t.VisitLive(func(_ int, a string) bool { out = append(out, a); return true })
 	return out
 }
 
@@ -20,60 +20,10 @@ func (t *Tree) AtomAt(i int) (string, error) {
 	if i < 0 || i >= t.Len() {
 		return "", fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
 	}
-	s, flatIdx := t.locate(rootH, uint32(i))
-	if s.mini != 0 {
-		return *t.atoms.at(*t.atomOf(s)), nil
-	}
-	return t.flats[s.node][flatIdx], nil
-}
-
-// locate descends by live-atom counts to position i within h's subtree,
-// returning either the slot of the mini-node holding it or the flat node and
-// the offset into its array. A nil child reads as a zero count (slab.at), so
-// the descent tests counts only.
-func (t *Tree) locate(h nodeH, i uint32) (slot, uint32) {
-	n := t.node(h)
-descend:
-	for {
-		if n.flat() {
-			return slot{node: h}, i
-		}
-		l := t.node(n.kids[0])
-		if i < l.live {
-			h, n = n.kids[0], l
-			continue
-		}
-		i -= l.live
-		if n.atom != 0 && !n.run() { // a live solo: no mini record to load
-			if i == 0 {
-				return slot{node: h, mini: soloMini}, 0
-			}
-			i--
-		}
-		for mh := n.minis(); mh != 0; {
-			m := t.mini(mh)
-			kids := t.miniKids(mh, m)
-			l, r := t.node(kids[0]), t.node(kids[1])
-			if i < l.live {
-				h, n = kids[0], l
-				continue descend
-			}
-			i -= l.live
-			if m.atom != 0 {
-				if i == 0 {
-					return slot{node: h, mini: mh}, 0
-				}
-				i--
-			}
-			if i < r.live {
-				h, n = kids[1], r
-				continue descend
-			}
-			i -= r.live
-			mh = m.next
-		}
-		h, n = n.kids[1], t.node(n.kids[1])
-	}
+	var atom string
+	skip, count := i, 1
+	t.visitRange(rootH, &skip, &count, func(a string) bool { atom = a; return true })
+	return atom, nil
 }
 
 // IDAt returns the position identifier of the i-th live atom; see AppendIDAt.
@@ -85,7 +35,7 @@ func (t *Tree) IDAt(i int) (ident.Path, error) {
 // AppendIDAt appends the position identifier of the i-th live atom to dst
 // and returns where the atom lies. It is IDAt in append-to-dst form for
 // callers that consult identifiers per edit (neighbour lookups), and it
-// builds the identifier during the locate descent itself: the nodes the
+// builds the identifier during the descent itself: the nodes the
 // count-guided descent visits are exactly the identifier's chain, so the
 // element for each node is emitted as the walk leaves it, with no separate
 // path-building climb afterwards. Flattened regions on the way are

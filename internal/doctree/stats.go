@@ -108,7 +108,7 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 		for _, a := range flat {
 			s.DocBytes += len(a)
 		}
-		sum, top := flatIDBits(len(flat), depth, h == rootH)
+		sum, top := flatIDBits(len(flat), depth+disBits, h == rootH)
 		s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+sum, max(s.MaxIDBits, top)
 		return
 	}
@@ -152,8 +152,9 @@ func (t *Tree) statsMini(atom uint32, bits int, c ident.Cost, s *Stats) {
 
 // flatIDBits returns the total and maximum identifier bit sizes the n atoms
 // of a flattened region would have once exploded into canonical form: pure
-// bitstrings, one bit per level (Section 4.2). base is the region root's
-// depth; atRoot indicates the document root region, whose canonical form
+// bitstrings below the region root, one bit per level (Section 4.2). base
+// is the size of the region root's path: its depth and the disambiguators
+// above it; atRoot indicates the document root region, whose canonical form
 // skips the atom-less root slot.
 func flatIDBits(n, base int, atRoot bool) (sum, top int) {
 	if n == 0 {

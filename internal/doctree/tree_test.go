@@ -222,7 +222,7 @@ func TestResurrectDiscardedAncestors(t *testing.T) {
 
 func TestIndexing(t *testing.T) {
 	tr := figure2(t)
-	want := "abcdef"
+	want, ids := "abcdef", []string{"[0(0:s1)]", "[(0:s2)]", "[0(1:s3)]", "[1(0:s4)]", "[(1:s5)]", "[1(1:s6)]"}
 	for i := 0; i < len(want); i++ {
 		got, err := tr.AtomAt(i)
 		if err != nil {
@@ -231,23 +231,16 @@ func TestIndexing(t *testing.T) {
 		if got != string(want[i]) {
 			t.Errorf("AtomAt(%d) = %q, want %q", i, got, want[i])
 		}
-		id, err := tr.IDAt(i)
-		if err != nil {
-			t.Fatalf("IDAt(%d): %v", i, err)
-		}
-		back, err := tr.IndexOfID(id)
-		if err != nil {
-			t.Fatalf("IndexOfID(%v): %v", id, err)
-		}
-		if back != i {
-			t.Errorf("IndexOfID(IDAt(%d)) = %d", i, back)
+		if id, err := tr.IDAt(i); err != nil || id.String() != ids[i] {
+			t.Errorf("IDAt(%d) = %v (%v), want %s", i, id, err, ids[i])
 		}
 	}
-	if _, err := tr.AtomAt(-1); err == nil {
-		t.Error("AtomAt(-1) succeeded")
-	}
-	if _, err := tr.AtomAt(6); err == nil {
-		t.Error("AtomAt(len) succeeded")
+	_, e1 := tr.AtomAt(-1)
+	_, e2 := tr.AtomAt(6)
+	_, e3 := tr.IDAt(6)
+	_, e4 := tr.DeleteAtIndex(-1, false, nil)
+	if e5 := tr.VisitRange(0, 7, nil); e1 == nil || e2 == nil || e3 == nil || e4 == nil || e5 == nil {
+		t.Errorf("lookups out of range succeed: %v, %v, %v, %v, %v", e1, e2, e3, e4, e5)
 	}
 }
 
@@ -264,14 +257,10 @@ func TestIndexingWithTombstonesAndMinis(t *testing.T) {
 	if got := content(tr); got != want {
 		t.Fatalf("content = %q, want %q", got, want)
 	}
+	ids := []string{"[0(0:s1)]", "[(0:s2)]", "[0(1:s3)]", "[10(0:s7)]", "[10(0:s7)(1:s8)]", "[10(0:s9)]", "[(1:s5)]", "[1(1:s6)]"}
 	for i := 0; i < len(want); i++ {
-		id, err := tr.IDAt(i)
-		if err != nil {
-			t.Fatalf("IDAt(%d): %v", i, err)
-		}
-		back, err := tr.IndexOfID(id)
-		if err != nil || back != i {
-			t.Errorf("IndexOfID(IDAt(%d)) = %d, %v", i, back, err)
+		if id, err := tr.IDAt(i); err != nil || id.String() != ids[i] {
+			t.Errorf("IDAt(%d) = %v (%v), want %s", i, id, err, ids[i])
 		}
 	}
 }
@@ -428,6 +417,35 @@ func TestExplodeEmptySubtreeRegion(t *testing.T) {
 	}
 }
 
+// routeSlot walks path — an identifier, or a structural path ending in a
+// Major element — from the root without exploding anything and returns the
+// Slot it reaches — for a path ending among a run's members, the slot
+// above the run, flagged run — or the zero Slot if a step is missing.
+func routeSlot(tr *Tree, path ident.Path) Slot {
+	cur := slot{node: rootH}
+	for i := 0; i < len(path); i++ {
+		top, e := i, path[i]
+		next := tr.kids(cur)[e.Bit]
+		if next == 0 || tr.node(next).flat() {
+			return Slot{}
+		}
+		if n := tr.node(next); n.run() {
+			j := n.hop(path, i)
+			if i += j; path[i].Kind == ident.Mini || j+1 < n.runLen() {
+				return Slot{cur, top, true}
+			}
+			e = path[i]
+		}
+		cur = slot{node: next}
+		if e.Kind == ident.Mini {
+			if cur.mini = tr.findMini(tr.node(next), e.Dis); cur.mini == 0 {
+				return Slot{}
+			}
+		}
+	}
+	return Slot{cur, len(path), false}
+}
+
 // freeAfter asks FreeSlotAfter for a slot in the gap after p, which must
 // be materialised, for disambiguator s9.
 func freeAfter(t *testing.T, tr *Tree, p ident.Path) ident.Path {
@@ -526,8 +544,10 @@ func TestStatsIdentifierBits(t *testing.T) {
 	if got := s.AvgIDBits(); got < 49 || got > 50 {
 		t.Errorf("AvgIDBits = %v", got)
 	}
-	if s.NonTombstoneFraction() != 1 {
-		t.Errorf("NonTombstoneFraction = %v", s.NonTombstoneFraction())
+	var zero Stats
+	if s.NonTombstoneFraction() != 1 || zero.NonTombstoneFraction() != 1 || s.OverheadBitsPerAtom() != s.AvgIDBits() || s.HeapOverModel() <= 0 ||
+		zero.AvgIDBits()+zero.OverheadBitsPerAtom()+zero.MemOverheadRatio()+zero.HeapOverModel() != 0 {
+		t.Errorf("NonTombstoneFraction = %v, OverheadBitsPerAtom = %v, HeapOverModel = %v; of no stats %+v", s.NonTombstoneFraction(), s.OverheadBitsPerAtom(), s.HeapOverModel(), zero)
 	}
 	// Memory model: 6 nodes, single childless minis under SDIS: 12+6+4 each,
 	// but b and e have mini children? No: a,c hang off node [0]'s major
@@ -572,20 +592,17 @@ func TestVisitLiveEarlyStop(t *testing.T) {
 func TestLookupByID(t *testing.T) {
 	tr := figure2(t)
 	e := ident.MustParsePath("[(1:s5)]")
-	if i, err := tr.IndexOfID(e); err != nil || i != 4 {
-		t.Errorf("IndexOfID = %d, %v", i, err)
+	if !tr.HasLive(e) || !tr.Exists(e) {
+		t.Errorf("atom %v reported dead or unused", e)
 	}
-	if _, err := tr.IndexOfID(ident.MustParsePath("[(1:s99)]")); !IsNotFound(err) {
-		t.Errorf("missing atom err = %v", err)
+	if missing := ident.MustParsePath("[(1:s99)]"); tr.HasLive(missing) || tr.Exists(missing) {
+		t.Errorf("missing atom %v reported live or used", missing)
 	}
 	if _, err := tr.DeleteID(e, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.IndexOfID(e); !IsNotFound(err) {
-		t.Errorf("tombstoned atom err = %v", err)
-	}
-	if tr.HasLive(e) {
-		t.Error("tombstoned atom reported live")
+	if tr.HasLive(e) || !tr.Exists(e) {
+		t.Error("tombstoned atom reported live or unused")
 	}
 }
 

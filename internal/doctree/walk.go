@@ -306,8 +306,8 @@ func (t *Tree) Flatten(path ident.Path) error {
 	}
 	t.cacheDrop()
 	n := t.node(h)
-	atoms := make([]string, 0, n.live)
-	t.collectLive(h, &atoms)
+	atoms, skip, count := make([]string, 0, n.live), 0, int(n.live)
+	t.visitRange(h, &skip, &count, func(a string) bool { atoms = append(atoms, a); return true })
 	if h == rootH {
 		// A fresh tree: every chunk goes back to the collector at once.
 		*t = Tree{limit: t.limit, rev: t.rev, flats: map[nodeH][]string{}}
@@ -380,32 +380,6 @@ func (t *Tree) walkNode(p ident.Path) (nodeH, error) {
 		s.node = t.cut(s.node, n.runLen()-2)
 	}
 	return s.node, err
-}
-
-// collectLive appends the live atoms of h's subtree in infix order.
-func (t *Tree) collectLive(h nodeH, out *[]string) {
-	if h == 0 {
-		return
-	}
-	n := t.node(h)
-	if n.flat() {
-		*out = append(*out, t.flats[h]...)
-		return
-	}
-	t.collectLive(n.kids[0], out)
-	if a := n.liveAtom(); a != 0 {
-		*out = append(*out, *t.atoms.at(a))
-	}
-	for mh := n.minis(); mh != 0; {
-		m := t.mini(mh)
-		t.collectLive(t.kids(slot{h, mh})[0], out)
-		if m.atom != 0 {
-			*out = append(*out, *t.atoms.at(m.atom))
-		}
-		t.collectLive(t.kids(slot{h, mh})[1], out)
-		mh = m.next
-	}
-	t.collectLive(n.kids[1], out)
 }
 
 // maxDepth returns the depth of the deepest node under h, itself at depth d
