@@ -48,7 +48,7 @@ func (t *Tree) Check() error {
 		}
 		c.held[h] = true
 	}
-	if _, err := c.node(rootH); err != nil {
+	if _, err := c.node(rootH, 0); err != nil {
 		return err
 	}
 	inUse := int(t.atoms.n) - len(t.atoms.free)
@@ -62,18 +62,13 @@ func (t *Tree) Check() error {
 	if t.ck.mini != 0 && !c.cached {
 		return fmt.Errorf("doctree: the walk cache names node %d mini %d, no slot of the tree", t.ck.node, t.ck.mini)
 	}
-	// Invariant 6: infix identifiers strictly increase. The walk maintains
-	// the current identifier incrementally in a reused buffer (one element
-	// per tree level) instead of materialising a fresh path per atom, so
-	// Check stays linear in tree size with O(height) extra memory — it runs
-	// on every snapshot decode.
-	c.walk(rootH, 0)
-	return c.bad
+	return nil
 }
 
-// checker carries one Check. For invariant 6, cur[:d] is the identifier
-// prefix of the current position at depth d; prev is the previous live
-// atom's identifier, copied into a second reused buffer.
+// checker carries one Check. For invariant 6 the walk keeps the current
+// identifier in a reused buffer, one element per level, and the previous
+// live atom's in a second, so Check stays linear in the tree's size with
+// O(height) extra memory.
 type checker struct {
 	t            *Tree
 	nodes, minis uint32 // records reached from the root
@@ -82,13 +77,10 @@ type checker struct {
 	reserved     uint32 // nodes the reserve counts reached stand for
 	cached       bool   // the walk cache's slot was reached
 	held         []bool // atom handles seen in use or on the free stack
-	cur          ident.Path
-	prev         ident.Path
-	prevSet      bool
-	i            int // live-atom index, for error messages
-	bad          error
+	cur, prev    ident.Path
 }
 
+// set sets element i of the current identifier to e, growing it as needed.
 func (c *checker) set(i int, e ident.Elem) {
 	for len(c.cur) <= i {
 		c.cur = append(c.cur, ident.Elem{})
@@ -96,88 +88,12 @@ func (c *checker) set(i int, e ident.Elem) {
 	c.cur[i] = e
 }
 
-// walk visits node h at depth d with cur[:d-1] holding the finalized
-// elements for its ancestors; it owns element d-1 (the step into the node),
-// which differs between the node's major subtrees (a bare bit) and each
-// mini's region (the bit plus that mini's disambiguator).
-func (c *checker) walk(h nodeH, d int) bool {
-	if h == 0 {
-		return true
-	}
-	n := c.t.node(h)
-	if n.flat() {
-		// Flattened atoms have canonical identifiers by construction; they
-		// are not compared (matching the identifiers they would explode to
-		// would require materialising the region).
-		c.i += int(n.live)
-		return true
-	}
-	if d == 0 && !n.empty() {
-		c.bad = fmt.Errorf("doctree: root holds mini-nodes")
-		return false
-	}
-	if d > 0 {
-		c.set(d-1, ident.J(n.bit()))
-	}
-	last := d + n.runLen() - 1 // a run owns an element per member
-	c.cur = n.appendRun(c.cur[:d])
-	if !c.walk(n.kids[0], last+1) {
-		return false
-	}
-	if n.liveAtom() != 0 {
-		c.set(d-1, ident.M(n.bit(), n.soloDis()))
-		if !c.atom(d) {
-			return false
-		}
-	}
-	for mh := n.minis(); mh != 0; {
-		m := c.t.mini(mh)
-		if d > 0 {
-			c.set(d-1, ident.M(n.bit(), m.dis()))
-		}
-		if !c.walk(c.t.kids(slot{h, mh})[0], d+1) {
-			return false
-		}
-		if m.atom != 0 {
-			if !c.atom(d) {
-				return false
-			}
-		}
-		if !c.walk(c.t.kids(slot{h, mh})[1], d+1) {
-			return false
-		}
-		mh = m.next
-	}
-	if d > 0 {
-		c.set(d-1, ident.J(n.bit()))
-	}
-	return c.walk(n.kids[1], last+1)
-}
-
-// atom checks the live atom whose identifier is cur[:d] against the previous
-// one, then records it as the new lower bound.
-func (c *checker) atom(d int) bool {
-	id := c.cur[:d]
-	if err := id.Validate(); err != nil {
-		c.bad = fmt.Errorf("doctree: atom %d has invalid identifier: %w", c.i, err)
-		return false
-	}
-	if c.prevSet && ident.Compare(c.prev, id) >= 0 {
-		c.bad = fmt.Errorf("doctree: atom %d identifier %v does not sort after %v", c.i, id.Clone(), c.prev.Clone())
-		return false
-	}
-	c.prev = append(c.prev[:0], id...)
-	c.prevSet = true
-	c.i++
-	return true
-}
-
 // counts are a subtree's recomputed live atoms and empty nodes.
 type counts struct{ live, empty uint32 }
 
-// child validates the subtree in slot s on side bit — its backlink, then
-// the subtree itself — and adds its recomputed counts to sum.
-func (c *checker) child(s slot, bit uint8, sum *counts) error {
+// child validates the subtree in slot s on side bit, at depth d — its
+// backlink, then the subtree itself — and adds its recomputed counts to sum.
+func (c *checker) child(s slot, bit uint8, d int, sum *counts) error {
 	h := c.t.kids(s)[bit]
 	if h == 0 {
 		return nil
@@ -185,13 +101,18 @@ func (c *checker) child(s slot, bit uint8, sum *counts) error {
 	if n := c.t.node(h); n.parent != s.node || n.onMini() != (s.mini != 0) || n.bit() != bit {
 		return fmt.Errorf("doctree: bad backlink on child bit %d of node %d mini %d", bit, s.node, s.mini)
 	}
-	got, err := c.node(h)
+	got, err := c.node(h, d)
 	sum.live, sum.empty = sum.live+got.live, sum.empty+got.empty
 	return err
 }
 
-// node validates h's subtree against its cached counters and returns them.
-func (c *checker) node(h nodeH) (counts, error) {
+// node validates h's subtree against its cached counters and returns them,
+// visiting its live atoms in infix order. h is at depth d: cur[:d-1] is
+// the route to the slot it hangs from, and h owns element d-1, a bare bit
+// in its major subtrees and the bit and a mini's disambiguator at the
+// mini. Flattened atoms have canonical identifiers by construction and are
+// not compared (that would materialise the region).
+func (c *checker) node(h nodeH, d int) (counts, error) {
 	t := c.t
 	if uint32(h) > t.nodes.n || c.nodes >= t.nodes.used() {
 		return counts{}, fmt.Errorf("doctree: node handle %d out of range or reached twice", h)
@@ -206,6 +127,8 @@ func (c *checker) node(h nodeH) (counts, error) {
 		}
 		c.flats++
 		sum.live = uint32(len(atoms))
+	} else if d == 0 && !n.empty() {
+		return counts{}, fmt.Errorf("doctree: root holds mini-nodes")
 	}
 	if n.atom != 0 && !n.solo() {
 		return counts{}, fmt.Errorf("doctree: node %d holds atom handle %d and no solo", h, n.atom)
@@ -213,12 +136,19 @@ func (c *checker) node(h nodeH) (counts, error) {
 		return counts{}, fmt.Errorf("doctree: node %d is a broken run: %d members, side bits %#x", h, k, n.atom>>5)
 	} else if n.lastMod > t.rev {
 		return counts{}, fmt.Errorf("doctree: node %d is stamped %d, after the revision clock's %d", h, n.lastMod, t.rev)
-	} else if err := c.hold(n.liveAtom(), &sum); err != nil {
-		return counts{}, err
 	}
 	c.cached = c.cached || t.ck == slot{h, soloMini} && n.solo()
-	for bit := uint8(0); bit <= 1; bit++ {
-		if err := c.child(slot{node: h}, bit, &sum); err != nil {
+	if d > 0 {
+		c.set(d-1, ident.J(n.bit()))
+	}
+	last := d + n.runLen() - 1 // a run owns an element per member
+	c.cur = n.appendRun(c.cur[:d])
+	if err := c.child(slot{node: h}, 0, last+1, &sum); err != nil {
+		return counts{}, err
+	}
+	if a := n.liveAtom(); a != 0 {
+		c.set(d-1, ident.M(n.bit(), n.soloDis()))
+		if err := c.atom(a, d, &sum); err != nil {
 			return counts{}, err
 		}
 	}
@@ -232,9 +162,6 @@ func (c *checker) node(h nodeH) (counts, error) {
 		if prev != nil && prev.dis().Compare(m.dis()) >= 0 {
 			return counts{}, fmt.Errorf("doctree: minis out of order: %s >= %s", prev.dis(), m.dis())
 		}
-		if err := c.hold(m.atom, &sum); err != nil {
-			return counts{}, err
-		}
 		c.cached = c.cached || t.ck == slot{h, mh}
 		if m.hasKids {
 			if t.mkids[mh] == [2]nodeH{} {
@@ -242,12 +169,21 @@ func (c *checker) node(h nodeH) (counts, error) {
 			}
 			c.kidded++
 		}
-		for bit := uint8(0); bit <= 1; bit++ {
-			if err := c.child(slot{node: h, mini: mh}, bit, &sum); err != nil {
-				return counts{}, err
-			}
+		c.set(d-1, ident.M(n.bit(), m.dis()))
+		if err := c.child(slot{h, mh}, 0, d+1, &sum); err != nil {
+			return counts{}, err
+		} else if err := c.atom(m.atom, d, &sum); err != nil {
+			return counts{}, err
+		} else if err := c.child(slot{h, mh}, 1, d+1, &sum); err != nil {
+			return counts{}, err
 		}
 		prev, mh = m, m.next
+	}
+	if d > 0 {
+		c.set(d-1, ident.J(n.bit()))
+	}
+	if err := c.child(slot{node: h}, 1, last+1, &sum); err != nil {
+		return counts{}, err
 	}
 	if h != rootH && n.empty() {
 		sum.empty++ // the root cannot hold mini-nodes: it is never a reusable slot
@@ -264,8 +200,9 @@ func (c *checker) node(h nodeH) (counts, error) {
 	return sum, nil
 }
 
-// hold takes atom handle a (0: none) for the mini that holds it.
-func (c *checker) hold(a uint32, sum *counts) error {
+// atom takes atom handle a (0: none) for the mini whose identifier is
+// cur[:d], which must sort after the previous live atom's.
+func (c *checker) atom(a uint32, d int, sum *counts) error {
 	if a == 0 {
 		return nil
 	}
@@ -275,5 +212,13 @@ func (c *checker) hold(a uint32, sum *counts) error {
 	c.held[a] = true
 	c.atoms++
 	sum.live++
+	id := c.cur[:d]
+	if err := id.Validate(); err != nil {
+		return fmt.Errorf("doctree: atom identifier %v is invalid: %w", id.Clone(), err)
+	}
+	if len(c.prev) > 0 && ident.Compare(c.prev, id) >= 0 {
+		return fmt.Errorf("doctree: atom identifier %v does not sort after %v", id.Clone(), c.prev.Clone())
+	}
+	c.prev = append(c.prev[:0], id...)
 	return nil
 }

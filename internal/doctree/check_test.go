@@ -170,3 +170,59 @@ func TestCheckRefusesBrokenTomb(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckRefusesBrokenRecords: Check catches each way the records can
+// break the invariants a healthy tree's edits never exercise: a chain out
+// of order, a reserve count beside children, a reserved-node count off by
+// one, a node linked from two slots, a walk cache naming a released mini
+// and a root with a parent.
+func TestCheckRefusesBrokenRecords(t *testing.T) {
+	mini := func(tr *doctree.Tree, id string) uint32 {
+		h, _ := tr.MiniOf(ident.MustParsePath(id))
+		if h == 0 {
+			t.Fatalf("%s names no mini", id)
+		}
+		return h
+	}
+	for _, tc := range []struct {
+		name, want string
+		damage     func(tr *doctree.Tree)
+	}{
+		{"minis out of order", "out of order", func(tr *doctree.Tree) {
+			tr.SetDis(mini(tr, "[(1:s1)]"), ident.Dis{Site: 4}) // before s2 in the chain
+		}},
+		{"a reserve count beside children", "beside children", func(tr *doctree.Tree) {
+			tr.SetReserve(ident.MustParsePath("[(1:s2)(1:s4)1]"), 1)
+		}},
+		{"the reserved-node count off by one", "the tree counts", func(tr *doctree.Tree) {
+			tr.AddReserved(1)
+		}},
+		{"a node reached twice", "node handle", func(tr *doctree.Tree) {
+			// The last mini's right slot names the right child of the one
+			// before it, whose backlink it matches.
+			left, shared := tr.NodeHandle(ident.MustParsePath("[(1:s3)0]")), tr.NodeHandle(ident.MustParsePath("[(1:s2)1]"))
+			if left == 0 || shared == 0 {
+				t.Fatal("the tree lacks a node the damage names")
+			}
+			tr.SetMiniChildEntry(mini(tr, "[(1:s3)]"), &[2]uint32{left, shared})
+		}},
+		{"a walk cache naming a released mini", "walk cache", func(tr *doctree.Tree) {
+			id := ident.MustParsePath("[(1:s1)]")
+			at, _ := tr.ExistsFrom(doctree.Slot{}, id)
+			if _, err := tr.DeleteID(id, true); err != nil {
+				t.Fatal(err)
+			}
+			tr.CacheWalk(id, at)
+		}},
+		{"a root with a parent", "root has a parent", func(tr *doctree.Tree) {
+			tr.SetOnMini(ident.Path{}, true)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := brokenTree(t, tc.damage)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Check = %v, want an error saying %q", err, tc.want)
+			}
+		})
+	}
+}

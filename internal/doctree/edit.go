@@ -21,107 +21,10 @@ func (t *Tree) InsertID(id ident.Path, atom string) error {
 // id is walked. The zero Slot resumes from the walk cache, as InsertID
 // does. It returns the slot the atom lands in.
 func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
-	// Fast path: walk the identifier accumulating all count deltas, then
-	// climb to the root once. Nodes created here form a suffix of the walk
-	// (a created node's children cannot pre-exist), so their counters are
-	// set exactly in one bottom-up pass over the created chain. The one case
-	// needing a placeholder mini inside a *pre-existing* node mid-path — a
-	// replay whose ancestors were concurrently discarded (Section 3.3.1) —
-	// falls back to the per-delta slow path before anything is modified.
 	if len(id) == 0 || id.Last().Kind != ident.Mini {
 		return Slot{}, fmt.Errorf("doctree: insert %v: not an atom identifier", id)
 	}
-	cur, i := t.resumeSlot(from, id)
-	if err := t.room(2*len(id), len(id)+1); err != nil { // a step may build a reserved child and its sibling, a solo its record
-		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
-	}
-	var first nodeH       // shallowest node created by this walk
-	finalCreated := false // the atom's mini was created (vs found)
-	ownerWasFree := false // final mini added to an existing node with no minis
-	for ; i < len(id); i++ {
-		e := id[i]
-		if err := t.explodeNode(cur.node); err != nil {
-			return Slot{}, err
-		}
-		next := t.child(cur, e.Bit)
-		created := next == 0
-		if created {
-			next = t.newNode(cur, e.Bit)
-			t.setKid(cur, e.Bit, next)
-			if first == 0 {
-				first = next
-			}
-			t.height = max(t.height, i+1)
-		} else if err := t.explodeNode(next); err != nil {
-			return Slot{}, err
-		}
-		next, i = t.enter(next, id, i)
-		e = id[i]
-		if e.Kind == ident.Major {
-			cur = slot{node: next}
-			continue
-		}
-		n := t.node(next)
-		m := t.findMini(n, e.Dis)
-		switch {
-		case m != 0:
-		case !created && i+1 != len(id):
-			return t.insertSlow(id, atom)
-		case i+1 == len(id) && n.empty() && e.Dis.Counter == 0:
-			ownerWasFree, finalCreated, m = !created, true, soloMini
-			n.setSolo(e.Dis, 0)
-		default:
-			ownerWasFree, finalCreated = !created && n.empty(), i+1 == len(id)
-			m = t.insertMini(next, e.Dis)
-		}
-		cur = slot{node: next, mini: m}
-	}
-	a := t.atomOf(cur)
-	if !finalCreated && *a != 0 {
-		return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
-	}
-	*a = t.atoms.put(atom)
-	switch {
-	case !finalCreated:
-		// Revive an existing tombstone.
-		t.bubble(cur.node, +1, 0)
-	case first == 0:
-		// Fresh mini in an existing node; no structure added.
-		d := 0
-		if ownerWasFree {
-			d = -1 // the node stops being a free slot
-		}
-		t.bubble(cur.node, +1, d)
-	default:
-		// Set the created chain's counters bottom-up, then climb once from
-		// the chain's attachment point with the accumulated deltas.
-		var accEmpty int
-		for h := cur.node; ; {
-			n := t.node(h)
-			if n.empty() {
-				accEmpty++
-			}
-			if n.live = 1; accEmpty != 0 {
-				n.flags |= hasEmptyF
-			}
-			n.lastMod = t.rev
-			if h == first {
-				break
-			}
-			h = n.parent
-		}
-		t.bubble(t.node(first).parent, +1, accEmpty)
-	}
-	if from.at.node == 0 { // a walk from the caller's slot leaves the cache where it was
-		t.cacheWalk(id, cur)
-	}
-	return Slot{at: cur, depth: len(id)}, nil
-}
-
-// insertSlow is InsertID's general path: full per-delta materialisation, for
-// replays that must re-create placeholder minis inside existing nodes.
-func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
-	s, err := t.materialize(Slot{}, id)
+	s, made, err := t.materialize(from, id)
 	if err != nil {
 		return Slot{}, fmt.Errorf("doctree: insert %v: %w", id, err)
 	}
@@ -130,7 +33,7 @@ func (t *Tree) insertSlow(id ident.Path, atom string) (Slot, error) {
 		return Slot{}, fmt.Errorf("doctree: insert %v: identifier already holds a live atom", id)
 	}
 	*a = t.atoms.put(atom)
-	t.bubble(s.node, +1, 0)
+	t.settle(s.node, made, +1)
 	return Slot{at: s, depth: len(id)}, nil
 }
 

@@ -169,3 +169,22 @@ func (t *Tree) SetHasEmpty(path ident.Path, on bool) {
 // HasEmpty reports the hasEmpty bit of the node the structural path
 // designates.
 func (t *Tree) HasEmpty(path ident.Path) bool { return t.routeNode(path).hasEmpty() }
+
+// NodeHandle returns the handle of the node the structural path
+// designates, 0 for none.
+func (t *Tree) NodeHandle(path ident.Path) uint32 { return uint32(routeSlot(t, path).at.node) }
+
+// SetDis sets mini h's disambiguator, and changes nothing else: a
+// hand-broken chain order for the tests that Check refuses one.
+func (t *Tree) SetDis(h uint32, d ident.Dis) {
+	m := t.mini(miniH(h))
+	m.counter, m.siteLo, m.siteHi = d.Counter, uint32(d.Site), uint16(d.Site>>32)
+}
+
+// SetReserve sets the reserve count of the node the structural path
+// designates, and changes nothing else.
+func (t *Tree) SetReserve(path ident.Path, levels uint8) { t.routeNode(path).reserve = levels }
+
+// AddReserved adds d to the tree's count of reserved nodes, and changes
+// nothing else.
+func (t *Tree) AddReserved(d int) { t.reserved += uint32(d) }

@@ -85,6 +85,9 @@ func (s *script) note(id ident.Path) {
 // insert applies the remote insert of atom at id to reps.
 func (s *script) insert(reps []*replica, id ident.Path, atom string) {
 	s.t.Helper()
+	if reps[0].ref.recreates(id) {
+		s.met["an insert re-creating a placeholder mini in an existing node"]++
+	}
 	for _, r := range reps {
 		err := r.tr.InsertID(id, atom)
 		if ok := r.ref.insert(id, atom); ok != (err == nil) {
@@ -520,7 +523,7 @@ func TestReferenceCorpusMeetsEveryForm(t *testing.T) {
 	t.Logf("%d inputs: %v", len(files), met)
 	for _, form := range []string{"a run at its longest", "a scan from a run's tomb", "a free slot in a reservation no walk had built",
 		"a live solo gaining a sibling", "a live solo gaining a child", "a mini with children", "a flatten inside a run",
-		"a flatten at a run's top", "a UDIS prune through a placeholder mini"} {
+		"a flatten at a run's top", "a UDIS prune through a placeholder mini", "an insert re-creating a placeholder mini in an existing node"} {
 		if met[form] == 0 {
 			t.Errorf("the corpus never meets %s", form)
 		}

@@ -99,6 +99,24 @@ func (r *ref) insert(id ident.Path, atom string) bool {
 	return false
 }
 
+// recreates reports whether inserting id re-creates a placeholder mini,
+// not its last, in a node that exists: a replay whose ancestor mini a
+// concurrent discard took (3.3.1). A flat region on the route, which the
+// insert explodes first, does not count.
+func (r *ref) recreates(id ident.Path) bool {
+	s := rslot{n: r.root}
+	for _, e := range id[:len(id)-1] {
+		if s = (rslot{n: s.kids()[e.Bit]}); s.n == nil || s.n.flat {
+			return false
+		} else if e.Kind == ident.Mini {
+			if s.m = s.n.mini(e.Dis, false); s.m == nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // delete kills id's atom and reports whether it was live. SDIS keeps the
 // tombstone; UDIS discards the mini unless it has children, then up the
 // route each node so left empty and childless, each dead mini childless.

@@ -135,13 +135,14 @@ func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 		return fmt.Errorf("doctree: reserve %v: %w", path, err)
 	}
 	last := len(path) - 1
-	s, err := t.materialize(from, path[:last])
+	s, made, err := t.materialize(from, path[:last])
 	if err == nil {
 		err = t.explodeNode(s.node)
 	}
 	if err != nil {
 		return err
 	}
+	t.settle(s.node, made, 0)
 	if added := t.reserve(s, path[last].Bit, len(path), max(levels, 1)); added != 0 {
 		t.bubble(s.node, 0, int(added))
 	}

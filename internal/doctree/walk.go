@@ -1,6 +1,7 @@
 package doctree
 
 import (
+	"cmp"
 	"fmt"
 
 	"github.com/treedoc/treedoc/internal/ident"
@@ -116,30 +117,33 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 	return cur, nil
 }
 
-// materialize walks identifier p, creating any missing nodes and mini-nodes
-// along the way. Intermediate minis are created dead (they are placeholders
-// for concurrently discarded ancestors, Section 3.3.1: replay "must
-// re-create empty nodes to replace them"). The final mini is returned
-// as-is; the caller decides its atom and liveness. from is a slot on p's
-// route, or the zero Slot to resume from the walk cache.
-func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
+// materialize walks identifier p, creating any missing node and mini-node
+// along the way (Section 3.3.1: replay "must re-create empty nodes to
+// replace them" where a concurrent discard took them). A mini it creates
+// is dead, a solo if it is p's last, its node empty and its counter 0. It
+// returns the slot p ends at and the shallowest node it created, 0 for
+// none: the created nodes are a suffix of the route (a created node's
+// children cannot pre-exist), left for settle to count. from is a slot on
+// p's route, or the zero Slot to resume from the walk cache.
+func (t *Tree) materialize(from Slot, p ident.Path) (slot, nodeH, error) {
 	cur, i := t.resumeSlot(from, p)
-	if err := t.room(2*len(p), 2*len(p)); err != nil { // a solo built back may take a sibling
-		return slot{}, err
+	if err := t.room(2*len(p), 2*len(p)); err != nil { // a step may build a reserved child and its sibling, a mini beside a solo two records
+		return slot{}, 0, err
 	}
+	var made nodeH
 	for ; i < len(p); i++ {
 		e := p[i]
 		if err := t.explodeNode(cur.node); err != nil {
-			return slot{}, err
+			return slot{}, 0, err
 		}
 		next := t.child(cur, e.Bit)
 		if next == 0 {
 			next = t.newNode(cur, e.Bit)
 			t.setKid(cur, e.Bit, next)
-			t.bubble(next, 0, +1) // one more reusable slot
+			made = cmp.Or(made, next)
 			t.height = max(t.height, i+1)
 		} else if err := t.explodeNode(next); err != nil {
-			return slot{}, err
+			return slot{}, 0, err
 		}
 		next, i = t.enter(next, p, i)
 		e = p[i]
@@ -147,12 +151,43 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, error) {
 			cur = slot{node: next}
 			continue
 		}
-		cur = slot{node: next, mini: t.placeholderMini(next, e.Dis)}
+		n := t.node(next)
+		m, free := t.findMini(n, e.Dis), n.empty()
+		if free && i+1 == len(p) && e.Dis.Counter == 0 {
+			m = soloMini
+			n.setSolo(e.Dis, 0)
+		} else if m == 0 {
+			m = t.insertMini(next, e.Dis)
+		}
+		if free && made == 0 { // a node that existed stops being a free slot
+			t.bubble(next, 0, -1)
+		}
+		cur = slot{node: next, mini: m}
 	}
 	if from.at.node == 0 {
 		t.cacheWalk(p, cur)
 	}
-	return cur, nil
+	return cur, made, nil
+}
+
+// settle counts what materialize made on the way to node h, dLive live
+// atoms placed there (an insert's 1, a reservation's 0): the created nodes,
+// from h up to made, bottom-up, then every counter above them in one climb.
+func (t *Tree) settle(h, made nodeH, dLive int) {
+	dEmpty := 0
+	for top := t.node(made).parent; made != 0 && h != top; {
+		n := t.node(h)
+		if n.empty() {
+			dEmpty++
+		}
+		if n.live = uint32(dLive); dEmpty != 0 {
+			n.flags |= hasEmptyF
+		}
+		n.lastMod, h = t.rev, n.parent
+	}
+	if dLive != 0 || dEmpty != 0 { // a reservation that made no empty node edits nothing above
+		t.bubble(h, dLive, dEmpty)
+	}
 }
 
 // child returns the node in slot s on side bit for a walk that enters it.
@@ -174,22 +209,6 @@ func (t *Tree) child(s slot, bit uint8) nodeH {
 		n.reserve, t.reserved = 0, t.reserved-2
 	}
 	return n.kids[bit]
-}
-
-// placeholderMini returns the mini of node h with disambiguator d, creating
-// it dead (and counted as a tombstone) if the node has none.
-func (t *Tree) placeholderMini(h nodeH, d ident.Dis) miniH {
-	n := t.node(h)
-	if m := t.findMini(n, d); m != 0 {
-		return m
-	}
-	dEmpty := 0
-	if n.empty() {
-		dEmpty = -1 // the node stops being a free slot
-	}
-	m := t.insertMini(h, d)
-	t.bubble(h, 0, dEmpty)
-	return m
 }
 
 // explodeNode converts node h, if it is a flattened region, back into
