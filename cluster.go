@@ -40,9 +40,8 @@ func WithSeed(seed int64) ClusterOption {
 // WithLoss makes the simulated network drop each live operation frame with
 // the given probability (0..1). Lost operations are recovered by
 // anti-entropy: the engines' own keepalive digests as virtual time passes,
-// or Replica.SyncWith on demand. Digests, their answers and
-// commitment-protocol traffic model a reliable channel and are never
-// dropped.
+// or Replica.SyncWith on demand. Digests, their answers and flatten acks
+// model a reliable channel and are never dropped.
 func WithLoss(p float64) ClusterOption {
 	return func(c *clusterConfig) error {
 		if p < 0 || p > 1 {
@@ -70,7 +69,7 @@ func WithClusterMode(m Mode) ClusterOption {
 // wrapped by the same replication Engine that runs in production, wired in
 // a full mesh over a deterministic discrete-event network. Nothing here
 // implements a protocol: causal delivery, anti-entropy and the flatten
-// commitment are the engine's, and the frames on the simulated wire are
+// round are the engine's, and the frames on the simulated wire are
 // the ones it encodes for TCP. The cluster only drives — it steps each
 // engine when a frame reaches it or a sync tick is due on the virtual
 // clock, and moves what the engine sends through the network's event heap
@@ -159,7 +158,7 @@ func (l simLink) Send(frame []byte) error {
 	if l.c.sent != nil {
 		l.c.sent(l.c.net.Now(), l.from, l.to, frame)
 	}
-	if !transport.IsDigest(frame) {
+	if !transport.IsRecurring(frame) {
 		l.c.work++
 	}
 	l.c.net.Send(l.from, l.to, simFrame(frame))
@@ -169,9 +168,9 @@ func (simLink) Recv() ([]byte, error) { return nil, io.EOF }
 func (simLink) Close() error          { return nil }
 func (simLink) RoutesReplay() bool    { return true }
 
-// simFrame is a frame in flight. Only live operation gossip may be lost;
-// digests, their (replay-wrapped) answers and commitment frames are the
-// reliable channel.
+// simFrame is a frame in flight. Only live operation gossip — a flatten
+// round's intent and decision included — may be lost; digests, their
+// (replay-wrapped) answers and flatten acks are the reliable channel.
 type simFrame []byte
 
 func (f simFrame) Lossy() bool { return transport.IsLiveOps(f) }
@@ -207,7 +206,7 @@ func (c *Cluster) Sites() []SiteID {
 }
 
 // InsertAt edits locally and broadcasts. Like every local edit it fails
-// with an error wrapping ErrRegionLocked while a flatten vote has the
+// with an error wrapping ErrRegionLocked while a flatten round has the
 // region frozen.
 func (r *Replica) InsertAt(i int, atom string) error {
 	op, err := r.doc.InsertAt(i, atom)
@@ -262,9 +261,9 @@ func (r *Replica) Stats() Stats { return r.doc.Stats() }
 // subtree heuristics).
 func (r *Replica) EndRevision() { r.doc.EndRevision() }
 
-// ProposeFlatten starts the commitment protocol to compact the whole
-// document, with this replica as coordinator. The proposal aborts harmlessly
-// if any replica observed a concurrent edit.
+// ProposeFlatten starts a flatten round to compact the whole document, with
+// this replica as author. Concurrent edits are flattened with it; the round
+// aborts harmlessly if a member cannot ack before the deadline.
 func (r *Replica) ProposeFlatten() { _ = r.eng.ProposeFlatten() }
 
 // ProposeFlattenCold proposes compacting the largest subtree quiet for the
@@ -274,7 +273,7 @@ func (r *Replica) ProposeFlattenCold(revisions int) bool {
 	return ok
 }
 
-// FlattensApplied counts committed flattens at this replica.
+// FlattensApplied counts the flattens applied at this replica.
 func (r *Replica) FlattensApplied() int { return int(r.eng.FlattensApplied()) }
 
 // SyncWith starts one anti-entropy exchange with a peer: this replica
@@ -294,12 +293,15 @@ func (r *Replica) SyncWith(peer SiteID) {
 
 // Run delivers network messages until quiescence (maxSteps 0) or until
 // maxSteps messages have been delivered; it returns the number delivered.
-// An engine never falls silent — its keepalive digest recurs forever — so
-// quiescence is: nothing in flight, and nothing but digests sent since the
-// virtual clock last idled. Whenever the network drains with other frames
-// sent since, the clock idles two sync ticks forward: the engines' timers
-// (keepalives, flatten deadlines) get their turn, and what was sent last
-// is no longer presumed in flight when the next digest asks for it.
+// An engine never falls silent — its keepalive digest recurs forever, and
+// so do its acks of a pending flatten intent — so quiescence is: nothing
+// in flight, and nothing but those sent since the virtual clock last
+// idled. Whenever the network drains with other frames sent since, the
+// clock idles two sync ticks forward: the engines' timers (keepalives,
+// flatten deadlines) get their turn, and what was sent last is no longer
+// presumed in flight when the next digest asks for it. A round still
+// waiting on a member then stays open; idle past its deadline to see it
+// abort.
 func (c *Cluster) Run(maxSteps int) int {
 	steps := 0
 	for maxSteps == 0 || steps < maxSteps {
@@ -369,7 +371,7 @@ func (c *Cluster) HealAll() { c.net.HealAll() }
 func (c *Cluster) Now() int64 { return c.net.Now() }
 
 // Check verifies every replica's structural invariants and that no engine
-// has latched an apply or commitment error.
+// has latched an apply error.
 func (c *Cluster) Check() error {
 	for _, r := range c.replicas {
 		if err := r.doc.Check(); err != nil {

@@ -10,6 +10,11 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
+
+	"github.com/treedoc/treedoc/internal/core"
+	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/transport"
 )
 
 // These tests drive the production replication engine through the
@@ -55,7 +60,7 @@ func fill(t *testing.T, r *Replica, n int) {
 	}
 }
 
-// lockedRegions counts the regions a replica's open flatten votes freeze.
+// lockedRegions counts the regions a replica's pending flatten rounds freeze.
 func lockedRegions(r *Replica) int {
 	r.doc.mu.Lock()
 	defer r.doc.mu.Unlock()
@@ -157,25 +162,31 @@ func TestClusterFlattenCommits(t *testing.T) {
 	}
 }
 
+// TestClusterFlattenAbortsOnConcurrentEdit: a region edit concurrent with
+// a round's intent no longer aborts the round; it is flattened with it.
+// Site 2 edits, and before the op reaches site 1, site 1 proposes. Site 2
+// applies the intent after its edit and acks with the edit's sequence
+// number, and site 1 waits for the edit before it mints the OpFlatten — so
+// the edit is in the flattened content at every replica, site 3's
+// included, which delivered it before its own ack.
 func TestClusterFlattenAbortsOnConcurrentEdit(t *testing.T) {
-	c := newTestCluster(t, 2, WithLatency(50, 50), WithSeed(1))
+	c := newTestCluster(t, 3, WithLatency(50, 50), WithSeed(1))
 	r1, r2 := c.replicas[0], c.replicas[1]
 	fill(t, r1, 8)
 	c.Run(0)
-	// Site 2 edits; before the op reaches site 1, site 1 proposes a flatten.
 	mustInsert(t, r2, 3, "concurrent")
 	r1.ProposeFlatten()
 	mustConverge(t, c)
 	for _, r := range c.replicas {
-		if got := r.FlattensApplied(); got != 0 {
-			t.Errorf("site %d applied %d flattens, want 0 (abort)", r.site, got)
+		if got := r.FlattensApplied(); got != 1 || r.Stats().Tree.Nodes != 0 {
+			t.Errorf("site %d applied %d flattens, %d nodes left; want the round committed", r.site, got, r.Stats().Tree.Nodes)
+		}
+		if got := r.Content(); len(got) != 9 || got[3] != "concurrent" {
+			t.Errorf("site %d holds %v, want the concurrent edit flattened at 3", r.site, got)
 		}
 	}
-	if got := r1.eng.FlattensAborted(); got != 1 {
-		t.Errorf("coordinator aborted %d rounds, want 1", got)
-	}
-	if got := r1.Len(); got != 9 {
-		t.Errorf("doc len = %d, want 9 (no work lost)", got)
+	if c, a := r1.eng.FlattensCommitted(), r1.eng.FlattensAborted(); c != 1 || a != 0 {
+		t.Errorf("author committed %d, aborted %d rounds; want 1, 0", c, a)
 	}
 }
 
@@ -185,13 +196,13 @@ func TestClusterFlattenLockBlocksLocalEdits(t *testing.T) {
 	fill(t, r1, 6)
 	c.Run(0)
 	r1.ProposeFlatten()
-	// The coordinator votes like any participant; its own Yes freezes the
-	// region until the decision.
+	// The author applies its own intent like any member: the region is
+	// frozen until the decision.
 	if err := r1.InsertAt(3, "blocked"); !errors.Is(err, ErrRegionLocked) {
-		t.Fatalf("insert during vote: %v, want ErrRegionLocked", err)
+		t.Fatalf("insert during the round: %v, want ErrRegionLocked", err)
 	}
 	if err := r1.DeleteAt(3); !errors.Is(err, ErrRegionLocked) {
-		t.Fatalf("delete during vote: %v, want ErrRegionLocked", err)
+		t.Fatalf("delete during the round: %v, want ErrRegionLocked", err)
 	}
 	mustConverge(t, c)
 	mustInsert(t, r1, 3, "ok") // after the decision the edit goes through
@@ -228,7 +239,7 @@ func TestClusterFlattenTimesOutUnderPartitionAndHeals(t *testing.T) {
 	r1 := c.replicas[0]
 	fill(t, r1, 10)
 	c.Run(0)
-	// Partition site 3 away; its vote can never arrive.
+	// Partition site 3 away; its ack can never arrive.
 	for _, s := range []SiteID{1, 2} {
 		if err := c.Partition(s, 3); err != nil {
 			t.Fatal(err)
@@ -241,7 +252,7 @@ func TestClusterFlattenTimesOutUnderPartitionAndHeals(t *testing.T) {
 	}
 	idle(c, 12) // past the engines' flatten deadline of ten ticks
 	if got := r1.eng.FlattensAborted(); got != 1 {
-		t.Fatalf("coordinator aborted %d rounds after the deadline, want 1", got)
+		t.Fatalf("author aborted %d rounds after the deadline, want 1", got)
 	}
 	mustInsert(t, r1, 0, "late") // the abort released the region
 	c.HealAll()
@@ -251,8 +262,8 @@ func TestClusterFlattenTimesOutUnderPartitionAndHeals(t *testing.T) {
 			t.Errorf("site %d applied %d flattens despite the lost participant", r.site, got)
 		}
 	}
-	// Site 3 votes on the held proposal after the heal; the coordinator
-	// answers from its decision memory, so no lock outlives the round.
+	// Site 3 applies the held intent and its abort after the heal, in
+	// causal order, so no lock outlives the round.
 	idle(c, 12)
 	for _, r := range c.replicas {
 		if n := lockedRegions(r); n != 0 {
@@ -359,13 +370,14 @@ func TestClusterSyncIdempotent(t *testing.T) {
 	mustConverge(t, c)
 }
 
-// TestClusterSnapshotCatchUpAfterLostFlatten: the committed OpFlatten is an
-// operation like any other, so the lossy channel may drop it. Replicas
-// that missed it stay frozen until anti-entropy delivers. The coordinator
-// compacts at the flatten epoch, but its floor stays at what the others
-// acknowledged, which is below the flatten however long they are cut off:
-// so what delivers is the retained OpFlatten itself, replayed, and no
-// snapshot is needed.
+// TestClusterSnapshotCatchUpAfterLostFlatten: a round's intent and its
+// OpFlatten are operations like any other, so the lossy channel may drop
+// them; anti-entropy delivers the intent, the members ack, and the author
+// commits. Replicas that missed the OpFlatten stay frozen until
+// anti-entropy delivers it. The author compacts at the flatten epoch, but
+// its floor stays at what the others acknowledged, which is below the
+// flatten however long they are cut off: so what delivers is the retained
+// OpFlatten itself, replayed, and no snapshot is needed.
 func TestClusterSnapshotCatchUpAfterLostFlatten(t *testing.T) {
 	c := newTestCluster(t, 3, WithLoss(1), WithSeed(6))
 	r1 := c.replicas[0]
@@ -375,10 +387,11 @@ func TestClusterSnapshotCatchUpAfterLostFlatten(t *testing.T) {
 		t.Fatal("anti-entropy did not replicate the seed document")
 	}
 	r1.ProposeFlatten()
-	for r1.FlattensApplied() == 0 {
-		if c.Run(1) == 0 {
-			t.Fatal("flatten did not commit at the coordinator")
+	for ticks := 0; r1.FlattensApplied() == 0; ticks++ {
+		if ticks == 60 {
+			t.Fatal("flatten did not commit at the author")
 		}
+		idle(c, 1)
 	}
 	for _, s := range []SiteID{2, 3} {
 		if err := c.Partition(1, s); err != nil {
@@ -405,18 +418,28 @@ func TestClusterSnapshotCatchUpAfterLostFlatten(t *testing.T) {
 	}
 }
 
-// TestClusterCoordinatorLostAfterVotesFreezesRegion characterises the
-// envelope docs/ARCHITECTURE.md §7 documents for two-phase commit: a
-// coordinator that collects every Yes vote and is then lost — here, cut
-// off with its decision and its OpFlatten still on the wire — leaves the
-// participants' region returning ErrRegionLocked for as long as they run.
-// Their in-doubt vote resends go unanswered; only stopping releases the
-// lock. Non-blocking commitment (ROADMAP) turns the second half of this
-// test red.
+// TestClusterCoordinatorLostAfterVotesFreezesRegion characterises what a
+// lost author costs, and shows the amnesia hole closed. An author that
+// collects every ack, mints its OpFlatten and is then lost — here, cut
+// off with the OpFlatten still on the wire — leaves the members' region
+// returning ErrRegionLocked for as long as it is gone: nothing but the
+// decision releases a lock, so nothing reopens the region early. Restarted
+// from its log, the author holds its decision (it is an operation in the
+// log) and aborts nothing. Healing releases: site 2 hears the OpFlatten
+// from the author, and site 3, still cut off from it, from site 2.
 func TestClusterCoordinatorLostAfterVotesFreezesRegion(t *testing.T) {
 	const seed = 11
+	dir := t.TempDir()
 	c := newTestCluster(t, 3, WithSeed(seed))
-	r1 := c.replicas[0]
+	restart := func() *Replica {
+		r, err := c.newReplica(1, WithLogDir(dir))
+		if err != nil {
+			t.Fatalf("seed %d: rebuild from oplog: %v", seed, err)
+		}
+		c.replicas[0] = r
+		return r
+	}
+	r1 := restart() // site 1 runs over a log directory from the start
 	fill(t, r1, 10)
 	c.Run(0)
 	r1.ProposeFlatten()
@@ -425,26 +448,243 @@ func TestClusterCoordinatorLostAfterVotesFreezesRegion(t *testing.T) {
 			t.Fatalf("seed %d: the round never decided", seed)
 		}
 	}
-	// Every participant voted Yes and the coordinator decided commit. Lose
-	// it before any participant hears: the cut holds what it already sent.
+	// Every member acked and the author minted the OpFlatten. Lose it
+	// before any member hears: the cut holds what it already sent.
 	for _, s := range []SiteID{2, 3} {
 		if err := c.Partition(1, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	idle(c, 100) // ten flatten deadlines
-	for _, r := range c.replicas[1:] {
-		if r.FlattensApplied() != 0 {
-			t.Fatalf("seed %d: site %d applied the flatten across the cut", seed, r.site)
-		}
-		if err := r.InsertAt(0, "x"); !errors.Is(err, ErrRegionLocked) {
-			t.Fatalf("seed %d: site %d edit after ten deadlines: %v, want ErrRegionLocked", seed, r.site, err)
+	frozen := func(when string) {
+		t.Helper()
+		for _, r := range c.replicas[1:] {
+			if r.FlattensApplied() != 0 {
+				t.Fatalf("seed %d: site %d applied the flatten across the cut", seed, r.site)
+			}
+			if err := r.InsertAt(0, "x"); !errors.Is(err, ErrRegionLocked) {
+				t.Fatalf("seed %d: site %d edit %s: %v, want ErrRegionLocked", seed, r.site, when, err)
+			}
 		}
 	}
+	idle(c, 100) // ten flatten deadlines
+	frozen("after ten deadlines")
+	r1 = restart()
+	idle(c, 20)
+	if lockedRegions(r1) != 0 || r1.eng.FlattensAborted() != 0 || r1.Stats().Tree.Nodes != 0 {
+		t.Fatalf("seed %d: restarted author: %d locks, %d aborts, %d nodes; want its decision replayed",
+			seed, lockedRegions(r1), r1.eng.FlattensAborted(), r1.Stats().Tree.Nodes)
+	}
+	frozen("after the author's restart")
+	c.net.Heal(1, 2)
+	idle(c, 30)
 	for _, r := range c.replicas[1:] {
-		r.step.Stop()
-		if n := lockedRegions(r); n != 0 {
-			t.Errorf("seed %d: site %d holds %d locks after stopping", seed, r.site, n)
+		if r.FlattensApplied() != 1 || lockedRegions(r) != 0 {
+			t.Fatalf("seed %d: site %d applied %d flattens, holds %d locks after the heal", seed, r.site, r.FlattensApplied(), lockedRegions(r))
+		}
+	}
+	c.HealAll()
+	mustConverge(t, c)
+	r1.step.Stop()
+}
+
+// TestClusterRestartedMemberKeepsTheRoundsLock: a member's lock is the
+// intent it applied, an operation in its log, so a member restarted from
+// its log mid-round is locked again after the restart, acks, and unlocks
+// on the decision.
+func TestClusterRestartedMemberKeepsTheRoundsLock(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCluster(t, 3, WithSeed(12))
+	restart := func() *Replica {
+		r, err := c.newReplica(2, WithLogDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.replicas[1] = r
+		return r
+	}
+	r2 := restart()
+	fill(t, c.replicas[0], 10)
+	c.Run(0)
+	c.replicas[0].ProposeFlatten()
+	for lockedRegions(r2) == 0 {
+		if c.Run(1) == 0 {
+			t.Fatal("the intent never reached site 2")
+		}
+	}
+	r2 = restart() // a crash: no Stop, frames to and from it in flight
+	if err := r2.InsertAt(0, "x"); !errors.Is(err, ErrRegionLocked) || lockedRegions(r2) != 1 {
+		t.Fatalf("restarted member: edit %v, %d locks; want the region locked", err, lockedRegions(r2))
+	}
+	idle(c, 4)
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if r.Stats().Tree.Nodes != 0 || lockedRegions(r) != 0 {
+			t.Errorf("site %d: %d nodes, %d locks; want the round committed", r.site, r.Stats().Tree.Nodes, lockedRegions(r))
+		}
+	}
+	mustInsert(t, r2, 0, "after")
+	mustConverge(t, c)
+	r2.step.Stop()
+}
+
+// TestClusterJoinerInheritsAPendingRound: a snapshot carries the rounds
+// pending in it, so a replica that catches up by snapshot mid-round is
+// locked like every member, acks — it is a member from its digest on, and
+// the round waits for it — and unlocks on the decision.
+func TestClusterJoinerInheritsAPendingRound(t *testing.T) {
+	// Every live frame is lost, so what site 3 missed while cut off reaches
+	// it only as a digest answer: a snapshot, 4 operations behind.
+	c := newTestCluster(t, 3, WithSeed(13), WithLoss(1))
+	for _, site := range []SiteID{1, 2} {
+		r, err := c.newReplica(site, WithSnapshotThreshold(4), WithFlattenTimeout(100*time.Duration(c.tick)*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.replicas[site-1] = r
+	}
+	r1, r3 := c.replicas[0], c.replicas[2]
+	c.Run(0) // site 3's opening digests make it a member
+	for _, s := range []SiteID{1, 2} {
+		if err := c.Partition(s, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(t, r1, 12)
+	r1.ProposeFlatten()
+	idle(c, 20)
+	if lockedRegions(r1) != 1 || r1.FlattensApplied() != 0 {
+		t.Fatal("the round did not wait on site 3")
+	}
+	c.HealAll()
+	for r3.eng.SnapshotsInstalled() == 0 {
+		if c.Now() > 100000 {
+			t.Fatal("site 3 never installed a snapshot")
+		}
+		if c.Run(1) == 0 {
+			idle(c, 1)
+		}
+	}
+	if err := r3.InsertAt(0, "x"); !errors.Is(err, ErrRegionLocked) || lockedRegions(r3) != 1 || r3.FlattensApplied() != 0 {
+		t.Fatalf("joiner: edit %v, %d locks, %d flattens; want the snapshot's round locking it", err, lockedRegions(r3), r3.FlattensApplied())
+	}
+	idle(c, 40)
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if r.Stats().Tree.Nodes != 0 || lockedRegions(r) != 0 || r.Len() != 12 {
+			t.Errorf("site %d: %d nodes, %d locks, %d atoms; want the round committed", r.site, r.Stats().Tree.Nodes, lockedRegions(r), r.Len())
+		}
+	}
+	if r1.eng.FlattensCommitted() != 1 {
+		t.Errorf("author committed %d rounds, want 1", r1.eng.FlattensCommitted())
+	}
+}
+
+// TestClusterUnstampedEditIsFlattened: a local edit a member applied but
+// its engine has not stamped when the intent arrives delays that member's
+// ack until the stamp lands, and is then in the flattened content at
+// every replica.
+func TestClusterUnstampedEditIsFlattened(t *testing.T) {
+	c := newTestCluster(t, 3, WithSeed(14))
+	r1, r2 := c.replicas[0], c.replicas[1]
+	fill(t, r1, 6)
+	c.Run(0)
+	held, err := r2.doc.InsertAt(3, "held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.ProposeFlatten()
+	c.Run(0)
+	if lockedRegions(r2) != 1 || r1.FlattensApplied() != 0 {
+		t.Fatalf("with site 2's edit unstamped: %d locks at site 2, %d flattens at the author; want the round open",
+			lockedRegions(r2), r1.FlattensApplied())
+	}
+	if err := r2.broadcast(held); err != nil {
+		t.Fatal(err)
+	}
+	mustConverge(t, c)
+	for _, r := range c.replicas {
+		if got := r.Content(); r.FlattensApplied() != 1 || len(got) != 7 || got[3] != "held" {
+			t.Errorf("site %d: %d flattens, content %v; want the held edit flattened at 3", r.site, r.FlattensApplied(), got)
+		}
+	}
+}
+
+// TestClusterOverlappingIntentsFlattenAtMostOnce: two authors propose the
+// whole document at once. Each applies the other's intent while holding
+// its own, so neither acks the other's, and only a deadline decides:
+// at most one OpFlatten, and the replicas converge with no lock left.
+func TestClusterOverlappingIntentsFlattenAtMostOnce(t *testing.T) {
+	c := newTestCluster(t, 3, WithSeed(15))
+	r1, r2 := c.replicas[0], c.replicas[1]
+	fill(t, r1, 6)
+	c.Run(0)
+	r1.ProposeFlatten()
+	r2.ProposeFlatten()
+	idle(c, 30) // past every deadline
+	mustConverge(t, c)
+	committed, aborted := 0, 0
+	for _, r := range c.replicas {
+		committed += int(r.eng.FlattensCommitted())
+		aborted += int(r.eng.FlattensAborted())
+		if lockedRegions(r) != 0 {
+			t.Errorf("site %d holds %d locks", r.site, lockedRegions(r))
+		}
+	}
+	if committed > 1 || aborted == 0 {
+		t.Errorf("two overlapping rounds: %d committed, %d aborted; want at most one OpFlatten", committed, aborted)
+	}
+	for _, r := range c.replicas {
+		if r.FlattensApplied() != committed {
+			t.Errorf("site %d applied %d flattens, %d were minted", r.site, r.FlattensApplied(), committed)
+		}
+	}
+}
+
+// TestClusterUDISPrunedRegionAborts: under UDIS a subtree whose atoms are
+// all deleted is pruned. A member's concurrent deletes of a proposed
+// region's atoms reach the author before the round is stable, so the
+// region is gone when the author decides, and it aborts instead.
+func TestClusterUDISPrunedRegionAborts(t *testing.T) {
+	c := newTestCluster(t, 2, WithSeed(16), WithLatency(50, 50), WithClusterMode(UDIS))
+	r1, r2 := c.replicas[0], c.replicas[1]
+	fill(t, r1, 20)
+	c.Run(0)
+	for _, r := range c.replicas {
+		r.EndRevision()
+		r.EndRevision()
+	}
+	for i := 0; i < 20; i++ {
+		mustInsert(t, r1, r1.Len(), fmt.Sprintf("m%02d", i))
+	}
+	c.Run(0)
+	for _, r := range c.replicas {
+		r.EndRevision()
+	}
+	region := r1.doc.ColdestSubtree(2, 2) // quiet since before the second fill
+	if len(region) == 0 {
+		t.Fatalf("no cold subtree below the root: %v", region)
+	}
+	for i := r2.Len() - 1; i >= 0; i-- {
+		id, err := r2.doc.doc.IDAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ident.RegionCompare(id, region) == 0 {
+			if err := r2.DeleteAt(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !r1.ProposeFlattenCold(2) {
+		t.Fatal("no cold subtree proposed")
+	}
+	mustConverge(t, c)
+	if cm, a := r1.eng.FlattensCommitted(), r1.eng.FlattensAborted(); cm != 0 || a != 1 {
+		t.Errorf("author committed %d, aborted %d; want the pruned region's round aborted", cm, a)
+	}
+	for _, r := range c.replicas {
+		if r.FlattensApplied() != 0 || lockedRegions(r) != 0 {
+			t.Errorf("site %d: %d flattens, %d locks", r.site, r.FlattensApplied(), lockedRegions(r))
 		}
 	}
 }
@@ -506,43 +746,87 @@ func TestClusterCrashRestartFromOplog(t *testing.T) {
 func vcEqual(a, b Version) bool { return a.Dominates(b) && b.Dominates(a) }
 
 // causalOracle checks the CRDT's delivery obligation from outside the
-// engine: an operation's happened-before frontier is the version its
-// origin had applied when it was minted, and no replica may have applied
-// the operation without having applied that whole frontier. It reads only
-// the documents' version vectors, after every single driver action, so at
-// most one event separates two observations of a replica.
+// engine: an operation's happened-before frontier is its stamp, less
+// itself, as its origin sent it, and no replica may have applied the
+// operation without having applied that whole frontier. It reads the
+// frames on the simulated wire and the documents' version vectors, after
+// every single driver action, so at most one event separates two
+// observations of a replica. It also tells the flatten rounds apart.
 type causalOracle struct {
+	ops      map[[2]uint64]Op      // (site, seq) → the operation
 	frontier map[[2]uint64]Version // (site, seq) → what the op causally follows
+	kinds    map[core.OpKind]int   // operations stamped, by kind
 	seen     []Version             // per replica, the version last observed
-	minted   int                   // ops the engines minted themselves: committed flattens
+	// flattenedConcurrent counts the OpFlattens whose region held an edit
+	// made at another site without knowledge of the round's intent.
+	flattenedConcurrent int
 }
 
-// observe takes one look at every replica. local says the driver action
-// just taken was a local edit, so new own-site operations are the test's;
-// otherwise an engine minted them, and only a committed flatten does that.
-func (o *causalOracle) observe(c *Cluster, local bool) error {
-	if o.frontier == nil {
-		o.frontier = make(map[[2]uint64]Version)
-		o.seen = make([]Version, len(c.replicas))
+// stamped records the operations a frame carries the first time one is
+// sent.
+func (o *causalOracle) stamped(frame []byte) {
+	f, _ := transport.DecodeFrame(frame)
+	if rf, ok := f.(*transport.ReplayFrame); ok {
+		f, _ = transport.DecodeFrame(rf.Inner)
 	}
+	of, ok := f.(*transport.OpsFrame)
+	if !ok {
+		return
+	}
+	for _, m := range of.Msgs {
+		op := m.Payload.(Op)
+		key := [2]uint64{uint64(op.Site), op.Seq}
+		if _, ok := o.ops[key]; ok {
+			continue
+		}
+		front := m.TS.Clone()
+		front[op.Site] = op.Seq - 1
+		o.ops[key], o.frontier[key] = op, front
+		o.kinds[op.Kind]++
+		if op.Kind == OpFlatten && o.concurrentEditIn(op) {
+			o.flattenedConcurrent++
+		}
+	}
+}
+
+// concurrentEditIn reports whether an OpFlatten flattens an edit of its
+// region that another site made before it applied the round's intent: one
+// the author delivered only after minting the intent.
+func (o *causalOracle) concurrentEditIn(flat Op) bool {
+	var intent [2]uint64
+	for key, op := range o.ops {
+		if op.Kind == OpIntent && op.Site == flat.Site && op.ID == flat.ID && op.Seq < flat.Seq && key[1] > intent[1] {
+			intent = key
+		}
+	}
+	region, at := flat.ID.AppendPath(nil), o.frontier[[2]uint64{uint64(flat.Site), flat.Seq}]
+	for key, op := range o.ops {
+		s := SiteID(key[0])
+		if s == flat.Site || op.Kind > OpDelete || at.Get(s) < key[1] || o.frontier[intent].Get(s) >= key[1] ||
+			o.frontier[key].Get(flat.Site) >= intent[1] {
+			continue
+		}
+		if ident.RegionCompare(op.ID.AppendPath(nil), region) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// observe takes one look at every replica.
+func (o *causalOracle) observe(c *Cluster) error {
 	versions := make([]Version, len(c.replicas))
 	for i, r := range c.replicas {
 		versions[i] = r.doc.Version()
-		for n := o.seen[i].Get(r.site) + 1; n <= versions[i].Get(r.site); n++ {
-			f := versions[i].Clone()
-			f[r.site] = n - 1
-			o.frontier[[2]uint64{uint64(r.site), n}] = f
-			if !local {
-				o.minted++
-			}
-		}
-	}
-	for i, r := range c.replicas {
 		for s, top := range versions[i] {
 			for n := o.seen[i].Get(s) + 1; n <= top; n++ {
-				f, ok := o.frontier[[2]uint64{uint64(s), n}]
+				key := [2]uint64{uint64(s), n}
+				f, ok := o.frontier[key]
+				if !ok && s == r.site {
+					continue // its own, minted and not sent yet
+				}
 				if !ok {
-					return fmt.Errorf("site %d applied s%d#%d, which no replica minted", r.site, s, n)
+					return fmt.Errorf("site %d applied s%d#%d, which no replica sent", r.site, s, n)
 				}
 				if !versions[i].Dominates(f) {
 					return fmt.Errorf("site %d applied s%d#%d at %v before its causal predecessors %v",
@@ -556,10 +840,11 @@ func (o *causalOracle) observe(c *Cluster, local bool) error {
 }
 
 // exploreStats is what a schedule exercised, summed over seeds so the
-// explorer can prove it is not vacuous.
+// explorer can prove it is not vacuous. concurrent counts the committed
+// rounds that flattened an edit made concurrently with their intent.
 type exploreStats struct {
-	edits, blocked, proposals, committed, aborted, cuts int
-	dropped                                             uint64
+	edits, blocked, proposals, committed, aborted, concurrent, cuts int
+	dropped                                                         uint64
 }
 
 func (a *exploreStats) add(b exploreStats) {
@@ -568,6 +853,7 @@ func (a *exploreStats) add(b exploreStats) {
 	a.proposals += b.proposals
 	a.committed += b.committed
 	a.aborted += b.aborted
+	a.concurrent += b.concurrent
 	a.cuts += b.cuts
 	a.dropped += b.dropped
 }
@@ -580,11 +866,11 @@ type exploreFailure struct{ error }
 // flatten proposals, over a network that is lossy for two seeds in three —
 // and checks the tech report's obligations on the system as built: causal
 // delivery at every step; after healing, byte-identical documents that
-// pass Check; and every committed flatten applied everywhere or nowhere
-// (the flatten is a stamped operation, one per committed round, so equal
-// version vectors say it; a last edit at every replica cross-checks it).
-// The error names the seed. trace, when non-nil, receives every frame
-// sent.
+// pass Check; every flatten applied everywhere or nowhere (the flatten is
+// a stamped operation, so equal version vectors say it; a last edit at
+// every replica cross-checks it); and every intent decided once, by one
+// OpFlatten or one abort. The error names the seed. trace, when non-nil,
+// receives every frame sent.
 //
 // No schedule is kept inside a guard: a cut lasts until a random heal or
 // the final HealAll, however many flatten deadlines that spans, because a
@@ -616,22 +902,23 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 	loss := []float64{0, 0.1, 0.3}[seed%3]
 	c, err := NewCluster(sites, WithSeed(seed), WithLatency(1, 40), WithLoss(loss), WithClusterMode(mode))
 	must(err)
-	if trace != nil {
-		c.sent = func(at int64, from, to SiteID, frame []byte) {
-			for _, v := range []uint64{uint64(at), uint64(from), uint64(to), uint64(len(frame))} {
-				trace.Write(binary.AppendUvarint(nil, v))
-			}
-			trace.Write(frame)
+	oracle := causalOracle{ops: make(map[[2]uint64]Op), frontier: make(map[[2]uint64]Version),
+		kinds: make(map[core.OpKind]int), seen: make([]Version, sites)}
+	c.sent = func(at int64, from, to SiteID, frame []byte) {
+		oracle.stamped(frame)
+		if trace == nil {
+			return
 		}
+		for _, v := range []uint64{uint64(at), uint64(from), uint64(to), uint64(len(frame))} {
+			trace.Write(binary.AppendUvarint(nil, v))
+		}
+		trace.Write(frame)
 	}
-	var (
-		oracle causalOracle
-		cuts   [][2]SiteID
-	)
+	var cuts [][2]SiteID
 	state := func() string {
 		var b bytes.Buffer
 		for _, r := range c.replicas {
-			fmt.Fprintf(&b, "; site %d at %v with %d locks", r.site, r.doc.Version(), lockedRegions(r))
+			fmt.Fprintf(&b, "; site %d at %v with rounds %v pending", r.site, r.doc.Version(), r.doc.Intents())
 		}
 		return b.String()
 	}
@@ -642,12 +929,12 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 	budget := 200000
 	run := func(n int) {
 		for i := 0; (n == 0 || i < n) && c.Run(1) == 1; i++ {
-			must(oracle.observe(c, false))
+			must(oracle.observe(c))
 			if budget--; budget == 0 {
 				fail("livelock at virtual time %d%s", c.Now(), state())
 			}
 		}
-		must(oracle.observe(c, false)) // the idle ticks that ended the burst may have minted
+		must(oracle.observe(c)) // the idle ticks that ended the burst may have minted
 	}
 	for step := 0; step < 300; step++ {
 		switch p := rng.Intn(100); {
@@ -666,11 +953,11 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 			case err == nil:
 				st.edits++
 			case errors.Is(err, ErrRegionLocked):
-				st.blocked++ // legal: a flatten vote is open on the region
+				st.blocked++ // legal: a flatten round is open on the region
 			default:
 				fail("step %d: %v", step, err)
 			}
-			must(oracle.observe(c, true))
+			must(oracle.observe(c))
 		case p < 72: // deliver a burst
 			run(1 + rng.Intn(20))
 		case p < 79 && len(cuts) < 3: // partition a random pair
@@ -697,7 +984,7 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 			} else if r.ProposeFlattenCold(1) {
 				st.proposals++
 			}
-			must(oracle.observe(c, false))
+			must(oracle.observe(c))
 		}
 	}
 	c.HealAll()
@@ -735,26 +1022,31 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 		if err := r.InsertAt(rng.Intn(r.Len()+1), fmt.Sprintf("s%d-last", r.site)); err != nil {
 			fail("final edit at site %d: %v", r.site, err)
 		}
-		must(oracle.observe(c, true))
+		must(oracle.observe(c))
 	}
 	settle()
 	for _, r := range c.replicas {
 		st.committed += int(r.eng.FlattensCommitted())
 		st.aborted += int(r.eng.FlattensAborted())
 	}
-	if oracle.minted != st.committed {
-		fail("%d rounds committed but the engines minted %d operations", st.committed, oracle.minted)
+	k := oracle.kinds
+	switch {
+	case k[OpFlatten] != st.committed:
+		fail("%d rounds committed but the engines minted %d OpFlattens", st.committed, k[OpFlatten])
+	case k[OpIntent] != k[OpFlatten]+k[OpAbort] || k[OpAbort] > st.aborted:
+		fail("%d intents, %d OpFlattens, %d aborts minted, %d counted", k[OpIntent], k[OpFlatten], k[OpAbort], st.aborted)
 	}
+	st.concurrent = oracle.flattenedConcurrent
 	st.dropped = c.net.Dropped()
 	return st, nil
 }
 
 var exploreSeeds = flag.Int("explore.seeds", 200, "seeded schedules TestClusterExplore runs")
 
-// longCutSeeds cut a site off for many flatten deadlines while a
-// coordinator proposed. With participants taken by recency the cut-off
-// site was left out of a committed round and its concurrent edits diverged
-// ("equal versions, different documents"); a round now waits on every
+// longCutSeeds cut a site off for many flatten deadlines while an author
+// proposed. With participants taken by recency the cut-off site was left
+// out of a committed round and its concurrent edits diverged ("equal
+// versions, different documents"); a round now waits for an ack from every
 // member of the stability frontier. TestClusterExplore runs them whatever
 // -explore.seeds says.
 var longCutSeeds = []int64{532, 870, 1145, 1616}
@@ -787,7 +1079,7 @@ func TestClusterExplore(t *testing.T) {
 	}
 	t.Logf("%d seeds and the long-cut ones past them: %+v", seeds, total)
 	if seeds >= 200 && (total.blocked == 0 || total.committed == 0 || total.aborted == 0 ||
-		total.cuts == 0 || total.dropped == 0) {
+		total.concurrent == 0 || total.cuts == 0 || total.dropped == 0) {
 		t.Errorf("explorer is vacuous somewhere: %+v", total)
 	}
 }
@@ -797,7 +1089,7 @@ func TestClusterExplore(t *testing.T) {
 // alone (a tree layout, a queue, a codec refactor) must not move it; one
 // that moves it on purpose re-records it and names the seeds whose traces
 // moved, found by hashing each seed's trace in the parent and in the change.
-const traceDigest = "68cd029c547de818c8a820c62cb5544b58ca5cb1008453a161af539053abd527"
+const traceDigest = "6c3179d14b7fd41f2b780f9a27df981f7e835d6bedbddcf38a577a73c0098f03"
 
 // TestClusterTraceDigest pins every frame the seeded explorer sends for
 // seeds 1–400: the schedules, the engines' answers and the documents they

@@ -72,7 +72,7 @@ func (m *metrics) record(sentAt int64, docDeliveries *atomic.Uint64) {
 // measuredDoc wraps a client's replica: remote inserts carry a stamp
 // prefix in their atom, parsed and recorded on apply. The embedded Doc
 // keeps the rest of the engine's replica contract, so a client installs
-// snapshots and votes on flattens like any other replica.
+// snapshots and takes part in flatten rounds like any other replica.
 type measuredDoc struct {
 	*treedoc.Doc
 	site treedoc.SiteID

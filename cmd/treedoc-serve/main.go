@@ -16,9 +16,12 @@
 // document, without any long-lived peer online.
 //
 // With -flatten-every, each archivist also acts as its document's flatten
-// janitor: on that period it proposes compacting the coldest subtree
-// through the commitment protocol (Engine.ProposeFlattenCold). A proposal
-// racing a concurrent edit aborts harmlessly and is retried next period.
+// janitor: on that period it authors a flatten round for the coldest
+// subtree (Engine.ProposeFlattenCold). The round's intent locks the region
+// at every member, and the janitor flattens once every member has acked —
+// an edit concurrent with the round is flattened with it. A round a member
+// cannot ack before the deadline aborts harmlessly and is retried next
+// period; an archivist that stops aborts the round it has pending.
 //
 // With -peers (and -self), N hub processes split the document space by
 // consistent hashing: an attach for a document another process owns is
@@ -319,7 +322,7 @@ func main() {
 	flag.Parse()
 
 	if *flattenEvery > 0 && *logDir == "" {
-		log.Fatal("treedoc-serve: -flatten-every requires -log (the archivist coordinates the commitment)")
+		log.Fatal("treedoc-serve: -flatten-every requires -log (the archivist authors the rounds)")
 	}
 	if *peers != "" && *self == "" {
 		log.Fatal("treedoc-serve: -peers requires -self (this hub's advertised address)")
@@ -489,7 +492,7 @@ func janitor(a *archivist, every time.Duration, cold int, verbose bool) {
 			return
 		}
 		if ok && verbose {
-			log.Printf("treedoc-serve: doc %q proposed cold flatten (committed %d, aborted %d so far)",
+			log.Printf("treedoc-serve: doc %q proposed a cold flatten round (%d flattened, %d aborted or refused so far)",
 				a.doc, a.eng.FlattensCommitted(), a.eng.FlattensAborted())
 		}
 	}

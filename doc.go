@@ -49,16 +49,17 @@
 // with zero metadata; in the best case a compacted document is just a
 // sequential buffer. Within one process, Doc.Flatten and Doc.EndRevision
 // (heuristic flatten of cold subtrees) are available directly; across
-// replicas, flatten must be coordinated — two-phase commit where any
-// replica that observed a concurrent edit in the region votes No.
-// Engine.ProposeFlatten / Engine.ProposeFlattenCold run that protocol
+// replicas, flatten must never rename a region under a concurrent edit.
+// Engine.ProposeFlatten / Engine.ProposeFlattenCold run a flatten round
 // over the engine's links (Replica.ProposeFlatten calls the same method
-// on a simulated network): a committed flatten is broadcast as an
-// operation in the causal stream (so it orders before every post-flatten
-// edit at every replica) and becomes the snapshot barrier that bounds the
-// durable log. While a
-// replica's Yes vote is outstanding, local edits in the region fail with
-// ErrRegionLocked and succeed again once the round decides.
+// on a simulated network). The round's intent, its OpFlatten and its abort
+// are operations in the causal stream: a replica that applies the intent
+// refuses local edits in the region with ErrRegionLocked, acks once its
+// earlier edits are stamped, and the author flattens once every member has
+// acked and it holds their edits — so a concurrent edit is flattened, not
+// lost, and the flatten orders before every post-flatten edit at every
+// replica and becomes the snapshot barrier that bounds the durable log.
+// Local edits in the region succeed again once the round decides.
 //
 // # Distribution: one engine, two drivers
 //
@@ -67,9 +68,9 @@
 // actor, stamps and batches local edits to peers, applies remote
 // operations in causal order, runs a periodic anti-entropy exchange that
 // repairs losses from full queues, slow consumers or late joiners, and
-// coordinates flatten through the commitment protocol. Every engine does all of it:
-// its replica applies in batches, snapshots and votes, so every member
-// can serve catch-up and every flatten round can commit. The actor is a
+// runs flatten rounds. Every engine does all of it: its replica applies
+// in batches, snapshots and takes part in rounds, so every member can
+// serve catch-up and every flatten round can commit. The actor is a
 // step function — events in (local operations, a frame from a link, a
 // tick at a time), effects out (frames per link, log appends) — and there
 // are two ways to step it.

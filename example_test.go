@@ -94,7 +94,7 @@ func ExampleTextBuffer() {
 }
 
 // A simulated cluster replicates edits through causal broadcast and
-// coordinates flatten with the commitment protocol.
+// runs flatten as a round of stamped operations.
 func ExampleCluster() {
 	cluster, _ := treedoc.NewCluster(3, treedoc.WithSeed(1))
 	r1, _ := cluster.Replica(1)
@@ -114,9 +114,9 @@ func ExampleCluster() {
 }
 
 // Flatten runs over live replication engines, not just the simulator:
-// ProposeFlatten drives the paper's commitment protocol between the
-// engines, and the committed flatten travels the causal stream like any
-// operation — ordered before every post-flatten edit at every replica.
+// ProposeFlatten runs a flatten round between the engines — its intent,
+// its OpFlatten and its abort travel the causal stream like any operation,
+// the OpFlatten ordered before every post-flatten edit at every replica.
 func ExampleEngine_ProposeFlatten() {
 	alice, _ := treedoc.NewTextBuffer(treedoc.WithSite(1))
 	bob, _ := treedoc.NewTextBuffer(treedoc.WithSite(2))

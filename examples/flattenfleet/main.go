@@ -1,18 +1,19 @@
-// Flattenfleet: the distributed flatten commitment protocol of Section
-// 4.2.1 running over real TCP — not the simulator. Three replicas attach
-// to one document on an in-process relay hub (the same one
-// cmd/treedoc-serve runs); one proposes compacting the document through
-// Engine.ProposeFlatten. A proposal racing a concurrent edit aborts
-// harmlessly ("a conflicting edit causes a flatten to abort, leaving no
-// side-effects"); a proposal on a quiescent document commits everywhere,
-// reduces every replica to a zero-overhead array, and becomes the
-// snapshot a late joiner catches up from without replaying any
-// pre-flatten history.
+// Flattenfleet: the distributed flatten of Section 4.2.1 running over real
+// TCP — not the simulator. Three replicas attach to one document on an
+// in-process relay hub (the same one cmd/treedoc-serve runs); one authors
+// a flatten round through Engine.ProposeFlatten. The round's intent locks
+// the region at every replica; a replica acks once its own earlier edits
+// are stamped, and the author flattens once every replica has acked and it
+// holds their edits. So an edit racing the round is flattened with it, not
+// lost; the flatten reduces every replica to a zero-overhead array and
+// becomes the snapshot a late joiner catches up from without replaying
+// any pre-flatten history.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"github.com/treedoc/treedoc"
@@ -52,22 +53,22 @@ func main() {
 	fmt.Printf("before flatten: %d nodes, %d tombstones, %d bytes overhead in the paper's model, %d on the heap (%.1fx)\n",
 		st.Tree.Nodes, st.Tree.DeadMinis, st.Tree.MemBytes, st.Tree.HeapBytes, st.Tree.HeapOverModel())
 
-	// Attempt 1: site 2 has applied an edit its engine has not stamped yet
-	// — an in-flight local edit. Site 2 votes No and the proposal aborts
-	// with no side effects.
+	// Site 2 has applied an edit its engine has not stamped yet — an
+	// in-flight local edit — when site 1 proposes. Site 2 applies the
+	// intent, and its region refuses further local edits, but it cannot
+	// ack: its ack must carry the edit's sequence number.
 	racing, err := two.buf.Append("racing edit\n")
 	must(err)
 	must(one.eng.ProposeFlatten())
-	waitFor(func() bool { return one.eng.FlattensAborted() == 1 }, "abort")
-	fmt.Printf("racing proposal: aborted (flattens applied everywhere: %d)\n",
+	waitFor(func() bool { return len(two.buf.Intents()) == 1 }, "the intent at site 2")
+	_, blocked := two.buf.Append("blocked\n")
+	fmt.Printf("round open: site 2 edits the region: %v; flattens applied everywhere: %d\n", blocked,
 		one.eng.FlattensApplied()+two.eng.FlattensApplied()+sites[2].eng.FlattensApplied())
 
-	// Attempt 2: release the edit, quiesce, retry — unanimous Yes. The
-	// committed flatten travels the causal stream as an operation, so
-	// every replica applies it in order and converges.
+	// Release the edit: site 2 acks, the author waits for the edit and
+	// flattens it with the rest. The OpFlatten travels the causal stream
+	// as an operation, so every replica applies it in order and converges.
 	must(two.eng.Broadcast(racing...))
-	waitConverged(sites)
-	must(one.eng.ProposeFlatten())
 	waitFor(func() bool {
 		for _, s := range sites {
 			if s.eng.FlattensApplied() == 0 {
@@ -77,6 +78,7 @@ func main() {
 		return true
 	}, "commit")
 	waitConverged(sites)
+	fmt.Printf("committed with the racing edit flattened in: %v\n", strings.HasSuffix(one.buf.String(), "racing edit\n"))
 	for _, s := range sites {
 		st := s.buf.Stats()
 		fmt.Printf("  site %d: %d runes, %d nodes, %d bytes overhead (zero = plain array), %d on the heap (one empty slab chunk)\n",

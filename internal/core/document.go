@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"github.com/treedoc/treedoc/internal/doctree"
@@ -89,12 +92,25 @@ type Document struct {
 	runF   ident.Path
 	runAt  doctree.Gap
 
-	// locks are the regions frozen by outstanding flatten commitment votes,
-	// keyed by an engine-issued token: a replica that voted Yes promised
-	// not to edit the subtree until the decision, so a local edit touching
-	// one fails with ErrRegionLocked. Apply is never blocked — the protocol
-	// guarantees no conflicting remote operation exists while one is held.
-	locks map[uint64]ident.Path
+	// locks are the flatten rounds pending here: one per intent applied
+	// whose OpFlatten or abort has not been. A local edit touching a region
+	// one names fails with ErrRegionLocked. Apply is never blocked: a remote
+	// edit of the region was made before its site applied the intent, and
+	// the round's author waits for it.
+	locks map[lockKey]intent
+}
+
+// lockKey names a flatten round as its operations do: author and region.
+type lockKey struct {
+	site ident.SiteID
+	id   ident.Packed
+}
+
+// intent is a pending round's intent: its sequence number at the author
+// and the region's elements.
+type intent struct {
+	seq  uint64
+	path ident.Path
 }
 
 // NewDocument creates an empty replica. It returns an error for invalid
@@ -123,8 +139,9 @@ func NewDocument(cfg Config) (*Document, error) {
 // must survive restarts so the site never re-mints identifiers). version is
 // the applied version vector the snapshot was taken at; nil derives the
 // pre-versioned form {site: seq}, which is correct for single-site
-// snapshots and a safe under-approximation otherwise.
-func Restore(cfg Config, tree *doctree.Tree, seq uint64, counter uint32, version vclock.VC) (*Document, error) {
+// snapshots and a safe under-approximation otherwise. intents are the
+// flatten rounds pending in the snapshot (see Intents).
+func Restore(cfg Config, tree *doctree.Tree, seq uint64, counter uint32, version vclock.VC, intents []Op) (*Document, error) {
 	d, err := NewDocument(cfg)
 	if err != nil {
 		return nil, err
@@ -140,17 +157,18 @@ func Restore(cfg Config, tree *doctree.Tree, seq uint64, counter uint32, version
 	if d.version.Get(cfg.Site) > d.seq {
 		d.seq = d.version.Get(cfg.Site)
 	}
+	d.setIntents(intents)
 	return d, nil
 }
 
 // Version returns a copy of the applied version vector.
 func (d *Document) Version() vclock.VC { return d.version.Clone() }
 
-// ErrRegionLocked reports a local edit blocked by an outstanding flatten
-// commitment vote on its region: a replica that voted Yes must not edit
-// the subtree until the decision arrives (internal/transport/flatten.go).
-// Callers retry after the commitment decides.
-var ErrRegionLocked = errors.New("core: region locked by pending flatten commitment")
+// ErrRegionLocked reports a local edit blocked by a pending flatten round on
+// its region: a replica that applied the round's intent must not edit the
+// subtree until the round's OpFlatten or abort is applied
+// (internal/transport/flatten.go). Callers retry after the round decides.
+var ErrRegionLocked = errors.New("core: region locked by pending flatten round")
 
 // ErrStaleSnapshot reports an InstallSnapshot whose version vector does
 // not dominate the replica's applied state: installing it would silently
@@ -165,14 +183,16 @@ var ErrStaleSnapshot = errors.New("core: snapshot does not cover replica state")
 // re-mints a sequence number or disambiguator the snapshot already
 // contains — from the snapshot's recorded seq/counter when the snapshot
 // originated here (origin == site), otherwise from the version vector and
-// a scan of the adopted tree's disambiguators.
-func (d *Document) InstallSnapshot(tree *doctree.Tree, version vclock.VC, origin ident.SiteID, originSeq uint64, originCounter uint32) error {
+// a scan of the adopted tree's disambiguators. The snapshot's pending
+// flatten rounds replace the replica's.
+func (d *Document) InstallSnapshot(tree *doctree.Tree, version vclock.VC, origin ident.SiteID, originSeq uint64, originCounter uint32, intents []Op) error {
 	if !version.Dominates(d.version) {
 		return ErrStaleSnapshot
 	}
 	d.runGap = -1
 	d.tree = tree
 	d.version = version.Clone()
+	d.setIntents(intents)
 	if v := d.version.Get(d.cfg.Site); v > d.seq {
 		d.seq = v
 	}
@@ -501,17 +521,33 @@ func (d *Document) spliceLocked(off, delCount int, insert bool) (bool, error) {
 	return d.locked(p, f), nil
 }
 
-// LockRegion freezes the subtree at the structural path against local
-// edits until UnlockRegion is called with the same token.
-func (d *Document) LockRegion(token uint64, path ident.Path) {
-	if d.locks == nil {
-		d.locks = make(map[uint64]ident.Path)
+// Intents returns the flatten rounds pending at the replica as their intent
+// operations, by author, then sequence number: what a snapshot carries and
+// a member acknowledges.
+func (d *Document) Intents() []Op {
+	ops := make([]Op, 0, len(d.locks))
+	for k, l := range d.locks {
+		ops = append(ops, Op{Kind: OpIntent, ID: k.id, Site: k.site, Seq: l.seq})
 	}
-	d.locks[token] = path.Clone()
+	slices.SortFunc(ops, func(a, b Op) int { return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Seq, b.Seq)) })
+	return ops
 }
 
-// UnlockRegion releases a LockRegion freeze.
-func (d *Document) UnlockRegion(token uint64) { delete(d.locks, token) }
+// setIntents makes intents the pending rounds.
+func (d *Document) setIntents(intents []Op) {
+	d.locks = nil
+	for _, op := range intents {
+		d.lock(op, op.ID.AppendPath(nil))
+	}
+}
+
+// lock opens the round of an intent whose region's elements are path.
+func (d *Document) lock(op Op, path ident.Path) {
+	if d.locks == nil {
+		d.locks = make(map[lockKey]intent)
+	}
+	d.locks[lockKey{op.Site, op.ID}] = intent{op.Seq, path.Clone()}
+}
 
 // LockedRegions returns how many regions are locked.
 func (d *Document) LockedRegions() int { return len(d.locks) }
@@ -522,7 +558,7 @@ func (d *Document) LockedRegions() int { return len(d.locks) }
 // holds either or lies strictly between them.
 func (d *Document) locked(lo, hi ident.Path) bool {
 	for _, l := range d.locks {
-		if (lo == nil || ident.RegionCompare(lo, l) <= 0) && (hi == nil || ident.RegionCompare(hi, l) >= 0) {
+		if (lo == nil || ident.RegionCompare(lo, l.path) <= 0) && (hi == nil || ident.RegionCompare(hi, l.path) >= 0) {
 			return true
 		}
 	}
@@ -592,6 +628,11 @@ func (d *Document) applyAt(op Op, id ident.Path) error {
 		if err := d.tree.Flatten(id); err != nil {
 			return err
 		}
+		delete(d.locks, lockKey{op.Site, op.ID})
+	case OpIntent:
+		d.lock(op, id)
+	case OpAbort:
+		delete(d.locks, lockKey{op.Site, op.ID})
 	}
 	d.noteApplied(op, id)
 	return nil
@@ -631,8 +672,8 @@ func (d *Document) noteApplied(op Op, id ident.Path) {
 // flattened subtree's structural path, or nil.
 //
 // This is the local (benchmark-replay) form used throughout the paper's
-// evaluation; the distributed form runs the same flatten under the
-// commitment protocol of internal/transport/flatten.go.
+// evaluation; the distributed form runs the same flatten as the round of
+// internal/transport/flatten.go.
 func (d *Document) EndRevision() ident.Path {
 	d.revision++
 	d.tree.AdvanceRev()
@@ -657,35 +698,52 @@ func (d *Document) Revision() int64 { return d.revision }
 
 // ErrMintRaced reports a FlattenOp whose afterSeq precondition failed: a
 // local edit was minted between the caller's readiness check and the
-// flatten mint, so executing the flatten now would give it a sequence
-// number out of order with its causal stamp. The caller retries once the
-// racing edit has been stamped.
+// mint, so the operation's sequence number would be out of order with its
+// causal stamp. The caller retries once the racing edit has been stamped.
 var ErrMintRaced = errors.New("core: local edit raced the flatten mint")
 
-// FlattenOp executes a committed flatten as a local operation: the subtree
-// at the structural path (empty = whole document) is flattened and the
-// operation to propagate is returned. afterSeq is the local sequence
-// number the caller expects the replica to be at; a mismatch (a local
-// edit raced in) fails with ErrMintRaced before anything is modified —
-// the check and the mint are one atomic step from the caller's locked
-// view. Only the coordinator of a successful flatten commitment may call
-// this — the protocol establishes that no replica holds a concurrent
-// edit of the region — and the returned operation must be broadcast like
-// any insert or delete, so causal delivery orders it before every
-// post-flatten edit at every replica.
-func (d *Document) FlattenOp(path ident.Path, afterSeq uint64) (Op, error) {
+// FlattenOp mints one of a flatten round's operations at the structural
+// path (empty = whole document) as a local edit, applies it and returns it
+// to broadcast like any insert or delete: kind is OpIntent, OpFlatten or
+// OpAbort. afterSeq is the local sequence number the caller expects the
+// replica to be at; a mismatch (a local edit raced in) fails with
+// ErrMintRaced, and an OpFlatten of a region that may not exist at every
+// replica fails too, both before anything is modified: a region that is
+// gone, or under UDIS one that holds no live atom, which other replicas may
+// have pruned where this one's reserved slots hold it. Only a round's
+// author mints its operations, and its OpFlatten only once every member
+// has applied the intent and the author holds every edit of the region
+// made before it (internal/transport/flatten.go).
+func (d *Document) FlattenOp(kind OpKind, path ident.Path, afterSeq uint64) (Op, error) {
+	if kind < OpFlatten || kind > OpAbort {
+		return Op{}, fmt.Errorf("core: %s is not a flatten round's operation", kind)
+	}
 	if err := path.ValidateStructural(); err != nil {
-		return Op{}, fmt.Errorf("core: flatten path: %w", err)
+		return Op{}, fmt.Errorf("core: %s path: %w", kind, err)
 	}
 	if d.seq != afterSeq {
 		return Op{}, fmt.Errorf("core: flatten mint at seq %d, expected %d: %w", d.seq, afterSeq, ErrMintRaced)
 	}
-	d.seq++
-	op := Op{Kind: OpFlatten, ID: ident.Pack(path), Site: d.cfg.Site, Seq: d.seq}
+	if kind == OpFlatten && d.cfg.Mode == ident.UDIS && len(path) > 0 && !d.holdsLive(path) {
+		return Op{}, fmt.Errorf("core: flatten at %v: the region holds no live atom", path)
+	}
+	op := Op{Kind: kind, ID: ident.Pack(path), Site: d.cfg.Site, Seq: d.seq + 1}
 	if err := d.applyAt(op, path); err != nil {
 		return Op{}, err
 	}
 	return op, nil
+}
+
+// holdsLive reports whether a live atom lies in the subtree at the
+// structural path. Atoms lie in identifier order, so a binary search finds
+// the first one not before the region.
+func (d *Document) holdsLive(path ident.Path) bool {
+	i := sort.Search(d.tree.Len(), func(i int) bool {
+		id, err := d.tree.IDAt(i)
+		return err != nil || ident.RegionCompare(id, path) >= 0
+	})
+	id, err := d.tree.IDAt(i)
+	return err == nil && ident.RegionCompare(id, path) == 0
 }
 
 // FlattenAll compacts the whole document to a plain array: the paper's

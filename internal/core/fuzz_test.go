@@ -76,8 +76,10 @@ func FuzzDecodeOp(f *testing.F) {
 	for _, op := range seedOps(f) {
 		f.Add(op.AppendBinary(nil))
 	}
-	for _, p := range []string{"[]", "[10]"} {
-		f.Add(core.Op{Kind: core.OpFlatten, ID: ident.Pack(ident.MustParsePath(p)), Site: 3, Seq: 1}.AppendBinary(nil))
+	for _, kind := range []core.OpKind{core.OpFlatten, core.OpIntent, core.OpAbort} {
+		for _, p := range []string{"[]", "[10]"} {
+			f.Add(core.Op{Kind: kind, ID: ident.Pack(ident.MustParsePath(p)), Site: 3, Seq: 1}.AppendBinary(nil))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, n, err := core.DecodeOp(data)

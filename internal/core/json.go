@@ -36,7 +36,7 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	var kind OpKind
-	for k := OpInsert; k <= OpFlatten; k++ {
+	for k := OpInsert; k <= OpAbort; k++ {
 		if j.Kind == k.String() {
 			kind = k
 		}
@@ -47,7 +47,7 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 	// Packing masks a bit above 1 and drops an unknown kind, so the elements
 	// are checked before they are packed, not after.
 	check := j.ID.Validate
-	if kind == OpFlatten {
+	if kind.onPath() {
 		check = j.ID.ValidateStructural
 	}
 	if err := check(); err != nil {

@@ -13,6 +13,10 @@ func TestOpJSONRoundTrip(t *testing.T) {
 		{Kind: OpDelete, ID: ident.Pack(ident.MustParsePath("[(1:c7s9)]")), Site: 9, Seq: 1},
 		{Kind: OpFlatten, ID: ident.Pack(ident.MustParsePath("[]")), Site: 4, Seq: 7},
 		{Kind: OpFlatten, ID: ident.Pack(ident.MustParsePath("[10]")), Site: 4, Seq: 8},
+		{Kind: OpIntent, ID: ident.Pack(ident.MustParsePath("[]")), Site: 4, Seq: 9},
+		{Kind: OpIntent, ID: ident.Pack(ident.MustParsePath("[10]")), Site: 4, Seq: 10},
+		{Kind: OpAbort, ID: ident.Pack(ident.MustParsePath("[]")), Site: 4, Seq: 11},
+		{Kind: OpAbort, ID: ident.Pack(ident.MustParsePath("[10]")), Site: 4, Seq: 12},
 	}
 	for _, op := range ops {
 		data, err := json.Marshal(op)
@@ -64,9 +68,11 @@ func TestOpJSONErrors(t *testing.T) {
 			t.Errorf("insert at %s accepted as %v", id, o)
 		}
 	}
-	for _, id := range []string{"[(1:s1)]", "[1(0:s1)]"} {
-		if err := json.Unmarshal([]byte(`{"kind":"flatten","id":"`+id+`","site":1}`), &o); err == nil {
-			t.Errorf("flatten at %s accepted as %v", id, o)
+	for _, kind := range []string{"flatten", "intent", "abort"} {
+		for _, id := range []string{"[(1:s1)]", "[1(0:s1)]"} {
+			if err := json.Unmarshal([]byte(`{"kind":"`+kind+`","id":"`+id+`","site":1}`), &o); err == nil {
+				t.Errorf("%s at %s accepted as %v", kind, id, o)
+			}
 		}
 	}
 }

@@ -6,9 +6,9 @@
 //
 // The package builds on internal/ident (the dense identifier space) and
 // internal/doctree (the extended binary tree). Distribution — causal
-// delivery and the flatten commitment protocol — lives in internal/causal,
-// internal/simnet and internal/transport (flatten.go); the public treedoc
-// package ties them together.
+// delivery and the flatten round — lives in internal/causal, internal/simnet
+// and internal/transport (flatten.go); the public treedoc package ties them
+// together.
 package core
 
 import (
@@ -29,16 +29,26 @@ const (
 	OpDelete
 	// OpFlatten rewrites the subtree at a structural path as a flat atom
 	// array (Section 4.2's flatten). Unlike insert and delete it does NOT
-	// commute with concurrent edits of its region: it may only be issued by
-	// the coordinator of a successful flatten commitment
-	// (internal/transport/flatten.go), which establishes that no such edit
-	// exists anywhere. Shipping the committed flatten as a
-	// stamped operation puts it in the causal stream, so every replica
+	// commute with concurrent edits of its region: its author mints it only
+	// once every member has applied the round's intent and the author holds
+	// every edit of the region made before (internal/transport/flatten.go).
+	// As a stamped operation it is in the causal stream, so every replica
 	// applies it before any operation issued after it — post-flatten edits
 	// reference post-flatten identifiers, and causal delivery guarantees
-	// the rename has happened first.
+	// the rename has happened first. Applying it ends its author's round at
+	// the region.
 	OpFlatten
+	// OpIntent opens a flatten round at a structural path: a replica that
+	// applies it refuses local edits of the region until the round's
+	// OpFlatten or OpAbort, which name it by author and path, is applied.
+	OpIntent
+	// OpAbort ends its author's round at the region without flattening.
+	OpAbort
 )
+
+// onPath reports whether the kind's identifier is a structural path, as a
+// flatten round's operations name their region, rather than an atom's.
+func (k OpKind) onPath() bool { return k >= OpFlatten }
 
 // String returns the operation name.
 func (k OpKind) String() string {
@@ -49,6 +59,10 @@ func (k OpKind) String() string {
 		return "delete"
 	case OpFlatten:
 		return "flatten"
+	case OpIntent:
+		return "intent"
+	case OpAbort:
+		return "abort"
 	default:
 		return fmt.Sprintf("OpKind(%d)", uint8(k))
 	}
@@ -70,16 +84,16 @@ type Op struct {
 
 // Validate checks the operation's shape: a known kind, an identifier of
 // that kind's shape — an atom identifier for an insert or a delete, a
-// structural path (empty = the whole document) for a flatten — and an atom
-// only on an insert. The identifier's encoding needs no check: a non-zero
-// Packed was checked where it was made.
+// structural path (empty = the whole document) for a flatten round's
+// operations — and an atom only on an insert. The identifier's encoding
+// needs no check: a non-zero Packed was checked where it was made.
 func (o Op) Validate() error {
 	switch {
-	case o.Kind < OpInsert || o.Kind > OpFlatten:
+	case o.Kind < OpInsert || o.Kind > OpAbort:
 		return fmt.Errorf("core: invalid op kind %d", o.Kind)
 	case o.ID == ident.Packed{}:
 		return fmt.Errorf("core: %s op has no identifier", o.Kind)
-	case o.ID.IsAtom() != (o.Kind != OpFlatten):
+	case o.ID.IsAtom() == o.Kind.onPath():
 		return fmt.Errorf("core: invalid %s id %v", o.Kind, o.ID)
 	case o.Kind != OpInsert && o.Atom != "":
 		return fmt.Errorf("core: %s op carries an atom", o.Kind)
@@ -106,11 +120,14 @@ func (o Op) String() string {
 	return fmt.Sprintf("%s%v by s%d#%d", o.Kind, o.ID, o.Site, o.Seq)
 }
 
-// An encoded operation opens with a head byte: its kind in bits 0–1. Inside
-// a stamped message (internal/transport's kindOps frames and log records)
-// two more bits elide what the message already says; a standalone operation
-// leaves them clear.
+// An encoded operation opens with a head byte: its kind in bits 0–1 and 4,
+// so that insert, delete and flatten are 1–3 and intent and abort 0x10 and
+// 0x11. Inside a stamped message (internal/transport's kindOps frames and
+// log records) two more bits elide what the message already says; a
+// standalone operation leaves them clear.
 const (
+	// HeadKind masks the kind's bits.
+	HeadKind = 3 | 1<<4
 	// HeadRun: same sender as the previous message of the frame, and its
 	// clock with the sender's entry one higher; both are omitted and the
 	// decoder clones and ticks.
@@ -120,12 +137,18 @@ const (
 	HeadStamped = 1 << 3
 )
 
+// Head returns the kind's bits of a head byte.
+func (k OpKind) Head() byte { return byte(k&3 | k>>2<<4) }
+
+// KindOf returns the kind a head byte's kind bits name.
+func KindOf(head byte) OpKind { return OpKind(head&3 | head>>4&1<<2) }
+
 // AppendBinary appends the wire encoding of o to dst: the head byte, then
 // the fields with the origin (see AppendFields).
 //
 //treedoc:noalloc
 func (o Op) AppendBinary(dst []byte) []byte {
-	return o.AppendFields(append(dst, byte(o.Kind)), true)
+	return o.AppendFields(append(dst, o.Kind.Head()), true)
 }
 
 // AppendFields appends what follows an operation's head byte: uvarint site
@@ -156,7 +179,10 @@ func DecodeOp(buf []byte) (Op, int, error) {
 	if len(buf) == 0 {
 		return Op{}, 0, fmt.Errorf("core: empty op buffer")
 	}
-	o, n, err := DecodeFields(OpKind(buf[0]), true, buf[1:])
+	if buf[0]&^HeadKind != 0 {
+		return Op{}, 0, fmt.Errorf("core: op head %#x", buf[0])
+	}
+	o, n, err := DecodeFields(KindOf(buf[0]), true, buf[1:])
 	if err != nil {
 		return o, 0, err
 	}

@@ -317,7 +317,7 @@ func (t *Tree) buildCanonical(s slot, bit uint8, atoms []string, depth int) node
 //
 // Flatten is a structural clean-up, not a CRDT operation: callers must
 // establish that no concurrent edits target the region (the paper's
-// commitment protocol, internal/transport/flatten.go).
+// commitment, a flatten round in internal/transport/flatten.go).
 func (t *Tree) Flatten(path ident.Path) error {
 	h, err := t.walkNode(path)
 	if err != nil {

@@ -48,7 +48,8 @@ type Config struct {
 	// Loss is the probability (0..1) that a lossy message is silently
 	// dropped at send time. Only payloads implementing Lossy() true are
 	// affected: operation gossip is lossy and recovered by anti-entropy,
-	// while protocol traffic (commitment) models a reliable channel.
+	// while protocol traffic (digests, flatten acks) models a reliable
+	// channel.
 	Loss float64
 	// Seed drives the latency and loss randomness; 0 means 1.
 	Seed int64

@@ -19,9 +19,9 @@ import (
 
 // Replica is the replica the engine drives (the public Doc and TextBuffer
 // both qualify): it applies remote operations in batches, snapshots and
-// installs its state, and votes on flattens. Every engine does all three,
-// so every member can take over another's state and every round it joins
-// can commit. Its methods must be safe to call concurrently with the
+// installs its state, and mints and lists flatten rounds. Every engine does
+// all three, so every member can take over another's state and every round
+// it joins can commit. Its methods must be safe to call concurrently with the
 // caller's local edits.
 type Replica interface {
 	BatchApplier
@@ -96,7 +96,7 @@ const (
 	// shed one, voiding the receiver's reassembly; until the wait is over,
 	// the requester's repeated pulls do not draw a snapshot apiece.
 	snapResendAfter = time.Second
-	// defaultFlattenTimeout is the flatten commitment deadline (see
+	// defaultFlattenTimeout is the flatten round's deadline (see
 	// WithFlattenTimeout).
 	defaultFlattenTimeout = 2 * time.Second
 	// snapAssemblyTTL bounds how long a partial chunked-snapshot
@@ -185,11 +185,9 @@ func WithSnapshotThreshold(n int) Option {
 	}
 }
 
-// WithFlattenTimeout sets the flatten commitment deadline: a proposal
-// still missing votes after this long is aborted (presumed abort), and a
-// participant whose Yes-vote lock has waited this long starts re-sending
-// its vote to query the coordinator for the decision. Default 2s, raised
-// to five sync intervals when WithSyncInterval is longer.
+// WithFlattenTimeout sets the flatten round's deadline: a round this engine
+// authored that is not stable after this long is aborted. Default 2s,
+// raised to five sync intervals when WithSyncInterval is longer.
 func WithFlattenTimeout(d time.Duration) Option {
 	return func(e *Engine) {
 		if d > 0 {
@@ -285,13 +283,13 @@ type Engine struct {
 	// acked is the latest delivered clock known of each member — its last
 	// digest, or the stamp of its newest delivered message, which its
 	// delivered clock covers. Its keys are the members, of the stability
-	// frontier and of every flatten round (actor-owned).
+	// frontier and of every flatten round's ack table (actor-owned).
 	acked map[ident.SiteID]vclock.VC
 	// sinceSnap counts retained messages since the serving barrier,
 	// driving the compaction policy.
 	sinceSnap int // actor-owned
-	// fl is the flatten commitment state (flatten.go); it belongs to the
-	// actor, marked field by field.
+	// fl is the flatten round state (flatten.go); it belongs to the actor,
+	// marked field by field.
 	fl flattenState
 	// snapAsm holds in-progress snapshot reassemblies, keyed by the sending
 	// site (see snapchunk.go).
@@ -358,12 +356,12 @@ func newEngine(site ident.SiteID, doc Replica, now func() time.Time, opts []Opti
 	if e.flattenTimeout <= 0 {
 		e.flattenTimeout = defaultFlattenTimeout
 		if min := 5 * e.syncEvery; e.flattenTimeout < min {
-			// Votes and in-doubt resends ride the anti-entropy tick, so the
-			// deadline must span several of them.
+			// Ack resends ride the anti-entropy tick, so the deadline must
+			// span several of them.
 			e.flattenTimeout = min
 		}
 	}
-	e.fl = newFlattenState(e)
+	e.fl = flattenState{own: make(map[uint64]*authored)}
 	if e.logDir != "" {
 		if err := e.openAndReplay(); err != nil {
 			return nil, err
@@ -415,11 +413,6 @@ func (e *Engine) openAndReplay() error {
 		clock.Merge(m.TS)
 		e.retained.Append(m)
 		ops = append(ops, op)
-		if op.Kind == core.OpFlatten {
-			// As on the live path, a replayed flatten anchors the flatten
-			// clock a future vote's observation must cover.
-			e.fl.flattenVC = clock.Clone()
-		}
 		return nil
 	})
 	if replayErr != nil {
@@ -464,18 +457,16 @@ func (e *Engine) SnapshotsSent() uint64 { return e.snapsSent.Load() }
 // replica.
 func (e *Engine) SnapshotsInstalled() uint64 { return e.snapsInstalled.Load() }
 
-// FlattensApplied counts committed flattens applied to this replica —
-// minted here as coordinator or delivered through the causal stream.
+// FlattensApplied counts flattens applied to this replica — minted here as
+// author or delivered through the causal stream.
 func (e *Engine) FlattensApplied() uint64 { return e.flattensApplied.Load() }
 
-// FlattensCommitted counts flatten proposals this engine coordinated to a
-// commit decision.
+// FlattensCommitted counts the OpFlattens this engine minted as author.
 func (e *Engine) FlattensCommitted() uint64 { return e.flattensCommitted.Load() }
 
-// FlattensAborted counts flatten proposals this engine coordinated to an
-// abort — a replica voted No (it observed a conflicting edit) or the
-// deadline passed with votes missing. Aborts are harmless; propose again
-// once the region quiesces.
+// FlattensAborted counts the aborts this engine minted as author — the
+// deadline passed before every member acked, or the region was gone — and
+// the proposals it refused. Aborts are harmless; propose again.
 func (e *Engine) FlattensAborted() uint64 { return e.flattensAborted.Load() }
 
 // DigestsSent counts anti-entropy digests sent to peers.
@@ -682,10 +673,10 @@ func (e *Engine) run() {
 	}
 }
 
-// endStep closes a run of handled commands: mint any committed flatten
-// that was waiting on a stamp, then frame and fan out the batch.
+// endStep closes a run of handled commands: decide any round of this
+// engine's that became stable, then frame and fan out the batch.
 func (e *Engine) endStep() {
-	e.mintPendingFlattens()
+	e.decideRounds()
 	e.flush()
 }
 
@@ -715,13 +706,12 @@ func (e *Engine) shutdown() {
 		}
 		break
 	}
+	// A stopped author can never decide, so its rounds would freeze their
+	// regions everywhere: abort them, behind everything already accepted.
+	e.abortOwn()
 	e.endStep()
 	// Frames are in the peer queues; let the writers drain them.
 	close(e.drained)
-	// A stopped engine can never receive a decision, so any lock an open
-	// vote holds would freeze its region forever; release them (the
-	// coordinator's timeout aborts the orphaned transaction).
-	e.releaseAllLocks()
 	if e.log != nil {
 		if err := e.log.Close(); err != nil {
 			e.setErr(err)
@@ -737,13 +727,7 @@ func (e *Engine) handle(cmd command) {
 		return
 	}
 	for _, op := range cmd.ops {
-		m := e.buf.Stamp(op)
-		e.record(m)
-		e.batch = append(e.batch, m)
-		e.recordOp(op)
-		if len(e.batch) >= batchSize {
-			e.flush()
-		}
+		e.emit(op)
 	}
 	switch f := cmd.frame.(type) {
 	case *OpsFrame:
@@ -752,12 +736,20 @@ func (e *Engine) handle(cmd command) {
 		e.handleSyncReq(f, cmd.from)
 	case *SnapChunkFrame:
 		e.handleSnapChunk(f)
-	case *FlatProposeFrame:
-		e.handleFlatPropose(f)
-	case *FlatVoteFrame:
-		e.handleFlatVote(f, cmd.from)
-	case *FlatDecisionFrame:
-		e.handleFlatDecision(f)
+	case *FlatAckFrame:
+		e.handleFlatAck(f)
+	}
+}
+
+// emit stamps one local operation — a caller's, or a flatten round's this
+// engine minted — retains it and queues it for the batch.
+func (e *Engine) emit(op core.Op) {
+	m := e.buf.Stamp(op)
+	e.record(m)
+	e.batch = append(e.batch, m)
+	e.recordOp(op)
+	if len(e.batch) >= batchSize {
+		e.flush()
 	}
 }
 
@@ -806,8 +798,8 @@ func (e *Engine) ingest(msgs []causal.Message) {
 
 // deliver records causally-ready messages and applies their ops as one
 // run. Each sender is a member from its first delivered message on:
-// through a hub its digests reach only a sample of the group, and a writer
-// whose edits this engine applies must vote on its flattens.
+// through a hub its digests reach only a sample of the group, and a round
+// this engine authors must wait for every writer whose edits it applies.
 func (e *Engine) deliver(msgs []causal.Message) {
 	ops := e.opScratch[:0]
 	for _, m := range msgs {

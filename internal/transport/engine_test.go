@@ -19,9 +19,9 @@ import (
 // test goroutine's local edits), with the whole Replica contract. Its
 // snapshot is the same atomic (state, version) pair the public Doc
 // provides, in a minimal test-local encoding (the transport treats
-// snapshot bytes as opaque); its region locks are no-ops, which suffice
-// for engine-level tests. It notes the size of every batch it is handed,
-// and refuses every op refuse names.
+// snapshot bytes as opaque) that carries the pending flatten rounds as the
+// Doc's does. It notes the size of every batch it is handed, and refuses
+// every op refuse names.
 type testReplica struct {
 	mu      sync.Mutex
 	doc     *core.Document
@@ -67,6 +67,11 @@ func (r *testReplica) Snapshot() ([]byte, vclock.VC, error) {
 		buf = binary.AppendUvarint(buf, uint64(s))
 		buf = binary.AppendUvarint(buf, n)
 	}
+	intents := r.doc.Intents()
+	buf = binary.AppendUvarint(buf, uint64(len(intents)))
+	for _, op := range intents {
+		buf = op.AppendBinary(buf)
+	}
 	return append(buf, storage.Encode(r.doc.Tree())...), version, nil
 }
 
@@ -102,13 +107,25 @@ func (r *testReplica) InstallSnapshot(data []byte) (vclock.VC, error) {
 			return nil, err
 		}
 	}
+	cnt, err = uvarint("intent count")
+	if err != nil {
+		return nil, err
+	}
+	intents := make([]core.Op, cnt)
+	for i := range intents {
+		var n int
+		if intents[i], n, err = core.DecodeOp(data[off:]); err != nil {
+			return nil, err
+		}
+		off += n
+	}
 	tree, err := storage.Decode(data[off:])
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.doc.InstallSnapshot(tree, version, ident.SiteID(head[0]), head[1], uint32(head[2])); err != nil {
+	if err := r.doc.InstallSnapshot(tree, version, ident.SiteID(head[0]), head[1], uint32(head[2]), intents); err != nil {
 		return nil, err
 	}
 	return r.doc.Version(), nil
@@ -120,10 +137,16 @@ func (r *testReplica) Version() vclock.VC {
 	return r.doc.Version()
 }
 
-func (r *testReplica) FlattenOp(path ident.Path, afterSeq uint64) (core.Op, error) {
+func (r *testReplica) FlattenOp(kind core.OpKind, path ident.Path, afterSeq uint64) (core.Op, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.doc.FlattenOp(path, afterSeq)
+	return r.doc.FlattenOp(kind, path, afterSeq)
+}
+
+func (r *testReplica) Intents() []core.Op {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.doc.Intents()
 }
 
 func (r *testReplica) ColdestSubtree(revisions int64, minNodes int) ident.Path {
@@ -131,9 +154,6 @@ func (r *testReplica) ColdestSubtree(revisions int64, minNodes int) ident.Path {
 	defer r.mu.Unlock()
 	return r.doc.ColdestSubtree(revisions, minNodes)
 }
-
-func (r *testReplica) LockRegion(uint64, ident.Path) {}
-func (r *testReplica) UnlockRegion(uint64)           {}
 
 func (r *testReplica) insertAt(t testing.TB, i int, atom string) core.Op {
 	t.Helper()

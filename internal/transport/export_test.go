@@ -15,8 +15,8 @@ func EncodeRingAnnounce(epoch uint64, nodes []string) ([]byte, error) {
 	return encodeFrame(kindRingAnnounce, &RingFrame{Epoch: epoch, Nodes: nodes})
 }
 
-// EncodeFlatVote gives the external test package a vote to send by hand,
-// for a participant whose engine the test stands in for.
-func EncodeFlatVote(from, coord ident.SiteID, n uint64, yes bool) ([]byte, error) {
-	return encodeFrame(kindFlatVote, &FlatVoteFrame{From: from, Coord: coord, N: n, Yes: yes})
+// EncodeFlatAck gives the external test package an ack to send by hand,
+// for a member whose engine the test stands in for.
+func EncodeFlatAck(from, author ident.SiteID, intent, seq uint64) ([]byte, error) {
+	return encodeFrame(kindFlatAck, &FlatAckFrame{From: from, Author: author, Intent: intent, Seq: seq})
 }

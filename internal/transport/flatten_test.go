@@ -1,7 +1,7 @@
 package transport_test
 
-// Engine-coordinated flatten over live links: the commitment protocol
-// (flatten.go) driven from the engine actor over real transports.
+// Engine-run flatten over live links: the flatten round (flatten.go)
+// driven from the engine actor over real transports.
 // The headline test is the acceptance scenario for this subsystem: a
 // 3-replica TCP mesh with writers that keep editing while cold-subtree
 // flattens are proposed, at least one commit, byte-identical convergence,
@@ -215,12 +215,14 @@ func TestFlattenWholeDocCommitsOnQuiescentMesh(t *testing.T) {
 	}
 }
 
-// TestFlattenAbortsOnInFlightLocalEdit pins the vote rule that makes the
-// port safe without intercepting local edits: an edit applied to the
-// replica but not yet stamped by the actor forces a No vote. The edit is
-// deliberately held un-broadcast, so the abort is deterministic.
+// TestFlattenAbortsOnInFlightLocalEdit pins the ack rule that makes the
+// round safe without intercepting local edits: an edit applied to a
+// member's replica but not yet stamped by its actor keeps the member from
+// acking, so the round waits for it instead of flattening without it. The
+// edit is deliberately held un-broadcast until the intent is pending at the
+// member; once stamped, it is in the flattened content at both replicas.
 func TestFlattenAbortsOnInFlightLocalEdit(t *testing.T) {
-	sites := []*flatSite{newFlatSite(t, 1), newFlatSite(t, 2)}
+	sites := []*flatSite{newFlatSite(t, 1, treedoc.WithFlattenTimeout(time.Minute)), newFlatSite(t, 2)}
 	defer stopFlatSites(sites)
 	meshChan(sites)
 
@@ -237,53 +239,53 @@ func TestFlattenAbortsOnInFlightLocalEdit(t *testing.T) {
 	if err := sites[0].eng.ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for sites[0].eng.FlattensAborted() == 0 {
+	for deadline := time.Now().Add(20 * time.Second); len(sites[1].buf.Intents()) == 0; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("proposal against an in-flight edit did not abort")
+			t.Fatal("the intent never reached site 2")
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if got := sites[0].eng.FlattensApplied() + sites[1].eng.FlattensApplied(); got != 0 {
-		t.Fatalf("aborted flatten applied %d times", got)
+	time.Sleep(100 * time.Millisecond) // several sync ticks: site 2 re-checks its ack each
+	if c, a := sites[0].eng.FlattensCommitted(), sites[0].eng.FlattensAborted(); c != 0 || a != 0 {
+		t.Fatalf("with site 2's edit unstamped: committed %d, aborted %d; want the round open", c, a)
 	}
 
-	// Release the held edit; a retry on the quiesced document commits.
+	// Release the held edit: site 2 acks, and the round flattens it.
 	if err := sites[1].eng.Broadcast(held...); err != nil {
 		t.Fatal(err)
 	}
-	waitContentEqual(t, sites, 20*time.Second)
-	if err := sites[0].eng.ProposeFlatten(); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(20 * time.Second)
+	deadline := time.Now().Add(20 * time.Second)
 	for sites[0].eng.FlattensApplied() == 0 || sites[1].eng.FlattensApplied() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("retry did not commit: committed=%d aborted=%d",
+			t.Fatalf("the round did not commit: committed=%d aborted=%d",
 				sites[0].eng.FlattensCommitted(), sites[0].eng.FlattensAborted())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	waitContentEqual(t, sites, 20*time.Second)
 	checkFlatSites(t, sites)
+	for _, s := range sites {
+		if got := s.buf.String(); got != "stable prefix!" || s.buf.Stats().Tree.Nodes != 0 {
+			t.Fatalf("site %d holds %q in %d nodes, want the held edit flattened", s.id, got, s.buf.Stats().Tree.Nodes)
+		}
+	}
 }
 
-// dropVotes is a link that loses every flatten vote its engine sends: the
-// engine votes, and no coordinator ever hears it.
-type dropVotes struct{ treedoc.Link }
+// dropAcks is a link that loses every flatten ack its engine sends: the
+// engine acks, and no author ever hears it.
+type dropAcks struct{ treedoc.Link }
 
-func (l dropVotes) Send(frame []byte) error {
+func (l dropAcks) Send(frame []byte) error {
 	if f, err := transport.DecodeFrame(frame); err == nil {
-		if _, vote := f.(*transport.FlatVoteFrame); vote {
+		if _, ack := f.(*transport.FlatAckFrame); ack {
 			return nil
 		}
 	}
 	return l.Link.Send(frame)
 }
 
-// TestFlattenLockBlocksEditsUntilTimeoutAbort: a coordinator's own Yes
-// vote freezes the region; with a peer whose votes are lost the round can
-// only die by deadline, which must release the freeze.
+// TestFlattenLockBlocksEditsUntilTimeoutAbort: an author's own intent
+// freezes the region; with a peer whose acks are lost the round can only
+// die by deadline, and the abort must release the freeze.
 func TestFlattenLockBlocksEditsUntilTimeoutAbort(t *testing.T) {
 	s1 := newFlatSite(t, 1)
 	defer s1.eng.Stop()
@@ -291,12 +293,12 @@ func TestFlattenLockBlocksEditsUntilTimeoutAbort(t *testing.T) {
 	defer peer.eng.Stop()
 	a, b := treedoc.NewChanPair(128)
 	s1.eng.Connect(a)
-	peer.eng.Connect(dropVotes{b})
+	peer.eng.Connect(dropAcks{b})
 
 	ops, err := s1.buf.Append("content to freeze")
 	s1.broadcast(t, ops, err)
-	// Let the peer's digests register it as a participant, so the round
-	// cannot commit on the coordinator's vote alone.
+	// Let the peer's digests register it as a member, so the round cannot
+	// commit on the author alone.
 	deadline := time.Now().Add(10 * time.Second)
 	for peer.eng.Applied() == 0 {
 		if time.Now().After(deadline) {
@@ -308,14 +310,18 @@ func TestFlattenLockBlocksEditsUntilTimeoutAbort(t *testing.T) {
 	if err := s1.eng.ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let the actor cast its own vote
+	for deadline := time.Now().Add(10 * time.Second); len(s1.buf.Intents()) == 0 && s1.eng.FlattensAborted() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the author minted no intent")
+		}
+	}
 	if _, err := s1.buf.Append("blocked"); !errors.Is(err, treedoc.ErrRegionLocked) {
-		t.Fatalf("edit during open vote: err = %v, want ErrRegionLocked", err)
+		t.Fatalf("edit during the open round: err = %v, want ErrRegionLocked", err)
 	}
 	deadline = time.Now().Add(20 * time.Second)
 	for s1.eng.FlattensAborted() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("a round missing a vote did not abort by deadline")
+			t.Fatal("a round missing an ack did not abort by deadline")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -399,8 +405,8 @@ func TestFlattenCommitsUnderConcurrentWritersTCPMesh(t *testing.T) {
 				}
 				// A human-ish cadence: continuous editing, but with room for
 				// the actor to stamp each burst — on a single-CPU -race run a
-				// tighter loop would keep every vote's applied-version check
-				// behind and starve the commitment of Yes votes.
+				// tighter loop would keep every ack's applied-version check
+				// behind and starve the round of acks.
 				time.Sleep(5 * time.Millisecond)
 			}
 		}(s)
@@ -592,9 +598,9 @@ func (l *opsOnly) Close() error {
 // sample of a large group only, so a janitor can apply a writer's edits
 // without ever receiving the writer's digest. Here the writer sends none
 // at all. It is a member all the same — the round the janitor opens
-// waits on its vote, aborts at the deadline while it is silent, and
-// commits once it votes Yes — or its concurrent edits to the flattened
-// region would diverge.
+// waits on its ack, aborts at the deadline while it is silent, and
+// commits once it acks — or its concurrent edits to the flattened region
+// would diverge.
 func TestRoundWaitsOnAWriterWithoutADigest(t *testing.T) {
 	hub, err := transport.ListenHub("127.0.0.1:0")
 	if err != nil {
@@ -621,19 +627,21 @@ func TestRoundWaitsOnAWriterWithoutADigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wlink.Close()
-	proposed := make(chan *transport.FlatProposeFrame, 16)
-	decided := make(chan *transport.FlatDecisionFrame, 16)
+	// rounds carries the janitor's round operations, in the order it sent
+	// them.
+	rounds := make(chan treedoc.Op, 64)
 	go func() {
 		for {
 			b, err := wlink.Recv()
 			if err != nil {
 				return
 			}
-			switch f, _ := transport.DecodeFrame(b); f := f.(type) {
-			case *transport.FlatProposeFrame:
-				proposed <- f
-			case *transport.FlatDecisionFrame:
-				decided <- f
+			if f, ok := decodeOrNil(b).(*transport.OpsFrame); ok {
+				for _, m := range f.Msgs {
+					if op := m.Payload.(treedoc.Op); op.Site == janitor.id && op.Kind >= treedoc.OpFlatten {
+						rounds <- op
+					}
+				}
 			}
 		}
 	}()
@@ -649,9 +657,19 @@ func TestRoundWaitsOnAWriterWithoutADigest(t *testing.T) {
 	}
 	waitContentEqual(t, sites, 20*time.Second)
 
+	next := func() treedoc.Op {
+		t.Helper()
+		select {
+		case op := <-rounds:
+			return op
+		case <-time.After(20 * time.Second):
+			t.Fatal("the janitor sent no round operation")
+			return treedoc.Op{}
+		}
+	}
 	// open asks the janitor for rounds until one opens (none does before a
-	// digest has arrived on its link) and returns its proposal.
-	open := func() *transport.FlatProposeFrame {
+	// digest has arrived on its link) and returns its intent.
+	open := func() treedoc.Op {
 		t.Helper()
 		deadline := time.Now().Add(20 * time.Second)
 		for time.Now().Before(deadline) {
@@ -661,42 +679,37 @@ func TestRoundWaitsOnAWriterWithoutADigest(t *testing.T) {
 			}
 			for janitor.eng.FlattensAborted() == aborted && time.Now().Before(deadline) {
 				select {
-				case p := <-proposed:
-					return p
+				case op := <-rounds:
+					if op.Kind != treedoc.OpIntent {
+						t.Fatalf("the janitor sent %v before its intent", op)
+					}
+					return op
 				case <-time.After(10 * time.Millisecond):
 				}
 			}
 		}
 		t.Fatal("the janitor opened no round")
-		return nil
-	}
-	decision := func(n uint64) *transport.FlatDecisionFrame {
-		t.Helper()
-		timeout := time.After(20 * time.Second)
-		for {
-			select {
-			case d := <-decided:
-				if d.N == n {
-					return d
-				}
-			case <-timeout:
-				t.Fatalf("round %d was never decided", n)
-			}
-		}
+		return treedoc.Op{}
 	}
 
-	if p := open(); decision(p.N).Commit {
-		t.Fatalf("round %d committed without the vote of writer s%d, whose edits the janitor applied", p.N, writer)
+	if in := open(); next().Kind != treedoc.OpAbort {
+		t.Fatalf("round %v was decided without the ack of writer s%d, whose edits the janitor applied", in, writer)
 	}
-	p := open()
-	vote, err := transport.EncodeFlatVote(writer, janitor.id, p.N, true)
+	in := open()
+	ack, err := transport.EncodeFlatAck(writer, janitor.id, in.Seq, uint64(len(ops)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wlink.Send(vote); err != nil {
+	if err := wlink.Send(ack); err != nil {
 		t.Fatal(err)
 	}
-	if !decision(p.N).Commit {
-		t.Fatalf("round %d aborted with writer s%d's Yes in", p.N, writer)
+	if d := next(); d.Kind != treedoc.OpFlatten {
+		t.Fatalf("round %v decided %v with writer s%d's ack in", in, d, writer)
 	}
+}
+
+// decodeOrNil decodes a frame, or returns nil.
+func decodeOrNil(b []byte) any {
+	f, _ := transport.DecodeFrame(b)
+	return f
 }

@@ -1,20 +1,23 @@
 package transport
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/treedoc/treedoc/internal/causal"
+	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
-// The commitment protocol, one engine at a time: a stepped engine over a
-// link that records what it sends, fed real frames by the test and — where
-// a test needs many transactions in one state at once — staged through the
-// two tables flatten.go keeps. The rounds that need several live engines
-// (unanimous-Yes commit, abort on a No, coordinator timeout, lock until
-// decision, No after a local edit) are flatten_test.go's and the root
-// package's TestClusterFlatten*.
+// The flatten round, one engine at a time: a stepped engine over a link
+// that records what it sends, fed real frames by the test — other
+// authors' intents and decisions as operations, members' acks as frames.
+// The rounds that need several live engines (commit with a concurrent
+// edit, deadline abort, lock until decision, restarts and joiners) are
+// flatten_test.go's and the root package's TestClusterFlatten* and
+// TestCluster*Round*.
 
 // flatStep is a stepped engine with a flatten-capable replica, its one
 // link, and the clock the test moves.
@@ -26,11 +29,12 @@ type flatStep struct {
 	link *recLink
 	recv func([]byte)
 	now  time.Time
+	seqs map[ident.SiteID]uint64 // the last operation each other author sent
 }
 
 func newFlatStep(t *testing.T, site ident.SiteID, opts ...Option) *flatStep {
 	t.Helper()
-	f := &flatStep{t: t, r: newTestReplica(t, site), link: &recLink{}, now: time.UnixMilli(0)}
+	f := &flatStep{t: t, r: newTestReplica(t, site), link: &recLink{}, now: time.UnixMilli(0), seqs: make(map[ident.SiteID]uint64)}
 	s, err := NewStepper(site, f.r, func() time.Time { return f.now }, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +81,29 @@ func framesOf[T any](frames []any) []T {
 	return out
 }
 
+// sent drains what the engine sent and returns the operations of the
+// given kinds among it, in the order they were sent.
+func (f *flatStep) sent(kinds ...core.OpKind) []core.Op {
+	f.t.Helper()
+	var ops []core.Op
+	for _, of := range framesOf[*OpsFrame](f.drain()) {
+		for _, m := range of.Msgs {
+			for _, k := range kinds {
+				if op := m.Payload.(core.Op); op.Kind == k {
+					ops = append(ops, op)
+				}
+			}
+		}
+	}
+	return ops
+}
+
+// acks drains what the engine sent and returns its acks.
+func (f *flatStep) acks() []*FlatAckFrame {
+	f.t.Helper()
+	return framesOf[*FlatAckFrame](f.drain())
+}
+
 // write makes one local edit and broadcasts it.
 func (f *flatStep) write(atom string) {
 	f.t.Helper()
@@ -91,79 +118,101 @@ func (f *flatStep) hear(site ident.SiteID) {
 	f.deliver(kindSyncReq, &SyncReqFrame{From: site, Clock: f.e.Clock()})
 }
 
-// propose starts a whole-document round here and returns its number.
+// round delivers author's next operation, a flatten round's of the given
+// kind at path, as the author stamped it.
+func (f *flatStep) round(author ident.SiteID, kind core.OpKind, path ident.Path) {
+	f.t.Helper()
+	f.seqs[author]++
+	n := f.seqs[author]
+	op := core.Op{Kind: kind, ID: ident.Pack(path), Site: author, Seq: n}
+	f.deliver(kindOps, &OpsFrame{Msgs: []causal.Message{{From: author, TS: vclock.VC{author: n}, Payload: op}}})
+}
+
+// propose starts a whole-document round here and returns its intent's
+// sequence number.
 func (f *flatStep) propose() uint64 {
 	f.t.Helper()
 	if err := f.e.ProposeFlatten(); err != nil {
 		f.t.Fatal(err)
 	}
-	p := framesOf[*FlatProposeFrame](f.drain())
-	if len(p) != 1 {
-		f.t.Fatalf("ProposeFlatten sent %d proposals", len(p))
+	in := f.sent(core.OpIntent)
+	if len(in) != 1 {
+		f.t.Fatalf("ProposeFlatten minted %d intents", len(in))
 	}
-	return p[0].N
+	return in[0].Seq
 }
 
-// voteOn delivers coord's proposal and returns the vote it drew.
-func (f *flatStep) voteOn(coord ident.SiteID, n uint64, path ident.Path, obs vclock.VC) bool {
+// ackFrom delivers member from's ack of this engine's intent, carrying its
+// own stamped sequence seq, and returns the decisions it drew.
+func (f *flatStep) ackFrom(from ident.SiteID, intent, seq uint64) []core.Op {
 	f.t.Helper()
-	f.deliver(kindFlatPropose, &FlatProposeFrame{From: coord, N: n, Path: path, Obs: obs})
-	votes := framesOf[*FlatVoteFrame](f.drain())
-	if len(votes) != 1 || votes[0].From != f.e.site || votes[0].Coord != coord || votes[0].N != n {
-		f.t.Fatalf("proposal s%d#%d drew votes %+v", coord, n, votes)
-	}
-	return votes[0].Yes
+	f.deliver(kindFlatAck, &FlatAckFrame{From: from, Author: f.e.site, Intent: intent, Seq: seq})
+	return f.sent(core.OpFlatten, core.OpAbort)
 }
 
-// TestOverlappingProposalsGetOneYes: while a Yes vote is open on a region,
-// a second coordinator's proposal for an enclosing, nested or identical
-// region is refused — two concurrent flattens must never both commit,
-// because committed flattens apply in message order — and a disjoint one
-// is not. The decisions free the regions again.
+// ackAuthors lists the authors acks name, in the order they were sent.
+func ackAuthors(acks []*FlatAckFrame) []ident.SiteID {
+	var out []ident.SiteID
+	for _, a := range acks {
+		out = append(out, a.Author)
+	}
+	return out
+}
+
+// TestOverlappingProposalsGetOneYes: while an intent is pending at a
+// member, the member acks no other intent whose region encloses, nests in
+// or equals it — two overlapping rounds must never both flatten, because
+// each renames what the other waits on — and acks a disjoint one. Each
+// decision frees the pending intents nothing else overlaps any more.
 func TestOverlappingProposalsGetOneYes(t *testing.T) {
 	f := newFlatStep(t, 2)
 	region := ident.Path{ident.J(1), ident.J(0)}
-	if !f.voteOn(3, 1, region, nil) {
-		t.Fatal("a quiescent replica refused the first proposal")
+	nested := ident.Path{ident.J(1), ident.J(0), ident.J(1)}
+	f.round(3, core.OpIntent, region)
+	if a := f.acks(); len(a) != 1 || a[0].Author != 3 || a[0].Intent != 1 || a[0].From != 2 {
+		t.Fatalf("a quiescent member's ack of the first intent: %+v", a)
 	}
-	n := uint64(1)
+	f.round(8, core.OpIntent, ident.Path{ident.J(0)})
+	if a := f.acks(); len(a) != 1 || a[0].Author != 8 {
+		t.Fatalf("a disjoint intent drew acks %+v", a)
+	}
+	paths := map[ident.SiteID]ident.Path{3: region, 4: {}, 5: {ident.J(1)}, 6: nested, 7: region, 8: {ident.J(0)}}
+	for _, author := range []ident.SiteID{4, 5, 6, 7} {
+		f.round(author, core.OpIntent, paths[author])
+		if a := f.acks(); len(a) != 0 {
+			t.Errorf("s%d's intent at %v drew an ack while %v is pending", author, paths[author], region)
+		}
+	}
+	if n := f.r.doc.LockedRegions(); n != 6 {
+		t.Fatalf("%d regions locked, want every intent's", n)
+	}
 	for _, tc := range []struct {
-		name string
-		path ident.Path
+		aborted ident.SiteID
+		want    []ident.SiteID
 	}{
-		{"enclosing", ident.Path{}},
-		{"enclosing", ident.Path{ident.J(1)}},
-		{"nested", ident.Path{ident.J(1), ident.J(0), ident.J(1)}},
-		{"identical", region},
+		{3, nil},                  // s4's whole document still overlaps all
+		{4, []ident.SiteID{8}},    // s5, s6 and s7 still overlap one another
+		{5, []ident.SiteID{8}},    // s6 nests in s7
+		{6, []ident.SiteID{7, 8}}, // nothing overlaps any more
+		{7, []ident.SiteID{8}},
+		{8, nil},
 	} {
-		if n++; f.voteOn(4, n, tc.path, nil) {
-			t.Errorf("%s region %v drew a Yes while %v is locked", tc.name, tc.path, region)
+		f.round(tc.aborted, core.OpAbort, paths[tc.aborted])
+		f.drain()
+		f.s.Tick()
+		if got := ackAuthors(f.acks()); !slices.Equal(got, tc.want) {
+			t.Errorf("after s%d's abort the tick acked %v, want %v", tc.aborted, got, tc.want)
 		}
 	}
-	for _, disjoint := range []ident.Path{{ident.J(0)}, {ident.J(1), ident.J(1)}} {
-		if n++; !f.voteOn(4, n, disjoint, nil) {
-			t.Errorf("disjoint region %v was refused", disjoint)
-		}
-	}
-	if len(f.e.fl.locks) != 3 {
-		t.Fatalf("%d locks held, want the first round's and the two disjoint ones", len(f.e.fl.locks))
-	}
-	f.deliver(kindFlatDecision, &FlatDecisionFrame{From: 3, N: 1, Path: region})
-	for ; n > 5; n-- {
-		f.deliver(kindFlatDecision, &FlatDecisionFrame{From: 4, N: n})
-	}
-	if len(f.e.fl.locks) != 0 {
-		t.Fatalf("%d locks survive their abort decisions", len(f.e.fl.locks))
-	}
-	if !f.voteOn(4, 20, ident.Path{}, nil) {
-		t.Error("whole-document proposal refused after every lock was released")
+	if n := f.r.doc.LockedRegions(); n != 0 {
+		t.Fatalf("%d regions locked after every round aborted", n)
 	}
 }
 
-// TestReproposingAnOpenRegionAbortsOnlyTheSecondRound: a coordinator that
-// proposes a region again while its first round is open votes No on the
-// second itself (its own lock overlaps); the second aborts, the first is
-// untouched and still commits.
+// TestReproposingAnOpenRegionAbortsOnlyTheSecondRound: an author issues no
+// intent that overlaps one it holds, so proposing a region again while its
+// first round is open is refused and counted as an abort; the first round
+// is untouched and still commits.
 func TestReproposingAnOpenRegionAbortsOnlyTheSecondRound(t *testing.T) {
 	f := newFlatStep(t, 1)
 	f.write("a")
@@ -172,65 +221,56 @@ func TestReproposingAnOpenRegionAbortsOnlyTheSecondRound(t *testing.T) {
 	if err := f.e.ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
-	sent := f.drain()
-	if p := framesOf[*FlatProposeFrame](sent); len(p) != 1 || p[0].N != first+1 {
-		t.Fatalf("second proposal: %+v, want one numbered %d", p, first+1)
+	if in := f.sent(core.OpIntent, core.OpAbort); len(in) != 0 {
+		t.Fatalf("re-proposing an open region minted %v", in)
 	}
-	if d := framesOf[*FlatDecisionFrame](sent); len(d) != 1 || d[0].N != first+1 || d[0].Commit {
-		t.Fatalf("decisions after re-proposing: %+v, want the second round aborted", d)
+	if a, n, l := f.e.FlattensAborted(), len(f.e.fl.own), f.r.doc.LockedRegions(); a != 1 || n != 1 || l != 1 {
+		t.Fatalf("aborted %d, %d rounds, %d locks; want the second refused, the first open", a, n, l)
 	}
-	if r := f.e.fl.rounds[txID{1, first}]; r == nil || !r.open() || len(f.e.fl.locks) != 1 {
-		t.Fatalf("first round disturbed: %+v, %d locks", r, len(f.e.fl.locks))
+	if d := f.ackFrom(2, first, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+		t.Fatalf("decisions after the owed ack: %v, want the first round committed", d)
 	}
-	if d := f.voteFrom(2, first, true); len(d) != 1 || d[0].N != first || !d[0].Commit || d[0].Seq == 0 {
-		t.Fatalf("decisions after the owed vote: %+v, want the first round committed", d)
-	}
-	if c, a, l := f.e.FlattensCommitted(), f.e.FlattensAborted(), len(f.e.fl.locks); c != 1 || a != 1 || l != 0 {
+	if c, a, l := f.e.FlattensCommitted(), f.e.FlattensAborted(), f.r.doc.LockedRegions(); c != 1 || a != 1 || l != 0 {
 		t.Fatalf("committed %d, aborted %d, %d locks; want 1, 1, 0", c, a, l)
 	}
 }
 
-// stageDueRounds opens n rounds that wait on site 2 and are already past
-// their deadline.
-func (f *flatStep) stageDueRounds(n int) {
-	st := f.e.fl
-	for i := 0; i < n; i++ {
-		st.nextTx++
-		tx := txID{f.e.site, st.nextTx}
-		st.rounds[tx] = &round{tx: tx, waiting: map[ident.SiteID]bool{2: true}, deadline: f.now}
+// disjoint returns the i'th of 2^depth pairwise disjoint regions.
+func disjoint(i, depth int) ident.Path {
+	p := make(ident.Path, depth)
+	for d := range p {
+		p[d] = ident.J(uint8(i >> (depth - 1 - d) & 1))
 	}
+	return p
 }
 
 // TestDueRoundsAbortInTransactionOrder: rounds that time out on one tick
-// are decided in transaction order — the decisions are frames, and a
+// are aborted in intent order — the aborts are operations, and a
 // replayable schedule cannot let map iteration pick their order.
 func TestDueRoundsAbortInTransactionOrder(t *testing.T) {
 	for attempt := 0; attempt < 20; attempt++ {
 		f := newFlatStep(t, 1)
-		f.stageDueRounds(16)
-		f.s.Tick()
-		d := framesOf[*FlatDecisionFrame](f.drain())
-		if len(d) != 16 || f.e.FlattensAborted() != 16 {
-			t.Fatalf("%d decisions, %d aborts counted, want 16", len(d), f.e.FlattensAborted())
+		f.hear(2)
+		for i := 0; i < 16; i++ {
+			f.e.ctl(func() { f.e.startProposal(disjoint(i, 4)) })
 		}
-		for i, dec := range d {
-			if dec.Commit || (i > 0 && d[i-1].N >= dec.N) {
-				t.Fatalf("decision %d is %+v after %+v", i, dec, d[i-1])
+		intents := f.sent(core.OpIntent)
+		f.now = f.now.Add(f.e.flattenTimeout)
+		f.s.Tick()
+		aborts := f.sent(core.OpAbort)
+		if len(intents) != 16 || len(aborts) != 16 || f.e.FlattensAborted() != 16 {
+			t.Fatalf("%d intents, %d aborts, %d counted; want 16 each", len(intents), len(aborts), f.e.FlattensAborted())
+		}
+		for i := range aborts {
+			if aborts[i].ID != intents[i].ID {
+				t.Fatalf("abort %d names %v, intent %d was %v", i, aborts[i].ID, i, intents[i].ID)
 			}
 		}
 	}
 }
 
-// voteFrom delivers one vote to this coordinator and returns the decision
-// frames it drew.
-func (f *flatStep) voteFrom(from ident.SiteID, n uint64, yes bool) []*FlatDecisionFrame {
-	f.t.Helper()
-	f.deliver(kindFlatVote, &FlatVoteFrame{From: from, Coord: f.e.site, N: n, Yes: yes})
-	return framesOf[*FlatDecisionFrame](f.drain())
-}
-
-// TestDuplicateYesCountsOnce: a second Yes from one site does not stand in
-// for the Yes another site still owes.
+// TestDuplicateYesCountsOnce: a second ack from one member does not stand
+// in for the ack another member still owes.
 func TestDuplicateYesCountsOnce(t *testing.T) {
 	f := newFlatStep(t, 1)
 	f.write("a")
@@ -238,106 +278,77 @@ func TestDuplicateYesCountsOnce(t *testing.T) {
 	f.hear(3)
 	n := f.propose()
 	for i := 0; i < 2; i++ {
-		if d := f.voteFrom(2, n, true); len(d) != 0 || f.e.FlattensCommitted() != 0 {
-			t.Fatalf("Yes %d from site 2 decided the round site 3 still owes: %+v", i+1, d)
+		if d := f.ackFrom(2, n, 0); len(d) != 0 || f.e.FlattensCommitted() != 0 {
+			t.Fatalf("ack %d from site 2 decided the round site 3 still owes: %v", i+1, d)
 		}
 	}
-	if d := f.voteFrom(3, n, true); len(d) != 1 || !d[0].Commit || f.e.FlattensCommitted() != 1 {
-		t.Fatalf("last owed Yes: decisions %+v, %d committed", d, f.e.FlattensCommitted())
+	if d := f.ackFrom(3, n, 0); len(d) != 1 || d[0].Kind != core.OpFlatten || f.e.FlattensCommitted() != 1 {
+		t.Fatalf("last owed ack: decisions %v, %d committed", d, f.e.FlattensCommitted())
 	}
 }
 
-// TestVoteAfterDecisionIsAnsweredFromMemory: a vote that arrives after the
-// decision neither revives the round nor decides it again. It is answered
-// from the remembered decision — commit, with the operation's sequence
-// number — and, once that has been forgotten, or for a transaction never
-// heard of, with presumed abort.
+// TestVoteAfterDecisionIsAnsweredFromMemory: the decision is an operation
+// every replica applies, so nothing is answered from memory any more. An
+// ack that arrives after the decision, one for an intent this engine never
+// authored, and one addressed to another author revive no round and mint
+// nothing.
 func TestVoteAfterDecisionIsAnsweredFromMemory(t *testing.T) {
 	f := newFlatStep(t, 1)
 	f.write("a")
 	f.hear(2)
 	n := f.propose()
-	d := f.voteFrom(2, n, true)
-	if len(d) != 1 || !d[0].Commit || d[0].Seq == 0 {
-		t.Fatalf("the owed Yes: decisions %+v", d)
+	if d := f.ackFrom(2, n, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+		t.Fatalf("the owed ack: decisions %v", d)
 	}
-	seq := d[0].Seq
-	for _, yes := range []bool{true, false} {
-		if d := f.voteFrom(2, n, yes); len(d) != 1 || d[0].N != n || !d[0].Commit || d[0].Seq != seq {
-			t.Fatalf("late vote (yes=%v) answered %+v, want commit at seq %d", yes, d, seq)
+	for _, intent := range []uint64{n, n + 1<<20} {
+		if d := f.ackFrom(2, intent, 0); len(d) != 0 {
+			t.Fatalf("late ack for %d drew %v", intent, d)
 		}
+	}
+	f.deliver(kindFlatAck, &FlatAckFrame{From: 2, Author: 9, Intent: n})
+	if sent := f.drain(); len(sent) != 0 {
+		t.Fatalf("an ack for another author drew %v", sent)
 	}
 	if c, a := f.e.FlattensCommitted(), f.e.FlattensAborted(); c != 1 || a != 0 {
-		t.Fatalf("late votes re-decided: committed %d, aborted %d", c, a)
-	}
-	// maxDecidedMemory later decisions push this one out of memory.
-	f.stageDueRounds(maxDecidedMemory)
-	f.s.Tick()
-	f.drain()
-	if len(f.e.fl.rounds) != maxDecidedMemory {
-		t.Fatalf("%d rounds remembered, want %d", len(f.e.fl.rounds), maxDecidedMemory)
-	}
-	for _, forgotten := range []uint64{n, n + 1<<20} {
-		if d := f.voteFrom(2, forgotten, true); len(d) != 1 || d[0].N != forgotten || d[0].Commit || d[0].Seq != 0 {
-			t.Fatalf("vote for forgotten round %d answered %+v, want presumed abort", forgotten, d)
-		}
-	}
-	if c := f.e.FlattensCommitted(); c != 1 {
-		t.Fatalf("a vote for a forgotten round committed something: %d", c)
+		t.Fatalf("late acks re-decided: committed %d, aborted %d", c, a)
 	}
 }
 
-// TestReusedTxIDIsReEvaluated: a proposal under a transaction id this
-// replica already holds a Yes for is re-affirmed only if it is the same
-// round — same path, same observed clock. Anything else is a coordinator
-// that lost its counter: the old lock goes and the vote condition runs
-// again, here against an edit the second proposal has not observed.
+// TestReusedTxIDIsReEvaluated: an ack names its intent by sequence number,
+// so an ack of an author's decided round at a path does not count for its
+// next round there, which waits for an ack of its own.
 func TestReusedTxIDIsReEvaluated(t *testing.T) {
-	f := newFlatStep(t, 2)
-	region := ident.Path{ident.J(1)}
-	if !f.voteOn(3, 7, region, nil) {
-		t.Fatal("first proposal refused")
+	f := newFlatStep(t, 1)
+	f.write("a")
+	f.hear(2)
+	first := f.propose()
+	if d := f.ackFrom(2, first, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+		t.Fatalf("first round: decisions %v", d)
 	}
-	held := f.e.fl.locks[txID{3, 7}]
-	if !f.voteOn(3, 7, region, nil) || f.e.fl.locks[txID{3, 7}] != held {
-		t.Fatal("a duplicate of the open round was not simply re-affirmed")
+	second := f.propose()
+	if d := f.ackFrom(2, first, 0); len(d) != 0 {
+		t.Fatalf("the first round's ack decided the second: %v", d)
 	}
-	// Site 4 edits; the operation is delivered here.
-	w := newFlatStep(t, 4)
-	w.write("x")
-	for _, b := range w.link.frames {
-		f.recv(b)
-	}
-	f.drain()
-	if !f.voteOn(3, 7, region, vclock.VC{4: 1}) {
-		t.Fatal("same id, same region, an obs that covers the edit: refused")
-	}
-	if l := f.e.fl.locks[txID{3, 7}]; l == held || l.obs.Get(4) != 1 {
-		t.Fatalf("a different round under the same id kept the old lock: %+v", l)
-	}
-	if f.voteOn(3, 7, ident.Path{}, nil) {
-		t.Fatal("same id, another region, an unobserved edit inside it: re-affirmed instead of re-evaluated")
-	}
-	if len(f.e.fl.locks) != 0 {
-		t.Fatalf("%d locks held after the No", len(f.e.fl.locks))
+	if d := f.ackFrom(2, second, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+		t.Fatalf("second round's own ack: decisions %v", d)
 	}
 }
 
 // TestSilentMemberBlocksRoundsUntilTheCap: a member of the stability
-// frontier owes every round a vote, however long it has been silent; each
-// round it does not answer aborts at its deadline. Its one way out is the
+// frontier owes every round an ack, however long it has been silent; each
+// round it does not ack aborts at its deadline. Its one way out is the
 // way it leaves the floor — dropped and counted at the frontier cap —
 // after which a round commits alone, and its next digest makes it a
-// participant again. No clock moves past the deadline: silence alone
-// never ends membership.
+// member again. No clock moves past the deadline: silence alone never
+// ends membership.
 func TestSilentMemberBlocksRoundsUntilTheCap(t *testing.T) {
 	const capacity = 4
 	f := newFlatStep(t, 1, WithCompactEvery(capacity))
 	f.write("a")
 	f.hear(2) // site 2 acknowledges, then falls silent
 	n := f.propose()
-	if r := f.e.fl.rounds[txID{1, n}]; r == nil || !r.waiting[2] {
-		t.Fatalf("the round waits on %v, want site 2 among them", r)
+	if r := f.e.fl.own[n]; r == nil || f.e.stable(r) {
+		t.Fatalf("round %d does not wait on site 2: %+v", n, r)
 	}
 	f.now = f.now.Add(f.e.flattenTimeout)
 	f.s.Tick()
@@ -361,25 +372,25 @@ func TestSilentMemberBlocksRoundsUntilTheCap(t *testing.T) {
 	}
 	f.hear(2)
 	n = f.propose()
-	if r := f.e.fl.rounds[txID{1, n}]; r == nil || !r.waiting[2] {
-		t.Fatalf("after its digest the round waits on %v, want site 2 among them", r)
+	if r := f.e.fl.own[n]; r == nil || f.e.stable(r) {
+		t.Fatalf("after its digest round %d does not wait on site 2: %+v", n, r)
 	}
 }
 
 // TestProposalWaitsForEveryLinksDigest: a link that has delivered no
-// digest may hide members the ack table has never heard of, so a
-// coordinator on it mints no round and counts an abort; once the link's
-// digest arrives, it proposes.
+// digest may hide members the ack table has never heard of, so an author
+// on it mints no intent and counts an abort; once the link's digest
+// arrives, it proposes.
 func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
 	f := newFlatStep(t, 1)
 	f.write("a")
 	if err := f.e.ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
-	if p := framesOf[*FlatProposeFrame](f.drain()); len(p) != 0 {
-		t.Fatalf("a link that has heard nothing carried proposals %+v", p)
+	if in := f.sent(core.OpIntent); len(in) != 0 {
+		t.Fatalf("a link that has heard nothing carried intents %v", in)
 	}
-	if a, r := f.e.FlattensAborted(), len(f.e.fl.rounds); a != 1 || r != 0 {
+	if a, r := f.e.FlattensAborted(), len(f.e.fl.own); a != 1 || r != 0 {
 		t.Fatalf("aborted %d, %d rounds registered; want 1, 0", a, r)
 	}
 	f.hear(2)
@@ -387,8 +398,8 @@ func TestProposalWaitsForEveryLinksDigest(t *testing.T) {
 }
 
 // TestEngineWithoutLinksCommitsAlone: with no link and no member, the
-// coordinator is the whole round — it commits and applies its own flatten,
-// and Stats reports the round.
+// author is the whole round — it commits and applies its own flatten, and
+// Stats reports the round.
 func TestEngineWithoutLinksCommitsAlone(t *testing.T) {
 	r := newTestReplica(t, 3)
 	alone, err := NewStepper(3, r, func() time.Time { return time.UnixMilli(0) })
@@ -408,28 +419,113 @@ func TestEngineWithoutLinksCommitsAlone(t *testing.T) {
 	}
 }
 
-// TestDoubtVotesResendInTransactionOrder: several in-doubt locks due in
-// one tick re-send their votes in transaction order, whatever order the
-// lock map iterates in — a stepped schedule replays only if emission order
-// is a function of state.
+// TestDoubtVotesResendInTransactionOrder: a member re-sends its acks of
+// the intents pending at it each tick, in intent order — by author, then
+// sequence number — whatever order the replica's table iterates in: a
+// stepped schedule replays only if emission order is a function of state.
 func TestDoubtVotesResendInTransactionOrder(t *testing.T) {
 	for attempt := 0; attempt < 20; attempt++ {
 		f := newFlatStep(t, 2)
-		for n := uint64(1); n <= 8; n++ {
-			tx := txID{coord: ident.SiteID(3 + n%2), n: n}
-			f.e.fl.locks[tx] = &heldLock{tok: n, path: ident.Path{ident.J(uint8(n % 2))}, lastPing: f.now}
+		for i := 0; i < 8; i++ {
+			f.round(ident.SiteID(3+i%2), core.OpIntent, disjoint(i, 3))
 		}
-		f.now = f.now.Add(f.e.flattenTimeout)
+		if a := f.acks(); len(a) != 8 {
+			t.Fatalf("%d intents acked on delivery, want 8", len(a))
+		}
 		f.s.Tick()
-		votes := framesOf[*FlatVoteFrame](f.drain())
-		if len(votes) != 8 {
-			t.Fatalf("%d votes re-sent, want 8", len(votes))
+		acks := f.acks()
+		if len(acks) != 8 {
+			t.Fatalf("%d acks re-sent, want 8", len(acks))
 		}
-		for i := 1; i < len(votes); i++ {
-			a, b := votes[i-1], votes[i]
-			if (txID{a.Coord, a.N}).compare(txID{b.Coord, b.N}) >= 0 {
-				t.Fatalf("votes re-sent out of transaction order: %+v then %+v", a, b)
+		for i := 1; i < len(acks); i++ {
+			if a, b := acks[i-1], acks[i]; a.Author > b.Author || a.Author == b.Author && a.Intent >= b.Intent {
+				t.Fatalf("acks re-sent out of intent order: %+v then %+v", a, b)
 			}
 		}
 	}
+}
+
+// TestUnstampedEditDelaysTheAck: a local edit applied but not yet stamped
+// when an intent arrives keeps the member from acking — its ack could not
+// carry the edit's sequence number — until the stamp lands; the ack then
+// carries it, so the author waits for the edit and flattens it.
+func TestUnstampedEditDelaysTheAck(t *testing.T) {
+	f := newFlatStep(t, 2)
+	held := f.r.insertAt(t, 0, "held")
+	f.round(3, core.OpIntent, ident.Path{})
+	f.s.Tick()
+	if a := f.acks(); len(a) != 0 {
+		t.Fatalf("a member with an unstamped edit acked: %+v", a)
+	}
+	if err := f.e.Broadcast(held); err != nil {
+		t.Fatal(err)
+	}
+	f.s.Tick()
+	if a := f.acks(); len(a) != 1 || a[0].Seq != held.Seq {
+		t.Fatalf("acks once the edit is stamped: %+v, want one carrying seq %d", a, held.Seq)
+	}
+}
+
+// TestAuthorAbortsItsRoundsOnRestartAndStop: an author's ack table and
+// deadline do not survive it, so deciding after a restart could miss a
+// member. Restarted from its log, it aborts the intent it finds pending on
+// its first tick; stopped gracefully, it aborts it before it goes.
+func TestAuthorAbortsItsRoundsOnRestartAndStop(t *testing.T) {
+	dir := t.TempDir()
+	now := func() time.Time { return time.UnixMilli(0) }
+	start := func() (*testReplica, *Stepper, *recLink) {
+		r, link := newTestReplica(t, 1), &recLink{}
+		s, err := NewStepper(1, r, now, WithLogDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Connect(link)(mustEncode(t, kindSyncReq, &SyncReqFrame{From: 2, Clock: vclock.New()}))
+		return r, s, link
+	}
+	r, s, _ := start()
+	if err := s.Engine().Broadcast(r.insertAt(t, 0, "a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Engine().ProposeFlatten(); err != nil {
+		t.Fatal(err)
+	}
+	if r.doc.LockedRegions() != 1 || s.Engine().FlattensAborted() != 0 {
+		t.Fatal("the round did not open")
+	}
+	// A crash: no Stop. The restarted author finds its intent in the log.
+	r, s, link := start()
+	if r.doc.LockedRegions() != 1 {
+		t.Fatal("the restart lost the pending intent")
+	}
+	s.Tick()
+	if r.doc.LockedRegions() != 0 || s.Engine().FlattensAborted() != 1 || !sentKind(t, link, core.OpAbort) {
+		t.Fatalf("restarted author: %d locks, %d aborts; want its intent aborted", r.doc.LockedRegions(), s.Engine().FlattensAborted())
+	}
+	if err := s.Engine().ProposeFlatten(); err != nil {
+		t.Fatal(err)
+	}
+	link.frames = nil
+	s.Stop()
+	if r.doc.LockedRegions() != 0 || s.Engine().FlattensAborted() != 2 || !sentKind(t, link, core.OpAbort) {
+		t.Fatalf("stopped author: %d locks, %d aborts; want its intent aborted", r.doc.LockedRegions(), s.Engine().FlattensAborted())
+	}
+}
+
+// sentKind reports whether the link carried an operation of the kind.
+func sentKind(t *testing.T, link *recLink, kind core.OpKind) bool {
+	t.Helper()
+	for _, b := range link.frames {
+		fr, err := DecodeFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if of, ok := fr.(*OpsFrame); ok {
+			for _, m := range of.Msgs {
+				if m.Payload.(core.Op).Kind == kind {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -1,7 +1,7 @@
 package transport
 
-// Wire tests for the flatten commitment frames and the chunked snapshot
-// frames this package's engine drives.
+// Wire tests for the flatten round's ack frame and operations, and the
+// chunked snapshot frames this package's engine drives.
 
 import (
 	"bufio"
@@ -10,44 +10,35 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/treedoc/treedoc/internal/causal"
+	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
+// TestFlatFramesRejectMalformed: a round's operations name a region, so an
+// intent or abort whose identifier is an atom's is refused inside a kindOps
+// frame, and an ack is refused under every truncation and with a trailing
+// byte.
 func TestFlatFramesRejectMalformed(t *testing.T) {
-	// An atom identifier (ending in a mini element) is not a flatten
-	// subtree path.
-	atomPath := ident.Path{{Bit: 1, Kind: ident.Mini, Dis: ident.Dis{Site: 4}}}
-	if frame, err := encodeFrame(kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: atomPath, Obs: vclock.New()}); err == nil {
-		if _, err := DecodeFrame(frame); err == nil {
-			t.Fatal("propose with an atom path decoded")
+	atom := ident.Pack(ident.Path{{Bit: 1, Kind: ident.Mini, Dis: ident.Dis{Site: 4}}})
+	for _, kind := range []core.OpKind{core.OpIntent, core.OpAbort} {
+		good := core.Op{Kind: kind, ID: ident.Pack(structuralPath()), Site: 3, Seq: 1}
+		frame := mustEncode(t, kindOps, &OpsFrame{Msgs: []causal.Message{{From: 3, TS: vclock.VC{3: 1}, Payload: good}}})
+		// The identifier is the op's last field: swap in the atom's bytes.
+		bad := append(frame[:len(frame)-len(good.ID.AppendBinary(nil))], atom.AppendBinary(nil)...)
+		if _, err := DecodeFrame(bad); err == nil {
+			t.Errorf("%s at an atom decoded", kind)
 		}
 	}
-
-	vote, err := encodeFrame(kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 1, Yes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), vote...)
-	bad[len(bad)-1] = 2 // vote byte must be 0 or 1
-	if _, err := DecodeFrame(bad); err == nil {
-		t.Fatal("vote byte 2 decoded")
-	}
-	if _, err := DecodeFrame(vote[:len(vote)-1]); err == nil {
-		t.Fatal("truncated vote decoded")
-	}
-
-	prop, err := encodeFrame(kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: structuralPath(), Obs: vclock.VC{3: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < len(prop); cut++ {
-		if _, err := DecodeFrame(prop[:cut]); err == nil {
-			t.Fatalf("truncated propose (%d bytes) decoded", cut)
+	ack := mustEncode(t, kindFlatAck, &FlatAckFrame{From: 5, Author: 3, Intent: 1, Seq: 9})
+	for cut := 1; cut < len(ack); cut++ {
+		if _, err := DecodeFrame(ack[:cut]); err == nil {
+			t.Fatalf("truncated ack (%d bytes) decoded", cut)
 		}
 	}
-	if _, err := DecodeFrame(append(append([]byte(nil), prop...), 0xff)); err == nil {
-		t.Fatal("propose with trailing bytes decoded")
+	if _, err := DecodeFrame(append(append([]byte(nil), ack...), 0xff)); err == nil {
+		t.Fatal("ack with trailing bytes decoded")
 	}
 }
 

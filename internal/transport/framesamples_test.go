@@ -10,13 +10,13 @@ import (
 )
 
 // frameSample is one valid frame value with its recorded bytes. All but the
-// rows that carry operations or a root path date from the commit before the
-// frame table existed (PR 15, 4d74ac7): the proof that the table-driven
-// codec did not move a byte on the wire. The ops, ops-mixed, ops-empty,
-// docframe-replay-ops and flatpropose-root rows were re-recorded when
-// identifiers became bit-packed and kindOps moved to 0x14; what the
-// identifiers *are* is pinned apart from their encoding by
-// TestGoldenIdentifiers. Every test that needs "a frame of kind K" takes
+// rows that carry operations or acks date from the commit before the frame
+// table existed (4d74ac7): the proof that the table-driven codec did
+// not move a byte on the wire. The ops, ops-mixed, ops-empty and
+// docframe-replay-ops rows were re-recorded when identifiers became
+// bit-packed and kindOps moved to 0x14; what the identifiers *are* is
+// pinned apart from their encoding by TestGoldenIdentifiers. The flatack,
+// ops-intent and ops-abort rows came with the flatten round's operations. Every test that needs "a frame of kind K" takes
 // it from frameSamples.
 type frameSample struct {
 	name string
@@ -76,9 +76,21 @@ func mustEncode(t testing.TB, kind byte, f frame) []byte {
 	return b
 }
 
+// roundMsgs is a flatten round's intent at the whole document and at a
+// subtree, from its author, relayed by another site, and its kind of
+// decision: OpAbort or OpFlatten.
+func roundMsgs(decision core.OpKind) []causal.Message {
+	root, sub := ident.Pack(ident.Path{}), ident.Pack(structuralPath())
+	return []causal.Message{
+		{From: 3, TS: vclock.VC{3: 5}, Payload: core.Op{Kind: core.OpIntent, Site: 3, Seq: 5, ID: root}},
+		{From: 3, TS: vclock.VC{3: 6}, Payload: core.Op{Kind: core.OpIntent, Site: 3, Seq: 6, ID: sub}},
+		{From: 9, TS: vclock.VC{3: 6, 9: 1}, Payload: core.Op{Kind: decision, Site: 3, Seq: 7, ID: sub}},
+	}
+}
+
 // frameSamples returns one or more valid values per kind: both flag states
-// of the flagged kind, the ring query, both decision outcomes, and an
-// envelope around a replay around ops.
+// of the flagged kind, the ring query, a round's intents with either
+// decision, and an envelope around a replay around ops.
 func frameSamples(t testing.TB) []frameSample {
 	digest := mustEncode(t, kindSyncReq, &SyncReqFrame{From: 7, Clock: vclock.VC{7: 4}})
 	ops := mustEncode(t, kindOps, &OpsFrame{Msgs: sampleMsgs()})
@@ -87,12 +99,9 @@ func frameSamples(t testing.TB) []frameSample {
 		{"ops", kindOps, &OpsFrame{Msgs: sampleMsgs()}, "14020907020209070302010103040702c3a90e010101010002"},
 		{"ops-empty", kindOps, &OpsFrame{Msgs: []causal.Message{}}, "1400"},
 		{"syncreq", kindSyncReq, &SyncReqFrame{From: 3, Clock: vclock.VC{1: 5, 9: 2, ident.MaxSiteID: 7}}, "02030301050902ffffffffffff3f07"},
-		{"flatpropose", kindFlatPropose, &FlatProposeFrame{From: 3, N: 12, Path: structuralPath(), Obs: vclock.VC{3: 41, 9: 7}}, "05030c0201000203290907"},
-		{"flatpropose-root", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: ident.Path{}, Obs: vclock.VC{3: 9}}, "0503010000010309"},
-		{"flatvote-yes", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12, Yes: true}, "0605030c01"},
-		{"flatvote-no", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 3, N: 12}, "0605030c00"},
-		{"flatdecision-commit", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 12, Commit: true, Seq: 77, Path: structuralPath()}, "07030c014d020100"},
-		{"flatdecision-abort", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 12, Path: structuralPath()}, "07030c0000020100"},
+		{"flatack", kindFlatAck, &FlatAckFrame{From: 5, Author: 3, Intent: 12, Seq: 300}, "1605030cac02"},
+		{"ops-intent", kindOps, &OpsFrame{Msgs: roundMsgs(core.OpFlatten)}, "1403180301030500001c020100030902030609010307020100"},
+		{"ops-abort", kindOps, &OpsFrame{Msgs: roundMsgs(core.OpAbort)}, "1403180301030500001c020100110902030609010307020100"},
 		{"snapchunk", kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.VC{2: 9, 4: 1}, Total: 5000, Offset: 2000, Data: []byte("0123456789abcdef")}, "080202020904018827d00f30313233343536373839616263646566"},
 		{"docframe", kindDocFrame, &DocFrame{Doc: "notes", Inner: digest}, "09056e6f7465730207010704"},
 		{"docframe-replay-ops", kindDocFrame, &DocFrame{Doc: "a-b.c", Inner: mustEncode(t, kindReplay, &ReplayFrame{To: 42, Inner: ops})}, "0905612d622e63132a14020907020209070302010103040702c3a90e010101010002"},

@@ -29,8 +29,7 @@ type span struct {
 // or delivered message in causal-delivery order, plus a per-site index of
 // seq-sorted run offsets maintained incrementally on append. Its one query,
 // AppendMissing, is a binary search per site followed by contiguous suffix
-// slices, instead of a scan of the whole log; a digest answer and a flatten
-// vote's evidence both read it.
+// slices, instead of a scan of the whole log; a digest answer reads it.
 //
 // The zero value is ready to use. RetainedLog is not safe for concurrent
 // use; inside the engine every access happens on the actor goroutine.

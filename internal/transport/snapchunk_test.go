@@ -5,9 +5,13 @@ package transport
 // reassemble the snapshot from chunk frames before installing it.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"github.com/treedoc/treedoc/internal/causal"
+	"github.com/treedoc/treedoc/internal/core"
+	"github.com/treedoc/treedoc/internal/ident"
 	"github.com/treedoc/treedoc/internal/vclock"
 )
 
@@ -99,43 +103,42 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	}
 }
 
-// TestFlattenLockReleasedBySnapshotAbsorption pins the recovery path for
-// a Yes-vote lock whose committed OpFlatten never arrives as an
-// operation frame: once a commit decision has named the op's stamp, the
-// covered-lock sweep must release the lock as soon as the local clock
-// covers it — e.g. after an installed snapshot absorbed the flatten —
-// instead of freezing the region forever.
+// TestFlattenLockReleasedBySnapshotAbsorption: a member whose round's
+// decision reaches it inside an installed snapshot, not as an operation,
+// takes the snapshot's pending rounds — here none — with it, so the lock
+// goes with the install instead of freezing the region for good.
 func TestFlattenLockReleasedBySnapshotAbsorption(t *testing.T) {
+	author := newTestReplica(t, 7)
+	var msgs []causal.Message
+	stamp := func(op core.Op, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, causal.Message{From: 7, TS: vclock.VC{7: op.Seq}, Payload: op})
+	}
+	stamp(author.doc.InsertAt(0, "a"))
+	stamp(author.doc.FlattenOp(core.OpIntent, ident.Path{}, 1))
 	r := newTestReplica(t, 2)
-	e, err := NewEngine(2, r)
+	s, err := NewStepper(2, r, func() time.Time { return time.UnixMilli(0) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Stop()
-
-	done := make(chan struct{})
-	e.ctl(func() {
-		defer close(done)
-		// A committed round at coordinator site 7 whose op frame was lost:
-		// this participant holds a commit-known lock for op seq 3.
-		tx := txID{coord: 7, n: 41}
-		e.fl.locks[tx] = &heldLock{tok: 1, obs: e.buf.Clock(), lastPing: e.now(), commitKnown: true, opSeq: 3}
-		e.releaseCoveredLocks()
-		if len(e.fl.locks) != 1 {
-			t.Error("lock released before the clock covered the flatten")
-		}
-		// The flatten epoch arrives inside a snapshot: the clock advances
-		// past (7, 3) without the op ever being delivered.
-		e.buf.Advance(vclock.VC{7: 3})
-		e.releaseCoveredLocks()
-		if len(e.fl.locks) != 0 {
-			t.Error("lock leaked after the clock covered the committed flatten")
-		}
-	})
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("actor closure never ran")
+	defer s.Stop()
+	recv := s.Connect(&recLink{})
+	recv(mustEncode(t, kindOps, &OpsFrame{Msgs: msgs}))
+	if _, err := r.doc.InsertAt(0, "x"); !errors.Is(err, core.ErrRegionLocked) || r.doc.LockedRegions() != 1 {
+		t.Fatalf("member with the intent applied: edit %v, %d locks", err, r.doc.LockedRegions())
+	}
+	if _, err := author.doc.FlattenOp(core.OpFlatten, ident.Path{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	data, version, err := author.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv(mustEncode(t, kindSnapChunk, &SnapChunkFrame{From: 7, Version: version, Total: uint64(len(data)), Data: data}))
+	if got := s.Engine().Clock().Get(7); got != 3 || r.doc.LockedRegions() != 0 || r.content() != "a" {
+		t.Fatalf("after the install: clock[7] %d, %d locks, %q; want 3, 0, \"a\"", got, r.doc.LockedRegions(), r.content())
 	}
 }
 

@@ -53,8 +53,8 @@ func (s *Stepper) Connect(link Link) (receive func(frame []byte)) {
 func (s *Stepper) Tick() { s.e.tick() }
 
 // Stop is Engine.Stop plus the actor's last step, which no goroutine is
-// there to take: flush what was accepted, release every vote lock, close
-// the log. Call it once.
+// there to take: flush what was accepted, abort this engine's own flatten
+// rounds, close the log. Call it once.
 //
 //treedoc:actorloop
 func (s *Stepper) Stop() {

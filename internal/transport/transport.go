@@ -11,7 +11,7 @@
 //     goroutine draining an inbox channel. The replica document itself stays
 //     whatever the caller hands in (a Replica, e.g. the public Doc or
 //     TextBuffer); the engine applies remote operations to it in causal
-//     order, snapshots it, runs its flatten votes, and stamps local
+//     order, snapshots it, runs its flatten rounds, and stamps local
 //     operations for broadcast.
 //
 //   - Link is the wire: a bidirectional, frame-oriented connection. Two

@@ -19,15 +19,13 @@ import (
 // of its body layout.
 const (
 	// 0x01 was kindOps with one byte per identifier level, 0x03 the
-	// explicit snapshot request, 0x04 the single-frame snapshot, 0x10 the
+	// explicit snapshot request, 0x04 the single-frame snapshot, 0x05–0x07
+	// the flatten commitment's propose, vote and decision frames, 0x10 the
 	// handoff-state envelope, 0x11 the handoff-done marker, and 0x12 and
 	// 0x15 the multi-document digest batch (with and without a flags
 	// byte); all stay reserved and are never reused, so a stray old frame
 	// decodes as an unknown kind.
 	kindSyncReq      = 0x02
-	kindFlatPropose  = 0x05
-	kindFlatVote     = 0x06
-	kindFlatDecision = 0x07
 	kindSnapChunk    = 0x08
 	kindDocFrame     = 0x09
 	kindHello        = 0x0a
@@ -38,6 +36,7 @@ const (
 	kindHandoffBegin = 0x0f
 	kindReplay       = 0x13
 	kindOps          = 0x14
+	kindFlatAck      = 0x16
 )
 
 // Wire limits. Frames above the per-kind size limit are refused on read
@@ -105,9 +104,7 @@ type frameRow struct {
 var frameTable = [256]frameRow{
 	kindOps:          {"kindOps", MaxFrameSize, false, func() frame { return new(OpsFrame) }},
 	kindSyncReq:      {"kindSyncReq", MaxFrameSize, false, func() frame { return new(SyncReqFrame) }},
-	kindFlatPropose:  {"kindFlatPropose", MaxFrameSize, false, func() frame { return new(FlatProposeFrame) }},
-	kindFlatVote:     {"kindFlatVote", MaxFrameSize, false, func() frame { return new(FlatVoteFrame) }},
-	kindFlatDecision: {"kindFlatDecision", MaxFrameSize, false, func() frame { return new(FlatDecisionFrame) }},
+	kindFlatAck:      {"kindFlatAck", MaxFrameSize, false, func() frame { return new(FlatAckFrame) }},
 	kindSnapChunk:    {"kindSnapChunk", MaxSnapFrameSize, false, func() frame { return new(SnapChunkFrame) }},
 	kindHello:        {"kindHello", MaxFrameSize, false, func() frame { return new(HelloFrame) }},
 	kindHelloResp:    {"kindHelloResp", MaxFrameSize, false, func() frame { return new(HelloRespFrame) }},
@@ -215,74 +212,24 @@ func (f *SnapChunkFrame) wire(c *codec) {
 	}
 }
 
-// FlatProposeFrame is a kindFlatPropose frame. It opens a flatten
-// commitment round (the Prepare of the paper's Section 4.2.1 protocol):
-// the coordinator From asks every receiver to vote on flattening the
-// subtree at Path, as transaction (From, N), given the coordinator's
-// delivered clock Obs at proposal time. Commitment frames are addressed by
-// site id and relayed unmodified (a hub fans them out like any frame);
-// unlike operations they are not retained for anti-entropy — a lost frame
-// is healed by the protocol's timeout-and-resend paths, not
-// retransmission.
-type FlatProposeFrame struct {
-	From ident.SiteID
-	N    uint64
-	Path ident.Path
-	Obs  vclock.VC
-}
-
-func (f *FlatProposeFrame) wire(c *codec) {
-	c.site(&f.From, "flatten proposer")
-	c.uvarint(&f.N, "flatten tx number")
-	c.path(&f.Path)
-	c.vc(&f.Obs)
-}
-
-// FlatVoteFrame is a kindFlatVote frame: participant From's answer to the
-// proposal of transaction (Coord, N) — Yes (the region is unedited beyond
-// the coordinator's clock and now locked) or No. Receivers other than
-// Coord ignore it. Participants re-send Yes votes while a lock is in
-// doubt; the coordinator answers re-sent votes for decided transactions
-// from its decision memory.
-type FlatVoteFrame struct {
-	From  ident.SiteID
-	Coord ident.SiteID
-	N     uint64
-	Yes   bool
-}
-
-func (f *FlatVoteFrame) wire(c *codec) {
-	c.site(&f.From, "flatten voter")
-	c.site(&f.Coord, "flatten coordinator")
-	c.uvarint(&f.N, "flatten tx number")
-	c.flag(&f.Yes, "flatten vote")
-}
-
-// FlatDecisionFrame is a kindFlatDecision frame: coordinator From closes
-// the round of transaction (From, N) over the subtree at Path. Abort
-// releases participant locks and has no other effect ("causing no harm").
-// A commit decision frame only announces the outcome: the flatten itself
-// travels as a stamped OpFlatten operation in the causal stream, so every
-// replica applies it after everything it causally follows and before
-// everything that causally follows it. For a commit, Seq is the
-// coordinator's sequence number of that OpFlatten: a participant holding a
-// Yes-vote lock releases it once its clock covers (From, Seq) — whether
-// the operation arrived as an op frame or was absorbed into an installed
-// snapshot. Zero for aborts.
-type FlatDecisionFrame struct {
+// FlatAckFrame is a kindFlatAck frame: member From has applied the flatten
+// intent Author stamped as its operation Intent, holds no local edit it has
+// not stamped, and has stamped its own operations up to Seq. Only Author
+// consumes it; the author's round is stable once it has every member's ack
+// and has delivered each one's operations up to its Seq. Members re-send it
+// each tick while the intent is pending, so a lost ack costs a tick.
+type FlatAckFrame struct {
 	From   ident.SiteID
-	N      uint64
-	Commit bool
+	Author ident.SiteID
+	Intent uint64
 	Seq    uint64
-	Path   ident.Path
 }
 
-func (f *FlatDecisionFrame) wire(c *codec) {
-	c.site(&f.From, "flatten coordinator")
-	c.uvarint(&f.N, "flatten tx number")
-	c.flag(&f.Commit, "flatten decision")
-	c.uvarint(&f.Seq, "flatten decision seq")
-	c.path(&f.Path)
+func (f *FlatAckFrame) wire(c *codec) {
+	c.site(&f.From, "flatten acker")
+	c.site(&f.Author, "flatten author")
+	c.uvarint(&f.Intent, "flatten intent seq")
+	c.uvarint(&f.Seq, "flatten acker seq")
 }
 
 // DocFrame is a kindDocFrame frame, the doc-scoped envelope: a document ID
@@ -498,23 +445,6 @@ func (c *codec) site(s *ident.SiteID, what string) {
 	*s = ident.SiteID(v)
 }
 
-// flag runs one mandatory boolean byte, 0 or 1.
-func (c *codec) flag(b *bool, what string) {
-	switch {
-	case c.err != nil:
-	case !c.dec && *b:
-		c.buf = append(c.buf, 1)
-	case !c.dec:
-		c.buf = append(c.buf, 0)
-	case c.off >= len(c.buf):
-		c.failf("truncated %s", what)
-	case c.buf[c.off] > 1:
-		c.failf("%s byte %d", what, c.buf[c.off])
-	default:
-		*b, c.off = c.buf[c.off] == 1, c.off+1
-	}
-}
-
 // trailingFlag runs an optional flags byte that ends a frame and has one
 // bit defined. A zero value is encoded by omission and an explicit zero or
 // an unknown bit is refused, so the encoding stays canonical: every
@@ -578,30 +508,6 @@ func (c *codec) doc(d *string) {
 	c.str(d, 0, MaxDocIDLen, "doc id")
 	if c.err == nil {
 		c.err = ValidateDocID(*d)
-	}
-}
-
-// path runs one flatten subtree path: structural, ending at a major node.
-func (c *codec) path(p *ident.Path) {
-	if c.err != nil {
-		return
-	}
-	var err error
-	if c.dec {
-		var n int
-		*p, n, err = ident.DecodePath(c.buf[c.off:])
-		c.off += n
-	}
-	if err == nil {
-		err = p.ValidateStructural()
-	}
-	if err == nil && len(*p) > ident.MaxPathLen {
-		err = fmt.Errorf("%d elements exceed the limit", len(*p))
-	}
-	if err != nil {
-		c.err = fmt.Errorf("transport: flatten path: %w", err)
-	} else if !c.dec {
-		c.buf = p.AppendBinary(c.buf)
 	}
 }
 
@@ -677,8 +583,8 @@ func (c *codec) msg(m, prev *causal.Message) {
 	op, isOp := m.Payload.(core.Op)
 	var head uint64
 	if !c.dec {
-		head = uint64(op.Kind)
-		if !isOp || op.Kind < core.OpInsert || op.Kind > core.OpFlatten {
+		head = uint64(op.Kind.Head())
+		if !isOp || op.Validate() != nil {
 			c.failf("message payload %T is not a valid op", m.Payload)
 		}
 		if prev != nil && prev.From == m.From && m.TS.IsTick(prev.TS, m.From) {
@@ -689,7 +595,7 @@ func (c *codec) msg(m, prev *causal.Message) {
 		}
 	}
 	c.uvarint(&head, "op head")
-	if head&^(3|core.HeadRun|core.HeadStamped) != 0 || head&core.HeadRun != 0 && prev == nil {
+	if head&^(core.HeadKind|core.HeadRun|core.HeadStamped) != 0 || head&core.HeadRun != 0 && prev == nil {
 		c.failf("op head %#x", head)
 	}
 	if head&core.HeadRun == 0 {
@@ -707,7 +613,7 @@ func (c *codec) msg(m, prev *causal.Message) {
 		c.failf("op from s%d without own stamp", m.From)
 	case c.dec:
 		var n int
-		if op, n, c.err = core.DecodeFields(core.OpKind(head&3), head&core.HeadStamped == 0, c.buf[c.off:]); c.err != nil {
+		if op, n, c.err = core.DecodeFields(core.KindOf(byte(head)), head&core.HeadStamped == 0, c.buf[c.off:]); c.err != nil {
 			c.err = fmt.Errorf("transport: %w", c.err)
 			return
 		}
@@ -860,10 +766,16 @@ func EncodeOps(msgs []causal.Message) ([]byte, error) {
 // replay-routing link travels inside kindReplay, so it does not match.)
 func IsLiveOps(frame []byte) bool { return len(frame) > 0 && frame[0] == kindOps }
 
-// IsDigest reports whether frame is a kindSyncReq digest — the only frame
-// an idle engine keeps sending (its keepalive), and so the one a driver
-// must not mistake for work in progress.
+// IsDigest reports whether frame is a kindSyncReq digest.
 func IsDigest(frame []byte) bool { return len(frame) > 0 && frame[0] == kindSyncReq }
+
+// IsRecurring reports whether frame is one an engine repeats while nothing
+// changes — a digest (its keepalive) or a flatten ack (re-sent each tick
+// while the intent is pending) — and so one a driver must not mistake for
+// work in progress.
+func IsRecurring(frame []byte) bool {
+	return IsDigest(frame) || len(frame) > 0 && frame[0] == kindFlatAck
+}
 
 // EncodeSyncReq encodes an anti-entropy digest frame.
 func EncodeSyncReq(from ident.SiteID, clock vclock.VC) ([]byte, error) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,9 +75,25 @@ func TestGoldenFrames(t *testing.T) {
 // keeps the encoding canonical.
 func roundTrip(t *testing.T, kinds ...byte) {
 	t.Helper()
-	samples := samplesOf(t, kinds...)
+	roundTripSamples(t, samplesOf(t, kinds...))
+}
+
+// roundTripNamed is roundTrip over the named samples.
+func roundTripNamed(t *testing.T, names ...string) {
+	t.Helper()
+	var samples []frameSample
+	for _, s := range frameSamples(t) {
+		if slices.Contains(names, s.name) {
+			samples = append(samples, s)
+		}
+	}
+	roundTripSamples(t, samples)
+}
+
+func roundTripSamples(t *testing.T, samples []frameSample) {
+	t.Helper()
 	if len(samples) == 0 {
-		t.Fatalf("no samples for kinds %x", kinds)
+		t.Fatal("no samples")
 	}
 	for _, s := range samples {
 		frame := mustEncode(t, s.kind, s.f)
@@ -167,9 +184,12 @@ func TestHelloForwardRoundTrip(t *testing.T) { roundTrip(t, kindHello) }
 func TestDetachRoundTrip(t *testing.T)       { roundTrip(t, kindDetach) }
 func TestHelloRespRoundTrip(t *testing.T)    { roundTrip(t, kindHelloResp) }
 func TestHelloRespCarriesEpoch(t *testing.T) { roundTrip(t, kindHelloResp) }
-func TestFlatProposeRoundTrip(t *testing.T)  { roundTrip(t, kindFlatPropose) }
-func TestFlatVoteRoundTrip(t *testing.T)     { roundTrip(t, kindFlatVote) }
-func TestFlatDecisionRoundTrip(t *testing.T) { roundTrip(t, kindFlatDecision) }
+func TestFlatProposeRoundTrip(t *testing.T)  { roundTripNamed(t, "ops-intent"); retired(t, 0x05) }
+func TestFlatVoteRoundTrip(t *testing.T)     { roundTrip(t, kindFlatAck); retired(t, 0x06) }
+func TestFlatDecisionRoundTrip(t *testing.T) {
+	roundTripNamed(t, "ops-intent", "ops-abort")
+	retired(t, 0x07)
+}
 func TestSnapChunkRoundTrip(t *testing.T)    { roundTrip(t, kindSnapChunk) }
 func TestRingAnnounceRoundTrip(t *testing.T) { roundTrip(t, kindRingAnnounce) }
 func TestHandoffMarkRoundTrip(t *testing.T)  { roundTrip(t, kindHandoffBegin) }
@@ -190,7 +210,12 @@ var retiredFrames = []string{
 	"03040201050902", // kindSnapReq, folded into kindSyncReq
 	"0402010164",     // the single-frame snapshot
 	"10056e6f746573080201020840106368756e6b2d6279746573", // kindHandoffState, folded into kindForward
-	"11056e6f74657304",               // kindHandoffDone
+	"11056e6f74657304", // kindHandoffDone
+	// The flatten commitment's frames, retired when a round's proposal and
+	// decision became stamped operations and its vote became kindFlatAck.
+	"05030c0201000203290907",         // kindFlatPropose
+	"0605030c01",                     // kindFlatVote
+	"07030c014d020100",               // kindFlatDecision
 	"1201056e6f74657303020105030901", // kindSyncBatch with its forwarded flags byte
 	// kindSyncBatch, retired when every digest got its own kindDocFrame:
 	// both of its samples, three documents and one wide clock.
@@ -264,18 +289,16 @@ func TestEncodeImpliesDecode(t *testing.T) {
 		{"ops: sender without own stamp", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: vclock.VC{2: 9}, Payload: msg.Payload}}}},
 		{"ops: payload is not an op", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: "text"}}}},
 		{"ops: op kind zero", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
-		{"ops: op kind beyond the head's two bits", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpInsert | 4, Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
+		{"ops: op kind beyond abort", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpAbort + 1, Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
+		{"ops: abort at an atom", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpAbort, Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
 		{"ops: batch beyond maxBatch", kindOps, &OpsFrame{Msgs: make([]causal.Message, maxBatch+1)}},
 		{"syncreq: site zero", kindSyncReq, &SyncReqFrame{From: 0, Clock: ok}},
 		{"syncreq: site beyond 48 bits", kindSyncReq, &SyncReqFrame{From: ident.MaxSiteID + 1, Clock: ok}},
 		{"syncreq: clock beyond maxClockEntries", kindSyncReq, &SyncReqFrame{From: 3, Clock: wideClock}},
-		{"flatpropose: site zero", kindFlatPropose, &FlatProposeFrame{From: 0, N: 1, Obs: ok}},
-		{"flatpropose: atom path", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: atomPath, Obs: ok}},
-		{"flatpropose: path beyond ident.MaxPathLen", kindFlatPropose, &FlatProposeFrame{From: 3, N: 1, Path: deepPath, Obs: ok}},
-		{"flatvote: voter zero", kindFlatVote, &FlatVoteFrame{From: 0, Coord: 3, N: 1}},
-		{"flatvote: coordinator zero", kindFlatVote, &FlatVoteFrame{From: 5, Coord: 0, N: 1}},
-		{"flatdecision: site zero", kindFlatDecision, &FlatDecisionFrame{From: 0, N: 1}},
-		{"flatdecision: atom path", kindFlatDecision, &FlatDecisionFrame{From: 3, N: 1, Path: atomPath}},
+		{"ops: intent at an atom", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpIntent, Site: 7, Seq: 3, ID: ident.Pack(atomPath)}}}}},
+		{"ops: intent beyond ident.MaxPathLen", kindOps, &OpsFrame{Msgs: []causal.Message{{From: 7, TS: msg.TS, Payload: core.Op{Kind: core.OpIntent, Site: 7, Seq: 3, ID: ident.Pack(deepPath)}}}}},
+		{"flatack: acker zero", kindFlatAck, &FlatAckFrame{From: 0, Author: 3, Intent: 1}},
+		{"flatack: author beyond 48 bits", kindFlatAck, &FlatAckFrame{From: 5, Author: ident.MaxSiteID + 1, Intent: 1}},
 		{"snapchunk: site zero", kindSnapChunk, &SnapChunkFrame{From: 0, Version: ok, Total: 10, Data: []byte("x")}},
 		{"snapchunk: empty version", kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.New(), Total: 100}},
 		{"snapchunk: zero total", kindSnapChunk, &SnapChunkFrame{From: 2, Version: ok}},
@@ -417,7 +440,7 @@ func TestFrameTableMatchesDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| (0x[0-9a-f]{2}) \\| (?:`(kind\\w+)`|—) \\|").FindAllStringSubmatch(section, -1) {
 		documented[m[1]] = m[2]
 	}
-	for _, reserved := range []string{"0x01", "0x03", "0x04", "0x10", "0x11", "0x12", "0x15"} {
+	for _, reserved := range []string{"0x01", "0x03", "0x04", "0x05", "0x06", "0x07", "0x10", "0x11", "0x12", "0x15"} {
 		if name, ok := documented[reserved]; !ok || name != "" {
 			t.Errorf("§4 must list %s as reserved and unnamed, has %q (%v)", reserved, name, ok)
 		}
@@ -524,7 +547,7 @@ func FuzzDocFrame(f *testing.F) {
 	fuzzBodies(f, kindDocFrame, kindHello, kindHelloResp, kindDetach)
 }
 func FuzzFlattenFrame(f *testing.F) {
-	fuzzBodies(f, kindFlatPropose, kindFlatVote, kindFlatDecision, kindSnapChunk)
+	fuzzBodies(f, kindFlatAck, kindOps, kindSnapChunk)
 }
 func FuzzReplayFrame(f *testing.F) { fuzzBodies(f, kindReplay) }
 func FuzzRingFrame(f *testing.F) {

@@ -2,8 +2,8 @@
 // relation of Lamport, which the Treedoc paper adopts verbatim: "Our
 // happened-before and concurrency relations are identical to the formal
 // definition of Lamport" (Section 1, footnote 1). The causal delivery layer
-// (internal/causal) and the flatten commitment protocol
-// (internal/transport/flatten.go) build on these clocks.
+// (internal/causal) and the flatten round (internal/transport/flatten.go)
+// build on these clocks.
 package vclock
 
 import (

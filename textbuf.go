@@ -41,9 +41,9 @@ func (b *TextBuffer) String() string { return strings.Join(b.Content(), "") }
 // Splice is the editor entry point: at rune offset off, delete delCount
 // runes and insert text. It returns the operations to broadcast — deletes
 // first, then inserts, matching the local execution order so remote
-// replicas can replay them in sequence. The edit is atomic: a flatten vote
-// locking the region rejects the whole splice (ErrRegionLocked) or none of
-// it.
+// replicas can replay them in sequence. The edit is atomic: a flatten
+// round locking the region rejects the whole splice (ErrRegionLocked) or
+// none of it.
 func (b *TextBuffer) Splice(off, delCount int, text string) ([]Op, error) {
 	atoms := runes(text)
 	b.mu.Lock()

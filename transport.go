@@ -25,7 +25,7 @@ import (
 //	ops, _ := buf.Splice(off, del, text) // local edit, no latency
 //	_ = eng.Broadcast(ops...)            // background replication
 //
-//	_ = eng.ProposeFlatten()             // compact via the commitment protocol
+//	_ = eng.ProposeFlatten()             // compact via a flatten round
 //
 // A hub takes document-scoped connections only (DialDoc, or DialSession
 // for several documents over shared connections); Dial is for direct
@@ -34,14 +34,14 @@ import (
 // Each replica's local edits must be generated and broadcast in order
 // (one writer goroutine per replica, or a lock around edit+Broadcast).
 //
-// Engine.ProposeFlatten and Engine.ProposeFlattenCold run the paper's
-// flatten commitment protocol (Section 4.2.1) over the live links: every
-// connected replica votes, any replica that observed (or holds) a
-// conflicting edit votes No and aborts the round harmlessly, and a
-// committed flatten is broadcast as an operation in the causal stream, so
-// it orders before all post-flatten edits everywhere, lands in the
+// Engine.ProposeFlatten and Engine.ProposeFlattenCold run a flatten round
+// (Section 4.2.1) over the live links: the author's intent, its OpFlatten
+// and its abort are operations in the causal stream, so every replica that
+// applies the intent locks the region, acks, and applies the decision in
+// causal order. A concurrent edit is flattened with the region; the
+// OpFlatten orders before all post-flatten edits everywhere, lands in the
 // durable log, and becomes the snapshot barrier late joiners catch up
-// from. While a vote is open the affected region rejects local edits with
+// from. While a round is pending the region rejects local edits with
 // ErrRegionLocked — retry after the round decides.
 
 // Engine replicates one Doc (or TextBuffer) over real links. See
@@ -69,7 +69,7 @@ type Link = transport.Link
 
 // Doc satisfies the engine's replica contract, and so does TextBuffer,
 // which embeds it: engines wrapping them apply remote runs in batches, compact their logs, serve
-// snapshot catch-up, and vote in the paper's flatten commitment.
+// snapshot catch-up, and take part in flatten rounds.
 var (
 	_ transport.Replica = (*Doc)(nil)
 	_ transport.Replica = (*TextBuffer)(nil)
@@ -105,8 +105,8 @@ type Session = transport.Session
 
 // NewEngine creates and starts a replication engine for site wrapping
 // replica: a *Doc or a type embedding one, such as a *TextBuffer. Every
-// engine applies in batches, compacts and serves snapshots, and votes on
-// flattens, so the replica must do all three.
+// engine applies in batches, compacts and serves snapshots, and takes part
+// in flatten rounds, so the replica must do all three.
 func NewEngine(site SiteID, replica transport.Replica, opts ...EngineOption) (*Engine, error) {
 	return transport.NewEngine(site, replica, opts...)
 }
@@ -179,11 +179,9 @@ func WithCompactEvery(n int) EngineOption { return transport.WithCompactEvery(n)
 // them, since the ops below the barrier no longer exist).
 func WithSnapshotThreshold(n int) EngineOption { return transport.WithSnapshotThreshold(n) }
 
-// WithFlattenTimeout sets the flatten commitment deadline: a proposal
-// still missing votes after this long aborts (presumed abort), and a
-// replica whose Yes-vote lock has waited this long starts querying the
-// coordinator for the decision. Default 2s (or five sync intervals when
-// WithSyncInterval is longer).
+// WithFlattenTimeout sets the flatten round's deadline: a round the engine
+// authored that is not stable after this long is aborted. Default 2s (or
+// five sync intervals when WithSyncInterval is longer).
 func WithFlattenTimeout(d time.Duration) EngineOption { return transport.WithFlattenTimeout(d) }
 
 // WithHubQueueDepth sets a hub's per-client outbound queue depth.

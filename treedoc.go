@@ -37,10 +37,14 @@ type Op = core.Op
 // Doc.Apply checks an operation's is non-zero and of its kind's shape.
 type Packed = ident.Packed
 
-// Operation kinds.
+// Operation kinds: the two edits, and a flatten round's three operations
+// (see Engine.ProposeFlatten).
 const (
-	OpInsert = core.OpInsert
-	OpDelete = core.OpDelete
+	OpInsert  = core.OpInsert
+	OpDelete  = core.OpDelete
+	OpFlatten = core.OpFlatten
+	OpIntent  = core.OpIntent
+	OpAbort   = core.OpAbort
 )
 
 // Stats bundles a replica's overhead measurements under the paper's cost
@@ -210,9 +214,9 @@ func (d *Doc) VisitRange(from, to int, fn func(atom string) bool) error {
 }
 
 // InsertAt inserts atom at index i (0 ≤ i ≤ Len) and returns the operation
-// to broadcast to other replicas. While a flatten commitment vote has the
+// to broadcast to other replicas. While a pending flatten round has the
 // target region locked it fails with an error wrapping ErrRegionLocked;
-// retry once the commitment decides.
+// retry once the round decides.
 func (d *Doc) InsertAt(i int, atom string) (Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -238,7 +242,7 @@ func (d *Doc) Append(atom string) (Op, error) {
 // InsertRunAt inserts consecutive atoms starting at index i, packing them
 // into a minimal subtree under balanced allocation (Section 4.1). One
 // operation per atom is returned. Like InsertAt, it fails with
-// ErrRegionLocked while a flatten vote has the target gap locked.
+// ErrRegionLocked while a flatten round has the target gap locked.
 func (d *Doc) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -251,7 +255,7 @@ func (d *Doc) InsertRunAt(i int, atoms []string) ([]Op, error) {
 
 // DeleteAt removes the atom at index i and returns the operation to
 // broadcast. Like InsertAt, it fails with ErrRegionLocked while a flatten
-// vote has the atom's region locked.
+// round has the atom's region locked.
 func (d *Doc) DeleteAt(i int) (Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -307,8 +311,8 @@ func (d *Doc) EndRevision() {
 
 // Flatten compacts the whole document into a plain array with zero
 // metadata (the paper's best case). It must not run concurrently with
-// remote edits: coordinate with the commitment protocol (see Cluster) or
-// use it on single-replica documents.
+// remote edits: run a flatten round instead (see Cluster) or use it on
+// single-replica documents.
 func (d *Doc) Flatten() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -325,49 +329,39 @@ func (d *Doc) Stats() Stats {
 	return d.doc.Stats()
 }
 
-// ErrRegionLocked is returned for local edits blocked by an outstanding
-// flatten commitment vote on their region — by a Cluster replica and by a
-// Doc or TextBuffer wrapped in a replication Engine alike. Retry after the
-// commitment decides (commits normally settle within one round trip; a
-// coordinator crash holds the lock until its timeout aborts).
+// ErrRegionLocked is returned for local edits blocked by a pending flatten
+// round on their region — by a Cluster replica and by a Doc or TextBuffer
+// wrapped in a replication Engine alike. Retry after the round decides
+// (normally within one round trip; an author that cannot reach a member
+// holds the region until its deadline aborts).
 var ErrRegionLocked = core.ErrRegionLocked
 
-// LockRegion freezes the subtree at the structural path against local
-// edits until UnlockRegion is called with the same token: edits that touch
-// the region fail with an error wrapping ErrRegionLocked. The replication
-// engine calls it when this replica votes Yes in a flatten commitment —
-// the vote promises the region stays untouched until the decision — so
-// application code never needs it directly.
-func (d *Doc) LockRegion(token uint64, path Path) {
+// FlattenOp mints one of a flatten round's operations — its OpIntent, its
+// OpFlatten or its OpAbort — as a local operation and
+// returns it to broadcast, exactly as InsertAt does for inserts. Only the
+// round's author mints them (the replication engine does; see
+// Engine.ProposeFlatten), because an OpFlatten issued while a member holds
+// an edit of the region the author lacks would diverge. afterSeq is the
+// local sequence number (Version()[Site()]) the caller verified quiescence
+// at; a concurrent local edit since then fails the mint with
+// core.ErrMintRaced, leaving the replica untouched.
+func (d *Doc) FlattenOp(kind core.OpKind, path Path, afterSeq uint64) (Op, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.doc.LockRegion(token, path)
-}
-
-// UnlockRegion releases a LockRegion freeze.
-func (d *Doc) UnlockRegion(token uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.doc.UnlockRegion(token)
-}
-
-// FlattenOp executes a committed flatten as a local operation and returns
-// the operation to broadcast, exactly as InsertAt does for inserts. It is
-// the commit step of the distributed flatten protocol: only the
-// coordinator of a successful commitment may call it (the replication
-// engine does; see Engine.ProposeFlatten), because a flatten issued while
-// any replica holds a concurrent edit of the region would diverge.
-// afterSeq is the local sequence number (Version()[Site()]) the caller
-// verified quiescence at; a concurrent local edit since then fails the
-// mint with core.ErrMintRaced, leaving the replica untouched.
-func (d *Doc) FlattenOp(path Path, afterSeq uint64) (Op, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	op, err := d.doc.FlattenOp(path, afterSeq)
+	op, err := d.doc.FlattenOp(kind, path, afterSeq)
 	if err != nil {
 		return Op{}, fmt.Errorf("treedoc: flatten op: %w", err)
 	}
 	return op, nil
+}
+
+// Intents returns the flatten rounds pending at the replica, as their
+// intent operations: each names a region the replica refuses local edits
+// of until the round's OpFlatten or abort is applied.
+func (d *Doc) Intents() []Op {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.doc.Intents()
 }
 
 // ColdestSubtree returns the structural path of the best flatten
@@ -393,8 +387,9 @@ func (d *Doc) Check() error {
 
 // snapMagic opens the snapshot format: magic, site, seq, counter, mode,
 // the applied version vector — so a snapshot says exactly which operations
-// it stands in for — then the tree bytes.
-var snapMagic = []byte{'T', 'D', 'S', '2'}
+// it stands in for — the pending flatten rounds, then the tree bytes.
+// TDS2, which had no rounds, is refused by name.
+const snapMagic, oldSnapMagic = "TDS3", "TDS2"
 
 // snapshot is a decoded replica snapshot.
 type snapshot struct {
@@ -403,6 +398,7 @@ type snapshot struct {
 	counter uint32
 	mode    Mode
 	version vclock.VC
+	intents []Op
 	tree    *doctree.Tree
 }
 
@@ -423,6 +419,11 @@ func (d *Doc) marshalLocked() []byte {
 	buf = binary.AppendUvarint(buf, uint64(d.doc.Counter()))
 	buf = append(buf, byte(d.doc.Config().Mode))
 	buf = d.doc.Version().AppendBinary(buf)
+	intents := d.doc.Intents()
+	buf = binary.AppendUvarint(buf, uint64(len(intents)))
+	for _, op := range intents {
+		buf = op.AppendBinary(buf)
+	}
 	// The tree goes behind these fields in storage's pooled scratch and comes
 	// back as one exact-size slice: no append-growth garbage on the engine's
 	// actor, no slack capacity retained with a barrier snapshot.
@@ -465,7 +466,7 @@ func (d *Doc) InstallSnapshot(data []byte) (Version, error) {
 	if snap.mode != d.doc.Config().Mode {
 		return nil, fmt.Errorf("treedoc: snapshot mode %v does not match replica mode %v", snap.mode, d.doc.Config().Mode)
 	}
-	if err := d.doc.InstallSnapshot(snap.tree, snap.version, snap.site, snap.seq, snap.counter); err != nil {
+	if err := d.doc.InstallSnapshot(snap.tree, snap.version, snap.site, snap.seq, snap.counter, snap.intents); err != nil {
 		return nil, fmt.Errorf("treedoc: %w", err)
 	}
 	return d.doc.Version(), nil
@@ -474,7 +475,10 @@ func (d *Doc) InstallSnapshot(data []byte) (Version, error) {
 // decodeSnapshot parses and validates a snapshot.
 func decodeSnapshot(data []byte) (snapshot, error) {
 	var snap snapshot
-	if len(data) < len(snapMagic)+4 || string(data[:4]) != string(snapMagic) {
+	if len(data) >= len(snapMagic) && string(data[:len(oldSnapMagic)]) == oldSnapMagic {
+		return snap, fmt.Errorf("treedoc: snapshot header %q is not format %s", oldSnapMagic, snapMagic)
+	}
+	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return snap, fmt.Errorf("treedoc: bad snapshot header")
 	}
 	off := len(snapMagic)
@@ -503,11 +507,27 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 		return snap, fmt.Errorf("treedoc: snapshot version: %w", err)
 	}
 	off += k
+	count, n := binary.Uvarint(data[off:])
+	if n <= 0 || count > uint64(len(data)-off) {
+		return snap, fmt.Errorf("treedoc: bad snapshot round count")
+	}
+	off += n
+	intents := make([]Op, count)
+	for i := range intents {
+		op, n, err := core.DecodeOp(data[off:])
+		if err == nil && (op.Kind != OpIntent || op.Site == 0) {
+			err = fmt.Errorf("%v is no intent", op)
+		}
+		if err != nil {
+			return snap, fmt.Errorf("treedoc: snapshot round: %w", err)
+		}
+		intents[i], off = op, off+n
+	}
 	tree, err := storage.Decode(data[off:])
 	if err != nil {
 		return snap, fmt.Errorf("treedoc: snapshot tree: %w", err)
 	}
-	snap = snapshot{site: SiteID(site), seq: seq, counter: uint32(counter), mode: mode, version: version, tree: tree}
+	snap = snapshot{site: SiteID(site), seq: seq, counter: uint32(counter), mode: mode, version: version, intents: intents, tree: tree}
 	return snap, nil
 }
 
@@ -527,7 +547,7 @@ func Open(data []byte, opts ...Option) (*Doc, error) {
 	}
 	c.core.Site = snap.site
 	c.core.Mode = snap.mode
-	doc, err := core.Restore(c.core, snap.tree, snap.seq, snap.counter, snap.version)
+	doc, err := core.Restore(c.core, snap.tree, snap.seq, snap.counter, snap.version, snap.intents)
 	if err != nil {
 		return nil, fmt.Errorf("treedoc: open snapshot: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -252,6 +253,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesPendingRounds: a snapshot holds the flatten rounds
+// pending in its replica, so the replica it opens as refuses local edits of
+// the region until the round's decision is applied. A TDS2 snapshot, which
+// could not say so, is refused by name.
+func TestSnapshotCarriesPendingRounds(t *testing.T) {
+	d := newTestDoc(t, WithSite(7))
+	for i := 0; i < 4; i++ {
+		if _, err := d.Append(fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	intent := Op{Kind: OpIntent, ID: ident.Pack(Path{}), Site: 9, Seq: 1}
+	if err := d.Apply(intent); err != nil {
+		t.Fatal(err)
+	}
+	data, err := d.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := got.Intents(); len(in) != 1 || in[0] != intent {
+		t.Fatalf("opened with rounds %v, want %v", in, intent)
+	}
+	if _, err := got.Append("x"); !errors.Is(err, ErrRegionLocked) {
+		t.Fatalf("edit in the snapshot's pending round: %v, want ErrRegionLocked", err)
+	}
+	if err := got.Apply(Op{Kind: OpAbort, ID: intent.ID, Site: 9, Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.Append("x"); err != nil {
+		t.Fatalf("edit after the round's abort: %v", err)
+	}
+	old := append([]byte("TDS2"), data[4:]...)
+	if _, err := Open(old); err == nil || !strings.Contains(err.Error(), `"TDS2" is not format TDS3`) {
+		t.Fatalf("TDS2 snapshot: %v, want it refused by name", err)
+	}
+}
+
 func TestDocConcurrencySafety(t *testing.T) {
 	d := newTestDoc(t, WithSite(1))
 	var wg sync.WaitGroup
@@ -317,7 +359,16 @@ func TestRegionLockGeometry(t *testing.T) {
 	if first < 3 || !inside[14] {
 		t.Fatalf("degenerate region %v: atoms inside = %v", region, inside)
 	}
-	d.LockRegion(7, region)
+	// A region is locked as at any member: another author's intent applied,
+	// and released by applying its abort.
+	seq := make(map[SiteID]uint64)
+	round := func(kind core.OpKind, author SiteID, p Path) {
+		seq[author]++
+		if err := d.Apply(Op{Kind: kind, ID: ident.Pack(p), Site: author, Seq: seq[author]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(OpIntent, 7, region)
 	for i := 14; i >= 2; i-- { // back to front: a delete that passes shifts no index still to come
 		_, err := d.DeleteAt(i)
 		if got := errors.Is(err, ErrRegionLocked); got != inside[i] {
@@ -357,21 +408,21 @@ func TestRegionLockGeometry(t *testing.T) {
 		}
 	}
 	held := testing.AllocsPerRun(100, edit)
-	d.UnlockRegion(7)
+	round(OpAbort, 7, region)
 	free := testing.AllocsPerRun(100, edit)
-	d.LockRegion(7, region)
+	round(OpIntent, 7, region)
 	if held > free {
 		t.Errorf("an insert and a delete allocate %v times with an unrelated region locked, %v with none", held, free)
 	}
-	d.LockRegion(8, Path{}) // the whole document: every gap has the region inside
+	round(OpIntent, 8, Path{}) // the whole document: every gap has the region inside
 	if _, err := d.InsertAt(0, "head"); !errors.Is(err, ErrRegionLocked) {
 		t.Errorf("insert under a whole-document lock: %v, want ErrRegionLocked", err)
 	}
-	d.UnlockRegion(8)
+	round(OpAbort, 8, Path{})
 	if _, err := d.InsertAt(0, "head"); err != nil {
 		t.Errorf("insert left of the region after the whole-document unlock: %v", err)
 	}
-	d.UnlockRegion(7)
+	round(OpAbort, 7, region)
 	if _, err := d.Append("tail"); err != nil {
 		t.Errorf("append after unlock: %v", err)
 	}
@@ -438,7 +489,7 @@ func TestClusterPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Distributed flatten through the commitment protocol.
+	// Distributed flatten through a flatten round.
 	r1.ProposeFlatten()
 	c.Run(0)
 	if r1.FlattensApplied() != 1 {
