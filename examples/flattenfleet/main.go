@@ -56,7 +56,7 @@ func main() {
 	// Site 2 has applied an edit its engine has not stamped yet — an
 	// in-flight local edit — when site 1 proposes. Site 2 applies the
 	// intent, and its region refuses further local edits, but it cannot
-	// ack: its ack must carry the edit's sequence number.
+	// ack: its ack carries its delivered clock, which must cover the edit.
 	racing, err := two.buf.Append("racing edit\n")
 	must(err)
 	must(one.eng.ProposeFlatten())

@@ -549,9 +549,6 @@ func (d *Document) lock(op Op, path ident.Path) {
 	d.locks[lockKey{op.Site, op.ID}] = intent{op.Seq, path.Clone()}
 }
 
-// LockedRegions returns how many regions are locked.
-func (d *Document) LockedRegions() int { return len(d.locks) }
-
 // locked reports whether a locked region meets the identifier range
 // [lo, hi]: an atom's is [id, id], an insert gap's runs between its
 // neighbours (nil for a document end), which a region touches when it

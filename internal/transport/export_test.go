@@ -1,6 +1,9 @@
 package transport
 
-import "github.com/treedoc/treedoc/internal/ident"
+import (
+	"github.com/treedoc/treedoc/internal/ident"
+	"github.com/treedoc/treedoc/internal/vclock"
+)
 
 // EncodeHelloForward gives the external test package the one frame it
 // sends by hand: a forward-flagged attach from a client that ignores
@@ -17,6 +20,6 @@ func EncodeRingAnnounce(epoch uint64, nodes []string) ([]byte, error) {
 
 // EncodeFlatAck gives the external test package an ack to send by hand,
 // for a member whose engine the test stands in for.
-func EncodeFlatAck(from, author ident.SiteID, intent, seq uint64) ([]byte, error) {
-	return encodeFrame(kindFlatAck, &FlatAckFrame{From: from, Author: author, Intent: intent, Seq: seq})
+func EncodeFlatAck(from, author ident.SiteID, intent uint64, clock vclock.VC) ([]byte, error) {
+	return encodeFrame(kindFlatAck, &FlatAckFrame{From: from, Author: author, Intent: intent, Clock: clock})
 }

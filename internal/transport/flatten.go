@@ -17,30 +17,35 @@ package transport
 //     to every peer, once every local edit it applied before the lock is
 //     stamped (its replica's version equals its delivered clock) and it
 //     holds no other pending intent that overlaps this one. The ack carries
-//     the member's own stamped sequence number, and is re-sent each tick
-//     while the intent is pending there. A hub relays digests to a sample
-//     of the group only, so acks cannot ride on them.
+//     the member's delivered clock, and is re-sent each tick while the
+//     intent is pending there. A hub relays digests to a sample of the
+//     group only, so acks cannot ride on them.
 //
 //   - Decision. The author mints the OpFlatten once the round is stable:
 //     every member of its ack table (Engine.acked, the stability frontier
-//     the truncation floor reads) has acked, the author has delivered each
-//     one's operations up to the sequence its ack carries, and a digest has
-//     been heard on every live link. A region edit a member made before it
-//     locked is then in the author's tree, so it is flattened, not lost. At
-//     the deadline, or when the region is gone (UDIS may prune it), the
-//     author mints an OpAbort instead; abort is always safe. Applying either
-//     releases the lock. Both name the round by (author, path): the
-//     author's next intent at a path is causally after its decision.
+//     the truncation floor reads) has acked, the author's delivered clock
+//     dominates every clock those acks carried, and a digest has been heard
+//     on every live link. A region edit a member made or delivered before
+//     it acked — from a site the author has never heard of, too — is then
+//     in the author's tree, so it is flattened, not lost. At the deadline,
+//     when the region is gone (UDIS may prune it), or as soon as another
+//     author's overlapping intent is pending here, the author mints an
+//     OpAbort instead; abort is always safe. Applying either releases the
+//     lock. Both name the round by (author, path): the author's next intent
+//     at a path is causally after its decision.
 //
 //   - Restart and stop. The ack table and the deadline are volatile, so an
 //     author that restarts, or stops gracefully, aborts its own pending
-//     intents rather than decide on a table that may miss a member.
+//     intents rather than decide on a table that may miss a member. A stop
+//     with a local edit applied but never broadcast cannot stamp that
+//     abort; Err reports it.
 //
 // What this does NOT give: an author lost for good leaves its region frozen
 // at every replica, joiners included (docs/ARCHITECTURE.md §7).
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"time"
 
@@ -80,11 +85,11 @@ type flattenState struct {
 }
 
 // authored is an undecided round of this engine's: its region, its
-// deadline, and the sequence number each member's ack carried.
+// deadline, and the merge of the clocks each member's acks carried.
 type authored struct {
 	path     ident.Path
 	deadline time.Time
-	acks     map[ident.SiteID]uint64
+	acks     map[ident.SiteID]vclock.VC
 }
 
 // ProposeFlatten starts a round to flatten the whole document, with this
@@ -133,7 +138,7 @@ func (e *Engine) ProposeFlattenCold(revisions int) (bool, error) {
 // round pending here. An engine with no members decides at once.
 func (e *Engine) startProposal(path ident.Path) {
 	clock := e.buf.Clock()
-	if !e.heardEveryLink() || !vcEqual(e.doc.Version(), clock) || overlaps(e.doc.Intents(), path, core.Op{}) {
+	if !e.heardEveryLink() || !vcEqual(e.doc.Version(), clock) || overlaps(e.doc.Intents(), path, 0) {
 		e.flattensAborted.Add(1)
 		return
 	}
@@ -143,7 +148,7 @@ func (e *Engine) startProposal(path ident.Path) {
 		return
 	}
 	e.emit(op)
-	e.fl.own[op.Seq] = &authored{path: path.Clone(), deadline: e.now().Add(e.flattenTimeout), acks: make(map[ident.SiteID]uint64)}
+	e.fl.own[op.Seq] = &authored{path: path.Clone(), deadline: e.now().Add(e.flattenTimeout), acks: make(map[ident.SiteID]vclock.VC)}
 	e.decideRounds()
 }
 
@@ -153,14 +158,15 @@ func (e *Engine) heardEveryLink() bool {
 }
 
 // overlaps reports whether the subtree at structural path p intersects the
-// region of a pending intent other than skip. Subtree regions are
-// intervals, and two intersect exactly when one node lies inside the
-// other's subtree.
-func overlaps(intents []core.Op, p ident.Path, skip core.Op) bool {
+// region of a pending intent of an author other than skip (no site is 0).
+// An author holds no two overlapping intents, so skipping its own skips
+// nothing that overlaps. Subtree regions are intervals, and two intersect
+// exactly when one node lies inside the other's subtree.
+func overlaps(intents []core.Op, p ident.Path, skip ident.SiteID) bool {
 	var q ident.Path
 	return slices.ContainsFunc(intents, func(op core.Op) bool {
 		q = op.ID.AppendPath(q[:0])
-		return op != skip && (ident.RegionCompare(q, p) == 0 || ident.RegionCompare(p, q) == 0)
+		return op.Site != skip && (ident.RegionCompare(q, p) == 0 || ident.RegionCompare(p, q) == 0)
 	})
 }
 
@@ -169,10 +175,10 @@ func overlaps(intents []core.Op, p ident.Path, skip core.Op) bool {
 // overlaps the intent's region.
 func (e *Engine) ack(in core.Op, intents []core.Op) {
 	clock := e.buf.Clock()
-	if in.Site == e.site || !vcEqual(e.doc.Version(), clock) || overlaps(intents, in.ID.AppendPath(nil), in) {
+	if in.Site == e.site || !vcEqual(e.doc.Version(), clock) || overlaps(intents, in.ID.AppendPath(nil), in.Site) {
 		return
 	}
-	frame, err := encodeFrame(kindFlatAck, &FlatAckFrame{From: e.site, Author: in.Site, Intent: in.Seq, Seq: clock.Get(e.site)})
+	frame, err := encodeFrame(kindFlatAck, &FlatAckFrame{From: e.site, Author: in.Site, Intent: in.Seq, Clock: clock})
 	if err != nil {
 		e.wireErrs.Add(1)
 		return
@@ -183,22 +189,33 @@ func (e *Engine) ack(in core.Op, intents []core.Op) {
 // handleFlatAck records a member's ack of a round this engine authored.
 func (e *Engine) handleFlatAck(f *FlatAckFrame) {
 	if r := e.fl.own[f.Intent]; r != nil && f.Author == e.site {
-		r.acks[f.From] = max(r.acks[f.From], f.Seq)
+		if r.acks[f.From] == nil {
+			r.acks[f.From] = vclock.New()
+		}
+		r.acks[f.From].Merge(f.Clock)
 	}
 }
 
-// decideRounds decides every round of this engine's that is stable
-// (OpFlatten) or past its deadline (OpAbort), in intent order: the
+// decideRounds decides every round of this engine's, in intent order: the
 // decisions are operations, and a replayable schedule cannot let map
-// iteration pick their order.
+// iteration pick their order. A round aborts as soon as another author's
+// overlapping intent is pending here — a member holding both acks
+// neither, so waiting would only hold both regions locked until the
+// deadline — commits once stable, and aborts at its deadline.
 func (e *Engine) decideRounds() {
+	if len(e.fl.own) == 0 {
+		return
+	}
 	seqs := make([]uint64, 0, len(e.fl.own))
 	for seq := range e.fl.own {
 		seqs = append(seqs, seq)
 	}
 	slices.Sort(seqs)
+	intents := e.doc.Intents()
 	for _, seq := range seqs {
 		switch r := e.fl.own[seq]; {
+		case overlaps(intents, r.path, e.site):
+			e.decide(seq, r.path, core.OpAbort)
 		case e.stable(r):
 			e.decide(seq, r.path, core.OpFlatten)
 		case !e.now().Before(r.deadline):
@@ -208,11 +225,11 @@ func (e *Engine) decideRounds() {
 }
 
 // stable reports whether every member has acked the round and this engine
-// has delivered each one's operations up to the sequence its ack carries.
+// has delivered every operation each one had when it last acked.
 func (e *Engine) stable(r *authored) bool {
 	clock := e.buf.Clock()
 	for s := range e.acked {
-		if seq, ok := r.acks[s]; !ok || clock.Get(s) < seq {
+		if ack, ok := r.acks[s]; !ok || !clock.Dominates(ack) {
 			return false
 		}
 	}
@@ -221,13 +238,13 @@ func (e *Engine) stable(r *authored) bool {
 
 // decide mints the decision of this engine's round at path: kind is
 // OpFlatten, which becomes an abort if the region no longer exists, or
-// OpAbort. The mint waits, to be retried after the next step, while a
-// local edit is applied but not stamped: an operation's sequence number
-// and its causal stamp must agree.
-func (e *Engine) decide(seq uint64, path ident.Path, kind core.OpKind) {
+// OpAbort. It reports whether it minted. The mint waits, to be retried
+// after the next step, while a local edit is applied but not stamped: an
+// operation's sequence number and its causal stamp must agree.
+func (e *Engine) decide(seq uint64, path ident.Path, kind core.OpKind) bool {
 	clock := e.buf.Clock()
 	if !vcEqual(e.doc.Version(), clock) {
-		return
+		return false
 	}
 	op, err := e.doc.FlattenOp(kind, path, clock.Get(e.site))
 	if kind == core.OpFlatten && err != nil && !errors.Is(err, core.ErrMintRaced) {
@@ -235,7 +252,7 @@ func (e *Engine) decide(seq uint64, path ident.Path, kind core.OpKind) {
 		op, err = e.doc.FlattenOp(kind, path, clock.Get(e.site))
 	}
 	if err != nil {
-		return
+		return false
 	}
 	delete(e.fl.own, seq)
 	if kind == core.OpFlatten {
@@ -244,15 +261,18 @@ func (e *Engine) decide(seq uint64, path ident.Path, kind core.OpKind) {
 		e.flattensAborted.Add(1)
 	}
 	e.emit(op)
+	return true
 }
 
 // abortOwn aborts every intent this engine authored that is pending at its
 // replica: a stopped author can never decide, so its rounds would freeze
-// their regions everywhere.
+// their regions everywhere. An abort it cannot stamp — a local edit was
+// applied but never broadcast — is latched as the engine's error: the
+// region stays locked at every replica until this author restarts.
 func (e *Engine) abortOwn() {
 	for _, in := range e.doc.Intents() {
-		if in.Site == e.site {
-			e.decide(in.Seq, in.ID.AppendPath(nil), core.OpAbort)
+		if in.Site == e.site && !e.decide(in.Seq, in.ID.AppendPath(nil), core.OpAbort) {
+			e.setErr(fmt.Errorf("transport: stop left flatten intent s%d#%d pending: a local edit was applied but never broadcast", in.Site, in.Seq))
 		}
 	}
 }

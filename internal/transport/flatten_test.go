@@ -696,7 +696,7 @@ func TestRoundWaitsOnAWriterWithoutADigest(t *testing.T) {
 		t.Fatalf("round %v was decided without the ack of writer s%d, whose edits the janitor applied", in, writer)
 	}
 	in := open()
-	ack, err := transport.EncodeFlatAck(writer, janitor.id, in.Seq, uint64(len(ops)))
+	ack, err := transport.EncodeFlatAck(writer, janitor.id, in.Seq, treedoc.Version{writer: uint64(len(ops))})
 	if err != nil {
 		t.Fatal(err)
 	}

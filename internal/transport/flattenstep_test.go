@@ -142,11 +142,19 @@ func (f *flatStep) propose() uint64 {
 	return in[0].Seq
 }
 
-// ackFrom delivers member from's ack of this engine's intent, carrying its
-// own stamped sequence seq, and returns the decisions it drew.
-func (f *flatStep) ackFrom(from ident.SiteID, intent, seq uint64) []core.Op {
+// ackFrom delivers member from's ack of this engine's intent, carrying the
+// delivered clock of a member level with this engine, and returns the
+// decisions it drew.
+func (f *flatStep) ackFrom(from ident.SiteID, intent uint64) []core.Op {
 	f.t.Helper()
-	f.deliver(kindFlatAck, &FlatAckFrame{From: from, Author: f.e.site, Intent: intent, Seq: seq})
+	return f.ackWith(from, intent, f.e.Clock())
+}
+
+// ackWith delivers member from's ack of this engine's intent, carrying the
+// given delivered clock, and returns the decisions it drew.
+func (f *flatStep) ackWith(from ident.SiteID, intent uint64, clock vclock.VC) []core.Op {
+	f.t.Helper()
+	f.deliver(kindFlatAck, &FlatAckFrame{From: from, Author: f.e.site, Intent: intent, Clock: clock})
 	return f.sent(core.OpFlatten, core.OpAbort)
 }
 
@@ -183,7 +191,7 @@ func TestOverlappingProposalsGetOneYes(t *testing.T) {
 			t.Errorf("s%d's intent at %v drew an ack while %v is pending", author, paths[author], region)
 		}
 	}
-	if n := f.r.doc.LockedRegions(); n != 6 {
+	if n := len(f.r.doc.Intents()); n != 6 {
 		t.Fatalf("%d regions locked, want every intent's", n)
 	}
 	for _, tc := range []struct {
@@ -204,8 +212,33 @@ func TestOverlappingProposalsGetOneYes(t *testing.T) {
 			t.Errorf("after s%d's abort the tick acked %v, want %v", tc.aborted, got, tc.want)
 		}
 	}
-	if n := f.r.doc.LockedRegions(); n != 0 {
+	if n := len(f.r.doc.Intents()); n != 0 {
 		t.Fatalf("%d regions locked after every round aborted", n)
+	}
+}
+
+// TestOverlappingIntentAbortsTheAuthorsRound: a member holding two
+// overlapping intents acks neither, so an author that has applied another
+// author's intent overlapping its own round aborts the round at once
+// rather than hold the region locked everywhere until its deadline. A
+// disjoint intent leaves the round open.
+func TestOverlappingIntentAbortsTheAuthorsRound(t *testing.T) {
+	f := newFlatStep(t, 1)
+	f.write("a")
+	f.hear(2)
+	f.e.ctl(func() { f.e.startProposal(ident.Path{ident.J(0)}) })
+	n := f.sent(core.OpIntent)[0].Seq
+	f.round(3, core.OpIntent, ident.Path{ident.J(1)})
+	if d := f.sent(core.OpFlatten, core.OpAbort); len(d) != 0 {
+		t.Fatalf("a disjoint intent drew %v", d)
+	}
+	f.round(4, core.OpIntent, ident.Path{})
+	d := f.sent(core.OpFlatten, core.OpAbort)
+	if len(d) != 1 || d[0].Kind != core.OpAbort || f.e.FlattensAborted() != 1 || f.e.fl.own[n] != nil {
+		t.Fatalf("an overlapping intent drew %v, %d aborts counted; want round %d aborted", d, f.e.FlattensAborted(), n)
+	}
+	if got := len(f.r.doc.Intents()); got != 2 {
+		t.Fatalf("%d intents pending, want the two other authors'", got)
 	}
 }
 
@@ -224,13 +257,13 @@ func TestReproposingAnOpenRegionAbortsOnlyTheSecondRound(t *testing.T) {
 	if in := f.sent(core.OpIntent, core.OpAbort); len(in) != 0 {
 		t.Fatalf("re-proposing an open region minted %v", in)
 	}
-	if a, n, l := f.e.FlattensAborted(), len(f.e.fl.own), f.r.doc.LockedRegions(); a != 1 || n != 1 || l != 1 {
+	if a, n, l := f.e.FlattensAborted(), len(f.e.fl.own), len(f.r.doc.Intents()); a != 1 || n != 1 || l != 1 {
 		t.Fatalf("aborted %d, %d rounds, %d locks; want the second refused, the first open", a, n, l)
 	}
-	if d := f.ackFrom(2, first, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+	if d := f.ackFrom(2, first); len(d) != 1 || d[0].Kind != core.OpFlatten {
 		t.Fatalf("decisions after the owed ack: %v, want the first round committed", d)
 	}
-	if c, a, l := f.e.FlattensCommitted(), f.e.FlattensAborted(), f.r.doc.LockedRegions(); c != 1 || a != 1 || l != 0 {
+	if c, a, l := f.e.FlattensCommitted(), f.e.FlattensAborted(), len(f.r.doc.Intents()); c != 1 || a != 1 || l != 0 {
 		t.Fatalf("committed %d, aborted %d, %d locks; want 1, 1, 0", c, a, l)
 	}
 }
@@ -278,11 +311,11 @@ func TestDuplicateYesCountsOnce(t *testing.T) {
 	f.hear(3)
 	n := f.propose()
 	for i := 0; i < 2; i++ {
-		if d := f.ackFrom(2, n, 0); len(d) != 0 || f.e.FlattensCommitted() != 0 {
+		if d := f.ackFrom(2, n); len(d) != 0 || f.e.FlattensCommitted() != 0 {
 			t.Fatalf("ack %d from site 2 decided the round site 3 still owes: %v", i+1, d)
 		}
 	}
-	if d := f.ackFrom(3, n, 0); len(d) != 1 || d[0].Kind != core.OpFlatten || f.e.FlattensCommitted() != 1 {
+	if d := f.ackFrom(3, n); len(d) != 1 || d[0].Kind != core.OpFlatten || f.e.FlattensCommitted() != 1 {
 		t.Fatalf("last owed ack: decisions %v, %d committed", d, f.e.FlattensCommitted())
 	}
 }
@@ -297,11 +330,11 @@ func TestVoteAfterDecisionIsAnsweredFromMemory(t *testing.T) {
 	f.write("a")
 	f.hear(2)
 	n := f.propose()
-	if d := f.ackFrom(2, n, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+	if d := f.ackFrom(2, n); len(d) != 1 || d[0].Kind != core.OpFlatten {
 		t.Fatalf("the owed ack: decisions %v", d)
 	}
 	for _, intent := range []uint64{n, n + 1<<20} {
-		if d := f.ackFrom(2, intent, 0); len(d) != 0 {
+		if d := f.ackFrom(2, intent); len(d) != 0 {
 			t.Fatalf("late ack for %d drew %v", intent, d)
 		}
 	}
@@ -322,14 +355,14 @@ func TestReusedTxIDIsReEvaluated(t *testing.T) {
 	f.write("a")
 	f.hear(2)
 	first := f.propose()
-	if d := f.ackFrom(2, first, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+	if d := f.ackFrom(2, first); len(d) != 1 || d[0].Kind != core.OpFlatten {
 		t.Fatalf("first round: decisions %v", d)
 	}
 	second := f.propose()
-	if d := f.ackFrom(2, first, 0); len(d) != 0 {
+	if d := f.ackFrom(2, first); len(d) != 0 {
 		t.Fatalf("the first round's ack decided the second: %v", d)
 	}
-	if d := f.ackFrom(2, second, 0); len(d) != 1 || d[0].Kind != core.OpFlatten {
+	if d := f.ackFrom(2, second); len(d) != 1 || d[0].Kind != core.OpFlatten {
 		t.Fatalf("second round's own ack: decisions %v", d)
 	}
 }
@@ -461,8 +494,42 @@ func TestUnstampedEditDelaysTheAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.s.Tick()
-	if a := f.acks(); len(a) != 1 || a[0].Seq != held.Seq {
+	if a := f.acks(); len(a) != 1 || a[0].Clock.Get(2) != held.Seq {
 		t.Fatalf("acks once the edit is stamped: %+v, want one carrying seq %d", a, held.Seq)
+	}
+}
+
+// TestRoundWaitsForWhatAMemberDeliveredBeforeItAcked: an ack carries the
+// member's delivered clock, so a region edit the member had delivered from
+// a site the author has never heard of — through a hub, a sampled digest
+// and a refused queue slot can hide such a writer — keeps the round open
+// until the author delivers that edit too. Delivering it makes the writer
+// a member whose own ack the round then waits for, and the flatten
+// includes the edit.
+func TestRoundWaitsForWhatAMemberDeliveredBeforeItAcked(t *testing.T) {
+	f := newFlatStep(t, 1)
+	f.write("a")
+	f.hear(2)
+	n := f.propose()
+	edit := newTestReplica(t, 9).insertAt(t, 0, "x")
+	seen := f.e.Clock()
+	seen[9] = edit.Seq
+	if d := f.ackWith(2, n, seen); len(d) != 0 {
+		t.Fatalf("decided %v on an ack covering s9's edit, which the author has not delivered", d)
+	}
+	f.s.Tick()
+	if d := f.sent(core.OpFlatten, core.OpAbort); len(d) != 0 {
+		t.Fatalf("a tick decided %v before the author delivered s9's edit", d)
+	}
+	f.deliver(kindOps, &OpsFrame{Msgs: []causal.Message{{From: 9, TS: vclock.VC{9: edit.Seq}, Payload: edit}}})
+	if d := f.sent(core.OpFlatten, core.OpAbort); len(d) != 0 {
+		t.Fatalf("decided %v before s9, a member once its edit is delivered, acked", d)
+	}
+	if d := f.ackFrom(9, n); len(d) != 1 || d[0].Kind != core.OpFlatten {
+		t.Fatalf("decisions once every member acked and every acked edit is delivered: %v", d)
+	}
+	if got := f.r.content(); got != "x\na" && got != "a\nx" {
+		t.Fatalf("flattened content %q, want s9's edit in it", got)
 	}
 }
 
@@ -489,25 +556,53 @@ func TestAuthorAbortsItsRoundsOnRestartAndStop(t *testing.T) {
 	if err := s.Engine().ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
-	if r.doc.LockedRegions() != 1 || s.Engine().FlattensAborted() != 0 {
+	if len(r.doc.Intents()) != 1 || s.Engine().FlattensAborted() != 0 {
 		t.Fatal("the round did not open")
 	}
 	// A crash: no Stop. The restarted author finds its intent in the log.
 	r, s, link := start()
-	if r.doc.LockedRegions() != 1 {
+	if len(r.doc.Intents()) != 1 {
 		t.Fatal("the restart lost the pending intent")
 	}
 	s.Tick()
-	if r.doc.LockedRegions() != 0 || s.Engine().FlattensAborted() != 1 || !sentKind(t, link, core.OpAbort) {
-		t.Fatalf("restarted author: %d locks, %d aborts; want its intent aborted", r.doc.LockedRegions(), s.Engine().FlattensAborted())
+	if len(r.doc.Intents()) != 0 || s.Engine().FlattensAborted() != 1 || !sentKind(t, link, core.OpAbort) {
+		t.Fatalf("restarted author: %d locks, %d aborts; want its intent aborted", len(r.doc.Intents()), s.Engine().FlattensAborted())
 	}
 	if err := s.Engine().ProposeFlatten(); err != nil {
 		t.Fatal(err)
 	}
 	link.frames = nil
 	s.Stop()
-	if r.doc.LockedRegions() != 0 || s.Engine().FlattensAborted() != 2 || !sentKind(t, link, core.OpAbort) {
-		t.Fatalf("stopped author: %d locks, %d aborts; want its intent aborted", r.doc.LockedRegions(), s.Engine().FlattensAborted())
+	if len(r.doc.Intents()) != 0 || s.Engine().FlattensAborted() != 2 || !sentKind(t, link, core.OpAbort) {
+		t.Fatalf("stopped author: %d locks, %d aborts; want its intent aborted", len(r.doc.Intents()), s.Engine().FlattensAborted())
+	}
+}
+
+// TestStopWithAnUnbroadcastEditReportsItsIntent: a stopping author cannot
+// stamp the abort of its round while a local edit is applied but was never
+// broadcast — an operation's sequence number and its causal stamp must
+// agree — so the intent stays pending, its region locked at every replica
+// until the author restarts, and Err says so.
+func TestStopWithAnUnbroadcastEditReportsItsIntent(t *testing.T) {
+	r, link := newTestReplica(t, 1), &recLink{}
+	s, err := NewStepper(1, r, func() time.Time { return time.UnixMilli(0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Connect(link)(mustEncode(t, kindSyncReq, &SyncReqFrame{From: 2, Clock: vclock.New()}))
+	e := s.Engine()
+	if err := e.Broadcast(r.insertAt(t, 0, "a")); err != nil {
+		t.Fatal(err)
+	}
+	e.ctl(func() { e.startProposal(ident.Path{ident.J(0)}) })
+	if len(r.doc.Intents()) != 1 {
+		t.Fatal("the round did not open")
+	}
+	r.insertAt(t, 1, "never broadcast")
+	link.frames = nil
+	s.Stop()
+	if sentKind(t, link, core.OpAbort) || len(r.doc.Intents()) != 1 || e.Err() == nil {
+		t.Fatalf("stop left %d intents, Err %v; want no abort, the intent pending, the stuck intent reported", len(r.doc.Intents()), e.Err())
 	}
 }
 

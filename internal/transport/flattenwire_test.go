@@ -31,7 +31,7 @@ func TestFlatFramesRejectMalformed(t *testing.T) {
 			t.Errorf("%s at an atom decoded", kind)
 		}
 	}
-	ack := mustEncode(t, kindFlatAck, &FlatAckFrame{From: 5, Author: 3, Intent: 1, Seq: 9})
+	ack := mustEncode(t, kindFlatAck, &FlatAckFrame{From: 5, Author: 3, Intent: 1, Clock: vclock.VC{3: 1, 5: 9}})
 	for cut := 1; cut < len(ack); cut++ {
 		if _, err := DecodeFrame(ack[:cut]); err == nil {
 			t.Fatalf("truncated ack (%d bytes) decoded", cut)

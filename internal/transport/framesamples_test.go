@@ -99,7 +99,7 @@ func frameSamples(t testing.TB) []frameSample {
 		{"ops", kindOps, &OpsFrame{Msgs: sampleMsgs()}, "14020907020209070302010103040702c3a90e010101010002"},
 		{"ops-empty", kindOps, &OpsFrame{Msgs: []causal.Message{}}, "1400"},
 		{"syncreq", kindSyncReq, &SyncReqFrame{From: 3, Clock: vclock.VC{1: 5, 9: 2, ident.MaxSiteID: 7}}, "02030301050902ffffffffffff3f07"},
-		{"flatack", kindFlatAck, &FlatAckFrame{From: 5, Author: 3, Intent: 12, Seq: 300}, "1605030cac02"},
+		{"flatack", kindFlatAck, &FlatAckFrame{From: 5, Author: 3, Intent: 12, Clock: vclock.VC{3: 12, 5: 300}}, "1605030c02030c05ac02"},
 		{"ops-intent", kindOps, &OpsFrame{Msgs: roundMsgs(core.OpFlatten)}, "1403180301030500001c020100030902030609010307020100"},
 		{"ops-abort", kindOps, &OpsFrame{Msgs: roundMsgs(core.OpAbort)}, "1403180301030500001c020100110902030609010307020100"},
 		{"snapchunk", kindSnapChunk, &SnapChunkFrame{From: 2, Version: vclock.VC{2: 9, 4: 1}, Total: 5000, Offset: 2000, Data: []byte("0123456789abcdef")}, "080202020904018827d00f30313233343536373839616263646566"},

@@ -126,8 +126,8 @@ func TestFlattenLockReleasedBySnapshotAbsorption(t *testing.T) {
 	defer s.Stop()
 	recv := s.Connect(&recLink{})
 	recv(mustEncode(t, kindOps, &OpsFrame{Msgs: msgs}))
-	if _, err := r.doc.InsertAt(0, "x"); !errors.Is(err, core.ErrRegionLocked) || r.doc.LockedRegions() != 1 {
-		t.Fatalf("member with the intent applied: edit %v, %d locks", err, r.doc.LockedRegions())
+	if _, err := r.doc.InsertAt(0, "x"); !errors.Is(err, core.ErrRegionLocked) || len(r.doc.Intents()) != 1 {
+		t.Fatalf("member with the intent applied: edit %v, %d locks", err, len(r.doc.Intents()))
 	}
 	if _, err := author.doc.FlattenOp(core.OpFlatten, ident.Path{}, 2); err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestFlattenLockReleasedBySnapshotAbsorption(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv(mustEncode(t, kindSnapChunk, &SnapChunkFrame{From: 7, Version: version, Total: uint64(len(data)), Data: data}))
-	if got := s.Engine().Clock().Get(7); got != 3 || r.doc.LockedRegions() != 0 || r.content() != "a" {
-		t.Fatalf("after the install: clock[7] %d, %d locks, %q; want 3, 0, \"a\"", got, r.doc.LockedRegions(), r.content())
+	if got := s.Engine().Clock().Get(7); got != 3 || len(r.doc.Intents()) != 0 || r.content() != "a" {
+		t.Fatalf("after the install: clock[7] %d, %d locks, %q; want 3, 0, \"a\"", got, len(r.doc.Intents()), r.content())
 	}
 }
 

@@ -43,7 +43,7 @@ func TestStepperRunsOnlyWhenStepped(t *testing.T) {
 	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("%d goroutines after building two stepped engines, %d before", got, before)
 	}
-	if len(ab.frames) != 1 || !IsDigest(ab.frames[0]) {
+	if len(ab.frames) != 1 || ab.frames[0][0] != kindSyncReq {
 		t.Fatalf("Connect sent %d frames, want the opening digest", len(ab.frames))
 	}
 	ab.frames, ba.frames = nil, nil
@@ -122,7 +122,7 @@ func TestFarBehindPullsBySnapshot(t *testing.T) {
 		now = now.Add(time.Second)
 		sb.Tick()
 		for _, f := range ba.frames {
-			if !IsDigest(f) {
+			if f[0] != kindSyncReq {
 				t.Fatalf("tick %d: the replica behind sent a frame of kind %#x", tick, f[0])
 			}
 			toA(f)

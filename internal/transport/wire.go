@@ -214,22 +214,24 @@ func (f *SnapChunkFrame) wire(c *codec) {
 
 // FlatAckFrame is a kindFlatAck frame: member From has applied the flatten
 // intent Author stamped as its operation Intent, holds no local edit it has
-// not stamped, and has stamped its own operations up to Seq. Only Author
-// consumes it; the author's round is stable once it has every member's ack
-// and has delivered each one's operations up to its Seq. Members re-send it
-// each tick while the intent is pending, so a lost ack costs a tick.
+// not stamped, and has delivered the operations Clock covers — its own and
+// every other site's, including sites Author has never heard of. Only
+// Author consumes it; the author's round is stable once it has every
+// member's ack and its own delivered clock dominates each one's Clock.
+// Members re-send it each tick while the intent is pending, so a lost ack
+// costs a tick.
 type FlatAckFrame struct {
 	From   ident.SiteID
 	Author ident.SiteID
 	Intent uint64
-	Seq    uint64
+	Clock  vclock.VC
 }
 
 func (f *FlatAckFrame) wire(c *codec) {
 	c.site(&f.From, "flatten acker")
 	c.site(&f.Author, "flatten author")
 	c.uvarint(&f.Intent, "flatten intent seq")
-	c.uvarint(&f.Seq, "flatten acker seq")
+	c.vc(&f.Clock)
 }
 
 // DocFrame is a kindDocFrame frame, the doc-scoped envelope: a document ID
@@ -766,15 +768,12 @@ func EncodeOps(msgs []causal.Message) ([]byte, error) {
 // replay-routing link travels inside kindReplay, so it does not match.)
 func IsLiveOps(frame []byte) bool { return len(frame) > 0 && frame[0] == kindOps }
 
-// IsDigest reports whether frame is a kindSyncReq digest.
-func IsDigest(frame []byte) bool { return len(frame) > 0 && frame[0] == kindSyncReq }
-
 // IsRecurring reports whether frame is one an engine repeats while nothing
 // changes — a digest (its keepalive) or a flatten ack (re-sent each tick
 // while the intent is pending) — and so one a driver must not mistake for
 // work in progress.
 func IsRecurring(frame []byte) bool {
-	return IsDigest(frame) || len(frame) > 0 && frame[0] == kindFlatAck
+	return len(frame) > 0 && (frame[0] == kindSyncReq || frame[0] == kindFlatAck)
 }
 
 // EncodeSyncReq encodes an anti-entropy digest frame.
