@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -753,15 +754,20 @@ func vcEqual(a, b Version) bool { return a.Dominates(b) && b.Dominates(a) }
 // operation without having applied that whole frontier. It reads the
 // frames on the simulated wire and the documents' version vectors, after
 // every single driver action, so at most one event separates two
-// observations of a replica. It also tells the flatten rounds apart.
+// observations of a replica. It also tells the flatten rounds apart, and
+// times how long each one holds its lock at each replica.
 type causalOracle struct {
 	ops      map[[2]uint64]Op      // (site, seq) → the operation
 	frontier map[[2]uint64]Version // (site, seq) → what the op causally follows
 	kinds    map[core.OpKind]int   // operations stamped, by kind
 	seen     []Version             // per replica, the version last observed
+	applied  map[[3]uint64]int64   // (replica, site, seq) → the virtual time it was seen applied
 	// flattenedConcurrent counts the OpFlattens whose region held an edit
 	// made at another site without knowledge of the round's intent.
 	flattenedConcurrent int
+	// holds has, per decided intent and replica, the ticks from the
+	// replica applying the intent to its applying the decision.
+	holds []int64
 }
 
 // stamped records the operations a frame carries the first time one is
@@ -817,7 +823,8 @@ func (o *causalOracle) concurrentEditIn(flat Op) bool {
 
 // decidedOnce checks that every intent an author stamped is decided by
 // exactly one later OpFlatten or abort of that author at its path, with no
-// decision naming an intent that was not pending.
+// decision naming an intent that was not pending, and notes how long each
+// decision's intent held its lock at every replica.
 func (o *causalOracle) decidedOnce() error {
 	keys := make([][2]uint64, 0, len(o.ops))
 	for key := range o.ops {
@@ -843,6 +850,9 @@ func (o *causalOracle) decidedOnce() error {
 		case pending[r] == 0:
 			return fmt.Errorf("s%d#%d: %v decides no pending intent", op.Site, op.Seq, op.Kind)
 		default:
+			for i := range o.seen {
+				o.holds = append(o.holds, o.applied[[3]uint64{uint64(i), key[0], key[1]}]-o.applied[[3]uint64{uint64(i), key[0], pending[r]}])
+			}
 			delete(pending, r)
 		}
 	}
@@ -860,6 +870,7 @@ func (o *causalOracle) observe(c *Cluster) error {
 		for s, top := range versions[i] {
 			for n := o.seen[i].Get(s) + 1; n <= top; n++ {
 				key := [2]uint64{uint64(s), n}
+				o.applied[[3]uint64{uint64(i), key[0], key[1]}] = c.Now()
 				f, ok := o.frontier[key]
 				if !ok && s == r.site {
 					continue // its own, minted and not sent yet
@@ -880,10 +891,12 @@ func (o *causalOracle) observe(c *Cluster) error {
 
 // exploreStats is what a schedule exercised, summed over seeds so the
 // explorer can prove it is not vacuous. concurrent counts the committed
-// rounds that flattened an edit made concurrently with their intent.
+// rounds that flattened an edit made concurrently with their intent;
+// holds are the oracle's lock hold times, which nothing gates.
 type exploreStats struct {
 	edits, blocked, proposals, committed, aborted, concurrent, cuts int
 	dropped                                                         uint64
+	holds                                                           []int64
 }
 
 func (a *exploreStats) add(b exploreStats) {
@@ -895,6 +908,7 @@ func (a *exploreStats) add(b exploreStats) {
 	a.concurrent += b.concurrent
 	a.cuts += b.cuts
 	a.dropped += b.dropped
+	a.holds = append(a.holds, b.holds...)
 }
 
 // exploreFailure carries an obligation violation out of explore's closures.
@@ -942,7 +956,7 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 	c, err := NewCluster(sites, WithSeed(seed), WithLatency(1, 40), WithLoss(loss), WithClusterMode(mode))
 	must(err)
 	oracle := causalOracle{ops: make(map[[2]uint64]Op), frontier: make(map[[2]uint64]Version),
-		kinds: make(map[core.OpKind]int), seen: make([]Version, sites)}
+		kinds: make(map[core.OpKind]int), seen: make([]Version, sites), applied: make(map[[3]uint64]int64)}
 	c.sent = func(at int64, from, to SiteID, frame []byte) {
 		oracle.stamped(frame)
 		if trace == nil {
@@ -1076,7 +1090,7 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 		fail("%d aborts minted, %d counted", k[OpAbort], st.aborted)
 	}
 	must(oracle.decidedOnce())
-	st.concurrent = oracle.flattenedConcurrent
+	st.concurrent, st.holds = oracle.flattenedConcurrent, oracle.holds
 	st.dropped = c.net.Dropped()
 	return st, nil
 }
@@ -1117,7 +1131,14 @@ func TestClusterExplore(t *testing.T) {
 			run(seed)
 		}
 	}
+	holds := total.holds
+	slices.Sort(holds)
+	total.holds = nil
 	t.Logf("%d seeds and the long-cut ones past them: %+v", seeds, total)
+	if len(holds) > 0 {
+		t.Logf("%d lock holds: p50 %d and p99 %d ticks from a replica applying an intent to its applying the decision",
+			len(holds), holds[len(holds)/2], holds[len(holds)*99/100])
+	}
 	if seeds >= 200 && (total.blocked == 0 || total.committed == 0 || total.aborted == 0 ||
 		total.concurrent == 0 || total.cuts == 0 || total.dropped == 0) {
 		t.Errorf("explorer is vacuous somewhere: %+v", total)
@@ -1168,7 +1189,7 @@ func TestClusterTraceDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sa != sb {
+		if !reflect.DeepEqual(sa, sb) {
 			t.Errorf("seed %d: run 1 did %+v, run 2 did %+v", seed, sa, sb)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -146,12 +146,22 @@ func TestSnapshotAllocs(t *testing.T) {
 // there, its atom handle in the node's old empty-node counter: the last
 // 1,997 mini records went; and those in 230,824 before a chain of one
 // site's tombs became one node record (a run): 1,281 of its 6,129 node
-// records went, and 20 chunks of them.
+// records went, and 20 chunks of them; and those in 189,864 before a
+// node's edit stamp left its record (32 → 28 bytes) for the tree's stamp
+// chunks. This replica's revision clock moves, so it holds a stamp chunk
+// beside each of its 76 node chunks and pays what it saves, plus the
+// stamps' directory. The same history replayed with a clock that never
+// moves stamps nothing and holds no stamp chunk: its 71 node chunks took
+// 179,624 bytes at 32-byte records, and it saves an eighth of them.
 func TestTreeRecordCount(t *testing.T) {
-	const nodes, heap = 9082, 189864
-	s := mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}).Tree().Stats(ident.PaperCost(ident.SDIS))
-	if s.Nodes != nodes || s.HeapBytes != heap {
-		t.Errorf("tree: %d nodes in %d heap bytes, want %d in %d", s.Nodes, s.HeapBytes, nodes, heap)
+	for _, c := range []struct {
+		stamped     bool
+		nodes, heap int
+	}{{true, 9082, 191032}, {false, 9082, 161472}} {
+		s := replayHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}, c.stamped).Tree().Stats(ident.PaperCost(ident.SDIS))
+		if s.Nodes != c.nodes || s.HeapBytes != c.heap {
+			t.Errorf("tree, stamped %v: %d nodes in %d heap bytes, want %d in %d", c.stamped, s.Nodes, s.HeapBytes, c.nodes, c.heap)
+		}
 	}
 }
 
@@ -167,6 +177,14 @@ var goldenHistory = trace.Profile{
 // mintHistory replays a generated history through a fresh core.Document,
 // passing every operation it mints to note, and returns the document.
 func mintHistory(t testing.TB, profile trace.Profile, cfg core.Config, note func(core.Op)) *core.Document {
+	t.Helper()
+	return replayHistory(t, profile, cfg, note, true)
+}
+
+// replayHistory is mintHistory that ends each revision with EndRevision
+// only if stamped: a replica whose revision clock never moves stamps no
+// node.
+func replayHistory(t testing.TB, profile trace.Profile, cfg core.Config, note func(core.Op), stamped bool) *core.Document {
 	t.Helper()
 	tr, err := trace.Generate(profile)
 	if err != nil {
@@ -217,7 +235,9 @@ func mintHistory(t testing.TB, profile trace.Profile, cfg core.Config, note func
 				note(op)
 			}
 		}
-		doc.EndRevision()
+		if stamped {
+			doc.EndRevision()
+		}
 	}
 	return doc
 }

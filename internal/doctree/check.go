@@ -134,8 +134,8 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 		return counts{}, fmt.Errorf("doctree: node %d holds atom handle %d and no solo", h, n.atom)
 	} else if k := n.runLen(); n.run() && (k < 2 || k > maxRun || n.atom>>(4+k) != 0) {
 		return counts{}, fmt.Errorf("doctree: node %d is a broken run: %d members, side bits %#x", h, k, n.atom>>5)
-	} else if n.lastMod > t.rev {
-		return counts{}, fmt.Errorf("doctree: node %d is stamped %d, after the revision clock's %d", h, n.lastMod, t.rev)
+	} else if st := t.stamp(h); st > t.rev {
+		return counts{}, fmt.Errorf("doctree: node %d is stamped %d, after the revision clock's %d", h, st, t.rev)
 	}
 	c.cached = c.cached || t.ck == slot{h, soloMini} && n.solo()
 	if d > 0 {

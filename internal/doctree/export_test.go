@@ -117,11 +117,24 @@ func (t *Tree) EmptyNodes() (empty int) {
 
 // SetStamp sets the revision stamp of the node the structural path
 // designates, and nothing else.
-func (t *Tree) SetStamp(path ident.Path, rev uint32) { t.routeNode(path).lastMod = rev }
+func (t *Tree) SetStamp(path ident.Path, rev uint32) { t.setStamp(t.routeHandle(path), rev) }
+
+// StampChunks returns the stamp chunks the tree holds.
+func (t *Tree) StampChunks() (n int) {
+	for _, c := range t.stamps {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // routeNode returns the node the structural path designates: for a path
 // ending among a run's members, the run's.
-func (t *Tree) routeNode(path ident.Path) *node {
+func (t *Tree) routeNode(path ident.Path) *node { return t.node(t.routeHandle(path)) }
+
+// routeHandle returns the handle of the node routeNode returns.
+func (t *Tree) routeHandle(path ident.Path) nodeH {
 	s := slot{node: rootH}
 	for i := 0; i < len(path); i++ {
 		e := path[i]
@@ -136,7 +149,7 @@ func (t *Tree) routeNode(path ident.Path) *node {
 			s.mini = t.findMini(t.node(s.node), e.Dis)
 		}
 	}
-	return t.node(s.node)
+	return s.node
 }
 
 // SetSolo flags the node the structural path designates, which may be

@@ -356,7 +356,8 @@ func (s *script) roundTrip() {
 }
 
 // holds checks r against its reference: Check, content by index and by
-// range, Height, the TDC2 bytes, Stats but the heap, ColdestSubtree, and
+// range, Height, the TDC2 bytes, Stats but the heap, ColdestSubtree, no
+// stamp chunk while the revision clock is at 0, and
 // for every identifier the script has met Exists and, where the tree
 // holds it live outside a flat region, IDAt; and the free-slot scan from
 // the document start and after every used identifier with a slot.
@@ -383,6 +384,9 @@ func (s *script) holds(r *replica) {
 	st, want := tr.Stats(ident.PaperCost(s.mode)), rf.stats(ident.PaperCost(s.mode))
 	if st.HeapBytes = 0; st != want {
 		s.fatalf("%s: stats %+v, the reference's %+v", r.name, st, want)
+	}
+	if k := tr.StampChunks(); tr.Rev() == 0 && k != 0 {
+		s.fatalf("%s holds %d stamp chunks, and its revision clock never moved", r.name, k)
 	}
 	for k := range 8 {
 		cutoff, minNodes, liveOnly := int64(rf.rev)-int64(k/2), 1+k%3, k%2 == 1

@@ -54,14 +54,14 @@ const rootH nodeH = 1
 // needs the record — to hang a child from the mini or add a sibling — builds
 // it back (unsolo), as child builds reserved nodes; a slot names it soloMini.
 //
-// The record is the paper's 4-byte-pointer node model made literal: 32
+// The record is the paper's 4-byte-pointer node model made literal: 28
 // bytes, every link a handle, no Go pointer — the collector never scans a
 // node chunk, and nothing reachable from a node keeps a detached subtree
 // alive. The first 20 bytes hold what the two hot per-edit loops touch: the
 // count-guided descent (kids, first, live) and the counter climb (parent,
 // live). Of a subtree's empty nodes only whether it holds one is kept, in
 // a bit; its node and tombstone counts are not: the rare cold-subtree scan
-// sums them as it walks, as it does lastMod.
+// sums them as it walks, as it does the edit stamps (Tree.stamps).
 type node struct {
 	parent nodeH    // node containing the slot we hang from; 0 at the root
 	kids   [2]nodeH // major child slots: left, right
@@ -69,7 +69,6 @@ type node struct {
 	live   uint32   // live atoms in this subtree, including flat content
 
 	atom    uint32 // a solo's atom handle into Tree.atoms, 0 = dead; a run's shape
-	lastMod uint32 // latest revision that edited at this node (see bubble)
 	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, solo, hasEmpty, run
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
 	siteHi  uint16 // a solo's site, high bits
@@ -151,12 +150,18 @@ type Tree struct {
 	flats map[nodeH][]string
 	// mkids holds the child links of exactly the minis flagged hasKids, read
 	// only under the flag; an entry goes with the mini's last child.
-	mkids    map[miniH][2]nodeH
+	mkids map[miniH][2]nodeH
+	// stamps holds each node's edit stamp, the latest revision that edited
+	// at it (see bubble), in chunks indexed by handle as the node slab's
+	// are. Only the cold-subtree scan reads a stamp, and only a tree whose
+	// revision clock moves writes a nonzero one: a chunk is allocated by
+	// the first nonzero stamp written into it, and a missing one reads 0.
+	stamps   []*[chunkLen]uint32
 	limit    uint32 // records per slab; maxRecords outside tests
 	reserved uint32 // nodes the reserve counts stand for, no record yet (see child)
 
 	height int    // max depth of any node (root = 0)
-	rev    uint32 // current revision stamp for lastMod bookkeeping
+	rev    uint32 // the revision clock, which edits stamp nodes with
 
 	// Walk cache: the identifier and slot of the last successful walk.
 	// Consecutive operations on nearby identifiers (an insert run, an
@@ -184,6 +189,28 @@ type nodeDir []*[chunkLen]node
 
 func (d nodeDir) at(h nodeH) *node { return &d[h>>chunkShift][h&chunkMask] }
 
+// stamp returns node h's edit stamp.
+func (t *Tree) stamp(h nodeH) uint32 {
+	if i := int(h >> chunkShift); i < len(t.stamps) && t.stamps[i] != nil {
+		return t.stamps[i][h&chunkMask]
+	}
+	return 0
+}
+
+// setStamp sets node h's edit stamp to rev. Only a nonzero stamp allocates
+// a missing chunk, with the directory up to the node slab's length.
+func (t *Tree) setStamp(h nodeH, rev uint32) {
+	i := int(h >> chunkShift)
+	if i >= len(t.stamps) || t.stamps[i] == nil {
+		if rev == 0 {
+			return
+		}
+		t.stamps = append(t.stamps, make([]*[chunkLen]uint32, len(t.nodes.chunks)-len(t.stamps))...)
+		t.stamps[i] = new([chunkLen]uint32)
+	}
+	t.stamps[i][h&chunkMask] = rev
+}
+
 // room reports ErrFull unless the slabs can hand out that many more nodes
 // and minis. Every operation that allocates checks once, up front, with an
 // upper bound of what it may need, so the allocation paths cannot fail.
@@ -194,10 +221,11 @@ func (t *Tree) room(nodes, minis int) error {
 	return nil
 }
 
-// newNode allocates a node hanging from slot s on side bit. It does not
-// link it into the slot.
+// newNode allocates a node hanging from slot s on side bit, unstamped. It
+// does not link it into the slot.
 func (t *Tree) newNode(s slot, bit uint8) nodeH {
 	h := nodeH(t.nodes.alloc())
+	t.setStamp(h, 0) // a released handle keeps its stamp
 	n := t.node(h)
 	if n.parent, n.flags = s.node, bit; s.mini != 0 {
 		n.flags |= onMiniF
@@ -405,9 +433,9 @@ func (t *Tree) pathTo(h nodeH) ident.Path {
 	return p
 }
 
-// bubble adds dLive to every live counter from h to the root, stamps h's
-// lastMod — the edit point only: coldWalk takes a subtree's recency as the
-// maximum stamp in it — and, if h's subtree gained (dEmpty > 0) or lost
+// bubble adds dLive to every live counter from h to the root, stamps h —
+// the edit point only: coldWalk takes a subtree's recency as the maximum
+// stamp in it — and, if h's subtree gained (dEmpty > 0) or lost
 // (< 0) an empty node, sets the hasEmpty bits up to the first ancestor
 // that has one or recomputes them up to the first whose bit holds. The
 // counters are unsigned and the signed additions wrap to the right sum.
@@ -415,8 +443,8 @@ func (t *Tree) bubble(h nodeH, dLive, dEmpty int) {
 	if h == 0 {
 		return
 	}
+	t.setStamp(h, t.rev)
 	dir := nodeDir(t.nodes.chunks)
-	dir.at(h).lastMod = t.rev
 	for p := h; dEmpty != 0 && p != 0; {
 		n := dir.at(p)
 		bit := uint8(hasEmptyF)
@@ -452,14 +480,20 @@ func (t *Tree) holdsEmpty(h nodeH, n *node) bool {
 
 // heapBytes returns what the tree's structure occupies on the Go heap: the
 // node and mini slabs and the atom store (records in use, free and never
-// used) with their chunk directories, the atoms' free stack, and the
-// flat-region and mini-child maps. It is O(1) and leaves out the atoms'
-// text and the arrays of flattened regions, the document rather than its
-// overhead. A map entry is priced at its key, value and share of a group:
-// 48 bytes in flats, 16 in mkids.
+// used) and the stamp chunks, with their chunk directories, the atoms' free
+// stack, and the flat-region and mini-child maps. It reads one word per 64
+// nodes and leaves out the atoms' text and the arrays of flattened regions,
+// the document rather than its overhead. A map entry is priced at its key,
+// value and share of a group: 48 bytes in flats, 16 in mkids.
 func (t *Tree) heapBytes() int {
-	return int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
-		len(t.atoms.chunks)*atomChunk*16 + cap(t.atoms.chunks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48 + len(t.mkids)*16
+	b := int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
+		len(t.atoms.chunks)*atomChunk*16 + cap(t.atoms.chunks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48 + len(t.mkids)*16 + cap(t.stamps)*8
+	for _, c := range t.stamps {
+		if c != nil {
+			b += int(unsafe.Sizeof(*c))
+		}
+	}
+	return b
 }
 
 // errNotFound is returned by lookups of identifiers with no materialised

@@ -44,7 +44,7 @@ func (n *node) hop(p ident.Path, i int) (j int) {
 // or it would read hot (coldWalk).
 func (t *Tree) join(h nodeH) (joined bool) {
 	n := t.node(h)
-	if c := max(n.kids[0], n.kids[1]); t.runs(h, c) && t.node(c).lastMod == n.lastMod {
+	if c := max(n.kids[0], n.kids[1]); t.runs(h, c) && t.stamp(c) == t.stamp(h) {
 		t.absorb(h, c)
 		joined = true
 	}
@@ -68,7 +68,8 @@ func (t *Tree) absorb(h, c nodeH) {
 	n, m := t.node(h), t.node(c)
 	k := n.runLen()
 	n.shape(k+m.runLen(), n.atom>>5|uint32(m.bit())<<(k-1)|m.atom>>5<<k)
-	n.kids, n.reserve, n.lastMod = m.kids, m.reserve, max(n.lastMod, m.lastMod)
+	n.kids, n.reserve = m.kids, m.reserve
+	t.setStamp(h, max(t.stamp(h), t.stamp(c)))
 	t.adopt(h)
 	t.cacheDrop()
 	t.nodes.release(uint32(c))
@@ -90,6 +91,7 @@ func (t *Tree) cut(h nodeH, j int) nodeH {
 	n, m := t.node(h), t.node(l)
 	k, sides := n.runLen(), n.atom>>5
 	*m = *n
+	t.setStamp(l, t.stamp(h))
 	m.parent, m.flags = h, m.flags&^(onMiniF|1)|uint8(sides>>j&1)
 	m.shape(k-j-1, sides>>(j+1))
 	t.adopt(l)

@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// Slab chunks hold 64 records: 2,048 bytes of nodes, 1,280 of minis, each
-// an exact Go size class, so no chunk carries slack; the atom store's hold
-// 256 atoms, 4 KiB. Chunks never move, so a record pointer stays valid
-// across allocations, and a small document pays for at most one partly used
-// chunk per slab.
+// Slab chunks hold 64 records: 1,792 bytes of nodes, 1,280 of minis and,
+// beside them, 256 of node stamps (Tree.stamps), each an exact Go size
+// class, so no chunk carries slack; the atom store's hold 256 atoms, 4 KiB.
+// Chunks never move, so a record pointer stays valid across allocations,
+// and a small document pays for at most one partly used chunk per slab.
 const (
 	chunkShift = 6
 	chunkLen   = 1 << chunkShift

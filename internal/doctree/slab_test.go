@@ -14,17 +14,19 @@ import (
 // TestRecordLayout guards the record sizes the heap-per-atom numbers rest on
 // (docs/ARCHITECTURE.md §10.2): node and mini records hold no Go pointer,
 // which keeps their chunks out of the collector's scan, and every chunk —
-// 64 nodes, 64 minis, 256 atoms — fills a Go size class exactly.
+// 64 nodes, 64 minis, 64 node stamps, 256 atoms — fills a Go size class
+// exactly.
 func TestRecordLayout(t *testing.T) {
-	// The size classes between 1 and 4 KiB (runtime/sizeclasses.go).
-	classes := []uintptr{1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096}
+	// The size classes of 256 B and between 1 and 4 KiB (runtime/sizeclasses.go).
+	classes := []uintptr{256, 1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096}
 	for _, r := range []struct {
 		name              string
 		size, want, chunk uintptr
 		ty                reflect.Type
 	}{
-		{"node", unsafe.Sizeof(node{}), 32, chunkLen, reflect.TypeOf(node{})},
+		{"node", unsafe.Sizeof(node{}), 28, chunkLen, reflect.TypeOf(node{})},
 		{"mini", unsafe.Sizeof(mini{}), 20, chunkLen, reflect.TypeOf(mini{})},
+		{"stamp", unsafe.Sizeof(*Tree{}.stamps[0]) / chunkLen, 4, chunkLen, nil},
 		{"atom", unsafe.Sizeof([atomChunk]string{}) / atomChunk, 16, atomChunk, nil},
 	} {
 		if r.size != r.want {

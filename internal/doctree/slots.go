@@ -158,7 +158,7 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 	if h == 0 {
 		h, added = t.newNode(s, bit), 1
 		t.setKid(s, bit, h)
-		t.node(h).lastMod = t.rev
+		t.setStamp(h, t.rev)
 		t.height = max(t.height, depth)
 	} else if levels > 1 && t.node(h).run() {
 		t.cut(h, 0) // its top member gains a child
@@ -169,7 +169,8 @@ func (t *Tree) reserve(s slot, bit uint8, depth, levels int) (added uint32) {
 		if r := uint8(levels - 1); r > n.reserve {
 			added += reservedNodes(r) - reservedNodes(n.reserve)
 			t.reserved += reservedNodes(r) - reservedNodes(n.reserve)
-			n.reserve, n.lastMod = r, t.rev
+			n.reserve = r
+			t.setStamp(h, t.rev)
 			t.height = max(t.height, depth+int(r))
 		}
 	default:

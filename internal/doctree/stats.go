@@ -22,8 +22,8 @@ type Stats struct {
 
 	MemBytes int // in-memory overhead under the paper's node cost model
 	// HeapBytes is what the tree structure actually occupies on the Go
-	// heap: the node and mini slabs and the atom store, unused records
-	// included (O(1), see heapBytes).
+	// heap: the node and mini slabs, the atom store and the stamp chunks,
+	// unused records included (see heapBytes).
 	HeapBytes int
 }
 
@@ -212,8 +212,8 @@ func (t *Tree) ColdestSubtree(cutoff int64, minNodes int, liveOnly bool) ident.P
 
 // coldWalk returns the best flatten candidate within h's subtree with its
 // score, and the subtree's node and tombstone counts and latest edit
-// revision. Edits stamp lastMod only at the edit point and bubble keeps no
-// node or tombstone counts, so this rare post-order scan sums all three
+// revision. Edits stamp only the edit point (Tree.stamps) and bubble keeps
+// no node or tombstone counts, so this rare post-order scan sums all three
 // instead of the per-edit climb. A subtree whose latest edit is at or before
 // cutoff is cold; its root dominates every descendant's score (the sums are
 // inclusive), so the highest cold node on each path is the candidate. The
@@ -224,7 +224,7 @@ func (t *Tree) coldWalk(h nodeH, cutoff int64, minNodes int, liveOnly bool) (bes
 		return 0, 0, 0, 0, 0
 	}
 	n := t.node(h)
-	maxRev = int64(n.lastMod)
+	maxRev = int64(t.stamp(h))
 	if n.flat() {
 		return 0, 0, 0, 0, maxRev
 	}

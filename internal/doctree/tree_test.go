@@ -526,6 +526,52 @@ func TestColdestSubtree(t *testing.T) {
 	}
 }
 
+// TestRecycledNodeIsUnstamped: a node record that a UDIS prune or a
+// subtree flatten releases keeps its stamp in Tree.stamps, and a node built
+// on its handle must not inherit it. The [1] subtree, edited at revision 3,
+// releases its records; exploding the cold region [0] then builds its
+// canonical children on those handles, and they must read as cold as the
+// atoms they hold.
+func TestRecycledNodeIsUnstamped(t *testing.T) {
+	hot := []string{"[1(1:c3s2)]", "[1(0:c2s2)]", "[(1:c1s2)]"}
+	for _, recycle := range []string{"UDIS prune", "subtree flatten"} {
+		t.Run(recycle, func(t *testing.T) {
+			tr := New()
+			for _, id := range []string{"[(0:s1)]", "[0(0:s1)]", "[0(1:s1)]"} {
+				mustInsert(t, tr, id, "a")
+			}
+			if err := tr.Flatten(ident.MustParsePath("[0]")); err != nil {
+				t.Fatal(err)
+			}
+			tr.AdvanceRev()
+			tr.AdvanceRev()
+			tr.AdvanceRev()
+			for _, id := range hot {
+				mustInsert(t, tr, id, "b")
+			}
+			switch recycle {
+			case "UDIS prune":
+				for _, id := range hot {
+					if _, err := tr.DeleteID(ident.MustParsePath(id), true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "subtree flatten":
+				if err := tr.Flatten(ident.MustParsePath("[1]")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.IDAt(0); err != nil { // explodes [0]
+				t.Fatal(err)
+			}
+			checkTree(t, tr)
+			if got := tr.ColdestSubtree(2, 1, false); got.String() != "[00]" {
+				t.Errorf("ColdestSubtree(2) = %v, want [00]", got)
+			}
+		})
+	}
+}
+
 func TestStatsIdentifierBits(t *testing.T) {
 	tr := figure2(t)
 	c := ident.PaperCost(ident.SDIS)

@@ -183,7 +183,8 @@ func (t *Tree) settle(h, made nodeH, dLive int) {
 		if n.live = uint32(dLive); dEmpty != 0 {
 			n.flags |= hasEmptyF
 		}
-		n.lastMod, h = t.rev, n.parent
+		t.setStamp(h, t.rev)
+		h = n.parent
 	}
 	if dLive != 0 || dEmpty != 0 { // a reservation that made no empty node edits nothing above
 		t.bubble(h, dLive, dEmpty)
@@ -203,8 +204,8 @@ func (t *Tree) child(s slot, bit uint8) nodeH {
 		for b := range n.kids {
 			n.kids[b] = t.newNode(s, uint8(b))
 			c := t.node(n.kids[b])
-			c.reserve, c.lastMod = r-1, n.lastMod
-			c.flags |= hasEmptyF
+			c.reserve, c.flags = r-1, c.flags|hasEmptyF
+			t.setStamp(n.kids[b], t.stamp(s.node))
 		}
 		n.reserve, t.reserved = 0, t.reserved-2
 	}
@@ -234,7 +235,7 @@ func (t *Tree) explode(h nodeH) error {
 	n.flags &^= flatF
 	if len(atoms) == 0 {
 		if h == rootH {
-			n.lastMod = t.rev // the root is never a free slot
+			t.setStamp(h, t.rev) // the root is never a free slot
 			return nil
 		}
 		// The empty node a region turns back into is a reusable slot.
@@ -264,7 +265,7 @@ func (t *Tree) explode(h nodeH) error {
 	}
 	t.fillCanonical(h, atoms, depth)
 	t.bubble(n.parent, 0, n.emptyDelta())
-	n.lastMod = t.rev
+	t.setStamp(h, t.rev)
 	t.height = max(t.height, t.depth(h)+depth-1)
 	return nil
 }
@@ -340,7 +341,8 @@ func (t *Tree) Flatten(path ident.Path) error {
 		t.height = t.maxDepth(rootH, 0)
 	}
 	n.flags |= flatF
-	t.flats[h], n.lastMod = atoms, t.rev
+	t.flats[h] = atoms
+	t.setStamp(h, t.rev)
 	return nil
 }
 
