@@ -121,7 +121,7 @@ func run(list bool, profile, file, mode string, balanced, batch bool, flatten in
 	fmt.Printf("nodes      %d (%d minis, %d tombstones, %d flat atoms, %.2f%% non-tombstone)\n",
 		ts.Nodes, ts.Minis, ts.DeadMinis, ts.FlatAtoms, 100*ts.NonTombstoneFraction())
 	fmt.Printf("memory     %d bytes overhead (%.2fx document) in the paper's node model\n", ts.MemBytes, ts.MemOverheadRatio())
-	fmt.Printf("heap       %d bytes of node, mini and atom slabs (%.2fx the model)\n", ts.HeapBytes, ts.HeapOverModel())
+	fmt.Printf("heap       %d bytes of node and mini slabs and atom blocks, text left out (%.2fx the model)\n", ts.HeapBytes, ts.HeapOverModel())
 	fmt.Printf("disk       %d bytes total, %d bytes overhead (%.2f%% of document)\n",
 		res.Disk.TotalBytes, res.Disk.OverheadBytes, res.Disk.OverheadPercent())
 	fmt.Printf("tree       height %d\n", res.Stats.Height)

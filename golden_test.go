@@ -95,11 +95,15 @@ func TestSnapshotStructureBytes(t *testing.T) {
 // TestSnapshotAllocs holds the two ends of a join to what they must
 // allocate on goldenHistory's tree. Taking a snapshot: the result, the
 // encoder's handle queue and the version vector's copies — nothing per
-// node. Installing one: a string per live atom and the slab chunks the
-// records and atoms live in (64 nodes, 256 atoms to a chunk; every mini of
-// this tree, live or dead, is alone in its node, a solo with no mini
-// record), plus the replica, its clocks, the chunk directories' growth and
-// the two trees' flat-region maps — nothing per node, nothing per mini.
+// node. Installing one: the slab chunks the records live in (64 nodes to a
+// chunk; every mini of this tree, live or dead, is alone in its node, a solo
+// with no mini record), the packed text of each 64 live atoms and their
+// block, four blocks to an allocation, the decoder's block scratch growing
+// to one block's text (12 at most),
+// plus the replica, its clocks, the chunk directories' growth and the two
+// trees' flat-region maps — nothing per node, nothing per mini, nothing per
+// atom. (Before the atoms' text was packed, a string per live atom came on
+// top: the budget was LiveAtoms + Nodes/64 + LiveAtoms/256 + 51.)
 func TestSnapshotAllocs(t *testing.T) {
 	d := &Doc{doc: mintHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {})}
 	data, _, err := d.Snapshot()
@@ -116,7 +120,7 @@ func TestSnapshotAllocs(t *testing.T) {
 		t.Errorf("Snapshot: %.0f allocs, want <= 8", least)
 	}
 	s := d.doc.Tree().Stats(ident.PaperCost(ident.SDIS))
-	budget := float64(s.LiveAtoms + (s.Nodes+1)/64 + s.LiveAtoms/256 + 3 + 48)
+	budget := float64((s.Nodes+1)/64 + s.LiveAtoms/64 + 1 + s.LiveAtoms/256 + 1 + 12 + 3 + 48)
 	got := testing.AllocsPerRun(20, func() {
 		joiner, err := New(WithSite(2))
 		if err != nil {
@@ -152,12 +156,17 @@ func TestSnapshotAllocs(t *testing.T) {
 // beside each of its 76 node chunks and pays what it saves, plus the
 // stamps' directory. The same history replayed with a clock that never
 // moves stamps nothing and holds no stamp chunk: its 71 node chunks took
-// 179,624 bytes at 32-byte records, and it saves an eighth of them.
+// 179,624 bytes at 32-byte records, and it saves an eighth of them. Both
+// held 12,951 bytes more (191,032 and 161,472) before the atoms' text was
+// packed: a 16-byte string header per handle, 256 to a 4 KiB chunk, went
+// for a 280-byte block of ends per 64 handles, four blocks to an
+// allocation, and the spare capacity of the text buffers — 2.5 KB of it
+// the room the block that fresh handles fill keeps for its slots to come.
 func TestTreeRecordCount(t *testing.T) {
 	for _, c := range []struct {
 		stamped     bool
 		nodes, heap int
-	}{{true, 9082, 191032}, {false, 9082, 161472}} {
+	}{{true, 9082, 178081}, {false, 9082, 148521}} {
 		s := replayHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}, c.stamped).Tree().Stats(ident.PaperCost(ident.SDIS))
 		if s.Nodes != c.nodes || s.HeapBytes != c.heap {
 			t.Errorf("tree, stamped %v: %d nodes in %d heap bytes, want %d in %d", c.stamped, s.Nodes, s.HeapBytes, c.nodes, c.heap)

@@ -39,9 +39,12 @@ func TestFlattenReleasesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The trace owns the atoms' text, so the measured differences are the
-	// document's structure alone: tree records before the flatten; after it
-	// one string header per atom — up to two, by the slack append leaves —
+	// The document holds its own copy of the atoms' text — packed in the
+	// tree's atom blocks before the flatten, a string per atom in the flat
+	// region after it — so the text's bytes (DocBytes) come off both
+	// readings, and what is left is the document's structure: tree records
+	// before the flatten; after it one string header per atom — up to two,
+	// by the slack append leaves — with the strings' size-class rounding,
 	// the replica's identifier scratch and an empty slab chunk.
 	base := heapAfterGC()
 	doc, err := New(WithSite(1))
@@ -69,12 +72,12 @@ func TestFlattenReleasesTree(t *testing.T) {
 	st := doc.Stats().Tree
 	atoms := float64(st.LiveAtoms)
 	atomBytes := float64(st.DocBytes) / atoms
-	before := float64(heapAfterGC()-base) / atoms
+	before := float64(heapAfterGC()-base)/atoms - atomBytes
 	if err := doc.Flatten(); err != nil {
 		t.Fatal(err)
 	}
-	after := float64(heapAfterGC()-base) / atoms
-	t.Logf("%d ops, %d atoms of %.0f B: %.0f B/atom before the flatten (slabs %d B/atom), %.0f B/atom after",
+	after := float64(heapAfterGC()-base)/atoms - atomBytes
+	t.Logf("%d ops, %d atoms of %.0f B: %.0f B/atom of structure before the flatten (slabs %d B/atom), %.0f B/atom after",
 		ops, st.LiveAtoms, atomBytes, before, st.HeapBytes/st.LiveAtoms, after)
 	if bound := 2*16 + 16<<10/atoms; after > bound {
 		t.Errorf("flattened document costs %.0f B/atom, want <= %.0f (two string headers and 16 KiB)", after, bound)
@@ -128,10 +131,12 @@ func TestWriterRetainsNoIdentifiers(t *testing.T) {
 		doc.EndRevision()
 	}
 	st := doc.Stats()
-	with := heapAfterGC() // the trace owns the atoms' text: what the Doc alone keeps alive is structure
+	with := heapAfterGC()
 	runtime.KeepAlive(doc)
 	doc = nil
-	retained := int(with - heapAfterGC())
+	// The Doc keeps its own packed copy of the atoms' text; less that, what
+	// it keeps alive is structure.
+	retained := int(with-heapAfterGC()) - st.Tree.DocBytes
 	// Beyond the slabs as Stats counts them — every chunk fills its size
 	// class exactly (TestRecordLayout), so the allocator adds no slack —
 	// six buffers (five in the document, the walk cache's in the tree) each
@@ -140,7 +145,7 @@ func TestWriterRetainsNoIdentifiers(t *testing.T) {
 	// grows with the operations minted.
 	scratch := 6 * 2 * 24 * st.Height
 	bound := st.Tree.HeapBytes + scratch + 4<<10
-	t.Logf("%d atoms, height %d: the Doc retains %d B, its tree's slabs are %d B", st.Tree.LiveAtoms, st.Height, retained, st.Tree.HeapBytes)
+	t.Logf("%d atoms, height %d: the Doc retains %d B beside its %d B of text, its tree's slabs are %d B", st.Tree.LiveAtoms, st.Height, retained, st.Tree.DocBytes, st.Tree.HeapBytes)
 	if retained > bound {
 		t.Errorf("a writer's Doc retains %d B, want <= %d (slabs %d B, scratch %d B, 4 KiB)",
 			retained, bound, st.Tree.HeapBytes, scratch)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/treedoc/treedoc/internal/doctree"
 	"github.com/treedoc/treedoc/internal/ident"
@@ -224,21 +223,25 @@ func (d *Document) Site() ident.SiteID { return d.cfg.Site }
 // Len returns the number of atoms in the document.
 func (d *Document) Len() int { return d.tree.Len() }
 
-// Content returns the document's atoms in order.
+// Content returns a copy of the document's atoms in order.
 func (d *Document) Content() []string { return d.tree.Content() }
 
 // ContentString returns the document joined with newlines, the natural
 // rendering for line- and paragraph-granularity atoms.
-func (d *Document) ContentString() string { return strings.Join(d.tree.Content(), "\n") }
+func (d *Document) ContentString() string { return d.tree.Text(0, d.tree.Len(), "\n") }
 
-// AtomAt returns the atom at index i.
+// Text returns the atoms of the index range [from, to), which must lie in
+// the document, joined by sep, in one tree walk, O(height + to - from).
+func (d *Document) Text(from, to int, sep string) string { return d.tree.Text(from, to, sep) }
+
+// AtomAt returns a copy of the atom at index i.
 func (d *Document) AtomAt(i int) (string, error) { return d.tree.AtomAt(i) }
 
-// VisitRange streams the atoms of the index range [from, to) in document
-// order in one tree walk, O(height + to - from); fn returning false stops
-// the iteration early.
+// VisitRange streams a copy of each atom of the index range [from, to) in
+// document order in one tree walk, O(height + to - from); fn returning
+// false stops the iteration early.
 func (d *Document) VisitRange(from, to int, fn func(atom string) bool) error {
-	return d.tree.VisitRange(from, to, fn)
+	return d.tree.VisitBytes(from, to, func(a []byte) bool { return fn(string(a)) })
 }
 
 // IDAt returns the position identifier of the atom at index i.

@@ -18,7 +18,8 @@ import (
 //     Tree.reserved is the sum of those.
 //  4. A mini, solo or not, is dead exactly when its atom handle is 0; a
 //     live mini's handle is its alone, and the handles in use plus the atom
-//     store's free stack are every handle the store has handed out.
+//     store's free stack are every handle handed out. A free, nil or unused
+//     handle holds no text; block ends ascend to the unroomy buffer's end.
 //  5. Flattened nodes have no minis or children, and are exactly the
 //     nodes with an array in Tree.flats.
 //  6. The identifiers of live atoms are strictly increasing in document
@@ -38,12 +39,21 @@ func (t *Tree) Check() error {
 		return fmt.Errorf("doctree: root has a parent")
 	}
 	if *t.node(0) != (node{}) || (len(t.minis.chunks) > 0 && *t.mini(0) != (mini{})) ||
-		(len(t.atoms.chunks) > 0 && *t.atoms.at(0) != "") {
+		(len(t.atoms.blocks) > 0 && len(t.atoms.text(0)) != 0) {
 		return fmt.Errorf("doctree: nil record written")
+	}
+	for k, b := range t.atoms.blocks {
+		lo, ok := uint32(0), !roomy(len(b.buf), cap(b.buf), k == int(t.atoms.n>>chunkShift))
+		for _, e := range b.end[:min(chunkLen, t.atoms.n+1-uint32(k)<<chunkShift)] { // ascending to the last handle handed out
+			ok, lo = ok && e >= lo, e
+		}
+		if !ok || int(lo) != len(b.buf) {
+			return fmt.Errorf("doctree: atom block %d: ends %v in a buffer of %d bytes and capacity %d", k, b.end, len(b.buf), cap(b.buf))
+		}
 	}
 	c := &checker{t: t, held: make([]bool, t.atoms.n+1)}
 	for _, h := range t.atoms.free {
-		if h == 0 || h > t.atoms.n || c.held[h] || *t.atoms.at(h) != "" {
+		if h == 0 || h > t.atoms.n || c.held[h] || len(t.atoms.text(h)) != 0 {
 			return fmt.Errorf("doctree: free atom handle %d out of range, repeated or holding text", h)
 		}
 		c.held[h] = true

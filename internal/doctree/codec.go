@@ -164,7 +164,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			}
 			prev = d
 			if m.atom != 0 {
-				a := *t.atoms.at(m.atom)
+				a := t.atoms.text(m.atom)
 				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
 			}
 			mh = m.next
@@ -207,6 +207,7 @@ type snapDecoder struct {
 	// has named, since a table entry nothing names is a second spelling.
 	sites []ident.SiteID
 	used  []bool
+	text  []byte // the open atom block's text (atomStore.load)
 }
 
 func (d *snapDecoder) fail(format string, args ...any) {
@@ -252,13 +253,13 @@ func (d *snapDecoder) room(nodes, minis int) {
 	}
 }
 
-func (d *snapDecoder) atom() string {
+func (d *snapDecoder) atom() []byte {
 	n := d.count("atom byte")
 	if d.live++; d.live > uint64(d.t.limit) {
 		d.fail("more than %d atoms: %w", d.t.limit, ErrFull)
 	}
 	d.off += n
-	return string(d.buf[d.off-n : d.off]) // a string per atom; a one-byte atom is the runtime's static string
+	return d.buf[d.off-n : d.off]
 }
 
 // DecodeSnapshot rebuilds the tree AppendSnapshot wrote. A snapshot is an
@@ -310,6 +311,9 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	if t.atoms.n > 0 {
+		t.atoms.seal(&d.text, t.atoms.n)
 	}
 	// A child's handle is above its parent's (the next node read takes a
 	// handle a run absorbed), so one pass from the last node down has every
@@ -367,7 +371,7 @@ func (d *snapDecoder) node(h nodeH) {
 	case shapeFlat:
 		atoms := make([]string, d.count("flat atom"))
 		for i := range atoms {
-			atoms[i] = d.atom()
+			atoms[i] = string(d.atom())
 		}
 		n.flags |= flatF
 		d.t.flats[h], n.live = atoms, uint32(len(atoms))
@@ -410,7 +414,7 @@ func (d *snapDecoder) node(h nodeH) {
 			}
 		}
 		if bits&miniDead == 0 {
-			*atom = d.t.atoms.put(d.atom())
+			*atom = d.t.atoms.load(d.atom(), &d.text)
 			n.live++
 		}
 	}

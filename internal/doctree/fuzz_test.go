@@ -373,7 +373,7 @@ func (s *script) holds(r *replica) {
 	}
 	for i := range atoms {
 		var got []string
-		tr.VisitRange(i, len(atoms), func(a string) bool { got = append(got, a); return len(got) < 3 })
+		tr.VisitBytes(i, len(atoms), func(a []byte) bool { got = append(got, string(a)); return len(got) < 3 })
 		if a, err := tr.AtomAt(i); err != nil || a != atoms[i] || !slices.Equal(got, atoms[i:min(i+3, len(atoms))]) {
 			s.fatalf("%s: AtomAt(%d) = %q (%v) and a visit from it %q, want %q", r.name, i, a, err, got, atoms[i:min(i+3, len(atoms))])
 		}

@@ -2,27 +2,27 @@ package doctree
 
 import (
 	"fmt"
+	"strings"
+	"unsafe"
 
 	"github.com/treedoc/treedoc/internal/ident"
 )
 
-// Content returns the document's live atoms in order. It does not explode
-// flattened regions.
+// Content returns a copy of the document's live atoms in order. It does not
+// explode flattened regions.
 func (t *Tree) Content() []string {
 	out := make([]string, 0, t.Len())
-	t.VisitLive(func(_ int, a string) bool { out = append(out, a); return true })
+	t.VisitBytes(0, t.Len(), func(a []byte) bool { out = append(out, string(a)); return true })
 	return out
 }
 
-// AtomAt returns the i-th live atom (0-based) without exploding flattened
-// regions.
-func (t *Tree) AtomAt(i int) (string, error) {
+// AtomAt returns a copy of the i-th live atom (0-based) without exploding
+// flattened regions.
+func (t *Tree) AtomAt(i int) (atom string, err error) {
 	if i < 0 || i >= t.Len() {
 		return "", fmt.Errorf("doctree: index %d out of range [0,%d)", i, t.Len())
 	}
-	var atom string
-	skip, count := i, 1
-	t.visitRange(rootH, &skip, &count, func(a string) bool { atom = a; return true })
+	t.VisitBytes(i, i+1, func(a []byte) bool { atom = string(a); return true })
 	return atom, nil
 }
 
@@ -214,12 +214,13 @@ descend:
 	return dstP, dstF, Gap{Slot{at: ps, depth: len(dstP) - pBase}, Slot{at: fs, depth: len(dstF) - fBase}}, nil
 }
 
-// VisitRange calls fn for the live atoms of the index range [from, to) in
+// VisitBytes calls fn for the live atoms of the index range [from, to) in
 // document order, descending by live counts to skip whole subtrees before
 // the range: one walk of cost O(height + to - from), where per-atom lookup
 // would cost O((to-from)·height). It does not explode flattened regions.
-// Iteration stops early if fn returns false.
-func (t *Tree) VisitRange(from, to int, fn func(atom string) bool) error {
+// Iteration stops early if fn returns false. fn reads an atom's bytes in
+// place: it must not modify them or keep them past its return.
+func (t *Tree) VisitBytes(from, to int, fn func(atom []byte) bool) error {
 	if from < 0 || to < from || to > t.Len() {
 		return fmt.Errorf("doctree: range [%d,%d) out of range [0,%d]", from, to, t.Len())
 	}
@@ -228,7 +229,19 @@ func (t *Tree) VisitRange(from, to int, fn func(atom string) bool) error {
 	return nil
 }
 
-func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool {
+// Text returns the live atoms of the index range [from, to), which must lie
+// in the document, joined by sep: the one copy of their text, read in place
+// and sized by a first walk.
+func (t *Tree) Text(from, to int, sep string) string {
+	n := (to - from) * len(sep)
+	t.VisitBytes(from, to, func(a []byte) bool { n += len(a); return true })
+	var b strings.Builder // each atom goes in after a sep; the first is cut off
+	b.Grow(n)
+	t.VisitBytes(from, to, func(a []byte) bool { b.WriteString(sep); b.Write(a); return true })
+	return b.String()[min(len(sep), b.Len()):]
+}
+
+func (t *Tree) visitRange(h nodeH, skip, count *int, fn func([]byte) bool) bool {
 	if h == 0 || *count == 0 {
 		return true
 	}
@@ -242,7 +255,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 			if *count == 0 {
 				return true
 			}
-			if !fn(a) {
+			if !fn(unsafe.Slice(unsafe.StringData(a), len(a))) { // read only, as fn promises
 				return false
 			}
 			*count--
@@ -275,9 +288,9 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func(string) bool) bool 
 	return t.visitRange(n.kids[1], skip, count, fn)
 }
 
-// visitAtom passes the atom of handle a, unless it is dead or skipped, to
-// fn, and reports whether to go on.
-func (t *Tree) visitAtom(a uint32, skip, count *int, fn func(string) bool) bool {
+// visitAtom passes the text of atom handle a, unless it is dead or skipped,
+// to fn, and reports whether to go on.
+func (t *Tree) visitAtom(a uint32, skip, count *int, fn func([]byte) bool) bool {
 	switch {
 	case a == 0 || *count == 0:
 		return true
@@ -286,15 +299,5 @@ func (t *Tree) visitAtom(a uint32, skip, count *int, fn func(string) bool) bool 
 		return true
 	}
 	*count--
-	return fn(*t.atoms.at(a))
-}
-
-// VisitLive calls fn for every live atom in document order with its index.
-// Iteration stops early if fn returns false.
-func (t *Tree) VisitLive(fn func(i int, atom string) bool) {
-	i, skip, count := 0, 0, t.Len()
-	t.visitRange(rootH, &skip, &count, func(a string) bool {
-		i++
-		return fn(i-1, a)
-	})
+	return fn(t.atoms.text(a))
 }

@@ -479,19 +479,23 @@ func (t *Tree) holdsEmpty(h nodeH, n *node) bool {
 }
 
 // heapBytes returns what the tree's structure occupies on the Go heap: the
-// node and mini slabs and the atom store (records in use, free and never
-// used) and the stamp chunks, with their chunk directories, the atoms' free
-// stack, and the flat-region and mini-child maps. It reads one word per 64
-// nodes and leaves out the atoms' text and the arrays of flattened regions,
-// the document rather than its overhead. A map entry is priced at its key,
-// value and share of a group: 48 bytes in flats, 16 in mkids.
+// node and mini slabs (records in use, free and never used), the stamp
+// chunks and atom blocks with their directories, the atom buffers' spare
+// capacity and free stack, and the flat-region and mini-child maps. It
+// reads one word per 64 nodes and per 64 atoms, and leaves out the atoms'
+// text and the arrays of flattened regions, the document rather than its
+// overhead. A map entry is priced at its key, value and share of a group:
+// 48 bytes in flats, 16 in mkids.
 func (t *Tree) heapBytes() int {
 	b := int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
-		len(t.atoms.chunks)*atomChunk*16 + cap(t.atoms.chunks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48 + len(t.mkids)*16 + cap(t.stamps)*8
+		len(t.atoms.blocks)*int(unsafe.Sizeof(atomBlock{})) + cap(t.atoms.blocks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48 + len(t.mkids)*16 + cap(t.stamps)*8
 	for _, c := range t.stamps {
 		if c != nil {
 			b += int(unsafe.Sizeof(*c))
 		}
+	}
+	for _, k := range t.atoms.blocks {
+		b += cap(k.buf) - len(k.buf)
 	}
 	return b
 }

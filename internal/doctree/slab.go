@@ -3,19 +3,18 @@ package doctree
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // Slab chunks hold 64 records: 1,792 bytes of nodes, 1,280 of minis and,
 // beside them, 256 of node stamps (Tree.stamps), each an exact Go size
-// class, so no chunk carries slack; the atom store's hold 256 atoms, 4 KiB.
+// class, so no chunk carries slack; the atom store's blocks hold 64 atoms.
 // Chunks never move, so a record pointer stays valid across allocations,
 // and a small document pays for at most one partly used chunk per slab.
 const (
 	chunkShift = 6
 	chunkLen   = 1 << chunkShift
 	chunkMask  = chunkLen - 1
-	atomShift  = 8
-	atomChunk  = 1 << atomShift
 )
 
 // maxRecords is the handle space of one slab: handles are uint32, 0 is nil
@@ -89,34 +88,121 @@ func (s *slab[T, P]) bytes(recordSize uintptr) int {
 	return len(s.chunks)*chunkLen*int(recordSize) + cap(s.chunks)*8
 }
 
-// atomStore holds the atoms of live minis, named by mini.atom; handle 0 is
-// nil and marks a dead mini. Its chunks are the only part of the tree the
-// collector scans, and they hold live atoms only, 256 to a chunk (also an
-// exact size class) so a replay allocates atom chunks a quarter as often as
-// node chunks. A string has no spare field to thread a free chain through,
-// so released handles go on a stack.
+// atomStore holds the text of live minis' atoms, named by mini.atom; handle 0
+// is nil and marks a dead mini. A block of 64 handles packs its text in
+// handle order: an atom costs its bytes and a 4-byte end, and the collector
+// scans one pointer per 64 atoms. Released handles go on a stack.
 type atomStore struct {
-	chunks []*[atomChunk]string
+	blocks []*atomBlock
 	n      uint32   // highest handle ever handed out
 	free   []uint32 // released handles, reused last first
 }
 
-func (s *atomStore) at(h uint32) *string { return &s.chunks[h>>atomShift][h&(atomChunk-1)] }
+// atomBlock packs slot i's text at buf[end[i-1]:end[i]] (end[-1] = 0); a free
+// slot holds none, and ends past the last handle handed out are unset. A put
+// or a drop moves the tail and the ends above it. The buffer grows to 9/8 of
+// what it needs, and a drop shrinks a roomy one to 9/8. The open block, the
+// one fresh handles fill, grows at least to hold 64 of its first atom (up to
+// 4 KiB), and is cut to fit as the next opens.
+type atomBlock struct {
+	end [chunkLen]uint32
+	buf []byte
+}
+
+// roomy reports whether a buffer of l bytes and capacity c, not the open block's,
+// is less than half used, beyond the 16 bytes a size class rounds it up by.
+func roomy(l, c int, open bool) bool { return !open && 2*l+16 < c }
+
+// span returns h's block, where h's text lies and the block's top slot handed out.
+func (s *atomStore) span(h uint32) (b *atomBlock, lo, hi, top uint32) {
+	if b, top = s.blocks[h>>chunkShift], chunkMask; h&chunkMask > 0 {
+		lo = b.end[h&chunkMask-1]
+	}
+	if h>>chunkShift == s.n>>chunkShift {
+		top = s.n & chunkMask
+	}
+	return b, lo, b.end[h&chunkMask], top
+}
+
+// text returns handle h's text in place, valid until the next put or drop.
+func (s *atomStore) text(h uint32) []byte { b, lo, hi, _ := s.span(h); return b.buf[lo:hi:hi] }
+
+// handle hands out a handle: the last released, or a fresh one.
+func (s *atomStore) handle() uint32 {
+	if k := len(s.free); k > 0 {
+		h := s.free[k-1]
+		s.free = s.free[:k-1]
+		return h
+	}
+	s.fresh()
+	return s.n
+}
+
+// fresh hands out handle n+1 and reports whether it opens a block, cutting
+// the block before to fit. Blocks come four to an allocation, 1,120 bytes in
+// the 1,152-byte size class.
+func (s *atomStore) fresh() (opens bool) {
+	if s.n++; s.n&chunkMask != 0 && s.n != 1 {
+		return false
+	}
+	if int(s.n>>chunkShift) == len(s.blocks) {
+		g := new([4]atomBlock)
+		s.blocks = append(s.blocks, &g[0], &g[1], &g[2], &g[3])
+	}
+	if b := s.blocks[max(s.n>>chunkShift, 1)-1]; cap(b.buf) > len(b.buf)+len(b.buf)/8 {
+		b.buf = append([]byte(nil), b.buf...)
+	}
+	return true
+}
 
 // put stores a and returns its handle, never 0.
 func (s *atomStore) put(a string) uint32 {
-	h := s.n + 1
-	if k := len(s.free); k > 0 {
-		h, s.free = s.free[k-1], s.free[:k-1]
-	} else if s.n = h; int(h>>atomShift) == len(s.chunks) {
-		s.chunks = append(s.chunks, new([atomChunk]string))
+	h := s.handle()
+	b, lo, _, top := s.span(h)
+	if need := len(b.buf) + len(a); need > cap(b.buf) {
+		want := need + need/8
+		if top < chunkMask { // the open block: room for its slots to come
+			want = max(want, min(chunkLen*need, 4096))
+		}
+		b.buf = append(append(append(slices.Grow([]byte(nil), want), b.buf[:lo]...), a...), b.buf[lo:]...)
+	} else {
+		b.buf = b.buf[:need]
+		copy(b.buf[int(lo)+len(a):], b.buf[lo:])
+		copy(b.buf[lo:], a)
 	}
-	*s.at(h) = a
+	b.end[h&chunkMask] = lo // a fresh handle's end is unset
+	for i := h & chunkMask; i <= top; i++ {
+		b.end[i] += uint32(len(a))
+	}
 	return h
 }
 
 // drop releases handle h and lets go of its text.
 func (s *atomStore) drop(h uint32) {
-	*s.at(h) = ""
+	b, lo, hi, top := s.span(h)
+	b.buf = append(b.buf[:lo], b.buf[hi:]...)
+	for i := h & chunkMask; i <= top; i++ {
+		b.end[i] -= hi - lo
+	}
+	if l := len(b.buf); roomy(l, cap(b.buf), top < chunkMask) {
+		b.buf = append(slices.Grow([]byte(nil), l+l/8), b.buf...)
+	}
 	s.free = append(s.free, h)
+}
+
+// load is put for a decoder filling a fresh store: a block's text gathers in
+// scratch, and seal gives it its buffer, sized once, as the next block opens.
+func (s *atomStore) load(a []byte, scratch *[]byte) uint32 {
+	if s.fresh() && s.n > 1 {
+		s.seal(scratch, s.n-1)
+	}
+	*scratch = append(*scratch, a...)
+	s.blocks[s.n>>chunkShift].end[s.n&chunkMask] = uint32(len(*scratch))
+	return s.n
+}
+
+// seal hands the loaded text to the block of handle h.
+func (s *atomStore) seal(scratch *[]byte, h uint32) {
+	s.blocks[h>>chunkShift].buf = append([]byte(nil), *scratch...)
+	*scratch = (*scratch)[:0]
 }

@@ -14,11 +14,17 @@ import (
 // TestRecordLayout guards the record sizes the heap-per-atom numbers rest on
 // (docs/ARCHITECTURE.md §10.2): node and mini records hold no Go pointer,
 // which keeps their chunks out of the collector's scan, and every chunk —
-// 64 nodes, 64 minis, 64 node stamps, 256 atoms — fills a Go size class
-// exactly.
+// 64 nodes, 64 minis, 64 node stamps — fills a Go size class exactly. An
+// atom block is its 64 ends and one buffer, the one pointer the collector
+// scans per 64 atoms: 280 bytes, allocated four at a time, 1,120 bytes in
+// the 1,152-byte size class (288 bytes a block).
 func TestRecordLayout(t *testing.T) {
 	// The size classes of 256 B and between 1 and 4 KiB (runtime/sizeclasses.go).
 	classes := []uintptr{256, 1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096}
+	block := unsafe.Sizeof([4]atomBlock{})
+	if i, _ := slices.BinarySearch(classes, block); block != 4*280 || classes[i] != 1152 {
+		t.Errorf("four atom blocks are %d bytes in the %d-byte size class, want 1,120 in the 1,152-byte one", block, classes[i])
+	}
 	for _, r := range []struct {
 		name              string
 		size, want, chunk uintptr
@@ -27,7 +33,6 @@ func TestRecordLayout(t *testing.T) {
 		{"node", unsafe.Sizeof(node{}), 28, chunkLen, reflect.TypeOf(node{})},
 		{"mini", unsafe.Sizeof(mini{}), 20, chunkLen, reflect.TypeOf(mini{})},
 		{"stamp", unsafe.Sizeof(*Tree{}.stamps[0]) / chunkLen, 4, chunkLen, nil},
-		{"atom", unsafe.Sizeof([atomChunk]string{}) / atomChunk, 16, atomChunk, nil},
 	} {
 		if r.size != r.want {
 			t.Errorf("%s record is %d bytes, want %d", r.name, r.size, r.want)

@@ -22,8 +22,9 @@ type Stats struct {
 
 	MemBytes int // in-memory overhead under the paper's node cost model
 	// HeapBytes is what the tree structure actually occupies on the Go
-	// heap: the node and mini slabs, the atom store and the stamp chunks,
-	// unused records included (see heapBytes).
+	// heap: the node and mini slabs, the atom store's blocks and their
+	// buffers' capacity less the live text, and the stamp chunks, unused
+	// records included (see heapBytes). The text itself is DocBytes.
 	HeapBytes int
 }
 
@@ -146,7 +147,7 @@ func (t *Tree) statsMini(atom uint32, bits int, c ident.Cost, s *Stats) {
 		return
 	}
 	s.LiveAtoms++
-	s.DocBytes += len(*t.atoms.at(atom))
+	s.DocBytes += len(t.atoms.text(atom))
 	s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+bits, max(s.MaxIDBits, bits)
 }
 

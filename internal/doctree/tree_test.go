@@ -239,7 +239,7 @@ func TestIndexing(t *testing.T) {
 	_, e2 := tr.AtomAt(6)
 	_, e3 := tr.IDAt(6)
 	_, e4 := tr.DeleteAtIndex(-1, false, nil)
-	if e5 := tr.VisitRange(0, 7, nil); e1 == nil || e2 == nil || e3 == nil || e4 == nil || e5 == nil {
+	if e5 := tr.VisitBytes(0, 7, nil); e1 == nil || e2 == nil || e3 == nil || e4 == nil || e5 == nil {
 		t.Errorf("lookups out of range succeed: %v, %v, %v, %v, %v", e1, e2, e3, e4, e5)
 	}
 }
@@ -626,7 +626,7 @@ func TestStatsFlatRegionBits(t *testing.T) {
 func TestVisitLiveEarlyStop(t *testing.T) {
 	tr := figure2(t)
 	seen := 0
-	tr.VisitLive(func(i int, atom string) bool {
+	tr.VisitBytes(0, tr.Len(), func(atom []byte) bool {
 		seen++
 		return seen < 3
 	})

@@ -327,7 +327,7 @@ func (t *Tree) Flatten(path ident.Path) error {
 	t.cacheDrop()
 	n := t.node(h)
 	atoms, skip, count := make([]string, 0, n.live), 0, int(n.live)
-	t.visitRange(h, &skip, &count, func(a string) bool { atoms = append(atoms, a); return true })
+	t.visitRange(h, &skip, &count, func(a []byte) bool { atoms = append(atoms, string(a)); return true })
 	if h == rootH {
 		// A fresh tree: every chunk goes back to the collector at once.
 		*t = Tree{limit: t.limit, rev: t.rev, flats: map[nodeH][]string{}}

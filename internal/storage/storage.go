@@ -90,7 +90,7 @@ func Measure(t *doctree.Tree) Measurement {
 	m := Measurement{TotalBytes: len(buf)}
 	*bp = buf[:0]
 	encScratch.Put(bp)
-	t.VisitLive(func(_ int, a string) bool {
+	t.VisitBytes(0, t.Len(), func(a []byte) bool {
 		m.AtomBytes += len(a)
 		return true
 	})

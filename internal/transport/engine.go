@@ -241,6 +241,7 @@ type Engine struct {
 
 	drops             atomic.Uint64
 	wireErrs          atomic.Uint64
+	encodeErrs        atomic.Uint64
 	pruned            atomic.Uint64
 	applied           atomic.Uint64
 	snapsSent         atomic.Uint64
@@ -440,6 +441,16 @@ func (e *Engine) Drops() uint64 { return e.drops.Load() }
 // WireErrs counts malformed frames and messages discarded on receive.
 func (e *Engine) WireErrs() uint64 { return e.wireErrs.Load() }
 
+// encodeFailed counts n outbound frames that did not encode, the first with
+// err, and latches the failure in Err: past maxClockEntries sites a clock
+// does not encode, and a replica that cannot send has stopped replicating.
+func (e *Engine) encodeFailed(n int, err error) {
+	if n > 0 {
+		e.encodeErrs.Add(uint64(n))
+		e.setErr(fmt.Errorf("transport: encode: %w", err))
+	}
+}
+
 // Pruned counts wire-valid messages discarded from the causal buffer to
 // bound its undeliverable backlog (see maxPending). Pruning is load
 // shedding, not corruption — anti-entropy redelivers legitimate messages —
@@ -535,11 +546,14 @@ func (e *Engine) newPeer(link Link, q *outq) *peer {
 // attach registers a peer with the actor and sends it the opening digest.
 func (e *Engine) attach(p *peer) {
 	e.peers = append(e.peers, p)
-	if f, err := EncodeSyncReq(e.site, e.buf.Clock()); err == nil {
-		p.send(f)
-		p.lastSyncAt = e.now()
-		e.digestsSent.Add(1)
+	f, err := EncodeSyncReq(e.site, e.buf.Clock())
+	if err != nil {
+		e.encodeFailed(1, err)
+		return
 	}
+	p.send(f)
+	p.lastSyncAt = e.now()
+	e.digestsSent.Add(1)
 }
 
 // Acked returns the delivered clock site last acknowledged to this engine
@@ -577,10 +591,10 @@ func (e *Engine) Clock() vclock.VC {
 	}
 }
 
-// Err returns the first replica apply or log error, if any — including
-// after Stop, so teardown-order checks stay truthful. A non-nil result
-// means the causal delivery contract was violated upstream, or the
-// durable log could not be written.
+// Err returns the first replica apply, log or encode error, if any —
+// including after Stop, so teardown-order checks stay truthful: the causal
+// delivery contract was violated upstream, the durable log could not be
+// written, or a frame could not be encoded (EngineStats.EncodeErrs).
 func (e *Engine) Err() error {
 	e.errMu.Lock()
 	defer e.errMu.Unlock()
@@ -1107,10 +1121,12 @@ func directed(to *peer, dst ident.SiteID, frame []byte) []byte {
 	if !to.routes {
 		return frame
 	}
-	if f, err := encodeReplay(dst, frame); err == nil {
-		return f
+	f, err := encodeReplay(dst, frame)
+	if err != nil {
+		to.eng.encodeFailed(1, err)
+		return frame
 	}
-	return frame
+	return f
 }
 
 // encodeMissing frames one digest answer: the retained messages the clock
@@ -1129,14 +1145,14 @@ func (e *Engine) encodeMissing(clock vclock.VC) [][]byte {
 	if len(missing) > 0 {
 		e.syncLog()
 		var bytes uint64
-		skipped, _ := stateFrames(e.site, nil, nil, missing, func(frame []byte) error {
+		skipped, err := stateFrames(e.site, nil, nil, missing, func(frame []byte) error {
 			frames = append(frames, frame)
 			bytes += uint64(len(frame))
 			return nil
 		})
 		e.replayOps.Add(uint64(len(missing) - skipped))
 		e.replayBytes.Add(bytes)
-		e.wireErrs.Add(uint64(skipped))
+		e.encodeFailed(skipped, err)
 	}
 	// Drop the gathered message references (each pins an identifier path)
 	// but keep the grown capacity for the next digest answered.
@@ -1165,11 +1181,11 @@ func (e *Engine) syncLog() {
 func (e *Engine) flush() {
 	e.syncLog()
 	if len(e.batch) > 0 {
-		skipped, _ := stateFrames(e.site, nil, nil, e.batch, func(frame []byte) error {
+		skipped, err := stateFrames(e.site, nil, nil, e.batch, func(frame []byte) error {
 			e.fanout(frame)
 			return nil
 		})
-		e.wireErrs.Add(uint64(skipped))
+		e.encodeFailed(skipped, err)
 		e.batch = e.batch[:0]
 	}
 	e.peers = slices.DeleteFunc(e.peers, (*peer).dead)
@@ -1233,7 +1249,7 @@ func (e *Engine) syncAll() {
 			var err error
 			frame, err = EncodeSyncReq(e.site, clock)
 			if err != nil {
-				e.wireErrs.Add(1)
+				e.encodeFailed(1, err)
 				return
 			}
 		}

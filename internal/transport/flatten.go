@@ -180,7 +180,7 @@ func (e *Engine) ack(in core.Op, intents []core.Op) {
 	}
 	frame, err := encodeFrame(kindFlatAck, &FlatAckFrame{From: e.site, Author: in.Site, Intent: in.Seq, Clock: clock})
 	if err != nil {
-		e.wireErrs.Add(1)
+		e.encodeFailed(1, err)
 		return
 	}
 	e.fanout(frame)

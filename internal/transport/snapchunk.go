@@ -31,8 +31,9 @@ var snapChunkPayload = 32 << 20
 // back to one frame per op, so one fat chunk cannot starve the rest of
 // the stream and leave the receiver permanently behind; an op that will
 // not fit a frame even alone is skipped and counted. An emit error stops
-// the stream and is returned.
-func stateFrames(site ident.SiteID, snap []byte, version vclock.VC, suffix []causal.Message, emit func(frame []byte) error) (skipped int, _ error) {
+// the stream and is returned; a stream that ends with ops skipped returns
+// the first one's encode error.
+func stateFrames(site ident.SiteID, snap []byte, version vclock.VC, suffix []causal.Message, emit func(frame []byte) error) (skipped int, failed error) {
 	total := uint64(len(snap))
 	for off := uint64(0); off < total; off += uint64(snapChunkPayload) {
 		end := min(off+uint64(snapChunkPayload), total)
@@ -56,7 +57,9 @@ func stateFrames(site ident.SiteID, snap []byte, version vclock.VC, suffix []cau
 		for i := range chunk {
 			frame, err := EncodeOps(chunk[i : i+1])
 			if err != nil {
-				skipped++
+				if skipped++; skipped == 1 {
+					failed = err
+				}
 				continue
 			}
 			if err := emit(frame); err != nil {
@@ -64,7 +67,7 @@ func stateFrames(site ident.SiteID, snap []byte, version vclock.VC, suffix []cau
 			}
 		}
 	}
-	return skipped, nil
+	return skipped, failed
 }
 
 // snapAssembly is one in-progress snapshot reassembly.

@@ -65,8 +65,9 @@ func (h *Hub) Stats() HubStats {
 // actually cost on the wire.
 type EngineStats struct {
 	// Drops, WireErrs, Pruned and Applied are the engine's delivery
-	// counters (see Engine.Drops and friends).
-	Drops, WireErrs, Pruned, Applied uint64
+	// counters (see Engine.Drops and friends); EncodeErrs counts outbound
+	// frames that did not encode, the first of which latches Engine.Err.
+	Drops, WireErrs, EncodeErrs, Pruned, Applied uint64
 	// SnapshotsSent and SnapshotsInstalled are the snapshot catch-up
 	// counters.
 	SnapshotsSent, SnapshotsInstalled uint64
@@ -94,6 +95,7 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Drops:              e.Drops(),
 		WireErrs:           e.WireErrs(),
+		EncodeErrs:         e.encodeErrs.Load(),
 		Pruned:             e.Pruned(),
 		Applied:            e.Applied(),
 		SnapshotsSent:      e.SnapshotsSent(),

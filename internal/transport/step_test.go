@@ -620,3 +620,60 @@ func TestStoppedEngineIsCollectable(t *testing.T) {
 		}
 	}
 }
+
+// TestClockPastTheBoundFailsLoudly: a vector clock encodes at most
+// maxClockEntries sites. An engine that has delivered ops from one writer
+// more than that can no longer encode a digest or stamp an op of its own;
+// replication stops there, and it must say so: Err latches the first encode
+// failure and EncodeErrs counts every frame that did not go out.
+func TestClockPastTheBoundFailsLoudly(t *testing.T) {
+	now := time.UnixMilli(0)
+	r := newTestReplica(t, 1)
+	s, err := NewStepper(1, r, func() time.Time { return now }, WithSyncInterval(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	link := &recLink{}
+	receive := s.Connect(link)
+	var msgs []causal.Message
+	for site := ident.SiteID(2); site < maxClockEntries+3; site++ { // 4,097 writers
+		op, err := newTestReplica(t, site).doc.InsertAt(0, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgs = append(msgs, causal.NewBuffer(site).Stamp(op)); len(msgs) == syncChunk || site == maxClockEntries+2 {
+			frame, err := EncodeOps(msgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			receive(frame)
+			msgs = msgs[:0]
+		}
+	}
+	e := s.Engine()
+	if n := len(e.Clock()); n != maxClockEntries+1 || r.len() != n || e.Err() != nil {
+		t.Fatalf("delivered %d writers' ops (%d atoms), Err %v; want %d and nil", n, r.len(), e.Err(), maxClockEntries+1)
+	}
+	op, err := r.doc.InsertAt(0, "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	link.frames = nil
+	if err := e.Broadcast(op); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().EncodeErrs; got != 1 || len(link.frames) != 0 || e.Err() == nil {
+		t.Fatalf("an op stamped past the bound: %d encode errors, %d frames sent, Err %v; want 1, 0 and an error", got, len(link.frames), e.Err())
+	}
+	for range keepaliveTicks {
+		now = now.Add(time.Second)
+		s.Tick()
+	}
+	if got := e.Stats().EncodeErrs; got < 2 || len(link.frames) != 0 {
+		t.Errorf("after a keepalive: %d encode errors, %d frames sent; want the digest counted and nothing sent", got, len(link.frames))
+	}
+	if !strings.Contains(e.Err().Error(), "encode") {
+		t.Errorf("Err = %v, want the first encode failure", e.Err())
+	}
+}

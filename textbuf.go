@@ -3,7 +3,6 @@ package treedoc
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"unicode/utf8"
 )
 
@@ -36,7 +35,11 @@ func NewTextBuffer(opts ...Option) (*TextBuffer, error) {
 }
 
 // String returns the buffer contents.
-func (b *TextBuffer) String() string { return strings.Join(b.Content(), "") }
+func (b *TextBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.doc.Text(0, b.doc.Len(), "")
+}
 
 // Splice is the editor entry point: at rune offset off, delete delCount
 // runes and insert text. It returns the operations to broadcast — deletes
@@ -108,8 +111,8 @@ func runes(text string) []string {
 	return atoms
 }
 
-// Slice returns the text of the rune range [from, to). It streams the
-// range in one in-order tree walk (O(height + to - from)); looking each
+// Slice returns the text of the rune range [from, to). It reads the range
+// in place in one in-order tree walk (O(height + to - from)); looking each
 // atom up by index would re-descend from the root per rune and make long
 // slices quadratic.
 func (b *TextBuffer) Slice(from, to int) (string, error) {
@@ -119,13 +122,5 @@ func (b *TextBuffer) Slice(from, to int) (string, error) {
 	if from < 0 || to < from || to > n {
 		return "", fmt.Errorf("treedoc: slice [%d,%d) outside [0,%d]: %w", from, to, n, ErrOutOfRange)
 	}
-	var sb strings.Builder
-	sb.Grow(to - from) // at least one byte per atom
-	if err := b.doc.VisitRange(from, to, func(a string) bool {
-		sb.WriteString(a)
-		return true
-	}); err != nil {
-		return "", fmt.Errorf("treedoc: slice [%d,%d): %w", from, to, err)
-	}
-	return sb.String(), nil
+	return b.doc.Text(from, to, ""), nil
 }

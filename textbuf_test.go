@@ -258,3 +258,54 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestTextBufferRunesAcrossAtomBlocks: the tree packs atoms' bytes in blocks
+// of 64 handles, so runes of one to four bytes deleted and re-inserted
+// across a block's edge move the text of both blocks. After every splice
+// the buffer, a slice across the edge, the tree's invariants and a joiner
+// installing its snapshot must all read the reference text.
+func TestTextBufferRunesAcrossAtomBlocks(t *testing.T) {
+	b := newBuf(t, 1)
+	widths := "aé✓😀" // one, two, three and four bytes
+	var ref []rune
+	for i := 0; i < 200; i++ {
+		ref = append(ref, []rune(widths)[i%4])
+	}
+	if _, err := b.Append(string(ref)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		off, del int
+		ins      string
+	}{
+		{50, 40, "ü😀ß"},                   // handles 51-90: across the edge at 64
+		{55, 0, strings.Repeat("日本", 20)}, // reuses the freed handles, then fresh ones
+		{0, 130, ""},                      // empties the first block and most of the second
+		{10, 5, strings.Repeat("€x😀", 30)},
+	} {
+		if _, err := b.Splice(s.off, s.del, s.ins); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref[:s.off], append([]rune(s.ins), ref[s.off+s.del:]...)...)
+		if err := b.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.String(); got != string(ref) {
+			t.Fatalf("after splice %v: buffer = %q, want %q", s, got, string(ref))
+		}
+		if got, err := b.Slice(5, len(ref)-5); err != nil || got != string(ref[5:len(ref)-5]) {
+			t.Fatalf("after splice %v: Slice = %q, %v", s, got, err)
+		}
+		data, _, err := b.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := newBuf(t, 2)
+		if _, err := j.InstallSnapshot(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Check(); err != nil || j.String() != string(ref) {
+			t.Fatalf("after splice %v: joiner reads %q (Check %v)", s, j.String(), err)
+		}
+	}
+}

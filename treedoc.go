@@ -174,7 +174,7 @@ func (d *Doc) Len() int {
 	return d.doc.Len()
 }
 
-// Content returns the atoms in document order.
+// Content returns a copy of the atoms in document order.
 func (d *Doc) Content() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -188,7 +188,7 @@ func (d *Doc) ContentString() string {
 	return d.doc.ContentString()
 }
 
-// AtomAt returns the atom at index i.
+// AtomAt returns a copy of the atom at index i.
 func (d *Doc) AtomAt(i int) (string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -199,9 +199,10 @@ func (d *Doc) AtomAt(i int) (string, error) {
 	return a, nil
 }
 
-// VisitRange calls fn for each atom of the index range [from, to) in
-// document order, under one lock and one tree walk — O(height + to - from),
-// where per-index AtomAt calls would descend from the root each time.
+// VisitRange calls fn with a copy of each atom of the index range
+// [from, to) in document order, under one lock and one tree walk —
+// O(height + to - from), where per-index AtomAt calls would descend from
+// the root each time.
 // Iteration stops early if fn returns false. fn must not call back into
 // the Doc.
 func (d *Doc) VisitRange(from, to int, fn func(atom string) bool) error {
