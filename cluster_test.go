@@ -320,7 +320,7 @@ func TestClusterTotalLossStallsThenRecovers(t *testing.T) {
 	if got := r2.Len(); got != 1 {
 		t.Fatalf("keepalive anti-entropy did not recover the op: len=%d", got)
 	}
-	if r1.eng.ReplayOps() == 0 {
+	if r1.eng.Stats().ReplayOps == 0 {
 		t.Error("the op was not served as a digest answer")
 	}
 	mustConverge(t, c)

@@ -30,7 +30,10 @@ var heapHistory = trace.Profile{
 // hold on the Go heap, not only in the cost model. Before the tree's nodes
 // moved into slabs a flatten freed nothing — the detached nodes stayed
 // reachable through the allocator's chunks and each other — and the
-// document cost 2,046 B/atom before the flatten and 2,062 B/atom after.
+// document cost 2,046 B/atom before the flatten and 2,062 B/atom after;
+// while a flattened region held a Go string per atom it cost 33 B/atom of
+// structure after the flatten, where a run of the atom store's handles
+// costs 18.
 func TestFlattenReleasesTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a 10k-op history")
@@ -39,13 +42,15 @@ func TestFlattenReleasesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The document holds its own copy of the atoms' text — packed in the
-	// tree's atom blocks before the flatten, a string per atom in the flat
-	// region after it — so the text's bytes (DocBytes) come off both
-	// readings, and what is left is the document's structure: tree records
-	// before the flatten; after it one string header per atom — up to two,
-	// by the slack append leaves — with the strings' size-class rounding,
-	// the replica's identifier scratch and an empty slab chunk.
+	// The document holds its own copy of the atoms' text, packed in the
+	// tree's atom blocks before the flatten and after it, so the text's
+	// bytes (DocBytes) come off both readings, and what is left is the
+	// document's structure: tree records before the flatten; after it a
+	// 4-byte end per atom in a 280-byte block per 64 atoms, the size-class
+	// rounding of each block's text buffer (under an eighth of the text),
+	// the replica's identifier scratch (six buffers one identifier long, at
+	// most doubled, as TestWriterRetainsNoIdentifiers counts them) and 4 KiB
+	// for the fresh tree's root chunk and the Doc itself.
 	base := heapAfterGC()
 	doc, err := New(WithSite(1))
 	if err != nil {
@@ -69,7 +74,8 @@ func TestFlattenReleasesTree(t *testing.T) {
 		}
 		doc.EndRevision()
 	}
-	st := doc.Stats().Tree
+	ds := doc.Stats()
+	st := ds.Tree
 	atoms := float64(st.LiveAtoms)
 	atomBytes := float64(st.DocBytes) / atoms
 	before := float64(heapAfterGC()-base)/atoms - atomBytes
@@ -79,8 +85,10 @@ func TestFlattenReleasesTree(t *testing.T) {
 	after := float64(heapAfterGC()-base)/atoms - atomBytes
 	t.Logf("%d ops, %d atoms of %.0f B: %.0f B/atom of structure before the flatten (slabs %d B/atom), %.0f B/atom after",
 		ops, st.LiveAtoms, atomBytes, before, st.HeapBytes/st.LiveAtoms, after)
-	if bound := 2*16 + 16<<10/atoms; after > bound {
-		t.Errorf("flattened document costs %.0f B/atom, want <= %.0f (two string headers and 16 KiB)", after, bound)
+	scratch := 6 * 2 * 24 * ds.Height
+	if bound := 280.0/64 + atomBytes/8 + float64(scratch+4<<10)/atoms; after > bound {
+		t.Errorf("flattened document costs %.0f B/atom, want <= %.1f (a 280-B block per 64 atoms, an eighth of the text, %d B of scratch and 4 KiB)",
+			after, bound, scratch)
 	}
 	if after >= before/2 {
 		t.Errorf("flatten freed too little: %.0f -> %.0f B/atom", before, after)

@@ -79,3 +79,21 @@ func newCounter() *counter {
 	c.n = 1
 	return c
 }
+
+type registry struct {
+	mu    sync.Mutex
+	links map[string]int // guarded by mu
+}
+
+// Attach checks for a duplicate with no lock and takes it only to write:
+// the race detector sees the read only if a test attaches while another
+// goroutine writes the map.
+func (r *registry) Attach(doc string) bool {
+	if r.links[doc] != 0 { // want `access to links without holding mu`
+		return false
+	}
+	r.mu.Lock()
+	r.links[doc] = 1
+	r.mu.Unlock()
+	return true
+}

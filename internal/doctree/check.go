@@ -20,8 +20,8 @@ import (
 //     live mini's handle is its alone, and the handles in use plus the atom
 //     store's free stack are every handle handed out. A free, nil or unused
 //     handle holds no text; block ends ascend to the unroomy buffer's end.
-//  5. Flattened nodes have no minis or children, and are exactly the
-//     nodes with an array in Tree.flats.
+//  5. A flattened node has no minis or children, and holds a run of its
+//     live count's handles, its alone, from its atom handle (0 for none).
 //  6. The identifiers of live atoms are strictly increasing in document
 //     order (the infix walk agrees with ident.Compare).
 //  7. Every record is reachable from the root exactly once or is on its
@@ -62,9 +62,9 @@ func (t *Tree) Check() error {
 		return err
 	}
 	inUse := int(t.atoms.n) - len(t.atoms.free)
-	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.flats != len(t.flats) || c.atoms != inUse || c.kidded != len(t.mkids) {
-		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d flat regions, %d atoms and %d minis with children; the tree holds %d, %d, %d, %d and %d mini-child entries",
-			c.nodes, c.minis, c.flats, c.atoms, c.kidded, t.nodes.used(), t.minis.used(), len(t.flats), inUse, len(t.mkids))
+	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.atoms != inUse || c.kidded != len(t.mkids) {
+		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d atoms and %d minis with children; the tree holds %d, %d, %d and %d mini-child entries",
+			c.nodes, c.minis, c.atoms, c.kidded, t.nodes.used(), t.minis.used(), inUse, len(t.mkids))
 	}
 	if c.reserved != t.reserved {
 		return fmt.Errorf("doctree: reserve counts stand for %d nodes, the tree counts %d", c.reserved, t.reserved)
@@ -83,7 +83,7 @@ type checker struct {
 	t            *Tree
 	nodes, minis uint32 // records reached from the root
 	kidded       int    // minis reached flagged hasKids
-	flats, atoms int    // flat regions and live atoms reached
+	atoms        int    // live atoms reached
 	reserved     uint32 // nodes the reserve counts reached stand for
 	cached       bool   // the walk cache's slot was reached
 	held         []bool // atom handles seen in use or on the free stack
@@ -131,16 +131,18 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 	n := t.node(h)
 	var sum counts
 	if n.flat() {
-		atoms, ok := t.flats[h]
-		if !ok || n.first != 0 || n.kids != [2]nodeH{} || n.solo() {
-			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a solo or no array", h)
+		if n.first != 0 || n.kids != [2]nodeH{} || n.solo() || (n.atom == 0) != (n.live == 0) {
+			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a solo, or atom handle %d for %d atoms", h, n.atom, n.live)
 		}
-		c.flats++
-		sum.live = uint32(len(atoms))
+		for i := uint32(0); i < n.live; i++ {
+			if err := c.atom(n.atom+i, -1, &sum); err != nil {
+				return counts{}, err
+			}
+		}
 	} else if d == 0 && !n.empty() {
 		return counts{}, fmt.Errorf("doctree: root holds mini-nodes")
 	}
-	if n.atom != 0 && !n.solo() {
+	if n.atom != 0 && !n.solo() && !n.flat() {
 		return counts{}, fmt.Errorf("doctree: node %d holds atom handle %d and no solo", h, n.atom)
 	} else if k := n.runLen(); n.run() && (k < 2 || k > maxRun || n.atom>>(4+k) != 0) {
 		return counts{}, fmt.Errorf("doctree: node %d is a broken run: %d members, side bits %#x", h, k, n.atom>>5)
@@ -211,17 +213,19 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 }
 
 // atom takes atom handle a (0: none) for the mini whose identifier is
-// cur[:d], which must sort after the previous live atom's.
+// cur[:d], which must sort after the previous live atom's; with d < 0, a
+// flattened region's handle, which must not be 0.
 func (c *checker) atom(a uint32, d int, sum *counts) error {
-	if a == 0 {
+	if a == 0 && d >= 0 {
 		return nil
-	}
-	if a > c.t.atoms.n || c.held[a] {
+	} else if a == 0 || a > c.t.atoms.n || c.held[a] {
 		return fmt.Errorf("doctree: atom handle %d out of range, free or shared", a)
 	}
 	c.held[a] = true
 	c.atoms++
-	sum.live++
+	if sum.live++; d < 0 {
+		return nil
+	}
 	id := c.cur[:d]
 	if err := id.Validate(); err != nil {
 		return fmt.Errorf("doctree: atom identifier %v is invalid: %w", id.Clone(), err)

@@ -1,6 +1,7 @@
 package doctree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -108,10 +109,10 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			continue
 		}
 		if n.flat() {
-			atoms := t.flats[q.h]
-			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(len(atoms)))
-			for _, a := range atoms {
-				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
+			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(n.live))
+			for a := n.atom; a < n.atom+n.live; a++ {
+				b := t.atoms.text(a)
+				dst = append(binary.AppendUvarint(dst, uint64(len(b))), b...)
 			}
 			continue
 		}
@@ -207,7 +208,7 @@ type snapDecoder struct {
 	// has named, since a table entry nothing names is a second spelling.
 	sites []ident.SiteID
 	used  []bool
-	text  []byte // the open atom block's text (atomStore.load)
+	add   func([]byte) uint32 // stores an atom at the next handle (atomStore.load)
 }
 
 func (d *snapDecoder) fail(format string, args ...any) {
@@ -292,17 +293,20 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	// A level-order walk: reading a node for every link a level's records
 	// promise delivers the next level left to right. A tomb joins its
 	// parent's run as it is read (runs): a level holds a run per member.
-	d.node(rootH)
-	for level := append(make([]nodeH, 0, 64), rootH); d.err == nil && len(level) > 0; t.height++ {
-		next := len(level)
-		for _, h := range level[:next] {
-			level = d.children(level, slot{node: h})
-			for mh := t.node(h).minis(); mh != 0; mh = t.mini(mh).next {
-				level = d.children(level, slot{h, mh})
+	t.atoms.load(func(add func([]byte) uint32) {
+		d.add = add
+		d.node(rootH)
+		for level := append(make([]nodeH, 0, 64), rootH); d.err == nil && len(level) > 0; t.height++ {
+			next := len(level)
+			for _, h := range level[:next] {
+				level = d.children(level, slot{node: h})
+				for mh := t.node(h).minis(); mh != 0; mh = t.mini(mh).next {
+					level = d.children(level, slot{h, mh})
+				}
 			}
+			level = level[:copy(level, level[next:])]
 		}
-		level = level[:copy(level, level[next:])]
-	}
+	})
 	if d.off != len(data) {
 		d.fail("%d trailing bytes", len(data)-d.off)
 	}
@@ -311,9 +315,6 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
-	}
-	if t.atoms.n > 0 {
-		t.atoms.seal(&d.text, t.atoms.n)
 	}
 	// A child's handle is above its parent's (the next node read takes a
 	// handle a run absorbed), so one pass from the last node down has every
@@ -369,12 +370,10 @@ func (d *snapDecoder) node(h nodeH) {
 		}
 		return
 	case shapeFlat:
-		atoms := make([]string, d.count("flat atom"))
-		for i := range atoms {
-			atoms[i] = string(d.atom())
+		n.flags, n.live = n.flags|flatF, uint32(d.count("flat atom"))
+		for i := uint32(0); i < n.live && d.err == nil; i++ {
+			n.atom = cmp.Or(n.atom, d.add(d.atom())) // the run's first handle
 		}
-		n.flags |= flatF
-		d.t.flats[h], n.live = atoms, uint32(len(atoms))
 		return
 	case shapeMany:
 		if count = d.count("mini"); count < 2 {
@@ -414,7 +413,7 @@ func (d *snapDecoder) node(h nodeH) {
 			}
 		}
 		if bits&miniDead == 0 {
-			*atom = d.t.atoms.load(d.atom(), &d.text)
+			*atom = d.add(d.atom())
 			n.live++
 		}
 	}

@@ -3,7 +3,6 @@ package doctree
 import (
 	"fmt"
 	"strings"
-	"unsafe"
 
 	"github.com/treedoc/treedoc/internal/ident"
 )
@@ -82,7 +81,7 @@ descend:
 			continue
 		}
 		i -= l.live
-		if n.atom != 0 && !n.run() {
+		if n.liveAtom() != 0 {
 			if i == 0 {
 				return append(dst, ident.M(n.bit(), n.soloDis())), slot{node: h, mini: soloMini}, nil
 			}
@@ -154,7 +153,7 @@ descend:
 			next, nn, elem = n.kids[0], l, ident.J(n.bit())
 		} else if rel < l.live {
 			break descend
-		} else if rel -= l.live; n.atom != 0 && !n.run() { // a live solo
+		} else if rel -= l.live; n.liveAtom() != 0 { // a live solo
 			if rel == 0 {
 				break descend
 			}
@@ -251,14 +250,10 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func([]byte) bool) bool 
 		return true
 	}
 	if n.flat() {
-		for _, a := range t.flats[h][*skip:] {
-			if *count == 0 {
-				return true
-			}
-			if !fn(unsafe.Slice(unsafe.StringData(a), len(a))) { // read only, as fn promises
+		for a := n.atom + uint32(*skip); a < n.atom+n.live && *count > 0; a++ {
+			if *count--; !fn(t.atoms.text(a)) {
 				return false
 			}
-			*count--
 		}
 		*skip = 0
 		return true

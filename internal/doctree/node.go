@@ -44,9 +44,9 @@ const rootH nodeH = 1
 // stands for a complete subtree of r levels of empty nodes, built only when
 // a walk enters it (see ReserveFrom and child).
 //
-// A node flagged flat is a flattened region (Section 4.2): it stores its
-// whole subtree's live atoms as a plain array with no metadata
-// (Tree.flats), and has no minis or children until a path walk explodes it.
+// A node flagged flat is a flattened region (Section 4.2): its subtree's live
+// atoms are a run of live handles from atom (0: none), with no metadata, and
+// it has no minis or children until a path walk explodes it.
 //
 // A node flagged solo holds its only mini, one with counter 0 and no
 // children, with no mini record: its atom handle (0: a tombstone) in atom,
@@ -68,7 +68,7 @@ type node struct {
 	first  miniH    // head of the mini chain, sorted by disambiguator; a solo's site, low bits
 	live   uint32   // live atoms in this subtree, including flat content
 
-	atom    uint32 // a solo's atom handle into Tree.atoms, 0 = dead; a run's shape
+	atom    uint32 // a solo's atom handle into Tree.atoms, 0 = dead; a run's shape; a flat region's first handle
 	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, solo, hasEmpty, run
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
 	siteHi  uint16 // a solo's site, high bits
@@ -77,7 +77,7 @@ type node struct {
 // The flags of node.flags above its side bit.
 const (
 	onMiniF   = 2 << iota // the parent slot is one of its minis, found when needed (hangsFrom)
-	flatF                 // a flattened region, its atoms in Tree.flats
+	flatF                 // a flattened region, its atoms a run of handles from atom
 	soloF                 // its one mini is held in the node
 	hasEmptyF             // its subtree holds an empty node, built or reserved
 	runF                  // a solo tomb standing for a chain of them (run.go)
@@ -93,8 +93,8 @@ func (n *node) solo() bool     { return n.flags&soloF != 0 }
 func (n *node) hasEmpty() bool { return n.flags&hasEmptyF != 0 }
 func (n *node) run() bool      { return n.flags&runF != 0 }
 
-// liveAtom returns n's live solo's atom handle: 0 for none, a tomb or a run.
-func (n *node) liveAtom() uint32 { return n.atom &^ -uint32(n.flags&runF/runF) }
+// liveAtom returns n's live solo's atom handle: 0 for none, a tomb, a run or a region.
+func (n *node) liveAtom() uint32 { return n.atom &^ -uint32(n.flags&runF/runF|n.flags&flatF/flatF) }
 
 // emptyDelta returns n's hasEmpty bit as a bubble delta: 1 if it is set.
 func (n *node) emptyDelta() int { return int(n.flags&hasEmptyF) / hasEmptyF }
@@ -145,9 +145,6 @@ type Tree struct {
 	nodes slab[node, *node]
 	minis slab[mini, *mini]
 	atoms atomStore
-	// flats holds the atom arrays of flattened regions, keyed by the
-	// region's node; only a node flagged flat has an entry.
-	flats map[nodeH][]string
 	// mkids holds the child links of exactly the minis flagged hasKids, read
 	// only under the flag; an entry goes with the mini's last child.
 	mkids map[miniH][2]nodeH
@@ -174,7 +171,7 @@ type Tree struct {
 
 // New returns an empty document tree.
 func New() *Tree {
-	t := &Tree{limit: maxRecords, flats: map[nodeH][]string{}}
+	t := &Tree{limit: maxRecords}
 	t.nodes.alloc() // rootH
 	return t
 }
@@ -481,14 +478,12 @@ func (t *Tree) holdsEmpty(h nodeH, n *node) bool {
 // heapBytes returns what the tree's structure occupies on the Go heap: the
 // node and mini slabs (records in use, free and never used), the stamp
 // chunks and atom blocks with their directories, the atom buffers' spare
-// capacity and free stack, and the flat-region and mini-child maps. It
-// reads one word per 64 nodes and per 64 atoms, and leaves out the atoms'
-// text and the arrays of flattened regions, the document rather than its
-// overhead. A map entry is priced at its key, value and share of a group:
-// 48 bytes in flats, 16 in mkids.
+// capacity and free stack, and the mini-child map at 16 bytes an entry (key,
+// value and share of a group). It reads one word per 64 nodes and per 64
+// atoms, and leaves out the atoms' text, the document rather than its overhead.
 func (t *Tree) heapBytes() int {
 	b := int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
-		len(t.atoms.blocks)*int(unsafe.Sizeof(atomBlock{})) + cap(t.atoms.blocks)*8 + cap(t.atoms.free)*4 + len(t.flats)*48 + len(t.mkids)*16 + cap(t.stamps)*8
+		len(t.atoms.blocks)*int(unsafe.Sizeof(atomBlock{})) + cap(t.atoms.blocks)*8 + cap(t.atoms.free)*4 + len(t.mkids)*16 + cap(t.stamps)*8
 	for _, c := range t.stamps {
 		if c != nil {
 			b += int(unsafe.Sizeof(*c))

@@ -1,6 +1,7 @@
 package doctree
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -134,16 +135,15 @@ func (s *atomStore) handle() uint32 {
 		s.free = s.free[:k-1]
 		return h
 	}
-	s.fresh()
-	return s.n
+	return s.fresh()
 }
 
-// fresh hands out handle n+1 and reports whether it opens a block, cutting
-// the block before to fit. Blocks come four to an allocation, 1,120 bytes in
-// the 1,152-byte size class.
-func (s *atomStore) fresh() (opens bool) {
+// fresh hands out handle n+1; one that opens a block cuts the block before
+// to fit. Blocks come four to an allocation, 1,120 bytes in the 1,152-byte
+// size class.
+func (s *atomStore) fresh() uint32 {
 	if s.n++; s.n&chunkMask != 0 && s.n != 1 {
-		return false
+		return s.n
 	}
 	if int(s.n>>chunkShift) == len(s.blocks) {
 		g := new([4]atomBlock)
@@ -152,7 +152,7 @@ func (s *atomStore) fresh() (opens bool) {
 	if b := s.blocks[max(s.n>>chunkShift, 1)-1]; cap(b.buf) > len(b.buf)+len(b.buf)/8 {
 		b.buf = append([]byte(nil), b.buf...)
 	}
-	return true
+	return s.n
 }
 
 // put stores a and returns its handle, never 0.
@@ -190,19 +190,27 @@ func (s *atomStore) drop(h uint32) {
 	s.free = append(s.free, h)
 }
 
-// load is put for a decoder filling a fresh store: a block's text gathers in
-// scratch, and seal gives it its buffer, sized once, as the next block opens.
-func (s *atomStore) load(a []byte, scratch *[]byte) uint32 {
-	if s.fresh() && s.n > 1 {
-		s.seal(scratch, s.n-1)
+// load stores the atoms fill hands add at fresh handles, which add returns, and
+// returns the first (0 for none). A block's text gathers in scratch, seeded
+// with the open block's, and is its buffer, sized once, when the next opens or
+// the load ends: fill may hand add an atom it reads in place here.
+func (s *atomStore) load(fill func(add func(a []byte) uint32)) (first uint32) {
+	var scratch []byte
+	if s.n&chunkMask != chunkMask && s.n > 0 {
+		scratch = append(scratch, s.blocks[s.n>>chunkShift].buf...)
 	}
-	*scratch = append(*scratch, a...)
-	s.blocks[s.n>>chunkShift].end[s.n&chunkMask] = uint32(len(*scratch))
-	return s.n
-}
-
-// seal hands the loaded text to the block of handle h.
-func (s *atomStore) seal(scratch *[]byte, h uint32) {
-	s.blocks[h>>chunkShift].buf = append([]byte(nil), *scratch...)
-	*scratch = (*scratch)[:0]
+	fill(func(a []byte) uint32 {
+		h := s.fresh() // after the block before is cut to fit, so it takes its text once
+		if h&chunkMask == 0 && first != 0 {
+			s.blocks[h>>chunkShift-1].buf, scratch = append([]byte(nil), scratch...), scratch[:0]
+		}
+		first = cmp.Or(first, h)
+		scratch = append(scratch, a...)
+		s.blocks[h>>chunkShift].end[h&chunkMask] = uint32(len(scratch))
+		return h
+	})
+	if first != 0 {
+		s.blocks[s.n>>chunkShift].buf = append([]byte(nil), scratch...)
+	}
+	return first
 }

@@ -1,6 +1,7 @@
 package doctree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -342,4 +343,72 @@ func TestReserveCountsStayWithinTheLimit(t *testing.T) {
 	if e := tr.reserved; e > tr.limit {
 		t.Errorf("%d empty nodes counted past the limit of %d records", e, tr.limit)
 	}
+}
+
+// TestFlatRegionIsARunOfHandles flattens a subtree whose text the loader
+// writes into three blocks of the atom store, the first of them the open
+// block, which also holds atoms outside the region; then it flattens the
+// region again, and takes it through a snapshot, an insert that explodes it and a whole-document
+// flatten. The atoms are of several bytes and lengths throughout.
+func TestFlatRegionIsARunOfHandles(t *testing.T) {
+	tr := New()
+	var want []string
+	chain := func(bit uint8, k int) { // k atoms, each the right child's mini of the last
+		id := ident.Path{ident.M(bit, ident.Dis{Counter: 1, Site: 1})}
+		for i := 0; i < k; i++ {
+			a := fmt.Sprintf("%c%d·", 'a'+bit, i*i)
+			if err := tr.InsertID(id, a); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, a)
+			id = id.Child(ident.M(1, ident.Dis{Counter: 1, Site: 1}))
+		}
+	}
+	chain(0, 130) // the region: handles 1-130
+	chain(1, 20)  // handles 131-150, in the open block beside the region's last three
+	step := func(what string) {
+		t.Helper()
+		checkTree(t, tr)
+		if got := tr.Content(); !slices.Equal(got, want) {
+			t.Fatalf("%s: content %q, want %q", what, got, want)
+		}
+	}
+	step("insert")
+	if err := tr.Flatten(ident.Path{ident.J(0)}); err != nil {
+		t.Fatal(err)
+	}
+	step("flatten")
+	if r := tr.node(tr.node(rootH).kids[0]); !r.flat() || r.atom != 151 || r.live != 130 {
+		t.Fatalf("region: flat %v, handles from %d, %d atoms; want a run of 130 from 151", r.flat(), r.atom, r.live)
+	}
+	if err := tr.Flatten(ident.Path{ident.J(0)}); err != nil { // a new run, the old one dropped
+		t.Fatal(err)
+	}
+	step("flatten again")
+	data := tr.AppendSnapshot(nil)
+	var err error
+	if tr, err = DecodeSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	step("decode")
+	if again := tr.AppendSnapshot(nil); !bytes.Equal(again, data) {
+		t.Fatal("the decoded tree encodes to other bytes")
+	}
+	// A site's mini beside the canonical solo of the region root's left child.
+	if err := tr.InsertID(ident.Path{ident.J(0), ident.M(0, ident.Dis{Counter: 1, Site: 9})}, "inserted"); err != nil {
+		t.Fatal(err)
+	}
+	if tr.node(tr.node(rootH).kids[0]).flat() {
+		t.Fatal("the insert did not explode the region")
+	}
+	i := slices.Index(tr.Content(), "inserted")
+	if i < 0 {
+		t.Fatal("the inserted atom is missing")
+	}
+	want = slices.Insert(want, i, "inserted")
+	step("explode")
+	if err := tr.FlattenAll(); err != nil {
+		t.Fatal(err)
+	}
+	step("flatten all")
 }

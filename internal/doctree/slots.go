@@ -60,7 +60,7 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 				}
 				return append(dst, ident.M(n.bit(), d)), Slot{at: t.hangsFrom(h, n), depth: len(dst) - base} //treedoc:escape growing the caller's scratch
 			}
-			if n.atom != 0 && !n.run() {
+			if n.liveAtom() != 0 {
 				return nil, Slot{} // the node's live solo comes first
 			}
 			ms, stage = n.minis(), 0

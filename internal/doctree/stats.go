@@ -103,13 +103,13 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 	}
 	n := t.node(h)
 	if n.flat() {
-		flat := t.flats[h]
-		s.FlatAtoms += len(flat)
-		s.LiveAtoms += len(flat)
-		for _, a := range flat {
-			s.DocBytes += len(a)
+		s.FlatAtoms += int(n.live)
+		s.LiveAtoms += int(n.live)
+		for a, end := n.atom, n.atom+n.live; a < end; a = (a | chunkMask) + 1 { // a block's part of the run at a time
+			b, lo, _, _ := t.atoms.span(a)
+			s.DocBytes += int(b.end[min(end-1, a|chunkMask)&chunkMask] - lo)
 		}
-		sum, top := flatIDBits(len(flat), depth+disBits, h == rootH)
+		sum, top := flatIDBits(int(n.live), depth+disBits, h == rootH)
 		s.TotalIDBits, s.MaxIDBits = s.TotalIDBits+sum, max(s.MaxIDBits, top)
 		return
 	}

@@ -658,13 +658,17 @@ func TestLargeCanonicalExplode(t *testing.T) {
 	for i := range atoms {
 		atoms[i] = fmt.Sprintf("line-%d", i)
 	}
-	// Build by flattening an empty doc and splicing content in via the flat
-	// path: simplest is inserting then flattening, but use the explode path
-	// directly: set a flat root via FlattenAll on an empty tree…
-	// Instead: insert sequentially at canonical ids via IDAt after seeding.
-	tr.node(rootH).flags |= flatF
-	tr.flats[rootH] = atoms
-	tr.node(rootH).live = uint32(len(atoms))
+	// A flat root holding the atoms, loaded as the snapshot decoder loads a
+	// region; IDAt explodes it.
+	root := tr.node(rootH)
+	root.atom = tr.atoms.load(func(add func([]byte) uint32) {
+		for _, a := range atoms {
+			add([]byte(a))
+		}
+	})
+	root.flags |= flatF
+	root.live = uint32(len(atoms))
+	checkTree(t, tr)
 	if _, err := tr.IDAt(500); err != nil {
 		t.Fatal(err)
 	}

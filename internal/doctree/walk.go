@@ -225,15 +225,14 @@ func (t *Tree) explodeNode(h nodeH) error {
 }
 
 func (t *Tree) explode(h nodeH) error {
-	n, atoms := t.node(h), t.flats[h]
-	// The canonical subtree holds one mini per atom, and a node per atom
-	// plus at most one atom-less node per level on the path to the last atom.
-	if err := t.room(len(atoms)+64, len(atoms)); err != nil {
+	n := t.node(h)
+	first, k := n.atom, n.live
+	// The canonical subtree holds a node per atom, its solo, plus at most one
+	// atom-less node per level on the path to the last atom.
+	if err := t.room(int(k)+64, 0); err != nil {
 		return fmt.Errorf("doctree: explode: %w", err)
 	}
-	delete(t.flats, h)
-	n.flags &^= flatF
-	if len(atoms) == 0 {
+	if n.atom, n.flags = 0, n.flags&^flatF; k == 0 {
 		if h == rootH {
 			t.setStamp(h, t.rev) // the root is never a free slot
 			return nil
@@ -247,12 +246,12 @@ func (t *Tree) explode(h nodeH) error {
 		// The root holds no atoms (ident.Path): fill its two child subtrees
 		// as Algorithm 2 would, skipping the root slot itself.
 		depth := 0
-		for 2*subtreeCapacity(depth) < len(atoms) {
+		for 2*subtreeCapacity(depth) < int(k) {
 			depth++
 		}
-		nLeft := min(len(atoms), subtreeCapacity(depth))
-		n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth)
-		n.kids[1] = t.buildCanonical(slot{node: h}, 1, atoms[nLeft:], depth)
+		nLeft := min(k, uint32(subtreeCapacity(depth)))
+		n.kids[0] = t.buildCanonical(slot{node: h}, 0, first, nLeft, depth)
+		n.kids[1] = t.buildCanonical(slot{node: h}, 1, first+nLeft, k-nLeft, depth)
 		t.bubble(h, 0, max(t.node(n.kids[0]).emptyDelta(), t.node(n.kids[1]).emptyDelta()))
 		t.height = max(t.height, depth)
 		return nil
@@ -260,10 +259,10 @@ func (t *Tree) explode(h nodeH) error {
 	// Non-root region: the region root node itself holds the appropriate
 	// infix atom, exactly as Algorithm 2 assigns identifiers.
 	depth := 1
-	for subtreeCapacity(depth) < len(atoms) {
+	for subtreeCapacity(depth) < int(k) {
 		depth++
 	}
-	t.fillCanonical(h, atoms, depth)
+	t.fillCanonical(h, first, k, depth)
 	t.bubble(n.parent, 0, n.emptyDelta())
 	t.setStamp(h, t.rev)
 	t.height = max(t.height, t.depth(h)+depth-1)
@@ -276,45 +275,43 @@ func (t *Tree) explode(h nodeH) error {
 func subtreeCapacity(depth int) int { return 1<<min(depth, 62) - 1 }
 
 // fillCanonical populates existing node h as the root of a canonical
-// complete subtree of the given depth holding atoms in infix order, each
-// atom its node's solo mini. The node must have no minis or children. It
-// sets the node's subtree counts but does not touch ancestors.
-func (t *Tree) fillCanonical(h nodeH, atoms []string, depth int) {
+// complete subtree of the given depth holding the k atoms of handles from
+// first in infix order, each its node's solo mini. The node must have no
+// minis or children. It sets the node's counts but does not touch ancestors.
+func (t *Tree) fillCanonical(h nodeH, first, k uint32, depth int) {
 	n := t.node(h)
-	nLeft := min(len(atoms), subtreeCapacity(depth-1))
-	rest := atoms[nLeft:]
-	n.kids[0] = t.buildCanonical(slot{node: h}, 0, atoms[:nLeft], depth-1)
-	if len(rest) > 0 {
-		n.setSolo(ident.Canonical, t.atoms.put(rest[0]))
-		rest = rest[1:]
+	nLeft := min(k, uint32(subtreeCapacity(depth-1)))
+	n.kids[0] = t.buildCanonical(slot{node: h}, 0, first, nLeft, depth-1)
+	if k > nLeft {
+		n.setSolo(ident.Canonical, first+nLeft)
+		n.kids[1] = t.buildCanonical(slot{node: h}, 1, first+nLeft+1, k-nLeft-1, depth-1)
 	}
-	n.kids[1] = t.buildCanonical(slot{node: h}, 1, rest, depth-1)
-	n.live = uint32(len(atoms))
+	n.live = k
 	if t.holdsEmpty(h, n) {
 		n.flags |= hasEmptyF
 	}
 }
 
-// buildCanonical allocates the canonical complete subtree for atoms (in
-// infix order) as the bit-child of slot s, returning the new node, or 0 for
-// no atoms.
-func (t *Tree) buildCanonical(s slot, bit uint8, atoms []string, depth int) nodeH {
-	if len(atoms) == 0 {
+// buildCanonical allocates the canonical complete subtree for the k atoms
+// with handles from first (in infix order) as the bit-child of slot s,
+// returning the new node, or 0 for no atoms.
+func (t *Tree) buildCanonical(s slot, bit uint8, first, k uint32, depth int) nodeH {
+	if k == 0 {
 		return 0
 	}
 	h := t.newNode(s, bit)
-	t.fillCanonical(h, atoms, depth)
+	t.fillCanonical(h, first, k, depth)
 	return h
 }
 
 // Flatten replaces the subtree rooted at the node designated by path with a
-// flat atom array holding its live content (Algorithm 2's flatten): all
-// tombstones and identifier metadata in the region are discarded, and the
+// run of fresh atom handles holding its live content (Algorithm 2's flatten):
+// all tombstones and identifier metadata in the region are discarded, and the
 // region's node, mini and atom records go back to the slabs' free lists — or,
-// when the region is the whole document, the slabs are reset and every
-// chunk is dropped. The path must designate a major node: the empty path
-// (whole document) or a structural path ending in a Major element; an atom
-// identifier's node is addressed by its StripLastDis form.
+// when the region is the whole document, the slabs and the atom store are
+// reset and every chunk is dropped. The path must designate a major node: the
+// empty path (whole document) or a structural path ending in a Major element;
+// an atom identifier's node is addressed by its StripLastDis form.
 //
 // Flatten is a structural clean-up, not a CRDT operation: callers must
 // establish that no concurrent edits target the region (the paper's
@@ -325,23 +322,25 @@ func (t *Tree) Flatten(path ident.Path) error {
 		return err
 	}
 	t.cacheDrop()
-	n := t.node(h)
-	atoms, skip, count := make([]string, 0, n.live), 0, int(n.live)
-	t.visitRange(h, &skip, &count, func(a []byte) bool { atoms = append(atoms, string(a)); return true })
+	n, atoms := t.node(h), &t.atoms
 	if h == rootH {
-		// A fresh tree: every chunk goes back to the collector at once.
-		*t = Tree{limit: t.limit, rev: t.rev, flats: map[nodeH][]string{}}
+		atoms = new(atomStore) // a fresh tree: every chunk goes back to the collector at once
+	}
+	live, skip, count := n.live, 0, int(n.live)
+	first := atoms.load(func(add func([]byte) uint32) {
+		t.visitRange(h, &skip, &count, func(a []byte) bool { add(a); return true })
+	})
+	if h == rootH {
+		*t = Tree{limit: t.limit, rev: t.rev, atoms: *atoms}
 		t.nodes.alloc() // rootH again
 		n = t.node(rootH)
-		n.live = uint32(len(atoms))
 	} else {
 		dEmpty := -n.emptyDelta()
 		t.releaseBelow(h)
 		t.bubble(n.parent, 0, dEmpty)
 		t.height = t.maxDepth(rootH, 0)
 	}
-	n.flags |= flatF
-	t.flats[h] = atoms
+	n.live, n.atom, n.flags = live, first, n.flags|flatF
 	t.setStamp(h, t.rev)
 	return nil
 }
@@ -352,12 +351,12 @@ func (t *Tree) Flatten(path ident.Path) error {
 func (t *Tree) FlattenAll() error { return t.Flatten(ident.Path{}) }
 
 // releaseBelow detaches everything under h — children, minis and their
-// children, atoms, a flat array — and returns the records to the free
-// lists. h itself stays.
+// children, atoms, a flat region's run — and returns the records to the
+// free lists. h itself stays.
 func (t *Tree) releaseBelow(h nodeH) {
 	n := t.node(h)
-	if n.flat() {
-		delete(t.flats, h)
+	for i := uint32(0); n.flat() && i < n.live; i++ {
+		t.atoms.drop(n.atom + i)
 	}
 	t.releaseSubtree(n.kids[0])
 	t.releaseSubtree(n.kids[1])
@@ -378,7 +377,7 @@ func (t *Tree) releaseBelow(h nodeH) {
 	}
 	t.reserved -= reservedNodes(n.reserve)
 	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi, n.atom = 0, 0, 0, 0, 0, 0
-	n.flags &^= soloF | hasEmptyF | runF
+	n.flags &^= flatF | soloF | hasEmptyF | runF
 }
 
 func (t *Tree) releaseSubtree(h nodeH) {

@@ -46,14 +46,14 @@ func TestDigestSuppressionIdle(t *testing.T) {
 	// Let the post-convergence digests settle (each side announces its
 	// final clock once), then measure a pure idle window.
 	time.Sleep(5 * syncEvery)
-	sent0 := e1.DigestsSent() + e2.DigestsSent()
-	supp0 := e1.DigestsSuppressed() + e2.DigestsSuppressed()
+	sent0 := e1.Stats().DigestsSent + e2.Stats().DigestsSent
+	supp0 := e1.Stats().DigestsSuppressed + e2.Stats().DigestsSuppressed
 
 	const idle = 50 * syncEvery // 5 keepalive periods
 	time.Sleep(idle)
 
-	sent := e1.DigestsSent() + e2.DigestsSent() - sent0
-	supp := e1.DigestsSuppressed() + e2.DigestsSuppressed() - supp0
+	sent := e1.Stats().DigestsSent + e2.Stats().DigestsSent - sent0
+	supp := e1.Stats().DigestsSuppressed + e2.Stats().DigestsSuppressed - supp0
 	// Two engines ticking for 5 keepalive periods: ~10 keepalive sends
 	// expected. Anything near the unsuppressed rate (~100 sends) means
 	// suppression is not engaging; zero suppressions means the same.
@@ -134,7 +134,7 @@ func TestDigestSuppressionHealsDrop(t *testing.T) {
 	healed := false
 	for attempt := 0; attempt < 5 && !healed; attempt++ {
 		time.Sleep(5 * syncEvery)
-		replay0 := e1.ReplayOps()
+		replay0 := e1.Stats().ReplayOps
 		// This broadcast's ops frame is dropped on the floor: e2 can only
 		// learn it through a digest answer.
 		dropper.arm()
@@ -145,7 +145,7 @@ func TestDigestSuppressionHealsDrop(t *testing.T) {
 		// that answers; 10s is generous slack over the 100ms keepalive.
 		waitConverged(t, []*Engine{e1, e2}, 10*time.Second)
 		checkAll(t, r1, r2)
-		healed = e1.ReplayOps() > replay0
+		healed = e1.Stats().ReplayOps > replay0
 	}
 	if !healed {
 		t.Fatal("no attempt healed through a digest answer: drop injection never took")

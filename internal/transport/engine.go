@@ -433,14 +433,6 @@ func (e *Engine) openAndReplay() error {
 // Site returns the engine's site identifier.
 func (e *Engine) Site() ident.SiteID { return e.site }
 
-// Drops counts outbound frames discarded because a peer queue was full.
-// Anti-entropy repairs the loss; a steadily climbing count means a peer is
-// persistently slower than the local edit rate.
-func (e *Engine) Drops() uint64 { return e.drops.Load() }
-
-// WireErrs counts malformed frames and messages discarded on receive.
-func (e *Engine) WireErrs() uint64 { return e.wireErrs.Load() }
-
 // encodeFailed counts n outbound frames that did not encode, the first with
 // err, and latches the failure in Err: past maxClockEntries sites a clock
 // does not encode, and a replica that cannot send has stopped replicating.
@@ -450,12 +442,6 @@ func (e *Engine) encodeFailed(n int, err error) {
 		e.setErr(fmt.Errorf("transport: encode: %w", err))
 	}
 }
-
-// Pruned counts wire-valid messages discarded from the causal buffer to
-// bound its undeliverable backlog (see maxPending). Pruning is load
-// shedding, not corruption — anti-entropy redelivers legitimate messages —
-// so it is counted apart from WireErrs.
-func (e *Engine) Pruned() uint64 { return e.pruned.Load() }
 
 // Applied counts remote operations replayed into the replica (live
 // delivery only; restart replay from the durable log is not counted).
@@ -479,22 +465,6 @@ func (e *Engine) FlattensCommitted() uint64 { return e.flattensCommitted.Load() 
 // deadline passed before every member acked, or the region was gone — and
 // the proposals it refused. Aborts are harmless; propose again.
 func (e *Engine) FlattensAborted() uint64 { return e.flattensAborted.Load() }
-
-// DigestsSent counts anti-entropy digests sent to peers.
-func (e *Engine) DigestsSent() uint64 { return e.digestsSent.Load() }
-
-// DigestsSuppressed counts sync ticks on which a peer's digest was
-// skipped because there was no persistent gap to pull against and the
-// keepalive had not elapsed. A high ratio of suppressed to sent is the
-// healthy state, hot or idle; see docs/ARCHITECTURE.md §13.
-func (e *Engine) DigestsSuppressed() uint64 { return e.digestsSuppressed.Load() }
-
-// ReplayOps counts retained operations queued in answer to peers'
-// digests (each op counted once per peer it was queued to).
-func (e *Engine) ReplayOps() uint64 { return e.replayOps.Load() }
-
-// ReplayBytes counts the frame bytes queued in answer to peers' digests.
-func (e *Engine) ReplayBytes() uint64 { return e.replayBytes.Load() }
 
 // Broadcast stamps local operations and queues them for delivery to every
 // peer. Ops must be passed in generation order; per-replica local edits

@@ -462,15 +462,15 @@ func TestHostileCausalGapIsBounded(t *testing.T) {
 	// Generous deadline: ~17k undeliverable messages are slow to ingest
 	// under -race on a single-CPU machine.
 	deadline := time.Now().Add(120 * time.Second)
-	for e.Pruned() < extra {
+	for e.Stats().Pruned < extra {
 		if time.Now().After(deadline) {
-			t.Fatalf("backlog not pruned: pruned=%d", e.Pruned())
+			t.Fatalf("backlog not pruned: pruned=%d", e.Stats().Pruned)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Backlog pruning is load shedding, not a wire error: the frames were
 	// valid, so the error counter must not conflate them.
-	if n := e.WireErrs(); n != 0 {
+	if n := e.Stats().WireErrs; n != 0 {
 		t.Errorf("pruning inflated wireErrs to %d", n)
 	}
 

@@ -360,14 +360,6 @@ func (h *Hub) Unrouted() uint64 { return h.unrouted.Load() }
 // document's owner shard on behalf of locally attached clients.
 func (h *Hub) Forwards() uint64 { return h.forwards.Load() }
 
-// ReplayRoutes counts directed anti-entropy answers (kindReplay)
-// delivered to their addressed requester alone instead of the group.
-func (h *Hub) ReplayRoutes() uint64 { return h.replayRoutes.Load() }
-
-// ReplayFallbacks counts directed answers whose addressed requester was
-// unknown or dead, delivered by group broadcast instead.
-func (h *Hub) ReplayFallbacks() uint64 { return h.replayFallbacks.Load() }
-
 // HandoffsOut counts documents this hub handed to a new owner.
 func (h *Hub) HandoffsOut() uint64 { return h.handoffsOut.Load() }
 

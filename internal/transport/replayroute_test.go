@@ -201,7 +201,7 @@ func TestHubRoutesReplayToRequester(t *testing.T) {
 
 	waitConverged(t, engines, 30*time.Second)
 	checkAll(t, reps...)
-	if hub.ReplayRoutes() == 0 {
-		t.Fatalf("no answer was replay-routed (fallbacks %d)", hub.ReplayFallbacks())
+	if hub.Stats().ReplayRoutes == 0 {
+		t.Fatalf("no answer was replay-routed (fallbacks %d)", hub.Stats().ReplayFallbacks)
 	}
 }

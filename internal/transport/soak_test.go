@@ -142,7 +142,7 @@ func waitQuiesced(t testing.TB, sites []*soakSite, counts map[treedoc.SiteID]uin
 		if time.Now().After(deadline) {
 			for _, s := range sites {
 				t.Logf("site %d clock %v drops %d wireErrs %d",
-					s.id, s.eng.Clock(), s.eng.Drops(), s.eng.WireErrs())
+					s.id, s.eng.Clock(), s.eng.Stats().Drops, s.eng.Stats().WireErrs)
 			}
 			t.Fatal("replicas did not quiesce within deadline")
 		}

@@ -169,7 +169,7 @@ func TestStateFramesReproduceSource(t *testing.T) {
 					deadline := time.Now().Add(10 * time.Second)
 					for !vcEqual(eng.Clock(), wantClock) {
 						if time.Now().After(deadline) {
-							t.Fatalf("clock %v, want %v (wire errs %d)", eng.Clock(), wantClock, eng.WireErrs())
+							t.Fatalf("clock %v, want %v (wire errs %d)", eng.Clock(), wantClock, eng.Stats().WireErrs)
 						}
 						time.Sleep(2 * time.Millisecond)
 					}

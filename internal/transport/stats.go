@@ -25,9 +25,9 @@ type HubStats struct {
 	// Always 0: digests are no longer batched; benchmark/layers.go reads them.
 	SyncBatchFrames, SyncBatchEntries uint64
 	// ReplayRoutes and ReplayFallbacks are the directed-answer counters:
-	// kindReplay frames delivered to their addressed requester alone, and
-	// those broadcast because the target was unknown or dead (see
-	// Hub.ReplayRoutes).
+	// anti-entropy answers (kindReplay) delivered to their addressed
+	// requester alone instead of the group, and those delivered by group
+	// broadcast because the requester was unknown or dead.
 	ReplayRoutes, ReplayFallbacks uint64
 	// PerDoc is Hub.DocStats: per-document clients/relays/drops.
 	PerDoc map[string]DocStats
@@ -46,8 +46,8 @@ func (h *Hub) Stats() HubStats {
 		Forwards:        h.Forwards(),
 		HandoffsOut:     h.HandoffsOut(),
 		HandoffsIn:      h.HandoffsIn(),
-		ReplayRoutes:    h.ReplayRoutes(),
-		ReplayFallbacks: h.ReplayFallbacks(),
+		ReplayRoutes:    h.replayRoutes.Load(),
+		ReplayFallbacks: h.replayFallbacks.Load(),
 		PerDoc:          h.DocStats(),
 	}
 	h.mu.Lock()
@@ -64,19 +64,30 @@ func (h *Hub) Stats() HubStats {
 // healthy idle state, and ReplayOps/ReplayBytes say what digest answers
 // actually cost on the wire.
 type EngineStats struct {
-	// Drops, WireErrs, Pruned and Applied are the engine's delivery
-	// counters (see Engine.Drops and friends); EncodeErrs counts outbound
-	// frames that did not encode, the first of which latches Engine.Err.
+	// Drops, WireErrs, EncodeErrs, Pruned and Applied are the engine's
+	// delivery counters. Drops counts outbound frames discarded because a
+	// peer queue was full: anti-entropy repairs the loss, and a steadily
+	// climbing count means a peer is persistently slower than the local
+	// edit rate. WireErrs counts malformed frames and messages discarded on
+	// receive; EncodeErrs outbound frames that did not encode, the first of
+	// which latches Engine.Err. Pruned counts wire-valid messages discarded
+	// from the causal buffer to bound its undeliverable backlog (see
+	// maxPending): load shedding, not corruption — anti-entropy redelivers
+	// legitimate messages — so it is counted apart from WireErrs. Applied
+	// is Engine.Applied.
 	Drops, WireErrs, EncodeErrs, Pruned, Applied uint64
 	// SnapshotsSent and SnapshotsInstalled are the snapshot catch-up
 	// counters.
 	SnapshotsSent, SnapshotsInstalled uint64
-	// DigestsSent and DigestsSuppressed are the digest-suppression
-	// counters (see Engine.DigestsSuppressed).
+	// DigestsSent counts anti-entropy digests sent to peers, and
+	// DigestsSuppressed the sync ticks on which a peer's digest was skipped
+	// because there was no persistent gap to pull against and the keepalive
+	// had not elapsed. A high ratio of suppressed to sent is the healthy
+	// state, hot or idle; see docs/ARCHITECTURE.md §13.
 	DigestsSent, DigestsSuppressed uint64
 	// ReplayOps and ReplayBytes are the retransmission counters: retained
-	// operations (and the frame bytes carrying them) queued in answer to
-	// peers' digests.
+	// operations queued in answer to peers' digests (each op counted once
+	// per peer it was queued to), and the frame bytes carrying them.
 	ReplayOps, ReplayBytes uint64
 	// FrontierDrops counts members dropped from the stability frontier at
 	// the cap (docs/ARCHITECTURE.md §6): one that was behind catches up by
@@ -93,17 +104,17 @@ type EngineStats struct {
 // read once and nothing is locked, so it is safe at any frequency.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Drops:              e.Drops(),
-		WireErrs:           e.WireErrs(),
+		Drops:              e.drops.Load(),
+		WireErrs:           e.wireErrs.Load(),
 		EncodeErrs:         e.encodeErrs.Load(),
-		Pruned:             e.Pruned(),
+		Pruned:             e.pruned.Load(),
 		Applied:            e.Applied(),
 		SnapshotsSent:      e.SnapshotsSent(),
 		SnapshotsInstalled: e.SnapshotsInstalled(),
-		DigestsSent:        e.DigestsSent(),
-		DigestsSuppressed:  e.DigestsSuppressed(),
-		ReplayOps:          e.ReplayOps(),
-		ReplayBytes:        e.ReplayBytes(),
+		DigestsSent:        e.digestsSent.Load(),
+		DigestsSuppressed:  e.digestsSuppressed.Load(),
+		ReplayOps:          e.replayOps.Load(),
+		ReplayBytes:        e.replayBytes.Load(),
 		FrontierDrops:      e.frontierDrops.Load(),
 		FlattensApplied:    e.FlattensApplied(),
 		FlattensCommitted:  e.FlattensCommitted(),
