@@ -177,6 +177,24 @@ func TestTreeRecordCount(t *testing.T) {
 	}
 }
 
+// TestFlattenIntervalHeap pins the heap bytes of goldenHistory's tree
+// replayed with the paper's cold-subtree flatten every 1 and every 8
+// revisions (Section 5.1, as internal/bench replays it). Each flatten loads
+// its region at fresh atom handles, and the policy keeps picking regions
+// that hold earlier flat ones. While a flatten freed the region's old
+// handles into the same store, where only inserts took them back, the two
+// trees held 403,345 and 150,793 bytes, the first grown by its region at
+// every round; a flatten now moves every atom to a fresh store.
+func TestFlattenIntervalHeap(t *testing.T) {
+	for _, c := range []struct{ interval, heap int }{{1, 56296}, {8, 80624}} {
+		cfg := core.Config{Site: 1, Flatten: core.FlattenPolicy{Interval: c.interval, ColdRevisions: 1, MinNodes: 2}}
+		s := replayHistory(t, goldenHistory, cfg, func(core.Op) {}, true).Tree().Stats(ident.PaperCost(ident.SDIS))
+		if s.HeapBytes != c.heap {
+			t.Errorf("flatten every %d revisions: %d heap bytes for %d atoms, want %d", c.interval, s.HeapBytes, s.LiveAtoms, c.heap)
+		}
+	}
+}
+
 // goldenHistory has the shape of benchmark/script.go's historyProfile
 // (LaTeX calibration, line atoms, drifting hot spots), at a size that
 // replays in a second.

@@ -53,18 +53,16 @@ func (t *Tree) Check() error {
 	}
 	c := &checker{t: t, held: make([]bool, t.atoms.n+1)}
 	for _, h := range t.atoms.free {
-		if h == 0 || h > t.atoms.n || c.held[h] || len(t.atoms.text(h)) != 0 {
+		if err := c.hold(h); err != nil || len(t.atoms.text(h)) != 0 {
 			return fmt.Errorf("doctree: free atom handle %d out of range, repeated or holding text", h)
 		}
-		c.held[h] = true
 	}
 	if _, err := c.node(rootH, 0); err != nil {
 		return err
 	}
-	inUse := int(t.atoms.n) - len(t.atoms.free)
-	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.atoms != inUse || c.kidded != len(t.mkids) {
-		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d atoms and %d minis with children; the tree holds %d, %d, %d and %d mini-child entries",
-			c.nodes, c.minis, c.atoms, c.kidded, t.nodes.used(), t.minis.used(), inUse, len(t.mkids))
+	if c.nodes != t.nodes.used() || c.minis != t.minis.used() || c.handles != t.atoms.n || c.kidded != len(t.mkids) {
+		return fmt.Errorf("doctree: reached %d nodes, %d minis, %d atom handles, free ones included, and %d minis with children; the tree holds %d, %d, %d and %d mini-child entries",
+			c.nodes, c.minis, c.handles, c.kidded, t.nodes.used(), t.minis.used(), t.atoms.n, len(t.mkids))
 	}
 	if c.reserved != t.reserved {
 		return fmt.Errorf("doctree: reserve counts stand for %d nodes, the tree counts %d", c.reserved, t.reserved)
@@ -83,7 +81,7 @@ type checker struct {
 	t            *Tree
 	nodes, minis uint32 // records reached from the root
 	kidded       int    // minis reached flagged hasKids
-	atoms        int    // live atoms reached
+	handles      uint32 // atom handles reached, and free ones
 	reserved     uint32 // nodes the reserve counts reached stand for
 	cached       bool   // the walk cache's slot was reached
 	held         []bool // atom handles seen in use or on the free stack
@@ -135,10 +133,11 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a solo, or atom handle %d for %d atoms", h, n.atom, n.live)
 		}
 		for i := uint32(0); i < n.live; i++ {
-			if err := c.atom(n.atom+i, -1, &sum); err != nil {
+			if err := c.hold(n.atom + i); err != nil {
 				return counts{}, err
 			}
 		}
+		sum.live = n.live
 	} else if d == 0 && !n.empty() {
 		return counts{}, fmt.Errorf("doctree: root holds mini-nodes")
 	}
@@ -212,20 +211,26 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 	return sum, nil
 }
 
-// atom takes atom handle a (0: none) for the mini whose identifier is
-// cur[:d], which must sort after the previous live atom's; with d < 0, a
-// flattened region's handle, which must not be 0.
-func (c *checker) atom(a uint32, d int, sum *counts) error {
-	if a == 0 && d >= 0 {
-		return nil
-	} else if a == 0 || a > c.t.atoms.n || c.held[a] {
+// hold takes atom handle a, in use or free: in range, and taken once.
+func (c *checker) hold(a uint32) error {
+	if a == 0 || a > c.t.atoms.n || c.held[a] {
 		return fmt.Errorf("doctree: atom handle %d out of range, free or shared", a)
 	}
 	c.held[a] = true
-	c.atoms++
-	if sum.live++; d < 0 {
+	c.handles++
+	return nil
+}
+
+// atom takes atom handle a (0: none) for the mini whose identifier is
+// cur[:d], which must sort after the previous live atom's.
+func (c *checker) atom(a uint32, d int, sum *counts) error {
+	if a == 0 {
 		return nil
 	}
+	if err := c.hold(a); err != nil {
+		return err
+	}
+	sum.live++
 	id := c.cur[:d]
 	if err := id.Validate(); err != nil {
 		return fmt.Errorf("doctree: atom identifier %v is invalid: %w", id.Clone(), err)

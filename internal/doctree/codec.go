@@ -1,7 +1,6 @@
 package doctree
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -371,8 +370,11 @@ func (d *snapDecoder) node(h nodeH) {
 		return
 	case shapeFlat:
 		n.flags, n.live = n.flags|flatF, uint32(d.count("flat atom"))
-		for i := uint32(0); i < n.live && d.err == nil; i++ {
-			n.atom = cmp.Or(n.atom, d.add(d.atom())) // the run's first handle
+		if n.live > 0 && d.err == nil {
+			n.atom = d.add(d.atom()) // the run's first handle
+		}
+		for i := uint32(1); i < n.live && d.err == nil; i++ {
+			d.add(d.atom())
 		}
 		return
 	case shapeMany:

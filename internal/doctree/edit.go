@@ -48,7 +48,7 @@ func (t *Tree) InsertFrom(from Slot, id ident.Path, atom string) (Slot, error) {
 func (t *Tree) DeleteID(id ident.Path, prune bool) (found bool, err error) {
 	s, err := t.walkMini(id)
 	if err != nil {
-		if IsNotFound(err) {
+		if err == errNotFound {
 			return false, nil
 		}
 		return false, fmt.Errorf("doctree: delete %v: %w", id, err)

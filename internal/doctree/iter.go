@@ -251,7 +251,8 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func([]byte) bool) bool 
 	}
 	if n.flat() {
 		for a := n.atom + uint32(*skip); a < n.atom+n.live && *count > 0; a++ {
-			if *count--; !fn(t.atoms.text(a)) {
+			*count--
+			if !fn(t.atoms.text(a)) {
 				return false
 			}
 		}

@@ -348,13 +348,8 @@ func (t *Tree) resumeSlot(from Slot, p ident.Path) (slot, int) {
 	if t.ck.mini == 0 {
 		return slot{node: rootH}, 0
 	}
-	last := t.ckID
-	max := len(p)
-	if len(last) < max {
-		max = len(last)
-	}
-	j := 0
-	for j < max && p[j] == last[j] {
+	last, j := t.ckID, 0
+	for j < min(len(p), len(last)) && p[j] == last[j] {
 		j++
 	}
 	// Climb from the cached mini's node (at depth len(last)) to the node at
@@ -498,6 +493,3 @@ func (t *Tree) heapBytes() int {
 // errNotFound is returned by lookups of identifiers with no materialised
 // mini-node.
 var errNotFound = fmt.Errorf("doctree: identifier not found")
-
-// IsNotFound reports whether err is the not-found lookup error.
-func IsNotFound(err error) bool { return err == errNotFound }

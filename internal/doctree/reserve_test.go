@@ -197,7 +197,7 @@ func TestColdestSubtreeSkipsHeldTombstones(t *testing.T) {
 	if held.String() != "[1]" {
 		t.Fatalf("cold subtree = %v, want [1], the region the held tombstone lives in", held)
 	}
-	if _, err := remote.walkNode(held); !IsNotFound(err) {
+	if _, err := remote.walkNode(held); err != errNotFound {
 		t.Fatalf("the remote replica resolves %v (err %v): the tombstone was not held only here", held, err)
 	}
 	if got := local.ColdestSubtree(0, 1, true); got != nil {

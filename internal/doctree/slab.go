@@ -1,7 +1,6 @@
 package doctree
 
 import (
-	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -89,10 +88,11 @@ func (s *slab[T, P]) bytes(recordSize uintptr) int {
 	return len(s.chunks)*chunkLen*int(recordSize) + cap(s.chunks)*8
 }
 
-// atomStore holds the text of live minis' atoms, named by mini.atom; handle 0
-// is nil and marks a dead mini. A block of 64 handles packs its text in
-// handle order: an atom costs its bytes and a 4-byte end, and the collector
-// scans one pointer per 64 atoms. Released handles go on a stack.
+// atomStore holds the text of live atoms, a mini's named by its atom handle
+// (0, nil: a dead mini) and a flat region's by a run of them. A block of 64
+// handles packs its text in handle order: an atom costs its bytes and a
+// 4-byte end, and the collector scans one pointer per 64 atoms. Released
+// handles go on a stack.
 type atomStore struct {
 	blocks []*atomBlock
 	n      uint32   // highest handle ever handed out
@@ -128,16 +128,6 @@ func (s *atomStore) span(h uint32) (b *atomBlock, lo, hi, top uint32) {
 // text returns handle h's text in place, valid until the next put or drop.
 func (s *atomStore) text(h uint32) []byte { b, lo, hi, _ := s.span(h); return b.buf[lo:hi:hi] }
 
-// handle hands out a handle: the last released, or a fresh one.
-func (s *atomStore) handle() uint32 {
-	if k := len(s.free); k > 0 {
-		h := s.free[k-1]
-		s.free = s.free[:k-1]
-		return h
-	}
-	return s.fresh()
-}
-
 // fresh hands out handle n+1; one that opens a block cuts the block before
 // to fit. Blocks come four to an allocation, 1,120 bytes in the 1,152-byte
 // size class.
@@ -155,9 +145,14 @@ func (s *atomStore) fresh() uint32 {
 	return s.n
 }
 
-// put stores a and returns its handle, never 0.
+// put stores a at the last released handle or a fresh one, never 0, and returns it.
 func (s *atomStore) put(a string) uint32 {
-	h := s.handle()
+	var h uint32
+	if k := len(s.free); k > 0 {
+		h, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		h = s.fresh()
+	}
 	b, lo, _, top := s.span(h)
 	if need := len(b.buf) + len(a); need > cap(b.buf) {
 		want := need + need/8
@@ -190,27 +185,22 @@ func (s *atomStore) drop(h uint32) {
 	s.free = append(s.free, h)
 }
 
-// load stores the atoms fill hands add at fresh handles, which add returns, and
-// returns the first (0 for none). A block's text gathers in scratch, seeded
-// with the open block's, and is its buffer, sized once, when the next opens or
-// the load ends: fill may hand add an atom it reads in place here.
-func (s *atomStore) load(fill func(add func(a []byte) uint32)) (first uint32) {
+// load fills an empty store with the atoms fill hands add, at handles from 1
+// on, which add returns. A block's text gathers in scratch and becomes its
+// buffer, clipped to fit, before the next block opens or when the load ends,
+// so fresh finds nothing to cut.
+func (s *atomStore) load(fill func(add func(a []byte) uint32)) {
 	var scratch []byte
-	if s.n&chunkMask != chunkMask && s.n > 0 {
-		scratch = append(scratch, s.blocks[s.n>>chunkShift].buf...)
-	}
 	fill(func(a []byte) uint32 {
-		h := s.fresh() // after the block before is cut to fit, so it takes its text once
-		if h&chunkMask == 0 && first != 0 {
-			s.blocks[h>>chunkShift-1].buf, scratch = append([]byte(nil), scratch...), scratch[:0]
+		if s.n&chunkMask == chunkMask { // the block is full
+			s.blocks[s.n>>chunkShift].buf, scratch = slices.Clip(slices.Clone(scratch)), scratch[:0]
 		}
-		first = cmp.Or(first, h)
+		h := s.fresh()
 		scratch = append(scratch, a...)
 		s.blocks[h>>chunkShift].end[h&chunkMask] = uint32(len(scratch))
 		return h
 	})
-	if first != 0 {
-		s.blocks[s.n>>chunkShift].buf = append([]byte(nil), scratch...)
+	if s.n > 0 {
+		s.blocks[s.n>>chunkShift].buf = slices.Clip(slices.Clone(scratch))
 	}
-	return first
 }

@@ -346,10 +346,11 @@ func TestReserveCountsStayWithinTheLimit(t *testing.T) {
 }
 
 // TestFlatRegionIsARunOfHandles flattens a subtree whose text the loader
-// writes into three blocks of the atom store, the first of them the open
-// block, which also holds atoms outside the region; then it flattens the
-// region again, and takes it through a snapshot, an insert that explodes it and a whole-document
-// flatten. The atoms are of several bytes and lengths throughout.
+// writes into three blocks of a fresh atom store; the atoms outside the
+// region then load into the third, the open block, beside the region's
+// last three. It flattens the region again, and takes it through a
+// snapshot, an insert that explodes it and a whole-document flatten. The
+// atoms are of several bytes and lengths throughout.
 func TestFlatRegionIsARunOfHandles(t *testing.T) {
 	tr := New()
 	var want []string
@@ -364,8 +365,8 @@ func TestFlatRegionIsARunOfHandles(t *testing.T) {
 			id = id.Child(ident.M(1, ident.Dis{Counter: 1, Site: 1}))
 		}
 	}
-	chain(0, 130) // the region: handles 1-130
-	chain(1, 20)  // handles 131-150, in the open block beside the region's last three
+	chain(0, 130) // the region
+	chain(1, 20)  // the rest
 	step := func(what string) {
 		t.Helper()
 		checkTree(t, tr)
@@ -378,8 +379,8 @@ func TestFlatRegionIsARunOfHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("flatten")
-	if r := tr.node(tr.node(rootH).kids[0]); !r.flat() || r.atom != 151 || r.live != 130 {
-		t.Fatalf("region: flat %v, handles from %d, %d atoms; want a run of 130 from 151", r.flat(), r.atom, r.live)
+	if r := tr.node(tr.node(rootH).kids[0]); !r.flat() || r.atom != 1 || r.live != 130 || tr.atoms.n != 150 {
+		t.Fatalf("region: flat %v, handles from %d, %d atoms, %d handles in all; want a run of 130 from 1, and 150", r.flat(), r.atom, r.live, tr.atoms.n)
 	}
 	if err := tr.Flatten(ident.Path{ident.J(0)}); err != nil { // a new run, the old one dropped
 		t.Fatal(err)
@@ -411,4 +412,63 @@ func TestFlatRegionIsARunOfHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("flatten all")
+}
+
+// TestReflattenKeepsTheStoreBounded flattens a region, and a region inside
+// it, over and over while edits and deletes land beside it and another flat
+// region stays untouched, as a cold-subtree policy does. Each flatten loads
+// the region at fresh handles; had it freed the old ones into the same
+// store, which only inserts take back, the store would grow by the region at
+// every round. It moves every atom to a fresh store instead, the other
+// region's as a run, so after it every handle is held.
+func TestReflattenKeepsTheStoreBounded(t *testing.T) {
+	tr := New()
+	chain := func(id ident.Path, k int, site ident.SiteID) { // k atoms on a chain of nodes down the right
+		for i := 0; i < k; i++ {
+			if err := tr.InsertID(append(id.Clone(), ident.M(0, ident.Dis{Counter: 1, Site: site})), fmt.Sprintf("%d·", i*i)); err != nil {
+				t.Fatal(err)
+			}
+			id = append(id, ident.J(1))
+		}
+	}
+	chain(ident.Path{ident.J(0)}, 300, 1)
+	other := ident.Path{ident.J(1), ident.J(1), ident.J(1)} // below the edits
+	chain(other, 70, 4)
+	if err := tr.Flatten(other); err != nil {
+		t.Fatal(err)
+	}
+	solo := ident.Path{ident.J(1), ident.J(1), ident.J(0)}
+	for r := 1; r <= 20; r++ {
+		// A mini beside the last round's in one node, and a solo in a node
+		// of its own.
+		solo = append(solo, ident.J(1))
+		for _, p := range []ident.Path{
+			{ident.J(1), ident.M(0, ident.Dis{Counter: uint32(r), Site: 2})},
+			append(solo.Clone(), ident.M(0, ident.Dis{Site: 3})),
+		} {
+			if err := tr.InsertID(p, fmt.Sprintf("r%d", r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r%3 == 0 {
+			if _, err := tr.DeleteID(ident.Path{ident.J(1), ident.M(0, ident.Dis{Counter: uint32(r), Site: 2})}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		region := ident.Path{ident.J(0), ident.J(1)}[:1+r%2] // the region's right part, or all of it
+		want := tr.Content()
+		if err := tr.Flatten(region); err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, tr)
+		if got := tr.Content(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: flatten of %v changed the content", r, region)
+		}
+		if len(tr.atoms.free) != 0 || int(tr.atoms.n) != tr.Len() {
+			t.Fatalf("round %d: %d handles handed out, %d of them free, for %d atoms", r, tr.atoms.n, len(tr.atoms.free), tr.Len())
+		}
+	}
+	if !tr.routeNode(other).flat() {
+		t.Error("the edits exploded the other region")
+	}
 }

@@ -137,7 +137,7 @@ func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 	last := len(path) - 1
 	s, made, err := t.materialize(from, path[:last])
 	if err == nil {
-		err = t.explodeNode(s.node)
+		err = t.explode(s.node)
 	}
 	if err != nil {
 		return err

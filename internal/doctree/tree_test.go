@@ -658,16 +658,15 @@ func TestLargeCanonicalExplode(t *testing.T) {
 	for i := range atoms {
 		atoms[i] = fmt.Sprintf("line-%d", i)
 	}
-	// A flat root holding the atoms, loaded as the snapshot decoder loads a
-	// region; IDAt explodes it.
-	root := tr.node(rootH)
-	root.atom = tr.atoms.load(func(add func([]byte) uint32) {
+	// A flat root holding the atoms at handles 1 to 1000, loaded as the
+	// snapshot decoder loads a region; IDAt explodes it.
+	tr.atoms.load(func(add func([]byte) uint32) {
 		for _, a := range atoms {
 			add([]byte(a))
 		}
 	})
-	root.flags |= flatF
-	root.live = uint32(len(atoms))
+	root := tr.node(rootH)
+	root.atom, root.live, root.flags = 1, uint32(len(atoms)), root.flags|flatF
 	checkTree(t, tr)
 	if _, err := tr.IDAt(500); err != nil {
 		t.Fatal(err)

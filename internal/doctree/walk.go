@@ -86,7 +86,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 	cur, i := t.resumeSlot(Slot{}, p)
 	for ; i < len(p); i++ {
 		e := p[i]
-		if err := t.explodeNode(cur.node); err != nil {
+		if err := t.explode(cur.node); err != nil {
 			return slot{}, err
 		}
 		next := t.kids(cur)[e.Bit]
@@ -99,7 +99,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 		next, i = t.enter(next, p, i) // a duplicate delete cuts a run's tomb out, as a revive would
 		e = p[i]
 		if e.Kind == ident.Mini || i+1 < len(p) {
-			if err := t.explodeNode(next); err != nil {
+			if err := t.explode(next); err != nil {
 				return slot{}, err
 			}
 		}
@@ -133,7 +133,7 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, nodeH, error) {
 	var made nodeH
 	for ; i < len(p); i++ {
 		e := p[i]
-		if err := t.explodeNode(cur.node); err != nil {
+		if err := t.explode(cur.node); err != nil {
 			return slot{}, 0, err
 		}
 		next := t.child(cur, e.Bit)
@@ -142,7 +142,7 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, nodeH, error) {
 			t.setKid(cur, e.Bit, next)
 			made = cmp.Or(made, next)
 			t.height = max(t.height, i+1)
-		} else if err := t.explodeNode(next); err != nil {
+		} else if err := t.explode(next); err != nil {
 			return slot{}, 0, err
 		}
 		next, i = t.enter(next, p, i)
@@ -212,27 +212,24 @@ func (t *Tree) child(s slot, bit uint8) nodeH {
 	return n.kids[bit]
 }
 
-// explodeNode converts node h, if it is a flattened region, back into
+// explode converts node h, if it is a flattened region, back into
 // canonical tree form (Algorithm 2's explode): a complete binary subtree
 // with the atoms assigned in infix order carrying the canonical
 // disambiguator, so their identifiers are pure bitstrings below the region
 // root.
-func (t *Tree) explodeNode(h nodeH) error {
-	if !t.node(h).flat() {
-		return nil
-	}
-	return t.explode(h)
-}
-
 func (t *Tree) explode(h nodeH) error {
 	n := t.node(h)
+	if !n.flat() {
+		return nil
+	}
 	first, k := n.atom, n.live
 	// The canonical subtree holds a node per atom, its solo, plus at most one
 	// atom-less node per level on the path to the last atom.
 	if err := t.room(int(k)+64, 0); err != nil {
 		return fmt.Errorf("doctree: explode: %w", err)
 	}
-	if n.atom, n.flags = 0, n.flags&^flatF; k == 0 {
+	n.atom, n.flags = 0, n.flags&^flatF
+	if k == 0 {
 		if h == rootH {
 			t.setStamp(h, t.rev) // the root is never a free slot
 			return nil
@@ -305,13 +302,15 @@ func (t *Tree) buildCanonical(s slot, bit uint8, first, k uint32, depth int) nod
 }
 
 // Flatten replaces the subtree rooted at the node designated by path with a
-// run of fresh atom handles holding its live content (Algorithm 2's flatten):
-// all tombstones and identifier metadata in the region are discarded, and the
-// region's node, mini and atom records go back to the slabs' free lists — or,
-// when the region is the whole document, the slabs and the atom store are
-// reset and every chunk is dropped. The path must designate a major node: the
-// empty path (whole document) or a structural path ending in a Major element;
-// an atom identifier's node is addressed by its StripLastDis form.
+// run of atom handles holding its live content (Algorithm 2's flatten): all
+// tombstones and identifier metadata in the region are discarded, and the
+// region's node and mini records go back to the slabs' free lists — or,
+// when the region is the whole document, the slabs are reset and every
+// chunk is dropped. Every live atom moves to a fresh atom store, the
+// region's first, as one run: the old store goes to the collector whole,
+// and no handle is left free. The path must designate a major node: the
+// empty path (whole document) or a structural path ending in a Major
+// element; an atom identifier's node is addressed by its StripLastDis form.
 //
 // Flatten is a structural clean-up, not a CRDT operation: callers must
 // establish that no concurrent edits target the region (the paper's
@@ -322,25 +321,45 @@ func (t *Tree) Flatten(path ident.Path) error {
 		return err
 	}
 	t.cacheDrop()
-	n, atoms := t.node(h), &t.atoms
-	if h == rootH {
-		atoms = new(atomStore) // a fresh tree: every chunk goes back to the collector at once
-	}
-	live, skip, count := n.live, 0, int(n.live)
-	first := atoms.load(func(add func([]byte) uint32) {
+	n := t.node(h)
+	live, skip, count, dEmpty := n.live, 0, int(n.live), -n.emptyDelta()
+	var atoms atomStore
+	atoms.load(func(add func([]byte) uint32) {
 		t.visitRange(h, &skip, &count, func(a []byte) bool { add(a); return true })
+		if h == rootH {
+			return
+		}
+		// The region's records go; every other atom follows, another region's
+		// as a run, and its holder takes the new handle.
+		t.releaseBelow(h)
+		for r := uint32(1); r <= t.nodes.n; r++ { // a free record is zero: no atom, no region
+			o := t.node(nodeH(r))
+			if a := o.liveAtom(); a != 0 {
+				o.atom = add(t.atoms.text(a))
+			} else if o.flat() && o.live > 0 {
+				a = o.atom
+				o.atom = add(t.atoms.text(a))
+				for i := uint32(1); i < o.live; i++ {
+					add(t.atoms.text(a + i))
+				}
+			}
+		}
+		for r := uint32(1); r <= t.minis.n; r++ {
+			if m := t.mini(miniH(r)); m.atom != 0 {
+				m.atom = add(t.atoms.text(m.atom))
+			}
+		}
 	})
 	if h == rootH {
-		*t = Tree{limit: t.limit, rev: t.rev, atoms: *atoms}
+		*t = Tree{limit: t.limit, rev: t.rev, atoms: atoms}
 		t.nodes.alloc() // rootH again
 		n = t.node(rootH)
 	} else {
-		dEmpty := -n.emptyDelta()
-		t.releaseBelow(h)
+		t.atoms = atoms
 		t.bubble(n.parent, 0, dEmpty)
 		t.height = t.maxDepth(rootH, 0)
 	}
-	n.live, n.atom, n.flags = live, first, n.flags|flatF
+	n.live, n.atom, n.flags = live, min(live, 1), n.flags|flatF // the region's run is handles 1 to live
 	t.setStamp(h, t.rev)
 	return nil
 }
@@ -351,29 +370,20 @@ func (t *Tree) Flatten(path ident.Path) error {
 func (t *Tree) FlattenAll() error { return t.Flatten(ident.Path{}) }
 
 // releaseBelow detaches everything under h — children, minis and their
-// children, atoms, a flat region's run — and returns the records to the
-// free lists. h itself stays.
+// children, a solo, a flat region — and returns the records to the free
+// lists. h itself stays. The atoms are the caller's: Flatten moves those
+// it keeps to a fresh store.
 func (t *Tree) releaseBelow(h nodeH) {
 	n := t.node(h)
-	for i := uint32(0); n.flat() && i < n.live; i++ {
-		t.atoms.drop(n.atom + i)
-	}
 	t.releaseSubtree(n.kids[0])
 	t.releaseSubtree(n.kids[1])
 	for mh := n.minis(); mh != 0; {
-		m := t.mini(mh)
-		next := m.next
+		next := t.mini(mh).next
 		t.releaseSubtree(t.kids(slot{h, mh})[0])
 		t.releaseSubtree(t.kids(slot{h, mh})[1])
 		delete(t.mkids, mh) // or a recycled handle would inherit children
-		if m.atom != 0 {
-			t.atoms.drop(m.atom)
-		}
 		t.minis.release(uint32(mh))
 		mh = next
-	}
-	if a := n.liveAtom(); a != 0 {
-		t.atoms.drop(a)
 	}
 	t.reserved -= reservedNodes(n.reserve)
 	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi, n.atom = 0, 0, 0, 0, 0, 0
