@@ -10,10 +10,13 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/treedoc/treedoc/internal/core"
 	"github.com/treedoc/treedoc/internal/ident"
@@ -188,7 +191,7 @@ func TestClusterFlattenAbortsOnConcurrentEdit(t *testing.T) {
 			t.Errorf("site %d holds %v, want the concurrent edit flattened at 3", r.site, got)
 		}
 	}
-	if c, a := r1.eng.FlattensCommitted(), r1.eng.FlattensAborted(); c != 1 || a != 0 {
+	if c, a := r1.eng.Stats().FlattensCommitted, r1.eng.FlattensAborted(); c != 1 || a != 0 {
 		t.Errorf("author committed %d, aborted %d rounds; want 1, 0", c, a)
 	}
 }
@@ -367,58 +370,10 @@ func TestClusterSyncIdempotent(t *testing.T) {
 	if got := r2.Len(); got != 5 {
 		t.Errorf("len = %d after redundant syncs", got)
 	}
-	if got := r2.eng.Applied(); got != 5 {
+	if got := r2.eng.Stats().Applied; got != 5 {
 		t.Errorf("site 2 applied %d ops, want 5 (no duplicate applications)", got)
 	}
 	mustConverge(t, c)
-}
-
-// TestClusterSnapshotCatchUpAfterLostFlatten: a round's intent and its
-// OpFlatten are operations like any other, so the lossy channel may drop
-// them; anti-entropy delivers the intent, the members ack, and the author
-// commits. Replicas that missed the OpFlatten stay frozen until
-// anti-entropy delivers it. The author compacts at the flatten epoch, but
-// its floor stays at what the others acknowledged, which is below the
-// flatten however long they are cut off: so what delivers is the retained
-// OpFlatten itself, replayed, and no snapshot is needed.
-func TestClusterSnapshotCatchUpAfterLostFlatten(t *testing.T) {
-	c := newTestCluster(t, 3, WithLoss(1), WithSeed(6))
-	r1 := c.replicas[0]
-	fill(t, r1, 12)
-	idle(c, 16) // every live frame is lost; keepalive anti-entropy replicates
-	if !c.Converged() {
-		t.Fatal("anti-entropy did not replicate the seed document")
-	}
-	r1.ProposeFlatten()
-	for ticks := 0; r1.FlattensApplied() == 0; ticks++ {
-		if ticks == 60 {
-			t.Fatal("flatten did not commit at the author")
-		}
-		idle(c, 1)
-	}
-	for _, s := range []SiteID{2, 3} {
-		if err := c.Partition(1, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idle(c, 8)
-	for _, r := range c.replicas[1:] {
-		if r.FlattensApplied() != 0 || lockedRegions(r) != 1 {
-			t.Fatalf("site %d: applied=%d locks=%d, want the op lost and the region frozen",
-				r.site, r.FlattensApplied(), lockedRegions(r))
-		}
-	}
-	c.HealAll()
-	idle(c, 24)
-	mustConverge(t, c)
-	for _, r := range c.replicas[1:] {
-		if n := r.eng.SnapshotsInstalled(); n != 0 {
-			t.Errorf("site %d caught up with %d snapshots, want the OpFlatten replayed", r.site, n)
-		}
-		if r.Stats().Tree.Nodes != 0 || lockedRegions(r) != 0 {
-			t.Errorf("site %d: nodes=%d locks=%d after catch-up", r.site, r.Stats().Tree.Nodes, lockedRegions(r))
-		}
-	}
 }
 
 // TestClusterCoordinatorLostAfterVotesFreezesRegion characterises what a
@@ -446,7 +401,7 @@ func TestClusterCoordinatorLostAfterVotesFreezesRegion(t *testing.T) {
 	fill(t, r1, 10)
 	c.Run(0)
 	r1.ProposeFlatten()
-	for r1.eng.FlattensCommitted() == 0 {
+	for r1.eng.Stats().FlattensCommitted == 0 {
 		if c.Run(1) == 0 {
 			t.Fatalf("seed %d: the round never decided", seed)
 		}
@@ -530,58 +485,6 @@ func TestClusterRestartedMemberKeepsTheRoundsLock(t *testing.T) {
 	r2.step.Stop()
 }
 
-// TestClusterJoinerInheritsAPendingRound: a snapshot carries the rounds
-// pending in it, so a replica that catches up by snapshot mid-round is
-// locked like every member, acks — it is a member from its digest on, and
-// the round waits for it — and unlocks on the decision.
-func TestClusterJoinerInheritsAPendingRound(t *testing.T) {
-	// Every live frame is lost, so what site 3 missed while cut off reaches
-	// it only as a digest answer: a snapshot, 4 operations behind.
-	c := newTestCluster(t, 3, WithSeed(13), WithLoss(1))
-	for _, site := range []SiteID{1, 2} {
-		r, err := c.newReplica(site, WithSnapshotThreshold(4), WithFlattenTimeout(100*time.Duration(c.tick)*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.replicas[site-1] = r
-	}
-	r1, r3 := c.replicas[0], c.replicas[2]
-	c.Run(0) // site 3's opening digests make it a member
-	for _, s := range []SiteID{1, 2} {
-		if err := c.Partition(s, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fill(t, r1, 12)
-	r1.ProposeFlatten()
-	idle(c, 20)
-	if lockedRegions(r1) != 1 || r1.FlattensApplied() != 0 {
-		t.Fatal("the round did not wait on site 3")
-	}
-	c.HealAll()
-	for r3.eng.SnapshotsInstalled() == 0 {
-		if c.Now() > 100000 {
-			t.Fatal("site 3 never installed a snapshot")
-		}
-		if c.Run(1) == 0 {
-			idle(c, 1)
-		}
-	}
-	if err := r3.InsertAt(0, "x"); !errors.Is(err, ErrRegionLocked) || lockedRegions(r3) != 1 || r3.FlattensApplied() != 0 {
-		t.Fatalf("joiner: edit %v, %d locks, %d flattens; want the snapshot's round locking it", err, lockedRegions(r3), r3.FlattensApplied())
-	}
-	idle(c, 40)
-	mustConverge(t, c)
-	for _, r := range c.replicas {
-		if r.Stats().Tree.Nodes != 0 || lockedRegions(r) != 0 || r.Len() != 12 {
-			t.Errorf("site %d: %d nodes, %d locks, %d atoms; want the round committed", r.site, r.Stats().Tree.Nodes, lockedRegions(r), r.Len())
-		}
-	}
-	if r1.eng.FlattensCommitted() != 1 {
-		t.Errorf("author committed %d rounds, want 1", r1.eng.FlattensCommitted())
-	}
-}
-
 // TestClusterUnstampedEditIsFlattened: a local edit a member applied but
 // its engine has not stamped when the intent arrives delays that member's
 // ack until the stamp lands, and is then in the flattened content at
@@ -627,7 +530,7 @@ func TestClusterOverlappingIntentsFlattenAtMostOnce(t *testing.T) {
 	mustConverge(t, c)
 	committed, aborted := 0, 0
 	for _, r := range c.replicas {
-		committed += int(r.eng.FlattensCommitted())
+		committed += int(r.eng.Stats().FlattensCommitted)
 		aborted += int(r.eng.FlattensAborted())
 		if lockedRegions(r) != 0 {
 			t.Errorf("site %d holds %d locks", r.site, lockedRegions(r))
@@ -682,7 +585,7 @@ func TestClusterUDISPrunedRegionAborts(t *testing.T) {
 		t.Fatal("no cold subtree proposed")
 	}
 	mustConverge(t, c)
-	if cm, a := r1.eng.FlattensCommitted(), r1.eng.FlattensAborted(); cm != 0 || a != 1 {
+	if cm, a := r1.eng.Stats().FlattensCommitted, r1.eng.FlattensAborted(); cm != 0 || a != 1 {
 		t.Errorf("author committed %d, aborted %d; want the pruned region's round aborted", cm, a)
 	}
 	for _, r := range c.replicas {
@@ -690,60 +593,6 @@ func TestClusterUDISPrunedRegionAborts(t *testing.T) {
 			t.Errorf("site %d: %d flattens, %d locks", r.site, r.FlattensApplied(), lockedRegions(r))
 		}
 	}
-}
-
-// TestClusterCrashRestartFromOplog drops a replica's engine and document
-// mid-schedule — no Stop, frames to and from it still in flight — and
-// rebuilds both from the durable log. The rebuilt replica must resume at
-// the exact version it crashed at, stamp its next operation with the next
-// sequence number (re-stamping one would make peers discard it as a
-// duplicate), and converge.
-func TestClusterCrashRestartFromOplog(t *testing.T) {
-	const seed = 21
-	dir := t.TempDir()
-	c := newTestCluster(t, 3, WithSeed(seed))
-	restart := func() *Replica {
-		r, err := c.newReplica(2, WithLogDir(dir))
-		if err != nil {
-			t.Fatalf("seed %d: rebuild from oplog: %v", seed, err)
-		}
-		c.replicas[1] = r
-		return r
-	}
-	restart() // site 2 runs over a log directory from the start
-	rng := rand.New(rand.NewSource(seed))
-	edit := func(step int) {
-		r := c.replicas[rng.Intn(3)]
-		mustInsert(t, r, rng.Intn(r.Len()+1), fmt.Sprintf("s%d-%d", r.site, step))
-	}
-	for step := 0; step < 60; step++ {
-		edit(step)
-		c.Run(rng.Intn(6))
-	}
-	before := c.replicas[1].doc.Version()
-	content := c.replicas[1].ContentString()
-	if before.Get(2) == 0 || c.net.InFlight() == 0 {
-		t.Fatalf("seed %d: vacuous crash point (own ops %d, in flight %d)", seed, before.Get(2), c.net.InFlight())
-	}
-	r2 := restart()
-	if got := r2.doc.Version(); !vcEqual(got, before) || r2.ContentString() != content {
-		t.Fatalf("seed %d: restarted at %v, crashed at %v", seed, got, before)
-	}
-	mustInsert(t, r2, 0, "after-restart")
-	if got := r2.doc.Version().Get(2); got != before.Get(2)+1 {
-		t.Fatalf("seed %d: first op after restart has seq %d, want %d", seed, got, before.Get(2)+1)
-	}
-	for step := 60; step < 90; step++ {
-		edit(step)
-		c.Run(rng.Intn(6))
-	}
-	mustConverge(t, c)
-	for _, r := range c.replicas {
-		if !vcEqual(r.doc.Version(), c.replicas[0].doc.Version()) {
-			t.Errorf("seed %d: site %d at %v, site 1 at %v", seed, r.site, r.doc.Version(), c.replicas[0].doc.Version())
-		}
-	}
-	r2.step.Stop()
 }
 
 func vcEqual(a, b Version) bool { return a.Dominates(b) && b.Dominates(a) }
@@ -754,27 +603,50 @@ func vcEqual(a, b Version) bool { return a.Dominates(b) && b.Dominates(a) }
 // operation without having applied that whole frontier. It reads the
 // frames on the simulated wire and the documents' version vectors, after
 // every single driver action, so at most one event separates two
-// observations of a replica. It also tells the flatten rounds apart, and
-// times how long each one holds its lock at each replica.
+// observations of a replica. It also tells the flatten rounds apart, times
+// how long each one holds its lock at each replica, and names the cases a
+// schedule met (met), which TestClusterCorpusMeetsEveryCase reads.
 type causalOracle struct {
+	c        *Cluster
+	joined   int                   // replicas from this index on joined mid-run
 	ops      map[[2]uint64]Op      // (site, seq) → the operation
 	frontier map[[2]uint64]Version // (site, seq) → what the op causally follows
+	at       map[[2]uint64]int64   // (site, seq) → the virtual time it was first sent
 	kinds    map[core.OpKind]int   // operations stamped, by kind
 	seen     []Version             // per replica, the version last observed
+	snaps    []uint64              // per replica, the snapshots it had installed then
 	applied  map[[3]uint64]int64   // (replica, site, seq) → the virtual time it was seen applied
+	// flatTo are the (destination, site, seq) of the OpFlattens the last
+	// live frame carried, and drops the network's drop count before it
+	// left; lost are those the network dropped on the way.
+	flatTo [][3]uint64
+	drops  uint64
+	lost   map[[3]uint64]bool
+	// restarts has, per site, the virtual times it was restarted.
+	restarts map[SiteID][]int64
 	// flattenedConcurrent counts the OpFlattens whose region held an edit
 	// made at another site without knowledge of the round's intent.
 	flattenedConcurrent int
 	// holds has, per decided intent and replica, the ticks from the
 	// replica applying the intent to its applying the decision.
 	holds []int64
+	met   map[string]int
 }
 
-// stamped records the operations a frame carries the first time one is
-// sent.
-func (o *causalOracle) stamped(frame []byte) {
+func newOracle(c *Cluster) *causalOracle {
+	return &causalOracle{c: c, joined: len(c.replicas), ops: make(map[[2]uint64]Op), frontier: make(map[[2]uint64]Version),
+		at: make(map[[2]uint64]int64), kinds: make(map[core.OpKind]int), seen: make([]Version, len(c.replicas)),
+		snaps: make([]uint64, len(c.replicas)), applied: make(map[[3]uint64]int64), lost: make(map[[3]uint64]bool),
+		restarts: make(map[SiteID][]int64), met: make(map[string]int)}
+}
+
+// stamped records the operations a frame to site to carries the first
+// time one is sent.
+func (o *causalOracle) stamped(at int64, to SiteID, frame []byte) {
+	o.settleLoss()
 	f, _ := transport.DecodeFrame(frame)
-	if rf, ok := f.(*transport.ReplayFrame); ok {
+	rf, replay := f.(*transport.ReplayFrame)
+	if replay {
 		f, _ = transport.DecodeFrame(rf.Inner)
 	}
 	of, ok := f.(*transport.OpsFrame)
@@ -784,12 +656,15 @@ func (o *causalOracle) stamped(frame []byte) {
 	for _, m := range of.Msgs {
 		op := m.Payload.(Op)
 		key := [2]uint64{uint64(op.Site), op.Seq}
+		if op.Kind == OpFlatten && !replay {
+			o.flatTo = append(o.flatTo, [3]uint64{uint64(to), key[0], key[1]})
+		}
 		if _, ok := o.ops[key]; ok {
 			continue
 		}
 		front := m.TS.Clone()
 		front[op.Site] = op.Seq - 1
-		o.ops[key], o.frontier[key] = op, front
+		o.ops[key], o.frontier[key], o.at[key] = op, front, at
 		o.kinds[op.Kind]++
 		if op.Kind == OpFlatten && o.concurrentEditIn(op) {
 			o.flattenedConcurrent++
@@ -797,16 +672,23 @@ func (o *causalOracle) stamped(frame []byte) {
 	}
 }
 
+// settleLoss notes the OpFlattens the last live frame carried as lost if
+// the network dropped it. A drop happens as the frame is sent, so the
+// next frame or observation settles it.
+func (o *causalOracle) settleLoss() {
+	if o.c.net.Dropped() > o.drops {
+		for _, k := range o.flatTo {
+			o.lost[k] = true
+		}
+	}
+	o.flatTo, o.drops = o.flatTo[:0], o.c.net.Dropped()
+}
+
 // concurrentEditIn reports whether an OpFlatten flattens an edit of its
 // region that another site made before it applied the round's intent: one
 // the author delivered only after minting the intent.
 func (o *causalOracle) concurrentEditIn(flat Op) bool {
-	var intent [2]uint64
-	for key, op := range o.ops {
-		if op.Kind == OpIntent && op.Site == flat.Site && op.ID == flat.ID && op.Seq < flat.Seq && key[1] > intent[1] {
-			intent = key
-		}
-	}
+	intent := o.intentOf(flat)
 	region, at := flat.ID.AppendPath(nil), o.frontier[[2]uint64{uint64(flat.Site), flat.Seq}]
 	for key, op := range o.ops {
 		s := SiteID(key[0])
@@ -821,11 +703,70 @@ func (o *causalOracle) concurrentEditIn(flat Op) bool {
 	return false
 }
 
+// intentOf returns the key of the intent a decision decides: its author's
+// latest earlier intent at its path.
+func (o *causalOracle) intentOf(decision Op) (intent [2]uint64) {
+	for key, op := range o.ops {
+		if op.Kind == OpIntent && op.Site == decision.Site && op.ID == decision.ID && op.Seq < decision.Seq && key[1] > intent[1] {
+			intent = key
+		}
+	}
+	return intent
+}
+
+// abortCause names why an author aborted a round: another author's
+// overlapping intent pending at the author when it aborted, a restart
+// since the intent, the deadline, or else the region gone, which only
+// UDIS's pruning does to a region no other round touched.
+func (o *causalOracle) abortCause(abort Op, deadline int64) string {
+	key := [2]uint64{uint64(abort.Site), abort.Seq}
+	intent, front, region := o.intentOf(abort), o.frontier[key], abort.ID.AppendPath(nil)
+	other := false
+	for k, in := range o.ops {
+		if in.Kind != OpIntent || in.Site == abort.Site || front.Get(in.Site) < k[1] {
+			continue
+		}
+		p := in.ID.AppendPath(nil)
+		if ident.RegionCompare(p, region) != 0 && ident.RegionCompare(region, p) != 0 {
+			continue
+		}
+		other = true
+		if d := o.decisionOf(in); d == 0 || front.Get(in.Site) < d {
+			return "an abort for an overlapping intent"
+		}
+	}
+	for _, at := range o.restarts[abort.Site] {
+		if at >= o.at[intent] && at <= o.at[key] {
+			return "an abort after the author's restart"
+		}
+	}
+	switch {
+	case o.at[key] >= o.at[intent]+deadline:
+		return "an abort at the deadline"
+	case !other && o.c.mode == UDIS:
+		return "an abort for a region UDIS pruned"
+	}
+	return "an abort for a region gone"
+}
+
+// decisionOf returns the sequence number of the decision of an intent's
+// round, 0 while there is none: its author's first later OpFlatten or
+// abort at its path.
+func (o *causalOracle) decisionOf(in Op) (seq uint64) {
+	for k, op := range o.ops {
+		if op.Kind >= OpFlatten && op.Site == in.Site && op.ID == in.ID && op.Seq > in.Seq && (seq == 0 || k[1] < seq) {
+			seq = k[1]
+		}
+	}
+	return seq
+}
+
 // decidedOnce checks that every intent an author stamped is decided by
 // exactly one later OpFlatten or abort of that author at its path, with no
-// decision naming an intent that was not pending, and notes how long each
-// decision's intent held its lock at every replica.
-func (o *causalOracle) decidedOnce() error {
+// decision naming an intent that was not pending, notes how long each
+// decision's intent held its lock at every replica, and names each
+// abort's cause.
+func (o *causalOracle) decidedOnce(deadline int64) error {
 	keys := make([][2]uint64, 0, len(o.ops))
 	for key := range o.ops {
 		keys = append(keys, key)
@@ -853,6 +794,9 @@ func (o *causalOracle) decidedOnce() error {
 			for i := range o.seen {
 				o.holds = append(o.holds, o.applied[[3]uint64{uint64(i), key[0], key[1]}]-o.applied[[3]uint64{uint64(i), key[0], pending[r]}])
 			}
+			if op.Kind == OpAbort {
+				o.met[o.abortCause(op, deadline)]++
+			}
 			delete(pending, r)
 		}
 	}
@@ -863,10 +807,13 @@ func (o *causalOracle) decidedOnce() error {
 }
 
 // observe takes one look at every replica.
-func (o *causalOracle) observe(c *Cluster) error {
+func (o *causalOracle) observe() error {
+	o.settleLoss()
+	c := o.c
 	versions := make([]Version, len(c.replicas))
 	for i, r := range c.replicas {
 		versions[i] = r.doc.Version()
+		snaps := r.eng.Stats().SnapshotsInstalled
 		for s, top := range versions[i] {
 			for n := o.seen[i].Get(s) + 1; n <= top; n++ {
 				key := [2]uint64{uint64(s), n}
@@ -882,9 +829,15 @@ func (o *causalOracle) observe(c *Cluster) error {
 					return fmt.Errorf("site %d applied s%d#%d at %v before its causal predecessors %v",
 						r.site, s, n, versions[i], f)
 				}
+				if o.lost[[3]uint64{uint64(r.site), key[0], key[1]}] && snaps > o.snaps[i] {
+					o.met["a snapshot catch-up after a lost flatten"]++
+				}
 			}
 		}
-		o.seen[i] = versions[i]
+		if i >= o.joined && snaps > o.snaps[i] && lockedRegions(r) > 0 {
+			o.met["a joiner inheriting a lock"]++
+		}
+		o.seen[i], o.snaps[i] = versions[i], snaps
 	}
 	return nil
 }
@@ -892,11 +845,13 @@ func (o *causalOracle) observe(c *Cluster) error {
 // exploreStats is what a schedule exercised, summed over seeds so the
 // explorer can prove it is not vacuous. concurrent counts the committed
 // rounds that flattened an edit made concurrently with their intent;
-// holds are the oracle's lock hold times, which nothing gates.
+// holds are the oracle's lock hold times, which nothing gates; met counts
+// the cases the oracle names.
 type exploreStats struct {
 	edits, blocked, proposals, committed, aborted, concurrent, cuts int
 	dropped                                                         uint64
 	holds                                                           []int64
+	met                                                             map[string]int
 }
 
 func (a *exploreStats) add(b exploreStats) {
@@ -909,34 +864,111 @@ func (a *exploreStats) add(b exploreStats) {
 	a.cuts += b.cuts
 	a.dropped += b.dropped
 	a.holds = append(a.holds, b.holds...)
+	if a.met == nil {
+		a.met = make(map[string]int)
+	}
+	for k, n := range b.met {
+		a.met[k] += n
+	}
 }
 
-// exploreFailure carries an obligation violation out of explore's closures.
+// exploreFailure carries an obligation violation out of a schedule's
+// closures.
 type exploreFailure struct{ error }
 
-// explore runs one seeded schedule — random edits at random sites, partial
-// delivery, partitions and heals, explicit syncs, revision ticks and
-// flatten proposals, over a network that is lossy for two seeds in three —
-// and checks the tech report's obligations on the system as built: causal
-// delivery at every step; after healing, byte-identical documents that
-// pass Check; every flatten applied everywhere or nowhere (the flatten is
-// a stamped operation, so equal version vectors say it; a last edit at
-// every replica cross-checks it); and every intent decided once, by one
-// OpFlatten or one abort. The error names the seed. trace, when non-nil,
-// receives every frame sent.
+// choices is where a schedule's decisions come from: a seeded math/rand
+// for explore, the input's bytes for FuzzClusterSchedule. schedule.run is
+// the one interpreter of both.
+type choices interface {
+	Intn(n int) int
+	// More reports whether any choice is left; a seeded source never runs
+	// out.
+	More() bool
+}
+
+type seeded struct{ *rand.Rand }
+
+func (seeded) More() bool { return true }
+
+// input reads each choice from a fuzz input: the fewest big-endian bytes
+// that hold n-1, modulo n, and zero bytes once the input is spent.
+type input []byte
+
+func (in *input) Intn(n int) int {
+	v := 0
+	for w := n - 1; w > 0; w >>= 8 {
+		v <<= 8
+		if len(*in) > 0 {
+			v |= int((*in)[0])
+			*in = (*in)[1:]
+		}
+	}
+	return v % n
+}
+
+func (in *input) More() bool { return len(*in) > 0 }
+
+// schedule is what a run fixes before its first step.
+type schedule struct {
+	sites int
+	mode  Mode
+	loss  float64
+	seed  int64 // the network's
+	// kinds bounds each step's choice: at 100 a step is one of explore's,
+	// and from 100 on it restarts a site over its log directory or adds a
+	// fresh joiner.
+	kinds int
+	// logs, when set, is where every site keeps its log directory; a
+	// restart needs one.
+	logs string
+	// opts are every engine's options beyond the cluster's.
+	opts []EngineOption
+	// capped schedules compact often enough to drop members at the
+	// frontier cap, and have no loss, no cut and no flatten: a member
+	// dropped there while its edits went unseen diverges from a flatten
+	// committed without it, or never catches up (docs/ARCHITECTURE.md §7,
+	// ROADMAP item 19).
+	capped bool
+}
+
+// explore runs one seeded schedule: the schedule from the seed, and every
+// step's choices from rand.New(rand.NewSource(seed)). The error names the
+// seed.
+func explore(seed int64, trace *bytes.Buffer) (exploreStats, error) {
+	sch := schedule{sites: 3 + int(seed%2), mode: SDIS, loss: []float64{0, 0.1, 0.3}[seed%3], seed: seed, kinds: 100}
+	if seed%4 >= 2 {
+		sch.mode = UDIS
+	}
+	st, err := sch.run(seeded{rand.New(rand.NewSource(seed))}, trace)
+	if err != nil {
+		err = fmt.Errorf("seed %d: %w", seed, err)
+	}
+	return st, err
+}
+
+// run plays the schedule — random edits at random sites, partial delivery,
+// partitions and heals, explicit syncs, revision ticks, flatten proposals,
+// and with kinds past 100 restarts and joiners — and checks the tech
+// report's obligations on the system as built: causal delivery at every
+// step; after healing, byte-identical documents that pass Check; every
+// flatten applied everywhere or nowhere (the flatten is a stamped
+// operation, so equal version vectors say it; a last edit at every
+// replica cross-checks it); and every intent decided once, by one
+// OpFlatten or one abort. A restarted site must resume at the version and
+// content it crashed at. trace, when non-nil, receives every frame sent.
 //
 // No schedule is kept inside a guard: a cut lasts until a random heal or
 // the final HealAll, however many flatten deadlines that spans, because a
 // round waits on every member of the stability frontier
 // (docs/ARCHITECTURE.md §7).
-func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
+func (sch schedule) run(rng choices, trace *bytes.Buffer) (st exploreStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(exploreFailure)
 			if !ok {
 				panic(r)
 			}
-			err = fmt.Errorf("seed %d: %w", seed, f.error)
+			err = f.error
 		}
 	}()
 	fail := func(format string, args ...any) { panic(exploreFailure{fmt.Errorf(format, args...)}) }
@@ -946,19 +978,25 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	sites := 3 + int(seed%2)
-	mode := SDIS
-	if seed%4 >= 2 {
-		mode = UDIS
-	}
-	loss := []float64{0, 0.1, 0.3}[seed%3]
-	c, err := NewCluster(sites, WithSeed(seed), WithLatency(1, 40), WithLoss(loss), WithClusterMode(mode))
+	c, err := NewCluster(sch.sites, WithSeed(sch.seed), WithLatency(1, 40), WithLoss(sch.loss), WithClusterMode(sch.mode))
 	must(err)
-	oracle := causalOracle{ops: make(map[[2]uint64]Op), frontier: make(map[[2]uint64]Version),
-		kinds: make(map[core.OpKind]int), seen: make([]Version, sites), applied: make(map[[3]uint64]int64)}
+	replica := func(site SiteID) *Replica {
+		opts := sch.opts
+		if sch.logs != "" {
+			opts = append(slices.Clip(opts), WithLogDir(filepath.Join(sch.logs, fmt.Sprint(site))))
+		}
+		r, err := c.newReplica(site, opts...)
+		must(err)
+		return r
+	}
+	if sch.logs != "" || len(sch.opts) > 0 {
+		for i := range c.replicas {
+			c.replicas[i] = replica(SiteID(i + 1))
+		}
+	}
+	oracle := newOracle(c)
 	c.sent = func(at int64, from, to SiteID, frame []byte) {
-		oracle.stamped(frame)
+		oracle.stamped(at, to, frame)
 		if trace == nil {
 			return
 		}
@@ -968,6 +1006,11 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 		trace.Write(frame)
 	}
 	var cuts [][2]SiteID
+	var gone EngineStats // the counters of engines a restart replaced
+	// joinedAt has, per joiner, what the group held when it joined. A
+	// joiner edits only once it holds that too: an edit made before would
+	// be concurrent with every flatten committed before it joined.
+	joinedAt := make(map[SiteID]Version)
 	state := func() string {
 		var b bytes.Buffer
 		for _, r := range c.replicas {
@@ -975,24 +1018,27 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 		}
 		return b.String()
 	}
-	site := func() SiteID { return SiteID(1 + rng.Intn(sites)) }
+	site := func() SiteID { return SiteID(1 + rng.Intn(len(c.replicas))) }
 	// run delivers up to n frames (0: to quiescence), observing after each.
 	// A schedule that needs more than budget deliveries is a livelock — some
 	// gap anti-entropy keeps pulling against and never closes.
 	budget := 200000
 	run := func(n int) {
 		for i := 0; (n == 0 || i < n) && c.Run(1) == 1; i++ {
-			must(oracle.observe(c))
+			must(oracle.observe())
 			if budget--; budget == 0 {
 				fail("livelock at virtual time %d%s", c.Now(), state())
 			}
 		}
-		must(oracle.observe(c)) // the idle ticks that ended the burst may have minted
+		must(oracle.observe()) // the idle ticks that ended the burst may have minted
 	}
-	for step := 0; step < 300; step++ {
-		switch p := rng.Intn(100); {
+	for step := 0; step < 300 && rng.More(); step++ {
+		switch p := rng.Intn(sch.kinds); {
 		case p < 50: // local edit at a random site
 			r := c.replicas[site()-1]
+			if !r.doc.Version().Dominates(joinedAt[r.site]) {
+				break
+			}
 			var err error
 			switch n := r.Len(); {
 			case n == 0 || rng.Intn(100) < 60:
@@ -1010,10 +1056,10 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 			default:
 				fail("step %d: %v", step, err)
 			}
-			must(oracle.observe(c))
+			must(oracle.observe())
 		case p < 72: // deliver a burst
 			run(1 + rng.Intn(20))
-		case p < 79 && len(cuts) < 3: // partition a random pair
+		case p < 79 && len(cuts) < 3 && !sch.capped: // partition a random pair
 			if a, b := site(), site(); a != b {
 				must(c.Partition(a, b))
 				cuts = append(cuts, [2]SiteID{a, b})
@@ -1029,15 +1075,47 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 			for _, r := range c.replicas {
 				r.EndRevision()
 			}
+		case p >= 102 && len(c.replicas) < sch.sites+2: // a fresh joiner
+			r := replica(SiteID(len(c.replicas) + 1))
+			joinedAt[r.site] = Version{}
+			for _, m := range c.replicas {
+				joinedAt[r.site].Merge(m.doc.Version())
+			}
+			for _, m := range c.replicas {
+				m.from[r.site] = m.step.Connect(simLink{c, m.site, r.site})
+			}
+			c.replicas = append(c.replicas, r)
+			oracle.seen, oracle.snaps = append(oracle.seen, nil), append(oracle.snaps, 0)
+			must(oracle.observe())
+		case p >= 100 && sch.logs != "": // crash a site and restart it over its log
+			i := site() - 1
+			old := c.replicas[i]
+			if slices.ContainsFunc(old.doc.Intents(), func(in Op) bool { return in.Site == old.site }) {
+				oracle.met["an author restarting with a pending intent"]++
+			}
+			s := old.eng.Stats()
+			gone.FlattensCommitted += s.FlattensCommitted
+			gone.FlattensAborted += s.FlattensAborted
+			gone.FrontierDrops += s.FrontierDrops
+			r := replica(old.site)
+			if !vcEqual(r.doc.Version(), old.doc.Version()) || r.ContentString() != old.ContentString() {
+				fail("step %d: site %d restarted at %v, crashed at %v", step, old.site, r.doc.Version(), old.doc.Version())
+			}
+			c.replicas[i] = r
+			oracle.restarts[old.site] = append(oracle.restarts[old.site], c.Now())
+			oracle.snaps[i] = r.eng.Stats().SnapshotsInstalled
+			must(oracle.observe())
 		default: // propose a flatten from a random site
 			r := c.replicas[site()-1]
-			if rng.Intn(3) == 0 {
+			switch whole := rng.Intn(3) == 0; {
+			case sch.capped:
+			case whole:
 				r.ProposeFlatten()
 				st.proposals++
-			} else if r.ProposeFlattenCold(1) {
+			case r.ProposeFlattenCold(1):
 				st.proposals++
 			}
-			must(oracle.observe(c))
+			must(oracle.observe())
 		}
 	}
 	c.HealAll()
@@ -1075,12 +1153,16 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 		if err := r.InsertAt(rng.Intn(r.Len()+1), fmt.Sprintf("s%d-last", r.site)); err != nil {
 			fail("final edit at site %d: %v", r.site, err)
 		}
-		must(oracle.observe(c))
+		must(oracle.observe())
 	}
 	settle()
+	st.committed, st.aborted = int(gone.FlattensCommitted), int(gone.FlattensAborted)
+	drops := gone.FrontierDrops
 	for _, r := range c.replicas {
-		st.committed += int(r.eng.FlattensCommitted())
-		st.aborted += int(r.eng.FlattensAborted())
+		s := r.eng.Stats()
+		st.committed += int(s.FlattensCommitted)
+		st.aborted += int(s.FlattensAborted)
+		drops += s.FrontierDrops
 	}
 	k := oracle.kinds
 	switch {
@@ -1089,8 +1171,10 @@ func explore(seed int64, trace *bytes.Buffer) (st exploreStats, err error) {
 	case k[OpAbort] > st.aborted:
 		fail("%d aborts minted, %d counted", k[OpAbort], st.aborted)
 	}
-	must(oracle.decidedOnce())
-	st.concurrent, st.holds = oracle.flattenedConcurrent, oracle.holds
+	must(oracle.decidedOnce(10 * c.tick))
+	st.concurrent, st.holds, st.met = oracle.flattenedConcurrent, oracle.holds, oracle.met
+	st.met["a commit that flattens a concurrent edit"] += st.concurrent
+	st.met["a frontier-cap drop"] += int(drops)
 	st.dropped = c.net.Dropped()
 	return st, nil
 }
@@ -1142,6 +1226,82 @@ func TestClusterExplore(t *testing.T) {
 	if seeds >= 200 && (total.blocked == 0 || total.committed == 0 || total.aborted == 0 ||
 		total.concurrent == 0 || total.cuts == 0 || total.dropped == 0) {
 		t.Errorf("explorer is vacuous somewhere: %+v", total)
+	}
+}
+
+// decodeSchedule reads a fuzz input's header — a flags byte and two bytes
+// of network seed — and leaves the rest for the steps. Flags: bit 0 adds a
+// fourth site, bit 1 is UDIS, bits 2–3 pick the loss (0, 0.1, 0.3, 0),
+// bit 4 puts every site over a log directory, which restarts need, bit 5
+// serves a snapshot to a peer 8 operations behind, and bit 6 compacts
+// every 16 messages (see schedule.capped). Bit 4 counts only without bits
+// 5 and 6: a site restarted over its log keeps no message its stored
+// snapshot covers, and a peer that still lacks one and holds edits the
+// snapshot lacks never catches up (ROADMAP item 20).
+func decodeSchedule(t *testing.T, data []byte) (schedule, *input) {
+	in := input(data)
+	b := in.Intn(256)
+	sch := schedule{sites: 3 + b&1, mode: SDIS, loss: []float64{0, 0.1, 0.3, 0}[b>>2&3], seed: int64(in.Intn(1 << 16)), kinds: 104}
+	if b&2 != 0 {
+		sch.mode = UDIS
+	}
+	if b&112 == 16 {
+		sch.logs = t.TempDir()
+	}
+	if b&32 != 0 {
+		sch.opts = append(sch.opts, WithSnapshotThreshold(8))
+	}
+	if b&64 != 0 {
+		sch.opts, sch.capped, sch.loss = append(sch.opts, WithCompactEvery(16)), true, 0
+	}
+	return sch, &in
+}
+
+// FuzzClusterSchedule is the explorer with its choices read from the
+// input, restarts and joiners among its steps, and the same oracle and
+// final checks. Its corpus in testdata/fuzz/FuzzClusterSchedule runs in
+// plain go test; `go test -run 'FuzzClusterSchedule/<file>' .` replays
+// one input.
+func FuzzClusterSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sch, in := decodeSchedule(t, data)
+		if _, err := sch.run(in, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestClusterCorpusMeetsEveryCase holds the committed corpus to the cases
+// the hand-written cluster tests once built one schedule at a time.
+func TestClusterCorpusMeetsEveryCase(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzClusterSchedule/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total exploreStats
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(b), "\n")[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sch, in := decodeSchedule(t, []byte(data))
+		st, err := sch.run(in, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		total.add(st)
+	}
+	t.Logf("%d inputs: %v", len(files), total.met)
+	for _, c := range []string{"a commit that flattens a concurrent edit", "an abort for an overlapping intent",
+		"an author restarting with a pending intent", "a joiner inheriting a lock", "a frontier-cap drop",
+		"an abort for a region UDIS pruned", "a snapshot catch-up after a lost flatten"} {
+		if total.met[c] == 0 {
+			t.Errorf("the corpus never meets %s", c)
+		}
 	}
 }
 

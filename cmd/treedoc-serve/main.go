@@ -257,8 +257,9 @@ func (am *archivists) stop(a *archivist, why string) {
 	}
 	close(a.stop)
 	a.eng.Stop()
+	st := a.eng.Stats()
 	log.Printf("treedoc-serve: archivist for %q stopped, %s (%d ops applied, %d snapshots served)",
-		a.doc, why, a.eng.Applied(), a.eng.SnapshotsSent())
+		a.doc, why, st.Applied, st.SnapshotsSent)
 	if err := a.eng.Err(); err != nil {
 		log.Printf("treedoc-serve: archivist for %q error: %v", a.doc, err)
 	}
@@ -452,9 +453,10 @@ func main() {
 		}
 	}
 
+	hs := hub.Stats()
 	log.Printf("treedoc-serve: shutting down (%d frames relayed, %d dropped, %d unrouted, %d forwarded, %d handoffs out, %d in)",
-		hub.Relays(), hub.Drops(), hub.Unrouted(), hub.Forwards(), hub.HandoffsOut(), hub.HandoffsIn())
-	stats := hub.DocStats()
+		hs.Relays, hs.Drops, hs.Unrouted, hs.Forwards, hs.HandoffsOut, hs.HandoffsIn)
+	stats := hs.PerDoc
 	docsSeen := make([]string, 0, len(stats))
 	for doc := range stats {
 		docsSeen = append(docsSeen, doc)
@@ -493,7 +495,7 @@ func janitor(a *archivist, every time.Duration, cold int, verbose bool) {
 		}
 		if ok && verbose {
 			log.Printf("treedoc-serve: doc %q proposed a cold flatten round (%d flattened, %d aborted or refused so far)",
-				a.doc, a.eng.FlattensCommitted(), a.eng.FlattensAborted())
+				a.doc, a.eng.Stats().FlattensCommitted, a.eng.Stats().FlattensAborted)
 		}
 	}
 }

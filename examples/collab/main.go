@@ -300,16 +300,17 @@ func main() {
 	total := totalVC.Get(1) + totalVC.Get(2)
 	fmt.Printf("converged after live reshard: %q=%d runes on 3 replicas, %q=%d runes on 2 replicas\n",
 		docMove, moving[0].buf.Len(), docStay, staying[0].buf.Len())
+	st := archB.eng.Stats()
 	fmt.Printf("new owner archivist: %d snapshots installed, %d of %d ops replayed live (phase 1's %d came via a snapshot)\n",
-		archB.eng.SnapshotsInstalled(), archB.eng.Applied(), total, phase1Ops)
-	if archB.eng.SnapshotsInstalled() == 0 {
+		st.SnapshotsInstalled, st.Applied, total, phase1Ops)
+	if st.SnapshotsInstalled == 0 {
 		log.Fatal("BUG: new owner archivist never installed a catch-up snapshot")
 	}
-	if archB.eng.Applied() > total-phase1Ops {
+	if st.Applied > total-phase1Ops {
 		log.Fatal("BUG: new owner archivist replayed pre-snapshot ops")
 	}
 	fmt.Printf("hub A: ring epoch %d, %d handoffs out, %d forwarded frames; hub B: %d handoffs in\n",
-		hubA.RingEpoch(), hubA.HandoffsOut(), hubA.Forwards(), hubB.HandoffsIn())
+		hubA.RingEpoch(), hubA.Stats().HandoffsOut, hubA.Stats().Forwards, hubB.Stats().HandoffsIn)
 
 	// Hub A's archivist stops once B's has acknowledged what it held.
 	for deadline := time.Now().Add(30 * time.Second); amA.get(docMove) != nil; time.Sleep(20 * time.Millisecond) {

@@ -92,7 +92,7 @@ func main() {
 	all := append(append([]*site(nil), sites...), joiner)
 	waitConverged(all)
 	fmt.Printf("late joiner: caught up via %d snapshot(s), replayed %d ops\n",
-		joiner.eng.SnapshotsInstalled(), joiner.eng.Applied())
+		joiner.eng.Stats().SnapshotsInstalled, joiner.eng.Stats().Applied)
 	fmt.Println("converged with identical flattened state at all sites over TCP")
 }
 

@@ -114,7 +114,7 @@ func TestHubClosesBareFrameClient(t *testing.T) {
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("bare-frame client was not disconnected")
 	}
-	if n := hub.Unrouted(); n != 1 {
+	if n := hub.Stats().Unrouted; n != 1 {
 		t.Fatalf("Unrouted = %d, want 1", n)
 	}
 	stats := hub.DocStats()

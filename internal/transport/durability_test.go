@@ -58,9 +58,9 @@ func TestStopFlushesQueuedOps(t *testing.T) {
 	ea.Stop()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for eb.Applied() < n {
+	for eb.Stats().Applied < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer received %d of %d ops accepted before Stop", eb.Applied(), n)
+			t.Fatalf("peer received %d of %d ops accepted before Stop", eb.Stats().Applied, n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -312,17 +312,17 @@ func TestLateJoinerSnapshotCatchup(t *testing.T) {
 	if rj.content() != ra.content() {
 		t.Fatal("joiner content diverged")
 	}
-	if got := ej.SnapshotsInstalled(); got < 1 {
+	if got := ej.Stats().SnapshotsInstalled; got < 1 {
 		t.Fatalf("joiner installed %d snapshots, want >= 1", got)
 	}
 	// The replayed tail must be a small fraction of history: snapshot
 	// catch-up replaces the bulk replay. Allow generous slack for ops that
 	// arrive between barrier creation and convergence.
-	if got := ej.Applied(); got > total/4 {
+	if got := ej.Stats().Applied; got > total/4 {
 		t.Fatalf("joiner replayed %d of %d ops — snapshot catch-up did not bound the replay", got, total)
 	}
-	if ea.SnapshotsSent() < 1 {
-		t.Fatalf("server sent %d snapshots", ea.SnapshotsSent())
+	if ea.Stats().SnapshotsSent < 1 {
+		t.Fatalf("server sent %d snapshots", ea.Stats().SnapshotsSent)
 	}
 	// Segment bytes are bounded by the compaction policy too: the live log
 	// must end up far smaller than the full history would be. Disk
@@ -416,7 +416,7 @@ func TestSnapshotCatchupBelowBarrier(t *testing.T) {
 	if rj.content() != ra.content() {
 		t.Fatal("below-barrier joiner diverged")
 	}
-	if ej.SnapshotsInstalled() < 1 {
+	if ej.Stats().SnapshotsInstalled < 1 {
 		t.Fatal("joiner below the barrier converged without a snapshot — ops below the barrier should not exist")
 	}
 }

@@ -443,23 +443,9 @@ func (e *Engine) encodeFailed(n int, err error) {
 	}
 }
 
-// Applied counts remote operations replayed into the replica (live
-// delivery only; restart replay from the durable log is not counted).
-func (e *Engine) Applied() uint64 { return e.applied.Load() }
-
-// SnapshotsSent counts snapshot catch-up frames served to peers.
-func (e *Engine) SnapshotsSent() uint64 { return e.snapsSent.Load() }
-
-// SnapshotsInstalled counts snapshot catch-up frames installed into the
-// replica.
-func (e *Engine) SnapshotsInstalled() uint64 { return e.snapsInstalled.Load() }
-
 // FlattensApplied counts flattens applied to this replica — minted here as
 // author or delivered through the causal stream.
 func (e *Engine) FlattensApplied() uint64 { return e.flattensApplied.Load() }
-
-// FlattensCommitted counts the OpFlattens this engine minted as author.
-func (e *Engine) FlattensCommitted() uint64 { return e.flattensCommitted.Load() }
 
 // FlattensAborted counts the aborts this engine minted as author — the
 // deadline passed before every member acked, or the region was gone — and

@@ -397,7 +397,7 @@ func TestEnginePairConvergesOverTCP(t *testing.T) {
 	}
 	waitConverged(t, []*Engine{e1, e2}, 15*time.Second)
 	checkAll(t, r1, r2)
-	if hub.Relays() == 0 {
+	if hub.Stats().Relays == 0 {
 		t.Fatal("hub relayed nothing; traffic bypassed TCP")
 	}
 }
@@ -483,7 +483,7 @@ func TestHostileCausalGapIsBounded(t *testing.T) {
 	if err := b.Send(frame); err != nil {
 		t.Fatal(err)
 	}
-	for e.Applied() == 0 {
+	for e.Stats().Applied == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("legitimate op not applied after hostile flood")
 		}

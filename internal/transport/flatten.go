@@ -94,7 +94,7 @@ type authored struct {
 
 // ProposeFlatten starts a round to flatten the whole document, with this
 // engine as author. It returns once the proposal is queued; the round itself
-// is asynchronous — watch FlattensCommitted, FlattensAborted and
+// is asynchronous — watch Stats' FlattensCommitted, FlattensAborted and
 // FlattensApplied, or the document's Stats. A region edit concurrent with
 // the round is flattened with it; a round a member cannot ack in time
 // aborts harmlessly.

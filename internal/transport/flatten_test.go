@@ -130,7 +130,7 @@ func waitContentEqual(t testing.TB, sites []*flatSite, timeout time.Duration) {
 		if time.Now().After(deadline) {
 			for _, s := range sites {
 				t.Logf("site %d: clock %v len %d applied %d flattens %d",
-					s.id, s.eng.Clock(), s.buf.Len(), s.eng.Applied(), s.eng.FlattensApplied())
+					s.id, s.eng.Clock(), s.buf.Len(), s.eng.Stats().Applied, s.eng.FlattensApplied())
 			}
 			t.Fatal("replicas did not converge within deadline")
 		}
@@ -197,13 +197,13 @@ func TestFlattenWholeDocCommitsOnQuiescentMesh(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("flatten did not commit: committed=%d aborted=%d",
-				sites[0].eng.FlattensCommitted(), sites[0].eng.FlattensAborted())
+				sites[0].eng.Stats().FlattensCommitted, sites[0].eng.FlattensAborted())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	waitContentEqual(t, sites, 20*time.Second)
 	checkFlatSites(t, sites)
-	if got := sites[0].eng.FlattensCommitted(); got != 1 {
+	if got := sites[0].eng.Stats().FlattensCommitted; got != 1 {
 		t.Fatalf("FlattensCommitted = %d, want 1", got)
 	}
 	for _, s := range sites {
@@ -245,7 +245,7 @@ func TestFlattenAbortsOnInFlightLocalEdit(t *testing.T) {
 		}
 	}
 	time.Sleep(100 * time.Millisecond) // several sync ticks: site 2 re-checks its ack each
-	if c, a := sites[0].eng.FlattensCommitted(), sites[0].eng.FlattensAborted(); c != 0 || a != 0 {
+	if c, a := sites[0].eng.Stats().FlattensCommitted, sites[0].eng.FlattensAborted(); c != 0 || a != 0 {
 		t.Fatalf("with site 2's edit unstamped: committed %d, aborted %d; want the round open", c, a)
 	}
 
@@ -257,7 +257,7 @@ func TestFlattenAbortsOnInFlightLocalEdit(t *testing.T) {
 	for sites[0].eng.FlattensApplied() == 0 || sites[1].eng.FlattensApplied() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("the round did not commit: committed=%d aborted=%d",
-				sites[0].eng.FlattensCommitted(), sites[0].eng.FlattensAborted())
+				sites[0].eng.Stats().FlattensCommitted, sites[0].eng.FlattensAborted())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -281,71 +281,6 @@ func (l dropAcks) Send(frame []byte) error {
 		}
 	}
 	return l.Link.Send(frame)
-}
-
-// TestFlattenLockBlocksEditsUntilTimeoutAbort: an author's own intent
-// freezes the region; with a peer whose acks are lost the round can only
-// die by deadline, and the abort must release the freeze.
-func TestFlattenLockBlocksEditsUntilTimeoutAbort(t *testing.T) {
-	s1 := newFlatSite(t, 1)
-	defer s1.eng.Stop()
-	peer := newFlatSite(t, 2)
-	defer peer.eng.Stop()
-	a, b := treedoc.NewChanPair(128)
-	s1.eng.Connect(a)
-	peer.eng.Connect(dropAcks{b})
-
-	ops, err := s1.buf.Append("content to freeze")
-	s1.broadcast(t, ops, err)
-	// Let the peer's digests register it as a member, so the round cannot
-	// commit on the author alone.
-	deadline := time.Now().Add(10 * time.Second)
-	for peer.eng.Applied() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never received the seed ops")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	if err := s1.eng.ProposeFlatten(); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); len(s1.buf.Intents()) == 0 && s1.eng.FlattensAborted() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the author minted no intent")
-		}
-	}
-	if _, err := s1.buf.Append("blocked"); !errors.Is(err, treedoc.ErrRegionLocked) {
-		t.Fatalf("edit during the open round: err = %v, want ErrRegionLocked", err)
-	}
-	deadline = time.Now().Add(20 * time.Second)
-	for s1.eng.FlattensAborted() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("a round missing an ack did not abort by deadline")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// The freeze must be gone after the abort.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		ops, err := s1.buf.Append(" released")
-		if err == nil {
-			if err := s1.eng.Broadcast(ops...); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if !errors.Is(err, treedoc.ErrRegionLocked) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("region still frozen after abort")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := s1.eng.FlattensApplied(); got != 0 {
-		t.Fatalf("FlattensApplied = %d after abort-only run", got)
-	}
 }
 
 // TestFlattenCommitsUnderConcurrentWritersTCPMesh is the acceptance
@@ -420,7 +355,7 @@ func TestFlattenCommitsUnderConcurrentWritersTCPMesh(t *testing.T) {
 	proposeDeadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(proposeDeadline) {
 		sites[0].buf.EndRevision()
-		before := sites[0].eng.FlattensCommitted() + sites[0].eng.FlattensAborted()
+		before := sites[0].eng.Stats().FlattensCommitted + sites[0].eng.FlattensAborted()
 		ok, err := sites[0].eng.ProposeFlattenCold(2)
 		if err != nil {
 			t.Fatal(err)
@@ -430,11 +365,11 @@ func TestFlattenCommitsUnderConcurrentWritersTCPMesh(t *testing.T) {
 			continue
 		}
 		// Wait for this round to decide, then retry immediately on abort.
-		for sites[0].eng.FlattensCommitted()+sites[0].eng.FlattensAborted() == before &&
+		for sites[0].eng.Stats().FlattensCommitted+sites[0].eng.FlattensAborted() == before &&
 			time.Now().Before(proposeDeadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if sites[0].eng.FlattensCommitted() > 0 {
+		if sites[0].eng.Stats().FlattensCommitted > 0 {
 			committed = true
 			break
 		}
@@ -457,7 +392,7 @@ func TestFlattenCommitsUnderConcurrentWritersTCPMesh(t *testing.T) {
 		}
 	}
 	t.Logf("flatten committed with writers live: committed=%d aborted=%d applied=[%d %d %d]",
-		sites[0].eng.FlattensCommitted(), sites[0].eng.FlattensAborted(),
+		sites[0].eng.Stats().FlattensCommitted, sites[0].eng.FlattensAborted(),
 		sites[0].eng.FlattensApplied(), sites[1].eng.FlattensApplied(), sites[2].eng.FlattensApplied())
 
 	// Post-flatten joiner: catches up via the flatten-epoch snapshot.
@@ -474,96 +409,16 @@ func TestFlattenCommitsUnderConcurrentWritersTCPMesh(t *testing.T) {
 	waitContentEqual(t, all, 60*time.Second)
 	checkFlatSites(t, all)
 
-	if got := joiner.eng.SnapshotsInstalled(); got == 0 {
+	if got := joiner.eng.Stats().SnapshotsInstalled; got == 0 {
 		t.Fatal("joiner caught up without a snapshot")
 	}
 	if got := joiner.eng.FlattensApplied(); got != 0 {
 		t.Fatalf("joiner replayed %d pre-snapshot flattens; the flatten epoch should be inside the snapshot", got)
 	}
-	if applied := joiner.eng.Applied(); applied >= totalOps {
+	if applied := joiner.eng.Stats().Applied; applied >= totalOps {
 		t.Fatalf("joiner replayed %d ops of %d total; snapshot catch-up should skip the pre-flatten history", applied, totalOps)
 	}
-	t.Logf("joiner: %d snapshot(s), %d ops replayed of %d total", joiner.eng.SnapshotsInstalled(), joiner.eng.Applied(), totalOps)
-}
-
-// TestFlattenSurvivesRestartFromLog: a committed flatten is an operation
-// in the durable log, so a replica restarted over its log directory
-// replays it at the right point and resumes with the flattened state.
-func TestFlattenSurvivesRestartFromLog(t *testing.T) {
-	dir := t.TempDir()
-	s1 := newFlatSite(t, 1, treedoc.WithLogDir(dir))
-	s2 := newFlatSite(t, 2)
-	defer s2.eng.Stop()
-	a, b := treedoc.NewChanPair(128)
-	s1.eng.Connect(a)
-	s2.eng.Connect(b)
-
-	ops, err := s1.buf.Append("durable flatten target 0123456789")
-	s1.broadcast(t, ops, err)
-	pair := []*flatSite{s1, s2}
-	waitContentEqual(t, pair, 20*time.Second)
-	ops, err = s2.buf.Delete(0, 8)
-	s2.broadcast(t, ops, err)
-	waitContentEqual(t, pair, 20*time.Second)
-
-	if err := s1.eng.ProposeFlatten(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for s1.eng.FlattensApplied() == 0 || s2.eng.FlattensApplied() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flatten did not commit")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	ops, err = s1.buf.Append(" +after")
-	s1.broadcast(t, ops, err)
-	waitContentEqual(t, pair, 20*time.Second)
-	want := s1.buf.String()
-	s1.eng.Stop()
-
-	// Restart over the same directory with a fresh replica.
-	buf, err := treedoc.NewTextBuffer(treedoc.WithSite(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := treedoc.NewEngine(1, buf,
-		treedoc.WithLogDir(dir),
-		treedoc.WithSyncInterval(15*time.Millisecond),
-		treedoc.WithFlattenTimeout(250*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	restarted := &flatSite{id: 1, buf: buf, eng: eng}
-	defer eng.Stop()
-	if got := buf.String(); got != want {
-		t.Fatalf("restart lost the flattened state:\n got %q\nwant %q", got, want)
-	}
-	if err := buf.Check(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The restarted replica still coordinates flattens.
-	a2, b2 := treedoc.NewChanPair(128)
-	eng.Connect(a2)
-	s2.eng.Connect(b2)
-	pair = []*flatSite{restarted, s2}
-	ops, err = s2.buf.Delete(0, 4)
-	s2.broadcast(t, ops, err)
-	waitContentEqual(t, pair, 20*time.Second)
-	if err := eng.ProposeFlatten(); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(20 * time.Second)
-	for eng.FlattensApplied() == 0 || s2.eng.FlattensApplied() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("post-restart flatten did not commit: committed=%d aborted=%d",
-				eng.FlattensCommitted(), eng.FlattensAborted())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	waitContentEqual(t, pair, 20*time.Second)
-	checkFlatSites(t, pair)
+	t.Logf("joiner: %d snapshot(s), %d ops replayed of %d total", joiner.eng.Stats().SnapshotsInstalled, joiner.eng.Stats().Applied, totalOps)
 }
 
 // opsOnly is a writer's link to a hub that carries the writer's operations

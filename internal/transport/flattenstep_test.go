@@ -263,7 +263,7 @@ func TestReproposingAnOpenRegionAbortsOnlyTheSecondRound(t *testing.T) {
 	if d := f.ackFrom(2, first); len(d) != 1 || d[0].Kind != core.OpFlatten {
 		t.Fatalf("decisions after the owed ack: %v, want the first round committed", d)
 	}
-	if c, a, l := f.e.FlattensCommitted(), f.e.FlattensAborted(), len(f.r.doc.Intents()); c != 1 || a != 1 || l != 0 {
+	if c, a, l := f.e.Stats().FlattensCommitted, f.e.FlattensAborted(), len(f.r.doc.Intents()); c != 1 || a != 1 || l != 0 {
 		t.Fatalf("committed %d, aborted %d, %d locks; want 1, 1, 0", c, a, l)
 	}
 }
@@ -311,12 +311,12 @@ func TestDuplicateYesCountsOnce(t *testing.T) {
 	f.hear(3)
 	n := f.propose()
 	for i := 0; i < 2; i++ {
-		if d := f.ackFrom(2, n); len(d) != 0 || f.e.FlattensCommitted() != 0 {
+		if d := f.ackFrom(2, n); len(d) != 0 || f.e.Stats().FlattensCommitted != 0 {
 			t.Fatalf("ack %d from site 2 decided the round site 3 still owes: %v", i+1, d)
 		}
 	}
-	if d := f.ackFrom(3, n); len(d) != 1 || d[0].Kind != core.OpFlatten || f.e.FlattensCommitted() != 1 {
-		t.Fatalf("last owed ack: decisions %v, %d committed", d, f.e.FlattensCommitted())
+	if d := f.ackFrom(3, n); len(d) != 1 || d[0].Kind != core.OpFlatten || f.e.Stats().FlattensCommitted != 1 {
+		t.Fatalf("last owed ack: decisions %v, %d committed", d, f.e.Stats().FlattensCommitted)
 	}
 }
 
@@ -342,7 +342,7 @@ func TestVoteAfterDecisionIsAnsweredFromMemory(t *testing.T) {
 	if sent := f.drain(); len(sent) != 0 {
 		t.Fatalf("an ack for another author drew %v", sent)
 	}
-	if c, a := f.e.FlattensCommitted(), f.e.FlattensAborted(); c != 1 || a != 0 {
+	if c, a := f.e.Stats().FlattensCommitted, f.e.FlattensAborted(); c != 1 || a != 0 {
 		t.Fatalf("late acks re-decided: committed %d, aborted %d", c, a)
 	}
 }
@@ -385,7 +385,7 @@ func TestSilentMemberBlocksRoundsUntilTheCap(t *testing.T) {
 	}
 	f.now = f.now.Add(f.e.flattenTimeout)
 	f.s.Tick()
-	if c, a := f.e.FlattensCommitted(), f.e.FlattensAborted(); c != 0 || a != 1 {
+	if c, a := f.e.Stats().FlattensCommitted, f.e.FlattensAborted(); c != 0 || a != 1 {
 		t.Fatalf("committed %d, aborted %d at the deadline; want 0, 1", c, a)
 	}
 	// Two compactions' worth of writes: the first adopts a barrier site 2
@@ -400,7 +400,7 @@ func TestSilentMemberBlocksRoundsUntilTheCap(t *testing.T) {
 		t.Fatalf("%d members dropped at the cap, want site 2", d)
 	}
 	f.propose()
-	if c := f.e.FlattensCommitted(); c != 1 {
+	if c := f.e.Stats().FlattensCommitted; c != 1 {
 		t.Fatalf("with site 2 dropped, a proposal committed %d rounds, want 1 alone", c)
 	}
 	f.hear(2)

@@ -354,7 +354,7 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 	archB := mgrB.get(doc)
 	if archB == nil {
-		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.HandoffsIn())
+		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.Stats().HandoffsIn)
 	}
 
 	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archB.eng}, 30*time.Second)
@@ -369,12 +369,12 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 
 	// No pre-snapshot replay: the new archivist installed a snapshot (which
 	// covers all of phase 1) and applied live only what it did not cover.
-	if archB.eng.SnapshotsInstalled() == 0 {
+	if archB.eng.Stats().SnapshotsInstalled == 0 {
 		t.Fatal("new owner archivist never installed a catch-up snapshot")
 	}
 	total := w1.eng.Clock().Get(1) + w1.eng.Clock().Get(2)
 	phase2 := total - phase1Total
-	if applied := archB.eng.Applied(); applied > phase2 {
+	if applied := archB.eng.Stats().Applied; applied > phase2 {
 		t.Fatalf("new owner archivist replayed %d ops live; a snapshot should cover all %d phase-1 ops (total %d)",
 			applied, phase1Total, total)
 	}
@@ -390,8 +390,8 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 		t.Fatal("old owner still runs an archivist for the moved doc")
 	}
 
-	if hubA.HandoffsOut() == 0 || hubB.HandoffsIn() == 0 {
-		t.Fatalf("handoff counters: A out %d, B in %d", hubA.HandoffsOut(), hubB.HandoffsIn())
+	if hubA.Stats().HandoffsOut == 0 || hubB.Stats().HandoffsIn == 0 {
+		t.Fatalf("handoff counters: A out %d, B in %d", hubA.Stats().HandoffsOut, hubB.Stats().HandoffsIn)
 	}
 	if hubA.RingEpoch() != 2 || hubB.RingEpoch() != 2 {
 		t.Fatalf("ring epochs after join: A %d, B %d", hubA.RingEpoch(), hubB.RingEpoch())
@@ -461,7 +461,7 @@ func TestHandoffToARestartingOwner(t *testing.T) {
 	hoConverge(t, []*treedoc.Engine{w.eng, archA.eng}, 30*time.Second)
 	want := w.buf.String()
 	w.eng.Stop()
-	if n := archA.eng.Applied(); n < 200 {
+	if n := archA.eng.Stats().Applied; n < 200 {
 		t.Fatalf("archivist A holds %d ops, want a few hundred", n)
 	}
 
@@ -474,7 +474,7 @@ func TestHandoffToARestartingOwner(t *testing.T) {
 	}
 	archB := mgrB.get(doc)
 	if archB == nil {
-		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.HandoffsIn())
+		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.Stats().HandoffsIn)
 	}
 	held, acked := mgrA.awaitHandOver(t, doc, 30*time.Second)
 	if got := archB.buf.String(); got != want {
@@ -610,7 +610,7 @@ func TestForwardingSurvivesEpochChange(t *testing.T) {
 	if sticky.buf.String() != moved.buf.String() {
 		t.Fatal("forwarded and re-pointed replicas diverged across the epoch change")
 	}
-	if hubA.Forwards() == 0 {
+	if hubA.Stats().Forwards == 0 {
 		t.Fatal("old owner never forwarded the sticky client's frames")
 	}
 	if hubA.RingEpoch() != 2 {
@@ -834,14 +834,14 @@ func TestShedControlFramesAreCounted(t *testing.T) {
 		if sent == 4096 {
 			t.Fatal("1 GiB relayed and the stalled client's queue never wedged")
 		}
-		relayed, shed := hub.Relays(), hub.Drops()
+		relayed, shed := hub.Stats().Relays, hub.Stats().Drops
 		if err := sender.Send(big); err != nil {
 			t.Fatal(err)
 		}
-		for hub.Relays() == relayed && hub.Drops() == shed {
+		for hub.Stats().Relays == relayed && hub.Stats().Drops == shed {
 			time.Sleep(time.Millisecond) // until the hub has handled it
 		}
-		if hub.Drops() == shed {
+		if hub.Stats().Drops == shed {
 			since = time.Now() // relayed: the writer is still taking frames
 		}
 		time.Sleep(time.Millisecond)
@@ -849,19 +849,19 @@ func TestShedControlFramesAreCounted(t *testing.T) {
 	// drops waits for the hub to have read everything sent so far: the
 	// count stops moving.
 	drops := func() (hubDrops, docDrops uint64) {
-		for last, still := hub.Drops(), 0; still < 10; time.Sleep(5 * time.Millisecond) {
-			if now := hub.Drops(); now != last {
+		for last, still := hub.Stats().Drops, 0; still < 10; time.Sleep(5 * time.Millisecond) {
+			if now := hub.Stats().Drops; now != last {
 				last, still = now, 0
 			} else {
 				still++
 			}
 		}
-		return hub.Drops(), hub.DocStats()[doc].Drops
+		return hub.Stats().Drops, hub.DocStats()[doc].Drops
 	}
 	expect := func(what string, wantHub, wantDoc uint64) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for hub.Drops() < wantHub && time.Now().Before(deadline) {
+		for hub.Stats().Drops < wantHub && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		if h, d := drops(); h != wantHub || d != wantDoc {

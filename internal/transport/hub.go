@@ -343,30 +343,6 @@ func (h *Hub) Ring() *shardmap.Ring {
 	return h.ring
 }
 
-// Drops counts frames discarded because a client queue was full, across
-// all documents.
-func (h *Hub) Drops() uint64 { return h.drops.Load() }
-
-// Relays counts frames fanned out (one per receiving client), across all
-// documents.
-func (h *Hub) Relays() uint64 { return h.relays.Load() }
-
-// Unrouted counts frames that named a document with no attached clients
-// (including envelope frames that failed to parse) and bare data frames,
-// each of which also cost its sender the connection.
-func (h *Hub) Unrouted() uint64 { return h.unrouted.Load() }
-
-// Forwards counts frames wrapped in the hub-to-hub envelope and sent to a
-// document's owner shard on behalf of locally attached clients.
-func (h *Hub) Forwards() uint64 { return h.forwards.Load() }
-
-// HandoffsOut counts documents this hub handed to a new owner.
-func (h *Hub) HandoffsOut() uint64 { return h.handoffsOut.Load() }
-
-// HandoffsIn counts the Begins this hub accepted: documents a previous
-// owner handed to it.
-func (h *Hub) HandoffsIn() uint64 { return h.handoffsIn.Load() }
-
 // DocStats returns per-document relay counters for every document with an
 // active relay group or nonzero history this hub retains.
 func (h *Hub) DocStats() map[string]DocStats {

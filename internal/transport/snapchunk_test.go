@@ -81,11 +81,11 @@ func TestChunkedSnapshotCatchup(t *testing.T) {
 	for joiner.content() != want || joinerEng.Clock().Get(1) != uint64(ops) {
 		if time.Now().After(deadline) {
 			t.Fatalf("joiner did not converge: len %d of %d, %d snapshots installed",
-				joiner.len(), server.len(), joinerEng.SnapshotsInstalled())
+				joiner.len(), server.len(), joinerEng.Stats().SnapshotsInstalled)
 		}
 		time.Sleep(15 * time.Millisecond)
 	}
-	if got := joinerEng.SnapshotsInstalled(); got == 0 {
+	if got := joinerEng.Stats().SnapshotsInstalled; got == 0 {
 		t.Fatal("joiner converged without installing a snapshot")
 	}
 	if n := snapDataLen(serverEng); n >= 0 && n <= 2*snapChunkPayload {

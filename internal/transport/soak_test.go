@@ -235,8 +235,8 @@ func TestSoakConvergenceTCPHub(t *testing.T) {
 		s.eng.Connect(link)
 	}
 	soak(t, sites)
-	t.Logf("hub relayed %d frames, dropped %d", hub.Relays(), hub.Drops())
-	if hub.Relays() == 0 {
+	t.Logf("hub relayed %d frames, dropped %d", hub.Stats().Relays, hub.Stats().Drops)
+	if hub.Stats().Relays == 0 {
 		t.Fatal("hub relayed nothing; traffic bypassed TCP")
 	}
 }

@@ -14,10 +14,14 @@ type HubStats struct {
 	Docs int
 	// RingEpoch is the live sharding ring's epoch (0 when unsharded).
 	RingEpoch uint64
-	// Relays, Drops and Unrouted are Hub.Relays/Drops/Unrouted.
+	// Relays counts frames fanned out, one per receiving client; Drops the
+	// frames discarded because a client queue was full; Unrouted the frames
+	// that named a document with no attached clients (envelopes that failed
+	// to parse included) and bare data frames, each of which also cost its
+	// sender the connection. All three are summed over every document.
 	Relays, Drops, Unrouted uint64
-	// Forwards is Hub.Forwards (hub-to-hub envelopes sent for non-owned
-	// documents).
+	// Forwards counts frames wrapped in the hub-to-hub envelope and sent to
+	// a document's owner shard on behalf of locally attached clients.
 	Forwards uint64
 	// HandoffsOut and HandoffsIn are the live-resharding counters:
 	// documents handed to a new owner, and Begins accepted.
@@ -40,12 +44,12 @@ type HubStats struct {
 func (h *Hub) Stats() HubStats {
 	s := HubStats{
 		RingEpoch:       h.RingEpoch(),
-		Relays:          h.Relays(),
-		Drops:           h.Drops(),
-		Unrouted:        h.Unrouted(),
-		Forwards:        h.Forwards(),
-		HandoffsOut:     h.HandoffsOut(),
-		HandoffsIn:      h.HandoffsIn(),
+		Relays:          h.relays.Load(),
+		Drops:           h.drops.Load(),
+		Unrouted:        h.unrouted.Load(),
+		Forwards:        h.forwards.Load(),
+		HandoffsOut:     h.handoffsOut.Load(),
+		HandoffsIn:      h.handoffsIn.Load(),
 		ReplayRoutes:    h.replayRoutes.Load(),
 		ReplayFallbacks: h.replayFallbacks.Load(),
 		PerDoc:          h.DocStats(),
@@ -74,10 +78,11 @@ type EngineStats struct {
 	// from the causal buffer to bound its undeliverable backlog (see
 	// maxPending): load shedding, not corruption — anti-entropy redelivers
 	// legitimate messages — so it is counted apart from WireErrs. Applied
-	// is Engine.Applied.
+	// counts remote operations applied to the replica, live delivery only:
+	// a restart's replay from the durable log is not counted.
 	Drops, WireErrs, EncodeErrs, Pruned, Applied uint64
-	// SnapshotsSent and SnapshotsInstalled are the snapshot catch-up
-	// counters.
+	// SnapshotsSent counts catch-up snapshots served to peers, and
+	// SnapshotsInstalled those installed into the replica.
 	SnapshotsSent, SnapshotsInstalled uint64
 	// DigestsSent counts anti-entropy digests sent to peers, and
 	// DigestsSuppressed the sync ticks on which a peer's digest was skipped
@@ -108,16 +113,16 @@ func (e *Engine) Stats() EngineStats {
 		WireErrs:           e.wireErrs.Load(),
 		EncodeErrs:         e.encodeErrs.Load(),
 		Pruned:             e.pruned.Load(),
-		Applied:            e.Applied(),
-		SnapshotsSent:      e.SnapshotsSent(),
-		SnapshotsInstalled: e.SnapshotsInstalled(),
+		Applied:            e.applied.Load(),
+		SnapshotsSent:      e.snapsSent.Load(),
+		SnapshotsInstalled: e.snapsInstalled.Load(),
 		DigestsSent:        e.digestsSent.Load(),
 		DigestsSuppressed:  e.digestsSuppressed.Load(),
 		ReplayOps:          e.replayOps.Load(),
 		ReplayBytes:        e.replayBytes.Load(),
 		FrontierDrops:      e.frontierDrops.Load(),
 		FlattensApplied:    e.FlattensApplied(),
-		FlattensCommitted:  e.FlattensCommitted(),
+		FlattensCommitted:  e.flattensCommitted.Load(),
 		FlattensAborted:    e.FlattensAborted(),
 	}
 }

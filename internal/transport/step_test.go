@@ -132,7 +132,7 @@ func TestFarBehindPullsBySnapshot(t *testing.T) {
 		}
 		ab.frames, ba.frames = nil, nil
 	}
-	if n := sb.Engine().SnapshotsInstalled(); n != 1 {
+	if n := sb.Engine().Stats().SnapshotsInstalled; n != 1 {
 		t.Fatalf("caught up with %d snapshots installed, want 1", n)
 	}
 }
@@ -389,7 +389,7 @@ func TestLostFramesBothWaysHealAfterCompaction(t *testing.T) {
 		p.exchange()
 	}
 	for i, s := range p.s {
-		if n := s.Engine().SnapshotsInstalled(); n != 0 {
+		if n := s.Engine().Stats().SnapshotsInstalled; n != 0 {
 			t.Errorf("site %d healed with %d snapshots, want op replay alone", i+1, n)
 		}
 	}
@@ -436,7 +436,7 @@ func TestSilentMemberIsDroppedAtTheCap(t *testing.T) {
 		p.tick()
 		p.exchange()
 	}
-	if n := p.s[1].Engine().SnapshotsInstalled(); n != 1 {
+	if n := p.s[1].Engine().Stats().SnapshotsInstalled; n != 1 {
 		t.Errorf("site 2 caught up with %d snapshots installed, want 1", n)
 	}
 }
@@ -469,7 +469,7 @@ func TestAckingMemberIsNeverDroppedUnderLoad(t *testing.T) {
 	if n := e.Stats().FrontierDrops; n != 0 {
 		t.Errorf("%d acknowledging members dropped, want 0", n)
 	}
-	if n := e.SnapshotsSent() + p.s[1].Engine().SnapshotsInstalled(); n != 0 {
+	if n := e.Stats().SnapshotsSent + p.s[1].Engine().Stats().SnapshotsInstalled; n != 0 {
 		t.Errorf("%d snapshots sent or installed, want none", n)
 	}
 	if e.truncVC.Get(1) == 0 || !p.converged() {
