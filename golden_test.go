@@ -164,12 +164,16 @@ func TestSnapshotAllocs(t *testing.T) {
 // the room the block that fresh handles fill keeps for its slots to come.
 // Both held 8 bytes more (178,081 and 148,521) while a flattened region's
 // atoms were a string array in a map beside the store: the map's header
-// went when a region became a run of the store's handles.
+// went when a region became a run of the store's handles. Both held 178,073
+// and 148,513 bytes before a site became a 16-bit index into the tree's
+// site table: a node record went 28 → 24 bytes (1,536-byte chunks) and a
+// mini 20 → 16 (1,024-byte chunks), and the tree holds the table's first
+// four entries in its own record.
 func TestTreeRecordCount(t *testing.T) {
 	for _, c := range []struct {
 		stamped     bool
 		nodes, heap int
-	}{{true, 9082, 178073}, {false, 9082, 148513}} {
+	}{{true, 9082, 158721}, {false, 9082, 130441}} {
 		s := replayHistory(t, goldenHistory, core.Config{Site: 1}, func(core.Op) {}, c.stamped).Tree().Stats(ident.PaperCost(ident.SDIS))
 		if s.Nodes != c.nodes || s.HeapBytes != c.heap {
 			t.Errorf("tree, stamped %v: %d nodes in %d heap bytes, want %d in %d", c.stamped, s.Nodes, s.HeapBytes, c.nodes, c.heap)
@@ -184,9 +188,11 @@ func TestTreeRecordCount(t *testing.T) {
 // that hold earlier flat ones. While a flatten freed the region's old
 // handles into the same store, where only inserts took them back, the two
 // trees held 403,345 and 150,793 bytes, the first grown by its region at
-// every round; a flatten now moves every atom to a fresh store.
+// every round; a flatten now moves every atom to a fresh store. They held
+// 56,296 and 80,624 bytes before a site became a 16-bit index in 24-byte
+// nodes and 16-byte minis.
 func TestFlattenIntervalHeap(t *testing.T) {
-	for _, c := range []struct{ interval, heap int }{{1, 56296}, {8, 80624}} {
+	for _, c := range []struct{ interval, heap int }{{1, 50512}, {8, 71768}} {
 		cfg := core.Config{Site: 1, Flatten: core.FlattenPolicy{Interval: c.interval, ColdRevisions: 1, MinNodes: 2}}
 		s := replayHistory(t, goldenHistory, cfg, func(core.Op) {}, true).Tree().Stats(ident.PaperCost(ident.SDIS))
 		if s.HeapBytes != c.heap {

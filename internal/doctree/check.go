@@ -33,6 +33,9 @@ import (
 //     node's chain, or the node's solo.
 //  11. A run holds 2 to maxRun members and no side bit past them, and no
 //     node is stamped after the revision clock, which join rests on.
+//  12. The site table holds site 0 at index 0 and no site twice, its order
+//     sorts it, and a record names no index past it; a node names one only
+//     as a solo.
 func (t *Tree) Check() error {
 	root := t.node(rootH)
 	if root.parent != 0 || root.onMini() {
@@ -49,6 +52,11 @@ func (t *Tree) Check() error {
 		}
 		if !ok || int(lo) != len(b.buf) {
 			return fmt.Errorf("doctree: atom block %d: ends %v in a buffer of %d bytes and capacity %d", k, b.end, len(b.buf), cap(b.buf))
+		}
+	}
+	for i, o := range t.order {
+		if len(t.order) != len(t.sites) || len(t.sites) > t.siteLimit || t.sites[0] != 0 || int(o) >= len(t.sites) || i > 0 && t.sites[t.order[i-1]] >= t.sites[o] {
+			return fmt.Errorf("doctree: site table %v, its order %v", t.sites, t.order)
 		}
 	}
 	c := &checker{t: t, held: make([]bool, t.atoms.n+1)}
@@ -129,11 +137,11 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 	n := t.node(h)
 	var sum counts
 	if n.flat() {
-		if n.first != 0 || n.kids != [2]nodeH{} || n.solo() || (n.atom == 0) != (n.live == 0) {
-			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a solo, or atom handle %d for %d atoms", h, n.atom, n.live)
+		if n.kids != [2]nodeH{} || n.solo() || (n.u == 0) != (n.live == 0) {
+			return counts{}, fmt.Errorf("doctree: flattened node %d has structure, a solo, or atom handle %d for %d atoms", h, n.u, n.live)
 		}
 		for i := uint32(0); i < n.live; i++ {
-			if err := c.hold(n.atom + i); err != nil {
+			if err := c.hold(n.u + i); err != nil {
 				return counts{}, err
 			}
 		}
@@ -141,10 +149,10 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 	} else if d == 0 && !n.empty() {
 		return counts{}, fmt.Errorf("doctree: root holds mini-nodes")
 	}
-	if n.atom != 0 && !n.solo() && !n.flat() {
-		return counts{}, fmt.Errorf("doctree: node %d holds atom handle %d and no solo", h, n.atom)
-	} else if k := n.runLen(); n.run() && (k < 2 || k > maxRun || n.atom>>(4+k) != 0) {
-		return counts{}, fmt.Errorf("doctree: node %d is a broken run: %d members, side bits %#x", h, k, n.atom>>5)
+	if int(n.site) >= len(t.sites) || n.site != 0 && !n.solo() {
+		return counts{}, fmt.Errorf("doctree: node %d names site %d of a table of %d, or names one and is no solo", h, n.site, len(t.sites))
+	} else if k := n.runLen(); n.run() && (k < 2 || k > maxRun || n.u>>(4+k) != 0) {
+		return counts{}, fmt.Errorf("doctree: node %d is a broken run: %d members, side bits %#x", h, k, n.u>>5)
 	} else if st := t.stamp(h); st > t.rev {
 		return counts{}, fmt.Errorf("doctree: node %d is stamped %d, after the revision clock's %d", h, st, t.rev)
 	}
@@ -158,7 +166,7 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 		return counts{}, err
 	}
 	if a := n.liveAtom(); a != 0 {
-		c.set(d-1, ident.M(n.bit(), n.soloDis()))
+		c.set(d-1, ident.M(n.bit(), t.soloDis(n)))
 		if err := c.atom(a, d, &sum); err != nil {
 			return counts{}, err
 		}
@@ -170,17 +178,17 @@ func (c *checker) node(h nodeH, d int) (counts, error) {
 		}
 		c.minis++
 		m := t.mini(mh)
-		if prev != nil && prev.dis().Compare(m.dis()) >= 0 {
-			return counts{}, fmt.Errorf("doctree: minis out of order: %s >= %s", prev.dis(), m.dis())
+		if int(m.site) >= len(t.sites) || prev != nil && t.dis(prev).Compare(t.dis(m)) >= 0 {
+			return counts{}, fmt.Errorf("doctree: mini %d names a site past the table or is out of order", mh)
 		}
 		c.cached = c.cached || t.ck == slot{h, mh}
 		if m.hasKids {
 			if t.mkids[mh] == [2]nodeH{} {
-				return counts{}, fmt.Errorf("doctree: mini %s is flagged with children, but no entry names one", m.dis())
+				return counts{}, fmt.Errorf("doctree: mini %s is flagged with children, but no entry names one", t.dis(m))
 			}
 			c.kidded++
 		}
-		c.set(d-1, ident.M(n.bit(), m.dis()))
+		c.set(d-1, ident.M(n.bit(), t.dis(m)))
 		if err := c.child(slot{h, mh}, 0, d+1, &sum); err != nil {
 			return counts{}, err
 		} else if err := c.atom(m.atom, d, &sum); err != nil {

@@ -75,24 +75,32 @@ func present(queue []queued, kids [2]nodeH) (_ []queued, bits byte) {
 // reserved subtree of r levels takes r entries, one per level, and writes
 // its nodes as the empty nodes they stand for; a run, one per member.
 func (t *Tree) AppendSnapshot(dst []byte) []byte {
-	entries, sites := int(t.nodes.used()), make([]ident.SiteID, 0, 16)
+	// rank maps each site index a non-canonical disambiguator names to its table entry.
+	var small [64]uint32 // a table this small takes no allocation
+	entries, rank := int(t.nodes.used()), slices.Grow(small[:0], len(t.sites))[:len(t.sites)]
 	for h := uint32(1); h <= t.nodes.n; h++ { // a free record is zero: no count, no solo
 		n := t.nodes.at(h)
 		if entries += int(n.reserve) + n.runLen() - 1; n.solo() {
-			sites = addSite(sites, n.soloDis())
+			rank[n.site] = 1
 		}
 	}
-	for h := uint32(1); h <= t.minis.n; h++ { // a free record is zero: canonical
-		sites = addSite(sites, t.minis.at(h).dis())
+	rank[0] = 0 // a solo's counter is 0: at site 0 it is canonical, as a free (zero) mini record is
+	for h := uint32(1); h <= t.minis.n; h++ {
+		if m := t.minis.at(h); m.counter|uint32(m.site) != 0 {
+			rank[m.site] = 1
+		}
 	}
-	dst = append(dst, snapMagic...)
-	dst = binary.AppendUvarint(dst, uint64(len(sites)))
-	for _, s := range sites {
-		dst = binary.AppendUvarint(dst, uint64(s))
+	dst, at, k := append(dst, snapMagic...), len(dst)+len(snapMagic), uint32(0)
+	for _, i := range t.order { // the table, ascending; then its length before it
+		if rank[i] != 0 {
+			k, rank[i] = k+1, k+1
+			dst = binary.AppendUvarint(dst, uint64(t.sites[i]))
+		}
 	}
+	var c [binary.MaxVarintLen32]byte
+	dst = slices.Insert(dst, at, c[:binary.PutUvarint(c[:], uint64(k))]...)
 	// No closures over dst or the queue: this runs on the engine's actor.
-	var prev ident.Dis
-	var prevSite int // prev.Site's index in sites
+	var prev mini // the previous mini's disambiguator: canonical before the first
 	queue := append(make([]queued, 0, entries), queued{h: rootH})
 	for i := 0; i < len(queue); i++ {
 		q := queue[i]
@@ -109,7 +117,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 		}
 		if n.flat() {
 			dst = binary.AppendUvarint(append(dst, shapeFlat), uint64(n.live))
-			for a := n.atom; a < n.atom+n.live; a++ {
+			for a := n.u; a < n.u+n.live; a++ {
 				b := t.atoms.text(a)
 				dst = append(binary.AppendUvarint(dst, uint64(len(b))), b...)
 			}
@@ -122,7 +130,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 			head, queue = 3, append(queue, queued{h: q.h, below: 1})
 		}
 		// A solo is written as the one mini it stands for, built here.
-		shift, mh, solo := 0, n.first, mini{atom: n.liveAtom(), siteLo: uint32(n.first), siteHi: n.siteHi}
+		shift, mh, solo := 0, n.minis(), mini{atom: n.liveAtom(), site: n.site}
 		switch {
 		case n.solo():
 			head, shift, mh = head|shapeOne, 4, soloMini
@@ -137,7 +145,7 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 				count++
 			}
 			dst = binary.AppendUvarint(append(dst, head|shapeMany), uint64(count))
-			head, mh = 0, n.first
+			head, mh = 0, n.minis()
 		}
 		for mh != 0 {
 			m := &solo
@@ -145,24 +153,21 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 				m = t.mini(mh)
 			}
 			queue, bits = present(queue, t.kids(slot{q.h, mh}))
-			d := m.dis()
+			same := m.counter == prev.counter && m.site == prev.site
 			if m.atom == 0 {
 				bits |= miniDead
 			}
-			if d != prev {
+			if !same {
 				bits |= miniHasDis
 			}
 			dst = append(dst, head|bits<<shift)
-			if d == ident.Canonical && d != prev {
+			if !same && m.counter|uint32(m.site) == 0 {
 				dst = append(dst, 0)
-			} else if d != prev {
-				if d.Site != prev.Site || prev == ident.Canonical {
-					prevSite, _ = slices.BinarySearch(sites, d.Site)
-				}
-				dst = binary.AppendUvarint(dst, uint64(prevSite)+1)
-				dst = binary.AppendUvarint(dst, uint64(d.Counter))
+			} else if !same {
+				dst = binary.AppendUvarint(dst, uint64(rank[m.site]))
+				dst = binary.AppendUvarint(dst, uint64(m.counter))
 			}
-			prev = d
+			prev.counter, prev.site = m.counter, m.site
 			if m.atom != 0 {
 				a := t.atoms.text(m.atom)
 				dst = append(binary.AppendUvarint(dst, uint64(len(a))), a...)
@@ -173,21 +178,12 @@ func (t *Tree) AppendSnapshot(dst []byte) []byte {
 	return dst
 }
 
-// addSite enters d's site in the ascending table sites, unless d is canonical.
-func addSite(sites []ident.SiteID, d ident.Dis) []ident.SiteID {
-	if d != ident.Canonical {
-		if i, ok := slices.BinarySearch(sites, d.Site); !ok {
-			return slices.Insert(sites, i, d.Site)
-		}
-	}
-	return sites
-}
-
 // MaxCounter returns the highest disambiguator counter site holds in the
 // tree's mini-nodes (0 for none) by an allocation-free scan of the mini slab.
 func (t *Tree) MaxCounter(site ident.SiteID) (max uint32) {
+	i := t.index(site, false)
 	for h := uint32(1); h <= t.minis.n; h++ {
-		if m := t.minis.at(h); m.counter > max && m.dis().Site == site {
+		if m := t.minis.at(h); m.counter > max && int(m.site) == i {
 			max = m.counter
 		}
 	}
@@ -248,7 +244,7 @@ func (d *snapDecoder) count(what string) int {
 
 // room is Tree.room as a decoding step.
 func (d *snapDecoder) room(nodes, minis int) {
-	if err := d.t.room(nodes, minis); err != nil {
+	if err := d.t.room(nodes, minis, 0); err != nil {
 		d.fail("%w", err)
 	}
 }
@@ -267,8 +263,9 @@ func (d *snapDecoder) atom() []byte {
 // before anything is sized by it, every invariant Check states is established
 // by construction or tested as the stream is read, and a tree spelled any
 // way but AppendSnapshot's is refused — so an accepted stream yields a tree
-// that passes Check and encodes back to the same bytes. A stream claiming
-// more records or atoms than handles can address fails wrapping ErrFull.
+// that passes Check and encodes back to the same bytes, its site table the
+// header's. A stream claiming more records, atoms or sites than handles and
+// indices can address fails wrapping ErrFull.
 func DecodeSnapshot(data []byte) (*Tree, error) { return decodeSnapshot(data, maxRecords) }
 
 func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
@@ -281,12 +278,16 @@ func decodeSnapshot(data []byte, limit uint32) (*Tree, error) {
 	t := New()
 	t.limit = limit
 	d := &snapDecoder{t: t, buf: data, off: len(snapMagic)}
+	if n, _ := binary.Uvarint(data[d.off:]); n >= uint64(t.siteLimit) {
+		d.fail("site count %d past what an index names: %w", n, ErrFull)
+	}
 	n := d.count("site")
 	d.sites, d.used = make([]ident.SiteID, n), make([]bool, n)
 	for i := range d.sites {
-		d.sites[i] = ident.SiteID(d.uvarint())
-		if d.sites[i] > ident.MaxSiteID || i > 0 && d.sites[i] <= d.sites[i-1] {
+		if d.sites[i] = ident.SiteID(d.uvarint()); d.sites[i] > ident.MaxSiteID || i > 0 && d.sites[i] <= d.sites[i-1] {
 			d.fail("site table entry %d out of range or out of order", d.sites[i])
+		} else if d.err == nil {
+			t.index(d.sites[i], true) // the tree's table is the header's, in its order
 		}
 	}
 	// A level-order walk: reading a node for every link a level's records
@@ -371,7 +372,7 @@ func (d *snapDecoder) node(h nodeH) {
 	case shapeFlat:
 		n.flags, n.live = n.flags|flatF, uint32(d.count("flat atom"))
 		if n.live > 0 && d.err == nil {
-			n.atom = d.add(d.atom()) // the run's first handle
+			n.u = d.add(d.atom()) // the run's first handle
 		}
 		for i := uint32(1); i < n.live && d.err == nil; i++ {
 			d.add(d.atom())
@@ -386,7 +387,7 @@ func (d *snapDecoder) node(h nodeH) {
 		d.fail("the root holds a mini-node")
 	}
 	d.room(0, count)
-	link, bits := &n.first, head>>4
+	link, bits := (*miniH)(&n.u), head>>4
 	for i := 0; i < count && d.err == nil; i++ {
 		last := d.prev
 		if shape == shapeMany {
@@ -400,14 +401,14 @@ func (d *snapDecoder) node(h nodeH) {
 		if i > 0 && last.Compare(d.prev) >= 0 {
 			d.fail("mini-nodes out of order: %s then %s", last, d.prev)
 		}
-		atom := &n.atom
+		atom := &n.u
 		if shape == shapeOne && bits&3 == 0 && d.prev.Counter == 0 {
-			n.setSolo(d.prev, 0) // no record
+			n.site, n.flags = uint16(d.t.index(d.prev.Site, true)), n.flags|soloF // no record
 		} else {
 			mh := miniH(d.t.minis.alloc())
 			m := d.t.mini(mh)
 			*link, link, atom = mh, &m.next, &m.atom
-			m.counter, m.siteLo, m.siteHi = d.prev.Counter, uint32(d.prev.Site), uint16(d.prev.Site>>32)
+			m.counter, m.site = d.prev.Counter, uint16(d.t.index(d.prev.Site, true))
 			for bit, k := range promise(bits) {
 				if k != 0 {
 					d.t.setKid(slot{h, mh}, uint8(bit), k)

@@ -171,7 +171,7 @@ func (t *Tree) ExistsFrom(from Slot, id ident.Path) (Slot, bool) {
 		}
 		n := t.node(next)
 		if j := n.hop(id, i); n.run() {
-			if e = id[i+j]; e.Kind == ident.Mini && i+j+1 == len(id) && e.Dis == n.soloDis() {
+			if e = id[i+j]; e.Kind == ident.Mini && i+j+1 == len(id) && e.Dis == t.soloDis(n) {
 				return Slot{cur, i, true}, true // a member's tomb
 			} else if e.Kind == ident.Mini || j+1 < n.runLen() {
 				return Slot{}, false

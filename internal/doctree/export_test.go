@@ -1,6 +1,10 @@
 package doctree
 
-import "github.com/treedoc/treedoc/internal/ident"
+import (
+	"slices"
+
+	"github.com/treedoc/treedoc/internal/ident"
+)
 
 // Reserve is ReserveFrom resuming from the walk cache.
 func (t *Tree) Reserve(path ident.Path, levels int) error {
@@ -102,7 +106,7 @@ func (s Slot) AboveRun() bool { return s.run }
 func (t *Tree) SetRun(path ident.Path, count int, sides uint32) {
 	n := t.routeNode(path)
 	n.flags |= runF | soloF
-	n.atom = uint32(count) | sides<<5
+	n.u = uint32(count) | sides<<5
 }
 
 // EmptyNodes returns the empty nodes the tree holds records for.
@@ -158,7 +162,7 @@ func (t *Tree) routeHandle(path ident.Path) nodeH {
 func (t *Tree) SetSolo(path ident.Path, a uint32) {
 	n := t.routeNode(path)
 	n.flags |= soloF
-	n.atom = a
+	n.u = a
 }
 
 // AtomHandle returns the atom handle of the live atom id names.
@@ -191,7 +195,7 @@ func (t *Tree) NodeHandle(path ident.Path) uint32 { return uint32(routeSlot(t, p
 // hand-broken chain order for the tests that Check refuses one.
 func (t *Tree) SetDis(h uint32, d ident.Dis) {
 	m := t.mini(miniH(h))
-	m.counter, m.siteLo, m.siteHi = d.Counter, uint32(d.Site), uint16(d.Site>>32)
+	m.counter, m.site = d.Counter, uint16(t.index(d.Site, true))
 }
 
 // SetReserve sets the reserve count of the node the structural path
@@ -201,3 +205,10 @@ func (t *Tree) SetReserve(path ident.Path, levels uint8) { t.routeNode(path).res
 // AddReserved adds d to the tree's count of reserved nodes, and changes
 // nothing else.
 func (t *Tree) AddReserved(d int) { t.reserved += uint32(d) }
+
+// SetSiteLimit sets the most entries the tree's site table may hold, site
+// 0's included: a lower limit than the 16-bit index allows, for tests.
+func (t *Tree) SetSiteLimit(n int) { t.siteLimit = n }
+
+// Sites returns a copy of the tree's site table, by index.
+func (t *Tree) Sites() []ident.SiteID { return slices.Clone(t.sites) }

@@ -200,7 +200,9 @@ func (s *script) mint(p, f ident.Path, at doctree.Gap, d ident.Dis, atom string)
 // the writer holds live or dead: a child of its mini, a sibling at its
 // node, a chain of plain elements below its mini, a node below its node,
 // or a grandchild whose parent mini is new (a placeholder). With three,
-// each site inserts at the same place.
+// each site inserts at the same place, from the highest down: sites the
+// trees have not met take indices against their order, and a chain that
+// orders its minis by index instead of by site reads them backwards.
 func (s *script) remote(three bool) {
 	s.t.Helper()
 	base := s.pick(s.next(2) == 0)
@@ -213,8 +215,9 @@ func (s *script) remote(three bool) {
 	how, bits, solo := s.next(5), [2]uint8{uint8(s.next(2)), uint8(s.next(2))}, h == math.MaxUint32 && slices.ContainsFunc(ids, base.Equal)
 	sites := []ident.SiteID{ident.SiteID(2 + s.next(3))}
 	if three {
-		sites = []ident.SiteID{2, 3, 4}
+		sites = []ident.SiteID{4, 3, 2}
 	}
+	reversed := three && how < 4 && !slices.ContainsFunc(s.reps[0].tr.Sites(), func(x ident.SiteID) bool { return x >= 2 && x <= 4 })
 	for _, site := range sites {
 		id, d := base.StripLastDis(), s.dis(site)
 		switch how {
@@ -239,6 +242,9 @@ func (s *script) remote(three bool) {
 		if solo && how < 2 {
 			s.met[[]string{"a live solo gaining a child", "a live solo gaining a sibling"}[how]]++
 		}
+	}
+	if reversed {
+		s.met["three sites met against their order in one mini chain"]++
 	}
 }
 
@@ -527,7 +533,8 @@ func TestReferenceCorpusMeetsEveryForm(t *testing.T) {
 	t.Logf("%d inputs: %v", len(files), met)
 	for _, form := range []string{"a run at its longest", "a scan from a run's tomb", "a free slot in a reservation no walk had built",
 		"a live solo gaining a sibling", "a live solo gaining a child", "a mini with children", "a flatten inside a run",
-		"a flatten at a run's top", "a UDIS prune through a placeholder mini", "an insert re-creating a placeholder mini in an existing node"} {
+		"a flatten at a run's top", "a UDIS prune through a placeholder mini", "an insert re-creating a placeholder mini in an existing node",
+		"three sites met against their order in one mini chain"} {
 		if met[form] == 0 {
 			t.Errorf("the corpus never meets %s", form)
 		}

@@ -83,7 +83,7 @@ descend:
 		i -= l.live
 		if n.liveAtom() != 0 {
 			if i == 0 {
-				return append(dst, ident.M(n.bit(), n.soloDis())), slot{node: h, mini: soloMini}, nil
+				return append(dst, ident.M(n.bit(), t.soloDis(n))), slot{node: h, mini: soloMini}, nil
 			}
 			i--
 		}
@@ -92,19 +92,19 @@ descend:
 			kids := t.miniKids(mh, m)
 			l, r := t.node(kids[0]), t.node(kids[1])
 			if i < l.live {
-				dst = append(dst, ident.M(n.bit(), m.dis()))
+				dst = append(dst, ident.M(n.bit(), t.dis(m)))
 				h, n = kids[0], l
 				continue descend
 			}
 			i -= l.live
 			if m.atom != 0 {
 				if i == 0 {
-					return append(dst, ident.M(n.bit(), m.dis())), slot{node: h, mini: mh}, nil
+					return append(dst, ident.M(n.bit(), t.dis(m))), slot{node: h, mini: mh}, nil
 				}
 				i--
 			}
 			if i < r.live {
-				dst = append(dst, ident.M(n.bit(), m.dis()))
+				dst = append(dst, ident.M(n.bit(), t.dis(m)))
 				h, n = kids[1], r
 				continue descend
 			}
@@ -164,7 +164,7 @@ descend:
 			kids := t.miniKids(mh, m)
 			l, r := t.node(kids[0]), t.node(kids[1])
 			if rel+1 < l.live {
-				next, nn, elem = kids[0], l, ident.M(n.bit(), m.dis())
+				next, nn, elem = kids[0], l, ident.M(n.bit(), t.dis(m))
 				break
 			}
 			if rel < l.live {
@@ -178,7 +178,7 @@ descend:
 				rel--
 			}
 			if rel+1 < r.live {
-				next, nn, elem = kids[1], r, ident.M(n.bit(), m.dis())
+				next, nn, elem = kids[1], r, ident.M(n.bit(), t.dis(m))
 				break
 			}
 			if rel < r.live {
@@ -250,7 +250,7 @@ func (t *Tree) visitRange(h nodeH, skip, count *int, fn func([]byte) bool) bool 
 		return true
 	}
 	if n.flat() {
-		for a := n.atom + uint32(*skip); a < n.atom+n.live && *count > 0; a++ {
+		for a := n.u + uint32(*skip); a < n.u+n.live && *count > 0; a++ {
 			*count--
 			if !fn(t.atoms.text(a)) {
 				return false

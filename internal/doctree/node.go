@@ -18,8 +18,10 @@
 package doctree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"github.com/treedoc/treedoc/internal/ident"
@@ -35,7 +37,7 @@ type (
 const rootH nodeH = 1
 
 // node is a major node: one position of the binary identifier tree. Its
-// contents are mini-nodes chained in disambiguator order from first.
+// contents are mini-nodes chained in disambiguator order from u.
 // Children reached by plain path elements hang off the node itself (left,
 // right); children reached by disambiguated elements hang off the
 // individual mini-nodes, whose links live in Tree.mkids.
@@ -45,39 +47,39 @@ const rootH nodeH = 1
 // a walk enters it (see ReserveFrom and child).
 //
 // A node flagged flat is a flattened region (Section 4.2): its subtree's live
-// atoms are a run of live handles from atom (0: none), with no metadata, and
+// atoms are a run of live handles from u (0: none), with no metadata, and
 // it has no minis or children until a path walk explodes it.
 //
 // A node flagged solo holds its only mini, one with counter 0 and no
-// children, with no mini record: its atom handle (0: a tombstone) in atom,
-// its 48-bit site's low 32 bits in first and high 16 in siteHi. A walk that
-// needs the record — to hang a child from the mini or add a sibling — builds
-// it back (unsolo), as child builds reserved nodes; a slot names it soloMini.
+// children, with no mini record: its atom handle (0: a tombstone) in u and
+// its site in site. A walk that needs the record — to hang a child from the
+// mini or add a sibling — builds it back (unsolo), as child builds reserved
+// nodes; a slot names it soloMini.
 //
-// The record is the paper's 4-byte-pointer node model made literal: 28
-// bytes, every link a handle, no Go pointer — the collector never scans a
-// node chunk, and nothing reachable from a node keeps a detached subtree
-// alive. The first 20 bytes hold what the two hot per-edit loops touch: the
-// count-guided descent (kids, first, live) and the counter climb (parent,
-// live). Of a subtree's empty nodes only whether it holds one is kept, in
-// a bit; its node and tombstone counts are not: the rare cold-subtree scan
-// sums them as it walks, as it does the edit stamps (Tree.stamps).
+// The record is the paper's 4-byte-pointer node model made literal: 24
+// bytes, every link a handle, a site a 2-byte index (Section 5.2), no Go
+// pointer — the collector never scans a node chunk, and nothing reachable
+// from a node keeps a detached subtree alive. The first 20 bytes hold what
+// the two hot per-edit loops touch: the count-guided descent (kids, u,
+// live) and the counter climb (parent, live). Of a subtree's empty nodes
+// only whether it holds one is kept, in a bit; its node and tombstone
+// counts are not: the rare cold-subtree scan sums them as it walks, as it
+// does the edit stamps (Tree.stamps).
 type node struct {
 	parent nodeH    // node containing the slot we hang from; 0 at the root
 	kids   [2]nodeH // major child slots: left, right
-	first  miniH    // head of the mini chain, sorted by disambiguator; a solo's site, low bits
+	u      uint32   // the mini chain's head; a solo's atom handle, 0 = dead; a run's shape; a region's first handle
 	live   uint32   // live atoms in this subtree, including flat content
 
-	atom    uint32 // a solo's atom handle into Tree.atoms, 0 = dead; a run's shape; a flat region's first handle
 	flags   uint8  // the side of the parent slot (bit 0), onMini, flat, solo, hasEmpty, run
 	reserve uint8  // levels of each reserved, unbuilt major-child subtree
-	siteHi  uint16 // a solo's site, high bits
+	site    uint16 // a solo's site, an index into Tree.sites
 }
 
 // The flags of node.flags above its side bit.
 const (
 	onMiniF   = 2 << iota // the parent slot is one of its minis, found when needed (hangsFrom)
-	flatF                 // a flattened region, its atoms a run of handles from atom
+	flatF                 // a flattened region, its atoms a run of handles from u
 	soloF                 // its one mini is held in the node
 	hasEmptyF             // its subtree holds an empty node, built or reserved
 	runF                  // a solo tomb standing for a chain of them (run.go)
@@ -94,23 +96,21 @@ func (n *node) hasEmpty() bool { return n.flags&hasEmptyF != 0 }
 func (n *node) run() bool      { return n.flags&runF != 0 }
 
 // liveAtom returns n's live solo's atom handle: 0 for none, a tomb, a run or a region.
-func (n *node) liveAtom() uint32 { return n.atom &^ -uint32(n.flags&runF/runF|n.flags&flatF/flatF) }
+func (n *node) liveAtom() uint32 { return n.u &^ -uint32(n.flags&runF/runF|(n.flags&soloF/soloF^1)) }
 
 // emptyDelta returns n's hasEmpty bit as a bubble delta: 1 if it is set.
 func (n *node) emptyDelta() int { return int(n.flags&hasEmptyF) / hasEmptyF }
 
-// minis returns the head of n's chain of mini records: none for a solo.
+// minis returns the head of n's chain of mini records: none for a solo or a region.
 func (n *node) minis() miniH {
-	if n.solo() {
+	if n.flags&(soloF|flatF) != 0 {
 		return 0
 	}
-	return n.first
+	return miniH(n.u)
 }
 
-// soloDis returns a solo mini's disambiguator.
-func (n *node) soloDis() ident.Dis {
-	return ident.Dis{Site: ident.SiteID(n.siteHi)<<32 | ident.SiteID(n.first)}
-}
+// soloDis returns the disambiguator of n's solo mini.
+func (t *Tree) soloDis(n *node) ident.Dis { return ident.Dis{Site: t.sites[n.site]} }
 
 func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
 
@@ -118,24 +118,22 @@ func (n *node) freeLink() *uint32 { return (*uint32)(&n.parent) }
 // disambiguator (Section 3.1). A dead mini is a tombstone (SDIS) or an
 // awaiting-discard placeholder (UDIS); its atom is gone but the identifier
 // remains allocated. The atom is a handle into Tree.atoms, 0 for a dead
-// mini, and the disambiguator is stored packed (a 48-bit site, see
-// ident.MaxSiteID), so the record is 20 bytes with no Go pointer; a mini
-// does not name its owner — every walk that reaches one knows the node it
-// came through, and carries the pair as a slot.
+// mini, and the disambiguator's site an index into Tree.sites, so the
+// record is 16 bytes with no Go pointer; a mini does not name its owner —
+// every walk that reaches one knows the node it came through, and carries
+// the pair as a slot.
 type mini struct {
 	atom    uint32 // handle into Tree.atoms; 0 = dead
-	next    miniH  // next mini of the node, in disambiguator order
+	next    miniH  // next mini of the node, in disambiguator order: by real site, never by index
 	counter uint32
-	siteLo  uint32
-	siteHi  uint16
-	hasKids bool // children, which only concurrent inserts give (Section 3.1), linked in Tree.mkids
+	site    uint16 // index into Tree.sites
+	hasKids bool   // children, which only concurrent inserts give (Section 3.1), linked in Tree.mkids
 }
 
 func (m *mini) freeLink() *uint32 { return (*uint32)(&m.next) }
 
-func (m *mini) dis() ident.Dis {
-	return ident.Dis{Counter: m.counter, Site: ident.SiteID(m.siteHi)<<32 | ident.SiteID(m.siteLo)}
-}
+// dis returns m's disambiguator.
+func (t *Tree) dis(m *mini) ident.Dis { return ident.Dis{Counter: m.counter, Site: t.sites[m.site]} }
 
 // Tree is a Treedoc document tree. The zero value is not usable; call New.
 type Tree struct {
@@ -156,6 +154,14 @@ type Tree struct {
 	stamps   []*[chunkLen]uint32
 	limit    uint32 // records per slab; maxRecords outside tests
 	reserved uint32 // nodes the reserve counts stand for, no record yet (see child)
+	// sites is the site table, a record's site by its index in first-met
+	// order from site 0, the canonical one's; order sorts the indices by site.
+	sites     []ident.SiteID
+	order     []uint16
+	siteLimit int             // entries sites may hold: one per 16-bit index, outside tests
+	siteBuf   [4]ident.SiteID // the first entries' room: a small table takes no allocation
+	orderBuf  [4]uint16
+	last      uint16 // the index that index last found
 
 	height int    // max depth of any node (root = 0)
 	rev    uint32 // the revision clock, which edits stamp nodes with
@@ -171,9 +177,30 @@ type Tree struct {
 
 // New returns an empty document tree.
 func New() *Tree {
-	t := &Tree{limit: maxRecords}
+	t := &Tree{limit: maxRecords, siteLimit: 1 << 16}
+	t.sites, t.order = t.siteBuf[:1], t.orderBuf[:1]
 	t.nodes.alloc() // rootH
 	return t
+}
+
+// index returns site's index in the table, -1 for none, unless add enters
+// it there, growing the table; the caller has made room (Tree.room).
+//
+//treedoc:noalloc
+func (t *Tree) index(site ident.SiteID, add bool) int {
+	if site == t.sites[t.last] { // an index never changes, so the last one found stays right
+		return int(t.last)
+	}
+	at, ok := slices.BinarySearchFunc(t.order, site, func(i uint16, s ident.SiteID) int { return cmp.Compare(t.sites[i], s) })
+	switch {
+	case ok:
+		t.last = t.order[at]
+	case !add:
+		return -1
+	default:
+		t.last, t.sites, t.order = uint16(len(t.sites)), append(t.sites, site), slices.Insert(t.order, at, uint16(len(t.sites)))
+	}
+	return int(t.last)
 }
 
 func (t *Tree) node(h nodeH) *node { return t.nodes.at(uint32(h)) }
@@ -209,10 +236,12 @@ func (t *Tree) setStamp(h nodeH, rev uint32) {
 }
 
 // room reports ErrFull unless the slabs can hand out that many more nodes
-// and minis. Every operation that allocates checks once, up front, with an
-// upper bound of what it may need, so the allocation paths cannot fail.
-func (t *Tree) room(nodes, minis int) error {
-	if uint64(t.nodes.used())+uint64(nodes) > uint64(t.limit) || uint64(t.minis.used())+uint64(minis) > uint64(t.limit) {
+// and minis and the site table take that many more sites. Every operation
+// that allocates checks once, up front, with an upper bound of what it may
+// need, so the allocation paths cannot fail.
+func (t *Tree) room(nodes, minis, sites int) error {
+	if uint64(t.nodes.used())+uint64(nodes) > uint64(t.limit) || uint64(t.minis.used())+uint64(minis) > uint64(t.limit) ||
+		len(t.sites)+sites > t.siteLimit {
 		return ErrFull
 	}
 	return nil
@@ -241,8 +270,8 @@ func (t *Tree) hangsFrom(h nodeH, n *node) slot {
 }
 
 // insertMini adds a dead mini with disambiguator d to node h in sorted
-// position and returns its handle. The caller must ensure d is not already
-// present and that d.Site fits 48 bits (every ident.Packed's does).
+// position and returns its handle. The caller ensures d is not present, that
+// d.Site fits 48 bits (every ident.Packed's does) and that the table has room.
 func (t *Tree) insertMini(h nodeH, d ident.Dis) miniH {
 	n := t.node(h)
 	if n.solo() {
@@ -250,11 +279,11 @@ func (t *Tree) insertMini(h nodeH, d ident.Dis) miniH {
 	}
 	mh := miniH(t.minis.alloc())
 	m := t.mini(mh)
-	m.counter, m.siteLo, m.siteHi = d.Counter, uint32(d.Site), uint16(d.Site>>32)
-	link := &n.first
+	m.counter, m.site = d.Counter, uint16(t.index(d.Site, true))
+	link := (*miniH)(&n.u)
 	for *link != 0 {
 		o := t.mini(*link)
-		if o.dis().Compare(d) >= 0 {
+		if t.dis(o).Compare(d) >= 0 {
 			break
 		}
 		link = &o.next
@@ -263,21 +292,14 @@ func (t *Tree) insertMini(h nodeH, d ident.Dis) miniH {
 	return mh
 }
 
-// setSolo gives n, which holds no mini, the solo mini with disambiguator d,
-// whose counter must be 0, holding atom (0: dead).
-func (n *node) setSolo(d ident.Dis, atom uint32) {
-	n.first, n.siteHi, n.atom = miniH(d.Site), uint16(d.Site>>32), atom
-	n.flags |= soloF
-}
-
 // unlinkMini removes mini mh from n's chain and releases its record.
 func (t *Tree) unlinkMini(n *node, mh miniH) {
 	if mh == soloMini {
-		n.first, n.siteHi, n.atom = 0, 0, 0
+		n.u, n.site = 0, 0
 		n.flags &^= soloF
 		return
 	}
-	link := &n.first
+	link := (*miniH)(&n.u)
 	for *link != mh {
 		link = &t.mini(*link).next
 	}
@@ -291,8 +313,8 @@ func (t *Tree) unsolo(h nodeH) miniH {
 	n := t.node(h)
 	mh := miniH(t.minis.alloc())
 	m := t.mini(mh)
-	m.atom, m.siteLo, m.siteHi = n.atom, uint32(n.first), n.siteHi
-	n.first, n.siteHi, n.atom = mh, 0, 0
+	m.atom, m.site = n.u, n.site
+	n.u, n.site = uint32(mh), 0
 	n.flags &^= soloF
 	if t.ck == (slot{h, soloMini}) {
 		t.ck.mini = mh
@@ -303,19 +325,21 @@ func (t *Tree) unsolo(h nodeH) miniH {
 // atomOf returns where the atom handle of s's mini lies.
 func (t *Tree) atomOf(s slot) *uint32 {
 	if s.mini == soloMini {
-		return &t.node(s.node).atom
+		return &t.node(s.node).u
 	}
 	return &t.mini(s.mini).atom
 }
 
-// findMini returns the mini of n with disambiguator d, or 0.
+// findMini returns the mini of n with disambiguator d, or 0. It maps d's
+// site to its index once: a site the table lacks is no mini's.
 func (t *Tree) findMini(n *node, d ident.Dis) miniH {
-	if n.solo() && n.soloDis() == d {
+	site := t.index(d.Site, false)
+	if n.solo() && int(n.site) == site && d.Counter == 0 {
 		return soloMini
 	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
-		if m.dis() == d {
+		if int(m.site) == site && m.counter == d.Counter {
 			return mh
 		}
 		mh = m.next
@@ -402,7 +426,7 @@ func (t *Tree) depth(h nodeH) (d int) {
 // empty reports whether the node has no contents at all: no minis, no
 // solo, no flat region. Empty nodes are the free identifier slots reused by
 // the balanced allocation strategy (Section 4.1).
-func (n *node) empty() bool { return n.first == 0 && n.flags&(flatF|soloF) == 0 }
+func (n *node) empty() bool { return n.u == 0 && n.flags&(flatF|soloF) == 0 }
 
 // reservedNodes returns the empty nodes a reserve count of r stands for.
 func reservedNodes(r uint8) uint32 { return 1<<(r+1) - 2 }
@@ -418,7 +442,7 @@ func (t *Tree) pathTo(h nodeH) ident.Path {
 			n.appendRun(p[i+1 : i+1])
 		}
 		if p[i] = ident.J(n.bit()); s.mini != 0 {
-			p[i] = ident.M(n.bit(), t.mini(s.mini).dis())
+			p[i] = ident.M(n.bit(), t.dis(t.mini(s.mini)))
 		}
 		s = t.hangsFrom(s.node, n)
 	}
@@ -473,12 +497,13 @@ func (t *Tree) holdsEmpty(h nodeH, n *node) bool {
 // heapBytes returns what the tree's structure occupies on the Go heap: the
 // node and mini slabs (records in use, free and never used), the stamp
 // chunks and atom blocks with their directories, the atom buffers' spare
-// capacity and free stack, and the mini-child map at 16 bytes an entry (key,
-// value and share of a group). It reads one word per 64 nodes and per 64
-// atoms, and leaves out the atoms' text, the document rather than its overhead.
+// capacity and free stack, the mini-child map at 16 bytes an entry (key,
+// value and share of a group) and the site table past its room in the tree.
+// It reads a word per 64 nodes and 64 atoms, and no text: that is the document.
 func (t *Tree) heapBytes() int {
 	b := int(unsafe.Sizeof(*t)) + t.nodes.bytes(unsafe.Sizeof(node{})) + t.minis.bytes(unsafe.Sizeof(mini{})) +
-		len(t.atoms.blocks)*int(unsafe.Sizeof(atomBlock{})) + cap(t.atoms.blocks)*8 + cap(t.atoms.free)*4 + len(t.mkids)*16 + cap(t.stamps)*8
+		len(t.atoms.blocks)*int(unsafe.Sizeof(atomBlock{})) + cap(t.atoms.blocks)*8 + cap(t.atoms.free)*4 + len(t.mkids)*16 + cap(t.stamps)*8 +
+		min(1, cap(t.sites)/(len(t.siteBuf)+1))*(8*cap(t.sites)+2*cap(t.order))
 	for _, c := range t.stamps {
 		if c != nil {
 			b += int(unsafe.Sizeof(*c))

@@ -5,26 +5,26 @@ import "github.com/treedoc/treedoc/internal/ident"
 // maxRun is the most members a run holds: a chain of one site's solo tombs,
 // each but the last the parent of the next alone, in one record (a
 // path-compressed edge) that holds the top member's parent link and side
-// bit, the last's children, reserve and counters, the site, and in atom
+// bit, the last's children, reserve and counters, the site, and in u
 // the count (low 5 bits) and, above it, the lower members' 27 side bits.
 const maxRun = 28
 
 // runLen returns the levels n spans: its run's members, or 1.
-func (n *node) runLen() int { return max(1, int(n.atom&31)*int(n.flags&runF/runF)) }
+func (n *node) runLen() int { return max(1, int(n.u&31)*int(n.flags&runF/runF)) }
 
 // side returns the side bit of member i ≥ 1 of n's run.
-func (n *node) side(i int) uint8 { return uint8(n.atom >> (4 + i) & 1) }
+func (n *node) side(i int) uint8 { return uint8(n.u >> (4 + i) & 1) }
 
 // shape makes solo tomb n a run of count members with side bits sides.
 func (n *node) shape(count int, sides uint32) {
-	if n.atom, n.flags = uint32(count)|sides<<5, n.flags|runF; count == 1 {
-		n.atom, n.flags = 0, n.flags&^runF
+	if n.u, n.flags = uint32(count)|sides<<5, n.flags|runF; count == 1 {
+		n.u, n.flags = 0, n.flags&^runF
 	}
 }
 
 // appendRun appends the elements leading from n's top member to its last.
 func (n *node) appendRun(dst ident.Path) ident.Path {
-	for i := 1; n.run() && i < int(n.atom&31); i++ {
+	for i := 1; n.run() && i < int(n.u&31); i++ {
 		dst = append(dst, ident.J(n.side(i)))
 	}
 	return dst
@@ -60,14 +60,14 @@ func (t *Tree) join(h nodeH) (joined bool) {
 func (t *Tree) runs(h, c nodeH) bool {
 	n, m := t.node(h), t.node(c)
 	return n.kids[m.bit()] == c && n.kids[1-m.bit()] == 0 && !m.onMini() && n.solo() && m.solo() && n.liveAtom()|m.liveAtom() == 0 &&
-		n.first == m.first && n.siteHi == m.siteHi && n.runLen()+m.runLen() <= maxRun
+		n.site == m.site && n.runLen()+m.runLen() <= maxRun
 }
 
 // absorb makes c, the only child of h, the last members of h's run.
 func (t *Tree) absorb(h, c nodeH) {
 	n, m := t.node(h), t.node(c)
 	k := n.runLen()
-	n.shape(k+m.runLen(), n.atom>>5|uint32(m.bit())<<(k-1)|m.atom>>5<<k)
+	n.shape(k+m.runLen(), n.u>>5|uint32(m.bit())<<(k-1)|m.u>>5<<k)
 	n.kids, n.reserve = m.kids, m.reserve
 	t.setStamp(h, max(t.stamp(h), t.stamp(c)))
 	t.adopt(h)
@@ -89,7 +89,7 @@ func (t *Tree) adopt(h nodeH) {
 func (t *Tree) cut(h nodeH, j int) nodeH {
 	l := nodeH(t.nodes.alloc())
 	n, m := t.node(h), t.node(l)
-	k, sides := n.runLen(), n.atom>>5
+	k, sides := n.runLen(), n.u>>5
 	*m = *n
 	t.setStamp(l, t.stamp(h))
 	m.parent, m.flags = h, m.flags&^(onMiniF|1)|uint8(sides>>j&1)

@@ -23,8 +23,9 @@ const (
 const maxRecords = math.MaxUint32 - 1
 
 // ErrFull reports an edit, explode, reserve or import that would need more
-// node or mini-node records than 32-bit handles can address.
-var ErrFull = errors.New("doctree: tree is full (2^32-2 records)")
+// node or mini-node records than 32-bit handles can address, or more sites
+// than a 16-bit index names.
+var ErrFull = errors.New("doctree: tree is full (2^32-2 records or 65,535 sites)")
 
 // record is what a slab needs from its element type: a handle-sized field
 // that threads the free list while the record is not in use.

@@ -31,8 +31,8 @@ func TestRecordLayout(t *testing.T) {
 		size, want, chunk uintptr
 		ty                reflect.Type
 	}{
-		{"node", unsafe.Sizeof(node{}), 28, chunkLen, reflect.TypeOf(node{})},
-		{"mini", unsafe.Sizeof(mini{}), 20, chunkLen, reflect.TypeOf(mini{})},
+		{"node", unsafe.Sizeof(node{}), 24, chunkLen, reflect.TypeOf(node{})},
+		{"mini", unsafe.Sizeof(mini{}), 16, chunkLen, reflect.TypeOf(mini{})},
 		{"stamp", unsafe.Sizeof(*Tree{}.stamps[0]) / chunkLen, 4, chunkLen, nil},
 	} {
 		if r.size != r.want {
@@ -62,30 +62,49 @@ func noPointers(t *testing.T, path string, ty reflect.Type) {
 	}
 }
 
-// TestMiniKeepsWholeDisambiguator: the mini record packs the disambiguator
-// into 10 bytes; the extremes must come back intact and stay distinct. A
-// 49-bit site, which would alias another here, never reaches the tree:
-// DecodePacked and Path.Validate refuse it (internal/ident).
+// TestMiniKeepsWholeDisambiguator: a mini record and a solo hold a 32-bit
+// counter and a 16-bit index into the tree's site table, which holds the
+// whole 48-bit site; the extremes, sites 1 and 2⁴⁸−1, must come back intact
+// and stay distinct, in the tree and in one decoded from its snapshot, whose
+// table the snapshot's installs. The sites were met from the highest down,
+// so the table's indices run against the sites' order. A 49-bit site never
+// reaches the tree: DecodePacked and Path.Validate refuse it (internal/ident).
 func TestMiniKeepsWholeDisambiguator(t *testing.T) {
 	tr := New()
-	ids := []ident.Path{
+	ids := []ident.Path{ // in the order inserted; document order is the reverse
 		{ident.M(1, ident.Dis{Counter: 1<<32 - 1, Site: ident.MaxSiteID})},
 		{ident.M(1, ident.Dis{Counter: 1<<32 - 1, Site: ident.MaxSiteID &^ (1 << 32)})},
 		{ident.M(1, ident.Dis{Site: 1 << 32})},
 		{ident.M(1, ident.Dis{Site: 1})},
+		{ident.M(0, ident.Dis{Site: ident.MaxSiteID})}, // solos: alone in their nodes
+		{ident.J(0), ident.M(0, ident.Dis{Site: 1})},
 	}
 	for i, id := range ids {
 		if err := tr.InsertID(id, fmt.Sprint(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkTree(t, tr)
-	for i := range ids {
-		got, err := tr.IDAt(i)
-		want := ids[len(ids)-1-i] // document order is disambiguator order
-		if err != nil || !got.Equal(want) {
-			t.Errorf("IDAt(%d) = %v, %v; want %v", i, got, err, want)
+	if !tr.node(tr.node(rootH).kids[0]).solo() {
+		t.Fatalf("[(0:s%d)] is no solo", ident.MaxSiteID)
+	}
+	back, err := DecodeSnapshot(tr.AppendSnapshot(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{tr, back} {
+		checkTree(t, tr)
+		for i := range ids {
+			got, err := tr.IDAt(i)
+			if want := ids[len(ids)-1-i]; err != nil || !got.Equal(want) {
+				t.Errorf("IDAt(%d) = %v, %v; want %v", i, got, err, want)
+			}
 		}
+	}
+	if want := []ident.SiteID{0, ident.MaxSiteID, ident.MaxSiteID &^ (1 << 32), 1 << 32, 1}; !slices.Equal(tr.sites, want) {
+		t.Errorf("site table %v, want %v in the order met", tr.sites, want)
+	}
+	if want := []ident.SiteID{0, 1, 1 << 32, ident.MaxSiteID &^ (1 << 32), ident.MaxSiteID}; !slices.Equal(back.sites, want) {
+		t.Errorf("decoded site table %v, want the snapshot's ascending %v", back.sites, want)
 	}
 }
 
@@ -379,8 +398,8 @@ func TestFlatRegionIsARunOfHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("flatten")
-	if r := tr.node(tr.node(rootH).kids[0]); !r.flat() || r.atom != 1 || r.live != 130 || tr.atoms.n != 150 {
-		t.Fatalf("region: flat %v, handles from %d, %d atoms, %d handles in all; want a run of 130 from 1, and 150", r.flat(), r.atom, r.live, tr.atoms.n)
+	if r := tr.node(tr.node(rootH).kids[0]); !r.flat() || r.u != 1 || r.live != 130 || tr.atoms.n != 150 {
+		t.Fatalf("region: flat %v, handles from %d, %d atoms, %d handles in all; want a run of 130 from 1, and 150", r.flat(), r.u, r.live, tr.atoms.n)
 	}
 	if err := tr.Flatten(ident.Path{ident.J(0)}); err != nil { // a new run, the old one dropped
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 			h, k, ms, stage = r, k+n.runLen(), 0, 2*((j+1)/n.runLen())
 		}
 	}
-	if t.room(2*t.height, 0) != nil {
+	if t.room(2*t.height, 0, 0) != nil {
 		return nil, Slot{}
 	}
 	for {
@@ -70,11 +70,11 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 			kids := t.miniKids(ms, m)
 			switch {
 			case stage == 0 && t.occupied(kids[0]):
-				next, e = kids[0], ident.M(n.bit(), m.dis())
+				next, e = kids[0], ident.M(n.bit(), t.dis(m))
 			case stage <= 1 && m.atom != 0:
 				return nil, Slot{} // the next live atom comes first
 			case stage <= 2 && t.occupied(kids[1]):
-				next, e = kids[1], ident.M(n.bit(), m.dis())
+				next, e = kids[1], ident.M(n.bit(), t.dis(m))
 			}
 		}
 		if next == 0 && stage < 3 && (n.reserve != 0 || t.occupied(n.kids[1])) {
@@ -131,7 +131,7 @@ func (t *Tree) ReserveFrom(from Slot, path ident.Path, levels int) error {
 	}
 	// The slabs must have room for every node the subtree stands for, the
 	// tree's other reserved ones counted too: unbuilt, they hold no record.
-	if err := t.room(len(path)+1<<max(levels, 0)+int(t.reserved), len(path)); err != nil {
+	if err := t.room(len(path)+1<<max(levels, 0)+int(t.reserved), len(path), 0); err != nil {
 		return fmt.Errorf("doctree: reserve %v: %w", path, err)
 	}
 	last := len(path) - 1

@@ -105,7 +105,7 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 	if n.flat() {
 		s.FlatAtoms += int(n.live)
 		s.LiveAtoms += int(n.live)
-		for a, end := n.atom, n.atom+n.live; a < end; a = (a | chunkMask) + 1 { // a block's part of the run at a time
+		for a, end := n.u, n.u+n.live; a < end; a = (a | chunkMask) + 1 { // a block's part of the run at a time
 			b, lo, _, _ := t.atoms.span(a)
 			s.DocBytes += int(b.end[min(end-1, a|chunkMask)&chunkMask] - lo)
 		}
@@ -120,14 +120,14 @@ func (t *Tree) statsWalk(h nodeH, depth, disBits int, c ident.Cost, s *Stats) {
 	}
 	t.statsWalk(n.kids[0], depth+n.runLen(), disBits, c, s)
 	for i := 0; i < n.runLen() && n.solo(); i++ { // a run's members, one a level
-		t.statsMini(n.liveAtom(), depth+i+disBits+c.Bits(n.soloDis()), c, s)
+		t.statsMini(n.liveAtom(), depth+i+disBits+c.Bits(t.soloDis(n)), c, s)
 	}
 	for mh := n.minis(); mh != 0; {
 		m := t.mini(mh)
 		if m.hasKids {
 			s.MemBytes += 8
 		}
-		mBits := disBits + c.Bits(m.dis())
+		mBits := disBits + c.Bits(t.dis(m))
 		t.statsMini(m.atom, depth+mBits, c, s)
 		t.statsWalk(t.kids(slot{h, mh})[0], depth+1, mBits, c, s)
 		t.statsWalk(t.kids(slot{h, mh})[1], depth+1, mBits, c, s)

@@ -666,7 +666,7 @@ func TestLargeCanonicalExplode(t *testing.T) {
 		}
 	})
 	root := tr.node(rootH)
-	root.atom, root.live, root.flags = 1, uint32(len(atoms)), root.flags|flatF
+	root.u, root.live, root.flags = 1, uint32(len(atoms)), root.flags|flatF
 	checkTree(t, tr)
 	if _, err := tr.IDAt(500); err != nil {
 		t.Fatal(err)

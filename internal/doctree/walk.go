@@ -3,6 +3,7 @@ package doctree
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/treedoc/treedoc/internal/ident"
 )
@@ -93,7 +94,7 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 		if next == 0 {
 			return slot{}, errNotFound
 		}
-		if t.node(next).run() && t.room(2, 0) != nil { // a run the walk stops in is cut
+		if t.node(next).run() && t.room(2, 0, 0) != nil { // a run the walk stops in is cut
 			return slot{}, ErrFull
 		}
 		next, i = t.enter(next, p, i) // a duplicate delete cuts a run's tomb out, as a revive would
@@ -127,7 +128,13 @@ func (t *Tree) walkMini(p ident.Path) (slot, error) {
 // p's route, or the zero Slot to resume from the walk cache.
 func (t *Tree) materialize(from Slot, p ident.Path) (slot, nodeH, error) {
 	cur, i := t.resumeSlot(from, p)
-	if err := t.room(2*len(p), 2*len(p)); err != nil { // a step may build a reserved child and its sibling, a mini beside a solo two records
+	news := 0 // the sites p's steps name that the table lacks, each once, counted only near the limit
+	for j := i; j < len(p) && len(t.sites)+len(p)-i > t.siteLimit; j++ {
+		if t.index(p[j].Dis.Site, false) < 0 && !slices.ContainsFunc(p[i:j], func(o ident.Elem) bool { return o.Dis.Site == p[j].Dis.Site }) {
+			news++
+		}
+	}
+	if err := t.room(2*len(p), 2*len(p), news); err != nil { // a step may build a reserved child and its sibling, a mini beside a solo two records
 		return slot{}, 0, err
 	}
 	var made nodeH
@@ -153,9 +160,8 @@ func (t *Tree) materialize(from Slot, p ident.Path) (slot, nodeH, error) {
 		}
 		n := t.node(next)
 		m, free := t.findMini(n, e.Dis), n.empty()
-		if free && i+1 == len(p) && e.Dis.Counter == 0 {
-			m = soloMini
-			n.setSolo(e.Dis, 0)
+		if free && i+1 == len(p) && e.Dis.Counter == 0 { // a solo, dead
+			m, n.site, n.flags = soloMini, uint16(t.index(e.Dis.Site, true)), n.flags|soloF
 		} else if m == 0 {
 			m = t.insertMini(next, e.Dis)
 		}
@@ -222,13 +228,13 @@ func (t *Tree) explode(h nodeH) error {
 	if !n.flat() {
 		return nil
 	}
-	first, k := n.atom, n.live
+	first, k := n.u, n.live
 	// The canonical subtree holds a node per atom, its solo, plus at most one
 	// atom-less node per level on the path to the last atom.
-	if err := t.room(int(k)+64, 0); err != nil {
+	if err := t.room(int(k)+64, 0, 0); err != nil {
 		return fmt.Errorf("doctree: explode: %w", err)
 	}
-	n.atom, n.flags = 0, n.flags&^flatF
+	n.u, n.flags = 0, n.flags&^flatF
 	if k == 0 {
 		if h == rootH {
 			t.setStamp(h, t.rev) // the root is never a free slot
@@ -280,7 +286,7 @@ func (t *Tree) fillCanonical(h nodeH, first, k uint32, depth int) {
 	nLeft := min(k, uint32(subtreeCapacity(depth-1)))
 	n.kids[0] = t.buildCanonical(slot{node: h}, 0, first, nLeft, depth-1)
 	if k > nLeft {
-		n.setSolo(ident.Canonical, first+nLeft)
+		n.u, n.flags = first+nLeft, n.flags|soloF // a solo of site 0: canonical
 		n.kids[1] = t.buildCanonical(slot{node: h}, 1, first+nLeft+1, k-nLeft-1, depth-1)
 	}
 	n.live = k
@@ -334,12 +340,9 @@ func (t *Tree) Flatten(path ident.Path) error {
 		t.releaseBelow(h)
 		for r := uint32(1); r <= t.nodes.n; r++ { // a free record is zero: no atom, no region
 			o := t.node(nodeH(r))
-			if a := o.liveAtom(); a != 0 {
-				o.atom = add(t.atoms.text(a))
-			} else if o.flat() && o.live > 0 {
-				a = o.atom
-				o.atom = add(t.atoms.text(a))
-				for i := uint32(1); i < o.live; i++ {
+			if a := o.u; o.liveAtom() != 0 || o.flat() && o.live > 0 { // a live solo's handle, a region's run
+				o.u = add(t.atoms.text(a))
+				for i := uint32(1); i < o.live && o.flat(); i++ {
 					add(t.atoms.text(a + i))
 				}
 			}
@@ -350,8 +353,9 @@ func (t *Tree) Flatten(path ident.Path) error {
 			}
 		}
 	})
-	if h == rootH {
-		*t = Tree{limit: t.limit, rev: t.rev, atoms: atoms}
+	if h == rootH { // the tree starts afresh, its site table too
+		*t = Tree{limit: t.limit, siteLimit: t.siteLimit, rev: t.rev, atoms: atoms}
+		t.sites, t.order = t.siteBuf[:1], t.orderBuf[:1]
 		t.nodes.alloc() // rootH again
 		n = t.node(rootH)
 	} else {
@@ -359,7 +363,7 @@ func (t *Tree) Flatten(path ident.Path) error {
 		t.bubble(n.parent, 0, dEmpty)
 		t.height = t.maxDepth(rootH, 0)
 	}
-	n.live, n.atom, n.flags = live, min(live, 1), n.flags|flatF // the region's run is handles 1 to live
+	n.live, n.u, n.flags = live, min(live, 1), n.flags|flatF // the region's run is handles 1 to live
 	t.setStamp(h, t.rev)
 	return nil
 }
@@ -386,7 +390,7 @@ func (t *Tree) releaseBelow(h nodeH) {
 		mh = next
 	}
 	t.reserved -= reservedNodes(n.reserve)
-	n.kids[0], n.kids[1], n.first, n.reserve, n.siteHi, n.atom = 0, 0, 0, 0, 0, 0
+	n.kids[0], n.kids[1], n.u, n.reserve, n.site = 0, 0, 0, 0, 0
 	n.flags &^= flatF | soloF | hasEmptyF | runF
 }
 
