@@ -44,18 +44,23 @@ type fleet struct {
 	verbose bool
 }
 
-// pickPort reserves a loopback port by binding and immediately releasing
-// it. The tiny reuse race is acceptable in a harness and buys a stable
-// hub address known before the child exists — which the proxy (and every
-// peer's ring config) needs up front.
-func pickPort() (string, error) {
+// newHubProc reserves a loopback port for hub idx by binding and
+// immediately releasing it, and fronts it with a chaos proxy. The tiny
+// reuse race is acceptable in a harness and buys a stable hub address
+// known before the child exists — which the proxy (and every peer's ring
+// config) needs up front.
+func newHubProc(idx int) (*hubProc, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", fmt.Errorf("treedoc-load: reserve port: %w", err)
+		return nil, fmt.Errorf("treedoc-load: reserve port: %w", err)
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	return addr, nil
+	proxy, err := simnet.NewProxy(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &hubProc{idx: idx, addr: addr, adv: proxy.Addr(), proxy: proxy}, nil
 }
 
 // startFleet brings up cfg.hubs hubs behind proxies, all sharing one
@@ -63,26 +68,14 @@ func pickPort() (string, error) {
 func startFleet(cfg *config) (*fleet, error) {
 	f := &fleet{cfg: cfg, verbose: cfg.verbose}
 	for i := 0; i < cfg.hubs; i++ {
-		addr, err := pickPort()
+		h, err := newHubProc(i)
 		if err != nil {
 			return nil, err
 		}
-		proxy, err := simnet.NewProxy(addr)
-		if err != nil {
-			return nil, err
-		}
-		f.hubs = append(f.hubs, &hubProc{idx: i, addr: addr, adv: proxy.Addr(), proxy: proxy})
-	}
-	ring := make([]string, len(f.hubs))
-	for i, h := range f.hubs {
-		ring[i] = h.adv
-	}
-	peers := ""
-	if len(ring) > 1 {
-		peers = strings.Join(ring, ",")
+		f.hubs = append(f.hubs, h)
 	}
 	for _, h := range f.hubs {
-		if err := f.spawn(h, peers, ""); err != nil {
+		if err := f.spawn(h, f.peers(), ""); err != nil {
 			f.stop()
 			return nil, err
 		}
@@ -90,22 +83,21 @@ func startFleet(cfg *config) (*fleet, error) {
 	return f, nil
 }
 
-// spawn starts (or restarts) a hub child and waits for its READY line.
+// spawn starts (or restarts) a hub child, treedoc-serve without -log (the
+// clients are the replicas), and waits for its READY line. With -leave,
+// SIGTERM resigns the hub from the ring — the reshard scenario's "leave"
+// leg; the crash scenario's SIGKILL skips that.
 func (f *fleet) spawn(h *hubProc, peers, join string) error {
-	args := []string{
-		"-hub-child",
-		"-hub-addr", h.addr,
-		"-hub-self", h.adv,
-		"-hub-queue", fmt.Sprint(f.cfg.queue),
-	}
+	args := []string{serveCmd, "-addr", h.addr, "-self", h.adv, "-queue", fmt.Sprint(f.cfg.queue),
+		"-stats", "127.0.0.1:0", "-leave"}
 	if peers != "" {
-		args = append(args, "-hub-peers", peers)
+		args = append(args, "-peers", peers)
 	}
 	if join != "" {
-		args = append(args, "-hub-join", join)
+		args = append(args, "-join", join)
 	}
 	if f.verbose {
-		args = append(args, "-hub-v")
+		args = append(args, "-v")
 	}
 	cmd := exec.Command(os.Args[0], args...)
 	stdout, err := cmd.StdoutPipe()
@@ -137,13 +129,8 @@ func (f *fleet) spawn(h *hubProc, peers, join string) error {
 
 	select {
 	case rest := <-ready:
-		stats := ""
-		for _, field := range strings.Fields(rest) {
-			if v, ok := strings.CutPrefix(field, "stats="); ok {
-				stats = v
-			}
-		}
-		if stats == "" {
+		var addr, stats string
+		if n, _ := fmt.Sscanf(rest, "addr=%s stats=%s", &addr, &stats); n != 2 {
 			cmd.Process.Kill()
 			return fmt.Errorf("treedoc-load: hub %d READY line missing stats address: %q", h.idx, rest)
 		}
@@ -164,17 +151,12 @@ func (f *fleet) spawn(h *hubProc, peers, join string) error {
 // addJoiner spawns one extra hub that joins the live ring via the first
 // hub's advertised address (the reshard scenario's join leg).
 func (f *fleet) addJoiner() (*hubProc, error) {
-	addr, err := pickPort()
+	h, err := newHubProc(len(f.hubs))
 	if err != nil {
 		return nil, err
 	}
-	proxy, err := simnet.NewProxy(addr)
-	if err != nil {
-		return nil, err
-	}
-	h := &hubProc{idx: len(f.hubs), addr: addr, adv: proxy.Addr(), proxy: proxy}
 	if err := f.spawn(h, "", f.hubs[0].adv); err != nil {
-		proxy.Close()
+		h.proxy.Close()
 		return nil, err
 	}
 	f.joiner = h
@@ -224,16 +206,15 @@ func (f *fleet) crash(h *hubProc) error {
 
 // restart re-spawns a crashed hub on its original address with the
 // original static ring.
-func (f *fleet) restart(h *hubProc) error {
-	ring := make([]string, len(f.hubs))
-	for i, hp := range f.hubs {
-		ring[i] = hp.adv
+func (f *fleet) restart(h *hubProc) error { return f.spawn(h, f.peers(), "") }
+
+// peers is the fleet's static ring as a -peers value: empty for one hub,
+// which then runs unsharded.
+func (f *fleet) peers() string {
+	if len(f.hubs) == 1 {
+		return ""
 	}
-	peers := ""
-	if len(ring) > 1 {
-		peers = strings.Join(ring, ",")
-	}
-	return f.spawn(h, peers, "")
+	return strings.Join(f.advertised(), ",")
 }
 
 // stop tears the whole fleet down: children killed, proxies closed.
@@ -281,16 +262,14 @@ func (h *hubProc) pollStats() (transport.HubStats, error) {
 	if err != nil {
 		return hs, fmt.Errorf("treedoc-load: hub %d stats read: %w", h.idx, err)
 	}
-	var vars map[string]json.RawMessage
+	var vars struct {
+		Hub *transport.HubStats `json:"treedoc.hub"`
+	}
 	if err := json.Unmarshal(body, &vars); err != nil {
 		return hs, fmt.Errorf("treedoc-load: hub %d stats decode: %w", h.idx, err)
 	}
-	raw, ok := vars["treedoc.hub"]
-	if !ok {
+	if vars.Hub == nil {
 		return hs, fmt.Errorf("treedoc-load: hub %d stats missing treedoc.hub", h.idx)
 	}
-	if err := json.Unmarshal(raw, &hs); err != nil {
-		return hs, fmt.Errorf("treedoc-load: hub %d stats decode: %w", h.idx, err)
-	}
-	return hs, nil
+	return *vars.Hub, nil
 }

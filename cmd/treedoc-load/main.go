@@ -47,8 +47,12 @@ import (
 	"os"
 	"time"
 
+	"github.com/treedoc/treedoc/internal/serve"
 	"github.com/treedoc/treedoc/internal/trace"
 )
+
+// serveCmd is the first argument that makes this binary a fleet hub.
+const serveCmd = "serve"
 
 // config is the parsed flag set for a load run.
 type config struct {
@@ -80,19 +84,15 @@ type config struct {
 }
 
 func main() {
+	// The fleet re-execs this binary as its hub processes ("treedoc-load
+	// serve <treedoc-serve flags>"), so the harness needs no external
+	// server binary and its hubs run treedoc-serve's own code.
+	if len(os.Args) > 1 && os.Args[1] == serveCmd {
+		serve.Main("treedoc-load "+serveCmd, os.Args[2:])
+		return
+	}
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	log.SetPrefix("treedoc-load: ")
-
-	// Hidden hub-child mode: the fleet re-execs this binary as its hub
-	// processes, so the harness needs no external server binary. These
-	// flags are an internal protocol, not an operator surface.
-	child := flag.Bool("hub-child", false, "internal: run as a fleet hub process")
-	childAddr := flag.String("hub-addr", "", "internal: hub listen address")
-	childSelf := flag.String("hub-self", "", "internal: hub advertised (proxy) address")
-	childPeers := flag.String("hub-peers", "", "internal: comma-separated advertised ring members")
-	childJoin := flag.String("hub-join", "", "internal: live ring member to join via")
-	childQueue := flag.Int("hub-queue", 256, "internal: hub per-client queue depth")
-	childVerbose := flag.Bool("hub-v", false, "internal: hub connection logging")
 
 	var cfg config
 	flag.IntVar(&cfg.hubs, "hubs", 3, "hub processes in the fleet (each behind a chaos proxy)")
@@ -126,18 +126,6 @@ func main() {
 	flag.DurationVar(&cfg.statsEvery, "stats-every", 5*time.Second, "hub expvar stats poll period")
 	flag.BoolVar(&cfg.verbose, "v", false, "log fleet lifecycle, reconnects and chaos events")
 	flag.Parse()
-
-	if *child {
-		hubChildMain(hubChildConfig{
-			addr:    *childAddr,
-			self:    *childSelf,
-			peers:   *childPeers,
-			join:    *childJoin,
-			queue:   *childQueue,
-			verbose: *childVerbose,
-		})
-		return
-	}
 
 	if err := validate(&cfg); err != nil {
 		log.Fatal(err)

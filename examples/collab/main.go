@@ -9,11 +9,11 @@
 // optimistically, with no latency; replicas synchronise only in the
 // background" (Section 6).
 //
-// The ownership hook mirrors cmd/treedoc-serve: hub B starts an archivist
-// that catches up like any late joiner — its digest draws a snapshot, so
-// it replays no pre-snapshot op — and hub A's archivist keeps serving
-// until B's has acknowledged every operation A's held, and only then
-// stops.
+// Both hubs run treedoc-serve's archive (internal/serve): hub B starts an
+// archivist that catches up like any late joiner — its digest draws a
+// snapshot, so it replays no pre-snapshot op — and hub A's archivist
+// keeps serving until B's has acknowledged every operation A's held, and
+// only then stops.
 package main
 
 import (
@@ -28,13 +28,12 @@ import (
 	"time"
 
 	"github.com/treedoc/treedoc"
+	"github.com/treedoc/treedoc/internal/serve"
 	"github.com/treedoc/treedoc/internal/transport/shardmap"
 )
 
 const (
 	editsPerPhase = 250
-	archSiteA     = treedoc.SiteID(1000)
-	archSiteB     = treedoc.SiteID(2000)
 	// snapThreshold is low enough that a joiner missing phase 1 is
 	// answered with a snapshot rather than an op replay.
 	snapThreshold = 64
@@ -47,83 +46,21 @@ type site struct {
 	eng *treedoc.Engine
 }
 
-// archivists is the minimal treedoc-serve-style ownership hook: start an
-// archivist when a document is acquired; when one is released, stop it
-// once the successor archivist (site successor) has acknowledged
-// everything it held.
-type archivists struct {
-	mu        sync.Mutex
-	hubAddr   string
-	dir       string
-	siteID    treedoc.SiteID
-	successor treedoc.SiteID
-	m         map[string]*site
-}
-
-func (am *archivists) ownership(doc string, epoch uint64, acquired bool) {
-	if acquired {
-		fmt.Printf("hub %s acquired doc %q at ring epoch %d\n", am.hubAddr, doc, epoch)
-		am.ensure(doc)
-		return
-	}
-	fmt.Printf("hub %s released doc %q at ring epoch %d\n", am.hubAddr, doc, epoch)
-	a := am.get(doc)
-	if a == nil {
-		return
-	}
-	held := a.eng.Clock()
-	go func() {
-		for deadline := time.Now().Add(30 * time.Second); !a.eng.Acked(am.successor).Dominates(held); time.Sleep(20 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				log.Fatalf("BUG: the successor archivist never acknowledged doc %q at %v", doc, held)
-			}
-		}
-		am.stop(doc)
-		fmt.Printf("hub %s archivist for %q stopped: the successor acknowledged its clock %v\n", am.hubAddr, doc, held)
-	}()
-}
-
-func (am *archivists) stop(doc string) {
-	am.mu.Lock()
-	a := am.m[doc]
-	delete(am.m, doc)
-	am.mu.Unlock()
-	if a != nil {
-		a.eng.Stop()
-	}
-}
-
-func (am *archivists) ensure(doc string) *site {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	if a := am.m[doc]; a != nil {
-		return a
-	}
-	buf, err := treedoc.NewTextBuffer(treedoc.WithSite(am.siteID))
+// archiveHub starts a hub whose archivists log under dir.
+func archiveHub(dir string) (*treedoc.Hub, *serve.Archive) {
+	arch := serve.NewArchive(serve.Config{LogDir: dir},
+		treedoc.WithSyncInterval(25*time.Millisecond), treedoc.WithSnapshotThreshold(snapThreshold))
+	hub, err := treedoc.ListenHub("127.0.0.1:0", treedoc.WithHubOwnership(arch.Ownership))
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := treedoc.NewEngine(am.siteID, buf,
-		treedoc.WithLogDir(filepath.Join(am.dir, doc)),
-		treedoc.WithSyncInterval(25*time.Millisecond),
-		treedoc.WithSnapshotThreshold(snapThreshold))
-	if err != nil {
-		log.Fatal(err)
-	}
-	link, err := treedoc.DialDoc(am.hubAddr, doc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng.Connect(link)
-	a := &site{id: am.siteID, doc: doc, buf: buf, eng: eng}
-	am.m[doc] = a
-	return a
+	arch.Bind(hub, "")
+	return hub, arch
 }
 
-func (am *archivists) get(doc string) *site {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	return am.m[doc]
+// archivistSite is an archivist seen as one of the example's replicas.
+func archivistSite(a *serve.Archivist) *site {
+	return &site{id: a.Site, doc: a.Doc, buf: a.Buf, eng: a.Eng}
 }
 
 func main() {
@@ -134,17 +71,9 @@ func main() {
 	defer os.RemoveAll(tmp)
 
 	// Hub A starts alone at ring epoch 1.
-	var amA *archivists
-	hubA, err := treedoc.ListenHub("127.0.0.1:0",
-		treedoc.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
-			amA.ownership(doc, epoch, acquired)
-		}))
-	if err != nil {
-		log.Fatal(err)
-	}
+	hubA, arcA := archiveHub(filepath.Join(tmp, "a"))
 	defer hubA.Close()
 	addrA := hubA.Addr().String()
-	amA = &archivists{hubAddr: addrA, dir: filepath.Join(tmp, "a"), siteID: archSiteA, successor: archSiteB, m: make(map[string]*site)}
 	ring1, err := shardmap.NewRing(1, []string{addrA})
 	if err != nil {
 		log.Fatal(err)
@@ -154,17 +83,9 @@ func main() {
 	}
 
 	// Hub B is up but not yet in the ring.
-	var amB *archivists
-	hubB, err := treedoc.ListenHub("127.0.0.1:0",
-		treedoc.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
-			amB.ownership(doc, epoch, acquired)
-		}))
-	if err != nil {
-		log.Fatal(err)
-	}
+	hubB, arcB := archiveHub(filepath.Join(tmp, "b"))
 	defer hubB.Close()
 	addrB := hubB.Addr().String()
-	amB = &archivists{hubAddr: addrB, dir: filepath.Join(tmp, "b"), siteID: archSiteB, m: make(map[string]*site)}
 
 	// Pick one document that stays on A and one the epoch-2 ring hands to
 	// B — computable in advance because the diff is deterministic on every
@@ -186,7 +107,10 @@ func main() {
 	}
 	fmt.Printf("hub A %s relaying at ring epoch 1; %q will stay, %q will move to B %s at epoch 2\n",
 		addrA, docStay, docMove, addrB)
-	amA.ensure(docMove) // the archivist that holds the history when the document moves
+	archA := arcA.Acquire(docMove, 1) // the archivist that holds the history when the document moves
+	if archA == nil {
+		log.Fatal("BUG: hub A's archivist did not start")
+	}
 
 	dial := func(id treedoc.SiteID, doc string) *site {
 		buf, err := treedoc.NewTextBuffer(treedoc.WithSite(id))
@@ -244,8 +168,7 @@ func main() {
 		go func(s *site) { defer wg.Done(); write(s, 1, 0) }(s)
 	}
 	wg.Wait()
-	archA := amA.get(docMove)
-	if !converge(append([]*site{archA}, moving...), 30*time.Second) || !converge(staying, 30*time.Second) {
+	if !converge(append([]*site{archivistSite(archA)}, moving...), 30*time.Second) || !converge(staying, 30*time.Second) {
 		log.Fatal("BUG: phase 1 did not converge")
 	}
 	phase1VC := moving[0].eng.Clock()
@@ -267,14 +190,12 @@ func main() {
 	}
 	wg.Wait()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for amB.get(docMove) == nil && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); arcB.Get(docMove) == nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatal("BUG: hub B never acquired the moving document")
+		}
 	}
-	archB := amB.get(docMove)
-	if archB == nil {
-		log.Fatal("BUG: hub B never acquired the moving document")
-	}
+	archB := archivistSite(arcB.Get(docMove))
 	if !converge(append([]*site{archB}, moving...), 30*time.Second) || !converge(staying, 30*time.Second) {
 		log.Fatal("BUG: phase 2 did not converge")
 	}
@@ -313,15 +234,20 @@ func main() {
 		hubA.RingEpoch(), hubA.Stats().HandoffsOut, hubA.Stats().Forwards, hubB.Stats().HandoffsIn)
 
 	// Hub A's archivist stops once B's has acknowledged what it held.
-	for deadline := time.Now().Add(30 * time.Second); amA.get(docMove) != nil; time.Sleep(20 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			log.Fatal("BUG: the old owner's archivist never handed over")
-		}
+	select {
+	case <-archA.Done():
+	case <-time.After(30 * time.Second):
+		log.Fatal("BUG: the old owner's archivist never handed over")
 	}
+	held, acked := archA.HandOver()
+	if !acked.Dominates(held) {
+		log.Fatalf("BUG: the old owner's archivist stopped at %v on acknowledgement %v", held, acked)
+	}
+	fmt.Printf("hub A's archivist stopped: hub B's acknowledged %v, covering the %v it held\n", acked, held)
 	for _, s := range writers {
 		s.eng.Stop()
 	}
-	amB.stop(docMove)
+	arcB.StopAll("example over")
 }
 
 // converge polls until every engine's delivered clock in the group is

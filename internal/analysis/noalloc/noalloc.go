@@ -16,10 +16,12 @@
 //     (standalone form) — the intended exact-size result copies in
 //     storage.Encode and transport.EncodeOps.
 //
-// Everything else is reported. The waiver is line-scoped, so a new
-// allocation on any other line of the function — making pooled scratch
-// escape, dropping a stack buffer, reintroducing a per-rune string
-// conversion — fails vet. Deliberately not proven: allocation-freedom of
+// Everything else is reported, and so is a waiver inside an annotated
+// function whose line has no heap diagnostic: it waives nothing today and
+// would hide the next allocation written there. The waiver is
+// line-scoped, so a new allocation on any other line of the function —
+// making pooled scratch escape, dropping a stack buffer, reintroducing a
+// per-rune string conversion — fails vet. Deliberately not proven: allocation-freedom of
 // callees (annotate them too; non-inlined calls are opaque to -m) and
 // anything the compiler of a future Go release decides differently —
 // this check rides the toolchain's escape analysis, it does not reimplement it.
@@ -100,20 +102,38 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
+	escaped := make(map[string]map[int]bool) // the lines with a heap diagnostic
 	for _, d := range diags {
-		fns := spans[d.file]
-		var fn *span
-		for i := range fns {
-			if d.line >= fns[i].start && d.line <= fns[i].end {
-				fn = &fns[i]
-				break
-			}
+		if escaped[d.file] == nil {
+			escaped[d.file] = make(map[int]bool)
 		}
+		escaped[d.file][d.line] = true
+		fn := enclosing(spans[d.file], d.line)
 		if fn == nil || fn.exemptLines[d.line] || waived[d.file][d.line] {
 			continue
 		}
 		pass.ReportAt(token.Position{Filename: d.file, Line: d.line, Column: d.col},
 			"%s is //treedoc:noalloc but %s (add //treedoc:escape <reason> if intended)", fn.name, d.msg)
+	}
+	// A waiver in an annotated function must waive something, or it hides
+	// the next allocation moved onto its line.
+	for file, lines := range waived {
+		for line := range lines {
+			if fn := enclosing(spans[file], line); fn != nil && !escaped[file][line] {
+				pass.ReportAt(token.Position{Filename: file, Line: line, Column: 1},
+					"%s is //treedoc:noalloc but its //treedoc:escape waives a line with no heap escape (remove it)", fn.name)
+			}
+		}
+	}
+	return nil
+}
+
+// enclosing returns the annotated function whose span holds line, or nil.
+func enclosing(fns []span, line int) *span {
+	for i := range fns {
+		if line >= fns[i].start && line <= fns[i].end {
+			return &fns[i]
+		}
 	}
 	return nil
 }

@@ -27,3 +27,10 @@ func TestPooledEncoder(t *testing.T) {
 		t.Fatal("un-pooled encoder was not caught; the compiler escape pass is not wired")
 	}
 }
+
+// TestStaleWaiver: a //treedoc:escape in an annotated function whose line
+// has no heap escape is reported, and a waiver that holds an escape is
+// not.
+func TestStaleWaiver(t *testing.T) {
+	analysistest.Run(t, noalloc.Analyzer, "testdata/stale")
+}

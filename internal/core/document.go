@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -309,6 +310,9 @@ func (d *Document) InsertAt(i int, atom string) (Op, error) {
 	if d.locked(p, f) {
 		return Op{}, ErrRegionLocked
 	}
+	if err := d.admit(1); err != nil {
+		return Op{}, err
+	}
 	// The tree is walked once: the neighbour descent's slots carry the
 	// free-slot scan, the collision probe and the insert.
 	id, from, err := d.allocate(p, f, at)
@@ -327,14 +331,27 @@ func (d *Document) InsertAt(i int, atom string) (Op, error) {
 // freshly built identifier: id its elements, k their packed form, from a
 // slot on its route (zero: none known). It returns where the atom landed.
 func (d *Document) insertLocal(id ident.Path, from doctree.Slot, k ident.Packed, atom string) (Op, doctree.Slot, error) {
-	d.seq++
-	op := Op{Kind: OpInsert, ID: k, Atom: atom, Site: d.cfg.Site, Seq: d.seq}
+	op := Op{Kind: OpInsert, ID: k, Atom: atom, Site: d.cfg.Site, Seq: d.seq + 1}
 	s, err := d.tree.InsertFrom(from, id, atom)
 	if err != nil {
 		return op, s, err
 	}
+	d.seq++
 	d.noteApplied(op, id)
 	return op, s, nil
+}
+
+// admit refuses, before anything changes, a local insert of n atoms the
+// tree could not take: this site new to a full site table, or more
+// records than the slabs have left for n identifiers as deep as a run
+// below a balanced growth under the deepest node, with the growth's
+// subtree (each identifier's walk may build two records a level). A
+// refused edit mints no sequence number, reserves nothing and applies no
+// part of a run.
+func (d *Document) admit(n int) error {
+	h := d.tree.Height()
+	k := growLevels(h)
+	return d.tree.Admits(d.cfg.Site, 2*n*(h+k+bits.Len(uint(n))+2)+1<<k)
 }
 
 // primeRun records the neighbours of gap g for a continuing insert run:
@@ -418,6 +435,9 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 	if d.locked(p, f) {
 		return nil, ErrRegionLocked
 	}
+	if err := d.admit(len(atoms)); err != nil {
+		return nil, err
+	}
 	var ids []ident.Packed
 	ids, d.idBuf = d.strategy.NewRun(d.tree, d.idBuf, p, f, d.nextDis(), len(atoms))
 	ops := make([]Op, 0, len(atoms))
@@ -464,9 +484,10 @@ func (d *Document) InsertRunAt(i int, atoms []string) ([]Op, error) {
 }
 
 // Splice deletes delCount atoms at off, then inserts atoms there, as one
-// local edit (0 ≤ off ≤ off+delCount ≤ Len): a region lock fails it
-// before the first delete, so it is never left half applied. It returns
-// the deletes' operations, then the inserts'.
+// local edit (0 ≤ off ≤ off+delCount ≤ Len): a region lock or a tree
+// without room for the inserts fails it before the first delete, so it is
+// never left half applied. It returns the deletes' operations, then the
+// inserts'.
 func (d *Document) Splice(off, delCount int, atoms []string) ([]Op, error) {
 	if len(d.locks) > 0 {
 		locked, err := d.spliceLocked(off, delCount, len(atoms) > 0)
@@ -475,6 +496,11 @@ func (d *Document) Splice(off, delCount int, atoms []string) ([]Op, error) {
 		}
 		if locked {
 			return nil, ErrRegionLocked
+		}
+	}
+	if len(atoms) > 0 {
+		if err := d.admit(len(atoms)); err != nil {
+			return nil, err
 		}
 	}
 	ops := make([]Op, 0, delCount+len(atoms))

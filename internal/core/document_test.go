@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
+	"maps"
+	"math/bits"
 	"testing"
 
+	"github.com/treedoc/treedoc/internal/doctree"
 	"github.com/treedoc/treedoc/internal/ident"
 )
 
@@ -471,5 +475,60 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if s.Strategy != "naive" {
 		t.Errorf("strategy = %q", s.Strategy)
+	}
+}
+
+// TestRefusedLocalInsertChangesNothing fills a replica's site table with
+// 65,535 remote writers, so the replica's own site has no room: a refused
+// InsertAt, InsertRunAt or Splice leaves its sequence number, version and
+// tree as they were, and its next operation is its first. Every node of
+// the complete tree of depth 16 holds an atom, so no insert finds a free
+// slot and one at the end grows the tree under balanced allocation.
+func TestRefusedLocalInsertChangesNothing(t *testing.T) {
+	d, err := NewDocument(Config{Site: 1 << 20, Strategy: Balanced{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 2; n < 1<<17; n++ {
+		// Node n of the complete tree, numbered from the root's 1 with
+		// children 2n and 2n+1, holds writer w's atom number seq.
+		w, seq := ident.SiteID(n/2), uint64(n%2+1)
+		var id ident.Path
+		for b := bits.Len(uint(n)) - 2; b >= 0; b-- {
+			id = append(id, ident.J(uint8(n>>b&1)))
+		}
+		id = append(id, ident.M(0, ident.Dis{Site: w}))
+		if err := d.Apply(Op{Kind: OpInsert, ID: ident.Pack(id), Atom: "x", Site: w, Seq: seq}); err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	seq, version, tree := d.Seq(), d.Version(), d.Stats().Tree
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, doctree.ErrFull) {
+			t.Fatalf("%s by a site the full table lacks: %v, want ErrFull", what, err)
+		}
+		if d.Seq() != seq || !maps.Equal(d.Version(), version) || d.Stats().Tree != tree {
+			t.Fatalf("after the refused %s: seq %d (want %d), version unchanged %v, tree %+v (want %+v)",
+				what, d.Seq(), seq, maps.Equal(d.Version(), version), d.Stats().Tree, tree)
+		}
+	}
+	for _, i := range []int{0, 1, d.Len() / 2, d.Len()} { // the last deepens the tree: a balanced growth
+		_, err := d.InsertAt(i, "y")
+		refused("insert", err)
+	}
+	_, err = d.InsertRunAt(5, []string{"a", "b", "c"})
+	refused("run", err)
+	_, err = d.Splice(7, 2, []string{"a", "b"})
+	refused("splice", err)
+	if err := d.Check(); err != nil {
+		t.Fatal(err)
+	}
+	op, err := d.DeleteAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.Seq != 1 {
+		t.Fatalf("the replica's first operation carries Seq %d, want 1", op.Seq)
 	}
 }

@@ -247,6 +247,18 @@ func (t *Tree) room(nodes, minis, sites int) error {
 	return nil
 }
 
+// Admits reports ErrFull unless the tree can take a local edit by site
+// that builds at most records node and mini records: site in the table or
+// room for it there, and the records beside the ones reserved subtrees
+// stand for. A local edit checks before it changes anything.
+func (t *Tree) Admits(site ident.SiteID, records int) error {
+	sites := 0
+	if t.index(site, false) < 0 {
+		sites = 1
+	}
+	return t.room(records+int(t.reserved), records, sites)
+}
+
 // newNode allocates a node hanging from slot s on side bit, unstamped. It
 // does not link it into the slot.
 func (t *Tree) newNode(s slot, bit uint8) nodeH {

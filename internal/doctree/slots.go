@@ -56,9 +56,9 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 		} else if ms == 0 && stage <= 1 {
 			if h != rootH && n.empty() {
 				if !down {
-					dst = append(dst, p[:k-1]...) //treedoc:escape growing the caller's scratch
+					dst = append(dst, p[:k-1]...)
 				}
-				return append(dst, ident.M(n.bit(), d)), Slot{at: t.hangsFrom(h, n), depth: len(dst) - base} //treedoc:escape growing the caller's scratch
+				return append(dst, ident.M(n.bit(), d)), Slot{at: t.hangsFrom(h, n), depth: len(dst) - base}
 			}
 			if n.liveAtom() != 0 {
 				return nil, Slot{} // the node's live solo comes first
@@ -94,10 +94,10 @@ func (t *Tree) FreeSlotAfter(dst, p ident.Path, at Slot, d ident.Dis) (ident.Pat
 			return nil, Slot{} // the next live atom is in there, and no slot
 		}
 		if !down {
-			dst, down = append(dst, p[:max(k-n.runLen(), 0)]...), true //treedoc:escape growing the caller's scratch
+			dst, down = append(dst, p[:max(k-n.runLen(), 0)]...), true
 		}
 		if h != rootH {
-			dst = n.appendRun(append(dst, e)) //treedoc:escape growing the caller's scratch
+			dst = n.appendRun(append(dst, e))
 		}
 		h, k, ms, stage = next, k+t.node(next).runLen(), 0, 0
 	}

@@ -9,12 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/treedoc/treedoc"
+	"github.com/treedoc/treedoc/internal/serve"
 	"github.com/treedoc/treedoc/internal/transport"
 	"github.com/treedoc/treedoc/internal/transport/shardmap"
 	"github.com/treedoc/treedoc/internal/vclock"
@@ -97,128 +97,63 @@ func hoConverge(t testing.TB, engines []*treedoc.Engine, timeout time.Duration) 
 	t.Fatalf("engines did not converge within %v: %v", timeout, clocks)
 }
 
-// archMgr manages one hub process's archivists the way cmd/treedoc-serve
-// does: the ownership callback starts an archivist on acquire; on release
-// the archivist keeps serving until the successor archivist (site
-// successor) has acknowledged the clock it held, and only then stops.
-type archMgr struct {
-	t       testing.TB
-	hubAddr string
-	dir     string
-	site    treedoc.SiteID
-	// opts are extra engine options for every archivist.
-	opts []treedoc.EngineOption
-	// successor is the site of the archivist a released document goes to.
-	successor treedoc.SiteID
-	// delay holds an acquisition's archivist start back, as a new owner
-	// that restarts mid-handoff would.
-	delay time.Duration
-
-	mu   sync.Mutex
-	arch map[string]*hoWriter
-	// handedOver maps each document whose archivist stopped on its
-	// successor's acknowledgement to the clock it held at release and the
-	// acknowledgement that released it.
-	handedOver map[string][2]vclock.VC
-}
-
-func newArchMgr(t testing.TB, hubAddr string, site, successor treedoc.SiteID, opts ...treedoc.EngineOption) *archMgr {
-	return &archMgr{t: t, hubAddr: hubAddr, dir: t.TempDir(), site: site, successor: successor, opts: opts,
-		arch: make(map[string]*hoWriter), handedOver: make(map[string][2]vclock.VC)}
-}
-
-func (m *archMgr) ownership(doc string, epoch uint64, acquired bool) {
-	switch {
-	case !acquired:
-		m.release(doc)
-	case m.delay > 0:
-		go func() {
-			time.Sleep(m.delay)
-			m.start(doc)
-		}()
-	default:
-		m.start(doc)
-	}
-}
-
-func (m *archMgr) start(doc string) *hoWriter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if a := m.arch[doc]; a != nil {
-		return a
-	}
-	buf, err := treedoc.NewTextBuffer(treedoc.WithSite(m.site))
-	if err != nil {
-		m.t.Error(err)
-		return nil
-	}
-	eng, err := treedoc.NewEngine(m.site, buf, append([]treedoc.EngineOption{
-		treedoc.WithLogDir(filepath.Join(m.dir, doc)),
-		treedoc.WithSyncInterval(15 * time.Millisecond)}, m.opts...)...)
-	if err != nil {
-		m.t.Error(err)
-		return nil
-	}
-	m.t.Cleanup(eng.Stop)
-	link, err := treedoc.DialDoc(m.hubAddr, doc)
-	if err != nil {
-		m.t.Errorf("archivist attach %q: %v", doc, err)
-		return nil
-	}
-	eng.Connect(link)
-	a := &hoWriter{id: m.site, buf: buf, eng: eng}
-	m.arch[doc] = a
-	return a
-}
-
-// release stops doc's archivist once the successor has acknowledged the
-// clock it holds now.
-func (m *archMgr) release(doc string) {
-	a := m.get(doc)
-	if a == nil {
-		return
-	}
-	held := a.eng.Clock()
-	go func() {
-		for {
-			acked := a.eng.Acked(m.successor)
-			if acked == nil {
-				return // stopped meanwhile
-			}
-			if acked.Dominates(held) {
-				m.mu.Lock()
-				delete(m.arch, doc)
-				m.handedOver[doc] = [2]vclock.VC{held, acked}
-				m.mu.Unlock()
-				a.eng.Stop()
+// archiveHub starts a hub whose ownership callback drives a production
+// archive (internal/serve) logging under a temporary directory, its
+// archivists' engines built with opts. delay holds each acquisition's
+// archivist start back, as a new owner that restarts mid-handoff would.
+func archiveHub(t testing.TB, delay time.Duration, opts ...treedoc.EngineOption) (*transport.Hub, *serve.Archive) {
+	t.Helper()
+	arch := serve.NewArchive(serve.Config{LogDir: t.TempDir()},
+		append([]treedoc.EngineOption{treedoc.WithSyncInterval(15 * time.Millisecond)}, opts...)...)
+	own := arch.Ownership
+	if delay > 0 {
+		own = func(doc string, epoch uint64, acquired bool) {
+			if !acquired {
+				arch.Ownership(doc, epoch, acquired)
 				return
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-}
-
-func (m *archMgr) get(doc string) *hoWriter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.arch[doc]
-}
-
-// awaitHandOver waits until doc's archivist has stopped on its successor's
-// acknowledgement and returns the clock it held and the one acknowledged.
-func (m *archMgr) awaitHandOver(t testing.TB, doc string, timeout time.Duration) (held, acked vclock.VC) {
-	t.Helper()
-	for deadline := time.Now().Add(timeout); ; time.Sleep(10 * time.Millisecond) {
-		m.mu.Lock()
-		h, ok := m.handedOver[doc]
-		m.mu.Unlock()
-		if ok {
-			return h[0], h[1]
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the old archivist of doc %q never saw its successor acknowledge what it held", doc)
+			go func() {
+				time.Sleep(delay)
+				arch.Ownership(doc, epoch, acquired)
+			}()
 		}
 	}
+	hub, err := treedoc.ListenHub("127.0.0.1:0", transport.WithHubOwnership(own))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch.Bind(hub, "")
+	t.Cleanup(func() {
+		arch.StopAll("test over")
+		hub.Close()
+	})
+	return hub, arch
+}
+
+// awaitArchivist waits up to 10 s for hub's archive to run doc's archivist.
+func awaitArchivist(t testing.TB, hub *transport.Hub, arch *serve.Archive, doc string) *serve.Archivist {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); arch.Get(doc) == nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the hub never acquired doc %q (handoffs in: %d)", doc, hub.Stats().HandoffsIn)
+		}
+	}
+	return arch.Get(doc)
+}
+
+// awaitHandOver waits until archivist a has stopped on its successor's
+// acknowledgement and returns the clock it held and the one acknowledged.
+func awaitHandOver(t testing.TB, a *serve.Archivist, timeout time.Duration) (held, acked vclock.VC) {
+	t.Helper()
+	select {
+	case <-a.Done():
+	case <-time.After(timeout):
+		t.Fatalf("the old archivist of doc %q never saw its successor acknowledge what it held", a.Doc)
+	}
+	if held, acked = a.HandOver(); acked == nil {
+		t.Fatalf("the old archivist of doc %q stopped, but not by a hand-over", a.Doc)
+	}
+	return held, acked
 }
 
 // docOwnedBy finds a document name owned by addr under the ring.
@@ -251,22 +186,10 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	const (
 		phase1PerWriter = 200
 		phase2PerWriter = 150
-		archSiteA       = 1000
-		archSiteB       = 2000
 	)
 	snapAt := treedoc.WithSnapshotThreshold(hoSnapThreshold)
-	var mgrA *archMgr
-	hubA, err := treedoc.ListenHub("127.0.0.1:0",
-		transport.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
-			mgrA.ownership(doc, epoch, acquired)
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hubA.Close()
+	hubA, arcA := archiveHub(t, 0, snapAt)
 	addrA := hubA.Addr().String()
-	mgrA = newArchMgr(t, addrA, archSiteA, archSiteB, snapAt)
-
 	ring1, err := shardmap.NewRing(1, []string{addrA})
 	if err != nil {
 		t.Fatal(err)
@@ -275,22 +198,12 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The second hub is configured with an ownership hook that brings up a
-	// local archivist the moment the Begin arrives.
-	var mgrB *archMgr
-	hubB, err := treedoc.ListenHub("127.0.0.1:0",
-		transport.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
-			mgrB.ownership(doc, epoch, acquired)
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hubB.Close()
+	// The second hub's archive brings up a local archivist the moment the
+	// Begin arrives. The new archivist pulls at a slower pace than the
+	// answers take to arrive: a second digest while the first answer's
+	// snapshot is still in flight would draw op replay in between offers.
+	hubB, arcB := archiveHub(t, 0, snapAt, treedoc.WithSyncInterval(100*time.Millisecond))
 	addrB := hubB.Addr().String()
-	// The new archivist pulls at a slower pace than the answers take to
-	// arrive: a second digest while the first answer's snapshot is still
-	// in flight would draw op replay in between offers.
-	mgrB = newArchMgr(t, addrB, archSiteB, 0, snapAt, treedoc.WithSyncInterval(100*time.Millisecond))
 
 	ring2, err := shardmap.NewRing(2, []string{addrA, addrB})
 	if err != nil {
@@ -298,7 +211,7 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	}
 	doc := docOwnedBy(t, ring2, addrB) // owned by A at epoch 1, by B at epoch 2
 
-	archA := mgrA.start(doc)
+	archA := arcA.Acquire(doc, hubA.RingEpoch())
 	if archA == nil {
 		t.Fatal("archivist A failed to start")
 	}
@@ -327,7 +240,7 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 		go func(w *hoWriter) { defer wg.Done(); w.write(t, phase1PerWriter, 0) }(w)
 	}
 	wg.Wait()
-	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archA.eng}, 30*time.Second)
+	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archA.Eng}, 30*time.Second)
 	phase1VC := w1.eng.Clock()
 	phase1Total := phase1VC.Get(1) + phase1VC.Get(2)
 	time.Sleep(150 * time.Millisecond) // ten sync ticks: the writers compact at phase 1
@@ -348,45 +261,37 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 	wg.Wait()
 
 	// The new owner's archivist must exist (ownership hook fired).
-	deadline := time.Now().Add(10 * time.Second)
-	for mgrB.get(doc) == nil && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	archB := mgrB.get(doc)
-	if archB == nil {
-		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.Stats().HandoffsIn)
-	}
-
-	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archB.eng}, 30*time.Second)
+	archB := awaitArchivist(t, hubB, arcB, doc)
+	hoConverge(t, []*treedoc.Engine{w1.eng, w2.eng, archB.Eng}, 30*time.Second)
 	t.Logf("converged %v after the writers' phase 2 began", time.Since(start))
 	want := w1.buf.String()
 	if got := w2.buf.String(); got != want {
 		t.Fatalf("writers diverged after handoff (%d vs %d runes)", len(got), len(want))
 	}
-	if got := archB.buf.String(); got != want {
+	if got := archB.Buf.String(); got != want {
 		t.Fatalf("new owner archivist diverged (%d vs %d runes)", len(got), len(want))
 	}
 
 	// No pre-snapshot replay: the new archivist installed a snapshot (which
 	// covers all of phase 1) and applied live only what it did not cover.
-	if archB.eng.Stats().SnapshotsInstalled == 0 {
+	if archB.Eng.Stats().SnapshotsInstalled == 0 {
 		t.Fatal("new owner archivist never installed a catch-up snapshot")
 	}
 	total := w1.eng.Clock().Get(1) + w1.eng.Clock().Get(2)
 	phase2 := total - phase1Total
-	if applied := archB.eng.Stats().Applied; applied > phase2 {
+	if applied := archB.Eng.Stats().Applied; applied > phase2 {
 		t.Fatalf("new owner archivist replayed %d ops live; a snapshot should cover all %d phase-1 ops (total %d)",
 			applied, phase1Total, total)
 	}
 
 	// The old archivist stopped, and only on an acknowledgement from the
 	// new one that covers everything it held at release.
-	held, acked := mgrA.awaitHandOver(t, doc, 30*time.Second)
+	held, acked := awaitHandOver(t, archA, 30*time.Second)
 	t.Logf("old archivist handed over %v after the writers' phase 2 began", time.Since(start))
 	if !acked.Dominates(held) || !held.Dominates(phase1VC) {
 		t.Fatalf("old archivist stopped on ack %v for held clock %v (phase 1 %v)", acked, held, phase1VC)
 	}
-	if mgrA.get(doc) != nil {
+	if arcA.Get(doc) != nil {
 		t.Fatal("old owner still runs an archivist for the moved doc")
 	}
 
@@ -413,24 +318,9 @@ func TestLiveHandoffUnderWriters(t *testing.T) {
 // mid-handoff would. The new archivist must still converge to the old
 // one's content, from the old one, which stops only after that.
 func TestHandoffToARestartingOwner(t *testing.T) {
-	const archSiteA, archSiteB = 1000, 2000
-	var mgrA, mgrB *archMgr
-	listen := func(mgr **archMgr) *transport.Hub {
-		h, err := treedoc.ListenHub("127.0.0.1:0",
-			transport.WithHubOwnership(func(doc string, epoch uint64, acquired bool) {
-				(*mgr).ownership(doc, epoch, acquired)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { h.Close() })
-		return h
-	}
-	hubA, hubB := listen(&mgrA), listen(&mgrB)
+	hubA, arcA := archiveHub(t, 0)
+	hubB, arcB := archiveHub(t, 300*time.Millisecond)
 	addrA, addrB := hubA.Addr().String(), hubB.Addr().String()
-	mgrA = newArchMgr(t, addrA, archSiteA, archSiteB)
-	mgrB = newArchMgr(t, addrB, archSiteB, 0)
-	mgrB.delay = 300 * time.Millisecond
 
 	ring1, err := shardmap.NewRing(1, []string{addrA})
 	if err != nil {
@@ -446,7 +336,7 @@ func TestHandoffToARestartingOwner(t *testing.T) {
 	doc := docOwnedBy(t, ring2, addrB)
 
 	// A writer fills A's archivist with a few hundred ops, then leaves.
-	archA := mgrA.start(doc)
+	archA := arcA.Acquire(doc, hubA.RingEpoch())
 	if archA == nil {
 		t.Fatal("archivist A failed to start")
 	}
@@ -458,30 +348,23 @@ func TestHandoffToARestartingOwner(t *testing.T) {
 		return l
 	}())
 	w.write(t, 60, 0)
-	hoConverge(t, []*treedoc.Engine{w.eng, archA.eng}, 30*time.Second)
+	hoConverge(t, []*treedoc.Engine{w.eng, archA.Eng}, 30*time.Second)
 	want := w.buf.String()
 	w.eng.Stop()
-	if n := archA.eng.Stats().Applied; n < 200 {
+	if n := archA.Eng.Stats().Applied; n < 200 {
 		t.Fatalf("archivist A holds %d ops, want a few hundred", n)
 	}
 
 	if err := hubB.ConfigureRing(addrB, ring2); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for mgrB.get(doc) == nil && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	archB := mgrB.get(doc)
-	if archB == nil {
-		t.Fatalf("hub B never acquired doc %q (handoffs in: %d)", doc, hubB.Stats().HandoffsIn)
-	}
-	held, acked := mgrA.awaitHandOver(t, doc, 30*time.Second)
-	if got := archB.buf.String(); got != want {
+	archB := awaitArchivist(t, hubB, arcB, doc)
+	held, acked := awaitHandOver(t, archA, 30*time.Second)
+	if got := archB.Buf.String(); got != want {
 		t.Fatalf("new owner archivist holds %d runes, want the old one's %d", len(got), len(want))
 	}
-	if !acked.Dominates(held) || !archB.eng.Clock().Dominates(held) {
-		t.Fatalf("old archivist stopped at held %v on ack %v; new archivist at %v", held, acked, archB.eng.Clock())
+	if !acked.Dominates(held) || !archB.Eng.Clock().Dominates(held) {
+		t.Fatalf("old archivist stopped at held %v on ack %v; new archivist at %v", held, acked, archB.Eng.Clock())
 	}
 }
 
